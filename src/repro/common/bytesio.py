@@ -50,7 +50,10 @@ class BinaryWriter:
         self._buf += struct.pack("<d", value)
 
     def write_uvarint(self, value: int) -> None:
-        self._buf += encode_uvarint(value)
+        if 0 <= value < 0x80:
+            self._buf.append(value)
+        else:
+            self._buf += encode_uvarint(value)
 
     def write_len_prefixed(self, data: bytes) -> None:
         """Write a uvarint length then the raw bytes."""

@@ -7,13 +7,18 @@ formats (and the paper's LogBlock) do.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.errors import SerializationError
 
 _MAX_VARINT_BYTES = 10  # enough for any unsigned 64-bit value
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
 
 
 def encode_uvarint(value: int) -> bytes:
     """Encode a non-negative integer as unsigned LEB128 bytes."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     if value < 0:
         raise ValueError(f"uvarint cannot encode negative value {value}")
     out = bytearray()
@@ -33,6 +38,8 @@ def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
     Returns ``(value, new_offset)`` where ``new_offset`` points just past
     the varint.
     """
+    if offset < len(data) and data[offset] < 0x80:
+        return data[offset], offset + 1
     result = 0
     shift = 0
     pos = offset
@@ -85,3 +92,82 @@ def decode_uvarint_list(data: bytes, offset: int = 0) -> tuple[list[int], int]:
         value, pos = decode_uvarint(data, pos)
         values.append(value)
     return values, pos
+
+
+def encode_uvarint_array(values: np.ndarray) -> bytes:
+    """LEB128-encode a vector of unsigned ints, byte-identical to a
+    per-value :func:`encode_uvarint` loop."""
+    values = np.ascontiguousarray(values, dtype=np.uint64)
+    if values.size == 0:
+        return b""
+    if int(values.max()) < 0x80:
+        # Dictionary codes are < 128 for every dict of ≤ 127 entries,
+        # and posting deltas for every clustered term — the common
+        # cases — so the whole stream is one cast.
+        return values.astype(np.uint8).tobytes()
+    n = values.size
+    n_bytes = np.ones(n, dtype=np.int64)
+    rest = values >> np.uint64(7)
+    while rest.any():
+        n_bytes += rest > 0
+        rest >>= np.uint64(7)
+    offsets = np.zeros(n, dtype=np.int64)
+    np.cumsum(n_bytes[:-1], out=offsets[1:])
+    out = np.zeros(int(offsets[-1] + n_bytes[-1]), dtype=np.uint8)
+    remaining = values.copy()
+    active = np.ones(n, dtype=bool)
+    byte_idx = 0
+    while active.any():
+        chunk = remaining[active]
+        more = chunk >= 0x80
+        out[offsets[active] + byte_idx] = (
+            chunk & np.uint64(0x7F)
+        ).astype(np.uint8) | (more.astype(np.uint8) << 7)
+        remaining[active] = chunk >> np.uint64(7)
+        active &= remaining > 0
+        byte_idx += 1
+    return out.tobytes()
+
+
+def uvarint_ends(data) -> np.ndarray:
+    """One past every byte of ``data`` without a continuation bit.
+
+    A varint ends at its first such byte, so in a buffer of back-to-back
+    varints entry ``k`` is where varint ``k`` ends and ``k + 1`` starts
+    — every boundary from one comparison, with no varint decoded.
+    """
+    return np.flatnonzero(np.frombuffer(data, dtype=np.uint8) < 0x80) + 1
+
+
+def decode_uvarint_array(data: bytes, count: int, offset: int = 0) -> tuple[np.ndarray, int]:
+    """Decode ``count`` consecutive LEB128 varints starting at ``offset``.
+
+    The mirror of :func:`encode_uvarint_array`: returns ``(values,
+    new_offset)`` with ``values`` a uint64 vector equal to ``count``
+    :func:`decode_uvarint` calls.  :func:`uvarint_ends` gives every
+    varint's extent at once; byte ``k`` of all varints that long is
+    then folded in with one gather per ``k``.
+    """
+    if count == 0:
+        return np.empty(0, dtype=np.uint64), offset
+    raw = np.frombuffer(memoryview(data)[offset:], dtype=np.uint8)
+    head = raw[:count]
+    if head.size == count and int(head.max()) < 0x80:
+        return head.astype(np.uint64), offset + count
+    ends = uvarint_ends(raw)[:count]
+    if ends.size < count:
+        raise SerializationError("truncated uvarint")
+    starts = np.zeros(count, dtype=np.int64)
+    starts[1:] = ends[:-1]
+    lengths = ends - starts
+    longest = int(lengths.max())
+    if longest > _MAX_VARINT_BYTES:
+        raise SerializationError("uvarint longer than 10 bytes")
+    values = (raw[starts] & 0x7F).astype(np.uint64)
+    for k in range(1, longest):
+        idx = np.flatnonzero(lengths > k)
+        septet = raw[starts[idx] + k] & 0x7F
+        if k == _MAX_VARINT_BYTES - 1 and int(septet.max()) > 1:
+            raise SerializationError("uvarint exceeds 64 bits")
+        values[idx] |= septet.astype(np.uint64) << np.uint64(7 * k)
+    return values, offset + int(ends[-1])

@@ -23,6 +23,7 @@ import numpy as np
 from repro.common.bitset import Bitset
 from repro.common.bytesio import BinaryReader, BinaryWriter
 from repro.common.errors import SerializationError
+from repro.common.varint import decode_uvarint_array
 from repro.logblock.schema import ColumnType
 
 _STRING_PLAIN = 0
@@ -119,9 +120,7 @@ def decode_block_arrays(
             raw = reader.read_bytes(row_count)
             codes = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
         else:
-            codes = np.empty(row_count, dtype=np.int64)
-            for i in range(row_count):
-                codes[i] = reader.read_uvarint()
+            codes = _read_codes(reader, row_count).astype(np.int64)
         return codes, dictionary, null_mask
     return None
 
@@ -150,19 +149,22 @@ def _encode_strings(writer: BinaryWriter, values: list) -> None:
             writer.write_str("" if value is None else value)
 
 
+def _read_codes(reader: BinaryReader, row_count: int) -> np.ndarray:
+    """A DICT block's trailing code stream: ``row_count`` uvarints."""
+    codes, _ = decode_uvarint_array(reader.read_bytes(reader.remaining()), row_count)
+    return codes
+
+
 def _decode_strings(reader: BinaryReader, null_mask: np.ndarray, row_count: int) -> list:
     encoding = reader.read_u8()
     if encoding == _STRING_DICT:
         dict_size = reader.read_uvarint()
-        dictionary = [reader.read_str() for _ in range(dict_size)]
-        out: list = []
-        for i in range(row_count):
-            code = reader.read_uvarint()
-            if code == 0 or null_mask[i]:
-                out.append(None)
-            else:
-                out.append(dictionary[code - 1])
-        return out
+        # Slot 0 is the null code; a row the bitset marks null is null
+        # whatever its code says.
+        dictionary = np.array([None] + [reader.read_str() for _ in range(dict_size)], dtype=object)
+        codes = _read_codes(reader, row_count)
+        codes[null_mask] = 0
+        return dictionary[codes].tolist()
     if encoding == _STRING_PLAIN:
         out = []
         for i in range(row_count):

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.common.bitset import Bitset
 from repro.common.bytesio import BinaryWriter
+from repro.common.varint import encode_uvarint_array
 from repro.logblock.column import (
     _DICT_MAX_CARDINALITY_FRACTION,
     _STRING_DICT,
@@ -98,40 +99,6 @@ class PreparedColumn:
     # detected inside compute_sma_range.
     sma_vectorized: bool = True
     sma_reason: str | None = None
-
-
-def encode_uvarint_array(values: np.ndarray) -> bytes:
-    """LEB128-encode a vector of unsigned ints, byte-identical to a
-    per-value :meth:`BinaryWriter.write_uvarint` loop."""
-    values = np.ascontiguousarray(values, dtype=np.uint64)
-    if values.size == 0:
-        return b""
-    if int(values.max()) < 0x80:
-        # Dictionary codes are < 128 for every dict of ≤ 127 entries —
-        # the common case — so the whole code stream is one cast.
-        return values.astype(np.uint8).tobytes()
-    n = values.size
-    n_bytes = np.ones(n, dtype=np.int64)
-    rest = values >> np.uint64(7)
-    while rest.any():
-        n_bytes += rest > 0
-        rest >>= np.uint64(7)
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(n_bytes[:-1], out=offsets[1:])
-    out = np.zeros(int(offsets[-1] + n_bytes[-1]), dtype=np.uint8)
-    remaining = values.copy()
-    active = np.ones(n, dtype=bool)
-    byte_idx = 0
-    while active.any():
-        chunk = remaining[active]
-        more = chunk >= 0x80
-        out[offsets[active] + byte_idx] = (
-            chunk & np.uint64(0x7F)
-        ).astype(np.uint8) | (more.astype(np.uint8) << 7)
-        remaining[active] = chunk >> np.uint64(7)
-        active &= remaining > 0
-        byte_idx += 1
-    return out.tobytes()
 
 
 def _object_array(values: list) -> np.ndarray:

@@ -133,6 +133,18 @@ def _read_value(reader: BinaryReader):
     raise ValueError(f"unknown SMA value kind {kind}")
 
 
+def _storable_sum(total: int | float | None) -> int | float | None:
+    """``total``, or ``None`` for an int sum that left the stored int64.
+
+    A block of a few thousand µs timestamps already sums past 2**63.
+    Readers treat a missing sum as "scan the block instead of pushing
+    SUM/AVG down", so dropping it costs speed, never correctness.
+    """
+    if isinstance(total, int) and not -(2**63) <= total < 2**63:
+        return None
+    return total
+
+
 def compute_sma(values: Iterable, ctype: ColumnType) -> Sma:
     """Compute the SMA of a column (or block) of python values.
 
@@ -157,7 +169,9 @@ def compute_sma(values: Iterable, ctype: ColumnType) -> Sma:
             max_value = value
         if numeric:
             total += value
-    return Sma(min_value, max_value, row_count, null_count, total if numeric else None)
+    return Sma(
+        min_value, max_value, row_count, null_count, _storable_sum(total) if numeric else None
+    )
 
 
 def compute_sma_arrays(
@@ -178,7 +192,8 @@ def compute_sma_arrays(
     Float sums reproduce the oracle's sequential accumulation exactly
     via ``np.cumsum`` (each partial sum depends on the previous one, so
     there is no pairwise re-association); int sums use ``np.sum`` only
-    when no intermediate can leave int64, else exact python summation.
+    when no intermediate can leave int64, else exact python summation
+    (and no sum at all once the total itself leaves int64).
     """
     numeric = ctype in (ColumnType.INT64, ColumnType.FLOAT64, ColumnType.TIMESTAMP)
     row_count = int(len(null_mask))
@@ -196,7 +211,7 @@ def compute_sma_arrays(
         if present.size * max(abs(min_value), abs(max_value)) < 2**63:
             total = int(present.sum(dtype=np.int64))
         else:
-            total = sum(present.tolist())
+            total = _storable_sum(sum(present.tolist()))
         return Sma(min_value, max_value, row_count, null_count, total)
 
     if ctype is ColumnType.FLOAT64:
@@ -237,4 +252,4 @@ def merge_smas(smas: Iterable[Sma]) -> Sma:
             total = None if sma.sum_value is None else total + sma.sum_value
     if not any_child:
         total = None
-    return Sma(min_value, max_value, row_count, null_count, total)
+    return Sma(min_value, max_value, row_count, null_count, _storable_sum(total))

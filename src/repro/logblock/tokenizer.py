@@ -26,13 +26,20 @@ def tokenize(text: str) -> list[str]:
 
     Overlong tokens are truncated to :data:`MAX_TOKEN_LENGTH` so a single
     pathological log line cannot bloat the term dictionary.
+
+    ASCII text is lower-cased once, before the regex: there ``lower()``
+    maps letters to letters one for one, so the matches are the same.
+    It is not so beyond ASCII (``"İ".lower()`` grows an ASCII ``i``,
+    the Kelvin sign lowers to ``k``), so such text is matched as
+    written and only its tokens — always ASCII — are lower-cased.
     """
-    return [match.group(0).lower()[:MAX_TOKEN_LENGTH] for match in _TOKEN_RE.finditer(text)]
-
-
-def tokenize_unique(text: str) -> set[str]:
-    """Distinct terms of ``text`` (postings store each doc once per term)."""
-    return set(tokenize(text))
+    if text.isascii():
+        tokens = _TOKEN_RE.findall(text.lower())
+    else:
+        tokens = [token.lower() for token in _TOKEN_RE.findall(text)]
+    if len(text) > MAX_TOKEN_LENGTH:
+        tokens = [token[:MAX_TOKEN_LENGTH] for token in tokens]
+    return tokens
 
 
 def normalize_term(term: str) -> str:

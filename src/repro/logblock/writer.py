@@ -315,13 +315,8 @@ class LogBlockWriter:
             values = columns[col.name]
             self._columns[col_idx].extend(values)
             builder = self._index_builders.get(col.name)
-            if builder is None:
-                continue
-            if self._validate:
+            if builder is not None:
                 builder.add_many(start_row, values)
-            else:
-                for offset, value in enumerate(values):
-                    builder.add(start_row + offset, value)
         self._row_count += count
 
     def finish(self) -> bytes:

@@ -1,5 +1,6 @@
 """Varint and zigzag encoding tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,9 +9,11 @@ from repro.common.errors import SerializationError
 from repro.common.varint import (
     decode_svarint,
     decode_uvarint,
+    decode_uvarint_array,
     decode_uvarint_list,
     encode_svarint,
     encode_uvarint,
+    encode_uvarint_array,
     encode_uvarint_list,
     zigzag_decode,
     zigzag_encode,
@@ -90,3 +93,78 @@ class TestUvarintList:
     def test_roundtrip(self, values):
         decoded, _pos = decode_uvarint_list(encode_uvarint_list(values))
         assert decoded == values
+
+
+UVARINT_EDGES = [
+    [],
+    [0],
+    [0x7F],
+    [0x80],
+    [0, 1, 127, 128, 255, 300, 16_383, 16_384],
+    [2**63, 2**63 - 1, 2**64 - 1, 0, 1],
+    list(range(1000)),
+]
+uint64_lists = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=300),  # mostly one- and two-byte values
+    ),
+    max_size=200,
+)
+
+
+class TestUvarintArray:
+    """The array kernels equal a loop of the scalar codec, both ways."""
+
+    @staticmethod
+    def scalar_encode(values) -> bytes:
+        return b"".join(encode_uvarint(value) for value in values)
+
+    @staticmethod
+    def scalar_decode(data: bytes, count: int, offset: int = 0) -> tuple[list[int], int]:
+        values = []
+        for _ in range(count):
+            value, offset = decode_uvarint(data, offset)
+            values.append(value)
+        return values, offset
+
+    @pytest.mark.parametrize("values", UVARINT_EDGES)
+    def test_edges(self, values):
+        encoded = encode_uvarint_array(np.array(values, dtype=np.uint64))
+        assert encoded == self.scalar_encode(values)
+        decoded, end = decode_uvarint_array(encoded, len(values))
+        assert decoded.dtype == np.uint64
+        assert (decoded.tolist(), end) == (values, len(encoded))
+
+    @given(uint64_lists)
+    def test_encode_equals_scalar(self, values):
+        assert encode_uvarint_array(np.array(values, dtype=np.uint64)) == self.scalar_encode(
+            values
+        )
+
+    @given(uint64_lists, st.binary(max_size=4), st.binary(max_size=4))
+    def test_decode_equals_scalar_inside_a_buffer(self, values, before, after):
+        data = before + self.scalar_encode(values) + after
+        decoded, end = decode_uvarint_array(data, len(values), offset=len(before))
+        assert (decoded.tolist(), end) == self.scalar_decode(data, len(values), len(before))
+
+    def test_decode_stops_after_count(self):
+        data = self.scalar_encode([5, 300, 7, 9])
+        decoded, end = decode_uvarint_array(data, 2)
+        assert (decoded.tolist(), end) == ([5, 300], 3)
+
+    @given(uint64_lists.filter(bool), st.data())
+    def test_truncated_input_raises(self, values, data):
+        encoded = self.scalar_encode(values)
+        # Cut anywhere from "nothing left" to "last varint lost its end".
+        cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
+        kept = sum(1 for byte in encoded[:cut] if byte < 0x80)
+        assert kept < len(values)
+        with pytest.raises(SerializationError):
+            decode_uvarint_array(encoded[:cut], len(values))
+
+    def test_overlong_and_oversized_varints_raise(self):
+        with pytest.raises(SerializationError):
+            decode_uvarint_array(b"\x80" * 10 + b"\x01", 1)  # 11 bytes
+        with pytest.raises(SerializationError):
+            decode_uvarint_array(b"\x05" + b"\xff" * 9 + b"\x02", 2)  # bit 64 set

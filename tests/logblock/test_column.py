@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import SerializationError
-from repro.logblock.column import decode_block, encode_block
+from repro.logblock.column import decode_block, decode_block_arrays, encode_block
 from repro.logblock.schema import ColumnType
 
 
@@ -68,6 +68,25 @@ class TestStringColumns:
         assert len(encode_block(repetitive, ColumnType.STRING)) < len(
             encode_block(distinct, ColumnType.STRING)
         )
+
+    def test_wide_dictionary_roundtrip(self):
+        """More than 127 entries: codes become multi-byte varints."""
+        values = ([f"v{i:03d}" for i in range(300)] + [None]) * 3
+        encoded = encode_block(values, ColumnType.STRING)
+        assert decode_block(encoded, ColumnType.STRING, len(values)) == values
+        codes, dictionary, null_mask = decode_block_arrays(
+            encoded, ColumnType.STRING, len(values)
+        )
+        assert codes.dtype.kind == "i" and len(dictionary) == 300
+        assert [None if c == 0 else dictionary[c - 1] for c in codes.tolist()] == values
+        assert null_mask.tolist() == [v is None for v in values]
+
+    def test_truncated_code_stream_raises(self):
+        values = [f"v{i:03d}" for i in range(300)] * 2
+        encoded = encode_block(values, ColumnType.STRING)
+        for decode in (decode_block, decode_block_arrays):
+            with pytest.raises(SerializationError):
+                decode(encoded[:-1], ColumnType.STRING, len(values))
 
     def test_empty_string_vs_null(self):
         values = ["", None, "x"]

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.bytesio import BinaryReader, BinaryWriter
 from repro.common.errors import SchemaError
 from repro.logblock.bloom import BloomFilter
 from repro.logblock.column import decode_block, decode_block_arrays, encode_block
@@ -22,7 +21,6 @@ from repro.logblock.encode_kernels import (
     EncodeStats,
     compute_sma_range,
     encode_block_range,
-    encode_uvarint_array,
     prepare_column,
 )
 from repro.logblock.pruning import (
@@ -72,40 +70,6 @@ def unpack_members(blob: bytes) -> dict[str, bytes]:
     store.put("b", "k", blob)
     pack = PackReader(store, "b", "k")
     return {name: pack.read_member(name) for name in pack.member_names()}
-
-
-# ---------------------------------------------------------------------------
-# encode_uvarint_array ≡ per-value write_uvarint
-
-
-class TestUvarintArray:
-    def _oracle(self, values) -> bytes:
-        writer = BinaryWriter()
-        for value in values:
-            writer.write_uvarint(int(value))
-        return writer.getvalue()
-
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [],
-            [0],
-            [0x7F],
-            [0x80],
-            [0, 1, 127, 128, 255, 300, 16_383, 16_384],
-            [2**63 - 1, 2**64 - 1, 0, 1],
-            list(range(1000)),
-        ],
-    )
-    def test_edges(self, values):
-        got = encode_uvarint_array(np.array(values, dtype=np.uint64))
-        assert got == self._oracle(values)
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_differential(self, values):
-        got = encode_uvarint_array(np.array(values, dtype=np.uint64))
-        assert got == self._oracle(values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,54 @@
 """Inverted index tests."""
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.common.bytesio import BinaryWriter
+from repro.common.errors import SerializationError
 from repro.logblock.inverted import InvertedIndex, InvertedIndexBuilder
-from repro.logblock.tokenizer import tokenize
+from repro.logblock.tokenizer import MAX_TOKEN_LENGTH, tokenize
+
+
+class ReferenceIndex:
+    """The per-row builder and per-value serializer the columnar
+    pipeline replaced; the differentials below hold it to their bytes."""
+
+    def __init__(self, tokenize_values: bool) -> None:
+        self.tokenize = tokenize_values
+        self.postings: dict[str, list[int]] = {}
+        self.row_count = 0
+
+    def add(self, row_id: int, value) -> None:
+        self.row_count = max(self.row_count, row_id + 1)
+        if value is None:
+            return
+        for term in set(tokenize(value)) if self.tokenize else (value,):
+            bucket = self.postings.setdefault(term, [])
+            if not bucket or bucket[-1] != row_id:
+                bucket.append(row_id)
+
+    def add_many(self, start_row_id: int, values) -> None:
+        for offset, value in enumerate(values):
+            self.add(start_row_id + offset, value)
+
+    def lookup(self, term: str) -> list[int]:
+        return self.postings.get(term, [])
+
+    def to_bytes(self) -> bytes:
+        writer = BinaryWriter()
+        writer.write_u8(1 if self.tokenize else 0)
+        writer.write_uvarint(self.row_count)
+        writer.write_uvarint(len(self.postings))
+        for term in sorted(self.postings):
+            writer.write_str(term)
+            writer.write_uvarint(len(self.postings[term]))
+            prev = 0
+            for row in self.postings[term]:
+                writer.write_uvarint(row - prev)
+                prev = row
+        return writer.getvalue()
 
 
 def build(values: list[str | None], tokenize_values: bool) -> InvertedIndex:
@@ -93,3 +137,153 @@ class TestSerialization:
                 if value is not None and term in tokenize(value)
             ]
             assert list(decoded.lookup(term)) == expected
+
+
+# -- the columnar pipeline against the per-row reference ---------------------
+
+LONG = "x" * (MAX_TOKEN_LENGTH + 5)
+# Small alphabets so terms repeat across rows; İ / K / ß change under
+# str.lower(), LONG tokens differ only past the truncation point.
+words = st.sampled_from(
+    ["error", "Error", "GET", "10.0.0.1", "a", "b", "İ", "\u212a", "ß", "é", LONG, LONG + "y", ""]
+)
+tokenized_values = st.one_of(
+    st.none(),
+    st.lists(words, max_size=6).map(" ".join),
+    st.text(alphabet="aB0 .-İ\u212aß", max_size=12),
+)
+raw_values = st.one_of(st.none(), words, st.text(alphabet="abİ ", max_size=3))
+
+
+def batches(values):
+    """Lists of calls: ("many", [values]) | ("one", value) | ("again",)."""
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("many"), st.lists(values, max_size=8)),
+            st.tuples(st.just("one"), values),
+            st.tuples(st.just("again")),  # re-add the previous row's value
+        ),
+        max_size=8,
+    )
+
+
+def replay(calls, tokenize_values: bool):
+    """Feed the same call sequence to the new builder and the reference."""
+    new, ref = InvertedIndexBuilder(tokenize=tokenize_values), ReferenceIndex(tokenize_values)
+    next_row, last = 0, None
+    for call in calls:
+        for builder in (new, ref):
+            if call[0] == "many":
+                builder.add_many(next_row, call[1])
+            elif call[0] == "one":
+                builder.add(next_row, call[1])
+            elif last is not None:
+                builder.add(*last)
+        if call[0] == "many" and call[1]:
+            next_row += len(call[1])
+            last = (next_row - 1, call[1][-1])
+        elif call[0] == "one":
+            next_row += 1
+            last = (next_row - 1, call[1])
+    return new.build(), ref
+
+
+class TestAgainstReference:
+    @given(batches(tokenized_values))
+    def test_tokenized_bytes_equal(self, calls):
+        index, ref = replay(calls, tokenize_values=True)
+        assert index.to_bytes() == ref.to_bytes()
+
+    @given(batches(raw_values))
+    def test_raw_bytes_equal(self, calls):
+        index, ref = replay(calls, tokenize_values=False)
+        assert index.to_bytes() == ref.to_bytes()
+
+    def test_empty_index(self):
+        for tokenize_values in (True, False):
+            index, ref = replay([], tokenize_values)
+            assert index.to_bytes() == ref.to_bytes()
+            decoded = InvertedIndex.from_bytes(index.to_bytes())
+            assert decoded.term_count == 0 and decoded.row_count == 0
+            assert list(decoded.lookup("a")) == [] and list(decoded.lookup_prefix("")) == []
+
+    def test_wide_deltas_and_many_postings(self):
+        """Posting lists with multi-byte deltas and multi-byte counts."""
+        values = ["hot" if i % 3 else "hot cold" for i in range(700)] + [None] * 40_000 + ["cold"]
+        index, ref = replay([("many", values)], tokenize_values=True)
+        blob = index.to_bytes()
+        assert blob == ref.to_bytes()
+        decoded = InvertedIndex.from_bytes(blob)
+        assert decoded.lookup("cold").tolist() == ref.lookup("cold")
+        assert decoded.lookup("hot").tolist() == ref.lookup("hot")
+
+    def test_more_terms_than_16_bit_sort_keys(self):
+        values = [f"t{i % 70_000:05d}" for i in range(75_000)]
+        index, ref = replay([("many", values)], tokenize_values=False)
+        assert index.term_count == 70_000
+        assert index.to_bytes() == ref.to_bytes()
+
+    def test_descending_row_ids_cannot_be_serialized(self):
+        builder = InvertedIndexBuilder(tokenize=False)
+        builder.add(5, "a")
+        builder.add(3, "a")
+        with pytest.raises(ValueError):
+            builder.build().to_bytes()
+
+    @given(batches(tokenized_values), st.lists(words, max_size=4))
+    def test_decoded_queries_equal_reference(self, calls, probes):
+        built, ref = replay(calls, tokenize_values=True)
+        decoded = InvertedIndex.from_bytes(ref.to_bytes())
+        probes = probes + sorted(ref.postings)[:4]
+        for index in (built, decoded):
+            assert index.terms() == sorted(ref.postings)
+            assert index.row_count == ref.row_count
+            for probe in probes:
+                term = probe.lower()[:MAX_TOKEN_LENGTH]
+                assert index.lookup(probe).tolist() == ref.lookup(term)
+                prefix_rows = sorted(
+                    {row for t, rows in ref.postings.items() if t.startswith(term) for row in rows}
+                )
+                assert index.lookup_prefix(probe).tolist() == prefix_rows
+            every = [set(ref.lookup(p.lower()[:MAX_TOKEN_LENGTH])) for p in probes]
+            all_rows = set(range(ref.row_count)).intersection(*every)
+            assert list(index.match_all(probes)) == sorted(all_rows)
+            assert list(index.match_any(probes)) == sorted(set().union(*every))
+
+    @given(batches(raw_values), st.lists(raw_values.filter(lambda v: v is not None), max_size=3))
+    def test_decoded_raw_queries_equal_reference(self, calls, probes):
+        built, ref = replay(calls, tokenize_values=False)
+        decoded = InvertedIndex.from_bytes(ref.to_bytes())
+        for index in (built, decoded):
+            for probe in probes + sorted(ref.postings)[:3]:
+                assert index.lookup(probe).tolist() == ref.lookup(probe)
+                prefix_rows = sorted(
+                    {row for t, rows in ref.postings.items() if t.startswith(probe) for row in rows}
+                )
+                assert index.lookup_prefix(probe).tolist() == prefix_rows
+
+
+class TestCorruptPayloads:
+    def blob(self) -> bytes:
+        index, _ = replay(
+            [("many", ["error GET 10.0.0.1", None, "error " + LONG, "é ß b"] * 40)], True
+        )
+        return index.to_bytes()
+
+    def test_every_truncation_raises(self):
+        blob = self.blob()
+        for cut in range(len(blob)):
+            with pytest.raises(SerializationError):
+                InvertedIndex.from_bytes(blob[:cut])
+
+    def test_row_id_outside_the_index_raises(self):
+        ref = ReferenceIndex(False)
+        ref.add(9, "a")
+        ref.row_count = 5
+        with pytest.raises(SerializationError):
+            InvertedIndex.from_bytes(ref.to_bytes())
+
+    def test_lookup_results_are_int64(self):
+        decoded = InvertedIndex.from_bytes(self.blob())
+        assert decoded.lookup("error").dtype == np.int64
+        assert decoded.lookup("absent").dtype == np.int64

@@ -1,12 +1,13 @@
 """Small Materialized Aggregates tests, including pruning soundness."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.bytesio import BinaryReader, BinaryWriter
 from repro.logblock.schema import ColumnType
-from repro.logblock.sma import Sma, compute_sma, merge_smas
+from repro.logblock.sma import Sma, compute_sma, compute_sma_arrays, merge_smas
 
 
 class TestCompute:
@@ -116,6 +117,31 @@ class TestSum:
         sma.write_to(writer, include_sum=False)
         legacy = Sma.read_from(BinaryReader(writer.getvalue()), include_sum=False)
         assert legacy == Sma(1, 9, 4, 1, None)
+
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_sum_past_int64_is_dropped_not_raised(self, sign):
+        # 3 * 2**62 does not fit the stored int64; min/max still do.
+        values = [sign * 2**62] * 3
+        slow = compute_sma(values, ColumnType.TIMESTAMP)
+        fast = compute_sma_arrays(
+            np.array(values, dtype=np.int64), np.zeros(3, dtype=bool), ColumnType.TIMESTAMP
+        )
+        assert slow == fast == Sma(sign * 2**62, sign * 2**62, 3, 0, None)
+        assert Sma.from_bytes(slow.to_bytes()) == slow
+
+    def test_int64_extremes_are_kept(self):
+        for total in (2**63 - 1, -(2**63)):
+            sma = compute_sma([total], ColumnType.INT64)
+            assert sma.sum_value == total
+            assert Sma.from_bytes(sma.to_bytes()) == sma
+
+    def test_merge_drops_a_sum_past_int64(self):
+        half = compute_sma([2**62], ColumnType.INT64)
+        assert merge_smas([half]).sum_value == 2**62
+        merged = merge_smas([half, half])
+        assert merged.sum_value is None
+        assert Sma.from_bytes(merged.to_bytes()) == merged
 
 
 class TestMerge:

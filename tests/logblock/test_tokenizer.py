@@ -4,11 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.logblock.tokenizer import (
+    _TOKEN_RE,
     MAX_TOKEN_LENGTH,
     normalize_term,
     tokenize,
-    tokenize_unique,
 )
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """Per-match lower-casing: the definition ``tokenize`` must equal."""
+    return [m.group(0).lower()[:MAX_TOKEN_LENGTH] for m in _TOKEN_RE.finditer(text)]
 
 
 class TestTokenize:
@@ -42,8 +47,24 @@ class TestTokenize:
         token = "a" * 500
         assert tokenize(token) == ["a" * MAX_TOKEN_LENGTH]
 
-    def test_unique(self):
-        assert tokenize_unique("a b a b c") == {"a", "b", "c"}
+    def test_non_ascii_is_matched_before_lowering(self):
+        # "İ".lower() is "i" + U+0307 and the Kelvin sign lowers to "k":
+        # lowering the whole text first would invent ASCII letters.
+        assert tokenize("aİb") == ["a", "b"]
+        assert tokenize("\u212aelvin 5\u212a") == ["elvin", "5"]
+        assert tokenize("Straße ÉCOLE") == ["stra", "e", "cole"]
+
+    @given(
+        st.text(
+            alphabet=st.sampled_from("aBz09 ._-:/İ\u212aßé\n"), max_size=3 * MAX_TOKEN_LENGTH
+        )
+    )
+    def test_equals_per_match_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    @given(st.text(max_size=300))
+    def test_equals_per_match_reference_any_text(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestNormalizeTerm:

@@ -359,6 +359,48 @@ class TestLegacyMetaFallback:
         assert stats.blocks_visited == 0
 
 
+class TestSumPastInt64:
+    """A block's timestamp sum leaves int64 after ~5 700 rows of 2020
+    µs timestamps.  Archiving it used to raise ``struct.error``; now
+    the SMA carries no sum and SUM/AVG read the column instead."""
+
+    @pytest.fixture(scope="class")
+    def wide_env(self):
+        built = Env()
+        built.builder = DataBuilder(
+            built.schema, built.store, BUCKET, built.catalog,
+            codec="zlib", block_rows=4096, target_rows=20_000,
+        )
+        built.archive(make_rows(10_000, tenant_id=1, seed=12))
+        return built
+
+    def test_one_block_whose_sum_overflows(self, wide_env):
+        assert len(wide_env.catalog.blocks_for(1)) == 1
+        assert sum(r["ts"] for r in wide_env.rows) >= 2**63
+
+    @pytest.mark.parametrize("level", (0, 3))
+    def test_sum_avg_count_match_python(self, wide_env, level):
+        sql = (
+            "SELECT SUM(ts), AVG(ts), COUNT(ts), SUM(latency), COUNT(*) "
+            "FROM request_log WHERE tenant_id = 1 AND latency >= 0"
+        )
+        rows, stats = wide_env.run(sql, level=level)
+        ts = [r["ts"] for r in wide_env.rows]
+        # The aggregator accumulates in float, at every level.
+        assert rows[0]["SUM(ts)"] == pytest.approx(sum(ts), rel=1e-12)
+        assert rows[0]["AVG(ts)"] == pytest.approx(sum(ts) / len(ts), rel=1e-12)
+        assert rows[0]["COUNT(ts)"] == rows[0]["COUNT(*)"] == len(ts)
+        assert rows[0]["SUM(latency)"] == sum(r["latency"] for r in wide_env.rows)
+        # The missing ts sum sends the block to the columnar tier.
+        assert stats.pushdown.agg_sma_blocks == 0
+
+    def test_latency_alone_still_folds_from_the_sma(self, wide_env):
+        sql = "SELECT SUM(latency) FROM request_log WHERE tenant_id = 1 AND latency >= 0"
+        rows, stats = wide_env.run(sql, level=3)
+        assert rows[0]["SUM(latency)"] == sum(r["latency"] for r in wide_env.rows)
+        assert stats.pushdown.agg_sma_blocks == 1
+
+
 class TestPlanTimeValidation:
     def test_sum_on_string_rejected(self, env):
         with pytest.raises(QueryError, match="SUM\\(ip\\) is not defined"):
