@@ -3,20 +3,18 @@
 Every other bench in this directory measures *virtual* time — the cost
 model charged to :class:`~repro.common.clock.VirtualClock`, which is
 deliberately identical whether a scan runs vectorized or interpreted.
-The vectorized kernels and the coalesced WAL encode are *host CPU*
-optimizations, so this rig measures them the only way that is honest:
+The vectorized kernels are *host CPU* optimizations, so this rig
+measures them the only way that is honest:
 ``time.perf_counter`` (wall) and ``time.process_time`` (CPU) around the
 real work.
 
-Two workloads, both asserting byte-identical results between arms:
+Two kernels in isolation, both asserting byte-identical results between
+arms (the full put → OSS → query path is ``benchmarks/e2e``):
 
 * **scan** — a selective filter over the archived §6.3 corpus, run with
   ``use_vectorized_scan`` on vs off and otherwise identical options.
   The vectorized arm must evaluate at least 3x the rows per CPU second
   (>= 1x under ``BENCH_QUICK=1``, where timings are noise-dominated).
-* **ingest** — the same WAL record stream appended via the coalesced
-  ``append_many`` vs a per-entry ``append`` loop; segment bytes must be
-  identical and the coalesced arm must not be slower.
 * **builder** — the archive encode path: columnar ingest +
   ``encode_kernels`` (``use_vectorized_encode`` on) vs the per-row,
   per-value interpreted encoder, asserting byte-identical packed
@@ -27,7 +25,6 @@ Numbers land in ``BENCH_wallclock.json`` (committed from a full run).
 
 import json
 import os
-import pickle
 import random
 import time
 
@@ -40,18 +37,13 @@ from repro.oss.store import InMemoryObjectStore
 from repro.query.executor import ExecutionOptions
 from repro.query.sql import parse_sql
 from repro.tarpack.reader import PackReader
-from repro.wal.log import MemorySegmentBackend, WriteAheadLog
-from repro.wal.record import WalEntryEncoder
 
 QUICK = os.environ.get("BENCH_QUICK") == "1"
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_wallclock.json")
 
 SCAN_REPEATS = 2 if QUICK else 5
 SCAN_QUERIES = 4 if QUICK else 12
-INGEST_BATCHES = 300 if QUICK else 3_000
-ROWS_PER_BATCH = 8
 BUILD_ROWS = 8_000 if QUICK else 40_000
-GROUP_SIZE = 16  # client batches per coalesced group, as group commit packs them
 BASE_TS = 1_605_052_800_000_000
 
 RESULTS: dict = {"quick": QUICK, "cpu_count": os.cpu_count()}
@@ -176,88 +168,6 @@ def _strip(arm: dict) -> dict:
     return out
 
 
-def ingest_bodies() -> list[bytes]:
-    """Pickled row batches, the shape shards write through their WAL."""
-    bodies = []
-    for batch in range(INGEST_BATCHES):
-        rows = [
-            {
-                "ts": BASE_TS + batch * 1_000 + k,
-                "tenant_id": 1 + batch % 7,
-                "latency": (batch * ROWS_PER_BATCH + k) % 500,
-                "log": f"GET /api/v{k % 3} rid_{batch}_{k} status ok",
-            }
-            for k in range(ROWS_PER_BATCH)
-        ]
-        bodies.append(pickle.dumps(rows))
-    return bodies
-
-
-def test_ingest_coalesced_vs_per_entry(capsys):
-    bodies = ingest_bodies()
-    records = INGEST_BATCHES * ROWS_PER_BATCH
-    kind = WalEntryEncoder.KIND_APPEND
-
-    def run_coalesced():
-        wal = WriteAheadLog(MemorySegmentBackend())
-        for start in range(0, len(bodies), GROUP_SIZE):
-            wal.append_many([(kind, body) for body in bodies[start : start + GROUP_SIZE]])
-        return wal
-
-    def run_per_entry():
-        wal = WriteAheadLog(MemorySegmentBackend())
-        for body in bodies:
-            wal.append(kind, body)
-        return wal
-
-    coalesced, co_wall, co_cpu = timed(run_coalesced, SCAN_REPEATS)
-    per_entry, pe_wall, pe_cpu = timed(run_per_entry, SCAN_REPEATS)
-
-    # Identical durable bytes, amortized flushes.
-    assert {s: coalesced.backend.read(s) for s in coalesced.backend.segments()} == {
-        s: per_entry.backend.read(s) for s in per_entry.backend.segments()
-    }
-    assert coalesced.next_sequence == per_entry.next_sequence == INGEST_BATCHES
-    assert coalesced.flush_count <= (INGEST_BATCHES + GROUP_SIZE - 1) // GROUP_SIZE + (
-        coalesced.backend.segments()[-1] + 1  # +1 flush per rollover boundary
-    )
-    assert per_entry.flush_count == INGEST_BATCHES
-
-    ratio = (records / co_cpu) / (records / pe_cpu)
-    if not QUICK:
-        # The flush amortization above is the durable win (one fsync per
-        # group on a file backend); on the in-memory backend the encode
-        # itself must at least not regress.
-        assert ratio >= 0.9, f"coalesced WAL encode {ratio:.2f}x per-entry, regressed"
-
-    RESULTS["ingest"] = {
-        "records": records,
-        "batches": INGEST_BATCHES,
-        "group_size": GROUP_SIZE,
-        "speedup_records_per_cpu_s": round(ratio, 2),
-        "coalesced": {
-            "wall_s": round(co_wall, 6),
-            "cpu_s": round(co_cpu, 6),
-            "records_per_cpu_s": round(records / co_cpu, 0),
-            "flushes": coalesced.flush_count,
-        },
-        "per_entry": {
-            "wall_s": round(pe_wall, 6),
-            "cpu_s": round(pe_cpu, 6),
-            "records_per_cpu_s": round(records / pe_cpu, 0),
-            "flushes": per_entry.flush_count,
-        },
-    }
-    emit(
-        capsys,
-        "",
-        f"Wall-clock WAL ingest ({records:,} records, groups of {GROUP_SIZE}):",
-        f"  coalesced : {co_cpu:.4f} cpu-s, {coalesced.flush_count} flushes",
-        f"  per-entry : {pe_cpu:.4f} cpu-s, {per_entry.flush_count} flushes",
-        f"  speedup: {ratio:.2f}x records per CPU second, identical segment bytes",
-    )
-
-
 def builder_schema() -> TableSchema:
     """Request-metrics shape: every column the encode kernels cover.
 
@@ -376,7 +286,7 @@ def test_builder_encode_vectorized_vs_interpreted(capsys):
 
 
 def test_write_results_json(capsys):
-    assert "scan" in RESULTS and "ingest" in RESULTS and "builder" in RESULTS
+    assert "scan" in RESULTS and "builder" in RESULTS
     with open(OUT_PATH, "w") as handle:
         json.dump(RESULTS, handle, indent=2, sort_keys=True)
         handle.write("\n")

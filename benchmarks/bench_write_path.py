@@ -24,7 +24,7 @@ from harness import emit
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
 from repro.raft.node import _WAL_KIND_ENTRY, NOOP_COMMAND
-from repro.rowstore.store import RowStore
+from repro.rowstore import RowBatch, RowStore
 
 QUICK = os.environ.get("BENCH_QUICK") == "1"
 
@@ -101,7 +101,7 @@ def recover_rowstore_from_wal(node) -> RowStore:
     for index in sorted(i for i in entries if i <= node.commit_index):
         command = entries[index].command
         if command != NOOP_COMMAND:
-            recovered.append_many(pickle.loads(command))
+            recovered.append_many(RowBatch.from_bytes(command))
     return recovered
 
 

@@ -28,7 +28,6 @@ from repro.common.errors import (
 )
 from repro.common.utils import wave_elapsed
 from repro.obs.context import Observability
-from repro.obs.meter import approx_rows_bytes
 from repro.obs.recorders import PushdownRecorder, ScanModeRecorder
 from repro.obs.report import (
     BROKER_QUERIES,
@@ -54,6 +53,7 @@ from repro.query.executor import (
 )
 from repro.query.planner import QueryPlan, QueryPlanner
 from repro.query.sql import parse_sql
+from repro.rowstore.batch import RowBatch
 
 
 @dataclass
@@ -125,8 +125,8 @@ class Broker:
             raise WorkerNotFound(f"worker {worker_id!r} not registered")
         return worker
 
-    def write(self, tenant_id: int, rows: list[dict]) -> dict[int, int]:
-        """Route one tenant batch; returns shard → record count.
+    def write(self, tenant_id: int, batch: RowBatch) -> dict[int, int]:
+        """Route one admitted tenant batch; returns shard → record count.
 
         Per-shard dispatches are charged under the deferred-clock wave
         model — a K-shard batch pays its slowest dispatch, not the sum
@@ -135,13 +135,13 @@ class Broker:
         the first shard progresses all of them).
         """
         with self._obs.tracer.span(
-            "broker.write", broker=self.broker_id, tenant=tenant_id, rows=len(rows)
+            "broker.write", broker=self.broker_id, tenant=tenant_id, rows=len(batch)
         ):
-            dispatched = self._dispatch(tenant_id, rows)
+            dispatched = self._dispatch(tenant_id, batch)
             self.settle_writes()
         return dispatched
 
-    def write_nowait(self, tenant_id: int, rows: list[dict]) -> dict[int, int]:
+    def write_nowait(self, tenant_id: int, batch: RowBatch) -> dict[int, int]:
         """Route a batch without the durability barrier.
 
         Admitted pieces flow into the shards' group-commit queues and
@@ -150,21 +150,21 @@ class Broker:
         §4.2 flow control rejects a piece (already-admitted pieces stay
         in flight and settle normally).
         """
-        return self._dispatch(tenant_id, rows)
+        return self._dispatch(tenant_id, batch)
 
-    def _dispatch(self, tenant_id: int, rows: list[dict]) -> dict[int, int]:
-        if not rows:
+    def _dispatch(self, tenant_id: int, batch: RowBatch) -> dict[int, int]:
+        if not batch:
             return {}
         self._controller.catalog.ensure_tenant(tenant_id, created_at=self._clock.now())
         self._controller.ensure_route(tenant_id)
-        split = self._controller.routing.split_batch(tenant_id, len(rows))
+        split = self._controller.routing.split_batch(tenant_id, len(batch))
+        # One shard takes the batch as admitted; only a multi-shard
+        # route pays per-row sizes to cut it.
+        pieces = [batch] if len(split) == 1 else batch.split(split.values())
         dispatched: dict[int, int] = {}
         durations: list[float] = []
-        cursor = 0
         try:
-            for shard_id, count in split.items():
-                piece = rows[cursor : cursor + count]
-                cursor += count
+            for (shard_id, count), piece in zip(split.items(), pieces):
                 worker = self._shard_worker(shard_id)
                 with self._clock.deferred() as charges:
                     worker.write_async(shard_id, piece)
@@ -178,10 +178,8 @@ class Broker:
             raise
         wave_s = wave_elapsed(durations, max(1, self.options.prefetch_threads))
         self._clock.sleep(wave_s)
-        self.writes_routed.add(len(rows))
-        self._obs.meter.record_ingest(
-            tenant_id, rows=len(rows), nbytes=approx_rows_bytes(rows)
-        )
+        self.writes_routed.add(len(batch))
+        self._obs.meter.record_ingest(tenant_id, rows=len(batch), nbytes=batch.nbytes)
         self._obs.slo.record_write(tenant_id, wave_s)
         return dispatched
 

@@ -41,6 +41,7 @@ from repro.obs.tracing import Span, format_trace
 from repro.oss.metered import MeteredObjectStore
 from repro.oss.store import InMemoryObjectStore, ObjectStore
 from repro.query.executor import ExecutionOptions
+from repro.rowstore.batch import RowBatch
 
 
 class LogStore:
@@ -357,15 +358,16 @@ class LogStore:
             tenant_id, name=name, retention_s=retention_s, created_at=self.clock.now()
         )
 
+    def _admit(self, tenant_id: int, rows: list[dict]) -> RowBatch:
+        """The write path's one validation + sizing pass (all-or-nothing:
+        raises ``InvalidBatchError`` before anything is logged)."""
+        batch = RowBatch.admit(rows, tenant_id)
+        self.traffic_tracker.record(tenant_id, len(batch))
+        return batch
+
     def put(self, tenant_id: int, rows: list[dict]) -> dict[int, int]:
         """Write a batch of rows for one tenant."""
-        for row in rows:
-            if row.get("tenant_id") != tenant_id:
-                raise ValueError(
-                    f"row tenant_id {row.get('tenant_id')!r} does not match {tenant_id}"
-                )
-        self.traffic_tracker.record(tenant_id, len(rows))
-        return self._broker().write(tenant_id, rows)
+        return self._broker().write(tenant_id, self._admit(tenant_id, rows))
 
     def put_nowait(self, tenant_id: int, rows: list[dict]) -> dict[int, int]:
         """Write a batch without waiting for replication to settle.
@@ -374,13 +376,7 @@ class LogStore:
         group-commit queues and settle in waves; call
         :meth:`settle_writes` for the durability barrier.
         """
-        for row in rows:
-            if row.get("tenant_id") != tenant_id:
-                raise ValueError(
-                    f"row tenant_id {row.get('tenant_id')!r} does not match {tenant_id}"
-                )
-        self.traffic_tracker.record(tenant_id, len(rows))
-        return self._broker().write_nowait(tenant_id, rows)
+        return self._broker().write_nowait(tenant_id, self._admit(tenant_id, rows))
 
     def settle_writes(self) -> None:
         """Settle every broker's outstanding dispatches (ack barrier)."""

@@ -12,8 +12,7 @@ which is what the load-balancing experiments want.
 
 from __future__ import annotations
 
-import pickle
-
+from operator import attrgetter
 from typing import Callable
 
 from repro.common.clock import VirtualClock
@@ -24,6 +23,7 @@ from repro.obs.recorders import WritePathRecorder
 from repro.raft.group import RaftGroup
 from repro.raft.group_commit import GroupCommitQueue, ReplicationPipeline
 from repro.raft.messages import LogEntry
+from repro.rowstore.batch import RowBatch
 from repro.rowstore.memtable import MemTable
 from repro.rowstore.store import RowStore
 from repro.wal.log import SegmentBackend, WriteAheadLog
@@ -36,8 +36,8 @@ _WAL_KIND_SEAL = 23
 
 # Replicated shard command marking the first N sealed memtables as
 # archived to OSS (they leave every replica's row store at the same log
-# position).  Pickled row batches always start with the pickle protocol
-# opcode, so the prefix cannot collide with a data command.
+# position).  Data commands (``RowBatch.to_bytes``) always start with the
+# pickle protocol opcode, so the prefix cannot collide with one.
 _CMD_DRAIN_PREFIX = b"\x01shard-drain:"
 
 # Replicated command sealing the active memtable (flush path).  Sealing
@@ -121,8 +121,7 @@ class Shard:
                         if drop > 0:
                             store.drop_sealed_prefix(drop)
                     else:
-                        rows = pickle.loads(entry.command)
-                        store.append_many(rows)
+                        store.append_many(RowBatch.from_bytes(entry.command))
 
                 return apply
 
@@ -165,7 +164,7 @@ class Shard:
                     max_batches=group_commit_batches,
                     max_bytes=group_commit_bytes,
                     linger_s=group_commit_linger_s,
-                    size_of=self._batch_bytes,
+                    size_of=attrgetter("nbytes"),
                     admit=self._admit_batch,
                     throttle_fn=self._leader_throttle,
                     recorder=self._write_recorder,
@@ -237,7 +236,7 @@ class Shard:
             self._rowstore.install_state(state)
         for record in tail:
             if record.kind == _WAL_KIND_BATCH:
-                self._rowstore.append_many(pickle.loads(record.body))
+                self._rowstore.append_many(RowBatch.from_bytes(record.body))
             elif record.kind == _WAL_KIND_SEAL:
                 self._rowstore.seal_active()
             else:
@@ -245,23 +244,20 @@ class Shard:
 
     # -- write path -----------------------------------------------------
 
-    @staticmethod
-    def _batch_bytes(rows: list[dict]) -> int:
-        return len(pickle.dumps(rows))
-
     def _leader_throttle(self) -> float:
         leader = self._raft.leader() if self._raft is not None else None
         return leader.backpressure.throttle if leader is not None else 1.0
 
-    def _admit_batch(self, batch: list[dict]) -> None:
+    def _admit_batch(self, batch: RowBatch) -> None:
         """§4.2 admission gate: reject before buffering when the leader's
         sync queue cannot hold the whole pending group plus this batch."""
         leader = self._raft.leader()
         if leader is None:
             return  # election in flight; replication settles it later
         # The whole pending group flushes as ONE log entry carrying the
-        # concatenated rows, so gate on one entry of the combined size.
-        nbytes = self._group_queue.pending_bytes + self._batch_bytes(batch)
+        # concatenated rows, so gate on one entry of the combined size
+        # (the batches' admission estimates, not an encoded length).
+        nbytes = self._group_queue.pending_bytes + batch.nbytes
         if not leader.sync_queue.can_accept(1, nbytes):
             leader.sync_queue.stats.rejected += 1
             leader.backpressure.update()
@@ -275,19 +271,24 @@ class Shard:
                 f"({len(self._group_queue) + 1} pending batches, {nbytes} bytes)"
             )
 
-    def _flush_group(self, batches: list[list[dict]]) -> None:
+    def _flush_group(self, batches: list[RowBatch]) -> None:
         """Commit a coalesced group: one command, one Raft entry."""
-        rows = [row for batch in batches for row in batch]
-        self._pipeline.submit(pickle.dumps(rows))
-        self._write_recorder.rows_committed.add(len(rows))
+        group = RowBatch.concat(batches)
+        self._pipeline.submit(group.to_bytes())
+        self._write_recorder.rows_committed.add(len(group))
 
-    def write(self, rows: list[dict]) -> None:
+    def write(self, rows: RowBatch | list[dict]) -> None:
         """Ingest a batch of rows and wait for the configured ack."""
         self.write_async(rows)
         self.settle_writes()
 
-    def write_async(self, rows: list[dict]) -> None:
+    def write_async(self, rows: RowBatch | list[dict]) -> None:
         """Admit a batch without waiting for replication to settle.
+
+        The batch normally arrives admitted (``LogStore.put`` built the
+        :class:`RowBatch`); a plain row list is admitted here, so an
+        invalid row is rejected before any WAL append, Raft proposal or
+        memtable write.
 
         Raft shards push into the group-commit queue (when enabled) or
         straight into the bounded replication pipeline; a later
@@ -296,26 +297,26 @@ class Shard:
         :class:`BackpressureError` when §4.2 flow control rejects the
         batch — nothing is admitted in that case.
         """
-        if not rows:
+        batch = RowBatch.of(rows)
+        count = len(batch)
+        if not count:
             return
-        with self._obs.tracer.span(
-            "shard.write", shard=self.shard_id, rows=len(rows)
-        ):
+        with self._obs.tracer.span("shard.write", shard=self.shard_id, rows=count):
             if self._raft is not None:
                 if self._group_queue is not None:
-                    self._group_queue.offer(list(rows))
+                    self._group_queue.offer(batch)
                 else:
-                    self._pipeline.submit(pickle.dumps(rows))
+                    self._pipeline.submit(batch.to_bytes())
                     self._write_recorder.groups_committed.add()
                     self._write_recorder.batches_coalesced.add()
-                    self._write_recorder.rows_committed.add(len(rows))
+                    self._write_recorder.rows_committed.add(count)
             else:
                 if self._wal_fsync_s > 0:
                     self._clock.sleep(self._wal_fsync_s)
-                self._wal.append(_WAL_KIND_BATCH, pickle.dumps(rows))
-                self.rowstore.append_many(rows)
-        self.write_count.add(len(rows))
-        self.access_count.add(len(rows))
+                self._wal.append(_WAL_KIND_BATCH, batch.to_bytes())
+                self.rowstore.append_many(batch)
+        self.write_count.add(count)
+        self.access_count.add(count)
 
     def settle_writes(self, timeout_s: float = 5.0) -> None:
         """Flush any partial group and drain the replication window.

@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.builder.builder import BuildReport, DataBuilder
 from repro.cluster.shard import Shard
 from repro.obs.context import Observability
+from repro.rowstore.batch import RowBatch
 
 
 class Worker:
@@ -41,11 +42,11 @@ class Worker:
             )
         self.shards[shard.shard_id] = shard
 
-    def write(self, shard_id: int, rows: list[dict]) -> None:
+    def write(self, shard_id: int, rows: RowBatch | list[dict]) -> None:
         self.shards[shard_id].write(rows)
         self.access_count.add(len(rows))
 
-    def write_async(self, shard_id: int, rows: list[dict]) -> None:
+    def write_async(self, shard_id: int, rows: RowBatch | list[dict]) -> None:
         """Admit a batch without settling replication (see Shard)."""
         self.shards[shard_id].write_async(rows)
         self.access_count.add(len(rows))

@@ -84,6 +84,11 @@ class RowStoreError(LogStoreError):
     """Row store failure (sealed segment mutation, bad scan range, ...)."""
 
 
+class InvalidBatchError(RowStoreError, ValueError):
+    """A write batch was rejected whole at admission: a row lacks the
+    timestamp or tenant column, or belongs to another tenant."""
+
+
 class BuildError(LogStoreError):
     """Data-builder failure (unsealed memtable, bad build parameters)."""
 

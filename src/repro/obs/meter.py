@@ -36,24 +36,6 @@ _FAMILIES = (
 )
 
 
-def approx_rows_bytes(rows) -> int:
-    """Deterministic payload-size estimate for a batch of rows.
-
-    Same accounting the memtable uses for seal thresholds (key length +
-    string/bytes length, 8 bytes per scalar), so ingest metering and
-    row-store sizing agree without encoding the batch twice.
-    """
-    total = 0
-    for row in rows:
-        for key, value in row.items():
-            total += len(key)
-            if isinstance(value, (str, bytes, bytearray)):
-                total += len(value)
-            else:
-                total += 8
-    return total
-
-
 @dataclass(frozen=True)
 class TenantUsage:
     """One tenant's cumulative usage, frozen at read time."""

@@ -18,6 +18,9 @@ from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator
 
 from repro.common.errors import RowStoreError
+from repro.rowstore.batch import RowBatch
+
+_AFTER = float("inf")
 
 
 class MemTable:
@@ -52,43 +55,28 @@ class MemTable:
         return self._tenant_column
 
     def append(self, row: dict) -> None:
-        """Append one row; O(1), no index maintenance (write-optimized)."""
-        if self._sealed:
-            raise RowStoreError("cannot append to a sealed memtable")
-        if self._ts_column not in row:
-            raise RowStoreError(f"row missing timestamp column {self._ts_column!r}")
-        if self._tenant_column not in row:
-            raise RowStoreError(f"row missing tenant column {self._tenant_column!r}")
-        self._rows.append(row)
-        self._approx_bytes += _approx_row_bytes(row)
-        self._sorted_view = None
+        """Append one row: a one-row :meth:`append_many`."""
+        self.append_many([row])
 
-    def append_many(self, rows: Iterable[dict]) -> int:
-        """Append a batch with ONE sorted-view invalidation, not one per
-        row.  Matches :meth:`append` semantics exactly: sealed-check up
-        front, per-row validation, and on an invalid row the valid
-        prefix before it is appended and the error raised.
+    def append_many(self, rows: RowBatch | Iterable[dict]) -> int:
+        """Append a batch: O(1) per batch, no index maintenance.
+
+        All-or-nothing: a plain iterable of rows is admitted (validated
+        and sized) first, so an invalid row raises before anything is
+        appended; a :class:`RowBatch` was admitted upstream and costs
+        one ``list.extend``, one integer add and one sorted-view
+        invalidation.
         """
         if self._sealed:
             raise RowStoreError("cannot append to a sealed memtable")
-        count = 0
-        try:
-            for row in rows:
-                if self._ts_column not in row:
-                    raise RowStoreError(
-                        f"row missing timestamp column {self._ts_column!r}"
-                    )
-                if self._tenant_column not in row:
-                    raise RowStoreError(
-                        f"row missing tenant column {self._tenant_column!r}"
-                    )
-                self._rows.append(row)
-                self._approx_bytes += _approx_row_bytes(row)
-                count += 1
-        finally:
-            if count:
-                self._sorted_view = None
-        return count
+        batch = RowBatch.of(
+            rows, ts_column=self._ts_column, tenant_column=self._tenant_column
+        )
+        if batch.rows:
+            self._rows.extend(batch.rows)
+            self._approx_bytes += batch.nbytes
+            self._sorted_view = None
+        return len(batch)
 
     def seal(self) -> None:
         """Freeze the memtable; the data builder converts sealed tables."""
@@ -114,9 +102,9 @@ class MemTable:
         Rows are yielded in timestamp order (ties by arrival order).
         """
         view = self._view()
-        keys = [ts for ts, _pos in view]
-        lo = 0 if min_ts is None else bisect_left(keys, min_ts)
-        hi = len(view) if max_ts is None else bisect_right(keys, max_ts)
+        # (ts,) sorts before every (ts, position); (ts, inf) after.
+        lo = 0 if min_ts is None else bisect_left(view, (min_ts,))
+        hi = len(view) if max_ts is None else bisect_right(view, (max_ts, _AFTER))
         for ts, position in view[lo:hi]:
             row = self._rows[position]
             if tenant_id is None or row[self._tenant_column] == tenant_id:
@@ -145,16 +133,3 @@ class MemTable:
             row = self._rows[position]
             grouped.setdefault(row[self._tenant_column], []).append(row)
         return grouped
-
-
-def _approx_row_bytes(row: dict) -> int:
-    total = 0
-    for key, value in row.items():
-        total += len(key)
-        if isinstance(value, str):
-            total += len(value)
-        elif isinstance(value, (bytes, bytearray)):
-            total += len(value)
-        else:
-            total += 8
-    return total

@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.common.errors import RowStoreError
-from repro.rowstore.memtable import MemTable, _approx_row_bytes
+from repro.rowstore.batch import RowBatch
+from repro.rowstore.memtable import MemTable
 
 DEFAULT_SEAL_ROWS = 100_000
 DEFAULT_SEAL_BYTES = 64 * 1024 * 1024
@@ -54,40 +55,43 @@ class RowStore:
         return list(self._sealed)
 
     def append(self, row: dict) -> None:
-        """Ingest one row; seals the active memtable when thresholds hit."""
-        self._active.append(row)
-        self.total_rows_ingested += 1
-        if len(self._active) >= self._seal_rows or self._active.approx_bytes >= self._seal_bytes:
-            self.seal_active()
+        """Ingest one row: a one-row :meth:`append_many`."""
+        self.append_many([row])
 
-    def append_many(self, rows: list[dict]) -> None:
-        """Bulk ingest with chunks cut at the exact seal boundaries.
+    def append_many(self, rows: RowBatch | list[dict]) -> None:
+        """Ingest a batch atomically; seals exactly where per-row
+        appends would.
 
-        Equivalent to per-row :meth:`append` — the active memtable seals
-        after the same row it would have per-row — but each chunk pays
-        one memtable call and one sorted-view invalidation instead of
-        one per row.
+        A batch that fits under both remaining seal budgets — every
+        batch but the one that crosses a threshold — goes to the active
+        memtable whole, sized by the ``nbytes`` it was admitted with.
+        Only a crossing batch is cut: per-row sizes place each seal
+        after the same row a row-at-a-time ingest would seal after
+        (that row still lands in the sealing memtable).
         """
+        batch = RowBatch.of(
+            rows, ts_column=self._ts_column, tenant_column=self._tenant_column
+        )
+        n = len(batch)
+        if (
+            n < self._seal_rows - len(self._active)
+            and batch.nbytes < self._seal_bytes - self._active.approx_bytes
+        ):
+            self._active.append_many(batch)
+            self.total_rows_ingested += n
+            return
+        sizes = batch.row_sizes()
         i = 0
-        n = len(rows)
         while i < n:
             budget_rows = self._seal_rows - len(self._active)
             budget_bytes = self._seal_bytes - self._active.approx_bytes
-            # Grow the chunk until it contains the row that crosses a
-            # threshold (that row still lands in this memtable, exactly
-            # as the per-row path appends-then-seals).
             j = i
             acc = 0
             while j < n and (j - i) < budget_rows and acc < budget_bytes:
-                acc += _approx_row_bytes(rows[j])
+                acc += sizes[j]
                 j += 1
-            before = len(self._active)
-            try:
-                self._active.append_many(rows[i:j])
-            finally:
-                # On an invalid row mid-chunk the memtable kept the
-                # valid prefix; count it like per-row appends would.
-                self.total_rows_ingested += len(self._active) - before
+            self._active.append_many(RowBatch(batch.rows[i:j], batch.tenant_id, acc))
+            self.total_rows_ingested += j - i
             if (
                 len(self._active) >= self._seal_rows
                 or self._active.approx_bytes >= self._seal_bytes

@@ -48,6 +48,17 @@ def make_rows(
     return rows
 
 
+def rowstore_state(store) -> tuple:
+    """Everything a RowStore differential compares: the ingest counter,
+    each sealed memtable's rows, the active rows, the size accounting."""
+    return (
+        store.total_rows_ingested,
+        [list(t.scan()) for t in store.sealed_tables],
+        list(store.active.scan()),
+        store.approx_bytes(),
+    )
+
+
 def write_logblock(rows: list[dict], codec: str = "zlib", block_rows: int = 64) -> bytes:
     """Rows → packed LogBlock bytes."""
     writer = LogBlockWriter(request_log_schema(), codec=codec, block_rows=block_rows)

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import RowStoreError
+from repro.common.errors import InvalidBatchError, RowStoreError
 from repro.rowstore.memtable import MemTable
 from repro.rowstore.store import RowStore
 
-from tests.conftest import make_rows
+from tests.conftest import make_rows, rowstore_state
 
 
 def store_pair(**kwargs):
@@ -18,15 +18,6 @@ def store_pair(**kwargs):
 def append_per_row(store: RowStore, rows) -> None:
     for row in rows:
         store.append(row)
-
-
-def state_of(store: RowStore):
-    return (
-        store.total_rows_ingested,
-        [list(t.scan()) for t in store.sealed_tables],
-        list(store.active.scan()),
-        store.approx_bytes(),
-    )
 
 
 class TestMemTableBulk:
@@ -54,24 +45,23 @@ class TestMemTableBulk:
             table.append_many(make_rows(3, tenant_id=1))
         assert len(table) == 0
 
-    def test_invalid_row_keeps_valid_prefix(self):
-        """Per-row semantics: the prefix before the bad row is appended."""
+    def test_invalid_row_rejects_whole_batch(self):
+        """All-or-nothing: a bad row anywhere leaves the table untouched."""
         rows = make_rows(5, tenant_id=1)
+        table = MemTable()
+        table.append_many(rows)
+        list(table.scan())  # materialize the sorted view
+        before = (list(table.scan()), table.approx_bytes)
+
         bad = dict(rows[2])
         del bad["ts"]
-        batch = rows[:2] + [bad] + rows[3:]
+        with pytest.raises(InvalidBatchError, match="ts"):
+            table.append_many(rows[:2] + [bad] + rows[3:])
+        with pytest.raises(InvalidBatchError, match="ts"):
+            table.append(bad)
 
-        per_row = MemTable()
-        with pytest.raises(RowStoreError):
-            for row in batch:
-                per_row.append(row)
-
-        bulk = MemTable()
-        with pytest.raises(RowStoreError):
-            bulk.append_many(batch)
-
-        assert list(bulk.scan()) == list(per_row.scan())
-        assert bulk.approx_bytes == per_row.approx_bytes
+        assert (list(table.scan()), table.approx_bytes) == before
+        assert table._sorted_view is not None  # not even invalidated
 
     def test_missing_tenant_column(self):
         table = MemTable()
@@ -86,7 +76,7 @@ class TestRowStoreBulkDifferential:
         bulk, per_row = store_pair(seal_rows=seal_rows, seal_bytes=1 << 30)
         bulk.append_many(rows)
         append_per_row(per_row, rows)
-        assert state_of(bulk) == state_of(per_row)
+        assert rowstore_state(bulk) == rowstore_state(per_row)
 
     def test_byte_threshold_boundaries(self):
         rows = make_rows(60, tenant_id=1)
@@ -94,7 +84,7 @@ class TestRowStoreBulkDifferential:
         bulk.append_many(rows)
         append_per_row(per_row, rows)
         assert len(bulk.sealed_tables) >= 1  # the threshold actually fired
-        assert state_of(bulk) == state_of(per_row)
+        assert rowstore_state(bulk) == rowstore_state(per_row)
 
     def test_incremental_batches(self):
         bulk, per_row = store_pair(seal_rows=17, seal_bytes=1 << 30)
@@ -102,20 +92,24 @@ class TestRowStoreBulkDifferential:
             rows = make_rows(13, tenant_id=seed + 1, seed=seed)
             bulk.append_many(rows)
             append_per_row(per_row, rows)
-        assert state_of(bulk) == state_of(per_row)
+        assert rowstore_state(bulk) == rowstore_state(per_row)
 
-    def test_invalid_row_counts_prefix(self):
+    def test_invalid_row_appends_nothing(self):
+        """A bad row past several seal boundaries still rejects the whole
+        batch: no row, no seal, no counter moves."""
         rows = make_rows(12, tenant_id=1)
         bad = dict(rows[7])
         del bad["tenant_id"]
         batch = rows[:7] + [bad] + rows[8:]
 
-        bulk, per_row = store_pair(seal_rows=3, seal_bytes=1 << 30)
-        with pytest.raises(RowStoreError):
-            bulk.append_many(batch)
-        with pytest.raises(RowStoreError):
-            append_per_row(per_row, batch)
-        assert state_of(bulk) == state_of(per_row)
+        store = RowStore(seal_rows=3, seal_bytes=1 << 30)
+        store.append_many(rows[:2])
+        before = rowstore_state(store)
+        with pytest.raises(InvalidBatchError, match="tenant_id"):
+            store.append_many(batch)
+        with pytest.raises(InvalidBatchError, match="tenant_id"):
+            store.append(bad)
+        assert rowstore_state(store) == before
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -129,4 +123,4 @@ class TestRowStoreBulkDifferential:
             rows = make_rows(size, tenant_id=1, seed=seed)
             bulk.append_many(rows)
             append_per_row(per_row, rows)
-        assert state_of(bulk) == state_of(per_row)
+        assert rowstore_state(bulk) == rowstore_state(per_row)
