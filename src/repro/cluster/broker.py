@@ -52,7 +52,7 @@ from repro.query.executor import (
     filter_realtime_rows,
 )
 from repro.query.planner import QueryPlan, QueryPlanner
-from repro.query.sql import parse_sql
+from repro.query.sql import ParsedQuery, parse_sql
 from repro.rowstore.batch import RowBatch
 
 
@@ -193,11 +193,15 @@ class Broker:
 
     def query(
         self,
-        sql: str,
+        sql: str | ParsedQuery,
         tenant_scope: int | None = None,
         statement: str | None = None,
     ) -> QueryResult:
         """Parse, rewrite, plan, execute, merge.  Latency is virtual time.
+
+        ``sql`` is SQL text, or a query some caller has parsed already
+        (front-door sessions bind a cached statement); that one is not
+        parsed again, and its ``raw_sql`` is the text logged for it.
 
         ``tenant_scope`` is the session's authorized tenant: the planner
         injects it as a filter when absent and raises ``AuthError`` on a
@@ -213,7 +217,10 @@ class Broker:
         materialized from the obs layer and catalog, scoped to the
         session's tenant, then filtered by the same AST machinery.
         """
-        parsed_input = parse_sql(sql)
+        if isinstance(sql, str):
+            parsed_input = parse_sql(sql)
+        else:
+            parsed_input, sql = sql, sql.raw_sql
         if is_system_table(parsed_input.table):
             return self._system_query(parsed_input, tenant_scope)
         start = self._clock.now()

@@ -41,6 +41,7 @@ from repro.obs.tracing import Span, format_trace
 from repro.oss.metered import MeteredObjectStore
 from repro.oss.store import InMemoryObjectStore, ObjectStore
 from repro.query.executor import ExecutionOptions
+from repro.query.sql import ParsedQuery
 from repro.rowstore.batch import RowBatch
 
 
@@ -430,12 +431,14 @@ class LogStore:
 
     def query(
         self,
-        sql: str,
+        sql: str | ParsedQuery,
         tenant_scope: int | None = None,
         statement: str | None = None,
     ) -> QueryResult:
         """Execute one SQL query (optionally under a session's scope).
 
+        ``sql`` is SQL text or an already parsed query (sessions hand
+        over what they bound; it is not parsed again).
         ``statement`` is the original client text before parameter
         binding; sessions pass it so the slow-query log (and therefore
         ``_system.slow_queries``) shows what the client actually typed.

@@ -10,7 +10,10 @@ holds per connection (Figure 3's "Application (SQL Protocol)" edge):
   session's tenant or none at all;
 * it dispatches by statement class: SELECT → broker query path,
   INSERT → version-stamped ingest, CREATE TABLE → catalog DDL;
-* it supports prepared-statement-style ``?`` parameter binding.
+* every statement runs as a :class:`PreparedStatement`: its SQL text is
+  looked up in the pool's :class:`StatementCache`, and a cached
+  statement is bound to its ``?`` parameters without being rendered to
+  text or lexed again.
 
 Versioned tables (``VERSION BY key``) get INSERT-as-UPDATE semantics
 here: every inserted row is stamped with a nanosecond ``version`` from
@@ -21,7 +24,9 @@ writes of the same key in the same clock instant still order), and
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.common.errors import AuthError, QueryError
 from repro.logblock.schema import ColumnType
@@ -31,9 +36,13 @@ from repro.query.sql import (
     ParsedCreateTable,
     ParsedInsert,
     ParsedQuery,
+    StatementTemplate,
     bind_parameters,
     parse_statement,
 )
+
+# Statements the pool keeps lexed, across all of its sessions.
+STATEMENT_CACHE_ENTRIES = 256
 
 
 class VersionStamper:
@@ -65,15 +74,69 @@ class InsertResult:
     rows: list[dict] = field(default_factory=list)
 
 
-class PreparedStatement:
-    """A statement template with ``?`` placeholders, bound per execute."""
+class StatementCache:
+    """Count-bounded LRU of SQL text → :class:`StatementTemplate`.
 
-    def __init__(self, session: "Session", sql: str) -> None:
+    Templates hold syntax only (schema, ``VERSION BY`` and tenant scope
+    are read when a statement executes), so DDL invalidates nothing and
+    one cache serves every session of the pool.
+    """
+
+    def __init__(self, max_entries: int = STATEMENT_CACHE_ENTRIES) -> None:
+        self.max_entries = max_entries
+        self._entries: OrderedDict[str, StatementTemplate] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, sql: str) -> bool:
+        return sql in self._entries
+
+    def get(self, sql: str) -> StatementTemplate | None:
+        template = self._entries.get(sql)
+        if template is not None:
+            self._entries.move_to_end(sql)
+        return template
+
+    def admit(self, sql: str) -> StatementTemplate:
+        """Lex ``sql`` and cache it, evicting the least recently used."""
+        template = self._entries[sql] = StatementTemplate(sql)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+        return template
+
+
+class PreparedStatement:
+    """A statement with ``?`` placeholders, bound per :meth:`execute`.
+
+    The first execution of a text the cache has not seen takes the text
+    path — ``parse_statement(bind_parameters(sql, params))`` — and the
+    statement is cached once that has parsed.  From then on its tokens
+    are parsed with the parameters bound directly; an INSERT whose
+    VALUES are all placeholders is not parsed at all, its parameters
+    are sliced into columns.
+    """
+
+    def __init__(
+        self, session: "Session", sql: str, template: StatementTemplate | None
+    ) -> None:
         self._session = session
         self.sql = sql
+        self._template = template
 
     def execute(self, params=()):
-        return self._session.execute(self.sql, params)
+        session = self._session
+        session._check_open()
+        template = self._template
+        if template is None:
+            statement = parse_statement(bind_parameters(self.sql, params))
+            self._template = session._statements.admit(self.sql)
+        elif template.insert_shape is not None:
+            table, columns, _ = template.insert_shape
+            return session._insert(table, columns, template.bind_insert_columns(params))
+        else:
+            statement = template.bind(params)
+        return session._run(statement, self.sql)
 
 
 class Session:
@@ -89,6 +152,7 @@ class Session:
         store,
         tenant_id: int | None,
         stamper: VersionStamper,
+        statements: StatementCache,
         admin: bool = False,
     ) -> None:
         if not admin and tenant_id is None:
@@ -97,6 +161,7 @@ class Session:
         self.tenant_id = tenant_id
         self.admin = admin
         self._stamper = stamper
+        self._statements = statements
         self.closed = False
         # The rows of the most recent INSERT, recorded *before* the
         # write is dispatched — a crash mid-write leaves them here for
@@ -114,15 +179,21 @@ class Session:
         """Run one statement; return type depends on the statement class
         (SELECT → QueryResult, INSERT → InsertResult, CREATE → schema).
         """
+        return self.prepare(sql).execute(params)
+
+    def prepare(self, sql: str) -> PreparedStatement:
         self._check_open()
-        bound = bind_parameters(sql, params) if params else sql
-        statement = parse_statement(bound)
+        return PreparedStatement(self, sql, self._statements.get(sql))
+
+    def _run(self, statement, sql: str):
         if isinstance(statement, ParsedQuery):
-            # `statement=sql` keeps the client's original text (with
-            # `?` placeholders) for the slow-query log.
-            return self._store.query(bound, tenant_scope=self.scope, statement=sql)
+            # Handed over parsed: the broker does not parse it again.
+            # `statement=sql` is the client's text for the slow-query log.
+            return self._store.query(statement, tenant_scope=self.scope, statement=sql)
         if isinstance(statement, ParsedInsert):
-            return self._insert(statement)
+            return self._insert(
+                statement.table, statement.columns, list(zip(*statement.rows))
+            )
         if isinstance(statement, ParsedCreateTable):
             return self._store.create_table(statement)
         if isinstance(statement, ParsedAlterTenant):
@@ -157,14 +228,9 @@ class Session:
         self._store.lifecycle.set_policy(statement.tenant_id, policy)
         return policy
 
-    def prepare(self, sql: str) -> PreparedStatement:
-        self._check_open()
-        return PreparedStatement(self, sql)
-
     def explain(self, sql: str, params=()) -> str:
         self._check_open()
-        bound = bind_parameters(sql, params) if params else sql
-        return self._store.explain(bound, tenant_scope=self.scope)
+        return self._store.explain(bind_parameters(sql, params), tenant_scope=self.scope)
 
     def close(self) -> None:
         self.closed = True
@@ -175,37 +241,56 @@ class Session:
 
     # -- INSERT (version-stamped ingest) -----------------------------------
 
-    def _insert(self, statement: ParsedInsert) -> InsertResult:
+    def _insert(
+        self, table: str, columns: Sequence[str] | None, values: list[Sequence]
+    ) -> InsertResult:
+        """Stamp, check and write an INSERT given column-major: ``values``
+        holds one sequence per entry of ``columns`` (None = the schema's
+        columns), each as long as the statement has rows."""
         schema = self._store.catalog.schema
-        if statement.table != schema.name:
-            raise QueryError(
-                f"unknown table {statement.table!r} (expected {schema.name!r})"
-            )
-        columns = list(statement.columns) if statement.columns is not None else None
+        if table != schema.name:
+            raise QueryError(f"unknown table {table!r} (expected {schema.name!r})")
+        names = schema.column_names()
         if columns is None:
-            columns = schema.column_names()
+            columns = names
         else:
             for column in columns:
                 schema.column(column)  # SchemaError on unknown column
-        version_spec = self._store.catalog.version_spec
-        rows: list[dict] = []
-        versions: list[int | None] = []
-        for values in statement.rows:
-            if len(values) != len(columns):
-                raise QueryError(
-                    f"INSERT row has {len(values)} values for {len(columns)} columns"
-                )
-            row = {name: None for name in schema.column_names()}
-            row.update(dict(zip(columns, values)))
-            self._stamp_row(row, schema, version_spec)
-            schema.validate_row(row)
-            versions.append(
-                row.get(version_spec.version_column) if version_spec is not None else None
+        if len(values) != len(columns):
+            raise QueryError(
+                f"INSERT row has {len(values)} values for {len(columns)} columns"
             )
-            rows.append(row)
-        self.last_insert_rows = rows
+        n_rows = len(values[0])
+        given = dict(zip(columns, values))
+        given["tenant_id"] = self._stamp_tenants(given.get("tenant_id"), n_rows)
+        # TIMESTAMP columns accept 'YYYY-MM-DD HH:MM:SS' strings.
+        for spec in schema.columns:
+            column = given.get(spec.name)
+            if spec.ctype is not ColumnType.TIMESTAMP or column is None:
+                continue
+            if str in set(map(type, column)):
+                given[spec.name] = [
+                    parse_timestamp(v) if isinstance(v, str) else v for v in column
+                ]
+        if "ts" in names:
+            now_us = int(self._store.clock.now() * 1_000_000)
+            given["ts"] = _fill_nulls(given.get("ts"), n_rows, lambda: now_us)
+        version_spec = self._store.catalog.version_spec
+        versions: list[int | None] = [None] * n_rows
+        if version_spec is not None:
+            versions = given[version_spec.version_column] = _fill_nulls(
+                given.get(version_spec.version_column), n_rows, self._stamper.next
+            )
+        schema.validate_columns(given)
+        # Rows in schema key order, absent columns null: what sizes the
+        # batch and what the WAL and every LogBlock serialize.
+        nulls = [None] * n_rows
+        rows = [
+            dict(zip(names, row))
+            for row in zip(*(given.get(name, nulls) for name in names))
+        ]
         if self.admin:
-            tenants = {row.get("tenant_id") for row in rows}
+            tenants = set(given["tenant_id"])
             if len(tenants) != 1:
                 raise QueryError(
                     "admin INSERT must target exactly one tenant per statement"
@@ -213,59 +298,67 @@ class Session:
             target_tenant = tenants.pop()
         else:
             target_tenant = self.tenant_id
+        self.last_insert_rows = rows
         self._store.put(target_tenant, rows)
         return InsertResult(
-            table=statement.table,
-            rows_inserted=len(rows),
-            versions=versions,
-            rows=rows,
+            table=table, rows_inserted=n_rows, versions=list(versions), rows=rows
         )
 
-    def _stamp_row(self, row: dict, schema, version_spec) -> None:
-        tenant = row.get("tenant_id")
+    def _stamp_tenants(self, tenants: Sequence | None, n_rows: int) -> Sequence:
+        """The rows' ``tenant_id`` column under this session's scope."""
         if self.admin:
-            if tenant is None:
+            if tenants is None or None in tenants:
                 raise QueryError(
                     "admin sessions have no tenant scope: INSERT rows must "
                     "carry an explicit tenant_id"
                 )
-        elif tenant is None:
-            row["tenant_id"] = self.tenant_id
-        elif tenant != self.tenant_id:
-            raise AuthError(
-                f"session is scoped to tenant {self.tenant_id} but the INSERT "
-                f"carries tenant_id {tenant!r}"
-            )
-        # TIMESTAMP columns accept 'YYYY-MM-DD HH:MM:SS' strings.
-        for name in schema.column_names():
-            spec = schema.column(name)
-            if spec.ctype is ColumnType.TIMESTAMP and isinstance(row.get(name), str):
-                row[name] = parse_timestamp(row[name])
-        if row.get("ts") is None and "ts" in schema.column_names():
-            row["ts"] = int(self._store.clock.now() * 1_000_000)
-        if version_spec is not None and row.get(version_spec.version_column) is None:
-            row[version_spec.version_column] = self._stamper.next()
+            return tenants
+        own = self.tenant_id
+        if tenants is None:
+            return [own] * n_rows
+        for tenant in tenants:
+            if tenant is not None and tenant != own:
+                raise AuthError(
+                    f"session is scoped to tenant {own} but the INSERT "
+                    f"carries tenant_id {tenant!r}"
+                )
+        return [own] * n_rows
+
+
+def _fill_nulls(column: Sequence | None, n_rows: int, default) -> Sequence:
+    """``column`` with ``default()`` in place of each null, in row order."""
+    if column is None:
+        return [default() for _ in range(n_rows)]
+    if None not in column:
+        return column
+    return [default() if value is None else value for value in column]
 
 
 class SessionPool:
-    """Owns live sessions and the shared version stamper."""
+    """Owns live sessions, the shared version stamper and the shared
+    statement cache."""
 
     def __init__(self, store, tokens, max_sessions: int = 64) -> None:
         self._store = store
         self._tokens = tokens
         self._max_sessions = max_sessions
         self.stamper = VersionStamper(store.clock)
+        self.statements = StatementCache()
         self._sessions: list[Session] = []
 
     def connect(self, tenant_id: int, token: str) -> Session:
         """Authenticate and open one tenant-scoped session."""
         self._tokens.validate(tenant_id, token)
-        return self._open(Session(self._store, tenant_id, self.stamper))
+        return self._open(
+            Session(self._store, tenant_id, self.stamper, self.statements)
+        )
 
     def connect_admin(self, token: str) -> Session:
         """Authenticate the operator token and open an unscoped session."""
         self._tokens.validate_admin(token)
-        return self._open(Session(self._store, None, self.stamper, admin=True))
+        return self._open(
+            Session(self._store, None, self.stamper, self.statements, admin=True)
+        )
 
     def _open(self, session: Session) -> Session:
         self._sessions = [s for s in self._sessions if not s.closed]

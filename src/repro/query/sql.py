@@ -36,6 +36,13 @@ single ROW_NUMBER() window, GROUP BY one column, ORDER BY, LIMIT.
 Literal coercion to the column's type happens in the planner, which
 knows the schema.
 
+``?`` is a token of the dialect: :class:`StatementTemplate` lexes a
+statement once and parses it per execution with each ``?`` bound to a
+parameter value (what the front door's statement cache holds).
+:func:`bind_parameters` is the text form of the same binding — it
+renders the values as literals — and the reference the template is
+tested against.
+
 The tokenizer tracks character offsets, so every
 :class:`~repro.common.errors.SqlParseError` carries a ``position`` and
 a caret-context snippet (:func:`caret_context`) pointing at the
@@ -46,6 +53,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.common.errors import SqlParseError
 from repro.query.ast import (
@@ -70,6 +78,7 @@ _TOKEN_RE = re.compile(
       | (?P<op><=|>=|!=|<>|=|<|>)
       | (?P<punct>[(),*.])
       | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<param>\?)
     )
     """,
     re.VERBOSE,
@@ -244,6 +253,13 @@ class ParsedAlterTenant:
 
 
 class _Tokens:
+    """One statement's tokens plus the parser's cursor over them.
+
+    Lexing happens once, here; ``?`` is a ``param`` token.  :meth:`bind`
+    rewinds the cursor and supplies the values those tokens stand for,
+    so a cached statement is parsed again without being lexed again.
+    """
+
     def __init__(self, sql: str) -> None:
         self.sql = sql
         self._tokens: list[tuple[str, str, int]] = []
@@ -260,13 +276,34 @@ class _Tokens:
                     + caret_context(sql, at),
                     position=at,
                 )
-            for kind in ("string", "number", "op", "punct", "word"):
-                text = match.group(kind)
-                if text is not None:
-                    self._tokens.append((kind, text, match.start(kind)))
-                    break
+            kind = match.lastgroup
+            self._tokens.append((kind, match.group(kind), match.start(kind)))
             pos = match.end()
+        self.param_positions = [at for kind, _, at in self._tokens if kind == "param"]
+        self._params: Sequence = ()
+        self._next_param = 0
         self._pos = 0
+
+    def check_count(self, params: Sequence) -> None:
+        """Raise unless ``params`` has one value per ``?`` token."""
+        expected = len(self.param_positions)
+        if len(params) != expected:
+            missing = self.param_positions[len(params)] if len(params) < expected else None
+            raise _placeholder_mismatch(self.sql, expected, len(params), missing)
+
+    def bind(self, params: Sequence) -> "_Tokens":
+        """Rewind, with ``params`` as the values of the ``?`` tokens in order."""
+        self.check_count(params)
+        self._params = params
+        self._next_param = 0
+        self._pos = 0
+        return self
+
+    def take_param(self):
+        """The value of the ``param`` token just consumed."""
+        value = self._params[self._next_param]
+        self._next_param += 1
+        return value
 
     def error(self, message: str, position: int | None = None) -> SqlParseError:
         """Build a parse error anchored at ``position`` (default: the
@@ -341,6 +378,8 @@ def _parse_literal(tokens: _Tokens):
     kind, text, pos = tokens.next()
     if kind == "string":
         return _unquote(text)
+    if kind == "param":
+        return tokens.take_param()
     if kind == "number":
         return _number_value(text)
     if kind == "word" and text.lower() in ("true", "false"):
@@ -348,6 +387,19 @@ def _parse_literal(tokens: _Tokens):
     if kind == "word" and text.lower() == "null":
         return None
     raise tokens.error(f"expected literal, got {text!r}", pos)
+
+
+def _parse_string(tokens: _Tokens, clause: str) -> tuple[str, int]:
+    """The string operand of ``MATCH`` / ``LIKE`` and its position: a
+    literal, or a ``?`` bound to a ``str``."""
+    kind, text, pos = tokens.next()
+    if kind == "string":
+        return _unquote(text), pos
+    if kind == "param":
+        value = tokens.take_param()
+        if isinstance(value, str):
+            return value, pos
+    raise tokens.error(f"{clause} requires a string literal", pos)
 
 
 def _parse_window(tokens: _Tokens) -> WindowFunc:
@@ -436,11 +488,9 @@ def _parse_primary(tokens: _Tokens) -> Expr:
         tokens.expect_punct("(")
         column = tokens.expect_identifier()
         tokens.expect_punct(",")
-        kind, text, pos = tokens.next()
-        if kind != "string":
-            raise tokens.error("MATCH requires a string literal", pos)
+        terms, _ = _parse_string(tokens, "MATCH")
         tokens.expect_punct(")")
-        return Match(column, _unquote(text))
+        return Match(column, terms)
     column = tokens.expect_identifier()
     if tokens.accept_word("is"):
         negated = tokens.accept_word("not")
@@ -471,10 +521,7 @@ def _parse_primary(tokens: _Tokens) -> Expr:
 
 
 def _parse_like(tokens: _Tokens, column: str) -> Like:
-    kind, text, pos = tokens.next()
-    if kind != "string":
-        raise tokens.error("LIKE requires a string literal", pos)
-    pattern = _unquote(text)
+    pattern, pos = _parse_string(tokens, "LIKE")
     if not pattern.endswith("%") or "%" in pattern[:-1] or "_" in pattern:
         raise tokens.error(
             f"only prefix LIKE patterns ('abc%') are supported, got {pattern!r}", pos
@@ -582,7 +629,7 @@ def _parse_select(tokens: _Tokens, depth: int = 0) -> ParsedQuery:
 
 def parse_sql(sql: str) -> ParsedQuery:
     """Parse one SELECT statement of the minimal dialect."""
-    tokens = _Tokens(sql)
+    tokens = _Tokens(sql).bind(())
     head = tokens.peek()
     if head is not None and head[0] == "word" and head[1].lower() in ("insert", "create"):
         raise tokens.error(
@@ -733,7 +780,12 @@ def parse_statement(
 ) -> ParsedQuery | ParsedInsert | ParsedCreateTable | ParsedAlterTenant:
     """Parse one statement of any class (SELECT / INSERT / CREATE TABLE
     / ALTER TENANT)."""
-    tokens = _Tokens(sql)
+    return _parse_tokens(_Tokens(sql).bind(()))
+
+
+def _parse_tokens(
+    tokens: _Tokens,
+) -> ParsedQuery | ParsedInsert | ParsedCreateTable | ParsedAlterTenant:
     head = tokens.peek()
     if head is None:
         raise tokens.error("empty statement")
@@ -813,16 +865,29 @@ def render_literal(value) -> str:
     raise SqlParseError(f"cannot render {type(value).__name__} as a SQL literal")
 
 
+def _placeholder_mismatch(
+    sql: str, placeholders: int, given: int, position: int | None
+) -> SqlParseError:
+    """``position`` is the first ``?`` left without a parameter, if any."""
+    message = f"statement has {placeholders} placeholder(s) but {given} parameter(s) given"
+    if position is not None:
+        message += "\n" + caret_context(sql, position)
+    return SqlParseError(message, position=position)
+
+
 def bind_parameters(sql: str, params) -> str:
     """Substitute ``?`` placeholders with rendered literals.
 
-    Placeholders inside string literals are left alone (the scanner
-    honours doubled-quote escaping).  Raises with the placeholder's
-    position when the parameter count does not match.
+    The text form of binding: what ``EXPLAIN`` plans from, and the
+    reference :class:`StatementTemplate` is tested against.  Placeholders
+    inside string literals are left alone (the scanner honours
+    doubled-quote escaping).  Raises with the first unbound
+    placeholder's position when the parameter count does not match.
     """
     params = list(params)
     out: list[str] = []
     index = 0
+    unbound_at: int | None = None
     in_string = False
     position = 0
     length = len(sql)
@@ -844,20 +909,82 @@ def bind_parameters(sql: str, params) -> str:
             position += 1
             continue
         if char == "?":
-            if index >= len(params):
-                raise SqlParseError(
-                    f"statement has more placeholders than parameters "
-                    f"({len(params)} given)\n" + caret_context(sql, position),
-                    position=position,
-                )
-            out.append(render_literal(params[index]))
+            if index < len(params):
+                out.append(render_literal(params[index]))
+            elif unbound_at is None:
+                unbound_at = position
             index += 1
             position += 1
             continue
         out.append(char)
         position += 1
     if index != len(params):
-        raise SqlParseError(
-            f"statement has {index} placeholder(s) but {len(params)} parameter(s) given"
-        )
+        raise _placeholder_mismatch(sql, index, len(params), unbound_at)
     return "".join(out)
+
+
+# Exact types a parameter may have and be bound as it is.
+_PLAIN_TYPES = frozenset((int, str, bool, type(None)))
+
+
+def _plain_parameter(value):
+    """``value`` as parsing its rendered literal would return it."""
+    if type(value) in _PLAIN_TYPES:
+        return value
+    render_literal(value)  # raises for what the dialect has no literal for
+    base = next(b for b in (bool, int, float, str) if isinstance(value, b))
+    return base(value)
+
+
+class StatementTemplate:
+    """One statement, lexed once and parsed per :meth:`bind`.
+
+    Holds syntax only — nothing here depends on the schema, ``VERSION
+    BY`` or a tenant — so a cached template cannot go stale.  Binding
+    hands each ``?`` its value directly (no literal is rendered and
+    nothing is lexed again) and must agree with
+    ``parse_statement(bind_parameters(sql, params))``.
+
+    The cursor inside is shared: a template is not re-entrant, like the
+    single-threaded system around it.
+    """
+
+    def __init__(self, sql: str) -> None:
+        self.sql = sql
+        self._tokens = _Tokens(sql)
+        self.insert_shape = self._strided_insert()
+
+    def _strided_insert(self) -> tuple[str, tuple[str, ...] | None, int] | None:
+        """``(table, columns, values per row)`` of an INSERT whose VALUES
+        are all placeholders, so that column ``j`` of its rows is
+        ``params[j::k]``; None for every other statement."""
+        tokens = self._tokens
+        placeholders = len(tokens.param_positions)
+        if not placeholders or not tokens.accept_word("insert"):
+            return None
+        parsed = _parse_insert(tokens.bind([None] * placeholders))
+        width = len(parsed.rows[0])
+        if len(parsed.rows) * width != placeholders:
+            return None  # some value is a literal
+        return parsed.table, parsed.columns, width
+
+    @staticmethod
+    def _plain(params) -> Sequence:
+        """``params`` as a sequence of plain values (see :func:`_plain_parameter`)."""
+        if not isinstance(params, (list, tuple)):
+            params = tuple(params)
+        if not set(map(type, params)) <= _PLAIN_TYPES:
+            params = [_plain_parameter(value) for value in params]
+        return params
+
+    def bind(self, params=()):
+        """The parsed statement with ``params`` as its ``?`` values."""
+        return _parse_tokens(self._tokens.bind(self._plain(params)))
+
+    def bind_insert_columns(self, params) -> list[Sequence]:
+        """The value columns of an all-placeholder INSERT (one per
+        entry of its column list), as strided slices of ``params``."""
+        params = self._plain(params)
+        self._tokens.check_count(params)
+        width = self.insert_shape[2]
+        return [params[j::width] for j in range(width)]
