@@ -35,15 +35,20 @@ class Bitset:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_indices(cls, size: int, indices: Iterable[int]) -> "Bitset":
-        """Build a bitset with the given positions set."""
-        bits = cls(size)
-        idx = np.fromiter(indices, dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= size:
+    def from_indices(cls, size: int, indices: "np.ndarray | Iterable[int]") -> "Bitset":
+        """Build a bitset with the given positions set (duplicates allowed).
+
+        An integer ``ndarray`` — what the indexes hand out — is used as
+        is; any other iterable is collected into one first.
+        """
+        if not isinstance(indices, np.ndarray):
+            indices = np.array(list(indices), dtype=np.int64)
+        mask = np.zeros(size, dtype=bool)
+        if indices.size:
+            if indices.min() < 0 or indices.max() >= size:
                 raise IndexError("bit index out of range")
-            np.bitwise_or.at(bits._words, idx // 8, np.uint8(1) << (idx % 8).astype(np.uint8))
-        return bits
+            mask[indices] = True
+        return cls.from_bool_array(mask)
 
     @classmethod
     def full(cls, size: int) -> "Bitset":

@@ -13,6 +13,12 @@ import struct
 from repro.common.errors import SerializationError
 from repro.common.varint import decode_uvarint, encode_uvarint
 
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_I64 = struct.Struct("<q")
+_F64 = struct.Struct("<d")
+
 
 class BinaryWriter:
     """Appends primitive values to a growable byte buffer."""
@@ -87,43 +93,74 @@ class BinaryReader:
             raise SerializationError(f"seek to {offset} outside buffer of {len(self._data)}")
         self._pos = offset
 
-    def read_bytes(self, count: int) -> bytes:
-        if count < 0 or self._pos + count > len(self._data):
-            raise SerializationError(
-                f"read of {count} bytes at {self._pos} overruns buffer of {len(self._data)}"
-            )
-        out = self._data[self._pos : self._pos + count]
-        self._pos += count
-        return out
+    def _overrun(self, count: int) -> SerializationError:
+        return SerializationError(
+            f"read of {count} bytes at {self._pos} overruns buffer of {len(self._data)}"
+        )
 
-    def _unpack(self, fmt: str, size: int):
-        return struct.unpack(fmt, self.read_bytes(size))[0]
+    def read_bytes(self, count: int) -> bytes:
+        pos = self._pos
+        end = pos + count
+        if count < 0 or end > len(self._data):
+            raise self._overrun(count)
+        self._pos = end
+        return self._data[pos:end]
+
+    def _unpack(self, layout: struct.Struct):
+        try:
+            (value,) = layout.unpack_from(self._data, self._pos)
+        except struct.error:
+            raise self._overrun(layout.size) from None
+        self._pos += layout.size
+        return value
 
     def read_u8(self) -> int:
-        return self._unpack("<B", 1)
+        try:
+            value = self._data[self._pos]
+        except IndexError:
+            raise self._overrun(1) from None
+        self._pos += 1
+        return value
 
     def read_u16(self) -> int:
-        return self._unpack("<H", 2)
+        return self._unpack(_U16)
 
     def read_u32(self) -> int:
-        return self._unpack("<I", 4)
+        return self._unpack(_U32)
 
     def read_u64(self) -> int:
-        return self._unpack("<Q", 8)
+        return self._unpack(_U64)
 
     def read_i64(self) -> int:
-        return self._unpack("<q", 8)
+        return self._unpack(_I64)
 
     def read_f64(self) -> float:
-        return self._unpack("<d", 8)
+        return self._unpack(_F64)
 
     def read_uvarint(self) -> int:
-        value, self._pos = decode_uvarint(self._data, self._pos)
+        data = self._data
+        pos = self._pos
+        # Lengths, counts and kinds are almost always one byte.
+        if pos < len(data) and data[pos] < 0x80:
+            self._pos = pos + 1
+            return data[pos]
+        value, self._pos = decode_uvarint(data, pos)
         return value
 
     def read_len_prefixed(self) -> bytes:
-        length = self.read_uvarint()
-        return self.read_bytes(length)
+        data = self._data
+        pos = self._pos
+        if pos < len(data) and data[pos] < 0x80:
+            length = data[pos]
+            pos += 1
+        else:
+            length, pos = decode_uvarint(data, pos)
+        end = pos + length
+        if end > len(data):
+            self._pos = pos
+            raise self._overrun(length)
+        self._pos = end
+        return data[pos:end]
 
     def read_str(self) -> str:
         return self.read_len_prefixed().decode("utf-8")

@@ -135,16 +135,8 @@ class BkdIndex:
 
     # -- queries ---------------------------------------------------------
 
-    def range_rows(
-        self,
-        low=None,
-        high=None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> np.ndarray:
-        """Row ids whose value lies in the given (possibly open) interval."""
-        if not len(self._values):
-            return np.empty(0, dtype=np.int64)
+    def _range_span(self, low, high, low_inclusive: bool, high_inclusive: bool) -> tuple[int, int]:
+        """``[start, end)`` into the value-sorted points for an interval."""
         side_lo = "left" if low_inclusive else "right"
         side_hi = "right" if high_inclusive else "left"
         start = 0 if low is None else int(np.searchsorted(self._values, low, side=side_lo))
@@ -153,8 +145,17 @@ class BkdIndex:
             if high is None
             else int(np.searchsorted(self._values, high, side=side_hi))
         )
-        if start >= end:
-            return np.empty(0, dtype=np.int64)
+        return start, max(start, end)
+
+    def range_rows(
+        self,
+        low=None,
+        high=None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ) -> np.ndarray:
+        """Sorted row ids whose value lies in the given (possibly open) interval."""
+        start, end = self._range_span(low, high, low_inclusive, high_inclusive)
         return np.sort(self._rows[start:end])
 
     def eq_rows(self, value) -> np.ndarray:
@@ -162,8 +163,9 @@ class BkdIndex:
         return self.range_rows(low=value, high=value)
 
     def range_bitset(self, low=None, high=None, low_inclusive=True, high_inclusive=True) -> Bitset:
-        rows = self.range_rows(low, high, low_inclusive, high_inclusive)
-        return Bitset.from_indices(self._row_count, rows.tolist())
+        """:meth:`range_rows` as a bitset; set membership needs no sort."""
+        start, end = self._range_span(low, high, low_inclusive, high_inclusive)
+        return Bitset.from_indices(self._row_count, self._rows[start:end])
 
     # -- serialization -----------------------------------------------------
 

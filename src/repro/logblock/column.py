@@ -23,7 +23,7 @@ import numpy as np
 from repro.common.bitset import Bitset
 from repro.common.bytesio import BinaryReader, BinaryWriter
 from repro.common.errors import SerializationError
-from repro.common.varint import decode_uvarint_array
+from repro.common.varint import decode_uvarint, decode_uvarint_array
 from repro.logblock.schema import ColumnType
 
 _STRING_PLAIN = 0
@@ -55,28 +55,43 @@ def encode_block(values: list, ctype: ColumnType) -> bytes:
     return writer.getvalue()
 
 
-def decode_block(data: bytes, ctype: ColumnType, row_count: int) -> list:
-    """Decode a column block back into python values (``None`` = null)."""
-    reader = BinaryReader(data)
+def _read_null_mask(reader: BinaryReader, row_count: int) -> np.ndarray:
+    """The null bitset every block starts with, as a bool vector."""
     nulls = Bitset.from_bytes(reader.read_len_prefixed())
     if len(nulls) != row_count:
         raise SerializationError(
             f"null bitset size {len(nulls)} does not match row count {row_count}"
         )
-    null_mask = nulls.to_bool_array()
+    return nulls.to_bool_array()
+
+
+def decode_block(data: bytes, ctype: ColumnType, row_count: int) -> list:
+    """Decode a column block back into python values (``None`` = null)."""
+    reader = BinaryReader(data)
+    null_mask = _read_null_mask(reader, row_count)
     if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
         vector = np.frombuffer(reader.read_bytes(row_count * 8), dtype=np.int64)
-        return [None if null_mask[i] else int(vector[i]) for i in range(row_count)]
+        return with_nulls(vector.tolist(), null_mask)
     if ctype is ColumnType.FLOAT64:
         vector = np.frombuffer(reader.read_bytes(row_count * 8), dtype=np.float64)
-        return [None if null_mask[i] else float(vector[i]) for i in range(row_count)]
+        return with_nulls(vector.tolist(), null_mask)
     if ctype is ColumnType.BOOL:
         bits = Bitset.from_bytes(reader.read_len_prefixed())
-        mask = bits.to_bool_array()
-        return [None if null_mask[i] else bool(mask[i]) for i in range(row_count)]
+        if len(bits) != row_count:
+            raise SerializationError(
+                f"value bitset size {len(bits)} does not match row count {row_count}"
+            )
+        return with_nulls(bits.to_bool_array().tolist(), null_mask)
     if ctype is ColumnType.STRING:
         return _decode_strings(reader, null_mask, row_count)
     raise SerializationError(f"unsupported column type {ctype}")
+
+
+def with_nulls(values: list, null_mask: np.ndarray) -> list:
+    """``values`` with ``None`` patched in at the masked positions."""
+    for i in np.flatnonzero(null_mask).tolist():
+        values[i] = None
+    return values
 
 
 def decode_block_arrays(
@@ -95,12 +110,7 @@ def decode_block_arrays(
     "vectorized query execution").
     """
     reader = BinaryReader(data)
-    nulls = Bitset.from_bytes(reader.read_len_prefixed())
-    if len(nulls) != row_count:
-        raise SerializationError(
-            f"null bitset size {len(nulls)} does not match row count {row_count}"
-        )
-    null_mask = nulls.to_bool_array()
+    null_mask = _read_null_mask(reader, row_count)
     if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
         values = np.frombuffer(reader.read_bytes(row_count * 8), dtype=np.int64)
         return values, null_mask
@@ -166,9 +176,92 @@ def _decode_strings(reader: BinaryReader, null_mask: np.ndarray, row_count: int)
         codes[null_mask] = 0
         return dictionary[codes].tolist()
     if encoding == _STRING_PLAIN:
-        out = []
-        for i in range(row_count):
-            text = reader.read_str()  # nulls were written as "" placeholders
-            out.append(None if null_mask[i] else text)
-        return out
+        return PlainStrings(reader, null_mask).pick(np.arange(row_count))
     raise SerializationError(f"unknown string encoding {encoding}")
+
+
+def plain_strings(data: bytes, row_count: int) -> "PlainStrings":
+    """Open a PLAIN string block for selective decode.
+
+    For the blocks :func:`decode_block_arrays` has no vector form for
+    (it returned ``None``); a DICT block is an error here.
+    """
+    reader = BinaryReader(data)
+    null_mask = _read_null_mask(reader, row_count)
+    encoding = reader.read_u8()
+    if encoding != _STRING_PLAIN:
+        raise SerializationError(f"string encoding {encoding} is not PLAIN")
+    return PlainStrings(reader, null_mask)
+
+
+class PlainStrings:
+    """Offsets-first view of a PLAIN string block.
+
+    The payload interleaves ``varint(len) · utf-8 bytes`` per row, so
+    finding row *i* means walking the *i* lengths before it — but not
+    decoding their text.  The walk records each value's byte extent,
+    goes only as far as the last row asked for, and resumes from there
+    on the next call; :meth:`pick` then slices and decodes just the
+    rows it is given.
+    """
+
+    __slots__ = ("_data", "_null_mask", "_pos", "_starts", "_ends")
+
+    def __init__(self, reader: BinaryReader, null_mask: np.ndarray) -> None:
+        """``reader`` is positioned just past the encoding byte."""
+        self._data = reader.read_bytes(reader.remaining())
+        self._null_mask = null_mask
+        self._pos = 0
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+
+    def _walk(self, row_count: int) -> None:
+        """Extend the recorded extents to cover rows ``[0, row_count)``.
+
+        The new extents are recorded only once the walk has stayed
+        inside the block, so a failed walk fails again the same way
+        instead of leaving overrun extents behind a stale position.
+        """
+        data = self._data
+        pos = self._pos
+        starts: list[int] = []
+        ends: list[int] = []
+        try:
+            for _ in range(row_count - len(self._ends)):
+                length = data[pos]
+                pos += 1
+                if length >= 0x80:
+                    length, pos = decode_uvarint(data, pos - 1)
+                starts.append(pos)
+                pos += length
+                ends.append(pos)
+        except IndexError:
+            raise SerializationError("truncated string block") from None
+        if pos > len(data):
+            raise SerializationError("string value overruns its block")
+        self._starts += starts
+        self._ends += ends
+        self._pos = pos
+
+    def pick(self, offsets: np.ndarray) -> list:
+        """Values at the strictly ascending row ``offsets`` (``None`` = null)."""
+        if not offsets.size:
+            return []
+        first, last = int(offsets[0]), int(offsets[-1])
+        if first < 0 or last >= len(self._null_mask):
+            raise IndexError(
+                f"rows {first}..{last} outside a string block of {len(self._null_mask)} rows"
+            )
+        self._walk(last + 1)
+        data = self._data
+        if last - first + 1 == offsets.size:
+            # One contiguous run (a time window, or the whole block).
+            extents = zip(self._starts[first : last + 1], self._ends[first : last + 1])
+        else:
+            starts, ends = self._starts, self._ends
+            extents = [(starts[i], ends[i]) for i in offsets.tolist()]
+        # Nulls were written as "" placeholders.
+        return with_nulls(
+            [data[start:end].decode("utf-8") for start, end in extents],
+            self._null_mask[offsets],
+        )

@@ -182,8 +182,7 @@ class InvertedIndex:
         """Rows containing *all* the given terms (full-text AND match)."""
         result: Bitset | None = None
         for term in terms:
-            rows = self.lookup(term)
-            bits = Bitset.from_indices(self._row_count, rows.tolist())
+            bits = Bitset.from_indices(self._row_count, self.lookup(term))
             result = bits if result is None else (result & bits)
             if not result.any():
                 break
@@ -193,11 +192,10 @@ class InvertedIndex:
 
     def match_any(self, terms: Iterable[str]) -> Bitset:
         """Rows containing *any* of the given terms (OR match)."""
-        result = Bitset(self._row_count)
-        for term in terms:
-            rows = self.lookup(term)
-            result = result | Bitset.from_indices(self._row_count, rows.tolist())
-        return result
+        hits = [self.lookup(term) for term in terms]
+        if not hits:
+            return Bitset(self._row_count)
+        return Bitset.from_indices(self._row_count, np.concatenate(hits))
 
     # -- serialization -------------------------------------------------------
 

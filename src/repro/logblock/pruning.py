@@ -60,6 +60,9 @@ class EqPredicate:
     def may_match_sma(self, sma: Sma) -> bool:
         return sma.may_contain_eq(self.value)
 
+    def matches_all_sma(self, sma: Sma, ctype: ColumnType) -> bool:
+        return sma.all_eq_any(ctype, (self.value,))
+
     def evaluate_value(self, value) -> bool:
         return value is not None and value == self.value
 
@@ -76,6 +79,11 @@ class RangePredicate:
 
     def may_match_sma(self, sma: Sma) -> bool:
         return sma.may_contain_range(self.low, self.high, self.low_inclusive, self.high_inclusive)
+
+    def matches_all_sma(self, sma: Sma, ctype: ColumnType) -> bool:
+        return sma.all_in_range(
+            ctype, self.low, self.high, self.low_inclusive, self.high_inclusive
+        )
 
     def evaluate_value(self, value) -> bool:
         if value is None:
@@ -128,6 +136,9 @@ class InPredicate:
     def may_match_sma(self, sma: Sma) -> bool:
         return any(sma.may_contain_eq(v) for v in self.values)
 
+    def matches_all_sma(self, sma: Sma, ctype: ColumnType) -> bool:
+        return sma.all_eq_any(ctype, self.values)
+
     def evaluate_value(self, value) -> bool:
         return value is not None and value in self.values
 
@@ -147,7 +158,7 @@ class NullPredicate:
     def may_match_sma(self, sma: Sma) -> bool:
         return sma.null_count > 0
 
-    def matches_all_sma(self, sma: Sma) -> bool:
+    def matches_all_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         return sma.null_count == sma.row_count
 
     def evaluate_value(self, value) -> bool:
@@ -168,7 +179,7 @@ class NotNullPredicate:
     def may_match_sma(self, sma: Sma) -> bool:
         return sma.null_count < sma.row_count
 
-    def matches_all_sma(self, sma: Sma) -> bool:
+    def matches_all_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         return sma.null_count == 0
 
     def evaluate_value(self, value) -> bool:
@@ -257,24 +268,18 @@ def _index_rowids(
         if isinstance(predicate, EqPredicate):
             if spec.tokenize:
                 return None  # tokenized values can't be matched exactly from terms
-            rows = index.lookup(str(predicate.value))
-            return Bitset.from_indices(row_count, rows.tolist())
+            return Bitset.from_indices(row_count, index.lookup(str(predicate.value)))
         if isinstance(predicate, InPredicate):
             if spec.tokenize:
                 return None
-            bits = Bitset(row_count)
-            for value in predicate.values:
-                rows = index.lookup(str(value))
-                bits = bits | Bitset.from_indices(row_count, rows.tolist())
-            return bits
+            return index.match_any(str(value) for value in predicate.values)
         if isinstance(predicate, MatchPredicate):
             terms = [normalize_term(t) for t in predicate.terms]
             return index.match_all(terms)
         if isinstance(predicate, PrefixPredicate):
             if spec.tokenize:
                 return None  # whole-value prefixes don't map to token terms
-            rows = index.lookup_prefix(predicate.prefix)
-            return Bitset.from_indices(row_count, rows.tolist())
+            return Bitset.from_indices(row_count, index.lookup_prefix(predicate.prefix))
         return None
 
     if isinstance(index, BkdIndex):
@@ -403,21 +408,16 @@ def dict_codes_block_mask(
     return None
 
 
-def _scan_rowids(reader: LogBlockReader, predicate: ColumnPredicate) -> Bitset:
-    """Block-skipping scan (Figure 8 step 4): SMA-prune blocks, scan rest."""
-    meta = reader.meta()
-    col_idx = meta.schema.column_index(predicate.column)
-    bits = Bitset(meta.row_count)
-    base = 0
-    for block_idx, block_rows in enumerate(meta.block_row_counts):
-        header = meta.block_headers[col_idx][block_idx]
-        if predicate.may_match_sma(header.sma):
-            values = reader.read_block(predicate.column, block_idx)
-            for offset, value in enumerate(values):
-                if predicate.evaluate_value(value):
-                    bits.set(base + offset)
-        base += block_rows
-    return bits
+def proves_all_match(predicate: ColumnPredicate, sma: Sma, ctype: ColumnType) -> bool:
+    """Whether ``sma`` proves every row of its region matches.
+
+    The all-match counterpart of ``may_match_sma`` for the predicate
+    shapes that have one (``matches_all_sma``); true means the region
+    is answered with zero reads.  ``ctype`` is the column's type: what
+    bounds can prove depends on it (a FLOAT64 column may hold NaNs).
+    """
+    matches_all = getattr(predicate, "matches_all_sma", None)
+    return matches_all is not None and matches_all(sma, ctype)
 
 
 @dataclass
@@ -430,6 +430,7 @@ class PruneStats:
     index_lookups: int = 0
     blooms_pruned: int = 0  # whole-LogBlock skips via Bloom "definitely absent"
     blocks_short_circuited: int = 0  # blocks proven all-matching by SMA alone
+    columns_short_circuited: int = 0  # same proof from the column SMA: zero reads
     # Scan-mode accounting: rows whose predicate evaluation ran on numpy
     # vectors vs the scalar per-value loop, and why vectorization fell
     # back when it was requested but could not apply (reason → count).
@@ -470,10 +471,11 @@ def evaluate_predicates(
                 # Figure 8 step 2: whole column disproved; no rows match.
                 stats.columns_pruned += 1
                 return Bitset(row_count)
-            matches_all = getattr(predicate, "matches_all_sma", None)
-            if matches_all is not None and matches_all(column_sma):
+            if proves_all_match(predicate, column_sma, reader.column(predicate.column).ctype):
                 # The column SMA proves every row matches (e.g. IS NOT
-                # NULL over a column with zero nulls) — zero reads.
+                # NULL over a column with zero nulls, ``tenant_id = 7``
+                # over a single-tenant block) — zero reads.
+                stats.columns_short_circuited += 1
                 continue
             if not _bloom_may_match(reader, predicate):
                 # Bloom filter proves the needle is absent from this
@@ -534,6 +536,7 @@ def _scan_blocks(
     """
     meta = reader.meta()
     col_idx = meta.schema.column_index(predicate.column)
+    ctype = meta.schema.columns[col_idx].ctype
     full_mask = np.zeros(meta.row_count, dtype=bool)
     base = 0
     for block_idx, block_rows in enumerate(meta.block_row_counts):
@@ -542,13 +545,11 @@ def _scan_blocks(
             stats.blocks_pruned += 1
             base += block_rows
             continue
-        if prune_blocks:
-            matches_all = getattr(predicate, "matches_all_sma", None)
-            if matches_all is not None and matches_all(header.sma):
-                full_mask[base : base + block_rows] = True
-                stats.blocks_short_circuited += 1
-                base += block_rows
-                continue
+        if prune_blocks and proves_all_match(predicate, header.sma, ctype):
+            full_mask[base : base + block_rows] = True
+            stats.blocks_short_circuited += 1
+            base += block_rows
+            continue
         stats.blocks_scanned += 1
         handled = False
         if vectorized:

@@ -8,15 +8,21 @@ cache hit through the multi-level cache when one is attached upstream).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.codec import get_codec
-from repro.common.bitset import Bitset
 from repro.common.errors import QueryError
 from repro.logblock.bkd import BkdIndex
-from repro.logblock.column import decode_block
+from repro.logblock.column import (
+    PlainStrings,
+    decode_block,
+    decode_block_arrays,
+    plain_strings,
+    with_nulls,
+)
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.schema import ColumnSpec, IndexType
 from repro.logblock.bloom import BloomFilter
@@ -28,6 +34,23 @@ from repro.logblock.writer import (
     index_member,
 )
 from repro.tarpack.reader import PackReader
+
+
+@dataclass(frozen=True)
+class RowSelection:
+    """The matched rows of one LogBlock, located once for every reader.
+
+    ``row_ids`` ascend; ``groups`` holds, for each column block with a
+    matched row, ``(block_idx, offsets within the block)``.  Every
+    output column is read, and the block prefetch planned, from this
+    one grouping (:meth:`LogBlockReader.select`).
+    """
+
+    row_ids: np.ndarray
+    groups: tuple[tuple[int, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return int(self.row_ids.size)
 
 
 class LogBlockReader:
@@ -189,8 +212,6 @@ class LogBlockReader:
         form) — callers fall back to :meth:`read_block`.  Backing the
         §8 "vectorized query execution" scan mode.
         """
-        from repro.logblock.column import decode_block_arrays
-
         meta = self.meta()
         col_idx = meta.schema.column_index(column)
         key = ("vec", col_idx, block_idx)
@@ -221,17 +242,6 @@ class LogBlockReader:
             self._block_cache[key] = ends
         return ends
 
-    def blocks_of_rows(self, row_ids: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`block_of_row`: block index per row id.
-
-        O(rows · log blocks) instead of the per-row linear walk, which
-        made per-matched-row mapping O(rows · blocks).
-        """
-        idx = np.asarray(row_ids, dtype=np.int64)
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.meta().row_count):
-            raise QueryError(f"row id out of range [0, {self.meta().row_count})")
-        return np.searchsorted(self._block_ends(), idx, side="right")
-
     def block_of_row(self, row_id: int) -> tuple[int, int]:
         """Map a global row id to ``(block_idx, offset_in_block)``."""
         meta = self.meta()
@@ -246,71 +256,73 @@ class LogBlockReader:
         """Materialize the given rows for the given columns.
 
         Fetches each needed column block at most once.  ``row_ids`` must
-        be sorted ascending (the query executor produces them that way).
+        be strictly ascending (the query executor produces them that way).
         """
         wanted = list(columns)
-        rows = [dict() for _ in row_ids]
-        if not row_ids:
-            return rows
-        blocks = self.blocks_of_rows(row_ids)
-        ends = self._block_ends()
-        counts = self.meta().block_row_counts
-        offsets = [
-            row_id - (int(ends[blk]) - counts[blk]) for row_id, blk in zip(row_ids, blocks)
-        ]
-        for column in wanted:
-            for out_idx, (blk, offset) in enumerate(zip(blocks, offsets)):
-                values = self.read_block(column, int(blk))
-                rows[out_idx][column] = values[offset]
-        return rows
+        if not wanted:
+            return [{} for _ in row_ids]
+        selection = self.select(np.asarray(row_ids, dtype=np.int64))
+        vectors = [self.read_column_values(column, selection) for column in wanted]
+        return [dict(zip(wanted, values)) for values in zip(*vectors)]
 
-    def read_column_values(self, column: str, matched: Bitset) -> list:
-        """Values of ``column`` at the matched row ids, in row-id order.
+    def select(self, row_ids: np.ndarray) -> RowSelection:
+        """Locate matched rows (strictly ascending row ids) in blocks."""
+        if not row_ids.size:
+            return RowSelection(row_ids, ())
+        if row_ids[0] < 0 or row_ids[-1] >= self.row_count:
+            raise QueryError(f"row id out of range [0, {self.row_count})")
+        ends = self._block_ends()
+        # cuts[b] = matched rows before the end of block b.
+        cuts = np.searchsorted(row_ids, ends, side="left").tolist()
+        groups = []
+        start = cut_before = 0
+        for block_idx, (end, cut) in enumerate(zip(ends.tolist(), cuts)):
+            if cut > cut_before:
+                groups.append((block_idx, row_ids[cut_before:cut] - start))
+            start, cut_before = end, cut
+        return RowSelection(row_ids, tuple(groups))
+
+    def _plain_strings(self, col_idx: int, block_idx: int) -> PlainStrings:
+        """The offsets-first view of a PLAIN string block (memoized)."""
+        key = ("str", col_idx, block_idx)
+        strings = self._block_cache.get(key)
+        if strings is None:
+            strings = plain_strings(
+                self._block_payload(col_idx, block_idx),
+                self.meta().block_row_counts[block_idx],
+            )
+            self._block_cache[key] = strings
+        return strings
+
+    def read_column_values(self, column: str, selection: RowSelection) -> list:
+        """Values of ``column`` at the selected row ids, in row-id order.
 
         The late-materialization read: fetches only the column blocks
-        containing matched rows, returns a flat value vector and never
-        builds row dicts.  Aggregation consumes these vectors directly.
+        containing matched rows, decodes only the matched values,
+        returns a flat value vector and never builds row dicts.
+        Aggregation consumes these vectors directly.
         """
-        idx = matched.indices()
-        if not idx.size:
-            return []
-        blocks = self.blocks_of_rows(idx)
-        ends = self._block_ends()
-        counts = self.meta().block_row_counts
+        col_idx = self.meta().schema.column_index(column)
         out: list = []
-        for block_idx in np.unique(blocks):
-            block_idx = int(block_idx)
-            start = int(ends[block_idx]) - counts[block_idx]
-            in_block = idx[blocks == block_idx] - start
+        for block_idx, in_block in selection.groups:
             arrays = self.read_block_arrays(column, block_idx)
-            if arrays is not None and len(arrays) == 3:
+            if arrays is None:
+                out.extend(self._plain_strings(col_idx, block_idx).pick(in_block))
+            elif len(arrays) == 3:
                 # DICT string block: pick codes, then look the few
                 # matched values up in the (tiny) dictionary.
                 codes, dictionary, null_mask = arrays
-                hit_nulls = null_mask[in_block]
+                hit_codes = codes[in_block]
+                hit_codes[null_mask[in_block]] = 0
                 out.extend(
-                    None if (is_null or code == 0) else dictionary[code - 1]
-                    for code, is_null in zip(
-                        codes[in_block].tolist(), hit_nulls.tolist()
-                    )
+                    None if code == 0 else dictionary[code - 1]
+                    for code in hit_codes.tolist()
                 )
-                continue
-            if arrays is not None:
+            else:
                 # Fancy-index the numpy block instead of decoding every
                 # value to a python object just to pick a few of them.
                 values_arr, null_mask = arrays
-                picked = values_arr[in_block].tolist()
-                if null_mask is not None:
-                    hit_nulls = null_mask[in_block]
-                    if hit_nulls.any():
-                        picked = [
-                            None if is_null else value
-                            for value, is_null in zip(picked, hit_nulls.tolist())
-                        ]
-                out.extend(picked)
-                continue
-            values = self.read_block(column, block_idx)
-            out.extend(values[int(offset)] for offset in in_block)
+                out.extend(with_nulls(values_arr[in_block].tolist(), null_mask[in_block]))
         return out
 
     def member_extent(self, member: str) -> tuple[int, int]:

@@ -70,6 +70,55 @@ class Sma:
                 return False
         return True
 
+    # -- all-match proofs -------------------------------------------------------
+    # The mirror image of pruning: bounds that prove *every* row matches
+    # let the caller skip the index and the data just as a disproof does.
+
+    def _proves_for(self, ctype: ColumnType, *literals) -> bool:
+        """Whether the bounds can prove anything about these literals.
+
+        Only when there are no nulls and the literals have exactly the
+        bounds' type: the index, the vector scan and the row scan agree
+        on same-type comparisons, but not on ``bool`` vs ``int`` or on a
+        ``str`` probed against numbers.  A FLOAT64 column never proves a
+        full match, because min/max skip the NaNs that no comparison
+        matches.  That is decided from the column type: the bounds can
+        be ints (a FLOAT64 column accepts them), and the float sum that
+        would give the column away is missing from a v2 meta.
+        """
+        kind = type(self.min_value)
+        return (
+            ctype is not ColumnType.FLOAT64
+            and self.null_count == 0
+            and self.min_value is not None
+            and type(self.max_value) is kind
+            and all(type(literal) is kind for literal in literals)
+        )
+
+    def all_eq_any(self, ctype: ColumnType, values) -> bool:
+        """Whether every row equals one of ``values`` (true ⇒ nothing to read)."""
+        return (
+            self._proves_for(ctype, *values)
+            and self.min_value == self.max_value
+            and self.min_value in values
+        )
+
+    def all_in_range(
+        self, ctype: ColumnType, low=None, high=None, low_inclusive=True, high_inclusive=True
+    ) -> bool:
+        """Whether every row lies in the interval (true ⇒ nothing to read)."""
+        if not self._proves_for(ctype, *(bound for bound in (low, high) if bound is not None)):
+            return False
+        if low is not None and not (
+            self.min_value >= low if low_inclusive else self.min_value > low
+        ):
+            return False
+        if high is not None and not (
+            self.max_value <= high if high_inclusive else self.max_value < high
+        ):
+            return False
+        return True
+
     # -- serialization -------------------------------------------------------
 
     def write_to(self, writer: BinaryWriter, include_sum: bool = True) -> None:

@@ -57,7 +57,8 @@ def render_explain_analyze(result, trace: Span | None, journal=None) -> str:
     lines.append(f"  pruned by LogBlock map: {result.plan.blocks_pruned_by_map}")
     lines.append(
         f"  pruned by SMA: {stats.prune.blocks_pruned}, "
-        f"by Bloom: {stats.prune.blooms_pruned}"
+        f"by Bloom: {stats.prune.blooms_pruned}, "
+        f"columns short-circuited by SMA: {stats.prune.columns_short_circuited}"
     )
     lines.append(
         f"  scanned: {stats.prune.blocks_scanned}, "

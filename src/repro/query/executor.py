@@ -24,9 +24,9 @@ import numpy as np
 from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
 from repro.common.bitset import Bitset
 from repro.common.utils import wave_elapsed
-from repro.logblock.pruning import PruneStats, evaluate_predicates
-from repro.logblock.reader import LogBlockReader
-from repro.logblock.schema import IndexType
+from repro.logblock.pruning import PruneStats, evaluate_predicates, proves_all_match
+from repro.logblock.reader import LogBlockReader, RowSelection
+from repro.logblock.schema import ColumnType, IndexType
 from repro.logblock.writer import (
     META_MEMBER,
     LogBlockMeta,
@@ -161,6 +161,27 @@ def _all_leaves_for_column(expr: Expr, column: str) -> list:
     return out
 
 
+def _decided_by_sma(leaves: list, column_sma: Sma, ctype: ColumnType) -> bool:
+    """Whether the column SMA alone answers every leaf of a column.
+
+    True when each leaf is proven to match no row or every row — the
+    two outcomes :func:`evaluate_predicates` returns from before it
+    opens the index — so the index member need not be fetched.
+    """
+    try:
+        for leaf in leaves:
+            predicate = leaf.to_column_predicate()
+            if predicate.may_match_sma(column_sma) and not proves_all_match(
+                predicate, column_sma, ctype
+            ):
+                return False
+    except TypeError:
+        # A literal the bounds cannot be compared with; evaluation, if
+        # it gets that far, raises with the leaf's context.
+        return False
+    return True
+
+
 def _leaf_may_match_bloom(leaf, bloom) -> bool:
     if isinstance(leaf, Comparison):
         return bloom.might_contain(leaf.value)
@@ -278,10 +299,13 @@ class BlockExecutor:
 
         Stage 1 (one overlapped batch): the meta member plus the Bloom
         filters of equality-probed string columns.  Stage 2: the index
-        members — but only for columns the Bloom filters could not rule
-        out, so a needle query probing an absent value never pays for
-        the (much larger) inverted index.  This is §5.2's loading
-        workflow (Figures 9/10) with Bloom short-circuiting.
+        members — but only for columns whose column SMA leaves some
+        leaf undecided (a single-tenant block answers ``tenant_id = 7``
+        from its meta, a block inside the window answers the ``ts``
+        range) and that the Bloom filters could not rule out, so a
+        needle query probing an absent value never pays for the (much
+        larger) inverted index.  This is §5.2's loading workflow
+        (Figures 9/10) with SMA and Bloom short-circuiting.
         """
         manifest = pack.manifest()
         stage1: list[str] = []
@@ -309,6 +333,12 @@ class BlockExecutor:
                 continue
             if self.cache.objects.contains((self._bucket, pack.key, member)):
                 continue  # decoded index already shared; skip the bytes
+            if self.options.use_skipping and _decided_by_sma(
+                _all_leaves_for_column(expr, column),
+                reader.meta().column_sma(column),
+                reader.column(column).ctype,
+            ):
+                continue  # evaluation will never open this index
             leaves = eq_leaves.get(column)
             if leaves is not None and leaves and reader.has_bloom(column):
                 bloom = reader.read_bloom(column)
@@ -331,18 +361,13 @@ class BlockExecutor:
     def _prefetch_output_blocks(
         self,
         reader: LogBlockReader,
-        matched: Bitset,
+        selection: RowSelection,
         columns: list[str],
         stats: ExecutionStats,
     ) -> None:
-        """Batch-load exactly the column blocks holding matched rows.
-
-        The needed block set comes from one vectorized pass over the
-        bitset's indices against the block row boundaries — O(blocks)
-        distinct results, never a per-matched-row ``block_of_row`` walk.
-        """
+        """Batch-load exactly the column blocks holding matched rows."""
         meta = reader.meta()
-        needed_blocks = np.unique(reader.blocks_of_rows(matched.indices())).tolist()
+        needed_blocks = [block_idx for block_idx, _ in selection.groups]
         members = [
             block_member(meta.schema.column_index(column), block_idx)
             for column in columns
@@ -405,8 +430,13 @@ class BlockExecutor:
         entry: LogBlockEntry,
         plan: QueryPlan,
         stats: ExecutionStats,
-    ) -> tuple[LogBlockReader, Bitset]:
-        """Open one LogBlock and evaluate the predicate to a bitset."""
+    ) -> tuple[LogBlockReader, RowSelection]:
+        """Open one LogBlock and evaluate the predicate to its matched rows.
+
+        The bitset becomes row ids, and those (block, offsets) groups,
+        exactly once here; the count, the block prefetch and every
+        column read downstream share that one :class:`RowSelection`.
+        """
         if self.options.use_prefetch:
             pack = self._open_pack(entry.path, entry)
             meta_cached = (
@@ -424,9 +454,9 @@ class BlockExecutor:
         scanned_before = stats.prune.blocks_scanned
         lookups_before = stats.prune.index_lookups
         if plan.where is not None:
-            matched = self._evaluate_expr(reader, plan.where, stats)
+            matched = reader.select(self._evaluate_expr(reader, plan.where, stats).indices())
         else:
-            matched = Bitset.full(reader.row_count)
+            matched = reader.select(np.arange(reader.row_count, dtype=np.int64))
         # CPU cost of evaluation: scanned blocks pay per-row evaluation,
         # index probes pay a constant (the decode itself was charged at
         # the reader through decode_charge).
@@ -442,7 +472,7 @@ class BlockExecutor:
     def _materialize_rows(
         self,
         reader: LogBlockReader,
-        matched: Bitset,
+        matched: RowSelection,
         columns: list[str],
         stats: ExecutionStats,
     ) -> list[dict]:
@@ -460,7 +490,7 @@ class BlockExecutor:
         missing = [c for c in columns if c not in block_columns]
         if self.options.use_prefetch and present:
             self._prefetch_output_blocks(reader, matched, present, stats)
-        count = matched.count()
+        count = len(matched)
         self._charge(
             count * max(1, len(present)) / self.options.cpu_materialize_values_per_s
         )
@@ -479,7 +509,7 @@ class BlockExecutor:
     ) -> list[dict]:
         """Matched, projected rows of one LogBlock."""
         reader, matched = self._match_block(entry, plan, stats)
-        count = matched.count()
+        count = len(matched)
         if not count:
             return []
         stats.rows_matched += count
@@ -517,7 +547,7 @@ class BlockExecutor:
         pushdown = plan.agg_pushdown
         level = self.options.agg_pushdown_level
         reader, matched = self._match_block(entry, plan, stats)
-        count = matched.count()
+        count = len(matched)
         if not count:
             return
         stats.rows_matched += count
@@ -645,7 +675,7 @@ class BlockExecutor:
         spec = plan.dedup
         assert spec is not None
         reader, matched = self._match_block(entry, plan, stats)
-        count = matched.count()
+        count = len(matched)
         if not count:
             return
         stats.rows_matched += count
@@ -659,8 +689,7 @@ class BlockExecutor:
         self._charge(count * max(1, len(present)) / self.options.cpu_agg_values_per_s)
         keys = vectors.get(spec.key_column, [None] * count)
         versions = vectors.get(spec.version_column, [None] * count)
-        row_ids = matched.indices().tolist()
-        for key, version, row_id in zip(keys, versions, row_ids):
+        for key, version, row_id in zip(keys, versions, matched.row_ids.tolist()):
             dedup.offer(key, version, (reader, row_id))
         stats.dedup_candidates += count
 
@@ -732,7 +761,7 @@ class BlockExecutor:
         for reader, pairs in by_reader.values():
             def fetch(reader=reader, pairs=pairs) -> None:
                 row_ids = sorted({row_id for _, row_id in pairs})
-                matched = Bitset.from_indices(reader.row_count, row_ids)
+                matched = reader.select(np.array(row_ids, dtype=np.int64))
                 rows = self._materialize_rows(reader, matched, list(columns), stats)
                 row_for_id = dict(zip(row_ids, rows))
                 for position, row_id in pairs:

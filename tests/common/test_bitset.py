@@ -111,6 +111,53 @@ indices_strategy = st.integers(min_value=1, max_value=200).flatmap(
 )
 
 
+class TestFromIndicesArrays:
+    """Row-id sets arrive as numpy arrays from the indexes; an array and
+    any other iterable of the same ids must build the same bitset."""
+
+    @given(
+        st.integers(min_value=1, max_value=200).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2 * n)
+            )
+        )
+    )
+    def test_array_equals_iterable_with_duplicates_in_any_order(self, spec):
+        size, indices = spec
+        expected = Bitset(size)
+        for index in indices:
+            expected.set(index)
+        as_array = Bitset.from_indices(size, np.array(indices, dtype=np.int64))
+        assert as_array == expected
+        assert Bitset.from_indices(size, indices) == expected
+        assert Bitset.from_indices(size, iter(indices)) == expected
+        assert Bitset.from_indices(size, set(indices)) == expected
+        assert as_array.count() == len(set(indices))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+    def test_integer_dtypes(self, dtype):
+        bits = Bitset.from_indices(70, np.array([69, 0, 64], dtype=dtype))
+        assert list(bits) == [0, 64, 69]
+
+    def test_array_is_not_modified_or_aliased(self):
+        indices = np.array([3, 1], dtype=np.int64)
+        bits = Bitset.from_indices(8, indices)
+        indices[0] = 7
+        assert list(bits) == [1, 3]
+
+    def test_empty(self):
+        assert not Bitset.from_indices(9, np.empty(0, dtype=np.int64)).any()
+        assert not Bitset.from_indices(9, []).any()
+        assert len(Bitset.from_indices(0, [])) == 0
+
+    @pytest.mark.parametrize("bad", [[5], [-1], [0, 2, 99]])
+    def test_out_of_range_raises_index_error(self, bad):
+        with pytest.raises(IndexError):
+            Bitset.from_indices(5, np.array(bad, dtype=np.int64))
+        with pytest.raises(IndexError):
+            Bitset.from_indices(5, bad)
+
+
 class TestProperties:
     @given(indices_strategy)
     def test_indices_roundtrip(self, size_and_indices):

@@ -1,11 +1,17 @@
 """Column-block encoder tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import SerializationError
-from repro.logblock.column import decode_block, decode_block_arrays, encode_block
+from repro.logblock.column import (
+    decode_block,
+    decode_block_arrays,
+    encode_block,
+    plain_strings,
+)
 from repro.logblock.schema import ColumnType
 
 
@@ -99,6 +105,135 @@ class TestStringColumns:
     @given(st.lists(st.one_of(st.none(), st.text(max_size=40))))
     def test_property(self, values):
         assert roundtrip(values, ColumnType.STRING) == values
+
+
+# Values that exercise every length-prefix width and the placeholders:
+# nulls, "", multi-byte UTF-8, two-byte (>= 128 B) and three-byte
+# (>= 16 384 B) varint lengths.
+plain_values = st.lists(
+    st.one_of(
+        st.none(),
+        st.just(""),
+        st.text(max_size=12),
+        st.sampled_from(["日志存储", "héllo wörld", "🙂" * 40, "x" * 127, "y" * 128, "z" * 16_384]),
+    ),
+    min_size=1,
+    max_size=24,
+    # A block that repeats values turns DICT; keep the present ones distinct.
+    unique_by=lambda v: object() if v is None else v,
+)
+
+
+class TestSelectivePlainDecode:
+    """``PlainStrings.pick`` ≡ picking from the ``decode_block`` oracle."""
+
+    @staticmethod
+    def encode_plain(values):
+        data = encode_block(values, ColumnType.STRING)
+        assert decode_block_arrays(data, ColumnType.STRING, len(values)) is None  # PLAIN
+        return data
+
+    @given(plain_values, st.data())
+    def test_pick_equals_oracle_picks(self, values, data):
+        payload = self.encode_plain(values)
+        oracle = decode_block(payload, ColumnType.STRING, len(values))
+        assert oracle == values
+        strings = plain_strings(payload, len(values))
+        everything = np.arange(len(values))
+        # Several selections against one view: the walk resumes, never restarts.
+        for _ in range(3):
+            chosen = data.draw(st.sets(st.sampled_from(range(len(values)))))
+            offsets = np.array(sorted(chosen), dtype=np.int64)
+            assert strings.pick(offsets) == [oracle[i] for i in sorted(chosen)]
+        assert strings.pick(everything[:0]) == []
+        assert strings.pick(everything) == oracle
+        assert plain_strings(payload, len(values)).pick(everything) == oracle
+
+    @given(plain_values, st.data())
+    def test_every_truncation_raises_or_predates_the_cut(self, values, data):
+        payload = self.encode_plain(values)
+        oracle = decode_block(payload, ColumnType.STRING, len(values))
+        chosen = sorted(data.draw(st.sets(st.sampled_from(range(len(values))), min_size=1)))
+        offsets = np.array(chosen, dtype=np.int64)
+        cuts = range(len(payload)) if len(payload) < 400 else data.draw(
+            st.lists(st.integers(0, len(payload) - 1), min_size=1, max_size=30)
+        )
+        for cut in cuts:
+            with pytest.raises(SerializationError):
+                decode_block(payload[:cut], ColumnType.STRING, len(values))
+            # A selective read stops walking at its last row, so it may
+            # not reach the cut — but then its answer is still right.
+            try:
+                strings = plain_strings(payload[:cut], len(values))  # the cut may hit the header
+                picked = strings.pick(offsets)
+            except SerializationError:
+                continue
+            assert picked == [oracle[i] for i in chosen]
+            # And a later pick that does reach the cut has nothing stale to answer from.
+            with pytest.raises(SerializationError):
+                strings.pick(np.arange(len(values)))
+
+    def test_full_selection_of_a_truncated_block_raises_at_every_cut(self):
+        values = ["a", None, "", "日志", "x" * 200, "tail"]
+        payload = self.encode_plain(values)
+        everything = np.arange(len(values))
+        for cut in range(len(payload)):
+            with pytest.raises(SerializationError):
+                plain_strings(payload[:cut], len(values)).pick(everything)
+
+    def test_a_failed_pick_does_not_poison_the_next(self):
+        values = [f"value-{i}-xxx" for i in range(10)]
+        payload = self.encode_plain(values)
+        strings = plain_strings(payload[:-9], len(values))  # cut inside row 9
+        with pytest.raises(SerializationError):
+            strings.pick(np.array([9]))
+        with pytest.raises(SerializationError):
+            strings.pick(np.array([3, 9]))
+        # Rows before the cut are still served, and served whole.
+        assert strings.pick(np.array([3, 8])) == [values[3], values[8]]
+
+    def test_rows_outside_the_block_are_rejected(self):
+        strings = plain_strings(self.encode_plain(["a", "b"]), 2)
+        with pytest.raises(IndexError):
+            strings.pick(np.array([1, 2]))
+        with pytest.raises(IndexError):
+            strings.pick(np.array([-1, 0]))
+
+    def test_dict_blocks_are_refused(self):
+        values = ["alpha", "beta"] * 20
+        with pytest.raises(SerializationError):
+            plain_strings(encode_block(values, ColumnType.STRING), len(values))
+
+
+class TestNumericDecodeOracle:
+    """``decode_block`` hands back python scalars, nulls patched in."""
+
+    @pytest.mark.parametrize(
+        "ctype, values",
+        [
+            (ColumnType.INT64, [None, -(2**63), 2**63 - 1, 0, None]),
+            (ColumnType.TIMESTAMP, [1_605_052_800_000_000, None]),
+            (ColumnType.FLOAT64, [None, -0.0, 1e308, float("inf"), None]),
+            (ColumnType.BOOL, [True, None, False, None, True, True, False, False, True]),
+        ],
+    )
+    def test_types_and_nulls(self, ctype, values):
+        decoded = roundtrip(values, ctype)
+        assert decoded == values
+        assert [type(v) for v in decoded] == [type(v) for v in values]
+
+    def test_float_nan_and_signed_zero_survive(self):
+        decoded = roundtrip([float("nan"), -0.0], ColumnType.FLOAT64)
+        assert decoded[0] != decoded[0]
+        assert str(decoded[1]) == "-0.0"
+
+    def test_short_bool_value_bitset_raises(self):
+        eight = encode_block([True] * 8, ColumnType.BOOL)
+        nine = encode_block([True] * 9, ColumnType.BOOL)
+        # nine rows' null bitset followed by eight rows' value bitset
+        spliced = nine[: len(nine) - 7] + eight[len(eight) - 6 :]
+        with pytest.raises(SerializationError):
+            decode_block(spliced, ColumnType.BOOL, 9)
 
 
 class TestErrors:

@@ -1,0 +1,333 @@
+"""SMA all-match short-circuit: a proof from metadata must be a proof.
+
+``matches_all_sma`` lets ``evaluate_predicates`` answer a predicate
+with zero reads.  Every test here holds the short-circuited answer
+against the paths that do read: the column index, the block scan with
+skipping off (``use_skipping=False``, the Figure 15 baseline) and a
+python brute force over the rows.
+"""
+
+import itertools
+import math
+
+import pytest
+
+from repro.logblock.pruning import (
+    EqPredicate,
+    InPredicate,
+    PruneStats,
+    RangePredicate,
+    _index_rowids,
+    evaluate_predicates,
+)
+from repro.logblock.schema import ColumnSpec, ColumnType, IndexType, TableSchema
+from repro.logblock.sma import Sma
+from repro.logblock.writer import LogBlockWriter
+
+from tests.logblock.test_writer_reader import reader_for
+
+SCHEMA = TableSchema(
+    name="every_type",
+    columns=(
+        ColumnSpec("tenant", ColumnType.INT64),
+        ColumnSpec("ts", ColumnType.TIMESTAMP),
+        ColumnSpec("score", ColumnType.FLOAT64),
+        ColumnSpec("flag", ColumnType.BOOL),
+        ColumnSpec("host", ColumnType.STRING, IndexType.INVERTED, tokenize=False),
+        ColumnSpec("msg", ColumnType.STRING, IndexType.INVERTED, tokenize=True),
+        ColumnSpec("plain", ColumnType.INT64, IndexType.NONE),
+    ),
+)
+N_ROWS = 150
+
+
+def constant_rows(**overrides) -> list[dict]:
+    """Rows whose every column but ``ts`` holds one value (min == max)."""
+    row = {
+        "tenant": 7,
+        "score": 2.5,
+        "flag": True,
+        "host": "web-1",
+        "msg": "disk full on web-1",
+        "plain": 3,
+    }
+    rows = [{**row, "ts": 1_000 + i} for i in range(N_ROWS)]
+    for column, values in overrides.items():
+        for out, value in zip(rows, itertools.cycle(values)):
+            out[column] = value
+    return rows
+
+
+def block_reader(rows, meta_version=3):
+    writer = LogBlockWriter(SCHEMA, codec="zlib", block_rows=64, meta_version=meta_version)
+    writer.append_many(rows)
+    return reader_for(writer.finish())
+
+
+def literals_of(predicate) -> list:
+    if isinstance(predicate, EqPredicate):
+        return [predicate.value]
+    if isinstance(predicate, InPredicate):
+        return list(predicate.values)
+    return [bound for bound in (predicate.low, predicate.high) if bound is not None]
+
+
+def every_path(reader, rows, predicate):
+    """Row ids by brute force, after checking every read path agrees.
+
+    A path may refuse a ``str`` literal probed against numbers (or the
+    reverse) with ``TypeError`` — python will not order them — but no
+    path may answer it differently from the others.
+    """
+    column_is_str = reader.column(predicate.column).ctype is ColumnType.STRING
+    orderable = all(isinstance(lit, str) == column_is_str for lit in literals_of(predicate))
+
+    def attempt(run):
+        try:
+            return list(run())
+        except TypeError:
+            assert not orderable, predicate
+            return None
+
+    expected = attempt(
+        lambda: [i for i, row in enumerate(rows) if predicate.evaluate_value(row[predicate.column])]
+    )
+    for use_skipping, use_indexes, vectorized in itertools.product((True, False), repeat=3):
+        got = attempt(
+            lambda: evaluate_predicates(
+                reader,
+                [predicate],
+                use_skipping=use_skipping,
+                use_indexes=use_indexes,
+                vectorized=vectorized,
+            )
+        )
+        if got is not None and expected is not None:
+            assert got == expected, (predicate, use_skipping, use_indexes, vectorized)
+    if orderable:  # evaluate_predicates never takes the others to an index
+        via_index = _index_rowids(reader, predicate)
+        assert via_index is None or list(via_index) == expected, predicate
+    return expected
+
+
+def short_circuited(reader, predicate) -> bool:
+    stats = PruneStats()
+    evaluate_predicates(reader, [predicate], stats=stats)
+    assert stats.columns_short_circuited in (0, 1)
+    if stats.columns_short_circuited:
+        assert stats.index_lookups == 0 and stats.blocks_scanned == 0
+    return bool(stats.columns_short_circuited)
+
+
+# Literals of every type, probed against columns of every type.
+LITERALS = [7, 7.0, 6, 8, True, False, 1, 0, 1.0, 2.5, 2, 3, "web-1", "web-0", "7", "true", math.nan]
+
+
+class TestDifferential:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return constant_rows()
+
+    @pytest.fixture(scope="class")
+    def reader(self, rows):
+        return block_reader(rows)
+
+    @pytest.mark.parametrize("column", [c.name for c in SCHEMA.columns if c.name != "msg"])
+    def test_eq_in_and_range_agree_with_every_read_path(self, rows, reader, column):
+        for literal in LITERALS:
+            every_path(reader, rows, EqPredicate(column, literal))
+            every_path(reader, rows, InPredicate(column, (literal,)))
+            if literal != literal:
+                continue  # a NaN *bound* already divides the row scan from the index
+            for inclusive in (True, False):
+                every_path(reader, rows, RangePredicate(column, low=literal, low_inclusive=inclusive))
+                every_path(reader, rows, RangePredicate(column, high=literal, high_inclusive=inclusive))
+        for low, high in itertools.combinations([5, 7, 9, 999, 1_075, 1_149, 2_000], 2):
+            every_path(reader, rows, RangePredicate(column, low=low, high=high))
+
+    def test_in_lists(self, rows, reader):
+        for values in [(7, 8), (6, 8), (7, True), (7.0,), ()]:
+            every_path(reader, rows, InPredicate("tenant", values))
+        for values in [("web-1", "web-2"), ("web-2",)]:
+            every_path(reader, rows, InPredicate("host", values))
+        # A list mixing str and numbers already reads differently on the
+        # vector scan (one numpy array of strings) than on the index:
+        # nothing is proved about it.
+        for predicate in (InPredicate("tenant", (7, "web-1")), InPredicate("host", ("web-1", 7))):
+            assert not short_circuited(reader, predicate)
+
+    def test_what_is_proved_from_the_column_sma(self, reader):
+        proved = [
+            EqPredicate("tenant", 7),
+            InPredicate("tenant", (3, 7)),
+            RangePredicate("tenant", low=7, high=7),
+            RangePredicate("ts", low=1_000, high=1_000 + N_ROWS - 1),
+            RangePredicate("ts", low=999, low_inclusive=False),
+            RangePredicate("ts", high=1_000 + N_ROWS, high_inclusive=False),
+            EqPredicate("flag", True),
+            EqPredicate("host", "web-1"),
+            RangePredicate("host", low="web", high="web-2"),
+            EqPredicate("plain", 3),
+            RangePredicate("plain"),
+        ]
+        for predicate in proved:
+            assert short_circuited(reader, predicate), predicate
+        refused = [
+            EqPredicate("tenant", 7.0),  # int column, float literal
+            EqPredicate("tenant", True),
+            EqPredicate("flag", 1),  # ``fail = 1`` is not ``fail = true``
+            RangePredicate("flag", low=0),
+            EqPredicate("score", 2.5),  # float bounds hide NaNs
+            RangePredicate("score", low=0.0),
+            RangePredicate("score", low=0),
+            RangePredicate("ts", low=1_001),
+            RangePredicate("ts", low=1_000, low_inclusive=False),
+            RangePredicate("ts", high=1_000 + N_ROWS - 1, high_inclusive=False),
+            InPredicate("tenant", (7, "7")),
+            EqPredicate("host", "web-0"),
+        ]
+        for predicate in refused:
+            assert not short_circuited(reader, predicate), predicate
+
+    def test_skipping_off_never_short_circuits(self, reader):
+        stats = PruneStats()
+        bits = evaluate_predicates(
+            reader, [EqPredicate("tenant", 7)], use_skipping=False, stats=stats
+        )
+        assert bits.count() == N_ROWS
+        assert stats.columns_short_circuited == 0 and stats.blocks_scanned > 0
+
+
+class TestHazards:
+    def test_a_null_in_the_column_defeats_the_proof(self):
+        rows = constant_rows(tenant=[7] * 20 + [None], host=["web-1", None])
+        reader = block_reader(rows)
+        for predicate in (
+            EqPredicate("tenant", 7),
+            RangePredicate("tenant", low=0),
+            EqPredicate("host", "web-1"),
+        ):
+            expected = every_path(reader, rows, predicate)
+            assert 0 < len(expected) < N_ROWS
+            assert not short_circuited(reader, predicate)
+
+    def test_all_null_column(self):
+        rows = constant_rows(tenant=[None], host=[None], score=[None])
+        reader = block_reader(rows)
+        for predicate in (
+            EqPredicate("tenant", 7),
+            RangePredicate("tenant"),
+            InPredicate("host", ("web-1",)),
+            RangePredicate("score", low=0.0),
+        ):
+            assert every_path(reader, rows, predicate) == []
+            assert not short_circuited(reader, predicate)
+
+    @pytest.mark.parametrize("meta_version", [2, 3])
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            [2.5, math.nan],  # float bounds 2.5..2.5 over a NaN row
+            [2, math.nan],  # int bounds over a NaN row: only the column type says float
+            [-0.0, 0.0],
+            [0, -0.0],
+        ],
+    )
+    def test_float_columns_never_prove_a_full_match(self, scores, meta_version):
+        rows = constant_rows(score=scores)
+        reader = block_reader(rows, meta_version=meta_version)
+        for literal in (2.5, 2, 0, 0.0, -0.0):
+            for predicate in (
+                EqPredicate("score", literal),
+                InPredicate("score", (literal,)),
+                RangePredicate("score", low=literal),
+                RangePredicate("score", high=literal),
+            ):
+                assert not short_circuited(reader, predicate), predicate
+        # Literals inside the bounds, so every path reads (bounds built
+        # around a leading NaN prune wrongly, proof or no proof).
+        if not any(math.isnan(s) for s in scores):
+            for literal in (0, 0.0, -0.0):
+                every_path(reader, rows, EqPredicate("score", literal))
+                every_path(reader, rows, RangePredicate("score", low=literal))
+
+    @pytest.mark.parametrize("meta_version", [2, 3])
+    @pytest.mark.parametrize("scores", [[2, math.nan, 2], [2, math.nan, 2, 2]])
+    def test_nan_rows_are_not_claimed_by_int_bounds(self, scores, meta_version):
+        """FLOAT64 accepts ints: bounds 2..2 (ints) with a NaN between.
+
+        A v3 meta gives the column away by its float sum; a v2 meta has
+        no sum at all, so only the column type can refuse the proof.
+        """
+        rows = constant_rows(score=scores)
+        reader = block_reader(rows, meta_version=meta_version)
+        sma = reader.meta().column_sma("score")
+        assert type(sma.min_value) is int and sma.min_value == sma.max_value == 2
+        assert (sma.sum_value is None) == (meta_version == 2)
+        expected = [i for i, row in enumerate(rows) if row["score"] == 2]
+        assert 0 < len(expected) < N_ROWS
+        # (The scalar scan's range test already lets a NaN row through,
+        # so ranges have no agreed answer to be held against.)
+        for predicate in (RangePredicate("score", low=2, high=2), RangePredicate("score", low=0)):
+            assert not short_circuited(reader, predicate)
+        for predicate in (EqPredicate("score", 2), InPredicate("score", (2,))):
+            assert not short_circuited(reader, predicate)
+            assert list(evaluate_predicates(reader, [predicate])) == expected
+            assert list(evaluate_predicates(reader, [predicate], use_skipping=False)) == expected
+            if len(scores) == 4:  # no 64-row block leads with the NaN (see above)
+                assert every_path(reader, rows, predicate) == expected
+
+    def test_legacy_v2_meta(self):
+        rows = constant_rows()
+        reader = block_reader(rows, meta_version=2)
+        assert reader.meta().column_sma("tenant").sum_value is None
+        for predicate in (EqPredicate("tenant", 7), RangePredicate("ts", low=1_000)):
+            assert every_path(reader, rows, predicate) == list(range(N_ROWS))
+            assert short_circuited(reader, predicate)
+        for predicate in (EqPredicate("tenant", 8), EqPredicate("score", 2.5)):
+            every_path(reader, rows, predicate)
+            assert not short_circuited(reader, predicate)
+
+
+INT, STR, BOOL, FLOAT = ColumnType.INT64, ColumnType.STRING, ColumnType.BOOL, ColumnType.FLOAT64
+
+
+class TestSmaProofs:
+    def test_eq(self):
+        sma = Sma(5, 5, 10, 0, 50)
+        assert sma.all_eq_any(INT, (5,)) and sma.all_eq_any(INT, (4, 5))
+        assert not sma.all_eq_any(INT, (4,)) and not sma.all_eq_any(INT, ())
+        assert not sma.all_eq_any(INT, (5.0,)) and not sma.all_eq_any(INT, (True,))
+        assert not sma.all_eq_any(INT, (5, "5"))
+        assert not Sma(5, 6, 10, 0).all_eq_any(INT, (5, 6))
+        assert not Sma(5, 5, 10, 1).all_eq_any(INT, (5,))
+        assert not Sma(None, None, 0, 0).all_eq_any(INT, (5,))
+        assert not Sma(None, None, 3, 3).all_eq_any(INT, (None,))
+
+    def test_bool_and_int_do_not_mix(self):
+        assert Sma(True, True, 4, 0).all_eq_any(BOOL, (True,))
+        assert not Sma(True, True, 4, 0).all_eq_any(BOOL, (1,))
+        assert not Sma(1, 1, 4, 0).all_eq_any(INT, (True,))
+
+    def test_range(self):
+        sma = Sma(10, 20, 8, 0, 120)
+        assert sma.all_in_range(INT) and sma.all_in_range(INT, 10, 20)
+        assert sma.all_in_range(INT, None, 20)
+        assert not sma.all_in_range(INT, 11, 20) and not sma.all_in_range(INT, 10, 19)
+        assert not sma.all_in_range(INT, 10, 20, low_inclusive=False)
+        assert not sma.all_in_range(INT, 10, 20, high_inclusive=False)
+        assert sma.all_in_range(INT, 9, 21, low_inclusive=False, high_inclusive=False)
+        assert not sma.all_in_range(INT, 9.0, 21) and not sma.all_in_range(INT, "a", None)
+        assert not Sma(10, 20, 8, 1).all_in_range(INT)
+        assert Sma("a", "c", 3, 0).all_in_range(STR, "a", "c")
+        assert not Sma("a", "c", 3, 0).all_in_range(STR, 0, None)
+
+    def test_float_columns(self):
+        assert not Sma(1.0, 1.0, 3, 0, 3.0).all_eq_any(FLOAT, (1.0,))
+        assert not Sma(1.0, 2.0, 3, 0).all_in_range(FLOAT, 0.0, 5.0)
+        # Int bounds, with the float sum of a v3 meta or without any (v2).
+        assert not Sma(1, 1, 3, 0, 3.0).all_eq_any(FLOAT, (1,))
+        assert not Sma(1, 1, 3, 0).all_eq_any(FLOAT, (1,))
+        assert not Sma(1, 2, 3, 0).all_in_range(FLOAT, 0, 5)
+        # An overflowed timestamp sum is None too and must not refuse.
+        assert Sma(1, 2, 3, 0).all_in_range(ColumnType.TIMESTAMP, 0, 5)

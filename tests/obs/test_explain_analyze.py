@@ -33,6 +33,11 @@ class TestExplainAnalyze:
         assert "== blocks ==" in text
         assert "pruned by LogBlock map:" in text
         assert "pruned by SMA:" in text
+        # One LogBlock holds one tenant: ``tenant_id = 1`` is proved by
+        # the column SMA in each visited block, and probes no index.
+        visited = int(text.split("visited: ")[1].split()[0])
+        proved = int(text.split("columns short-circuited by SMA: ")[1].split()[0])
+        assert proved >= visited >= 1
         assert "== I/O ==" in text
         assert "oss requests:" in text
         assert "cache: " in text and "hit rate" in text
