@@ -41,6 +41,7 @@ from repro.oss.retry import (
     DEFAULT_MAX_ATTEMPTS,
     RetryingObjectStore,
 )
+from repro.rowstore.batch import RowSelection
 from repro.rowstore.memtable import MemTable
 
 DEFAULT_TARGET_ROWS = 200_000
@@ -347,16 +348,24 @@ class DataBuilder:
         self,
         schema: TableSchema,
         tenant_id: int,
-        rows: list[dict],
+        rows: RowSelection,
         ts_column: str,
         memtable_seq: int,
     ):
         """A zero-argument task that encodes one tenant's LogBlocks."""
 
         def build() -> list[_BuiltBlock]:
+            # The one gather of the archive path, schema columns only:
+            # keys the schema does not know were carried this far and
+            # end here.
+            columns = {
+                name: col
+                for name in schema.column_names()
+                if (col := rows.column(name)) is not None
+            }
             built: list[_BuiltBlock] = []
             for chunk_idx in range(0, len(rows), self._target_rows):
-                chunk = rows[chunk_idx : chunk_idx + self._target_rows]
+                chunk_end = chunk_idx + self._target_rows
                 writer = LogBlockWriter(
                     schema,
                     codec=self._codec,
@@ -364,12 +373,14 @@ class DataBuilder:
                     build_indexes=self._build_indexes,
                     vectorized=self._vectorized_encode,
                 )
-                writer.append_many(chunk)
+                writer.append_columns(
+                    {name: col[chunk_idx:chunk_end] for name, col in columns.items()}
+                )
                 blob = writer.finish()
                 # rows_by_tenant() yields timestamp order, so the chunk
                 # bounds are its first/last rows.
-                min_ts = int(chunk[0][ts_column])
-                max_ts = int(chunk[-1][ts_column])
+                ts = columns[ts_column][chunk_idx:chunk_end]
+                min_ts, max_ts = ts[0], ts[-1]
                 built.append(
                     _BuiltBlock(
                         tenant_id=tenant_id,
@@ -383,7 +394,7 @@ class DataBuilder:
                         blob=blob,
                         min_ts=min_ts,
                         max_ts=max_ts,
-                        row_count=len(chunk),
+                        row_count=len(ts),
                         encode_stats=writer.encode_stats,
                     )
                 )

@@ -3,8 +3,8 @@
 Frequent archiving of a lightly loaded tenant produces many small
 LogBlocks, each costing a catalog entry, an OSS object, and extra GET
 round-trips at query time.  The compactor rewrites runs of small blocks
-into right-sized ones: read the victims back, merge their rows by
-timestamp, re-encode at ``target_rows`` per block, upload the
+into right-sized ones: read the victims' columns back, merge them
+by timestamp, re-encode at ``target_rows`` per block, upload the
 replacements, then delete the superseded objects and catalog entries.
 
 Because LogBlocks are immutable and self-contained, compaction is
@@ -17,6 +17,8 @@ window any LSM compaction has).
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.codec.registry import DEFAULT_CODEC
 from repro.common.clock import Clock, VirtualClock
@@ -49,6 +51,43 @@ class CompactionResult:
     @property
     def compacted(self) -> bool:
         return self.blocks_after > 0
+
+
+def rewrite_blocks(
+    store, bucket: str, victims: list[LogBlockEntry], schema: TableSchema,
+    target_rows: int, **writer_options,
+) -> list[tuple[LogBlockWriter, bytes, int, int, int]]:
+    """Re-encode ``victims`` merged by timestamp, ``target_rows`` at a time.
+
+    Returns ``(writer, blob, min_ts, max_ts, row_count)`` per output
+    block.  Columns are read whole, concatenated and gathered by one
+    stable argsort of ``ts`` (ties keep victim, then row order).  Each
+    victim is read under its own self-contained schema: a block written
+    before an additive DDL lacks the newest columns, and the rewrite
+    surfaces those as nulls.
+    """
+    if "ts" not in schema.column_names():
+        raise BuildError(f"schema {schema.name!r} has no 'ts' column to merge by")
+    columns: dict[str, list] = {name: [] for name in schema.column_names()}
+    total = 0
+    for block in victims:
+        reader = LogBlockReader(PackReader(store, bucket, block.path))
+        stored = reader.meta().schema.column_names()
+        for name, values in columns.items():
+            values.extend(
+                reader.read_column(name) if name in stored else [None] * reader.row_count
+            )
+        total += reader.row_count
+    order = np.argsort(np.array(columns["ts"], dtype=np.int64), kind="stable").tolist()
+    columns = {name: [values[i] for i in order] for name, values in columns.items()}
+    rewritten = []
+    for start in range(0, total, target_rows):
+        chunk = {name: values[start : start + target_rows] for name, values in columns.items()}
+        writer = LogBlockWriter(schema, **writer_options)
+        writer.append_columns(chunk)
+        ts = chunk["ts"]
+        rewritten.append((writer, writer.finish(), int(ts[0]), int(ts[-1]), len(ts)))
+    return rewritten
 
 
 def compacted_block_path(
@@ -161,39 +200,26 @@ class Compactor:
         result.bytes_before = sum(block.size_bytes for block in victims)
         retries_before = self._upload.stats.retries
 
-        rows: list[dict] = []
-        for block in victims:
-            rows.extend(self._read_rows(block))
-        ts_column = self._ts_column()
-        rows.sort(key=lambda row: row[ts_column])
-
+        rewritten = rewrite_blocks(
+            self._upload, self._bucket, victims, self._schema, self._target_rows,
+            codec=self._codec,
+            block_rows=self._block_rows,
+            build_indexes=self._build_indexes,
+            vectorized=self._vectorized_encode,
+        )
         generation = self._generation
         self._generation += 1
         built: list[tuple[str, bytes, LogBlockEntry]] = []
-        for chunk_start in range(0, len(rows), self._target_rows):
-            chunk = rows[chunk_start : chunk_start + self._target_rows]
-            writer = LogBlockWriter(
-                self._schema,
-                codec=self._codec,
-                block_rows=self._block_rows,
-                build_indexes=self._build_indexes,
-                vectorized=self._vectorized_encode,
-            )
-            writer.append_many(chunk)
-            blob = writer.finish()
+        for writer, blob, min_ts, max_ts, row_count in rewritten:
             self._encode_modes.record(writer.encode_stats)
-            min_ts = int(chunk[0][ts_column])
-            max_ts = int(chunk[-1][ts_column])
-            path = compacted_block_path(
-                tenant_id, generation, chunk_start // self._target_rows, min_ts, max_ts
-            )
+            path = compacted_block_path(tenant_id, generation, len(built), min_ts, max_ts)
             entry = LogBlockEntry(
                 tenant_id=tenant_id,
                 min_ts=min_ts,
                 max_ts=max_ts,
                 path=path,
                 size_bytes=len(blob),
-                row_count=len(chunk),
+                row_count=row_count,
             )
             built.append((path, blob, entry))
 
@@ -275,27 +301,3 @@ class Compactor:
             if result.compacted:
                 results.append(result)
         return results
-
-    # -- helpers -----------------------------------------------------------
-
-    def _ts_column(self) -> str:
-        names = self._schema.column_names()
-        if "ts" in names:
-            return "ts"
-        raise BuildError(f"schema {self._schema.name!r} has no 'ts' column to merge by")
-
-    def _read_rows(self, block: LogBlockEntry) -> list[dict]:
-        """Materialize every row of one LogBlock (all columns)."""
-        reader = LogBlockReader(PackReader(self._upload, self._bucket, block.path))
-        # Read under the block's own (self-contained) schema: blocks
-        # written before an additive DDL lack the newest columns, and
-        # the rewrite surfaces those as nulls.
-        columns = {
-            name: reader.read_column(name)
-            for name in reader.meta().schema.column_names()
-        }
-        names = list(columns)
-        return [
-            {name: columns[name][i] for name in names}
-            for i in range(reader.row_count)
-        ]

@@ -29,7 +29,7 @@ from repro.cluster.controller import Controller
 from repro.cluster.shard import Shard
 from repro.cluster.worker import Worker
 from repro.common.clock import VirtualClock
-from repro.common.errors import ClusterError, WorkerNotFound
+from repro.common.errors import ClusterError, InvalidBatchError, WorkerNotFound
 from repro.flow.monitor import TrafficSample
 from repro.logblock.schema import TableSchema, request_log_schema
 from repro.meta.catalog import Catalog
@@ -359,18 +359,30 @@ class LogStore:
             tenant_id, name=name, retention_s=retention_s, created_at=self.clock.now()
         )
 
-    def _admit(self, tenant_id: int, rows: list[dict]) -> RowBatch:
+    def _admit(self, tenant_id: int, rows: RowBatch | list[dict]) -> RowBatch:
         """The write path's one validation + sizing pass (all-or-nothing:
-        raises ``InvalidBatchError`` before anything is logged)."""
-        batch = RowBatch.admit(rows, tenant_id)
+        raises ``InvalidBatchError`` before anything is logged).
+
+        Row dicts are transposed into a column batch and checked against
+        the live schema; a batch built for this tenant (the SQL front
+        door's, column-major from the start) passes as it is.
+        """
+        if not isinstance(rows, RowBatch):
+            batch = RowBatch.admit(rows, tenant_id, self.catalog.schema)
+        elif rows.tenant_id == tenant_id:
+            batch = rows
+        else:
+            raise InvalidBatchError(
+                f"batch admitted for tenant {rows.tenant_id!r}, put for {tenant_id}"
+            )
         self.traffic_tracker.record(tenant_id, len(batch))
         return batch
 
-    def put(self, tenant_id: int, rows: list[dict]) -> dict[int, int]:
+    def put(self, tenant_id: int, rows: RowBatch | list[dict]) -> dict[int, int]:
         """Write a batch of rows for one tenant."""
         return self._broker().write(tenant_id, self._admit(tenant_id, rows))
 
-    def put_nowait(self, tenant_id: int, rows: list[dict]) -> dict[int, int]:
+    def put_nowait(self, tenant_id: int, rows: RowBatch | list[dict]) -> dict[int, int]:
         """Write a batch without waiting for replication to settle.
 
         The pipelined ingest API: batches coalesce in the shards'

@@ -23,7 +23,7 @@ from repro.obs.recorders import WritePathRecorder
 from repro.raft.group import RaftGroup
 from repro.raft.group_commit import GroupCommitQueue, ReplicationPipeline
 from repro.raft.messages import LogEntry
-from repro.rowstore.batch import RowBatch
+from repro.rowstore.batch import RowBatch, RowSelection
 from repro.rowstore.memtable import MemTable
 from repro.rowstore.store import RowStore
 from repro.wal.log import SegmentBackend, WriteAheadLog
@@ -477,15 +477,11 @@ class Shard:
             return None
         return self._replica_stores.get(node_id)
 
-    def scan_realtime(self, min_ts=None, max_ts=None, tenant_id=None):
+    def scan_realtime(self, min_ts=None, max_ts=None, tenant_id=None) -> RowSelection:
         """Rows still in the local row store (not yet archived)."""
         self.access_count.add()
-        if not self._obs.tracer.enabled:
-            return self.rowstore.scan(min_ts=min_ts, max_ts=max_ts, tenant_id=tenant_id)
         with self._obs.tracer.span("shard.scan", shard=self.shard_id) as span:
-            rows = list(
-                self.rowstore.scan(min_ts=min_ts, max_ts=max_ts, tenant_id=tenant_id)
-            )
+            rows = self.rowstore.scan(min_ts=min_ts, max_ts=max_ts, tenant_id=tenant_id)
             span.set(rows=len(rows))
         return rows
 

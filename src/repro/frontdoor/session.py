@@ -40,6 +40,7 @@ from repro.query.sql import (
     bind_parameters,
     parse_statement,
 )
+from repro.rowstore.batch import RowBatch
 
 # Statements the pool keeps lexed, across all of its sessions.
 STATEMENT_CACHE_ENTRIES = 256
@@ -71,7 +72,12 @@ class InsertResult:
     table: str
     rows_inserted: int
     versions: list[int | None] = field(default_factory=list)
-    rows: list[dict] = field(default_factory=list)
+    batch: RowBatch | None = None  # the stamped rows, column-major, as written
+
+    @property
+    def rows(self) -> list[dict]:
+        """The stamped rows as dicts, built when read."""
+        return self.batch.to_dicts() if self.batch is not None else []
 
 
 class StatementCache:
@@ -163,10 +169,14 @@ class Session:
         self._stamper = stamper
         self._statements = statements
         self.closed = False
-        # The rows of the most recent INSERT, recorded *before* the
-        # write is dispatched — a crash mid-write leaves them here for
-        # the chaos ledger to mark indeterminate.
-        self.last_insert_rows: list[dict] = []
+        self._last_insert: RowBatch | None = None
+
+    @property
+    def last_insert_rows(self) -> list[dict]:
+        """The rows of the most recent INSERT, recorded *before* the
+        write is dispatched — a crash mid-write leaves them here for
+        the chaos ledger to mark indeterminate."""
+        return self._last_insert.to_dicts() if self._last_insert is not None else []
 
     @property
     def scope(self) -> int | None:
@@ -282,13 +292,6 @@ class Session:
                 given.get(version_spec.version_column), n_rows, self._stamper.next
             )
         schema.validate_columns(given)
-        # Rows in schema key order, absent columns null: what sizes the
-        # batch and what the WAL and every LogBlock serialize.
-        nulls = [None] * n_rows
-        rows = [
-            dict(zip(names, row))
-            for row in zip(*(given.get(name, nulls) for name in names))
-        ]
         if self.admin:
             tenants = set(given["tenant_id"])
             if len(tenants) != 1:
@@ -298,10 +301,16 @@ class Session:
             target_tenant = tenants.pop()
         else:
             target_tenant = self.tenant_id
-        self.last_insert_rows = rows
-        self._store.put(target_tenant, rows)
+        # Columns in schema order, absent ones null: what sizes the
+        # batch and what the WAL and every LogBlock serialize.
+        nulls = [None] * n_rows
+        batch = RowBatch.from_columns(
+            names, [given.get(name, nulls) for name in names], target_tenant
+        )
+        self._last_insert = batch
+        self._store.put(target_tenant, batch)
         return InsertResult(
-            table=table, rows_inserted=n_rows, versions=list(versions), rows=rows
+            table=table, rows_inserted=n_rows, versions=list(versions), batch=batch
         )
 
     def _stamp_tenants(self, tenants: Sequence | None, n_rows: int) -> Sequence:

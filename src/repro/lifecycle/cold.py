@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.builder.compaction import rewrite_blocks
 from repro.common.clock import Clock, VirtualClock
 from repro.common.errors import BuildError, NoSuchKey
-from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import TableSchema
-from repro.logblock.writer import DEFAULT_BLOCK_ROWS, LogBlockWriter
+from repro.logblock.writer import DEFAULT_BLOCK_ROWS
 from repro.meta.catalog import TIER_COLD, Catalog, LogBlockEntry
 from repro.obs.context import Observability
 from repro.oss.retry import (
@@ -197,30 +197,18 @@ class ColdCompactor:
         result.blocks_before = len(victims)
         result.bytes_before = sum(block.size_bytes for block in victims)
 
-        rows: list[dict] = []
-        for block in victims:
-            rows.extend(self._read_rows(block))
-        ts_column = self._ts_column()
-        rows.sort(key=lambda row: row[ts_column])
-
         # Re-encode into target_rows-sized members under the cold codec.
         members: list[tuple[str, bytes, int, int, int]] = []
-        for chunk_start in range(0, len(rows), self._target_rows):
-            chunk = rows[chunk_start : chunk_start + self._target_rows]
-            writer = LogBlockWriter(
-                self._schema,
-                codec=self._codec,
-                block_rows=self._block_rows,
-                build_indexes=self._build_indexes,
-                vectorized=self._vectorized_encode,
-            )
-            writer.append_many(chunk)
-            blob = writer.finish()
+        for writer, blob, min_ts, max_ts, n_rows in rewrite_blocks(
+            self._upload, self._bucket, victims, self._schema, self._target_rows,
+            codec=self._codec,
+            block_rows=self._block_rows,
+            build_indexes=self._build_indexes,
+            vectorized=self._vectorized_encode,
+        ):
             self._encode_modes.record(writer.encode_stats)
-            min_ts = int(chunk[0][ts_column])
-            max_ts = int(chunk[-1][ts_column])
-            name = f"b{chunk_start // self._target_rows:04d}-{min_ts}-{max_ts}.lgb"
-            members.append((name, blob, min_ts, max_ts, len(chunk)))
+            name = f"b{len(members):04d}-{min_ts}-{max_ts}.lgb"
+            members.append((name, blob, min_ts, max_ts, n_rows))
 
         generation = self._generation
         self._generation += 1
@@ -313,24 +301,3 @@ class ColdCompactor:
                 remaining.append((bucket, path))
         self._orphans = remaining
         return cleared
-
-    # -- helpers -----------------------------------------------------------
-
-    def _ts_column(self) -> str:
-        names = self._schema.column_names()
-        if "ts" in names:
-            return "ts"
-        raise BuildError(f"schema {self._schema.name!r} has no 'ts' column to merge by")
-
-    def _read_rows(self, block: LogBlockEntry) -> list[dict]:
-        """Materialize every row of one (hot) LogBlock, all columns."""
-        reader = LogBlockReader(PackReader(self._upload, self._bucket, block.path))
-        columns = {
-            name: reader.read_column(name)
-            for name in reader.meta().schema.column_names()
-        }
-        names = list(columns)
-        return [
-            {name: columns[name][i] for name in names}
-            for i in range(reader.row_count)
-        ]

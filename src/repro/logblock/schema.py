@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.common.bytesio import BinaryReader, BinaryWriter
 from repro.common.errors import SchemaError
@@ -40,6 +41,18 @@ class IndexType(enum.IntEnum):
     NONE = 0
     INVERTED = 1
     BKD = 2
+
+
+# Exact value types a column of each type accepts (None is a null).
+# bool is not an int here even though ``isinstance(True, int)``; FLOAT64
+# takes ints.  Subclasses of these are decided value by value.
+EXACT_VALUE_TYPES = {
+    ColumnType.INT64: frozenset((int, type(None))),
+    ColumnType.TIMESTAMP: frozenset((int, type(None))),
+    ColumnType.FLOAT64: frozenset((int, float, type(None))),
+    ColumnType.STRING: frozenset((str, type(None))),
+    ColumnType.BOOL: frozenset((bool, type(None))),
+}
 
 
 def default_index_for(column_type: ColumnType) -> IndexType:
@@ -117,6 +130,13 @@ class TableSchema:
     def __len__(self) -> int:
         return len(self.columns)
 
+    @cached_property
+    def accepted_types(self) -> dict[str, frozenset]:
+        """Column name → exact value types that are valid without a
+        per-value look: a column whose ``set(map(type, values))`` is a
+        subset needs no further check."""
+        return {col.name: EXACT_VALUE_TYPES[col.ctype] for col in self.columns}
+
     def validate_row(self, row: dict, allow_missing: bool = False) -> None:
         """Raise :class:`SchemaError` if ``row`` does not match the schema.
 
@@ -162,20 +182,8 @@ class TableSchema:
             # subclasses), so short-circuiting acceptance here never
             # changes the verdict — mixed or subclassed columns just
             # take the slow loop.
-            vtypes = set(map(type, values))
-            vtypes.discard(type(None))
-            if col.ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
-                if vtypes <= {int}:
-                    continue
-            elif col.ctype is ColumnType.FLOAT64:
-                if vtypes <= {int, float}:
-                    continue
-            elif col.ctype is ColumnType.STRING:
-                if vtypes <= {str}:
-                    continue
-            elif col.ctype is ColumnType.BOOL:
-                if vtypes <= {bool}:
-                    continue
+            if set(map(type, values)) <= EXACT_VALUE_TYPES[col.ctype]:
+                continue
             if col.ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
                 for value in values:
                     if value is not None and (

@@ -258,25 +258,16 @@ class LogBlockWriter:
         self._row_count += 1
 
     def append_many(self, rows: list[dict]) -> None:
-        """Append a batch of rows.
-
-        In vectorized mode the batch is transposed once into per-column
-        value lists, batch-validated, and fed to the index builders'
-        ``add_many`` hooks — replacing the per-row × per-column
-        ``row.get`` loop.  Unvalidated writers keep the per-row path
-        (the type gate doubles as the kernels' safety check).
-        """
+        """Append a batch of row dicts (tests and oracles; the write
+        path feeds :meth:`append_columns`): one transpose into
+        per-column value lists, missing keys null, then the columnar
+        ingest."""
         if not rows:
-            return
-        if not (self._vectorized and self._validate):
-            for row in rows:
-                self.append(row)
             return
         if self._finished:
             raise SerializationError("LogBlockWriter already finished")
         columns = {
-            col.name: [row.get(col.name) for row in rows]
-            for col in self._schema.columns
+            col.name: [row.get(col.name) for row in rows] for col in self._schema.columns
         }
         self._ingest_columns(columns, len(rows))
 
@@ -302,7 +293,7 @@ class LogBlockWriter:
         if not count:
             return
         full = {
-            col.name: list(columns[col.name]) if col.name in columns else [None] * count
+            col.name: columns[col.name] if col.name in columns else [None] * count
             for col in self._schema.columns
         }
         self._ingest_columns(full, count)

@@ -42,8 +42,9 @@ from repro.prefetch.planner import PrefetchPlanner
 from repro.query.aggregate import Aggregator
 from repro.query.ast import And, CmpOp, Comparison, Expr, In, IsNull, Not, Or
 from repro.query.dedup import LatestVersionDedup
-from repro.query.kernels import RowListBatch, VectorizeFallback, compile_expr
+from repro.query.kernels import VectorizeFallback, compile_expr
 from repro.query.planner import QueryPlan
+from repro.rowstore.batch import RowSelection
 from repro.tarpack.reader import PackReader, SubrangeReader
 
 
@@ -825,26 +826,32 @@ def filter_realtime_rows(
 ) -> list[dict]:
     """Apply the plan's predicate + projection to row-store rows.
 
-    ``limit`` stops the scan after that many matches — safe only when
-    the plan has no ORDER BY or aggregation (i.e. ``plan.row_limit``
-    semantics: any N matching rows satisfy the query).
+    ``rows`` is the selection a realtime scan returns (or a batch, or
+    plain row dicts, which are admitted into one).  ``limit`` stops the
+    scan after that many matches — safe only when the plan has no ORDER
+    BY or aggregation (i.e. ``plan.row_limit`` semantics: any N matching
+    rows satisfy the query).
 
     With ``options.use_vectorized_scan`` the predicate is compiled to a
-    columnar kernel and evaluated over per-column array views of the
-    whole batch; rows are projected only for survivors.  Shapes the
-    compiler cannot vectorize (MATCH/LIKE, mixed-type columns) fall
-    back to the interpreted per-row path with identical results.
+    columnar kernel and evaluated over arrays of the selection's
+    predicate columns.  Shapes the compiler cannot vectorize
+    (MATCH/LIKE, mixed-type columns) fall back to the interpreted path,
+    which reads each row's predicate columns as a dict until ``limit``
+    rows matched, with identical results.  Either way only survivors
+    become (projected) row dicts.
     """
+    selection = RowSelection.of(rows)
+    if not len(selection):
+        return []
     columns = plan.output_columns or plan.schema.column_names()
-    use_vectorized = (
-        options is not None and options.use_vectorized_scan and plan.where is not None
-    )
-    if use_vectorized:
-        row_list = rows if isinstance(rows, list) else list(rows)
-        rows = row_list  # the fallback path re-reads the materialized list
+    where = plan.where
+    if limit is not None:
+        limit = max(limit, 0)
+    if where is None:
+        return selection.to_dicts(np.arange(len(selection))[:limit], columns)
+    if options is not None and options.use_vectorized_scan:
         try:
-            kernel = compile_expr(plan.where)
-            mask = kernel.evaluate(RowListBatch(row_list, plan.schema))
+            mask = compile_expr(where).evaluate(selection, plan.schema)
         except VectorizeFallback as fallback:
             if stats is not None:
                 stats.realtime_fallbacks[fallback.reason] = (
@@ -852,22 +859,15 @@ def filter_realtime_rows(
                 )
         else:
             if stats is not None:
-                stats.realtime_rows_vectorized += len(row_list)
-            hits = np.flatnonzero(mask)
-            if limit is not None:
-                hits = hits[: max(limit, 0)]
-            return [
-                {column: row_list[i].get(column) for column in columns}
-                for i in hits.tolist()
-            ]
-    matched: list[dict] = []
+                stats.realtime_rows_vectorized += len(selection)
+            return selection.to_dicts(np.flatnonzero(mask)[:limit], columns)
+    hits: list[int] = []
     evaluated = 0
-    for row in rows:
-        evaluated += 1
-        if plan.where is None or plan.where.evaluate_row(row):
-            matched.append({column: row.get(column) for column in columns})
-            if limit is not None and len(matched) >= limit:
+    for evaluated, row in enumerate(selection.iter_dicts(names=sorted(where.columns())), 1):
+        if where.evaluate_row(row):
+            hits.append(evaluated - 1)
+            if limit is not None and len(hits) >= limit:
                 break
-    if stats is not None and plan.where is not None:
+    if stats is not None:
         stats.realtime_rows_interpreted += evaluated
-    return matched
+    return selection.to_dicts(np.array(hits[:limit], dtype=np.int64), columns)

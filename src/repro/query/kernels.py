@@ -5,13 +5,13 @@ turns an :mod:`repro.query.ast` predicate tree into a kernel that
 evaluates whole column batches at once — comparisons, IN/range and null
 checks via :func:`repro.logblock.pruning.vectorized_block_mask` (the
 single source of truth for leaf mask semantics), AND/OR/NOT via boolean
-mask algebra.  Batches come in two flavours:
-
-* archived LogBlocks expose decoded ``(values, null_mask)`` arrays
-  through ``LogBlockReader.read_block_arrays`` (the per-leaf scan in
-  :mod:`repro.logblock.pruning` consumes those directly);
-* real-time row-store rows are wrapped by :class:`RowListBatch`, which
-  extracts per-column array views from the row dicts on demand.
+mask algebra.  Archived LogBlocks expose decoded ``(values, null_mask)``
+arrays through ``LogBlockReader.read_block_arrays`` (the per-leaf scan
+in :mod:`repro.logblock.pruning` consumes those directly); a kernel
+compiled here runs over a real-time scan's selection
+(:class:`~repro.rowstore.batch.RowSelection`): the value list it
+gathers per predicate column is what :func:`column_arrays` turns into
+the same pair.
 
 Shapes without a vector form — MATCH / LIKE-prefix leaves, mixed-type
 columns, values outside int64 range, expression nodes the compiler does
@@ -39,7 +39,7 @@ from repro.logblock.pruning import (
     RangePredicate,
     vectorized_block_mask,
 )
-from repro.logblock.schema import ColumnType
+from repro.logblock.schema import EXACT_VALUE_TYPES, ColumnType
 from repro.query.ast import And, Expr, Not, Or
 
 # Leaf predicate shapes with a vector kernel (everything
@@ -70,67 +70,44 @@ class VectorizeFallback(Exception):
 # -- column batches ----------------------------------------------------------
 
 
-class RowListBatch:
-    """Per-column array views over a list of row dicts.
+# ColumnType → (array dtype, placeholder under a null).
+_ARRAY_FORM = {
+    ColumnType.INT64: (np.int64, 0),
+    ColumnType.TIMESTAMP: (np.int64, 0),
+    ColumnType.FLOAT64: (np.float64, 0.0),
+    ColumnType.BOOL: (bool, False),
+    ColumnType.STRING: (object, ""),
+}
 
-    The realtime counterpart of ``read_block_arrays``: columns are
-    extracted lazily (only predicate columns pay) and memoized.  Null
-    slots carry a type-neutral placeholder (0 / "" / False) and are
-    masked out by ``null_mask``, mirroring the archived block encoding.
-    A column whose values do not conform to the schema type — mixed
-    types, bools in an INT64 column, ints beyond int64 — raises
-    :class:`VectorizeFallback` instead of silently coercing.
+
+def column_arrays(
+    name: str, values: list | None, count: int, ctype: ColumnType
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, null_mask)`` arrays of one column of a scan batch.
+
+    The realtime counterpart of ``read_block_arrays``.  Null slots carry
+    a type-neutral placeholder (0 / "" / False) and are masked out by
+    ``null_mask``, mirroring the archived block encoding; a column no
+    row carries (``values`` is None) is all null.  A column whose values
+    are not exactly of the schema type — mixed types, bools in an INT64
+    column, ints beyond int64 — raises :class:`VectorizeFallback`
+    instead of silently coercing.
     """
-
-    def __init__(self, rows: list[dict], schema) -> None:
-        self._rows = rows
-        self._schema = schema
-        self._arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def arrays(self, column: str) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._arrays.get(column)
-        if cached is not None:
-            return cached
-        ctype = self._schema.column(column).ctype
-        raw = [row.get(column) for row in self._rows]
-        count = len(raw)
-        null_mask = np.fromiter((v is None for v in raw), dtype=bool, count=count)
-        if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
-            if any(v is not None and (isinstance(v, bool) or not isinstance(v, int)) for v in raw):
-                raise VectorizeFallback(f"column {column}: mixed-type values")
-            try:
-                values = np.fromiter(
-                    (0 if v is None else v for v in raw), dtype=np.int64, count=count
-                )
-            except OverflowError:
-                raise VectorizeFallback(f"column {column}: value beyond int64") from None
-        elif ctype is ColumnType.FLOAT64:
-            if any(
-                v is not None
-                and (isinstance(v, bool) or not isinstance(v, (int, float)))
-                for v in raw
-            ):
-                raise VectorizeFallback(f"column {column}: mixed-type values")
-            values = np.fromiter(
-                (0.0 if v is None else v for v in raw), dtype=np.float64, count=count
-            )
-        elif ctype is ColumnType.BOOL:
-            if any(v is not None and not isinstance(v, bool) for v in raw):
-                raise VectorizeFallback(f"column {column}: mixed-type values")
-            values = np.fromiter(
-                (False if v is None else v for v in raw), dtype=bool, count=count
-            )
-        elif ctype is ColumnType.STRING:
-            if any(v is not None and not isinstance(v, str) for v in raw):
-                raise VectorizeFallback(f"column {column}: mixed-type values")
-            values = np.array(["" if v is None else v for v in raw], dtype=object)
-        else:
-            raise VectorizeFallback(f"column {column}: unsupported type {ctype.name}")
-        self._arrays[column] = (values, null_mask)
-        return values, null_mask
+    dtype, fill = _ARRAY_FORM[ctype]
+    if values is None:
+        return np.full(count, fill, dtype=dtype), np.ones(count, dtype=bool)
+    kinds = set(map(type, values))
+    if not kinds <= EXACT_VALUE_TYPES[ctype]:
+        raise VectorizeFallback(f"column {name}: mixed-type values")
+    if type(None) in kinds:
+        null_mask = np.array([v is None for v in values], dtype=bool)
+        values = [fill if v is None else v for v in values]
+    else:
+        null_mask = np.zeros(count, dtype=bool)
+    try:
+        return np.array(values, dtype=dtype), null_mask
+    except OverflowError:
+        raise VectorizeFallback(f"column {name}: value beyond int64") from None
 
 
 # -- the compiler ------------------------------------------------------------
@@ -146,30 +123,30 @@ def _compile(expr: Expr):
     if isinstance(expr, And):
         children = [_compile(child) for child in expr.children]
 
-        def eval_and(batch, children=children):
-            mask = children[0](batch)
+        def eval_and(arrays, children=children):
+            mask = children[0](arrays)
             for child in children[1:]:
                 if not mask.any():
                     break
-                mask = mask & child(batch)
+                mask = mask & child(arrays)
             return mask
 
         return eval_and
     if isinstance(expr, Or):
         children = [_compile(child) for child in expr.children]
 
-        def eval_or(batch, children=children):
-            mask = children[0](batch)
+        def eval_or(arrays, children=children):
+            mask = children[0](arrays)
             for child in children[1:]:
                 if mask.all():
                     break
-                mask = mask | child(batch)
+                mask = mask | child(arrays)
             return mask
 
         return eval_or
     if isinstance(expr, Not):
         child = _compile(expr.child)
-        return lambda batch: ~child(batch)
+        return lambda arrays: ~child(arrays)
     to_predicate = getattr(expr, "to_column_predicate", None)
     if to_predicate is None:
         raise VectorizeFallback(f"unknown expression {type(expr).__name__}")
@@ -177,8 +154,8 @@ def _compile(expr: Expr):
     if not isinstance(predicate, VECTOR_LEAVES):
         raise VectorizeFallback(_leaf_fallback_reason(expr))
 
-    def eval_leaf(batch, predicate=predicate):
-        values, null_mask = batch.arrays(predicate.column)
+    def eval_leaf(arrays, predicate=predicate):
+        values, null_mask = arrays(predicate.column)
         mask = vectorized_block_mask(predicate, values, null_mask)
         if mask is None:  # unreachable for VECTOR_LEAVES; belt-and-braces
             raise VectorizeFallback(_leaf_fallback_reason(expr))
@@ -191,16 +168,25 @@ def _compile(expr: Expr):
 class CompiledKernel:
     """A predicate compiled to columnar form.
 
-    ``evaluate(batch)`` returns a boolean match mask over the batch's
-    rows; the batch must expose ``arrays(column) → (values, null_mask)``
-    (and may raise :class:`VectorizeFallback` when it cannot).
+    ``evaluate(batch, schema)`` returns a boolean match mask over the
+    rows of a column batch, converting each predicate column once; it
+    raises :class:`VectorizeFallback` when a column has no array form.
     """
 
     expr: Expr
     _evaluate: object
 
-    def evaluate(self, batch) -> np.ndarray:
-        return self._evaluate(batch)
+    def evaluate(self, batch, schema) -> np.ndarray:
+        converted: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+        def arrays(column: str) -> tuple[np.ndarray, np.ndarray]:
+            if column not in converted:
+                converted[column] = column_arrays(
+                    column, batch.column(column), len(batch), schema.column(column).ctype
+                )
+            return converted[column]
+
+        return self._evaluate(arrays)
 
 
 def compile_expr(expr: Expr) -> CompiledKernel:

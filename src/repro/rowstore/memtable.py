@@ -6,36 +6,50 @@ compression — and §3.1: all tenants share one huge table "organized
 only by the timestamp, rather than separated by tenants, to improve
 space efficiency and reduce random I/O accesses".
 
-Rows are appended in arrival order; a per-memtable monotone sequence
-number makes scans stable.  Because log timestamps are nearly sorted on
-arrival, range scans use a sorted-view built lazily and invalidated on
-append (cheap for the seal-then-convert life cycle the builder uses).
+The table is one growing column chunk: per column name one value
+list in arrival order, which an append extends by the batch's list (a
+``list.extend`` per column — no per-row work, and the batch's own lists
+die with the put instead of aging in the garbage collector's young
+generation).  Nothing else happens before the ack.  The first reader
+after an append — a scan, or the data builder — extends the table's
+int64 ``ts`` and ``tenant`` vectors by the new rows and takes a stable
+argsort of ``ts``, so rows read in timestamp order with ties in arrival
+order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator
+from typing import Iterable
+
+import numpy as np
 
 from repro.common.errors import RowStoreError
-from repro.rowstore.batch import RowBatch
+from repro.rowstore.batch import RowBatch, RowSelection
 
-_AFTER = float("inf")
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class MemTable:
-    """Append-only row buffer ordered by timestamp on scan."""
+    """Append-only columns, read in timestamp order."""
 
     def __init__(self, ts_column: str = "ts", tenant_column: str = "tenant_id") -> None:
         self._ts_column = ts_column
         self._tenant_column = tenant_column
-        self._rows: list[dict] = []
+        self._names: tuple[str, ...] = ()
+        self._columns: list[list] = []
+        self._count = 0
         self._approx_bytes = 0
-        self._sorted_view: list[tuple[int, int]] | None = None  # (ts, row_position)
         self._sealed = False
+        # Vectors over the first ``len(self._ts)`` rows, in arrival
+        # order; ``_order`` sorts them and is current while they cover
+        # every row.
+        self._ts = _NO_ROWS
+        self._tenants = _NO_ROWS
+        self._order = _NO_ROWS
+        self._sorted_ts = _NO_ROWS
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._count
 
     @property
     def approx_bytes(self) -> int:
@@ -59,77 +73,112 @@ class MemTable:
         self.append_many([row])
 
     def append_many(self, rows: RowBatch | Iterable[dict]) -> int:
-        """Append a batch: O(1) per batch, no index maintenance.
+        """Append a batch: one ``list.extend`` per column, no index
+        maintenance.
 
         All-or-nothing: a plain iterable of rows is admitted (validated
         and sized) first, so an invalid row raises before anything is
-        appended; a :class:`RowBatch` was admitted upstream and costs
-        one ``list.extend``, one integer add and one sorted-view
-        invalidation.
+        appended; a :class:`RowBatch` was admitted upstream.  A batch
+        with other keys than the table's widens the table to the union,
+        nulls filling what either side lacks (sizes stay as admitted).
         """
         if self._sealed:
             raise RowStoreError("cannot append to a sealed memtable")
         batch = RowBatch.of(
             rows, ts_column=self._ts_column, tenant_column=self._tenant_column
         )
-        if batch.rows:
-            self._rows.extend(batch.rows)
+        if batch.count:
+            parts = batch.columns
+            if batch.names != self._names:
+                self._names = tuple(dict.fromkeys(self._names + batch.names))
+                self._columns += [
+                    [None] * self._count for _ in self._names[len(self._columns) :]
+                ]
+                parts = [batch.column(name) or [None] * batch.count for name in self._names]
+            for column, part in zip(self._columns, parts):
+                column.extend(part)
+            self._count += batch.count
             self._approx_bytes += batch.nbytes
-            self._sorted_view = None
-        return len(batch)
+        return batch.count
 
     def seal(self) -> None:
         """Freeze the memtable; the data builder converts sealed tables."""
         self._sealed = True
 
-    # -- scans -----------------------------------------------------------
+    # -- reads -------------------------------------------------------------
 
-    def _view(self) -> list[tuple[int, int]]:
-        if self._sorted_view is None:
-            self._sorted_view = sorted(
-                (row[self._ts_column], position) for position, row in enumerate(self._rows)
-            )
-        return self._sorted_view
+    def consolidated(self) -> RowBatch:
+        """Every row as one batch, in arrival order (also the snapshot
+        form).  It shares the table's lists: read it before the next
+        append."""
+        return RowBatch(self._names, self._columns, None, self._approx_bytes)
+
+    def _ordered(self) -> RowBatch:
+        """:meth:`consolidated`, with the vectors and order brought up to date."""
+        batch = self.consolidated()
+        done = len(self._ts)
+        if done != self._count:
+            ts = np.array(batch.column(self._ts_column)[done:], dtype=np.int64)
+            tenants = np.array(batch.column(self._tenant_column)[done:], dtype=np.int64)
+            self._ts = np.concatenate((self._ts, ts))
+            self._tenants = np.concatenate((self._tenants, tenants))
+            self._order = np.argsort(self._ts, kind="stable")
+            self._sorted_ts = self._ts[self._order]
+        return batch
 
     def scan(
         self,
         min_ts: int | None = None,
         max_ts: int | None = None,
         tenant_id: int | None = None,
-    ) -> Iterator[dict]:
-        """Rows in ``[min_ts, max_ts]`` (inclusive), optionally one tenant.
+    ) -> RowSelection:
+        """Rows in ``[min_ts, max_ts]`` (inclusive), optionally one tenant,
+        in timestamp order (ties by arrival order).
 
-        Rows are yielded in timestamp order (ties by arrival order).
+        The selection indexes the table's own lists — nothing is copied
+        until a reader gathers a column or iterates it for row dicts.
         """
-        view = self._view()
-        # (ts,) sorts before every (ts, position); (ts, inf) after.
-        lo = 0 if min_ts is None else bisect_left(view, (min_ts,))
-        hi = len(view) if max_ts is None else bisect_right(view, (max_ts, _AFTER))
-        for ts, position in view[lo:hi]:
-            row = self._rows[position]
-            if tenant_id is None or row[self._tenant_column] == tenant_id:
-                yield row
+        batch = self._ordered()
+        picked = self._order
+        if min_ts is not None or max_ts is not None:
+            lo = 0 if min_ts is None else np.searchsorted(self._sorted_ts, min_ts, "left")
+            hi = (
+                self._count
+                if max_ts is None
+                else np.searchsorted(self._sorted_ts, max_ts, "right")
+            )
+            picked = picked[lo:hi]
+        if tenant_id is not None:
+            picked = picked[self._tenants[picked] == tenant_id]
+        return RowSelection([(batch, picked)])
 
     def tenants(self) -> set[int]:
         """Distinct tenant ids present."""
-        return {row[self._tenant_column] for row in self._rows}
+        self._ordered()
+        return set(self._tenants.tolist())
 
     def ts_range(self) -> tuple[int, int] | None:
         """(min_ts, max_ts) across all rows, or None when empty."""
-        if not self._rows:
+        if not self._count:
             return None
-        view = self._view()
-        return view[0][0], view[-1][0]
+        self._ordered()
+        return int(self._sorted_ts[0]), int(self._sorted_ts[-1])
 
-    def rows_by_tenant(self) -> dict[int, list[dict]]:
-        """Rows grouped by tenant, each group in timestamp order.
+    def rows_by_tenant(self) -> dict[int, RowSelection]:
+        """One selection per tenant, each in timestamp order.
 
         This is the access pattern of the data builder's remote-archiving
         phase (§3.1: "the row-store table will be divided into separated
-        columnar tables according to tenants").
+        columnar tables according to tenants"): one stable sort on
+        (tenant, ts); the builder gathers the columns it encodes.
         """
-        grouped: dict[int, list[dict]] = {}
-        for _ts, position in self._view():
-            row = self._rows[position]
-            grouped.setdefault(row[self._tenant_column], []).append(row)
-        return grouped
+        if not self._count:
+            return {}
+        batch = self._ordered()
+        order = np.lexsort((self._ts, self._tenants))
+        tenants = self._tenants[order]
+        cuts = np.flatnonzero(tenants[1:] != tenants[:-1]) + 1
+        return {
+            int(self._tenants[part[0]]): RowSelection([(batch, part)])
+            for part in np.split(order, cuts)
+        }

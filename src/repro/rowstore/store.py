@@ -12,10 +12,10 @@ Sealing policy mirrors an LSM flush: when the active memtable exceeds
 
 from __future__ import annotations
 
-from typing import Iterator
+import pickle
 
 from repro.common.errors import RowStoreError
-from repro.rowstore.batch import RowBatch
+from repro.rowstore.batch import RowBatch, RowSelection
 from repro.rowstore.memtable import MemTable
 
 DEFAULT_SEAL_ROWS = 100_000
@@ -67,7 +67,8 @@ class RowStore:
         memtable whole, sized by the ``nbytes`` it was admitted with.
         Only a crossing batch is cut: per-row sizes place each seal
         after the same row a row-at-a-time ingest would seal after
-        (that row still lands in the sealing memtable).
+        (that row still lands in the sealing memtable).  ``rows`` may
+        be plain row dicts: they are admitted (validated, sized) first.
         """
         batch = RowBatch.of(
             rows, ts_column=self._ts_column, tenant_column=self._tenant_column
@@ -90,7 +91,7 @@ class RowStore:
             while j < n and (j - i) < budget_rows and acc < budget_bytes:
                 acc += sizes[j]
                 j += 1
-            self._active.append_many(RowBatch(batch.rows[i:j], batch.tenant_id, acc))
+            self._active.append_many(batch.cut(i, j, acc))
             self.total_rows_ingested += j - i
             if (
                 len(self._active) >= self._seal_rows
@@ -158,11 +159,16 @@ class RowStore:
         min_ts: int | None = None,
         max_ts: int | None = None,
         tenant_id: int | None = None,
-    ) -> Iterator[dict]:
-        """Scan sealed tables then the active one, each in ts order."""
-        for table in self._sealed:
-            yield from table.scan(min_ts, max_ts, tenant_id)
-        yield from self._active.scan(min_ts, max_ts, tenant_id)
+    ) -> RowSelection:
+        """Sealed tables then the active one, each in ts order, as one
+        selection (iterate it for row dicts)."""
+        return RowSelection(
+            [
+                part
+                for table in (*self._sealed, self._active)
+                for part in table.scan(min_ts, max_ts, tenant_id).parts
+            ]
+        )
 
     def tenants(self) -> set[int]:
         found: set[int] = set()
@@ -176,29 +182,25 @@ class RowStore:
     def serialize_state(self) -> bytes:
         """Snapshot of the locally held rows (for Raft checkpointing).
 
-        Captures sealed + active rows and the ingest counter; archived
-        rows live on OSS and are not part of local state.
+        Captures each sealed table and the active one as one column
+        batch in arrival order, plus the ingest counters; archived rows
+        live on OSS and are not part of local state.  Equal tables give
+        equal bytes however their rows were chunked.
         """
-        import pickle
-
-        sealed_rows = [list(table.scan()) for table in self._sealed]
-        active_rows = list(self._active.scan())
-        return pickle.dumps(
-            (sealed_rows, active_rows, self.total_rows_ingested, self.sealed_dropped)
-        )
+        tables = [t.consolidated().to_bytes() for t in (*self._sealed, self._active)]
+        return pickle.dumps((tables, self.total_rows_ingested, self.sealed_dropped))
 
     def install_state(self, state: bytes) -> None:
         """Replace local contents with a serialized snapshot, in place."""
-        import pickle
-
-        sealed_rows, active_rows, total, dropped = pickle.loads(state)
-        self._sealed = []
-        for rows in sealed_rows:
+        tables, total, dropped = pickle.loads(state)
+        restored = []
+        for payload in tables:
             table = MemTable(self._ts_column, self._tenant_column)
-            table.append_many(rows)
+            table.append_many(RowBatch.from_bytes(payload))
+            restored.append(table)
+        self._active = restored.pop()
+        for table in restored:
             table.seal()
-            self._sealed.append(table)
-        self._active = MemTable(self._ts_column, self._tenant_column)
-        self._active.append_many(active_rows)
+        self._sealed = restored
         self.total_rows_ingested = total
         self.sealed_dropped = dropped

@@ -87,6 +87,54 @@ class TestPoisonPillBatch:
             assert all(rowstore_state(s) == rowstore_state(stores[0]) for s in stores)
 
 
+class TestWrongTypedValue:
+    """A value of the wrong type used to be acked, then raise
+    ``SchemaError`` in every later ``flush_all()`` — wedging archiving
+    for the good batches queued behind it as well."""
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("latency", "x"), ("latency", True), ("latency", 1.5), ("ip", 7),
+         ("fail", 1), ("log", b"raw")],
+    )
+    @pytest.mark.parametrize("use_raft", [False, True])
+    def test_rejected_before_the_log_and_the_next_put_archives(self, use_raft, column, value):
+        store = LogStore.create(config=small_test_config(use_raft=use_raft))
+        store.put(4, make_rows(100, tenant_id=4))
+
+        def log_positions():
+            return [
+                shard.raft.leader().persistent.last_log_index()
+                if use_raft
+                else shard._wal.next_sequence
+                for shard in all_shards(store)
+            ]
+
+        logged = log_positions()
+        bad = make_rows(3, tenant_id=4, seed=1)
+        bad[1][column] = value
+        for put in (store.put, store.put_nowait):
+            with pytest.raises(InvalidBatchError, match=f"column '{column}' expects"):
+                put(4, bad)
+        store.settle_writes()
+        assert store.pending_rows() == 100
+        assert log_positions() == logged
+        store.put(4, make_rows(20, tenant_id=4, seed=2))
+        assert store.flush_all().rows_archived == 120
+        assert store.pending_rows() == 0
+
+    def test_float_column_takes_ints_and_unknown_keys_are_carried(self):
+        store = LogStore.create(config=small_test_config())
+        rows = make_rows(5, tenant_id=4)
+        rows[0]["not_in_schema"] = object  # carried to the builder, ignored there
+        store.put(4, rows)
+        assert store.flush_all().rows_archived == 5
+
+
+def non_null(rows):
+    return [{k: v for k, v in row.items() if v is not None} for row in rows]
+
+
 def seeded_ingest(store, nowait=False):
     """12 batches over 3 tenants; every fourth one ragged, with ``bytes``
     and ``None`` values (the per-row admission path)."""
@@ -114,13 +162,24 @@ class TestPlainVersusRaft:
         raft.clock.advance(0.5)
         sealed = 0
         for plain_shard, raft_shard in zip(all_shards(plain), all_shards(raft)):
-            expected = rowstore_state(plain_shard.rowstore)
-            sealed += len(expected[1])
+            total, tables, active, nbytes = rowstore_state(plain_shard.rowstore)
+            sealed += len(tables)
             stats = raft_shard.write_stats
             if stats.batches_coalesced:
                 assert stats.groups_committed < stats.batches_coalesced
-            for node in raft_shard.raft.full_replicas():
-                assert rowstore_state(raft_shard.replica_store(node.node_id)) == expected
+            replicas = [
+                rowstore_state(raft_shard.replica_store(node.node_id))
+                for node in raft_shard.raft.full_replicas()
+            ]
+            assert all(state == replicas[0] for state in replicas)
+            # A group that coalesces a ragged batch is one batch over the
+            # union of the keys: the same rows in the same tables, the
+            # others carrying (and sized with) a null ``trace``.
+            r_total, r_tables, r_active, r_nbytes = replicas[0]
+            assert (r_total, list(map(non_null, r_tables)), non_null(r_active)) == (
+                total, list(map(non_null, tables)), non_null(active),
+            )
+            assert 0 <= r_nbytes - nbytes <= 13 * total
         assert sealed >= 4  # batches crossed seal_rows on the way
 
     def test_replica_crash_recover_reproduces_the_row_store(self):
@@ -158,12 +217,17 @@ class TestPlainVersusRaft:
 
 def test_usage_meter_bytes_match_the_parent_commit():
     """``_system.tenants.bytes_ingested`` is in the admission estimate's
-    unit; these integers were read off the commit before ``RowBatch``
-    (per-row ``approx_rows_bytes`` in ``Broker._dispatch``)."""
+    unit.  The first integers were read off the commit before
+    ``RowBatch`` (per-row ``approx_rows_bytes`` in ``Broker._dispatch``);
+    a ragged batch is now sized over its key union, so each tenant's one
+    ragged batch adds ``len("trace") + 8`` for every row it fills with a
+    null ``trace`` — all rows but the one that carries it."""
     store = LogStore.create(config=small_test_config())
     seeded_ingest(store)
     usage = {t: store.obs.meter.usage(t) for t in (1, 2, 3)}
+    ragged_rows = {1: 40, 2: 40 + 7 * 4, 3: 40 + 7 * 8}  # seeds 0, 4, 8
     assert {t: u.bytes_ingested for t, u in usage.items()} == {
-        1: 38805, 2: 42614, 3: 46426,
+        t: before + 13 * (ragged_rows[t] - 1)
+        for t, before in {1: 38805, 2: 42614, 3: 46426}.items()
     }
     assert {t: u.rows_ingested for t, u in usage.items()} == {1: 286, 2: 314, 3: 342}

@@ -1,0 +1,89 @@
+"""Guard: the write path builds no row dicts.
+
+Every dict the system makes out of un-archived rows goes through
+``RowBatch.iter_dicts``, which counts them.  The count must not move from
+``put`` through seal, archive and checkpoint, nor across a SQL INSERT
+whose result rows nobody reads; it moves only for a reader: the rows of
+an ``InsertResult``, or the survivors of a realtime SELECT.
+"""
+
+import repro.query.kernels
+import repro.rowstore.batch
+from repro import LogStore, small_test_config
+from repro.rowstore import MemTable, RowBatch
+
+from tests.conftest import make_rows
+
+INSERT = "INSERT INTO request_log (ts, ip, api, latency, fail, log) VALUES " + ", ".join(
+    ["(?, ?, ?, ?, ?, ?)"] * 4
+)
+
+
+def params(seed: int) -> tuple:
+    rows = make_rows(4, tenant_id=1, seed=seed)
+    return tuple(row[c] for row in rows for c in ("ts", "ip", "api", "latency", "fail", "log"))
+
+
+class DictsBuilt:
+    """``with DictsBuilt() as built: ...; built.count`` — the delta."""
+
+    def __enter__(self):
+        self._before = RowBatch.dicts_built
+        return self
+
+    def __exit__(self, *exc):
+        self.count = RowBatch.dicts_built - self._before
+
+
+def test_put_seal_archive_checkpoint_build_no_dicts():
+    for use_raft in (False, True):
+        store = LogStore.create(config=small_test_config(use_raft=use_raft, seal_rows=150))
+        with DictsBuilt() as built:
+            for seed in range(4):
+                store.put(1 + seed % 2, make_rows(100, tenant_id=1 + seed % 2, seed=seed))
+            store.run_background_tasks()  # archives the threshold-sealed tables
+            store.checkpoint_all()
+            assert store.flush_all().rows_archived > 0
+            store.checkpoint_all()
+        assert built.count == 0 and store.pending_rows() == 0
+
+
+def test_sql_insert_builds_dicts_only_when_its_rows_are_read():
+    store = LogStore.create(config=small_test_config())
+    session = store.connect(1, store.issue_token(1))
+    with DictsBuilt() as built:
+        session.execute(INSERT, params(0))  # cold: parsed text
+        result = session.execute(INSERT, params(1))  # cached: parameters sliced into columns
+        assert INSERT in store.sessions.statements and result.rows_inserted == 4
+    assert built.count == 0
+    with DictsBuilt() as built:
+        assert [row["tenant_id"] for row in result.rows] == [1] * 4
+        assert session.last_insert_rows == result.rows
+    assert built.count == 12
+
+
+def test_realtime_select_builds_dicts_for_survivors_only():
+    store = LogStore.create(config=small_test_config())
+    store.put(1, make_rows(200, tenant_id=1))
+    with DictsBuilt() as built:
+        result = store.query("SELECT log FROM request_log WHERE tenant_id = 1 AND latency >= 400")
+    assert result.realtime_rows == len(result.rows) == built.count
+    assert 0 < built.count < 200
+
+
+def test_interpreted_limit_scan_reads_rows_until_the_limit():
+    store = LogStore.create(config=small_test_config())
+    store.put(1, make_rows(200, tenant_id=1))
+    with DictsBuilt() as built:
+        result = store.query(
+            "SELECT log FROM request_log WHERE tenant_id = 1 AND MATCH(log, 'GET') LIMIT 3"
+        )
+    assert len(result.rows) == 3
+    assert built.count == 6  # three predicate-column dicts, three projected rows
+
+
+def test_the_row_dict_forms_are_gone():
+    assert not hasattr(repro.query.kernels, "RowListBatch")
+    assert not hasattr(repro.rowstore.batch, "_admit_rows")
+    assert not hasattr(repro.rowstore.batch, "_row_nbytes")
+    assert not hasattr(MemTable, "_view")

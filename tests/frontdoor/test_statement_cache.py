@@ -456,7 +456,7 @@ def test_last_insert_rows_is_set_before_the_write_is_dispatched(store, session, 
     with pytest.raises(RuntimeError):
         session.execute(INSERT_2X3, ("c", 3, True, "d", 4, False))
     (recorded, written), = seen
-    assert recorded is written
+    assert recorded == written.to_dicts()  # the batch handed to put, as dicts
     assert [row["name"] for row in session.last_insert_rows] == ["c", "d"]
 
 

@@ -36,13 +36,13 @@ from repro.query.ast import (
 )
 from repro.query.executor import ExecutionOptions, ExecutionStats, filter_realtime_rows
 from repro.query.kernels import (
-    RowListBatch,
     VectorizeFallback,
     classify_expr,
     compile_expr,
     top_k_order,
 )
 from repro.query.sql import parse_sql
+from repro.rowstore import RowBatch
 
 from tests.conftest import make_rows
 
@@ -56,6 +56,16 @@ SCHEMA = TableSchema(
         ColumnSpec("s", ColumnType.STRING, IndexType.NONE),
     ),
 )
+
+
+
+def evaluate(expr, rows):
+    """The compiled kernel's mask over ``rows`` as an (unadmitted)
+    column batch: one value list per schema column, missing keys null."""
+    names = tuple(SCHEMA.column_names())
+    columns = [[row.get(name) for row in rows] for name in names]
+    return compile_expr(expr).evaluate(RowBatch(names, columns), SCHEMA)
+
 
 _INTS = st.integers(min_value=-(2**40), max_value=2**40)
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=32)
@@ -122,31 +132,26 @@ class TestKernelDifferential:
     @given(rows=ROWS, expr=EXPRS)
     def test_mask_equals_evaluate_row(self, rows, expr):
         """Every predicate shape, nulls included, over a row batch."""
-        kernel = compile_expr(expr)
-        mask = kernel.evaluate(RowListBatch(rows, SCHEMA))
+        mask = evaluate(expr, rows)
         expected = [bool(expr.evaluate_row(row)) for row in rows]
         assert mask.dtype == bool and len(mask) == len(rows)
         assert mask.tolist() == expected
 
     def test_empty_batch(self):
         expr = Comparison("i", CmpOp.GE, 5)
-        mask = compile_expr(expr).evaluate(RowListBatch([], SCHEMA))
+        mask = evaluate(expr, [])
         assert mask.tolist() == []
 
     def test_missing_keys_read_as_null(self):
         rows = [{}, {"i": 3}]
-        assert compile_expr(Comparison("i", CmpOp.GE, 1)).evaluate(
-            RowListBatch(rows, SCHEMA)
-        ).tolist() == [False, True]
-        assert compile_expr(IsNull("i")).evaluate(
-            RowListBatch(rows, SCHEMA)
-        ).tolist() == [True, False]
+        assert evaluate(Comparison("i", CmpOp.GE, 1), rows).tolist() == [False, True]
+        assert evaluate(IsNull("i"), rows).tolist() == [True, False]
 
     def test_not_matches_null_rows(self):
         """Boolean (not SQL 3-valued) semantics: NOT(eq) matches nulls."""
         rows = [{"s": None}, {"s": "x"}, {"s": "y"}]
         expr = Not(Comparison("s", CmpOp.EQ, "x"))
-        mask = compile_expr(expr).evaluate(RowListBatch(rows, SCHEMA))
+        mask = evaluate(expr, rows)
         assert mask.tolist() == [expr.evaluate_row(r) for r in rows] == [True, False, True]
 
     def test_string_kernels_on_object_arrays(self):
@@ -156,12 +161,12 @@ class TestKernelDifferential:
             In("s", ("abc", "")),
             Comparison("s", CmpOp.NE, "b"),
         ):
-            mask = compile_expr(expr).evaluate(RowListBatch(rows, SCHEMA))
+            mask = evaluate(expr, rows)
             assert mask.tolist() == [expr.evaluate_row(r) for r in rows]
 
     def test_empty_in_matches_nothing(self):
         rows = [{"i": 1}, {"i": None}]
-        mask = compile_expr(In("i", ())).evaluate(RowListBatch(rows, SCHEMA))
+        mask = evaluate(In("i", ()), rows)
         assert mask.tolist() == [False, False]
 
 
@@ -177,20 +182,19 @@ class TestForcedFallbacks:
 
     def test_mixed_type_column_falls_back(self):
         rows = [{"i": 1}, {"i": "oops"}]
-        kernel = compile_expr(Comparison("i", CmpOp.GE, 0))
         with pytest.raises(VectorizeFallback) as excinfo:
-            kernel.evaluate(RowListBatch(rows, SCHEMA))
+            evaluate(Comparison("i", CmpOp.GE, 0), rows)
         assert "mixed-type" in excinfo.value.reason
 
     def test_bool_in_int_column_falls_back(self):
         rows = [{"i": True}]
         with pytest.raises(VectorizeFallback):
-            compile_expr(Comparison("i", CmpOp.GE, 0)).evaluate(RowListBatch(rows, SCHEMA))
+            evaluate(Comparison("i", CmpOp.GE, 0), rows)
 
     def test_int_beyond_int64_falls_back(self):
         rows = [{"i": 2**70}]
         with pytest.raises(VectorizeFallback):
-            compile_expr(Comparison("i", CmpOp.GE, 0)).evaluate(RowListBatch(rows, SCHEMA))
+            evaluate(Comparison("i", CmpOp.GE, 0), rows)
 
     def test_fallback_still_byte_identical_through_filter(self):
         """filter_realtime_rows: fallback shape ≡ interpreted output."""

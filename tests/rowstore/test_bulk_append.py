@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import InvalidBatchError, RowStoreError
+from repro.rowstore.batch import RowBatch
 from repro.rowstore.memtable import MemTable
 from repro.rowstore.store import RowStore
 
@@ -21,22 +22,36 @@ def append_per_row(store: RowStore, rows) -> None:
 
 
 class TestMemTableBulk:
-    def test_single_invalidation(self):
+    def test_append_extends_columns_and_reads_order_only_the_new_rows(self):
+        """An append extends the table's own lists (the batch's stay
+        untouched); the next read folds only the new rows into the
+        vectors an earlier read already ordered."""
         table = MemTable()
         rows = make_rows(50, tenant_id=1)
-        table.append_many(rows[:25])
-        list(table.scan())  # materialize the sorted view
-        assert table._sorted_view is not None
-        table.append_many(rows[25:])
-        assert table._sorted_view is None  # invalidated once, lazily rebuilt
-        assert len(list(table.scan())) == 50
+        first, second = RowBatch.admit(rows[:25]), RowBatch.admit(rows[25:])
+        table.append_many(first)
+        assert list(table.scan()) == rows[:25]
+        table.append_many(second)
+        assert len(table._ts) == 25  # nothing ordered before a reader asks
+        assert list(table.scan()) == rows and len(table._ts) == 50
+        assert (len(first), len(second)) == (25, 25)
+        assert first.to_dicts() + second.to_dicts() == rows
 
-    def test_empty_batch_keeps_view(self):
+    def test_empty_batch_changes_nothing(self):
         table = MemTable()
         table.append_many(make_rows(10, tenant_id=1))
-        list(table.scan())
-        table.append_many([])
-        assert table._sorted_view is not None
+        assert table.append_many([]) == 0
+        assert (len(table), len(list(table.scan()))) == (10, 10)
+
+    def test_new_keys_widen_the_table_with_nulls(self):
+        table = MemTable()
+        table.append_many([{"tenant_id": 1, "ts": 2, "a": "x"}])
+        table.append_many([{"tenant_id": 1, "ts": 1, "b": 7}])
+        assert list(table.scan()) == [
+            {"tenant_id": 1, "ts": 1, "a": None, "b": 7},
+            {"tenant_id": 1, "ts": 2, "a": "x", "b": None},
+        ]
+        assert table.approx_bytes == 2 * (len("tenant_id") + 8 + len("ts") + 8 + 1) + 1 + 8
 
     def test_sealed_rejects_batch(self):
         table = MemTable()
@@ -50,7 +65,6 @@ class TestMemTableBulk:
         rows = make_rows(5, tenant_id=1)
         table = MemTable()
         table.append_many(rows)
-        list(table.scan())  # materialize the sorted view
         before = (list(table.scan()), table.approx_bytes)
 
         bad = dict(rows[2])
@@ -61,7 +75,6 @@ class TestMemTableBulk:
             table.append(bad)
 
         assert (list(table.scan()), table.approx_bytes) == before
-        assert table._sorted_view is not None  # not even invalidated
 
     def test_missing_tenant_column(self):
         table = MemTable()
