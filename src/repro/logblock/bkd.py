@@ -22,6 +22,9 @@ from repro.common.bytesio import BinaryReader, BinaryWriter
 from repro.common.errors import SerializationError
 
 DEFAULT_LEAF_SIZE = 512
+# What an index holds besides its points: the object and two array
+# headers (for the object cache's accounting).
+_FIXED_OVERHEAD = 384
 
 
 class BkdIndexBuilder:
@@ -104,16 +107,6 @@ class BkdIndex:
         self._row_count = row_count
         self._is_float = is_float
         self._leaf_size = leaf_size
-        # Per-leaf (min, max) built eagerly; tiny relative to the points.
-        n_leaves = -(-len(values) // leaf_size) if len(values) else 0
-        self._leaf_min = np.array(
-            [values[i * leaf_size] for i in range(n_leaves)],
-            dtype=values.dtype if len(values) else np.int64,
-        )
-        self._leaf_max = np.array(
-            [values[min((i + 1) * leaf_size, len(values)) - 1] for i in range(n_leaves)],
-            dtype=values.dtype if len(values) else np.int64,
-        )
 
     @property
     def row_count(self) -> int:
@@ -125,7 +118,12 @@ class BkdIndex:
 
     @property
     def leaf_count(self) -> int:
-        return len(self._leaf_min)
+        return -(-len(self._values) // self._leaf_size)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this index keeps alive (what a cache is charged)."""
+        return _FIXED_OVERHEAD + self._values.nbytes + self._rows.nbytes
 
     def min_value(self):
         return self._values[0].item() if len(self._values) else None
@@ -187,8 +185,11 @@ class BkdIndex:
         leaf_size = reader.read_uvarint()
         n_points = reader.read_uvarint()
         dtype = np.float64 if is_float else np.int64
-        values = np.frombuffer(reader.read_bytes(n_points * 8), dtype=dtype).copy()
-        rows = np.frombuffer(reader.read_bytes(n_points * 8), dtype=np.int64).copy()
+        # Read-only views over the payload, not copies: the points are
+        # only ever searched and sliced.
+        values = np.frombuffer(reader.read_bytes(n_points * 8), dtype=dtype)
+        rows = np.frombuffer(reader.read_bytes(n_points * 8), dtype=np.int64)
+        values.flags.writeable = rows.flags.writeable = False
         if reader.remaining():
             raise SerializationError("trailing bytes after BKD index")
         return cls(values, rows, row_count, is_float, leaf_size)

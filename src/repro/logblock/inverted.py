@@ -8,41 +8,54 @@ term equal to its **raw** whole value — exact-match semantics must agree
 byte-for-byte with the scan path's ``==``, so no case folding happens
 (SQL string equality is case-sensitive).
 
-Serialized layout::
+Serialized layout (LogBlock format v4), written as sections so that a
+reader finds one term without parsing the others::
 
-    tokenized: u8, row_count: uvarint, term_count: uvarint
-    per term:  term (len-prefixed utf-8)
-               postings: uvarint count + delta-encoded uvarint list
+    crc32: u32 of everything after it
+    flags: u8 (bit 0: tokenized)
+    row_count, term_count, dictionary bytes, postings bytes: u32 each
+    term lengths:   term_count uvarints (UTF-8 bytes per term)
+    posting counts: term_count uvarints (row ids per term)
+    dictionary:     the terms' UTF-8 bytes, concatenated
+    postings:       delta-encoded uvarint row ids, restarting per term
 
-Terms are written sorted, so readers can binary-search the decoded term
-dictionary.  Postings are delta-encoded row ids, which compress well for
-clustered terms.
+Terms are written sorted.  UTF-8 byte order equals code-point order, so
+a probe bisects the dictionary with ``bytes`` compares and decodes one
+posting list; nothing is done per term when the member is opened.  The
+in-memory index *is* these sections — the builder encodes into them and
+the v3 decoder (``from_v3_bytes``, the interleaved ``term, count,
+postings`` layout of older LogBlocks) regroups into them.
 
 Build, encode and decode are columnar (DESIGN.md §11): rows append to
-flat ``(term, row id)`` arrays, one stable argsort groups them into a
-CSR index, and every posting list is delta- and varint-coded at once.
-The only per-term python left is writing and reading the term strings
-the layout interleaves with the postings.
+flat ``(term, row id)`` arrays, one stable argsort groups them by term,
+and every posting list is delta- and varint-coded at once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import struct
+import zlib
 from typing import Iterable
 
 import numpy as np
 
 from repro.common.bitset import Bitset
 from repro.common.bytesio import BinaryReader
-from repro.common.errors import SerializationError
+from repro.common.errors import CorruptionError, SerializationError
 from repro.common.varint import (
     decode_uvarint,
     decode_uvarint_array,
-    encode_uvarint,
     encode_uvarint_array,
     uvarint_ends,
 )
 from repro.logblock.tokenizer import normalize_term, tokenize
+
+_CRC = struct.Struct("<I")
+# flags, row count, term count, dictionary bytes, postings bytes
+_HEADER = struct.Struct("<BIIII")
+# What an index holds besides its buffers: the object, three array
+# headers and two bytes headers (for the object cache's accounting).
+_FIXED_OVERHEAD = 640
 
 
 class InvertedIndexBuilder:
@@ -91,7 +104,7 @@ class InvertedIndexBuilder:
         self._row_ids.append(np.repeat(rows, per_row))
 
     def build(self) -> "InvertedIndex":
-        """Group the pairs by term into the CSR form.
+        """Group the pairs by term and encode them into the sections.
 
         Term ids are ranks in the sorted distinct terms, so one stable
         argsort of the ids orders the pairs by term and keeps each
@@ -114,32 +127,94 @@ class InvertedIndexBuilder:
         keep[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
         offsets = np.zeros(len(terms) + 1, dtype=np.int64)
         np.cumsum(np.bincount(ids[keep], minlength=len(terms)), out=offsets[1:])
-        return InvertedIndex(terms, rows[keep], offsets, self._row_count, self._tokenize)
+        return InvertedIndex.from_postings(
+            terms, rows[keep], offsets, self._row_count, self._tokenize
+        )
+
+
+def _uint_for(limit: int) -> type:
+    """The narrowest unsigned type an index keeps values up to ``limit``
+    in: the arrays are what a cached index costs beyond its bytes."""
+    if limit >= 1 << 32:
+        raise SerializationError("inverted index section exceeds the format's 4 GiB")
+    return np.uint16 if limit < 1 << 16 else np.uint32
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """``[0, cumsum(lengths)]``: where each of a section's items starts."""
+    out = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out.astype(_uint_for(int(out[-1])))
 
 
 class InvertedIndex:
-    """Immutable queryable inverted index in CSR form.
+    """Immutable queryable inverted index, held as its wire sections.
 
-    ``terms`` is sorted; the row ids of ``terms[i]`` are
-    ``rows[offsets[i]:offsets[i + 1]]``.  Built and decoded indexes
-    share this one representation.
+    Term ``i`` is ``dictionary[term_at[i]:term_at[i + 1]]`` (UTF-8,
+    sorted) and its ``counts[i]`` row ids are the delta varints in
+    ``postings[post_at[i]:post_at[i + 1]]``.  Built and decoded indexes
+    of every format version share this one representation; a posting
+    list is decoded when it is looked up.
     """
 
     def __init__(
         self,
+        dictionary: bytes,
+        term_at: np.ndarray,
+        counts: np.ndarray,
+        postings: bytes,
+        post_at: np.ndarray,
+        row_count: int,
+        tokenize: bool,
+    ) -> None:
+        if not len(term_at) == len(post_at) == len(counts) + 1:
+            raise ValueError("term, count and posting sections disagree")
+        self._dictionary = dictionary
+        self._term_at = term_at
+        self._counts = counts
+        self._postings = postings
+        self._post_at = post_at
+        self._row_count = row_count
+        self._tokenize = tokenize
+
+    @classmethod
+    def from_postings(
+        cls,
         terms: list[str],
         rows: np.ndarray,
         offsets: np.ndarray,
         row_count: int,
         tokenize: bool,
-    ) -> None:
+    ) -> "InvertedIndex":
+        """Encode a CSR index: sorted ``terms``, the row ids of
+        ``terms[i]`` ascending in ``rows[offsets[i]:offsets[i + 1]]``."""
         if len(offsets) != len(terms) + 1 or int(offsets[-1]) != len(rows):
             raise ValueError("terms, offsets and rows disagree")
-        self._terms = terms
-        self._rows = rows
-        self._offsets = offsets
-        self._row_count = row_count
-        self._tokenize = tokenize
+        counts = np.diff(offsets)
+        starts = offsets[:-1][counts > 0]
+        deltas = np.empty(len(rows), dtype=np.int64)
+        deltas[1:] = rows[1:] - rows[:-1]
+        deltas[starts] = rows[starts]  # every posting list restarts from row 0
+        if deltas.size and int(deltas.min()) < 0:
+            raise ValueError("posting row ids must ascend within a term")
+        postings = encode_uvarint_array(deltas)
+        byte_at = np.zeros(len(rows) + 1, dtype=_uint_for(len(postings)))  # where posting k starts
+        byte_at[1:] = uvarint_ends(postings)
+        joined = "".join(terms)
+        dictionary = joined.encode("utf-8")
+        if len(dictionary) == len(joined):  # ASCII: one byte per character
+            lengths = map(len, terms)
+        else:
+            lengths = (len(term.encode("utf-8")) for term in terms)
+        return cls(
+            dictionary,
+            _offsets(np.fromiter(lengths, dtype=np.int64, count=len(terms))),
+            counts.astype(_uint_for(len(rows))),
+            postings,
+            byte_at[offsets],
+            row_count,
+            tokenize,
+        )
 
     @property
     def row_count(self) -> int:
@@ -151,43 +226,131 @@ class InvertedIndex:
 
     @property
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._counts)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this index keeps alive (what a cache is charged)."""
+        return (
+            _FIXED_OVERHEAD
+            + len(self._dictionary)
+            + len(self._postings)
+            + self._term_at.nbytes
+            + self._counts.nbytes
+            + self._post_at.nbytes
+        )
+
+    def section_sizes(self) -> dict[str, int]:
+        """Serialized bytes per section (for the inspection tool)."""
+        return {
+            "dictionary": len(self._dictionary)
+            + len(encode_uvarint_array(np.diff(self._term_at))),
+            "counts": len(encode_uvarint_array(self._counts)),
+            "postings": len(self._postings),
+        }
 
     def terms(self) -> list[str]:
-        return list(self._terms)
+        bounds = self._term_at.tolist()
+        try:
+            return [
+                self._dictionary[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])
+            ]
+        except UnicodeDecodeError:
+            raise SerializationError("term dictionary is not UTF-8") from None
 
-    def lookup(self, term: str) -> np.ndarray:
-        """Row ids containing ``term`` (empty array when absent).
+    # -- probes --------------------------------------------------------------
+
+    def _needle(self, term: str) -> bytes:
+        """Query text as dictionary bytes.
 
         Query terms are normalized only for tokenized (full-text)
-        indexes, mirroring how the indexed terms were produced.
+        indexes, mirroring how the indexed terms were produced.  A lone
+        surrogate cannot be in the dictionary; ``surrogatepass`` gives
+        it the bytes that keep it in code-point order.
         """
-        needle = normalize_term(term) if self._tokenize else term
-        idx = bisect_left(self._terms, needle)
-        if idx < len(self._terms) and self._terms[idx] == needle:
-            return self._rows[self._offsets[idx] : self._offsets[idx + 1]]
-        return np.empty(0, dtype=np.int64)
+        text = normalize_term(term) if self._tokenize else term
+        return text.encode("utf-8", "surrogatepass")
+
+    def _bisect(self, needle: bytes) -> int:
+        """Position of the first term ``>= needle`` (bisect_left)."""
+        dictionary, term_at = self._dictionary, self._term_at
+        lo, hi = 0, len(self._counts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if dictionary[term_at[mid] : term_at[mid + 1]] < needle:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def _find(self, needle: bytes) -> int:
+        """Position of the term equal to ``needle``, or -1."""
+        idx = self._bisect(needle)
+        term_at = self._term_at
+        if idx < len(self._counts) and self._dictionary[term_at[idx] : term_at[idx + 1]] == needle:
+            return idx
+        return -1
+
+    def _rows_of(self, start: int, stop: int) -> np.ndarray:
+        """Decoded row ids of terms ``[start, stop)``, term after term."""
+        counts = self._counts[start:stop].astype(np.int64)
+        total = int(counts.sum())
+        run = self._postings[self._post_at[start] : self._post_at[stop]]
+        deltas, used = decode_uvarint_array(run, total)
+        if used != len(run):
+            raise SerializationError("posting counts disagree with the postings section")
+        rows = np.cumsum(deltas.astype(np.int64))
+        if stop - start > 1 and total:
+            # Deltas restart at every term: take back what the running
+            # sum carried in from the terms before it.
+            nonempty = counts > 0
+            starts = (np.cumsum(counts) - counts)[nonempty]
+            carried = np.where(starts > 0, rows[starts - 1], 0)
+            rows -= np.repeat(carried, counts[nonempty])
+        if total and not 0 <= int(rows.min()) <= int(rows.max()) < self._row_count:
+            raise SerializationError("posting row id outside the index")
+        return rows
+
+    def lookup(self, term: str) -> np.ndarray:
+        """Row ids containing ``term`` (empty array when absent)."""
+        idx = self._find(self._needle(term))
+        if idx < 0:
+            return np.empty(0, dtype=np.int64)
+        return self._rows_of(idx, idx + 1)
 
     def lookup_prefix(self, prefix: str) -> np.ndarray:
         """Row ids containing any term with the given prefix."""
-        needle = normalize_term(prefix) if self._tokenize else prefix
-        start = bisect_left(self._terms, needle)
-        stop = start
-        while stop < len(self._terms) and self._terms[stop].startswith(needle):
+        needle = self._needle(prefix)
+        dictionary, term_at = self._dictionary, self._term_at
+        start = stop = self._bisect(needle)
+        # Terms sharing a prefix are adjacent, and so are their postings.
+        while stop < len(self._counts) and dictionary[
+            term_at[stop] : term_at[stop + 1]
+        ].startswith(needle):
             stop += 1
-        # Terms sharing a prefix are adjacent, and so are their rows.
-        return np.unique(self._rows[self._offsets[start] : self._offsets[stop]])
+        return np.unique(self._rows_of(start, stop))
 
     def match_all(self, terms: Iterable[str]) -> Bitset:
-        """Rows containing *all* the given terms (full-text AND match)."""
-        result: Bitset | None = None
+        """Rows containing *all* the given terms (full-text AND match).
+
+        Posting counts are known without decoding, so an absent term
+        answers before any list is decoded and the rest are intersected
+        shortest first.
+        """
+        found = []
         for term in terms:
-            bits = Bitset.from_indices(self._row_count, self.lookup(term))
-            result = bits if result is None else (result & bits)
+            idx = self._find(self._needle(term))
+            if idx < 0:
+                return Bitset(self._row_count)
+            found.append(idx)
+        if not found:
+            return Bitset.full(self._row_count)
+        found.sort(key=self._counts.__getitem__)
+        result = Bitset.from_indices(self._row_count, self._rows_of(found[0], found[0] + 1))
+        for idx in found[1:]:
             if not result.any():
                 break
-        if result is None:
-            return Bitset.full(self._row_count)
+            result = result & Bitset.from_indices(self._row_count, self._rows_of(idx, idx + 1))
         return result
 
     def match_any(self, terms: Iterable[str]) -> Bitset:
@@ -200,30 +363,80 @@ class InvertedIndex:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        rows, offsets = self._rows, self._offsets
-        counts = np.diff(offsets)
-        starts = offsets[:-1][counts > 0]
-        deltas = np.empty(len(rows), dtype=np.int64)
-        deltas[1:] = rows[1:] - rows[:-1]
-        deltas[starts] = rows[starts]  # every posting list restarts from row 0
-        if deltas.size and int(deltas.min()) < 0:
-            raise ValueError("posting row ids must ascend within a term")
-        encoded = encode_uvarint_array(deltas)
-        byte_at = np.zeros(len(rows) + 1, dtype=np.int64)  # where posting k starts
-        byte_at[1:] = uvarint_ends(encoded)
-        bounds = byte_at[offsets].tolist()
-        parts = [
-            b"\x01" if self._tokenize else b"\x00",
-            encode_uvarint(self._row_count),
-            encode_uvarint(len(self._terms)),
-        ]
-        for term, n_rows, lo, hi in zip(self._terms, counts.tolist(), bounds, bounds[1:]):
-            raw = term.encode("utf-8")
-            parts += (encode_uvarint(len(raw)), raw, encode_uvarint(n_rows), encoded[lo:hi])
-        return b"".join(parts)
+        if self._row_count >= 1 << 32:
+            raise SerializationError("inverted index row count exceeds the format's 32 bits")
+        body = b"".join(
+            (
+                _HEADER.pack(
+                    1 if self._tokenize else 0,
+                    self._row_count,
+                    len(self._counts),
+                    len(self._dictionary),
+                    len(self._postings),
+                ),
+                encode_uvarint_array(np.diff(self._term_at)),
+                encode_uvarint_array(self._counts),
+                self._dictionary,
+                self._postings,
+            )
+        )
+        return _CRC.pack(zlib.crc32(body)) + body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "InvertedIndex":
+        """Open a v4 index member: a fixed number of array kernels,
+        whatever the term count, and no posting list decoded."""
+        if len(data) < _CRC.size + _HEADER.size:
+            raise SerializationError("truncated inverted index")
+        if zlib.crc32(memoryview(data)[_CRC.size :]) != _CRC.unpack_from(data)[0]:
+            raise CorruptionError("inverted index checksum mismatch")
+        flags, row_count, term_count, dictionary_len, postings_len = _HEADER.unpack_from(
+            data, _CRC.size
+        )
+        if flags > 1:
+            raise SerializationError(f"unknown inverted index flags {flags:#x}")
+        # The two uvarint arrays fill what the header leaves between
+        # itself and the dictionary; decoding stops there.
+        arrays_end = len(data) - dictionary_len - postings_len
+        if arrays_end < _CRC.size + _HEADER.size:
+            raise SerializationError("inverted index sections disagree with its length")
+        both, pos = decode_uvarint_array(
+            memoryview(data)[:arrays_end], 2 * term_count, _CRC.size + _HEADER.size
+        )
+        if pos != arrays_end:
+            raise SerializationError("inverted index sections disagree with its length")
+        lengths, counts = both[:term_count], both[term_count:]
+        term_at = _offsets(lengths)
+        if int(term_at[-1]) != dictionary_len:
+            raise SerializationError("term lengths disagree with the dictionary section")
+        dictionary = bytes(data[pos : pos + dictionary_len])
+        postings = bytes(data[pos + dictionary_len :])
+        # Posting k ends at byte ends[k]; term i starts at posting
+        # first[i] = sum(counts[:i]).
+        first = _offsets(counts)
+        ends = uvarint_ends(postings)
+        if int(first[-1]) != len(ends) or (len(ends) and int(ends[-1]) != postings_len):
+            raise SerializationError("posting counts disagree with the postings section")
+        byte_at = np.zeros(len(ends) + 1, dtype=_uint_for(postings_len))
+        byte_at[1:] = ends
+        return cls(
+            dictionary,
+            term_at,
+            counts.astype(_uint_for(len(ends))),
+            postings,
+            byte_at[first],
+            row_count,
+            bool(flags),
+        )
+
+    @classmethod
+    def from_v3_bytes(cls, data: bytes) -> "InvertedIndex":
+        """Open an index member of a v2/v3 LogBlock.
+
+        That layout interleaves ``term (len-prefixed), count, postings``
+        per term, so every term header is walked once to regroup the
+        bytes into the sections; the postings stay encoded.
+        """
         reader = BinaryReader(data)
         tokenize = bool(reader.read_u8())
         row_count = reader.read_uvarint()
@@ -233,7 +446,7 @@ class InvertedIndex:
         # k in step with pos, so a run of n posting varints is skipped,
         # not read.
         ends = uvarint_ends(data).tolist()
-        terms: list[str] = []
+        terms: list[bytes] = []
         counts: list[int] = []
         runs: list[bytes] = []
         pos = reader.offset
@@ -247,7 +460,7 @@ class InvertedIndex:
                     length, pos = decode_uvarint(data, pos)
                 raw = data[pos : pos + length]
                 pos += length
-                terms.append(raw.decode("utf-8"))
+                terms.append(raw)
                 n_rows = data[pos]
                 if n_rows < 0x80:
                     pos += 1
@@ -256,21 +469,17 @@ class InvertedIndex:
                 counts.append(n_rows)
                 # An ASCII byte ends a (would-be) varint of its own.
                 k += 2 + n_rows + (length if raw.isascii() else sum(b < 0x80 for b in raw))
-                if n_rows:
-                    runs.append(data[pos : ends[k - 1]])
-                    pos = ends[k - 1]
+                run_end = ends[k - 1] if n_rows else pos
+                runs.append(data[pos:run_end])
+                pos = run_end
         except IndexError:
             raise SerializationError("truncated inverted index") from None
-        per_term = np.array(counts, dtype=np.int64)
-        offsets = np.zeros(term_count + 1, dtype=np.int64)
-        np.cumsum(per_term, out=offsets[1:])
-        deltas, _ = decode_uvarint_array(b"".join(runs), int(offsets[-1]))
-        rows = np.cumsum(deltas.astype(np.int64))
-        # Deltas restart at every term: take back what the running sum
-        # carried in from the terms before it.
-        starts = offsets[:-1][per_term > 0]
-        carried = np.where(starts > 0, rows[starts - 1], 0)
-        rows -= np.repeat(carried, per_term[per_term > 0])
-        if rows.size and not 0 <= int(rows.min()) <= int(rows.max()) < row_count:
-            raise SerializationError("posting row id outside the index")
-        return cls(terms, rows, offsets, row_count, tokenize)
+        return cls(
+            b"".join(terms),
+            _offsets(np.fromiter(map(len, terms), dtype=np.int64, count=term_count)),
+            np.array(counts, dtype=_uint_for(len(data))),  # each below len(ends)
+            b"".join(runs),
+            _offsets(np.fromiter(map(len, runs), dtype=np.int64, count=term_count)),
+            row_count,
+            tokenize,
+        )

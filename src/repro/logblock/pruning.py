@@ -466,7 +466,7 @@ def evaluate_predicates(
         if not result.any():
             break
         if use_skipping:
-            column_sma = reader.meta().column_sma(predicate.column)
+            column_sma = reader.column_sma(predicate.column)
             if not predicate.may_match_sma(column_sma):
                 # Figure 8 step 2: whole column disproved; no rows match.
                 stats.columns_pruned += 1
@@ -540,7 +540,7 @@ def _scan_blocks(
     full_mask = np.zeros(meta.row_count, dtype=bool)
     base = 0
     for block_idx, block_rows in enumerate(meta.block_row_counts):
-        header = meta.block_headers[col_idx][block_idx]
+        header = meta.block_header(predicate.column, block_idx)
         if prune_blocks and not predicate.may_match_sma(header.sma):
             stats.blocks_pruned += 1
             base += block_rows

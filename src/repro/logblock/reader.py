@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.codec import get_codec
-from repro.common.errors import QueryError
+from repro.common.errors import CorruptionError, QueryError
 from repro.logblock.bkd import BkdIndex
 from repro.logblock.column import (
     PlainStrings,
@@ -25,6 +25,7 @@ from repro.logblock.column import (
 )
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.schema import ColumnSpec, IndexType
+from repro.logblock.sma import Sma
 from repro.logblock.bloom import BloomFilter
 from repro.logblock.writer import (
     META_MEMBER,
@@ -68,6 +69,7 @@ class LogBlockReader:
         self._decode_charge = decode_charge
         self._index_cache: dict[str, InvertedIndex | BkdIndex] = {}
         self._block_cache: dict[tuple[int, int], list] = {}
+        self._column_smas: dict[str, Sma] = {}
         self._objects = None  # shared decoded-object cache (ObjectCache)
         self._objects_bucket = ""
 
@@ -105,6 +107,15 @@ class LogBlockReader:
     def column(self, name: str) -> ColumnSpec:
         return self.meta().schema.column(name)
 
+    def column_sma(self, name: str) -> Sma:
+        """A column's SMA, materialised from the meta once per reader:
+        planning, every leaf on the column and the aggregate fold all
+        ask for the same one."""
+        sma = self._column_smas.get(name)
+        if sma is None:
+            sma = self._column_smas[name] = self.meta().column_sma(name)
+        return sma
+
     # -- indexes ---------------------------------------------------------
 
     def has_index(self, column: str) -> bool:
@@ -135,13 +146,19 @@ class LogBlockReader:
             self._decode_charge(len(raw))
         payload = codec.decompress(raw)
         index: InvertedIndex | BkdIndex
-        if spec.index is IndexType.INVERTED:
+        if spec.index is not IndexType.INVERTED:
+            index = BkdIndex.from_bytes(payload)  # one layout in every version
+        elif meta.version >= 4:
             index = InvertedIndex.from_bytes(payload)
         else:
-            index = BkdIndex.from_bytes(payload)
+            index = InvertedIndex.from_v3_bytes(payload)
+        if index.row_count != meta.row_count:
+            raise CorruptionError(
+                f"index of {column!r} covers {index.row_count} rows, the LogBlock {meta.row_count}"
+            )
         self._index_cache[column] = index
         if self._objects is not None:
-            self._objects.put(self._shared_key(member), index, approx_bytes=len(payload))
+            self._objects.put(self._shared_key(member), index, approx_bytes=index.nbytes)
         return index
 
     def has_bloom(self, column: str) -> bool:

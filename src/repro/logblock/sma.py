@@ -8,24 +8,30 @@ and — since meta format v3 — the sum of numeric columns, which lets the
 aggregate pushdown answer SUM/AVG for a fully matched block without
 touching its column blocks.  ``sum_value`` is ``None`` for non-numeric
 columns and for SMAs deserialized from legacy (v2) LogBlocks.
+
+:class:`Sma` is the value the pruning code reasons about; a LogBlock's
+meta holds its SMAs column-wise in one :class:`SmaTable` and builds an
+``Sma`` only for the slot a caller asks about.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from repro.common.bytesio import BinaryReader, BinaryWriter
+from repro.common.bytesio import BinaryReader
+from repro.common.errors import SerializationError
 from repro.logblock.schema import ColumnType
 
-# Value kinds stored in the serialized SMA
-_KIND_NONE = 0
-_KIND_INT = 1
-_KIND_FLOAT = 2
-_KIND_STR = 3
-_KIND_BOOL = 4
+# Value kinds stored beside every serialized SMA value
+KIND_NONE = 0
+KIND_INT = 1
+KIND_FLOAT = 2
+KIND_STR = 3
+KIND_BOOL = 4
 
 
 @dataclass(frozen=True)
@@ -119,15 +125,7 @@ class Sma:
             return False
         return True
 
-    # -- serialization -------------------------------------------------------
-
-    def write_to(self, writer: BinaryWriter, include_sum: bool = True) -> None:
-        writer.write_uvarint(self.row_count)
-        writer.write_uvarint(self.null_count)
-        _write_value(writer, self.min_value)
-        _write_value(writer, self.max_value)
-        if include_sum:
-            _write_value(writer, self.sum_value)
+    # -- the v2/v3 meta layout (decode only; tests hold the encoder) ------------
 
     @classmethod
     def read_from(cls, reader: BinaryReader, include_sum: bool = True) -> "Sma":
@@ -136,50 +134,26 @@ class Sma:
         min_value = _read_value(reader)
         max_value = _read_value(reader)
         sum_value = _read_value(reader) if include_sum else None
+        if min_value != min_value or max_value != max_value:
+            # Written before compute_sma skipped NaNs: the true bounds
+            # are unknown, so nothing may be pruned by them.
+            min_value, max_value = -math.inf, math.inf
         return cls(min_value, max_value, row_count, null_count, sum_value)
-
-    def to_bytes(self) -> bytes:
-        writer = BinaryWriter()
-        self.write_to(writer)
-        return writer.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Sma":
-        return cls.read_from(BinaryReader(data))
-
-
-def _write_value(writer: BinaryWriter, value) -> None:
-    if value is None:
-        writer.write_u8(_KIND_NONE)
-    elif isinstance(value, bool):
-        writer.write_u8(_KIND_BOOL)
-        writer.write_u8(1 if value else 0)
-    elif isinstance(value, int):
-        writer.write_u8(_KIND_INT)
-        writer.write_i64(value)
-    elif isinstance(value, float):
-        writer.write_u8(_KIND_FLOAT)
-        writer.write_f64(value)
-    elif isinstance(value, str):
-        writer.write_u8(_KIND_STR)
-        writer.write_str(value)
-    else:
-        raise TypeError(f"unsupported SMA value type: {type(value)}")
 
 
 def _read_value(reader: BinaryReader):
     kind = reader.read_u8()
-    if kind == _KIND_NONE:
+    if kind == KIND_NONE:
         return None
-    if kind == _KIND_BOOL:
+    if kind == KIND_BOOL:
         return bool(reader.read_u8())
-    if kind == _KIND_INT:
+    if kind == KIND_INT:
         return reader.read_i64()
-    if kind == _KIND_FLOAT:
+    if kind == KIND_FLOAT:
         return reader.read_f64()
-    if kind == _KIND_STR:
+    if kind == KIND_STR:
         return reader.read_str()
-    raise ValueError(f"unknown SMA value kind {kind}")
+    raise SerializationError(f"unknown SMA value kind {kind}")
 
 
 def _storable_sum(total: int | float | None) -> int | float | None:
@@ -198,8 +172,11 @@ def compute_sma(values: Iterable, ctype: ColumnType) -> Sma:
     """Compute the SMA of a column (or block) of python values.
 
     ``None`` entries are nulls and excluded from min/max (and the sum).
-    Bools compare as ints, matching the storage encoding.  The sum is
-    only maintained for numeric columns (INT64/FLOAT64/TIMESTAMP).
+    A NaN is a value — it counts as non-null and poisons the sum — but
+    no bound: no comparison matches it, so min/max skip it (bounds that
+    were NaN would prune blocks that hold matches).  Bools compare as
+    ints, matching the storage encoding.  The sum is only maintained
+    for numeric columns (INT64/FLOAT64/TIMESTAMP).
     """
     numeric = ctype in (ColumnType.INT64, ColumnType.FLOAT64, ColumnType.TIMESTAMP)
     min_value = None
@@ -212,10 +189,11 @@ def compute_sma(values: Iterable, ctype: ColumnType) -> Sma:
         if value is None:
             null_count += 1
             continue
-        if min_value is None or value < min_value:
-            min_value = value
-        if max_value is None or value > max_value:
-            max_value = value
+        if value == value:  # not NaN
+            if min_value is None or value < min_value:
+                min_value = value
+            if max_value is None or value > max_value:
+                max_value = value
         if numeric:
             total += value
     return Sma(
@@ -233,8 +211,8 @@ def compute_sma_arrays(
     the vectorized result could differ bitwise from the sequential
     oracle, so callers must fall back to :func:`compute_sma`:
 
-    * float blocks containing NaN (the oracle's ``<`` comparisons skip
-      NaNs after the first non-null; numpy reductions propagate them);
+    * float blocks containing NaN (the oracle's min/max skip them; numpy
+      reductions propagate them);
     * float blocks containing -0.0 (the oracle keeps the *first* of two
       equal values, numpy reductions do not promise which zero wins).
 
@@ -302,3 +280,132 @@ def merge_smas(smas: Iterable[Sma]) -> Sma:
     if not any_child:
         total = None
     return Sma(min_value, max_value, row_count, null_count, _storable_sum(total))
+
+
+# Meta format v4 folds a bool bound into its kind byte, so bools carry
+# no payload.
+_KIND_FALSE = KIND_BOOL
+_KIND_TRUE = 5
+
+
+class SmaTable:
+    """The SMAs of one LogBlock, held column-wise (meta format v4).
+
+    Slot ``i`` has a null count and three values — min, max, sum — each
+    tagged by ``kinds[3 * i + j]``.  The values sit in one array per
+    kind (``ints``, ``floats``, the UTF-8 ``strings`` blob cut at
+    ``string_ends``) in slot order, so value ``k`` is entry
+    ``kinds.count(kind, 0, k)`` of its kind's array.  Every field is
+    addressable where it lies: opening a meta wraps the sections and
+    decodes nothing, and an :class:`Sma` object exists only once
+    :meth:`sma` is asked for one.
+    """
+
+    def __init__(
+        self,
+        null_counts: np.ndarray,
+        kinds: bytes,
+        ints: np.ndarray,
+        floats: np.ndarray,
+        strings: bytes,
+        string_ends: np.ndarray,
+    ) -> None:
+        if len(kinds) != 3 * len(null_counts):
+            raise SerializationError("SMA kinds disagree with the slot count")
+        if (len(ints), len(floats), len(string_ends)) != self.value_counts(kinds):
+            raise SerializationError("SMA kinds disagree with the value sections")
+        if (int(string_ends[-1]) if len(string_ends) else 0) != len(strings):
+            raise SerializationError("SMA string ends disagree with the string section")
+        self.null_counts = null_counts
+        self.kinds = kinds
+        self.ints = ints
+        self.floats = floats
+        self.strings = strings
+        self.string_ends = string_ends
+
+    @staticmethod
+    def value_counts(kinds: bytes) -> tuple[int, int, int]:
+        """How many int, float and string values ``kinds`` announces."""
+        return kinds.count(KIND_INT), kinds.count(KIND_FLOAT), kinds.count(KIND_STR)
+
+    @classmethod
+    def from_smas(cls, smas: list[Sma]) -> "SmaTable":
+        kinds = bytearray()
+        ints: list[int] = []
+        floats: list[float] = []
+        strings: list[bytes] = []
+        for sma in smas:
+            for value in (sma.min_value, sma.max_value, sma.sum_value):
+                if value is None:
+                    kinds.append(KIND_NONE)
+                elif isinstance(value, bool):
+                    kinds.append(_KIND_TRUE if value else _KIND_FALSE)
+                elif isinstance(value, int):
+                    kinds.append(KIND_INT)
+                    ints.append(value)
+                elif isinstance(value, float):
+                    kinds.append(KIND_FLOAT)
+                    floats.append(value)
+                elif isinstance(value, str):
+                    kinds.append(KIND_STR)
+                    strings.append(value.encode("utf-8"))
+                else:
+                    raise TypeError(f"unsupported SMA value type: {type(value)}")
+        try:
+            int_values = np.array(ints, dtype=np.int64)
+        except OverflowError:
+            raise SerializationError("SMA int value outside the stored int64") from None
+        return cls(
+            np.array([sma.null_count for sma in smas], dtype=np.uint64),
+            bytes(kinds),
+            int_values,
+            np.array(floats, dtype=np.float64),
+            b"".join(strings),
+            np.cumsum(np.fromiter(map(len, strings), dtype=np.uint64, count=len(strings))),
+        )
+
+    def __len__(self) -> int:
+        return len(self.null_counts)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the buffers this table keeps alive."""
+        return (
+            self.null_counts.nbytes
+            + len(self.kinds)
+            + self.ints.nbytes
+            + self.floats.nbytes
+            + len(self.strings)
+            + self.string_ends.nbytes
+        )
+
+    def _value(self, k: int):
+        kinds = self.kinds
+        kind = kinds[k]
+        if kind == KIND_NONE:
+            return None
+        if kind == KIND_INT:
+            return int(self.ints[kinds.count(KIND_INT, 0, k)])
+        if kind == KIND_FLOAT:
+            return float(self.floats[kinds.count(KIND_FLOAT, 0, k)])
+        if kind == KIND_STR:
+            at = kinds.count(KIND_STR, 0, k)
+            start = int(self.string_ends[at - 1]) if at else 0
+            try:
+                return self.strings[start : int(self.string_ends[at])].decode("utf-8")
+            except UnicodeDecodeError:
+                raise SerializationError("SMA string bound is not UTF-8") from None
+        if kind == _KIND_FALSE or kind == _KIND_TRUE:
+            return kind == _KIND_TRUE
+        raise SerializationError(f"unknown SMA value kind {kind}")
+
+    def sma(self, slot: int, row_count: int) -> Sma:
+        """Materialise the SMA of ``slot`` (a region of ``row_count`` rows)."""
+        k = 3 * slot
+        return Sma(
+            self._value(k),
+            self._value(k + 1),
+            row_count,
+            int(self.null_counts[slot]),
+            self._value(k + 2),
+        )

@@ -3,9 +3,10 @@
 Maps the five logical parts of Figure 4 onto pack members so that each
 part can be fetched independently with ranged GETs:
 
-* ``meta``            — part 1 (header: schema, row count, codec) plus
-  part 2 (column meta: per-column SMA, index type) plus part 4 (column
-  block headers: per-block row counts, SMAs, compressed sizes).
+* ``meta``            — part 1 (header: format version, schema, row
+  count, codec) plus part 2 (column meta: per-column SMA, index and
+  Bloom sizes) plus part 4 (column block headers: per-block row counts,
+  SMAs, compressed sizes).
 * ``idx/<column>``    — part 3, one member per indexed column.
 * ``col/<c>/<b>``     — part 5, one member per (column, block), holding
   the null bitset and compressed data for that column block.
@@ -13,11 +14,30 @@ part can be fetched independently with ranged GETs:
 The writer is append-only; :meth:`finish` freezes the block.  LogBlocks
 are immutable after packing (§3: "Each LogBlock is an immutable file and
 will no longer be modified").
+
+The writer emits LogBlock **format v4** only.  Its ``meta`` member is
+column-wise — after the scalars, one array per field over every
+(column, region) slot: value kinds, block row counts, stored sizes,
+index/Bloom sizes, null counts, string ends, int values, float values,
+one string blob — stored raw and crc-checked, so that opening it wraps
+the sections and decodes nothing (:class:`LogBlockMeta`, DESIGN.md §3
+has the byte layout).  Its inverted indexes are sectioned the same way
+(:mod:`repro.logblock.inverted`).  Blocks of format v2/v3 are still
+read — :meth:`LogBlockMeta.from_bytes` switches on the version byte and
+regroups them into the same in-memory form — and move forward when
+compaction or the cold compactor rewrites them through this writer;
+the v2/v3 encoders live with the tests that need old blocks
+(``tests/logblock/legacy_format.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
+import zlib
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from repro.codec import get_codec
 from repro.codec.registry import DEFAULT_CODEC
@@ -35,15 +55,21 @@ from repro.logblock.encode_kernels import (
     prepare_column,
 )
 from repro.logblock.schema import ColumnType, IndexType, TableSchema
-from repro.logblock.sma import Sma, compute_sma, merge_smas
+from repro.logblock.sma import Sma, SmaTable, compute_sma, merge_smas
 from repro.tarpack.packer import PackBuilder
 
 META_MEMBER = "meta"
 META_MAGIC = b"LGBK"
-# v2: schema + SMAs (min/max/counts); v3 adds a per-column and per-block
-# sum to every SMA (aggregate pushdown tier 2).  Readers accept both.
-META_VERSION = 3
-_LEGACY_META_VERSION = 2
+# The LogBlock format version, carried by the meta member.  v4 (written)
+# lays the meta out column-wise and the inverted indexes as sections,
+# both checksummed.  v2 (schema + SMAs with min/max/counts) and v3 (adds
+# a sum to every SMA, aggregate pushdown tier 2) are decoded only.
+META_VERSION = 4
+_LEGACY_META_VERSIONS = (2, 3)
+_VERSION_CRC = struct.Struct("<BI")
+# What a meta holds besides its arrays: the object, its dicts and list,
+# the SmaTable and the headers of its seven buffers.
+_META_FIXED_OVERHEAD = 1536
 
 DEFAULT_BLOCK_ROWS = 4096
 
@@ -72,66 +98,177 @@ class BlockHeader:
     stored_size: int
 
 
-@dataclass
-class LogBlockMeta:
-    """Parsed ``meta`` member: everything needed to plan reads."""
+_UINT_TYPES = {width: np.dtype(f"<u{width}") for width in (1, 2, 4, 8)}
 
-    schema: TableSchema
-    row_count: int
-    codec_id: int
-    block_rows: int
-    block_row_counts: list[int]
-    column_smas: list[Sma]
-    # block_headers[column_index][block_index]
-    block_headers: list[list[BlockHeader]] = field(default_factory=list)
-    index_sizes: dict[str, int] = field(default_factory=dict)
-    bloom_sizes: dict[str, int] = field(default_factory=dict)
+
+def _pack_uints(values) -> bytes:
+    """A width byte, then ``values`` at the narrowest of 1/2/4/8 bytes
+    that holds the largest: addressable in place, and near a varint's
+    size for the small counts a meta is made of."""
+    array = np.asarray(values, dtype=np.uint64)
+    top = int(array.max()) if array.size else 0
+    width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4 if top < 1 << 32 else 8
+    return bytes((width,)) + array.astype(_UINT_TYPES[width]).tobytes()
+
+
+def _read_uints(reader: BinaryReader, count: int) -> np.ndarray:
+    dtype = _UINT_TYPES.get(reader.read_u8())
+    if dtype is None:
+        raise SerializationError("unknown array width in LogBlock meta")
+    return np.frombuffer(reader.read_bytes(count * dtype.itemsize), dtype=dtype)
+
+
+@lru_cache(maxsize=64)
+def _interned_schema(data: bytes) -> TableSchema:
+    """One parsed (immutable) schema per distinct serialized schema: the
+    LogBlocks of a table all embed the same bytes."""
+    return TableSchema.from_bytes(data)
+
+
+class LogBlockMeta:
+    """Parsed ``meta`` member: everything needed to plan reads.
+
+    The SMAs and block headers are held column-wise — one
+    :class:`SmaTable` over every (column, region) slot and one array of
+    stored sizes — exactly as format v4 lays them out, so opening a
+    meta builds no per-SMA objects; :meth:`column_sma` and
+    :meth:`block_header` materialise the one that is asked for.  Slot
+    ``column_index * (n_blocks + 1)`` is a column's own SMA and the
+    ``n_blocks`` slots after it are its blocks'.  Metas decoded from
+    v2/v3 bytes are regrouped into the same form.
+    """
+
+    def __init__(
+        self,
+        schema: TableSchema,
+        row_count: int,
+        codec_id: int,
+        block_rows: int,
+        block_row_counts: list[int],
+        smas: SmaTable,
+        stored_sizes: np.ndarray,
+        index_sizes: dict[str, int],
+        bloom_sizes: dict[str, int],
+        version: int = META_VERSION,
+    ) -> None:
+        n_blocks = len(block_row_counts)
+        if len(smas) != len(schema) * (n_blocks + 1) or len(stored_sizes) != len(schema) * n_blocks:
+            raise SerializationError("block header count mismatch")
+        self.schema = schema
+        self.row_count = row_count
+        self.codec_id = codec_id
+        self.block_rows = block_rows
+        self.block_row_counts = block_row_counts
+        self.index_sizes = index_sizes
+        self.bloom_sizes = bloom_sizes
+        self.version = version  # the format the LogBlock's members are written in
+        self._smas = smas
+        self._stored_sizes = stored_sizes
+
+    @classmethod
+    def from_smas(
+        cls,
+        schema: TableSchema,
+        row_count: int,
+        codec_id: int,
+        block_rows: int,
+        block_row_counts: list[int],
+        column_smas: list[Sma],
+        block_headers: list[list[BlockHeader]],
+        index_sizes: dict[str, int],
+        bloom_sizes: dict[str, int],
+        version: int = META_VERSION,
+    ) -> "LogBlockMeta":
+        """Regroup per-column SMAs and ``block_headers[column][block]``."""
+        if any(len(headers) != len(block_row_counts) for headers in block_headers):
+            raise SerializationError("block header count mismatch")
+        slots = [
+            sma
+            for column_sma, headers in zip(column_smas, block_headers)
+            for sma in (column_sma, *(header.sma for header in headers))
+        ]
+        stored = [header.stored_size for headers in block_headers for header in headers]
+        return cls(
+            schema,
+            row_count,
+            codec_id,
+            block_rows,
+            block_row_counts,
+            SmaTable.from_smas(slots),
+            np.array(stored, dtype=np.uint64),
+            index_sizes,
+            bloom_sizes,
+            version,
+        )
 
     @property
     def n_blocks(self) -> int:
         return len(self.block_row_counts)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes this meta keeps alive (what a cache is charged); the
+        schema is shared by every meta of its table."""
+        return (
+            _META_FIXED_OVERHEAD
+            + self._smas.nbytes
+            + self._stored_sizes.nbytes
+            + 8 * len(self.block_row_counts)
+            + 64 * (len(self.index_sizes) + len(self.bloom_sizes))
+        )
+
     def column_sma(self, column: str) -> Sma:
-        return self.column_smas[self.schema.column_index(column)]
+        slot = self.schema.column_index(column) * (self.n_blocks + 1)
+        return self._smas.sma(slot, self.row_count)
 
     def block_header(self, column: str, block_idx: int) -> BlockHeader:
-        return self.block_headers[self.schema.column_index(column)][block_idx]
+        if not 0 <= block_idx < self.n_blocks:
+            raise IndexError(f"block index {block_idx} out of range [0, {self.n_blocks})")
+        col_idx = self.schema.column_index(column)
+        rows = self.block_row_counts[block_idx]
+        return BlockHeader(
+            rows,
+            self._smas.sma(col_idx * (self.n_blocks + 1) + 1 + block_idx, rows),
+            int(self._stored_sizes[col_idx * self.n_blocks + block_idx]),
+        )
 
     # -- serialization -------------------------------------------------------
 
-    def to_bytes(self, version: int = META_VERSION) -> bytes:
-        if version not in (META_VERSION, _LEGACY_META_VERSION):
-            raise SerializationError(f"cannot write LogBlock meta version {version}")
-        include_sum = version >= META_VERSION
-        writer = BinaryWriter()
-        writer.write_bytes(META_MAGIC)
-        writer.write_u8(version)
-        schema_bytes = self.schema.to_bytes()
-        writer.write_len_prefixed(schema_bytes)
-        writer.write_uvarint(self.row_count)
-        writer.write_u8(self.codec_id)
-        writer.write_uvarint(self.block_rows)
-        writer.write_uvarint(len(self.block_row_counts))
-        for count in self.block_row_counts:
-            writer.write_uvarint(count)
-        for col_idx in range(len(self.schema)):
-            self.column_smas[col_idx].write_to(writer, include_sum=include_sum)
-            headers = self.block_headers[col_idx]
-            if len(headers) != len(self.block_row_counts):
-                raise SerializationError("block header count mismatch")
-            for header in headers:
-                writer.write_uvarint(header.row_count)
-                header.sma.write_to(writer, include_sum=include_sum)
-                writer.write_uvarint(header.stored_size)
-        writer.write_uvarint(len(self.index_sizes))
-        for name in sorted(self.index_sizes):
-            writer.write_str(name)
-            writer.write_uvarint(self.index_sizes[name])
-        writer.write_uvarint(len(self.bloom_sizes))
-        for name in sorted(self.bloom_sizes):
-            writer.write_str(name)
-            writer.write_uvarint(self.bloom_sizes[name])
-        return writer.getvalue()
+    def to_bytes(self) -> bytes:
+        """Format v4: every field of every slot as one fixed-width array.
+
+        After the scalars come the kind bytes, then the unsigned arrays
+        (block row counts, stored sizes, index and Bloom sizes by column
+        as ``size + 1`` with 0 for none, null counts, string ends), each
+        at the narrowest width that holds it, then the int and float
+        values and the string blob.
+        """
+        smas = self._smas
+        columns = self.schema.column_names()
+        if not set(self.index_sizes) | set(self.bloom_sizes) <= set(columns):
+            raise SerializationError("index or Bloom size of a column the schema lacks")
+        head = BinaryWriter()
+        head.write_len_prefixed(self.schema.to_bytes())
+        head.write_uvarint(self.row_count)
+        head.write_u8(self.codec_id)
+        head.write_uvarint(self.block_rows)
+        head.write_uvarint(len(self.block_row_counts))
+        body = b"".join(
+            (
+                head.getvalue(),
+                smas.kinds,
+                _pack_uints(self.block_row_counts),
+                _pack_uints(self._stored_sizes),
+                _pack_uints([self.index_sizes.get(name, -1) + 1 for name in columns]),
+                _pack_uints([self.bloom_sizes.get(name, -1) + 1 for name in columns]),
+                _pack_uints(smas.null_counts),
+                _pack_uints(smas.string_ends),
+                smas.ints.astype("<i8").tobytes(),
+                smas.floats.astype("<f8").tobytes(),
+                smas.strings,
+            )
+        )
+        return META_MAGIC + _VERSION_CRC.pack(META_VERSION, zlib.crc32(body)) + body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LogBlockMeta":
@@ -139,10 +276,51 @@ class LogBlockMeta:
         if reader.read_bytes(4) != META_MAGIC:
             raise CorruptionError("bad LogBlock meta magic")
         version = reader.read_u8()
-        if version not in (META_VERSION, _LEGACY_META_VERSION):
+        if version in _LEGACY_META_VERSIONS:
+            return cls._from_legacy_bytes(reader, version)
+        if version != META_VERSION:
             raise SerializationError(f"unsupported LogBlock meta version {version}")
-        include_sum = version >= META_VERSION
-        schema = TableSchema.from_bytes(reader.read_len_prefixed())
+        crc = reader.read_u32()
+        if zlib.crc32(memoryview(data)[reader.offset :]) != crc:
+            raise CorruptionError("LogBlock meta checksum mismatch")
+        schema = _interned_schema(reader.read_len_prefixed())
+        row_count = reader.read_uvarint()
+        codec_id = reader.read_u8()
+        block_rows = reader.read_uvarint()
+        n_blocks = reader.read_uvarint()
+        n_columns = len(schema)
+        n_slots = n_columns * (n_blocks + 1)
+        kinds = reader.read_bytes(3 * n_slots)
+        n_ints, n_floats, n_strings = SmaTable.value_counts(kinds)
+        block_row_counts = _read_uints(reader, n_blocks).tolist()
+        stored_sizes = _read_uints(reader, n_columns * n_blocks)
+        index_sizes = _read_uints(reader, n_columns).tolist()
+        bloom_sizes = _read_uints(reader, n_columns).tolist()
+        null_counts = _read_uints(reader, n_slots)
+        string_ends = _read_uints(reader, n_strings)
+        ints = np.frombuffer(reader.read_bytes(8 * n_ints), dtype="<i8")
+        floats = np.frombuffer(reader.read_bytes(8 * n_floats), dtype="<f8")
+        strings = reader.read_bytes(reader.remaining())
+        smas = SmaTable(null_counts, kinds, ints, floats, strings, string_ends)
+        columns = schema.column_names()
+        return cls(
+            schema,
+            row_count,
+            codec_id,
+            block_rows,
+            block_row_counts,
+            smas,
+            stored_sizes,
+            {name: size - 1 for name, size in zip(columns, index_sizes) if size},
+            {name: size - 1 for name, size in zip(columns, bloom_sizes) if size},
+        )
+
+    @classmethod
+    def _from_legacy_bytes(cls, reader: BinaryReader, version: int) -> "LogBlockMeta":
+        """The v2/v3 layout: one SMA after another, value by value (v2
+        without sums); regrouped into the columnar form."""
+        include_sum = version >= 3
+        schema = _interned_schema(reader.read_len_prefixed())
         row_count = reader.read_uvarint()
         codec_id = reader.read_u8()
         block_rows = reader.read_uvarint()
@@ -167,16 +345,17 @@ class LogBlockMeta:
         for _ in range(reader.read_uvarint()):
             name = reader.read_str()
             bloom_sizes[name] = reader.read_uvarint()
-        return cls(
-            schema=schema,
-            row_count=row_count,
-            codec_id=codec_id,
-            block_rows=block_rows,
-            block_row_counts=block_row_counts,
-            column_smas=column_smas,
-            block_headers=block_headers,
-            index_sizes=index_sizes,
-            bloom_sizes=bloom_sizes,
+        return cls.from_smas(
+            schema,
+            row_count,
+            codec_id,
+            block_rows,
+            block_row_counts,
+            column_smas,
+            block_headers,
+            index_sizes,
+            bloom_sizes,
+            version,
         )
 
 
@@ -199,12 +378,10 @@ class LogBlockWriter:
         validate_rows: bool = True,
         build_indexes: bool = True,
         build_blooms: bool = True,
-        meta_version: int = META_VERSION,
         vectorized: bool = True,
     ) -> None:
         if block_rows <= 0:
             raise ValueError(f"block_rows must be positive, got {block_rows}")
-        self._meta_version = meta_version
         self._schema = schema
         self._codec = get_codec(codec)
         self._block_rows = block_rows
@@ -400,7 +577,7 @@ class LogBlockWriter:
                 bloom_sizes[col.name] = len(payload)
                 bloom_payloads.append((bloom_member(col.name), payload))
 
-        meta = LogBlockMeta(
+        meta = LogBlockMeta.from_smas(
             schema=self._schema,
             row_count=self._row_count,
             codec_id=self._codec.codec_id,
@@ -412,7 +589,7 @@ class LogBlockWriter:
             bloom_sizes=bloom_sizes,
         )
 
-        pack.add(META_MEMBER, meta.to_bytes(version=self._meta_version))
+        pack.add(META_MEMBER, meta.to_bytes())
         for name, payload in bloom_payloads:
             pack.add(name, payload)
         for name, payload in index_payloads:

@@ -223,7 +223,7 @@ class BlockExecutor:
         meta = self.cache.objects.get(meta_key)
         if meta is None:
             meta = LogBlockMeta.from_bytes(pack.read_member(META_MEMBER))
-            self.cache.objects.put(meta_key, meta, approx_bytes=4096 + 64 * meta.n_blocks)
+            self.cache.objects.put(meta_key, meta, approx_bytes=meta.nbytes)
         reader.attach_meta(meta)
         # Bloom filters and index members decoded by any reader of this
         # blob are shared the same way (keys: (bucket, key, member)).
@@ -235,8 +235,8 @@ class BlockExecutor:
 
         The preamble + manifest of a packed LogBlock are immutable once
         written, so re-fetching and re-parsing them for every query of
-        the same blob is pure waste; the decoded manifest (plus the
-        retained head chunk that serves early members request-free) is
+        the same blob is pure waste; the decoded manifest (plus the part
+        of the head chunk that serves early members request-free) is
         cached alongside the decoded meta/bloom objects.
 
         A cold-tier entry's bytes live inside a tar-packed segment
@@ -266,7 +266,7 @@ class BlockExecutor:
             self.cache.objects.put(
                 header_key,
                 (manifest, pack.data_start, head),
-                approx_bytes=len(head) + 64 * len(manifest.names()),
+                approx_bytes=len(head) + manifest.nbytes,
             )
         return pack
 
@@ -336,7 +336,7 @@ class BlockExecutor:
                 continue  # decoded index already shared; skip the bytes
             if self.options.use_skipping and _decided_by_sma(
                 _all_leaves_for_column(expr, column),
-                reader.meta().column_sma(column),
+                reader.column_sma(column),
                 reader.column(column).ctype,
             ):
                 continue  # evaluation will never open this index
@@ -522,7 +522,7 @@ class BlockExecutor:
     def _sma_foldable(self, plan: QueryPlan, reader: LogBlockReader) -> bool:
         """Whether every aggregate folds from this block's meta alone.
 
-        SUM/AVG require the per-column sum recorded by meta format v3;
+        SUM/AVG require the per-column sum recorded since meta format v3;
         legacy (v2) blocks report ``sum_value=None`` for columns that
         actually hold values, which sends the block down to tier 3.
         """
@@ -532,7 +532,7 @@ class BlockExecutor:
             if item.column is None or item.column not in block_columns:
                 continue  # COUNT(*) / DDL-added column (reads as null)
             if item.aggregate in ("sum", "avg"):
-                sma = meta.column_smas[meta.schema.column_index(item.column)]
+                sma = reader.column_sma(item.column)
                 if sma.sum_value is None and sma.row_count > sma.null_count:
                     return False
         return True
@@ -565,7 +565,7 @@ class BlockExecutor:
         ):
             block_columns = set(meta.schema.column_names())
             smas = {
-                column: meta.column_smas[meta.schema.column_index(column)]
+                column: reader.column_sma(column)
                 for column in pushdown.input_columns
                 if column in block_columns
             }

@@ -20,11 +20,17 @@ from repro.common.errors import CorruptionError, SerializationError
 
 MAGIC = b"LSTP"  # LogStore Tar Pack
 VERSION = 1
+# What a parsed manifest holds per member: the entry with its name and
+# extent, a list slot and a dict slot (for a cache's accounting).
+_ENTRY_BYTES = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemberEntry:
-    """One file inside a pack: name and its byte extent in the blob."""
+    """One file inside a pack: name and its byte extent in the blob.
+
+    Slotted: a cached pack header holds one of these per member.
+    """
 
     name: str
     offset: int
@@ -63,6 +69,11 @@ class Manifest:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this manifest keeps alive (what a cache is charged)."""
+        return _ENTRY_BYTES * len(self._entries)
 
     def names(self) -> list[str]:
         return [entry.name for entry in self._entries]

@@ -193,8 +193,16 @@ class PackReader:
 
     @property
     def head_bytes(self) -> bytes:
-        """The retained head chunk (for external header caches)."""
-        return self._head
+        """The part of the retained head chunk that can serve a read, for
+        external header caches: it ends with the last member that lies
+        wholly inside the chunk (members are packed in manifest order)."""
+        end = 0
+        if self._manifest is not None:
+            for entry in self._manifest.entries():
+                if self._data_start + entry.end > len(self._head):
+                    break
+                end = self._data_start + entry.end
+        return self._head[:end]
 
     @property
     def data_start(self) -> int:

@@ -7,9 +7,11 @@ builder and stored on OSS / a LocalFsObjectStore directory):
     python -m repro.tools.inspect --members path/to/block.lgb
     python -m repro.tools.inspect --column ip --limit 5 path/to/block.lgb
 
-Because LogBlocks are self-contained (§3.2), everything — schema, row
-counts, per-column SMAs, index sizes — is recoverable from the file
-alone, with no catalog access.
+Because LogBlocks are self-contained (§3.2), everything — format
+version, schema, row counts, per-column SMAs, index sizes — is
+recoverable from the file alone, with no catalog access.  ``--members``
+also breaks every inverted index down into its sections (dictionary /
+counts / postings), so a layout regression shows without a debugger.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ def _print_summary(reader: LogBlockReader, out) -> None:
     meta = reader.meta()
     schema = meta.schema
     codec = get_codec(meta.codec_id)
+    print(f"format:       v{meta.version}", file=out)
     print(f"table:        {schema.name}", file=out)
     print(f"rows:         {meta.row_count}", file=out)
     print(f"column blocks: {meta.n_blocks} x <= {meta.block_rows} rows", file=out)
@@ -79,10 +82,28 @@ def _print_summary(reader: LogBlockReader, out) -> None:
 
 
 def _print_members(reader: LogBlockReader, out) -> None:
+    meta = reader.meta()
     manifest = reader.pack.manifest()
+    print(f"format: v{meta.version}", file=out)
     print(f"{'member':<20} {'offset':>10} {'size':>12}", file=out)
     for entry in manifest.entries():
         print(f"{entry.name:<20} {entry.offset:>10} {human_bytes(entry.length):>12}", file=out)
+    print(file=out)
+    print(
+        f"{'inverted index':<20} {'terms':>8} {'dictionary':>12} {'counts':>10} {'postings':>12}"
+        "  (decoded bytes)",
+        file=out,
+    )
+    for column in meta.schema.columns:
+        if column.index is not IndexType.INVERTED or column.name not in meta.index_sizes:
+            continue
+        index = reader.read_index(column.name)
+        sizes = index.section_sizes()
+        print(
+            f"{'idx/' + column.name:<20} {index.term_count:>8} {sizes['dictionary']:>12} "
+            f"{sizes['counts']:>10} {sizes['postings']:>12}",
+            file=out,
+        )
 
 
 def _print_column(reader: LogBlockReader, column: str, limit: int, out) -> None:

@@ -58,6 +58,8 @@ class TestQueries:
         index = build(list(range(100)), leaf_size=16)
         assert index.leaf_count == 7  # ceil(100/16)
         assert index.point_count == 100
+        assert build([None, None]).leaf_count == 0
+        assert build(list(range(32)), leaf_size=16).leaf_count == 2
 
 
 class TestSerialization:
@@ -71,6 +73,13 @@ class TestSerialization:
         index = build([1.25, -2.5], is_float=True)
         decoded = BkdIndex.from_bytes(index.to_bytes())
         assert list(decoded.eq_rows(-2.5)) == [1]
+
+    def test_decoded_points_are_read_only_views(self):
+        """No copy is made of the payload, so nothing may write to it."""
+        decoded = BkdIndex.from_bytes(bytearray(build([5, 3, 8]).to_bytes()))
+        for points in (decoded._values, decoded._rows):
+            assert not points.flags.writeable and points.base is not None
+        assert decoded.to_bytes() == build([5, 3, 8]).to_bytes()
 
 
 values_strategy = st.lists(

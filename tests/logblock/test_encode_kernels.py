@@ -47,6 +47,7 @@ from repro.logblock.sma import compute_sma, compute_sma_arrays
 from repro.logblock.writer import LogBlockWriter
 from repro.tarpack.reader import PackReader
 
+from tests.logblock.legacy_format import sma_bytes
 from tests.conftest import make_rows, write_logblock
 from tests.logblock.test_writer_reader import reader_for
 
@@ -228,7 +229,7 @@ class TestSmaDifferential:
         for start, stop in [(0, 100), (0, 64), (64, 100), (50, 50)]:
             sma, _reason = compute_sma_range(prep, start, stop)
             oracle = compute_sma(values[start:stop], ctype)
-            assert sma.to_bytes() == oracle.to_bytes()
+            assert sma_bytes(sma) == sma_bytes(oracle)
 
     def test_nan_falls_back_to_oracle(self):
         values = [1.5, float("nan"), 2.5]
@@ -236,7 +237,7 @@ class TestSmaDifferential:
         assert compute_sma_arrays(prep.vector, prep.null_mask, ColumnType.FLOAT64) is None
         sma, reason = compute_sma_range(prep, 0, 3)
         assert reason is not None
-        assert sma.to_bytes() == compute_sma(values, ColumnType.FLOAT64).to_bytes()
+        assert sma_bytes(sma) == sma_bytes(compute_sma(values, ColumnType.FLOAT64))
 
     def test_signed_zero_falls_back_to_oracle(self):
         # np.min([0.0, -0.0]) returns -0.0; the oracle's strict-< fold
@@ -245,7 +246,7 @@ class TestSmaDifferential:
         prep = prepare_column(values, ColumnType.FLOAT64)
         assert compute_sma_arrays(prep.vector, prep.null_mask, ColumnType.FLOAT64) is None
         sma, _reason = compute_sma_range(prep, 0, 2)
-        assert sma.to_bytes() == compute_sma(values, ColumnType.FLOAT64).to_bytes()
+        assert sma_bytes(sma) == sma_bytes(compute_sma(values, ColumnType.FLOAT64))
 
     def test_float_column_with_ints_preserves_value_kind(self):
         # min is a python int: the oracle serializes it as an int; the
@@ -254,7 +255,7 @@ class TestSmaDifferential:
         prep = prepare_column(values, ColumnType.FLOAT64)
         sma, reason = compute_sma_range(prep, 0, 3)
         assert reason is not None
-        assert sma.to_bytes() == compute_sma(values, ColumnType.FLOAT64).to_bytes()
+        assert sma_bytes(sma) == sma_bytes(compute_sma(values, ColumnType.FLOAT64))
         assert isinstance(sma.min_value, int)
 
     def test_int_sum_near_overflow(self):
@@ -264,7 +265,7 @@ class TestSmaDifferential:
         sma, reason = compute_sma_range(prep, 0, 4)
         assert reason is None
         oracle = compute_sma(values, ColumnType.INT64)
-        assert sma.to_bytes() == oracle.to_bytes()
+        assert sma_bytes(sma) == sma_bytes(oracle)
         assert sma.sum_value == big + 17
 
     @given(
@@ -287,7 +288,7 @@ class TestSmaDifferential:
         ]
         prep = prepare_column(values, ColumnType.FLOAT64, trusted=True)
         sma, _reason = compute_sma_range(prep, 0, len(values))
-        assert sma.to_bytes() == compute_sma(values, ColumnType.FLOAT64).to_bytes()
+        assert sma_bytes(sma) == sma_bytes(compute_sma(values, ColumnType.FLOAT64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,281 @@
+"""One reader, three LogBlock formats: v2, v3 and v4 answer alike.
+
+The golden corpus exists three times — the committed v3 pack (the last
+v3 writer's real output), a v2 pack from the legacy encoders and the v4
+pack the writer emits — and every predicate shape must return the same
+rows from all three, with skipping on and off.  Right answers are not
+enough: a format whose index quietly stops being used (a decoder
+returning an object the pruning code does not recognise) still answers
+correctly from the scan path, only slower and with more bytes read.  So
+index-answerable shapes must also report an index lookup.
+
+Also here: the v4 meta member under truncation and bit flips, and the
+"materialise only what is asked for" count at query level.
+"""
+
+import pytest
+
+from repro.builder.compaction import rewrite_blocks
+from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
+from repro.common.bytesio import BinaryReader
+from repro.common.clock import VirtualClock
+from repro.common.errors import SerializationError
+from repro.logblock.schema import request_log_schema
+from repro.logblock.sma import SmaTable
+from repro.logblock.writer import LogBlockMeta
+from repro.meta.catalog import Catalog, LogBlockEntry
+from repro.oss.costmodel import free
+from repro.oss.metered import MeteredObjectStore
+from repro.oss.store import InMemoryObjectStore
+from repro.query.executor import BlockExecutor, ExecutionOptions
+from repro.query.planner import QueryPlanner
+from repro.query.sql import parse_sql
+
+from tests.logblock.legacy_format import downgrade_block
+from tests.logblock.test_writer_reader import V3_FIXTURE, golden_block, golden_corpus, reader_for
+
+BUCKET = "formats"
+TENANT = "tenant_id = 7"
+
+
+class Corpus:
+    """One packed LogBlock behind a catalog, planner and executor."""
+
+    def __init__(self, blob: bytes, rows: list[dict], use_skipping: bool) -> None:
+        schema = request_log_schema()
+        catalog = Catalog(schema)
+        store = MeteredObjectStore(InMemoryObjectStore(), free(), VirtualClock())
+        store.create_bucket(BUCKET)
+        store.put(BUCKET, "tenants/7/golden.lgb", blob)
+        catalog.add_block(
+            LogBlockEntry(
+                tenant_id=7,
+                min_ts=rows[0]["ts"],
+                max_ts=rows[-1]["ts"],
+                path="tenants/7/golden.lgb",
+                size_bytes=len(blob),
+                row_count=len(rows),
+            )
+        )
+        self.planner = QueryPlanner(catalog)
+        self.executor = BlockExecutor(
+            CachingRangeReader(store, MultiLevelCache(memory_bytes=1 << 22, ssd_bytes=1 << 24)),
+            BUCKET,
+            ExecutionOptions(use_skipping=use_skipping),
+        )
+
+    def run(self, sql: str):
+        parsed = parse_sql(sql)
+        plan = self.planner.plan(parsed)
+        if parsed.is_aggregate:
+            aggregator, stats = self.executor.execute_aggregate(plan)
+            return aggregator.results(), stats
+        return self.executor.execute(plan)
+
+
+@pytest.fixture(scope="module")
+def rows() -> list[dict]:
+    return golden_corpus()
+
+
+@pytest.fixture(scope="module")
+def blobs() -> dict[int, bytes]:
+    v4 = golden_block()
+    return {2: downgrade_block(v4, 2), 3: V3_FIXTURE.read_bytes(), 4: v4}
+
+
+@pytest.fixture(scope="module")
+def corpora(blobs, rows):
+    return {
+        (version, use_skipping): Corpus(blob, rows, use_skipping)
+        for version, blob in blobs.items()
+        for use_skipping in (True, False)
+    }
+
+
+# (SQL, python oracle over one row, whether an index answers it)
+SHAPES = [
+    ("SELECT ts FROM request_log WHERE {t} AND ip = '10.0.1.7'",
+     lambda r: r["ip"] == "10.0.1.7", True),
+    ("SELECT ts FROM request_log WHERE {t} AND latency = 12",
+     lambda r: r["latency"] == 12, True),
+    ("SELECT ts FROM request_log WHERE {t} AND ip IN ('10.0.0.1', '10.0.2.39', '10.9.9.9')",
+     lambda r: r["ip"] in ("10.0.0.1", "10.0.2.39"), True),
+    ("SELECT ts FROM request_log WHERE {t} AND latency >= 100 AND latency < 300",
+     lambda r: r["latency"] is not None and 100 <= r["latency"] < 300, True),
+    ("SELECT ts FROM request_log WHERE {t} AND ts >= 1605053000000000 AND ts < 1605054000000000",
+     lambda r: 1605053000000000 <= r["ts"] < 1605054000000000, True),
+    ("SELECT ts FROM request_log WHERE {t} AND MATCH(log, 'needle')",
+     lambda r: r["log"] is not None and " needle" in r["log"], True),
+    ("SELECT ts FROM request_log WHERE {t} AND MATCH(log, 'error POST')",
+     lambda r: r["log"] is not None and "status error" in r["log"] and r["log"].startswith("POST"),
+     True),
+    ("SELECT ts FROM request_log WHERE {t} AND MATCH(log, 'error nosuchterm')",
+     lambda r: False, True),
+    ("SELECT ts FROM request_log WHERE {t} AND MATCH(log, 'İstanbul')",
+     lambda r: r["log"] is not None and r["log"].endswith("İstanbul"), True),
+    ("SELECT ts FROM request_log WHERE {t} AND ip LIKE '10.0.1.1%'",
+     lambda r: r["ip"] is not None and r["ip"].startswith("10.0.1.1"), True),
+    ("SELECT ts FROM request_log WHERE {t} AND ip IS NULL", lambda r: r["ip"] is None, False),
+    ("SELECT ts FROM request_log WHERE {t} AND latency IS NULL AND fail = true",
+     lambda r: r["latency"] is None and r["fail"], True),
+]
+
+
+class TestEveryFormatAnswersAlike:
+    @pytest.mark.parametrize("sql, oracle, indexed", SHAPES)
+    def test_rows_and_index_use(self, corpora, rows, sql, oracle, indexed):
+        sql = sql.format(t=TENANT)
+        expected = [{"ts": row["ts"]} for row in rows if oracle(row)]
+        assert expected or "nosuchterm" in sql  # no shape passes vacuously
+        for (version, use_skipping), corpus in corpora.items():
+            got, stats = corpus.run(sql)
+            assert got == expected, (version, use_skipping)
+            if use_skipping and indexed:
+                assert stats.prune.index_lookups > 0, f"v{version} fell off the index path"
+                assert stats.prune.rows_interpreted == 0, f"v{version} scanned row by row"
+            if not use_skipping:
+                assert stats.prune.index_lookups == 0
+
+    def test_aggregates_fold_from_the_smas(self, corpora, rows):
+        sql = (
+            "SELECT COUNT(*), COUNT(latency), MIN(latency), MAX(latency), SUM(latency), "
+            f"MIN(ts), MAX(ip) FROM request_log WHERE {TENANT} AND latency >= 0 OR latency IS NULL"
+        )
+        latencies = [row["latency"] for row in rows if row["latency"] is not None]
+        expected = [
+            {
+                "COUNT(*)": len(rows),
+                "COUNT(latency)": len(latencies),
+                "MIN(latency)": min(latencies),
+                "MAX(latency)": max(latencies),
+                "SUM(latency)": sum(latencies),
+                "MIN(ts)": rows[0]["ts"],
+                "MAX(ip)": max(row["ip"] for row in rows if row["ip"] is not None),
+            }
+        ]
+        for (version, use_skipping), corpus in corpora.items():
+            got, stats = corpus.run(sql)
+            assert got == expected, (version, use_skipping)
+            # Every row matches: v3/v4 fold from the meta alone; a v2
+            # meta has no sums, so SUM reads the column instead.
+            folded = stats.pushdown.agg_sma_blocks
+            assert folded == (0 if version == 2 else 1), (version, use_skipping)
+
+    def test_metas_agree_slot_for_slot(self, blobs):
+        metas = {version: reader_for(blob).meta() for version, blob in blobs.items()}
+        assert {version: meta.version for version, meta in metas.items()} == {2: 2, 3: 3, 4: 4}
+        for column in request_log_schema().column_names():
+            assert metas[3].column_sma(column) == metas[4].column_sma(column)
+            for block_idx in range(metas[4].n_blocks):
+                assert metas[3].block_header(column, block_idx) == metas[4].block_header(
+                    column, block_idx
+                )
+                old = metas[2].block_header(column, block_idx)
+                new = metas[4].block_header(column, block_idx)
+                assert old.sma.sum_value is None
+                assert (old.row_count, old.stored_size, old.sma.min_value, old.sma.max_value) == (
+                    new.row_count, new.stored_size, new.sma.min_value, new.sma.max_value
+                )
+        assert metas[2].bloom_sizes == metas[3].bloom_sizes == metas[4].bloom_sizes
+        assert set(metas[3].index_sizes) == set(metas[4].index_sizes)
+
+    def test_v4_meta_is_no_larger_than_v3(self, blobs):
+        sizes = {
+            version: len(reader_for(blob).pack.read_member("meta"))
+            for version, blob in blobs.items()
+        }
+        assert sizes[4] <= sizes[3]
+        assert len(blobs[4]) < len(blobs[3])
+
+
+class TestOldBlocksMoveForwardOnRewrite:
+    def test_compaction_rewrites_v2_and_v3_victims_as_v4(self, blobs, rows):
+        """Nothing migrates old blocks in place; whatever rewrites one —
+        compaction, the cold compactor — goes through the v4 writer."""
+        store = InMemoryObjectStore()
+        store.create_bucket(BUCKET)
+        victims = []
+        for version in (2, 3):
+            path = f"tenants/7/v{version}.lgb"
+            store.put(BUCKET, path, blobs[version])
+            victims.append(
+                LogBlockEntry(7, rows[0]["ts"], rows[-1]["ts"], path, len(blobs[version]), len(rows))
+            )
+        rewritten = rewrite_blocks(
+            store, BUCKET, victims, request_log_schema(), target_rows=10_000,
+            codec="zlib", block_rows=1024,
+        )
+        assert len(rewritten) == 1
+        reader = reader_for(rewritten[0][1])
+        assert reader.meta().version == 4 and reader.row_count == 2 * len(rows)
+        # Merged by ts, ties in victim order: every row twice in a row.
+        assert reader.read_column("log") == [row["log"] for row in rows for _ in range(2)]
+        assert reader.read_index("log").lookup("needle").tolist() == [14, 15, 3012, 3013]
+
+
+class TestMaterialiseWhatIsAsked:
+    def test_a_query_on_two_columns_builds_smas_for_those_two(self, blobs, rows, monkeypatch):
+        corpus = Corpus(blobs[4], rows, use_skipping=True)
+        meta = reader_for(blobs[4]).meta()
+        per_column = meta.n_blocks + 1
+        touched: set[str] = set()
+        real = SmaTable.sma
+
+        def recording(self, slot, row_count):
+            touched.add(meta.schema.columns[slot // per_column].name)
+            return real(self, slot, row_count)
+
+        monkeypatch.setattr(SmaTable, "sma", recording)
+        got, _stats = corpus.run(
+            "SELECT api FROM request_log WHERE ts >= 1605053000000000 AND latency >= 400"
+        )
+        assert got and touched == {"ts", "latency"}
+
+
+class TestCorruptMeta:
+    """The v4 meta is checksummed: a damaged member raises; it never
+    decodes to different bounds (a wrong answer by pruning)."""
+
+    @pytest.fixture(scope="class")
+    def raw(self, blobs) -> bytes:
+        return reader_for(blobs[4]).pack.read_member("meta")
+
+    def answers(self, meta: LogBlockMeta):
+        return (
+            meta.row_count,
+            meta.block_row_counts,
+            meta.index_sizes,
+            meta.bloom_sizes,
+            [meta.column_sma(name) for name in meta.schema.column_names()],
+            [meta.block_header("log", block_idx) for block_idx in range(meta.n_blocks)],
+        )
+
+    def test_every_truncation_raises(self, raw):
+        for cut in range(len(raw)):
+            with pytest.raises(SerializationError):
+                LogBlockMeta.from_bytes(raw[:cut])
+
+    def test_every_bit_flip_raises(self, raw):
+        for position in range(len(raw)):
+            for bit in range(8):
+                flipped = bytearray(raw)
+                flipped[position] ^= 1 << bit
+                with pytest.raises(SerializationError):
+                    LogBlockMeta.from_bytes(bytes(flipped))
+
+    def test_damage_behind_a_valid_checksum_is_typed(self, raw):
+        """Past the schema, with the crc rewritten: the section checks
+        alone must turn damage into a typed error or leave an answer."""
+        import zlib
+
+        reader = BinaryReader(raw, 9)  # magic, version, crc
+        reader.read_len_prefixed()
+        for position in range(reader.offset, len(raw)):
+            flipped = bytearray(raw)
+            flipped[position] ^= 0x40
+            flipped[5:9] = zlib.crc32(bytes(flipped[9:])).to_bytes(4, "little")
+            try:
+                self.answers(LogBlockMeta.from_bytes(bytes(flipped)))
+            except SerializationError:
+                pass

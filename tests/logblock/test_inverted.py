@@ -1,5 +1,7 @@
 """Inverted index tests."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,10 +12,13 @@ from repro.common.errors import SerializationError
 from repro.logblock.inverted import InvertedIndex, InvertedIndexBuilder
 from repro.logblock.tokenizer import MAX_TOKEN_LENGTH, tokenize
 
+from tests.logblock.legacy_format import inverted_v3_bytes
+
 
 class ReferenceIndex:
-    """The per-row builder and per-value serializer the columnar
-    pipeline replaced; the differentials below hold it to their bytes."""
+    """The per-row builder and per-value (v3 layout) serializer the
+    columnar pipeline replaced; the differentials below hold the
+    columnar build to its terms and postings, byte for byte."""
 
     def __init__(self, tokenize_values: bool) -> None:
         self.tokenize = tokenize_values
@@ -192,36 +197,44 @@ class TestAgainstReference:
     @given(batches(tokenized_values))
     def test_tokenized_bytes_equal(self, calls):
         index, ref = replay(calls, tokenize_values=True)
-        assert index.to_bytes() == ref.to_bytes()
+        assert inverted_v3_bytes(index) == ref.to_bytes()
+        assert InvertedIndex.from_v3_bytes(ref.to_bytes()).to_bytes() == index.to_bytes()
 
     @given(batches(raw_values))
     def test_raw_bytes_equal(self, calls):
         index, ref = replay(calls, tokenize_values=False)
-        assert index.to_bytes() == ref.to_bytes()
+        assert inverted_v3_bytes(index) == ref.to_bytes()
+        assert InvertedIndex.from_v3_bytes(ref.to_bytes()).to_bytes() == index.to_bytes()
 
     def test_empty_index(self):
         for tokenize_values in (True, False):
             index, ref = replay([], tokenize_values)
-            assert index.to_bytes() == ref.to_bytes()
-            decoded = InvertedIndex.from_bytes(index.to_bytes())
-            assert decoded.term_count == 0 and decoded.row_count == 0
-            assert list(decoded.lookup("a")) == [] and list(decoded.lookup_prefix("")) == []
+            assert inverted_v3_bytes(index) == ref.to_bytes()
+            for decoded in (
+                InvertedIndex.from_bytes(index.to_bytes()),
+                InvertedIndex.from_v3_bytes(ref.to_bytes()),
+            ):
+                assert decoded.term_count == 0 and decoded.row_count == 0
+                assert list(decoded.lookup("a")) == [] and list(decoded.lookup_prefix("")) == []
+                assert decoded.match_all(["a"]).count() == 0 == decoded.match_any(["a"]).count()
 
     def test_wide_deltas_and_many_postings(self):
         """Posting lists with multi-byte deltas and multi-byte counts."""
         values = ["hot" if i % 3 else "hot cold" for i in range(700)] + [None] * 40_000 + ["cold"]
         index, ref = replay([("many", values)], tokenize_values=True)
-        blob = index.to_bytes()
-        assert blob == ref.to_bytes()
-        decoded = InvertedIndex.from_bytes(blob)
-        assert decoded.lookup("cold").tolist() == ref.lookup("cold")
-        assert decoded.lookup("hot").tolist() == ref.lookup("hot")
+        assert inverted_v3_bytes(index) == ref.to_bytes()
+        for decoded in (
+            InvertedIndex.from_bytes(index.to_bytes()),
+            InvertedIndex.from_v3_bytes(ref.to_bytes()),
+        ):
+            assert decoded.lookup("cold").tolist() == ref.lookup("cold")
+            assert decoded.lookup("hot").tolist() == ref.lookup("hot")
 
     def test_more_terms_than_16_bit_sort_keys(self):
         values = [f"t{i % 70_000:05d}" for i in range(75_000)]
         index, ref = replay([("many", values)], tokenize_values=False)
         assert index.term_count == 70_000
-        assert index.to_bytes() == ref.to_bytes()
+        assert InvertedIndex.from_v3_bytes(ref.to_bytes()).to_bytes() == index.to_bytes()
 
     def test_descending_row_ids_cannot_be_serialized(self):
         builder = InvertedIndexBuilder(tokenize=False)
@@ -233,9 +246,10 @@ class TestAgainstReference:
     @given(batches(tokenized_values), st.lists(words, max_size=4))
     def test_decoded_queries_equal_reference(self, calls, probes):
         built, ref = replay(calls, tokenize_values=True)
-        decoded = InvertedIndex.from_bytes(ref.to_bytes())
+        decoded = InvertedIndex.from_bytes(built.to_bytes())
+        legacy = InvertedIndex.from_v3_bytes(ref.to_bytes())
         probes = probes + sorted(ref.postings)[:4]
-        for index in (built, decoded):
+        for index in (built, decoded, legacy):
             assert index.terms() == sorted(ref.postings)
             assert index.row_count == ref.row_count
             for probe in probes:
@@ -253,8 +267,9 @@ class TestAgainstReference:
     @given(batches(raw_values), st.lists(raw_values.filter(lambda v: v is not None), max_size=3))
     def test_decoded_raw_queries_equal_reference(self, calls, probes):
         built, ref = replay(calls, tokenize_values=False)
-        decoded = InvertedIndex.from_bytes(ref.to_bytes())
-        for index in (built, decoded):
+        decoded = InvertedIndex.from_bytes(built.to_bytes())
+        legacy = InvertedIndex.from_v3_bytes(ref.to_bytes())
+        for index in (built, decoded, legacy):
             for probe in probes + sorted(ref.postings)[:3]:
                 assert index.lookup(probe).tolist() == ref.lookup(probe)
                 prefix_rows = sorted(
@@ -263,27 +278,162 @@ class TestAgainstReference:
                 assert index.lookup_prefix(probe).tolist() == prefix_rows
 
 
-class TestCorruptPayloads:
-    def blob(self) -> bytes:
-        index, _ = replay(
-            [("many", ["error GET 10.0.0.1", None, "error " + LONG, "é ß b"] * 40)], True
+# -- the sectioned dictionary: byte order is string order -------------------
+
+# Code points on both sides of every UTF-8 length boundary, and astral
+# ones, whose UTF-16 order differs from their code-point order.
+odd_text = st.text(
+    alphabet=st.sampled_from("aZ~\x7f\x80\u07ff\u0800\uffff\U00010000\U0001f600\U0010ffffé"),
+    max_size=4,
+)
+raw_terms = st.one_of(odd_text, st.just("é" * 70), st.just("x" * 128), st.just("x" * 200))
+
+
+class TestSectionedDictionary:
+    @given(st.lists(raw_terms, max_size=12), st.lists(raw_terms, max_size=4))
+    def test_bisecting_bytes_is_bisecting_strings(self, values, probes):
+        decoded = InvertedIndex.from_bytes(build(values, tokenize_values=False).to_bytes())
+        assert decoded.terms() == sorted(set(values))
+        for probe in probes + values[:4]:
+            rows = [row for row, value in enumerate(values) if value == probe]
+            assert decoded.lookup(probe).tolist() == rows
+            prefixed = [row for row, value in enumerate(values) if value.startswith(probe)]
+            assert decoded.lookup_prefix(probe).tolist() == prefixed
+
+    @given(st.lists(st.sampled_from(["x" * 127, "x" * 128, "x" * 129 + "y", "İ ß", "a-b"]), max_size=6))
+    def test_tokenized_roundtrip_with_terms_at_the_truncation_length(self, values):
+        built = build(values, tokenize_values=True)
+        decoded = InvertedIndex.from_bytes(built.to_bytes())
+        assert decoded.terms() == built.terms() == sorted({t for v in values for t in tokenize(v)})
+        for term in decoded.terms():
+            assert decoded.lookup(term).tolist() == built.lookup(term).tolist()
+            assert len(term.encode()) <= MAX_TOKEN_LENGTH
+
+    def test_single_term(self):
+        decoded = InvertedIndex.from_bytes(build(["only"], tokenize_values=False).to_bytes())
+        assert decoded.terms() == ["only"] and decoded.lookup("only").tolist() == [0]
+        assert decoded.lookup("onlx").size == decoded.lookup("onlz").size == 0
+
+    def test_lone_surrogate_probe_is_absent_not_an_error(self):
+        index = build(["\ud7ff", "\ue000"], tokenize_values=False)
+        assert index.lookup("\ud800").size == 0
+        assert index.lookup_prefix("\udfff").size == 0
+
+    def test_match_all_stops_at_an_absent_term_before_decoding(self, monkeypatch):
+        index = build(["error timeout", "error ok"], tokenize_values=True)
+        monkeypatch.setattr(
+            InvertedIndex, "_rows_of", lambda *a: pytest.fail("decoded a posting list")
         )
-        return index.to_bytes()
+        assert index.match_all(["error", "absent"]).count() == 0
+
+
+def python_level_calls(function) -> int:
+    """Calls (python and C functions alike) made while ``function`` runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def wide_index(n_terms: int) -> InvertedIndex:
+    """``n_terms`` terms plus one in every row: either size has two-byte
+    posting counts and deltas, so both decode along the same branches."""
+    return build([f"hot t{i:05d}" for i in range(n_terms)] + ["hot"] * 300, tokenize_values=True)
+
+
+class TestProbeDontParse:
+    """The format's point, as exact counts: opening an index costs the
+    same handful of array kernels whatever its term count."""
+
+    def test_from_bytes_does_no_per_term_work(self):
+        small, large = wide_index(100).to_bytes(), wide_index(10_000).to_bytes()
+        InvertedIndex.from_bytes(small)  # warm numpy's lazy imports
+        calls = [
+            python_level_calls(lambda: InvertedIndex.from_bytes(blob)) for blob in (small, large)
+        ]
+        assert calls[0] == calls[1] and calls[0] < 100
+
+    def test_lookup_is_logarithmic(self):
+        small = InvertedIndex.from_bytes(wide_index(100).to_bytes())
+        large = InvertedIndex.from_bytes(wide_index(10_000).to_bytes())
+        for index in (small, large):
+            assert index.lookup("t00042").tolist() == [42]
+        calls = [python_level_calls(lambda: index.lookup("t00042")) for index in (small, large)]
+        # 100x the terms is 7 more bisection steps; none of them calls.
+        assert calls[1] <= calls[0] + 7 and calls[1] < 60
+
+
+class TestCorruptPayloads:
+    VALUES = ["error GET 10.0.0.1", None, "error " + LONG, "é ß b"] * 40
+
+    def index(self) -> InvertedIndex:
+        index, _ = replay([("many", self.VALUES)], True)
+        return index
+
+    def answers(self, index: InvertedIndex):
+        return (
+            index.row_count,
+            index.terms(),
+            [index.lookup(term).tolist() for term in ("error", "get", "b", LONG, "absent")],
+            index.lookup_prefix("1").tolist(),
+            list(index.match_all(["error", "get"])),
+        )
 
     def test_every_truncation_raises(self):
-        blob = self.blob()
-        for cut in range(len(blob)):
-            with pytest.raises(SerializationError):
-                InvertedIndex.from_bytes(blob[:cut])
+        index = self.index()
+        for blob, decode in (
+            (index.to_bytes(), InvertedIndex.from_bytes),
+            (inverted_v3_bytes(index), InvertedIndex.from_v3_bytes),
+        ):
+            for cut in range(len(blob)):
+                with pytest.raises(SerializationError):
+                    self.answers(decode(blob[:cut]))
+
+    def test_every_bit_flip_is_caught(self):
+        """The v4 member is checksummed: a flipped bit never decodes to
+        another answer (and never escapes as an IndexError or a numpy
+        error from an array kernel fed a bad count)."""
+        blob = self.index().to_bytes()
+        for position in range(len(blob)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[position] ^= 1 << bit
+                with pytest.raises(SerializationError):
+                    InvertedIndex.from_bytes(bytes(flipped))
+
+    def test_a_damaged_section_behind_a_valid_checksum_is_typed(self):
+        """The section checks themselves, not just the checksum: rewrite
+        the crc after each flip past the fixed header (whose row count
+        only the LogBlock's meta can vouch for) and require a typed
+        error or an answer."""
+        import zlib
+
+        blob = self.index().to_bytes()
+        for position in range(21, len(blob)):
+            flipped = bytearray(blob)
+            flipped[position] ^= 0x80
+            flipped[:4] = zlib.crc32(bytes(flipped[4:])).to_bytes(4, "little")
+            try:
+                self.answers(InvertedIndex.from_bytes(bytes(flipped)))
+            except SerializationError:
+                pass
 
     def test_row_id_outside_the_index_raises(self):
         ref = ReferenceIndex(False)
         ref.add(9, "a")
         ref.row_count = 5
         with pytest.raises(SerializationError):
-            InvertedIndex.from_bytes(ref.to_bytes())
+            InvertedIndex.from_v3_bytes(ref.to_bytes()).lookup("a")
 
     def test_lookup_results_are_int64(self):
-        decoded = InvertedIndex.from_bytes(self.blob())
+        decoded = InvertedIndex.from_bytes(self.index().to_bytes())
         assert decoded.lookup("error").dtype == np.int64
         assert decoded.lookup("absent").dtype == np.int64

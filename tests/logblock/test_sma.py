@@ -1,13 +1,16 @@
 """Small Materialized Aggregates tests, including pruning soundness."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.bytesio import BinaryReader, BinaryWriter
 from repro.logblock.schema import ColumnType
-from repro.logblock.sma import Sma, compute_sma, compute_sma_arrays, merge_smas
+from repro.logblock.sma import Sma, SmaTable, compute_sma, compute_sma_arrays, merge_smas
+
+from tests.logblock.legacy_format import read_sma, sma_bytes
 
 
 class TestCompute:
@@ -38,6 +41,29 @@ class TestCompute:
         sma = compute_sma(["banana", "apple", "cherry"], ColumnType.STRING)
         assert sma.min_value == "apple"
         assert sma.max_value == "cherry"
+
+    @pytest.mark.parametrize(
+        "values",
+        [[math.nan, 2.0, 3.0], [2.0, math.nan, 3.0], [None, math.nan, 3.0, 2.0, math.nan]],
+    )
+    def test_nan_is_a_value_but_no_bound(self, values):
+        """Wherever the NaN sits — first used to poison both bounds."""
+        sma = compute_sma(values, ColumnType.FLOAT64)
+        assert (sma.min_value, sma.max_value) == (2.0, 3.0)
+        assert sma.null_count == values.count(None)
+        assert math.isnan(sma.sum_value)
+        assert sma.may_contain_eq(2.0) and sma.may_contain_range(low=2.5)
+
+    def test_only_nans_bound_nothing(self):
+        sma = compute_sma([math.nan, None, math.nan], ColumnType.FLOAT64)
+        assert (sma.min_value, sma.max_value, sma.null_count) == (None, None, 1)
+        assert not sma.all_null and not sma.may_contain_eq(1.0)
+
+    def test_nan_bounds_of_an_old_block_prune_nothing(self):
+        """A v3 SMA written while a leading NaN still became the bounds."""
+        old = read_sma(sma_bytes(Sma(math.nan, math.nan, 3, 0, math.nan)))
+        assert (old.min_value, old.max_value) == (-math.inf, math.inf)
+        assert old.may_contain_eq(2.0) and old.may_contain_range(high=-1e300)
 
 
 class TestPruning:
@@ -112,10 +138,8 @@ class TestSum:
 
     def test_serialization_with_and_without_sum(self):
         sma = Sma(1, 9, 4, 1, 17)
-        assert Sma.from_bytes(sma.to_bytes()) == sma
-        writer = BinaryWriter()
-        sma.write_to(writer, include_sum=False)
-        legacy = Sma.read_from(BinaryReader(writer.getvalue()), include_sum=False)
+        assert read_sma(sma_bytes(sma)) == sma
+        legacy = read_sma(sma_bytes(sma, include_sum=False), include_sum=False)
         assert legacy == Sma(1, 9, 4, 1, None)
 
 
@@ -128,20 +152,20 @@ class TestSum:
             np.array(values, dtype=np.int64), np.zeros(3, dtype=bool), ColumnType.TIMESTAMP
         )
         assert slow == fast == Sma(sign * 2**62, sign * 2**62, 3, 0, None)
-        assert Sma.from_bytes(slow.to_bytes()) == slow
+        assert read_sma(sma_bytes(slow)) == slow
 
     def test_int64_extremes_are_kept(self):
         for total in (2**63 - 1, -(2**63)):
             sma = compute_sma([total], ColumnType.INT64)
             assert sma.sum_value == total
-            assert Sma.from_bytes(sma.to_bytes()) == sma
+            assert read_sma(sma_bytes(sma)) == sma
 
     def test_merge_drops_a_sum_past_int64(self):
         half = compute_sma([2**62], ColumnType.INT64)
         assert merge_smas([half]).sum_value == 2**62
         merged = merge_smas([half, half])
         assert merged.sum_value is None
-        assert Sma.from_bytes(merged.to_bytes()) == merged
+        assert read_sma(sma_bytes(merged)) == merged
 
 
 class TestMerge:
@@ -163,10 +187,14 @@ class TestMerge:
 
 
 class TestSerialization:
+    """Every value kind through both layouts: the v3 per-value codec
+    (decoded in ``src``, encoded by the tests' legacy oracle) and a v4
+    column-wise table."""
+
     def _roundtrip(self, sma: Sma) -> Sma:
-        writer = BinaryWriter()
-        sma.write_to(writer)
-        return Sma.read_from(BinaryReader(writer.getvalue()))
+        table = SmaTable.from_smas([Sma(7, 8, 2, 0), sma, Sma("x", "y", 1, 0)])
+        assert table.sma(1, sma.row_count) == sma
+        return read_sma(sma_bytes(sma))
 
     def test_int(self):
         assert self._roundtrip(Sma(-5, 10, 3, 0)) == Sma(-5, 10, 3, 0)
@@ -185,7 +213,7 @@ class TestSerialization:
 
     def test_bytes_roundtrip(self):
         sma = Sma(1, 2, 3, 0)
-        assert Sma.from_bytes(sma.to_bytes()) == sma
+        assert read_sma(sma_bytes(sma)) == sma
 
 
 values_strategy = st.lists(
@@ -223,7 +251,7 @@ class TestSoundnessProperties:
     @given(values_strategy)
     def test_serialization_roundtrip(self, values):
         sma = compute_sma(values, ColumnType.INT64)
-        assert Sma.from_bytes(sma.to_bytes()) == sma
+        assert read_sma(sma_bytes(sma)) == sma
 
     @given(values_strategy)
     def test_sum_exactness(self, values):

@@ -1,5 +1,8 @@
 """LogBlock write/read roundtrip tests."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,11 +12,13 @@ from repro.logblock.bkd import BkdIndex
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import request_log_schema
+from repro.logblock.sma import Sma
 from repro.logblock.writer import LogBlockMeta, LogBlockWriter
 from repro.oss.store import InMemoryObjectStore
 from repro.tarpack.reader import PackReader
 
 from tests.conftest import make_rows, write_logblock
+from tests.logblock.legacy_format import downgrade_block, meta_bytes, write_legacy_block
 
 
 def reader_for(blob: bytes) -> LogBlockReader:
@@ -87,30 +92,65 @@ class TestMetaRoundtrip:
         assert reader.meta().column_sma("ip").sum_value is None
 
     def test_legacy_v2_meta_roundtrip(self):
-        """v2 metas (no per-column sums) must stay writable and readable."""
+        """v2 metas (no per-column sums) must stay readable."""
         rows = make_rows(100)
-        writer = LogBlockWriter(
-            request_log_schema(), codec="zlib", block_rows=64, meta_version=2
+        reader = reader_for(
+            write_legacy_block(request_log_schema(), rows, 2, codec="zlib", block_rows=64)
         )
-        writer.append_many(rows)
-        reader = reader_for(writer.finish())
         meta = reader.meta()
+        assert meta.version == 2
         assert meta.row_count == 100
         sma = meta.column_sma("latency")
         assert sma.sum_value is None
         assert sma.min_value == min(r["latency"] for r in rows)
         assert reader.read_column("latency") == [r["latency"] for r in rows]
 
-    def test_v3_to_bytes_legacy_version(self):
-        meta = reader_for(write_logblock(make_rows(50))).meta()
-        decoded = LogBlockMeta.from_bytes(meta.to_bytes(version=2))
-        assert decoded.row_count == meta.row_count
-        assert decoded.column_sma("latency").sum_value is None
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_legacy_metas_decode_into_the_v4_form(self, version):
+        """One in-memory meta: what a v2/v3 member decodes to re-encodes
+        as the v4 member of the same block (v2 minus the sums)."""
+        meta = reader_for(write_logblock(make_rows(150))).meta()
+        decoded = LogBlockMeta.from_bytes(meta_bytes(meta, version))
+        assert decoded.version == version and decoded.row_count == meta.row_count
+        for column in meta.schema.column_names():
+            for block_idx in range(meta.n_blocks):
+                theirs = decoded.block_header(column, block_idx)
+                ours = meta.block_header(column, block_idx)
+                if version == 3:
+                    assert theirs == ours
+                else:
+                    assert theirs.sma.sum_value is None
+                    assert (theirs.sma.min_value, theirs.stored_size) == (
+                        ours.sma.min_value,
+                        ours.stored_size,
+                    )
+        if version == 3:
+            assert decoded.to_bytes() == meta.to_bytes()
 
     def test_unknown_meta_version_rejected(self):
-        meta = reader_for(write_logblock(make_rows(10))).meta()
+        raw = bytearray(reader_for(write_logblock(make_rows(10))).meta().to_bytes())
+        raw[4] = 7
         with pytest.raises(SerializationError):
-            meta.to_bytes(version=7)
+            LogBlockMeta.from_bytes(bytes(raw))
+
+    def test_opening_a_meta_builds_no_sma(self, monkeypatch):
+        """Probe, don't parse: SMAs exist for the columns a caller asks
+        about, never for the ones the member merely contains."""
+        built: list[int] = []
+        real_init = Sma.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        raw = reader_for(write_logblock(make_rows(300), block_rows=64)).meta().to_bytes()
+        monkeypatch.setattr(Sma, "__init__", counting_init)
+        meta = LogBlockMeta.from_bytes(raw)
+        assert built == []
+        meta.column_sma("ts"), meta.column_sma("latency")
+        assert len(built) == 2
+        meta.block_header("latency", 3)
+        assert len(built) == 3
 
     def test_self_contained_after_rename(self):
         """§3.2: a LogBlock 'can still be resolved after being renamed'."""
@@ -263,18 +303,46 @@ def golden_corpus() -> list[dict]:
     return rows
 
 
-# sha256 of the packed LogBlock at the commit before the columnar index
-# pipeline (PR 12).  LogBlocks in object storage are immutable, so a
-# writer change that moves this value is a format change: bump
-# META_VERSION and keep readers for both, do not just update the hash.
+# sha256 of the packed LogBlock of the golden corpus, per format version.
+# LogBlocks in object storage are immutable, so a writer change that
+# moves the current value is a format change: bump META_VERSION, keep a
+# decoder for the old one and pin the old bytes as a fixture — do not
+# just update the hash.
+#
+# v3 is the writer's output from PR 12 to PR 16 (the hash predates the
+# columnar index pipeline); tests/fixtures/logblock_v3_golden.lgb is
+# that pack, written by the last v3 writer.
 GOLDEN_SHA256 = "5d881ec4b4eb9bcc764f440d9f25eb8ba71daccaf86ad6bf7d67170f64cca6a7"
+GOLDEN_V4_SHA256 = "8cdaea8fd34b878c58d2ff6215d2ba50be9e80113e0191abb80186aeff95b6a3"
+V3_FIXTURE = Path(__file__).parent.parent / "fixtures" / "logblock_v3_golden.lgb"
 
 
-def test_packed_bytes_are_those_of_the_golden_corpus():
-    import hashlib
-
+def golden_block() -> bytes:
     writer = LogBlockWriter(request_log_schema(), codec="zlib", block_rows=1024)
     rows = golden_corpus()
     writer.append_many(rows[:1700])
     writer.append_many(rows[1700:])
-    assert hashlib.sha256(writer.finish()).hexdigest() == GOLDEN_SHA256
+    return writer.finish()
+
+
+def test_packed_bytes_are_those_of_the_golden_corpus():
+    assert hashlib.sha256(golden_block()).hexdigest() == GOLDEN_V4_SHA256
+
+
+def test_the_v3_fixture_is_the_v3_writers_output():
+    blob = V3_FIXTURE.read_bytes()
+    assert len(blob) == 146_988 and hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
+
+
+def test_the_legacy_encoders_reproduce_the_v3_writer_byte_for_byte():
+    """The oracle old blocks are written with *is* the old writer."""
+    assert downgrade_block(golden_block(), 3) == V3_FIXTURE.read_bytes()
+
+
+def test_the_v3_fixture_reads_back_the_golden_corpus():
+    reader = reader_for(V3_FIXTURE.read_bytes())
+    rows = golden_corpus()
+    assert reader.meta().version == 3
+    for column in request_log_schema().column_names():
+        assert reader.read_column(column) == [row[column] for row in rows]
+    assert reader.read_index("log").lookup("needle").tolist() == [7, 1506]

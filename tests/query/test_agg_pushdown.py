@@ -16,7 +16,6 @@ from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
 from repro.common.clock import VirtualClock
 from repro.common.errors import QueryError
 from repro.logblock.schema import ColumnSpec, ColumnType, request_log_schema
-from repro.logblock.writer import LogBlockWriter
 from repro.meta.catalog import Catalog, LogBlockEntry
 from repro.metrics.stats import PushdownCounters
 from repro.oss.costmodel import free
@@ -28,6 +27,7 @@ from repro.query.sql import parse_sql
 from repro.rowstore.memtable import MemTable
 
 from tests.conftest import BASE_TS, MICROS, make_rows
+from tests.logblock.legacy_format import write_legacy_block
 
 BUCKET = "agg"
 
@@ -315,11 +315,7 @@ class TestLegacyMetaFallback:
     def legacy_env(self):
         built = Env()
         rows = make_rows(300, tenant_id=1, seed=11)
-        writer = LogBlockWriter(
-            built.schema, codec="zlib", block_rows=64, meta_version=2
-        )
-        writer.append_many(rows)
-        data = writer.finish()
+        data = write_legacy_block(built.schema, rows, 2, codec="zlib", block_rows=64)
         path = "tenants/1/legacy-0.lgb"
         built.store.put(BUCKET, path, data)
         built.catalog.add_block(

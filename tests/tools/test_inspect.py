@@ -1,6 +1,7 @@
 """LogBlock inspection CLI tests."""
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,28 @@ class TestCli:
         assert "meta" in text
         assert "idx/ip" in text
         assert "col/0/0" in text
+
+    def test_names_the_format_version(self, block_path):
+        fixture = str(Path(__file__).parent.parent / "fixtures" / "logblock_v3_golden.lgb")
+        for path, version in ((block_path, "v4"), (fixture, "v3")):
+            for flags in ([], ["--members"]):
+                out = io.StringIO()
+                assert main([*flags, path], out=out) == 0
+                assert f"format: {version}" in " ".join(out.getvalue().split())
+
+    def test_members_break_an_inverted_index_into_its_sections(self, block_path):
+        out = io.StringIO()
+        assert main(["--members", block_path], out=out) == 0
+        table = out.getvalue().split("inverted index", 1)[1].splitlines()
+        assert table[0].split()[:4] == ["terms", "dictionary", "counts", "postings"]
+        index = open_block(block_path).read_index("ip")
+        sizes = index.section_sizes()
+        assert table[1].split() == [
+            "idx/ip", "10", str(sizes["dictionary"]), str(sizes["counts"]), str(sizes["postings"])
+        ]
+        # 10 one-byte counts, 100 one-byte deltas (row ids 10 apart).
+        assert (sizes["counts"], sizes["postings"]) == (10, 100)
+        assert [line.split()[0] for line in table[1:]] == ["idx/ip", "idx/api", "idx/log"]
 
     def test_column_dump_with_limit(self, block_path):
         out = io.StringIO()
