@@ -91,6 +91,7 @@ def main() -> None:
         store.schema, store.oss, store.config.bucket, store.catalog,
         codec=store.config.codec, block_rows=store.config.block_rows,
         small_threshold_rows=1_000, target_rows=4_000,
+        invalidate=store.invalidate_blob,
     )
     before = len(store.catalog.blocks_for(2))
     result = compactor.compact_tenant(2)

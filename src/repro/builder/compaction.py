@@ -119,6 +119,7 @@ class Compactor:
         retry_clock: Clock | None = None,
         obs: Observability | None = None,
         use_vectorized_encode: bool = True,
+        invalidate=None,
     ) -> None:
         if small_threshold_rows <= 0:
             raise BuildError(
@@ -146,6 +147,7 @@ class Compactor:
         )
         self._generation = 0
         self._orphans: list[tuple[str, str]] = []
+        self._invalidate = invalidate  # path -> None: drop a retired blob's cache entries
         self._obs = obs if obs is not None else Observability.noop()
         registry = self._obs.registry
         self._runs_total = registry.counter(
@@ -268,6 +270,8 @@ class Compactor:
             except Exception:
                 self._orphans.append((self._bucket, block.path))
             self._catalog.remove_block(block)
+            if self._invalidate is not None:
+                self._invalidate(block.path)
         result.upload_retries = self._upload.stats.retries - retries_before
 
     def _oss_delete(self, path: str) -> None:

@@ -1,10 +1,18 @@
 """Decoded-object cache (§5.2 "object memory cache").
 
-Caches *parsed* objects — LogBlock metas, decoded indexes, decompressed
-column blocks — keyed by (blob, member).  The paper motivates this tier
-by allocation/GC pressure in the JVM; in Python the analogous win is
-skipping repeated decompression + deserialization of the same member.
-Capacity is bounded by an approximate size estimate per entry.
+Caches *parsed* objects keyed ``(bucket, blob key, member)``: the pack
+header (``__pack_header__``), the LogBlock ``meta``, decoded indexes
+(``idx/<column>``), Bloom filters (``bloom/<column>``) and decoded
+column blocks (``col/<c>/<b>``, in the one form every read path uses —
+:func:`repro.logblock.column.decode_block_arrays`).  The paper motivates
+this tier by allocation/GC pressure in the JVM; in Python the analogous
+win is skipping repeated decompression + deserialization of the same
+member: a hit costs no byte-range lookup, no GET, no inflate, no decode.
+
+Every entry is charged what it keeps alive (its ``nbytes``), LRU evicts
+past ``capacity_bytes``, and :meth:`ObjectCache.invalidate_blob` drops
+all of a deleted blob's entries at once.  Entries are shared between
+queries, so what is put here must be safe to share (read-only arrays).
 """
 
 from __future__ import annotations
@@ -40,6 +48,10 @@ class ObjectCache:
         self._entries: OrderedDict[ObjectKey, tuple[object, int]] = OrderedDict()
         self._lock = threading.Lock()
         self.stats = ObjectCacheStats()
+
+    @property
+    def capacity_bytes(self) -> int:
+        return self._capacity
 
     def get(self, key: ObjectKey) -> object | None:
         with self._lock:

@@ -54,6 +54,7 @@ def _make_compactor(ctx: ChaosContext) -> Compactor:
         retry_clock=ctx.clock,
         obs=store.obs,
         use_vectorized_encode=store.config.use_vectorized_encode,
+        invalidate=store.invalidate_blob,
     )
     store.compactor = compactor
     return compactor

@@ -70,8 +70,16 @@ class QueryResult:
     # cache counters across this query's execution.
     oss_requests: int = 0
     bytes_fetched: int = 0
-    cache_hits: int = 0
+    # Hits by the tier that served them: decoded objects (no bytes
+    # touched), then raw byte ranges in memory, then on SSD.
+    object_hits: int = 0
+    memory_hits: int = 0
+    ssd_hits: int = 0
     cache_misses: int = 0
+
+    @property
+    def cache_hits(self) -> int:
+        return self.object_hits + self.memory_hits + self.ssd_hits
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -342,11 +350,6 @@ class Broker:
         latency_s = self._clock.now() - start
         oss_after = self._range_reader.store.stats
         cache_after = self._range_reader.cache.summary()
-        cache_hits = (
-            cache_after.object_hits + cache_after.memory_hits + cache_after.ssd_hits
-        ) - (
-            cache_before.object_hits + cache_before.memory_hits + cache_before.ssd_hits
-        )
         result = QueryResult(
             rows=final,
             latency_s=latency_s,
@@ -356,7 +359,9 @@ class Broker:
             archived_rows=archived_count,
             oss_requests=oss_after.get_requests - oss_before.get_requests,
             bytes_fetched=oss_after.bytes_read - oss_before.bytes_read,
-            cache_hits=cache_hits,
+            object_hits=cache_after.object_hits - cache_before.object_hits,
+            memory_hits=cache_after.memory_hits - cache_before.memory_hits,
+            ssd_hits=cache_after.ssd_hits - cache_before.ssd_hits,
             cache_misses=cache_after.oss_reads - cache_before.oss_reads,
         )
 

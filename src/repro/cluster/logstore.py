@@ -157,7 +157,7 @@ class LogStore:
             config.bucket,
             schema,
             obs=self.obs,
-            invalidate=self._invalidate_blob,
+            invalidate=self.invalidate_blob,
             sweep_enabled=config.lifecycle_sweep_enabled,
             cold_enabled=config.lifecycle_cold_enabled,
             cold_codec=config.cold_codec,
@@ -509,7 +509,7 @@ class LogStore:
 
         Renders the plan followed by per-stage virtual timings (from
         the ``broker.query`` trace), block pruning counters, pushdown
-        tier counts, cache hit rate and bytes fetched — all driven by
+        tier counts, cache hits per tier and bytes fetched — all driven by
         the virtual clock, so the output is deterministic.
         """
         result = self._broker().query(sql)
@@ -605,15 +605,18 @@ class LogStore:
         if now_ts is None:
             now_ts = int(self.clock.now() * 1_000_000)
         victims = {
-            block.path
+            path
             for block in ExpiryProbe(self).expired_blocks(now_ts)
+            for path in (block.path, block.object_path)
         }
         report = self.controller.expire_data(now_ts)
         for path in victims:
-            self.cache.invalidate_blob(self.config.bucket, path)
+            self.invalidate_blob(path)
         return report
 
-    def _invalidate_blob(self, path: str) -> None:
+    def invalidate_blob(self, path: str) -> None:
+        """Drop every cache entry of one deleted blob — what whoever
+        deletes an archived object (lifecycle tasks, a compactor) calls."""
         self.cache.invalidate_blob(self.config.bucket, path)
 
     # -- data lifecycle (repro.lifecycle) ---------------------------------

@@ -166,7 +166,10 @@ class TenantOffboarder:
                     report.failed_deletes += 1
                     if self._orphan_sink is not None:
                         self._orphan_sink.add_orphan(self._bucket, path)
-                if self._invalidate is not None:
+            if self._invalidate is not None:
+                # Decoded objects are cached under each block's own path,
+                # byte ranges under the object (a cold segment) holding it.
+                for path in sorted({block.path for block in blocks} | set(objects)):
                     self._invalidate(path)
         # Stragglers outside the catalog (orphans from earlier crashes)
         # also belong to the departing tenant: delete by prefix listing.

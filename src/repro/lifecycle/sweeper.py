@@ -151,7 +151,10 @@ class ExpirySweeper:
                 self._delete(entry.segment_path)
                 report.segments_deleted += 1
             if self._invalidate is not None:
-                self._invalidate(entry.object_path)
+                # A cold member's decoded objects are cached under its own
+                # path, its byte ranges under the segment's.
+                for path in {entry.path, entry.object_path}:
+                    self._invalidate(path)
         report.orphans_swept = self.sweep_orphans()
         self._sweeps_total.add()
         self._expired_blocks_total.add(report.blocks_expired)

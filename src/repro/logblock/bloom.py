@@ -23,6 +23,8 @@ from repro.common.bytesio import BinaryReader, BinaryWriter
 from repro.common.errors import SerializationError
 
 DEFAULT_FPR = 0.01
+# The filter object, its two ints and the bit array's header.
+_FIXED_OVERHEAD = 232
 
 
 def optimal_parameters(n_items: int, fpr: float = DEFAULT_FPR) -> tuple[int, int]:
@@ -100,6 +102,11 @@ class BloomFilter:
     @property
     def size_bytes(self) -> int:
         return len(self._bits)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this filter keeps alive (what a cache is charged)."""
+        return _FIXED_OVERHEAD + self._bits.nbytes
 
     def fill_ratio(self) -> float:
         """Fraction of set bits (diagnostic; ~0.5 at design load)."""

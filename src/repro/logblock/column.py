@@ -18,6 +18,8 @@ Encodings:
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from repro.common.bitset import Bitset
@@ -94,23 +96,29 @@ def with_nulls(values: list, null_mask: np.ndarray) -> list:
     return values
 
 
-def decode_block_arrays(
-    data: bytes, ctype: ColumnType, row_count: int
-) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, list, np.ndarray] | None:
-    """Vectorized decode into numpy arrays.
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` made read-only: a decoded block is shared between queries."""
+    array.flags.writeable = False
+    return array
+
+
+def decode_block_arrays(data: bytes, ctype: ColumnType, row_count: int):
+    """Decode a column block into the one form every read path shares.
 
     Numeric/bool columns return ``(values, null_mask)``.  DICT-encoded
     string blocks return ``(codes, dictionary, null_mask)`` — codes are
-    int64 with 0 = null and ``code - 1`` indexing the sorted
-    ``dictionary``, so equality/IN/range predicates evaluate as integer
-    compares on the codes (the dictionary is sorted, hence codes are
-    order-isomorphic to the values).  PLAIN string blocks return
-    ``None`` (callers fall back to :func:`decode_block`).  This is the
-    data path for the vectorized scan mode (the paper's §8 future work:
-    "vectorized query execution").
+    unsigned, as narrow as the dictionary allows, with 0 = null and
+    ``code - 1`` indexing the sorted ``dictionary`` tuple, so
+    equality/IN/range predicates evaluate as integer compares on the
+    codes (the dictionary is sorted, hence codes are order-isomorphic to
+    the values).  PLAIN string blocks have no vector form and return a
+    :class:`PlainStrings` view that decodes only the rows picked from
+    it.  Every array is read-only: the object cache hands one decoded
+    block to every query that reads it (:func:`decoded_nbytes` is what
+    it is charged).
     """
     reader = BinaryReader(data)
-    null_mask = _read_null_mask(reader, row_count)
+    null_mask = _frozen(_read_null_mask(reader, row_count))
     if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
         values = np.frombuffer(reader.read_bytes(row_count * 8), dtype=np.int64)
         return values, null_mask
@@ -119,20 +127,48 @@ def decode_block_arrays(
         return values, null_mask
     if ctype is ColumnType.BOOL:
         bits = Bitset.from_bytes(reader.read_len_prefixed())
-        return bits.to_bool_array(), null_mask
+        if len(bits) != row_count:
+            raise SerializationError(
+                f"value bitset size {len(bits)} does not match row count {row_count}"
+            )
+        return _frozen(bits.to_bool_array()), null_mask
     if ctype is ColumnType.STRING:
-        if reader.read_u8() != _STRING_DICT:
-            return None
+        encoding = reader.read_u8()
+        if encoding == _STRING_PLAIN:
+            return PlainStrings(reader, null_mask)
+        if encoding != _STRING_DICT:
+            raise SerializationError(f"unknown string encoding {encoding}")
         dict_size = reader.read_uvarint()
-        dictionary = [reader.read_str() for _ in range(dict_size)]
+        dictionary = tuple(reader.read_str() for _ in range(dict_size))
         if dict_size < 0x80:
-            # Every code (≤ dict_size) fits one LEB128 byte: bulk-read.
-            raw = reader.read_bytes(row_count)
-            codes = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+            # Every code (≤ dict_size) fits one LEB128 byte: the code
+            # stream is the uint8 vector.
+            codes = np.frombuffer(reader.read_bytes(row_count), dtype=np.uint8)
         else:
-            codes = _read_codes(reader, row_count).astype(np.int64)
+            # The scan kernels compare codes with ``dict_size + 1``.
+            width = np.uint16 if dict_size < 0xFFFF else np.uint32
+            codes = _frozen(_read_codes(reader, row_count).astype(width))
         return codes, dictionary, null_mask
-    return None
+    raise SerializationError(f"unsupported column type {ctype}")
+
+
+# What a cache is charged for a decoded block beside its buffers: the
+# tuple, the array headers and the bytes objects they view.
+_DECODED_OVERHEAD = 320
+_STR_OVERHEAD = 56  # a python str header + its list slot
+
+
+def decoded_nbytes(block) -> int:
+    """Bytes a :func:`decode_block_arrays` result keeps alive."""
+    if isinstance(block, PlainStrings):
+        return block.nbytes
+    if len(block) == 3:
+        codes, dictionary, null_mask = block
+        held = codes.nbytes + sum(map(len, dictionary)) + _STR_OVERHEAD * len(dictionary)
+    else:
+        values, null_mask = block
+        held = values.nbytes
+    return _DECODED_OVERHEAD + held + null_mask.nbytes
 
 
 def _encode_strings(writer: BinaryWriter, values: list) -> None:
@@ -180,18 +216,25 @@ def _decode_strings(reader: BinaryReader, null_mask: np.ndarray, row_count: int)
     raise SerializationError(f"unknown string encoding {encoding}")
 
 
-def plain_strings(data: bytes, row_count: int) -> "PlainStrings":
-    """Open a PLAIN string block for selective decode.
+def block_values(block, offsets: np.ndarray | None = None) -> list:
+    """Python values (``None`` = null) of a decoded block.
 
-    For the blocks :func:`decode_block_arrays` has no vector form for
-    (it returned ``None``); a DICT block is an error here.
+    All of them, or those at the strictly ascending row ``offsets`` —
+    the late-materialization pick: only the chosen values become python
+    objects.
     """
-    reader = BinaryReader(data)
-    null_mask = _read_null_mask(reader, row_count)
-    encoding = reader.read_u8()
-    if encoding != _STRING_PLAIN:
-        raise SerializationError(f"string encoding {encoding} is not PLAIN")
-    return PlainStrings(reader, null_mask)
+    if isinstance(block, PlainStrings):
+        return block.pick(np.arange(len(block)) if offsets is None else offsets)
+    chosen = slice(None) if offsets is None else offsets
+    if len(block) == 3:
+        # DICT string block: pick codes, then look the chosen values up
+        # in the (small) dictionary.  A row the bitset marks null is
+        # null whatever its code says.
+        codes, dictionary, null_mask = block
+        lookup = (None,) + dictionary
+        return [lookup[code] for code in np.where(null_mask[chosen], 0, codes[chosen]).tolist()]
+    values, null_mask = block
+    return with_nulls(values[chosen].tolist(), null_mask[chosen])
 
 
 class PlainStrings:
@@ -203,31 +246,53 @@ class PlainStrings:
     goes only as far as the last row asked for, and resumes from there
     on the next call; :meth:`pick` then slices and decodes just the
     rows it is given.
+
+    One view serves every query that reads the block (it is what the
+    object cache holds), so the walk's progress is one ``(rows walked,
+    byte position)`` pair replaced in a single store: extents below the
+    published row count never change, and two readers extending the
+    walk at once write the same values.
     """
 
-    __slots__ = ("_data", "_null_mask", "_pos", "_starts", "_ends")
+    __slots__ = ("_data", "_null_mask", "_walked", "_starts", "_ends")
 
     def __init__(self, reader: BinaryReader, null_mask: np.ndarray) -> None:
         """``reader`` is positioned just past the encoding byte."""
         self._data = reader.read_bytes(reader.remaining())
         self._null_mask = null_mask
-        self._pos = 0
-        self._starts: list[int] = []
-        self._ends: list[int] = []
+        self._walked = (0, 0)
+        self._starts = np.empty(len(null_mask), dtype=np.uintc)  # 32 bits
+        self._ends = np.empty(len(null_mask), dtype=np.uintc)
+
+    def __len__(self) -> int:
+        return len(self._null_mask)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this view keeps alive (what a cache is charged)."""
+        return (
+            _DECODED_OVERHEAD
+            + len(self._data)
+            + self._null_mask.nbytes
+            + self._starts.nbytes
+            + self._ends.nbytes
+        )
 
     def _walk(self, row_count: int) -> None:
         """Extend the recorded extents to cover rows ``[0, row_count)``.
 
-        The new extents are recorded only once the walk has stayed
+        The new extents are published only once the walk has stayed
         inside the block, so a failed walk fails again the same way
         instead of leaving overrun extents behind a stale position.
         """
+        walked, pos = self._walked
+        if row_count <= walked:
+            return
         data = self._data
-        pos = self._pos
         starts: list[int] = []
         ends: list[int] = []
         try:
-            for _ in range(row_count - len(self._ends)):
+            for _ in range(row_count - walked):
                 length = data[pos]
                 pos += 1
                 if length >= 0x80:
@@ -239,9 +304,11 @@ class PlainStrings:
             raise SerializationError("truncated string block") from None
         if pos > len(data):
             raise SerializationError("string value overruns its block")
-        self._starts += starts
-        self._ends += ends
-        self._pos = pos
+        # Through array(): numpy converts a list of python ints one
+        # object at a time, twice as slowly.
+        self._starts[walked:row_count] = np.frombuffer(array("I", starts), dtype=np.uintc)
+        self._ends[walked:row_count] = np.frombuffer(array("I", ends), dtype=np.uintc)
+        self._walked = (row_count, pos)
 
     def pick(self, offsets: np.ndarray) -> list:
         """Values at the strictly ascending row ``offsets`` (``None`` = null)."""
@@ -256,12 +323,14 @@ class PlainStrings:
         data = self._data
         if last - first + 1 == offsets.size:
             # One contiguous run (a time window, or the whole block).
-            extents = zip(self._starts[first : last + 1], self._ends[first : last + 1])
+            chosen = slice(first, last + 1)
         else:
-            starts, ends = self._starts, self._ends
-            extents = [(starts[i], ends[i]) for i in offsets.tolist()]
+            chosen = offsets
         # Nulls were written as "" placeholders.
         return with_nulls(
-            [data[start:end].decode("utf-8") for start, end in extents],
-            self._null_mask[offsets],
+            [
+                data[start:end].decode("utf-8")
+                for start, end in zip(self._starts[chosen].tolist(), self._ends[chosen].tolist())
+            ],
+            self._null_mask[chosen],
         )

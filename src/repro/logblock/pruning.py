@@ -29,6 +29,7 @@ import numpy as np
 from repro.common.bitset import Bitset
 from repro.common.errors import QueryError
 from repro.logblock.bkd import BkdIndex
+from repro.logblock.column import PlainStrings
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import ColumnType, IndexType
@@ -339,7 +340,7 @@ def vectorized_block_mask(
 def dict_codes_block_mask(
     predicate: ColumnPredicate,
     codes: np.ndarray,
-    dictionary: list,
+    dictionary: tuple,
     null_mask: np.ndarray,
 ) -> np.ndarray | None:
     """Predicate mask over a DICT-encoded string block, as int compares.
@@ -554,7 +555,7 @@ def _scan_blocks(
         handled = False
         if vectorized:
             arrays = reader.read_block_arrays(predicate.column, block_idx)
-            if arrays is None:
+            if isinstance(arrays, PlainStrings):
                 stats.note_fallback(
                     f"column {predicate.column}: PLAIN STRING blocks have no vector form"
                 )

@@ -4,6 +4,13 @@ The reader never fetches the whole blob.  It reads the ``meta`` member
 once, then fetches only the indexes and column blocks the query plan
 needs — each fetch is a single ranged GET against the object store (or a
 cache hit through the multi-level cache when one is attached upstream).
+
+What it decodes it keeps, in the form the next read needs: an index, a
+Bloom filter and a column block are each decoded at most once per
+reader, and — when a shared object cache is attached — at most once per
+process while the entry stays resident, under ``(bucket, blob key,
+member name)``.  A resident member costs no byte lookup, no GET, no
+inflate, no decode and no decode charge.
 """
 
 from __future__ import annotations
@@ -16,13 +23,7 @@ import numpy as np
 from repro.codec import get_codec
 from repro.common.errors import CorruptionError, QueryError
 from repro.logblock.bkd import BkdIndex
-from repro.logblock.column import (
-    PlainStrings,
-    decode_block,
-    decode_block_arrays,
-    plain_strings,
-    with_nulls,
-)
+from repro.logblock.column import block_values, decode_block_arrays, decoded_nbytes
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.schema import ColumnSpec, IndexType
 from repro.logblock.sma import Sma
@@ -35,6 +36,17 @@ from repro.logblock.writer import (
     index_member,
 )
 from repro.tarpack.reader import PackReader
+
+
+# A decoded column block enters the shared object cache only when the
+# tier could hold this many of it.  Decoded blocks are the tier's largest
+# and most numerous entries; in a tier that a few of them fill, each one
+# admitted evicts the metas, pack headers and indexes every query of the
+# blob needs, and is itself evicted before its next reader arrives.
+# (Measured on benchmarks/e2e query_archived, a 192 KiB tier: at 8 the
+# OSS bytes per query rise 0.3 %, at 32 every count equals what it was
+# before blocks were shared.)
+_BLOCK_ADMIT_DIVISOR = 32
 
 
 @dataclass(frozen=True)
@@ -59,8 +71,9 @@ class LogBlockReader:
 
     ``decode_charge``, when provided, is called with the *compressed*
     byte count each time a member is actually decompressed and decoded
-    (memoized re-reads are free) — the hook the virtual-time executor
-    uses to account CPU cost alongside the metered I/O cost.
+    (memoized and shared-cache re-reads are free) — the hook the
+    virtual-time executor uses to account CPU cost alongside the metered
+    I/O cost.
     """
 
     def __init__(self, pack: PackReader, decode_charge=None) -> None:
@@ -68,13 +81,16 @@ class LogBlockReader:
         self._meta: LogBlockMeta | None = None
         self._decode_charge = decode_charge
         self._index_cache: dict[str, InvertedIndex | BkdIndex] = {}
-        self._block_cache: dict[tuple[int, int], list] = {}
+        # (column index, block index) -> the block's one decoded form.
+        self._blocks: dict[tuple[int, int], object] = {}
+        self._ends: np.ndarray | None = None  # see _block_ends
         self._column_smas: dict[str, Sma] = {}
         self._objects = None  # shared decoded-object cache (ObjectCache)
         self._objects_bucket = ""
 
     def attach_shared_cache(self, objects, bucket: str) -> None:
-        """Share decoded indexes/Blooms across readers via ``objects``.
+        """Share decoded indexes, Blooms and column blocks across readers
+        via ``objects``.
 
         Entries are keyed ``(bucket, blob_key, member)`` exactly like the
         cached meta, so :meth:`ObjectCache.invalidate_blob` drops them
@@ -181,65 +197,73 @@ class LogBlockReader:
         bloom = BloomFilter.from_bytes(payload)
         self._index_cache[key] = bloom  # type: ignore[assignment]
         if self._objects is not None:
-            self._objects.put(self._shared_key(member), bloom, approx_bytes=len(payload))
+            self._objects.put(self._shared_key(member), bloom, approx_bytes=bloom.nbytes)
         return bloom
 
     # -- column blocks -----------------------------------------------------
 
-    def _block_payload(self, col_idx: int, block_idx: int) -> bytes:
-        """Decompressed payload of one column block, fetched+charged once.
+    def _decoded_block(self, col_idx: int, block_idx: int):
+        """One column block in its decoded form (see
+        :func:`~repro.logblock.column.decode_block_arrays`).
 
-        Shared by :meth:`read_block` and :meth:`read_block_arrays` so a
-        block scanned as numpy vectors and later materialized as python
-        values pays one ranged GET and one decode charge, not two.
+        Every block read goes through here: the reader's memo first,
+        then the shared object cache, and only then one ranged GET, one
+        inflate, one decode and one decode charge — so a block scanned
+        as vectors and later materialized as python values is decoded
+        once per query even when the shared cache cannot hold it.
         """
+        key = (col_idx, block_idx)
+        block = self._blocks.get(key)
+        if block is not None:
+            return block
         meta = self.meta()
-        key = ("payload", col_idx, block_idx)
-        payload = self._block_cache.get(key)
-        if payload is not None:
-            return payload
         if not 0 <= block_idx < meta.n_blocks:
             raise QueryError(f"block index {block_idx} out of range [0, {meta.n_blocks})")
-        codec = get_codec(meta.codec_id)
-        raw = self._pack.read_member(block_member(col_idx, block_idx))
-        if self._decode_charge is not None:
-            self._decode_charge(len(raw))
-        payload = codec.decompress(raw)
-        self._block_cache[key] = payload
-        return payload
+        member = block_member(col_idx, block_idx)
+        if self._objects is not None:
+            block = self._objects.get(self._shared_key(member))
+        if block is None:
+            codec = get_codec(meta.codec_id)
+            raw = self._pack.read_member(member)
+            if self._decode_charge is not None:
+                self._decode_charge(len(raw))
+            block = decode_block_arrays(
+                codec.decompress(raw),
+                meta.schema.columns[col_idx].ctype,
+                meta.block_row_counts[block_idx],
+            )
+            if self._objects is not None:
+                nbytes = decoded_nbytes(block)
+                if nbytes * _BLOCK_ADMIT_DIVISOR <= self._objects.capacity_bytes:
+                    self._objects.put(self._shared_key(member), block, approx_bytes=nbytes)
+        self._blocks[key] = block
+        return block
+
+    def has_decoded_block(self, col_idx: int, block_idx: int) -> bool:
+        """Whether reading this block would touch no bytes: its decoded
+        form is in the reader's memo or the shared object cache."""
+        if (col_idx, block_idx) in self._blocks:
+            return True
+        return self._objects is not None and self._objects.contains(
+            self._shared_key(block_member(col_idx, block_idx))
+        )
 
     def read_block(self, column: str, block_idx: int) -> list:
-        """Fetch and decode one column block (memoized per reader)."""
-        meta = self.meta()
-        col_idx = meta.schema.column_index(column)
-        key = (col_idx, block_idx)
-        if key in self._block_cache:
-            return self._block_cache[key]
-        payload = self._block_payload(col_idx, block_idx)
-        values = decode_block(payload, meta.schema.column(column).ctype, meta.block_row_counts[block_idx])
-        self._block_cache[key] = values
-        return values
+        """One column block as python values (``None`` = null)."""
+        col_idx = self.meta().schema.column_index(column)
+        return block_values(self._decoded_block(col_idx, block_idx))
 
     def read_block_arrays(self, column: str, block_idx: int):
-        """Vectorized block read: ``(values, null_mask)`` numpy arrays.
+        """One column block in its decoded, shared, read-only form.
 
-        DICT-encoded string blocks return ``(codes, dictionary,
-        null_mask)`` so predicates evaluate as integer compares on the
-        codes; PLAIN string blocks return ``None`` (no natural vector
-        form) — callers fall back to :meth:`read_block`.  Backing the
-        §8 "vectorized query execution" scan mode.
+        ``(values, null_mask)`` numpy arrays for numeric/bool columns;
+        ``(codes, dictionary, null_mask)`` for DICT-encoded string
+        blocks, so predicates evaluate as integer compares on the
+        codes; a :class:`~repro.logblock.column.PlainStrings` view for
+        PLAIN string blocks, which have no vector form.  Backing the §8
+        "vectorized query execution" scan mode.
         """
-        meta = self.meta()
-        col_idx = meta.schema.column_index(column)
-        key = ("vec", col_idx, block_idx)
-        if key in self._block_cache:
-            return self._block_cache[key]
-        payload = self._block_payload(col_idx, block_idx)
-        arrays = decode_block_arrays(
-            payload, meta.schema.column(column).ctype, meta.block_row_counts[block_idx]
-        )
-        self._block_cache[key] = arrays
-        return arrays
+        return self._decoded_block(self.meta().schema.column_index(column), block_idx)
 
     def read_column(self, column: str) -> list:
         """Fetch all blocks of one column, concatenated."""
@@ -251,13 +275,9 @@ class LogBlockReader:
 
     def _block_ends(self) -> np.ndarray:
         """Cumulative (exclusive) end row id of each column block."""
-        meta = self.meta()
-        key = ("ends",)
-        ends = self._block_cache.get(key)
-        if ends is None:
-            ends = np.cumsum(np.asarray(meta.block_row_counts, dtype=np.int64))
-            self._block_cache[key] = ends
-        return ends
+        if self._ends is None:
+            self._ends = np.cumsum(np.asarray(self.meta().block_row_counts, dtype=np.int64))
+        return self._ends
 
     def block_of_row(self, row_id: int) -> tuple[int, int]:
         """Map a global row id to ``(block_idx, offset_in_block)``."""
@@ -299,47 +319,18 @@ class LogBlockReader:
             start, cut_before = end, cut
         return RowSelection(row_ids, tuple(groups))
 
-    def _plain_strings(self, col_idx: int, block_idx: int) -> PlainStrings:
-        """The offsets-first view of a PLAIN string block (memoized)."""
-        key = ("str", col_idx, block_idx)
-        strings = self._block_cache.get(key)
-        if strings is None:
-            strings = plain_strings(
-                self._block_payload(col_idx, block_idx),
-                self.meta().block_row_counts[block_idx],
-            )
-            self._block_cache[key] = strings
-        return strings
-
     def read_column_values(self, column: str, selection: RowSelection) -> list:
         """Values of ``column`` at the selected row ids, in row-id order.
 
-        The late-materialization read: fetches only the column blocks
-        containing matched rows, decodes only the matched values,
-        returns a flat value vector and never builds row dicts.
-        Aggregation consumes these vectors directly.
+        The late-materialization read: touches only the column blocks
+        containing matched rows, turns only the matched values into
+        python objects, returns a flat value vector and never builds
+        row dicts.  Aggregation consumes these vectors directly.
         """
         col_idx = self.meta().schema.column_index(column)
         out: list = []
         for block_idx, in_block in selection.groups:
-            arrays = self.read_block_arrays(column, block_idx)
-            if arrays is None:
-                out.extend(self._plain_strings(col_idx, block_idx).pick(in_block))
-            elif len(arrays) == 3:
-                # DICT string block: pick codes, then look the few
-                # matched values up in the (tiny) dictionary.
-                codes, dictionary, null_mask = arrays
-                hit_codes = codes[in_block]
-                hit_codes[null_mask[in_block]] = 0
-                out.extend(
-                    None if code == 0 else dictionary[code - 1]
-                    for code in hit_codes.tolist()
-                )
-            else:
-                # Fancy-index the numpy block instead of decoding every
-                # value to a python object just to pick a few of them.
-                values_arr, null_mask = arrays
-                out.extend(with_nulls(values_arr[in_block].tolist(), null_mask[in_block]))
+            out.extend(block_values(self._decoded_block(col_idx, block_idx), in_block))
         return out
 
     def member_extent(self, member: str) -> tuple[int, int]:

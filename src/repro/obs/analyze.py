@@ -2,8 +2,8 @@
 
 Renders one executed query as the plan text (:func:`explain_plan`)
 followed by per-stage virtual timings (from the ``broker.query`` trace),
-the pushdown tier counts, pruning counters, cache hit rate and bytes
-fetched.  Everything is driven by the virtual clock, so the output is
+the pushdown tier counts, pruning counters, cache hits per tier (object /
+memory / SSD) beside misses, and bytes fetched.  Everything is driven by the virtual clock, so the output is
 deterministic and golden-testable.
 """
 
@@ -99,8 +99,9 @@ def render_explain_analyze(result, trace: Span | None, journal=None) -> str:
     cache_total = result.cache_hits + result.cache_misses
     rate = result.cache_hits / cache_total if cache_total else 0.0
     lines.append(
-        f"  cache: {result.cache_hits} hits, {result.cache_misses} misses "
-        f"(hit rate {rate:.1%})"
+        f"  cache: {result.cache_hits} hits (object {result.object_hits}, "
+        f"memory {result.memory_hits}, ssd {result.ssd_hits}), "
+        f"{result.cache_misses} misses (hit rate {rate:.1%})"
     )
     trace_id = getattr(trace, "trace_id", None)
     if journal is not None and trace_id is not None:

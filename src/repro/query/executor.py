@@ -366,16 +366,23 @@ class BlockExecutor:
         columns: list[str],
         stats: ExecutionStats,
     ) -> None:
-        """Batch-load exactly the column blocks holding matched rows."""
-        meta = reader.meta()
-        needed_blocks = [block_idx for block_idx, _ in selection.groups]
-        members = [
-            block_member(meta.schema.column_index(column), block_idx)
+        """Batch-load exactly the column blocks holding matched rows.
+
+        The decoded tier may only remove requests: when every block's
+        decoded form is already resident no bytes are needed and the
+        batch is skipped; otherwise the plan is the one a cold tier
+        would make, so its merged ranges keep the block-cache keys
+        earlier queries fetched them under.
+        """
+        schema = reader.meta().schema
+        blocks = [
+            (schema.column_index(column), block_idx)
             for column in columns
-            for block_idx in needed_blocks
+            for block_idx, _ in selection.groups
         ]
-        if not members:
+        if all(reader.has_decoded_block(*block) for block in blocks):
             return
+        members = [block_member(*block) for block in blocks]
         manifest = reader.pack.manifest()
         plan = self._planner.plan(
             self._bucket, reader.pack.key, manifest, reader.pack.data_start, members
@@ -440,9 +447,7 @@ class BlockExecutor:
         """
         if self.options.use_prefetch:
             pack = self._open_pack(entry.path, entry)
-            meta_cached = (
-                self.cache.objects.get((self._bucket, entry.path, META_MEMBER)) is not None
-            )
+            meta_cached = self.cache.objects.contains((self._bucket, entry.path, META_MEMBER))
             reader = self._prefetch_meta_and_indexes(
                 pack, plan.schema, plan.where, meta_cached, stats
             )

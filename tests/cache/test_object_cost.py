@@ -2,7 +2,8 @@
 
 Every entry the archived read path caches — a parsed meta, a pack
 header (manifest + the useful part of the head chunk), an inverted
-index, a BKD index — declares a byte cost.  A cost far below what the
+index, a BKD index, a Bloom filter, a decoded column block in each of
+its three forms — declares a byte cost.  A cost far below what the
 object keeps alive lets the cache outgrow its capacity silently; one far
 above wastes it.  These tests measure each cached object's deep size
 and hold the declared cost within 2x of it, then drive the cache past
@@ -17,6 +18,8 @@ import pytest
 from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
 from repro.common.clock import VirtualClock
 from repro.logblock.bkd import BkdIndex
+from repro.logblock.bloom import BloomFilter
+from repro.logblock.column import PlainStrings, decoded_nbytes
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.schema import request_log_schema
 from repro.logblock.writer import META_MEMBER, LogBlockMeta, LogBlockWriter
@@ -37,6 +40,7 @@ SQL = (
     "SELECT log FROM request_log WHERE tenant_id = 1 AND latency >= 250 "
     "AND ip = '192.168.0.3' AND MATCH(log, 'took')"
 )
+COLUMNS_SQL = "SELECT ts, api, latency, fail FROM request_log WHERE tenant_id = 1"
 
 
 def deep_size(obj, shared=()) -> int:
@@ -68,7 +72,7 @@ def deep_size(obj, shared=()) -> int:
 
 def archive(object_bytes: int):
     """Six 1 200-row LogBlocks of one tenant behind an executor whose
-    object cache holds ``object_bytes``."""
+    object cache holds ``object_bytes``, and a planner for them."""
     schema = request_log_schema()
     catalog = Catalog(schema)
     store = MeteredObjectStore(InMemoryObjectStore(), free(), VirtualClock())
@@ -83,15 +87,18 @@ def archive(object_bytes: int):
         catalog.add_block(LogBlockEntry(1, rows[0]["ts"], rows[-1]["ts"], path, len(blob), len(rows)))
     cache = MultiLevelCache(memory_bytes=1 << 24, ssd_bytes=1 << 25, object_bytes=object_bytes)
     executor = BlockExecutor(CachingRangeReader(store, cache), BUCKET)
-    plan = QueryPlanner(catalog).plan(parse_sql(SQL))
-    return executor, plan, cache.objects
+    planner = QueryPlanner(catalog)
+    return executor, lambda sql=SQL: planner.plan(parse_sql(sql)), cache.objects
 
 
 @pytest.fixture(scope="module")
 def warmed():
     executor, plan, objects = archive(object_bytes=1 << 26)
-    rows, _stats = executor.execute(plan)
-    assert rows and objects.stats.evictions == 0
+    # ``log`` blocks are PLAIN; the second query brings in numeric, bool
+    # and DICT ones.
+    for sql in (SQL, COLUMNS_SQL):
+        rows, _stats = executor.execute(plan(sql))
+        assert rows and objects.stats.evictions == 0
     return objects
 
 
@@ -104,6 +111,12 @@ def entries_of(objects, kind):
     ]
     assert len(found) >= N_BLOCKS, kind
     return found
+
+
+def form_of(block) -> str:
+    if isinstance(block, PlainStrings):
+        return "plain"
+    return "dict" if len(block) == 3 else "numeric"
 
 
 class TestChargedWhatItHolds:
@@ -129,6 +142,25 @@ class TestChargedWhatItHolds:
             assert charged == index.nbytes
             assert held / 2 <= charged <= held * 2, (kind.__name__, charged, held)
 
+    def test_bloom_filters(self, warmed):
+        for bloom, charged in entries_of(warmed, BloomFilter):
+            held = deep_size(bloom)
+            assert charged == bloom.nbytes
+            assert held / 2 <= charged <= held * 2, (charged, held)
+
+    @pytest.mark.parametrize("form", ["numeric", "dict", "plain"])
+    def test_decoded_column_blocks(self, warmed, form):
+        blocks = [
+            (block, charged)
+            for (_bucket, _blob, member), (block, charged) in warmed._entries.items()
+            if member.startswith("col/") and form_of(block) == form
+        ]
+        assert len(blocks) >= N_BLOCKS, form
+        for block, charged in blocks:
+            held = deep_size(block)
+            assert charged == decoded_nbytes(block)
+            assert held / 2 <= charged <= held * 2, (form, charged, held)
+
     def test_the_total_is_the_sum_of_the_charges(self, warmed):
         assert warmed.stats.approx_bytes == sum(size for _value, size in warmed._entries.values())
 
@@ -138,12 +170,38 @@ class TestBoundedByCapacity:
         capacity = 96 * 1024  # less than one block's indexes
         roomy_executor, plan, _objects = archive(object_bytes=1 << 26)
         executor, plan, objects = archive(object_bytes=capacity)
-        expected, _stats = roomy_executor.execute(plan)
+        expected, _stats = roomy_executor.execute(plan())
         for _ in range(3):
-            rows, _stats = executor.execute(plan)
+            rows, _stats = executor.execute(plan())
             assert rows == expected
             assert objects.stats.approx_bytes <= capacity
         assert objects.stats.evictions > 0
+        assert objects.stats.approx_bytes == sum(size for _value, size in objects._entries.values())
+
+    def test_decoded_blocks_past_capacity_evict_and_stay_inside_it(self):
+        """A tier that admits decoded blocks (each under 1/32 of it) but
+        cannot hold a query's worth of them."""
+        capacity = 192 * 1024
+        roomy_executor, plan, _objects = archive(object_bytes=1 << 26)
+        executor, plan, objects = archive(object_bytes=capacity)
+        expected, _stats = roomy_executor.execute(plan(COLUMNS_SQL))
+        admitted = 0
+        put = objects.put
+
+        def counting_put(key, value, approx_bytes):
+            nonlocal admitted
+            if key[2].startswith("col/"):
+                assert approx_bytes * 32 <= capacity
+                admitted += 1
+            put(key, value, approx_bytes)
+            assert objects.stats.approx_bytes <= capacity
+
+        objects.put = counting_put
+        for _ in range(3):
+            rows, _stats = executor.execute(plan(COLUMNS_SQL))
+            assert rows == expected
+        assert admitted > N_BLOCKS and objects.stats.evictions > 0
+        assert objects.stats.approx_bytes <= capacity
         assert objects.stats.approx_bytes == sum(size for _value, size in objects._entries.values())
 
     def test_an_entry_larger_than_the_cache_is_not_admitted(self):

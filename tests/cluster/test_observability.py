@@ -110,15 +110,22 @@ class TestQueryTrace:
         assert "oss.get" in names  # cold read hits the object store
 
     def test_warm_query_shows_cache_hits(self):
+        """A repeat query is served from the caches, and says by which
+        tier: everything it touches is a decoded object by now, so it
+        never reaches the byte-range caches (no ``cache.hit`` span) or
+        the object store."""
         store = build_store()
         store.put(1, make_rows(200, tenant_id=1))
         store.flush_all()
-        store.query(SQL_T1)
-        store.query(SQL_T1)
-        trace = store.last_trace("broker.query")
-        names = [span.name for span in trace.walk()]
-        assert "cache.hit" in names
+        cold = store.query(SQL_T1)
+        assert cold.cache_misses > 0
+        warm = store.query(SQL_T1)
+        names = [span.name for span in store.last_trace("broker.query").walk()]
         assert "oss.get" not in names
+        assert warm.cache_misses == 0 and warm.oss_requests == 0
+        assert warm.cache_hits > 0
+        assert warm.object_hits == warm.cache_hits
+        assert warm.memory_hits == warm.ssd_hits == 0
 
 
 class TestSlowQueryLog:

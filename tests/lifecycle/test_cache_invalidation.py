@@ -1,0 +1,152 @@
+"""A deleted blob leaves nothing behind in the object cache.
+
+Whatever retires an archived object — compaction, cold compaction, the
+expiry sweep (and the older ``expire_data``), tenant offboarding — must
+drop every ``(bucket, blob, *)`` entry of ``cache.objects``: the pack
+header, the meta, decoded indexes and Bloom filters, and the decoded
+column blocks queries left there.  And the rewritten data must answer
+from warm caches exactly as the rows it was built from do.
+"""
+
+import pytest
+
+from repro.builder.compaction import Compactor
+from repro.cluster.config import small_test_config
+from repro.cluster.logstore import LogStore
+
+from tests.conftest import BASE_TS, MICROS, make_rows
+from tests.query.test_decoded_tier import SHAPES, expected, normalized, render
+
+N_ROWS = 600
+
+
+def queries(tenant: int) -> list[dict]:
+    """Every e2e SELECT shape over the tenant's whole time range."""
+    return [
+        {"shape": shape, "tenant": tenant, "lo": BASE_TS, "hi": BASE_TS + N_ROWS * MICROS}
+        for shape in SHAPES
+    ]
+
+
+def oracle(tenant: int, rows: list[dict]) -> list:
+    """The answers, brute-forced from the rows the tenant still has."""
+    return [expected(query, rows) for query in queries(tenant)]
+
+
+def answers(store, tenant: int) -> list:
+    return [normalized(query, store.query(render(query)).rows) for query in queries(tenant)]
+
+
+@pytest.fixture
+def store():
+    store = LogStore.create(
+        config=small_test_config(
+            seal_rows=200, target_rows_per_logblock=200, cold_target_rows=300, cold_min_blocks=1
+        )
+    )
+    for tenant in (1, 2):
+        store.register_tenant(tenant)
+        rows = make_rows(N_ROWS, tenant_id=tenant, seed=tenant)
+        for start in range(0, N_ROWS, 100):
+            store.put(tenant, rows[start : start + 100])
+    store.flush_all()
+    return store
+
+
+def warm(store, tenant: int = 1) -> set[str]:
+    """Query the tenant until its blobs sit decoded in the object cache;
+    returns the blob keys (LogBlock paths) the cache then holds for it."""
+    assert answers(store, tenant) == oracle(tenant, make_rows(N_ROWS, tenant_id=tenant, seed=tenant))
+    paths = {block.path for block in store.catalog.tenant(tenant).blocks}
+    cached = cached_blobs(store) & paths
+    assert cached == paths and len(paths) >= 2
+    members = {key[2] for key in store.cache.objects._entries if key[1] in paths}
+    assert {"meta", "__pack_header__"} <= members
+    assert any(m.startswith("col/") for m in members) and any(m.startswith("idx/") for m in members)
+    return paths
+
+
+def cached_blobs(store) -> set[str]:
+    return {key[1] for key in store.cache.objects._entries}
+
+
+def age(store, hours: float) -> None:
+    """Move the virtual clock to ``hours`` past the newest row."""
+    target_s = BASE_TS / MICROS + N_ROWS + hours * 3_600
+    store.clock.sleep(max(0.0, target_s - store.clock.now()))
+
+
+class TestNoKeyOfADeletedBlobRemains:
+    def test_compaction(self, store):
+        victims = warm(store)
+        compactor = Compactor(
+            store.schema,
+            store.oss,
+            store.config.bucket,
+            store.catalog,
+            codec=store.config.codec,
+            block_rows=store.config.block_rows,
+            small_threshold_rows=500,
+            target_rows=1_000,
+            invalidate=store.invalidate_blob,
+        )
+        result = compactor.compact_tenant(1)
+        assert result.compacted and result.blocks_after < len(victims)
+        assert not cached_blobs(store) & victims
+        # The rewritten blocks answer the same, cold and from warm caches.
+        rows = make_rows(N_ROWS, tenant_id=1, seed=1)
+        assert answers(store, 1) == oracle(1, rows)
+        assert answers(store, 1) == oracle(1, rows)
+
+    def test_cold_compaction_then_expiry_of_the_cold_members(self, store):
+        victims = warm(store)
+        store.set_retention(1, cold_age="1h")
+        age(store, hours=2)
+        store.cold_compact()
+        blocks = list(store.catalog.tenant(1).blocks)
+        assert blocks and all(block.segment_path is not None for block in blocks)
+        assert not cached_blobs(store) & victims
+        cold_members = warm(store)  # decoded objects live under the members' own paths
+        segments = {block.segment_path for block in blocks}
+        assert not cold_members & victims
+
+        store.set_retention(1, ttl="3h", cold_age="1h")
+        age(store, hours=4)
+        report = store.sweep_expired()
+        assert report.blocks_expired == len(blocks) and report.segments_deleted == len(segments)
+        assert not cached_blobs(store) & (cold_members | segments)
+        assert not any(key[1] in segments for key in store.cache.blocks.memory._entries)
+        assert answers(store, 1) == oracle(1, [])
+
+    @pytest.mark.parametrize("how", ["sweep_expired", "expire_data"])
+    def test_expiry(self, store, how):
+        victims = warm(store)
+        others = warm(store, tenant=2)
+        store.set_retention(1, ttl="1h")
+        store.catalog.set_retention(1, 3_600.0)
+        age(store, hours=2)
+        getattr(store, how)()
+        assert store.catalog.tenant(1).blocks == []
+        assert not cached_blobs(store) & victims
+        assert cached_blobs(store) >= others  # another tenant's entries are not touched
+        assert answers(store, 1) == oracle(1, [])
+        assert answers(store, 2) == oracle(2, make_rows(N_ROWS, tenant_id=2, seed=2))
+
+    def test_offboarding(self, store):
+        victims = warm(store)
+        others = warm(store, tenant=2)
+        report = store.offboard_tenant(1)
+        assert report.verified
+        assert not cached_blobs(store) & victims
+        assert cached_blobs(store) >= others
+        assert answers(store, 2) == oracle(2, make_rows(N_ROWS, tenant_id=2, seed=2))
+
+    def test_offboarding_a_cold_tenant(self, store):
+        store.set_retention(1, cold_age="1h")
+        age(store, hours=2)
+        store.cold_compact()
+        cold_members = warm(store)
+        segments = {block.segment_path for block in store.catalog.tenant(1).blocks}
+        assert None not in segments
+        assert store.offboard_tenant(1).verified
+        assert not cached_blobs(store) & (cold_members | segments)

@@ -1,5 +1,9 @@
 """Column-block encoder tests."""
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,10 +11,11 @@ from hypothesis import strategies as st
 
 from repro.common.errors import SerializationError
 from repro.logblock.column import (
+    PlainStrings,
+    block_values,
     decode_block,
     decode_block_arrays,
     encode_block,
-    plain_strings,
 )
 from repro.logblock.schema import ColumnType
 
@@ -83,7 +88,7 @@ class TestStringColumns:
         codes, dictionary, null_mask = decode_block_arrays(
             encoded, ColumnType.STRING, len(values)
         )
-        assert codes.dtype.kind == "i" and len(dictionary) == 300
+        assert codes.dtype == np.uint16 and len(dictionary) == 300  # the narrowest that holds 301
         assert [None if c == 0 else dictionary[c - 1] for c in codes.tolist()] == values
         assert null_mask.tolist() == [v is None for v in values]
 
@@ -124,13 +129,18 @@ plain_values = st.lists(
 )
 
 
+def plain_strings(payload, row_count):
+    """The decoded form of a string block (a PLAIN one: ``PlainStrings``)."""
+    return decode_block_arrays(payload, ColumnType.STRING, row_count)
+
+
 class TestSelectivePlainDecode:
     """``PlainStrings.pick`` ≡ picking from the ``decode_block`` oracle."""
 
     @staticmethod
     def encode_plain(values):
         data = encode_block(values, ColumnType.STRING)
-        assert decode_block_arrays(data, ColumnType.STRING, len(values)) is None  # PLAIN
+        assert isinstance(plain_strings(data, len(values)), PlainStrings)
         return data
 
     @given(plain_values, st.data())
@@ -199,10 +209,95 @@ class TestSelectivePlainDecode:
         with pytest.raises(IndexError):
             strings.pick(np.array([-1, 0]))
 
-    def test_dict_blocks_are_refused(self):
-        values = ["alpha", "beta"] * 20
+    def test_an_unknown_string_encoding_is_refused(self):
+        payload = bytearray(self.encode_plain(["alpha", "beta"]))
+        payload[payload.index(b"\x05alpha") - 1] = 7  # the encoding byte
         with pytest.raises(SerializationError):
-            plain_strings(encode_block(values, ColumnType.STRING), len(values))
+            plain_strings(bytes(payload), 2)
+
+
+class TestDecodedBlocksAreSafeToShare:
+    """One decoded block is handed to every query that reads it."""
+
+    BLOCKS = [
+        (ColumnType.INT64, [1, None, 3]),
+        (ColumnType.TIMESTAMP, [1_605_052_800_000_000, None]),
+        (ColumnType.FLOAT64, [1.5, None]),
+        (ColumnType.BOOL, [True, None, False]),
+        (ColumnType.STRING, ["alpha", "beta", None, "alpha"] * 8),  # DICT, one-byte codes
+        (ColumnType.STRING, ([f"v{i:03d}" for i in range(300)] + [None]) * 3),  # DICT, wide codes
+    ]
+
+    @pytest.mark.parametrize("ctype, values", BLOCKS)
+    def test_writing_into_a_decoded_array_raises(self, ctype, values):
+        block = decode_block_arrays(encode_block(values, ctype), ctype, len(values))
+        arrays = [part for part in block if isinstance(part, np.ndarray)]
+        assert len(arrays) == 2
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[-1]
+        if len(block) == 3:
+            assert isinstance(block[1], tuple)  # the dictionary
+        assert block_values(block) == values == decode_block(encode_block(values, ctype), ctype, len(values))
+
+    def test_a_plain_block_exposes_no_writable_buffer(self):
+        values = [f"line {i}" for i in range(40)]
+        strings = decode_block_arrays(encode_block(values, ColumnType.STRING), ColumnType.STRING, 40)
+        assert isinstance(strings, PlainStrings) and len(strings) == 40
+        assert not strings._null_mask.flags.writeable
+        assert strings._starts.dtype == strings._ends.dtype == np.uint32
+        assert block_values(strings) == values
+
+    @given(plain_values, st.data())
+    def test_interleaved_readers_of_one_plain_view(self, values, data):
+        """A short pick, a longer one by another reader, the first again:
+        each equals what a fresh decode of the block returns."""
+        payload = encode_block(values, ColumnType.STRING)
+        shared = decode_block_arrays(payload, ColumnType.STRING, len(values))
+        assert isinstance(shared, PlainStrings)
+        cut = data.draw(st.integers(1, len(values)))
+        short = np.arange(cut)[:: data.draw(st.integers(1, 3))]
+        longer = np.arange(len(values))[data.draw(st.integers(0, 2)) :: 2]
+
+        def fresh(offsets):
+            return decode_block_arrays(payload, ColumnType.STRING, len(values)).pick(offsets)
+
+        first = shared.pick(short)
+        assert first == fresh(short) == [values[i] for i in short]
+        assert shared.pick(longer) == fresh(longer) == [values[i] for i in longer]
+        assert shared.pick(short) == first
+        assert block_values(shared) == values
+
+
+    def test_threads_sharing_one_plain_view(self):
+        """More readers than cores extend one view's walk at once; every
+        pick still equals the picks from the values."""
+        values = [None if i % 17 == 0 else f"row {i} " + "x" * (i % 150) for i in range(600)]
+        shared = decode_block_arrays(encode_block(values, ColumnType.STRING), ColumnType.STRING, 600)
+        assert isinstance(shared, PlainStrings)
+        wrong: list = []
+
+        def reader(seed: int) -> None:
+            rng = random.Random(seed)
+            for _ in range(40):
+                offsets = np.array(sorted(rng.sample(range(600), rng.randint(1, 30))))
+                if shared.pick(offsets) != [values[i] for i in offsets]:
+                    wrong.append(offsets)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert block_values(shared) == values
 
 
 class TestNumericDecodeOracle:

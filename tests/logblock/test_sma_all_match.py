@@ -12,6 +12,8 @@ import math
 
 import pytest
 
+from repro.cache.object_cache import ObjectCache
+from repro.logblock.column import PlainStrings
 from repro.logblock.pruning import (
     EqPredicate,
     InPredicate,
@@ -20,6 +22,7 @@ from repro.logblock.pruning import (
     _index_rowids,
     evaluate_predicates,
 )
+from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import ColumnSpec, ColumnType, IndexType, TableSchema
 from repro.logblock.sma import Sma
 from repro.logblock.writer import LogBlockWriter
@@ -59,13 +62,18 @@ def constant_rows(**overrides) -> list[dict]:
     return rows
 
 
-def block_reader(rows, meta_version=4):
+def block_reader(rows, meta_version=4, objects=None, decode_charge=None):
     """The rows as one LogBlock of the given format (2 and 3 through
-    the legacy encoders)."""
+    the legacy encoders), read through the shared object cache
+    ``objects`` when one is given."""
     writer = LogBlockWriter(SCHEMA, codec="zlib", block_rows=64)
     writer.append_many(rows)
     blob = writer.finish()
-    return reader_for(blob if meta_version == 4 else downgrade_block(blob, meta_version))
+    reader = reader_for(blob if meta_version == 4 else downgrade_block(blob, meta_version))
+    if objects is not None:
+        reader = LogBlockReader(reader.pack, decode_charge=decode_charge)
+        reader.attach_shared_cache(objects, "b")
+    return reader
 
 
 def literals_of(predicate) -> list:
@@ -200,6 +208,78 @@ class TestDifferential:
         )
         assert bits.count() == N_ROWS
         assert stats.columns_short_circuited == 0 and stats.blocks_scanned > 0
+
+
+class TestThroughASharedObjectCache:
+    """``every_path`` again with the reader's decoded blocks, indexes and
+    Bloom filters in a shared object cache: filling it, through a second
+    reader that finds it warm, and through one too small to admit a
+    block.  All column types and all three block forms (``msg`` is
+    PLAIN here, ``host`` DICT)."""
+
+    ROWS = constant_rows(
+        tenant=[7, 7, 8, None],
+        score=[2.5, 1.0, None, math.nan],
+        flag=[True, False, None],
+        host=["web-1", "web-2", None],
+        msg=[f"disk {i} full on web-{i % 3}" for i in range(N_ROWS)],
+        plain=[3, 4, None],
+    )
+    PREDICATES = [
+        EqPredicate("tenant", 7),
+        InPredicate("tenant", (8, 9)),
+        RangePredicate("ts", low=1_010, high=1_100),
+        EqPredicate("score", 2.5),
+        InPredicate("score", (1.0, 2.5)),
+        EqPredicate("flag", True),
+        EqPredicate("flag", False),
+        EqPredicate("host", "web-2"),
+        InPredicate("host", ("web-1", "web-3")),
+        RangePredicate("host", low="web-1", high="web-2", high_inclusive=False),
+        EqPredicate("msg", "disk 5 full on web-2"),
+        InPredicate("msg", ("disk 7 full on web-1", "absent")),
+        RangePredicate("msg", low="disk 5", high="disk 6"),
+        EqPredicate("plain", 4),
+        RangePredicate("plain", low=4),
+    ]
+
+    def battery(self, reader):
+        answers = [every_path(reader, self.ROWS, predicate) for predicate in self.PREDICATES]
+        assert all(0 < len(answer) < N_ROWS for answer in answers)
+        columns = [c.name for c in SCHEMA.columns]
+        everything = reader.read_rows(range(N_ROWS), columns)
+        for got, want in zip(everything, self.ROWS):
+            assert all(got[c] == want[c] or (got[c] != got[c] and want[c] != want[c]) for c in columns)
+        return answers
+
+    def test_cold_then_warm_then_too_small(self):
+        private = self.battery(block_reader(self.ROWS))
+
+        objects = ObjectCache(1 << 24)
+        charges: list[int] = []
+        assert self.battery(block_reader(self.ROWS, objects=objects, decode_charge=charges.append)) == private
+        blocks_cached = [key for key in objects._entries if key[2].startswith("col/")]
+        n_blocks = -(-N_ROWS // 64)
+        assert len(blocks_cached) == len(SCHEMA.columns) * n_blocks
+        assert len(charges) >= len(blocks_cached)  # each decoded once (plus the indexes)
+
+        # A second reader over the now-warm cache decodes nothing.
+        del charges[:]
+        warm = block_reader(self.ROWS, objects=objects, decode_charge=charges.append)
+        assert self.battery(warm) == private
+        assert charges == []
+        shared = warm.read_block_arrays("msg", 0)
+        assert isinstance(shared, PlainStrings) and shared is objects.get(("b", "k", "col/5/0"))
+        assert len(warm.read_block_arrays("host", 0)) == 3  # DICT
+
+        # Too small to admit a block (or an index): every reader decodes
+        # for itself, once, and answers the same.
+        tiny = ObjectCache(2048)
+        for _ in range(2):
+            del charges[:]
+            assert self.battery(block_reader(self.ROWS, objects=tiny, decode_charge=charges.append)) == private
+            assert len(charges) >= len(blocks_cached)
+            assert not any(key[2].startswith("col/") for key in tiny._entries)
 
 
 class TestHazards:

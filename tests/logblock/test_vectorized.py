@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.logblock.column import decode_block_arrays, encode_block
+from repro.logblock.column import PlainStrings, decode_block_arrays, encode_block
 from repro.logblock.pruning import (
     EqPredicate,
     InPredicate,
@@ -43,7 +43,7 @@ class TestDecodeArrays:
 
     def test_strings_have_no_vector_form(self):
         encoded = encode_block(["a", "b"], ColumnType.STRING)
-        assert decode_block_arrays(encoded, ColumnType.STRING, 2) is None
+        assert isinstance(decode_block_arrays(encoded, ColumnType.STRING, 2), PlainStrings)
 
     def test_timestamp(self):
         encoded = encode_block([100, 200], ColumnType.TIMESTAMP)

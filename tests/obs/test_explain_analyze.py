@@ -1,5 +1,7 @@
 """EXPLAIN ANALYZE: structure, work accounting, determinism."""
 
+import re
+
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
 
@@ -61,6 +63,29 @@ class TestExplainAnalyze:
         assert result.oss_requests == 0  # fully cached
         text = store.explain_analyze(SELECT_SQL)
         assert "oss requests: 0" in text
+
+    def test_cache_line_names_the_tier_that_served(self):
+        """Cold: misses, and byte-range hits on what the prefetch just
+        loaded.  Warm: every hit is a decoded object; nothing below the
+        object tier is asked."""
+        store = seeded_store()
+        pattern = re.compile(
+            r"cache: (\d+) hits \(object (\d+), memory (\d+), ssd (\d+)\), "
+            r"(\d+) misses \(hit rate (\d+\.\d)%\)"
+        )
+
+        def cache_line(text):
+            match = pattern.search(text)
+            assert match, text
+            hits, from_object, memory, ssd, misses = map(int, match.groups()[:5])
+            assert hits == from_object + memory + ssd
+            return from_object, memory, ssd, misses, match.group(6)
+
+        from_object, memory, ssd, misses, _rate = cache_line(store.explain_analyze(SELECT_SQL))
+        assert misses > 0 and memory > 0 and ssd == 0
+        from_object, memory, ssd, misses, rate = cache_line(store.explain_analyze(SELECT_SQL))
+        assert from_object > 0 and (memory, ssd, misses) == (0, 0, 0)
+        assert rate == "100.0"
 
     def test_deterministic_across_identical_clusters(self):
         first = seeded_store().explain_analyze(SELECT_SQL)
