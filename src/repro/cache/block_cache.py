@@ -5,19 +5,25 @@ cache (8GB).  When its size exceeds the threshold, the memory cache
 will spill to the SSD block cache (200GB).  The block manager is
 responsible for the expiration and swapping of the cache."
 
-Keys are ``(bucket, key, start, length)`` — a specific byte range of a
-specific object, which is exactly what the pack reader requests.
-Eviction is LRU per tier; evicted memory blocks demote to the SSD tier,
+An entry is one fetched byte range, keyed ``(bucket, key, start,
+length)``.  Residency belongs to bytes, not to request keys: a lookup is
+answered by the resident entry that wholly contains the range, whatever
+range it was fetched as, and a byte is held once — a range an entry
+already contains is not stored again, and the two tiers are exclusive.
+Eviction is LRU per tier; evicted memory entries demote to the SSD tier,
 SSD evictions are discarded (OSS remains the source of truth).
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 
 BlockKey = tuple[str, str, int, int]
+
+_ANY_LENGTH = float("inf")
 
 
 @dataclass
@@ -36,6 +42,12 @@ class CacheTierStats:
         return self.hits / total if total else 0.0
 
 
+def _slice(key: BlockKey, holder: BlockKey, data: bytes) -> bytes:
+    """The bytes of ``key``'s range out of the entry that holds it."""
+    offset = key[2] - holder[2]
+    return data[offset : offset + key[3]]
+
+
 class LruBlockCache:
     """A single LRU tier bounded by total cached bytes."""
 
@@ -45,6 +57,10 @@ class LruBlockCache:
         self.name = name
         self._capacity = capacity_bytes
         self._entries: OrderedDict[BlockKey, bytes] = OrderedDict()
+        # Per blob, the sorted (start, length) of its entries.  No entry
+        # contains another, so ends ascend with starts and the only entry
+        # that can cover a range is the last one starting at or before it.
+        self._extents: dict[tuple[str, str], list[tuple[int, int]]] = {}
         self._lock = threading.Lock()
         self.stats = CacheTierStats()
 
@@ -52,47 +68,87 @@ class LruBlockCache:
     def capacity_bytes(self) -> int:
         return self._capacity
 
-    def get(self, key: BlockKey) -> bytes | None:
+    def _holder(self, key: BlockKey) -> BlockKey | None:
+        bucket, name, start, length = key
+        extents = self._extents.get((bucket, name))
+        if extents:
+            at = bisect_right(extents, (start, _ANY_LENGTH)) - 1
+            if at >= 0 and sum(extents[at]) >= start + length:
+                return (bucket, name, *extents[at])
+        return None
+
+    def covers(self, key: BlockKey) -> bool:
+        """Whether :meth:`get` would hit; moves no counter and no LRU position."""
         with self._lock:
-            data = self._entries.get(key)
-            if data is None:
+            return self._holder(key) is not None
+
+    def find(self, key: BlockKey) -> tuple[BlockKey, bytes] | None:
+        """The entry that wholly contains ``key``'s range (a counted lookup)."""
+        with self._lock:
+            holder = self._holder(key)
+            if holder is None:
                 self.stats.misses += 1
                 return None
-            self._entries.move_to_end(key)
+            self._entries.move_to_end(holder)
             self.stats.hits += 1
-            return data
+            return holder, self._entries[holder]
+
+    def get(self, key: BlockKey) -> bytes | None:
+        found = self.find(key)
+        return None if found is None else _slice(key, *found)
 
     def put(self, key: BlockKey, data: bytes) -> list[tuple[BlockKey, bytes]]:
         """Insert; returns the entries evicted to make room.
 
         A block larger than the whole tier is not cached (and nothing is
-        evicted for it).
+        evicted for it); a range another entry already contains is not
+        stored again; entries the new one contains are dropped for it.
         """
         if len(data) > self._capacity:
             return []
         evicted: list[tuple[BlockKey, bytes]] = []
         with self._lock:
-            if key in self._entries:
-                old = self._entries.pop(key)
-                self.stats.bytes_cached -= len(old)
+            if self._holder(key) not in (None, key):
+                return evicted
+            self._discard(key)
             self._entries[key] = data
+            extents = self._extents.setdefault(key[:2], [])
+            extents.insert(bisect_left(extents, key[2:]), key[2:])
             self.stats.bytes_cached += len(data)
             self.stats.insertions += 1
             while self.stats.bytes_cached > self._capacity:
-                victim_key, victim = self._entries.popitem(last=False)
-                self.stats.bytes_cached -= len(victim)
+                victim_key = next(iter(self._entries))
+                evicted.append((victim_key, self._remove(victim_key)))
                 self.stats.evictions += 1
-                evicted.append((victim_key, victim))
         return evicted
+
+    def _remove(self, key: BlockKey) -> bytes:
+        data = self._entries.pop(key)
+        self.stats.bytes_cached -= len(data)
+        extents = self._extents[key[:2]]
+        del extents[bisect_left(extents, key[2:])]
+        if not extents:
+            del self._extents[key[:2]]
+        return data
+
+    def _discard(self, key: BlockKey) -> int:
+        bucket, name, start, length = key
+        extents = self._extents.get((bucket, name), ())
+        at = bisect_left(extents, (start, 0))
+        dropped = 0
+        while at < len(extents) and sum(extents[at]) <= start + length:
+            self._remove((bucket, name, *extents[at]))
+            dropped += 1
+        return dropped
+
+    def discard(self, key: BlockKey) -> int:
+        """Drop every entry lying wholly inside ``key``'s range; returns count."""
+        with self._lock:
+            return self._discard(key)
 
     def invalidate_object(self, bucket: str, key: str) -> int:
         """Drop all ranges of one object (e.g. after expiry); returns count."""
-        with self._lock:
-            victims = [k for k in self._entries if k[0] == bucket and k[1] == key]
-            for victim in victims:
-                data = self._entries.pop(victim)
-                self.stats.bytes_cached -= len(data)
-            return len(victims)
+        return self.discard((bucket, key, 0, _ANY_LENGTH))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -100,11 +156,16 @@ class LruBlockCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._extents.clear()
             self.stats.bytes_cached = 0
 
 
 class TieredBlockCache:
     """Memory tier + SSD tier with demotion, fronted as one cache.
+
+    The tiers are exclusive: an SSD hit moves the holding entry to
+    memory (one too large for the memory tier is served where it is),
+    and nothing one tier holds lies inside an entry of the other.
 
     The SSD tier charges its cost model on hits (reading from local SSD
     is not free, just much cheaper than OSS); the memory tier is free.
@@ -122,22 +183,37 @@ class TieredBlockCache:
         self._ssd_read_cost = ssd_read_cost
         self._charge = charge
 
+    def covers(self, key: BlockKey) -> bool:
+        return self.memory.covers(key) or self.ssd.covers(key)
+
     def get(self, key: BlockKey) -> bytes | None:
         data = self.memory.get(key)
         if data is not None:
             return data
-        data = self.ssd.get(key)
-        if data is not None:
-            if self._charge is not None and self._ssd_read_cost > 0:
-                self._charge(self._ssd_read_cost + len(data) / 2e9)
-            # Promote back to memory on SSD hit.
-            for victim_key, victim in self.memory.put(key, data):
-                self.ssd.put(victim_key, victim)
-            return data
-        return None
+        found = self.ssd.find(key)
+        if found is None:
+            return None
+        holder, entry = found
+        data = _slice(key, holder, entry)
+        moves = len(entry) <= self.memory.capacity_bytes
+        if moves:
+            self._to_memory(holder, entry)
+        if self._charge is not None and self._ssd_read_cost > 0:
+            # The SSD reads what leaves it: the whole entry when it moves.
+            self._charge(self._ssd_read_cost + len(entry if moves else data) / 2e9)
+        return data
 
     def put(self, key: BlockKey, data: bytes) -> None:
-        for victim_key, victim in self.memory.put(key, data):
+        if len(data) > self.memory.capacity_bytes:
+            self.memory.discard(key)
+            self.ssd.put(key, data)
+        elif not self.ssd.covers(key):
+            self._to_memory(key, data)
+
+    def _to_memory(self, key: BlockKey, data: bytes) -> None:
+        victims = self.memory.put(key, data)
+        self.ssd.discard(key)
+        for victim_key, victim in victims:
             self.ssd.put(victim_key, victim)
 
     def invalidate_object(self, bucket: str, key: str) -> int:

@@ -8,7 +8,10 @@ through :class:`CachingRangeReader`, which satisfies the pack reader's
     object cache  →  memory block cache  →  SSD block cache  →  OSS
 
 Only the final OSS miss pays the cost model; SSD hits pay the (small)
-SSD cost when one is configured.
+SSD cost when one is configured.  A block-tier lookup is answered by any
+resident entry that covers the range (:mod:`repro.cache.block_cache`),
+so a range fetched once — a member alone, or a merged prefetch range
+around it — serves every later read inside it.
 """
 
 from __future__ import annotations
@@ -99,6 +102,14 @@ class CachingRangeReader:
     @property
     def cache(self) -> MultiLevelCache:
         return self._cache
+
+    def resident(self, bucket: str, key: str, start: int, length: int) -> bool:
+        """Whether a block tier holds these bytes: ``get_range`` would hit.
+
+        What prefetch planning asks before it requests a member; touches
+        neither the hit/miss counters nor the LRU order.
+        """
+        return self._cache.blocks.covers((bucket, key, start, length))
 
     def get_range(self, bucket: str, key: str, start: int, length: int) -> bytes:
         block_key = (bucket, key, start, length)

@@ -240,13 +240,9 @@ class LogBlockReader:
         return block
 
     def has_decoded_block(self, col_idx: int, block_idx: int) -> bool:
-        """Whether reading this block would touch no bytes: its decoded
-        form is in the reader's memo or the shared object cache."""
-        if (col_idx, block_idx) in self._blocks:
-            return True
-        return self._objects is not None and self._objects.contains(
-            self._shared_key(block_member(col_idx, block_idx))
-        )
+        """Whether this reader already decoded the block: its memo holds
+        it even when the shared object cache could not admit it."""
+        return (col_idx, block_idx) in self._blocks
 
     def read_block(self, column: str, block_idx: int) -> list:
         """One column block as python values (``None`` = null)."""

@@ -3,7 +3,8 @@
 Renders one executed query as the plan text (:func:`explain_plan`)
 followed by per-stage virtual timings (from the ``broker.query`` trace),
 the pushdown tier counts, pruning counters, cache hits per tier (object /
-memory / SSD) beside misses, and bytes fetched.  Everything is driven by the virtual clock, so the output is
+memory / SSD) beside misses, bytes fetched, and what the prefetch plans
+wanted against what was already resident.  Everything is driven by the virtual clock, so the output is
 deterministic and golden-testable.
 """
 
@@ -95,6 +96,13 @@ def render_explain_analyze(result, trace: Span | None, journal=None) -> str:
     lines.append(
         f"  prefetch requests: {stats.prefetch_requests}, "
         f"bytes: {stats.prefetch_bytes}"
+    )
+    resident = stats.prefetch_resident_decoded + stats.prefetch_resident_bytes
+    lines.append(
+        f"  prefetch members: {resident + stats.prefetch_members_fetched} wanted, "
+        f"{resident} resident (decoded {stats.prefetch_resident_decoded}, "
+        f"bytes {stats.prefetch_resident_bytes}), "
+        f"{stats.prefetch_members_fetched} fetched"
     )
     cache_total = result.cache_hits + result.cache_misses
     rate = result.cache_hits / cache_total if cache_total else 0.0

@@ -7,9 +7,11 @@ cost model (overlapped request latencies), while the actual byte loads
 run inline — the virtual clock, not the Python scheduler, is the
 measured quantity.
 
-After a prefetch, every *member* range covered by a merged super-range
-is re-inserted into the block cache under its own key, so subsequent
-member reads hit the cache instead of re-slicing OSS.
+A plan lists only missing bytes — the query executor drops every member
+whose bytes or decoded form are resident before the planner merges the
+rest — so each of its ranges is one request to the store, and each
+fetched range is cached once, under its own key: the block cache
+answers the later member reads from inside it.
 """
 
 from __future__ import annotations
@@ -49,14 +51,8 @@ class ParallelPrefetcher:
     def threads(self) -> int:
         return self._threads
 
-    def execute(self, plan: PrefetchPlan, member_extents: list[tuple[int, int]] = ()) -> None:
-        """Load all ranges of ``plan``; optionally re-key member slices.
-
-        ``member_extents`` are the original (pre-merge) member byte
-        extents; each is sliced out of the fetched super-ranges and
-        cached under its own (start, length) key so later
-        ``get_range(member)`` calls are pure cache hits.
-        """
+    def execute(self, plan: PrefetchPlan) -> None:
+        """Load all ranges of ``plan`` as one parallel batch."""
         if not plan.ranges:
             return
         chunks = self._reader.get_ranges_parallel(
@@ -65,20 +61,3 @@ class ParallelPrefetcher:
         self.stats.plans_executed += 1
         self.stats.requests_issued += len(plan.ranges)
         self.stats.bytes_loaded += sum(len(chunk) for chunk in chunks)
-
-        if member_extents:
-            fetched = list(zip(plan.ranges, chunks))
-            for member_start, member_length in member_extents:
-                if member_length == 0:
-                    continue
-                for (range_start, range_length), chunk in fetched:
-                    if (
-                        member_start >= range_start
-                        and member_start + member_length <= range_start + range_length
-                    ):
-                        offset = member_start - range_start
-                        piece = chunk[offset : offset + member_length]
-                        self._reader.cache.blocks.put(
-                            (plan.bucket, plan.key, member_start, member_length), piece
-                        )
-                        break

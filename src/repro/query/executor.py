@@ -93,6 +93,11 @@ class ExecutionStats:
     prune: PruneStats = field(default_factory=PruneStats)
     prefetch_requests: int = 0
     prefetch_bytes: int = 0
+    # Members the prefetch stages wanted: fetched, or skipped because
+    # their decoded form / their bytes were resident.
+    prefetch_members_fetched: int = 0
+    prefetch_resident_decoded: int = 0
+    prefetch_resident_bytes: int = 0
     pushdown: PushdownCounters = field(default_factory=PushdownCounters)
     # Latest-version dedup accounting: versions offered to the
     # tournament vs winners actually materialized.
@@ -273,18 +278,30 @@ class BlockExecutor:
     def _open_block(self, entry: LogBlockEntry) -> LogBlockReader:
         return self._open_block_from_pack(self._open_pack(entry.path, entry))
 
-    def _prefetch_batch(self, pack: PackReader, members: list[str], stats) -> None:
-        # Members inside the retained head chunk need no request at all.
-        members = [m for m in members if not pack.covered_by_head(m)]
-        if not members:
+    def _prefetch_members(self, pack: PackReader, members: list[str], stats) -> None:
+        """Fetch the missing ones of ``members`` as one merged parallel batch.
+
+        The one request rule: a member is requested iff neither its
+        decoded form (object tier) nor its bytes (head chunk or either
+        block tier) are resident.  Dropping members before the planner
+        merges keeps resident bytes out of the merged ranges too.
+        """
+        missing: list[str] = []
+        for member in members:
+            if self.cache.objects.contains((self._bucket, pack.key, member)):
+                stats.prefetch_resident_decoded += 1
+            elif pack.resident(member):
+                stats.prefetch_resident_bytes += 1
+            else:
+                missing.append(member)
+        if not missing:
             return
-        manifest = pack.manifest()
         plan = self._planner.plan(
-            self._bucket, pack.key, manifest, pack.data_start, members
+            self._bucket, pack.key, pack.manifest(), pack.data_start, missing
         )
-        extents = [pack.member_extent(m) for m in members]
         prefetcher = ParallelPrefetcher(pack.store, self.options.prefetch_threads)
-        prefetcher.execute(plan, extents)
+        prefetcher.execute(plan)
+        stats.prefetch_members_fetched += len(missing)
         stats.prefetch_requests += prefetcher.stats.requests_issued
         stats.prefetch_bytes += prefetcher.stats.bytes_loaded
 
@@ -293,7 +310,6 @@ class BlockExecutor:
         pack: PackReader,
         schema,
         expr: Expr | None,
-        meta_cached: bool,
         stats: ExecutionStats,
     ) -> LogBlockReader:
         """Two-stage parallel load of everything evaluation will touch.
@@ -309,18 +325,10 @@ class BlockExecutor:
         (Figures 9/10) with SMA and Bloom short-circuiting.
         """
         manifest = pack.manifest()
-        stage1: list[str] = []
-        if not meta_cached:
-            stage1.append(META_MEMBER)
         eq_leaves = _equality_string_leaves(expr) if expr is not None else {}
-        for column in sorted(eq_leaves):
-            member = bloom_member(column)
-            # A cached decoded Bloom needs no byte prefetch at all.
-            if member in manifest and not self.cache.objects.contains(
-                (self._bucket, pack.key, member)
-            ):
-                stage1.append(member)
-        self._prefetch_batch(pack, stage1, stats)
+        blooms = [bloom_member(column) for column in sorted(eq_leaves)]
+        stage1 = [META_MEMBER] + [member for member in blooms if member in manifest]
+        self._prefetch_members(pack, stage1, stats)
 
         reader = self._open_block_from_pack(pack)
         if expr is None or not self.options.use_indexes:
@@ -332,14 +340,15 @@ class BlockExecutor:
             member = index_member(column)
             if spec.index is IndexType.NONE or member not in manifest:
                 continue
-            if self.cache.objects.contains((self._bucket, pack.key, member)):
-                continue  # decoded index already shared; skip the bytes
             if self.options.use_skipping and _decided_by_sma(
                 _all_leaves_for_column(expr, column),
                 reader.column_sma(column),
                 reader.column(column).ctype,
             ):
                 continue  # evaluation will never open this index
+            if self.cache.objects.contains((self._bucket, pack.key, member)):
+                stage2.append(member)  # decoded and shared: no Bloom to read for it
+                continue
             leaves = eq_leaves.get(column)
             if leaves is not None and leaves and reader.has_bloom(column):
                 bloom = reader.read_bloom(column)
@@ -356,7 +365,7 @@ class BlockExecutor:
                     if only_eq_leaves:
                         continue
             stage2.append(member)
-        self._prefetch_batch(pack, stage2, stats)
+        self._prefetch_members(pack, stage2, stats)
         return reader
 
     def _prefetch_output_blocks(
@@ -368,11 +377,9 @@ class BlockExecutor:
     ) -> None:
         """Batch-load exactly the column blocks holding matched rows.
 
-        The decoded tier may only remove requests: when every block's
-        decoded form is already resident no bytes are needed and the
-        batch is skipped; otherwise the plan is the one a cold tier
-        would make, so its merged ranges keep the block-cache keys
-        earlier queries fetched them under.
+        A block this reader already decoded is resident whatever the
+        object tier says (the memo holds what that tier was too small to
+        admit); the rest go by the one request rule.
         """
         schema = reader.meta().schema
         blocks = [
@@ -380,18 +387,9 @@ class BlockExecutor:
             for column in columns
             for block_idx, _ in selection.groups
         ]
-        if all(reader.has_decoded_block(*block) for block in blocks):
-            return
-        members = [block_member(*block) for block in blocks]
-        manifest = reader.pack.manifest()
-        plan = self._planner.plan(
-            self._bucket, reader.pack.key, manifest, reader.pack.data_start, members
-        )
-        extents = [reader.pack.member_extent(m) for m in members]
-        prefetcher = ParallelPrefetcher(reader.pack.store, self.options.prefetch_threads)
-        prefetcher.execute(plan, extents)
-        stats.prefetch_requests += prefetcher.stats.requests_issued
-        stats.prefetch_bytes += prefetcher.stats.bytes_loaded
+        members = [block_member(*b) for b in blocks if not reader.has_decoded_block(*b)]
+        stats.prefetch_resident_decoded += len(blocks) - len(members)
+        self._prefetch_members(reader.pack, members, stats)
 
     def _evaluate_expr(
         self, reader: LogBlockReader, expr: Expr, stats: ExecutionStats
@@ -447,10 +445,7 @@ class BlockExecutor:
         """
         if self.options.use_prefetch:
             pack = self._open_pack(entry.path, entry)
-            meta_cached = self.cache.objects.contains((self._bucket, entry.path, META_MEMBER))
-            reader = self._prefetch_meta_and_indexes(
-                pack, plan.schema, plan.where, meta_cached, stats
-            )
+            reader = self._prefetch_meta_and_indexes(pack, plan.schema, plan.where, stats)
         else:
             reader = self._open_block(entry)
         stats.blocks_visited += 1

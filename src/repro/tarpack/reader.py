@@ -3,7 +3,9 @@
 A :class:`PackReader` knows the bucket/key of a packed LogBlock on the
 object store and fetches members lazily.  The manifest is fetched once
 (and typically cached by the multi-level cache above this layer); each
-member read is a single ranged GET.
+member read is a single ranged GET — which a caching store answers from
+any range it holds that covers the member, so a member prefetched inside
+a merged range costs no request of its own.
 """
 
 from __future__ import annotations
@@ -88,41 +90,10 @@ class SubrangeReader:
             self._bucket, self._key, translated, threads
         )
 
-    @property
-    def cache(self):
-        """Block-cache facade that re-keys puts onto the segment object.
-
-        The parallel prefetcher re-inserts member slices under the key
-        it planned with (the virtual member path, window-relative
-        offsets); translating those puts onto (segment key, absolute
-        offset) makes them exact-key hits for the later translated
-        ``get_range`` calls.  Only meaningful when the underlying store
-        is a caching range reader.
-        """
-        return _SubrangeCacheFacade(self)
-
-
-class _SubrangeBlockFacade:
-    def __init__(self, sub: SubrangeReader) -> None:
-        self._sub = sub
-
-    def put(self, key, piece, **kwargs) -> None:
-        inner_cache = getattr(self._sub._store, "cache", None)
-        if inner_cache is None:
-            return
-        _bucket, _key, start, length = key
-        try:
-            astart, alength = self._sub._translate(start, length)
-        except InvalidRange:
-            return
-        inner_cache.blocks.put(
-            (self._sub._bucket, self._sub._key, astart, alength), piece, **kwargs
-        )
-
-
-class _SubrangeCacheFacade:
-    def __init__(self, sub: SubrangeReader) -> None:
-        self.blocks = _SubrangeBlockFacade(sub)
+    def resident(self, bucket: str, key: str, start: int, length: int) -> bool:
+        """Whether the store's block cache holds this range of the window."""
+        start, length = self._translate(start, length)
+        return self._store.resident(self._bucket, self._key, start, length)
 
 
 class PackReader:
@@ -234,11 +205,14 @@ class PackReader:
             return self._head[start : start + length]
         return self._store.get_range(self._bucket, self._key, start, length)
 
-    def covered_by_head(self, name: str) -> bool:
-        """Whether a member is fully inside the retained head chunk
-        (reading it costs no further request)."""
+    def resident(self, name: str) -> bool:
+        """Whether reading a member would cost no request: it lies inside
+        the retained head chunk, or the store's block cache covers it
+        (as the member's own range or inside a wider fetched one)."""
         start, length = self.member_extent(name)
-        return start + length <= len(self._head)
+        return not length or start + length <= len(self._head) or self._store.resident(
+            self._bucket, self._key, start, length
+        )
 
     def member_names(self) -> list[str]:
         return self.manifest().names()

@@ -70,6 +70,17 @@ def cached_blobs(store) -> set[str]:
     return {key[1] for key in store.cache.objects._entries}
 
 
+def held_ranges(store, blob: str) -> list[tuple[int, int]]:
+    """``(start, length)`` of every byte range of ``blob`` in either block
+    tier, which each tier's extent index must agree with."""
+    held = []
+    for tier in (store.cache.blocks.memory, store.cache.blocks.ssd):
+        entries = [key[2:] for key in tier._entries if key[1] == blob]
+        assert sorted(entries) == tier._extents.get((store.config.bucket, blob), [])
+        held += entries
+    return held
+
+
 def age(store, hours: float) -> None:
     """Move the virtual clock to ``hours`` past the newest row."""
     target_s = BASE_TS / MICROS + N_ROWS + hours * 3_600
@@ -115,8 +126,52 @@ class TestNoKeyOfADeletedBlobRemains:
         report = store.sweep_expired()
         assert report.blocks_expired == len(blocks) and report.segments_deleted == len(segments)
         assert not cached_blobs(store) & (cold_members | segments)
-        assert not any(key[1] in segments for key in store.cache.blocks.memory._entries)
+        assert not any(held_ranges(store, segment) for segment in segments)
         assert answers(store, 1) == oracle(1, [])
+
+    def test_members_of_one_cold_segment_read_in_turn(self, store):
+        """The members' bytes are cached as ranges of the one segment
+        object: residency of one must never answer for the other."""
+        store.set_retention(1, cold_age="1h")
+        age(store, hours=2)
+        store.cold_compact()
+        first, second = store.catalog.tenant(1).blocks
+        segment = first.segment_path
+        assert segment is not None and second.segment_path == segment
+        rows = make_rows(N_ROWS, tenant_id=1, seed=1)
+
+        def read(member):
+            query = {"shape": "time_range", "tenant": 1, "lo": member.min_ts, "hi": member.max_ts}
+            result = store.query(render(query))
+            assert normalized(query, result.rows) == expected(query, rows)
+            assert result.stats.cold_blocks_visited == 1
+            return result
+
+        cold = read(first)
+        assert cold.oss_requests > 0 and cold.stats.prefetch_members_fetched > 0
+        end = first.segment_offset + first.segment_length
+        assert held_ranges(store, segment)
+        assert all(
+            first.segment_offset <= start and start + length <= end
+            for start, length in held_ranges(store, segment)
+        )
+        other = read(second)  # nothing of it is resident: the plan skips nothing
+        assert other.oss_requests > 0
+        assert other.stats.prefetch_members_fetched == cold.stats.prefetch_members_fetched
+        assert other.stats.prefetch_resident_bytes == cold.stats.prefetch_resident_bytes
+
+        for member in (first, second):  # from the decoded tier, then from the byte tiers
+            assert read(member).oss_requests == 0
+        store.cache.objects.clear()
+        for member in (first, second):
+            again = read(member)
+            assert again.oss_requests == 0 and again.stats.prefetch_members_fetched == 0
+            assert again.stats.prefetch_resident_bytes > 0
+
+        store.set_retention(1, ttl="3h", cold_age="1h")
+        age(store, hours=4)
+        assert store.sweep_expired().segments_deleted == 1
+        assert held_ranges(store, segment) == []
 
     @pytest.mark.parametrize("how", ["sweep_expired", "expire_data"])
     def test_expiry(self, store, how):

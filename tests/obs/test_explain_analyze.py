@@ -4,6 +4,7 @@ import re
 
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
+from repro.prefetch.planner import PrefetchPlanner
 
 from tests.conftest import make_rows
 
@@ -86,6 +87,45 @@ class TestExplainAnalyze:
         from_object, memory, ssd, misses, rate = cache_line(store.explain_analyze(SELECT_SQL))
         assert from_object > 0 and (memory, ssd, misses) == (0, 0, 0)
         assert rate == "100.0"
+
+    def test_prefetch_line_says_what_the_plans_skipped(self, monkeypatch):
+        """Members wanted = resident (decoded form or bytes) + fetched."""
+        store = seeded_store(seal_rows=100, target_rows_per_logblock=100)
+        planned = []
+        plan = PrefetchPlanner.plan
+
+        def recording_plan(planner, bucket, key, manifest, data_start, members):
+            planned.extend((key, member) for member in members)
+            return plan(planner, bucket, key, manifest, data_start, members)
+
+        monkeypatch.setattr(PrefetchPlanner, "plan", recording_plan)
+        sql = "SELECT log, ip FROM request_log WHERE tenant_id = 1 AND ts >= '{}' AND ts < '{}'"
+        narrow = sql.format("2020-11-11 00:01:00", "2020-11-11 00:03:00")
+        wide = sql.format("2020-11-11 00:00:00", "2020-11-11 00:06:00")
+        pattern = re.compile(
+            r"prefetch members: (\d+) wanted, (\d+) resident "
+            r"\(decoded (\d+), bytes (\d+)\), (\d+) fetched"
+        )
+
+        def members(query):
+            match = pattern.search(store.explain_analyze(query))
+            assert match
+            wanted, resident, decoded, held, fetched = map(int, match.groups())
+            assert wanted == resident + fetched and resident == decoded + held
+            return wanted, decoded, held, fetched
+
+        wanted, decoded, _held, cold_fetched = members(narrow)
+        assert decoded == 0 and cold_fetched > 0
+        # A wider window over the same blocks and more: what the narrow
+        # one left is resident, the rest is fetched — nothing twice.
+        wanted, decoded, _held, fetched = members(wide)
+        assert decoded > 0 and fetched > 0
+        assert members(wide) == (wanted, wanted, 0, 0)  # exact repeat
+        assert len(planned) == len(set(planned)) == cold_fetched + fetched
+        # Without the decoded forms the bytes still answer.
+        store.cache.objects.clear()
+        assert members(wide) == (wanted, 0, wanted, 0)
+        assert store.query(wide).oss_requests == 0
 
     def test_deterministic_across_identical_clusters(self):
         first = seeded_store().explain_analyze(SELECT_SQL)

@@ -75,25 +75,33 @@ class TestExecutor:
     def test_prefetch_then_member_reads_hit_cache(self, env):
         store, _clock, reader, pack, members = env
         planner = PrefetchPlanner(merge_gap=0)
-        names = ["idx/a", "idx/b"]
+        names = ["col/0/1", "col/1/0"]  # past the pack's head chunk
         plan = planner.plan("b", "k", pack.manifest(), pack.data_start, names)
-        extents = [pack.member_extent(n) for n in names]
+        assert plan.request_count == 1  # adjacent: one merged super-range
         prefetcher = ParallelPrefetcher(reader, threads=8)
-        prefetcher.execute(plan, extents)
+        prefetcher.execute(plan)
         requests_before = store.stats.get_requests
-        assert pack.read_member("idx/a") == members["idx/a"]
-        assert pack.read_member("idx/b") == members["idx/b"]
-        assert store.stats.get_requests == requests_before  # all cache hits
+        assert all(pack.resident(name) for name in names)
+        for name in names:
+            assert pack.read_member(name) == members[name]
+        assert store.stats.get_requests == requests_before  # hits by coverage
+        # The super-range is the one copy of those bytes.
+        blocks = reader.cache.blocks
+        assert list(blocks.memory._entries) == [
+            ("b", "k", 0, PackReader.HEAD_CHUNK),
+            ("b", "k", *plan.ranges[0]),
+        ]
+        assert len(blocks.ssd) == 0
 
     def test_parallel_faster_than_serial(self, env):
         store, clock, reader, pack, members = env
         names = ["idx/a", "idx/b", "col/0/0", "col/0/1", "col/1/0"]
-        extents = [pack.member_extent(n) for n in names]
+        pack.manifest()  # the head read is not part of either arm
 
         t0 = clock.now()
         planner = PrefetchPlanner(merge_gap=0)
         plan = planner.plan("b", "k", pack.manifest(), pack.data_start, names)
-        ParallelPrefetcher(reader, threads=32).execute(plan, extents)
+        ParallelPrefetcher(reader, threads=32).execute(plan)
         parallel_time = clock.now() - t0
 
         # Serial baseline on a fresh store/cache.
