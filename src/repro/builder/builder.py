@@ -156,7 +156,6 @@ class DataBuilder:
         upload_backoff_s: float = DEFAULT_BACKOFF_S,
         retry_clock: Clock | None = None,
         obs: Observability | None = None,
-        use_vectorized_encode: bool = True,
     ) -> None:
         if target_rows <= 0:
             raise BuildError(f"target_rows must be positive, got {target_rows}")
@@ -195,7 +194,6 @@ class DataBuilder:
         self._block_rows = block_rows
         self._target_rows = target_rows
         self._build_indexes = build_indexes
-        self._vectorized_encode = use_vectorized_encode
         self._threads = builder_threads
         self._upload = RetryingObjectStore(
             oss,
@@ -371,7 +369,6 @@ class DataBuilder:
                     codec=self._codec,
                     block_rows=self._block_rows,
                     build_indexes=self._build_indexes,
-                    vectorized=self._vectorized_encode,
                 )
                 writer.append_columns(
                     {name: col[chunk_idx:chunk_end] for name, col in columns.items()}

@@ -118,7 +118,6 @@ class Compactor:
         upload_backoff_s: float = DEFAULT_BACKOFF_S,
         retry_clock: Clock | None = None,
         obs: Observability | None = None,
-        use_vectorized_encode: bool = True,
         invalidate=None,
     ) -> None:
         if small_threshold_rows <= 0:
@@ -161,7 +160,6 @@ class Compactor:
         )
         from repro.obs.recorders import EncodeModeRecorder
 
-        self._vectorized_encode = use_vectorized_encode
         self._encode_modes = EncodeModeRecorder(registry)
 
     def candidates(self, tenant_id: int) -> list[LogBlockEntry]:
@@ -207,7 +205,6 @@ class Compactor:
             codec=self._codec,
             block_rows=self._block_rows,
             build_indexes=self._build_indexes,
-            vectorized=self._vectorized_encode,
         )
         generation = self._generation
         self._generation += 1

@@ -53,7 +53,6 @@ def _make_compactor(ctx: ChaosContext) -> Compactor:
         target_rows=1_000,
         retry_clock=ctx.clock,
         obs=store.obs,
-        use_vectorized_encode=store.config.use_vectorized_encode,
         invalidate=store.invalidate_blob,
     )
     store.compactor = compactor

@@ -312,10 +312,7 @@ class Broker:
                         min_ts=plan.min_ts, max_ts=plan.max_ts, tenant_id=plan.tenant_id
                     )
                     realtime_rows.extend(
-                        filter_realtime_rows(
-                            plan, raw, limit=remaining,
-                            options=self.options, stats=stats,
-                        )
+                        filter_realtime_rows(plan, raw, limit=remaining, stats=stats)
                     )
 
             with tracer.span("broker.merge"):
@@ -340,11 +337,7 @@ class Broker:
                     aggregator.consume_many(realtime_rows)
                     final = aggregator.results()
                 else:
-                    final = apply_order_limit(
-                        parsed,
-                        archived_rows + realtime_rows,
-                        vectorized=self.options.use_vectorized_scan,
-                    )
+                    final = apply_order_limit(parsed, archived_rows + realtime_rows)
             query_span.set(rows=len(final))
 
         latency_s = self._clock.now() - start
@@ -428,7 +421,7 @@ class Broker:
                 aggregator.consume_many(rows)
                 final = aggregator.results()
             else:
-                ordered = apply_order_limit(parsed, rows, vectorized=False)
+                ordered = apply_order_limit(parsed, rows)
                 if parsed.select_star:
                     columns = SYSTEM_TABLE_COLUMNS[parsed.table]
                 else:

@@ -74,18 +74,6 @@ class LogStoreConfig:
     prefetch_threads: int = 32
     use_skipping: bool = True
     use_prefetch: bool = True
-    # Aggregate pushdown ceiling: 0 = off, 1 = catalog-only,
-    # 2 = +SMA fold, 3 = +columnar late materialization.
-    agg_pushdown_level: int = 3
-    # Front-door semantic-rewrite pass (window → dedup, IS NOT NULL
-    # pushdown); off = every window query takes the naive plan.
-    use_semantic_rewrite: bool = True
-    # §8 vectorized scan kernels; off = interpreted per-row evaluation
-    # everywhere (the wall-clock ablation baseline).
-    use_vectorized_scan: bool = True
-    # Write-side twin: columnar encode kernels in the builder/compactor
-    # (byte-identical LogBlocks); off = the per-value reference encoder.
-    use_vectorized_encode: bool = True
 
     # data lifecycle (repro.lifecycle): background retention sweeps and
     # cold tiering, ticked from run_background_tasks().
@@ -137,8 +125,6 @@ class LogStoreConfig:
             raise ConfigError("need at least one full replica")
         if self.balancer not in ("none", "greedy", "maxflow"):
             raise ConfigError(f"unknown balancer {self.balancer!r}")
-        if self.agg_pushdown_level not in (0, 1, 2, 3):
-            raise ConfigError("agg_pushdown_level must be 0..3")
         if self.per_tenant_shard_limit_rps <= 0:
             raise ConfigError("per_tenant_shard_limit_rps must be positive")
         if self.builder_threads < 1:

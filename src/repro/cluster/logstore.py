@@ -95,7 +95,6 @@ class LogStore:
             build_indexes=config.build_indexes,
             builder_threads=config.builder_threads,
             obs=self.obs,
-            use_vectorized_encode=config.use_vectorized_encode,
         )
 
         self._builder = builder
@@ -120,9 +119,6 @@ class LogStore:
             use_skipping=config.use_skipping,
             use_prefetch=config.use_prefetch,
             prefetch_threads=config.prefetch_threads,
-            agg_pushdown_level=config.agg_pushdown_level,
-            use_semantic_rewrite=config.use_semantic_rewrite,
-            use_vectorized_scan=config.use_vectorized_scan,
         )
         self.brokers = [
             Broker(
@@ -170,7 +166,6 @@ class LogStore:
             block_rows=config.block_rows,
             build_indexes=config.build_indexes,
             retry_clock=self.clock,
-            use_vectorized_encode=config.use_vectorized_encode,
         )
         # Compaction/build orphans converge through the lifecycle sweep.
         self.lifecycle.sweeper.attach_orphan_source(builder)

@@ -86,7 +86,6 @@ class ColdCompactor:
         obs: Observability | None = None,
         invalidate=None,
         orphan_sink=None,
-        use_vectorized_encode: bool = True,
     ) -> None:
         if target_rows <= 0:
             raise BuildError(f"target_rows must be positive, got {target_rows}")
@@ -113,7 +112,6 @@ class ColdCompactor:
         self._orphan_sink = orphan_sink
         self._orphans: list[tuple[str, str]] = []
         self._generation = 0
-        self._vectorized_encode = use_vectorized_encode
         self._obs = obs if obs is not None else Observability.noop()
         registry = self._obs.registry
         self._repacks_total = registry.counter(
@@ -204,7 +202,6 @@ class ColdCompactor:
             codec=self._codec,
             block_rows=self._block_rows,
             build_indexes=self._build_indexes,
-            vectorized=self._vectorized_encode,
         ):
             self._encode_modes.record(writer.encode_stats)
             name = f"b{len(members):04d}-{min_ts}-{max_ts}.lgb"

@@ -41,7 +41,6 @@ class LifecycleManager:
         block_rows: int = DEFAULT_BLOCK_ROWS,
         build_indexes: bool = True,
         retry_clock=None,
-        use_vectorized_encode: bool = True,
     ) -> None:
         self._catalog = catalog
         self._sweep_enabled = sweep_enabled
@@ -64,7 +63,6 @@ class LifecycleManager:
             obs=self._obs,
             invalidate=invalidate,
             orphan_sink=self.sweeper,
-            use_vectorized_encode=use_vectorized_encode,
         )
         self.offboarder = TenantOffboarder(
             catalog,

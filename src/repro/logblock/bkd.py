@@ -9,8 +9,9 @@ exactly that — it supports the paper's equality and range predicates on
 numeric columns (``latency >= 100``, ``ts BETWEEN ...``) in
 O(log L + hits).
 
-Values are stored as int64 (timestamps, ints, bools) or float64;
-NaN-free by construction (nulls are not indexed).
+Values are stored as int64 (timestamps, ints, bools) or float64.  Nulls
+are not indexed; NaNs are values, so a float index holds them, sorted
+after +inf, and a range bounded on either side stops short of them.
 """
 
 from __future__ import annotations
@@ -138,11 +139,13 @@ class BkdIndex:
         side_lo = "left" if low_inclusive else "right"
         side_hi = "right" if high_inclusive else "left"
         start = 0 if low is None else int(np.searchsorted(self._values, low, side=side_lo))
-        end = (
-            len(self._values)
-            if high is None
-            else int(np.searchsorted(self._values, high, side=side_hi))
-        )
+        if high is not None:
+            end = int(np.searchsorted(self._values, high, side=side_hi))
+        elif low is not None and self._is_float:
+            # NaNs sort last and satisfy no bound: end at the last real value.
+            end = int(np.searchsorted(self._values, np.inf, side="right"))
+        else:
+            end = len(self._values)
         return start, max(start, end)
 
     def range_rows(

@@ -87,20 +87,18 @@ class RangePredicate:
         )
 
     def evaluate_value(self, value) -> bool:
+        # Bounds are tested positively so a NaN, which compares false
+        # with everything, is inside no range.
         if value is None:
             return False
-        if self.low is not None:
-            if self.low_inclusive:
-                if value < self.low:
-                    return False
-            elif value <= self.low:
-                return False
-        if self.high is not None:
-            if self.high_inclusive:
-                if value > self.high:
-                    return False
-            elif value >= self.high:
-                return False
+        if self.low is not None and not (
+            value >= self.low if self.low_inclusive else value > self.low
+        ):
+            return False
+        if self.high is not None and not (
+            value <= self.high if self.high_inclusive else value < self.high
+        ):
+            return False
         return True
 
 
@@ -433,8 +431,8 @@ class PruneStats:
     blocks_short_circuited: int = 0  # blocks proven all-matching by SMA alone
     columns_short_circuited: int = 0  # same proof from the column SMA: zero reads
     # Scan-mode accounting: rows whose predicate evaluation ran on numpy
-    # vectors vs the scalar per-value loop, and why vectorization fell
-    # back when it was requested but could not apply (reason → count).
+    # vectors vs the scalar per-value loop, and why a block fell back
+    # to the latter (reason → count).
     rows_vectorized: int = 0
     rows_interpreted: int = 0
     fallbacks: dict[str, int] = field(default_factory=dict)
@@ -448,7 +446,6 @@ def evaluate_predicates(
     predicates: list[ColumnPredicate],
     use_skipping: bool = True,
     use_indexes: bool = True,
-    vectorized: bool = False,
     stats: PruneStats | None = None,
 ) -> Bitset:
     """Row ids in this LogBlock matching *all* predicates.
@@ -456,8 +453,6 @@ def evaluate_predicates(
     With ``use_skipping=False`` every predicate is evaluated by brute
     scan of every block (the Figure 15 baseline).  ``use_indexes=False``
     disables step 3 while keeping SMA pruning (an ablation point).
-    ``vectorized=True`` evaluates scan-path predicates on numpy vectors
-    (§8 future work) — results are identical, only CPU time differs.
     """
     row_count = reader.row_count
     result = Bitset.full(row_count)
@@ -478,7 +473,7 @@ def evaluate_predicates(
                 # over a single-tenant block) — zero reads.
                 stats.columns_short_circuited += 1
                 continue
-            if not _bloom_may_match(reader, predicate):
+            if not bloom_may_match(reader, predicate):
                 # Bloom filter proves the needle is absent from this
                 # whole LogBlock — skip without touching the index.
                 stats.blooms_pruned += 1
@@ -489,17 +484,13 @@ def evaluate_predicates(
                     stats.index_lookups += 1
                     result = result & via_index
                     continue
-            result = result & _scan_blocks(
-                reader, predicate, stats, prune_blocks=True, vectorized=vectorized
-            )
+            result = result & _scan_blocks(reader, predicate, stats, prune_blocks=True)
         else:
-            result = result & _scan_blocks(
-                reader, predicate, stats, prune_blocks=False, vectorized=vectorized
-            )
+            result = result & _scan_blocks(reader, predicate, stats, prune_blocks=False)
     return result
 
 
-def _bloom_may_match(reader: LogBlockReader, predicate: ColumnPredicate) -> bool:
+def bloom_may_match(reader: LogBlockReader, predicate: ColumnPredicate) -> bool:
     """Bloom-filter check for equality-shaped string predicates.
 
     True means "may match" (including: no bloom available, or a
@@ -527,13 +518,12 @@ def _scan_blocks(
     predicate: ColumnPredicate,
     stats: PruneStats,
     prune_blocks: bool,
-    vectorized: bool,
 ) -> Bitset:
     """Scan-path evaluation of one predicate over the column blocks.
 
-    ``prune_blocks`` applies the Figure 8 step-4 block-level SMA skip;
-    ``vectorized`` tries the numpy fast path per block, falling back to
-    the scalar loop for shapes without a vector form.
+    ``prune_blocks`` applies the Figure 8 step-4 block-level SMA skip.
+    Each surviving block is evaluated on numpy vectors (§8), falling
+    back to the scalar loop for shapes without a vector form.
     """
     meta = reader.meta()
     col_idx = meta.schema.column_index(predicate.column)
@@ -552,29 +542,26 @@ def _scan_blocks(
             base += block_rows
             continue
         stats.blocks_scanned += 1
-        handled = False
-        if vectorized:
-            arrays = reader.read_block_arrays(predicate.column, block_idx)
-            if isinstance(arrays, PlainStrings):
-                stats.note_fallback(
-                    f"column {predicate.column}: PLAIN STRING blocks have no vector form"
-                )
+        mask = None
+        arrays = reader.read_block_arrays(predicate.column, block_idx)
+        if isinstance(arrays, PlainStrings):
+            stats.note_fallback(
+                f"column {predicate.column}: PLAIN STRING blocks have no vector form"
+            )
+        else:
+            if len(arrays) == 3:
+                codes, dictionary, nulls = arrays
+                mask = dict_codes_block_mask(predicate, codes, dictionary, nulls)
             else:
-                if len(arrays) == 3:
-                    codes, dictionary, nulls = arrays
-                    mask = dict_codes_block_mask(predicate, codes, dictionary, nulls)
-                else:
-                    mask = vectorized_block_mask(predicate, arrays[0], arrays[1])
-                if mask is None:
-                    stats.note_fallback(
-                        f"{type(predicate).__name__}({predicate.column}) "
-                        "has no vector kernel"
-                    )
-                else:
-                    full_mask[base : base + block_rows] = mask
-                    handled = True
-        if handled:
+                mask = vectorized_block_mask(predicate, arrays[0], arrays[1])
+            if mask is None:
+                stats.note_fallback(
+                    f"{type(predicate).__name__}({predicate.column}) "
+                    "has no vector kernel"
+                )
+        if mask is not None:
             stats.rows_vectorized += block_rows
+            full_mask[base : base + block_rows] = mask
         else:
             stats.rows_interpreted += block_rows
             values = reader.read_block(predicate.column, block_idx)

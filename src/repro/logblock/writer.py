@@ -389,7 +389,8 @@ class LogBlockWriter:
         self._build_indexes = build_indexes
         self._build_blooms = build_blooms
         # Columnar encode kernels (byte-identical to the interpreted
-        # encoder); False forces the per-value reference path.
+        # encoder); False forces the per-value reference path — the seam
+        # the byte-identity tests reach it through, set by no caller.
         self._vectorized = vectorized
         self._encode_stats = EncodeStats()
         self._columns: list[list] = [[] for _ in schema.columns]

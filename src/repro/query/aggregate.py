@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import QueryError
+from repro.query.kernels import top_k_order
 from repro.query.sql import ParsedQuery, SelectItem
 
 
@@ -228,29 +229,24 @@ class Aggregator:
         return rows
 
 
-def apply_order_limit(
-    query: ParsedQuery, rows: list[dict], vectorized: bool = False
-) -> list[dict]:
+def apply_order_limit(query: ParsedQuery, rows: list[dict]) -> list[dict]:
     """ORDER BY / LIMIT for non-aggregate queries.
 
-    With ``vectorized`` the sort runs through the argsort top-k kernel
-    (rank keys once, ``argpartition`` when a LIMIT bounds the output) —
-    identical ordering to the stable python sort, including null
-    placement and tie order.  Keys the kernel cannot rank (mixed
-    incomparable types) fall back to the python path.
+    The sort runs through the argsort top-k kernel (rank keys once,
+    ``argpartition`` when a LIMIT bounds the output) — identical
+    ordering to the stable python sort, including null placement and
+    tie order.  Keys the kernel cannot rank (mixed incomparable types)
+    fall back to the python sort.
     """
     order_by = query.order_by
     if order_by is not None:
-        if vectorized:
-            from repro.query.kernels import top_k_order
-
-            order = top_k_order(
-                [row.get(order_by) for row in rows],
-                desc=query.order_desc,
-                limit=query.limit,
-            )
-            if order is not None:
-                return [rows[i] for i in order.tolist()]
+        order = top_k_order(
+            [row.get(order_by) for row in rows],
+            desc=query.order_desc,
+            limit=query.limit,
+        )
+        if order is not None:
+            return [rows[i] for i in order.tolist()]
         rows = sorted(
             rows,
             key=lambda row: (row.get(order_by) is None, row.get(order_by)),

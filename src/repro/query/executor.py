@@ -8,11 +8,15 @@ For each LogBlock surviving the LogBlock-map filter:
 3. evaluate the predicate tree to a row-id bitset using SMA pruning,
    index lookups, and block scans (:mod:`repro.logblock.pruning`);
 4. optionally prefetch exactly the column blocks containing matched
-   rows for the output columns;
-5. materialize the matched rows.
+   rows for the columns the sink reads;
+5. hand the matched rows to the sink: row dicts (``execute``), an
+   aggregate fold (``execute_aggregate``) or the latest-version
+   tournament (``execute_dedup``).
 
-The same executor also filters real-time (row store) rows by direct
-expression evaluation — the row store deliberately has no indexes.
+That loop exists once (``_overlapped`` → ``_scan`` → sink), with blocks
+overlapped ``prefetch_threads`` wide.  The same module also filters
+real-time (row store) rows by direct expression evaluation — the row
+store deliberately has no indexes.
 """
 
 from __future__ import annotations
@@ -24,7 +28,12 @@ import numpy as np
 from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
 from repro.common.bitset import Bitset
 from repro.common.utils import wave_elapsed
-from repro.logblock.pruning import PruneStats, evaluate_predicates, proves_all_match
+from repro.logblock.pruning import (
+    PruneStats,
+    bloom_may_match,
+    evaluate_predicates,
+    proves_all_match,
+)
 from repro.logblock.reader import LogBlockReader, RowSelection
 from repro.logblock.schema import ColumnType, IndexType
 from repro.logblock.writer import (
@@ -57,11 +66,6 @@ class ExecutionOptions:
     use_prefetch: bool = True       # Figure 16: parallel prefetch on/off
     prefetch_threads: int = 32      # §6.3.2 "using 32 threads"
     prefetch_merge_gap: int = 4096
-    # §8 vectorized execution: evaluate scan-path predicates on numpy
-    # column vectors (archived blocks and realtime row batches) and run
-    # ORDER BY/LIMIT through the argsort top-k kernel.  Unsafe shapes
-    # fall back to the interpreted path with identical results.
-    use_vectorized_scan: bool = True
     use_semantic_rewrite: bool = True  # frontdoor rewrite pass on/off
 
     # Aggregate pushdown tier ceiling: 0 = off (row materialization),
@@ -70,17 +74,18 @@ class ExecutionOptions:
     # the enabled tiers falls through to the next one down.
     agg_pushdown_level: int = 3
 
-    # CPU cost model, charged to the same virtual clock as the I/O.
-    # These bound the OSS-vs-local and first-vs-repeat latency ratios
-    # exactly the way real decode/evaluation CPU does in the paper.
-    cpu_decode_bytes_per_s: float = 50e6   # decompress + decode rate
-    cpu_scan_rows_per_s: float = 2e6       # predicate evaluation by scan
-    cpu_index_lookup_s: float = 0.0005     # one index probe + bitset merge
-    cpu_per_block_s: float = 0.001         # per-LogBlock plan/merge overhead
-    # Row-dict materialization vs columnar aggregation fold, per value.
-    # Building python dicts is the slow path the tier-3 pushdown avoids.
-    cpu_materialize_values_per_s: float = 5e6
-    cpu_agg_values_per_s: float = 20e6
+
+# CPU cost model, charged to the same virtual clock as the I/O.  These
+# bound the OSS-vs-local and first-vs-repeat latency ratios exactly the
+# way real decode/evaluation CPU does in the paper.
+CPU_DECODE_BYTES_PER_S = 50e6   # decompress + decode rate
+CPU_SCAN_ROWS_PER_S = 2e6       # predicate evaluation by scan
+CPU_INDEX_LOOKUP_S = 0.0005     # one index probe + bitset merge
+CPU_PER_BLOCK_S = 0.001         # per-LogBlock plan/merge overhead
+# Row-dict materialization vs columnar aggregation fold, per value.
+# Building python dicts is the slow path the tier-3 pushdown avoids.
+CPU_MATERIALIZE_VALUES_PER_S = 5e6
+CPU_AGG_VALUES_PER_S = 20e6
 
 
 @dataclass
@@ -188,14 +193,6 @@ def _decided_by_sma(leaves: list, column_sma: Sma, ctype: ColumnType) -> bool:
     return True
 
 
-def _leaf_may_match_bloom(leaf, bloom) -> bool:
-    if isinstance(leaf, Comparison):
-        return bloom.might_contain(leaf.value)
-    if isinstance(leaf, In):
-        return any(bloom.might_contain(v) for v in leaf.values)
-    return True
-
-
 class BlockExecutor:
     """Executes plans against LogBlocks in one OSS bucket."""
 
@@ -218,9 +215,9 @@ class BlockExecutor:
     # -- per-block machinery --------------------------------------------
 
     def _open_block_from_pack(self, pack: PackReader) -> LogBlockReader:
-        decode_rate = self.options.cpu_decode_bytes_per_s
         reader = LogBlockReader(
-            pack, decode_charge=lambda nbytes: self._charge(nbytes / decode_rate)
+            pack,
+            decode_charge=lambda nbytes: self._charge(nbytes / CPU_DECODE_BYTES_PER_S),
         )
         # Decoded-meta object cache: parsing the meta member is the most
         # repeated deserialization across queries of the same tenant.
@@ -350,20 +347,18 @@ class BlockExecutor:
                 stage2.append(member)  # decoded and shared: no Bloom to read for it
                 continue
             leaves = eq_leaves.get(column)
-            if leaves is not None and leaves and reader.has_bloom(column):
-                bloom = reader.read_bloom(column)
-                if bloom is not None and not any(
-                    _leaf_may_match_bloom(leaf, bloom) for leaf in leaves
-                ):
-                    # Every probe of this column is provably absent and
-                    # the column has no other predicate shapes: the
-                    # index cannot contribute — skip fetching it.
-                    only_eq_leaves = all(
-                        isinstance(leaf, (Comparison, In))
-                        for leaf in _all_leaves_for_column(expr, column)
-                    )
-                    if only_eq_leaves:
-                        continue
+            if leaves and not any(
+                bloom_may_match(reader, leaf.to_column_predicate()) for leaf in leaves
+            ):
+                # Every probe of this column is provably absent and
+                # the column has no other predicate shapes: the
+                # index cannot contribute — skip fetching it.
+                only_eq_leaves = all(
+                    isinstance(leaf, (Comparison, In))
+                    for leaf in _all_leaves_for_column(expr, column)
+                )
+                if only_eq_leaves:
+                    continue
             stage2.append(member)
         self._prefetch_members(pack, stage2, stats)
         return reader
@@ -425,11 +420,8 @@ class BlockExecutor:
             [predicate],
             use_skipping=self.options.use_skipping,
             use_indexes=self.options.use_indexes,
-            vectorized=self.options.use_vectorized_scan,
             stats=stats.prune,
         )
-
-    # -- entry points ------------------------------------------------------
 
     def _match_block(
         self,
@@ -451,7 +443,7 @@ class BlockExecutor:
         stats.blocks_visited += 1
         if entry.tier == TIER_COLD:
             stats.cold_blocks_visited += 1
-        self._charge(self.options.cpu_per_block_s)
+        self._charge(CPU_PER_BLOCK_S)
         scanned_before = stats.prune.blocks_scanned
         lookups_before = stats.prune.index_lookups
         if plan.where is not None:
@@ -465,10 +457,32 @@ class BlockExecutor:
         lookups = stats.prune.index_lookups - lookups_before
         if scanned:
             rows_scanned = scanned * reader.meta().block_rows
-            self._charge(rows_scanned / self.options.cpu_scan_rows_per_s)
+            self._charge(rows_scanned / CPU_SCAN_ROWS_PER_S)
         if lookups:
-            self._charge(lookups * self.options.cpu_index_lookup_s)
+            self._charge(lookups * CPU_INDEX_LOOKUP_S)
         return reader, matched
+
+    def _read_vectors(
+        self,
+        reader: LogBlockReader,
+        matched: RowSelection,
+        columns,
+        values_per_s: float,
+        stats: ExecutionStats,
+    ) -> dict[str, list]:
+        """The matched rows' values of each of ``columns`` this block has.
+
+        Columns added by DDL after the block was written are left out
+        (they read as null).  Prefetches exactly the column blocks that
+        hold matched rows, reads each present column once as a flat
+        vector and charges the per-value CPU cost at ``values_per_s``.
+        """
+        block_columns = set(reader.meta().schema.column_names())
+        present = [c for c in columns if c in block_columns]
+        if self.options.use_prefetch and present:
+            self._prefetch_output_blocks(reader, matched, present, stats)
+        self._charge(len(matched) * max(1, len(present)) / values_per_s)
+        return {c: reader.read_column_values(c, matched) for c in present}
 
     def _materialize_rows(
         self,
@@ -479,45 +493,76 @@ class BlockExecutor:
     ) -> list[dict]:
         """Row-dict materialization of the matched rows (the slow path).
 
-        Columnar construction: each present column is read once as a
-        flat value vector and the row dicts are zipped together in one
-        pass — DDL-added columns (absent from this block) are padded
-        with one shared null tail instead of the old
-        O(rows × missing-columns) per-row dict-write loop.
+        The column vectors are zipped into row dicts in one pass;
+        DDL-added columns (absent from this block) are padded with one
+        shared null tail.
         """
-        block_columns = set(reader.meta().schema.column_names())
-        # Columns added by DDL after this block was written read as null.
-        present = [c for c in columns if c in block_columns]
-        missing = [c for c in columns if c not in block_columns]
-        if self.options.use_prefetch and present:
-            self._prefetch_output_blocks(reader, matched, present, stats)
-        count = len(matched)
-        self._charge(
-            count * max(1, len(present)) / self.options.cpu_materialize_values_per_s
+        vectors = self._read_vectors(
+            reader, matched, columns, CPU_MATERIALIZE_VALUES_PER_S, stats
         )
-        if not present:
-            return [dict.fromkeys(missing) for _ in range(count)]
-        vectors = [reader.read_column_values(c, matched) for c in present]
-        names = present + missing
+        missing = [c for c in columns if c not in vectors]
+        if not vectors:
+            return [dict.fromkeys(missing) for _ in range(len(matched))]
+        names = list(vectors) + missing
         pad = (None,) * len(missing)
-        return [dict(zip(names, values + pad)) for values in zip(*vectors)]
+        return [dict(zip(names, values + pad)) for values in zip(*vectors.values())]
 
-    def execute_block(
-        self,
-        entry: LogBlockEntry,
-        plan: QueryPlan,
-        stats: ExecutionStats,
-    ) -> list[dict]:
-        """Matched, projected rows of one LogBlock."""
-        reader, matched = self._match_block(entry, plan, stats)
-        count = len(matched)
-        if not count:
-            return []
-        stats.rows_matched += count
+    # -- the block loop ----------------------------------------------------
+
+    def _overlapped(self, items, work, done=None) -> None:
+        """Run ``work(item)`` per item under the §5.2 overlap model.
+
+        With prefetch enabled the items are processed by the parallel
+        loading pool (Figure 10): each item's charges are collected
+        separately and the items overlap ``prefetch_threads`` wide, so
+        the query pays the slowest of each wave rather than the sum.
+        Without prefetch (or on a wall clock) items serialize.  ``done``
+        is asked after every item and stops the loop (LIMIT pushdown).
+        """
+        clock = self._reader.store.clock
+        overlap = (
+            self.options.use_prefetch and len(items) > 1 and hasattr(clock, "deferred")
+        )
+        durations: list[float] = []
+        for item in items:
+            if overlap:
+                with clock.deferred() as charges:
+                    work(item)
+                durations.append(charges.total)
+            else:
+                work(item)
+            if done is not None and done():
+                break
+        if overlap:
+            clock.sleep(wave_elapsed(durations, max(1, self.options.prefetch_threads)))
+
+    def _scan(self, plan: QueryPlan, entries, stats: ExecutionStats, sink, done=None) -> None:
+        """Hand ``sink(reader, matched)`` every block's non-empty selection."""
+
+        def visit(entry: LogBlockEntry) -> None:
+            reader, matched = self._match_block(entry, plan, stats)
+            if len(matched):
+                stats.rows_matched += len(matched)
+                sink(reader, matched)
+
+        self._overlapped(entries, visit, done)
+
+    # -- entry points: one sink each ---------------------------------------
+
+    def execute(self, plan: QueryPlan) -> tuple[list[dict], ExecutionStats]:
+        """Run the plan over all its LogBlocks; returns (rows, stats)."""
+        stats = ExecutionStats()
+        rows: list[dict] = []
         columns = plan.output_columns or plan.schema.column_names()
-        return self._materialize_rows(reader, matched, columns, stats)
+        limit = plan.row_limit
 
-    # -- aggregate pushdown (tiers 2/3 are per-block; tier 1 is per-entry) --
+        def sink(reader: LogBlockReader, matched: RowSelection) -> None:
+            rows.extend(self._materialize_rows(reader, matched, columns, stats))
+
+        # LIMIT pushdown: enough rows, skip later blocks.
+        done = None if limit is None else lambda: len(rows) >= limit
+        self._scan(plan, plan.blocks, stats, sink, done)
+        return rows, stats
 
     def _sma_foldable(self, plan: QueryPlan, reader: LogBlockReader) -> bool:
         """Whether every aggregate folds from this block's meta alone.
@@ -537,65 +582,6 @@ class BlockExecutor:
                     return False
         return True
 
-    def _aggregate_block(
-        self,
-        entry: LogBlockEntry,
-        plan: QueryPlan,
-        aggregator: Aggregator,
-        stats: ExecutionStats,
-    ) -> None:
-        """Fold one LogBlock into the aggregator by the cheapest tier."""
-        pushdown = plan.agg_pushdown
-        level = self.options.agg_pushdown_level
-        reader, matched = self._match_block(entry, plan, stats)
-        count = len(matched)
-        if not count:
-            return
-        stats.rows_matched += count
-        meta = reader.meta()
-
-        # Tier 2: every row matches — fold from the (already loaded)
-        # meta's column SMAs; zero column blocks are read.
-        if (
-            level >= 2
-            and pushdown is not None
-            and pushdown.sma_eligible
-            and count == meta.row_count
-            and self._sma_foldable(plan, reader)
-        ):
-            block_columns = set(meta.schema.column_names())
-            smas = {
-                column: reader.column_sma(column)
-                for column in pushdown.input_columns
-                if column in block_columns
-            }
-            aggregator.consume_sma(smas, meta.row_count)
-            stats.pushdown.agg_sma_blocks += 1
-            return
-
-        # Tier 3: late materialization — read only the aggregated
-        # columns as value vectors, never build row dicts.
-        if level >= 3 and pushdown is not None:
-            block_columns = set(meta.schema.column_names())
-            present = [c for c in pushdown.input_columns if c in block_columns]
-            if self.options.use_prefetch and present:
-                self._prefetch_output_blocks(reader, matched, present, stats)
-            vectors = {c: reader.read_column_values(c, matched) for c in present}
-            group_by = plan.query.group_by
-            group_keys = vectors.get(group_by) if group_by is not None else None
-            aggregator.consume_columns(group_keys, vectors, count)
-            self._charge(
-                count * max(1, len(present)) / self.options.cpu_agg_values_per_s
-            )
-            stats.pushdown.agg_columnar_blocks += 1
-            return
-
-        # Fallback: the naive path — materialize dicts and fold per row.
-        columns = plan.output_columns or plan.schema.column_names()
-        rows = self._materialize_rows(reader, matched, columns, stats)
-        aggregator.consume_many(rows)
-        stats.pushdown.agg_row_blocks += 1
-
     def execute_aggregate(self, plan: QueryPlan) -> tuple[Aggregator, ExecutionStats]:
         """Run an aggregate plan; returns a mergeable partial aggregator.
 
@@ -604,19 +590,16 @@ class BlockExecutor:
         time range is fully covered is folded from its
         :class:`LogBlockEntry` — the pack is never opened, so such
         entries cost zero requests, zero bytes, and zero virtual time.
-        Remaining blocks run tiers 2/3 under the same §5.2 parallel
-        overlap model as row execution.
+        Remaining blocks go through the block loop and are folded by
+        the cheapest of tiers 2/3 the block is eligible for.
         """
         stats = ExecutionStats()
         aggregator = Aggregator(plan.query)
         pushdown = plan.agg_pushdown
-        level = self.options.agg_pushdown_level
-        catalog_tier = (
-            level >= 1 and pushdown is not None and pushdown.catalog_eligible
-        )
+        level = self.options.agg_pushdown_level if pushdown is not None else 0
         remaining: list[LogBlockEntry] = []
         for entry in plan.blocks:
-            if catalog_tier and entry.covered_by(
+            if level >= 1 and pushdown.catalog_eligible and entry.covered_by(
                 pushdown.ts_low,
                 pushdown.ts_high,
                 pushdown.ts_low_inclusive,
@@ -635,92 +618,78 @@ class BlockExecutor:
             else:
                 remaining.append(entry)
 
-        clock = getattr(self._reader.store, "clock", None)
-        overlap = (
-            self.options.use_prefetch
-            and len(remaining) > 1
-            and clock is not None
-            and hasattr(clock, "deferred")
-        )
-        if not overlap:
-            for entry in remaining:
-                self._aggregate_block(entry, plan, aggregator, stats)
-            return aggregator, stats
-        durations: list[float] = []
-        for entry in remaining:
-            with clock.deferred() as charges:
-                self._aggregate_block(entry, plan, aggregator, stats)
-            durations.append(charges.total)
-        clock.sleep(self._wave_elapsed(durations))
+        def sink(reader: LogBlockReader, matched: RowSelection) -> None:
+            meta = reader.meta()
+            count = len(matched)
+            if (
+                level >= 2
+                and pushdown.sma_eligible
+                and count == meta.row_count
+                and self._sma_foldable(plan, reader)
+            ):
+                # Tier 2: every row matches — fold from the (already
+                # loaded) meta's column SMAs; zero column blocks are read.
+                block_columns = set(meta.schema.column_names())
+                smas = {
+                    column: reader.column_sma(column)
+                    for column in pushdown.input_columns
+                    if column in block_columns
+                }
+                aggregator.consume_sma(smas, meta.row_count)
+                stats.pushdown.agg_sma_blocks += 1
+            elif level >= 3:
+                # Tier 3: late materialization — read only the aggregated
+                # columns as value vectors, never build row dicts.
+                vectors = self._read_vectors(
+                    reader, matched, pushdown.input_columns, CPU_AGG_VALUES_PER_S, stats
+                )
+                group_by = plan.query.group_by
+                group_keys = vectors.get(group_by) if group_by is not None else None
+                aggregator.consume_columns(group_keys, vectors, count)
+                stats.pushdown.agg_columnar_blocks += 1
+            else:
+                # The naive path — materialize dicts and fold per row.
+                columns = plan.output_columns or plan.schema.column_names()
+                aggregator.consume_many(
+                    self._materialize_rows(reader, matched, columns, stats)
+                )
+                stats.pushdown.agg_row_blocks += 1
+
+        self._scan(plan, remaining, stats, sink)
         return aggregator, stats
-
-    def _wave_elapsed(self, durations: list[float]) -> float:
-        """Total time of `prefetch_threads`-wide waves, slowest per wave."""
-        return wave_elapsed(durations, max(1, self.options.prefetch_threads))
-
-    # -- latest-version dedup (the LatestVersionDedup plan operator) -------
-
-    def _dedup_block(
-        self,
-        entry: LogBlockEntry,
-        plan: QueryPlan,
-        dedup: LatestVersionDedup,
-        stats: ExecutionStats,
-    ) -> None:
-        """Offer one LogBlock's matched (key, version) pairs.
-
-        Reads only the two tournament columns as late-materialized
-        vectors — the wide payload columns are fetched later, and only
-        for winners.  Payloads are ``(reader, row_id)`` handles.
-        """
-        spec = plan.dedup
-        assert spec is not None
-        reader, matched = self._match_block(entry, plan, stats)
-        count = len(matched)
-        if not count:
-            return
-        stats.rows_matched += count
-        block_columns = set(reader.meta().schema.column_names())
-        present = [
-            c for c in (spec.key_column, spec.version_column) if c in block_columns
-        ]
-        if self.options.use_prefetch and present:
-            self._prefetch_output_blocks(reader, matched, present, stats)
-        vectors = {c: reader.read_column_values(c, matched) for c in present}
-        self._charge(count * max(1, len(present)) / self.options.cpu_agg_values_per_s)
-        keys = vectors.get(spec.key_column, [None] * count)
-        versions = vectors.get(spec.version_column, [None] * count)
-        for key, version, row_id in zip(keys, versions, matched.row_ids.tolist()):
-            dedup.offer(key, version, (reader, row_id))
-        stats.dedup_candidates += count
 
     def execute_dedup(self, plan: QueryPlan) -> tuple[LatestVersionDedup, ExecutionStats]:
         """Run the tournament over all archived LogBlocks of the plan.
 
         Blocks are visited in plan order (catalog sort order), so offer
         sequence equals stream order — the tie-break the naive window
-        materialization also uses.  The caller then offers real-time
-        rows and finishes with :meth:`materialize_dedup`.
+        materialization also uses.  Only the two tournament columns are
+        read, as late-materialized vectors; payloads are ``(reader,
+        row_id)`` handles and the wide output columns are fetched later,
+        for winners only.  The caller then offers real-time rows and
+        finishes with :meth:`materialize_dedup`.
         """
         stats = ExecutionStats()
         dedup = LatestVersionDedup()
-        clock = getattr(self._reader.store, "clock", None)
-        overlap = (
-            self.options.use_prefetch
-            and len(plan.blocks) > 1
-            and clock is not None
-            and hasattr(clock, "deferred")
-        )
-        if not overlap:
-            for entry in plan.blocks:
-                self._dedup_block(entry, plan, dedup, stats)
-            return dedup, stats
-        durations: list[float] = []
-        for entry in plan.blocks:
-            with clock.deferred() as charges:
-                self._dedup_block(entry, plan, dedup, stats)
-            durations.append(charges.total)
-        clock.sleep(self._wave_elapsed(durations))
+        spec = plan.dedup
+        assert spec is not None
+
+        def sink(reader: LogBlockReader, matched: RowSelection) -> None:
+            count = len(matched)
+            vectors = self._read_vectors(
+                reader,
+                matched,
+                (spec.key_column, spec.version_column),
+                CPU_AGG_VALUES_PER_S,
+                stats,
+            )
+            keys = vectors.get(spec.key_column, [None] * count)
+            versions = vectors.get(spec.version_column, [None] * count)
+            for key, version, row_id in zip(keys, versions, matched.row_ids.tolist()):
+                dedup.offer(key, version, (reader, row_id))
+            stats.dedup_candidates += count
+
+        self._scan(plan, plan.blocks, stats, sink)
         return dedup, stats
 
     def materialize_dedup(
@@ -751,77 +720,23 @@ class BlockExecutor:
             group = by_reader.setdefault(id(reader), (reader, []))
             group[1].append((position, row_id))
 
-        clock = getattr(self._reader.store, "clock", None)
-        overlap = (
-            self.options.use_prefetch
-            and len(by_reader) > 1
-            and clock is not None
-            and hasattr(clock, "deferred")
-        )
-        durations: list[float] = []
-        for reader, pairs in by_reader.values():
-            def fetch(reader=reader, pairs=pairs) -> None:
-                row_ids = sorted({row_id for _, row_id in pairs})
-                matched = reader.select(np.array(row_ids, dtype=np.int64))
-                rows = self._materialize_rows(reader, matched, list(columns), stats)
-                row_for_id = dict(zip(row_ids, rows))
-                for position, row_id in pairs:
-                    output[position] = row_for_id[row_id]
-            if overlap:
-                with clock.deferred() as charges:
-                    fetch()
-                durations.append(charges.total)
-            else:
-                fetch()
-        if overlap:
-            clock.sleep(self._wave_elapsed(durations))
+        def fetch(group: tuple[LogBlockReader, list[tuple[int, int]]]) -> None:
+            reader, pairs = group
+            row_ids = sorted({row_id for _, row_id in pairs})
+            matched = reader.select(np.array(row_ids, dtype=np.int64))
+            rows = self._materialize_rows(reader, matched, columns, stats)
+            row_for_id = dict(zip(row_ids, rows))
+            for position, row_id in pairs:
+                output[position] = row_for_id[row_id]
+
+        self._overlapped(list(by_reader.values()), fetch)
         return [row for row in output if row is not None]
-
-    def execute(self, plan: QueryPlan) -> tuple[list[dict], ExecutionStats]:
-        """Run the plan over all its LogBlocks; returns (rows, stats).
-
-        With prefetch enabled, LogBlocks are processed by the §5.2
-        parallel loading pool (Figure 10): each block's I/O + decode
-        time is collected separately and the blocks overlap up to
-        ``prefetch_threads`` wide, so the query pays the slowest wave
-        rather than the sum.  Without prefetch (or on a wall clock),
-        blocks serialize.
-        """
-        stats = ExecutionStats()
-        rows: list[dict] = []
-        clock = getattr(self._reader.store, "clock", None)
-        overlap = (
-            self.options.use_prefetch
-            and len(plan.blocks) > 1
-            and clock is not None
-            and hasattr(clock, "deferred")
-        )
-        limit = plan.row_limit
-        if not overlap:
-            for entry in plan.blocks:
-                rows.extend(self.execute_block(entry, plan, stats))
-                if limit is not None and len(rows) >= limit:
-                    break  # LIMIT pushdown: enough rows, skip later blocks
-            return rows, stats
-
-        durations: list[float] = []
-        for entry in plan.blocks:
-            with clock.deferred() as charges:
-                rows.extend(self.execute_block(entry, plan, stats))
-            durations.append(charges.total)
-            if limit is not None and len(rows) >= limit:
-                break
-        # Waves of `prefetch_threads` concurrent blocks; each wave costs
-        # its slowest member.
-        clock.sleep(self._wave_elapsed(durations))
-        return rows, stats
 
 
 def filter_realtime_rows(
     plan: QueryPlan,
     rows,
     limit: int | None = None,
-    options: ExecutionOptions | None = None,
     stats: ExecutionStats | None = None,
 ) -> list[dict]:
     """Apply the plan's predicate + projection to row-store rows.
@@ -832,13 +747,12 @@ def filter_realtime_rows(
     BY or aggregation (i.e. ``plan.row_limit`` semantics: any N matching
     rows satisfy the query).
 
-    With ``options.use_vectorized_scan`` the predicate is compiled to a
-    columnar kernel and evaluated over arrays of the selection's
-    predicate columns.  Shapes the compiler cannot vectorize
-    (MATCH/LIKE, mixed-type columns) fall back to the interpreted path,
-    which reads each row's predicate columns as a dict until ``limit``
-    rows matched, with identical results.  Either way only survivors
-    become (projected) row dicts.
+    The predicate is compiled to a columnar kernel and evaluated over
+    arrays of the selection's predicate columns.  Shapes the compiler
+    cannot vectorize (MATCH/LIKE, mixed-type columns) fall back to the
+    interpreted path, which reads each row's predicate columns as a
+    dict until ``limit`` rows matched, with identical results.  Either
+    way only survivors become (projected) row dicts.
     """
     selection = RowSelection.of(rows)
     if not len(selection):
@@ -849,18 +763,17 @@ def filter_realtime_rows(
         limit = max(limit, 0)
     if where is None:
         return selection.to_dicts(np.arange(len(selection))[:limit], columns)
-    if options is not None and options.use_vectorized_scan:
-        try:
-            mask = compile_expr(where).evaluate(selection, plan.schema)
-        except VectorizeFallback as fallback:
-            if stats is not None:
-                stats.realtime_fallbacks[fallback.reason] = (
-                    stats.realtime_fallbacks.get(fallback.reason, 0) + 1
-                )
-        else:
-            if stats is not None:
-                stats.realtime_rows_vectorized += len(selection)
-            return selection.to_dicts(np.flatnonzero(mask)[:limit], columns)
+    try:
+        mask = compile_expr(where).evaluate(selection, plan.schema)
+    except VectorizeFallback as fallback:
+        if stats is not None:
+            stats.realtime_fallbacks[fallback.reason] = (
+                stats.realtime_fallbacks.get(fallback.reason, 0) + 1
+            )
+    else:
+        if stats is not None:
+            stats.realtime_rows_vectorized += len(selection)
+        return selection.to_dicts(np.flatnonzero(mask)[:limit], columns)
     hits: list[int] = []
     evaluated = 0
     for evaluated, row in enumerate(selection.iter_dicts(names=sorted(where.columns())), 1):

@@ -20,8 +20,8 @@ HINT = (
 
 
 def test_logstore_config_field_count():
-    assert len(fields(LogStoreConfig)) == 56, HINT
+    assert len(fields(LogStoreConfig)) == 52, HINT
 
 
 def test_execution_options_field_count():
-    assert len(fields(ExecutionOptions)) == 14, HINT
+    assert len(fields(ExecutionOptions)) == 7, HINT

@@ -114,6 +114,37 @@ class TestSelectOverEveryTable:
         seqs = [r["seq"] for r in rows]
         assert seqs == sorted(seqs, reverse=True)
 
+    @pytest.mark.parametrize("direction, limit", [("", ""), ("DESC", ""), ("DESC", "LIMIT 20")])
+    def test_order_by_a_column_holding_nulls(self, admin, direction, limit):
+        """Cluster-level metrics have no tenant: nulls sort last (first
+        when descending) and ties keep table order, as python's sort."""
+        select = "SELECT name, labels, tenant_id FROM _system.metrics"
+        admin.execute(select)  # its own counters exist from here on
+        unordered = admin.execute(select).rows
+        tenants = {row["tenant_id"] for row in unordered}
+        assert None in tenants and len(tenants) > 2
+        expected = sorted(
+            unordered,
+            key=lambda row: (row["tenant_id"] is None, row["tenant_id"]),
+            reverse=bool(direction),
+        )
+        got = admin.execute(f"{select} ORDER BY tenant_id {direction} {limit}").rows
+        assert got == (expected[:20] if limit else expected)
+
+    def test_order_by_mixed_int_and_str_keys(self, admin, monkeypatch):
+        """Keys the rank kernel cannot order go to the python sort,
+        which refuses them the way it always has."""
+        from repro.query.kernels import top_k_order
+
+        targets = [3, "a", None, 1, "b"]
+        monkeypatch.setattr(
+            "repro.cluster.broker.system_table_rows",
+            lambda *args, **kwargs: [{"seq": i, "target": t} for i, t in enumerate(targets)],
+        )
+        assert top_k_order(targets) is None
+        with pytest.raises(TypeError, match="not supported between"):
+            admin.execute("SELECT seq, target FROM _system.events ORDER BY target")
+
     def test_unknown_system_table_rejected(self, admin):
         with pytest.raises(QueryError, match="unknown system table"):
             admin.execute("SELECT * FROM _system.nope")

@@ -2,8 +2,8 @@
 
 The contract under test is absolute: every byte the vectorized encode
 path produces — block payloads, SMAs, indexes, blooms, the whole packed
-LogBlock — must equal the interpreted reference encoder's output, and
-``use_vectorized_encode=False`` must ablate the mode completely.
+LogBlock — must equal the interpreted reference encoder's output
+(``LogBlockWriter(vectorized=False)``, a seam only these tests reach).
 """
 
 import numpy as np
@@ -531,7 +531,6 @@ class TestDictCodesMask:
             [EqPredicate("api", "/api/v1")],
             use_skipping=False,
             use_indexes=False,
-            vectorized=True,
             stats=stats,
         )
         expected = [i for i, r in enumerate(rows) if r["api"] == "/api/v1"]
@@ -540,7 +539,7 @@ class TestDictCodesMask:
         assert stats.rows_vectorized == 256
         assert stats.rows_interpreted == 0
 
-    def test_scan_equivalence_string_predicates(self):
+    def test_scan_string_predicates_match_the_per_value_oracle(self):
         rows = make_rows(200, seed=7)
         reader = reader_for(write_logblock(rows, block_rows=32))
         predicates = [
@@ -550,14 +549,11 @@ class TestDictCodesMask:
             [RangePredicate("api", low="/api/v1", high="/api/v2")],
             [NePredicate("ip", "192.168.0.3")],
         ]
-        for preds in predicates:
-            scalar = evaluate_predicates(
-                reader, preds, use_indexes=False, vectorized=False
-            )
-            vector = evaluate_predicates(
-                reader, preds, use_indexes=False, vectorized=True
-            )
-            assert list(scalar) == list(vector)
+        for (predicate,) in predicates:
+            oracle = [
+                i for i, r in enumerate(rows) if predicate.evaluate_value(r[predicate.column])
+            ]
+            assert list(evaluate_predicates(reader, [predicate], use_indexes=False)) == oracle
 
     def test_reader_materializes_dict_columns(self):
         rows = make_rows(150, seed=4)
@@ -568,67 +564,47 @@ class TestDictCodesMask:
 
 
 # ---------------------------------------------------------------------------
-# Builder / compactor: the config knob ablates the whole mode
+# Builder / compactor: what they feed the writer
 
 
-def _build_cluster_objects(use_vectorized_encode: bool):
-    from repro.builder.builder import DataBuilder
-    from repro.builder.compaction import Compactor
-    from repro.meta.catalog import Catalog
-    from repro.obs.context import Observability
-    from repro.oss.store import InMemoryObjectStore
-    from repro.rowstore.memtable import MemTable
+class TestBuilderEncode:
+    def test_builder_and_compactor_outputs_equal_the_reference_encoder(self):
+        """Every object the builder and the compactor leave behind is
+        the reference encoder's bytes for the rows it holds."""
+        from repro.builder.builder import DataBuilder
+        from repro.builder.compaction import Compactor
+        from repro.meta.catalog import Catalog
+        from repro.oss.store import InMemoryObjectStore
+        from repro.rowstore.memtable import MemTable
 
-    catalog = Catalog(request_log_schema())
-    store = InMemoryObjectStore()
-    store.create_bucket("v")
-    obs = Observability.noop()
-    builder = DataBuilder(
-        request_log_schema(),
-        store,
-        "v",
-        catalog,
-        codec="zlib",
-        block_rows=64,
-        obs=obs,
-        use_vectorized_encode=use_vectorized_encode,
-    )
-    for seed in range(3):
-        table = MemTable()
-        table.append_many(make_rows(400, tenant_id=1, seed=seed))
-        table.seal()
-        builder.archive_memtable(table)
-    compactor = Compactor(
-        request_log_schema(),
-        store,
-        "v",
-        catalog,
-        codec="zlib",
-        block_rows=64,
-        small_threshold_rows=500,
-        target_rows=1_200,
-        obs=obs,
-        use_vectorized_encode=use_vectorized_encode,
-    )
-    compactor.compact_tenant(1)
-    objects = {
-        stat.key: store.get("v", stat.key) for stat in store.list("v")
-    }
-    entries = sorted(
-        (e.path, e.min_ts, e.max_ts, e.row_count, e.size_bytes)
-        for e in catalog.blocks_for(1)
-    )
-    return objects, entries
+        schema = request_log_schema()
+        catalog = Catalog(schema)
+        store = InMemoryObjectStore()
+        store.create_bucket("v")
 
+        def check_new_objects(seen: set) -> set:
+            keys = {stat.key for stat in store.list("v")} - seen
+            assert keys
+            for key in keys:
+                blob = store.get("v", key)
+                reader = reader_for(blob)
+                ref = LogBlockWriter(schema, codec="zlib", block_rows=64, vectorized=False)
+                ref.append_columns({c: reader.read_column(c) for c in schema.column_names()})
+                assert ref.finish() == blob, key
+            return keys
 
-class TestBuilderAblation:
-    def test_builder_and_compactor_outputs_identical(self):
-        vec_objects, vec_entries = _build_cluster_objects(True)
-        ref_objects, ref_entries = _build_cluster_objects(False)
-        assert vec_entries == ref_entries
-        assert vec_objects.keys() == ref_objects.keys()
-        for key in ref_objects:
-            assert vec_objects[key] == ref_objects[key], key
+        builder = DataBuilder(schema, store, "v", catalog, codec="zlib", block_rows=64)
+        for seed in range(3):
+            table = MemTable()
+            table.append_many(make_rows(400, tenant_id=1, seed=seed))
+            table.seal()
+            builder.archive_memtable(table)
+        built = check_new_objects(set())
+        Compactor(
+            schema, store, "v", catalog, codec="zlib", block_rows=64,
+            small_threshold_rows=500, target_rows=1_200,
+        ).compact_tenant(1)
+        check_new_objects(built)
 
     def test_encode_mode_counters(self):
         from repro.builder.builder import DataBuilder
@@ -638,32 +614,17 @@ class TestBuilderAblation:
         from repro.oss.store import InMemoryObjectStore
         from repro.rowstore.memtable import MemTable
 
-        for vectorized in (True, False):
-            catalog = Catalog(request_log_schema())
-            store = InMemoryObjectStore()
-            store.create_bucket("v")
-            obs = Observability(tracing_enabled=False)
-            builder = DataBuilder(
-                request_log_schema(),
-                store,
-                "v",
-                catalog,
-                codec="zlib",
-                block_rows=64,
-                obs=obs,
-                use_vectorized_encode=vectorized,
-            )
-            table = MemTable()
-            table.append_many(make_rows(300, tenant_id=1))
-            table.seal()
-            builder.archive_memtable(table)
-            modes = obs.registry.snapshot().by_label(ENCODE_ROWS, "mode")
-            assert (modes.get("vectorized", 0) > 0) == vectorized
-            assert modes.get("interpreted", 0) > 0  # plain "log" blocks
-
-    def test_config_knob_plumbs_through(self):
-        from repro.cluster.config import small_test_config
-
-        config = small_test_config(use_vectorized_encode=False)
-        assert config.use_vectorized_encode is False
-        assert small_test_config().use_vectorized_encode is True
+        catalog = Catalog(request_log_schema())
+        store = InMemoryObjectStore()
+        store.create_bucket("v")
+        obs = Observability(tracing_enabled=False)
+        builder = DataBuilder(
+            request_log_schema(), store, "v", catalog, codec="zlib", block_rows=64, obs=obs
+        )
+        table = MemTable()
+        table.append_many(make_rows(300, tenant_id=1))
+        table.seal()
+        builder.archive_memtable(table)
+        modes = obs.registry.snapshot().by_label(ENCODE_ROWS, "mode")
+        assert modes.get("vectorized", 0) > 0
+        assert modes.get("interpreted", 0) > 0  # plain "log" blocks

@@ -104,18 +104,14 @@ def every_path(reader, rows, predicate):
     expected = attempt(
         lambda: [i for i, row in enumerate(rows) if predicate.evaluate_value(row[predicate.column])]
     )
-    for use_skipping, use_indexes, vectorized in itertools.product((True, False), repeat=3):
+    for use_skipping, use_indexes in itertools.product((True, False), repeat=2):
         got = attempt(
             lambda: evaluate_predicates(
-                reader,
-                [predicate],
-                use_skipping=use_skipping,
-                use_indexes=use_indexes,
-                vectorized=vectorized,
+                reader, [predicate], use_skipping=use_skipping, use_indexes=use_indexes
             )
         )
         if got is not None and expected is not None:
-            assert got == expected, (predicate, use_skipping, use_indexes, vectorized)
+            assert got == expected, (predicate, use_skipping, use_indexes)
     if orderable:  # evaluate_predicates never takes the others to an index
         via_index = _index_rowids(reader, predicate)
         assert via_index is None or list(via_index) == expected, predicate
@@ -328,12 +324,10 @@ class TestHazards:
                 RangePredicate("score", high=literal),
             ):
                 assert not short_circuited(reader, predicate), predicate
-        # Literals inside the bounds, so every path reads.  (With a NaN
-        # row the scalar scan's range test still disagrees: ROADMAP 3c.)
-        if not any(math.isnan(s) for s in scores):
-            for literal in (0, 0.0, -0.0):
-                every_path(reader, rows, EqPredicate("score", literal))
-                every_path(reader, rows, RangePredicate("score", low=literal))
+        # Literals inside the bounds, so every path reads.
+        for literal in (0, 0.0, -0.0):
+            every_path(reader, rows, EqPredicate("score", literal))
+            every_path(reader, rows, RangePredicate("score", low=literal))
 
     @pytest.mark.parametrize("meta_version", [2, 3, 4])
     @pytest.mark.parametrize("use_skipping", [True, False])

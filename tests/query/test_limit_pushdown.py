@@ -1,15 +1,20 @@
-"""LIMIT pushdown: early termination across LogBlocks."""
+"""LIMIT pushdown: early termination across LogBlocks — and the one
+block loop every executor entry point drives, serial against overlapped."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.builder.builder import DataBuilder
 from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
 from repro.common.clock import VirtualClock
+from repro.common.utils import wave_elapsed
 from repro.logblock.schema import request_log_schema
 from repro.meta.catalog import Catalog
 from repro.oss.costmodel import oss_default
 from repro.oss.metered import MeteredObjectStore
 from repro.oss.store import InMemoryObjectStore
+from repro.query.dedup import DedupSpec
 from repro.query.executor import BlockExecutor, ExecutionOptions
 from repro.query.planner import QueryPlanner
 from repro.query.sql import parse_sql
@@ -18,10 +23,9 @@ from repro.rowstore.memtable import MemTable
 from tests.conftest import make_rows
 
 
-@pytest.fixture
-def env():
+def make_env(options=None, clock=None):
     catalog = Catalog(request_log_schema())
-    store = MeteredObjectStore(InMemoryObjectStore(), oss_default(), VirtualClock())
+    store = MeteredObjectStore(InMemoryObjectStore(), oss_default(), clock or VirtualClock())
     store.create_bucket("b")
     builder = DataBuilder(
         request_log_schema(), store, "b", catalog,
@@ -33,8 +37,15 @@ def env():
     table.seal()
     builder.archive_memtable(table)
     cache = MultiLevelCache(memory_bytes=1 << 22, ssd_bytes=1 << 24)
-    executor = BlockExecutor(CachingRangeReader(store, cache), "b", ExecutionOptions())
+    executor = BlockExecutor(
+        CachingRangeReader(store, cache), "b", options or ExecutionOptions()
+    )
     return rows, QueryPlanner(catalog), executor
+
+
+@pytest.fixture
+def env():
+    return make_env()
 
 
 class TestPlanHint:
@@ -182,3 +193,102 @@ class TestEarlyTermination:
         serial.execute(plan_full)
         full_time = clock.now() - start
         assert limited_time < full_time / 2
+
+
+class RecordingClock(VirtualClock):
+    """Keeps every collector the block loop opened."""
+
+    def __init__(self):
+        super().__init__()
+        self.collectors = []
+
+    def deferred(self):
+        self.collectors.append(super().deferred())
+        return self.collectors[-1]
+
+
+class SerialClock(VirtualClock):
+    """A clock with no overlap model (like WallClock): the loop serialises."""
+
+    collectors = ()
+
+    @property
+    def deferred(self):
+        raise AttributeError("no overlap model")
+
+
+# Each sink yields (answer, stats) after every pass it makes through the loop.
+def rows_sink(executor, plan):
+    yield executor.execute(plan)
+
+
+def aggregate_sink(executor, plan):
+    aggregator, stats = executor.execute_aggregate(plan)
+    yield aggregator.results(), stats
+
+
+def dedup_sink(executor, plan):
+    plan = replace(plan, dedup=DedupSpec("ip", "latency"))
+    dedup, stats = executor.execute_dedup(plan)
+    yield len(dedup), stats
+    yield executor.materialize_dedup(plan, dedup, stats), stats
+
+
+SELECTIVE = "FROM request_log WHERE tenant_id = 1 AND latency >= 100"
+SINKS = {
+    "rows": (rows_sink, f"SELECT ts, log {SELECTIVE}", {}),
+    "rows-limit": (
+        rows_sink,
+        "SELECT ts FROM request_log WHERE tenant_id = 1 AND fail = 'true' LIMIT 12",
+        {},
+    ),
+    "agg-level-0": (
+        aggregate_sink,
+        f"SELECT ip, COUNT(*), AVG(latency) {SELECTIVE} GROUP BY ip",
+        {"agg_pushdown_level": 0},
+    ),
+    "agg-level-3": (
+        aggregate_sink,
+        f"SELECT ip, COUNT(*), AVG(latency) {SELECTIVE} GROUP BY ip",
+        {"agg_pushdown_level": 3},
+    ),
+    "dedup": (dedup_sink, f"SELECT ip, latency, log {SELECTIVE}", {}),
+}
+
+
+class TestOneLoopEverySink:
+    """Overlap changes when the clock moves, never what is read or answered."""
+
+    def drive(self, clock, name, use_prefetch):
+        sink, sql, extra = SINKS[name]
+        options = ExecutionOptions(use_prefetch=use_prefetch, prefetch_threads=2, **extra)
+        _rows, planner, executor = make_env(options, clock)
+        passes = []
+        for answer, stats in sink(executor, planner.plan(parse_sql(sql))):
+            passes.append((clock.now(), [c.total for c in clock.collectors]))
+        return answer, stats, passes
+
+    @pytest.mark.parametrize("use_prefetch", [False, True])
+    @pytest.mark.parametrize("name", SINKS)
+    def test_serial_and_overlapped_agree(self, name, use_prefetch):
+        answer, stats, overlapped = self.drive(RecordingClock(), name, use_prefetch)
+        serial_answer, serial_stats, serial = self.drive(SerialClock(), name, use_prefetch)
+        assert answer == serial_answer and answer
+        assert stats == serial_stats  # prefetch counters included
+        assert (stats.prefetch_requests > 0) == use_prefetch
+        if name == "rows-limit":
+            assert 1 < stats.blocks_visited < 6  # stopped mid-plan
+        if not use_prefetch:
+            assert overlapped == serial and not overlapped[-1][1]
+            return
+        # One collector per item, and per pass through the loop the two
+        # clocks differ by exactly what the waves overlapped.
+        opened, saved = 0, 0.0
+        for (at, collected), (serial_at, _none) in zip(overlapped, serial):
+            charges = collected[opened:]
+            assert len(charges) >= 2
+            opened = len(collected)
+            saved += sum(charges) - wave_elapsed(charges, 2)
+            assert serial_at - at == pytest.approx(saved, rel=1e-9)
+        assert saved > 0
+        assert len(overlapped[0][1]) == stats.blocks_visited

@@ -11,6 +11,7 @@ argsort ORDER BY/LIMIT kernel, and the forced-fallback shapes
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from repro.query.ast import (
     NotNull,
     Or,
 )
-from repro.query.executor import ExecutionOptions, ExecutionStats, filter_realtime_rows
+from repro.query.executor import ExecutionStats, filter_realtime_rows
 from repro.query.kernels import (
     VectorizeFallback,
     classify_expr,
@@ -197,7 +198,7 @@ class TestForcedFallbacks:
             evaluate(Comparison("i", CmpOp.GE, 0), rows)
 
     def test_fallback_still_byte_identical_through_filter(self):
-        """filter_realtime_rows: fallback shape ≡ interpreted output."""
+        """filter_realtime_rows: fallback shape ≡ the per-row oracle."""
         rows = make_rows(50, tenant_id=1)
         rows[7]["log"] = None
         store = _seeded_store()
@@ -207,12 +208,8 @@ class TestForcedFallbacks:
             )
         )
         stats = ExecutionStats()
-        vec = filter_realtime_rows(
-            rows=iter(rows), plan=plan,
-            options=ExecutionOptions(use_vectorized_scan=True), stats=stats,
-        )
-        plain = filter_realtime_rows(plan, rows)
-        assert vec == plain
+        got = filter_realtime_rows(rows=iter(rows), plan=plan, stats=stats)
+        assert got == [{"log": row["log"]} for row in rows if plan.where.evaluate_row(row)]
         assert stats.realtime_rows_vectorized == 0
         assert stats.realtime_rows_interpreted == len(rows)
         assert any("no vector kernel" in r for r in stats.realtime_fallbacks)
@@ -224,7 +221,7 @@ class TestRealtimeFilterParity:
         seed=st.integers(min_value=0, max_value=50),
         limit=st.one_of(st.none(), st.integers(min_value=1, max_value=30)),
     )
-    def test_vectorized_filter_matches_interpreted(self, seed, limit):
+    def test_filter_matches_the_per_row_oracle(self, seed, limit):
         rows = make_rows(40, tenant_id=1, seed=seed)
         for i in range(0, 40, 7):
             rows[i]["latency"] = None  # nulls in the predicate column
@@ -236,12 +233,13 @@ class TestRealtimeFilterParity:
             )
         )
         stats = ExecutionStats()
-        vec = filter_realtime_rows(
-            plan, iter(rows), limit=limit,
-            options=ExecutionOptions(use_vectorized_scan=True), stats=stats,
-        )
-        plain = filter_realtime_rows(plan, rows, limit=limit)
-        assert json.dumps(vec, sort_keys=True) == json.dumps(plain, sort_keys=True)
+        got = filter_realtime_rows(plan, iter(rows), limit=limit, stats=stats)
+        oracle = [
+            {"ts": row["ts"], "log": row["log"]}
+            for row in rows
+            if plan.where.evaluate_row(row)
+        ][:limit]
+        assert json.dumps(got, sort_keys=True) == json.dumps(oracle, sort_keys=True)
         assert stats.realtime_rows_vectorized == len(rows)
         assert stats.realtime_rows_interpreted == 0
 
@@ -253,11 +251,14 @@ def _seeded_store() -> LogStore:
     """One archived+realtime cluster, shared across tests (read-only)."""
     if "store" not in _STORE_CACHE:
         store = LogStore.create(config=small_test_config())
-        store.put(1, make_rows(600, tenant_id=1))
+        archived = make_rows(600, tenant_id=1)
+        realtime = make_rows(80, tenant_id=1, seed=3, start_ts=1_605_056_400_000_000)
+        store.put(1, archived)
         store.put(2, make_rows(200, tenant_id=2, seed=7))
         store.flush_all()
-        store.put(1, make_rows(80, tenant_id=1, seed=3, start_ts=1_605_056_400_000_000))
+        store.put(1, realtime)
         _STORE_CACHE["store"] = store
+        _STORE_CACHE["tenant1_rows"] = archived + realtime
     return _STORE_CACHE["store"]
 
 
@@ -271,27 +272,38 @@ MIXED_QUERIES = [
     "SELECT ts FROM request_log WHERE tenant_id = 1 AND ip LIKE '192.168.0.%'",
     "SELECT ts, latency FROM request_log WHERE tenant_id = 1 "
     "AND latency >= 50 ORDER BY latency DESC LIMIT 17",
-    "SELECT ts FROM request_log WHERE tenant_id = 1 ORDER BY latency LIMIT 9",
+    "SELECT ts, latency FROM request_log WHERE tenant_id = 1 ORDER BY latency LIMIT 9",
     "SELECT ts FROM request_log WHERE tenant_id = 1 AND latency >= 490 LIMIT 3",
 ]
 
 
 class TestMixedPlacementParity:
-    """Vectorized on vs off over archived + realtime data: identical bytes."""
+    """Archived + realtime data against the per-row interpreter and
+    python ``sorted``, called directly."""
 
     @pytest.mark.parametrize("sql", MIXED_QUERIES)
-    def test_queries_byte_identical(self, sql):
+    def test_queries_match_the_row_oracle(self, sql):
         store = _seeded_store()
-        results = {}
-        for enabled in (True, False):
-            for broker in store.brokers:
-                broker.options.use_vectorized_scan = enabled
-            results[enabled] = store.query(sql).rows
-        for broker in store.brokers:
-            broker.options.use_vectorized_scan = True
-        assert json.dumps(results[True], sort_keys=True) == json.dumps(
-            results[False], sort_keys=True
-        )
+        parsed = parse_sql(sql)
+        got = store.query(sql).rows
+        where = store.brokers[0]._planner.plan(parsed).where  # literals typed
+        matches = [row for row in _STORE_CACHE["tenant1_rows"] if where.evaluate_row(row)]
+        assert got and matches
+
+        def projected(rows):
+            return Counter(
+                json.dumps({c: row[c] for c in got[0]}, sort_keys=True) for row in rows
+            )
+
+        assert not projected(got) - projected(matches)  # only matching rows
+        limit = len(matches) if parsed.limit is None else parsed.limit
+        assert len(got) == min(limit, len(matches))
+        if parsed.order_by is not None:
+            # Rows tied on the key may come in any stream order: pin the keys.
+            keys = sorted(
+                (row[parsed.order_by] for row in matches), reverse=parsed.order_desc
+            )
+            assert [row[parsed.order_by] for row in got] == keys[:limit]
 
     def test_counters_and_explain_surface(self):
         store = _seeded_store()
@@ -383,7 +395,8 @@ class TestTopK:
         query = parse_sql(
             "SELECT ts FROM request_log WHERE tenant_id = 1 ORDER BY latency DESC LIMIT 5"
         )
-        rows = [{"latency": v} for v in [3, None, 9, 1, 9, None, 4]]
-        assert apply_order_limit(query, rows, vectorized=True) == apply_order_limit(
-            query, list(rows)
-        )
+        rows = [{"latency": v, "row": i} for i, v in enumerate([3, None, 9, 1, 9, None, 4])]
+        expected = sorted(
+            rows, key=lambda row: (row["latency"] is None, row["latency"]), reverse=True
+        )[:5]
+        assert apply_order_limit(query, rows) == expected
