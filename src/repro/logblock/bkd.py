@@ -29,57 +29,47 @@ _FIXED_OVERHEAD = 384
 
 
 class BkdIndexBuilder:
-    """Accumulates (row_id, value) points for one numeric column."""
+    """Accumulates (row_id, value) points for one numeric column.
+
+    Points are held as the array chunks they arrive in — from the
+    writer, a column's whole typed vector at once — and sorted once in
+    :meth:`build`.
+    """
 
     def __init__(self, is_float: bool, leaf_size: int = DEFAULT_LEAF_SIZE) -> None:
         if leaf_size <= 0:
             raise ValueError(f"leaf_size must be positive, got {leaf_size}")
         self._is_float = is_float
         self._leaf_size = leaf_size
-        self._rows: list[int] = []
-        self._values: list[float] = []
+        self._dtype = np.float64 if is_float else np.int64
+        self._chunks: list[tuple[np.ndarray, np.ndarray]] = []  # (values, rows)
         self._row_count = 0
 
     def add(self, row_id: int, value: int | float | bool | None) -> None:
-        self._row_count = max(self._row_count, row_id + 1)
-        if value is None:
-            return
-        self._rows.append(row_id)
-        self._values.append(float(value) if self._is_float else int(value))
+        """Index one python value; a null only counts as a row."""
+        self.add_many(
+            row_id,
+            np.array([0 if value is None else value], dtype=self._dtype),
+            np.array([value is None]),
+        )
 
-    def add_many(self, start_row_id: int, values: list) -> None:
-        """Batch :meth:`add` for rows ``start_row_id ..+ len(values)``.
+    def add_many(self, start_row_id: int, vector: np.ndarray, null_mask: np.ndarray) -> None:
+        """Index rows ``start_row_id ..+ len(vector)`` of a column given
+        as its typed vector and null mask.
 
-        Builds the same index bytes as the per-row loop (points keep
-        row order, so the stable value sort in :meth:`build` ties
-        identically); nulls still count toward the row count without
-        contributing points.
+        Points keep row order, so the stable value sort in :meth:`build`
+        ties identically however the rows were cut into calls; nulls
+        count toward the row count without contributing points.
         """
-        count = len(values)
-        if not count:
-            return
-        self._row_count = max(self._row_count, start_row_id + count)
-        arr = np.empty(count, dtype=object)
-        arr[:] = values
-        idx = np.flatnonzero(~np.equal(arr, None))
-        if not idx.size:
-            return
-        present = arr[idx]
-        try:
-            converted = present.astype(np.float64 if self._is_float else np.int64)
-        except (OverflowError, TypeError, ValueError):
-            # Defer conversion errors to build(), exactly where the
-            # per-row path would surface them.
-            for offset, value in zip(idx.tolist(), present.tolist()):
-                self.add(start_row_id + offset, value)
-            return
-        self._rows.extend((idx + start_row_id).tolist())
-        self._values.extend(converted.tolist())
+        self._row_count = max(self._row_count, start_row_id + len(vector))
+        present = np.flatnonzero(~null_mask)
+        self._chunks.append(
+            (vector[present].astype(self._dtype, copy=False), present + start_row_id)
+        )
 
     def build(self) -> "BkdIndex":
-        dtype = np.float64 if self._is_float else np.int64
-        values = np.asarray(self._values, dtype=dtype)
-        rows = np.asarray(self._rows, dtype=np.int64)
+        values = np.concatenate([np.empty(0, self._dtype)] + [v for v, _ in self._chunks])
+        rows = np.concatenate([np.empty(0, np.int64)] + [r for _, r in self._chunks])
         order = np.argsort(values, kind="stable")
         return BkdIndex(
             values=values[order],

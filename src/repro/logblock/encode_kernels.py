@@ -14,37 +14,37 @@ Byte-identity is the contract, checked three ways:
   byte layout (same null bitsets, same dictionary sort, same LEB128
   codes, same sequential float accumulation for SMA sums);
 * fallback — shapes whose vectorized result could diverge (NaN or
-  signed-zero float SMAs, ints stored in FLOAT64 columns, plain-string
-  blocks, unsupported value types) raise :class:`EncodeFallback` or
-  return the interpreted result, exactly like ``VectorizeFallback`` on
-  the scan side;
+  signed-zero float SMAs, ints stored in FLOAT64 columns, unsupported
+  or overflowing values) raise :class:`EncodeFallback` or return the
+  interpreted result, exactly like ``VectorizeFallback`` on the scan
+  side;
 * tests — differential + hypothesis suites compare whole packed
   LogBlocks member-by-member across both modes.
 
-A column is *prepared* once (type gate, null mask, typed vector), then
-every block slice encodes from the shared arrays — the per-block cost
-is O(1) numpy calls instead of O(rows) python bytecode.
+A column is *prepared* once at ``LogBlockWriter.finish()`` — type gate,
+null mask, typed vector, and for strings a ranking made by hashing
+(:func:`rank_strings`) — and that :class:`PreparedColumn` is the one
+form every consumer reads: the block encoder and the SMA here, and the
+BKD index, the raw inverted index and the Bloom filter in the writer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.common.bitset import Bitset
 from repro.common.bytesio import BinaryWriter
-from repro.common.varint import encode_uvarint_array
+from repro.common.varint import encode_uvarint, encode_uvarint_array
 from repro.logblock.column import (
     _DICT_MAX_CARDINALITY_FRACTION,
     _STRING_DICT,
-    encode_block,
+    _STRING_PLAIN,
 )
 from repro.logblock.schema import ColumnType
 from repro.logblock.sma import Sma, compute_sma, compute_sma_arrays
-
-MODE_VECTORIZED = "vectorized"
-MODE_INTERPRETED = "interpreted"
 
 
 class EncodeFallback(Exception):
@@ -67,8 +67,12 @@ class EncodeStats:
 
     ``rows_vectorized`` / ``rows_interpreted`` count *column cells*
     (one per row per column block), mirroring how the scan side counts
-    per-leaf evaluated rows; ``fallbacks`` maps reason → occurrence
-    count (one per column block that fell back).
+    per-leaf evaluated rows.  Every block of a prepared column is
+    vectorized, PLAIN string blocks included; ``rows_interpreted``
+    counts the columns :func:`prepare_column` refused
+    (:class:`EncodeFallback`).  ``fallbacks`` maps reason → occurrence
+    count: one per block of such a column, and one per block whose SMA
+    alone went to the oracle.
     """
 
     rows_vectorized: int = 0
@@ -85,12 +89,31 @@ class EncodeStats:
             self.fallbacks[reason] = self.fallbacks.get(reason, 0) + count
 
 
+def rank_strings(values) -> tuple[list, np.ndarray]:
+    """``(terms, ranks)`` of a run of strings, by hashing.
+
+    ``terms`` are the distinct non-null values, sorted; ``ranks[i]`` is
+    0 for a null and otherwise 1 + the position of ``values[i]`` in
+    ``terms``.  Only the distinct values are ever compared: the rows go
+    through a ``set`` and a dict lookup, as in the reference encoder.
+    Ranks order as the values do, so any slice of them can be grouped
+    or sorted as integers.
+    """
+    distinct = set(values)
+    distinct.discard(None)
+    terms = sorted(distinct)
+    rank_of = {term: rank for rank, term in enumerate(terms, 1)}
+    rank_of[None] = 0
+    ranks = np.fromiter(map(rank_of.__getitem__, values), dtype=np.int64, count=len(values))
+    return terms, ranks
+
+
 @dataclass
 class PreparedColumn:
-    """One column transposed into numpy form, shared by all its blocks."""
+    """One column in the form every consumer inside the writer reads."""
 
     ctype: ColumnType
-    values: list  # original python values — oracle fallback + plain strings
+    values: list  # the python values: oracle SMA fallback, string bytes
     null_mask: np.ndarray  # bool, one per row
     vector: np.ndarray  # int64/float64/bool vector; object array for STRING
     # SMA fast path eligibility is a column-level property (e.g. a
@@ -99,6 +122,14 @@ class PreparedColumn:
     # detected inside compute_sma_range.
     sma_vectorized: bool = True
     sma_reason: str | None = None
+
+    @cached_property
+    def ranking(self) -> tuple[list, np.ndarray]:
+        """:func:`rank_strings` of a STRING column, made on first use:
+        DICT blocks, the raw inverted index and the Bloom filter share
+        it, and a column none of them ranks (tokenized text in PLAIN
+        blocks) is never sorted."""
+        return rank_strings(self.values)
 
 
 def _object_array(values: list) -> np.ndarray:
@@ -109,32 +140,44 @@ def _object_array(values: list) -> np.ndarray:
     return arr
 
 
+def _typed_vector(values: list, has_nulls: bool, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``(vector, null_mask)`` of a numeric or bool column.
+
+    Without nulls the list converts straight to ``dtype``; with them it
+    takes the object-array detour so the nulls can be masked and filled
+    with the oracle's placeholder (0 / 0.0 / False) first.
+    """
+    if not has_nulls:
+        return np.array(values, dtype=dtype), np.zeros(len(values), dtype=bool)
+    filled = _object_array(values)
+    null_mask = np.equal(filled, None)
+    filled[null_mask] = 0
+    return filled.astype(dtype), null_mask
+
+
 def prepare_column(
     values: list, ctype: ColumnType, trusted: bool = False
 ) -> PreparedColumn:
-    """Transpose one column into numpy form, or raise :class:`EncodeFallback`.
+    """Walk one column into its prepared form, or raise :class:`EncodeFallback`.
 
     ``trusted=True`` skips the per-value type gate — callers that
     schema-validated every appended row (the writer's default) already
     guarantee the exact type set the kernels assume.
     """
-    obj = _object_array(values)
-    null_mask = np.equal(obj, None)
     # One C-driven sweep collecting the exact types present.  The gate
     # is deliberately stricter than the schema validator (which also
     # accepts int/str/bool *subclasses*): a subclassed value falls back
     # to the oracle rather than risking a representation the kernels
     # did not anticipate.  Falling back is always byte-safe.
     vtypes = set(map(type, values))
+    has_nulls = type(None) in vtypes
     vtypes.discard(type(None))
 
     if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
         if not trusted and not vtypes <= {int}:
             raise EncodeFallback("non-int value")
-        filled = obj.copy()
-        filled[null_mask] = 0
         try:
-            vector = filled.astype(np.int64)
+            vector, null_mask = _typed_vector(values, has_nulls, np.int64)
         except (OverflowError, TypeError, ValueError) as exc:
             # The oracle's np.array(..., dtype=int64) raises the same
             # OverflowError — falling back surfaces the canonical one.
@@ -144,10 +187,8 @@ def prepare_column(
     if ctype is ColumnType.FLOAT64:
         if not trusted and not vtypes <= {int, float}:
             raise EncodeFallback("non-float value")
-        filled = obj.copy()
-        filled[null_mask] = 0.0
         try:
-            vector = filled.astype(np.float64)
+            vector, null_mask = _typed_vector(values, has_nulls, np.float64)
         except (OverflowError, TypeError, ValueError) as exc:
             raise EncodeFallback("float64 overflow") from exc
         prep = PreparedColumn(ctype, values, null_mask, vector)
@@ -163,58 +204,68 @@ def prepare_column(
     if ctype is ColumnType.BOOL:
         if not trusted and not vtypes <= {bool}:
             raise EncodeFallback("non-bool value")
-        # bool(None) is False, matching the oracle's placeholder.
-        return PreparedColumn(ctype, values, null_mask, obj.astype(bool))
+        vector, null_mask = _typed_vector(values, has_nulls, np.bool_)
+        return PreparedColumn(ctype, values, null_mask, vector)
 
     if ctype is ColumnType.STRING:
         if not trusted and not vtypes <= {str}:
             raise EncodeFallback("non-str value")
-        return PreparedColumn(ctype, values, null_mask, obj)
+        # The object vector is what the SMA reduces over.
+        vector = _object_array(values)
+        return PreparedColumn(ctype, values, np.equal(vector, None), vector)
 
     raise EncodeFallback(f"unsupported column type {ctype}")
 
 
-def encode_block_range(
-    prep: PreparedColumn, start: int, stop: int
-) -> tuple[bytes, str, str | None]:
-    """Encode rows ``[start, stop)`` of a prepared column.
-
-    Returns ``(payload, mode, fallback_reason)`` where ``payload`` is
-    byte-identical to ``encode_block(values[start:stop], ctype)``.
-    """
+def encode_block_range(prep: PreparedColumn, start: int, stop: int) -> bytes:
+    """Encode rows ``[start, stop)`` of a prepared column: byte-identical
+    to ``encode_block(values[start:stop], ctype)``."""
     nulls = prep.null_mask[start:stop]
     writer = BinaryWriter()
     writer.write_len_prefixed(Bitset.from_bool_array(nulls).to_bytes())
 
     if prep.ctype in (ColumnType.INT64, ColumnType.TIMESTAMP, ColumnType.FLOAT64):
         writer.write_bytes(prep.vector[start:stop].tobytes())
-        return writer.getvalue(), MODE_VECTORIZED, None
+        return writer.getvalue()
 
     if prep.ctype is ColumnType.BOOL:
         writer.write_len_prefixed(
             Bitset.from_bool_array(prep.vector[start:stop]).to_bytes()
         )
-        return writer.getvalue(), MODE_VECTORIZED, None
+        return writer.getvalue()
 
-    # STRING: vectorize the DICT shape (np.unique assigns codes with the
-    # oracle's exact sorted-distinct order); PLAIN blocks fall back.
-    chunk = prep.vector[start:stop]
-    present = chunk[~nulls]
-    n_rows = stop - start
-    if present.size and n_rows >= 16:
-        ordered, inverse = np.unique(present, return_inverse=True)
-        if len(ordered) <= _DICT_MAX_CARDINALITY_FRACTION * present.size:
-            writer.write_u8(_STRING_DICT)
-            writer.write_uvarint(len(ordered))
-            for value in ordered.tolist():
-                writer.write_str(value)
-            # Code 0 is reserved for null; real codes are shifted by one.
-            codes = np.zeros(n_rows, dtype=np.uint64)
-            codes[~nulls] = inverse.astype(np.uint64) + 1
-            writer.write_bytes(encode_uvarint_array(codes))
-            return writer.getvalue(), MODE_VECTORIZED, None
-    payload = encode_block(prep.values[start:stop], prep.ctype)
-    return payload, MODE_INTERPRETED, "plain string block"
+    # STRING.  The oracle's DICT-or-PLAIN choice needs the block's
+    # distinct count, which a set gives without comparing a value.
+    chunk = prep.values[start:stop]
+    n_present = len(chunk) - int(np.count_nonzero(nulls))
+    distinct = set(chunk)
+    distinct.discard(None)
+    if (
+        n_present
+        and len(chunk) >= 16
+        and len(distinct) <= _DICT_MAX_CARDINALITY_FRACTION * n_present
+    ):
+        # The block's distinct ranks, ascending, are its dictionary in
+        # the oracle's sorted order; a null's rank 0 sorts first and so
+        # lands on code 0, which is reserved for it.
+        terms, ranks = prep.ranking
+        ordered, codes = np.unique(ranks[start:stop], return_inverse=True)
+        first = 1 if n_present < len(chunk) else 0
+        writer.write_u8(_STRING_DICT)
+        writer.write_uvarint(len(ordered) - first)
+        for rank in ordered[first:].tolist():
+            writer.write_str(terms[rank - 1])
+        writer.write_bytes(encode_uvarint_array(codes + (1 - first)))
+        return writer.getvalue()
+    writer.write_u8(_STRING_PLAIN)
+    if n_present < len(chunk):
+        chunk = ["" if value is None else value for value in chunk]
+    encoded = [value.encode("utf-8") for value in chunk]
+    pieces = [b""] * (2 * len(encoded))
+    pieces[0::2] = map(encode_uvarint, map(len, encoded))
+    pieces[1::2] = encoded
+    writer.write_bytes(b"".join(pieces))
+    return writer.getvalue()
 
 
 def compute_sma_range(

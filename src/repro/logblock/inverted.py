@@ -26,8 +26,8 @@ in-memory index *is* these sections — the builder encodes into them and
 the v3 decoder (``from_v3_bytes``, the interleaved ``term, count,
 postings`` layout of older LogBlocks) regroups into them.
 
-Build, encode and decode are columnar (DESIGN.md §11): rows append to
-flat ``(term, row id)`` arrays, one stable argsort groups them by term,
+Build, encode and decode are columnar (DESIGN.md §11): values become
+``(term rank, row id)`` arrays, one stable argsort groups them by term,
 and every posting list is delta- and varint-coded at once.
 """
 
@@ -48,6 +48,7 @@ from repro.common.varint import (
     encode_uvarint_array,
     uvarint_ends,
 )
+from repro.logblock.encode_kernels import rank_strings
 from repro.logblock.tokenizer import normalize_term, tokenize
 
 _CRC = struct.Struct("<I")
@@ -59,49 +60,57 @@ _FIXED_OVERHEAD = 640
 
 
 class InvertedIndexBuilder:
-    """Accumulates ``(term, row id)`` pairs while rows are appended.
+    """Accumulates ``(term, row id)`` pairs while values are added.
 
-    Nothing is grouped or deduplicated until :meth:`build`: a row only
-    extends a flat term list and a parallel run of row ids, so the
-    per-token work is one list append.
+    Each call ranks its own terms by hashing (:func:`rank_strings`) and
+    keeps one chunk: the call's sorted distinct terms, and per pair the
+    term's position among them and the row id.  Nothing is grouped or
+    deduplicated until :meth:`build`.  The writer feeds a column in one
+    call, so its chunk is already the index's dictionary.
     """
 
     def __init__(self, tokenize: bool) -> None:
         self._tokenize = tokenize
-        self._terms: list[str] = []
-        # One chunk per call; concatenated, parallel to _terms.
-        self._row_ids: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        # (sorted distinct terms, term position per pair, row id per pair)
+        self._chunks: list[tuple[list[str], np.ndarray, np.ndarray]] = []
         self._row_count = 0
 
     def add(self, row_id: int, value: str | None) -> None:
         """Index ``value`` for ``row_id``.  Nulls are simply absent."""
-        self._extend(row_id, (value,))
+        self.add_many(row_id, (value,))
 
-    def add_many(self, start_row_id: int, values: list) -> None:
-        """Batch :meth:`add` for rows ``start_row_id ..+ len(values)``."""
-        self._extend(start_row_id, values)
+    def add_many(self, start_row_id: int, values, ranking=None) -> None:
+        """Index ``values`` for rows ``start_row_id ..+ len(values)``.
 
-    def _extend(self, start_row_id: int, values) -> None:
+        ``ranking`` is ``rank_strings(values)`` where the caller already
+        has it (the writer's prepared column); a raw index takes its
+        terms and pairs from it instead of deriving them again.
+        """
         count = len(values)
         if not count:
             return
         self._row_count = max(self._row_count, start_row_id + count)
-        terms = self._terms
         if self._tokenize:
+            tokens: list[str] = []
             per_row = []
             for value in values:
                 if value is None:
                     per_row.append(0)
                 else:
                     row_terms = tokenize(value)
-                    terms += row_terms
+                    tokens += row_terms
                     per_row.append(len(row_terms))
+            terms, ranks = rank_strings(tokens)
+            rows = np.repeat(
+                np.arange(start_row_id, start_row_id + count, dtype=np.int64), per_row
+            )
         else:
             # raw: exact-match must mirror scan equality
-            per_row = [value is not None for value in values]
-            terms += [value for value in values if value is not None]
-        rows = np.arange(start_row_id, start_row_id + count, dtype=np.int64)
-        self._row_ids.append(np.repeat(rows, per_row))
+            terms, ranks = ranking if ranking is not None else rank_strings(values)
+            rows = np.flatnonzero(ranks)
+            ranks = ranks[rows]
+            rows += start_row_id
+        self._chunks.append((terms, ranks - 1, rows))
 
     def build(self) -> "InvertedIndex":
         """Group the pairs by term and encode them into the sections.
@@ -113,16 +122,28 @@ class InvertedIndexBuilder:
         its row, a row adding its last term again) next to each other,
         where all but the first are dropped.
         """
-        terms = sorted(set(self._terms))
-        rank = dict(zip(terms, range(len(terms))))
+        if len(self._chunks) == 1:
+            ((terms, ids, rows),) = self._chunks
+        else:
+            # Several calls: merge their dictionaries and move every
+            # chunk's ids onto the merged ranks.
+            terms = sorted(set().union(*(chunk[0] for chunk in self._chunks)))
+            rank = dict(zip(terms, range(len(terms))))
+            ids = np.concatenate(
+                [np.empty(0, dtype=np.int64)]
+                + [
+                    np.fromiter(map(rank.__getitem__, own), dtype=np.int64, count=len(own))[at]
+                    for own, at, _ in self._chunks
+                ]
+            )
+            rows = np.concatenate(
+                [np.empty(0, dtype=np.int64)] + [chunk[2] for chunk in self._chunks]
+            )
         # numpy's stable sort is a radix sort for 16-bit keys.
-        id_type = np.uint16 if len(terms) <= 1 << 16 else np.int64
-        ids = np.fromiter(
-            map(rank.__getitem__, self._terms), dtype=id_type, count=len(self._terms)
-        )
+        ids = ids.astype(np.uint16 if len(terms) <= 1 << 16 else np.int64)
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
-        rows = np.concatenate(self._row_ids)[order]
+        rows = rows[order]
         keep = np.ones(len(ids), dtype=bool)
         keep[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
         offsets = np.zeros(len(terms) + 1, dtype=np.int64)

@@ -44,15 +44,17 @@ from repro.codec.registry import DEFAULT_CODEC
 from repro.common.bytesio import BinaryReader, BinaryWriter
 from repro.common.errors import CorruptionError, SchemaError, SerializationError
 from repro.logblock.bkd import BkdIndexBuilder
+from repro.logblock.bloom import BloomFilter
 from repro.logblock.inverted import InvertedIndexBuilder
 from repro.logblock.column import encode_block
 from repro.logblock.encode_kernels import (
-    MODE_VECTORIZED,
     EncodeFallback,
     EncodeStats,
+    PreparedColumn,
     compute_sma_range,
     encode_block_range,
     prepare_column,
+    rank_strings,
 )
 from repro.logblock.schema import ColumnType, IndexType, TableSchema
 from repro.logblock.sma import Sma, SmaTable, compute_sma, merge_smas
@@ -393,17 +395,12 @@ class LogBlockWriter:
         # the byte-identity tests reach it through, set by no caller.
         self._vectorized = vectorized
         self._encode_stats = EncodeStats()
+        # The columns are kept whole; blocks, SMAs, indexes and Bloom
+        # filters are all built from them in finish(), so the pack does
+        # not depend on how the rows were cut into append calls.
         self._columns: list[list] = [[] for _ in schema.columns]
         self._row_count = 0
         self._finished = False
-        self._index_builders: dict[str, InvertedIndexBuilder | BkdIndexBuilder] = {}
-        if build_indexes:
-            for col in schema.columns:
-                if col.index is IndexType.INVERTED:
-                    self._index_builders[col.name] = InvertedIndexBuilder(tokenize=col.tokenize)
-                elif col.index is IndexType.BKD:
-                    is_float = col.ctype is ColumnType.FLOAT64
-                    self._index_builders[col.name] = BkdIndexBuilder(is_float=is_float)
 
     @property
     def row_count(self) -> int:
@@ -426,13 +423,8 @@ class LogBlockWriter:
             # Missing columns are nulls: rows ingested before an additive
             # DDL must still archive under the evolved schema.
             self._schema.validate_row(row, allow_missing=True)
-        row_id = self._row_count
         for col_idx, col in enumerate(self._schema.columns):
-            value = row.get(col.name)
-            self._columns[col_idx].append(value)
-            builder = self._index_builders.get(col.name)
-            if builder is not None:
-                builder.add(row_id, value)
+            self._columns[col_idx].append(row.get(col.name))
         self._row_count += 1
 
     def append_many(self, rows: list[dict]) -> None:
@@ -479,17 +471,18 @@ class LogBlockWriter:
     def _ingest_columns(self, columns: dict[str, list], count: int) -> None:
         if self._validate:
             self._schema.validate_columns(columns)
-        start_row = self._row_count
         for col_idx, col in enumerate(self._schema.columns):
-            values = columns[col.name]
-            self._columns[col_idx].extend(values)
-            builder = self._index_builders.get(col.name)
-            if builder is not None:
-                builder.add_many(start_row, values)
+            self._columns[col_idx].extend(columns[col.name])
         self._row_count += count
 
     def finish(self) -> bytes:
-        """Freeze the writer and return the packed LogBlock bytes."""
+        """Freeze the writer and return the packed LogBlock bytes.
+
+        Each column is prepared once (:func:`prepare_column`) and its
+        blocks, SMAs, index and Bloom filter are all built from that
+        one form; a column the kernels refuse goes to the per-value
+        reference encoders instead.
+        """
         if self._finished:
             raise SerializationError("LogBlockWriter already finished")
         self._finished = True
@@ -499,10 +492,13 @@ class LogBlockWriter:
             min(self._block_rows, self._row_count - b * self._block_rows) for b in range(n_blocks)
         ]
 
-        pack = PackBuilder()
         column_smas: list[Sma] = []
         block_headers: list[list[BlockHeader]] = []
         encoded_blocks: list[tuple[str, bytes]] = []
+        index_sizes: dict[str, int] = {}
+        index_payloads: list[tuple[str, bytes]] = []
+        bloom_sizes: dict[str, int] = {}
+        bloom_payloads: list[tuple[str, bytes]] = []
 
         for col_idx, col in enumerate(self._schema.columns):
             values = self._columns[col_idx]
@@ -519,14 +515,9 @@ class LogBlockWriter:
                 start = block_idx * self._block_rows
                 stop = start + block_row_counts[block_idx]
                 if prep is not None:
-                    payload, mode, reason = encode_block_range(prep, start, stop)
+                    payload = encode_block_range(prep, start, stop)
                     sma, sma_reason = compute_sma_range(prep, start, stop)
-                    if mode == MODE_VECTORIZED:
-                        self._encode_stats.rows_vectorized += stop - start
-                    else:
-                        self._encode_stats.rows_interpreted += stop - start
-                    if reason is not None:
-                        self._encode_stats.note_fallback(f"{col.name}: {reason}")
+                    self._encode_stats.rows_vectorized += stop - start
                     if sma_reason is not None:
                         self._encode_stats.note_fallback(f"{col.name}: {sma_reason}")
                 else:
@@ -543,37 +534,14 @@ class LogBlockWriter:
             column_smas.append(merge_smas(block_smas) if block_smas else compute_sma([], col.ctype))
             block_headers.append(headers)
 
-        index_sizes: dict[str, int] = {}
-        index_payloads: list[tuple[str, bytes]] = []
-        for name, builder in self._index_builders.items():
-            index = builder.build()
+            if not self._build_indexes or col.index is IndexType.NONE:
+                continue
+            index, bloom = self._build_index(col, values, prep)
             payload = self._codec.compress(index.to_bytes())
-            index_sizes[name] = len(payload)
-            index_payloads.append((index_member(name), payload))
-
-        # Bloom filters for exact-match string columns: a cheap
-        # "definitely absent" check that skips fetching the (much
-        # larger) inverted index on needle queries.  Bloom bits are
-        # near-incompressible, so they are stored raw.
-        bloom_sizes: dict[str, int] = {}
-        bloom_payloads: list[tuple[str, bytes]] = []
-        if self._build_indexes and self._build_blooms:
-            from repro.logblock.bloom import BloomFilter
-
-            for col_idx, col in enumerate(self._schema.columns):
-                if not (col.ctype.is_string and not col.tokenize
-                        and col.index is IndexType.INVERTED):
-                    continue
-                # Dedupe once: re-adding a duplicate sets the exact same
-                # bits, so hashing each distinct value exactly once
-                # yields byte-identical filters at a fraction of the
-                # hash work (the filter was already *sized* on the
-                # distinct count).
-                distinct = {v for v in self._columns[col_idx] if v is not None}
-                if not distinct:
-                    continue
-                bloom = BloomFilter.for_items(len(distinct))
-                bloom.add_many(distinct)
+            index_sizes[col.name] = len(payload)
+            index_payloads.append((index_member(col.name), payload))
+            if bloom is not None:
+                # Bloom bits are near-incompressible, so they are stored raw.
                 payload = bloom.to_bytes()
                 bloom_sizes[col.name] = len(payload)
                 bloom_payloads.append((bloom_member(col.name), payload))
@@ -590,11 +558,40 @@ class LogBlockWriter:
             bloom_sizes=bloom_sizes,
         )
 
+        pack = PackBuilder()
         pack.add(META_MEMBER, meta.to_bytes())
-        for name, payload in bloom_payloads:
-            pack.add(name, payload)
-        for name, payload in index_payloads:
-            pack.add(name, payload)
-        for name, payload in encoded_blocks:
+        for name, payload in bloom_payloads + index_payloads + encoded_blocks:
             pack.add(name, payload)
         return pack.build()
+
+    def _build_index(self, col, values: list, prep: PreparedColumn | None):
+        """``(index, Bloom filter or None)`` of one indexed column.
+
+        A prepared column hands the builders what they would otherwise
+        derive: the BKD index its typed vector and null mask, the raw
+        inverted index its sorted terms and per-row ranks.  Exact-match
+        string columns also get a Bloom filter — a cheap "definitely
+        absent" check that skips fetching the (much larger) inverted
+        index on needle queries — over those same distinct terms:
+        re-adding a duplicate would set the exact same bits.
+        """
+        if col.index is IndexType.BKD:
+            builder = BkdIndexBuilder(is_float=col.ctype is ColumnType.FLOAT64)
+            if prep is not None:
+                builder.add_many(0, prep.vector, prep.null_mask)
+            else:
+                for row_id, value in enumerate(values):
+                    builder.add(row_id, value)
+            return builder.build(), None
+        builder = InvertedIndexBuilder(tokenize=col.tokenize)
+        if col.tokenize:
+            builder.add_many(0, values)
+            return builder.build(), None
+        ranking = prep.ranking if prep is not None else rank_strings(values)
+        builder.add_many(0, values, ranking)
+        bloom = None
+        terms = ranking[0]
+        if self._build_blooms and terms:
+            bloom = BloomFilter.for_items(len(terms))
+            bloom.add_many(terms)
+        return builder.build(), bloom

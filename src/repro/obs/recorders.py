@@ -173,7 +173,7 @@ class EncodeModeRecorder:
     Column values encoded through the vectorized kernels vs the
     interpreted reference encoder (``mode=…``-labeled family), plus a
     ``reason=…``-labeled fallback counter so dashboards can see *why*
-    blocks fell off the fast path (plain-string blocks, NaN SMAs, …).
+    blocks fell off the fast path (a subclassed value, NaN SMAs, …).
     The builder folds each writer's ``EncodeStats`` in serially after
     the parallel build stage, keeping registration deterministic.
     """

@@ -25,6 +25,7 @@ this unit (DESIGN.md §3, "Write path: admit once").
 from __future__ import annotations
 
 import pickle
+from array import array
 from itertools import chain, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -36,7 +37,7 @@ from repro.common.errors import CorruptionError, InvalidBatchError, SchemaError
 _SIZED = (str, bytes, bytearray)
 _SIZED_TYPES = frozenset(_SIZED)
 _SCALAR_TYPES = frozenset((int, float, bool, type(None)))
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_NEVER_INT = frozenset((float, type(None)))  # kinds that need no int64 range check
 # First element of every payload; a layout change takes a new tag.
 _PAYLOAD_TAG = "rowbatch/1"
 # What ``pickle.loads`` and the destructuring raise on bytes that are
@@ -84,8 +85,14 @@ def _check_int64(name: str, column: list, kinds: set, tenant_id: int | None = No
             found = next(v for v in column if v != tenant_id)
             raise InvalidBatchError(f"row tenant_id {found!r} does not match {tenant_id}")
         column = (tenant_id,)  # all alike: one value to range-check
-    if min(column) < _INT64_MIN or max(column) > _INT64_MAX:
-        raise InvalidBatchError(f"column {name!r} holds a value beyond int64")
+    _check_int_range(name, column)
+
+
+def _check_int_range(name: str, ints: Sequence[int]) -> None:
+    try:
+        array("q", ints)  # one C pass; overflows exactly beyond int64
+    except OverflowError:
+        raise InvalidBatchError(f"column {name!r} holds a value beyond int64") from None
 
 
 class RowBatch:
@@ -157,9 +164,12 @@ class RowBatch:
         and — when ``tenant_id`` is given — belong to that tenant.  With
         a ``schema`` (the live catalog schema at ``put``), values of its
         columns must have the column's type under the rules of
-        ``TableSchema.validate_columns``; names the schema does not know
-        are carried and ignored.  Anything else raises
-        :class:`InvalidBatchError` and nothing was admitted.
+        ``TableSchema.validate_columns``, and an int in a numeric column
+        must fit int64 — the archive encoder stores it, or its SMA, as
+        one, and a value it cannot store would fail every later flush of
+        the shard; names the schema does not know are carried and
+        ignored.  Anything else raises :class:`InvalidBatchError` and
+        nothing was admitted.
         """
         names = tuple(names)
         columns = [c if type(c) is list else list(c) for c in columns]
@@ -179,11 +189,16 @@ class RowBatch:
                 _check_int64(name, column, kinds)
             elif name == tenant_column:
                 _check_int64(name, column, kinds, tenant_id)
-            elif name in accepted and not kinds <= accepted[name]:
-                try:  # subclasses pass, a wrong type names itself
-                    schema.validate_columns({name: column})
-                except SchemaError as exc:
-                    raise InvalidBatchError(str(exc)) from None
+            elif name in accepted:
+                if not kinds <= accepted[name]:
+                    try:  # subclasses pass, a wrong type names itself
+                        schema.validate_columns({name: column})
+                    except SchemaError as exc:
+                        raise InvalidBatchError(str(exc)) from None
+                if int in accepted[name] and not kinds <= _NEVER_INT:
+                    ints = column if kinds == {int} else [v for v in column if isinstance(v, int)]
+                    if ints:
+                        _check_int_range(name, ints)
         for required in (ts_column, tenant_column):
             if required not in names:
                 raise InvalidBatchError(f"row missing column {required!r}")

@@ -9,6 +9,7 @@ from repro import LogStore, small_test_config
 from repro.cluster.shard import Shard
 from repro.common.clock import VirtualClock
 from repro.common.errors import InvalidBatchError
+from repro.logblock.schema import ColumnSpec, ColumnType, TableSchema, request_log_schema
 from repro.wal.log import MemorySegmentBackend
 
 from tests.conftest import make_rows, rowstore_state
@@ -129,6 +130,41 @@ class TestWrongTypedValue:
         rows[0]["not_in_schema"] = object  # carried to the builder, ignored there
         store.put(4, rows)
         assert store.flush_all().rows_archived == 5
+
+
+class TestOutOfRangeValue:
+    """An int the archive encoder cannot store as int64 (or, in a
+    FLOAT64 column, as a float or an SMA bound) used to be acked, then
+    raise ``OverflowError`` in every later ``flush_all()`` of its shard."""
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("latency", 2**70), ("latency", -(2**63) - 1), ("score", 10**400), ("score", 2**63)],
+    )
+    @pytest.mark.parametrize("use_raft", [False, True])
+    def test_rejected_at_put_and_the_rows_around_it_archive(self, use_raft, column, value):
+        request_log = request_log_schema()
+        schema = TableSchema(
+            request_log.name, request_log.columns + (ColumnSpec("score", ColumnType.FLOAT64),)
+        )
+        store = LogStore.create(schema, config=small_test_config(use_raft=use_raft))
+        good = make_rows(100, tenant_id=4)
+        for i, row in enumerate(good):  # in range: int64's ends, ints and floats mixed
+            row["latency"] = (2**63 - 1, -(2**63), None)[i % 3]
+            row["score"] = (2**53, 1.5, None, -(2**63))[i % 4]
+        store.put(4, good)
+        bad = make_rows(3, tenant_id=4, seed=1)
+        for row in bad:
+            row["score"] = 0.5
+        bad[1][column] = value
+        for put in (store.put, store.put_nowait):
+            with pytest.raises(InvalidBatchError, match=f"column '{column}' holds a value beyond int64"):
+                put(4, bad)
+        store.settle_writes()
+        assert store.pending_rows() == 100
+        store.put(4, make_rows(20, tenant_id=4, seed=2))
+        assert store.flush_all().rows_archived == 120
+        assert store.pending_rows() == 0
 
 
 def non_null(rows):

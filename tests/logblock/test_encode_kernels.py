@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 
 from repro.common.errors import SchemaError
 from repro.logblock.bloom import BloomFilter
-from repro.logblock.column import decode_block, decode_block_arrays, encode_block
+from repro.logblock.column import PlainStrings, decode_block, decode_block_arrays, encode_block
 from repro.logblock.encode_kernels import (
-    MODE_INTERPRETED,
-    MODE_VECTORIZED,
     EncodeFallback,
     EncodeStats,
     compute_sma_range,
@@ -109,9 +107,9 @@ class TestPrepareColumn:
         prep = prepare_column([1, 2.5, None], ColumnType.FLOAT64)
         assert not prep.sma_vectorized
         # ...but block encoding is still vectorized (float64 bits match).
-        payload, mode, _ = encode_block_range(prep, 0, 3)
-        assert mode == MODE_VECTORIZED
-        assert payload == encode_block([1, 2.5, None], ColumnType.FLOAT64)
+        assert encode_block_range(prep, 0, 3) == encode_block(
+            [1, 2.5, None], ColumnType.FLOAT64
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +137,32 @@ def _values_for(ctype: ColumnType, n: int, layout) -> list:
     return [None if is_null else v for v, is_null in zip(raw, nulls)]
 
 
+# name -> (values, whether the oracle stores the block PLAIN)
+STRING_BLOCKS = {
+    # DICT needs >= 16 rows: 15 is PLAIN, 16 is DICT.
+    "15 rows": ([f"v{i % 4}" for i in range(15)], True),
+    "16 rows": ([f"v{i % 4}" for i in range(16)], False),
+    # Exactly 0.5 distinct/present takes DICT; one more distinct is PLAIN.
+    "distinct at half": ([f"v{i % 10}" for i in range(20)], False),
+    "distinct over half": ([f"v{i}" for i in range(11)] + ["v0"] * 9, True),
+    "half of present, nulls aside": ([None] * 12 + [f"v{i % 10}" for i in range(20)], False),
+    "over half of present, nulls aside": (
+        [None] * 12 + [f"v{i}" for i in range(11)] + ["v0"] * 9,
+        True,
+    ),
+    "all null": ([None] * 32, True),
+    "empty strings beside nulls, plain": (["", None, "x", "", None, "y", "z", ""], True),
+    "empty strings beside nulls, dict": (["", None, "x", ""] * 8, False),
+    "multi-byte, plain": ([f"αβγ-{i}-日本語-\U0001f600" for i in range(40)], True),
+    "multi-byte, dict": ([("é", "日本", "\U0001f600", None)[i % 4] for i in range(40)], False),
+    # 128 UTF-8 bytes take a two-byte length prefix, 16 384 a three-byte one.
+    "128-byte value, plain": (["a" * 127, "b" * 128, "é" * 64, "c"], True),
+    "128-byte value, dict": (["b" * 128, "é" * 64] * 10, False),
+    "16384-byte value, plain": (["a" * 16_383, "b" * 16_384, "日" * 5_462], True),
+    "16384-byte value, dict": (["b" * 16_384, None, "x"] * 8, False),
+}
+
+
 class TestBlockDifferential:
     @pytest.mark.parametrize("layout", sorted(NULL_LAYOUTS))
     @pytest.mark.parametrize(
@@ -155,50 +179,45 @@ class TestBlockDifferential:
         values = _values_for(ctype, 100, layout)
         prep = prepare_column(values, ctype)
         for start, stop in [(0, 100), (0, 64), (64, 100), (10, 11), (50, 50)]:
-            payload, _mode, _reason = encode_block_range(prep, start, stop)
+            payload = encode_block_range(prep, start, stop)
             assert payload == encode_block(values[start:stop], ctype)
             # And the round trip restores the exact python values.
             assert (
                 decode_block(payload, ctype, stop - start) == values[start:stop]
             )
 
-    def test_dict_boundary_rows(self):
-        # DICT needs >= 16 rows: 15 is PLAIN (fallback), 16 is DICT.
-        for n, expect_mode in [(15, MODE_INTERPRETED), (16, MODE_VECTORIZED)]:
-            values = [f"v{i % 4}" for i in range(n)]
-            prep = prepare_column(values, ColumnType.STRING)
-            payload, mode, _ = encode_block_range(prep, 0, n)
-            assert mode == expect_mode
-            assert payload == encode_block(values, ColumnType.STRING)
-
-    def test_dict_boundary_cardinality(self):
-        # Exactly 0.5 distinct/present takes DICT; one more distinct is PLAIN.
-        at_half = [f"v{i % 10}" for i in range(20)]
-        prep = prepare_column(at_half, ColumnType.STRING)
-        payload, mode, _ = encode_block_range(prep, 0, 20)
-        assert mode == MODE_VECTORIZED
-        assert payload == encode_block(at_half, ColumnType.STRING)
-
-        over_half = [f"v{i}" for i in range(11)] + ["v0"] * 9
-        prep = prepare_column(over_half, ColumnType.STRING)
-        payload, mode, reason = encode_block_range(prep, 0, 20)
-        assert mode == MODE_INTERPRETED and reason == "plain string block"
-        assert payload == encode_block(over_half, ColumnType.STRING)
-
-    def test_all_null_string_block_is_plain(self):
-        values = [None] * 32
+    @pytest.mark.parametrize("name", sorted(STRING_BLOCKS))
+    def test_string_block_matches_oracle(self, name):
+        values, plain = STRING_BLOCKS[name]
         prep = prepare_column(values, ColumnType.STRING)
-        payload, mode, _ = encode_block_range(prep, 0, 32)
-        assert mode == MODE_INTERPRETED
+        payload = encode_block_range(prep, 0, len(values))
         assert payload == encode_block(values, ColumnType.STRING)
+        # PLAIN and DICT are both the kernels' own work now; which one
+        # a block takes is the oracle's choice, reproduced.
+        decoded = decode_block_arrays(payload, ColumnType.STRING, len(values))
+        assert isinstance(decoded, PlainStrings) == plain
+        assert decode_block(payload, ColumnType.STRING, len(values)) == values
+        # Any sub-range of the column is the oracle's bytes too (the
+        # ranking is the column's, the dictionary the block's).
+        lo, hi = len(values) // 3, len(values) - 1
+        assert encode_block_range(prep, lo, hi) == encode_block(
+            values[lo:hi], ColumnType.STRING
+        )
+
+    def test_lone_surrogate_raises_like_the_oracle(self):
+        for values in (["ok", "\ud800"], ["a", "\ud800"] * 16):  # PLAIN, DICT
+            with pytest.raises(UnicodeEncodeError):
+                encode_block(values, ColumnType.STRING)
+            prep = prepare_column(values, ColumnType.STRING)
+            with pytest.raises(UnicodeEncodeError):
+                encode_block_range(prep, 0, len(values))
 
     def test_large_dictionary_multibyte_codes(self):
         # > 127 distinct values forces multi-byte LEB128 codes for the
         # high codes — the generic uvarint kernel, not the 1-byte cast.
         values = [f"k{i % 200:04d}" for i in range(500)]
         prep = prepare_column(values, ColumnType.STRING)
-        payload, mode, _ = encode_block_range(prep, 0, 500)
-        assert mode == MODE_VECTORIZED
+        payload = encode_block_range(prep, 0, 500)
         assert payload == encode_block(values, ColumnType.STRING)
         codes, dictionary, nulls = decode_block_arrays(
             payload, ColumnType.STRING, 500
@@ -340,10 +359,11 @@ class TestWriterByteIdentity:
         got = writer.finish()
         assert unpack_members(got) == unpack_members(expected)
         assert got == expected
+        # Every column was prepared — the high-cardinality "log" column's
+        # PLAIN blocks included — so nothing went to the reference encoder.
         stats = writer.encode_stats
-        assert stats.rows_vectorized > 0
-        # The tokenized "log" column is high-cardinality → PLAIN blocks.
-        assert any("plain string block" in r for r in stats.fallbacks)
+        assert stats.rows_vectorized == len(rows) * len(request_log_schema())
+        assert stats.rows_interpreted == 0 and stats.fallbacks == {}
 
     def test_append_columns_identical(self):
         rows = make_rows(300, seed=5)
@@ -405,6 +425,32 @@ class TestWriterByteIdentity:
         assert vec.finish() == ref.finish()
         # np.int64 fails the untrusted int gate → whole column interpreted.
         assert any("non-int" in r for r in vec.encode_stats.fallbacks)
+
+    def test_int_subclass_falls_back_to_the_reference(self):
+        # A real EncodeFallback: the kernels' gate takes exact types
+        # only, so the column goes — blocks, SMAs and BKD points — to
+        # the per-value reference path, and only that column.
+        class Level(int):
+            pass
+
+        rows = [
+            {"i": Level(i % 5), "ts": i, "f": 0.5, "b": True, "tag": "a", "msg": "m"}
+            for i in range(40)
+        ]
+        packs = []
+        for vectorized in (True, False):
+            writer = LogBlockWriter(
+                ALL_TYPES_SCHEMA, codec="none", block_rows=16,
+                validate_rows=False, vectorized=vectorized,
+            )
+            writer.append_many(rows)
+            packs.append(writer.finish())
+            if vectorized:
+                stats = writer.encode_stats
+        assert unpack_members(packs[0]) == unpack_members(packs[1])
+        assert stats.rows_interpreted == len(rows)
+        assert stats.rows_vectorized == len(rows) * (len(ALL_TYPES_SCHEMA) - 1)
+        assert stats.fallbacks == {"i: non-int value": 3}  # one per block
 
     def test_vectorized_off_ablates_everything(self):
         writer = LogBlockWriter(request_log_schema(), vectorized=False)
@@ -625,6 +671,7 @@ class TestBuilderEncode:
         table.append_many(make_rows(300, tenant_id=1))
         table.seal()
         builder.archive_memtable(table)
+        # Both labels exist; every cell of a validated request_log row
+        # (the PLAIN "log" blocks too) lands under "vectorized".
         modes = obs.registry.snapshot().by_label(ENCODE_ROWS, "mode")
-        assert modes.get("vectorized", 0) > 0
-        assert modes.get("interpreted", 0) > 0  # plain "log" blocks
+        assert modes == {"vectorized": 300 * len(request_log_schema()), "interpreted": 0}

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.codec import get_codec
 from repro.common.errors import QueryError, SerializationError
-from repro.logblock.bkd import BkdIndex
-from repro.logblock.inverted import InvertedIndex
+from repro.logblock.bkd import BkdIndex, BkdIndexBuilder
+from repro.logblock.inverted import InvertedIndex, InvertedIndexBuilder
 from repro.logblock.reader import LogBlockReader
-from repro.logblock.schema import request_log_schema
+from repro.logblock.schema import ColumnType, IndexType, request_log_schema
 from repro.logblock.sma import Sma
-from repro.logblock.writer import LogBlockMeta, LogBlockWriter
+from repro.logblock.writer import LogBlockMeta, LogBlockWriter, index_member
 from repro.oss.store import InMemoryObjectStore
 from repro.tarpack.reader import PackReader
 
@@ -327,6 +328,52 @@ def golden_block() -> bytes:
 
 def test_packed_bytes_are_those_of_the_golden_corpus():
     assert hashlib.sha256(golden_block()).hexdigest() == GOLDEN_V4_SHA256
+
+
+@pytest.mark.parametrize("how", ["append", "append_many", "append_columns", "mixed"])
+def test_the_pack_does_not_depend_on_how_the_rows_arrived(how):
+    """Blocks, SMAs, indexes and Bloom filters are functions of the
+    columns: any cut of the corpus into any append calls is one pack."""
+    rows = golden_corpus()
+    names = request_log_schema().column_names()
+    writer = LogBlockWriter(request_log_schema(), codec="zlib", block_rows=1024)
+    cuts = [0, 1, 18, 1024, 1041, 2047, 2500, 3000]
+    for n, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        call = how if how != "mixed" else ("append", "append_many", "append_columns")[n % 3]
+        if call == "append":
+            for row in rows[lo:hi]:
+                writer.append(row)
+        elif call == "append_many":
+            writer.append_many(rows[lo:hi])
+        else:
+            writer.append_columns({name: [row[name] for row in rows[lo:hi]] for name in names})
+    assert hashlib.sha256(writer.finish()).hexdigest() == GOLDEN_V4_SHA256
+
+
+def test_index_builders_fed_row_by_row_build_the_golden_members():
+    """``add`` — the builders' per-row API — yields the index members of
+    the pinned pack; a null counts as a row and adds no point or term."""
+    rows = golden_corpus()
+    reader = reader_for(golden_block())
+    codec = get_codec("zlib")
+    for col in request_log_schema().columns:
+        values = [row[col.name] for row in rows] + [None]
+        if col.index is IndexType.BKD:
+            builder = BkdIndexBuilder(is_float=col.ctype is ColumnType.FLOAT64)
+        else:
+            builder = InvertedIndexBuilder(tokenize=col.tokenize)
+        for row_id, value in enumerate(values[:-1]):
+            builder.add(row_id, value)
+        stored = codec.decompress(reader._pack.read_member(index_member(col.name)))
+        assert builder.build().to_bytes() == stored
+        builder.add(len(rows), values[-1])
+        index = builder.build()
+        assert index.row_count == len(values)
+        present = len(values) - values.count(None)
+        if col.index is IndexType.BKD:
+            assert index.point_count == present
+        elif not col.tokenize:
+            assert sum(len(index.lookup(term)) for term in index.terms()) == present
 
 
 def test_the_v3_fixture_is_the_v3_writers_output():
