@@ -117,8 +117,8 @@ class QueryEnv:
         """Execute one query; returns (row_count, virtual latency seconds)."""
         plan = self.planner.plan(parse_sql(sql))
         start = self.clock.now()
-        rows, _stats = self.executor.execute(plan)
-        return len(rows), self.clock.now() - start
+        chunk, _stats = self.executor.execute(plan)
+        return len(chunk), self.clock.now() - start
 
 
 def make_env(

@@ -43,7 +43,7 @@ from repro.obs.systables import (
     system_table_rows,
 )
 from repro.frontdoor.rewrite import SemanticRewriter
-from repro.query.aggregate import Aggregator, apply_order_limit
+from repro.query.aggregate import Aggregator, apply_order_limit, order_limit
 from repro.query.dedup import finalize_outer, naive_scan_query, run_window_query
 from repro.query.executor import (
     BlockExecutor,
@@ -251,6 +251,7 @@ class Broker:
     ) -> QueryResult:
         oss_before = self._range_reader.store.stats.snapshot()
         cache_before = self._range_reader.cache.summary()
+        dicts_before = RowBatch.dicts_built
         tracer = self._obs.tracer
         with tracer.span("broker.query", broker=self.broker_id) as query_span:
             with tracer.span("broker.plan"):
@@ -272,9 +273,11 @@ class Broker:
             # same MPP shape shard merging uses) instead of matched rows.
             # A dedup plan runs the latest-version tournament on narrow
             # (key, version) vectors and materializes winners afterwards.
+            # A plain SELECT's rows stay column chunks — the archived one,
+            # then one per shard — until ORDER BY / LIMIT ran.
             aggregator: Aggregator | None = None
             dedup = None
-            archived_rows: list[dict] = []
+            chunks = [RowBatch()]
             with tracer.span("broker.archived_scan"):
                 if plan.dedup is not None:
                     dedup, stats = self._executor.execute_dedup(plan)
@@ -283,11 +286,10 @@ class Broker:
                     aggregator, stats = self._executor.execute_aggregate(plan)
                     archived_count = stats.rows_matched
                 else:
-                    archived_rows, stats = self._executor.execute(plan)
-                    archived_count = len(archived_rows)
+                    chunks[0], stats = self._executor.execute(plan)
+                    archived_count = len(chunks[0])
 
             # Real-time data from the row stores of the read route.
-            realtime_rows: list[dict] = []
             if plan.tenant_id is not None:
                 shard_ids = self._controller.routing.route_read(plan.tenant_id)
             else:
@@ -301,7 +303,7 @@ class Broker:
                 for shard_id in shard_ids:
                     remaining = None
                     if row_limit is not None:
-                        remaining = row_limit - archived_count - len(realtime_rows)
+                        remaining = row_limit - sum(map(len, chunks))
                         if remaining <= 0:
                             break
                     worker = self._shard_worker(shard_id)
@@ -311,17 +313,16 @@ class Broker:
                     raw = shard.scan_realtime(
                         min_ts=plan.min_ts, max_ts=plan.max_ts, tenant_id=plan.tenant_id
                     )
-                    realtime_rows.extend(
-                        filter_realtime_rows(plan, raw, limit=remaining, stats=stats)
-                    )
+                    chunks.append(filter_realtime_rows(plan, raw, limit=remaining, stats=stats))
 
             with tracer.span("broker.merge"):
+                chunk = RowBatch.concat(chunks)  # realtime rows only, unless a plain SELECT
                 if dedup is not None:
                     # Real-time rows enter the tournament after the
                     # archived stream — the same order the naive path
                     # concatenates them in, so ties break identically.
                     spec = plan.dedup
-                    for row in realtime_rows:
+                    for row in chunk:
                         dedup.offer(
                             row.get(spec.key_column), row.get(spec.version_column), row
                         )
@@ -331,15 +332,19 @@ class Broker:
                             row for row in winners if spec.post_filter.evaluate_row(row)
                         ]
                     final = finalize_outer(plan.query, winners)
-                elif outer is not None:
-                    final = run_window_query(outer, archived_rows + realtime_rows)
                 elif aggregator is not None:
-                    aggregator.consume_many(realtime_rows)
+                    aggregator.consume_many(chunk)
                     final = aggregator.results()
+                elif outer is not None:
+                    final = run_window_query(outer, chunk.to_dicts())
                 else:
-                    final = apply_order_limit(parsed, archived_rows + realtime_rows)
+                    # ORDER BY / LIMIT rank the key column; only the
+                    # rows they keep become dicts.
+                    keys = chunk.column(parsed.order_by)
+                    final = chunk.to_dicts(order_limit(parsed, keys, len(chunk)))
             query_span.set(rows=len(final))
 
+        stats.rows_materialized = RowBatch.dicts_built - dicts_before
         latency_s = self._clock.now() - start
         oss_after = self._range_reader.store.stats
         cache_after = self._range_reader.cache.summary()
@@ -348,7 +353,7 @@ class Broker:
             latency_s=latency_s,
             plan=plan,
             stats=stats,
-            realtime_rows=len(realtime_rows),
+            realtime_rows=len(chunk) - len(chunks[0]),
             archived_rows=archived_count,
             oss_requests=oss_after.get_requests - oss_before.get_requests,
             bytes_fetched=oss_after.bytes_read - oss_before.bytes_read,

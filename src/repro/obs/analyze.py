@@ -52,6 +52,8 @@ def render_explain_analyze(result, trace: Span | None, journal=None) -> str:
         f"rows returned: {len(result.rows)} "
         f"(archived {result.archived_rows}, realtime {result.realtime_rows})"
     )
+    matched = result.archived_rows + result.realtime_rows
+    lines.append(f"rows materialized: {stats.rows_materialized} of {matched} matched")
 
     lines.append("== blocks ==")
     lines.append(f"  visited: {stats.blocks_visited}")

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.common.errors import QueryError
+from repro.logblock.column import PlainStrings
+from repro.logblock.encode_kernels import rank_strings
 from repro.query.kernels import top_k_order
 from repro.query.sql import ParsedQuery, SelectItem
 
@@ -32,15 +36,24 @@ class AggState:
         self.count += 1
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
+        if value == value:  # a NaN is counted and summed, never a MIN/MAX
+            if self.minimum is None or value < self.minimum:
+                self.minimum = value
+            if self.maximum is None or value > self.maximum:
+                self.maximum = value
         if self.distinct is not None:
             self.distinct.add(value)
 
-    def update_count_star(self) -> None:
-        self.count += 1
+    def fold(self, count: int, total, minimum, maximum) -> None:
+        """Fold ``count`` non-null values at once, as if :meth:`update`
+        ran on each; ``None`` for a sum or bound nobody computed."""
+        self.count += count
+        if total is not None:
+            self.total += total
+        if minimum is not None and (self.minimum is None or minimum < self.minimum):
+            self.minimum = minimum
+        if maximum is not None and (self.maximum is None or maximum > self.maximum):
+            self.maximum = maximum
 
     def merge_sma(self, sma) -> None:
         """Fold a column SMA as if :meth:`update` ran on every non-null value.
@@ -52,23 +65,11 @@ class AggState:
         states — the planner never routes DISTINCT aggregates here.
         """
         non_null = sma.row_count - sma.null_count
-        if not non_null:
-            return
-        self.count += non_null
-        if sma.sum_value is not None:
-            self.total += sma.sum_value
-        if sma.min_value is not None and (self.minimum is None or sma.min_value < self.minimum):
-            self.minimum = sma.min_value
-        if sma.max_value is not None and (self.maximum is None or sma.max_value > self.maximum):
-            self.maximum = sma.max_value
+        if non_null:
+            self.fold(non_null, sma.sum_value, sma.min_value, sma.max_value)
 
     def merge(self, other: "AggState") -> None:
-        self.count += other.count
-        self.total += other.total
-        if other.minimum is not None and (self.minimum is None or other.minimum < self.minimum):
-            self.minimum = other.minimum
-        if other.maximum is not None and (self.maximum is None or other.maximum > self.maximum):
-            self.maximum = other.maximum
+        self.fold(other.count, other.total, other.minimum, other.maximum)
         if self.distinct is not None and other.distinct is not None:
             self.distinct.merge(other.distinct)
 
@@ -126,7 +127,7 @@ class Aggregator:
             if not item.is_aggregate:
                 continue
             if item.column is None:
-                state.update_count_star()
+                state.count += 1  # COUNT(*)
             else:
                 state.update(row.get(item.column))
 
@@ -154,41 +155,88 @@ class Aggregator:
             if sma is not None:
                 state.merge_sma(sma)
 
-    def consume_columns(self, group_keys, columns: dict, row_count: int) -> None:
-        """Tier-3 pushdown: consume per-column value vectors.
+    def consume_columns(self, columns: dict, offsets) -> None:
+        """Tier-3 pushdown: fold matched rows straight from decoded blocks.
 
-        ``group_keys`` is the GROUP BY column's value vector (or None
-        for ungrouped queries); ``columns`` maps each aggregated column
-        to its matched-row value vector.  Columns missing from the dict
-        read as null.  Equivalent to :meth:`consume` over materialized
-        row dicts, without ever building the dicts.
+        ``offsets[i]`` are the matched rows' positions in the i-th
+        column-block row range, ``columns[name][i]`` that range's decoded
+        block (``LogBlockReader.read_block_arrays``); a column not in the
+        dict reads as null.  Equivalent to :meth:`consume` over the rows'
+        dicts — same groups, same first-seen order, same sums — with no
+        python value per row: group ids are DICT codes / string ranks /
+        ``np.unique`` ranks, COUNT and SUM ``bincount``, MIN/MAX a
+        grouped ``reduceat``, DISTINCT the unique (group, value) pairs.
         """
-        if self._group_by is None:
-            states = self._states_for(None)
-            for item, state in zip(self._items, states):
-                if not item.is_aggregate:
-                    continue
-                if item.column is None:
-                    state.count += row_count  # COUNT(*)
-                    continue
-                vector = columns.get(item.column)
-                if vector is None:
-                    continue
-                for value in vector:
-                    state.update(value)
-            return
-        if group_keys is None:
-            group_keys = [None] * row_count
-        for i in range(row_count):
-            states = self._states_for(group_keys[i])
-            for item, state in zip(self._items, states):
-                if not item.is_aggregate:
-                    continue
-                if item.column is None:
-                    state.update_count_star()
-                    continue
-                vector = columns.get(item.column)
-                state.update(vector[i] if vector is not None else None)
+        for i, in_block in enumerate(offsets):
+            picked = {name: _pick(ranges[i], in_block) for name, ranges in columns.items()}
+            count = len(in_block)
+            if self._group_by in picked:
+                gid, valid, keys = picked[self._group_by]
+                if keys is None:  # numeric / BOOL key: rank the values
+                    uniq, inverse = np.unique(gid[valid], return_inverse=True, equal_nan=False)
+                    gid = np.zeros(count, dtype=np.intp)
+                    gid[valid] = inverse + 1
+                    keys = [None] + uniq.tolist()
+            else:
+                gid, keys = np.zeros(count, dtype=np.intp), [None]
+            size = len(keys)
+            rows = np.bincount(gid, minlength=size)
+            # Groups enter the table in first-seen order, as in consume().
+            first = np.full(size, count)
+            np.minimum.at(first, gid, np.arange(count))
+            seen = np.flatnonzero(rows)
+            states = {g: self._states_for(keys[g]) for g in seen[np.argsort(first[seen])].tolist()}
+            rows = rows.tolist()
+            for position, item in enumerate(self._items):
+                if item.is_aggregate and item.column is None:
+                    for g, group in states.items():
+                        group[position].count += rows[g]  # COUNT(*)
+                elif item.is_aggregate and item.column in picked:
+                    x, valid, lookup = picked[item.column]
+                    ids = gid
+                    if not valid.all():
+                        ids, x = gid[valid], x[valid]
+                    self._fold_item(position, item, states, ids, x, lookup, size)
+
+    def _fold_item(self, position, item, states, ids, x, lookup, size) -> None:
+        """Fold the non-null values ``x`` (group ``ids``) of one aggregate."""
+        func = item.aggregate
+        counts = np.bincount(ids, minlength=size)
+        for g, group in states.items():
+            group[position].count += int(counts[g])
+        if func in ("sum", "avg"):
+            # Seeded with the running totals: bincount then adds each
+            # group's values to its total one by one, as update() does.
+            seeds = [group[position].total for group in states.values()]
+            totals = np.bincount(
+                np.concatenate((list(states), ids)),
+                weights=np.concatenate((seeds, x)),
+                minlength=size,
+            )
+            for g, group in states.items():
+                group[position].total = float(totals[g])
+        elif func in ("min", "max"):
+            # NaN-skipping grouped reduce: an all-NaN group stays NaN and
+            # folds nothing, the rule AggState.update applies per value.
+            reduce = np.fmin if func == "min" else np.fmax
+            filled = np.flatnonzero(counts)
+            starts = (np.cumsum(counts) - counts)[filled]
+            bounds = reduce.reduceat(x[np.argsort(ids, kind="stable")], starts)
+            for g, bound in zip(filled.tolist(), bounds.tolist()):
+                if bound == bound:
+                    value = bound if lookup is None else lookup[bound]
+                    low, high = (value, None) if func == "min" else (None, value)
+                    states[g][position].fold(0, None, low, high)
+        if item.distinct or func == "approx_count_distinct":
+            order = np.lexsort((x, ids))
+            x, ids = x[order], ids[order]
+            fresh = np.ones(len(x), dtype=bool)
+            fresh[1:] = (x[1:] != x[:-1]) | (ids[1:] != ids[:-1])
+            values = x[fresh].tolist()
+            if lookup is not None:
+                values = [lookup[rank] for rank in values]
+            for g, value in zip(ids[fresh].tolist(), values):
+                states[g][position].distinct.add(value)
 
     def merge(self, other: "Aggregator") -> None:
         """Combine another shard's partial aggregation into this one."""
@@ -216,42 +264,59 @@ class Aggregator:
                 elif item.column is not None and item.column != self._group_by:
                     row[item.column] = key
             rows.append(row)
-        order_by = self._query.order_by
-        if order_by is not None:
-            rows.sort(
-                key=lambda row: (row.get(order_by) is None, row.get(order_by)),
-                reverse=self._query.order_desc,
-            )
-        elif self._group_by is not None:
-            rows.sort(key=lambda row: (row.get(self._group_by) is None, row.get(self._group_by)))
-        if self._query.limit is not None:
-            rows = rows[: self._query.limit]
-        return rows
+        # No ORDER BY (so ascending): groups come out in key order.
+        by = self._query.order_by or self._group_by
+        if by is not None:
+            desc = self._query.order_desc
+            rows.sort(key=lambda row: (row.get(by) is None, row.get(by)), reverse=desc)
+        return rows if self._query.limit is None else rows[: self._query.limit]
+
+
+def order_limit(query: ParsedQuery, keys: list | None, count: int):
+    """Positions of the rows ORDER BY / LIMIT keep, in output order.
+
+    ``keys`` is the ORDER BY column, one value per row (``None`` when no
+    row carries it, which orders nothing).  ``None`` back means every
+    row, as it stands.  The sort runs through the argsort top-k kernel
+    (rank keys once, ``argpartition`` when a LIMIT bounds the output) —
+    identical ordering to the stable python sort, including null
+    placement and tie order.  Keys the kernel cannot rank (mixed
+    incomparable types, NaN) fall back to the python sort.
+    """
+    limit = query.limit
+    if query.order_by is None or keys is None:
+        return None if limit is None or limit >= count else range(limit)
+    order = top_k_order(keys, desc=query.order_desc, limit=limit)
+    if order is not None:
+        return order.tolist()
+    order = sorted(
+        range(count), key=lambda i: (keys[i] is None, keys[i]), reverse=query.order_desc
+    )
+    return order if limit is None else order[:limit]
 
 
 def apply_order_limit(query: ParsedQuery, rows: list[dict]) -> list[dict]:
-    """ORDER BY / LIMIT for non-aggregate queries.
-
-    The sort runs through the argsort top-k kernel (rank keys once,
-    ``argpartition`` when a LIMIT bounds the output) — identical
-    ordering to the stable python sort, including null placement and
-    tie order.  Keys the kernel cannot rank (mixed incomparable types)
-    fall back to the python sort.
-    """
+    """:func:`order_limit` for rows that are dicts already (dedup
+    winners, ``_system`` tables)."""
     order_by = query.order_by
-    if order_by is not None:
-        order = top_k_order(
-            [row.get(order_by) for row in rows],
-            desc=query.order_desc,
-            limit=query.limit,
-        )
-        if order is not None:
-            return [rows[i] for i in order.tolist()]
-        rows = sorted(
-            rows,
-            key=lambda row: (row.get(order_by) is None, row.get(order_by)),
-            reverse=query.order_desc,
-        )
-    if query.limit is not None:
-        rows = rows[: query.limit]
-    return rows
+    keys = None if order_by is None else [row.get(order_by) for row in rows]
+    order = order_limit(query, keys, len(rows))
+    return rows if order is None else [rows[i] for i in order]
+
+
+def _pick(block, offsets: np.ndarray):
+    """The rows at ``offsets`` of a decoded block as ``(x, valid, lookup)``.
+
+    Numeric / BOOL: ``x`` the values, ``lookup`` ``None``.  Strings:
+    ``x`` integer ranks that order as the values do, 0 for a null, and
+    ``lookup[rank]`` the value.  ``valid`` masks the non-null rows.
+    """
+    if isinstance(block, PlainStrings):
+        terms, ranks = rank_strings(block.pick(offsets))
+        return ranks, ranks != 0, [None] + terms
+    if len(block) == 3:
+        codes, dictionary, nulls = block
+        ranks = np.where(nulls[offsets], 0, codes[offsets])
+        return ranks, ranks != 0, (None,) + dictionary
+    values, nulls = block
+    return values[offsets], ~nulls[offsets], None

@@ -9,9 +9,9 @@ For each LogBlock surviving the LogBlock-map filter:
    index lookups, and block scans (:mod:`repro.logblock.pruning`);
 4. optionally prefetch exactly the column blocks containing matched
    rows for the columns the sink reads;
-5. hand the matched rows to the sink: row dicts (``execute``), an
-   aggregate fold (``execute_aggregate``) or the latest-version
-   tournament (``execute_dedup``).
+5. hand the matched rows to the sink: a column chunk (``execute``), an
+   aggregate fold over the decoded blocks (``execute_aggregate``) or
+   the latest-version tournament (``execute_dedup``).
 
 That loop exists once (``_overlapped`` → ``_scan`` → sink), with blocks
 overlapped ``prefetch_threads`` wide.  The same module also filters
@@ -53,7 +53,7 @@ from repro.query.ast import And, CmpOp, Comparison, Expr, In, IsNull, Not, Or
 from repro.query.dedup import LatestVersionDedup
 from repro.query.kernels import VectorizeFallback, compile_expr
 from repro.query.planner import QueryPlan
-from repro.rowstore.batch import RowSelection
+from repro.rowstore.batch import RowBatch, RowSelection
 from repro.tarpack.reader import PackReader, SubrangeReader
 
 
@@ -95,6 +95,8 @@ class ExecutionStats:
     blocks_visited: int = 0
     cold_blocks_visited: int = 0
     rows_matched: int = 0
+    # Stored rows (archived or realtime) that became python dicts.
+    rows_materialized: int = 0
     prune: PruneStats = field(default_factory=PruneStats)
     prefetch_requests: int = 0
     prefetch_bytes: int = 0
@@ -462,50 +464,33 @@ class BlockExecutor:
             self._charge(lookups * CPU_INDEX_LOOKUP_S)
         return reader, matched
 
-    def _read_vectors(
-        self,
-        reader: LogBlockReader,
-        matched: RowSelection,
-        columns,
-        values_per_s: float,
-        stats: ExecutionStats,
-    ) -> dict[str, list]:
-        """The matched rows' values of each of ``columns`` this block has.
+    def _present_columns(self, reader, matched, columns, values_per_s, stats) -> list[str]:
+        """The ones of ``columns`` this block has, ready to be read.
 
         Columns added by DDL after the block was written are left out
         (they read as null).  Prefetches exactly the column blocks that
-        hold matched rows, reads each present column once as a flat
-        vector and charges the per-value CPU cost at ``values_per_s``.
+        hold matched rows and charges the per-value CPU cost at
+        ``values_per_s``.
         """
         block_columns = set(reader.meta().schema.column_names())
         present = [c for c in columns if c in block_columns]
         if self.options.use_prefetch and present:
             self._prefetch_output_blocks(reader, matched, present, stats)
         self._charge(len(matched) * max(1, len(present)) / values_per_s)
-        return {c: reader.read_column_values(c, matched) for c in present}
+        return present
 
-    def _materialize_rows(
-        self,
-        reader: LogBlockReader,
-        matched: RowSelection,
-        columns: list[str],
-        stats: ExecutionStats,
-    ) -> list[dict]:
-        """Row-dict materialization of the matched rows (the slow path).
-
-        The column vectors are zipped into row dicts in one pass;
-        DDL-added columns (absent from this block) are padded with one
-        shared null tail.
-        """
-        vectors = self._read_vectors(
-            reader, matched, columns, CPU_MATERIALIZE_VALUES_PER_S, stats
+    def _read_chunk(
+        self, reader, matched, columns, stats, values_per_s=CPU_MATERIALIZE_VALUES_PER_S
+    ) -> RowBatch:
+        """The matched rows as a column chunk of exactly ``columns``: one
+        flat python vector per column, one shared null vector for the
+        DDL-added ones this block lacks."""
+        present = self._present_columns(reader, matched, columns, values_per_s, stats)
+        nulls = [None] * len(matched)
+        return RowBatch(
+            tuple(columns),
+            [reader.read_column_values(c, matched) if c in present else nulls for c in columns],
         )
-        missing = [c for c in columns if c not in vectors]
-        if not vectors:
-            return [dict.fromkeys(missing) for _ in range(len(matched))]
-        names = list(vectors) + missing
-        pad = (None,) * len(missing)
-        return [dict(zip(names, values + pad)) for values in zip(*vectors.values())]
 
     # -- the block loop ----------------------------------------------------
 
@@ -549,20 +534,20 @@ class BlockExecutor:
 
     # -- entry points: one sink each ---------------------------------------
 
-    def execute(self, plan: QueryPlan) -> tuple[list[dict], ExecutionStats]:
-        """Run the plan over all its LogBlocks; returns (rows, stats)."""
+    def execute(self, plan: QueryPlan) -> tuple[RowBatch, ExecutionStats]:
+        """Run the plan over all its LogBlocks; returns (column chunk, stats)."""
         stats = ExecutionStats()
-        rows: list[dict] = []
+        chunks: list[RowBatch] = []
         columns = plan.output_columns or plan.schema.column_names()
         limit = plan.row_limit
 
         def sink(reader: LogBlockReader, matched: RowSelection) -> None:
-            rows.extend(self._materialize_rows(reader, matched, columns, stats))
+            chunks.append(self._read_chunk(reader, matched, columns, stats))
 
         # LIMIT pushdown: enough rows, skip later blocks.
-        done = None if limit is None else lambda: len(rows) >= limit
+        done = None if limit is None else lambda: stats.rows_matched >= limit
         self._scan(plan, plan.blocks, stats, sink, done)
-        return rows, stats
+        return RowBatch.concat(chunks), stats
 
     def _sma_foldable(self, plan: QueryPlan, reader: LogBlockReader) -> bool:
         """Whether every aggregate folds from this block's meta alone.
@@ -638,21 +623,23 @@ class BlockExecutor:
                 aggregator.consume_sma(smas, meta.row_count)
                 stats.pushdown.agg_sma_blocks += 1
             elif level >= 3:
-                # Tier 3: late materialization — read only the aggregated
-                # columns as value vectors, never build row dicts.
-                vectors = self._read_vectors(
+                # Tier 3: late materialization — fold the aggregated
+                # columns' decoded blocks; no python value per row.
+                present = self._present_columns(
                     reader, matched, pushdown.input_columns, CPU_AGG_VALUES_PER_S, stats
                 )
-                group_by = plan.query.group_by
-                group_keys = vectors.get(group_by) if group_by is not None else None
-                aggregator.consume_columns(group_keys, vectors, count)
+                aggregator.consume_columns(
+                    {
+                        c: [reader.read_block_arrays(c, block) for block, _ in matched.groups]
+                        for c in present
+                    },
+                    [in_block for _, in_block in matched.groups],
+                )
                 stats.pushdown.agg_columnar_blocks += 1
             else:
-                # The naive path — materialize dicts and fold per row.
+                # The naive path — materialize rows and fold one by one.
                 columns = plan.output_columns or plan.schema.column_names()
-                aggregator.consume_many(
-                    self._materialize_rows(reader, matched, columns, stats)
-                )
+                aggregator.consume_many(self._read_chunk(reader, matched, columns, stats))
                 stats.pushdown.agg_row_blocks += 1
 
         self._scan(plan, remaining, stats, sink)
@@ -676,15 +663,9 @@ class BlockExecutor:
 
         def sink(reader: LogBlockReader, matched: RowSelection) -> None:
             count = len(matched)
-            vectors = self._read_vectors(
-                reader,
-                matched,
-                (spec.key_column, spec.version_column),
-                CPU_AGG_VALUES_PER_S,
-                stats,
-            )
-            keys = vectors.get(spec.key_column, [None] * count)
-            versions = vectors.get(spec.version_column, [None] * count)
+            keys, versions = self._read_chunk(
+                reader, matched, (spec.key_column, spec.version_column), stats, CPU_AGG_VALUES_PER_S
+            ).columns
             for key, version, row_id in zip(keys, versions, matched.row_ids.tolist()):
                 dedup.offer(key, version, (reader, row_id))
             stats.dedup_candidates += count
@@ -724,7 +705,7 @@ class BlockExecutor:
             reader, pairs = group
             row_ids = sorted({row_id for _, row_id in pairs})
             matched = reader.select(np.array(row_ids, dtype=np.int64))
-            rows = self._materialize_rows(reader, matched, columns, stats)
+            rows = self._read_chunk(reader, matched, columns, stats)
             row_for_id = dict(zip(row_ids, rows))
             for position, row_id in pairs:
                 output[position] = row_for_id[row_id]
@@ -738,7 +719,7 @@ def filter_realtime_rows(
     rows,
     limit: int | None = None,
     stats: ExecutionStats | None = None,
-) -> list[dict]:
+) -> RowBatch:
     """Apply the plan's predicate + projection to row-store rows.
 
     ``rows`` is the selection a realtime scan returns (or a batch, or
@@ -752,17 +733,17 @@ def filter_realtime_rows(
     cannot vectorize (MATCH/LIKE, mixed-type columns) fall back to the
     interpreted path, which reads each row's predicate columns as a
     dict until ``limit`` rows matched, with identical results.  Either
-    way only survivors become (projected) row dicts.
+    way the survivors come back as one (projected) column chunk.
     """
     selection = RowSelection.of(rows)
     if not len(selection):
-        return []
+        return RowBatch()
     columns = plan.output_columns or plan.schema.column_names()
     where = plan.where
     if limit is not None:
         limit = max(limit, 0)
     if where is None:
-        return selection.to_dicts(np.arange(len(selection))[:limit], columns)
+        return selection.take(np.arange(len(selection))[:limit], columns)
     try:
         mask = compile_expr(where).evaluate(selection, plan.schema)
     except VectorizeFallback as fallback:
@@ -773,7 +754,7 @@ def filter_realtime_rows(
     else:
         if stats is not None:
             stats.realtime_rows_vectorized += len(selection)
-        return selection.to_dicts(np.flatnonzero(mask)[:limit], columns)
+        return selection.take(np.flatnonzero(mask)[:limit], columns)
     hits: list[int] = []
     evaluated = 0
     for evaluated, row in enumerate(selection.iter_dicts(names=sorted(where.columns())), 1):
@@ -783,4 +764,4 @@ def filter_realtime_rows(
                 break
     if stats is not None:
         stats.realtime_rows_interpreted += evaluated
-    return selection.to_dicts(np.array(hits[:limit], dtype=np.int64), columns)
+    return selection.take(np.array(hits[:limit], dtype=np.int64), columns)

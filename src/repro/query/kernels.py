@@ -275,25 +275,31 @@ def top_k_order(keys: list, desc: bool = False, limit: int | None = None) -> np.
     ascending puts nulls last, descending puts them first, and ties keep
     their original order (python's stable sort never reverses equal
     elements, even with ``reverse=True``).  Keys are ranked through
-    ``np.unique`` and packed with their index into one int64 sort key,
-    so a LIMIT takes the ``argpartition`` top-k path instead of a full
-    sort.  Returns ``None`` when the keys are not vector-sortable
-    (mixed incomparable types) — callers fall back to python sort.
+    ``np.unique`` — on an int64 / float64 array when they are all
+    ``int`` or all ``float``, else on an object array — and packed with
+    their index into one int64 sort key, so a LIMIT takes the
+    ``argpartition`` top-k path instead of a full sort.  Returns
+    ``None`` when the keys are not vector-sortable (mixed incomparable
+    types, a NaN, an int beyond int64) — callers fall back to python sort.
     """
     count = len(keys)
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    null_mask = np.fromiter((k is None for k in keys), dtype=bool, count=count)
-    non_null = [k for k in keys if k is not None]
+    kinds = set(map(type, keys))
+    if type(None) in kinds:
+        null_mask = np.fromiter((k is None for k in keys), dtype=bool, count=count)
+        keys = [k for k in keys if k is not None]
+        kinds.discard(type(None))
+    else:
+        null_mask = np.zeros(count, dtype=bool)
+    if float in kinds and any(k != k for k in keys if type(k) is float):
+        return None  # no order on NaN that a different sort reproduces
+    dtype = np.int64 if kinds == {int} else np.float64 if kinds == {float} else object
     try:
-        if non_null:
-            _, inverse = np.unique(np.array(non_null, dtype=object), return_inverse=True)
-            distinct = int(inverse.max()) + 1
-        else:
-            inverse = np.empty(0, dtype=np.int64)
-            distinct = 0
-    except (TypeError, ValueError):
+        ranked, inverse = np.unique(np.array(keys, dtype=dtype), return_inverse=True)
+    except (TypeError, ValueError, OverflowError):  # last: an int beyond int64
         return None
+    distinct = len(ranked)
     score = np.empty(count, dtype=np.int64)
     if desc:
         # Python's (is_none, key) tuple with reverse=True sorts nulls

@@ -275,12 +275,10 @@ class RowBatch:
 
     # -- the only place row dicts are built ---------------------------------
 
-    def iter_dicts(
-        self, indices: Sequence[int] | None = None, names: Sequence[str] | None = None
-    ) -> Iterator[dict]:
-        """Rows as dicts, each built when it is read: all of them or
-        those at ``indices``, with the batch's keys or exactly ``names``
-        (null where a name is absent)."""
+    def _picked(self, indices: Sequence[int] | None, names: Sequence[str] | None):
+        """``(names, one value iterable per name)``: all rows or those at
+        ``indices``, with the batch's keys or exactly ``names`` (null
+        where a name is absent)."""
         if names is None:
             names, columns = self.names, self.columns
         else:
@@ -288,6 +286,18 @@ class RowBatch:
             columns = [self.column(name) or nulls for name in names]
         if indices is not None:
             columns = [map(column.__getitem__, indices) for column in columns]
+        return names, columns
+
+    def take(self, indices: Sequence[int] | None, names: Sequence[str]) -> "RowBatch":
+        """The picked rows as a chunk of exactly ``names``; nothing is sized."""
+        names, columns = self._picked(indices, names)
+        return RowBatch(tuple(names), [list(column) for column in columns])
+
+    def iter_dicts(
+        self, indices: Sequence[int] | None = None, names: Sequence[str] | None = None
+    ) -> Iterator[dict]:
+        """The picked rows as dicts, each built when it is read."""
+        names, columns = self._picked(indices, names)
         built = 0
         try:
             for values in zip(*columns):
@@ -299,7 +309,15 @@ class RowBatch:
     def to_dicts(
         self, indices: Sequence[int] | None = None, names: Sequence[str] | None = None
     ) -> list[dict]:
-        return list(self.iter_dicts(indices, names))
+        """The picked rows as dicts, all at once (a query's result rows)."""
+        names, columns = self._picked(indices, names)
+        if len(names) == 1:
+            (name,) = names
+            rows = [{name: value} for value in columns[0]]
+        else:
+            rows = [dict(zip(names, values)) for values in zip(*columns)]
+        RowBatch.dicts_built += len(rows)
+        return rows
 
     __iter__ = iter_dicts
 
@@ -359,23 +377,21 @@ class RowSelection:
             )
         )
 
-    def iter_dicts(
-        self, hits: np.ndarray | None = None, names: Sequence[str] | None = None
-    ) -> Iterator[dict]:
-        """The selected rows as dicts (see :meth:`RowBatch.iter_dicts`),
-        or those at the ascending selection positions ``hits``."""
+    def take(self, hits: np.ndarray, names: Sequence[str]) -> RowBatch:
+        """The rows at the ascending selection positions ``hits`` as one
+        chunk of exactly ``names`` (see :meth:`RowBatch.take`)."""
+        chunks = []
         start = 0
         for batch, picked in self.parts:
             stop = start + len(picked)
-            if hits is not None:
-                lo, hi = np.searchsorted(hits, (start, stop))
-                picked = picked[hits[lo:hi] - start]
-            yield from batch.iter_dicts(picked.tolist(), names)
+            lo, hi = np.searchsorted(hits, (start, stop))
+            chunks.append(batch.take(picked[hits[lo:hi] - start].tolist(), names))
             start = stop
+        return RowBatch.concat(chunks)
 
-    def to_dicts(
-        self, hits: np.ndarray | None = None, names: Sequence[str] | None = None
-    ) -> list[dict]:
-        return list(self.iter_dicts(hits, names))
+    def iter_dicts(self, names: Sequence[str] | None = None) -> Iterator[dict]:
+        """The selected rows as dicts (see :meth:`RowBatch.iter_dicts`)."""
+        for batch, picked in self.parts:
+            yield from batch.iter_dicts(picked.tolist(), names)
 
     __iter__ = iter_dicts

@@ -170,10 +170,10 @@ class TestBoundedByCapacity:
         capacity = 96 * 1024  # less than one block's indexes
         roomy_executor, plan, _objects = archive(object_bytes=1 << 26)
         executor, plan, objects = archive(object_bytes=capacity)
-        expected, _stats = roomy_executor.execute(plan())
+        expected = roomy_executor.execute(plan())[0].to_dicts()
         for _ in range(3):
             rows, _stats = executor.execute(plan())
-            assert rows == expected
+            assert rows.to_dicts() == expected
             assert objects.stats.approx_bytes <= capacity
         assert objects.stats.evictions > 0
         assert objects.stats.approx_bytes == sum(size for _value, size in objects._entries.values())
@@ -184,7 +184,7 @@ class TestBoundedByCapacity:
         capacity = 192 * 1024
         roomy_executor, plan, _objects = archive(object_bytes=1 << 26)
         executor, plan, objects = archive(object_bytes=capacity)
-        expected, _stats = roomy_executor.execute(plan(COLUMNS_SQL))
+        expected = roomy_executor.execute(plan(COLUMNS_SQL))[0].to_dicts()
         admitted = 0
         put = objects.put
 
@@ -199,7 +199,7 @@ class TestBoundedByCapacity:
         objects.put = counting_put
         for _ in range(3):
             rows, _stats = executor.execute(plan(COLUMNS_SQL))
-            assert rows == expected
+            assert rows.to_dicts() == expected
         assert admitted > N_BLOCKS and objects.stats.evictions > 0
         assert objects.stats.approx_bytes <= capacity
         assert objects.stats.approx_bytes == sum(size for _value, size in objects._entries.values())

@@ -82,6 +82,35 @@ def test_interpreted_limit_scan_reads_rows_until_the_limit():
     assert built.count == 6  # three predicate-column dicts, three projected rows
 
 
+def test_archived_top_k_builds_a_dict_per_returned_row_only():
+    store = LogStore.create(config=small_test_config())
+    store.put(1, make_rows(1500, tenant_id=1))
+    store.flush_all()
+    sql = "SELECT ts, latency FROM request_log WHERE tenant_id = 1 ORDER BY latency DESC LIMIT 10"
+    with DictsBuilt() as built:
+        result = store.query(sql)
+    assert result.archived_rows == 1500 and result.realtime_rows == 0
+    assert len(result.rows) == built.count == result.stats.rows_materialized == 10
+    assert [row["latency"] for row in result.rows] == sorted(
+        (row["latency"] for row in make_rows(1500, tenant_id=1)), reverse=True
+    )[:10]
+    assert "rows materialized: 10 of 1500 matched" in store.explain_analyze(sql)
+
+
+def test_archived_group_by_builds_only_its_result_rows():
+    store = LogStore.create(config=small_test_config())
+    store.put(1, make_rows(1500, tenant_id=1))
+    store.flush_all()
+    with DictsBuilt() as built:
+        result = store.query(
+            "SELECT api, COUNT(*), AVG(latency) FROM request_log "
+            "WHERE tenant_id = 1 AND latency >= 100 GROUP BY api"
+        )
+    assert result.stats.pushdown.agg_columnar_blocks > 0 and result.archived_rows > 1000
+    # The three result rows are the aggregator's; no matched row became a dict.
+    assert len(result.rows) == 3 and built.count == result.stats.rows_materialized == 0
+
+
 def test_the_row_dict_forms_are_gone():
     assert not hasattr(repro.query.kernels, "RowListBatch")
     assert not hasattr(repro.rowstore.batch, "_admit_rows")

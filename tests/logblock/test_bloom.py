@@ -194,7 +194,7 @@ class TestExecutorRequestSavings:
             "SELECT log FROM request_log WHERE tenant_id = 1 AND ip = '192.168.0.45'"
         ))
         rows, stats = executor.execute(plan)
-        assert rows == []
+        assert rows.to_dicts() == []
         assert stats.prune.blooms_pruned >= 1
         # No fetched range covers the ip index member (the fixed-size
         # manifest head-chunk may incidentally overlap it on this small

@@ -70,7 +70,8 @@ class Corpus:
         if parsed.is_aggregate:
             aggregator, stats = self.executor.execute_aggregate(plan)
             return aggregator.results(), stats
-        return self.executor.execute(plan)
+        chunk, stats = self.executor.execute(plan)
+        return chunk.to_dicts(), stats
 
 
 @pytest.fixture(scope="module")

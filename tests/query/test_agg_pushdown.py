@@ -39,15 +39,15 @@ def ts_literal(offset_s: int) -> str:
 class Env:
     """An archived corpus plus one executor per pushdown level."""
 
-    def __init__(self):
-        self.schema = request_log_schema()
+    def __init__(self, schema=None, block_rows=64, target_rows=200):
+        self.schema = schema if schema is not None else request_log_schema()
         self.catalog = Catalog(self.schema)
         self.clock = VirtualClock()
         self.store = MeteredObjectStore(InMemoryObjectStore(), free(), self.clock)
         self.store.create_bucket(BUCKET)
         self.builder = DataBuilder(
             self.schema, self.store, BUCKET, self.catalog,
-            codec="zlib", block_rows=64, target_rows=200,
+            codec="zlib", block_rows=block_rows, target_rows=target_rows,
         )
         self.rows: list[dict] = []
         self.planner = QueryPlanner(self.catalog)
@@ -306,6 +306,47 @@ class TestDifferential:
         )
         results = [env.run(sql, level=level)[0] for level in (0, 1, 2, 3)]
         assert results[0] == results[1] == results[2] == results[3]
+
+    def test_every_level_agrees_on_nan(self):
+        """One NaN rule: a NaN is counted and summed but is no MIN/MAX,
+        wherever it sits — row fold, SMA fold and array fold alike."""
+        nan = float("nan")
+        built = Env(block_rows=8, target_rows=1000)
+        built.catalog.add_column(ColumnSpec("score", ColumnType.FLOAT64))
+        rows = make_rows(48, tenant_id=1, seed=3)
+        for i, row in enumerate(rows):
+            row["score"] = float(i % 7) - 2.5
+        rows[0]["score"] = nan  # first value of the column (and of /api/v0)
+        rows[21]["score"] = nan  # in the middle of a block
+        rows[30]["score"] = None
+        for row in rows:
+            if row["api"] == "/api/v2":
+                row["score"] = nan  # an all-NaN group
+        built.archive(rows)
+        scores = [r["score"] for r in rows if r["score"] is not None and r["score"] == r["score"]]
+
+        flat = "SELECT MIN(score), MAX(score), COUNT(score) FROM request_log WHERE tenant_id = 1"
+        results = [built.run(flat, level=level) for level in (0, 1, 2, 3)]
+        assert results[2][1].pushdown.agg_sma_blocks == 1
+        assert results[3][1].pushdown.agg_sma_blocks == 1
+        for got, _stats in results:
+            assert got == [
+                {"MIN(score)": min(scores), "MAX(score)": max(scores), "COUNT(score)": 47}
+            ]
+
+        # Partial match: level 3 folds the arrays, level 0 the rows.
+        grouped = (
+            "SELECT api, MIN(score), MAX(score), COUNT(score), SUM(score) FROM request_log "
+            "WHERE tenant_id = 1 AND latency >= 0 GROUP BY api"
+        )
+        naive, pushed = built.run(grouped, level=0), built.run(grouped, level=3)
+        assert pushed[1].pushdown.agg_columnar_blocks == 1 and naive[1].pushdown.agg_row_blocks == 1
+        assert repr(pushed[0]) == repr(naive[0])
+        by_api = {row["api"]: row for row in pushed[0]}
+        assert by_api["/api/v2"]["MIN(score)"] is None and by_api["/api/v2"]["MAX(score)"] is None
+        assert by_api["/api/v2"]["COUNT(score)"] == 16
+        assert by_api["/api/v0"]["MIN(score)"] == -2.5  # not the NaN that came first
+        assert by_api["/api/v0"]["SUM(score)"] != by_api["/api/v0"]["SUM(score)"]  # poisoned
 
 
 class TestLegacyMetaFallback:

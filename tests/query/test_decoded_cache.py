@@ -58,7 +58,7 @@ def test_decoded_index_and_bloom_cached_and_hit(env):
     hits_before = cache.objects.stats.hits
     second_exec = BlockExecutor(reader, "test")
     second_rows, _ = second_exec.execute(plan)
-    assert second_rows == first_rows
+    assert second_rows.to_dicts() == first_rows.to_dicts()
     assert cache.objects.stats.hits >= hits_before + 3  # meta + bloom + index
 
 

@@ -66,7 +66,7 @@ class TestCorrectness:
             and r["fail"] is False,
             ["log"],
         )
-        assert got == expected
+        assert got.to_dicts() == expected
         assert stats.blocks_visited >= 1
 
     def test_tenant_isolation(self, env):
@@ -153,7 +153,7 @@ class TestRealtimeFilter:
             "SELECT log FROM request_log WHERE tenant_id = 1 AND latency >= 400"
         ))
         realtime = make_rows(20, tenant_id=1, seed=99)
-        got = filter_realtime_rows(plan, realtime)
+        got = filter_realtime_rows(plan, realtime).to_dicts()
         expected = [{"log": r["log"]} for r in realtime if r["latency"] >= 400]
         assert got == expected
 
@@ -233,7 +233,7 @@ class TestSmaShortCircuitFetchesNoIndex:
             def was_decoded(column: str) -> bool:
                 return cache.objects.contains(("test", entry.path, index_member(column)))
 
-            return got, stats, was_fetched, was_decoded
+            return got.to_dicts(), stats, was_fetched, was_decoded
 
         return rows, catalog, run
 

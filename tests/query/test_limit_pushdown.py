@@ -110,7 +110,7 @@ class TestEarlyTermination:
         parsed = parse_sql("SELECT ts FROM request_log WHERE tenant_id = 1 LIMIT 7")
         plan = planner.plan(parsed)
         got, _stats = executor.execute(plan)
-        final = apply_order_limit(parsed, got)
+        final = apply_order_limit(parsed, got.to_dicts())
         assert len(final) == 7
 
     def test_realtime_shard_short_circuit(self):
@@ -219,7 +219,8 @@ class SerialClock(VirtualClock):
 
 # Each sink yields (answer, stats) after every pass it makes through the loop.
 def rows_sink(executor, plan):
-    yield executor.execute(plan)
+    chunk, stats = executor.execute(plan)
+    yield chunk.to_dicts(), stats
 
 
 def aggregate_sink(executor, plan):

@@ -208,7 +208,7 @@ class TestForcedFallbacks:
             )
         )
         stats = ExecutionStats()
-        got = filter_realtime_rows(rows=iter(rows), plan=plan, stats=stats)
+        got = filter_realtime_rows(rows=iter(rows), plan=plan, stats=stats).to_dicts()
         assert got == [{"log": row["log"]} for row in rows if plan.where.evaluate_row(row)]
         assert stats.realtime_rows_vectorized == 0
         assert stats.realtime_rows_interpreted == len(rows)
@@ -233,7 +233,7 @@ class TestRealtimeFilterParity:
             )
         )
         stats = ExecutionStats()
-        got = filter_realtime_rows(plan, iter(rows), limit=limit, stats=stats)
+        got = filter_realtime_rows(plan, iter(rows), limit=limit, stats=stats).to_dicts()
         oracle = [
             {"ts": row["ts"], "log": row["log"]}
             for row in rows
@@ -377,6 +377,40 @@ class TestTopK:
         order = top_k_order(keys, desc=desc, limit=limit)
         assert order is not None
         assert [rows[i] for i in order.tolist()] == expected
+
+    # One pool per list: all-int and all-float lists take the typed path,
+    # the rest the object path; NaN and ints beyond int64 must come back
+    # ``None`` (the python sort) or right, never wrong.
+    TYPED_POOLS = (
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        st.sampled_from([-(2**62), -3, 0, 7, 7, 2**53 + 1, 2**62]),
+        st.floats(allow_nan=False),
+        st.sampled_from([-1.5, -0.0, 0.0, 2.25, float("inf"), float("-inf")]),
+        st.sampled_from([float("nan"), 1.0, 2.0]),
+        st.sampled_from([True, False, 0, 1, 2]),
+        st.sampled_from([2**70, -(2**70), 2**63, 5]),
+        st.sampled_from([1, 2.0, 2, 0.5]),
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        keys=st.one_of(
+            *(st.lists(st.one_of(st.none(), pool), max_size=40) for pool in TYPED_POOLS)
+        ),
+        desc=st.booleans(),
+        limit=st.sampled_from([None, 0, 1, 5, 100]),
+    )
+    def test_typed_path_matches_stable_python_sort(self, keys, desc, limit):
+        expected = sorted(
+            range(len(keys)), key=lambda i: (keys[i] is None, keys[i]), reverse=desc
+        )
+        order = top_k_order(keys, desc=desc, limit=limit)
+        present = [k for k in keys if k is not None]
+        if order is None:
+            assert any(k != k or not -(2**63) <= k < 2**63 for k in present)
+            return
+        assert not any(k != k for k in present)  # a NaN always falls back
+        assert order.tolist() == (expected if limit is None else expected[:limit])
 
     def test_strings_and_floats(self):
         for keys in (["b", None, "a", "b", ""], [1.5, None, -2.0, 1.5]):
