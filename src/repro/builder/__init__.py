@@ -7,15 +7,12 @@ pipeline plus its maintenance side:
 
 * :mod:`repro.builder.builder` — :class:`DataBuilder` (the conversion
   itself) and :class:`BuildReport` (mergeable build/upload counters).
-* :mod:`repro.builder.parallel` — the thread-pooled per-tenant build
-  stage used when ``builder_threads > 1``.
 * :mod:`repro.builder.compaction` — :class:`Compactor`, which merges a
   tenant's small LogBlocks into right-sized ones.
 """
 
 from repro.builder.builder import BuildReport, DataBuilder, TenantBuildStats
 from repro.builder.compaction import CompactionResult, Compactor
-from repro.builder.parallel import run_build_tasks
 
 __all__ = [
     "BuildReport",
@@ -23,5 +20,4 @@ __all__ = [
     "TenantBuildStats",
     "CompactionResult",
     "Compactor",
-    "run_build_tasks",
 ]

@@ -8,14 +8,12 @@ per tenant, each tenant's rows are chunked into LogBlocks of at most
 tenant's OSS directory, and registered in the catalog's LogBlock map so
 brokers can find them.
 
-Two halves, split for parallelism without nondeterminism:
+Two halves, both in a fixed tenant order, so object names, catalog
+contents and registration order depend only on the rows:
 
-* **build** (CPU: encoding, compression, index construction) fans out
-  per tenant across ``builder_threads`` via
-  :func:`repro.builder.parallel.run_build_tasks`;
-* **upload + register** (I/O + metadata) stays serial in a fixed
-  tenant order, so object names, catalog contents, and registration
-  order are byte-identical whatever the thread count.
+* **build** (CPU: encoding, compression, index construction), tenant
+  by tenant;
+* **upload + register** (I/O + metadata), after every block is built.
 
 Uploads go through :class:`~repro.oss.retry.RetryingObjectStore`; how
 often the retry layer had to intervene surfaces as
@@ -28,7 +26,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.builder.parallel import run_build_tasks
 from repro.codec.registry import DEFAULT_CODEC
 from repro.common.clock import Clock, VirtualClock
 from repro.common.errors import BuildError
@@ -151,7 +148,6 @@ class DataBuilder:
         block_rows: int = DEFAULT_BLOCK_ROWS,
         target_rows: int = DEFAULT_TARGET_ROWS,
         build_indexes: bool = True,
-        builder_threads: int = 1,
         max_upload_attempts: int = DEFAULT_MAX_ATTEMPTS,
         upload_backoff_s: float = DEFAULT_BACKOFF_S,
         retry_clock: Clock | None = None,
@@ -159,8 +155,6 @@ class DataBuilder:
     ) -> None:
         if target_rows <= 0:
             raise BuildError(f"target_rows must be positive, got {target_rows}")
-        if builder_threads < 1:
-            raise BuildError(f"builder_threads must be >= 1, got {builder_threads}")
         self._obs = obs if obs is not None else Observability.noop()
         registry = self._obs.registry
         self._memtables_total = registry.counter(
@@ -194,7 +188,6 @@ class DataBuilder:
         self._block_rows = block_rows
         self._target_rows = target_rows
         self._build_indexes = build_indexes
-        self._threads = builder_threads
         self._upload = RetryingObjectStore(
             oss,
             max_attempts=max_upload_attempts,
@@ -217,10 +210,6 @@ class DataBuilder:
         return self._catalog.schema if self._catalog is not None else self._schema
 
     @property
-    def builder_threads(self) -> int:
-        return self._threads
-
-    @property
     def upload_stats(self):
         """Cumulative :class:`~repro.oss.retry.RetryStats` of all uploads."""
         return self._upload.stats
@@ -231,9 +220,8 @@ class DataBuilder:
         """Convert one sealed memtable; returns the (given) report.
 
         Splits the memtable per tenant, builds LogBlocks of at most
-        ``target_rows`` timestamp-sorted rows each (possibly across
-        ``builder_threads`` threads), uploads them, and registers a
-        :class:`~repro.meta.catalog.LogBlockEntry` per block.  The
+        ``target_rows`` timestamp-sorted rows each, uploads them, and
+        registers a :class:`~repro.meta.catalog.LogBlockEntry` per block.  The
         whole call is serialized per builder so that concurrent workers
         sharing one builder still produce deterministic object names.
         """
@@ -253,13 +241,10 @@ class DataBuilder:
             schema = self.schema  # live catalog schema, fixed for this memtable
 
             build_start = time.perf_counter()
-            tasks = [
-                self._tenant_build_task(
-                    schema, tenant_id, groups[tenant_id], ts_column, memtable_seq
-                )
+            built_per_tenant = [
+                self._build_tenant(schema, tenant_id, groups[tenant_id], ts_column, memtable_seq)
                 for tenant_id in tenant_order
             ]
-            built_per_tenant = run_build_tasks(tasks, self._threads)
             report.build_s += time.perf_counter() - build_start
 
             upload_start = time.perf_counter()
@@ -342,62 +327,58 @@ class DataBuilder:
         self._orphans_swept.add(cleared)
         return cleared
 
-    def _tenant_build_task(
+    def _build_tenant(
         self,
         schema: TableSchema,
         tenant_id: int,
         rows: RowSelection,
         ts_column: str,
         memtable_seq: int,
-    ):
-        """A zero-argument task that encodes one tenant's LogBlocks."""
-
-        def build() -> list[_BuiltBlock]:
-            # The one gather of the archive path, schema columns only:
-            # keys the schema does not know were carried this far and
-            # end here.
-            columns = {
-                name: col
-                for name in schema.column_names()
-                if (col := rows.column(name)) is not None
-            }
-            built: list[_BuiltBlock] = []
-            for chunk_idx in range(0, len(rows), self._target_rows):
-                chunk_end = chunk_idx + self._target_rows
-                writer = LogBlockWriter(
-                    schema,
-                    codec=self._codec,
-                    block_rows=self._block_rows,
-                    build_indexes=self._build_indexes,
+    ) -> list[_BuiltBlock]:
+        """Encode one tenant's LogBlocks."""
+        # The one gather of the archive path, schema columns only:
+        # keys the schema does not know were carried this far and
+        # end here.
+        columns = {
+            name: col
+            for name in schema.column_names()
+            if (col := rows.column(name)) is not None
+        }
+        built: list[_BuiltBlock] = []
+        for chunk_idx in range(0, len(rows), self._target_rows):
+            chunk_end = chunk_idx + self._target_rows
+            writer = LogBlockWriter(
+                schema,
+                codec=self._codec,
+                block_rows=self._block_rows,
+                build_indexes=self._build_indexes,
+            )
+            writer.append_columns(
+                {name: col[chunk_idx:chunk_end] for name, col in columns.items()}
+            )
+            blob = writer.finish()
+            # rows_by_tenant() yields timestamp order, so the chunk
+            # bounds are its first/last rows.
+            ts = columns[ts_column][chunk_idx:chunk_end]
+            min_ts, max_ts = ts[0], ts[-1]
+            built.append(
+                _BuiltBlock(
+                    tenant_id=tenant_id,
+                    path=block_path(
+                        tenant_id,
+                        memtable_seq,
+                        chunk_idx // self._target_rows,
+                        min_ts,
+                        max_ts,
+                    ),
+                    blob=blob,
+                    min_ts=min_ts,
+                    max_ts=max_ts,
+                    row_count=len(ts),
+                    encode_stats=writer.encode_stats,
                 )
-                writer.append_columns(
-                    {name: col[chunk_idx:chunk_end] for name, col in columns.items()}
-                )
-                blob = writer.finish()
-                # rows_by_tenant() yields timestamp order, so the chunk
-                # bounds are its first/last rows.
-                ts = columns[ts_column][chunk_idx:chunk_end]
-                min_ts, max_ts = ts[0], ts[-1]
-                built.append(
-                    _BuiltBlock(
-                        tenant_id=tenant_id,
-                        path=block_path(
-                            tenant_id,
-                            memtable_seq,
-                            chunk_idx // self._target_rows,
-                            min_ts,
-                            max_ts,
-                        ),
-                        blob=blob,
-                        min_ts=min_ts,
-                        max_ts=max_ts,
-                        row_count=len(ts),
-                        encode_stats=writer.encode_stats,
-                    )
-                )
-            return built
-
-        return build
+            )
+        return built
 
     def _register(self, built: _BuiltBlock, report: BuildReport) -> None:
         self._encode_modes.record(built.encode_stats)

@@ -58,8 +58,6 @@ class LogStoreConfig:
     block_rows: int = 4096
     target_rows_per_logblock: int = 200_000
     build_indexes: bool = True
-    # threads for the per-tenant build stage; 1 = serial reference path
-    builder_threads: int = 1
 
     # storage
     bucket: str = "logstore"
@@ -127,8 +125,6 @@ class LogStoreConfig:
             raise ConfigError(f"unknown balancer {self.balancer!r}")
         if self.per_tenant_shard_limit_rps <= 0:
             raise ConfigError("per_tenant_shard_limit_rps must be positive")
-        if self.builder_threads < 1:
-            raise ConfigError("builder_threads must be >= 1")
         if self.group_commit_batches < 1:
             raise ConfigError("group_commit_batches must be >= 1")
         if self.group_commit_bytes <= 0:

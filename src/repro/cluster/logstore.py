@@ -93,7 +93,6 @@ class LogStore:
             block_rows=config.block_rows,
             target_rows=config.target_rows_per_logblock,
             build_indexes=config.build_indexes,
-            builder_threads=config.builder_threads,
             obs=self.obs,
         )
 

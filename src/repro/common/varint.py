@@ -76,24 +76,6 @@ def decode_svarint(data: bytes, offset: int = 0) -> tuple[int, int]:
     return zigzag_decode(raw), pos
 
 
-def encode_uvarint_list(values: list[int]) -> bytes:
-    """Encode a length-prefixed list of unsigned varints."""
-    out = bytearray(encode_uvarint(len(values)))
-    for value in values:
-        out += encode_uvarint(value)
-    return bytes(out)
-
-
-def decode_uvarint_list(data: bytes, offset: int = 0) -> tuple[list[int], int]:
-    """Decode a list written by :func:`encode_uvarint_list`."""
-    count, pos = decode_uvarint(data, offset)
-    values = []
-    for _ in range(count):
-        value, pos = decode_uvarint(data, pos)
-        values.append(value)
-    return values, pos
-
-
 def encode_uvarint_array(values: np.ndarray) -> bytes:
     """LEB128-encode a vector of unsigned ints, byte-identical to a
     per-value :func:`encode_uvarint` loop."""

@@ -291,7 +291,6 @@ class Session:
             versions = given[version_spec.version_column] = _fill_nulls(
                 given.get(version_spec.version_column), n_rows, self._stamper.next
             )
-        schema.validate_columns(given)
         if self.admin:
             tenants = set(given["tenant_id"])
             if len(tenants) != 1:
@@ -302,10 +301,11 @@ class Session:
         else:
             target_tenant = self.tenant_id
         # Columns in schema order, absent ones null: what sizes the
-        # batch and what the WAL and every LogBlock serialize.
+        # batch and what the WAL and every LogBlock serialize.  Admitted
+        # against the schema here, as ``put()`` admits row dicts.
         nulls = [None] * n_rows
         batch = RowBatch.from_columns(
-            names, [given.get(name, nulls) for name in names], target_tenant
+            names, [given.get(name, nulls) for name in names], target_tenant, schema
         )
         self._last_insert = batch
         self._store.put(target_tenant, batch)

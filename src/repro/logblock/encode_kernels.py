@@ -23,9 +23,10 @@ Byte-identity is the contract, checked three ways:
 
 A column is *prepared* once at ``LogBlockWriter.finish()`` — type gate,
 null mask, typed vector, and for strings a ranking made by hashing
-(:func:`rank_strings`) — and that :class:`PreparedColumn` is the one
-form every consumer reads: the block encoder and the SMA here, and the
-BKD index, the raw inverted index and the Bloom filter in the writer.
+(:func:`rank_strings`) and the UTF-8 bytes — and that
+:class:`PreparedColumn` is the one form every consumer reads: the block
+encoder and the SMA here, and the BKD index, both inverted indexes and
+the Bloom filter in the writer.
 """
 
 from __future__ import annotations
@@ -130,6 +131,14 @@ class PreparedColumn:
         it, and a column none of them ranks (tokenized text in PLAIN
         blocks) is never sorted."""
         return rank_strings(self.values)
+
+    @cached_property
+    def encoded(self) -> list[bytes]:
+        """A STRING column's UTF-8 bytes, a null's ``b""``, made on
+        first use: the PLAIN blocks are a join of them and the
+        tokenized inverted index is cut from them, so a text column is
+        encoded once for both."""
+        return [b"" if value is None else value.encode("utf-8") for value in self.values]
 
 
 def _object_array(values: list) -> np.ndarray:
@@ -258,9 +267,7 @@ def encode_block_range(prep: PreparedColumn, start: int, stop: int) -> bytes:
         writer.write_bytes(encode_uvarint_array(codes + (1 - first)))
         return writer.getvalue()
     writer.write_u8(_STRING_PLAIN)
-    if n_present < len(chunk):
-        chunk = ["" if value is None else value for value in chunk]
-    encoded = [value.encode("utf-8") for value in chunk]
+    encoded = prep.encoded[start:stop]
     pieces = [b""] * (2 * len(encoded))
     pieces[0::2] = map(encode_uvarint, map(len, encoded))
     pieces[1::2] = encoded

@@ -49,7 +49,7 @@ from repro.common.varint import (
     uvarint_ends,
 )
 from repro.logblock.encode_kernels import rank_strings
-from repro.logblock.tokenizer import normalize_term, tokenize
+from repro.logblock.tokenizer import normalize_term, tokenize_column
 
 _CRC = struct.Struct("<I")
 # flags, row count, term count, dictionary bytes, postings bytes
@@ -79,37 +79,28 @@ class InvertedIndexBuilder:
         """Index ``value`` for ``row_id``.  Nulls are simply absent."""
         self.add_many(row_id, (value,))
 
-    def add_many(self, start_row_id: int, values, ranking=None) -> None:
+    def add_many(self, start_row_id: int, values, ranking=None, encoded=None) -> None:
         """Index ``values`` for rows ``start_row_id ..+ len(values)``.
 
-        ``ranking`` is ``rank_strings(values)`` where the caller already
-        has it (the writer's prepared column); a raw index takes its
-        terms and pairs from it instead of deriving them again.
+        What the caller already has of the column (the writer's
+        prepared one) is taken instead of derived again: ``ranking`` is
+        ``rank_strings(values)``, whose terms and pairs are a raw
+        index's; ``encoded`` is the values' UTF-8 bytes, which a
+        tokenized index is cut from (:func:`tokenize_column`).
         """
         count = len(values)
         if not count:
             return
         self._row_count = max(self._row_count, start_row_id + count)
         if self._tokenize:
-            tokens: list[str] = []
-            per_row = []
-            for value in values:
-                if value is None:
-                    per_row.append(0)
-                else:
-                    row_terms = tokenize(value)
-                    tokens += row_terms
-                    per_row.append(len(row_terms))
+            tokens, rows = tokenize_column(values, encoded)
             terms, ranks = rank_strings(tokens)
-            rows = np.repeat(
-                np.arange(start_row_id, start_row_id + count, dtype=np.int64), per_row
-            )
         else:
             # raw: exact-match must mirror scan equality
             terms, ranks = ranking if ranking is not None else rank_strings(values)
             rows = np.flatnonzero(ranks)
             ranks = ranks[rows]
-            rows += start_row_id
+        rows += start_row_id
         self._chunks.append((terms, ranks - 1, rows))
 
     def build(self) -> "InvertedIndex":

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -233,9 +234,9 @@ class MatchPredicate:
     column: str
     query: str
 
-    @property
-    def terms(self) -> list[str]:
-        return tokenize(self.query)
+    @cached_property
+    def terms(self) -> tuple[str, ...]:
+        return tuple(tokenize(self.query))
 
     def may_match_sma(self, sma: Sma) -> bool:
         # min/max of raw strings cannot disprove token containment, but an
@@ -245,8 +246,7 @@ class MatchPredicate:
     def evaluate_value(self, value) -> bool:
         if value is None:
             return False
-        value_terms = set(tokenize(value))
-        return all(term in value_terms for term in self.terms)
+        return set(tokenize(value)).issuperset(self.terms)
 
 
 def _index_rowids(

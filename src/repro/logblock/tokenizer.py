@@ -7,11 +7,20 @@ fields, like ``.`` in IPs/hostnames and ``-``/``_`` in identifiers) are
 emitted lowercased.  Tokenization is deterministic and shared between
 write (index build) and read (query term extraction), which is the only
 property the experiments rely on.
+
+Two entry points, one rule.  :func:`tokenize` is the definition — a
+regex over one text — and what the read side calls on a query or a row
+under test.  :func:`tokenize_column` is what the index build calls: the
+same tokens for a whole column, from one pass over its UTF-8 bytes
+(DESIGN.md §11) and no regex; it is property-tested against
+:func:`tokenize` row by row.
 """
 
 from __future__ import annotations
 
 import re
+
+import numpy as np
 
 # A token is a run of word characters possibly joined by . - _ : /
 # (so "192.168.0.1", "user_id", "GET:/api/v1" survive as useful units),
@@ -19,6 +28,18 @@ import re
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:[._\-:/][A-Za-z0-9]+)*")
 
 MAX_TOKEN_LENGTH = 128
+
+# The regex's two character classes, per byte of lower-cased UTF-8.
+# Everything else — every byte of a non-ASCII character included — is
+# class 0 and separates tokens, as such a character does in the regex.
+_ALNUM, _CONNECTOR = 1, 2
+_BYTE_CLASS = bytes(
+    _ALNUM if byte in b"0123456789abcdefghijklmnopqrstuvwxyz"
+    else _CONNECTOR if byte in b"._-:/"
+    else 0
+    for byte in range(256)
+)
+_SPACE = np.uint8(ord(" "))
 
 
 def tokenize(text: str) -> list[str]:
@@ -40,6 +61,47 @@ def tokenize(text: str) -> list[str]:
     if len(text) > MAX_TOKEN_LENGTH:
         tokens = [token[:MAX_TOKEN_LENGTH] for token in tokens]
     return tokens
+
+
+def tokenize_column(values, encoded: list[bytes] | None = None) -> tuple[list[str], np.ndarray]:
+    """``(tokens, rows)``: :func:`tokenize` of every value, concatenated,
+    and for each token the position of the value it came from.
+
+    ``encoded`` is the values' UTF-8 bytes (a null's ``b""``) where the
+    caller already has them.  The column is one blob, values a space
+    apart so that no token spans two, lower-cased by ``bytes.lower()``
+    (ASCII letters only, which is all a token holds).  A byte is kept
+    iff it is alphanumeric, or a connector with an alphanumeric byte on
+    both sides — exactly the bytes the regex's greedy match covers;
+    every other byte becomes a space and one ``split()`` yields the
+    tokens.
+    """
+    if encoded is None:
+        encoded = [b"" if value is None else value.encode("utf-8") for value in values]
+    lowered = b" ".join(encoded).lower()
+    blob = np.frombuffer(lowered, dtype=np.uint8)
+    kinds = np.frombuffer(lowered.translate(_BYTE_CLASS), dtype=np.uint8)
+    # One False of padding each side, so the ends need no special case.
+    padded = np.zeros(len(blob) + 2, dtype=bool)
+    kept = padded[1:-1]
+    np.equal(kinds, _ALNUM, out=kept)
+    kept |= (kinds == _CONNECTOR) & padded[:-2] & padded[2:]
+    # blob where kept, else a space (uint8 arithmetic wraps and back).
+    spaced = blob - _SPACE
+    spaced *= kept
+    spaced += _SPACE
+    tokens = spaced.tobytes().decode("ascii").split()
+    # A token starts where ``kept`` turns on and ends where it turns off.
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    if tokens and int((ends - starts).max()) > MAX_TOKEN_LENGTH:
+        tokens = [token[:MAX_TOKEN_LENGTH] for token in tokens]
+    # Value i + 1 starts at blob[bounds[i]]; the tokens before it are
+    # those of values 0..i.
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    bounds = np.cumsum(lengths + 1)
+    per_value = np.diff(np.searchsorted(starts, bounds), prepend=0)
+    return tokens, np.repeat(np.arange(len(encoded)), per_value)
 
 
 def normalize_term(term: str) -> str:

@@ -585,7 +585,7 @@ class LogBlockWriter:
             return builder.build(), None
         builder = InvertedIndexBuilder(tokenize=col.tokenize)
         if col.tokenize:
-            builder.add_many(0, values)
+            builder.add_many(0, values, encoded=prep.encoded if prep is not None else None)
             return builder.build(), None
         ranking = prep.ranking if prep is not None else rank_strings(values)
         builder.add_many(0, values, ranking)

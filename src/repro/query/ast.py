@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.common.errors import QueryError
 from repro.logblock.pruning import (
@@ -31,7 +32,6 @@ from repro.logblock.pruning import (
     NullPredicate,
     RangePredicate,
 )
-from repro.logblock.tokenizer import tokenize
 
 
 class CmpOp(enum.Enum):
@@ -167,17 +167,17 @@ class Match(Expr):
     query: str
 
     def evaluate_row(self, row: dict) -> bool:
-        actual = row.get(self.column)
-        if actual is None:
-            return False
-        terms = set(tokenize(actual))
-        return all(term in terms for term in tokenize(self.query))
+        return self.to_column_predicate().evaluate_value(row.get(self.column))
 
     def columns(self) -> set[str]:
         return {self.column}
 
-    def to_column_predicate(self) -> ColumnPredicate:
+    @cached_property
+    def _predicate(self) -> MatchPredicate:
         return MatchPredicate(self.column, self.query)
+
+    def to_column_predicate(self) -> ColumnPredicate:
+        return self._predicate  # one per node: the query is tokenised once
 
 
 @dataclass(frozen=True)

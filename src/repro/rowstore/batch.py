@@ -38,6 +38,8 @@ _SIZED = (str, bytes, bytearray)
 _SIZED_TYPES = frozenset(_SIZED)
 _SCALAR_TYPES = frozenset((int, float, bool, type(None)))
 _NEVER_INT = frozenset((float, type(None)))  # kinds that need no int64 range check
+_ONLY_NULL = {type(None)}
+_ONLY_STR = {str}
 # First element of every payload; a layout change takes a new tag.
 _PAYLOAD_TAG = "rowbatch/1"
 # What ``pickle.loads`` and the destructuring raise on bytes that are
@@ -49,6 +51,8 @@ _UNPICKLE_ERRORS = (
 
 
 def _column_nbytes(kinds: set, column: list) -> int:
+    if kinds == _ONLY_STR:
+        return len("".join(column))  # a third of the cost of summing len() per value
     if kinds <= _SIZED_TYPES:
         return sum(map(len, column))
     if kinds <= _SCALAR_TYPES:
@@ -93,6 +97,17 @@ def _check_int_range(name: str, ints: Sequence[int]) -> None:
         array("q", ints)  # one C pass; overflows exactly beyond int64
     except OverflowError:
         raise InvalidBatchError(f"column {name!r} holds a value beyond int64") from None
+
+
+def _check_utf8(name: str, column: list, kinds: set) -> None:
+    """A STRING column is archived as UTF-8, which a lone surrogate
+    does not have: one join per batch, encoded only when not ASCII."""
+    text = "".join(column if kinds == _ONLY_STR else [v for v in column if v is not None])
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidBatchError(f"column {name!r} holds text with no UTF-8 encoding") from None
 
 
 class RowBatch:
@@ -164,12 +179,12 @@ class RowBatch:
         and — when ``tenant_id`` is given — belong to that tenant.  With
         a ``schema`` (the live catalog schema at ``put``), values of its
         columns must have the column's type under the rules of
-        ``TableSchema.validate_columns``, and an int in a numeric column
-        must fit int64 — the archive encoder stores it, or its SMA, as
-        one, and a value it cannot store would fail every later flush of
-        the shard; names the schema does not know are carried and
-        ignored.  Anything else raises :class:`InvalidBatchError` and
-        nothing was admitted.
+        ``TableSchema.validate_columns``, an int in a numeric column
+        must fit int64 and a string must have a UTF-8 encoding — the
+        archive encoder stores them so, and a value it cannot store
+        would fail every later flush of the shard; names the schema
+        does not know are carried and ignored.  Anything else raises
+        :class:`InvalidBatchError` and nothing was admitted.
         """
         names = tuple(names)
         columns = [c if type(c) is list else list(c) for c in columns]
@@ -199,6 +214,8 @@ class RowBatch:
                     ints = column if kinds == {int} else [v for v in column if isinstance(v, int)]
                     if ints:
                         _check_int_range(name, ints)
+                elif str in accepted[name] and kinds != _ONLY_NULL:
+                    _check_utf8(name, column, kinds)
         for required in (ts_column, tenant_column):
             if required not in names:
                 raise InvalidBatchError(f"row missing column {required!r}")

@@ -167,6 +167,45 @@ class TestOutOfRangeValue:
         assert store.pending_rows() == 0
 
 
+class TestUnencodableString:
+    """A lone surrogate has no UTF-8 encoding: it used to be acked, then
+    raise ``UnicodeEncodeError`` from the block encoder in every later
+    ``flush_all()`` of its shard."""
+
+    @pytest.mark.parametrize("column", ["log", "api"])  # tokenized PLAIN text, raw DICT term
+    @pytest.mark.parametrize("use_raft", [False, True])
+    def test_rejected_at_put_and_the_rows_around_it_archive(self, use_raft, column):
+        store = LogStore.create(config=small_test_config(use_raft=use_raft))
+        good = make_rows(100, tenant_id=4)
+        good[0]["log"] = "İstanbul \u212a 漢字 \x00 ok"  # non-ASCII that does encode
+        good[1]["log"] = None
+        store.put(4, good)
+        bad = make_rows(3, tenant_id=4, seed=1)
+        bad[1][column] = "ok \ud800 bad"
+        for put in (store.put, store.put_nowait):
+            with pytest.raises(InvalidBatchError, match=f"column '{column}' holds text with no UTF-8"):
+                put(4, bad)
+        store.settle_writes()
+        assert store.pending_rows() == 100
+        store.put(4, make_rows(20, tenant_id=4, seed=2))
+        assert store.flush_all().rows_archived == 120
+        assert store.pending_rows() == 0
+
+    def test_rejected_at_sql_insert(self):
+        """The front door's batches are admitted against the schema too."""
+        store = LogStore.create(config=small_test_config())
+        session = store.connect(4, store.issue_token(4))
+        insert = "INSERT INTO request_log (ts, log) VALUES (?, ?)"
+        session.execute(insert, [1, "fine"])
+        for _ in range(2):  # the text path, then the cached all-`?` template
+            with pytest.raises(InvalidBatchError, match="column 'log' holds text with no UTF-8"):
+                session.execute(insert, [2, "ok \ud800 bad"])
+        with pytest.raises(InvalidBatchError, match="column 'latency' holds a value beyond int64"):
+            session.execute("INSERT INTO request_log (ts, latency) VALUES (?, ?)", [3, 2**70])
+        assert store.pending_rows() == 1
+        assert store.flush_all().rows_archived == 1
+
+
 def non_null(rows):
     return [{k: v for k, v in row.items() if v is not None} for row in rows]
 

@@ -10,11 +10,9 @@ from repro.common.varint import (
     decode_svarint,
     decode_uvarint,
     decode_uvarint_array,
-    decode_uvarint_list,
     encode_svarint,
     encode_uvarint,
     encode_uvarint_array,
-    encode_uvarint_list,
     zigzag_decode,
     zigzag_encode,
 )
@@ -81,18 +79,6 @@ class TestSvarint:
     def test_small_negatives_are_small(self):
         assert len(encode_svarint(-1)) == 1
         assert len(encode_svarint(-64)) == 1
-
-
-class TestUvarintList:
-    def test_empty(self):
-        values, pos = decode_uvarint_list(encode_uvarint_list([]))
-        assert values == []
-        assert pos == 1
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**32), max_size=50))
-    def test_roundtrip(self, values):
-        decoded, _pos = decode_uvarint_list(encode_uvarint_list(values))
-        assert decoded == values
 
 
 UVARINT_EDGES = [

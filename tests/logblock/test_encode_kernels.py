@@ -47,6 +47,7 @@ from repro.tarpack.reader import PackReader
 
 from tests.logblock.legacy_format import sma_bytes
 from tests.conftest import make_rows, write_logblock
+from tests.logblock.test_tokenizer import column_text
 from tests.logblock.test_writer_reader import reader_for
 
 
@@ -337,7 +338,7 @@ row_strategy = st.fixed_dictionaries(
         ),
         "b": st.one_of(st.none(), st.booleans()),
         "tag": st.one_of(st.none(), st.sampled_from(["a", "b", "c", "dd", "αβ"])),
-        "msg": st.one_of(st.none(), st.text(max_size=20)),
+        "msg": column_text,
     }
 )
 

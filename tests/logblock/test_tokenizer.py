@@ -8,6 +8,7 @@ from repro.logblock.tokenizer import (
     MAX_TOKEN_LENGTH,
     normalize_term,
     tokenize,
+    tokenize_column,
 )
 
 
@@ -65,6 +66,47 @@ class TestTokenize:
     @given(st.text(max_size=300))
     def test_equals_per_match_reference_any_text(self, text):
         assert tokenize(text) == reference_tokenize(text)
+
+
+# What a text column can hold: nulls, any unicode (no lone surrogates —
+# admission refuses those), and the shapes the byte rule could get
+# wrong: letters whose ``lower()`` is or grows ASCII, NUL, runs of and
+# leading/trailing connectors, overlong tokens, blank values.
+column_text = st.one_of(
+    st.none(),
+    st.text(max_size=40),
+    st.text(alphabet=st.sampled_from("aBz09 ._-:/İ\u212aßé\x00\t\n"), max_size=24),
+    st.sampled_from(
+        [
+            "",
+            " \t\n",
+            "..a..b..",
+            "-x:",
+            "a._b",
+            "q" * (MAX_TOKEN_LENGTH + 7),
+            ("Ab9." * MAX_TOKEN_LENGTH) + " tail_",
+            "İ\u212a",
+        ]
+    ),
+)
+
+
+class TestTokenizeColumn:
+    @given(st.lists(column_text, max_size=12))
+    def test_equals_tokenize_row_by_row(self, values):
+        tokens, rows = tokenize_column(values)
+        expected = [
+            (token, row)
+            for row, value in enumerate(values)
+            if value is not None
+            for token in tokenize(value)
+        ]
+        assert list(zip(tokens, rows.tolist())) == expected
+
+    def test_nothing_to_tokenize(self):
+        for values in ([], [None], ["", None, "  "], ["\x00é"]):
+            tokens, rows = tokenize_column(values)
+            assert tokens == [] and rows.tolist() == []
 
 
 class TestNormalizeTerm:

@@ -61,6 +61,19 @@ class TestRowEvaluation:
         assert Match("log", "timeout error").evaluate_row(ROW)
         assert not Match("log", "error missing").evaluate_row(ROW)
 
+    def test_match_tokenises_its_query_once(self, monkeypatch):
+        from repro.logblock import pruning
+
+        seen = []
+        tokenize = pruning.tokenize
+        monkeypatch.setattr(pruning, "tokenize", lambda text: seen.append(text) or tokenize(text))
+        node = Match("log", "Timeout error")
+        rows = [{"log": "error: timeout"}, {"log": "error"}, {"log": None}, {}]
+        assert [node.evaluate_row(row) for row in rows] == [True, False, False, False]
+        predicate = node.to_column_predicate()
+        assert [predicate.evaluate_value(row.get("log")) for row in rows] == [True, False, False, False]
+        assert seen.count("Timeout error") == 1
+
     def test_boolean_combinators(self):
         t = Comparison("latency", CmpOp.EQ, 50)
         f = Comparison("latency", CmpOp.EQ, 51)
