@@ -17,9 +17,6 @@ from repro.cluster.controller import Controller
 from repro.common.clock import VirtualClock
 from repro.logblock.schema import request_log_schema
 from repro.meta.catalog import Catalog
-from repro.oss.costmodel import free
-from repro.oss.metered import MeteredObjectStore
-from repro.oss.store import InMemoryObjectStore
 
 THETAS = [0.0, 0.2, 0.4, 0.6, 0.8, 0.99]
 
@@ -27,12 +24,7 @@ THETAS = [0.0, 0.2, 0.4, 0.6, 0.8, 0.99]
 def measure(theta: float):
     run = run_traffic(theta, "maxflow")
     # "Before" = same config/workload, virgin consistent-hash routing.
-    virgin = Controller(
-        run.controller.config,
-        Catalog(request_log_schema()),
-        MeteredObjectStore(InMemoryObjectStore(), free(), VirtualClock()),
-        VirtualClock(),
-    )
+    virgin = Controller(run.controller.config, Catalog(request_log_schema()), VirtualClock())
     before = access_stddev_series(virgin, run.traffic)
     after = access_stddev_series(run.controller, run.traffic)
     return before, after

@@ -19,6 +19,7 @@ from repro.cluster.simulation import IngestModelParams, IngestSimulator, Simulat
 from repro.common.clock import VirtualClock
 from repro.logblock.schema import request_log_schema
 from repro.meta.catalog import Catalog
+from repro.meta.janitor import Janitor
 from repro.oss.costmodel import OssCostModel, free, local_ssd, oss_default
 from repro.oss.metered import MeteredObjectStore
 from repro.oss.store import InMemoryObjectStore
@@ -76,7 +77,7 @@ def build_dataset(
     store = MeteredObjectStore(inner, free(), clock)
     store.create_bucket(BUCKET)
     builder = DataBuilder(
-        schema, store, BUCKET, catalog,
+        schema, store, BUCKET, catalog, Janitor(catalog, store, BUCKET),
         codec="zlib",  # fast build; ratio ablation is its own bench
         block_rows=block_rows,
         target_rows=target_rows,
@@ -221,9 +222,7 @@ def run_traffic(
         per_tenant_shard_limit_rps=worker_capacity / 4 * 1.2,
         monitor_interval_s=300.0,
     )
-    clock = VirtualClock()
-    store = MeteredObjectStore(InMemoryObjectStore(), free(), clock)
-    controller = Controller(config, Catalog(request_log_schema()), store, clock)
+    controller = Controller(config, Catalog(request_log_schema()), VirtualClock())
     capacity = controller.topology.total_worker_capacity()
     traffic = tenant_traffic(n_tenants, theta, capacity * offered_fraction)
     simulator = IngestSimulator(controller, traffic, IngestModelParams(window_s=10.0))
@@ -234,9 +233,7 @@ def run_traffic(
 def fresh_controller_like(run: TrafficRun) -> Controller:
     """A controller with the same config but virgin routing (the
     'Before Balancing' arm of Figures 13-14)."""
-    clock = VirtualClock()
-    store = MeteredObjectStore(InMemoryObjectStore(), free(), clock)
-    return Controller(run.controller.config, Catalog(request_log_schema()), store, clock)
+    return Controller(run.controller.config, Catalog(request_log_schema()), VirtualClock())
 
 
 def emit(capsys, *lines: str) -> None:

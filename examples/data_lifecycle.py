@@ -76,8 +76,8 @@ def main() -> None:
 
     # -- retention sweep -----------------------------------------------------
     now_ts = base_ts + 4 * 3_600 * MICROS
-    report = store.expire_data(now_ts=now_ts)
-    print(f"\nretention sweep at t=+4h: deleted {report.blocks_deleted} blocks, "
+    report = store.sweep_expired(now_ts)
+    print(f"\nretention sweep at t=+4h: deleted {report.blocks_expired} blocks, "
           f"reclaimed {human_bytes(report.bytes_reclaimed)}, "
           f"tenants touched: {sorted(report.tenants_touched)}")
     for tenant in (1, 2, 3):
@@ -91,7 +91,7 @@ def main() -> None:
         store.schema, store.oss, store.config.bucket, store.catalog,
         codec=store.config.codec, block_rows=store.config.block_rows,
         small_threshold_rows=1_000, target_rows=4_000,
-        invalidate=store.invalidate_blob,
+        janitor=store.janitor,
     )
     before = len(store.catalog.blocks_for(2))
     result = compactor.compact_tenant(2)
@@ -103,12 +103,9 @@ def main() -> None:
     print(f"  tenant 2 rows after compaction: {count.rows[0]['COUNT(*)']} (unchanged)")
 
     # -- account closure -------------------------------------------------------
-    from repro.meta.expiry import ExpiryTask
-
-    purger = ExpiryTask(store.catalog, store.oss, store.config.bucket)
-    purge = purger.purge_tenant(3)
-    print(f"\npurged tenant 3 entirely: {purge.blocks_deleted} blocks, "
-          f"{human_bytes(purge.bytes_reclaimed)}")
+    purge = store.offboard_tenant(3, export=False)
+    print(f"\noffboarded tenant 3 entirely: {purge.deleted_objects} objects deleted, "
+          f"verified={purge.verified}")
     remaining = [s.key for s in store.oss.list(store.config.bucket, "tenants/3/")]
     print(f"  objects left under tenants/3/: {remaining}")
 

@@ -19,9 +19,6 @@ from repro.cluster.simulation import (
 from repro.common.clock import VirtualClock
 from repro.logblock.schema import request_log_schema
 from repro.meta.catalog import Catalog
-from repro.oss.costmodel import free
-from repro.oss.metered import MeteredObjectStore
-from repro.oss.store import InMemoryObjectStore
 from repro.workload import tenant_traffic
 
 N_TENANTS = 500
@@ -38,9 +35,7 @@ def build_controller(balancer: str) -> Controller:
         per_tenant_shard_limit_rps=30_000,
         monitor_interval_s=300,
     )
-    clock = VirtualClock()
-    store = MeteredObjectStore(InMemoryObjectStore(), free(), clock)
-    return Controller(config, Catalog(request_log_schema()), store, clock)
+    return Controller(config, Catalog(request_log_schema()), VirtualClock())
 
 
 def main() -> None:

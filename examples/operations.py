@@ -80,14 +80,12 @@ def main() -> None:
 
     # -- 4. backup / purge / restore ---------------------------------------------
     vault = MeteredObjectStore(InMemoryObjectStore(), oss_default(), VirtualClock())
-    task = BackupTask(store.catalog, store.oss, store.config.bucket)
+    task = BackupTask(store.catalog, store.oss, store.config.bucket, store.janitor)
     backup = task.backup_tenant(2, vault, "vault")
     print(f"\nbacked up tenant 2: {backup.blocks_copied} blocks, "
           f"{backup.bytes_copied} bytes")
 
-    from repro.meta.expiry import ExpiryTask
-
-    ExpiryTask(store.catalog, store.oss, store.config.bucket).purge_tenant(2)
+    store.offboard_tenant(2, export=False)
     print("purged tenant 2 from the cluster")
 
     store.catalog.register_tenant(2, name="restored")

@@ -32,6 +32,7 @@ from repro.common.errors import BuildError
 from repro.logblock.schema import TableSchema
 from repro.logblock.writer import DEFAULT_BLOCK_ROWS, LogBlockWriter
 from repro.meta.catalog import Catalog, LogBlockEntry
+from repro.meta.janitor import Janitor
 from repro.obs.context import Observability
 from repro.oss.retry import (
     DEFAULT_BACKOFF_S,
@@ -144,6 +145,7 @@ class DataBuilder:
         oss,
         bucket: str,
         catalog: Catalog,
+        janitor: Janitor,
         codec: str = DEFAULT_CODEC,
         block_rows: int = DEFAULT_BLOCK_ROWS,
         target_rows: int = DEFAULT_TARGET_ROWS,
@@ -169,21 +171,13 @@ class DataBuilder:
         self._bytes_total = registry.counter(
             "logstore_builder_bytes_uploaded_total", "LogBlock bytes uploaded."
         )
-        self._orphans_recorded = registry.counter(
-            "logstore_builder_orphans_recorded_total",
-            "Uploaded-but-unregistered blocks left behind by failed archives.",
-        )
-        self._orphans_swept = registry.counter(
-            "logstore_builder_orphans_swept_total",
-            "Orphaned blocks later deleted by sweep_orphans().",
-        )
         from repro.obs.recorders import EncodeModeRecorder
 
         self._encode_modes = EncodeModeRecorder(registry)
         self._schema = schema
-        self._oss = oss
         self._bucket = bucket
         self._catalog = catalog
+        self._janitor = janitor
         self._codec = codec
         self._block_rows = block_rows
         self._target_rows = target_rows
@@ -196,7 +190,6 @@ class DataBuilder:
         )
         self._memtable_seq = 0
         self._lock = threading.Lock()
-        self._orphans: list[tuple[str, str]] = []
 
     @property
     def schema(self) -> TableSchema:
@@ -252,23 +245,23 @@ class DataBuilder:
             all_built = [b for blocks in built_per_tenant for b in blocks]
             # Upload every block BEFORE registering any of them, so the
             # memtable archives all-or-nothing.  A failure mid-upload
-            # leaves the catalog untouched; compensation deletes remove
-            # the already-uploaded blocks (tracked as orphans when the
-            # delete itself fails during an outage) and the caller can
-            # retry the whole memtable without duplicating rows.
-            uploaded: list[_BuiltBlock] = []
+            # leaves the catalog untouched; the janitor deletes the
+            # already-uploaded blocks (queueing any delete that fails
+            # during the outage) and the caller can retry the whole
+            # memtable without duplicating rows.
+            uploaded = 0
             try:
                 for built in all_built:
                     self._catalog.ensure_tenant(built.tenant_id)
                     self._upload.put(self._bucket, built.path, built.blob)
-                    uploaded.append(built)
+                    uploaded += 1
             except BaseException:
                 report.upload_retries += self._upload.stats.retries - retries_before
                 report.upload_s += time.perf_counter() - upload_start
                 # Include the in-flight block: a failed PUT can still
                 # have left a torn partial object at its path.
-                in_flight = all_built[len(uploaded) : len(uploaded) + 1]
-                self._compensate(uploaded + in_flight)
+                for built in all_built[: uploaded + 1]:
+                    self._janitor.discard(built.path)
                 raise
             for built in all_built:
                 self._register(built, report)
@@ -285,47 +278,6 @@ class DataBuilder:
                     tenant_id=tenant_id,
                 )
         return report
-
-    def _compensate(self, uploaded: list[_BuiltBlock]) -> None:
-        """Best-effort deletion of uploaded-but-unregistered blocks."""
-        from repro.common.errors import NoSuchKey
-
-        for built in uploaded:
-            try:
-                self._oss.delete(self._bucket, built.path)
-            except NoSuchKey:
-                pass  # the failed PUT left nothing behind
-            except Exception:
-                self._orphans.append((self._bucket, built.path))
-                self._orphans_recorded.add()
-
-    @property
-    def orphans(self) -> list[tuple[str, str]]:
-        """(bucket, path) pairs whose compensation delete failed so far."""
-        return list(self._orphans)
-
-    def sweep_orphans(self) -> int:
-        """Retry deleting orphaned blocks (call after the outage heals).
-
-        Returns how many orphans were cleared.  An orphan that is
-        already gone counts as cleared; one whose delete fails again
-        stays queued for the next sweep.
-        """
-        from repro.common.errors import NoSuchKey
-
-        remaining: list[tuple[str, str]] = []
-        cleared = 0
-        for bucket, path in self._orphans:
-            try:
-                self._oss.delete(bucket, path)
-                cleared += 1
-            except NoSuchKey:
-                cleared += 1
-            except Exception:
-                remaining.append((bucket, path))
-        self._orphans = remaining
-        self._orphans_swept.add(cleared)
-        return cleared
 
     def _build_tenant(
         self,

@@ -22,11 +22,12 @@ import numpy as np
 
 from repro.codec.registry import DEFAULT_CODEC
 from repro.common.clock import Clock, VirtualClock
-from repro.common.errors import BuildError, NoSuchKey
+from repro.common.errors import BuildError
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import TableSchema
 from repro.logblock.writer import DEFAULT_BLOCK_ROWS, LogBlockWriter
 from repro.meta.catalog import Catalog, LogBlockEntry
+from repro.meta.janitor import Janitor
 from repro.obs.context import Observability
 from repro.oss.retry import (
     DEFAULT_BACKOFF_S,
@@ -109,6 +110,7 @@ class Compactor:
         oss,
         bucket: str,
         catalog: Catalog,
+        janitor: Janitor,
         codec: str = DEFAULT_CODEC,
         block_rows: int = DEFAULT_BLOCK_ROWS,
         small_threshold_rows: int = 10_000,
@@ -118,7 +120,6 @@ class Compactor:
         upload_backoff_s: float = DEFAULT_BACKOFF_S,
         retry_clock: Clock | None = None,
         obs: Observability | None = None,
-        invalidate=None,
     ) -> None:
         if small_threshold_rows <= 0:
             raise BuildError(
@@ -130,9 +131,9 @@ class Compactor:
                 f"({small_threshold_rows}); compaction output would stay small"
             )
         self._schema = schema
-        self._oss = oss
         self._bucket = bucket
         self._catalog = catalog
+        self._janitor = janitor
         self._codec = codec
         self._block_rows = block_rows
         self._small_threshold = small_threshold_rows
@@ -145,8 +146,6 @@ class Compactor:
             clock=retry_clock if retry_clock is not None else VirtualClock(),
         )
         self._generation = 0
-        self._orphans: list[tuple[str, str]] = []
-        self._invalidate = invalidate  # path -> None: drop a retired blob's cache entries
         self._obs = obs if obs is not None else Observability.noop()
         registry = self._obs.registry
         self._runs_total = registry.counter(
@@ -224,29 +223,19 @@ class Compactor:
 
         # Upload every output before registering any: a failure mid-way
         # must leave the catalog exactly as it was (victims still live,
-        # no half-registered outputs duplicating their rows).  Uploaded
-        # outputs are compensation-deleted through the *raw* store, not
-        # the retrying wrapper — during the outage that just failed the
-        # upload, retried deletes would burn a full backoff budget per
-        # path (matching DataBuilder._compensate); a delete that fails
-        # is queued as an orphan for sweep_orphans() after heal.
-        uploaded: list[str] = []
+        # no half-registered outputs duplicating their rows), and the
+        # janitor deletes what was uploaded.
+        uploaded = 0
         try:
             for path, blob, _entry in built:
                 self._upload.put(self._bucket, path, blob)
-                uploaded.append(path)
+                uploaded += 1
         except BaseException:
             result.upload_retries = self._upload.stats.retries - retries_before
             # Include the in-flight path: a failed PUT can still have
             # left a torn partial object behind.
-            in_flight = [p for p, _b, _e in built[len(uploaded) : len(uploaded) + 1]]
-            for path in uploaded + in_flight:
-                try:
-                    self._oss.delete(self._bucket, path)
-                except NoSuchKey:
-                    pass  # the failed PUT left nothing behind
-                except Exception:
-                    self._orphans.append((self._bucket, path))
+            for path, _blob, _entry in built[: uploaded + 1]:
+                self._janitor.discard(path)
             raise
         for path, blob, entry in built:
             self._catalog.add_block(entry)
@@ -254,45 +243,12 @@ class Compactor:
             result.rows_rewritten += entry.row_count
         result.blocks_after = len(built)
 
-        # New data is live; now retire the superseded blocks.  The map
-        # entry is dropped even when the object delete fails (the rows
-        # already live in the outputs; keeping the victim registered
-        # would double-count them) — the object becomes an orphan and a
-        # later sweep removes it.
-        for block in victims:
-            try:
-                self._oss_delete(block.path)
-            except NoSuchKey:
-                pass  # object already gone; still drop the map entry
-            except Exception:
-                self._orphans.append((self._bucket, block.path))
-            self._catalog.remove_block(block)
-            if self._invalidate is not None:
-                self._invalidate(block.path)
+        # New data is live; now retire the superseded blocks.  Their map
+        # entries go even when an object DELETE fails (the rows already
+        # live in the outputs; keeping a victim registered would
+        # double-count them) — the janitor queues the object instead.
+        self._janitor.retire(victims)
         result.upload_retries = self._upload.stats.retries - retries_before
-
-    def _oss_delete(self, path: str) -> None:
-        self._upload.delete(self._bucket, path)
-
-    @property
-    def orphans(self) -> list[tuple[str, str]]:
-        """(bucket, path) pairs whose delete failed and awaits a sweep."""
-        return list(self._orphans)
-
-    def sweep_orphans(self) -> int:
-        """Retry deleting orphaned objects; returns how many cleared."""
-        remaining: list[tuple[str, str]] = []
-        cleared = 0
-        for bucket, path in self._orphans:
-            try:
-                self._upload.delete(bucket, path)
-                cleared += 1
-            except NoSuchKey:
-                cleared += 1
-            except Exception:
-                remaining.append((bucket, path))
-        self._orphans = remaining
-        return cleared
 
     def compact_all(self) -> list[CompactionResult]:
         """Run :meth:`compact_tenant` for every registered tenant."""

@@ -11,8 +11,8 @@ assert the promises LogStore makes to clients and to itself:
   log prefix hold byte-identical row-store state.
 * **catalog/OSS agreement** — every catalog LogBlock entry points at an
   existing object, no two entries share a path, and no ``.lgb`` object
-  exists on OSS that the catalog (or the orphan queues awaiting a
-  sweep) does not account for.
+  exists on OSS that the catalog (or the janitor's orphan queue
+  awaiting a sweep) does not account for.
 
 Checks are read-only: they query through the normal broker path and
 inspect metadata, so a passing run proves the *user-visible* system,
@@ -180,15 +180,7 @@ class InvariantChecker:
                 )
             )
         # Orphans still queued for a sweep are accounted for, not leaked.
-        pending = {path for _bucket, path in self._store.builder.orphans}
-        compactor = getattr(self._store, "compactor", None)
-        if compactor is not None:
-            pending |= {path for _bucket, path in compactor.orphans}
-        lifecycle = getattr(self._store, "lifecycle", None)
-        if lifecycle is not None:
-            pending |= {path for _bucket, path in lifecycle.sweeper.orphans}
-            pending |= {path for _bucket, path in lifecycle.cold.orphans}
-        unaccounted = sorted(stored - object_paths - pending)
+        unaccounted = sorted(stored - object_paths - set(self._store.janitor.orphans))
         if unaccounted:
             violations.append(
                 InvariantViolation(

@@ -339,20 +339,16 @@ class ChaosContext:
         self.advance(2.0)
         self._retry("settle", self.store.settle_writes)
         self._retry("flush", self.store.flush_all)
-        self.store.builder.sweep_orphans()
-        compactor = getattr(self.store, "compactor", None)
-        if compactor is not None:
-            compactor.sweep_orphans()
         # Lifecycle convergence: offboards re-run (idempotent — they
         # re-delete whatever the mid-run crash left), the last sweep
         # replays at its recorded cutoff (expiry is exactly-once, so a
-        # replay only picks up what the crash dropped), and queued
-        # orphans drain.  The checker then proves zero residue.
+        # replay only picks up what the crash dropped), and the janitor's
+        # orphan queue drains.  The checker then proves zero residue.
         for tenant_id in sorted(self.offboarded):
             self.store.lifecycle.offboarder.offboard(tenant_id, export=False)
         if self._lifecycle_now_ts is not None:
             self.store.lifecycle.sweeper.sweep(self._lifecycle_now_ts)
-        self.store.lifecycle.sweeper.sweep_orphans()
+        self.store.janitor.sweep()
         self._record("phase.quiesced", "cluster")
 
     def _retry(self, what: str, fn, rounds: int = 30, pause_s: float = 0.5) -> None:

@@ -39,10 +39,11 @@ class Scenario:
 
 
 def _make_compactor(ctx: ChaosContext) -> Compactor:
-    """Build a compactor over the store's (fault-injected) OSS and
-    attach it so the invariant checker accounts for its orphans."""
+    """Build a compactor over the store's (fault-injected) OSS whose
+    retired objects go through the store's janitor, so the invariant
+    checker accounts for its orphans."""
     store = ctx.store
-    compactor = Compactor(
+    return Compactor(
         store.schema,
         store.oss,
         store.config.bucket,
@@ -53,10 +54,8 @@ def _make_compactor(ctx: ChaosContext) -> Compactor:
         target_rows=1_000,
         retry_clock=ctx.clock,
         obs=store.obs,
-        invalidate=store.invalidate_blob,
+        janitor=store.janitor,
     )
-    store.compactor = compactor
-    return compactor
 
 
 # -- staged scenarios ------------------------------------------------------

@@ -74,15 +74,13 @@ class LogStoreConfig:
     use_prefetch: bool = True
 
     # data lifecycle (repro.lifecycle): background retention sweeps and
-    # cold tiering, ticked from run_background_tasks().
+    # cold tiering (for tenants with a cold_age), ticked from
+    # run_background_tasks().
     lifecycle_sweep_enabled: bool = True
-    lifecycle_cold_enabled: bool = True
     cold_codec: str = "lzma"  # cheaper-per-byte codec for aged data
     # Cold members re-chunk at this many rows (0 = reuse
-    # target_rows_per_logblock); aged runs repack once at least
-    # cold_min_blocks hot blocks qualify.
+    # target_rows_per_logblock).
     cold_target_rows: int = 0
-    cold_min_blocks: int = 1
 
     # SQL front door: live sessions per cluster.
     max_sessions: int = 64
@@ -143,8 +141,6 @@ class LogStoreConfig:
             raise ConfigError("max_sessions must be >= 1")
         if self.cold_target_rows < 0:
             raise ConfigError("cold_target_rows must be >= 0 (0 = target_rows)")
-        if self.cold_min_blocks < 1:
-            raise ConfigError("cold_min_blocks must be >= 1")
         from repro.codec.registry import available_codecs
 
         if self.cold_codec not in available_codecs():

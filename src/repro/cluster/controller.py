@@ -3,7 +3,8 @@
 Mirrors Figure 3's controller box: it owns the catalog (metadata DB),
 builds the cluster topology, initializes routing via consistent hashing
 (Algorithm 1 lines 4–7), runs the hotspot manager (monitor → balancer →
-router), and schedules background tasks (archiving, expiry).
+router), and schedules background archiving (expiry runs in the
+lifecycle tick, :mod:`repro.lifecycle`).
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from repro.flow.graph import ClusterTopology
 from repro.flow.monitor import TrafficMonitor, TrafficSample
 from repro.flow.router import RouteRule, RoutingTable
 from repro.meta.catalog import Catalog
-from repro.meta.expiry import ExpiryReport, ExpiryTask
-from repro.oss.metered import MeteredObjectStore
 
 
 def build_topology(config: LogStoreConfig) -> ClusterTopology:
@@ -56,12 +55,10 @@ class Controller:
         self,
         config: LogStoreConfig,
         catalog: Catalog,
-        store: MeteredObjectStore,
         clock: VirtualClock,
     ) -> None:
         self.config = config
         self.catalog = catalog
-        self._store = store
         self._clock = clock
         self.topology = build_topology(config)
         self.ring = ConsistentHashRing(self.topology.shards)
@@ -74,7 +71,6 @@ class Controller:
             balancer_factory=lambda topology: make_balancer(config, topology),
             interval_s=config.monitor_interval_s,
         )
-        self._expiry = ExpiryTask(catalog, store, config.bucket)
         self.workers: dict[str, Worker] = {}
 
     # -- routing ---------------------------------------------------------
@@ -142,7 +138,3 @@ class Controller:
         for worker in self.workers.values():
             report.merge(worker.flush_all())
         return report
-
-    def expire_data(self, now_ts: int) -> ExpiryReport:
-        """Run the retention sweep (task manager, §3.1)."""
-        return self._expiry.run(now_ts)

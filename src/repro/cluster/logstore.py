@@ -33,7 +33,7 @@ from repro.common.errors import ClusterError, InvalidBatchError, WorkerNotFound
 from repro.flow.monitor import TrafficSample
 from repro.logblock.schema import TableSchema, request_log_schema
 from repro.meta.catalog import Catalog
-from repro.meta.expiry import ExpiryReport
+from repro.meta.janitor import Janitor
 from repro.obs.analyze import render_explain_analyze
 from repro.obs.context import Observability
 from repro.obs.report import MetricsReport
@@ -82,7 +82,16 @@ class LogStore:
         self.oss.create_bucket(config.bucket)
 
         self.catalog = Catalog(schema)
-        self.controller = Controller(config, self.catalog, self.oss, self.clock)
+        self.controller = Controller(config, self.catalog, self.clock)
+        # The one way an archived object leaves OSS: every retirer below
+        # (builder, lifecycle, a compactor built over this store) shares it.
+        self.janitor = Janitor(
+            self.catalog,
+            self.oss,
+            config.bucket,
+            invalidate=self.invalidate_blob,
+            obs=self.obs,
+        )
 
         builder = DataBuilder(
             schema,
@@ -94,6 +103,7 @@ class LogStore:
             target_rows=config.target_rows_per_logblock,
             build_indexes=config.build_indexes,
             obs=self.obs,
+            janitor=self.janitor,
         )
 
         self._builder = builder
@@ -151,23 +161,19 @@ class LogStore:
             self.oss,
             config.bucket,
             schema,
+            self.janitor,
             obs=self.obs,
-            invalidate=self.invalidate_blob,
             sweep_enabled=config.lifecycle_sweep_enabled,
-            cold_enabled=config.lifecycle_cold_enabled,
             cold_codec=config.cold_codec,
             cold_target_rows=(
                 config.cold_target_rows
                 if config.cold_target_rows > 0
                 else config.target_rows_per_logblock
             ),
-            cold_min_blocks=config.cold_min_blocks,
             block_rows=config.block_rows,
             build_indexes=config.build_indexes,
             retry_clock=self.clock,
         )
-        # Compaction/build orphans converge through the lifecycle sweep.
-        self.lifecycle.sweeper.attach_orphan_source(builder)
 
         from repro.obs.alerts import AlertEngine, default_alert_rules
 
@@ -594,23 +600,9 @@ class LogStore:
                 results[shard_id] = shard.checkpoint()
         return results
 
-    def expire_data(self, now_ts: int | None = None) -> ExpiryReport:
-        """Run retention-based deletion; invalidates caches for victims."""
-        if now_ts is None:
-            now_ts = int(self.clock.now() * 1_000_000)
-        victims = {
-            path
-            for block in ExpiryProbe(self).expired_blocks(now_ts)
-            for path in (block.path, block.object_path)
-        }
-        report = self.controller.expire_data(now_ts)
-        for path in victims:
-            self.invalidate_blob(path)
-        return report
-
     def invalidate_blob(self, path: str) -> None:
-        """Drop every cache entry of one deleted blob — what whoever
-        deletes an archived object (lifecycle tasks, a compactor) calls."""
+        """Drop every cache entry of one deleted blob (the janitor calls
+        it for each object it retires)."""
         self.cache.invalidate_blob(self.config.bucket, path)
 
     # -- data lifecycle (repro.lifecycle) ---------------------------------
@@ -685,16 +677,3 @@ class LogStore:
 
     def pending_rows(self) -> int:
         return sum(worker.pending_rows() for worker in self.workers.values())
-
-
-class ExpiryProbe:
-    """Read-only view of what expiry would delete (for cache invalidation)."""
-
-    def __init__(self, store: LogStore) -> None:
-        self._store = store
-
-    def expired_blocks(self, now_ts: int):
-        from repro.meta.expiry import ExpiryTask
-
-        task = ExpiryTask(self._store.catalog, self._store.oss, self._store.config.bucket)
-        return task.expired_blocks(now_ts)

@@ -14,8 +14,8 @@ byte-identical across tiers (asserted in tests and
 
 Crash safety follows the hot compactor's ordering: upload the segment
 and register its members *before* retiring any victim, so every
-intermediate state is queryable; failed victim deletes become orphans
-for the sweeper.
+intermediate state is queryable; victims leave through the janitor
+(:mod:`repro.meta.janitor`).
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 
 from repro.builder.compaction import rewrite_blocks
 from repro.common.clock import Clock, VirtualClock
-from repro.common.errors import BuildError, NoSuchKey
+from repro.common.errors import BuildError
 from repro.logblock.schema import TableSchema
 from repro.logblock.writer import DEFAULT_BLOCK_ROWS
 from repro.meta.catalog import TIER_COLD, Catalog, LogBlockEntry
+from repro.meta.janitor import Janitor
 from repro.obs.context import Observability
 from repro.oss.retry import (
     DEFAULT_BACKOFF_S,
@@ -75,30 +76,25 @@ class ColdCompactor:
         oss,
         bucket: str,
         catalog: Catalog,
+        janitor: Janitor,
         codec: str = DEFAULT_COLD_CODEC,
         block_rows: int = DEFAULT_BLOCK_ROWS,
         target_rows: int = 200_000,
-        min_blocks: int = 1,
         build_indexes: bool = True,
         max_upload_attempts: int = DEFAULT_MAX_ATTEMPTS,
         upload_backoff_s: float = DEFAULT_BACKOFF_S,
         retry_clock: Clock | None = None,
         obs: Observability | None = None,
-        invalidate=None,
-        orphan_sink=None,
     ) -> None:
         if target_rows <= 0:
             raise BuildError(f"target_rows must be positive, got {target_rows}")
-        if min_blocks < 1:
-            raise BuildError(f"min_blocks must be >= 1, got {min_blocks}")
         self._schema = schema
-        self._oss = oss
         self._bucket = bucket
         self._catalog = catalog
+        self._janitor = janitor
         self._codec = codec
         self._block_rows = block_rows
         self._target_rows = target_rows
-        self._min_blocks = min_blocks
         self._build_indexes = build_indexes
         self._upload = RetryingObjectStore(
             oss,
@@ -106,11 +102,6 @@ class ColdCompactor:
             backoff_s=upload_backoff_s,
             clock=retry_clock if retry_clock is not None else VirtualClock(),
         )
-        self._invalidate = invalidate
-        # Failed victim deletes go to the sweeper when attached, else to
-        # a local queue exposed via :attr:`orphans`.
-        self._orphan_sink = orphan_sink
-        self._orphans: list[tuple[str, str]] = []
         self._generation = 0
         self._obs = obs if obs is not None else Observability.noop()
         registry = self._obs.registry
@@ -151,10 +142,10 @@ class ColdCompactor:
     # -- repack ------------------------------------------------------------
 
     def repack_tenant(self, tenant_id: int, now_ts: int) -> ColdRepackResult:
-        """Demote the tenant's aged hot blocks; no-op below min_blocks."""
+        """Demote the tenant's aged hot blocks; no-op without any."""
         result = ColdRepackResult(tenant_id=tenant_id)
         victims = self.candidates(tenant_id, now_ts)
-        if len(victims) < self._min_blocks:
+        if not victims:
             return result
         with self._obs.tracer.span(
             "lifecycle.cold_pack", tenant=tenant_id, victims=len(victims)
@@ -237,17 +228,12 @@ class ColdCompactor:
             )
 
         # Upload before registering anything: a failed PUT must leave
-        # the catalog untouched, with any torn object compensated away
-        # through the raw store (matching Compactor._compact).
+        # the catalog untouched, with any torn object discarded by the
+        # janitor (matching Compactor._compact).
         try:
             self._upload.put(self._bucket, segment_key, segment)
         except BaseException:
-            try:
-                self._oss.delete(self._bucket, segment_key)
-            except NoSuchKey:
-                pass  # the failed PUT left nothing behind
-            except Exception:
-                self._queue_orphan(segment_key)
+            self._janitor.discard(segment_key)
             raise
         for entry in entries:
             self._catalog.add_block(entry)
@@ -256,45 +242,8 @@ class ColdCompactor:
         result.blocks_after = len(entries)
         result.segment_paths.append(segment_key)
 
-        # Members are live; retire the hot victims.  The catalog entry
-        # goes even when the object delete fails (rows already live in
-        # the segment; keeping the victim would double-count them) —
-        # the object becomes an orphan for the sweeper.
-        for block in victims:
-            try:
-                self._upload.delete(self._bucket, block.path)
-            except NoSuchKey:
-                pass
-            except Exception:
-                self._queue_orphan(block.path)
-            self._catalog.remove_block(block)
-            if self._invalidate is not None:
-                self._invalidate(block.path)
-
-    # -- orphans -----------------------------------------------------------
-
-    def _queue_orphan(self, path: str) -> None:
-        if self._orphan_sink is not None:
-            self._orphan_sink.add_orphan(self._bucket, path)
-        else:
-            self._orphans.append((self._bucket, path))
-
-    @property
-    def orphans(self) -> list[tuple[str, str]]:
-        """(bucket, path) pairs whose delete failed (no sink attached)."""
-        return list(self._orphans)
-
-    def sweep_orphans(self) -> int:
-        """Retry deleting locally queued orphans; returns how many cleared."""
-        remaining: list[tuple[str, str]] = []
-        cleared = 0
-        for bucket, path in self._orphans:
-            try:
-                self._upload.delete(bucket, path)
-                cleared += 1
-            except NoSuchKey:
-                cleared += 1
-            except Exception:
-                remaining.append((bucket, path))
-        self._orphans = remaining
-        return cleared
+        # Members are live; retire the hot victims.  Their catalog
+        # entries go even when an object DELETE fails (rows already live
+        # in the segment; keeping a victim would double-count them) —
+        # the janitor queues the object instead.
+        self._janitor.retire(victims)

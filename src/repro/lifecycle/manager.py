@@ -1,9 +1,9 @@
 """LifecycleManager: the background tick that runs the lifecycle.
 
 One object owns the three lifecycle actors (sweeper, cold compactor,
-offboarder), shares the sweeper as the cluster-wide orphan sink, and
-exposes a single :meth:`tick` for ``LogStore.run_background_tasks`` —
-expiry first (cheapest, frees the most), then cold repacks.
+offboarder), hands them the cluster's one janitor, and exposes a single
+:meth:`tick` for ``LogStore.run_background_tasks`` — expiry first
+(cheapest, frees the most), then cold repacks.
 
 It also maintains the three metrics the stalled-sweeper alert
 (:mod:`repro.lifecycle.alerts`) is defined over, so detection works
@@ -19,6 +19,7 @@ from repro.lifecycle.sweeper import ExpirySweeper, SweepReport
 from repro.logblock.schema import TableSchema
 from repro.logblock.writer import DEFAULT_BLOCK_ROWS
 from repro.meta.catalog import Catalog
+from repro.meta.janitor import Janitor
 from repro.obs.context import Observability
 
 
@@ -31,24 +32,19 @@ class LifecycleManager:
         store,
         bucket: str,
         schema: TableSchema,
+        janitor: Janitor,
         obs: Observability | None = None,
-        invalidate=None,
         sweep_enabled: bool = True,
-        cold_enabled: bool = True,
         cold_codec: str = DEFAULT_COLD_CODEC,
         cold_target_rows: int = 200_000,
-        cold_min_blocks: int = 1,
         block_rows: int = DEFAULT_BLOCK_ROWS,
         build_indexes: bool = True,
         retry_clock=None,
     ) -> None:
         self._catalog = catalog
         self._sweep_enabled = sweep_enabled
-        self._cold_enabled = cold_enabled
         self._obs = obs if obs is not None else Observability.noop()
-        self.sweeper = ExpirySweeper(
-            catalog, store, bucket, obs=self._obs, invalidate=invalidate
-        )
+        self.sweeper = ExpirySweeper(catalog, janitor, obs=self._obs)
         self.cold = ColdCompactor(
             schema,
             store,
@@ -57,20 +53,13 @@ class LifecycleManager:
             codec=cold_codec,
             block_rows=block_rows,
             target_rows=cold_target_rows,
-            min_blocks=cold_min_blocks,
             build_indexes=build_indexes,
             retry_clock=retry_clock,
             obs=self._obs,
-            invalidate=invalidate,
-            orphan_sink=self.sweeper,
+            janitor=janitor,
         )
         self.offboarder = TenantOffboarder(
-            catalog,
-            store,
-            bucket,
-            obs=self._obs,
-            invalidate=invalidate,
-            orphan_sink=self.sweeper,
+            catalog, store, bucket, janitor, obs=self._obs
         )
         self._ticks = 0
         registry = self._obs.registry
@@ -117,6 +106,5 @@ class LifecycleManager:
             report = self.sweeper.sweep(now_ts)
             self._last_sweep_tick.set(self._ticks)
             self._candidates_gauge.set(0)
-        if self._cold_enabled:
-            self.cold.repack_all(now_ts)
+        self.cold.repack_all(now_ts)
         return report

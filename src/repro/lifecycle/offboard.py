@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.common.errors import NoSuchKey, TenantNotFound
+from repro.common.errors import TenantNotFound
 from repro.meta.catalog import Catalog
+from repro.meta.janitor import Janitor
 from repro.obs.context import Observability
 from repro.tarpack.packer import PackBuilder
 
@@ -60,15 +61,13 @@ class TenantOffboarder:
         catalog: Catalog,
         store,
         bucket: str,
+        janitor: Janitor,
         obs: Observability | None = None,
-        invalidate=None,
-        orphan_sink=None,
     ) -> None:
         self._catalog = catalog
         self._store = store
         self._bucket = bucket
-        self._invalidate = invalidate
-        self._orphan_sink = orphan_sink
+        self._janitor = janitor
         self._obs = obs if obs is not None else Observability.noop()
         registry = self._obs.registry
         self._offboards_total = registry.counter(
@@ -148,41 +147,21 @@ class TenantOffboarder:
             self._catalog.tenant(tenant_id)
         except TenantNotFound:
             known = False  # idempotent re-run: nothing to export, verify only
+        gone: list[bool] = []
         if known:
             if export:
                 key, n_blocks, n_bytes = self.export_tenant(tenant_id)
                 report.export_key = key
                 report.exported_blocks = n_blocks
                 report.exported_bytes = n_bytes
-            blocks = self._catalog.drop_tenant(tenant_id)
-            objects = sorted({block.object_path for block in blocks})
-            for path in objects:
-                try:
-                    self._store.delete(self._bucket, path)
-                    report.deleted_objects += 1
-                except NoSuchKey:
-                    report.deleted_objects += 1
-                except Exception:
-                    report.failed_deletes += 1
-                    if self._orphan_sink is not None:
-                        self._orphan_sink.add_orphan(self._bucket, path)
-            if self._invalidate is not None:
-                # Decoded objects are cached under each block's own path,
-                # byte ranges under the object (a cold segment) holding it.
-                for path in sorted({block.path for block in blocks} | set(objects)):
-                    self._invalidate(path)
-        # Stragglers outside the catalog (orphans from earlier crashes)
-        # also belong to the departing tenant: delete by prefix listing.
+            gone += self._janitor.drop_tenant(tenant_id).values()
+        # Stragglers outside the catalog (orphans from earlier crashes,
+        # a DELETE that just failed) also belong to the departing
+        # tenant: one more try by prefix listing.
         for stat in self._store.list(self._bucket, f"tenants/{tenant_id}/"):
-            try:
-                self._store.delete(self._bucket, stat.key)
-                report.deleted_objects += 1
-            except NoSuchKey:
-                pass
-            except Exception:
-                report.failed_deletes += 1
-                if self._orphan_sink is not None:
-                    self._orphan_sink.add_orphan(self._bucket, stat.key)
+            gone.append(self._janitor.discard(stat.key))
+        report.deleted_objects = sum(gone)
+        report.failed_deletes = len(gone) - report.deleted_objects
         report.residue = self.verify_residue(tenant_id)
         report.verified = not report.residue and report.failed_deletes == 0
         self._offboards_total.add()

@@ -1,8 +1,8 @@
-"""Controller metadata: tenant catalog, LogBlock map, expiry and backup."""
+"""Controller metadata: tenant catalog, LogBlock map, the janitor and backup."""
 
 from repro.meta.backup import BackupReport, BackupTask
 from repro.meta.catalog import Catalog, LogBlockEntry, TenantInfo
-from repro.meta.expiry import ExpiryReport, ExpiryTask
+from repro.meta.janitor import Janitor
 from repro.meta.persistence import (
     load_catalog_into,
     rebuild_catalog_from_store,
@@ -13,10 +13,9 @@ __all__ = [
     "BackupReport",
     "BackupTask",
     "Catalog",
+    "Janitor",
     "LogBlockEntry",
     "TenantInfo",
-    "ExpiryReport",
-    "ExpiryTask",
     "load_catalog_into",
     "rebuild_catalog_from_store",
     "save_catalog",

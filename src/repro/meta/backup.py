@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import CatalogError, NoSuchKey, TenantNotFound
 from repro.meta.catalog import Catalog, LogBlockEntry
+from repro.meta.janitor import Janitor
 from repro.oss.metered import MeteredObjectStore
 
 MANIFEST_VERSION = 1
@@ -78,10 +79,17 @@ def _deserialize_entries(data: bytes) -> tuple[int, list[LogBlockEntry]]:
 class BackupTask:
     """Copies one tenant's LogBlocks + catalog state between stores."""
 
-    def __init__(self, catalog: Catalog, store: MeteredObjectStore, bucket: str) -> None:
+    def __init__(
+        self,
+        catalog: Catalog,
+        store: MeteredObjectStore,
+        bucket: str,
+        janitor: Janitor,
+    ) -> None:
         self._catalog = catalog
         self._store = store
         self._bucket = bucket
+        self._janitor = janitor
 
     def backup_tenant(
         self,
@@ -179,7 +187,5 @@ class BackupTask:
             destination, dest_bucket, tenant_id, destination_catalog, destination, dest_bucket
         )
         if purge_source:
-            from repro.meta.expiry import ExpiryTask
-
-            ExpiryTask(self._catalog, self._store, self._bucket).purge_tenant(tenant_id)
+            self._janitor.drop_tenant(tenant_id)
         return report

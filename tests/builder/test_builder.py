@@ -9,6 +9,7 @@ from repro.common.errors import BuildError
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import request_log_schema
 from repro.meta.catalog import Catalog, LogBlockEntry
+from repro.meta.janitor import Janitor
 from repro.rowstore.memtable import MemTable
 from repro.tarpack.reader import PackReader
 
@@ -38,7 +39,7 @@ def catalog():
 @pytest.fixture
 def builder(free_store, catalog):
     return DataBuilder(
-        request_log_schema(), free_store, "test", catalog,
+        request_log_schema(), free_store, "test", catalog, Janitor(catalog, free_store, "test"),
         codec="zlib", block_rows=64, target_rows=150,
     )
 
@@ -153,6 +154,7 @@ class TestSchemaAuthority:
         catalog = Catalog(request_log_schema())
         builder = DataBuilder(
             request_log_schema(), free_store, "test", catalog,
+            Janitor(catalog, free_store, "test"),
             codec="zlib", block_rows=64,
         )
         catalog.add_column(ColumnSpec("region", ColumnType.STRING))

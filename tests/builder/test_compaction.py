@@ -8,6 +8,7 @@ from repro.common.errors import BuildError
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import request_log_schema
 from repro.meta.catalog import Catalog
+from repro.meta.janitor import Janitor
 from repro.rowstore.memtable import MemTable
 from repro.tarpack.reader import PackReader
 
@@ -22,7 +23,7 @@ def catalog():
 def archive_batches(store, catalog, tenant_id: int, batches: int, rows_each: int):
     """Archive several small memtables → many small LogBlocks."""
     builder = DataBuilder(
-        request_log_schema(), store, "test", catalog,
+        request_log_schema(), store, "test", catalog, Janitor(catalog, store, "test"),
         codec="zlib", block_rows=64, target_rows=1_000,
     )
     for batch in range(batches):
@@ -52,7 +53,10 @@ def make_compactor(store, catalog, **overrides) -> Compactor:
         codec="zlib", block_rows=64, small_threshold_rows=500, target_rows=2_000,
     )
     params.update(overrides)
-    return Compactor(request_log_schema(), store, "test", catalog, **params)
+    return Compactor(
+        request_log_schema(), store, "test", catalog,
+        Janitor(catalog, store, "test"), **params,
+    )
 
 
 class TestCompactTenant:

@@ -7,6 +7,7 @@ from repro.builder.compaction import Compactor
 from repro.common.errors import TransientStoreError
 from repro.logblock.schema import request_log_schema
 from repro.meta.catalog import Catalog
+from repro.meta.janitor import Janitor
 from repro.oss.retry import FlakyStore
 from repro.oss.store import InMemoryObjectStore
 from repro.rowstore.memtable import MemTable
@@ -31,7 +32,10 @@ def flaky():
 def make_builder(store, catalog, **overrides) -> DataBuilder:
     params = dict(codec="zlib", block_rows=64, target_rows=500)
     params.update(overrides)
-    return DataBuilder(request_log_schema(), store, "test", catalog, **params)
+    return DataBuilder(
+        request_log_schema(), store, "test", catalog,
+        Janitor(catalog, store, "test"), **params,
+    )
 
 
 class TestUploadRetry:
@@ -75,7 +79,7 @@ class TestUploadRetry:
         builder = make_builder(flaky, catalog, target_rows=100)
         builder.archive_memtable(sealed(300))  # 3 small blocks
         compactor = Compactor(
-            request_log_schema(), flaky, "test", catalog,
+            request_log_schema(), flaky, "test", catalog, Janitor(catalog, flaky, "test"),
             codec="zlib", block_rows=64, small_threshold_rows=200, target_rows=1_000,
         )
         flaky.fail_next(2)

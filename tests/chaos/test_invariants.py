@@ -126,11 +126,11 @@ def test_checker_catches_orphaned_object():
 
 
 def test_orphans_awaiting_sweep_are_not_flagged():
-    """Objects queued in the builder's orphan list are accounted for —
+    """Objects queued in the janitor's orphan queue are accounted for —
     they are a known cleanup debt, not a leak."""
     store, ledger = make_store(), WriteLedger()
     store.oss.put(store.config.bucket, "tenants/1/pending.lgb", b"junk")
-    store.builder._orphans.append((store.config.bucket, "tenants/1/pending.lgb"))
+    store.janitor._orphans["tenants/1/pending.lgb"] = None
     violations = InvariantChecker(store, ledger).check_all()
     assert violations == []
 

@@ -74,7 +74,7 @@ class TestArchiveFailureAtomicity:
         with pytest.raises(TransientStoreError):
             store.run_background_tasks()
         chaos.heal()
-        store.builder.sweep_orphans()
+        store.janitor.sweep()
         catalog_paths = {entry.path for entry in store.catalog.all_blocks()}
         stored = {
             stat.key
@@ -242,6 +242,7 @@ class TestCompactorCompensation:
             small_threshold_rows=500,
             target_rows=1_000,
             retry_clock=store.clock,
+            janitor=store.janitor,
         )
         chaos.tear_next_puts(10, 0.5)
         try:
@@ -249,7 +250,7 @@ class TestCompactorCompensation:
         except TransientStoreError:
             pass
         chaos.heal()
-        compactor.sweep_orphans()
+        store.janitor.sweep()
         catalog_paths = {entry.path for entry in store.catalog.all_blocks()}
         stored = {
             stat.key
@@ -262,12 +263,13 @@ class TestCompactorCompensation:
 
     def test_compensation_deletes_use_raw_store(self):
         """During the outage that failed the upload, each compensation
-        delete must hit the store exactly once and queue an orphan —
-        not burn the retrying wrapper's full backoff budget per path
-        (matching DataBuilder._compensate)."""
+        delete must hit the store exactly once and queue an orphan with
+        the janitor — not burn the retrying wrapper's full backoff
+        budget per path."""
         from collections import Counter
 
         from repro.builder.compaction import Compactor
+        from repro.meta.janitor import Janitor
 
         class FlakyStore:
             def __init__(self, inner):
@@ -300,6 +302,7 @@ class TestCompactorCompensation:
         store.put(1, make_rows(1, 1100, "raw"))
         store.flush_all()
         flaky = FlakyStore(store.oss)
+        janitor = Janitor(store.catalog, flaky, store.config.bucket)
         compactor = Compactor(
             store.schema,
             flaky,
@@ -311,6 +314,7 @@ class TestCompactorCompensation:
             target_rows=500,
             max_upload_attempts=3,
             retry_clock=clock,
+            janitor=janitor,
         )
         # 1100 rows -> 3 output chunks; the first uploads, the second
         # fails: compensation must delete both it and the uploaded one.
@@ -318,14 +322,14 @@ class TestCompactorCompensation:
         flaky.puts_allowed = 1
         with pytest.raises(TransientStoreError):
             compactor.compact_tenant(1)
-        assert len(compactor.orphans) == 2
+        assert len(janitor.orphans) == 2
         assert len(flaky.delete_attempts) == 2
         for key, attempts in flaky.delete_attempts.items():
             assert attempts == 1, f"{key} delete retried during outage"
         # After heal the orphan sweep restores catalog/OSS agreement.
         flaky.failing = False
-        compactor.sweep_orphans()
-        assert compactor.orphans == []
+        janitor.sweep()
+        assert janitor.orphans == []
         catalog_paths = {entry.path for entry in store.catalog.all_blocks()}
         stored = {
             stat.key

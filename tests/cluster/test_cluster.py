@@ -151,8 +151,8 @@ class TestExpiryIntegration:
         store.flush_all()
         store.put(5, new)
         store.flush_all()
-        report = store.expire_data(now_ts=BASE_TS + 3650 * MICROS)
-        assert report.blocks_deleted == 1
+        report = store.sweep_expired(now_ts=BASE_TS + 3650 * MICROS)
+        assert report.blocks_expired == 1
         result = store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 5")
         assert result.rows == [{"COUNT(*)": 50}]
 

@@ -12,9 +12,6 @@ from repro.cluster.simulation import (
 from repro.common.clock import VirtualClock
 from repro.logblock.schema import request_log_schema
 from repro.meta.catalog import Catalog
-from repro.oss.costmodel import free
-from repro.oss.metered import MeteredObjectStore
-from repro.oss.store import InMemoryObjectStore
 from repro.workload import tenant_traffic
 
 
@@ -27,9 +24,7 @@ def make_controller(balancer="maxflow", n_workers=8, capacity=50_000.0):
         per_tenant_shard_limit_rps=capacity / 4 * 1.2,
         monitor_interval_s=300,
     )
-    clock = VirtualClock()
-    store = MeteredObjectStore(InMemoryObjectStore(), free(), clock)
-    return Controller(config, Catalog(request_log_schema()), store, clock)
+    return Controller(config, Catalog(request_log_schema()), VirtualClock())
 
 
 def run(theta, balancer, offered_fraction=0.8, duration_s=1200):

@@ -123,7 +123,7 @@ class TestLifecycle:
 
         # Expire tenant 1's data; tenant 2 unaffected.
         now_ts = BASE_TS + 3600 * MICROS
-        report = store.expire_data(now_ts=now_ts)
+        report = store.sweep_expired(now_ts=now_ts)
         assert report.tenants_touched == {1}
         assert store.query(
             "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1"

@@ -10,6 +10,7 @@ from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
 from repro.common.clock import VirtualClock
 from repro.logblock.schema import request_log_schema
 from repro.meta.catalog import Catalog
+from repro.meta.janitor import Janitor
 from repro.oss.costmodel import free
 from repro.oss.metered import MeteredObjectStore
 from repro.oss.store import InMemoryObjectStore
@@ -28,7 +29,7 @@ def env():
     store = MeteredObjectStore(InMemoryObjectStore(), free(), VirtualClock())
     store.create_bucket("fuzz")
     builder = DataBuilder(
-        request_log_schema(), store, "fuzz", catalog,
+        request_log_schema(), store, "fuzz", catalog, Janitor(catalog, store, "fuzz"),
         codec="zlib", block_rows=64, target_rows=200,
     )
     table = MemTable()

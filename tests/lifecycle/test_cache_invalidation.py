@@ -1,8 +1,8 @@
 """A deleted blob leaves nothing behind in the object cache.
 
 Whatever retires an archived object — compaction, cold compaction, the
-expiry sweep (and the older ``expire_data``), tenant offboarding — must
-drop every ``(bucket, blob, *)`` entry of ``cache.objects``: the pack
+expiry sweep, tenant offboarding, each through the store's janitor —
+must drop every ``(bucket, blob, *)`` entry of ``cache.objects``: the pack
 header, the meta, decoded indexes and Bloom filters, and the decoded
 column blocks queries left there.  And the rewritten data must answer
 from warm caches exactly as the rows it was built from do.
@@ -41,7 +41,7 @@ def answers(store, tenant: int) -> list:
 def store():
     store = LogStore.create(
         config=small_test_config(
-            seal_rows=200, target_rows_per_logblock=200, cold_target_rows=300, cold_min_blocks=1
+            seal_rows=200, target_rows_per_logblock=200, cold_target_rows=300
         )
     )
     for tenant in (1, 2):
@@ -99,7 +99,7 @@ class TestNoKeyOfADeletedBlobRemains:
             block_rows=store.config.block_rows,
             small_threshold_rows=500,
             target_rows=1_000,
-            invalidate=store.invalidate_blob,
+            janitor=store.janitor,
         )
         result = compactor.compact_tenant(1)
         assert result.compacted and result.blocks_after < len(victims)
@@ -173,19 +173,33 @@ class TestNoKeyOfADeletedBlobRemains:
         assert store.sweep_expired().segments_deleted == 1
         assert held_ranges(store, segment) == []
 
-    @pytest.mark.parametrize("how", ["sweep_expired", "expire_data"])
-    def test_expiry(self, store, how):
+    def test_expiry(self, store):
         victims = warm(store)
         others = warm(store, tenant=2)
         store.set_retention(1, ttl="1h")
-        store.catalog.set_retention(1, 3_600.0)
         age(store, hours=2)
-        getattr(store, how)()
+        store.sweep_expired()
         assert store.catalog.tenant(1).blocks == []
         assert not cached_blobs(store) & victims
         assert cached_blobs(store) >= others  # another tenant's entries are not touched
         assert answers(store, 1) == oracle(1, [])
         assert answers(store, 2) == oracle(2, make_rows(N_ROWS, tenant_id=2, seed=2))
+
+    def test_a_read_racing_the_delete(self, store, monkeypatch):
+        """A reader that planned before the catalog removal can admit a
+        blob's objects until its DELETE lands: the keys must go after."""
+        victims = warm(store)
+        delete = store.oss.delete
+
+        def racing_delete(bucket, key):
+            store.cache.objects.put((bucket, key, "meta"), object(), 1)
+            return delete(bucket, key)
+
+        monkeypatch.setattr(store.oss, "delete", racing_delete)
+        store.set_retention(1, ttl="1h")
+        age(store, hours=2)
+        assert store.sweep_expired().blocks_expired == len(victims)
+        assert not cached_blobs(store) & victims
 
     def test_offboarding(self, store):
         victims = warm(store)

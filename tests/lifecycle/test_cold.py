@@ -19,7 +19,7 @@ HOUR_US = 3_600 * MICROS
 @pytest.fixture
 def store():
     store = LogStore.create(
-        config=small_test_config(cold_target_rows=200, cold_min_blocks=1)
+        config=small_test_config(cold_target_rows=200)
     )
     store.register_tenant(1)
     store.register_tenant(2)

@@ -149,6 +149,7 @@ class TestExecutorRequestSavings:
         from repro.common.clock import VirtualClock
         from repro.logblock.schema import request_log_schema
         from repro.meta.catalog import Catalog
+        from repro.meta.janitor import Janitor
         from repro.oss.costmodel import oss_default
         from repro.oss.metered import MeteredObjectStore
         from repro.oss.store import InMemoryObjectStore
@@ -171,7 +172,8 @@ class TestExecutorRequestSavings:
         store = MeteredObjectStore(inner, oss_default(), VirtualClock())
         store.create_bucket("b")
         builder = DataBuilder(
-            request_log_schema(), store, "b", catalog, codec="zlib", block_rows=128
+            request_log_schema(), store, "b", catalog,
+            Janitor(catalog, store, "b"), codec="zlib", block_rows=128
         )
         table = MemTable()
         table.append_many(make_rows(400, tenant_id=1))

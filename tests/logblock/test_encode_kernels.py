@@ -621,6 +621,7 @@ class TestBuilderEncode:
         from repro.builder.builder import DataBuilder
         from repro.builder.compaction import Compactor
         from repro.meta.catalog import Catalog
+        from repro.meta.janitor import Janitor
         from repro.oss.store import InMemoryObjectStore
         from repro.rowstore.memtable import MemTable
 
@@ -640,7 +641,10 @@ class TestBuilderEncode:
                 assert ref.finish() == blob, key
             return keys
 
-        builder = DataBuilder(schema, store, "v", catalog, codec="zlib", block_rows=64)
+        builder = DataBuilder(
+            schema, store, "v", catalog,
+            Janitor(catalog, store, "v"), codec="zlib", block_rows=64,
+        )
         for seed in range(3):
             table = MemTable()
             table.append_many(make_rows(400, tenant_id=1, seed=seed))
@@ -648,7 +652,7 @@ class TestBuilderEncode:
             builder.archive_memtable(table)
         built = check_new_objects(set())
         Compactor(
-            schema, store, "v", catalog, codec="zlib", block_rows=64,
+            schema, store, "v", catalog, Janitor(catalog, store, "v"), codec="zlib", block_rows=64,
             small_threshold_rows=500, target_rows=1_200,
         ).compact_tenant(1)
         check_new_objects(built)
@@ -656,6 +660,7 @@ class TestBuilderEncode:
     def test_encode_mode_counters(self):
         from repro.builder.builder import DataBuilder
         from repro.meta.catalog import Catalog
+        from repro.meta.janitor import Janitor
         from repro.obs.context import Observability
         from repro.obs.report import ENCODE_ROWS
         from repro.oss.store import InMemoryObjectStore
@@ -666,7 +671,8 @@ class TestBuilderEncode:
         store.create_bucket("v")
         obs = Observability(tracing_enabled=False)
         builder = DataBuilder(
-            request_log_schema(), store, "v", catalog, codec="zlib", block_rows=64, obs=obs
+            request_log_schema(), store, "v", catalog,
+            Janitor(catalog, store, "v"), codec="zlib", block_rows=64, obs=obs
         )
         table = MemTable()
         table.append_many(make_rows(300, tenant_id=1))

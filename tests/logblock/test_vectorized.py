@@ -112,6 +112,7 @@ class TestEndToEndEquivalence:
         from repro.common.clock import VirtualClock
         from repro.logblock.schema import request_log_schema
         from repro.meta.catalog import Catalog
+        from repro.meta.janitor import Janitor
         from repro.oss.costmodel import free
         from repro.oss.metered import MeteredObjectStore
         from repro.oss.store import InMemoryObjectStore
@@ -125,7 +126,8 @@ class TestEndToEndEquivalence:
         store = MeteredObjectStore(InMemoryObjectStore(), free(), VirtualClock())
         store.create_bucket("v")
         builder = DataBuilder(
-            request_log_schema(), store, "v", catalog, codec="zlib", block_rows=64
+            request_log_schema(), store, "v", catalog,
+            Janitor(catalog, store, "v"), codec="zlib", block_rows=64
         )
         table = MemTable()
         table.append_many(rows)

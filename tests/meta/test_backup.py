@@ -9,6 +9,7 @@ from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import request_log_schema
 from repro.meta.backup import BackupTask
 from repro.meta.catalog import Catalog
+from repro.meta.janitor import Janitor
 from repro.oss.costmodel import free
 from repro.oss.metered import MeteredObjectStore
 from repro.oss.store import InMemoryObjectStore
@@ -29,7 +30,7 @@ def source():
     catalog = Catalog(request_log_schema())
     store = fresh_store()
     builder = DataBuilder(
-        request_log_schema(), store, "test", catalog,
+        request_log_schema(), store, "test", catalog, Janitor(catalog, store, "test"),
         codec="zlib", block_rows=64, target_rows=80,
     )
     for tenant in (1, 2):
@@ -38,7 +39,7 @@ def source():
         table.append_many(make_rows(200, tenant_id=tenant, seed=tenant))
         table.seal()
         builder.archive_memtable(table)
-    return catalog, store, BackupTask(catalog, store, "test")
+    return catalog, store, BackupTask(catalog, store, "test", Janitor(catalog, store, "test"))
 
 
 class TestBackup:
@@ -104,6 +105,7 @@ class TestMigration:
     def test_moves_tenant_between_clusters(self, source):
         catalog, store, task = source
         blocks_before = len(catalog.blocks_for(1))
+        assert store.list("test", "tenants/1/")
         new_catalog = Catalog(request_log_schema())
         new_store = fresh_store("cluster-b")
         report = task.migrate_tenant(1, new_catalog, new_store, "cluster-b")
@@ -112,6 +114,7 @@ class TestMigration:
         # Source is purged; destination is complete; tenant 2 untouched.
         with pytest.raises(TenantNotFound):
             catalog.tenant(1)
+        assert store.list("test", "tenants/1/") == []
         assert len(new_catalog.blocks_for(1)) == blocks_before
         assert new_catalog.tenant(1).retention_s == 3600
         assert len(catalog.blocks_for(2)) > 0

@@ -17,6 +17,7 @@ from repro.common.clock import VirtualClock
 from repro.common.errors import QueryError
 from repro.logblock.schema import ColumnSpec, ColumnType, request_log_schema
 from repro.meta.catalog import Catalog, LogBlockEntry
+from repro.meta.janitor import Janitor
 from repro.metrics.stats import PushdownCounters
 from repro.oss.costmodel import free
 from repro.oss.metered import MeteredObjectStore
@@ -47,6 +48,7 @@ class Env:
         self.store.create_bucket(BUCKET)
         self.builder = DataBuilder(
             self.schema, self.store, BUCKET, self.catalog,
+            Janitor(self.catalog, self.store, BUCKET),
             codec="zlib", block_rows=block_rows, target_rows=target_rows,
         )
         self.rows: list[dict] = []
@@ -406,6 +408,7 @@ class TestSumPastInt64:
         built = Env()
         built.builder = DataBuilder(
             built.schema, built.store, BUCKET, built.catalog,
+            Janitor(built.catalog, built.store, BUCKET),
             codec="zlib", block_rows=4096, target_rows=20_000,
         )
         built.archive(make_rows(10_000, tenant_id=1, seed=12))

@@ -13,6 +13,7 @@ from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
 from repro.logblock.schema import request_log_schema
 from repro.logblock.writer import bloom_member, index_member
 from repro.meta.catalog import Catalog
+from repro.meta.janitor import Janitor
 from repro.query.executor import BlockExecutor
 from repro.query.planner import QueryPlanner
 from repro.query.sql import parse_sql
@@ -25,7 +26,7 @@ from tests.conftest import make_rows
 def env(free_store):
     catalog = Catalog(request_log_schema())
     builder = DataBuilder(
-        request_log_schema(), free_store, "test", catalog,
+        request_log_schema(), free_store, "test", catalog, Janitor(catalog, free_store, "test"),
         codec="zlib", block_rows=64, target_rows=150,
     )
     table = MemTable()

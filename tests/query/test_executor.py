@@ -9,6 +9,7 @@ from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
 from repro.logblock.schema import ColumnSpec, ColumnType, request_log_schema
 from repro.logblock.writer import index_member
 from repro.meta.catalog import Catalog
+from repro.meta.janitor import Janitor
 from repro.query.executor import BlockExecutor, ExecutionOptions, filter_realtime_rows
 from repro.query.planner import QueryPlanner, format_timestamp
 from repro.query.sql import parse_sql
@@ -22,7 +23,7 @@ from tests.conftest import BASE_TS, MICROS, make_rows
 def env(free_store):
     catalog = Catalog(request_log_schema())
     builder = DataBuilder(
-        request_log_schema(), free_store, "test", catalog,
+        request_log_schema(), free_store, "test", catalog, Janitor(catalog, free_store, "test"),
         codec="zlib", block_rows=64, target_rows=150,
     )
     rows = {}
@@ -182,6 +183,7 @@ class TestSmaShortCircuitFetchesNoIndex:
         catalog = Catalog(request_log_schema())
         builder = DataBuilder(
             request_log_schema(), free_store, "test", catalog,
+            Janitor(catalog, free_store, "test"),
             codec="zlib", block_rows=1024, target_rows=4_000,
         )
         rows = make_rows(self.N, tenant_id=1, seed=3)

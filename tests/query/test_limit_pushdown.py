@@ -11,6 +11,7 @@ from repro.common.clock import VirtualClock
 from repro.common.utils import wave_elapsed
 from repro.logblock.schema import request_log_schema
 from repro.meta.catalog import Catalog
+from repro.meta.janitor import Janitor
 from repro.oss.costmodel import oss_default
 from repro.oss.metered import MeteredObjectStore
 from repro.oss.store import InMemoryObjectStore
@@ -28,7 +29,7 @@ def make_env(options=None, clock=None):
     store = MeteredObjectStore(InMemoryObjectStore(), oss_default(), clock or VirtualClock())
     store.create_bucket("b")
     builder = DataBuilder(
-        request_log_schema(), store, "b", catalog,
+        request_log_schema(), store, "b", catalog, Janitor(catalog, store, "b"),
         codec="zlib", block_rows=64, target_rows=100,  # 600 rows → 6 blocks
     )
     rows = make_rows(600, tenant_id=1)
