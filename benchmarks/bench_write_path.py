@@ -17,13 +17,12 @@ nothing, keep replicas byte-identical, and stay WAL-recoverable.
 """
 
 import os
-import pickle
 
 from harness import emit
 
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
-from repro.raft.node import _WAL_KIND_ENTRY, NOOP_COMMAND
+from repro.raft.node import _WAL_KIND_ENTRY, NOOP_COMMAND, decode_entry
 from repro.rowstore import RowBatch, RowStore
 
 QUICK = os.environ.get("BENCH_QUICK") == "1"
@@ -95,7 +94,7 @@ def recover_rowstore_from_wal(node) -> RowStore:
     entries = {}
     for record in node._wal.replay():
         if record.kind == _WAL_KIND_ENTRY:
-            entry = pickle.loads(record.body)
+            entry = decode_entry(record.body)
             entries[entry.index] = entry
     recovered = RowStore()
     for index in sorted(i for i in entries if i <= node.commit_index):

@@ -191,11 +191,27 @@ class Broker:
         self._obs.slo.record_write(tenant_id, wave_s)
         return dispatched
 
+    def _touched_shards(self) -> list:
+        return [self._shard_worker(i).shards[i] for i in sorted(self._pending_shards)]
+
+    def flush_writes(self) -> None:
+        """Propose every touched shard's partial group without waiting."""
+        for shard in self._touched_shards():
+            shard.flush_writes()
+
     def settle_writes(self) -> None:
-        """Durability barrier for every shard this broker dispatched to."""
-        pending, self._pending_shards = self._pending_shards, set()
-        for shard_id in sorted(pending):
-            self._shard_worker(shard_id).settle_writes(shard_id)
+        """Durability barrier for every shard this broker dispatched to.
+
+        Every touched shard proposes its partial group before any shard
+        settles, so the groups replicate during the same clock advance
+        and the barrier costs one replication round, not one per shard.
+        A shard leaves the touched set only once it settled, so after a
+        failed barrier the next one still covers its writes.
+        """
+        self.flush_writes()
+        for shard in self._touched_shards():
+            shard.settle_writes()
+            self._pending_shards.discard(shard.shard_id)
 
     # -- query path ---------------------------------------------------------
 

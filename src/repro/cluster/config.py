@@ -35,7 +35,6 @@ class LogStoreConfig:
     group_commit: bool = False  # coalesce admitted batches into one proposal
     group_commit_batches: int = 8  # max client batches per group
     group_commit_bytes: int = 1024 * 1024  # max payload bytes per group
-    group_commit_linger_s: float = 0.002  # flush deadline for partial groups
     pipeline_depth: int = 8  # in-flight proposals per shard before settling
     write_ack: str = "quorum"  # "quorum" (majority commit) | "all" replicas
     wal_fsync_s: float = 0.0  # simulated fsync charge per non-raft WAL flush
@@ -127,8 +126,6 @@ class LogStoreConfig:
             raise ConfigError("group_commit_batches must be >= 1")
         if self.group_commit_bytes <= 0:
             raise ConfigError("group_commit_bytes must be positive")
-        if self.group_commit_linger_s < 0:
-            raise ConfigError("group_commit_linger_s must be non-negative")
         if self.pipeline_depth < 1:
             raise ConfigError("pipeline_depth must be >= 1")
         if self.write_ack not in ("quorum", "all"):

@@ -213,7 +213,6 @@ class LogStore:
             group_commit=self.config.group_commit,
             group_commit_batches=self.config.group_commit_batches,
             group_commit_bytes=self.config.group_commit_bytes,
-            group_commit_linger_s=self.config.group_commit_linger_s,
             pipeline_depth=self.config.pipeline_depth,
             write_ack=self.config.write_ack,
             wal_fsync_s=self.config.wal_fsync_s,
@@ -392,7 +391,13 @@ class LogStore:
         return self._broker().write_nowait(tenant_id, self._admit(tenant_id, rows))
 
     def settle_writes(self) -> None:
-        """Settle every broker's outstanding dispatches (ack barrier)."""
+        """Settle every broker's outstanding dispatches (ack barrier).
+
+        All brokers propose their partial groups before any settles, so
+        one clock advance replicates every shard's group.
+        """
+        for broker in self.brokers:
+            broker.flush_writes()
         for broker in self.brokers:
             broker.settle_writes()
 

@@ -12,6 +12,7 @@ which is what the load-balancing experiments want.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from operator import attrgetter
 from typing import Callable
 
@@ -65,7 +66,6 @@ class Shard:
         group_commit: bool = False,
         group_commit_batches: int = 8,
         group_commit_bytes: int = 1024 * 1024,
-        group_commit_linger_s: float = 0.002,
         pipeline_depth: int = 8,
         write_ack: str = "quorum",
         wal_fsync_s: float = 0.0,
@@ -160,10 +160,8 @@ class Shard:
             if group_commit:
                 self._group_queue = GroupCommitQueue(
                     self._flush_group,
-                    clock,
                     max_batches=group_commit_batches,
                     max_bytes=group_commit_bytes,
-                    linger_s=group_commit_linger_s,
                     size_of=attrgetter("nbytes"),
                     admit=self._admit_batch,
                     throttle_fn=self._leader_throttle,
@@ -318,6 +316,18 @@ class Shard:
         self.write_count.add(count)
         self.access_count.add(count)
 
+    def flush_writes(self) -> None:
+        """Propose the partial group now, without waiting for its ack.
+
+        The first half of :meth:`settle_writes`: a broker proposes every
+        touched shard's group before it settles any, so all of them
+        replicate during the same clock advance.  A flush refused by
+        backpressure stays queued for :meth:`settle_writes` to retry.
+        """
+        if self._group_queue is not None:
+            with suppress(BackpressureError):
+                self._group_queue.flush()
+
     def settle_writes(self, timeout_s: float = 5.0) -> None:
         """Flush any partial group and drain the replication window.
 
@@ -341,15 +351,31 @@ class Shard:
                     self._clock.advance(0.01)
         self._pipeline.settle()
 
+    def _settle_before(self) -> None:
+        """Settle admitted writes ahead of a seal, archive or checkpoint.
+
+        Without it a group still queued (``put_nowait`` with no
+        ``settle_writes``) would be proposed *after* the seal command,
+        and ``flush_all()`` would archive nothing of it.  With no leader
+        it does not wait for one; a settle that fails leaves the writes
+        queued or in flight for the next barrier (which raises until
+        they commit), and the caller goes on with what is applied.
+        """
+        if self._raft.leader() is None:
+            return
+        with suppress(RaftError, BackpressureError):
+            self.settle_writes()
+
     def checkpoint(self) -> int:
         """The §3 checkpoint task.
 
-        Raft shards snapshot their replicated log; plain shards write a
-        row-store snapshot into the WAL and truncate older segments.
-        Returns the snapshot index (Raft) or the WAL sequence of the
-        checkpoint record.
+        Raft shards snapshot their replicated log (after settling the
+        writes admitted so far); plain shards write a row-store snapshot
+        into the WAL and truncate older segments.  Returns the snapshot
+        index (Raft) or the WAL sequence of the checkpoint record.
         """
         if self._raft is not None:
+            self._settle_before()
             return self._raft.checkpoint()
         sequence = self._wal.append(_WAL_KIND_CHECKPOINT, self.rowstore.serialize_state())
         self._wal.truncate_before(sequence)
@@ -371,7 +397,8 @@ class Shard:
         below-threshold memtable would otherwise vanish on recovery
         while a later archive record still counts it in its drop — the
         same unlogged-seal divergence the Raft path solves with the
-        replicated command.
+        replicated command.  Writes admitted before the call are
+        settled first, so the seal cuts after them.
         """
         if self._raft is None:
             if len(self._rowstore.active):
@@ -382,6 +409,7 @@ class Shard:
                     "shard.seal", f"shard{self.shard_id}", detail=f"rows={rows}"
                 )
             return
+        self._settle_before()
         leader = self._raft.leader()
         if leader is None or not len(self.rowstore.active):
             return
@@ -403,9 +431,11 @@ class Shard:
         command in :meth:`finish_archive`, so a crash mid-archive never
         loses rows and a leadership change never resurrects archived
         ones.  Plain shards remove the tables (the WAL protects them).
+        Replicated shards settle admitted writes first.
         """
         if self._raft is None:
             return self._rowstore.take_sealed()
+        self._settle_before()
         self._flush_pending_drain()
         store = self.rowstore
         # Skip tables that are archived but whose drain has not applied
@@ -486,7 +516,9 @@ class Shard:
         return rows
 
     def pending_rows(self) -> int:
-        return self.rowstore.row_count()
+        """Unarchived rows: the row store's plus those in a queued group."""
+        queued = sum(map(len, self._group_queue)) if self._group_queue is not None else 0
+        return self.rowstore.row_count() + queued
 
     def verify_raft_consistency(self) -> None:
         """Assert fully-caught-up replicas hold byte-identical stores.

@@ -51,14 +51,6 @@ class Worker:
         self.shards[shard_id].write_async(rows)
         self.access_count.add(len(rows))
 
-    def settle_writes(self, shard_id: int | None = None) -> None:
-        """Durability barrier for one shard (or every hosted shard)."""
-        if shard_id is not None:
-            self.shards[shard_id].settle_writes()
-            return
-        for shard in self.shards.values():
-            shard.settle_writes()
-
     def _archive_shard(self, shard: Shard, report: BuildReport) -> None:
         """Archive a shard's sealed memtables, keeping them on failure.
 

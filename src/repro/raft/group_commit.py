@@ -7,7 +7,9 @@ pieces implement that here:
 * :class:`GroupCommitQueue` — a leader-side coalescing buffer.  Client
   batches admitted concurrently are folded into **one** proposal (one
   Raft entry, one WAL frame flush) when the group reaches a size/byte
-  threshold or a linger deadline.  The §4.2 BFC throttle shrinks the
+  threshold, or at the write barrier (``Shard.settle_writes``), which
+  flushes whatever arrived since the last flush — no timer decides when
+  a partial group goes out.  The §4.2 BFC throttle shrinks the
   effective group size under pressure, so an overloaded group commits
   smaller groups sooner instead of buffering more.
 
@@ -39,7 +41,6 @@ _NOOP_TRACER = Tracer(None, enabled=False)
 
 DEFAULT_GROUP_BATCHES = 8
 DEFAULT_GROUP_BYTES = 1 * 1024 * 1024
-DEFAULT_LINGER_S = 0.002
 DEFAULT_PIPELINE_DEPTH = 8
 DEFAULT_SETTLE_STEP_S = 0.005
 DEFAULT_SETTLE_TIMEOUT_S = 10.0
@@ -56,16 +57,15 @@ class GroupCommitQueue:
     queues are saturated (§4.2 — BFC gates admission, not just
     replication); a rejected batch is not buffered.  An optional
     ``throttle_fn`` (the leader's AIMD throttle, in (0, 1]) shrinks the
-    effective group size while pressure is high.
+    effective group size while pressure is high.  A group below both
+    thresholds waits for an explicit :meth:`flush` (the barrier).
     """
 
     def __init__(
         self,
         flush_fn: Callable[[list], None],
-        clock: VirtualClock,
         max_batches: int = DEFAULT_GROUP_BATCHES,
         max_bytes: int = DEFAULT_GROUP_BYTES,
-        linger_s: float = DEFAULT_LINGER_S,
         size_of: Callable[[object], int] | None = None,
         admit: Callable[[object], None] | None = None,
         throttle_fn: Callable[[], float] | None = None,
@@ -77,13 +77,9 @@ class GroupCommitQueue:
             raise ValueError(f"max_batches must be >= 1, got {max_batches}")
         if max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        if linger_s < 0:
-            raise ValueError(f"linger_s must be non-negative, got {linger_s}")
         self._flush_fn = flush_fn
-        self._clock = clock
         self._max_batches = max_batches
         self._max_bytes = max_bytes
-        self._linger_s = linger_s
         self._size_of = size_of if size_of is not None else len
         self._admit = admit
         self._throttle_fn = throttle_fn
@@ -92,7 +88,6 @@ class GroupCommitQueue:
         self._span_attrs = dict(span_attrs) if span_attrs else {}
         self._pending: list = []
         self._pending_bytes = 0
-        self._generation = 0  # invalidates linger timers after a flush
 
     @property
     def stats(self) -> WritePathStats:
@@ -101,6 +96,10 @@ class GroupCommitQueue:
 
     def __len__(self) -> int:
         return len(self._pending)
+
+    def __iter__(self):
+        """The pending batches, oldest first."""
+        return iter(self._pending)
 
     @property
     def pending_bytes(self) -> int:
@@ -116,22 +115,15 @@ class GroupCommitQueue:
     def offer(self, batch) -> None:
         """Admit one batch; flushes when a group threshold is reached.
 
-        Raises :class:`BackpressureError` only from the admission gate,
-        in which case the batch was NOT buffered and the caller must
-        back off and retry.  Once admitted a batch is never lost: if a
-        threshold-triggered flush hits replication backpressure the
-        group simply stays pending and is retried on a later
-        offer/linger/flush.
+        A :class:`BackpressureError` from the admission gate means the
+        batch was NOT buffered and the caller must back off and retry.
+        Once admitted a batch is never lost: if a threshold-triggered
+        flush fails the group stays pending for a later offer/flush;
+        replication backpressure is swallowed, any other error (no
+        leader) propagates.
         """
         if self._admit is not None:
             self._admit(batch)
-        if not self._pending:
-            self._generation += 1
-            if self._linger_s > 0:
-                generation = self._generation
-                self._clock.call_later(
-                    self._linger_s, lambda: self._on_linger(generation)
-                )
         self._pending.append(batch)
         self._pending_bytes += self._size_of(batch)
         if (
@@ -146,8 +138,10 @@ class GroupCommitQueue:
     def flush(self) -> bool:
         """Commit the pending group as one unit; True when one flushed.
 
-        On :class:`BackpressureError` from ``flush_fn`` the group is
-        kept pending (nothing is lost) and the error propagates.
+        When ``flush_fn`` raises (replication backpressure, or no leader
+        within the pipeline's timeout) the group was not proposed: it is
+        kept pending (nothing is lost) and the error propagates, so the
+        barrier that asked for the flush fails instead of acking.
         """
         if not self._pending:
             return False
@@ -155,13 +149,12 @@ class GroupCommitQueue:
         nbytes = self._pending_bytes
         self._pending = []
         self._pending_bytes = 0
-        self._generation += 1
         with self._tracer.span(
             "group_commit", batches=len(batches), bytes=nbytes, **self._span_attrs
         ):
             try:
                 self._flush_fn(batches)
-            except BackpressureError:
+            except Exception:
                 # Re-stash at the front so ordering survives the retry.
                 self._pending = batches + self._pending
                 self._pending_bytes += nbytes
@@ -171,16 +164,6 @@ class GroupCommitQueue:
         self._recorder.bytes_committed.add(nbytes)
         self._recorder.group_sizes.observe(len(batches))
         return True
-
-    def _on_linger(self, generation: int) -> None:
-        if generation != self._generation or not self._pending:
-            return
-        try:
-            self.flush()
-        except BackpressureError:
-            # The linger timer must not blow up a clock.advance; the
-            # group stays pending and retries at the next offer/flush.
-            pass
 
 
 @dataclass

@@ -21,13 +21,18 @@ messages arrive through a :class:`SimNetwork`.
 
 from __future__ import annotations
 
-import pickle
 import random
+import struct
 import zlib
 from typing import Callable
 
 from repro.common.clock import VirtualClock
-from repro.common.errors import BackpressureError, NotLeaderError, RaftError
+from repro.common.errors import (
+    BackpressureError,
+    CorruptionError,
+    NotLeaderError,
+    RaftError,
+)
 from repro.raft.backpressure import BackpressureController, BoundedQueue
 from repro.raft.messages import (
     AppendEntries,
@@ -41,12 +46,67 @@ from repro.raft.messages import (
 from repro.raft.network import SimNetwork
 from repro.raft.state import LeaderState, PersistentState, Role, VolatileState
 from repro.wal.log import WriteAheadLog
-from repro.wal.record import WalEntryEncoder
 
 # WAL entry kinds private to raft
 _WAL_KIND_ENTRY = 10
 _WAL_KIND_TERM = 11
 _WAL_KIND_SNAPSHOT = 12
+
+# Record layouts, little-endian: a fixed header, then the variable part
+# as it is.
+#   entry      <QQ term, index>     + command
+#   term/vote  <QB term, has_vote>  + voted_for as UTF-8 (empty if none)
+#   snapshot   <QQ index, term>     + serialized state machine
+_U64_PAIR = struct.Struct("<QQ")
+_TERM_VOTE = struct.Struct("<QB")
+
+
+def _split(what: str, body: bytes, head: struct.Struct) -> tuple[tuple, bytes]:
+    """A record's header fields and the bytes after them."""
+    if len(body) < head.size:
+        raise CorruptionError(f"raft {what} record of {len(body)} bytes lacks its header")
+    return head.unpack_from(body), body[head.size :]
+
+
+def encode_entry(entry: LogEntry) -> bytes:
+    return _U64_PAIR.pack(entry.term, entry.index) + entry.command
+
+
+def decode_entry(body: bytes) -> LogEntry:
+    """The :class:`LogEntry` of an entry record (raises CorruptionError)."""
+    (term, index), command = _split("entry", body, _U64_PAIR)
+    if term < 1 or index < 1:
+        raise CorruptionError(f"raft entry record with term {term}, index {index}")
+    return LogEntry(term=term, index=index, command=command)
+
+
+def encode_term_vote(term: int, voted_for: str | None) -> bytes:
+    if voted_for is None:
+        return _TERM_VOTE.pack(term, 0)
+    return _TERM_VOTE.pack(term, 1) + voted_for.encode()
+
+
+def decode_term_vote(body: bytes) -> tuple[int, str | None]:
+    (term, has_vote), vote = _split("term/vote", body, _TERM_VOTE)
+    if has_vote == 0 and not vote:
+        return term, None
+    if has_vote != 1:
+        raise CorruptionError(f"raft term/vote record with vote flag {has_vote}")
+    try:
+        return term, vote.decode()
+    except UnicodeDecodeError as exc:
+        raise CorruptionError(f"raft term/vote record: {exc}") from None
+
+
+def encode_snapshot(index: int, term: int, state: bytes) -> bytes:
+    return _U64_PAIR.pack(index, term) + state
+
+
+def decode_snapshot(body: bytes) -> tuple[int, int, bytes]:
+    """``(index, term, state)`` of a snapshot record."""
+    (index, term), state = _split("snapshot", body, _U64_PAIR)
+    return index, term, state
+
 
 # Barrier entry a new leader appends when it inherits an uncommitted
 # tail from prior terms.  §5.4.2 forbids committing prior-term entries
@@ -105,7 +165,13 @@ class RaftNode:
         self.role = Role.FOLLOWER
         self.leader_id: str | None = None
         self._stopped = False
+        # Bumped on every role change or election-timer reset: a
+        # heartbeat chain scheduled under an older generation stops.
         self._timer_generation = 0
+        # When the election timeout falls due (None while leading), and
+        # when the one clock timer armed for it fires (None: none armed).
+        self._election_deadline: float | None = None
+        self._election_timer_at: float | None = None
 
         # §4.2: the two queues added to Raft's blocking points.
         self.sync_queue: BoundedQueue[LogEntry] = BoundedQueue(
@@ -161,24 +227,14 @@ class RaftNode:
     # -- durability -------------------------------------------------------
 
     def _persist_term_vote(self) -> None:
-        body = pickle.dumps((self.persistent.current_term, self.persistent.voted_for))
+        body = encode_term_vote(self.persistent.current_term, self.persistent.voted_for)
         self._wal.append(_WAL_KIND_TERM, body)
-
-    def _persist_entry(self, entry: LogEntry) -> None:
-        body = pickle.dumps(entry)
-        if self._tracer is not None:
-            with self._tracer.span(
-                "wal.flush", node=self.node_id, entries=1, bytes=len(body)
-            ):
-                self._wal.append(_WAL_KIND_ENTRY, body)
-            return
-        self._wal.append(_WAL_KIND_ENTRY, body)
 
     def _persist_entries(self, entries: list[LogEntry]) -> None:
         """Durably record a batch of entries with one coalesced WAL flush."""
         if not entries:
             return
-        frames = [(_WAL_KIND_ENTRY, pickle.dumps(entry)) for entry in entries]
+        frames = [(_WAL_KIND_ENTRY, encode_entry(entry)) for entry in entries]
         if self._tracer is not None:
             with self._tracer.span(
                 "wal.flush",
@@ -198,11 +254,11 @@ class RaftNode:
         snapshot_state = b""
         for record in self._wal.replay():
             if record.kind == _WAL_KIND_TERM:
-                term, voted_for = pickle.loads(record.body)
+                term, voted_for = decode_term_vote(record.body)
                 self.persistent.current_term = term
                 self.persistent.voted_for = voted_for
             elif record.kind == _WAL_KIND_ENTRY:
-                entry: LogEntry = pickle.loads(record.body)
+                entry = decode_entry(record.body)
                 # A later record for the same index supersedes (conflict
                 # truncation rewrites suffixes).
                 entries[entry.index] = entry
@@ -210,8 +266,12 @@ class RaftNode:
                     if entries[stale].term < entry.term:
                         del entries[stale]
             elif record.kind == _WAL_KIND_SNAPSHOT:
-                snapshot_index, snapshot_term, snapshot_state = pickle.loads(record.body)
+                snapshot_index, snapshot_term, snapshot_state = decode_snapshot(record.body)
                 entries = {i: e for i, e in entries.items() if i > snapshot_index}
+            else:
+                raise CorruptionError(
+                    f"{self.node_id}: unknown raft WAL record kind {record.kind}"
+                )
         self.persistent.snapshot_index = snapshot_index
         self.persistent.snapshot_term = snapshot_term
         self.persistent.log = [entries[i] for i in sorted(entries)]
@@ -234,13 +294,34 @@ class RaftNode:
     # -- timers ------------------------------------------------------------
 
     def _reset_election_timer(self) -> None:
-        self._timer_generation += 1
-        generation = self._timer_generation
-        timeout = self._election_timeout * (1.0 + self._rng.random())
-        self._clock.call_later(timeout, lambda: self._on_election_timeout(generation))
+        """Push the election deadline out by a fresh randomized timeout.
 
-    def _on_election_timeout(self, generation: int) -> None:
-        if self._stopped or generation != self._timer_generation:
+        Only the deadline moves: the armed timer is kept while it fires
+        no later than the deadline, and re-armed when it fires early
+        (:meth:`_on_election_timer`).  A follower hearing AppendEntries
+        at any rate therefore keeps at most one live timer on the clock;
+        only a deadline *earlier* than the armed timer arms a new one.
+        """
+        self._timer_generation += 1
+        timeout = self._election_timeout * (1.0 + self._rng.random())
+        self._election_deadline = deadline = self._clock.now() + timeout
+        armed = self._election_timer_at
+        if armed is None or deadline < armed:
+            self._arm_election_timer(deadline)
+
+    def _arm_election_timer(self, when: float) -> None:
+        self._election_timer_at = when
+        self._clock.call_at(when, lambda: self._on_election_timer(when))
+
+    def _on_election_timer(self, when: float) -> None:
+        if when != self._election_timer_at:
+            return  # superseded by an earlier deadline
+        self._election_timer_at = None
+        deadline = self._election_deadline
+        if self._stopped or deadline is None:
+            return  # a restart or step-down sets a new deadline and re-arms
+        if self._clock.now() < deadline:
+            self._arm_election_timer(deadline)
             return
         if self.role is not Role.LEADER:
             self._start_election()
@@ -302,7 +383,10 @@ class RaftNode:
             next_index={peer: last + 1 for peer in self.peers},
             match_index={peer: 0 for peer in self.peers},
         )
-        self._timer_generation += 1  # cancel follower election timer
+        # Leaders run no election timeout; this also ends any older
+        # heartbeat chain.
+        self._timer_generation += 1
+        self._election_deadline = None
         if last > self.volatile.commit_index:
             # Uncommitted tail inherited from prior terms: §5.4.2 blocks
             # committing it by counting, so seed one no-op entry of the
@@ -318,17 +402,11 @@ class RaftNode:
                 self.backpressure.update()
             else:
                 self.persistent.append(entry)
-                self._persist_entry(entry)
+                self._persist_entries([entry])
         self._broadcast_append_entries()
         if not self.peers:
             self._advance_commit_index()
         self._schedule_heartbeat()
-        self._reset_election_timer_as_leader()
-
-    def _reset_election_timer_as_leader(self) -> None:
-        # Leaders do not run election timers; the generation bump above
-        # suffices. Method kept for symmetry/clarity.
-        return
 
     # -- client API -------------------------------------------------------
 
@@ -356,7 +434,7 @@ class RaftNode:
             self.backpressure.update()
             raise
         self.persistent.append(entry)
-        self._persist_entry(entry)
+        self._persist_entries([entry])
         self._broadcast_append_entries()
         if not self.peers:
             self._advance_commit_index()
@@ -427,9 +505,7 @@ class RaftNode:
         state = self._snapshot_provider()
         self._latest_snapshot_state = state
         self.persistent.compact_to(index, term)
-        marker_seq = self._wal.append(
-            _WAL_KIND_SNAPSHOT, pickle.dumps((index, term, state))
-        )
+        marker_seq = self._wal.append(_WAL_KIND_SNAPSHOT, encode_snapshot(index, term, state))
         # Re-persist the live tail (entries past the snapshot) *after*
         # the marker so truncating older segments cannot drop them.
         self._persist_entries(list(self.persistent.log))
@@ -480,7 +556,7 @@ class RaftNode:
             self.volatile.last_applied = msg.last_included_index
             marker_seq = self._wal.append(
                 _WAL_KIND_SNAPSHOT,
-                pickle.dumps((msg.last_included_index, msg.last_included_term, msg.state)),
+                encode_snapshot(msg.last_included_index, msg.last_included_term, msg.state),
             )
             self._wal.truncate_before(marker_seq)
         reply = InstallSnapshotReply(

@@ -39,19 +39,28 @@ class SegmentBackend(Protocol):
 
 
 class MemorySegmentBackend:
-    """Segments held in a dict; the simulation default."""
+    """Segments held in a dict; the simulation default.
+
+    A segment is the list of frames appended to it: an append keeps the
+    caller's bytes object instead of copying it into a growing buffer,
+    and :meth:`read` joins the list once, keeping the joined bytes as
+    the segment's only frame so a second read does not join again.
+    """
 
     def __init__(self) -> None:
-        self._segments: dict[int, bytearray] = {}
+        self._segments: dict[int, list[bytes]] = {}
 
     def append(self, segment_id: int, data: bytes) -> None:
-        self._segments.setdefault(segment_id, bytearray()).extend(data)
+        self._segments.setdefault(segment_id, []).append(bytes(data))
 
     def read(self, segment_id: int) -> bytes:
         try:
-            return bytes(self._segments[segment_id])
+            frames = self._segments[segment_id]
         except KeyError:
             raise WalError(f"no such WAL segment {segment_id}") from None
+        if len(frames) != 1:
+            frames[:] = [b"".join(frames)]
+        return frames[0]
 
     def segments(self) -> list[int]:
         return sorted(self._segments)

@@ -71,29 +71,37 @@ class FrameResult:
     next_offset: int
 
 
-def _contains_decodable_frame(data: bytes, start: int) -> bool:
-    """True when an intact frame decodes anywhere in ``data[start:]``.
+def _length_was_flipped(data: bytes, start: int, crc: int) -> bool:
+    """True when the entry frame whose payload starts at ``start`` is
+    intact except for its length field.
 
     Disambiguates a torn final frame from a corrupted *length* field: a
     bit-flipped length can make a mid-log frame appear to extend exactly
-    to end-of-data, and tolerating that as a tear would silently discard
-    the acknowledged frames after it.  Those later frames are untouched
-    at their original offsets, so scanning the claimed payload region
-    for any CRC-valid frame tells the two cases apart.  Zero-length
-    candidates are skipped: any run of eight zero bytes decodes as an
-    empty frame with a matching CRC, and no real entry is empty (the
-    entry header alone is nine bytes).
+    to end-of-data, or past it, and tolerating that as a tear would
+    silently discard the acknowledged frames after it.  Such a frame's
+    payload and CRC are untouched and end where the next entry (its
+    sequence plus one) begins, so the evidence is an offset ``end``
+    holding that entry's header with ``crc32(data[start:end]) == crc``.
+    A torn write has no such offset — its CRC covers bytes the crash
+    never wrote — so a frame that a tenant's row happens to carry inside
+    the torn payload is not mistaken for acknowledged data.  The CRC
+    runs over each stretch between candidates once.
     """
-    for pos in range(start, len(data) - HEADER_SIZE + 1):
-        length, crc = _HEADER.unpack_from(data, pos)
-        if length == 0:
-            continue
-        payload_start = pos + HEADER_SIZE
-        payload_end = payload_start + length
-        if payload_end > len(data):
-            continue
-        if zlib.crc32(data[payload_start:payload_end]) & 0xFFFFFFFF == crc:
+    if start + ENTRY_HEAD_SIZE > len(data):
+        return False
+    following = _ENTRY_HEAD.unpack_from(data, start)[0] + 1
+    if following >= 1 << 64:
+        return False
+    marker = following.to_bytes(8, "little")
+    running, covered = 0, start
+    hit = data.find(marker, start + ENTRY_HEAD_SIZE + HEADER_SIZE)
+    while hit != -1:
+        end = hit - HEADER_SIZE
+        running = zlib.crc32(data[covered:end], running)
+        covered = end
+        if running == crc:
             return True
+        hit = data.find(marker, hit + 1)
     return False
 
 
@@ -106,14 +114,14 @@ def decode_frame(
     tail (not enough bytes for a complete frame).  Raises
     :class:`CorruptionError` for a CRC mismatch, which indicates damage
     *before* the tail and must not be silently skipped — unless
-    ``tolerate_torn_tail`` is set, the damaged frame is the *final*
-    frame of the data (it extends exactly to end-of-data), and no intact
-    frame decodes inside its claimed payload: a crash can tear the last
-    write's bytes without shortening them (e.g. a partial sector
-    overwrite), and that frame was never acknowledged, so it is also
-    treated as end-of-log.  An intact frame inside the claimed payload
-    means the *length* was corrupted and acknowledged frames follow —
-    that is mid-log damage and still raises.
+    ``tolerate_torn_tail`` is set and the damaged frame is the *final*
+    frame of the data (it extends exactly to end-of-data): a crash can
+    tear the last write's bytes without shortening them (e.g. a partial
+    sector overwrite), and that frame was never acknowledged, so it is
+    also treated as end-of-log.  With ``tolerate_torn_tail`` set, a
+    short or final frame that is intact but for a flipped length (see
+    :func:`_length_was_flipped`) hides acknowledged frames after it —
+    that is mid-log damage and raises.
     """
     if offset == len(data):
         return None
@@ -123,13 +131,15 @@ def decode_frame(
     start = offset + HEADER_SIZE
     end = start + length
     if end > len(data):
+        if tolerate_torn_tail and _length_was_flipped(data, start, crc):
+            raise CorruptionError(f"WAL frame at offset {offset} overruns intact frames")
         return None  # torn payload at tail
     payload = data[start:end]
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         if (
             tolerate_torn_tail
             and end == len(data)
-            and not _contains_decodable_frame(data, start)
+            and not _length_was_flipped(data, start, crc)
         ):
             return None  # corrupted final frame: torn tail, not mid-log damage
         raise CorruptionError(f"WAL CRC mismatch at offset {offset}")

@@ -6,7 +6,7 @@ from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
 from repro.cluster.shard import Shard
 from repro.common.clock import VirtualClock
-from repro.common.errors import BackpressureError
+from repro.common.errors import BackpressureError, RaftError
 
 from tests.conftest import make_rows
 
@@ -41,7 +41,6 @@ def make_shard(**kwargs):
         use_raft=True,
         group_commit=True,
         group_commit_batches=8,
-        group_commit_linger_s=0.0,
         **kwargs,
     )
     return shard, clock
@@ -74,6 +73,69 @@ class TestGroupCommitEndToEnd:
         store.put(1, make_rows(100, tenant_id=1))
         result = store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1")
         assert result.rows == [{"COUNT(*)": 100}]
+
+    def test_flush_all_archives_rows_still_queued_by_put_nowait(self):
+        """Five batches below the group threshold and no settle_writes():
+        flush_all() settles them ahead of the seal and archives them,
+        and pending_rows() counted them while they were queued."""
+        store = raft_store()
+        for seed in range(5):
+            store.put_nowait(1, make_rows(50, tenant_id=1, seed=seed))
+        assert store.pending_rows() == 250
+        report = store.flush_all()
+        assert report.rows_archived == 250
+        assert store.pending_rows() == 0
+        result = store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1")
+        assert result.rows == [{"COUNT(*)": 250}]
+
+    def test_leaderless_flush_all_keeps_queued_rows_unacked(self):
+        """A seal / archive / checkpoint with no leader must not drop a
+        queued group: the rows stay pending, the client's barrier fails
+        until a leader is back, and then every row commits."""
+        store = raft_store()
+        dispatched = store.put_nowait(1, make_rows(50, tenant_id=1))
+        [shard_id] = dispatched
+        group = shard_of(store, shard_id).raft
+        for node_id in group.nodes:
+            group.stop_node(node_id)
+        store.flush_all()
+        assert store.pending_rows() == 50
+        with pytest.raises(RaftError):
+            store.settle_writes()
+        assert store.pending_rows() == 50  # the failed flush kept the group
+        for node_id in group.nodes:
+            group.restart_node(node_id)
+        store.settle_writes()
+        assert store.flush_all().rows_archived == 50
+        result = store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1")
+        assert result.rows == [{"COUNT(*)": 50}]
+
+    def test_failed_barrier_is_retried_by_the_next_one(self):
+        """The leader took the group but no quorum acked it: the barrier
+        fails, and the next one still waits for that shard's rows."""
+        store = raft_store()
+        dispatched = store.put_nowait(1, make_rows(50, tenant_id=1))
+        [shard_id] = dispatched
+        group = shard_of(store, shard_id).raft
+        followers = [n for n in group.nodes if n != group.leader().node_id]
+        for node_id in followers:
+            group.stop_node(node_id)
+        with pytest.raises(RaftError):
+            store.settle_writes()
+        for node_id in followers:
+            group.restart_node(node_id)
+        store.settle_writes()
+        result = store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1")
+        assert result.rows == [{"COUNT(*)": 50}]
+
+    def test_checkpoint_settles_queued_rows_first(self):
+        store = raft_store()
+        dispatched = store.put_nowait(1, make_rows(30, tenant_id=1))
+        [shard_id] = dispatched
+        shard = shard_of(store, shard_id)
+        index = shard.checkpoint()
+        assert index == shard.raft.leader().persistent.snapshot_index > 0
+        assert shard.pending_rows() == 30
 
     def test_backpressure_surfaces_to_broker(self):
         store = raft_store()

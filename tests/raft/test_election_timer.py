@@ -1,0 +1,91 @@
+"""One election timer per node: the deadline moves, the timer does not.
+
+A follower resets its election deadline on every AppendEntries; the
+clock must not collect one timer per reset, and elections must still
+fire at the virtual times the randomized timeouts dictate.
+"""
+
+from __future__ import annotations
+
+from repro.chaos.runner import ChaosRunner
+from repro.common.clock import VirtualClock
+from repro.raft.group import RaftGroup
+from repro.raft.state import Role
+
+
+def make_group(seed: int = 0) -> tuple[RaftGroup, VirtualClock]:
+    clock = VirtualClock()
+    group = RaftGroup("g", clock, lambda node_id: (lambda entry: None), seed=seed)
+    group.wait_for_leader()
+    return group, clock
+
+
+def test_pending_timers_do_not_grow_with_append_entries():
+    """Every proposal is one AppendEntries per follower, each a reset of
+    its election deadline.  The clock's timer heap stays the same size
+    whether the leader sends a hundred of them or a thousand."""
+    group, clock = make_group()
+    leader = group.leader()
+    peaks = []
+    for proposals in (100, 1000):
+        peak = 0
+        for i in range(proposals):
+            leader.propose(b"x%d" % i)
+            clock.advance(0.005)  # longer than a round trip
+            peak = max(peak, clock.pending_timers())
+        peaks.append(peak)
+    # Three election timers (at most one live each, plus the few made
+    # stale by an earlier deadline), one heartbeat, in-flight messages.
+    assert peaks[1] <= peaks[0] + 4
+    assert peaks[1] < 20
+
+
+def test_pending_timers_stay_bounded_over_heartbeats():
+    group, clock = make_group()
+    counts = []
+    for heartbeats in (10, 100, 1000):
+        clock.advance(0.03 * heartbeats)
+        counts.append(clock.pending_timers())
+    assert max(counts) - min(counts) <= 4
+    assert max(counts) < 20
+
+
+def test_silenced_follower_campaigns_within_one_to_two_timeouts():
+    group, clock = make_group()
+    leader = group.leader()
+    follower = next(n for n in group.full_replicas() if n is not leader)
+    timeout = follower._election_timeout
+    heard = []
+    handle = follower._handle_append_entries
+
+    def recording(message):
+        heard.append(clock.now())
+        handle(message)
+
+    follower._handle_append_entries = recording
+    clock.advance(0.2)
+    term = follower.persistent.current_term
+    group.network.partition(leader.node_id, follower.node_id)
+    give_up = clock.now() + 1.0
+    while follower.persistent.current_term == term and clock.now() < give_up:
+        clock.advance(0.0001)
+    assert follower.role is Role.CANDIDATE
+    assert heard[-1] + timeout <= clock.now() <= heard[-1] + 2 * timeout + 0.0001
+
+
+def test_leader_elections_keep_their_virtual_times():
+    """Seeded leader crash mid-pipeline: the ``raft.leader_elected``
+    journal events (who, which term, when) are those the per-reset timer
+    scheme produced, to the last bit of the virtual time."""
+    result = ChaosRunner("leader_crash_mid_pipeline", seed=0).run()
+    elected = [
+        (event.target, event.detail, event.at_s)
+        for event in result.journal.events()
+        if event.kind == "raft.leader_elected"
+    ]
+    assert elected == [
+        ("shard0/r0", "term=1", 0.15963264067344807),
+        ("shard1/r1", "term=1", 0.4071050098811774),
+        ("shard0/r1", "term=2", 0.9277030588882341),
+    ]
+    assert result.ok

@@ -5,21 +5,20 @@ import pickle
 import pytest
 
 from repro.common.clock import VirtualClock
-from repro.common.errors import BackpressureError, RaftError
+from repro.common.errors import BackpressureError, NotLeaderError, RaftError
 from repro.metrics.stats import WritePathStats
 from repro.raft.group import RaftGroup
 from repro.raft.group_commit import GroupCommitQueue, ReplicationPipeline
 
 
 class TestGroupCommitQueue:
-    def make(self, clock=None, **kwargs):
-        clock = clock if clock is not None else VirtualClock()
+    def make(self, **kwargs):
         flushed = []
-        queue = GroupCommitQueue(flushed.append, clock, **kwargs)
-        return queue, flushed, clock
+        queue = GroupCommitQueue(flushed.append, **kwargs)
+        return queue, flushed
 
     def test_flushes_at_max_batches(self):
-        queue, flushed, _ = self.make(max_batches=3, linger_s=0)
+        queue, flushed = self.make(max_batches=3)
         queue.offer([1])
         queue.offer([2])
         assert flushed == []
@@ -28,37 +27,28 @@ class TestGroupCommitQueue:
         assert len(queue) == 0
 
     def test_flushes_at_max_bytes(self):
-        queue, flushed, _ = self.make(
-            max_batches=100, max_bytes=5, linger_s=0, size_of=len
-        )
+        queue, flushed = self.make(max_batches=100, max_bytes=5, size_of=len)
         queue.offer([1, 2, 3])
         assert flushed == []
         queue.offer([4, 5])
         assert flushed == [[[1, 2, 3], [4, 5]]]
 
-    def test_linger_timer_flushes_partial_group(self):
-        queue, flushed, clock = self.make(max_batches=100, linger_s=0.002)
-        queue.offer([1])
-        assert flushed == []
-        clock.advance(0.003)
-        assert flushed == [[[1]]]
-
-    def test_linger_timer_is_invalidated_by_flush(self):
-        queue, flushed, clock = self.make(max_batches=2, linger_s=0.002)
+    def test_partial_group_waits_for_threshold_or_barrier(self):
+        """No timer flushes a group: it goes out at a threshold, or at
+        the barrier's explicit flush with whatever has arrived."""
+        queue, flushed = self.make(max_batches=2)
         queue.offer([1])
         queue.offer([2])  # threshold flush
-        queue.offer([3])  # new group, new linger
-        clock.advance(0.01)
+        queue.offer([3])
+        assert flushed == [[[1], [2]]]
+        assert list(queue) == [[3]]
+        assert queue.flush() is True  # the barrier
         assert flushed == [[[1], [2]], [[3]]]
+        assert queue.flush() is False  # nothing left to flush
 
     def test_throttle_shrinks_effective_group(self):
         throttle = {"value": 1.0}
-        clock = VirtualClock()
-        flushed = []
-        queue = GroupCommitQueue(
-            flushed.append, clock, max_batches=8, linger_s=0,
-            throttle_fn=lambda: throttle["value"],
-        )
+        queue, flushed = self.make(max_batches=8, throttle_fn=lambda: throttle["value"])
         assert queue.effective_max_batches() == 8
         throttle["value"] = 0.25
         assert queue.effective_max_batches() == 2
@@ -68,18 +58,15 @@ class TestGroupCommitQueue:
         assert flushed == [[[1]]]
 
     def test_admission_gate_rejects_without_buffering(self):
-        clock = VirtualClock()
-
         def admit(batch):
             raise BackpressureError("full")
 
-        queue = GroupCommitQueue([].append, clock, admit=admit, linger_s=0)
+        queue, _flushed = self.make(admit=admit)
         with pytest.raises(BackpressureError):
             queue.offer([1])
         assert len(queue) == 0
 
     def test_flush_backpressure_restashes_in_order(self):
-        clock = VirtualClock()
         calls = {"n": 0}
         flushed = []
 
@@ -89,7 +76,7 @@ class TestGroupCommitQueue:
                 raise BackpressureError("replication stalled")
             flushed.append(batches)
 
-        queue = GroupCommitQueue(flush_fn, clock, max_batches=2, linger_s=0)
+        queue = GroupCommitQueue(flush_fn, max_batches=2)
         queue.offer([1])
         queue.offer([2])  # triggers flush; error absorbed, group kept
         assert flushed == []
@@ -100,19 +87,31 @@ class TestGroupCommitQueue:
         assert queue.stats.batches_coalesced == 2
 
     def test_explicit_flush_propagates_backpressure(self):
-        clock = VirtualClock()
-
         def flush_fn(batches):
             raise BackpressureError("stalled")
 
-        queue = GroupCommitQueue(flush_fn, clock, max_batches=10, linger_s=0)
+        queue = GroupCommitQueue(flush_fn, max_batches=10)
         queue.offer([1])
         with pytest.raises(BackpressureError):
             queue.flush()
         assert len(queue) == 1  # nothing lost
 
+    def test_flush_without_leader_keeps_group(self):
+        """A group whose proposal found no leader was never proposed: it
+        stays queued, in order, for the barrier to retry."""
+        def flush_fn(batches):
+            raise NotLeaderError("no leader", None)
+
+        queue = GroupCommitQueue(flush_fn, max_batches=10)
+        queue.offer([1])
+        queue.offer([2])
+        with pytest.raises(NotLeaderError):
+            queue.flush()
+        assert list(queue) == [[1], [2]]
+        assert queue.pending_bytes == 2
+
     def test_stats(self):
-        queue, _flushed, _ = self.make(max_batches=2, linger_s=0)
+        queue, _flushed = self.make(max_batches=2)
         for i in range(6):
             queue.offer([i])
         stats = queue.stats
@@ -122,13 +121,10 @@ class TestGroupCommitQueue:
         assert len(stats.group_sizes) == 3
 
     def test_validation(self):
-        clock = VirtualClock()
         with pytest.raises(ValueError):
-            GroupCommitQueue([].append, clock, max_batches=0)
+            GroupCommitQueue([].append, max_batches=0)
         with pytest.raises(ValueError):
-            GroupCommitQueue([].append, clock, max_bytes=0)
-        with pytest.raises(ValueError):
-            GroupCommitQueue([].append, clock, linger_s=-1)
+            GroupCommitQueue([].append, max_bytes=0)
 
 
 def make_group(clock, seed=0):
