@@ -22,8 +22,9 @@ from harness import emit
 
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
+from repro.cluster.shard import apply
 from repro.raft.node import _WAL_KIND_ENTRY, NOOP_COMMAND, decode_entry
-from repro.rowstore import RowBatch, RowStore
+from repro.rowstore import RowStore
 
 QUICK = os.environ.get("BENCH_QUICK") == "1"
 
@@ -84,23 +85,24 @@ def drive_pipelined():
     return store, touched, store.clock.now() - start
 
 
-def recover_rowstore_from_wal(node) -> RowStore:
+def recover_rowstore_from_wal(shard, node) -> RowStore:
     """Replay a replica's Raft WAL into a fresh row store (crash model).
 
     Mirrors ``RaftNode._recover_from_wal``: the latest record for an
     index supersedes earlier ones (conflict truncation), and only
-    entries at or below the durable commit point are replayed.
+    entries at or below the durable commit point are replayed, each
+    through the shard's own state-machine step.
     """
     entries = {}
     for record in node._wal.replay():
         if record.kind == _WAL_KIND_ENTRY:
             entry = decode_entry(record.body)
             entries[entry.index] = entry
-    recovered = RowStore()
+    recovered = RowStore(seal_rows=shard.seal_rows, seal_bytes=shard.seal_bytes)
     for index in sorted(i for i in entries if i <= node.commit_index):
         command = entries[index].command
         if command != NOOP_COMMAND:
-            recovered.append_many(RowBatch.from_bytes(command))
+            apply(recovered, command)
     return recovered
 
 
@@ -159,7 +161,7 @@ def test_write_path_ablation(benchmark, capsys):
             assert len(states) == 1, f"replica divergence on shard {shard.shard_id}"
             # A replica rebuilt from its own WAL matches the live store.
             node = shard.raft.full_replicas()[0]
-            recovered = recover_rowstore_from_wal(node)
+            recovered = recover_rowstore_from_wal(shard, node)
             live = shard._replica_stores[node.node_id]
             assert list(recovered.scan()) == list(live.scan())
             assert recovered.total_rows_ingested == live.total_rows_ingested

@@ -301,7 +301,6 @@ class ChaosContext:
             use_raft=False,
             wal_backend=backend,
             write_ack=config.write_ack,
-            wal_fsync_s=config.wal_fsync_s,
             seed=config.seed,
             obs=self.store.obs,
         )

@@ -146,6 +146,7 @@ class Broker:
             "broker.write", broker=self.broker_id, tenant=tenant_id, rows=len(batch)
         ):
             dispatched = self._dispatch(tenant_id, batch)
+            self.flush_writes()
             self.settle_writes()
         return dispatched
 
@@ -202,13 +203,13 @@ class Broker:
     def settle_writes(self) -> None:
         """Durability barrier for every shard this broker dispatched to.
 
-        Every touched shard proposes its partial group before any shard
-        settles, so the groups replicate during the same clock advance
-        and the barrier costs one replication round, not one per shard.
-        A shard leaves the touched set only once it settled, so after a
-        failed barrier the next one still covers its writes.
+        Callers run :meth:`flush_writes` first: every touched shard then
+        proposes its partial group before any shard settles, so the
+        groups replicate during the same clock advance and the barrier
+        costs one replication round, not one per shard.  A shard leaves
+        the touched set only once it settled, so after a failed barrier
+        the next one still covers its writes.
         """
-        self.flush_writes()
         for shard in self._touched_shards():
             shard.settle_writes()
             self._pending_shards.discard(shard.shard_id)

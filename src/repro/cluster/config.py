@@ -37,7 +37,6 @@ class LogStoreConfig:
     group_commit_bytes: int = 1024 * 1024  # max payload bytes per group
     pipeline_depth: int = 8  # in-flight proposals per shard before settling
     write_ack: str = "quorum"  # "quorum" (majority commit) | "all" replicas
-    wal_fsync_s: float = 0.0  # simulated fsync charge per non-raft WAL flush
     # WAL segment backend per WAL owner ("shard<N>" for a plain shard,
     # "shard<N>/r<I>" for a Raft replica); None = in-memory default.
     # Chaos runs inject fault-wrapped backends here.
@@ -130,8 +129,6 @@ class LogStoreConfig:
             raise ConfigError("pipeline_depth must be >= 1")
         if self.write_ack not in ("quorum", "all"):
             raise ConfigError(f"unknown write_ack {self.write_ack!r}")
-        if self.wal_fsync_s < 0:
-            raise ConfigError("wal_fsync_s must be non-negative")
         if self.trace_max_traces < 1:
             raise ConfigError("trace_max_traces must be >= 1")
         if self.max_sessions < 1:

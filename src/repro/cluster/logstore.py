@@ -215,7 +215,6 @@ class LogStore:
             group_commit_bytes=self.config.group_commit_bytes,
             pipeline_depth=self.config.pipeline_depth,
             write_ack=self.config.write_ack,
-            wal_fsync_s=self.config.wal_fsync_s,
             wal_backend_factory=self.config.wal_backend_factory,
             seed=self.config.seed,
             obs=self.obs,

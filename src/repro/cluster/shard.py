@@ -1,13 +1,19 @@
 """Shard: the unit of placement and write processing.
 
-Each shard owns a write-optimized row store.  With ``use_raft`` enabled
-it fronts the row store with a three-replica Raft group (one WAL-only
-replica, §3); writes are proposed as serialized batches and applied to
-the row stores of the full replicas.  Without Raft the shard still
-writes a local WAL before the row store (phase 1 of §3's write path is
-"generating the WAL ... and writing to local disks") and can recover
-its unarchived rows from it after a crash; replication is simply absent,
-which is what the load-balancing experiments want.
+Each shard runs one state machine: a row store driven by three commands
+— a data batch, ``shard-seal`` and a cumulative ``shard-drain`` — that
+:func:`apply` executes.  Plain and replicated shards log the same
+command bytes and differ in two places only: which log makes a command
+durable, and which replica serves reads.
+
+* With ``use_raft`` a three-replica Raft group (one WAL-only replica,
+  §3) logs the commands, and every full replica applies them in log
+  order; reads go to the current leader's store.
+* Without Raft the shard appends each command to a local WAL before
+  applying it (phase 1 of §3's write path is "generating the WAL ...
+  and writing to local disks"), and crash recovery installs the last
+  checkpoint and applies the commands logged after it.  Replication is
+  simply absent, which is what the load-balancing experiments want.
 """
 
 from __future__ import annotations
@@ -17,35 +23,57 @@ from operator import attrgetter
 from typing import Callable
 
 from repro.common.clock import VirtualClock
-from repro.common.errors import BackpressureError, ClusterError, NotLeaderError, RaftError
+from repro.common.errors import (
+    BackpressureError,
+    ClusterError,
+    CorruptionError,
+    RaftError,
+    WalError,
+)
 from repro.metrics.stats import WritePathStats
 from repro.obs.context import Observability
 from repro.obs.recorders import WritePathRecorder
 from repro.raft.group import RaftGroup
 from repro.raft.group_commit import GroupCommitQueue, ReplicationPipeline
-from repro.raft.messages import LogEntry
 from repro.rowstore.batch import RowBatch, RowSelection
 from repro.rowstore.memtable import MemTable
 from repro.rowstore.store import RowStore
 from repro.wal.log import SegmentBackend, WriteAheadLog
 
-# Shard-level WAL entry kinds.
-_WAL_KIND_BATCH = 20
+# Plain-shard WAL record kinds: one shard command (the bytes a Raft
+# entry would carry), and a serialized row-store checkpoint.
+_WAL_KIND_COMMAND = 20
 _WAL_KIND_CHECKPOINT = 21
-_WAL_KIND_ARCHIVE = 22
-_WAL_KIND_SEAL = 23
 
-# Replicated shard command marking the first N sealed memtables as
-# archived to OSS (they leave every replica's row store at the same log
-# position).  Data commands (``RowBatch.to_bytes``) always start with the
-# pickle protocol opcode, so the prefix cannot collide with one.
+# Command marking the first N sealed memtables ever sealed as archived
+# to OSS: they leave the row store at the same log position on every
+# replica and in every replay.  Data commands (``RowBatch.to_bytes``)
+# always start with the pickle protocol opcode, so the prefix cannot
+# collide with one.
 _CMD_DRAIN_PREFIX = b"\x01shard-drain:"
 
-# Replicated command sealing the active memtable (flush path).  Sealing
-# must go through the log on replicated shards: a local seal on one
-# replica's store would diverge the seal boundaries — and therefore the
-# drain prefixes — across the group.
+# Command sealing the active memtable (flush path).  A seal must go
+# through the log: a local seal would cut a boundary that neither the
+# other replicas nor a WAL replay re-derive, and the drain prefixes
+# would diverge with it.
 _CMD_SEAL = b"\x01shard-seal"
+
+
+def apply(store: RowStore, command: bytes) -> None:
+    """Execute one shard command against a row store.
+
+    The one state-machine step: every Raft replica's apply callback and
+    a plain shard's WAL replay.  A drain carries a *cumulative* target,
+    so applying a copy that already took effect drops nothing.
+    """
+    if command == _CMD_SEAL:
+        store.seal_active()
+    elif command.startswith(_CMD_DRAIN_PREFIX):
+        drop = int(command[len(_CMD_DRAIN_PREFIX) :]) - store.sealed_dropped
+        if drop > 0:
+            store.drop_sealed_prefix(drop)
+    else:
+        store.append_many(RowBatch.from_bytes(command))
 
 
 class Shard:
@@ -68,7 +96,6 @@ class Shard:
         group_commit_bytes: int = 1024 * 1024,
         pipeline_depth: int = 8,
         write_ack: str = "quorum",
-        wal_fsync_s: float = 0.0,
         wal_backend_factory: Callable[[str], SegmentBackend] | None = None,
         seed: int = 0,
         obs: Observability | None = None,
@@ -80,7 +107,6 @@ class Shard:
         self.seal_bytes = seal_bytes
         self._clock = clock
         self._write_ack = write_ack
-        self._wal_fsync_s = wal_fsync_s
         self._obs = obs if obs is not None else Observability.noop()
         registry = self._obs.registry
         self.write_count = registry.counter(
@@ -98,32 +124,17 @@ class Shard:
         # land in one ``shard=…`` label set.
         self._write_recorder = WritePathRecorder(registry, shard=shard_id)
 
-        self._use_raft = use_raft
+        # Archive bookkeeping, in sealed memtables: the drain target
+        # committed so far, and the archived tables still to drain.
+        self._drain_target = 0
         self._pending_drain = 0
-        self._drain_target = 0  # cumulative memtables settled as drained
         if use_raft:
             self._replica_stores: dict[str, RowStore] = {}
-            self._rowstore = None
 
             def apply_factory(node_id: str):
                 store = RowStore(seal_rows=seal_rows, seal_bytes=seal_bytes)
                 self._replica_stores[node_id] = store
-
-                def apply(entry: LogEntry) -> None:
-                    if entry.command == _CMD_SEAL:
-                        store.seal_active()
-                    elif entry.command.startswith(_CMD_DRAIN_PREFIX):
-                        # The command carries the *cumulative* drain
-                        # target, so re-proposals after an indeterminate
-                        # settle apply idempotently (drop = 0).
-                        target = int(entry.command[len(_CMD_DRAIN_PREFIX) :])
-                        drop = target - store.sealed_dropped
-                        if drop > 0:
-                            store.drop_sealed_prefix(drop)
-                    else:
-                        store.append_many(RowBatch.from_bytes(entry.command))
-
-                return apply
+                return lambda entry: apply(store, entry.command)
 
             def snapshot_factory(node_id: str):
                 store = self._replica_stores.get(node_id)
@@ -156,23 +167,20 @@ class Shard:
                 tracer=self._obs.tracer,
                 span_attrs={"shard": shard_id},
             )
-            self._group_queue = None
-            if group_commit:
-                self._group_queue = GroupCommitQueue(
-                    self._flush_group,
-                    max_batches=group_commit_batches,
-                    max_bytes=group_commit_bytes,
-                    size_of=attrgetter("nbytes"),
-                    admit=self._admit_batch,
-                    throttle_fn=self._leader_throttle,
-                    recorder=self._write_recorder,
-                    tracer=self._obs.tracer,
-                    span_attrs={"shard": shard_id},
-                )
+            # Without group commit every batch is a group of one.
+            self._group_queue = GroupCommitQueue(
+                self._flush_group,
+                max_batches=group_commit_batches if group_commit else 1,
+                max_bytes=group_commit_bytes,
+                size_of=attrgetter("nbytes"),
+                admit=self._admit_batch,
+                throttle_fn=self._leader_throttle,
+                recorder=self._write_recorder,
+                tracer=self._obs.tracer,
+                span_attrs={"shard": shard_id},
+            )
         else:
             self._raft = None
-            self._pipeline = None
-            self._group_queue = None
             self._rowstore = RowStore(seal_rows=seal_rows, seal_bytes=seal_bytes)
             if wal_backend is None and wal_backend_factory is not None:
                 wal_backend = wal_backend_factory(f"shard{shard_id}")
@@ -213,37 +221,59 @@ class Shard:
     def _recover_from_wal(self) -> None:
         """Rebuild the row store from the shard WAL (crash recovery).
 
-        The last checkpoint carries a serialized row-store state; batch,
-        seal and archive records after it replay on top, in WAL order —
-        seal records re-cut explicit (below-threshold) seal boundaries
-        that batch replay alone would not re-derive, and archive records
-        drop sealed memtables that reached OSS before the crash, so
-        recovery re-creates neither lost *nor duplicate* rows.
+        Installs the last checkpoint, then applies the commands logged
+        after it in WAL order — the replay a Raft replica runs — so
+        seals and drains land exactly where they did before the crash
+        and recovery re-creates neither lost *nor duplicate* rows.  The
+        next drain target continues from what the store has dropped.
         """
         state: bytes | None = None
-        tail: list = []
+        commands: list[bytes] = []
         for record in self._wal.replay():
             if record.kind == _WAL_KIND_CHECKPOINT:
-                state = record.body
-                tail = []
-            elif record.kind in (_WAL_KIND_BATCH, _WAL_KIND_ARCHIVE, _WAL_KIND_SEAL):
-                tail.append(record)
-        if state is None and not tail:
-            return
+                state, commands = record.body, []
+            elif record.kind == _WAL_KIND_COMMAND:
+                commands.append(record.body)
+            else:
+                raise CorruptionError(
+                    f"shard {self.shard_id}: unknown WAL record kind {record.kind}"
+                )
         if state is not None:
             self._rowstore.install_state(state)
-        for record in tail:
-            if record.kind == _WAL_KIND_BATCH:
-                self._rowstore.append_many(RowBatch.from_bytes(record.body))
-            elif record.kind == _WAL_KIND_SEAL:
-                self._rowstore.seal_active()
-            else:
-                self._rowstore.drop_sealed_prefix(int(record.body))
+        for command in commands:
+            apply(self._rowstore, command)
+        self._drain_target = self._rowstore.sealed_dropped
+
+    def _commit(self, command: bytes) -> bool:
+        """Make a seal or drain command durable and applied.
+
+        A plain shard appends it to its WAL, then applies it; a failed
+        append applies nothing.  A Raft shard proposes it and waits for
+        the configured ack; each full replica applies it from the log.
+        False when it did not commit — on a Raft shard its fate may be
+        unknown, which a seal and a cumulative drain both tolerate.
+        """
+        if self._raft is None:
+            try:
+                self._wal.append(_WAL_KIND_COMMAND, command)
+            except (WalError, OSError):
+                return False
+            apply(self._rowstore, command)
+            return True
+        leader = self._raft.leader()
+        if leader is None:
+            return False
+        try:
+            index = leader.propose(command)
+            self._raft.settle_acked(index, ack=self._write_ack)
+        except (RaftError, BackpressureError):  # NotLeaderError is a RaftError
+            return False
+        return True
 
     # -- write path -----------------------------------------------------
 
     def _leader_throttle(self) -> float:
-        leader = self._raft.leader() if self._raft is not None else None
+        leader = self._raft.leader()
         return leader.backpressure.throttle if leader is not None else 1.0
 
     def _admit_batch(self, batch: RowBatch) -> None:
@@ -288,31 +318,22 @@ class Shard:
         invalid row is rejected before any WAL append, Raft proposal or
         memtable write.
 
-        Raft shards push into the group-commit queue (when enabled) or
-        straight into the bounded replication pipeline; a later
-        :meth:`settle_writes` is the durability barrier.  Non-raft
-        shards write through synchronously as before.  Raises
-        :class:`BackpressureError` when §4.2 flow control rejects the
-        batch — nothing is admitted in that case.
+        Raft shards offer it to the group-commit queue; a later
+        :meth:`settle_writes` is the durability barrier.  Plain shards
+        log it to the WAL and append it to the row store at once.
+        Raises :class:`BackpressureError` when §4.2 flow control
+        rejects the batch — nothing is admitted in that case.
         """
         batch = RowBatch.of(rows)
         count = len(batch)
         if not count:
             return
         with self._obs.tracer.span("shard.write", shard=self.shard_id, rows=count):
-            if self._raft is not None:
-                if self._group_queue is not None:
-                    self._group_queue.offer(batch)
-                else:
-                    self._pipeline.submit(batch.to_bytes())
-                    self._write_recorder.groups_committed.add()
-                    self._write_recorder.batches_coalesced.add()
-                    self._write_recorder.rows_committed.add(count)
+            if self._raft is None:
+                self._wal.append(_WAL_KIND_COMMAND, batch.to_bytes())
+                self._rowstore.append_many(batch)
             else:
-                if self._wal_fsync_s > 0:
-                    self._clock.sleep(self._wal_fsync_s)
-                self._wal.append(_WAL_KIND_BATCH, batch.to_bytes())
-                self.rowstore.append_many(batch)
+                self._group_queue.offer(batch)
         self.write_count.add(count)
         self.access_count.add(count)
 
@@ -324,7 +345,7 @@ class Shard:
         replicate during the same clock advance.  A flush refused by
         backpressure stays queued for :meth:`settle_writes` to retry.
         """
-        if self._group_queue is not None:
+        if self._raft is not None:
             with suppress(BackpressureError):
                 self._group_queue.flush()
 
@@ -338,17 +359,16 @@ class Shard:
         """
         if self._raft is None:
             return
-        if self._group_queue is not None:
-            deadline = self._clock.now() + timeout_s
-            while True:
-                try:
-                    self._group_queue.flush()
-                    break
-                except BackpressureError:
-                    if self._clock.now() >= deadline:
-                        raise
-                    self._pipeline.settle()
-                    self._clock.advance(0.01)
+        deadline = self._clock.now() + timeout_s
+        while True:
+            try:
+                self._group_queue.flush()
+                break
+            except BackpressureError:
+                if self._clock.now() >= deadline:
+                    raise
+                self._pipeline.settle()
+                self._clock.advance(0.01)
         self._pipeline.settle()
 
     def _settle_before(self) -> None:
@@ -361,7 +381,7 @@ class Shard:
         queued or in flight for the next barrier (which raises until
         they commit), and the caller goes on with what is applied.
         """
-        if self._raft.leader() is None:
+        if self._raft is None or self._raft.leader() is None:
             return
         with suppress(RaftError, BackpressureError):
             self.settle_writes()
@@ -377,94 +397,61 @@ class Shard:
         if self._raft is not None:
             self._settle_before()
             return self._raft.checkpoint()
-        sequence = self._wal.append(_WAL_KIND_CHECKPOINT, self.rowstore.serialize_state())
+        sequence = self._wal.append(_WAL_KIND_CHECKPOINT, self._rowstore.serialize_state())
         self._wal.truncate_before(sequence)
         return sequence
 
     # -- archiving ------------------------------------------------------
 
     def seal_active(self) -> None:
-        """Seal the active memtable (flush path).
+        """Seal the active memtable (flush path) through the log.
 
-        Replicated shards propose the seal through the log so every
-        replica cuts the same boundary; a local seal would diverge the
-        groups' drain prefixes.  If the command's settle times out and
-        a duplicate later commits, the second copy seals an empty (or
-        tiny) memtable — harmless, and identical on every replica.
-
-        Plain shards log the seal to the WAL first: replay re-derives
-        threshold seals from batch records, but an explicit seal of a
-        below-threshold memtable would otherwise vanish on recovery
-        while a later archive record still counts it in its drop — the
-        same unlogged-seal divergence the Raft path solves with the
-        replicated command.  Writes admitted before the call are
-        settled first, so the seal cuts after them.
+        Every replica, and a plain shard's WAL replay, then cuts the
+        same boundary.  Writes admitted before the call are settled
+        first, so the seal cuts after them.  A seal that fails to commit
+        seals nothing; a copy that commits after an indeterminate settle
+        seals an empty (or tiny) memtable — harmless, and the same on
+        every replica.
         """
-        if self._raft is None:
-            if len(self._rowstore.active):
-                rows = len(self._rowstore.active)
-                self._wal.append(_WAL_KIND_SEAL, b"")
-                self._rowstore.seal_active()
-                self._obs.journal.emit(
-                    "shard.seal", f"shard{self.shard_id}", detail=f"rows={rows}"
-                )
-            return
         self._settle_before()
-        leader = self._raft.leader()
-        if leader is None or not len(self.rowstore.active):
-            return
         rows = len(self.rowstore.active)
-        try:
-            index = leader.propose(_CMD_SEAL)
-            self._raft.settle_acked(index, ack=self._write_ack)
-        except (RaftError, NotLeaderError, BackpressureError):
-            return
-        self._obs.journal.emit(
-            "shard.seal", f"shard{self.shard_id}", detail=f"rows={rows}"
-        )
+        if rows and self._commit(_CMD_SEAL):
+            self._obs.journal.emit(
+                "shard.seal", f"shard{self.shard_id}", detail=f"rows={rows}"
+            )
+
+    def _archived_prefix(self, store: RowStore) -> int:
+        """Sealed tables at the head of ``store`` that are on OSS but not
+        drained from it yet (drain pending, or committed and in flight)."""
+        return max(0, self._drain_target + self._pending_drain - store.sealed_dropped)
 
     def take_sealed(self) -> list[MemTable]:
-        """Sealed memtables ready for the data builder.
+        """Sealed memtables ready for the data builder, oldest first.
 
-        Replicated shards *snapshot* the primary's sealed list without
-        removing anything — removal happens through a replicated drain
-        command in :meth:`finish_archive`, so a crash mid-archive never
-        loses rows and a leadership change never resurrects archived
-        ones.  Plain shards remove the tables (the WAL protects them).
-        Replicated shards settle admitted writes first.
+        A snapshot: nothing leaves the row store here.  Archived tables
+        leave through the drain command :meth:`finish_archive` commits,
+        so neither a failed archive nor a failed drain loses rows, and
+        a leadership change never resurrects archived ones.  Tables
+        archived but not yet drained from the store are skipped.
+        Admitted writes are settled first.
         """
-        if self._raft is None:
-            return self._rowstore.take_sealed()
         self._settle_before()
         self._flush_pending_drain()
         store = self.rowstore
-        # Skip tables that are archived but whose drain has not applied
-        # on this store yet (pending, or settled but still in-flight).
-        skip = max(0, self._drain_target + self._pending_drain - store.sealed_dropped)
-        return list(store.sealed_tables)[skip:]
+        return store.take_sealed()[self._archived_prefix(store) :]
 
-    def finish_archive(self, taken: list[MemTable], archived: int) -> None:
-        """Settle an archive attempt over tables from :meth:`take_sealed`.
+    def finish_archive(self, archived: int) -> None:
+        """Record that the first ``archived`` tables :meth:`take_sealed`
+        returned reached OSS + catalog (the builder archives in order).
 
-        ``archived`` is how many of ``taken`` (a prefix — the builder
-        archives in order) actually reached OSS + catalog.  Replicated
-        shards propose a drain command so every replica discards the
-        archived prefix at the same log position; if no leader is
-        reachable (partition), the drain stays pending and is retried
-        on the next archive cycle.  Plain shards log the drop to the
-        WAL and restore the un-archived suffix to the row store.
+        They join the pending drain, committed now or, when that fails
+        (no leader, WAL append error), on the next archive cycle.
         """
-        if self._raft is None:
-            if archived:
-                self._wal.append(_WAL_KIND_ARCHIVE, str(archived).encode())
-            if archived < len(taken):
-                self._rowstore.restore_sealed(taken[archived:])
-            return
         self._pending_drain += archived
         self._flush_pending_drain()
 
     def _flush_pending_drain(self) -> None:
-        """Try to replicate the pending drain; keep it on failure.
+        """Commit the pending drain; keep it pending on failure.
 
         The command carries the cumulative target (``_drain_target`` +
         pending) rather than a relative count: a settle that times out
@@ -472,20 +459,12 @@ class Shard:
         double-drop if the first copy later committed.  An absolute
         target makes any number of committed copies equivalent.
         """
-        if not self._pending_drain or self._raft is None:
-            return
-        leader = self._raft.leader()
-        if leader is None:
+        if not self._pending_drain:
             return
         target = self._drain_target + self._pending_drain
-        command = _CMD_DRAIN_PREFIX + str(target).encode()
-        try:
-            index = leader.propose(command)
-            self._raft.settle_acked(index, ack=self._write_ack)
-        except (RaftError, NotLeaderError, BackpressureError):
-            return
-        self._drain_target = target
-        self._pending_drain = 0
+        if self._commit(_CMD_DRAIN_PREFIX + str(target).encode()):
+            self._drain_target = target
+            self._pending_drain = 0
 
     # -- fault injection -------------------------------------------------
 
@@ -508,16 +487,20 @@ class Shard:
         return self._replica_stores.get(node_id)
 
     def scan_realtime(self, min_ts=None, max_ts=None, tenant_id=None) -> RowSelection:
-        """Rows still in the local row store (not yet archived)."""
+        """Rows still in the local row store and not yet on OSS."""
         self.access_count.add()
         with self._obs.tracer.span("shard.scan", shard=self.shard_id) as span:
-            rows = self.rowstore.scan(min_ts=min_ts, max_ts=max_ts, tenant_id=tenant_id)
+            store = self.rowstore
+            rows = store.scan(
+                min_ts, max_ts, tenant_id, skip_sealed=self._archived_prefix(store)
+            )
             span.set(rows=len(rows))
         return rows
 
     def pending_rows(self) -> int:
-        """Unarchived rows: the row store's plus those in a queued group."""
-        queued = sum(map(len, self._group_queue)) if self._group_queue is not None else 0
+        """Rows held locally: the row store's (an archived table whose
+        drain has not committed included) plus those in a queued group."""
+        queued = sum(map(len, self._group_queue)) if self._raft is not None else 0
         return self.rowstore.row_count() + queued
 
     def verify_raft_consistency(self) -> None:
@@ -525,7 +508,7 @@ class Shard:
 
         Replicas at the same ``last_applied`` must have *identical*
         serialized row-store state — not just equal row counts — since
-        every state transition (batch append, archive drain) is a
+        every state transition (batch append, seal, drain) is a
         deterministic function of the applied log prefix.
         """
         if self._raft is None:

@@ -42,10 +42,6 @@ class Worker:
             )
         self.shards[shard.shard_id] = shard
 
-    def write(self, shard_id: int, rows: RowBatch | list[dict]) -> None:
-        self.shards[shard_id].write(rows)
-        self.access_count.add(len(rows))
-
     def write_async(self, shard_id: int, rows: RowBatch | list[dict]) -> None:
         """Admit a batch without settling replication (see Shard)."""
         self.shards[shard_id].write_async(rows)
@@ -54,13 +50,11 @@ class Worker:
     def _archive_shard(self, shard: Shard, report: BuildReport) -> None:
         """Archive a shard's sealed memtables, keeping them on failure.
 
-        A builder failure (OSS outage past the retry budget, crash) must
-        not lose the memtables that left the row store — otherwise
-        acknowledged rows exist neither locally nor on OSS.
-        ``archive_memtable`` is all-or-nothing per memtable, so
-        ``finish_archive`` settles exactly the archived prefix: the
-        shard drains those tables (replicated drain command, or WAL
-        archive record) and keeps the rest.
+        ``take_sealed`` leaves the tables in the row store, and
+        ``archive_memtable`` is all-or-nothing per memtable, so after a
+        builder failure (OSS outage past the retry budget, crash)
+        ``finish_archive`` drains exactly the archived prefix and the
+        rest stay for the next cycle.
         """
         sealed = shard.take_sealed()
         archived = 0
@@ -69,7 +63,7 @@ class Worker:
                 self._builder.archive_memtable(memtable, report)
                 archived += 1
         finally:
-            shard.finish_archive(sealed, archived)
+            shard.finish_archive(archived)
 
     def archive_once(self) -> BuildReport:
         """Run the background data builder over every shard."""

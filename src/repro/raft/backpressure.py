@@ -22,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
+from repro.common.clock import VirtualClock
 from repro.common.errors import BackpressureError
 
 T = TypeVar("T")
@@ -153,6 +154,11 @@ class BackpressureController:
     while any monitored queue is above the high watermark, and recovers
     additively when all are below the low watermark (AIMD, as used by
     streaming systems the paper cites — Heron/Flink).
+
+    With a ``clock``, recovery takes at most one step per
+    ``recovery_interval_s``: a Raft leader re-evaluates on every calm
+    reply, and the replies of one round trip would otherwise undo a
+    decay before any producer reads the throttle.
     """
 
     def __init__(
@@ -162,6 +168,8 @@ class BackpressureController:
         low_watermark: float = 0.5,
         decay: float = 0.5,
         recovery: float = 0.1,
+        clock: VirtualClock | None = None,
+        recovery_interval_s: float = 0.0,
     ) -> None:
         if not 0 < low_watermark < high_watermark <= 1:
             raise ValueError("need 0 < low_watermark < high_watermark <= 1")
@@ -174,6 +182,9 @@ class BackpressureController:
         self._low = low_watermark
         self._decay = decay
         self._recovery = recovery
+        self._clock = clock
+        self._recovery_interval = recovery_interval_s
+        self._next_recovery = 0.0  # clock time the next recovery step may take
         self._throttle = 1.0  # fraction of nominal rate currently allowed
 
     @property
@@ -192,8 +203,11 @@ class BackpressureController:
         saturation = self.worst_saturation()
         if saturation >= self._high:
             self._throttle = max(0.01, self._throttle * self._decay)
-        elif saturation <= self._low:
-            self._throttle = min(1.0, self._throttle + self._recovery)
+        elif saturation <= self._low and self._throttle < 1.0:
+            now = self._clock.now() if self._clock is not None else 0.0
+            if now >= self._next_recovery:
+                self._throttle = min(1.0, self._throttle + self._recovery)
+                self._next_recovery = now + self._recovery_interval
         return self._throttle
 
     def penalize(self) -> float:

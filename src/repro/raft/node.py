@@ -180,7 +180,11 @@ class RaftNode:
         self.apply_queue: BoundedQueue[LogEntry] = BoundedQueue(
             f"{node_id}.apply_queue", apply_queue_items, apply_queue_bytes
         )
-        self.backpressure = BackpressureController([self.sync_queue, self.apply_queue])
+        self.backpressure = BackpressureController(
+            [self.sync_queue, self.apply_queue],
+            clock=clock,
+            recovery_interval_s=heartbeat_interval_s,
+        )
 
         self._recover_from_wal()
         network.register(node_id, self._on_message)

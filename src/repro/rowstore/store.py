@@ -50,10 +50,6 @@ class RowStore:
     def active(self) -> MemTable:
         return self._active
 
-    @property
-    def sealed_tables(self) -> list[MemTable]:
-        return list(self._sealed)
-
     def append(self, row: dict) -> None:
         """Ingest one row: a one-row :meth:`append_many`."""
         self.append_many([row])
@@ -111,34 +107,21 @@ class RowStore:
         return table
 
     def take_sealed(self) -> list[MemTable]:
-        """Hand all sealed memtables to the data builder (removes them).
+        """The sealed memtables for the data builder, oldest first.
 
-        The builder converts them to LogBlocks; after a successful upload
-        the rows live on OSS and the local copy is dropped — this is the
-        "packaged and flushed to OSS" path that also runs when a shard
-        stops carrying a tenant after rebalancing (§4.1.5).
+        A snapshot: the tables stay until :meth:`drop_sealed_prefix`
+        discards the ones that reached OSS, so an archive that fails
+        part-way loses no acknowledged rows.
         """
-        sealed = self._sealed
-        self._sealed = []
-        return sealed
-
-    def restore_sealed(self, tables: list[MemTable]) -> None:
-        """Return un-archived sealed memtables taken via :meth:`take_sealed`.
-
-        Archiving can fail after the memtables left the store (OSS outage
-        beyond the retry budget, builder crash); dropping them would lose
-        acknowledged rows.  Restored tables go back at the *front* so a
-        later retry archives them in their original seal order.
-        """
-        self._sealed = list(tables) + self._sealed
+        return list(self._sealed)
 
     def drop_sealed_prefix(self, count: int) -> None:
         """Discard the first ``count`` sealed memtables (they are on OSS).
 
-        Replicated shards propose the drop as a Raft command after a
-        successful archive, so every replica discards *the same* tables
-        at *the same* log position — seal boundaries are deterministic
-        functions of the applied batches, so the prefixes are identical.
+        Shards log the drop as a drain command after a successful
+        archive, so every replica and every WAL replay discards *the
+        same* tables at *the same* log position — seal boundaries are
+        deterministic functions of the applied commands.
         """
         if count < 0 or count > len(self._sealed):
             raise RowStoreError(
@@ -159,13 +142,15 @@ class RowStore:
         min_ts: int | None = None,
         max_ts: int | None = None,
         tenant_id: int | None = None,
+        skip_sealed: int = 0,
     ) -> RowSelection:
-        """Sealed tables then the active one, each in ts order, as one
-        selection (iterate it for row dicts)."""
+        """Sealed tables (past the first ``skip_sealed``) then the active
+        one, each in ts order, as one selection (iterate it for row
+        dicts)."""
         return RowSelection(
             [
                 part
-                for table in (*self._sealed, self._active)
+                for table in (*self._sealed[skip_sealed:], self._active)
                 for part in table.scan(min_ts, max_ts, tenant_id).parts
             ]
         )

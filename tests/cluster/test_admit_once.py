@@ -4,15 +4,18 @@ same row stores from the same puts, crash recovery reproduces them, and
 ingest metering is unchanged."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import LogStore, small_test_config
+from repro.chaos.wal_faults import FaultySegmentBackend
 from repro.cluster.shard import Shard
 from repro.common.clock import VirtualClock
 from repro.common.errors import InvalidBatchError
 from repro.logblock.schema import ColumnSpec, ColumnType, TableSchema, request_log_schema
 from repro.wal.log import MemorySegmentBackend
 
-from tests.conftest import make_rows, rowstore_state
+from tests.conftest import BASE_TS, MICROS, make_rows, rowstore_state
 
 
 def all_shards(store):
@@ -224,6 +227,23 @@ def seeded_ingest(store, nowait=False):
     store.settle_writes()
 
 
+# One differential step: (what, argument).  ``archive`` archives the
+# first k sealed tables and then fails (the builder's all-or-nothing
+# prefix); with ``drain_fails`` the drain command cannot commit either.
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(1, 25)),
+        st.tuples(st.just("seal"), st.just(0)),
+        st.tuples(st.just("archive"), st.integers(0, 3)),
+        st.tuples(st.just("archive_drain_fails"), st.integers(0, 3)),
+        st.tuples(st.just("checkpoint"), st.just(0)),
+        st.tuples(st.just("crash"), st.sampled_from(["leader", "follower"])),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
 class TestPlainVersusRaft:
     CONFIG = dict(n_workers=2, shards_per_worker=1, seal_rows=64)
 
@@ -288,6 +308,118 @@ class TestPlainVersusRaft:
         for shard in all_shards(plain):
             rebuilt = rebuild_plain(shard, backends[f"shard{shard.shard_id}"])
             assert rowstore_state(rebuilt.rowstore) == rowstore_state(shard.rowstore)
+
+    @settings(max_examples=30, deadline=None)
+    @given(STEPS)
+    def test_one_state_machine_under_faults(self, steps):
+        """A plain shard and a three-replica Raft shard fed the same
+        writes, seals, partial archives, failed drains, checkpoints and
+        crashes hold byte-identical row stores after every step, and
+        each shard's archived plus realtime rows are every acked row
+        exactly once."""
+        pair = ShardPair()
+        for step in steps:
+            pair.run(*step)
+            pair.check()
+
+
+class ShardPair:
+    """The same steps against a plain shard and a Raft shard."""
+
+    SEAL_ROWS = 10
+
+    def __init__(self):
+        self.clock = VirtualClock()
+        self.backend = FaultySegmentBackend("shard0")
+        self.plain = self._plain()
+        self.raft = Shard(
+            1, "w0", 10_000, self.SEAL_ROWS, 1 << 30, self.clock, use_raft=True
+        )
+        self.acked: list[str] = []
+        self.archived = {"plain": [], "raft": []}
+
+    def _plain(self):
+        return Shard(
+            0, "w0", 10_000, self.SEAL_ROWS, 1 << 30, self.clock, wal_backend=self.backend
+        )
+
+    def shards(self):
+        return {"plain": self.plain, "raft": self.raft}
+
+    def run(self, what, arg):
+        if what == "write":
+            first = len(self.acked)
+            rows = [
+                {"tenant_id": 1, "ts": BASE_TS + i * MICROS, "log": f"row-{i}"}
+                for i in range(first, first + arg)
+            ]
+            for shard in self.shards().values():
+                shard.write(rows)
+            self.acked += [row["log"] for row in rows]
+        elif what == "seal":
+            for shard in self.shards().values():
+                shard.seal_active()
+        elif what.startswith("archive"):
+            self._archive(arg, drain_fails=what == "archive_drain_fails")
+        elif what == "checkpoint":
+            for shard in self.shards().values():
+                shard.checkpoint()
+        else:
+            self._crash(arg)
+
+    def _archive(self, k, drain_fails):
+        taken = {name: shard.take_sealed() for name, shard in self.shards().items()}
+        assert len(taken["plain"]) == len(taken["raft"])
+        for name, shard in self.shards().items():
+            done = taken[name][:k]
+            self.archived[name] += [row["log"] for table in done for row in table.scan()]
+            if drain_fails:
+                self._break_log(name)
+            shard.finish_archive(len(done))
+            if drain_fails:
+                self._heal_log(name)
+
+    def _break_log(self, name):
+        if name == "plain":
+            self.backend.fail_next_appends(1)
+        else:
+            for node in self.raft.raft.nodes.values():
+                node.stop()
+
+    def _heal_log(self, name):
+        if name == "plain":
+            self.backend.heal()
+        else:
+            for node in self.raft.raft.nodes.values():
+                node.restart()
+            self.raft.raft.wait_for_leader()
+
+    def _crash(self, which):
+        # A plain crash with a drain pending would re-archive the table:
+        # the exactly-once gap both shard kinds share, not checked here.
+        if not self.plain._pending_drain:
+            self.plain = self._plain()
+        group = self.raft.raft
+        leader = group.wait_for_leader()
+        victim = leader if which == "leader" else next(
+            node for node in group.full_replicas() if node is not leader
+        )
+        self.raft.crash_replica(victim.node_id)
+        self.clock.advance(0.5)
+        self.raft.recover_replica(victim.node_id)
+
+    def check(self):
+        group = self.raft.raft
+        group.wait_for_leader()
+        self.clock.advance(0.5)  # heartbeats carry the commit index
+        leader = group.leader()
+        expected = self.plain.rowstore.serialize_state()
+        for node in group.full_replicas():
+            assert node.last_applied == leader.commit_index
+            assert self.raft.replica_store(node.node_id).serialize_state() == expected
+        for name, shard in self.shards().items():
+            realtime = [row["log"] for row in shard.scan_realtime()]
+            assert sorted(self.archived[name] + realtime) == sorted(self.acked)
 
 
 def test_usage_meter_bytes_match_the_parent_commit():

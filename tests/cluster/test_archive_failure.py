@@ -168,6 +168,82 @@ class TestArchiveFailureAtomicity:
         assert rebuilt.pending_rows() == shard.pending_rows() == 50
 
 
+def plain_store_over_faulty_wal():
+    """One plain shard with a 10-row seal threshold over a fault-injecting
+    WAL backend: ``(store, shard, backend)``."""
+    from repro.chaos.wal_faults import FaultySegmentBackend
+
+    backends = {}
+
+    def factory(name):
+        backends[name] = FaultySegmentBackend(name)
+        return backends[name]
+
+    config = small_test_config(
+        n_workers=1, shards_per_worker=1, seal_rows=10, block_rows=64,
+        wal_backend_factory=factory,
+    )
+    store = LogStore.create(config=config, clock=VirtualClock())
+    shard = next(iter(store.workers.values())).shards[0]
+    return store, shard, backends["shard0"]
+
+
+def count_rows(store) -> int:
+    result = store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1")
+    return result.rows[0]["COUNT(*)"]
+
+
+class TestPlainDrainFailure:
+    def test_failed_drain_append_loses_no_rows(self):
+        """Regression: the plain shard took its sealed tables out of the
+        row store, so a failed WAL append of the drain record raised
+        before the un-archived ones were put back — 20 acked rows were
+        then neither on OSS nor queryable."""
+        from repro.builder.builder import BuildReport
+
+        store, shard, backend = plain_store_over_faulty_wal()
+        store.put(1, make_rows(1, 30, "drain"))
+        sealed = shard.take_sealed()
+        assert [len(table) for table in sealed] == [10, 10, 10]
+        store.builder.archive_memtable(sealed[0], BuildReport())
+        backend.fail_next_appends(2)  # the drain record, then its retry
+        shard.finish_archive(1)  # the drain stays pending; nothing raises
+
+        assert shard.pending_rows() == 30
+        unarchived = {row["log"] for table in sealed[1:] for row in table.scan()}
+        assert len(unarchived) == 20
+        assert {row["log"] for row in shard.scan_realtime()} == unarchived
+        assert count_rows(store) == 30  # no row lost, none counted twice
+        assert shard.take_sealed() == sealed[1:]  # skips the archived table
+
+        backend.heal()
+        assert store.flush_all().rows_archived == 20
+        assert shard.rowstore.sealed_dropped == 3 and shard.pending_rows() == 0
+        assert count_rows(store) == 30
+
+    def test_rebuilt_shard_continues_the_drain_target(self):
+        """A drain carries a cumulative target: a shard rebuilt from its
+        WAL must count on from the tables its store already dropped, or
+        its next drain targets what is gone and drops nothing."""
+        from repro.cluster.shard import Shard
+
+        store, shard, backend = plain_store_over_faulty_wal()
+        store.put(1, make_rows(1, 30, "before"))
+        assert store.flush_all().rows_archived == 30
+        rebuilt = Shard(
+            shard.shard_id, shard.worker_id, shard.capacity_rps,
+            shard.seal_rows, shard.seal_bytes, store.clock, wal_backend=backend,
+        )
+        store.workers[shard.worker_id].shards[shard.shard_id] = rebuilt
+        assert rebuilt.rowstore.sealed_dropped == 3 and rebuilt.pending_rows() == 0
+
+        store.put(1, make_rows(1, 15, "after"))  # one threshold seal + 5 active rows
+        assert store.flush_all().rows_archived == 15
+        assert rebuilt.rowstore.sealed_dropped == 5 and rebuilt.pending_rows() == 0
+        assert store.flush_all().rows_archived == 0  # nothing left to archive again
+        assert count_rows(store) == 45
+
+
 class TestReplicatedSealAndDrain:
     def test_flush_all_keeps_replicas_byte_identical(self):
         """The seal must go through the Raft log: a local seal on the

@@ -53,10 +53,10 @@ class TestCrashRecovery:
         backend = MemorySegmentBackend()
         shard = make_shard(backend, seal_rows=50)
         shard.write(make_rows(120, tenant_id=1))
-        assert len(shard.rowstore.sealed_tables) == 2
+        assert len(shard.rowstore.take_sealed()) == 2
         recovered = make_shard(backend, seal_rows=50)
         assert recovered.rowstore.row_count() == 120
-        assert len(recovered.rowstore.sealed_tables) == 2
+        assert len(recovered.rowstore.take_sealed()) == 2
 
     def test_checkpoint_truncates_and_recovers(self):
         backend = MemorySegmentBackend()
@@ -100,23 +100,22 @@ class TestCrashRecovery:
         shard.write(make_rows(80, tenant_id=1, start_ts=BASE_TS + 100 * MICROS))
         recovered = make_shard(backend)
         assert recovered.rowstore.row_count() == 130
-        assert len(recovered.rowstore.sealed_tables) == 1
-        assert len(recovered.rowstore.sealed_tables[0]) == 50
+        assert len(recovered.rowstore.take_sealed()) == 1
+        assert len(recovered.rowstore.take_sealed()[0]) == 50
 
     def test_explicit_seal_then_archive_recovers(self):
-        """Regression: without a durable seal record, the ARCHIVE
-        record's drop count exceeds the replayed sealed list and
-        recovery raises, making acked rows in the WAL unrecoverable."""
+        """Regression: without a durable seal record, the drain's
+        target exceeds the replayed sealed list and recovery raises,
+        making acked rows in the WAL unrecoverable."""
         backend = MemorySegmentBackend()
         shard = make_shard(backend)
         shard.write(make_rows(50, tenant_id=1))
         shard.seal_active()
-        taken = shard.take_sealed()
-        shard.finish_archive(taken, len(taken))  # logs the ARCHIVE drop
+        shard.finish_archive(len(shard.take_sealed()))  # logs the drain
         shard.write(make_rows(50, tenant_id=1, start_ts=BASE_TS + 100 * MICROS))
         recovered = make_shard(backend)
         assert recovered.pending_rows() == 50
-        assert len(recovered.rowstore.sealed_tables) == 0
+        assert len(recovered.rowstore.take_sealed()) == 0
 
     def test_empty_active_seal_logs_nothing(self):
         backend = MemorySegmentBackend()

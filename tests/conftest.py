@@ -53,7 +53,7 @@ def rowstore_state(store) -> tuple:
     each sealed memtable's rows, the active rows, the size accounting."""
     return (
         store.total_rows_ingested,
-        [list(t.scan()) for t in store.sealed_tables],
+        [list(t.scan()) for t in store.take_sealed()],
         list(store.active.scan()),
         store.approx_bytes(),
     )

@@ -96,7 +96,7 @@ class TestRowStoreBulkDifferential:
         bulk, per_row = store_pair(seal_rows=10_000, seal_bytes=2_000)
         bulk.append_many(rows)
         append_per_row(per_row, rows)
-        assert len(bulk.sealed_tables) >= 1  # the threshold actually fired
+        assert len(bulk.take_sealed()) >= 1  # the threshold actually fired
         assert rowstore_state(bulk) == rowstore_state(per_row)
 
     def test_incremental_batches(self):

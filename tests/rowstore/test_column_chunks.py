@@ -92,7 +92,7 @@ class ListOracle:
 def state_of(store: RowStore):
     return (
         store.total_rows_ingested,
-        [canon(table.scan()) for table in store.sealed_tables],
+        [canon(table.scan()) for table in store.take_sealed()],
         canon(store.active.scan()),
         store.approx_bytes(),
     )
@@ -194,20 +194,20 @@ class TestStoreVersusOracle:
 
     def test_batch_crosses_seal_rows(self):
         store = self.run([make_rows(30, seed=s) for s in range(4)], 50, 1 << 30)
-        assert [len(t) for t in store.sealed_tables] == [50, 50]
+        assert [len(t) for t in store.take_sealed()] == [50, 50]
 
     def test_batch_lands_exactly_on_seal_rows(self):
         store = self.run([make_rows(25, seed=s) for s in range(4)], 50, 1 << 30)
-        assert [len(t) for t in store.sealed_tables] == [50, 50]
+        assert [len(t) for t in store.take_sealed()] == [50, 50]
         assert len(store.active) == 0
 
     def test_batch_crosses_seal_bytes(self):
         store = self.run([make_rows(20, seed=s) for s in range(5)], 10**6, 5_000)
-        assert len(store.sealed_tables) >= 2
+        assert len(store.take_sealed()) >= 2
 
     def test_one_batch_spans_several_seals(self):
         store = self.run([make_rows(7), make_rows(100, seed=1), make_rows(3, seed=2)], 16, 1 << 30)
-        assert len(store.sealed_tables) == 6
+        assert len(store.take_sealed()) == 6
 
     def test_scan_bounds_beyond_int64(self):
         store = RowStore()

@@ -87,22 +87,27 @@ class TestRowStore:
     def test_seal_on_row_threshold(self):
         store = RowStore(seal_rows=10)
         store.append_many(make_rows(25))
-        assert len(store.sealed_tables) == 2
+        assert len(store.take_sealed()) == 2
         assert len(store.active) == 5
         assert store.row_count() == 25
 
     def test_seal_on_byte_threshold(self):
         store = RowStore(seal_rows=10**9, seal_bytes=2000)
         store.append_many(make_rows(100))
-        assert len(store.sealed_tables) >= 1
+        assert len(store.take_sealed()) >= 1
 
     def test_take_sealed_removes(self):
+        """``take_sealed`` is a snapshot; only a drop removes tables."""
         store = RowStore(seal_rows=10)
         store.append_many(make_rows(25))
         taken = store.take_sealed()
         assert len(taken) == 2
-        assert store.sealed_tables == []
-        assert store.row_count() == 5  # active survives
+        assert store.take_sealed() == taken and store.row_count() == 25
+        taken.clear()  # the caller's list is its own
+        assert len(store.take_sealed()) == 2
+        store.drop_sealed_prefix(1)
+        assert len(store.take_sealed()) == 1 and store.sealed_dropped == 1
+        assert store.row_count() == 15  # the other sealed table and the active one
 
     def test_scan_spans_sealed_and_active(self):
         store = RowStore(seal_rows=10)
