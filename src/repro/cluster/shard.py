@@ -47,9 +47,10 @@ _WAL_KIND_CHECKPOINT = 21
 
 # Command marking the first N sealed memtables ever sealed as archived
 # to OSS: they leave the row store at the same log position on every
-# replica and in every replay.  Data commands (``RowBatch.to_bytes``)
-# always start with the pickle protocol opcode, so the prefix cannot
-# collide with one.
+# replica and in every replay.  Seal and drain commands start with
+# b"\x01"; a data command (``RowBatch.to_bytes``) starts with
+# ``BATCH_MAGIC``, whose first byte is not b"\x01", so neither can be
+# taken for the other.
 _CMD_DRAIN_PREFIX = b"\x01shard-drain:"
 
 # Command sealing the active memtable (flush path).  A seal must go

@@ -1,16 +1,16 @@
 """RowBatch: the one in-memory form of rows that are not archived yet.
 
-A batch is a column chunk, not row dicts: ``names`` plus one Python
-value list per name.  A client batch is transposed, validated and sized
-once, at ``LogStore.put`` (:meth:`RowBatch.admit`), or arrives
-column-major from the SQL front door (:meth:`RowBatch.from_columns`);
-the same object is what the broker splits and meters, what group commit
-and the §4.2 admission gate size, what a Raft entry or shard-WAL record
-carries (:meth:`RowBatch.to_bytes`) and what the memtable extends
-itself by.  Readers of the memtable — the data builder, a realtime
-scan — get a :class:`RowSelection`: the table's batch plus the indices
-of the rows picked, in reading order, so a column is gathered only when
-asked for.  Row dicts exist only where a reader asks for them
+A batch is a column chunk, not row dicts: ``names`` plus one value list
+per name.  A client batch is transposed, validated and sized once, at
+``LogStore.put`` (:meth:`RowBatch.admit`), or arrives column-major from
+the SQL front door (:meth:`RowBatch.from_columns`); the same object is
+what the broker splits and meters, what group commit and the §4.2
+admission gate size, what a Raft entry or shard-WAL record carries
+(:meth:`RowBatch.to_bytes`) and what the memtable extends itself by.
+Readers of the memtable — the data builder, a realtime scan — get a
+:class:`RowSelection`: the table's batch plus the indices of the rows
+picked, in reading order, so a column is gathered only when asked for.
+Row dicts exist only where a reader asks for them
 (:meth:`RowBatch.iter_dicts`).
 
 Rows of one batch share one key set: a ragged client batch is
@@ -20,12 +20,54 @@ per row, the length of every name plus the length of every ``str`` /
 ``bytes`` / ``bytearray`` value and 8 for any other value, a null
 included.  Seal thresholds, ``approx_bytes`` and ingest metering are in
 this unit (DESIGN.md §3, "Write path: admit once").
+
+**Value rule.**  Admission keeps each column in the typed form its
+check builds: a column of ``int`` within int64 as an ``array('q')``, of
+``float`` as float64, of ``bool`` as bytes, of ``str`` as the UTF-8 of
+the values joined by NUL.  Any column that is not purely one of these
+kinds — keys the schema does not know, nulls, a FLOAT64 column that
+holds ints and floats, text holding a NUL — uses a closed, tagged value
+encoding: ``None``, ``bool``, ``int`` of any size, ``float``, ``str``,
+``bytes``, ``bytearray``, and ``list`` / ``dict`` of these.  Any other
+value is refused at admission with :class:`InvalidBatchError`; a
+subclass of one of these types (a ``str`` or ``int`` subclass, say) is
+carried as its base type, and a column holding one is replaced by the
+base-typed values at admission, so a batch equals its own decoding
+value for value and type for type.
+
+**Durable form.**  :meth:`RowBatch.to_bytes` joins the typed buffers
+under one header, and :meth:`RowBatch.from_bytes` only checks and
+parses that header: the columns are decoded when a reader first asks
+for them (:attr:`RowBatch.columns`).  Little-endian throughout::
+
+    "\\x89RB"  u8 version  u32 CRC-32 of the body         record head
+    <I rows> <Q nbytes> <I columns>                        body head
+    per column <I name length> <B kind> <B width> <q base> <I segment length>
+    the names (UTF-8), then the segments in column order:
+      INT    rows offsets from base, width (0/1/2/4/8) bytes each:
+             the narrowest that holds the span; base 0 when every value
+             fits that width from 0, else the minimum; width 0: every
+             value is base.  A batch of at most 256 rows keeps a
+             column that is not constant at width 8, base 0: framing
+             so few values costs more host time than it saves bytes
+      FLOAT  rows float64
+      BOOL   rows bytes, 0 or 1
+      STR    the values' UTF-8 joined by NUL
+      ANY    rows tagged values
+
+Equal batches give equal bytes: a column's kind, and an INT column's
+base and width, follow from its values and the row count alone.
+``RowStore.serialize_state`` frames its tables with the same record
+head (:func:`pack_record`).
 """
 
 from __future__ import annotations
 
-import pickle
+import struct
+import sys
+import zlib
 from array import array
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -40,19 +82,238 @@ _SCALAR_TYPES = frozenset((int, float, bool, type(None)))
 _NEVER_INT = frozenset((float, type(None)))  # kinds that need no int64 range check
 _ONLY_NULL = {type(None)}
 _ONLY_STR = {str}
-# First element of every payload; a layout change takes a new tag.
-_PAYLOAD_TAG = "rowbatch/1"
-# What ``pickle.loads`` and the destructuring raise on bytes that are
-# not a payload (pickle documents the first five as non-exhaustive).
-_UNPICKLE_ERRORS = (
-    pickle.UnpicklingError, EOFError, AttributeError, ImportError, IndexError,
-    TypeError, ValueError,
-)
+_ONLY_INT = {int}
+_ONLY_FLOAT = {float}
+_ONLY_BOOL = {bool}
+# Columns of only these types keep the client's objects; any other
+# (subclasses, containers, bytearray) is replaced by its decoded form.
+_KEPT_TYPES = frozenset((type(None), bool, int, float, str, bytes))
+_NOTHING: frozenset = frozenset()
+
+# -- the record codec ---------------------------------------------------------
+
+# A batch payload's first bytes.  Shard seal / drain commands start with
+# b"\x01", so no payload can be mistaken for one (``cluster.shard``).
+BATCH_MAGIC = b"\x89RB"
+CODEC_VERSION = 1
+_HEAD = struct.Struct("<3sBI")  # magic, version, CRC-32 of the body
+_BATCH = struct.Struct("<IQI")  # rows, nbytes, columns
+_COLUMN = struct.Struct("<IBBqI")  # name length, kind, width, base, segment length
+_INT, _FLOAT, _BOOL, _STR, _ANY = range(1, 6)
+_OFFSETS = {width: np.dtype(f"<u{width}") for width in (1, 2, 4, 8)}
+_I8, _U8, _F8 = np.dtype("<i8"), _OFFSETS[8], np.dtype("<f8")
+# Rows up to which a batch keeps a non-constant int column as int64s:
+# framing costs ~10 us of numpy calls per column whatever the length,
+# over 10 % of a 100-row put, for ~1 KB of log.
+_SHORT = 256
+_MASK64 = (1 << 64) - 1
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def pack_record(magic: bytes, parts: Sequence) -> bytes:
+    """``magic``, the codec version and the CRC-32 of ``parts``, then
+    ``parts`` joined: the one framing of every durable row-store form."""
+    body = b"".join(parts)
+    return _HEAD.pack(magic, CODEC_VERSION, zlib.crc32(body)) + body
+
+
+def unpack_record(magic: bytes, data, what: str) -> memoryview:
+    """The body of a :func:`pack_record` record; a wrong magic, an
+    unknown version or a checksum mismatch is :class:`CorruptionError`."""
+    view = memoryview(data)
+    if len(view) < _HEAD.size or view[: len(magic)] != magic:
+        raise CorruptionError(f"not a {what}")
+    _, version, crc = _HEAD.unpack_from(view)
+    if version != CODEC_VERSION:
+        raise CorruptionError(f"unknown {what} version {version}")
+    body = view[_HEAD.size :]
+    if zlib.crc32(body) != crc:
+        raise CorruptionError(f"{what} fails its checksum")
+    return body
+
+
+def _frame(ints) -> tuple[int, int, bytes]:
+    """Frame of reference for a column of int64s: ``(base, width,
+    offsets)``.  The width is the narrowest that holds the span; the base
+    is 0 when every value fits that width from 0, else the minimum."""
+    values = np.frombuffer(ints, _I8)
+    low, high = int(values.min()), int(values.max())
+    span = high - low
+    if not span:
+        return low, 0, b""
+    width = next((w for w in (1, 2, 4) if not span >> 8 * w), 8)
+    if low >= 0 and not high >> 8 * width:
+        return 0, width, values.astype(_OFFSETS[width]).tobytes()
+    offsets = values.view(_U8) - np.uint64(low & _MASK64)
+    return low, width, offsets.astype(_OFFSETS[width]).tobytes()
+
+
+@lru_cache(maxsize=256)
+def _encoded_names(names: tuple) -> tuple[bytes, tuple[int, ...]]:
+    encoded = [str.encode(name, "utf-8", "surrogatepass") for name in names]
+    return b"".join(encoded), tuple(map(len, encoded))
+
+
+@lru_cache(maxsize=64)
+def _columns_struct(count: int) -> struct.Struct:
+    return struct.Struct("<" + _COLUMN.format[1:] * count)
+
+
+def _segment_ok(kind: int, width: int, base: int, size: int, count: int) -> bool:
+    """Whether a column's header fits its kind and the row count."""
+    if kind == _INT:
+        return (width == 0 or width in _OFFSETS) and size == width * count
+    if width or base:
+        return False
+    if kind == _FLOAT:
+        return size == 8 * count
+    if kind == _BOOL:
+        return size == count
+    if kind == _STR:
+        return count > 0 and size >= count - 1
+    return kind == _ANY and size >= count
+
+
+def _decode_part(part: tuple, count: int) -> list:
+    """One column's values, exact types, from its typed or wire part."""
+    kind, data, base, width = part
+    if kind == _INT:
+        if not width:
+            return [base] * count
+        offsets = np.frombuffer(data, _OFFSETS[width]).astype(np.uint64)
+        return (offsets + np.uint64(base & _MASK64)).view(np.int64).tolist()
+    if kind == _FLOAT:
+        return np.frombuffer(data, _F8).tolist()
+    if kind == _BOOL:
+        flags = np.frombuffer(data, np.uint8)
+        if count and flags.max() > 1:
+            raise CorruptionError("BOOL column holds a byte other than 0 or 1")
+        return flags.view(np.bool_).tolist()
+    if kind == _STR:
+        try:
+            values = str(data, "utf-8").split("\0") if count else []
+        except UnicodeDecodeError:
+            raise CorruptionError("STR column is not UTF-8") from None
+        if len(values) != count:
+            raise CorruptionError("STR column does not hold its row count")
+        return values
+    return _decode_values(data, count)
+
+
+# Tagged values (ANY columns): one tag byte, then the value.
+(_T_NONE, _T_FALSE, _T_TRUE, _T_INT, _T_BIGINT, _T_FLOAT, _T_STR, _T_BYTES,
+ _T_BYTEARRAY, _T_LIST, _T_DICT) = range(11)
+_I64 = struct.Struct("<q")
+_F64 = struct.Struct("<d")
+_U32 = struct.Struct("<I")
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _put_sized(out: bytearray, tag: int, data) -> None:
+    out.append(tag)
+    out += _U32.pack(len(data))
+    out += data
+
+
+def _put_value(out: bytearray, value) -> None:
+    if value is None:
+        out.append(_T_NONE)
+    elif value is True or value is False:
+        out.append(_T_TRUE if value else _T_FALSE)
+    elif isinstance(value, int):
+        if _INT64_MIN <= value <= _INT64_MAX:
+            out.append(_T_INT)
+            out += _I64.pack(value)
+        else:
+            size = value.bit_length() // 8 + 1
+            _put_sized(out, _T_BIGINT, int.to_bytes(value, size, "little", signed=True))
+    elif isinstance(value, float):
+        out.append(_T_FLOAT)
+        out += _F64.pack(value)
+    elif isinstance(value, str):
+        _put_sized(out, _T_STR, str.encode(value, "utf-8", "surrogatepass"))
+    elif isinstance(value, bytearray):
+        _put_sized(out, _T_BYTEARRAY, value)
+    elif isinstance(value, bytes):
+        _put_sized(out, _T_BYTES, value)
+    elif isinstance(value, list):
+        out.append(_T_LIST)
+        out += _U32.pack(len(value))
+        for item in value:
+            _put_value(out, item)
+    elif isinstance(value, dict):
+        out.append(_T_DICT)
+        out += _U32.pack(len(value))
+        for key, item in value.items():
+            _put_value(out, key)
+            _put_value(out, item)
+    else:
+        raise InvalidBatchError(f"a value of type {type(value).__name__!r} has no durable form")
+
+
+def _encode_values(values: list) -> bytes:
+    out = bytearray()
+    try:
+        for value in values:
+            _put_value(out, value)
+    except RecursionError:
+        raise InvalidBatchError("a value nests too deeply to be stored") from None
+    return bytes(out)
+
+
+def _decode_values(data, count: int) -> list:
+    data = bytes(data)
+    at = 0
+
+    def sized() -> bytes:
+        nonlocal at
+        (size,) = _U32.unpack_from(data, at)
+        at += 4 + size
+        if at > len(data):
+            raise CorruptionError("tagged value runs past its segment")
+        return data[at - size : at]
+
+    def value():
+        nonlocal at
+        tag = data[at]
+        at += 1
+        if tag == _T_NONE:
+            return None
+        if tag in (_T_FALSE, _T_TRUE):
+            return tag == _T_TRUE
+        if tag in (_T_INT, _T_FLOAT):
+            (found,) = (_I64 if tag == _T_INT else _F64).unpack_from(data, at)
+            at += 8
+            return found
+        if tag == _T_BIGINT:
+            return int.from_bytes(sized(), "little", signed=True)
+        if tag == _T_STR:
+            return sized().decode("utf-8", "surrogatepass")
+        if tag == _T_BYTES:
+            return sized()
+        if tag == _T_BYTEARRAY:
+            return bytearray(sized())
+        if tag in (_T_LIST, _T_DICT):
+            (size,) = _U32.unpack_from(data, at)
+            at += 4
+            if tag == _T_LIST:
+                return [value() for _ in range(size)]
+            return {value(): value() for _ in range(size)}
+        raise CorruptionError(f"unknown value tag {tag}")
+
+    try:
+        values = [value() for _ in range(count)]
+    except (IndexError, struct.error, UnicodeDecodeError, TypeError, RecursionError) as exc:
+        raise CorruptionError(f"undecodable ANY column: {exc!r}") from None
+    if at != len(data):
+        raise CorruptionError("ANY column holds bytes past its last value")
+    return values
+
+
+# -- admission ----------------------------------------------------------------
 
 
 def _column_nbytes(kinds: set, column: list) -> int:
-    if kinds == _ONLY_STR:
-        return len("".join(column))  # a third of the cost of summing len() per value
     if kinds <= _SIZED_TYPES:
         return sum(map(len, column))
     if kinds <= _SCALAR_TYPES:
@@ -75,28 +336,51 @@ def _transpose(rows: list[dict]) -> tuple[tuple[str, ...], list[list]]:
     return names, [[row.get(name) for row in rows] for name in names]
 
 
-def _check_int64(name: str, column: list, kinds: set, tenant_id: int | None = None) -> None:
+def _little(typed: array) -> array:
+    if _BIG_ENDIAN:
+        typed.byteswap()
+    return typed
+
+
+def _int_part(ints: array) -> tuple:
+    """An ``array('q')`` as an INT part: offsets from 0, 8 bytes wide."""
+    return (_INT, _little(ints).tobytes(), 0, 8)
+
+
+def _ints_part(column: list) -> tuple | None:
+    """A column of ints as an INT part of int64s; ``None`` when a value
+    is beyond int64.  The conversion is the range check."""
+    try:
+        return _int_part(array("q", column))
+    except OverflowError:
+        return None
+
+
+def _key_part(name: str, column: list, kinds: set, tenant_id: int | None = None) -> tuple:
     """``ts`` and ``tenant_id`` order and group the memtable as int64;
     a tenant column must also hold ``tenant_id`` only, when one is given."""
-    if kinds != {int}:
+    if kinds != _ONLY_INT:
         if type(None) in kinds:
             raise InvalidBatchError(f"row missing column {name!r}")
         for value in column:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidBatchError(f"column {name!r} expects int, got {type(value)}")
-    if tenant_id is not None:
-        if column.count(tenant_id) != len(column):
-            found = next(v for v in column if v != tenant_id)
-            raise InvalidBatchError(f"row tenant_id {found!r} does not match {tenant_id}")
-        column = (tenant_id,)  # all alike: one value to range-check
-    _check_int_range(name, column)
+    if tenant_id is not None and column.count(tenant_id) != len(column):
+        found = next(v for v in column if v != tenant_id)
+        raise InvalidBatchError(f"row tenant_id {found!r} does not match {tenant_id}")
+    if tenant_id is None:
+        part = _ints_part(column)
+    elif _INT64_MIN <= tenant_id <= _INT64_MAX:  # all alike: kept once
+        part = (_INT, b"", tenant_id, 0)
+    else:
+        part = None
+    if part is None:
+        raise _beyond_int64(name)
+    return part
 
 
-def _check_int_range(name: str, ints: Sequence[int]) -> None:
-    try:
-        array("q", ints)  # one C pass; overflows exactly beyond int64
-    except OverflowError:
-        raise InvalidBatchError(f"column {name!r} holds a value beyond int64") from None
+def _beyond_int64(name: str) -> InvalidBatchError:
+    return InvalidBatchError(f"column {name!r} holds a value beyond int64")
 
 
 def _check_utf8(name: str, column: list, kinds: set) -> None:
@@ -110,20 +394,89 @@ def _check_utf8(name: str, column: list, kinds: set) -> None:
             raise InvalidBatchError(f"column {name!r} holds text with no UTF-8 encoding") from None
 
 
+def _column_part(name, column: list, kinds: set, takes: frozenset = _NOTHING) -> tuple:
+    """``(part, nbytes)`` of one column: its typed form per the value
+    rule, and its payload estimate.  ``takes`` — the schema column's
+    accepted types — turns an int beyond int64 or a string with no UTF-8
+    encoding into :class:`InvalidBatchError` instead of an ANY column."""
+    count = len(column)
+    if kinds == _ONLY_STR:
+        text = "".join(column)
+        try:
+            blob = "\0".join(column).encode()
+        except UnicodeEncodeError:
+            if str in takes:
+                raise InvalidBatchError(
+                    f"column {name!r} holds text with no UTF-8 encoding"
+                ) from None
+            blob = None
+        if blob is not None and "\0" not in text:
+            return (_STR, blob, 0, 0), len(text)
+    elif kinds == _ONLY_INT:
+        part = _ints_part(column)
+        if part is not None:
+            return part, 8 * count
+        if int in takes:
+            raise _beyond_int64(name)
+    elif kinds == _ONLY_FLOAT:
+        return (_FLOAT, _little(array("d", column)).tobytes(), 0, 0), 8 * count
+    elif kinds == _ONLY_BOOL:
+        return (_BOOL, bytes(column), 0, 0), 8 * count
+    elif takes:
+        if int in takes and not kinds <= _NEVER_INT:
+            if _ints_part([v for v in column if isinstance(v, int)]) is None:
+                raise _beyond_int64(name)
+        if str in takes and kinds != _ONLY_NULL:
+            _check_utf8(name, column, kinds)
+    return (_ANY, _encode_values(column), 0, 0), _column_nbytes(kinds, column)
+
+
+def _canonical_part(column: list) -> tuple:
+    return _column_part(None, column, set(map(type, column)))[0]
+
+
+def _joined_parts(batches: Sequence["RowBatch"]) -> list | None:
+    """Per column, the typed parts of key-equal admitted ``batches``
+    joined; ``None`` when a member has no typed parts or a column's
+    kind differs between members."""
+    if any(batch._parts is None or batch._payload is not None for batch in batches):
+        return None
+    joined = []
+    counts = [batch.count for batch in batches]
+    for parts in zip(*(batch._parts for batch in batches)):
+        kind = parts[0][0]
+        if any(part[0] != kind for part in parts):
+            return None
+        if kind == _INT:  # admitted: int64s, or a constant (width 0) to expand
+            parts = [
+                part if part[3] else _int_part(array("q", (part[2],)) * count)
+                for part, count in zip(parts, counts)
+            ]
+        separator = b"\0" if kind == _STR else b""
+        joined.append((kind, separator.join(part[1] for part in parts), 0, parts[0][3]))
+    return joined
+
+
 class RowBatch:
     """Equal-length value lists per column name, plus a payload estimate.
 
     The lists are owned by the batch and never mutated (``split`` /
     ``concat`` build new ones), so batches may share them.
     ``tenant_id`` is the tenant every row belongs to, or ``None`` when
-    that is not known (replayed, coalesced across tenants).
+    that is not known (replayed, coalesced across tenants).  A batch
+    admitted, joined by :meth:`concat` or read by :meth:`from_bytes`
+    also holds its typed parts (see the module doc); one that has only
+    those decodes :attr:`columns` when they are first read.
     """
 
-    __slots__ = ("names", "columns", "count", "tenant_id", "nbytes")
+    __slots__ = ("names", "count", "tenant_id", "nbytes", "_columns", "_parts", "_payload")
 
     # Row dicts built by :meth:`iter_dicts`, process-wide.  Read by the
     # tier-1 guard that the write path builds none; not a metric.
     dicts_built = 0
+    # Columns decoded from typed parts, process-wide: the guard that a
+    # replica nobody reads decodes nothing.  Not a metric.
+    columns_decoded = 0
 
     def __init__(
         self,
@@ -133,13 +486,34 @@ class RowBatch:
         nbytes: int = 0,
     ) -> None:
         self.names = names
-        self.columns = columns or []
+        self._columns = columns or []
         self.count = len(columns[0]) if columns else 0
         self.tenant_id = tenant_id
         self.nbytes = nbytes
+        self._parts = self._payload = None
+
+    @classmethod
+    def _typed(cls, names, count, nbytes, parts, columns=None, tenant_id=None, payload=None):
+        batch = cls.__new__(cls)
+        batch.names, batch.count, batch.tenant_id, batch.nbytes = names, count, tenant_id, nbytes
+        batch._columns, batch._parts, batch._payload = columns, parts, payload
+        return batch
 
     def __len__(self) -> int:
         return self.count
+
+    @property
+    def columns(self) -> list[list]:
+        """One value list per name, decoded from the typed parts on first read."""
+        if self._columns is None:
+            self._columns = [_decode_part(part, self.count) for part in self._parts]
+            RowBatch.columns_decoded += len(self._columns)
+        return self._columns
+
+    @property
+    def decoded(self) -> bool:
+        """Whether :attr:`columns` is built (reading it costs no decode)."""
+        return self._columns is not None
 
     # -- admission ---------------------------------------------------------
 
@@ -173,7 +547,7 @@ class RowBatch:
         ts_column: str = "ts",
         tenant_column: str = "tenant_id",
     ) -> "RowBatch":
-        """Validate and size column-major rows in one sweep per column.
+        """Validate, size and type column-major rows in one sweep per column.
 
         Every row must carry an int64 ``ts_column`` and ``tenant_column``
         and — when ``tenant_id`` is given — belong to that tenant.  With
@@ -183,8 +557,9 @@ class RowBatch:
         must fit int64 and a string must have a UTF-8 encoding — the
         archive encoder stores them so, and a value it cannot store
         would fail every later flush of the shard; names the schema
-        does not know are carried and ignored.  Anything else raises
-        :class:`InvalidBatchError` and nothing was admitted.
+        does not know are carried and ignored.  Names must be ``str``
+        and values follow the value rule (module doc).  Anything else
+        raises :class:`InvalidBatchError` and nothing was admitted.
         """
         names = tuple(names)
         columns = [c if type(c) is list else list(c) for c in columns]
@@ -195,31 +570,33 @@ class RowBatch:
         count = len(columns[0]) if columns else 0
         if not count:
             return cls(tenant_id=tenant_id)
+        if set(map(type, names)) != _ONLY_STR and not all(isinstance(n, str) for n in names):
+            raise InvalidBatchError(f"column names must be str: {names!r}")
         accepted = schema.accepted_types if schema is not None else {}
         nbytes = count * sum(map(len, names))
-        for name, column in zip(names, columns):
+        parts = []
+        for i, (name, column) in enumerate(zip(names, columns)):
             kinds = set(map(type, column))
-            nbytes += _column_nbytes(kinds, column)
-            if name == ts_column:
-                _check_int64(name, column, kinds)
-            elif name == tenant_column:
-                _check_int64(name, column, kinds, tenant_id)
-            elif name in accepted:
-                if not kinds <= accepted[name]:
+            if name == ts_column or name == tenant_column:
+                owner = tenant_id if name == tenant_column else None
+                part, size = _key_part(name, column, kinds, owner), 8 * count
+            else:
+                takes = accepted.get(name, _NOTHING)
+                if takes and not kinds <= takes:
                     try:  # subclasses pass, a wrong type names itself
                         schema.validate_columns({name: column})
                     except SchemaError as exc:
                         raise InvalidBatchError(str(exc)) from None
-                if int in accepted[name] and not kinds <= _NEVER_INT:
-                    ints = column if kinds == {int} else [v for v in column if isinstance(v, int)]
-                    if ints:
-                        _check_int_range(name, ints)
-                elif str in accepted[name] and kinds != _ONLY_NULL:
-                    _check_utf8(name, column, kinds)
+                part, size = _column_part(name, column, kinds, takes)
+            if not kinds <= _KEPT_TYPES:  # carried as the base types
+                columns[i] = column = _decode_part(part, count)
+                part = _canonical_part(column)
+            parts.append(part)
+            nbytes += size
         for required in (ts_column, tenant_column):
             if required not in names:
                 raise InvalidBatchError(f"row missing column {required!r}")
-        return cls(names, columns, tenant_id, nbytes)
+        return cls._typed(names, count, nbytes, parts, columns, tenant_id)
 
     @classmethod
     def of(cls, rows: "RowBatch | Iterable[dict]", **columns: str) -> "RowBatch":
@@ -265,8 +642,10 @@ class RowBatch:
         """One batch holding every row of ``batches``, in order: what
         admitting all their rows as one client batch gives.
 
-        Batches with other key sets are normalised to the union, like
-        the rows of one ragged batch, and the nulls that adds are sized.
+        Key-equal admitted batches are joined buffer by buffer (group
+        commit); others chain their lists.  Batches with other key sets
+        are normalised to the union, like the rows of one ragged batch,
+        and the nulls that adds are sized.
         """
         batches = [batch for batch in batches if batch.count]
         if len(batches) == 1:
@@ -276,6 +655,9 @@ class RowBatch:
         names = batches[0].names
         nbytes = sum(batch.nbytes for batch in batches)
         if all(batch.names == names for batch in batches):
+            joined = _joined_parts(batches)
+            if joined is not None:
+                return cls._typed(names, sum(map(len, batches)), nbytes, joined)
             parts = zip(*(batch.columns for batch in batches))
         else:
             names = tuple(dict.fromkeys(chain.from_iterable(b.names for b in batches)))
@@ -341,20 +723,51 @@ class RowBatch:
     # -- durable form (Raft entry command / shard-WAL batch record) --------
 
     def to_bytes(self) -> bytes:
-        """The batch as a log payload; carries ``nbytes`` so replay and
-        replica apply do not size the columns again."""
-        return pickle.dumps((_PAYLOAD_TAG, self.nbytes, self.names, self.columns))
+        """The batch as a log payload (module doc); carries ``nbytes`` so
+        replay and replica apply do not size the columns again."""
+        if self._payload is not None:
+            return self._payload
+        parts = self._parts or [_canonical_part(column) for column in self._columns]
+        names, sizes = _encoded_names(self.names)
+        fields, segments = [], []
+        for size, (kind, data, base, width) in zip(sizes, parts):
+            if kind == _INT and width == 8 and not base:  # int64s
+                if self.count > _SHORT:
+                    base, width, data = _frame(data)
+                elif data[:8] * self.count == data:  # constant: kept once
+                    base, width, data = _I64.unpack_from(data)[0], 0, b""
+            fields += (size, kind, width, base, len(data))
+            segments.append(data)
+        head = _BATCH.pack(self.count, self.nbytes, len(sizes))
+        columns = _columns_struct(len(sizes)).pack(*fields)
+        return pack_record(BATCH_MAGIC, (head, columns, names, *segments))
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "RowBatch":
-        """The batch of one payload; anything else is corruption."""
+        """The batch of one payload, its columns still encoded: checks
+        the CRC and parses the header, O(columns).  Anything that is not
+        a payload of this codec version is :class:`CorruptionError`."""
+        body = unpack_record(BATCH_MAGIC, payload, "row batch payload")
         try:
-            tag, nbytes, names, columns = pickle.loads(payload)
-            if tag == _PAYLOAD_TAG:
-                return cls(names, columns, None, nbytes)
-        except _UNPICKLE_ERRORS as exc:
-            raise CorruptionError(f"undecodable row batch payload: {exc!r}") from None
-        raise CorruptionError(f"unknown row batch payload tag {tag!r}")
+            count, nbytes, ncolumns = _BATCH.unpack_from(body)
+            at = _BATCH.size + ncolumns * _COLUMN.size
+            columns = list(_COLUMN.iter_unpack(body[_BATCH.size : at]))
+            names = []
+            for size, *_ in columns:
+                names.append(str(body[at : at + size], "utf-8", "surrogatepass"))
+                at += size
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise CorruptionError(f"undecodable row batch header: {exc!r}") from None
+        parts = []
+        for _, kind, width, base, size in columns:
+            if not _segment_ok(kind, width, base, size, count):
+                raise CorruptionError(f"row batch column of kind {kind} is malformed")
+            parts.append((kind, body[at : at + size], base, width))
+            at += size
+        if at != len(body) or len(set(names)) != len(names):
+            raise CorruptionError("row batch payload does not match its header")
+        payload = payload if type(payload) is bytes else bytes(payload)
+        return cls._typed(tuple(names), count, nbytes, parts, payload=payload)
 
 
 class RowSelection:

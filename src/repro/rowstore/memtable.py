@@ -10,11 +10,14 @@ The table is one growing column chunk: per column name one value
 list in arrival order, which an append extends by the batch's list (a
 ``list.extend`` per column — no per-row work, and the batch's own lists
 die with the put instead of aging in the garbage collector's young
-generation).  Nothing else happens before the ack.  The first reader
-after an append — a scan, or the data builder — extends the table's
-int64 ``ts`` and ``tenant`` vectors by the new rows and takes a stable
-argsort of ``ts``, so rows read in timestamp order with ties in arrival
-order.
+generation).  A batch that arrives still encoded (a Raft entry, a WAL
+replay, a checkpoint) is kept as it is, buffers and all, until a reader
+touches the table: a Raft follower that is never read decodes nothing.
+Nothing else happens before the ack.  The first reader after an append
+— a scan, the data builder or a snapshot — decodes the kept batches
+into the lists, extends the table's int64 ``ts`` and ``tenant`` vectors
+by the new rows and takes a stable argsort of ``ts``, so rows read in
+timestamp order with ties in arrival order.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ class MemTable:
         self._tenant_column = tenant_column
         self._names: tuple[str, ...] = ()
         self._columns: list[list] = []
+        self._listed = 0  # rows in ``_columns``
+        self._encoded: list[RowBatch] = []  # later rows, not decoded yet
         self._count = 0
         self._approx_bytes = 0
         self._sealed = False
@@ -73,14 +78,12 @@ class MemTable:
         self.append_many([row])
 
     def append_many(self, rows: RowBatch | Iterable[dict]) -> int:
-        """Append a batch: one ``list.extend`` per column, no index
-        maintenance.
+        """Append a batch: one ``list.extend`` per column, or — for a
+        batch still encoded — keep the batch; no index maintenance.
 
         All-or-nothing: a plain iterable of rows is admitted (validated
         and sized) first, so an invalid row raises before anything is
-        appended; a :class:`RowBatch` was admitted upstream.  A batch
-        with other keys than the table's widens the table to the union,
-        nulls filling what either side lacks (sizes stay as admitted).
+        appended; a :class:`RowBatch` was admitted upstream.
         """
         if self._sealed:
             raise RowStoreError("cannot append to a sealed memtable")
@@ -88,18 +91,28 @@ class MemTable:
             rows, ts_column=self._ts_column, tenant_column=self._tenant_column
         )
         if batch.count:
-            parts = batch.columns
-            if batch.names != self._names:
-                self._names = tuple(dict.fromkeys(self._names + batch.names))
-                self._columns += [
-                    [None] * self._count for _ in self._names[len(self._columns) :]
-                ]
-                parts = [batch.column(name) or [None] * batch.count for name in self._names]
-            for column, part in zip(self._columns, parts):
-                column.extend(part)
+            if batch.decoded and not self._encoded:
+                self._extend(batch)
+            else:
+                self._encoded.append(batch)
             self._count += batch.count
             self._approx_bytes += batch.nbytes
         return batch.count
+
+    def _extend(self, batch: RowBatch) -> None:
+        """Extend the lists by ``batch``'s.  A batch with other keys than
+        the table's widens the table to the union, nulls filling what
+        either side lacks (sizes stay as admitted)."""
+        parts = batch.columns
+        if batch.names != self._names:
+            self._names = tuple(dict.fromkeys(self._names + batch.names))
+            self._columns += [
+                [None] * self._listed for _ in self._names[len(self._columns) :]
+            ]
+            parts = [batch.column(name) or [None] * batch.count for name in self._names]
+        for column, part in zip(self._columns, parts):
+            column.extend(part)
+        self._listed += batch.count
 
     def seal(self) -> None:
         """Freeze the memtable; the data builder converts sealed tables."""
@@ -111,6 +124,9 @@ class MemTable:
         """Every row as one batch, in arrival order (also the snapshot
         form).  It shares the table's lists: read it before the next
         append."""
+        for batch in self._encoded:
+            self._extend(batch)
+        self._encoded.clear()
         return RowBatch(self._names, self._columns, None, self._approx_bytes)
 
     def _ordered(self) -> RowBatch:

@@ -12,14 +12,22 @@ Sealing policy mirrors an LSM flush: when the active memtable exceeds
 
 from __future__ import annotations
 
-import pickle
+import struct
 
-from repro.common.errors import RowStoreError
-from repro.rowstore.batch import RowBatch, RowSelection
+from repro.common.errors import CorruptionError, RowStoreError
+from repro.rowstore.batch import RowBatch, RowSelection, pack_record, unpack_record
 from repro.rowstore.memtable import MemTable
 
 DEFAULT_SEAL_ROWS = 100_000
 DEFAULT_SEAL_BYTES = 64 * 1024 * 1024
+
+# Checkpoint state: the record head of ``batch.pack_record``, then
+# <Q rows ingested> <Q sealed dropped> <I tables>, one <Q length> per
+# table, and each table (sealed ones, then the active one) as one
+# ``RowBatch.to_bytes`` payload in arrival order.
+STATE_MAGIC = b"\x89RS"
+_STATE = struct.Struct("<QQI")
+_LENGTH = struct.Struct("<Q")
 
 
 class RowStore:
@@ -170,19 +178,33 @@ class RowStore:
         Captures each sealed table and the active one as one column
         batch in arrival order, plus the ingest counters; archived rows
         live on OSS and are not part of local state.  Equal tables give
-        equal bytes however their rows were chunked.
+        equal bytes however their rows were chunked, and whether or not
+        a reader has decoded them.
         """
         tables = [t.consolidated().to_bytes() for t in (*self._sealed, self._active)]
-        return pickle.dumps((tables, self.total_rows_ingested, self.sealed_dropped))
+        head = _STATE.pack(self.total_rows_ingested, self.sealed_dropped, len(tables))
+        lengths = [_LENGTH.pack(len(table)) for table in tables]
+        return pack_record(STATE_MAGIC, (head, *lengths, *tables))
 
     def install_state(self, state: bytes) -> None:
-        """Replace local contents with a serialized snapshot, in place."""
-        tables, total, dropped = pickle.loads(state)
+        """Replace local contents with a serialized snapshot, in place;
+        a state that does not decode is :class:`CorruptionError` and
+        changes nothing.  The tables stay encoded until read."""
+        body = unpack_record(STATE_MAGIC, state, "row-store state")
+        try:
+            total, dropped, count = _STATE.unpack_from(body)
+            at = _STATE.size + count * _LENGTH.size
+            sizes = [size for (size,) in _LENGTH.iter_unpack(body[_STATE.size : at])]
+        except struct.error as exc:
+            raise CorruptionError(f"undecodable row-store state: {exc!r}") from None
         restored = []
-        for payload in tables:
+        for size in sizes:
             table = MemTable(self._ts_column, self._tenant_column)
-            table.append_many(RowBatch.from_bytes(payload))
+            table.append_many(RowBatch.from_bytes(body[at : at + size]))
             restored.append(table)
+            at += size
+        if not count or len(sizes) != count or at != len(body):
+            raise CorruptionError("row-store state does not match its header")
         self._active = restored.pop()
         for table in restored:
             table.seal()

@@ -130,8 +130,26 @@ class TestWrongTypedValue:
     def test_float_column_takes_ints_and_unknown_keys_are_carried(self):
         store = LogStore.create(config=small_test_config())
         rows = make_rows(5, tenant_id=4)
-        rows[0]["not_in_schema"] = object  # carried to the builder, ignored there
+        # Carried to the builder, ignored there.
+        rows[0]["not_in_schema"] = {"nested": [2**70, b"raw", None]}
+        rows[1]["not_in_schema"] = 1.5
         store.put(4, rows)
+        assert store.flush_all().rows_archived == 5
+
+    @pytest.mark.parametrize("value", [object, (1, 2), {1, 2}, [object()]])
+    @pytest.mark.parametrize("use_raft", [False, True])
+    def test_value_without_durable_form_is_refused(self, use_raft, value):
+        """The value rule: a value outside the closed set the record
+        codec carries (``repro.rowstore.batch``) is refused at put()."""
+        store = LogStore.create(config=small_test_config(use_raft=use_raft))
+        rows = make_rows(5, tenant_id=4)
+        rows[2]["not_in_schema"] = value
+        for put in (store.put, store.put_nowait):
+            with pytest.raises(InvalidBatchError, match="has no durable form"):
+                put(4, rows)
+        store.settle_writes()
+        assert store.pending_rows() == 0
+        store.put(4, make_rows(5, tenant_id=4, seed=1))
         assert store.flush_all().rows_archived == 5
 
 
