@@ -288,13 +288,13 @@ class DataBuilder:
         memtable_seq: int,
     ) -> list[_BuiltBlock]:
         """Encode one tenant's LogBlocks."""
-        # The one gather of the archive path, schema columns only:
-        # keys the schema does not know were carried this far and
-        # end here.
+        # The one gather of the archive path, schema columns only (keys
+        # the schema does not know were carried this far and end here):
+        # a typed memtable column as one vector ``take``.
         columns = {
             name: col
             for name in schema.column_names()
-            if (col := rows.column(name)) is not None
+            if (col := rows.column(name, typed=True)) is not None
         }
         built: list[_BuiltBlock] = []
         for chunk_idx in range(0, len(rows), self._target_rows):
@@ -312,7 +312,7 @@ class DataBuilder:
             # rows_by_tenant() yields timestamp order, so the chunk
             # bounds are its first/last rows.
             ts = columns[ts_column][chunk_idx:chunk_end]
-            min_ts, max_ts = ts[0], ts[-1]
+            min_ts, max_ts = int(ts[0]), int(ts[-1])
             built.append(
                 _BuiltBlock(
                     tenant_id=tenant_id,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.builder.builder import BuildReport
 from repro.cluster.config import LogStoreConfig
-from repro.cluster.worker import Worker
+from repro.cluster.worker import Worker, archive_each
 from repro.common.clock import VirtualClock
 from repro.flow.balancer import (
     Balancer,
@@ -126,15 +126,14 @@ class Controller:
         self.workers[worker.worker_id] = worker
 
     def archive_all(self) -> BuildReport:
-        """Run the data builder on every worker (checkpoint task)."""
-        report = BuildReport()
-        for worker in self.workers.values():
-            report.merge(worker.archive_once())
-        return report
+        """Run the data builder on every worker (checkpoint task); a
+        worker that fails does not stop the rest (:func:`archive_each`)."""
+        return archive_each(
+            self.workers.values(), lambda worker, report: report.merge(worker.archive_once())
+        )
 
     def flush_all(self) -> BuildReport:
-        """Seal + archive everything on every worker."""
-        report = BuildReport()
-        for worker in self.workers.values():
-            report.merge(worker.flush_all())
-        return report
+        """Seal + archive everything on every worker, each tried."""
+        return archive_each(
+            self.workers.values(), lambda worker, report: report.merge(worker.flush_all())
+        )

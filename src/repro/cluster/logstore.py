@@ -572,11 +572,13 @@ class LogStore:
     def run_background_tasks(self) -> BuildReport:
         """Archive all sealed memtables to OSS, tick the data lifecycle
         (expiry sweep + cold repacks), then tick the alert engine over
-        the post-archive registry snapshot."""
-        report = self.controller.archive_all()
-        self.lifecycle.tick(int(self.clock.now() * 1_000_000))
-        self.evaluate_alerts()
-        return report
+        the post-archive registry snapshot.  A shard that cannot archive
+        fails the call only after both ticks ran."""
+        try:
+            return self.controller.archive_all()
+        finally:
+            self.lifecycle.tick(int(self.clock.now() * 1_000_000))
+            self.evaluate_alerts()
 
     def evaluate_alerts(self):
         """One deterministic alert tick at the current virtual time.

@@ -8,10 +8,31 @@ memtables to OSS in the background.
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
+
 from repro.builder.builder import BuildReport, DataBuilder
 from repro.cluster.shard import Shard
 from repro.obs.context import Observability
 from repro.rowstore.batch import RowBatch
+
+
+def archive_each(items: Iterable, archive: Callable[[object, BuildReport], None]) -> BuildReport:
+    """``archive(item, report)`` for every item, into one report.
+
+    One item that cannot archive (an OSS outage past the retry budget, a
+    DDL that retyped a key its rows hold) must not stop the others: each
+    is tried, and the first failure is raised after the last.
+    """
+    report = BuildReport()
+    failure: Exception | None = None
+    for item in items:
+        try:
+            archive(item, report)
+        except Exception as exc:
+            failure = failure or exc
+    if failure is not None:
+        raise failure
+    return report
 
 
 class Worker:
@@ -65,20 +86,17 @@ class Worker:
         finally:
             shard.finish_archive(archived)
 
+    def _flush_shard(self, shard: Shard, report: BuildReport) -> None:
+        shard.seal_active()
+        self._archive_shard(shard, report)
+
     def archive_once(self) -> BuildReport:
         """Run the background data builder over every shard."""
-        report = BuildReport()
-        for shard in self.shards.values():
-            self._archive_shard(shard, report)
-        return report
+        return archive_each(self.shards.values(), self._archive_shard)
 
     def flush_all(self) -> BuildReport:
         """Seal + archive everything (used on rebalance/offload, §4.1.5)."""
-        report = BuildReport()
-        for shard in self.shards.values():
-            shard.seal_active()
-            self._archive_shard(shard, report)
-        return report
+        return archive_each(self.shards.values(), self._flush_shard)
 
     def pending_rows(self) -> int:
         return sum(shard.pending_rows() for shard in self.shards.values())

@@ -32,6 +32,14 @@ def encode_uvarint(value: int) -> bytes:
             return bytes(out)
 
 
+def encode_uvarints(values: list[int]):
+    """:func:`encode_uvarint` of each non-negative value, lazily: a
+    tuple lookup per value, not a call, when every value fits one byte."""
+    if max(values, default=0) < 0x80:
+        return map(_ONE_BYTE.__getitem__, values)
+    return map(encode_uvarint, values)
+
+
 def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode an unsigned LEB128 integer.
 

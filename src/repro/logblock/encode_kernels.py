@@ -21,9 +21,13 @@ Byte-identity is the contract, checked three ways:
 * tests — differential + hypothesis suites compare whole packed
   LogBlocks member-by-member across both modes.
 
-A column is *prepared* once at ``LogBlockWriter.finish()`` — type gate,
-null mask, typed vector, and for strings a ranking made by hashing
-(:func:`rank_strings`) and the UTF-8 bytes — and that
+A column reaches the writer as a typed vector (the memtable's INT /
+FLOAT / BOOL columns) or a value list, which :func:`column_array` turns
+into a vector or an object array once.  It is *prepared* once at
+``LogBlockWriter.finish()`` — a typed vector as it is; an object array
+through the type gate, null mask and typed vector; for strings a
+ranking made by hashing (:func:`rank_strings`) and the UTF-8 bytes — and
+that
 :class:`PreparedColumn` is the one form every consumer reads: the block
 encoder and the SMA here, and the BKD index, both inverted indexes and
 the Bloom filter in the writer.
@@ -38,7 +42,7 @@ import numpy as np
 
 from repro.common.bitset import Bitset
 from repro.common.bytesio import BinaryWriter
-from repro.common.varint import encode_uvarint, encode_uvarint_array
+from repro.common.varint import encode_uvarint_array, encode_uvarints
 from repro.logblock.column import (
     _DICT_MAX_CARDINALITY_FRACTION,
     _STRING_DICT,
@@ -114,7 +118,7 @@ class PreparedColumn:
     """One column in the form every consumer inside the writer reads."""
 
     ctype: ColumnType
-    values: list  # the python values: oracle SMA fallback, string bytes
+    column: np.ndarray  # the input: typed vector or object array (column_array)
     null_mask: np.ndarray  # bool, one per row
     vector: np.ndarray  # int64/float64/bool vector; object array for STRING
     # SMA fast path eligibility is a column-level property (e.g. a
@@ -123,6 +127,12 @@ class PreparedColumn:
     # detected inside compute_sma_range.
     sma_vectorized: bool = True
     sma_reason: str | None = None
+
+    @cached_property
+    def values(self) -> list:
+        """The Python values, made on first use: the oracle SMA of a
+        block the array path refuses, and a STRING column's terms."""
+        return self.column.tolist()
 
     @cached_property
     def ranking(self) -> tuple[list, np.ndarray]:
@@ -137,8 +147,15 @@ class PreparedColumn:
         """A STRING column's UTF-8 bytes, a null's ``b""``, made on
         first use: the PLAIN blocks are a join of them and the
         tokenized inverted index is cut from them, so a text column is
-        encoded once for both."""
-        return [b"" if value is None else value.encode("utf-8") for value in self.values]
+        encoded once for both — as one NUL-joined text, unless a value
+        holds a NUL."""
+        values = texts = self.values
+        if self.null_mask.any():
+            texts = ["" if value is None else value for value in values]
+        encoded = "\0".join(texts).encode("utf-8").split(b"\0")
+        if len(encoded) == len(values):
+            return encoded
+        return [text.encode("utf-8") for text in texts]
 
 
 def _object_array(values: list) -> np.ndarray:
@@ -149,36 +166,73 @@ def _object_array(values: list) -> np.ndarray:
     return arr
 
 
-def _typed_vector(values: list, has_nulls: bool, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """``(vector, null_mask)`` of a numeric or bool column.
+# The typed vector of each non-STRING column type, and the one value
+# type a list must hold throughout to convert to it.
+VECTOR_DTYPES = {
+    ColumnType.INT64: np.dtype(np.int64),
+    ColumnType.TIMESTAMP: np.dtype(np.int64),
+    ColumnType.FLOAT64: np.dtype(np.float64),
+    ColumnType.BOOL: np.dtype(np.bool_),
+}
+_EXACT = {
+    ColumnType.INT64: {int},
+    ColumnType.TIMESTAMP: {int},
+    ColumnType.FLOAT64: {float},
+    ColumnType.BOOL: {bool},
+}
 
-    Without nulls the list converts straight to ``dtype``; with them it
-    takes the object-array detour so the nulls can be masked and filled
-    with the oracle's placeholder (0 / 0.0 / False) first.
-    """
+
+def column_array(values: list, ctype: ColumnType) -> np.ndarray:
+    """A value list in :func:`prepare_column`'s one input form: the
+    typed vector when every value has exactly the column's Python type
+    (``int`` within int64, ``float``, ``bool``; no null), else an object
+    array of the values as they are."""
+    exact = _EXACT.get(ctype)
+    if exact is not None and set(map(type, values)) <= exact:
+        try:
+            return np.array(values, dtype=VECTOR_DTYPES[ctype])
+        except OverflowError:
+            pass
+    return _object_array(values)
+
+
+def _typed_vector(column: np.ndarray, has_nulls: bool, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``(vector, null_mask)`` of an object array in a numeric or bool
+    column: the nulls masked and filled with the oracle's placeholder
+    (0 / 0.0 / False) first."""
     if not has_nulls:
-        return np.array(values, dtype=dtype), np.zeros(len(values), dtype=bool)
-    filled = _object_array(values)
+        return column.astype(dtype), np.zeros(len(column), dtype=bool)
+    filled = column.copy()
     null_mask = np.equal(filled, None)
     filled[null_mask] = 0
     return filled.astype(dtype), null_mask
 
 
 def prepare_column(
-    values: list, ctype: ColumnType, trusted: bool = False
+    column: np.ndarray, ctype: ColumnType, trusted: bool = False
 ) -> PreparedColumn:
     """Walk one column into its prepared form, or raise :class:`EncodeFallback`.
 
-    ``trusted=True`` skips the per-value type gate — callers that
-    schema-validated every appended row (the writer's default) already
-    guarantee the exact type set the kernels assume.
+    ``column`` is what :func:`column_array` makes: a typed vector is
+    taken as it is (no null, no conversion); an object array goes
+    through the type gate and the null mask.  ``trusted=True`` skips the
+    per-value type gate — callers that schema-validated every appended
+    row (the writer's default) already guarantee the exact type set the
+    kernels assume.
     """
+    if column.dtype == VECTOR_DTYPES.get(ctype):
+        return PreparedColumn(ctype, column, np.zeros(len(column), dtype=bool), column)
+    if ctype is ColumnType.STRING:
+        if not trusted and not set(map(type, column)) <= {str, type(None)}:
+            raise EncodeFallback("non-str value")
+        # The object vector is what the SMA reduces over.
+        return PreparedColumn(ctype, column, np.equal(column, None), column)
     # One C-driven sweep collecting the exact types present.  The gate
     # is deliberately stricter than the schema validator (which also
     # accepts int/str/bool *subclasses*): a subclassed value falls back
     # to the oracle rather than risking a representation the kernels
     # did not anticipate.  Falling back is always byte-safe.
-    vtypes = set(map(type, values))
+    vtypes = set(map(type, column))
     has_nulls = type(None) in vtypes
     vtypes.discard(type(None))
 
@@ -186,21 +240,21 @@ def prepare_column(
         if not trusted and not vtypes <= {int}:
             raise EncodeFallback("non-int value")
         try:
-            vector, null_mask = _typed_vector(values, has_nulls, np.int64)
+            vector, null_mask = _typed_vector(column, has_nulls, np.int64)
         except (OverflowError, TypeError, ValueError) as exc:
             # The oracle's np.array(..., dtype=int64) raises the same
             # OverflowError — falling back surfaces the canonical one.
             raise EncodeFallback("int64 overflow") from exc
-        return PreparedColumn(ctype, values, null_mask, vector)
+        return PreparedColumn(ctype, column, null_mask, vector)
 
     if ctype is ColumnType.FLOAT64:
         if not trusted and not vtypes <= {int, float}:
             raise EncodeFallback("non-float value")
         try:
-            vector, null_mask = _typed_vector(values, has_nulls, np.float64)
+            vector, null_mask = _typed_vector(column, has_nulls, np.float64)
         except (OverflowError, TypeError, ValueError) as exc:
             raise EncodeFallback("float64 overflow") from exc
-        prep = PreparedColumn(ctype, values, null_mask, vector)
+        prep = PreparedColumn(ctype, column, null_mask, vector)
         if not vtypes <= {float}:
             # The oracle SMA keeps the *original* min/max objects, so a
             # python int min serializes as KIND_INT; the float64 vector
@@ -213,15 +267,8 @@ def prepare_column(
     if ctype is ColumnType.BOOL:
         if not trusted and not vtypes <= {bool}:
             raise EncodeFallback("non-bool value")
-        vector, null_mask = _typed_vector(values, has_nulls, np.bool_)
-        return PreparedColumn(ctype, values, null_mask, vector)
-
-    if ctype is ColumnType.STRING:
-        if not trusted and not vtypes <= {str}:
-            raise EncodeFallback("non-str value")
-        # The object vector is what the SMA reduces over.
-        vector = _object_array(values)
-        return PreparedColumn(ctype, values, np.equal(vector, None), vector)
+        vector, null_mask = _typed_vector(column, has_nulls, np.bool_)
+        return PreparedColumn(ctype, column, null_mask, vector)
 
     raise EncodeFallback(f"unsupported column type {ctype}")
 
@@ -269,7 +316,7 @@ def encode_block_range(prep: PreparedColumn, start: int, stop: int) -> bytes:
     writer.write_u8(_STRING_PLAIN)
     encoded = prep.encoded[start:stop]
     pieces = [b""] * (2 * len(encoded))
-    pieces[0::2] = map(encode_uvarint, map(len, encoded))
+    pieces[0::2] = encode_uvarints(list(map(len, encoded)))
     pieces[1::2] = encoded
     writer.write_bytes(b"".join(pieces))
     return writer.getvalue()

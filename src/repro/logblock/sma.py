@@ -248,7 +248,8 @@ def compute_sma_arrays(
             return None
         min_value = float(present.min())
         max_value = float(present.max())
-        total = float(np.cumsum(np.concatenate((np.zeros(1), present)))[-1])
+        with np.errstate(over="ignore"):  # the oracle's float sum reaches inf silently
+            total = float(np.cumsum(np.concatenate((np.zeros(1), present)))[-1])
         return Sma(min_value, max_value, row_count, null_count, total)
 
     if ctype is ColumnType.BOOL:

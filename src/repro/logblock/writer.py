@@ -36,6 +36,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -48,9 +49,11 @@ from repro.logblock.bloom import BloomFilter
 from repro.logblock.inverted import InvertedIndexBuilder
 from repro.logblock.column import encode_block
 from repro.logblock.encode_kernels import (
+    VECTOR_DTYPES,
     EncodeFallback,
     EncodeStats,
     PreparedColumn,
+    column_array,
     compute_sma_range,
     encode_block_range,
     prepare_column,
@@ -118,6 +121,15 @@ def _read_uints(reader: BinaryReader, count: int) -> np.ndarray:
     if dtype is None:
         raise SerializationError("unknown array width in LogBlock meta")
     return np.frombuffer(reader.read_bytes(count * dtype.itemsize), dtype=dtype)
+
+
+def _piece(values, ctype: ColumnType) -> list | np.ndarray:
+    """What the writer keeps of one appended column (not copied: the
+    caller hands it over): a vector of the column's dtype as it is,
+    anything else as a list."""
+    if isinstance(values, np.ndarray):
+        return values if values.dtype == VECTOR_DTYPES.get(ctype) else values.tolist()
+    return values if type(values) is list else list(values)
 
 
 @lru_cache(maxsize=64)
@@ -395,10 +407,12 @@ class LogBlockWriter:
         # the byte-identity tests reach it through, set by no caller.
         self._vectorized = vectorized
         self._encode_stats = EncodeStats()
-        # The columns are kept whole; blocks, SMAs, indexes and Bloom
-        # filters are all built from them in finish(), so the pack does
-        # not depend on how the rows were cut into append calls.
-        self._columns: list[list] = [[] for _ in schema.columns]
+        # The columns are kept whole — per column the typed vectors and
+        # value lists appended, in order (one per append call); blocks,
+        # SMAs, indexes and Bloom filters are all built from them in
+        # finish(), so the pack does not depend on how the rows were cut
+        # into append calls.
+        self._pieces: list[list] = [[] for _ in schema.columns]
         self._row_count = 0
         self._finished = False
 
@@ -416,16 +430,10 @@ class LogBlockWriter:
         return self._encode_stats
 
     def append(self, row: dict) -> None:
-        """Append one row (a column-name → value mapping)."""
-        if self._finished:
-            raise SerializationError("LogBlockWriter already finished")
-        if self._validate:
-            # Missing columns are nulls: rows ingested before an additive
-            # DDL must still archive under the evolved schema.
-            self._schema.validate_row(row, allow_missing=True)
-        for col_idx, col in enumerate(self._schema.columns):
-            self._columns[col_idx].append(row.get(col.name))
-        self._row_count += 1
+        """Append one row (a column-name → value mapping); missing
+        columns are nulls: rows ingested before an additive DDL must
+        still archive under the evolved schema."""
+        self.append_many([row])
 
     def append_many(self, rows: list[dict]) -> None:
         """Append a batch of row dicts (tests and oracles; the write
@@ -441,9 +449,13 @@ class LogBlockWriter:
         }
         self._ingest_columns(columns, len(rows))
 
-    def append_columns(self, columns: dict[str, list]) -> None:
-        """Columnar ingest: one equal-length value list per column name.
+    def append_columns(self, columns: dict[str, list | np.ndarray]) -> None:
+        """Columnar ingest: one equal-length value list or typed vector
+        per column name.
 
+        A vector of the column's own dtype (int64 for INT64 / TIMESTAMP,
+        float64, bool) is taken as it is — the data builder hands over
+        the memtable's so; any other input is a list of Python values.
         Missing columns are all-null (mirroring ``allow_missing`` row
         appends); unknown names raise :class:`SchemaError`.  The result
         is byte-identical to appending the equivalent rows one by one.
@@ -468,12 +480,31 @@ class LogBlockWriter:
         }
         self._ingest_columns(full, count)
 
-    def _ingest_columns(self, columns: dict[str, list], count: int) -> None:
-        if self._validate:
-            self._schema.validate_columns(columns)
-        for col_idx, col in enumerate(self._schema.columns):
-            self._columns[col_idx].extend(columns[col.name])
+    def _ingest_columns(self, columns: dict, count: int) -> None:
+        columns = {
+            col.name: _piece(columns[col.name], col.ctype) for col in self._schema.columns
+        }
+        if self._validate:  # a vector of the column's dtype holds valid values
+            self._schema.validate_columns(
+                {name: values for name, values in columns.items() if isinstance(values, list)}
+            )
+        for pieces, values in zip(self._pieces, columns.values()):
+            pieces.append(values)
         self._row_count += count
+
+    def _column(self, col_idx: int, ctype: ColumnType) -> np.ndarray:
+        """One column's rows in :func:`prepare_column`'s input form:
+        the appended vectors joined, or — when some rows came as values
+        — every value converted once (:func:`column_array`)."""
+        pieces = self._pieces[col_idx]
+        if pieces and all(isinstance(piece, np.ndarray) for piece in pieces):
+            return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        if len(pieces) == 1:
+            return column_array(pieces[0], ctype)
+        values = chain.from_iterable(
+            piece.tolist() if isinstance(piece, np.ndarray) else piece for piece in pieces
+        )
+        return column_array(list(values), ctype)
 
     def finish(self) -> bytes:
         """Freeze the writer and return the packed LogBlock bytes.
@@ -501,14 +532,16 @@ class LogBlockWriter:
         bloom_payloads: list[tuple[str, bytes]] = []
 
         for col_idx, col in enumerate(self._schema.columns):
-            values = self._columns[col_idx]
+            column = self._column(col_idx, col.ctype)
             prep = None
             prep_reason: str | None = None
             if self._vectorized and n_blocks:
                 try:
-                    prep = prepare_column(values, col.ctype, trusted=self._validate)
+                    prep = prepare_column(column, col.ctype, trusted=self._validate)
                 except EncodeFallback as exc:
                     prep_reason = exc.reason
+            # The reference encoders' input: Python values.
+            values = column.tolist() if prep is None else None
             headers: list[BlockHeader] = []
             block_smas: list[Sma] = []
             for block_idx in range(n_blocks):
@@ -564,8 +597,9 @@ class LogBlockWriter:
             pack.add(name, payload)
         return pack.build()
 
-    def _build_index(self, col, values: list, prep: PreparedColumn | None):
-        """``(index, Bloom filter or None)`` of one indexed column.
+    def _build_index(self, col, values: list | None, prep: PreparedColumn | None):
+        """``(index, Bloom filter or None)`` of one indexed column, from
+        its prepared form or (``prep`` None) its Python ``values``.
 
         A prepared column hands the builders what they would otherwise
         derive: the BKD index its typed vector and null mask, the raw
@@ -583,6 +617,8 @@ class LogBlockWriter:
                 for row_id, value in enumerate(values):
                     builder.add(row_id, value)
             return builder.build(), None
+        if prep is not None:
+            values = prep.values
         builder = InvertedIndexBuilder(tokenize=col.tokenize)
         if col.tokenize:
             builder.add_many(0, values, encoded=prep.encoded if prep is not None else None)

@@ -100,6 +100,13 @@ _HEAD = struct.Struct("<3sBI")  # magic, version, CRC-32 of the body
 _BATCH = struct.Struct("<IQI")  # rows, nbytes, columns
 _COLUMN = struct.Struct("<IBBqI")  # name length, kind, width, base, segment length
 _INT, _FLOAT, _BOOL, _STR, _ANY = range(1, 6)
+# The kinds whose values a reader can take as one numpy vector
+# (:func:`widen_part`), with that vector's dtype.
+VECTOR_KINDS = {
+    _INT: np.dtype(np.int64),
+    _FLOAT: np.dtype(np.float64),
+    _BOOL: np.dtype(np.bool_),
+}
 _OFFSETS = {width: np.dtype(f"<u{width}") for width in (1, 2, 4, 8)}
 _I8, _U8, _F8 = np.dtype("<i8"), _OFFSETS[8], np.dtype("<f8")
 # Rows up to which a batch keeps a non-constant int column as int64s:
@@ -174,21 +181,54 @@ def _segment_ok(kind: int, width: int, base: int, size: int, count: int) -> bool
     return kind == _ANY and size >= count
 
 
-def _decode_part(part: tuple, count: int) -> list:
-    """One column's values, exact types, from its typed or wire part."""
+def widen_part(part: tuple, count: int) -> np.ndarray:
+    """An INT / FLOAT / BOOL part (typed or wire) as a numpy vector of
+    int64 / float64 / bool: a view of its buffer where the widths agree."""
     kind, data, base, width = part
     if kind == _INT:
         if not width:
-            return [base] * count
-        offsets = np.frombuffer(data, _OFFSETS[width]).astype(np.uint64)
-        return (offsets + np.uint64(base & _MASK64)).view(np.int64).tolist()
+            return np.full(count, base, np.int64)
+        offsets = np.frombuffer(data, _OFFSETS[width])
+        if width == 8 and not base:
+            return offsets.view(_I8)
+        return (offsets.astype(np.uint64) + np.uint64(base & _MASK64)).view(np.int64)
     if kind == _FLOAT:
-        return np.frombuffer(data, _F8).tolist()
-    if kind == _BOOL:
-        flags = np.frombuffer(data, np.uint8)
-        if count and flags.max() > 1:
-            raise CorruptionError("BOOL column holds a byte other than 0 or 1")
-        return flags.view(np.bool_).tolist()
+        return np.frombuffer(data, _F8)
+    flags = np.frombuffer(data, np.uint8)
+    if count and flags.max() > 1:
+        raise CorruptionError("BOOL column holds a byte other than 0 or 1")
+    return flags.view(np.bool_)
+
+
+def _vector_part(vector: np.ndarray) -> tuple:
+    """The typed part of an int64 / float64 / bool vector: what the
+    part of its values as a list would be (:func:`_canonical_part`)."""
+    if vector.dtype == np.bool_:
+        return (_BOOL, vector.view(np.uint8).tobytes(), 0, 0)
+    if vector.dtype == np.float64:
+        return (_FLOAT, vector.astype(_F8, copy=False).tobytes(), 0, 0)
+    return (_INT, vector.astype(_I8, copy=False).tobytes(), 0, 8)
+
+
+def typed_bytes(part: tuple, count: int) -> bytes:
+    """An admitted INT / FLOAT / BOOL part's values as little-endian
+    int64 / float64 / bool bytes (admission keeps ints unframed, and a
+    constant once)."""
+    kind, data, base, width = part
+    return _I64.pack(base) * count if kind == _INT and not width else data
+
+
+def decode_column(part: tuple, count: int) -> list:
+    """:func:`_decode_part`, counted in :attr:`RowBatch.columns_decoded`."""
+    RowBatch.columns_decoded += 1
+    return _decode_part(part, count)
+
+
+def _decode_part(part: tuple, count: int) -> list:
+    """One column's values, exact types, from its typed or wire part."""
+    kind, data = part[:2]
+    if kind in VECTOR_KINDS:
+        return widen_part(part, count).tolist()
     if kind == _STR:
         try:
             values = str(data, "utf-8").split("\0") if count else []
@@ -431,7 +471,9 @@ def _column_part(name, column: list, kinds: set, takes: frozenset = _NOTHING) ->
     return (_ANY, _encode_values(column), 0, 0), _column_nbytes(kinds, column)
 
 
-def _canonical_part(column: list) -> tuple:
+def _canonical_part(column) -> tuple:
+    if isinstance(column, np.ndarray):
+        return _vector_part(column)
     return _column_part(None, column, set(map(type, column)))[0]
 
 
@@ -457,6 +499,18 @@ def _joined_parts(batches: Sequence["RowBatch"]) -> list | None:
     return joined
 
 
+def _pick(column, indices: Sequence[int] | np.ndarray | None):
+    """The values of ``column`` at ``indices`` (all when ``None``) as
+    Python values: a vector column's through one ``take``."""
+    if isinstance(column, np.ndarray):
+        return (column if indices is None else column[indices]).tolist()
+    if indices is None:
+        return column
+    if isinstance(indices, np.ndarray):
+        indices = indices.tolist()
+    return map(column.__getitem__, indices)
+
+
 class RowBatch:
     """Equal-length value lists per column name, plus a payload estimate.
 
@@ -466,7 +520,10 @@ class RowBatch:
     that is not known (replayed, coalesced across tenants).  A batch
     admitted, joined by :meth:`concat` or read by :meth:`from_bytes`
     also holds its typed parts (see the module doc); one that has only
-    those decodes :attr:`columns` when they are first read.
+    those decodes :attr:`columns` when they are first read.  The
+    memtable's own batch may hold a column as an int64 / float64 / bool
+    numpy vector instead of a list; :meth:`take` and the dict readers
+    hand out its values as Python ones.
     """
 
     __slots__ = ("names", "count", "tenant_id", "nbytes", "_columns", "_parts", "_payload")
@@ -506,14 +563,27 @@ class RowBatch:
     def columns(self) -> list[list]:
         """One value list per name, decoded from the typed parts on first read."""
         if self._columns is None:
-            self._columns = [_decode_part(part, self.count) for part in self._parts]
-            RowBatch.columns_decoded += len(self._columns)
+            self._columns = [decode_column(part, self.count) for part in self._parts]
         return self._columns
 
     @property
     def decoded(self) -> bool:
         """Whether :attr:`columns` is built (reading it costs no decode)."""
         return self._columns is not None
+
+    def typed_parts(self) -> list[tuple]:
+        """Every column's typed part: as admitted or read, else the part
+        its values make (the module doc's value rule)."""
+        return self._parts or [_canonical_part(column) for column in self._columns]
+
+    def admitted_parts(self) -> tuple[list[tuple], list[list]] | None:
+        """``(typed parts, value lists)`` of a batch built in this
+        process (admitted, cut, joined lists) — its ints unframed, a
+        constant kept once (:func:`typed_bytes`) — or ``None`` for one
+        read by :meth:`from_bytes`, or not decoded."""
+        if self._payload is None and self._columns is not None:
+            return self.typed_parts(), self._columns
+        return None
 
     # -- admission ---------------------------------------------------------
 
@@ -682,10 +752,9 @@ class RowBatch:
             names, columns = self.names, self.columns
         else:
             nulls = [None] * self.count
-            columns = [self.column(name) or nulls for name in names]
-        if indices is not None:
-            columns = [map(column.__getitem__, indices) for column in columns]
-        return names, columns
+            columns = [self.column(name) for name in names]
+            columns = [nulls if column is None else column for column in columns]
+        return names, [_pick(column, indices) for column in columns]
 
     def take(self, indices: Sequence[int] | None, names: Sequence[str]) -> "RowBatch":
         """The picked rows as a chunk of exactly ``names``; nothing is sized."""
@@ -727,10 +796,9 @@ class RowBatch:
         replay and replica apply do not size the columns again."""
         if self._payload is not None:
             return self._payload
-        parts = self._parts or [_canonical_part(column) for column in self._columns]
         names, sizes = _encoded_names(self.names)
         fields, segments = [], []
-        for size, (kind, data, base, width) in zip(sizes, parts):
+        for size, (kind, data, base, width) in zip(sizes, self.typed_parts()):
             if kind == _INT and width == 8 and not base:  # int64s
                 if self.count > _SHORT:
                     base, width, data = _frame(data)
@@ -795,14 +863,24 @@ class RowSelection:
         batch = RowBatch.of(rows)
         return cls([(batch, np.arange(batch.count))])
 
-    def column(self, name: str) -> list | None:
-        """The selected values of ``name``; ``None`` when no part carries it."""
-        found = [(batch.column(name), picked.tolist()) for batch, picked in self.parts]
+    def column(self, name: str, typed: bool = False) -> list | np.ndarray | None:
+        """The selected values of ``name``; ``None`` when no part carries it.
+
+        A list of Python values, or with ``typed`` the gathered numpy
+        vector when every part holds ``name`` as a vector of one dtype
+        (the memtable's INT / FLOAT / BOOL columns): one ``take``, no
+        Python value built.
+        """
+        found = [(batch.column(name), picked) for batch, picked in self.parts]
         if all(column is None for column, _ in found):
             return None
+        if typed and len({getattr(column, "dtype", None) for column, _ in found}) == 1:
+            if isinstance(found[0][0], np.ndarray):
+                vectors = [column[picked] for column, picked in found]
+                return vectors[0] if len(vectors) == 1 else np.concatenate(vectors)
         return list(
             chain.from_iterable(
-                repeat(None, len(picked)) if column is None else map(column.__getitem__, picked)
+                repeat(None, len(picked)) if column is None else _pick(column, picked)
                 for column, picked in found
             )
         )

@@ -6,18 +6,25 @@ compression — and §3.1: all tenants share one huge table "organized
 only by the timestamp, rather than separated by tenants, to improve
 space efficiency and reduce random I/O accesses".
 
-The table is one growing column chunk: per column name one value
-list in arrival order, which an append extends by the batch's list (a
-``list.extend`` per column — no per-row work, and the batch's own lists
-die with the put instead of aging in the garbage collector's young
-generation).  A batch that arrives still encoded (a Raft entry, a WAL
-replay, a checkpoint) is kept as it is, buffers and all, until a reader
-touches the table: a Raft follower that is never read decodes nothing.
-Nothing else happens before the ack.  The first reader after an append
-— a scan, the data builder or a snapshot — decodes the kept batches
-into the lists, extends the table's int64 ``ts`` and ``tenant`` vectors
-by the new rows and takes a stable argsort of ``ts``, so rows read in
-timestamp order with ties in arrival order.
+The table is one growing column chunk in the typed form the record
+codec carries (``repro.rowstore.batch``): per column name a numpy
+vector — int64 for an INT column (``ts`` and ``tenant_id`` among
+them), float64, bool — or a value list for a STRING or ANY column and
+for any column whose kind changes between batches (or that some batch
+lacks).  Appending an admitted batch adds its typed buffers to each
+vector column's ``bytearray`` tail and extends the lists by the batch's
+own: no numpy call and no per-put object kept alive.  A batch that
+arrives still encoded (a Raft entry, a WAL replay, a checkpoint) is
+kept as it is until a reader touches the table: a Raft follower that is
+never read decodes nothing.  Nothing else happens before the ack.
+
+The first reader after an append — a scan, the data builder or a
+snapshot — widens only what was appended since the last read: the tails
+through ``np.frombuffer``, an encoded batch's INT / FLOAT / BOOL buffers
+through their base and width, its STRING / ANY ones decoded into the
+lists.  A scan then takes a stable argsort of the ``ts`` vector, so rows
+read in timestamp order with ties in arrival order (the builder's
+per-tenant ``lexsort`` needs none).
 """
 
 from __future__ import annotations
@@ -27,9 +34,68 @@ from typing import Iterable
 import numpy as np
 
 from repro.common.errors import RowStoreError
-from repro.rowstore.batch import RowBatch, RowSelection
+from repro.rowstore.batch import (
+    VECTOR_KINDS,
+    RowBatch,
+    RowSelection,
+    decode_column,
+    typed_bytes,
+    widen_part,
+)
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+class _Column:
+    """One column of the table: a typed vector (``kind`` is an INT /
+    FLOAT / BOOL part kind) plus what was appended since the last read —
+    little-endian bytes in ``tail``, widened vectors in ``chunks`` — or,
+    with ``kind`` None, a value list."""
+
+    __slots__ = ("kind", "vector", "tail", "chunks", "values")
+
+    def __init__(self, kind: int, nulls: int) -> None:
+        """A column that starts with ``nulls`` null rows, then rows of ``kind``."""
+        self.kind = kind if kind in VECTOR_KINDS and not nulls else None
+        if self.kind is None:
+            self.values = [None] * nulls
+        else:
+            self.vector = np.empty(0, VECTOR_KINDS[kind])
+            self.tail = bytearray()
+            self.chunks: list[np.ndarray] = []
+
+    def add(self, part: tuple, count: int, values: list | None) -> None:
+        """One batch's rows of this column, widened now: its typed part
+        onto the vector, or its value list (decoded from the part while
+        ``None``) onto the values."""
+        if part[0] == self.kind:
+            self.chunks.append(widen_part(part, count))
+            return
+        self.listify()
+        self.values += decode_column(part, count) if values is None else values
+
+    def add_nulls(self, count: int) -> None:
+        self.listify()
+        self.values += [None] * count
+
+    def listify(self) -> None:
+        """Turn a vector column into a value list (its kind changed)."""
+        if self.kind is not None:
+            self.values = self.widened().tolist()
+            self.kind = None
+
+    def widened(self) -> np.ndarray | list:
+        """The column over every row added: the vector with the tail and
+        the chunks joined on, or the value list."""
+        if self.kind is None:
+            return self.values
+        if self.tail or self.chunks:
+            dtype = VECTOR_KINDS[self.kind]
+            tail = [np.frombuffer(self.tail, dtype.newbyteorder("<"))] if self.tail else []
+            self.vector = np.concatenate((self.vector, *tail, *self.chunks), dtype=dtype)
+            self.chunks.clear()
+            self.tail = bytearray()
+        return self.vector
 
 
 class MemTable:
@@ -39,18 +105,17 @@ class MemTable:
         self._ts_column = ts_column
         self._tenant_column = tenant_column
         self._names: tuple[str, ...] = ()
-        self._columns: list[list] = []
-        self._listed = 0  # rows in ``_columns``
-        self._encoded: list[RowBatch] = []  # later rows, not decoded yet
+        self._columns: list[_Column] = []
+        self._rows = 0  # rows in ``_columns``
+        self._encoded: list[RowBatch] = []  # later rows, not widened yet
         self._count = 0
         self._approx_bytes = 0
         self._sealed = False
-        # Vectors over the first ``len(self._ts)`` rows, in arrival
-        # order; ``_order`` sorts them and is current while they cover
-        # every row.
+        # ``_ts`` / ``_tenants`` are the key columns' vectors as of the
+        # last read; ``_order`` sorts ``_ts`` (None until a scan asks).
         self._ts = _NO_ROWS
         self._tenants = _NO_ROWS
-        self._order = _NO_ROWS
+        self._order: np.ndarray | None = _NO_ROWS
         self._sorted_ts = _NO_ROWS
 
     def __len__(self) -> int:
@@ -78,8 +143,9 @@ class MemTable:
         self.append_many([row])
 
     def append_many(self, rows: RowBatch | Iterable[dict]) -> int:
-        """Append a batch: one ``list.extend`` per column, or — for a
-        batch still encoded — keep the batch; no index maintenance.
+        """Append a batch: its typed buffers onto the tails and its lists
+        onto the table's, or — for a batch still encoded — keep the
+        batch; no index maintenance.
 
         All-or-nothing: a plain iterable of rows is admitted (validated
         and sized) first, so an invalid row raises before anything is
@@ -90,29 +156,40 @@ class MemTable:
         batch = RowBatch.of(
             rows, ts_column=self._ts_column, tenant_column=self._tenant_column
         )
-        if batch.count:
-            if batch.decoded and not self._encoded:
-                self._extend(batch)
+        count = batch.count
+        if count:
+            admitted = None if self._encoded else batch.admitted_parts()
+            if admitted is not None:
+                self._add(batch.names, count, *admitted, reading=False)
             else:
                 self._encoded.append(batch)
-            self._count += batch.count
+            self._count += count
             self._approx_bytes += batch.nbytes
-        return batch.count
+        return count
 
-    def _extend(self, batch: RowBatch) -> None:
-        """Extend the lists by ``batch``'s.  A batch with other keys than
-        the table's widens the table to the union, nulls filling what
-        either side lacks (sizes stay as admitted)."""
-        parts = batch.columns
-        if batch.names != self._names:
-            self._names = tuple(dict.fromkeys(self._names + batch.names))
-            self._columns += [
-                [None] * self._listed for _ in self._names[len(self._columns) :]
-            ]
-            parts = [batch.column(name) or [None] * batch.count for name in self._names]
-        for column, part in zip(self._columns, parts):
-            column.extend(part)
-        self._listed += batch.count
+    def _add(self, names: tuple, count: int, parts, lists, reading: bool) -> None:
+        """Add one batch's columns: its ``names``, typed ``parts`` and
+        value ``lists`` (``None`` each while it is encoded).  A batch
+        with other keys than the table's widens the table to the union,
+        nulls filling what either side lacks (sizes stay as admitted)."""
+        if names != self._names:
+            at = dict(zip(names, zip(parts, lists)))
+            for name in names:
+                if name not in self._names:
+                    self._columns.append(_Column(at[name][0][0], self._rows))
+            self._names = tuple(dict.fromkeys(self._names + names))
+            parts, lists = zip(*(at.get(name, (None, None)) for name in self._names))
+        for column, part, values in zip(self._columns, parts, lists):
+            # The put path's two cases first, without a call.
+            if column.kind is None and values is not None:
+                column.values += values
+            elif part is None:
+                column.add_nulls(count)
+            elif part[0] == column.kind and not reading:
+                column.tail += typed_bytes(part, count)
+            else:
+                column.add(part, count, values)
+        self._rows += count
 
     def seal(self) -> None:
         """Freeze the memtable; the data builder converts sealed tables."""
@@ -122,22 +199,29 @@ class MemTable:
 
     def consolidated(self) -> RowBatch:
         """Every row as one batch, in arrival order (also the snapshot
-        form).  It shares the table's lists: read it before the next
-        append."""
+        form), its columns the table's vectors and lists: read it before
+        the next append."""
         for batch in self._encoded:
-            self._extend(batch)
+            parts = batch.typed_parts()
+            lists = batch.columns if batch.decoded else [None] * len(parts)
+            self._add(batch.names, batch.count, parts, lists, reading=True)
         self._encoded.clear()
-        return RowBatch(self._names, self._columns, None, self._approx_bytes)
+        columns = [column.widened() for column in self._columns]
+        return RowBatch(self._names, columns, None, self._approx_bytes)
+
+    def _keyed(self) -> RowBatch:
+        """:meth:`consolidated`, with the key vectors brought up to date."""
+        batch = self.consolidated()
+        if len(self._ts) != self._count:
+            self._ts = np.asarray(batch.column(self._ts_column), dtype=np.int64)
+            self._tenants = np.asarray(batch.column(self._tenant_column), dtype=np.int64)
+            self._order = None
+        return batch
 
     def _ordered(self) -> RowBatch:
-        """:meth:`consolidated`, with the vectors and order brought up to date."""
-        batch = self.consolidated()
-        done = len(self._ts)
-        if done != self._count:
-            ts = np.array(batch.column(self._ts_column)[done:], dtype=np.int64)
-            tenants = np.array(batch.column(self._tenant_column)[done:], dtype=np.int64)
-            self._ts = np.concatenate((self._ts, ts))
-            self._tenants = np.concatenate((self._tenants, tenants))
+        """:meth:`_keyed`, with the ``ts`` order brought up to date."""
+        batch = self._keyed()
+        if self._order is None:
             self._order = np.argsort(self._ts, kind="stable")
             self._sorted_ts = self._ts[self._order]
         return batch
@@ -151,8 +235,9 @@ class MemTable:
         """Rows in ``[min_ts, max_ts]`` (inclusive), optionally one tenant,
         in timestamp order (ties by arrival order).
 
-        The selection indexes the table's own lists — nothing is copied
-        until a reader gathers a column or iterates it for row dicts.
+        The selection indexes the table's own columns — nothing is
+        copied until a reader gathers a column or iterates it for row
+        dicts.
         """
         batch = self._ordered()
         picked = self._order
@@ -170,27 +255,28 @@ class MemTable:
 
     def tenants(self) -> set[int]:
         """Distinct tenant ids present."""
-        self._ordered()
+        self._keyed()
         return set(self._tenants.tolist())
 
     def ts_range(self) -> tuple[int, int] | None:
         """(min_ts, max_ts) across all rows, or None when empty."""
         if not self._count:
             return None
-        self._ordered()
-        return int(self._sorted_ts[0]), int(self._sorted_ts[-1])
+        self._keyed()
+        return int(self._ts.min()), int(self._ts.max())
 
     def rows_by_tenant(self) -> dict[int, RowSelection]:
         """One selection per tenant, each in timestamp order.
 
         This is the access pattern of the data builder's remote-archiving
         phase (§3.1: "the row-store table will be divided into separated
-        columnar tables according to tenants"): one stable sort on
-        (tenant, ts); the builder gathers the columns it encodes.
+        columnar tables according to tenants"): one stable sort of the
+        ``ts`` / ``tenant_id`` vectors on (tenant, ts); the builder
+        gathers the columns it encodes.
         """
         if not self._count:
             return {}
-        batch = self._ordered()
+        batch = self._keyed()
         order = np.lexsort((self._ts, self._tenants))
         tenants = self._tenants[order]
         cuts = np.flatnonzero(tenants[1:] != tenants[:-1]) + 1

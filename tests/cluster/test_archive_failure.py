@@ -15,7 +15,8 @@ from repro.chaos.oss_faults import ChaosObjectStore
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
 from repro.common.clock import VirtualClock
-from repro.common.errors import TransientStoreError
+from repro.common.errors import SchemaError, TransientStoreError
+from repro.logblock.schema import ColumnSpec, ColumnType
 from repro.oss.store import InMemoryObjectStore
 
 BASE_TS = 1_605_052_800_000_000
@@ -415,3 +416,48 @@ class TestCompactorCompensation:
         assert stored == catalog_paths
         result = store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1")
         assert result.rows[0]["COUNT(*)"] == 1100
+
+
+class TestOneShardCannotArchive:
+    """A shard whose sealed table the builder refuses (here: a DDL typed
+    a key its rows already hold as text) must not hold back the others:
+    every other shard archives, and background ticks still run."""
+
+    def make_store(self):
+        # 32 shards, so that tenant 1's shard holds no other tenant of
+        # the 20: a table archives all-or-nothing, so shard-mates would
+        # stay pending with it.
+        config = small_test_config(use_raft=False, n_workers=4, shards_per_worker=8)
+        store = LogStore.create(config=config)
+        for tenant in range(1, 21):
+            rows = make_rows(tenant, 10, f"t{tenant}")
+            if tenant == 1:
+                for row in rows:
+                    row["region"] = "eu"
+            store.put(tenant, rows)
+        store.catalog.add_column(ColumnSpec("region", ColumnType.INT64))
+        return store
+
+    def test_flush_archives_every_other_shard(self):
+        store = self.make_store()
+        for _ in range(2):  # and again on a retry
+            with pytest.raises(SchemaError, match="region"):
+                store.flush_all()
+            assert store.pending_rows() == 10
+        archived = {}
+        for entry in store.catalog.all_blocks():
+            archived[entry.tenant_id] = archived.get(entry.tenant_id, 0) + entry.row_count
+        assert archived == {tenant: 10 for tenant in range(2, 21)}
+
+    def test_background_tick_runs_lifecycle_and_alerts_before_raising(self, monkeypatch):
+        store = self.make_store()
+        with pytest.raises(SchemaError):
+            store.flush_all()
+        ticks = []
+        real_tick, real_alerts = store.lifecycle.tick, store.evaluate_alerts
+        monkeypatch.setattr(store.lifecycle, "tick", lambda now: ticks.append("lifecycle") or real_tick(now))
+        monkeypatch.setattr(store, "evaluate_alerts", lambda: ticks.append("alerts") or real_alerts())
+        with pytest.raises(SchemaError):
+            store.run_background_tasks()
+        assert ticks == ["lifecycle", "alerts"]
+        assert store.pending_rows() == 10

@@ -17,6 +17,7 @@ from repro.logblock.column import PlainStrings, decode_block, decode_block_array
 from repro.logblock.encode_kernels import (
     EncodeFallback,
     EncodeStats,
+    column_array,
     compute_sma_range,
     encode_block_range,
     prepare_column,
@@ -61,6 +62,11 @@ def oracle_pack(schema, rows, codec="zlib", block_rows=64, **kw) -> bytes:
     return writer.finish()
 
 
+def prepare(values: list, ctype: ColumnType, trusted: bool = False):
+    """``prepare_column`` over a value list, in the writer's one input form."""
+    return prepare_column(column_array(values, ctype), ctype, trusted=trusted)
+
+
 def unpack_members(blob: bytes) -> dict[str, bytes]:
     """Pack bytes → {member name: payload} for member-by-member diffs."""
     from repro.oss.store import InMemoryObjectStore
@@ -79,33 +85,33 @@ def unpack_members(blob: bytes) -> dict[str, bytes]:
 class TestPrepareColumn:
     def test_int_gate(self):
         with pytest.raises(EncodeFallback, match="non-int"):
-            prepare_column([1, "x"], ColumnType.INT64)
+            prepare([1, "x"], ColumnType.INT64)
         with pytest.raises(EncodeFallback, match="non-int"):
-            prepare_column([True], ColumnType.INT64)  # bool is not an int here
+            prepare([True], ColumnType.INT64)  # bool is not an int here
 
     def test_float_gate(self):
         with pytest.raises(EncodeFallback, match="non-float"):
-            prepare_column([1.0, "x"], ColumnType.FLOAT64)
-        prepare_column([1.0, 2, None], ColumnType.FLOAT64)  # ints allowed
+            prepare([1.0, "x"], ColumnType.FLOAT64)
+        prepare([1.0, 2, None], ColumnType.FLOAT64)  # ints allowed
 
     def test_bool_and_str_gates(self):
         with pytest.raises(EncodeFallback, match="non-bool"):
-            prepare_column([True, 1], ColumnType.BOOL)
+            prepare([True, 1], ColumnType.BOOL)
         with pytest.raises(EncodeFallback, match="non-str"):
-            prepare_column(["a", 1], ColumnType.STRING)
+            prepare(["a", 1], ColumnType.STRING)
 
     def test_int64_overflow_falls_back(self):
         with pytest.raises(EncodeFallback, match="overflow"):
-            prepare_column([2**63], ColumnType.INT64)
+            prepare([2**63], ColumnType.INT64)
 
     def test_trusted_skips_gate(self):
         # Trusted callers vouch for the types; the gate does not run.
-        prep = prepare_column([1, None, 3], ColumnType.INT64, trusted=True)
+        prep = prepare([1, None, 3], ColumnType.INT64, trusted=True)
         assert list(prep.null_mask) == [False, True, False]
         assert prep.vector.dtype == np.int64
 
     def test_float_column_with_ints_disables_sma_fast_path(self):
-        prep = prepare_column([1, 2.5, None], ColumnType.FLOAT64)
+        prep = prepare([1, 2.5, None], ColumnType.FLOAT64)
         assert not prep.sma_vectorized
         # ...but block encoding is still vectorized (float64 bits match).
         assert encode_block_range(prep, 0, 3) == encode_block(
@@ -178,7 +184,7 @@ class TestBlockDifferential:
     )
     def test_matches_oracle(self, ctype, layout):
         values = _values_for(ctype, 100, layout)
-        prep = prepare_column(values, ctype)
+        prep = prepare(values, ctype)
         for start, stop in [(0, 100), (0, 64), (64, 100), (10, 11), (50, 50)]:
             payload = encode_block_range(prep, start, stop)
             assert payload == encode_block(values[start:stop], ctype)
@@ -190,7 +196,7 @@ class TestBlockDifferential:
     @pytest.mark.parametrize("name", sorted(STRING_BLOCKS))
     def test_string_block_matches_oracle(self, name):
         values, plain = STRING_BLOCKS[name]
-        prep = prepare_column(values, ColumnType.STRING)
+        prep = prepare(values, ColumnType.STRING)
         payload = encode_block_range(prep, 0, len(values))
         assert payload == encode_block(values, ColumnType.STRING)
         # PLAIN and DICT are both the kernels' own work now; which one
@@ -209,7 +215,7 @@ class TestBlockDifferential:
         for values in (["ok", "\ud800"], ["a", "\ud800"] * 16):  # PLAIN, DICT
             with pytest.raises(UnicodeEncodeError):
                 encode_block(values, ColumnType.STRING)
-            prep = prepare_column(values, ColumnType.STRING)
+            prep = prepare(values, ColumnType.STRING)
             with pytest.raises(UnicodeEncodeError):
                 encode_block_range(prep, 0, len(values))
 
@@ -217,7 +223,7 @@ class TestBlockDifferential:
         # > 127 distinct values forces multi-byte LEB128 codes for the
         # high codes — the generic uvarint kernel, not the 1-byte cast.
         values = [f"k{i % 200:04d}" for i in range(500)]
-        prep = prepare_column(values, ColumnType.STRING)
+        prep = prepare(values, ColumnType.STRING)
         payload = encode_block_range(prep, 0, 500)
         assert payload == encode_block(values, ColumnType.STRING)
         codes, dictionary, nulls = decode_block_arrays(
@@ -245,7 +251,7 @@ class TestSmaDifferential:
     )
     def test_matches_oracle(self, ctype, layout):
         values = _values_for(ctype, 100, layout)
-        prep = prepare_column(values, ctype)
+        prep = prepare(values, ctype)
         for start, stop in [(0, 100), (0, 64), (64, 100), (50, 50)]:
             sma, _reason = compute_sma_range(prep, start, stop)
             oracle = compute_sma(values[start:stop], ctype)
@@ -253,7 +259,7 @@ class TestSmaDifferential:
 
     def test_nan_falls_back_to_oracle(self):
         values = [1.5, float("nan"), 2.5]
-        prep = prepare_column(values, ColumnType.FLOAT64)
+        prep = prepare(values, ColumnType.FLOAT64)
         assert compute_sma_arrays(prep.vector, prep.null_mask, ColumnType.FLOAT64) is None
         sma, reason = compute_sma_range(prep, 0, 3)
         assert reason is not None
@@ -263,7 +269,7 @@ class TestSmaDifferential:
         # np.min([0.0, -0.0]) returns -0.0; the oracle's strict-< fold
         # keeps the first-seen 0.0.  Bytes must match, so -0.0 bails.
         values = [0.0, -0.0]
-        prep = prepare_column(values, ColumnType.FLOAT64)
+        prep = prepare(values, ColumnType.FLOAT64)
         assert compute_sma_arrays(prep.vector, prep.null_mask, ColumnType.FLOAT64) is None
         sma, _reason = compute_sma_range(prep, 0, 2)
         assert sma_bytes(sma) == sma_bytes(compute_sma(values, ColumnType.FLOAT64))
@@ -272,7 +278,7 @@ class TestSmaDifferential:
         # min is a python int: the oracle serializes it as an int; the
         # vectorized path must defer to it.
         values = [3, 7.5, None]
-        prep = prepare_column(values, ColumnType.FLOAT64)
+        prep = prepare(values, ColumnType.FLOAT64)
         sma, reason = compute_sma_range(prep, 0, 3)
         assert reason is not None
         assert sma_bytes(sma) == sma_bytes(compute_sma(values, ColumnType.FLOAT64))
@@ -281,7 +287,7 @@ class TestSmaDifferential:
     def test_int_sum_near_overflow(self):
         big = 2**62
         values = [big, big, -big, 17]
-        prep = prepare_column(values, ColumnType.INT64)
+        prep = prepare(values, ColumnType.INT64)
         sma, reason = compute_sma_range(prep, 0, 4)
         assert reason is None
         oracle = compute_sma(values, ColumnType.INT64)
@@ -306,7 +312,7 @@ class TestSmaDifferential:
         values = [
             None if v is None else (0.0 if v == 0.0 else float(v)) for v in values
         ]
-        prep = prepare_column(values, ColumnType.FLOAT64, trusted=True)
+        prep = prepare(values, ColumnType.FLOAT64, trusted=True)
         sma, _reason = compute_sma_range(prep, 0, len(values))
         assert sma_bytes(sma) == sma_bytes(compute_sma(values, ColumnType.FLOAT64))
 

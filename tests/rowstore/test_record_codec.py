@@ -22,7 +22,9 @@ from repro import LogStore, small_test_config
 from repro.cluster.shard import _CMD_DRAIN_PREFIX, _CMD_SEAL, apply
 from repro.common.errors import CorruptionError, InvalidBatchError
 from repro.rowstore import RowBatch, RowStore
-from repro.rowstore.batch import BATCH_MAGIC, CODEC_VERSION
+from repro.rowstore import batch as batch_module
+from repro.rowstore import memtable as memtable_module
+from repro.rowstore.batch import BATCH_MAGIC, CODEC_VERSION, VECTOR_KINDS
 from repro.rowstore.store import STATE_MAGIC
 
 from tests.conftest import make_rows
@@ -238,8 +240,22 @@ class TestCommandRouting:
             apply(RowStore(), b"\x02shard-nothing")
 
 
+def forbid_vector_decode(real):
+    """``_decode_part`` that fails on an INT / FLOAT / BOOL part: such a
+    column must not become a Python list on the archive path."""
+
+    def decode(part, count):
+        assert part[0] not in VECTOR_KINDS, f"column of kind {part[0]} decoded into a list"
+        return real(part, count)
+
+    return decode
+
+
 class TestLazyApply:
     def test_followers_decode_nothing_and_the_leader_each_chunk_once(self):
+        """Archiving decodes each entry's STRING columns once, on the
+        leader; its INT / FLOAT / BOOL buffers reach the LogBlock writer
+        as vectors, never as Python lists."""
         store = LogStore.create(config=small_test_config(use_raft=True, group_commit=True))
         before = RowBatch.columns_decoded
         for i in range(24):
@@ -249,7 +265,16 @@ class TestLazyApply:
         assert RowBatch.columns_decoded == before  # applied on every replica, decoded by none
         shards = [s for w in store.workers.values() for s in w.shards.values()]
         entries = sum(shard.write_stats.groups_committed for shard in shards)
-        width = len(make_rows(1)[0])
-        assert entries > 3
-        assert store.flush_all().rows_archived == 24 * 50
-        assert RowBatch.columns_decoded - before == entries * width
+        strings = sum(isinstance(v, str) for v in make_rows(1)[0].values())
+        assert entries > 3 and strings == 3
+        widened = []
+        real_widen = memtable_module.widen_part
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batch_module, "_decode_part", forbid_vector_decode(batch_module._decode_part))
+            patch.setattr(
+                memtable_module, "widen_part",
+                lambda part, count: widened.append(part[0]) or real_widen(part, count),
+            )
+            assert store.flush_all().rows_archived == 24 * 50
+        assert RowBatch.columns_decoded - before == entries * strings
+        assert len(widened) == entries * (len(make_rows(1)[0]) - strings)
