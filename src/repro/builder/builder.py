@@ -255,13 +255,12 @@ class DataBuilder:
                     self._catalog.ensure_tenant(built.tenant_id)
                     self._upload.put(self._bucket, built.path, built.blob)
                     uploaded += 1
-            except BaseException:
+            except BaseException as exc:
                 report.upload_retries += self._upload.stats.retries - retries_before
                 report.upload_s += time.perf_counter() - upload_start
-                # Include the in-flight block: a failed PUT can still
-                # have left a torn partial object at its path.
-                for built in all_built[: uploaded + 1]:
-                    self._janitor.discard(built.path)
+                self._janitor.discard_failed_upload(
+                    [built.path for built in all_built], uploaded, exc
+                )
                 raise
             for built in all_built:
                 self._register(built, report)

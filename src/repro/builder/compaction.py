@@ -230,12 +230,9 @@ class Compactor:
             for path, blob, _entry in built:
                 self._upload.put(self._bucket, path, blob)
                 uploaded += 1
-        except BaseException:
+        except BaseException as exc:
             result.upload_retries = self._upload.stats.retries - retries_before
-            # Include the in-flight path: a failed PUT can still have
-            # left a torn partial object behind.
-            for path, _blob, _entry in built[: uploaded + 1]:
-                self._janitor.discard(path)
+            self._janitor.discard_failed_upload([path for path, _, _ in built], uploaded, exc)
             raise
         for path, blob, entry in built:
             self._catalog.add_block(entry)

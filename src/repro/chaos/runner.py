@@ -107,9 +107,6 @@ class ChaosContext:
     def raft_shards(self) -> list:
         return [s for s in self.shards() if s.raft is not None]
 
-    def wal_backend_names(self) -> list[str]:
-        return sorted(self.wal_backends)
-
     # -- workload --------------------------------------------------------
 
     def make_rows(self, tenant_id: int, count: int) -> list[dict]:
@@ -231,9 +228,6 @@ class ChaosContext:
         return report.verified
 
     # -- fault helpers (trace-recording wrappers) ------------------------
-
-    def _shard_target(self, shard, node_id: str = "") -> str:
-        return node_id if node_id else f"shard{shard.shard_id}"
 
     def crash_replica(self, shard, node_id: str) -> bool:
         if (shard, node_id) in self.crashed:

@@ -114,6 +114,30 @@ def _asymmetric_partition_ingest(ctx: ChaosContext) -> None:
         ctx.advance(0.25)
 
 
+def _quiesced_leader_crash(ctx: ChaosContext) -> None:
+    """Let idle Raft groups quiesce, then crash one shard's leader and
+    cut another's off from a follower: no heartbeat notices, only the
+    network's fault callback wakes them.  Writes resume, then heal."""
+
+    def write(rounds: int, pause_s: float) -> None:
+        for _ in range(rounds):
+            ctx.write_batch(1)
+            ctx.write_batch(2)
+            ctx.advance(pause_s)
+
+    write(4, 0.05)
+    ctx.advance(2.0)
+    crashed, partitioned = ctx.raft_shards()[:2]
+    ctx.crash_leader(crashed)
+    leader = partitioned.raft.leader().node_id
+    follower = next(n for n in partitioned.raft._node_ids if n != leader)
+    ctx.partition(partitioned, leader, follower)
+    write(8, 0.25)
+    ctx.heal_partition(partitioned, leader, follower)
+    write(4, 0.25)
+    ctx.archive()
+
+
 def _oss_brownout_during_compaction(ctx: ChaosContext) -> None:
     """OSS goes flaky mid-compaction: the run must either finish
     atomically after retries or compensate — never register half the
@@ -366,6 +390,12 @@ SCENARIOS: dict[str, Scenario] = {
             "asymmetric_partition_ingest",
             "One-way partition starves a follower of heartbeats during ingest.",
             _asymmetric_partition_ingest,
+            config=dict(_RAFT),
+        ),
+        Scenario(
+            "quiesced_leader_crash",
+            "Idle Raft groups quiesce; a leader crash and a partition wake them.",
+            _quiesced_leader_crash,
             config=dict(_RAFT),
         ),
         Scenario(

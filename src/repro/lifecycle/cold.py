@@ -232,8 +232,8 @@ class ColdCompactor:
         # janitor (matching Compactor._compact).
         try:
             self._upload.put(self._bucket, segment_key, segment)
-        except BaseException:
-            self._janitor.discard(segment_key)
+        except BaseException as exc:
+            self._janitor.discard_failed_upload([segment_key], 0, exc)
             raise
         for entry in entries:
             self._catalog.add_block(entry)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.common.errors import NoSuchKey
+from repro.common.errors import NoSuchKey, ObjectAlreadyExists
 from repro.meta.catalog import Catalog, LogBlockEntry
 from repro.obs.context import Observability
 
@@ -83,6 +83,18 @@ class Janitor:
             return False
         self._orphans.pop(path, None)
         return True
+
+    def discard_failed_upload(
+        self, paths: list[str], uploaded: int, error: BaseException
+    ) -> None:
+        """Discard what a failed run of PUTs over ``paths`` created: the
+        first ``uploaded`` and the in-flight one (maybe torn) — unless its
+        PUT found the key taken, which ``RetryingObjectStore`` reports only
+        on a first attempt: that object is not ours (say, a block archived
+        before a controller restart)."""
+        created = uploaded + (not isinstance(error, ObjectAlreadyExists))
+        for path in paths[:created]:
+            self.discard(path)
 
     def sweep(self) -> int:
         """Retry every queued DELETE; returns how many objects are gone."""

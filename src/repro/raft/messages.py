@@ -48,6 +48,9 @@ class AppendEntries:
     prev_log_term: int
     entries: tuple[LogEntry, ...] = field(default_factory=tuple)
     leader_commit: int = 0
+    # The leader is caught up and idle: a follower whose log ends here
+    # with ``leader_commit`` applied may drop its election deadline.
+    quiesce: bool = False
 
 
 @dataclass(frozen=True)

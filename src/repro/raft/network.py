@@ -3,15 +3,17 @@
 Delivers messages between registered nodes through the virtual clock
 with a configurable base delay and jitter.  Supports dropped messages,
 symmetric and one-directional partitions, and node crash/restart for
-fault-injection tests.  Determinism: all randomness comes from one
-seeded RNG, and delivery order for equal deadlines is FIFO (the clock
-breaks ties by insertion order).
+fault-injection tests.  Every change to that fault state calls each
+registered node's fault callback: the stand-in for a node-liveness
+service that wakes quiesced Raft groups.  Determinism: all randomness
+comes from one seeded RNG, and delivery order for equal deadlines is
+FIFO (the clock breaks ties by insertion order).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Protocol
+from typing import Callable, Protocol
 
 from repro.common.clock import VirtualClock
 
@@ -41,6 +43,7 @@ class SimNetwork:
         self._drop_probability = drop_probability
         self._rng = random.Random(seed)
         self._handlers: dict[str, MessageHandler] = {}
+        self._fault_callbacks: dict[str, Callable[[], None]] = {}
         self._partitions: set[frozenset[str]] = set()
         self._one_way_partitions: set[tuple[str, str]] = set()
         self._down: set[str] = set()
@@ -51,20 +54,34 @@ class SimNetwork:
         self.messages_sent = 0
         self.messages_dropped = 0
 
-    def register(self, node_id: str, handler: MessageHandler) -> None:
+    def register(
+        self, node_id: str, handler: MessageHandler, on_fault: Callable[[], None] | None = None
+    ) -> None:
+        """Deliver ``node_id``'s messages to ``handler``; call ``on_fault()``
+        on every fault-state change from now on."""
         if node_id in self._handlers:
             raise ValueError(f"node already registered: {node_id}")
         self._handlers[node_id] = handler
+        if on_fault is not None:
+            self._fault_callbacks[node_id] = on_fault
         self._incarnations.setdefault(node_id, 0)
+        self._faults_changed()
 
     def unregister(self, node_id: str) -> None:
         self._handlers.pop(node_id, None)
+        self._fault_callbacks.pop(node_id, None)
+        self._faults_changed()
+
+    def _faults_changed(self) -> None:
+        for callback in list(self._fault_callbacks.values()):
+            callback()
 
     # -- fault injection -----------------------------------------------------
 
     def partition(self, node_a: str, node_b: str) -> None:
         """Block traffic (both directions) between two nodes."""
         self._partitions.add(frozenset((node_a, node_b)))
+        self._faults_changed()
 
     def partition_one_way(self, source: str, destination: str) -> None:
         """Block traffic from ``source`` to ``destination`` only.
@@ -75,18 +92,22 @@ class SimNetwork:
         clean symmetric cut.
         """
         self._one_way_partitions.add((source, destination))
+        self._faults_changed()
 
     def heal(self, node_a: str, node_b: str) -> None:
         self._partitions.discard(frozenset((node_a, node_b)))
         self._one_way_partitions.discard((node_a, node_b))
         self._one_way_partitions.discard((node_b, node_a))
+        self._faults_changed()
 
     def heal_one_way(self, source: str, destination: str) -> None:
         self._one_way_partitions.discard((source, destination))
+        self._faults_changed()
 
     def heal_all(self) -> None:
         self._partitions.clear()
         self._one_way_partitions.clear()
+        self._faults_changed()
 
     def isolate(self, node_id: str) -> None:
         """Partition a node from every other registered node."""
@@ -106,19 +127,19 @@ class SimNetwork:
         """
         self._down.add(node_id)
         self._incarnations[node_id] = self._incarnations.get(node_id, 0) + 1
+        self._faults_changed()
 
     def restart(self, node_id: str) -> None:
         """Bring a crashed node back; stale in-flight messages stay dead."""
         self._down.discard(node_id)
         self._incarnations[node_id] = self._incarnations.get(node_id, 0) + 1
-
-    def is_down(self, node_id: str) -> bool:
-        return node_id in self._down
+        self._faults_changed()
 
     def set_drop_probability(self, probability: float) -> None:
         if not 0 <= probability <= 1:
             raise ValueError("drop_probability must be in [0, 1]")
         self._drop_probability = probability
+        self._faults_changed()
 
     # -- sending ---------------------------------------------------------
 

@@ -13,7 +13,12 @@ Features implemented:
 * BFC queues: ``sync_queue`` for entries awaiting replication and
   ``apply_queue`` for committed entries awaiting application; when the
   apply queue saturates, followers flag ``backpressured`` in replies and
-  the leader's :class:`BackpressureController` throttles producers.
+  the leader's :class:`BackpressureController` throttles producers;
+* quiescence: an idle, caught-up group stops heartbeating and drops its
+  election deadlines once every follower acked ``AppendEntries(quiesce=
+  True)``; a proposal, a role change, any other ``AppendEntries`` or a
+  :class:`SimNetwork` fault callback wakes it, and a woken follower
+  times out from the wake.
 
 The node is event-driven: timers run on a :class:`VirtualClock`, and
 messages arrive through a :class:`SimNetwork`.
@@ -172,6 +177,12 @@ class RaftNode:
         # when the one clock timer armed for it fires (None: none armed).
         self._election_deadline: float | None = None
         self._election_timer_at: float | None = None
+        # True while idle: a follower without an election deadline, or a
+        # leader whose heartbeat chain ended.  A leader collects in
+        # ``_quiesce_acks`` the followers that acked its quiesce message
+        # (None while it is not quiescing).
+        self._quiesced = False
+        self._quiesce_acks: set[str] | None = None
 
         # §4.2: the two queues added to Raft's blocking points.
         self.sync_queue: BoundedQueue[LogEntry] = BoundedQueue(
@@ -187,7 +198,7 @@ class RaftNode:
         )
 
         self._recover_from_wal()
-        network.register(node_id, self._on_message)
+        network.register(node_id, self._on_message, self._wake)
         self._reset_election_timer()
 
     # -- convenience -------------------------------------------------------
@@ -225,7 +236,7 @@ class RaftNode:
         if not self._stopped:
             return
         self._stopped = False
-        self._network.register(self.node_id, self._on_message)
+        self._network.register(self.node_id, self._on_message, self._wake)
         self._become_follower(self.persistent.current_term, None)
 
     # -- durability -------------------------------------------------------
@@ -306,6 +317,7 @@ class RaftNode:
         at any rate therefore keeps at most one live timer on the clock;
         only a deadline *earlier* than the armed timer arms a new one.
         """
+        self._quiesced = False
         self._timer_generation += 1
         timeout = self._election_timeout * (1.0 + self._rng.random())
         self._election_deadline = deadline = self._clock.now() + timeout
@@ -336,11 +348,38 @@ class RaftNode:
         self._clock.call_later(self._heartbeat_interval, lambda: self._on_heartbeat(generation))
 
     def _on_heartbeat(self, generation: int) -> None:
-        if self._stopped or generation != self._timer_generation:
+        if self._stopped or generation != self._timer_generation or not self.is_leader:
             return
-        if self.role is Role.LEADER:
-            self._broadcast_append_entries()
+        idle = self._can_quiesce()
+        if idle and self._quiesce_acks is not None and len(self._quiesce_acks) == len(self.peers):
+            self._quiesced = True  # every follower is quiet: end the chain
+            return
+        self._quiesce_acks = set() if idle else None
+        self._broadcast_append_entries(quiesce=idle)
+        self._schedule_heartbeat()
+
+    def _can_quiesce(self) -> bool:
+        last = self.persistent.last_log_index()
+        match = self.leader_state.match_index
+        return (
+            self.volatile.commit_index == self.volatile.last_applied == last
+            and all(match.get(peer) == last for peer in self.peers)
+            and not len(self.sync_queue)
+            and self.backpressure.throttle == 1.0
+        )
+
+    def _wake(self) -> None:
+        """Leave quiescence: a proposal, or a network fault (the stand-in
+        for a node-liveness service).  A woken follower's election
+        timeout runs from now."""
+        self._quiesce_acks = None
+        if self._stopped or not self._quiesced:
+            return
+        if self.is_leader:
+            self._quiesced = False
             self._schedule_heartbeat()
+        else:
+            self._reset_election_timer()
 
     # -- role transitions ---------------------------------------------------
 
@@ -391,26 +430,21 @@ class RaftNode:
         # heartbeat chain.
         self._timer_generation += 1
         self._election_deadline = None
+        self._quiesced = False
+        self._quiesce_acks = None
+        self._schedule_heartbeat()
         if last > self.volatile.commit_index:
             # Uncommitted tail inherited from prior terms: §5.4.2 blocks
             # committing it by counting, so seed one no-op entry of the
             # new term — committing it commits everything before it.
-            entry = LogEntry(
-                term=self.persistent.current_term,
-                index=last + 1,
-                command=NOOP_COMMAND,
-            )
             try:
-                self.sync_queue.push(entry)
+                self.propose(NOOP_COMMAND)  # broadcasts it
+                return
             except BackpressureError:
-                self.backpressure.update()
-            else:
-                self.persistent.append(entry)
-                self._persist_entries([entry])
+                pass  # the throttle decayed; heartbeats still go out
         self._broadcast_append_entries()
         if not self.peers:
             self._advance_commit_index()
-        self._schedule_heartbeat()
 
     # -- client API -------------------------------------------------------
 
@@ -421,37 +455,15 @@ class RaftNode:
         :class:`BackpressureError` when the sync queue is saturated
         (§4.2 — the caller must slow down).
         """
-        if self._stopped:
-            raise NotLeaderError("node is stopped", None)
-        if self.role is not Role.LEADER:
-            raise NotLeaderError(f"{self.node_id} is not the leader", self.leader_id)
-        entry = LogEntry(
-            term=self.persistent.current_term,
-            index=self.persistent.last_log_index() + 1,
-            command=command,
-        )
-        try:
-            self.sync_queue.push(entry)
-        except BackpressureError:
-            # §4.2: a rejection is the BFC signal — decay the producer
-            # throttle immediately so upstream slows down.
-            self.backpressure.update()
-            raise
-        self.persistent.append(entry)
-        self._persist_entries([entry])
-        self._broadcast_append_entries()
-        if not self.peers:
-            self._advance_commit_index()
-        return entry.index
+        return self.propose_many([command])[0]
 
     def propose_many(self, commands: list[bytes]) -> list[int]:
         """Leader-only: replicate a batch of commands as consecutive entries.
 
-        The pipelined variant of :meth:`propose`: admission is
-        all-or-nothing against the sync queue (a rejection never leaves
-        a half-admitted group), the WAL write is one coalesced frame
-        flush (:meth:`WriteAheadLog.append_many`), and the whole group
-        goes out in one ``AppendEntries`` broadcast.
+        Admission is all-or-nothing against the sync queue (a rejection
+        never leaves a half-admitted group), the WAL write is one
+        coalesced frame flush (:meth:`WriteAheadLog.append_many`), and
+        the whole group goes out in one ``AppendEntries`` broadcast.
         """
         if self._stopped:
             raise NotLeaderError("node is stopped", None)
@@ -462,21 +474,16 @@ class RaftNode:
         total_bytes = sum(len(command) for command in commands)
         if not self.sync_queue.can_accept(len(commands), total_bytes):
             self.sync_queue.stats.rejected += 1
+            # §4.2: a rejection is the BFC signal — decay the producer
+            # throttle immediately so upstream slows down.
             self.backpressure.update()
             raise BackpressureError(
                 f"queue {self.sync_queue.name!r} cannot admit group of "
                 f"{len(commands)} entries / {total_bytes} bytes"
             )
-        entries = []
-        next_index = self.persistent.last_log_index() + 1
-        for offset, command in enumerate(commands):
-            entries.append(
-                LogEntry(
-                    term=self.persistent.current_term,
-                    index=next_index + offset,
-                    command=command,
-                )
-            )
+        term, first = self.persistent.current_term, self.persistent.last_log_index() + 1
+        entries = [LogEntry(term, first + i, command) for i, command in enumerate(commands)]
+        self._wake()
         for entry in entries:
             self.sync_queue.push(entry)
             self.persistent.append(entry)
@@ -587,11 +594,11 @@ class RaftNode:
 
     # -- replication --------------------------------------------------------
 
-    def _broadcast_append_entries(self) -> None:
+    def _broadcast_append_entries(self, quiesce: bool = False) -> None:
         for peer in self.peers:
-            self._send_append_entries(peer)
+            self._send_append_entries(peer, quiesce)
 
-    def _send_append_entries(self, peer: str) -> None:
+    def _send_append_entries(self, peer: str, quiesce: bool = False) -> None:
         next_index = self.leader_state.next_index.get(peer, 1)
         if next_index <= self.persistent.snapshot_index:
             # The entries this follower needs were compacted away by a
@@ -608,6 +615,7 @@ class RaftNode:
             prev_log_term=prev_term,
             entries=entries,
             leader_commit=self.volatile.commit_index,
+            quiesce=quiesce,
         )
         self._network.send(self.node_id, peer, message)
 
@@ -726,6 +734,13 @@ class RaftNode:
             msg.leader_id, success=True, match_index=match, backpressured=backpressured
         )
         self._drain_apply_queue()
+        if (
+            msg.quiesce
+            and self.persistent.last_log_index() == msg.prev_log_index + len(msg.entries)
+            and self.volatile.last_applied == self.volatile.commit_index == msg.leader_commit
+        ):
+            self._quiesced = True
+            self._election_deadline = None  # the armed timer fires once and exits
 
     def _reply_append(
         self, leader: str, success: bool, match_index: int, backpressured: bool = False
@@ -767,6 +782,8 @@ class RaftNode:
             self.leader_state.next_index[msg.follower_id] = (
                 self.leader_state.match_index[msg.follower_id] + 1
             )
+            if self._quiesce_acks is not None and msg.match_index == self.persistent.last_log_index():
+                self._quiesce_acks.add(msg.follower_id)
             self._advance_commit_index()
             if self.leader_state.next_index[msg.follower_id] <= self.persistent.last_log_index():
                 self._send_append_entries(msg.follower_id)

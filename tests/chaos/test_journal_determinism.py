@@ -13,11 +13,13 @@ import pytest
 from repro.chaos.runner import ChaosRunner
 
 # A raft-heavy scenario (elections, crashes) and an OSS-heavy one
-# (archives, retries) cover the two main journal-emitting seams.
+# (archives, retries) cover the two main journal-emitting seams; the
+# quiesced one's elections start from the network's fault callback.
 CASES = [
     ("leader_crash_mid_pipeline", 0),
     ("leader_crash_mid_pipeline", 3),
     ("oss_outage_archive_retry", 1),
+    ("quiesced_leader_crash", 0),
 ]
 
 

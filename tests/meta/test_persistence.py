@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
-from repro.common.errors import CatalogError
+from repro.common.errors import CatalogError, ObjectAlreadyExists
 from repro.logblock.schema import ColumnSpec, ColumnType, request_log_schema
 from repro.meta.catalog import Catalog
 from repro.meta.persistence import (
@@ -118,6 +118,34 @@ class TestClusterRestart:
         assert result.rows == [{"COUNT(*)": 300}]
         # Lifecycle metadata is defaulted (blocks don't carry it).
         assert reopened.catalog.tenant(1).retention_s is None
+
+    def test_failed_archive_after_restart_keeps_the_pre_restart_block(self):
+        """A block name repeats after a restart (the builder's sequence
+        starts over): the PUT finds the key taken, and the failure path
+        must leave that catalog-referenced object alone."""
+        backend = InMemoryObjectStore()
+        config = small_test_config(use_raft=False)
+        store = LogStore.create(config=config, backend=backend)
+        first = make_rows(1, tenant_id=1)[0]
+        store.put(1, [first])
+        store.flush_all()
+        store.persist_catalog()
+        bucket = config.bucket
+        (original_key,) = [stat.key for stat in backend.list(bucket, "tenants/1/")]
+        original_bytes = backend.get(bucket, original_key)
+
+        reopened = LogStore.attach(backend, config=config)
+        second = dict(first, log="GET /api/v9 after the restart")
+        reopened.put(1, [second])
+        with pytest.raises(ObjectAlreadyExists):
+            reopened.flush_all()
+        assert backend.get(bucket, original_key) == original_bytes
+
+        reopened.flush_all()
+        assert backend.get(bucket, original_key) == original_bytes
+        logs = reopened.query("SELECT log FROM request_log WHERE tenant_id = 1").rows
+        assert sorted(row["log"] for row in logs) == sorted([first["log"], second["log"]])
+        assert reopened.pending_rows() == 0
 
 
 class TestRebuildByScan:
