@@ -77,7 +77,7 @@ def build_dataset(
     store = MeteredObjectStore(inner, free(), clock)
     store.create_bucket(BUCKET)
     builder = DataBuilder(
-        schema, store, BUCKET, catalog, Janitor(catalog, store, BUCKET),
+        schema, catalog, Janitor(catalog, store, BUCKET),
         codec="zlib",  # fast build; ratio ablation is its own bench
         block_rows=block_rows,
         target_rows=target_rows,
@@ -92,7 +92,7 @@ def build_dataset(
         table.append(row)
         tenant_rows[row["tenant_id"]] = tenant_rows.get(row["tenant_id"], 0) + 1
     table.seal()
-    report = builder.archive_memtable(table)
+    report = builder.archive_memtable(table, "s0-0")
     dataset = ArchivedDataset(
         inner=inner,
         catalog=catalog,

@@ -88,10 +88,9 @@ def main() -> None:
 
     # -- compaction -----------------------------------------------------------
     compactor = Compactor(
-        store.schema, store.oss, store.config.bucket, store.catalog,
+        store.schema, store.catalog, store.janitor,
         codec=store.config.codec, block_rows=store.config.block_rows,
         small_threshold_rows=1_000, target_rows=4_000,
-        janitor=store.janitor,
     )
     before = len(store.catalog.blocks_for(2))
     result = compactor.compact_tenant(2)

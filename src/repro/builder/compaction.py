@@ -4,14 +4,14 @@ Frequent archiving of a lightly loaded tenant produces many small
 LogBlocks, each costing a catalog entry, an OSS object, and extra GET
 round-trips at query time.  The compactor rewrites runs of small blocks
 into right-sized ones: read the victims' columns back, merge them
-by timestamp, re-encode at ``target_rows`` per block, upload the
-replacements, then delete the superseded objects and catalog entries.
+by timestamp, re-encode at ``target_rows`` per block, and publish the
+replacements through the janitor, which retires the victims after.
 
 Because LogBlocks are immutable and self-contained, compaction is
 crash-safe by ordering alone: new blocks are uploaded and registered
 before any old block is removed, so every intermediate state is
-queryable (at worst with transiently duplicated rows mid-swap, the same
-window any LSM compaction has).
+queryable.  Outputs are named by their victims and their bytes, so a
+rerun over the same victims re-finds what an interrupted run uploaded.
 """
 
 from __future__ import annotations
@@ -21,19 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.codec.registry import DEFAULT_CODEC
-from repro.common.clock import Clock, VirtualClock
 from repro.common.errors import BuildError
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import TableSchema
 from repro.logblock.writer import DEFAULT_BLOCK_ROWS, LogBlockWriter
 from repro.meta.catalog import Catalog, LogBlockEntry
-from repro.meta.janitor import Janitor
+from repro.meta.janitor import ArchiveObject, Janitor, object_key, rewrite_source
 from repro.obs.context import Observability
-from repro.oss.retry import (
-    DEFAULT_BACKOFF_S,
-    DEFAULT_MAX_ATTEMPTS,
-    RetryingObjectStore,
-)
 from repro.tarpack.reader import PackReader
 
 
@@ -91,24 +85,12 @@ def rewrite_blocks(
     return rewritten
 
 
-def compacted_block_path(
-    tenant_id: int, generation: int, chunk_idx: int, min_ts: int, max_ts: int
-) -> str:
-    """OSS key for a compaction output block (``tenants/<id>/*.lgb``)."""
-    return (
-        f"tenants/{tenant_id}/"
-        f"cp{generation:06d}-{chunk_idx:04d}-{min_ts}-{max_ts}.lgb"
-    )
-
-
 class Compactor:
     """Merges one tenant's small LogBlocks into ``target_rows``-sized ones."""
 
     def __init__(
         self,
         schema: TableSchema,
-        oss,
-        bucket: str,
         catalog: Catalog,
         janitor: Janitor,
         codec: str = DEFAULT_CODEC,
@@ -116,9 +98,6 @@ class Compactor:
         small_threshold_rows: int = 10_000,
         target_rows: int = 200_000,
         build_indexes: bool = True,
-        max_upload_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        upload_backoff_s: float = DEFAULT_BACKOFF_S,
-        retry_clock: Clock | None = None,
         obs: Observability | None = None,
     ) -> None:
         if small_threshold_rows <= 0:
@@ -131,7 +110,6 @@ class Compactor:
                 f"({small_threshold_rows}); compaction output would stay small"
             )
         self._schema = schema
-        self._bucket = bucket
         self._catalog = catalog
         self._janitor = janitor
         self._codec = codec
@@ -139,13 +117,6 @@ class Compactor:
         self._small_threshold = small_threshold_rows
         self._target_rows = target_rows
         self._build_indexes = build_indexes
-        self._upload = RetryingObjectStore(
-            oss,
-            max_attempts=max_upload_attempts,
-            backoff_s=upload_backoff_s,
-            clock=retry_clock if retry_clock is not None else VirtualClock(),
-        )
-        self._generation = 0
         self._obs = obs if obs is not None else Observability.noop()
         registry = self._obs.registry
         self._runs_total = registry.counter(
@@ -197,55 +168,31 @@ class Compactor:
     ) -> None:
         result.blocks_before = len(victims)
         result.bytes_before = sum(block.size_bytes for block in victims)
-        retries_before = self._upload.stats.retries
-
-        rewritten = rewrite_blocks(
-            self._upload, self._bucket, victims, self._schema, self._target_rows,
+        janitor = self._janitor
+        retries_before = janitor.upload_stats.retries  # victim reads retry too
+        source = rewrite_source(victims)
+        outputs: list[ArchiveObject] = []
+        for writer, blob, min_ts, max_ts, row_count in rewrite_blocks(
+            janitor.store, janitor.bucket, victims, self._schema, self._target_rows,
             codec=self._codec,
             block_rows=self._block_rows,
             build_indexes=self._build_indexes,
-        )
-        generation = self._generation
-        self._generation += 1
-        built: list[tuple[str, bytes, LogBlockEntry]] = []
-        for writer, blob, min_ts, max_ts, row_count in rewritten:
+        ):
             self._encode_modes.record(writer.encode_stats)
-            path = compacted_block_path(tenant_id, generation, len(built), min_ts, max_ts)
-            entry = LogBlockEntry(
-                tenant_id=tenant_id,
-                min_ts=min_ts,
-                max_ts=max_ts,
-                path=path,
-                size_bytes=len(blob),
-                row_count=row_count,
-            )
-            built.append((path, blob, entry))
+            key = object_key(tenant_id, source, blob, len(outputs))
+            entry = LogBlockEntry(tenant_id, min_ts, max_ts, key, len(blob), row_count)
+            outputs.append(ArchiveObject(key, blob, (entry,)))
 
-        # Upload every output before registering any: a failure mid-way
-        # must leave the catalog exactly as it was (victims still live,
-        # no half-registered outputs duplicating their rows), and the
-        # janitor deletes what was uploaded.
-        uploaded = 0
+        # The victims' entries go even when an object DELETE fails (the
+        # rows already live in the outputs; keeping a victim registered
+        # would double-count them) — the janitor queues the object.
         try:
-            for path, blob, _entry in built:
-                self._upload.put(self._bucket, path, blob)
-                uploaded += 1
-        except BaseException as exc:
-            result.upload_retries = self._upload.stats.retries - retries_before
-            self._janitor.discard_failed_upload([path for path, _, _ in built], uploaded, exc)
-            raise
-        for path, blob, entry in built:
-            self._catalog.add_block(entry)
-            result.bytes_after += len(blob)
-            result.rows_rewritten += entry.row_count
-        result.blocks_after = len(built)
-
-        # New data is live; now retire the superseded blocks.  Their map
-        # entries go even when an object DELETE fails (the rows already
-        # live in the outputs; keeping a victim registered would
-        # double-count them) — the janitor queues the object instead.
-        self._janitor.retire(victims)
-        result.upload_retries = self._upload.stats.retries - retries_before
+            janitor.publish(outputs, victims)
+        finally:
+            result.upload_retries = janitor.upload_stats.retries - retries_before
+        result.blocks_after = len(outputs)
+        result.bytes_after = sum(len(obj.blob) for obj in outputs)
+        result.rows_rewritten = sum(e.row_count for obj in outputs for e in obj.entries)
 
     def compact_all(self) -> list[CompactionResult]:
         """Run :meth:`compact_tenant` for every registered tenant."""

@@ -270,20 +270,19 @@ class ChaosContext:
         backend = self.wal_backends.get(backend_name)
         return backend.corrupt_tail() if backend is not None else False
 
-    def crash_and_rebuild_plain_shard(self, shard):
-        """Simulated process crash of a non-Raft shard.
+    def crash_and_rebuild_shard(self, shard):
+        """Simulated process crash of a whole shard.
 
-        The in-memory row store dies with the process; the WAL segment
-        backend is the durable medium and survives.  Rebuilding the
-        shard over the same backend runs torn-tail repair and WAL
-        replay — exactly what a restarted worker would do.
+        Every replica's in-memory row store dies with the process; the
+        WAL segment backends are the durable medium and survive.
+        Rebuilding the shard over the same backends runs torn-tail
+        repair and WAL replay (a Raft group re-elects and re-applies
+        its log) — exactly what a restarted worker would do.
         """
         from repro.cluster.shard import Shard
 
-        if shard.raft is not None:
-            raise ChaosError("crash_and_rebuild_plain_shard needs a non-Raft shard")
-        backend = self.wal_backends[f"shard{shard.shard_id}"]
         self._record("fault.shard.crash", f"shard{shard.shard_id}")
+        self.crashed = [(s, node) for s, node in self.crashed if s is not shard]
         config = self.store.config
         rebuilt = Shard(
             shard.shard_id,
@@ -292,9 +291,11 @@ class ChaosContext:
             shard.seal_rows,
             shard.seal_bytes,
             self.clock,
-            use_raft=False,
-            wal_backend=backend,
+            use_raft=shard.raft is not None,
+            replicas=config.replicas,
+            wal_only_replicas=config.wal_only_replicas,
             write_ack=config.write_ack,
+            wal_backend_factory=self.wal_backends.__getitem__,
             seed=config.seed,
             obs=self.store.obs,
         )

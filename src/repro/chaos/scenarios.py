@@ -39,22 +39,19 @@ class Scenario:
 
 
 def _make_compactor(ctx: ChaosContext) -> Compactor:
-    """Build a compactor over the store's (fault-injected) OSS whose
-    retired objects go through the store's janitor, so the invariant
-    checker accounts for its orphans."""
+    """Build a compactor that publishes and retires through the store's
+    janitor (over the fault-injected OSS), so the invariant checker
+    accounts for its orphans."""
     store = ctx.store
     return Compactor(
         store.schema,
-        store.oss,
-        store.config.bucket,
         store.catalog,
+        store.janitor,
         codec=store.config.codec,
         block_rows=store.config.block_rows,
         small_threshold_rows=500,
         target_rows=1_000,
-        retry_clock=ctx.clock,
         obs=store.obs,
-        janitor=store.janitor,
     )
 
 
@@ -218,6 +215,32 @@ def _oss_outage_archive_retry(ctx: ChaosContext) -> None:
     ctx.archive()
 
 
+def _archive_crash_before_drain(ctx: ChaosContext) -> None:
+    """Each shard's oldest sealed table reaches OSS and the catalog, then
+    the shard's process dies before the drain is logged.  The rebuilt
+    shard replays the table under the same source, so archiving it
+    again — under flaky OSS — must find its blocks, not store its rows
+    a second time."""
+    for _ in range(8):
+        ctx.write_batch(1, 60)
+        ctx.write_batch(2, 60)
+        ctx.advance(0.05)
+    for shard in ctx.shards():
+        sealed = shard.take_sealed()
+        if sealed:
+            source, table = sealed[0]
+            ctx.store.builder.archive_memtable(table, source)
+            ctx.trace.record(ctx.clock.now(), "workload.archive.undrained", source)
+            ctx.crash_and_rebuild_shard(shard)
+    ctx.chaos_oss.set_error_rate(0.2)
+    ctx.archive()
+    ctx.chaos_oss.heal()
+    for _ in range(2):
+        ctx.write_batch(1, 60)
+        ctx.advance(0.05)
+    ctx.archive()
+
+
 def _wal_torn_tail_crash(ctx: ChaosContext) -> None:
     """A plain (non-Raft) shard dies mid-fsync, leaving a torn WAL
     tail; the rebuilt shard must recover exactly the acked prefix."""
@@ -235,7 +258,7 @@ def _wal_torn_tail_crash(ctx: ChaosContext) -> None:
         ctx.advance(0.02)
     backend.tear_next_appends(1, 0.5)
     ctx.write_batch(tenant, 40)  # fails mid-append: indeterminate
-    ctx.crash_and_rebuild_plain_shard(shard)
+    ctx.crash_and_rebuild_shard(shard)
     for _ in range(4):
         ctx.write_batch(tenant, 40)
         ctx.advance(0.02)
@@ -342,7 +365,7 @@ def _lifecycle_crash_sweep_offboard(ctx: ChaosContext) -> None:
     ctx.archive()
     ctx.chaos_oss.set_error_rate(0.6)
     ctx.sweep_lifecycle(base + 800_000 + hour_us)  # expiry cutoff: seq < 800
-    ctx.crash_and_rebuild_plain_shard(ctx.shards()[0])
+    ctx.crash_and_rebuild_shard(ctx.shards()[0])
     for _ in range(4):
         ctx.write_batch(3, 40)
         ctx.advance(0.1)
@@ -418,6 +441,17 @@ SCENARIOS: dict[str, Scenario] = {
             "oss_outage_archive_retry",
             "Full OSS outage during archiving; memtables must survive and retry.",
             _oss_outage_archive_retry,
+            config=dict(_RAFT),
+        ),
+        Scenario(
+            "archive_crash_before_drain",
+            "Plain shards crash between a table's upload and its drain.",
+            _archive_crash_before_drain,
+        ),
+        Scenario(
+            "archive_crash_before_drain_raft",
+            "Raft shards crash between a table's upload and its drain.",
+            _archive_crash_before_drain,
             config=dict(_RAFT),
         ),
         Scenario(

@@ -83,27 +83,28 @@ class LogStore:
 
         self.catalog = Catalog(schema)
         self.controller = Controller(config, self.catalog, self.clock)
-        # The one way an archived object leaves OSS: every retirer below
-        # (builder, lifecycle, a compactor built over this store) shares it.
+        # The one way an archived object enters or leaves OSS: every
+        # archiver and retirer below (builder, lifecycle, a compactor
+        # built over this store) shares it, and its upload retries are
+        # charged to the cluster clock.
         self.janitor = Janitor(
             self.catalog,
             self.oss,
             config.bucket,
             invalidate=self.invalidate_blob,
             obs=self.obs,
+            clock=self.clock,
         )
 
         builder = DataBuilder(
             schema,
-            self.oss,
-            config.bucket,
             self.catalog,
+            self.janitor,
             codec=config.codec,
             block_rows=config.block_rows,
             target_rows=config.target_rows_per_logblock,
             build_indexes=config.build_indexes,
             obs=self.obs,
-            janitor=self.janitor,
         )
 
         self._builder = builder
@@ -172,7 +173,6 @@ class LogStore:
             ),
             block_rows=config.block_rows,
             build_indexes=config.build_indexes,
-            retry_clock=self.clock,
         )
 
         from repro.obs.alerts import AlertEngine, default_alert_rules

@@ -426,8 +426,9 @@ class Shard:
         drained from it yet (drain pending, or committed and in flight)."""
         return max(0, self._drain_target + self._pending_drain - store.sealed_dropped)
 
-    def take_sealed(self) -> list[MemTable]:
-        """Sealed memtables ready for the data builder, oldest first.
+    def take_sealed(self) -> list[tuple[str, MemTable]]:
+        """``(source, table)`` for each sealed memtable ready for the
+        data builder, oldest first.
 
         A snapshot: nothing leaves the row store here.  Archived tables
         leave through the drain command :meth:`finish_archive` commits,
@@ -435,11 +436,23 @@ class Shard:
         a leadership change never resurrects archived ones.  Tables
         archived but not yet drained from the store are skipped.
         Admitted writes are settled first.
+
+        ``source`` is ``s<shard>-<seal seq>``, the table's position in
+        the shard's sealed sequence (``sealed_dropped`` plus its place
+        in the sealed list): replicated state, so every replica and
+        every WAL replay gives a table the same source, and a table
+        archived again after a crash before its drain keeps its blocks'
+        names.
         """
         self._settle_before()
         self._flush_pending_drain()
         store = self.rowstore
-        return store.take_sealed()[self._archived_prefix(store) :]
+        skip = self._archived_prefix(store)
+        first = store.sealed_dropped + skip
+        return [
+            (f"s{self.shard_id}-{first + i}", table)
+            for i, table in enumerate(store.take_sealed()[skip:])
+        ]
 
     def finish_archive(self, archived: int) -> None:
         """Record that the first ``archived`` tables :meth:`take_sealed`

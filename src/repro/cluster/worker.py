@@ -80,8 +80,8 @@ class Worker:
         sealed = shard.take_sealed()
         archived = 0
         try:
-            for memtable in sealed:
-                self._builder.archive_memtable(memtable, report)
+            for source, memtable in sealed:
+                self._builder.archive_memtable(memtable, source, report)
                 archived += 1
         finally:
             shard.finish_archive(archived)

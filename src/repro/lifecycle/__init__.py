@@ -21,7 +21,7 @@ less to store and *nothing* to delete.  This package delivers both:
 """
 
 from repro.lifecycle.alerts import StalledSweeperRule, stalled_sweeper_rule
-from repro.lifecycle.cold import ColdCompactor, ColdRepackResult, cold_segment_path
+from repro.lifecycle.cold import ColdCompactor, ColdRepackResult
 from repro.lifecycle.manager import LifecycleManager
 from repro.lifecycle.offboard import OffboardReport, TenantOffboarder, export_path
 from repro.lifecycle.policy import (
@@ -44,7 +44,6 @@ __all__ = [
     "SweepReport",
     "TenantOffboarder",
     "apply_policy",
-    "cold_segment_path",
     "export_path",
     "format_duration",
     "parse_duration",

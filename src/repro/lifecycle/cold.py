@@ -3,7 +3,7 @@
 A lightly loaded tenant's aged data is many small hot blocks, each a
 separate OSS object billed at hot-tier rates.  The cold compactor
 rewrites a tenant's aged run into one **segment**: a tar-packed object
-(``tenants/<id>/cold/sg….seg``, reusing :mod:`repro.tarpack`) whose
+(``tenants/<id>/cold/….seg``, reusing :mod:`repro.tarpack`) whose
 members are ordinary self-contained LogBlocks re-encoded under a
 stronger codec and larger chunks.  Queries are untouched — a cold
 catalog entry carries ``(segment_path, segment_offset, segment_length)``
@@ -12,10 +12,10 @@ and the executor reads the member in place through a
 byte-identical across tiers (asserted in tests and
 ``benchmarks/bench_lifecycle.py``, along with the ≥2× shrink).
 
-Crash safety follows the hot compactor's ordering: upload the segment
-and register its members *before* retiring any victim, so every
-intermediate state is queryable; victims leave through the janitor
-(:mod:`repro.meta.janitor`).
+Crash safety follows the hot compactor's: the segment is published
+through the janitor (:mod:`repro.meta.janitor`), which uploads it and
+registers its members *before* retiring any victim, so every
+intermediate state is queryable.
 """
 
 from __future__ import annotations
@@ -23,18 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.builder.compaction import rewrite_blocks
-from repro.common.clock import Clock, VirtualClock
 from repro.common.errors import BuildError
 from repro.logblock.schema import TableSchema
 from repro.logblock.writer import DEFAULT_BLOCK_ROWS
 from repro.meta.catalog import TIER_COLD, Catalog, LogBlockEntry
-from repro.meta.janitor import Janitor
+from repro.meta.janitor import ArchiveObject, Janitor, object_key, rewrite_source
 from repro.obs.context import Observability
-from repro.oss.retry import (
-    DEFAULT_BACKOFF_S,
-    DEFAULT_MAX_ATTEMPTS,
-    RetryingObjectStore,
-)
 from repro.tarpack.packer import PackBuilder
 from repro.tarpack.reader import BytesRangeReader, PackReader
 
@@ -43,11 +37,6 @@ EVENT_LIFECYCLE_COLD = "lifecycle.cold_pack"
 # lzma trades CPU for ratio — exactly right for data that is read
 # rarely but stored for its whole retention window.
 DEFAULT_COLD_CODEC = "lzma"
-
-
-def cold_segment_path(tenant_id: int, generation: int, min_ts: int, max_ts: int) -> str:
-    """OSS key for one cold segment object."""
-    return f"tenants/{tenant_id}/cold/sg{generation:06d}-{min_ts}-{max_ts}.seg"
 
 
 @dataclass
@@ -73,36 +62,23 @@ class ColdCompactor:
     def __init__(
         self,
         schema: TableSchema,
-        oss,
-        bucket: str,
         catalog: Catalog,
         janitor: Janitor,
         codec: str = DEFAULT_COLD_CODEC,
         block_rows: int = DEFAULT_BLOCK_ROWS,
         target_rows: int = 200_000,
         build_indexes: bool = True,
-        max_upload_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        upload_backoff_s: float = DEFAULT_BACKOFF_S,
-        retry_clock: Clock | None = None,
         obs: Observability | None = None,
     ) -> None:
         if target_rows <= 0:
             raise BuildError(f"target_rows must be positive, got {target_rows}")
         self._schema = schema
-        self._bucket = bucket
         self._catalog = catalog
         self._janitor = janitor
         self._codec = codec
         self._block_rows = block_rows
         self._target_rows = target_rows
         self._build_indexes = build_indexes
-        self._upload = RetryingObjectStore(
-            oss,
-            max_attempts=max_upload_attempts,
-            backoff_s=upload_backoff_s,
-            clock=retry_clock if retry_clock is not None else VirtualClock(),
-        )
-        self._generation = 0
         self._obs = obs if obs is not None else Observability.noop()
         registry = self._obs.registry
         self._repacks_total = registry.counter(
@@ -187,9 +163,10 @@ class ColdCompactor:
         result.bytes_before = sum(block.size_bytes for block in victims)
 
         # Re-encode into target_rows-sized members under the cold codec.
+        janitor = self._janitor
         members: list[tuple[str, bytes, int, int, int]] = []
         for writer, blob, min_ts, max_ts, n_rows in rewrite_blocks(
-            self._upload, self._bucket, victims, self._schema, self._target_rows,
+            janitor.store, janitor.bucket, victims, self._schema, self._target_rows,
             codec=self._codec,
             block_rows=self._block_rows,
             build_indexes=self._build_indexes,
@@ -198,17 +175,13 @@ class ColdCompactor:
             name = f"b{len(members):04d}-{min_ts}-{max_ts}.lgb"
             members.append((name, blob, min_ts, max_ts, n_rows))
 
-        generation = self._generation
-        self._generation += 1
         builder = PackBuilder()
         for name, blob, _min, _max, _n in members:
             builder.add(name, blob)
         segment = builder.build()
-        segment_key = cold_segment_path(
-            tenant_id, generation, members[0][2], members[-1][3]
-        )
+        segment_key = object_key(tenant_id, rewrite_source(victims), segment)
         # Member extents within the finished segment, for the catalog.
-        probe = PackReader(BytesRangeReader(segment), self._bucket, segment_key)
+        probe = PackReader(BytesRangeReader(segment), janitor.bucket, segment_key)
         entries: list[LogBlockEntry] = []
         for name, blob, min_ts, max_ts, n_rows in members:
             start, length = probe.member_extent(name)
@@ -227,23 +200,11 @@ class ColdCompactor:
                 )
             )
 
-        # Upload before registering anything: a failed PUT must leave
-        # the catalog untouched, with any torn object discarded by the
-        # janitor (matching Compactor._compact).
-        try:
-            self._upload.put(self._bucket, segment_key, segment)
-        except BaseException as exc:
-            self._janitor.discard_failed_upload([segment_key], 0, exc)
-            raise
-        for entry in entries:
-            self._catalog.add_block(entry)
-            result.bytes_after += entry.size_bytes
-            result.rows_repacked += entry.row_count
+        # Members go live before the hot victims retire; a victim's entry
+        # goes even when its object DELETE fails (its rows already live
+        # in the segment) — the janitor queues the object instead.
+        janitor.publish([ArchiveObject(segment_key, segment, tuple(entries))], victims)
+        result.bytes_after = sum(entry.size_bytes for entry in entries)
+        result.rows_repacked = sum(entry.row_count for entry in entries)
         result.blocks_after = len(entries)
         result.segment_paths.append(segment_key)
-
-        # Members are live; retire the hot victims.  Their catalog
-        # entries go even when an object DELETE fails (rows already live
-        # in the segment; keeping a victim would double-count them) —
-        # the janitor queues the object instead.
-        self._janitor.retire(victims)

@@ -39,7 +39,6 @@ class LifecycleManager:
         cold_target_rows: int = 200_000,
         block_rows: int = DEFAULT_BLOCK_ROWS,
         build_indexes: bool = True,
-        retry_clock=None,
     ) -> None:
         self._catalog = catalog
         self._sweep_enabled = sweep_enabled
@@ -47,16 +46,13 @@ class LifecycleManager:
         self.sweeper = ExpirySweeper(catalog, janitor, obs=self._obs)
         self.cold = ColdCompactor(
             schema,
-            store,
-            bucket,
             catalog,
+            janitor,
             codec=cold_codec,
             block_rows=block_rows,
             target_rows=cold_target_rows,
             build_indexes=build_indexes,
-            retry_clock=retry_clock,
             obs=self._obs,
-            janitor=janitor,
         )
         self.offboarder = TenantOffboarder(
             catalog, store, bucket, janitor, obs=self._obs

@@ -152,6 +152,8 @@ class Catalog:
         # inside it; a cold segment object may be deleted only once its
         # refcount drops to zero.
         self._segment_refs: dict[str, int] = {}
+        # Every registered entry path: registration is idempotent.
+        self._paths: set[str] = set()
         self._lock = threading.Lock()
 
     @property
@@ -281,6 +283,7 @@ class Catalog:
             info = self._tenants.pop(tenant_id, None)
             if info is not None:
                 for entry in info.blocks:
+                    self._paths.discard(entry.path)
                     if entry.segment_path is not None:
                         refs = self._segment_refs.get(entry.segment_path, 0) - 1
                         if refs <= 0:
@@ -293,10 +296,14 @@ class Catalog:
 
     # -- LogBlock map ------------------------------------------------------
 
-    def add_block(self, entry: LogBlockEntry) -> None:
-        """Record a newly archived LogBlock."""
+    def add_block(self, entry: LogBlockEntry) -> bool:
+        """Record a newly archived LogBlock; False, changing nothing, when
+        its path is registered already (a replayed archive)."""
         info = self.ensure_tenant(entry.tenant_id)
         with self._lock:
+            if entry.path in self._paths:
+                return False
+            self._paths.add(entry.path)
             insort(info.blocks, entry, key=LogBlockEntry.sort_key)
             insort(info.blocks_by_age, entry, key=LogBlockEntry.age_key)
             info.total_bytes += entry.size_bytes
@@ -305,6 +312,7 @@ class Catalog:
                 self._segment_refs[entry.segment_path] = (
                     self._segment_refs.get(entry.segment_path, 0) + 1
                 )
+        return True
 
     def remove_block(self, entry: LogBlockEntry) -> None:
         info = self.tenant(entry.tenant_id)
@@ -313,6 +321,7 @@ class Catalog:
                 info.blocks.remove(entry)
             except ValueError:
                 raise CatalogError(f"block {entry.path} not in catalog") from None
+            self._paths.discard(entry.path)
             try:
                 info.blocks_by_age.remove(entry)
             except ValueError:
@@ -325,6 +334,12 @@ class Catalog:
                     self._segment_refs.pop(entry.segment_path, None)
                 else:
                     self._segment_refs[entry.segment_path] = refs
+
+    def references(self, object_path: str) -> bool:
+        """Whether a live entry's bytes are in this object: a hot block
+        at that path, or a cold member of that segment."""
+        with self._lock:
+            return object_path in self._paths or object_path in self._segment_refs
 
     def segment_refcount(self, segment_path: str) -> int:
         """Live catalog entries still packed inside a cold segment."""

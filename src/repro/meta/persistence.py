@@ -12,7 +12,8 @@ survive controller restarts.  Two mechanisms:
   the LogBlock map with no snapshot at all, by listing the tenant
   directories and reading each block's self-contained meta; the §3.2
   "self-contained" design makes the catalog always recoverable from
-  the data.
+  the data.  A torn upload (its pack ends past its bytes) is skipped
+  and left to :meth:`~repro.meta.janitor.Janitor.reconcile`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 
-from repro.common.errors import CatalogError
+from repro.common.errors import CatalogError, InvalidRange, SerializationError
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import ColumnSpec, ColumnType, IndexType, TableSchema
 from repro.meta.catalog import TIER_COLD, TIER_HOT, Catalog, LogBlockEntry
@@ -189,18 +190,21 @@ def rebuild_catalog_from_store(catalog: Catalog, store, bucket: str) -> int:
     Lists ``tenants/`` and reads each block's self-contained meta to
     recover row counts and timestamp ranges.  Tenant lifecycle metadata
     (names, retention) is not stored in blocks and comes back as
-    defaults.  Returns the number of blocks registered.
+    defaults.  An object whose pack members end past its size is a
+    torn upload: it is not registered.  Returns the number of blocks
+    registered.
     """
     if catalog.all_blocks():
         raise CatalogError("rebuild requires an empty LogBlock map")
     count = 0
     for stat in store.list(bucket, "tenants/"):
+        pack = PackReader(store, bucket, stat.key)
         match = _BLOCK_PATH_RE.match(stat.key)
-        if match is not None:
+        if match is not None and _whole(pack, stat.size):
             tenant_id = int(match.group(1))
             catalog.add_block(
                 _entry_from_block_reader(
-                    LogBlockReader(PackReader(store, bucket, stat.key)),
+                    LogBlockReader(pack),
                     tenant_id=tenant_id,
                     path=stat.key,
                     size_bytes=stat.size,
@@ -209,9 +213,19 @@ def rebuild_catalog_from_store(catalog: Catalog, store, bucket: str) -> int:
             count += 1
             continue
         match = _SEGMENT_PATH_RE.match(stat.key)
-        if match is not None:
-            count += _rebuild_segment(catalog, store, bucket, stat.key, int(match.group(1)))
+        if match is not None and _whole(pack, stat.size):
+            count += _rebuild_segment(catalog, pack, int(match.group(1)))
     return count
+
+
+def _whole(pack: PackReader, size: int) -> bool:
+    """Whether every member of the pack ends within the object's
+    ``size`` bytes (a torn upload keeps only a prefix)."""
+    try:
+        entries = pack.manifest().entries()
+    except (SerializationError, InvalidRange):
+        return False
+    return all(pack.data_start + entry.end <= size for entry in entries)
 
 
 def _entry_from_block_reader(
@@ -246,9 +260,7 @@ def _entry_from_block_reader(
     )
 
 
-def _rebuild_segment(
-    catalog: Catalog, store, bucket: str, segment_key: str, tenant_id: int
-) -> int:
+def _rebuild_segment(catalog: Catalog, segment: PackReader, tenant_id: int) -> int:
     """Re-register every cold member of one tar-packed segment.
 
     Cold members are themselves self-contained LogBlocks, so the
@@ -257,7 +269,7 @@ def _rebuild_segment(
     """
     from repro.tarpack.reader import SubrangeReader
 
-    segment = PackReader(store, bucket, segment_key)
+    store, bucket, segment_key = segment.store, segment.bucket, segment.key
     count = 0
     for name in segment.member_names():
         start, length = segment.member_extent(name)

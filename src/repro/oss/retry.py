@@ -17,12 +17,13 @@ Hardening details:
   backoff one logical operation may accumulate — when the budget is
   exhausted the operation gives up even if attempts remain, which is
   what keeps tail latency bounded during a long brownout;
-* retried ``put`` calls are **idempotent**: object stores offer atomic
-  PUT, but a torn upload can leave partial bytes behind before the
-  error surfaces.  When a retry then hits ``ObjectAlreadyExists``, the
-  wrapper verifies the stored bytes — identical means the original PUT
-  won the race (success), different means a torn upload left garbage,
-  which is deleted and rewritten.
+* ``put`` is **idempotent** on content-addressed keys.  Every archived
+  object's key carries a digest of its bytes
+  (:func:`repro.meta.janitor.object_key`), so a key that already holds
+  the same bytes is a success on any attempt, and a key that holds
+  different bytes can only hold a torn upload, which is deleted and
+  rewritten.  ``put`` reports whether it created the object, so the
+  publisher discards only what it wrote.
 """
 
 from __future__ import annotations
@@ -175,34 +176,29 @@ class RetryingObjectStore:
     def delete_bucket(self, bucket: str) -> None:
         self._call(self._inner.delete_bucket, bucket)
 
-    def put(self, bucket: str, key: str, data: bytes) -> None:
-        """PUT with torn-upload recovery on retries.
+    def put(self, bucket: str, key: str, data: bytes) -> bool:
+        """PUT ``data``; returns whether this call created the object.
 
-        The first attempt propagates ``ObjectAlreadyExists`` untouched
-        (a genuine double-write is a caller bug).  On *retries* the
-        error means a prior attempt partially succeeded: verify the
-        stored bytes and repair a torn object in place.
+        A key that already holds ``data`` is a success that created
+        nothing — also when a lost response hid an earlier attempt's
+        write.  A key holding other bytes holds a torn upload (a whole
+        object would match its key's digest): it is deleted and
+        rewritten, and counts in ``torn_puts_repaired``.
         """
 
-        def attempt_put(state: dict) -> None:
-            first = state["first"]
-            state["first"] = False
+        def attempt_put() -> bool:
             try:
                 self._inner.put(bucket, key, data)
+                return True
             except ObjectAlreadyExists:
-                if first:
-                    # No prior attempt ran, so nothing of ours can be
-                    # at this key: a genuine double-write.
-                    raise
-                existing = self._inner.get(bucket, key)
-                if existing == data:
-                    return  # earlier attempt actually landed: idempotent success
-                self.stats.torn_puts_repaired += 1
-                self._inner.delete(bucket, key)
-                self._inner.put(bucket, key, data)
+                if self._inner.get(bucket, key) == data:
+                    return False
+            self.stats.torn_puts_repaired += 1
+            self._inner.delete(bucket, key)
+            self._inner.put(bucket, key, data)
+            return True
 
-        state = {"first": True}
-        self._call(attempt_put, state)
+        return self._call(attempt_put)
 
     def get(self, bucket: str, key: str) -> bytes:
         return self._call(self._inner.get, bucket, key)

@@ -39,7 +39,7 @@ def catalog():
 @pytest.fixture
 def builder(free_store, catalog):
     return DataBuilder(
-        request_log_schema(), free_store, "test", catalog, Janitor(catalog, free_store, "test"),
+        request_log_schema(), catalog, Janitor(catalog, free_store, "test"),
         codec="zlib", block_rows=64, target_rows=150,
     )
 
@@ -47,7 +47,7 @@ def builder(free_store, catalog):
 class TestArchiveRoundTrip:
     def test_rows_in_equals_rows_out_per_tenant(self, builder, free_store, catalog):
         table = sealed_memtable({1: 400, 2: 130, 7: 151})
-        report = builder.archive_memtable(table)
+        report = builder.archive_memtable(table, "s0-0")
         assert report.rows_archived == 681
         for tenant_id, expected_count in ((1, 400), (2, 130), (7, 151)):
             got = []
@@ -60,13 +60,13 @@ class TestArchiveRoundTrip:
             assert got == expected
 
     def test_target_rows_chunking(self, builder, catalog):
-        builder.archive_memtable(sealed_memtable({1: 400}))
+        builder.archive_memtable(sealed_memtable({1: 400}), "s0-0")
         blocks = catalog.blocks_for(1)
         assert [b.row_count for b in blocks] == [150, 150, 100]
         assert all(b.min_ts <= b.max_ts for b in blocks)
 
     def test_paths_match_catalog_rebuild_layout(self, builder, free_store, catalog):
-        builder.archive_memtable(sealed_memtable({3: 10}))
+        builder.archive_memtable(sealed_memtable({3: 10}), "s0-0")
         (entry,) = catalog.blocks_for(3)
         assert re.match(r"^tenants/3/.+\.lgb$", entry.path)
         assert free_store.exists("test", entry.path)
@@ -76,34 +76,34 @@ class TestArchiveRoundTrip:
         table = MemTable()
         table.append_many(make_rows(5))
         with pytest.raises(BuildError):
-            builder.archive_memtable(table)
+            builder.archive_memtable(table, "s0-0")
 
     def test_empty_memtable_counts_as_converted(self, builder, catalog):
         table = MemTable()
         table.seal()
-        report = builder.archive_memtable(table)
+        report = builder.archive_memtable(table, "s0-0")
         assert report.memtables_converted == 1
         assert report.blocks_written == 0
         assert catalog.all_blocks() == []
 
     def test_report_accumulates_across_memtables(self, builder):
         report = BuildReport()
-        builder.archive_memtable(sealed_memtable({1: 100}), report)
-        builder.archive_memtable(sealed_memtable({1: 100}, seed=50), report)
+        builder.archive_memtable(sealed_memtable({1: 100}), "s0-0", report)
+        builder.archive_memtable(sealed_memtable({1: 100}, seed=50), "s0-1", report)
         assert report.memtables_converted == 2
         assert report.rows_archived == 200
         assert report.per_tenant[1].rows_archived == 200
         assert len(report.entries) == report.blocks_written
 
     def test_per_tenant_breakdown_sums_to_totals(self, builder):
-        report = builder.archive_memtable(sealed_memtable({1: 200, 2: 300}))
+        report = builder.archive_memtable(sealed_memtable({1: 200, 2: 300}), "s0-0")
         assert set(report.per_tenant) == {1, 2}
         assert sum(s.rows_archived for s in report.per_tenant.values()) == report.rows_archived
         assert sum(s.bytes_uploaded for s in report.per_tenant.values()) == report.bytes_uploaded
         assert sum(s.blocks_written for s in report.per_tenant.values()) == report.blocks_written
 
     def test_build_and_upload_times_recorded(self, builder):
-        report = builder.archive_memtable(sealed_memtable({1: 300}))
+        report = builder.archive_memtable(sealed_memtable({1: 300}), "s0-0")
         assert report.build_s > 0
         assert report.upload_s > 0
 
@@ -153,12 +153,12 @@ class TestSchemaAuthority:
 
         catalog = Catalog(request_log_schema())
         builder = DataBuilder(
-            request_log_schema(), free_store, "test", catalog,
+            request_log_schema(), catalog,
             Janitor(catalog, free_store, "test"),
             codec="zlib", block_rows=64,
         )
         catalog.add_column(ColumnSpec("region", ColumnType.STRING))
-        builder.archive_memtable(sealed_memtable({1: 10}))
+        builder.archive_memtable(sealed_memtable({1: 10}), "s0-0")
         (entry,) = catalog.blocks_for(1)
         rows = read_all_rows(free_store, "test", entry)
         assert all(row["region"] is None for row in rows)

@@ -23,7 +23,7 @@ def catalog():
 def archive_batches(store, catalog, tenant_id: int, batches: int, rows_each: int):
     """Archive several small memtables → many small LogBlocks."""
     builder = DataBuilder(
-        request_log_schema(), store, "test", catalog, Janitor(catalog, store, "test"),
+        request_log_schema(), catalog, Janitor(catalog, store, "test"),
         codec="zlib", block_rows=64, target_rows=1_000,
     )
     for batch in range(batches):
@@ -33,7 +33,7 @@ def archive_batches(store, catalog, tenant_id: int, batches: int, rows_each: int
                       start_ts=1_600_000_000_000_000 + batch * 10_000_000_000)
         )
         table.seal()
-        builder.archive_memtable(table)
+        builder.archive_memtable(table, f"s0-{batch}")
 
 
 def tenant_rows(store, catalog, tenant_id: int) -> list[dict]:
@@ -54,7 +54,7 @@ def make_compactor(store, catalog, **overrides) -> Compactor:
     )
     params.update(overrides)
     return Compactor(
-        request_log_schema(), store, "test", catalog,
+        request_log_schema(), catalog,
         Janitor(catalog, store, "test"), **params,
     )
 

@@ -13,6 +13,7 @@ numpy value may leak out: realtime readers get Python ``int`` /
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -117,10 +118,10 @@ def archive(table: MemTable) -> dict[int, list[bytes]]:
     oss.create_bucket("b")
     catalog = Catalog(SCHEMA)
     builder = DataBuilder(
-        SCHEMA, oss, "b", catalog, Janitor(catalog, oss, "b"),
+        SCHEMA, catalog, Janitor(catalog, oss, "b"),
         codec="zlib", block_rows=64, target_rows=250,
     )
-    builder.archive_memtable(table)
+    builder.archive_memtable(table, "s0-0")
     return {
         info.tenant_id: [oss.get("b", entry.path) for entry in info.blocks]
         for info in catalog.tenants()
@@ -210,7 +211,9 @@ class TestCatalogEntriesArePython:
         for entry in store.catalog.all_blocks():
             for value in (entry.tenant_id, entry.min_ts, entry.max_ts, entry.row_count):
                 assert type(value) is int
-            assert f"-{entry.min_ts}-{entry.max_ts}.lgb" in entry.path
+            assert re.fullmatch(
+                rf"tenants/{entry.tenant_id}/s\d+-\d+-0000-[0-9a-f]{{16}}\.lgb", entry.path
+            )
         restored = Catalog(store.catalog.schema)
         restore_catalog(restored, serialize_catalog(store.catalog))
         assert restored.all_blocks() == store.catalog.all_blocks()

@@ -33,7 +33,7 @@ def poisoned(rows):
 
 def rebuild_plain(shard, backend):
     """The chaos harness's plain-shard crash seam: a new process over
-    the surviving WAL segments (``crash_and_rebuild_plain_shard``)."""
+    the surviving WAL segments (``crash_and_rebuild_shard``)."""
     return Shard(
         shard.shard_id, shard.worker_id, shard.capacity_rps,
         shard.seal_rows, shard.seal_bytes, shard._clock, wal_backend=backend,
@@ -390,7 +390,7 @@ class ShardPair:
         assert len(taken["plain"]) == len(taken["raft"])
         for name, shard in self.shards().items():
             done = taken[name][:k]
-            self.archived[name] += [row["log"] for table in done for row in table.scan()]
+            self.archived[name] += [row["log"] for _, table in done for row in table.scan()]
             if drain_fails:
                 self._break_log(name)
             shard.finish_archive(len(done))

@@ -205,13 +205,13 @@ class TestPlainDrainFailure:
         store, shard, backend = plain_store_over_faulty_wal()
         store.put(1, make_rows(1, 30, "drain"))
         sealed = shard.take_sealed()
-        assert [len(table) for table in sealed] == [10, 10, 10]
-        store.builder.archive_memtable(sealed[0], BuildReport())
+        assert [len(table) for _, table in sealed] == [10, 10, 10]
+        store.builder.archive_memtable(sealed[0][1], sealed[0][0], BuildReport())
         backend.fail_next_appends(2)  # the drain record, then its retry
         shard.finish_archive(1)  # the drain stays pending; nothing raises
 
         assert shard.pending_rows() == 30
-        unarchived = {row["log"] for table in sealed[1:] for row in table.scan()}
+        unarchived = {row["log"] for _, table in sealed[1:] for row in table.scan()}
         assert len(unarchived) == 20
         assert {row["log"] for row in shard.scan_realtime()} == unarchived
         assert count_rows(store) == 30  # no row lost, none counted twice
@@ -311,14 +311,11 @@ class TestCompactorCompensation:
         store.flush_all()
         compactor = Compactor(
             store.schema,
-            store.oss,
-            store.config.bucket,
             store.catalog,
             codec=store.config.codec,
             block_rows=64,
             small_threshold_rows=500,
             target_rows=1_000,
-            retry_clock=store.clock,
             janitor=store.janitor,
         )
         chaos.tear_next_puts(10, 0.5)
@@ -379,18 +376,14 @@ class TestCompactorCompensation:
         store.put(1, make_rows(1, 1100, "raw"))
         store.flush_all()
         flaky = FlakyStore(store.oss)
-        janitor = Janitor(store.catalog, flaky, store.config.bucket)
+        janitor = Janitor(store.catalog, flaky, store.config.bucket, max_upload_attempts=3)
         compactor = Compactor(
             store.schema,
-            flaky,
-            store.config.bucket,
             store.catalog,
             codec=store.config.codec,
             block_rows=64,
             small_threshold_rows=500,
             target_rows=500,
-            max_upload_attempts=3,
-            retry_clock=clock,
             janitor=janitor,
         )
         # 1100 rows -> 3 output chunks; the first uploads, the second
@@ -461,3 +454,105 @@ class TestOneShardCannotArchive:
             store.run_background_tasks()
         assert ticks == ["lifecycle", "alerts"]
         assert store.pending_rows() == 10
+
+
+class TestCrashBetweenUploadAndDrain:
+    """A table reaches OSS and the catalog, then the process dies before
+    its drain is logged: the rebuilt shard replays the table under the
+    same source, and archiving it again must find its blocks, not add a
+    second copy of its rows."""
+
+    @pytest.mark.parametrize("use_raft", [False, True])
+    def test_replayed_table_is_archived_once(self, use_raft):
+        from repro.chaos.wal_faults import FaultySegmentBackend
+        from repro.cluster.shard import Shard
+
+        backends = {}
+
+        def factory(name):
+            return backends.setdefault(name, FaultySegmentBackend(name))
+
+        raft = dict(use_raft=True, replicas=3, wal_only_replicas=1) if use_raft else {}
+        clock = VirtualClock()
+        config = small_test_config(
+            n_workers=1, shards_per_worker=1, seal_rows=10, block_rows=64,
+            wal_backend_factory=factory, **raft,
+        )
+        store = LogStore.create(config=config, clock=clock)
+        store.put(1, make_rows(1, 30, "crash"))
+        shard = next(iter(store.workers.values())).shards[0]
+        source, table = shard.take_sealed()[0]
+        store.builder.archive_memtable(table, source)  # no finish_archive: crash
+
+        rebuilt = Shard(
+            shard.shard_id, shard.worker_id, shard.capacity_rps,
+            shard.seal_rows, shard.seal_bytes, clock,
+            wal_backend=backends.get("shard0"), wal_backend_factory=factory,
+            seed=config.seed, **raft,
+        )
+        store.workers[shard.worker_id].shards[shard.shard_id] = rebuilt
+        assert rebuilt.take_sealed()[0][0] == source
+        assert store.flush_all().rows_archived == 20  # the replayed table adds nothing
+        assert count_rows(store) == 30
+        assert rebuilt.pending_rows() == 0
+        stored = [stat.key for stat in store.oss.list(config.bucket, "tenants/")]
+        assert sorted(stored) == sorted(entry.path for entry in store.catalog.all_blocks())
+
+
+class TestRepublishedOrphan:
+    def test_sweep_keeps_a_queued_key_that_was_published_since(self):
+        """A failed compaction queues the keys it created when their
+        DELETEs fail too; a later compaction of the same victims
+        publishes the same keys again.  The sweep must not delete the
+        objects the catalog now references."""
+        from repro.builder.compaction import Compactor
+
+        class Outage:
+            def __init__(self, inner):
+                self._inner = inner
+                self.puts_allowed = None  # None: no outage
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def put(self, bucket, key, data):
+                if self.puts_allowed is not None:
+                    if self.puts_allowed <= 0:
+                        raise TransientStoreError("injected outage")
+                    self.puts_allowed -= 1
+                return self._inner.put(bucket, key, data)
+
+            def delete(self, bucket, key):
+                if self.puts_allowed is not None:
+                    raise TransientStoreError("injected outage")
+                return self._inner.delete(bucket, key)
+
+        backend = Outage(InMemoryObjectStore())
+        config = small_test_config(
+            n_workers=1, shards_per_worker=1, seal_rows=100, block_rows=64
+        )
+        store = LogStore.create(config=config, backend=backend)
+        store.put(1, make_rows(1, 300, "orphan"))
+        store.flush_all()  # three 100-row blocks
+
+        def compact():
+            return Compactor(
+                store.schema, store.catalog, store.janitor,
+                codec=config.codec, block_rows=64,
+                small_threshold_rows=150, target_rows=150,
+            ).compact_tenant(1)
+
+        backend.puts_allowed = 1  # the first output lands, the second fails
+        with pytest.raises(TransientStoreError):
+            compact()
+        queued = store.janitor.orphans
+        assert len(queued) == 2  # both discards failed
+
+        backend.puts_allowed = None
+        assert compact().blocks_after == 2
+        assert {entry.path for entry in store.catalog.all_blocks()} == set(queued)
+        assert store.janitor.sweep() == 0
+        assert store.janitor.orphans == []
+        for path in queued:
+            assert backend.exists(config.bucket, path)
+        assert count_rows(store) == 300

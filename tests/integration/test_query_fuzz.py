@@ -29,13 +29,13 @@ def env():
     store = MeteredObjectStore(InMemoryObjectStore(), free(), VirtualClock())
     store.create_bucket("fuzz")
     builder = DataBuilder(
-        request_log_schema(), store, "fuzz", catalog, Janitor(catalog, store, "fuzz"),
+        request_log_schema(), catalog, Janitor(catalog, store, "fuzz"),
         codec="zlib", block_rows=64, target_rows=200,
     )
     table = MemTable()
     table.append_many(rows)
     table.seal()
-    builder.archive_memtable(table)
+    builder.archive_memtable(table, "s0-0")
     cache = MultiLevelCache(memory_bytes=1 << 22, ssd_bytes=1 << 24)
     executor = BlockExecutor(CachingRangeReader(store, cache), "fuzz", ExecutionOptions())
     return rows, QueryPlanner(catalog), executor

@@ -92,8 +92,6 @@ class TestNoKeyOfADeletedBlobRemains:
         victims = warm(store)
         compactor = Compactor(
             store.schema,
-            store.oss,
-            store.config.bucket,
             store.catalog,
             codec=store.config.codec,
             block_rows=store.config.block_rows,

@@ -30,14 +30,14 @@ def archive(schema, store, catalog, tenant_id, count, start_ts, **builder_kw):
     builder_kw.setdefault("block_rows", 32)
     builder_kw.setdefault("target_rows", 64)
     builder = DataBuilder(
-        schema, store, BUCKET, catalog,
+        schema, catalog,
         Janitor(catalog, store, BUCKET), **builder_kw,
     )
     memtable = MemTable()
     for row in make_rows(count, tenant_id=tenant_id, start_ts=start_ts):
         memtable.append(row)
     memtable.seal()
-    builder.archive_memtable(memtable)
+    builder.archive_memtable(memtable, "s0-0")
     return builder
 
 
@@ -218,7 +218,7 @@ def fail_archive(store, flaky):
 
 def compact(store, _flaky):
     Compactor(
-        store.schema, store.oss, store.config.bucket, store.catalog,
+        store.schema, store.catalog,
         codec=store.config.codec, block_rows=store.config.block_rows,
         small_threshold_rows=500, target_rows=1_000, janitor=store.janitor,
     ).compact_tenant(1)
@@ -296,7 +296,7 @@ class TestOrphanSweeping:
         obs = Observability.noop()
         janitor = Janitor(catalog, flaky, BUCKET, obs=obs)
         compactor = Compactor(
-            schema, flaky, BUCKET, catalog,
+            schema, catalog,
             small_threshold_rows=50, target_rows=400, janitor=janitor,
         )
         flaky.failures_left = small_blocks  # every input retire fails
@@ -341,7 +341,7 @@ class TestColdSegments:
         catalog.set_cold_age(1, 1.0)
         # 192 rows at 64 rows per cold member → one segment, 3 members.
         cold = ColdCompactor(
-            schema, free_store, BUCKET, catalog,
+            schema, catalog,
             Janitor(catalog, free_store, BUCKET), target_rows=64,
         )
         results = cold.repack_all(BASE_TS + 192 * MICROS + HOUR_US)

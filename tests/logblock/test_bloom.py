@@ -172,13 +172,13 @@ class TestExecutorRequestSavings:
         store = MeteredObjectStore(inner, oss_default(), VirtualClock())
         store.create_bucket("b")
         builder = DataBuilder(
-            request_log_schema(), store, "b", catalog,
+            request_log_schema(), catalog,
             Janitor(catalog, store, "b"), codec="zlib", block_rows=128
         )
         table = MemTable()
         table.append_many(make_rows(400, tenant_id=1))
         table.seal()
-        builder.archive_memtable(table)
+        builder.archive_memtable(table, "s0-0")
 
         cache = MultiLevelCache(memory_bytes=1 << 22, ssd_bytes=1 << 24)
         executor = BlockExecutor(

@@ -648,17 +648,17 @@ class TestBuilderEncode:
             return keys
 
         builder = DataBuilder(
-            schema, store, "v", catalog,
+            schema, catalog,
             Janitor(catalog, store, "v"), codec="zlib", block_rows=64,
         )
         for seed in range(3):
             table = MemTable()
             table.append_many(make_rows(400, tenant_id=1, seed=seed))
             table.seal()
-            builder.archive_memtable(table)
+            builder.archive_memtable(table, f"s0-{seed}")
         built = check_new_objects(set())
         Compactor(
-            schema, store, "v", catalog, Janitor(catalog, store, "v"), codec="zlib", block_rows=64,
+            schema, catalog, Janitor(catalog, store, "v"), codec="zlib", block_rows=64,
             small_threshold_rows=500, target_rows=1_200,
         ).compact_tenant(1)
         check_new_objects(built)
@@ -677,13 +677,13 @@ class TestBuilderEncode:
         store.create_bucket("v")
         obs = Observability(tracing_enabled=False)
         builder = DataBuilder(
-            request_log_schema(), store, "v", catalog,
+            request_log_schema(), catalog,
             Janitor(catalog, store, "v"), codec="zlib", block_rows=64, obs=obs
         )
         table = MemTable()
         table.append_many(make_rows(300, tenant_id=1))
         table.seal()
-        builder.archive_memtable(table)
+        builder.archive_memtable(table, "s0-0")
         # Both labels exist; every cell of a validated request_log row
         # (the PLAIN "log" blocks too) lands under "vectorized".
         modes = obs.registry.snapshot().by_label(ENCODE_ROWS, "mode")

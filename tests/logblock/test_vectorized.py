@@ -126,13 +126,13 @@ class TestEndToEndEquivalence:
         store = MeteredObjectStore(InMemoryObjectStore(), free(), VirtualClock())
         store.create_bucket("v")
         builder = DataBuilder(
-            request_log_schema(), store, "v", catalog,
+            request_log_schema(), catalog,
             Janitor(catalog, store, "v"), codec="zlib", block_rows=64
         )
         table = MemTable()
         table.append_many(rows)
         table.seal()
-        builder.archive_memtable(table)
+        builder.archive_memtable(table, "s0-0")
         planner = QueryPlanner(catalog)
         sql = "SELECT ts FROM request_log WHERE tenant_id = 1 AND latency BETWEEN 50 AND 300"
         plan = planner.plan(parse_sql(sql))

@@ -30,7 +30,7 @@ def source():
     catalog = Catalog(request_log_schema())
     store = fresh_store()
     builder = DataBuilder(
-        request_log_schema(), store, "test", catalog, Janitor(catalog, store, "test"),
+        request_log_schema(), catalog, Janitor(catalog, store, "test"),
         codec="zlib", block_rows=64, target_rows=80,
     )
     for tenant in (1, 2):
@@ -38,7 +38,7 @@ def source():
         table = MemTable()
         table.append_many(make_rows(200, tenant_id=tenant, seed=tenant))
         table.seal()
-        builder.archive_memtable(table)
+        builder.archive_memtable(table, "s0-0")
     return catalog, store, BackupTask(catalog, store, "test", Janitor(catalog, store, "test"))
 
 

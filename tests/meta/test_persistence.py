@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
-from repro.common.errors import CatalogError, ObjectAlreadyExists
+from repro.common.errors import CatalogError
 from repro.logblock.schema import ColumnSpec, ColumnType, request_log_schema
 from repro.meta.catalog import Catalog
 from repro.meta.persistence import (
@@ -14,6 +14,7 @@ from repro.meta.persistence import (
     save_catalog,
     serialize_catalog,
 )
+from repro.oss.retry import FlakyStore
 from repro.oss.store import InMemoryObjectStore
 
 from tests.conftest import make_rows
@@ -120,9 +121,10 @@ class TestClusterRestart:
         assert reopened.catalog.tenant(1).retention_s is None
 
     def test_failed_archive_after_restart_keeps_the_pre_restart_block(self):
-        """A block name repeats after a restart (the builder's sequence
-        starts over): the PUT finds the key taken, and the failure path
-        must leave that catalog-referenced object alone."""
+        """A restarted cluster's shards count seals from zero again, so a
+        new table reuses the pre-restart table's source — but its bytes,
+        and so its key, differ: the first post-restart flush succeeds
+        and leaves the pre-restart object alone."""
         backend = InMemoryObjectStore()
         config = small_test_config(use_raft=False)
         store = LogStore.create(config=config, backend=backend)
@@ -137,15 +139,37 @@ class TestClusterRestart:
         reopened = LogStore.attach(backend, config=config)
         second = dict(first, log="GET /api/v9 after the restart")
         reopened.put(1, [second])
-        with pytest.raises(ObjectAlreadyExists):
-            reopened.flush_all()
-        assert backend.get(bucket, original_key) == original_bytes
-
-        reopened.flush_all()
+        assert reopened.flush_all().rows_archived == 1
         assert backend.get(bucket, original_key) == original_bytes
         logs = reopened.query("SELECT log FROM request_log WHERE tenant_id = 1").rows
         assert sorted(row["log"] for row in logs) == sorted([first["log"], second["log"]])
         assert reopened.pending_rows() == 0
+
+    def test_retried_put_after_restart_keeps_the_pre_restart_row(self):
+        """A post-restart table whose first PUT attempt fails: the retry
+        must neither overwrite the pre-restart block (taking it for a
+        torn upload) nor register a path twice."""
+        backend = FlakyStore(InMemoryObjectStore())
+        config = small_test_config(use_raft=False)
+        store = LogStore.create(config=config, backend=backend)
+        first = make_rows(1, tenant_id=1)[0]
+        store.put(1, [first])
+        store.flush_all()
+        store.persist_catalog()
+        (original_key,) = [stat.key for stat in backend.list(config.bucket, "tenants/1/")]
+        original_bytes = backend.get(config.bucket, original_key)
+
+        reopened = LogStore.attach(backend, config=config)
+        second = dict(first, log="GET /api/v9 after the restart")  # same ts
+        reopened.put(1, [second])
+        backend.fail_next(1)
+        reopened.flush_all()
+        assert reopened.janitor.upload_stats.retries == 1
+        assert backend.get(config.bucket, original_key) == original_bytes
+        logs = reopened.query("SELECT log FROM request_log WHERE tenant_id = 1").rows
+        assert sorted(row["log"] for row in logs) == sorted([first["log"], second["log"]])
+        count = reopened.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1")
+        assert count.rows == [{"COUNT(*)": 2}]
 
 
 class TestRebuildByScan:
@@ -167,6 +191,26 @@ class TestRebuildByScan:
         store = loaded_cluster()
         with pytest.raises(CatalogError):
             rebuild_catalog_from_store(store.catalog, store.oss, store.config.bucket)
+
+    def test_rebuild_skips_a_torn_object_and_reconcile_deletes_it(self):
+        """A half-written ``.lgb`` still carries its whole meta at the
+        head; registering it would count its rows twice and make every
+        read of the tenant fail on the missing bytes."""
+        backend = InMemoryObjectStore()
+        store = loaded_cluster(backend=backend)
+        bucket = store.config.bucket
+        (key,) = [stat.key for stat in backend.list(bucket, "tenants/1/")]
+        blob = backend.get(bucket, key)
+        torn_key = key.replace(".lgb", "-torn.lgb")
+        backend.put(bucket, torn_key, blob[: len(blob) // 2])
+
+        reopened = LogStore.attach(backend, config=small_test_config())
+        assert [entry.path for entry in reopened.catalog.blocks_for(1)] == [key]
+        result = reopened.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1")
+        assert result.rows == [{"COUNT(*)": 300}]
+        assert len(reopened.query("SELECT log FROM request_log WHERE tenant_id = 1").rows) == 300
+        assert reopened.janitor.reconcile() == 1
+        assert not backend.exists(bucket, torn_key) and backend.exists(bucket, key)
 
     def test_rebuild_ignores_non_block_objects(self):
         store = loaded_cluster()

@@ -77,12 +77,17 @@ def test_torn_put_is_repaired_in_place():
     assert store.stats.torn_puts_repaired == 1
 
 
-def test_duplicate_put_on_first_attempt_is_a_caller_bug():
+def test_put_of_a_taken_key_keeps_equal_bytes_and_repairs_different_ones():
+    """Keys name their bytes, so a taken key holding equal bytes is the
+    same object (not created, on any attempt), and one holding other
+    bytes can only hold a torn upload (repaired)."""
     _clock, _flaky, store = make_store()
-    store.put("b", "k", b"x")
-    with pytest.raises(ObjectAlreadyExists):
-        store.put("b", "k", b"y")
+    assert store.put("b", "k", b"x") is True
+    assert store.put("b", "k", b"x") is False
     assert store.stats.torn_puts_repaired == 0
+    assert store.put("b", "k", b"y") is True
+    assert store.get("b", "k") == b"y"
+    assert store.stats.torn_puts_repaired == 1
 
 
 def test_retried_put_that_actually_landed_is_idempotent():

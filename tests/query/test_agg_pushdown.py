@@ -47,7 +47,7 @@ class Env:
         self.store = MeteredObjectStore(InMemoryObjectStore(), free(), self.clock)
         self.store.create_bucket(BUCKET)
         self.builder = DataBuilder(
-            self.schema, self.store, BUCKET, self.catalog,
+            self.schema, self.catalog,
             Janitor(self.catalog, self.store, BUCKET),
             codec="zlib", block_rows=block_rows, target_rows=target_rows,
         )
@@ -59,7 +59,7 @@ class Env:
         table = MemTable()
         table.append_many(rows)
         table.seal()
-        self.builder.archive_memtable(table)
+        self.builder.archive_memtable(table, "s0-0")
         self.rows.extend(rows)
 
     def executor(self, level: int) -> BlockExecutor:
@@ -407,7 +407,7 @@ class TestSumPastInt64:
     def wide_env(self):
         built = Env()
         built.builder = DataBuilder(
-            built.schema, built.store, BUCKET, built.catalog,
+            built.schema, built.catalog,
             Janitor(built.catalog, built.store, BUCKET),
             codec="zlib", block_rows=4096, target_rows=20_000,
         )

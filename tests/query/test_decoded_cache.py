@@ -26,13 +26,13 @@ from tests.conftest import make_rows
 def env(free_store):
     catalog = Catalog(request_log_schema())
     builder = DataBuilder(
-        request_log_schema(), free_store, "test", catalog, Janitor(catalog, free_store, "test"),
+        request_log_schema(), catalog, Janitor(catalog, free_store, "test"),
         codec="zlib", block_rows=64, target_rows=150,
     )
     table = MemTable()
     table.append_many(make_rows(400, tenant_id=1, seed=1))
     table.seal()
-    builder.archive_memtable(table)
+    builder.archive_memtable(table, "s0-0")
     cache = MultiLevelCache(memory_bytes=1 << 22, ssd_bytes=1 << 24)
     reader = CachingRangeReader(free_store, cache)
     return QueryPlanner(catalog), reader, cache

@@ -23,7 +23,7 @@ from tests.conftest import BASE_TS, MICROS, make_rows
 def env(free_store):
     catalog = Catalog(request_log_schema())
     builder = DataBuilder(
-        request_log_schema(), free_store, "test", catalog, Janitor(catalog, free_store, "test"),
+        request_log_schema(), catalog, Janitor(catalog, free_store, "test"),
         codec="zlib", block_rows=64, target_rows=150,
     )
     rows = {}
@@ -33,7 +33,7 @@ def env(free_store):
         table = MemTable()
         table.append_many(tenant_rows)
         table.seal()
-        builder.archive_memtable(table)
+        builder.archive_memtable(table, "s0-0")
     cache = MultiLevelCache(memory_bytes=1 << 22, ssd_bytes=1 << 24)
     reader = CachingRangeReader(free_store, cache)
     planner = QueryPlanner(catalog)
@@ -182,7 +182,7 @@ class TestSmaShortCircuitFetchesNoIndex:
     def corpus(self, free_store, monkeypatch):
         catalog = Catalog(request_log_schema())
         builder = DataBuilder(
-            request_log_schema(), free_store, "test", catalog,
+            request_log_schema(), catalog,
             Janitor(catalog, free_store, "test"),
             codec="zlib", block_rows=1024, target_rows=4_000,
         )
@@ -190,7 +190,7 @@ class TestSmaShortCircuitFetchesNoIndex:
         table = MemTable()
         table.append_many(rows)
         table.seal()
-        builder.archive_memtable(table)
+        builder.archive_memtable(table, "s0-0")
         (entry,) = catalog.blocks_for(1)
 
         pack = PackReader(free_store, "test", entry.path)

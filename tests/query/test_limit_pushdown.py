@@ -29,14 +29,14 @@ def make_env(options=None, clock=None):
     store = MeteredObjectStore(InMemoryObjectStore(), oss_default(), clock or VirtualClock())
     store.create_bucket("b")
     builder = DataBuilder(
-        request_log_schema(), store, "b", catalog, Janitor(catalog, store, "b"),
+        request_log_schema(), catalog, Janitor(catalog, store, "b"),
         codec="zlib", block_rows=64, target_rows=100,  # 600 rows → 6 blocks
     )
     rows = make_rows(600, tenant_id=1)
     table = MemTable()
     table.append_many(rows)
     table.seal()
-    builder.archive_memtable(table)
+    builder.archive_memtable(table, "s0-0")
     cache = MultiLevelCache(memory_bytes=1 << 22, ssd_bytes=1 << 24)
     executor = BlockExecutor(
         CachingRangeReader(store, cache), "b", options or ExecutionOptions()
