@@ -28,11 +28,12 @@ from repro.common.errors import (
 )
 from repro.common.utils import wave_elapsed
 from repro.obs.context import Observability
-from repro.obs.recorders import PushdownRecorder, ScanModeRecorder
+from repro.obs.recorders import PushdownRecorder
 from repro.obs.report import (
     BROKER_QUERIES,
     BROKER_WRITE_ROWS,
     QUERY_LATENCY,
+    SCAN_ROWS_EVALUATED,
     TENANT_READ_ROWS,
 )
 from repro.obs.slowlog import SlowQueryEntry
@@ -51,6 +52,7 @@ from repro.query.executor import (
     ExecutionStats,
     filter_realtime_rows,
 )
+from repro.query.kernels import filter_rows
 from repro.query.planner import QueryPlan, QueryPlanner
 from repro.query.sql import ParsedQuery, parse_sql
 from repro.rowstore.batch import RowBatch
@@ -118,7 +120,11 @@ class Broker:
             QUERY_LATENCY, "Virtual end-to-end query latency.", broker=broker_id
         )
         self._pushdown = PushdownRecorder(registry)
-        self._scan_modes = ScanModeRecorder(registry, broker=broker_id)
+        self._rows_evaluated = registry.counter(
+            SCAN_ROWS_EVALUATED,
+            "Rows a query predicate was evaluated on.",
+            broker=broker_id,
+        )
         self._rewriter = SemanticRewriter(registry)
         self._pending_shards: set[int] = set()
 
@@ -345,9 +351,7 @@ class Broker:
                         )
                     winners = self._executor.materialize_dedup(plan, dedup, stats)
                     if spec.post_filter is not None:
-                        winners = [
-                            row for row in winners if spec.post_filter.evaluate_row(row)
-                        ]
+                        winners = filter_rows(spec.post_filter, winners)
                     final = finalize_outer(plan.query, winners)
                 elif aggregator is not None:
                     aggregator.consume_many(chunk)
@@ -388,21 +392,18 @@ class Broker:
             tenant=tenant_label,
         ).add(len(final))
         self._pushdown.record(stats.pushdown)
-        self._scan_modes.record(
-            stats.rows_evaluated_vectorized, stats.rows_evaluated_interpreted
-        )
+        if stats.rows_evaluated_vectorized:
+            self._rows_evaluated.add(stats.rows_evaluated_vectorized)
         if plan.tenant_id is not None:
             self._obs.slo.record_query(plan.tenant_id, latency_s)
             # CPU cost is the scan-work proxy: every row whose predicate
-            # was evaluated (either mode) plus every block visited.
+            # was evaluated plus every block visited.
             self._obs.meter.record_query(
                 plan.tenant_id,
                 rows_returned=len(final),
                 bytes_scanned=result.bytes_fetched,
                 oss_gets=result.oss_requests,
-                cpu_cost=stats.rows_evaluated_vectorized
-                + stats.rows_evaluated_interpreted
-                + stats.blocks_visited,
+                cpu_cost=stats.rows_evaluated_vectorized + stats.blocks_visited,
             )
         self._obs.slow_queries.observe(
             SlowQueryEntry(
@@ -437,7 +438,7 @@ class Broker:
             )
             rows = scope_rows(rows, tenant_scope)
             if parsed.where is not None:
-                rows = [row for row in rows if parsed.where.evaluate_row(row)]
+                rows = filter_rows(parsed.where, rows)
             if parsed.is_aggregate:
                 aggregator = Aggregator(parsed)
                 aggregator.consume_many(rows)

@@ -126,6 +126,8 @@ class BkdIndex:
 
     def _range_span(self, low, high, low_inclusive: bool, high_inclusive: bool) -> tuple[int, int]:
         """``[start, end)`` into the value-sorted points for an interval."""
+        if low != low or high != high:
+            return 0, 0  # a NaN bound admits no value
         side_lo = "left" if low_inclusive else "right"
         side_hi = "right" if high_inclusive else "left"
         start = 0 if low is None else int(np.searchsorted(self._values, low, side=side_lo))

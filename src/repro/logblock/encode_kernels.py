@@ -16,8 +16,7 @@ Byte-identity is the contract, checked three ways:
 * fallback — shapes whose vectorized result could diverge (NaN or
   signed-zero float SMAs, ints stored in FLOAT64 columns, unsupported
   or overflowing values) raise :class:`EncodeFallback` or return the
-  interpreted result, exactly like ``VectorizeFallback`` on the scan
-  side;
+  interpreted result;
 * tests — differential + hypothesis suites compare whole packed
   LogBlocks member-by-member across both modes.
 

@@ -20,8 +20,9 @@ loaded according to it").
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol
 
@@ -30,12 +31,12 @@ import numpy as np
 from repro.common.bitset import Bitset
 from repro.common.errors import QueryError
 from repro.logblock.bkd import BkdIndex
-from repro.logblock.column import PlainStrings
+from repro.logblock.column import PlainStrings, block_values
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import ColumnType, IndexType
 from repro.logblock.sma import Sma
-from repro.logblock.tokenizer import normalize_term, tokenize
+from repro.logblock.tokenizer import normalize_term, tokenize, tokenize_column
 
 
 class ColumnPredicate(Protocol):
@@ -43,12 +44,9 @@ class ColumnPredicate(Protocol):
 
     column: str
 
-    def may_match_sma(self, sma: Sma) -> bool:
-        """Whether a region with this SMA could contain matches."""
-        ...
-
-    def evaluate_value(self, value) -> bool:
-        """Whether one concrete value matches (None = SQL null ⇒ False)."""
+    def may_match_sma(self, sma: Sma, ctype: ColumnType) -> bool:
+        """Whether a region with this SMA, of a column of type ``ctype``,
+        could contain matches."""
         ...
 
 
@@ -59,14 +57,11 @@ class EqPredicate:
     column: str
     value: object
 
-    def may_match_sma(self, sma: Sma) -> bool:
+    def may_match_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         return sma.may_contain_eq(self.value)
 
     def matches_all_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         return sma.all_eq_any(ctype, (self.value,))
-
-    def evaluate_value(self, value) -> bool:
-        return value is not None and value == self.value
 
 
 @dataclass(frozen=True)
@@ -79,28 +74,13 @@ class RangePredicate:
     low_inclusive: bool = True
     high_inclusive: bool = True
 
-    def may_match_sma(self, sma: Sma) -> bool:
+    def may_match_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         return sma.may_contain_range(self.low, self.high, self.low_inclusive, self.high_inclusive)
 
     def matches_all_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         return sma.all_in_range(
             ctype, self.low, self.high, self.low_inclusive, self.high_inclusive
         )
-
-    def evaluate_value(self, value) -> bool:
-        # Bounds are tested positively so a NaN, which compares false
-        # with everything, is inside no range.
-        if value is None:
-            return False
-        if self.low is not None and not (
-            value >= self.low if self.low_inclusive else value > self.low
-        ):
-            return False
-        if self.high is not None and not (
-            value <= self.high if self.high_inclusive else value < self.high
-        ):
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -109,21 +89,22 @@ class NePredicate:
 
     Not index-answerable (the inverted-index complement would wrongly
     include nulls); prunable only when the SMA proves min == max == value
-    (every non-null row equals ``value``, so nothing can differ).
+    (every non-null row equals ``value``, so nothing can differ).  A
+    FLOAT64 column proves nothing from equal bounds: they skip the NaNs,
+    which differ from every value.
     """
 
     column: str
     value: object
 
-    def may_match_sma(self, sma: Sma) -> bool:
+    def may_match_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         if sma.all_null:
             return False
-        if sma.min_value is not None and sma.min_value == sma.max_value == self.value:
-            return False
-        return True
-
-    def evaluate_value(self, value) -> bool:
-        return value is not None and value != self.value
+        return (
+            ctype is ColumnType.FLOAT64
+            or sma.min_value is None
+            or not sma.min_value == sma.max_value == self.value
+        )
 
 
 @dataclass(frozen=True)
@@ -133,14 +114,11 @@ class InPredicate:
     column: str
     values: tuple
 
-    def may_match_sma(self, sma: Sma) -> bool:
+    def may_match_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         return any(sma.may_contain_eq(v) for v in self.values)
 
     def matches_all_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         return sma.all_eq_any(ctype, self.values)
-
-    def evaluate_value(self, value) -> bool:
-        return value is not None and value in self.values
 
 
 @dataclass(frozen=True)
@@ -155,14 +133,11 @@ class NullPredicate:
 
     column: str
 
-    def may_match_sma(self, sma: Sma) -> bool:
+    def may_match_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         return sma.null_count > 0
 
     def matches_all_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         return sma.null_count == sma.row_count
-
-    def evaluate_value(self, value) -> bool:
-        return value is None
 
 
 @dataclass(frozen=True)
@@ -176,14 +151,11 @@ class NotNullPredicate:
 
     column: str
 
-    def may_match_sma(self, sma: Sma) -> bool:
+    def may_match_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         return sma.null_count < sma.row_count
 
     def matches_all_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         return sma.null_count == 0
-
-    def evaluate_value(self, value) -> bool:
-        return value is not None
 
 
 def _prefix_successor(prefix: str) -> str | None:
@@ -210,7 +182,7 @@ class PrefixPredicate:
     column: str
     prefix: str
 
-    def may_match_sma(self, sma: Sma) -> bool:
+    def may_match_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         if sma.all_null or sma.min_value is None:
             return False
         if not self.prefix:
@@ -222,9 +194,6 @@ class PrefixPredicate:
         if successor is not None and str(sma.min_value) >= successor:
             return False
         return True
-
-    def evaluate_value(self, value) -> bool:
-        return value is not None and str(value).startswith(self.prefix)
 
 
 @dataclass(frozen=True)
@@ -238,15 +207,10 @@ class MatchPredicate:
     def terms(self) -> tuple[str, ...]:
         return tuple(tokenize(self.query))
 
-    def may_match_sma(self, sma: Sma) -> bool:
+    def may_match_sma(self, sma: Sma, ctype: ColumnType) -> bool:
         # min/max of raw strings cannot disprove token containment, but an
         # all-null region provably has no matches.
         return not sma.all_null
-
-    def evaluate_value(self, value) -> bool:
-        if value is None:
-            return False
-        return set(tokenize(value)).issuperset(self.terms)
 
 
 def _index_rowids(
@@ -298,41 +262,115 @@ def _index_rowids(
     return None
 
 
-def vectorized_block_mask(
-    predicate: ColumnPredicate, values: np.ndarray, null_mask: np.ndarray
-) -> np.ndarray | None:
-    """Vectorized predicate evaluation over one decoded column block.
+def object_column(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, null_mask)`` of Python values (``None`` = null) as an
+    object array: the form a value list, a PLAIN string block and dict
+    rows are evaluated in."""
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array, np.equal(array, None)
 
-    Returns a boolean match mask, or ``None`` when this predicate shape
-    has no vector form (e.g. MATCH) — the caller then falls back to the
-    scalar scan.  Implements the paper's §8 "vectorized query
-    execution" for the scan path.
+
+def column_mask(predicate: ColumnPredicate, column) -> np.ndarray:
+    """The rows of one decoded column that ``predicate`` matches.
+
+    The one place a predicate meets a value (§8 vectorized execution),
+    for archived blocks, realtime selections and dict rows alike.
+    ``column`` is ``(values, null_mask)`` — values a typed int64 /
+    float64 / bool vector or an object array — or a DICT block's
+    ``(codes, dictionary, null_mask)``; a PLAIN block's
+    :class:`PlainStrings` reads as object values.
+
+    Semantics are Python's, value by value: ``==`` and ``<`` as Python
+    compares the value with the literal (a typed vector meets a literal
+    of another kind as Python objects, so mixed types and ints beyond
+    int64 compare exactly, and ordering a str against a number raises
+    ``TypeError``), IN as ``==`` against each literal, LIKE as
+    ``str(value).startswith``, MATCH as every query token among the
+    value's tokens.  A NaN equals nothing and lies in no range.  Nulls
+    never reach a comparison: they match IS NULL and nothing else.
     """
-    not_null = ~null_mask
+    if isinstance(column, PlainStrings):
+        column = object_column(block_values(column))
+    if len(column) == 3:
+        mask = dict_codes_block_mask(predicate, *column)
+        if mask is not None:
+            return mask
+        codes, dictionary, null_mask = column
+        column = np.array((None, *dictionary), dtype=object)[codes], null_mask
+    values, null_mask = column
     if isinstance(predicate, NullPredicate):
         return null_mask.copy()
     if isinstance(predicate, NotNullPredicate):
-        return not_null.copy()
+        return ~null_mask
+    if not null_mask.any():
+        return _values_mask(predicate, values)
+    present = ~null_mask
+    mask = np.zeros(len(values), dtype=bool)
+    mask[present] = _values_mask(predicate, values[present])
+    return mask
+
+
+def _values_mask(predicate: ColumnPredicate, values: np.ndarray) -> np.ndarray:
+    """:func:`column_mask` over values none of which is null."""
     if isinstance(predicate, EqPredicate):
-        return not_null & (values == predicate.value)
+        return _compare(operator.eq, values, predicate.value)
     if isinstance(predicate, NePredicate):
-        return not_null & (values != predicate.value)
-    if isinstance(predicate, RangePredicate):
-        mask = not_null.copy()
-        if predicate.low is not None:
-            if predicate.low_inclusive:
-                mask &= values >= predicate.low
-            else:
-                mask &= values > predicate.low
-        if predicate.high is not None:
-            if predicate.high_inclusive:
-                mask &= values <= predicate.high
-            else:
-                mask &= values < predicate.high
-        return mask
+        return _compare(operator.ne, values, predicate.value)
     if isinstance(predicate, InPredicate):
-        return not_null & np.isin(values, np.asarray(predicate.values))
-    return None
+        mask = np.zeros(len(values), dtype=bool)
+        for literal in predicate.values:
+            mask |= _compare(operator.eq, values, literal)
+        return mask
+    if isinstance(predicate, RangePredicate):
+        mask = np.ones(len(values), dtype=bool)
+        if predicate.low is not None:
+            op = operator.ge if predicate.low_inclusive else operator.gt
+            mask &= _compare(op, values, predicate.low)
+        if predicate.high is not None:
+            op = operator.le if predicate.high_inclusive else operator.lt
+            mask &= _compare(op, values, predicate.high)
+        return mask
+    if isinstance(predicate, PrefixPredicate):
+        prefix = predicate.prefix
+        return np.fromiter(
+            (str(value).startswith(prefix) for value in values.tolist()),
+            dtype=bool,
+            count=len(values),
+        )
+    if isinstance(predicate, MatchPredicate):
+        # Token i came from value rows[i]; a value matches when each
+        # term is among its tokens.
+        tokens, rows = tokenize_column(values.tolist())
+        tokens = np.array(tokens, dtype=object)
+        mask = np.ones(len(values), dtype=bool)
+        for term in set(predicate.terms):
+            has_term = np.zeros(len(values), dtype=bool)
+            has_term[rows[tokens == term]] = True
+            mask &= has_term
+        return mask
+    raise QueryError(f"no evaluation for {type(predicate).__name__}")
+
+
+def _compare(op, values: np.ndarray, literal) -> np.ndarray:
+    """``op(value, literal)`` for every value, as Python compares them.
+
+    A typed vector compares natively only with a literal its dtype
+    holds exactly; against any other it is compared as Python objects.
+    Ordering against a NaN raises the FP "invalid" flag, which Python
+    ignores and so does this.
+    """
+    kind = type(literal)
+    if values.dtype == np.int64:
+        native = kind is int and -(1 << 63) <= literal < 1 << 63
+    elif values.dtype == np.float64:
+        native = kind is float or (kind is int and -(1 << 53) <= literal <= 1 << 53)
+    else:
+        native = values.dtype == np.bool_ and kind is bool
+    if not native and values.dtype != object:
+        values = values.astype(object)
+    with np.errstate(invalid="ignore"):
+        return np.asarray(op(values, literal), dtype=bool)
 
 
 def dict_codes_block_mask(
@@ -348,9 +386,8 @@ def dict_codes_block_mask(
     values: equality/IN become needle-code compares and ranges become
     code intervals found by binary search — no string is materialized.
     Returns ``None`` for shapes with no code form (MATCH, non-string
-    range bounds); the caller falls back to the interpreted scan, which
-    preserves its exact semantics (including the TypeError a
-    string-vs-number range comparison raises).
+    range bounds): :func:`column_mask` then reads the values through the
+    dictionary.  A non-string literal equals no stored string.
     """
     not_null = ~null_mask
     if isinstance(predicate, NullPredicate):
@@ -430,15 +467,7 @@ class PruneStats:
     blooms_pruned: int = 0  # whole-LogBlock skips via Bloom "definitely absent"
     blocks_short_circuited: int = 0  # blocks proven all-matching by SMA alone
     columns_short_circuited: int = 0  # same proof from the column SMA: zero reads
-    # Scan-mode accounting: rows whose predicate evaluation ran on numpy
-    # vectors vs the scalar per-value loop, and why a block fell back
-    # to the latter (reason → count).
-    rows_vectorized: int = 0
-    rows_interpreted: int = 0
-    fallbacks: dict[str, int] = field(default_factory=dict)
-
-    def note_fallback(self, reason: str) -> None:
-        self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
+    rows_vectorized: int = 0  # rows of scanned blocks a predicate was evaluated on
 
 
 def evaluate_predicates(
@@ -463,11 +492,12 @@ def evaluate_predicates(
             break
         if use_skipping:
             column_sma = reader.column_sma(predicate.column)
-            if not predicate.may_match_sma(column_sma):
+            ctype = reader.column(predicate.column).ctype
+            if not predicate.may_match_sma(column_sma, ctype):
                 # Figure 8 step 2: whole column disproved; no rows match.
                 stats.columns_pruned += 1
                 return Bitset(row_count)
-            if proves_all_match(predicate, column_sma, reader.column(predicate.column).ctype):
+            if proves_all_match(predicate, column_sma, ctype):
                 # The column SMA proves every row matches (e.g. IS NOT
                 # NULL over a column with zero nulls, ``tenant_id = 7``
                 # over a single-tenant block) — zero reads.
@@ -522,8 +552,7 @@ def _scan_blocks(
     """Scan-path evaluation of one predicate over the column blocks.
 
     ``prune_blocks`` applies the Figure 8 step-4 block-level SMA skip.
-    Each surviving block is evaluated on numpy vectors (§8), falling
-    back to the scalar loop for shapes without a vector form.
+    Each surviving block is decoded and evaluated by :func:`column_mask`.
     """
     meta = reader.meta()
     col_idx = meta.schema.column_index(predicate.column)
@@ -532,7 +561,7 @@ def _scan_blocks(
     base = 0
     for block_idx, block_rows in enumerate(meta.block_row_counts):
         header = meta.block_header(predicate.column, block_idx)
-        if prune_blocks and not predicate.may_match_sma(header.sma):
+        if prune_blocks and not predicate.may_match_sma(header.sma, ctype):
             stats.blocks_pruned += 1
             base += block_rows
             continue
@@ -542,32 +571,9 @@ def _scan_blocks(
             base += block_rows
             continue
         stats.blocks_scanned += 1
-        mask = None
+        stats.rows_vectorized += block_rows
         arrays = reader.read_block_arrays(predicate.column, block_idx)
-        if isinstance(arrays, PlainStrings):
-            stats.note_fallback(
-                f"column {predicate.column}: PLAIN STRING blocks have no vector form"
-            )
-        else:
-            if len(arrays) == 3:
-                codes, dictionary, nulls = arrays
-                mask = dict_codes_block_mask(predicate, codes, dictionary, nulls)
-            else:
-                mask = vectorized_block_mask(predicate, arrays[0], arrays[1])
-            if mask is None:
-                stats.note_fallback(
-                    f"{type(predicate).__name__}({predicate.column}) "
-                    "has no vector kernel"
-                )
-        if mask is not None:
-            stats.rows_vectorized += block_rows
-            full_mask[base : base + block_rows] = mask
-        else:
-            stats.rows_interpreted += block_rows
-            values = reader.read_block(predicate.column, block_idx)
-            for offset, value in enumerate(values):
-                if predicate.evaluate_value(value):
-                    full_mask[base + offset] = True
+        full_mask[base : base + block_rows] = column_mask(predicate, arrays)
         base += block_rows
     return Bitset.from_bool_array(full_mask)
 

@@ -256,8 +256,9 @@ class LogBlockReader:
         ``(codes, dictionary, null_mask)`` for DICT-encoded string
         blocks, so predicates evaluate as integer compares on the
         codes; a :class:`~repro.logblock.column.PlainStrings` view for
-        PLAIN string blocks, which have no vector form.  Backing the §8
-        "vectorized query execution" scan mode.
+        PLAIN string blocks.  What
+        :func:`~repro.logblock.pruning.column_mask` evaluates a
+        predicate over.
         """
         return self._decoded_block(self.meta().schema.column_index(column), block_idx)
 

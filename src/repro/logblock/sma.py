@@ -62,6 +62,8 @@ class Sma:
         """Whether rows might fall in the interval [low, high]."""
         if self.all_null or self.min_value is None:
             return False
+        if low != low or high != high:
+            return False  # a NaN bound admits no value
         if low is not None:
             if low_inclusive:
                 if self.max_value < low:

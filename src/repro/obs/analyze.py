@@ -69,19 +69,11 @@ def render_explain_analyze(result, trace: Span | None, journal=None) -> str:
     )
 
     if result.plan.where is not None:
-        lines.append("== vectorized scan ==")
         lines.append(
-            f"  rows evaluated vectorized: {stats.rows_evaluated_vectorized} "
+            f"  rows evaluated: {stats.rows_evaluated_vectorized} "
             f"(archived {stats.prune.rows_vectorized}, "
             f"realtime {stats.realtime_rows_vectorized})"
         )
-        lines.append(
-            f"  rows evaluated interpreted: {stats.rows_evaluated_interpreted} "
-            f"(archived {stats.prune.rows_interpreted}, "
-            f"realtime {stats.realtime_rows_interpreted})"
-        )
-        for reason, count in sorted(stats.vectorized_fallbacks.items()):
-            lines.append(f"  fallback: {reason} (x{count})")
 
     pushdown = stats.pushdown
     if result.plan.query.is_aggregate:

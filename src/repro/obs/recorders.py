@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.metrics.stats import Counter, Gauge, Histogram, PushdownCounters, WritePathStats
 from repro.obs.registry import MetricsRegistry
-from repro.obs.report import ENCODE_FALLBACKS, ENCODE_ROWS, SCAN_ROWS_EVALUATED
+from repro.obs.report import ENCODE_FALLBACKS, ENCODE_ROWS
 
 # Aggregate-pushdown tier labels, in descending-cheapness order.
 PUSHDOWN_TIERS = ("catalog", "sma", "columnar", "row")
@@ -131,44 +131,12 @@ class PushdownRecorder:
         )
 
 
-# Scan-mode labels: how each row's predicate was evaluated.
-SCAN_MODES = ("vectorized", "interpreted")
-
-
-class ScanModeRecorder:
-    """Rows evaluated vectorized vs interpreted, as registry counters.
-
-    The executor keeps per-query counts (EXPLAIN ANALYZE reads those);
-    this recorder is the cumulative ``mode=…``-labeled family the
-    metrics report and dashboards read to see how much of the scan
-    workload actually runs on the vector kernels.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None, **labels) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        self.registry = registry
-        self._modes: dict[str, Counter] = {
-            mode: registry.counter(
-                SCAN_ROWS_EVALUATED,
-                "Rows whose predicate was evaluated per scan mode.",
-                mode=mode,
-                **labels,
-            )
-            for mode in SCAN_MODES
-        }
-
-    def record(self, vectorized_rows: int, interpreted_rows: int) -> None:
-        if vectorized_rows:
-            self._modes["vectorized"].add(vectorized_rows)
-        if interpreted_rows:
-            self._modes["interpreted"].add(interpreted_rows)
-
-    def view(self) -> dict[str, int]:
-        return {mode: counter.value for mode, counter in self._modes.items()}
+# Encode-mode labels: how each column value was encoded.
+ENCODE_MODES = ("vectorized", "interpreted")
 
 
 class EncodeModeRecorder:
-    """Write-side twin of :class:`ScanModeRecorder`.
+    """Column values encoded per mode, as registry counters.
 
     Column values encoded through the vectorized kernels vs the
     interpreted reference encoder (``mode=…``-labeled family), plus a
@@ -189,7 +157,7 @@ class EncodeModeRecorder:
                 mode=mode,
                 **labels,
             )
-            for mode in SCAN_MODES
+            for mode in ENCODE_MODES
         }
         self._fallbacks: dict[str, Counter] = {}
 

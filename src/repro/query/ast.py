@@ -1,12 +1,12 @@
 """Predicate/expression AST for log-retrieval queries.
 
 Leaves are single-column comparisons (the only shape the paper's query
-templates use); boolean AND/OR/NOT combine them.  Every node supports:
-
-* ``evaluate_row(row)`` — direct evaluation against a dict row (used on
-  the real-time row store, which has no indexes by design);
-* compilation of leaves to :mod:`repro.logblock.pruning` column
-  predicates (used on LogBlocks, where SMA/index evaluation applies).
+templates use); boolean AND/OR/NOT combine them.  Each leaf compiles to
+a :mod:`repro.logblock.pruning` column predicate: SMA and index
+skipping apply to those on LogBlocks, and
+:func:`repro.logblock.pruning.column_mask` evaluates them over the
+decoded columns of archived blocks, realtime rows and dict rows alike
+(:mod:`repro.query.kernels` combines the masks of a tree).
 
 Null semantics are *boolean*, not SQL three-valued: every leaf evaluates
 to False on a null value, and NOT flips its child's boolean result (so
@@ -46,9 +46,6 @@ class CmpOp(enum.Enum):
 class Expr:
     """Base class for expression nodes."""
 
-    def evaluate_row(self, row: dict) -> bool:
-        raise NotImplementedError
-
     def columns(self) -> set[str]:
         raise NotImplementedError
 
@@ -60,24 +57,6 @@ class Comparison(Expr):
     column: str
     op: CmpOp
     value: object
-
-    def evaluate_row(self, row: dict) -> bool:
-        actual = row.get(self.column)
-        if actual is None:
-            return False
-        if self.op is CmpOp.EQ:
-            return actual == self.value
-        if self.op is CmpOp.NE:
-            return actual != self.value
-        if self.op is CmpOp.LT:
-            return actual < self.value
-        if self.op is CmpOp.LE:
-            return actual <= self.value
-        if self.op is CmpOp.GT:
-            return actual > self.value
-        if self.op is CmpOp.GE:
-            return actual >= self.value
-        raise AssertionError(f"unhandled op {self.op}")
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -106,10 +85,6 @@ class Between(Expr):
     low: object
     high: object
 
-    def evaluate_row(self, row: dict) -> bool:
-        actual = row.get(self.column)
-        return actual is not None and self.low <= actual <= self.high
-
     def columns(self) -> set[str]:
         return {self.column}
 
@@ -123,10 +98,6 @@ class In(Expr):
 
     column: str
     values: tuple
-
-    def evaluate_row(self, row: dict) -> bool:
-        actual = row.get(self.column)
-        return actual is not None and actual in self.values
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -146,10 +117,6 @@ class Like(Expr):
     column: str
     prefix: str
 
-    def evaluate_row(self, row: dict) -> bool:
-        actual = row.get(self.column)
-        return actual is not None and str(actual).startswith(self.prefix)
-
     def columns(self) -> set[str]:
         return {self.column}
 
@@ -165,9 +132,6 @@ class Match(Expr):
 
     column: str
     query: str
-
-    def evaluate_row(self, row: dict) -> bool:
-        return self.to_column_predicate().evaluate_value(row.get(self.column))
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -190,9 +154,6 @@ class IsNull(Expr):
 
     column: str
 
-    def evaluate_row(self, row: dict) -> bool:
-        return row.get(self.column) is None
-
     def columns(self) -> set[str]:
         return {self.column}
 
@@ -211,9 +172,6 @@ class NotNull(Expr):
 
     column: str
 
-    def evaluate_row(self, row: dict) -> bool:
-        return row.get(self.column) is not None
-
     def columns(self) -> set[str]:
         return {self.column}
 
@@ -228,9 +186,6 @@ class And(Expr):
     def __post_init__(self) -> None:
         if len(self.children) < 1:
             raise QueryError("AND requires at least one child")
-
-    def evaluate_row(self, row: dict) -> bool:
-        return all(child.evaluate_row(row) for child in self.children)
 
     def columns(self) -> set[str]:
         out: set[str] = set()
@@ -247,9 +202,6 @@ class Or(Expr):
         if len(self.children) < 1:
             raise QueryError("OR requires at least one child")
 
-    def evaluate_row(self, row: dict) -> bool:
-        return any(child.evaluate_row(row) for child in self.children)
-
     def columns(self) -> set[str]:
         out: set[str] = set()
         for child in self.children:
@@ -260,9 +212,6 @@ class Or(Expr):
 @dataclass(frozen=True)
 class Not(Expr):
     child: Expr
-
-    def evaluate_row(self, row: dict) -> bool:
-        return not self.child.evaluate_row(row)
 
     def columns(self) -> set[str]:
         return self.child.columns()

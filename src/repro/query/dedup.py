@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.query.aggregate import Aggregator, apply_order_limit
 from repro.query.ast import Expr
+from repro.query.kernels import filter_rows
 from repro.query.sql import ParsedQuery, SelectItem, WindowFunc
 
 
@@ -172,7 +173,7 @@ def run_window_query(outer: ParsedQuery, rows: list[dict]) -> list[dict]:
         raise ValueError("run_window_query requires an outer query over a window subquery")
     ranked = apply_window(rows, inner.window)
     if outer.where is not None:
-        ranked = [row for row in ranked if outer.where.evaluate_row(row)]
+        ranked = filter_rows(outer.where, ranked)
     alias = inner.window.alias
     for row in ranked:
         row.pop(alias, None)

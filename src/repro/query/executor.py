@@ -15,8 +15,8 @@ For each LogBlock surviving the LogBlock-map filter:
 
 That loop exists once (``_overlapped`` → ``_scan`` → sink), with blocks
 overlapped ``prefetch_threads`` wide.  The same module also filters
-real-time (row store) rows by direct expression evaluation — the row
-store deliberately has no indexes.
+real-time (row store) rows with the same leaf kernel over their column
+vectors — the row store deliberately has no indexes.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from repro.prefetch.planner import PrefetchPlanner
 from repro.query.aggregate import Aggregator
 from repro.query.ast import And, CmpOp, Comparison, Expr, In, IsNull, Not, Or
 from repro.query.dedup import LatestVersionDedup
-from repro.query.kernels import VectorizeFallback, compile_expr
+from repro.query.kernels import compile_expr, selection_columns
 from repro.query.planner import QueryPlan
 from repro.rowstore.batch import RowBatch, RowSelection
 from repro.tarpack.reader import PackReader, SubrangeReader
@@ -110,30 +110,19 @@ class ExecutionStats:
     # tournament vs winners actually materialized.
     dedup_candidates: int = 0
     dedup_winners: int = 0
-    # Realtime scan-mode accounting (the archived counterpart lives in
-    # ``prune``): rows whose predicate ran on column vectors vs the
-    # per-row interpreter, and why vectorization fell back.
+    # Realtime rows a predicate was evaluated on (the archived
+    # counterpart is ``prune.rows_vectorized``).
     realtime_rows_vectorized: int = 0
-    realtime_rows_interpreted: int = 0
-    realtime_fallbacks: dict = field(default_factory=dict)
 
     @property
     def rows_evaluated_vectorized(self) -> int:
-        """Rows evaluated on numpy vectors, archived + realtime."""
+        """Rows a predicate was evaluated on, archived + realtime."""
         return self.prune.rows_vectorized + self.realtime_rows_vectorized
 
     @property
     def rows_evaluated_interpreted(self) -> int:
-        """Rows evaluated by the per-row interpreter, archived + realtime."""
-        return self.prune.rows_interpreted + self.realtime_rows_interpreted
-
-    @property
-    def vectorized_fallbacks(self) -> dict:
-        """Merged fallback reasons (reason → count) across both paths."""
-        merged = dict(self.prune.fallbacks)
-        for reason, count in self.realtime_fallbacks.items():
-            merged[reason] = merged.get(reason, 0) + count
-        return merged
+        """Always 0: every predicate is evaluated on column vectors."""
+        return 0
 
 
 def _equality_string_leaves(expr: Expr) -> dict[str, list]:
@@ -184,7 +173,7 @@ def _decided_by_sma(leaves: list, column_sma: Sma, ctype: ColumnType) -> bool:
     try:
         for leaf in leaves:
             predicate = leaf.to_column_predicate()
-            if predicate.may_match_sma(column_sma) and not proves_all_match(
+            if predicate.may_match_sma(column_sma, ctype) and not proves_all_match(
                 predicate, column_sma, ctype
             ):
                 return False
@@ -723,17 +712,14 @@ def filter_realtime_rows(
     """Apply the plan's predicate + projection to row-store rows.
 
     ``rows`` is the selection a realtime scan returns (or a batch, or
-    plain row dicts, which are admitted into one).  ``limit`` stops the
-    scan after that many matches — safe only when the plan has no ORDER
+    plain row dicts, which are admitted into one).  ``limit`` keeps the
+    first that many matches — safe only when the plan has no ORDER
     BY or aggregation (i.e. ``plan.row_limit`` semantics: any N matching
     rows satisfy the query).
 
-    The predicate is compiled to a columnar kernel and evaluated over
-    arrays of the selection's predicate columns.  Shapes the compiler
-    cannot vectorize (MATCH/LIKE, mixed-type columns) fall back to the
-    interpreted path, which reads each row's predicate columns as a
-    dict until ``limit`` rows matched, with identical results.  Either
-    way the survivors come back as one (projected) column chunk.
+    The predicate tree is compiled once and evaluated over the
+    selection's predicate columns (:func:`selection_columns`); the
+    survivors come back as one (projected) column chunk.
     """
     selection = RowSelection.of(rows)
     if not len(selection):
@@ -744,24 +730,7 @@ def filter_realtime_rows(
         limit = max(limit, 0)
     if where is None:
         return selection.take(np.arange(len(selection))[:limit], columns)
-    try:
-        mask = compile_expr(where).evaluate(selection, plan.schema)
-    except VectorizeFallback as fallback:
-        if stats is not None:
-            stats.realtime_fallbacks[fallback.reason] = (
-                stats.realtime_fallbacks.get(fallback.reason, 0) + 1
-            )
-    else:
-        if stats is not None:
-            stats.realtime_rows_vectorized += len(selection)
-        return selection.take(np.flatnonzero(mask)[:limit], columns)
-    hits: list[int] = []
-    evaluated = 0
-    for evaluated, row in enumerate(selection.iter_dicts(names=sorted(where.columns())), 1):
-        if where.evaluate_row(row):
-            hits.append(evaluated - 1)
-            if limit is not None and len(hits) >= limit:
-                break
+    mask = compile_expr(where)(selection_columns(selection))
     if stats is not None:
-        stats.realtime_rows_interpreted += evaluated
-    return selection.take(np.array(hits[:limit], dtype=np.int64), columns)
+        stats.realtime_rows_vectorized += len(selection)
+    return selection.take(np.flatnonzero(mask)[:limit], columns)

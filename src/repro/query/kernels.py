@@ -1,268 +1,93 @@
-"""Vectorized scan kernels: predicate AST → columnar boolean masks.
+"""Predicate trees as column masks, and the ORDER BY / LIMIT kernel.
 
-The §8 "vectorized query execution" compile layer.  :func:`compile_expr`
-turns an :mod:`repro.query.ast` predicate tree into a kernel that
-evaluates whole column batches at once — comparisons, IN/range and null
-checks via :func:`repro.logblock.pruning.vectorized_block_mask` (the
-single source of truth for leaf mask semantics), AND/OR/NOT via boolean
-mask algebra.  Archived LogBlocks expose decoded ``(values, null_mask)``
-arrays through ``LogBlockReader.read_block_arrays`` (the per-leaf scan
-in :mod:`repro.logblock.pruning` consumes those directly); a kernel
-compiled here runs over a real-time scan's selection
-(:class:`~repro.rowstore.batch.RowSelection`): the value list it
-gathers per predicate column is what :func:`column_arrays` turns into
-the same pair.
+:func:`compile_expr` turns an :mod:`repro.query.ast` predicate tree into
+a function of its columns (§8 "vectorized query execution"): each leaf
+is :func:`repro.logblock.pruning.column_mask` — the one place a
+predicate meets a value — over the decoded column of its name, and
+AND / OR / NOT combine the boolean masks.  The tree runs over a
+realtime scan's selection (:func:`selection_columns`) and over dict
+rows (:func:`filter_rows`: system tables, the dedup post filter, a
+window query's outer WHERE); archived LogBlocks evaluate the same
+leaves one at a time in :mod:`repro.logblock.pruning`, after SMA and
+index skipping.
 
-Shapes without a vector form — MATCH / LIKE-prefix leaves, mixed-type
-columns, values outside int64 range, expression nodes the compiler does
-not know — raise :class:`VectorizeFallback`; callers then run the
-interpreted ``evaluate_row`` path, which is byte-identical by
-construction (the differential test suite pins this).
-
-The module also provides :func:`top_k_order`, the argsort-based ORDER
-BY/LIMIT kernel, and :func:`classify_expr`, the static classification
-the planner prints on the EXPLAIN ``vectorized:`` line.
+:func:`top_k_order` is the argsort-based ORDER BY/LIMIT kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
+from itertools import compress
+from typing import Callable
 
 import numpy as np
 
-from repro.logblock.pruning import (
-    EqPredicate,
-    InPredicate,
-    NePredicate,
-    NotNullPredicate,
-    NullPredicate,
-    RangePredicate,
-    vectorized_block_mask,
-)
-from repro.logblock.schema import EXACT_VALUE_TYPES, ColumnType
+from repro.logblock.pruning import column_mask, object_column
 from repro.query.ast import And, Expr, Not, Or
 
-# Leaf predicate shapes with a vector kernel (everything
-# `vectorized_block_mask` answers).  MATCH and LIKE-prefix are absent
-# on purpose: token/prefix matching has no mask form here.
-VECTOR_LEAVES = (
-    EqPredicate,
-    NePredicate,
-    RangePredicate,
-    InPredicate,
-    NullPredicate,
-    NotNullPredicate,
-)
+# name → the decoded column :func:`column_mask` takes.
+Columns = Callable[[str], tuple]
 
 
-class VectorizeFallback(Exception):
-    """Raised when an expression or batch has no safe vector form.
-
-    ``reason`` is a short human-readable label surfaced in EXPLAIN
-    ANALYZE fallback accounting.
-    """
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
-# -- column batches ----------------------------------------------------------
-
-
-# ColumnType → (array dtype, placeholder under a null).
-_ARRAY_FORM = {
-    ColumnType.INT64: (np.int64, 0),
-    ColumnType.TIMESTAMP: (np.int64, 0),
-    ColumnType.FLOAT64: (np.float64, 0.0),
-    ColumnType.BOOL: (bool, False),
-    ColumnType.STRING: (object, ""),
-}
-
-
-def column_arrays(
-    name: str, values: list | None, count: int, ctype: ColumnType
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, null_mask)`` arrays of one column of a scan batch.
-
-    The realtime counterpart of ``read_block_arrays``.  Null slots carry
-    a type-neutral placeholder (0 / "" / False) and are masked out by
-    ``null_mask``, mirroring the archived block encoding; a column no
-    row carries (``values`` is None) is all null.  A column whose values
-    are not exactly of the schema type — mixed types, bools in an INT64
-    column, ints beyond int64 — raises :class:`VectorizeFallback`
-    instead of silently coercing.
-    """
-    dtype, fill = _ARRAY_FORM[ctype]
-    if values is None:
-        return np.full(count, fill, dtype=dtype), np.ones(count, dtype=bool)
-    kinds = set(map(type, values))
-    if not kinds <= EXACT_VALUE_TYPES[ctype]:
-        raise VectorizeFallback(f"column {name}: mixed-type values")
-    if type(None) in kinds:
-        null_mask = np.array([v is None for v in values], dtype=bool)
-        values = [fill if v is None else v for v in values]
-    else:
-        null_mask = np.zeros(count, dtype=bool)
-    try:
-        return np.array(values, dtype=dtype), null_mask
-    except OverflowError:
-        raise VectorizeFallback(f"column {name}: value beyond int64") from None
-
-
-# -- the compiler ------------------------------------------------------------
-
-
-def _leaf_fallback_reason(expr: Expr) -> str:
-    name = type(expr).__name__
-    column = next(iter(expr.columns()), "?")
-    return f"{name}({column}) has no vector kernel"
-
-
-def _compile(expr: Expr):
+def compile_expr(expr: Expr) -> Callable[[Columns], np.ndarray]:
+    """``expr`` as a function from a column reader to the boolean mask
+    of the rows it matches (a leaf is False on a null; NOT flips it)."""
     if isinstance(expr, And):
-        children = [_compile(child) for child in expr.children]
+        children = [compile_expr(child) for child in expr.children]
 
-        def eval_and(arrays, children=children):
-            mask = children[0](arrays)
+        def eval_and(columns: Columns) -> np.ndarray:
+            mask = children[0](columns)
             for child in children[1:]:
                 if not mask.any():
                     break
-                mask = mask & child(arrays)
+                mask = mask & child(columns)
             return mask
 
         return eval_and
     if isinstance(expr, Or):
-        children = [_compile(child) for child in expr.children]
+        children = [compile_expr(child) for child in expr.children]
 
-        def eval_or(arrays, children=children):
-            mask = children[0](arrays)
+        def eval_or(columns: Columns) -> np.ndarray:
+            mask = children[0](columns)
             for child in children[1:]:
                 if mask.all():
                     break
-                mask = mask | child(arrays)
+                mask = mask | child(columns)
             return mask
 
         return eval_or
     if isinstance(expr, Not):
-        child = _compile(expr.child)
-        return lambda arrays: ~child(arrays)
-    to_predicate = getattr(expr, "to_column_predicate", None)
-    if to_predicate is None:
-        raise VectorizeFallback(f"unknown expression {type(expr).__name__}")
-    predicate = to_predicate()
-    if not isinstance(predicate, VECTOR_LEAVES):
-        raise VectorizeFallback(_leaf_fallback_reason(expr))
-
-    def eval_leaf(arrays, predicate=predicate):
-        values, null_mask = arrays(predicate.column)
-        mask = vectorized_block_mask(predicate, values, null_mask)
-        if mask is None:  # unreachable for VECTOR_LEAVES; belt-and-braces
-            raise VectorizeFallback(_leaf_fallback_reason(expr))
-        return mask
-
-    return eval_leaf
+        child = compile_expr(expr.child)
+        return lambda columns: ~child(columns)
+    predicate = expr.to_column_predicate()
+    return lambda columns: column_mask(predicate, columns(predicate.column))
 
 
-@dataclass
-class CompiledKernel:
-    """A predicate compiled to columnar form.
+def selection_columns(selection) -> Columns:
+    """Column reader over a realtime scan's ``RowSelection``, each column
+    gathered once: a typed vector of the memtable (INT / FLOAT / BOOL)
+    as it is, a value list as object values, an absent column as nulls."""
+    count = len(selection)
 
-    ``evaluate(batch, schema)`` returns a boolean match mask over the
-    rows of a column batch, converting each predicate column once; it
-    raises :class:`VectorizeFallback` when a column has no array form.
-    """
+    @cache
+    def column(name: str) -> tuple:
+        values = selection.column(name, typed=True)
+        if isinstance(values, np.ndarray):
+            return values, np.zeros(count, dtype=bool)
+        return object_column([None] * count if values is None else values)
 
-    expr: Expr
-    _evaluate: object
-
-    def evaluate(self, batch, schema) -> np.ndarray:
-        converted: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-        def arrays(column: str) -> tuple[np.ndarray, np.ndarray]:
-            if column not in converted:
-                converted[column] = column_arrays(
-                    column, batch.column(column), len(batch), schema.column(column).ctype
-                )
-            return converted[column]
-
-        return self._evaluate(arrays)
+    return column
 
 
-def compile_expr(expr: Expr) -> CompiledKernel:
-    """Compile a predicate tree; raises :class:`VectorizeFallback`."""
-    return CompiledKernel(expr, _compile(expr))
+def filter_rows(expr: Expr, rows: list[dict]) -> list[dict]:
+    """The dict ``rows`` that ``expr`` matches, in order (a missing key
+    reads as null)."""
 
+    @cache
+    def column(name: str) -> tuple:
+        return object_column([row.get(name) for row in rows])
 
-# -- EXPLAIN classification --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VectorizedInfo:
-    """Static vectorization verdict for one predicate tree."""
-
-    mode: str  # "full" | "partial" | "none"
-    reasons: tuple[str, ...] = ()
-
-    def describe(self) -> str:
-        if not self.reasons:
-            return self.mode
-        return f"{self.mode} ({'; '.join(self.reasons)})"
-
-
-def classify_expr(expr: Expr, schema=None) -> VectorizedInfo:
-    """How much of the predicate the vector kernels can evaluate.
-
-    ``full`` — every leaf has a vector kernel; ``partial`` — some do
-    (the archived path vectorizes per leaf, so partial trees still win);
-    ``none`` — nothing does and every row takes the interpreted path.
-    ``reasons`` lists each unsupported leaf plus, when a ``schema`` is
-    given, the STRING columns whose *archived* blocks decode to python
-    lists and scan interpreted even though the realtime path vectorizes
-    them as object arrays.
-    """
-    supported = 0
-    unsupported = 0
-    reasons: list[str] = []
-
-    def note(reason: str) -> None:
-        if reason not in reasons:
-            reasons.append(reason)
-
-    def walk(node: Expr) -> None:
-        nonlocal supported, unsupported
-        if isinstance(node, (And, Or)):
-            for child in node.children:
-                walk(child)
-            return
-        if isinstance(node, Not):
-            walk(node.child)
-            return
-        to_predicate = getattr(node, "to_column_predicate", None)
-        predicate = to_predicate() if to_predicate is not None else None
-        if predicate is None or not isinstance(predicate, VECTOR_LEAVES):
-            unsupported += 1
-            note(_leaf_fallback_reason(node) if predicate is not None
-                 else f"unknown expression {type(node).__name__}")
-            return
-        supported += 1
-        if schema is not None:
-            column = predicate.column
-            try:
-                ctype = schema.column(column).ctype
-            except Exception:
-                return
-            if ctype is ColumnType.STRING and not isinstance(
-                predicate, (NullPredicate, NotNullPredicate)
-            ):
-                note(f"{column} is STRING: archived PLAIN blocks scan interpreted")
-
-    walk(expr)
-    if not supported:
-        return VectorizedInfo("none", tuple(reasons))
-    if unsupported:
-        return VectorizedInfo("partial", tuple(reasons))
-    return VectorizedInfo("full", tuple(reasons))
+    return list(compress(rows, compile_expr(expr)(column).tolist()))
 
 
 # -- ORDER BY / LIMIT top-k --------------------------------------------------

@@ -31,7 +31,6 @@ from repro.query.ast import (
     extract_ts_range,
 )
 from repro.query.dedup import DedupSpec
-from repro.query.kernels import VectorizedInfo, classify_expr
 from repro.query.sql import ParsedQuery
 
 MICROS = 1_000_000
@@ -293,10 +292,6 @@ class QueryPlan:
     rewrites: list[str] = field(default_factory=list)
     # The session's tenant scope that authorized (and bounded) this plan.
     tenant_scope: int | None = None
-    # Static vectorization verdict for the predicate tree (None when the
-    # plan has no predicate): how much of it the scan kernels can
-    # evaluate on column vectors, and why the rest falls back.
-    vectorized: VectorizedInfo | None = None
 
 
 def explain_plan(plan: QueryPlan) -> str:
@@ -342,8 +337,6 @@ def explain_plan(plan: QueryPlan) -> str:
     if len(plan.blocks) > 8:
         lines.append(f"  ... {len(plan.blocks) - 8} more")
     lines.append(f"predicates: {plan.where!r}" if plan.where is not None else "predicates: none")
-    if plan.vectorized is not None:
-        lines.append(f"vectorized: {plan.vectorized.describe()}")
     lines.append(f"output columns: {plan.output_columns or ['<all>']}")
     if plan.row_limit is not None:
         lines.append(f"LIMIT pushdown: stop after {plan.row_limit} rows")
@@ -514,5 +507,4 @@ class QueryPlanner:
             dedup=dedup,
             rewrites=list(rewrites) if rewrites else [],
             tenant_scope=tenant_scope,
-            vectorized=classify_expr(where, schema) if where is not None else None,
         )

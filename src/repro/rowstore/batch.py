@@ -761,11 +761,9 @@ class RowBatch:
         names, columns = self._picked(indices, names)
         return RowBatch(tuple(names), [list(column) for column in columns])
 
-    def iter_dicts(
-        self, indices: Sequence[int] | None = None, names: Sequence[str] | None = None
-    ) -> Iterator[dict]:
+    def iter_dicts(self, indices: Sequence[int] | None = None) -> Iterator[dict]:
         """The picked rows as dicts, each built when it is read."""
-        names, columns = self._picked(indices, names)
+        names, columns = self._picked(indices, None)
         built = 0
         try:
             for values in zip(*columns):
@@ -897,9 +895,9 @@ class RowSelection:
             start = stop
         return RowBatch.concat(chunks)
 
-    def iter_dicts(self, names: Sequence[str] | None = None) -> Iterator[dict]:
+    def iter_dicts(self) -> Iterator[dict]:
         """The selected rows as dicts (see :meth:`RowBatch.iter_dicts`)."""
         for batch, picked in self.parts:
-            yield from batch.iter_dicts(picked.tolist(), names)
+            yield from batch.iter_dicts(picked.tolist())
 
     __iter__ = iter_dicts

@@ -71,7 +71,7 @@ def test_realtime_select_builds_dicts_for_survivors_only():
     assert 0 < built.count < 200
 
 
-def test_interpreted_limit_scan_reads_rows_until_the_limit():
+def test_match_limit_scan_builds_dicts_for_the_returned_rows_only():
     store = LogStore.create(config=small_test_config())
     store.put(1, make_rows(200, tenant_id=1))
     with DictsBuilt() as built:
@@ -79,7 +79,7 @@ def test_interpreted_limit_scan_reads_rows_until_the_limit():
             "SELECT log FROM request_log WHERE tenant_id = 1 AND MATCH(log, 'GET') LIMIT 3"
         )
     assert len(result.rows) == 3
-    assert built.count == 6  # three predicate-column dicts, three projected rows
+    assert built.count == 3  # MATCH reads the log column, not row dicts
 
 
 def test_archived_top_k_builds_a_dict_per_returned_row_only():

@@ -134,7 +134,6 @@ class TestEveryFormatAnswersAlike:
             assert got == expected, (version, use_skipping)
             if use_skipping and indexed:
                 assert stats.prune.index_lookups > 0, f"v{version} fell off the index path"
-                assert stats.prune.rows_interpreted == 0, f"v{version} scanned row by row"
             if not use_skipping:
                 assert stats.prune.index_lookups == 0
 

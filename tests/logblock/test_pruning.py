@@ -12,7 +12,9 @@ from repro.logblock.pruning import (
     NePredicate,
     PruneStats,
     RangePredicate,
+    column_mask,
     evaluate_predicates,
+    object_column,
     validate_predicate_types,
 )
 from repro.logblock.schema import request_log_schema
@@ -20,48 +22,40 @@ from repro.logblock.tokenizer import tokenize
 
 from tests.conftest import make_rows, write_logblock
 from tests.logblock.test_writer_reader import reader_for
+from tests.oracle import matches
 
 
 def brute_force(rows, predicates):
-    out = []
-    for i, row in enumerate(rows):
-        if all(p.evaluate_value(row[p.column]) for p in predicates):
-            out.append(i)
-    return out
+    return [i for i, row in enumerate(rows) if all(matches(p, row) for p in predicates)]
+
+
+def mask(predicate, values: list) -> list[bool]:
+    """``column_mask`` over ``values`` as an object column."""
+    return column_mask(predicate, object_column(values)).tolist()
 
 
 class TestPredicateEvaluation:
     def test_eq(self):
         p = EqPredicate("ip", "10.0.0.1")
-        assert p.evaluate_value("10.0.0.1")
-        assert not p.evaluate_value("10.0.0.2")
-        assert not p.evaluate_value(None)
+        assert mask(p, ["10.0.0.1", "10.0.0.2", None]) == [True, False, False]
 
     def test_ne(self):
         p = NePredicate("ip", "x")
-        assert p.evaluate_value("y")
-        assert not p.evaluate_value("x")
-        assert not p.evaluate_value(None)
+        assert mask(p, ["y", "x", None]) == [True, False, False]
 
     def test_range(self):
         p = RangePredicate("latency", low=10, high=20)
-        assert p.evaluate_value(10) and p.evaluate_value(20)
-        assert not p.evaluate_value(9) and not p.evaluate_value(21)
+        assert mask(p, [10, 20, 9, 21]) == [True, True, False, False]
         exclusive = RangePredicate("latency", low=10, high=20, low_inclusive=False, high_inclusive=False)
-        assert not exclusive.evaluate_value(10)
-        assert not exclusive.evaluate_value(20)
-        assert exclusive.evaluate_value(15)
+        assert mask(exclusive, [10, 20, 15]) == [False, False, True]
 
     def test_in(self):
         p = InPredicate("api", ("/a", "/b"))
-        assert p.evaluate_value("/a")
-        assert not p.evaluate_value("/c")
+        assert mask(p, ["/a", "/c"]) == [True, False]
 
     def test_match(self):
         p = MatchPredicate("log", "error timeout")
-        assert p.evaluate_value("big error timeout here")
-        assert not p.evaluate_value("error only")
-        assert not p.evaluate_value(None)
+        assert mask(p, ["big error timeout here", "error only", None]) == [True, False, False]
 
 
 class TestEvaluateOnBlock:

@@ -3,13 +3,14 @@
 ``matches_all_sma`` lets ``evaluate_predicates`` answer a predicate
 with zero reads.  Every test here holds the short-circuited answer
 against the paths that do read: the column index, the block scan with
-skipping off (``use_skipping=False``, the Figure 15 baseline) and a
-python brute force over the rows.
+skipping off (``use_skipping=False``, the Figure 15 baseline), the same
+rows filtered as a realtime selection, and the per-row oracle.
 """
 
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from repro.cache.object_cache import ObjectCache
@@ -17,18 +18,23 @@ from repro.logblock.column import PlainStrings
 from repro.logblock.pruning import (
     EqPredicate,
     InPredicate,
+    NePredicate,
     PruneStats,
     RangePredicate,
     _index_rowids,
+    column_mask,
     evaluate_predicates,
 )
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import ColumnSpec, ColumnType, IndexType, TableSchema
 from repro.logblock.sma import Sma
 from repro.logblock.writer import LogBlockWriter
+from repro.query.kernels import selection_columns
+from repro.rowstore.memtable import MemTable
 
 from tests.logblock.legacy_format import downgrade_block
 from tests.logblock.test_writer_reader import reader_for
+from tests.oracle import matches
 
 SCHEMA = TableSchema(
     name="every_type",
@@ -77,15 +83,27 @@ def block_reader(rows, meta_version=4, objects=None, decode_charge=None):
 
 
 def literals_of(predicate) -> list:
-    if isinstance(predicate, EqPredicate):
+    if isinstance(predicate, (EqPredicate, NePredicate)):
         return [predicate.value]
     if isinstance(predicate, InPredicate):
         return list(predicate.values)
     return [bound for bound in (predicate.low, predicate.high) if bound is not None]
 
 
+def realtime(rows, predicate) -> list[int]:
+    """Row ids the realtime path matches: ``rows`` appended to a
+    memtable and read back as the selection a realtime scan returns
+    (``ts`` order, which is row order here)."""
+    table = MemTable(tenant_column="ts")  # ``tenant`` may be null here
+    table.append_many(rows)
+    column = selection_columns(table.scan())(predicate.column)
+    return np.flatnonzero(column_mask(predicate, column)).tolist()
+
+
 def every_path(reader, rows, predicate):
-    """Row ids by brute force, after checking every read path agrees.
+    """Row ids by the oracle, after checking every read path agrees:
+    the block scan and SMA / index skipping, each on and off, and the
+    same rows as a realtime selection.
 
     A path may refuse a ``str`` literal probed against numbers (or the
     reverse) with ``TypeError`` — python will not order them — but no
@@ -101,9 +119,7 @@ def every_path(reader, rows, predicate):
             assert not orderable, predicate
             return None
 
-    expected = attempt(
-        lambda: [i for i, row in enumerate(rows) if predicate.evaluate_value(row[predicate.column])]
-    )
+    expected = attempt(lambda: [i for i, row in enumerate(rows) if matches(predicate, row)])
     for use_skipping, use_indexes in itertools.product((True, False), repeat=2):
         got = attempt(
             lambda: evaluate_predicates(
@@ -112,6 +128,9 @@ def every_path(reader, rows, predicate):
         )
         if got is not None and expected is not None:
             assert got == expected, (predicate, use_skipping, use_indexes)
+    got = attempt(lambda: realtime(rows, predicate))
+    if got is not None and expected is not None:
+        assert got == expected, (predicate, "realtime")
     if orderable:  # evaluate_predicates never takes the others to an index
         via_index = _index_rowids(reader, predicate)
         assert via_index is None or list(via_index) == expected, predicate
@@ -144,9 +163,8 @@ class TestDifferential:
     def test_eq_in_and_range_agree_with_every_read_path(self, rows, reader, column):
         for literal in LITERALS:
             every_path(reader, rows, EqPredicate(column, literal))
+            every_path(reader, rows, NePredicate(column, literal))
             every_path(reader, rows, InPredicate(column, (literal,)))
-            if literal != literal:
-                continue  # a NaN *bound* already divides the row scan from the index
             for inclusive in (True, False):
                 every_path(reader, rows, RangePredicate(column, low=literal, low_inclusive=inclusive))
                 every_path(reader, rows, RangePredicate(column, high=literal, high_inclusive=inclusive))
@@ -158,11 +176,23 @@ class TestDifferential:
             every_path(reader, rows, InPredicate("tenant", values))
         for values in [("web-1", "web-2"), ("web-2",)]:
             every_path(reader, rows, InPredicate("host", values))
-        # A list mixing str and numbers already reads differently on the
-        # vector scan (one numpy array of strings) than on the index:
-        # nothing is proved about it.
+        # A list mixing str and numbers: each literal is tested under
+        # ``==``, so the one of the column's kind matches every row —
+        # but the SMA proves nothing about a mixed list.
         for predicate in (InPredicate("tenant", (7, "web-1")), InPredicate("host", ("web-1", 7))):
+            assert every_path(reader, rows, predicate) == list(range(N_ROWS))
             assert not short_circuited(reader, predicate)
+
+    def test_a_nan_bound_matches_nothing(self, rows, reader):
+        for predicate in (
+            RangePredicate("tenant", high=math.nan),
+            RangePredicate("score", low=math.nan),
+            RangePredicate("ts", low=0, high=math.nan),
+        ):
+            assert every_path(reader, rows, predicate) == []
+            stats = PruneStats()
+            assert not evaluate_predicates(reader, [predicate], stats=stats).any()
+            assert stats.columns_pruned == 1  # the column SMA prunes it
 
     def test_what_is_proved_from_the_column_sma(self, reader):
         proved = [
@@ -367,15 +397,31 @@ class TestHazards:
         assert (sma.sum_value is None) == (meta_version == 2)
         expected = [i for i, row in enumerate(rows) if row["score"] == 2]
         assert 0 < len(expected) < N_ROWS
-        # (The scalar scan's range test already lets a NaN row through,
-        # so ranges have no agreed answer to be held against.)
-        for predicate in (RangePredicate("score", low=2, high=2), RangePredicate("score", low=0)):
-            assert not short_circuited(reader, predicate)
-        for predicate in (EqPredicate("score", 2), InPredicate("score", (2,))):
+        for predicate in (
+            EqPredicate("score", 2),
+            InPredicate("score", (2,)),
+            RangePredicate("score", low=2, high=2),
+            RangePredicate("score", low=0),
+        ):
             assert not short_circuited(reader, predicate)
             assert list(evaluate_predicates(reader, [predicate])) == expected
             assert list(evaluate_predicates(reader, [predicate], use_skipping=False)) == expected
             assert every_path(reader, rows, predicate) == expected
+
+    @pytest.mark.parametrize("meta_version", [2, 3, 4])
+    @pytest.mark.parametrize("scores", [[2.5, math.nan], [2, math.nan, 2]])
+    def test_ne_keeps_the_nan_rows_equal_bounds_hide(self, scores, meta_version):
+        """``score != 2.5`` over ``[2.5, nan]``: bounds 2.5..2.5 skip the
+        NaN rows, which differ from 2.5 — equal float bounds prune nothing."""
+        rows = constant_rows(score=scores)
+        reader = block_reader(rows, meta_version=meta_version)
+        expected = [i for i, row in enumerate(rows) if row["score"] != row["score"]]
+        assert 0 < len(expected) < N_ROWS
+        assert every_path(reader, rows, NePredicate("score", scores[0])) == expected
+        # A non-float column still prunes on min == max == literal.
+        stats = PruneStats()
+        assert not evaluate_predicates(reader, [NePredicate("tenant", 7)], stats=stats).any()
+        assert stats.columns_pruned == 1
 
     def test_legacy_v2_meta(self):
         rows = constant_rows()

@@ -1,4 +1,4 @@
-"""Expression AST tests: row evaluation and predicate compilation."""
+"""Expression AST tests: evaluation over dict rows and predicate compilation."""
 
 import pytest
 
@@ -8,6 +8,8 @@ from repro.logblock.pruning import (
     MatchPredicate,
     NePredicate,
     RangePredicate,
+    column_mask,
+    object_column,
 )
 from repro.query.ast import (
     And,
@@ -22,6 +24,13 @@ from repro.query.ast import (
     extract_eq,
     extract_ts_range,
 )
+from repro.query.kernels import filter_rows
+
+
+def holds(expr, row=None) -> bool:
+    """``expr`` over one dict row (``ROW`` by default), through the
+    column-mask evaluator."""
+    return bool(filter_rows(expr, [ROW if row is None else row]))
 
 
 ROW = {"tenant_id": 3, "ts": 100, "ip": "1.2.3.4", "latency": 50, "log": "error timeout", "nullable": None}
@@ -29,37 +38,37 @@ ROW = {"tenant_id": 3, "ts": 100, "ip": "1.2.3.4", "latency": 50, "log": "error 
 
 class TestRowEvaluation:
     def test_comparison_ops(self):
-        assert Comparison("latency", CmpOp.EQ, 50).evaluate_row(ROW)
-        assert Comparison("latency", CmpOp.NE, 49).evaluate_row(ROW)
-        assert Comparison("latency", CmpOp.LT, 51).evaluate_row(ROW)
-        assert Comparison("latency", CmpOp.LE, 50).evaluate_row(ROW)
-        assert Comparison("latency", CmpOp.GT, 49).evaluate_row(ROW)
-        assert Comparison("latency", CmpOp.GE, 50).evaluate_row(ROW)
-        assert not Comparison("latency", CmpOp.GT, 50).evaluate_row(ROW)
+        assert holds(Comparison("latency", CmpOp.EQ, 50))
+        assert holds(Comparison("latency", CmpOp.NE, 49))
+        assert holds(Comparison("latency", CmpOp.LT, 51))
+        assert holds(Comparison("latency", CmpOp.LE, 50))
+        assert holds(Comparison("latency", CmpOp.GT, 49))
+        assert holds(Comparison("latency", CmpOp.GE, 50))
+        assert not holds(Comparison("latency", CmpOp.GT, 50))
 
     def test_null_is_false(self):
-        assert not Comparison("nullable", CmpOp.EQ, 1).evaluate_row(ROW)
-        assert not Comparison("nullable", CmpOp.NE, 1).evaluate_row(ROW)
-        assert not Between("nullable", 0, 10).evaluate_row(ROW)
-        assert not In("nullable", (1,)).evaluate_row(ROW)
-        assert not Match("nullable", "x").evaluate_row(ROW)
+        assert not holds(Comparison("nullable", CmpOp.EQ, 1))
+        assert not holds(Comparison("nullable", CmpOp.NE, 1))
+        assert not holds(Between("nullable", 0, 10))
+        assert not holds(In("nullable", (1,)))
+        assert not holds(Match("nullable", "x"))
 
     def test_missing_column_is_false(self):
-        assert not Comparison("ghost", CmpOp.EQ, 1).evaluate_row(ROW)
+        assert not holds(Comparison("ghost", CmpOp.EQ, 1))
 
     def test_between(self):
-        assert Between("latency", 50, 60).evaluate_row(ROW)
-        assert Between("latency", 40, 50).evaluate_row(ROW)
-        assert not Between("latency", 51, 60).evaluate_row(ROW)
+        assert holds(Between("latency", 50, 60))
+        assert holds(Between("latency", 40, 50))
+        assert not holds(Between("latency", 51, 60))
 
     def test_in(self):
-        assert In("ip", ("1.2.3.4", "5.6.7.8")).evaluate_row(ROW)
-        assert not In("ip", ("9.9.9.9",)).evaluate_row(ROW)
+        assert holds(In("ip", ("1.2.3.4", "5.6.7.8")))
+        assert not holds(In("ip", ("9.9.9.9",)))
 
     def test_match_all_terms(self):
-        assert Match("log", "error").evaluate_row(ROW)
-        assert Match("log", "timeout error").evaluate_row(ROW)
-        assert not Match("log", "error missing").evaluate_row(ROW)
+        assert holds(Match("log", "error"))
+        assert holds(Match("log", "timeout error"))
+        assert not holds(Match("log", "error missing"))
 
     def test_match_tokenises_its_query_once(self, monkeypatch):
         from repro.logblock import pruning
@@ -69,24 +78,25 @@ class TestRowEvaluation:
         monkeypatch.setattr(pruning, "tokenize", lambda text: seen.append(text) or tokenize(text))
         node = Match("log", "Timeout error")
         rows = [{"log": "error: timeout"}, {"log": "error"}, {"log": None}, {}]
-        assert [node.evaluate_row(row) for row in rows] == [True, False, False, False]
+        assert [holds(node, row) for row in rows] == [True, False, False, False]
         predicate = node.to_column_predicate()
-        assert [predicate.evaluate_value(row.get("log")) for row in rows] == [True, False, False, False]
+        column = object_column([row.get("log") for row in rows])
+        assert column_mask(predicate, column).tolist() == [True, False, False, False]
         assert seen.count("Timeout error") == 1
 
     def test_boolean_combinators(self):
         t = Comparison("latency", CmpOp.EQ, 50)
         f = Comparison("latency", CmpOp.EQ, 51)
-        assert And((t, t)).evaluate_row(ROW)
-        assert not And((t, f)).evaluate_row(ROW)
-        assert Or((f, t)).evaluate_row(ROW)
-        assert not Or((f, f)).evaluate_row(ROW)
-        assert Not(f).evaluate_row(ROW)
-        assert not Not(t).evaluate_row(ROW)
+        assert holds(And((t, t)))
+        assert not holds(And((t, f)))
+        assert holds(Or((f, t)))
+        assert not holds(Or((f, f)))
+        assert holds(Not(f))
+        assert not holds(Not(t))
 
     def test_not_of_null_leaf_is_true(self):
         """Documented boolean semantics: NOT flips leaf's False-on-null."""
-        assert Not(Comparison("nullable", CmpOp.EQ, 1)).evaluate_row(ROW)
+        assert holds(Not(Comparison("nullable", CmpOp.EQ, 1)))
 
     def test_columns_collection(self):
         expr = And((Comparison("a", CmpOp.EQ, 1), Or((Match("b", "x"), Not(In("c", (1,)))))))

@@ -3,8 +3,16 @@
 import pytest
 
 from repro.common.errors import SqlParseError
-from repro.logblock.pruning import PrefixPredicate, PruneStats, evaluate_predicates
+from repro.logblock.pruning import (
+    PrefixPredicate,
+    PruneStats,
+    column_mask,
+    evaluate_predicates,
+    object_column,
+)
+from repro.logblock.schema import ColumnType
 from repro.query.ast import Like
+from repro.query.kernels import filter_rows
 from repro.query.sql import parse_sql
 
 from tests.conftest import make_rows, write_logblock
@@ -35,28 +43,24 @@ class TestParsing:
 class TestPrefixPredicate:
     def test_evaluate(self):
         p = PrefixPredicate("api", "/api/v1")
-        assert p.evaluate_value("/api/v1/items")
-        assert not p.evaluate_value("/API/V1/items")  # case-sensitive (SQL)
-        assert not p.evaluate_value("/api/v2/items")
-        assert not p.evaluate_value(None)
+        values = ["/api/v1/items", "/API/V1/items", "/api/v2/items", None]
+        # Case-sensitive (SQL); a null matches nothing.
+        assert column_mask(p, object_column(values)).tolist() == [True, False, False, False]
 
     def test_row_eval_matches_predicate(self):
         expr = Like("api", "/api/v1")
-        assert expr.evaluate_row({"api": "/api/v1/x"})
-        assert not expr.evaluate_row({"api": "/API/V1/x"})
-        assert not expr.evaluate_row({"api": "/apiv1"})
-        assert not expr.evaluate_row({"api": None})
+        rows = [{"api": "/api/v1/x"}, {"api": "/API/V1/x"}, {"api": "/apiv1"}, {"api": None}]
+        assert filter_rows(expr, rows) == rows[:1]
 
     def test_sma_pruning_sound_on_mixed_case(self):
         from repro.logblock.sma import compute_sma
-        from repro.logblock.schema import ColumnType
 
         # 'B' < 'a' in code-point order; pruning must stay sound.
         sma = compute_sma(["B", "a"], ColumnType.STRING)
-        assert PrefixPredicate("x", "B").may_match_sma(sma)
-        assert PrefixPredicate("x", "a").may_match_sma(sma)
-        assert not PrefixPredicate("x", "b").may_match_sma(sma)
-        assert not PrefixPredicate("x", "0").may_match_sma(sma)
+        assert PrefixPredicate("x", "B").may_match_sma(sma, ColumnType.STRING)
+        assert PrefixPredicate("x", "a").may_match_sma(sma, ColumnType.STRING)
+        assert not PrefixPredicate("x", "b").may_match_sma(sma, ColumnType.STRING)
+        assert not PrefixPredicate("x", "0").may_match_sma(sma, ColumnType.STRING)
 
 
 class TestOnLogBlock:

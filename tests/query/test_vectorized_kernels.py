@@ -1,13 +1,11 @@
-"""Differential tests: vectorized kernels ≡ interpreted ``evaluate_row``.
+"""Differential tests: the column-mask evaluator ≡ the per-row oracle.
 
-The vectorized scan layer is only allowed to be *fast* — never
-*different*.  These tests pin byte-identical results between the
-columnar kernels (:mod:`repro.query.kernels`) and the per-row
-interpreter across every predicate shape (eq/range/IN/null/AND/OR/NOT),
-null-heavy and empty batches, type edges (bools in INT64 columns, huge
-ints, mixed types), realtime vs archived vs mixed data placement, the
-argsort ORDER BY/LIMIT kernel, and the forced-fallback shapes
-(MATCH / LIKE / mixed-type columns) that must take the interpreted path.
+There is one evaluator (:mod:`repro.query.kernels` over
+``column_mask``); it is held against :func:`tests.oracle.matches`
+across every predicate shape (eq/range/IN/LIKE/MATCH/null/AND/OR/NOT),
+null-heavy and empty batches, value lists and typed vectors, type edges
+(bools in INT64 columns, huge ints, mixed types), realtime vs archived
+vs mixed data placement, and the argsort ORDER BY/LIMIT kernel.
 """
 
 import json
@@ -36,16 +34,12 @@ from repro.query.ast import (
     Or,
 )
 from repro.query.executor import ExecutionStats, filter_realtime_rows
-from repro.query.kernels import (
-    VectorizeFallback,
-    classify_expr,
-    compile_expr,
-    top_k_order,
-)
+from repro.query.kernels import compile_expr, selection_columns, top_k_order
 from repro.query.sql import parse_sql
-from repro.rowstore import RowBatch
+from repro.rowstore.batch import RowBatch, RowSelection
 
 from tests.conftest import make_rows
+from tests.oracle import matches
 
 SCHEMA = TableSchema(
     name="t",
@@ -59,13 +53,46 @@ SCHEMA = TableSchema(
 )
 
 
+_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
 
-def evaluate(expr, rows):
-    """The compiled kernel's mask over ``rows`` as an (unadmitted)
-    column batch: one value list per schema column, missing keys null."""
+
+def _as_memtable_holds(values: list):
+    """A column of one kind and no null as the memtable holds it — an
+    int64 / float64 / bool vector — else the value list (ints beyond
+    int64 included)."""
+    kinds = set(map(type, values))
+    dtype = _DTYPES.get(kinds.pop()) if len(kinds) == 1 else None
+    try:
+        return values if dtype is None else np.array(values, dtype=dtype)
+    except OverflowError:
+        return values
+
+
+def evaluate(expr, rows, typed=False):
+    """The compiled tree's mask over ``rows`` as a realtime selection:
+    one value list per schema column (missing keys null) or, ``typed``,
+    a vector where the memtable would hold one."""
     names = tuple(SCHEMA.column_names())
     columns = [[row.get(name) for row in rows] for name in names]
-    return compile_expr(expr).evaluate(RowBatch(names, columns), SCHEMA)
+    if typed:
+        columns = [_as_memtable_holds(column) for column in columns]
+    selection = RowSelection.of(RowBatch(names, columns))
+    return compile_expr(expr)(selection_columns(selection))
+
+
+def assert_oracle(expr, rows):
+    """Both column forms give the oracle's answer, or both raise as it does."""
+    try:
+        expected = [matches(expr, row) for row in rows]
+    except TypeError:
+        for typed in (False, True):
+            with pytest.raises(TypeError):
+                evaluate(expr, rows, typed)
+        return
+    for typed in (False, True):
+        mask = evaluate(expr, rows, typed)
+        assert mask.dtype == bool and len(mask) == len(rows)
+        assert mask.tolist() == expected, (expr, typed)
 
 
 _INTS = st.integers(min_value=-(2**40), max_value=2**40)
@@ -131,12 +158,9 @@ EXPRS = st.recursive(
 class TestKernelDifferential:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(rows=ROWS, expr=EXPRS)
-    def test_mask_equals_evaluate_row(self, rows, expr):
+    def test_mask_equals_the_oracle(self, rows, expr):
         """Every predicate shape, nulls included, over a row batch."""
-        mask = evaluate(expr, rows)
-        expected = [bool(expr.evaluate_row(row)) for row in rows]
-        assert mask.dtype == bool and len(mask) == len(rows)
-        assert mask.tolist() == expected
+        assert_oracle(expr, rows)
 
     def test_empty_batch(self):
         expr = Comparison("i", CmpOp.GE, 5)
@@ -153,7 +177,7 @@ class TestKernelDifferential:
         rows = [{"s": None}, {"s": "x"}, {"s": "y"}]
         expr = Not(Comparison("s", CmpOp.EQ, "x"))
         mask = evaluate(expr, rows)
-        assert mask.tolist() == [expr.evaluate_row(r) for r in rows] == [True, False, True]
+        assert mask.tolist() == [matches(expr, r) for r in rows] == [True, False, True]
 
     def test_string_kernels_on_object_arrays(self):
         rows = [{"s": v} for v in ["abc", None, "b", "", "ab"]]
@@ -162,8 +186,7 @@ class TestKernelDifferential:
             In("s", ("abc", "")),
             Comparison("s", CmpOp.NE, "b"),
         ):
-            mask = evaluate(expr, rows)
-            assert mask.tolist() == [expr.evaluate_row(r) for r in rows]
+            assert_oracle(expr, rows)
 
     def test_empty_in_matches_nothing(self):
         rows = [{"i": 1}, {"i": None}]
@@ -171,34 +194,50 @@ class TestKernelDifferential:
         assert mask.tolist() == [False, False]
 
 
-class TestForcedFallbacks:
-    def test_match_has_no_kernel(self):
-        with pytest.raises(VectorizeFallback) as excinfo:
-            compile_expr(Match("s", "hello world"))
-        assert "no vector kernel" in excinfo.value.reason
+class TestShapesOnceInterpreted:
+    """Shapes that once fell back to a per-row interpreter: each now
+    has its kernel, held against the oracle."""
 
-    def test_like_prefix_has_no_kernel(self):
-        with pytest.raises(VectorizeFallback):
-            compile_expr(Like("s", "192.168."))
+    TEXT = [{"s": v} for v in ["hello world", None, "Hello, big World!", "192.168.0.1", "world"]]
 
-    def test_mixed_type_column_falls_back(self):
-        rows = [{"i": 1}, {"i": "oops"}]
-        with pytest.raises(VectorizeFallback) as excinfo:
-            evaluate(Comparison("i", CmpOp.GE, 0), rows)
-        assert "mixed-type" in excinfo.value.reason
+    def test_match(self):
+        for query in ("hello world", "WORLD", "absent", ""):
+            assert_oracle(Match("s", query), self.TEXT)
 
-    def test_bool_in_int_column_falls_back(self):
-        rows = [{"i": True}]
-        with pytest.raises(VectorizeFallback):
-            evaluate(Comparison("i", CmpOp.GE, 0), rows)
+    def test_like_prefix(self):
+        for prefix in ("192.168.", "hello", "", "Hello, b"):
+            assert_oracle(Like("s", prefix), self.TEXT)
 
-    def test_int_beyond_int64_falls_back(self):
-        rows = [{"i": 2**70}]
-        with pytest.raises(VectorizeFallback):
-            evaluate(Comparison("i", CmpOp.GE, 0), rows)
+    def test_mixed_type_column(self):
+        rows = [{"i": 1}, {"i": "oops"}, {"i": None}]
+        for expr in (
+            Comparison("i", CmpOp.EQ, 1),
+            Comparison("i", CmpOp.NE, 1),
+            In("i", (1, "oops")),
+            Comparison("i", CmpOp.GE, 0),  # Python will not order "oops" and 0
+        ):
+            assert_oracle(expr, rows)
 
-    def test_fallback_still_byte_identical_through_filter(self):
-        """filter_realtime_rows: fallback shape ≡ the per-row oracle."""
+    def test_bool_in_int_column(self):
+        rows = [{"i": True}, {"i": 1}, {"i": 2}, {"i": False}]
+        for expr in (
+            Comparison("i", CmpOp.GE, 1),
+            Comparison("i", CmpOp.EQ, True),
+            In("i", (0,)),
+        ):
+            assert_oracle(expr, rows)
+
+    def test_int_beyond_int64(self):
+        rows = [{"i": 2**70}, {"i": 5}, {"i": -(2**70)}]
+        for expr in (
+            Comparison("i", CmpOp.GE, 0),
+            Comparison("i", CmpOp.EQ, 2**70),
+            Between("i", -(2**64), 2**64),
+        ):
+            assert_oracle(expr, rows)
+        assert_oracle(Comparison("i", CmpOp.LT, 2**70), [{"i": 5}, {"i": 2**63 - 1}])
+
+    def test_match_through_the_realtime_filter(self):
         rows = make_rows(50, tenant_id=1)
         rows[7]["log"] = None
         store = _seeded_store()
@@ -209,10 +248,8 @@ class TestForcedFallbacks:
         )
         stats = ExecutionStats()
         got = filter_realtime_rows(rows=iter(rows), plan=plan, stats=stats).to_dicts()
-        assert got == [{"log": row["log"]} for row in rows if plan.where.evaluate_row(row)]
-        assert stats.realtime_rows_vectorized == 0
-        assert stats.realtime_rows_interpreted == len(rows)
-        assert any("no vector kernel" in r for r in stats.realtime_fallbacks)
+        assert got == [{"log": row["log"]} for row in rows if matches(plan.where, row)]
+        assert stats.realtime_rows_vectorized == len(rows)
 
 
 class TestRealtimeFilterParity:
@@ -237,11 +274,10 @@ class TestRealtimeFilterParity:
         oracle = [
             {"ts": row["ts"], "log": row["log"]}
             for row in rows
-            if plan.where.evaluate_row(row)
+            if matches(plan.where, row)
         ][:limit]
         assert json.dumps(got, sort_keys=True) == json.dumps(oracle, sort_keys=True)
         assert stats.realtime_rows_vectorized == len(rows)
-        assert stats.realtime_rows_interpreted == 0
 
 
 _STORE_CACHE = {}
@@ -278,8 +314,8 @@ MIXED_QUERIES = [
 
 
 class TestMixedPlacementParity:
-    """Archived + realtime data against the per-row interpreter and
-    python ``sorted``, called directly."""
+    """Archived + realtime data against the per-row oracle and python
+    ``sorted``, called directly."""
 
     @pytest.mark.parametrize("sql", MIXED_QUERIES)
     def test_queries_match_the_row_oracle(self, sql):
@@ -287,69 +323,40 @@ class TestMixedPlacementParity:
         parsed = parse_sql(sql)
         got = store.query(sql).rows
         where = store.brokers[0]._planner.plan(parsed).where  # literals typed
-        matches = [row for row in _STORE_CACHE["tenant1_rows"] if where.evaluate_row(row)]
-        assert got and matches
+        matching = [row for row in _STORE_CACHE["tenant1_rows"] if matches(where, row)]
+        assert got and matching
 
         def projected(rows):
             return Counter(
                 json.dumps({c: row[c] for c in got[0]}, sort_keys=True) for row in rows
             )
 
-        assert not projected(got) - projected(matches)  # only matching rows
-        limit = len(matches) if parsed.limit is None else parsed.limit
-        assert len(got) == min(limit, len(matches))
+        assert not projected(got) - projected(matching)  # only matching rows
+        limit = len(matching) if parsed.limit is None else parsed.limit
+        assert len(got) == min(limit, len(matching))
         if parsed.order_by is not None:
             # Rows tied on the key may come in any stream order: pin the keys.
             keys = sorted(
-                (row[parsed.order_by] for row in matches), reverse=parsed.order_desc
+                (row[parsed.order_by] for row in matching), reverse=parsed.order_desc
             )
             assert [row[parsed.order_by] for row in got] == keys[:limit]
 
     def test_counters_and_explain_surface(self):
         store = _seeded_store()
-        result = store.query(
-            "SELECT ts FROM request_log WHERE tenant_id = 1 AND latency >= 250"
-        )
+        sql = "SELECT ts FROM request_log WHERE tenant_id = 1 AND latency >= 250"
+        result = store.query(sql)
         assert result.stats.rows_evaluated_vectorized > 0
-        text = store.explain(
-            "SELECT ts FROM request_log WHERE tenant_id = 1 AND latency >= 250"
-        )
-        assert "vectorized: full" in text
-        analyzed = store.explain_analyze(
-            "SELECT ts FROM request_log WHERE tenant_id = 1 AND latency >= 250"
-        )
-        assert "== vectorized scan ==" in analyzed
-        assert "rows evaluated vectorized:" in analyzed
+        assert result.stats.rows_evaluated_interpreted == 0
+        assert "vectorized" not in store.explain(sql)
+        analyzed = store.explain_analyze(sql)
+        assert f"rows evaluated: {result.stats.rows_evaluated_vectorized} " in analyzed
 
-    def test_explain_reports_fallback_reasons(self):
+    def test_match_is_evaluated_like_every_other_leaf(self):
         store = _seeded_store()
-        text = store.explain(
-            "SELECT ts FROM request_log WHERE tenant_id = 1 AND MATCH(log, 'GET')"
-        )
-        assert "vectorized: partial" in text
-        assert "no vector kernel" in text
-
-
-class TestClassify:
-    def test_full(self):
-        info = classify_expr(Comparison("i", CmpOp.GE, 1), SCHEMA)
-        assert info.mode == "full" and info.reasons == ()
-
-    def test_partial_with_reason(self):
-        info = classify_expr(
-            And((Comparison("i", CmpOp.GE, 1), Match("s", "x"))), SCHEMA
-        )
-        assert info.mode == "partial"
-        assert any("no vector kernel" in r for r in info.reasons)
-
-    def test_none(self):
-        info = classify_expr(Match("s", "x"), SCHEMA)
-        assert info.mode == "none"
-
-    def test_string_column_notes_archived_fallback(self):
-        info = classify_expr(Comparison("s", CmpOp.EQ, "x"), SCHEMA)
-        assert info.mode == "full"
-        assert any("STRING" in r for r in info.reasons)
+        sql = "SELECT ts FROM request_log WHERE tenant_id = 1 AND MATCH(log, 'GET')"
+        result = store.query(sql)
+        assert result.rows and result.stats.realtime_rows_vectorized > 0
+        assert "fallback" not in store.explain_analyze(sql)
 
 
 ORDER_KEYS = st.lists(
