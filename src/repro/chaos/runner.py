@@ -279,27 +279,10 @@ class ChaosContext:
         repair and WAL replay (a Raft group re-elects and re-applies
         its log) — exactly what a restarted worker would do.
         """
-        from repro.cluster.shard import Shard
-
         self._record("fault.shard.crash", f"shard{shard.shard_id}")
         self.crashed = [(s, node) for s, node in self.crashed if s is not shard]
-        config = self.store.config
-        rebuilt = Shard(
-            shard.shard_id,
-            shard.worker_id,
-            shard.capacity_rps,
-            shard.seal_rows,
-            shard.seal_bytes,
-            self.clock,
-            use_raft=shard.raft is not None,
-            replicas=config.replicas,
-            wal_only_replicas=config.wal_only_replicas,
-            write_ack=config.write_ack,
-            wal_backend_factory=self.wal_backends.__getitem__,
-            seed=config.seed,
-            obs=self.store.obs,
-        )
-        self.store.workers[shard.worker_id].shards[shard.shard_id] = rebuilt
+        rebuilt = self.store.build_shard(shard.shard_id, shard.worker_id)
+        self.store.workers[shard.worker_id].add_shard(rebuilt)
         self._record(
             "fault.shard.rebuilt",
             f"shard{shard.shard_id}",
@@ -415,9 +398,10 @@ class ChaosRunner:
         wal_backends: dict[str, FaultySegmentBackend] = {}
 
         def wal_backend_factory(name: str) -> FaultySegmentBackend:
-            backend = FaultySegmentBackend(name, clock=clock, trace=trace)
-            wal_backends[name] = backend
-            return backend
+            # The durable medium outlives a crash: a rebuilt shard reopens it.
+            if name not in wal_backends:
+                wal_backends[name] = FaultySegmentBackend(name, clock=clock, trace=trace)
+            return wal_backends[name]
 
         overrides = dict(
             n_workers=2,

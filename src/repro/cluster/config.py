@@ -34,8 +34,6 @@ class LogStoreConfig:
     # write path (§3 group commit + pipelined replication)
     group_commit: bool = False  # coalesce admitted batches into one proposal
     group_commit_batches: int = 8  # max client batches per group
-    group_commit_bytes: int = 1024 * 1024  # max payload bytes per group
-    pipeline_depth: int = 8  # in-flight proposals per shard before settling
     write_ack: str = "quorum"  # "quorum" (majority commit) | "all" replicas
     # WAL segment backend per WAL owner ("shard<N>" for a plain shard,
     # "shard<N>/r<I>" for a Raft replica); None = in-memory default.
@@ -46,8 +44,6 @@ class LogStoreConfig:
     balancer: str = "maxflow"  # "none" | "greedy" | "maxflow"
     per_tenant_shard_limit_rps: float = 100_000.0  # §4.1.4 example: 100K/shard
     monitor_interval_s: float = 300.0  # §4.1.3
-    # ScaleCluster(): workers added per scale-out event (Algorithm 1 line 25)
-    scale_step_workers: int = 4
 
     # row store / builder
     seal_rows: int = 100_000
@@ -75,7 +71,6 @@ class LogStoreConfig:
     # cold tiering (for tenants with a cold_age), ticked from
     # run_background_tasks().
     lifecycle_sweep_enabled: bool = True
-    cold_codec: str = "lzma"  # cheaper-per-byte codec for aged data
     # Cold members re-chunk at this many rows (0 = reuse
     # target_rows_per_logblock).
     cold_target_rows: int = 0
@@ -85,19 +80,13 @@ class LogStoreConfig:
 
     # observability
     tracing_enabled: bool = True  # hierarchical virtual-clock spans
-    trace_max_traces: int = 256  # bounded ring of retained root traces
     slow_query_s: float | None = 2.0  # virtual-latency threshold; None = off
     # Cluster event journal (elections, seals, archives, compactions,
     # backpressure trips, faults, alerts) — bounded and deterministic.
     event_journal_enabled: bool = True
-    event_journal_max_events: int = 4096
     # Per-tenant SLO tracking: rolling virtual-time windows with
-    # error-budget burn rates; defaults match repro.obs.slo.SloTarget.
+    # error-budget burn rates, against repro.obs.slo.SloTarget().
     slo_enabled: bool = True
-    slo_window_s: float = 3600.0
-    slo_p99_query_latency_s: float = 2.0
-    slo_write_latency_s: float = 0.5
-    slo_goal: float = 0.99
     # Alert rules evaluated at run_background_tasks() ticks; empty =
     # repro.obs.alerts.default_alert_rules().
     alert_rules: tuple = ()
@@ -123,34 +112,14 @@ class LogStoreConfig:
             raise ConfigError("per_tenant_shard_limit_rps must be positive")
         if self.group_commit_batches < 1:
             raise ConfigError("group_commit_batches must be >= 1")
-        if self.group_commit_bytes <= 0:
-            raise ConfigError("group_commit_bytes must be positive")
-        if self.pipeline_depth < 1:
-            raise ConfigError("pipeline_depth must be >= 1")
         if self.write_ack not in ("quorum", "all"):
             raise ConfigError(f"unknown write_ack {self.write_ack!r}")
-        if self.trace_max_traces < 1:
-            raise ConfigError("trace_max_traces must be >= 1")
         if self.max_sessions < 1:
             raise ConfigError("max_sessions must be >= 1")
         if self.cold_target_rows < 0:
             raise ConfigError("cold_target_rows must be >= 0 (0 = target_rows)")
-        from repro.codec.registry import available_codecs
-
-        if self.cold_codec not in available_codecs():
-            raise ConfigError(f"unknown cold_codec {self.cold_codec!r}")
         if self.slow_query_s is not None and self.slow_query_s < 0:
             raise ConfigError("slow_query_s must be non-negative (or None)")
-        if self.event_journal_max_events < 1:
-            raise ConfigError("event_journal_max_events must be >= 1")
-        if self.slo_window_s <= 0:
-            raise ConfigError("slo_window_s must be positive")
-        if self.slo_p99_query_latency_s <= 0:
-            raise ConfigError("slo_p99_query_latency_s must be positive")
-        if self.slo_write_latency_s <= 0:
-            raise ConfigError("slo_write_latency_s must be positive")
-        if not 0 < self.slo_goal < 1:
-            raise ConfigError("slo_goal must be in (0, 1)")
 
     @property
     def n_shards(self) -> int:

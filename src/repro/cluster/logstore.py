@@ -58,22 +58,12 @@ class LogStore:
         self.config = config
         self.schema = schema
         self.clock = clock if clock is not None else VirtualClock()
-        from repro.obs.slo import SloTarget
-
         self.obs = Observability(
             clock=self.clock,
             tracing_enabled=config.tracing_enabled,
-            trace_max_traces=config.trace_max_traces,
             slow_query_s=config.slow_query_s,
             event_journal_enabled=config.event_journal_enabled,
-            event_journal_max_events=config.event_journal_max_events,
             slo_enabled=config.slo_enabled,
-            slo_default_target=SloTarget(
-                p99_query_latency_s=config.slo_p99_query_latency_s,
-                write_latency_s=config.slo_write_latency_s,
-                slo_goal=config.slo_goal,
-                window_s=config.slo_window_s,
-            ),
         )
         inner = backend if backend is not None else InMemoryObjectStore()
         self.oss = MeteredObjectStore(
@@ -165,7 +155,6 @@ class LogStore:
             self.janitor,
             obs=self.obs,
             sweep_enabled=config.lifecycle_sweep_enabled,
-            cold_codec=config.cold_codec,
             cold_target_rows=(
                 config.cold_target_rows
                 if config.cold_target_rows > 0
@@ -199,8 +188,13 @@ class LogStore:
         return worker
 
     def _provision_shard(self, shard_id: int) -> Shard:
-        worker_id = self.config.worker_of_shard(shard_id)
-        shard = Shard(
+        shard = self.build_shard(shard_id, self.config.worker_of_shard(shard_id))
+        self.workers[shard.worker_id].add_shard(shard)
+        return shard
+
+    def build_shard(self, shard_id: int, worker_id: str) -> Shard:
+        """A shard as this cluster's config builds it, not yet hosted."""
+        return Shard(
             shard_id,
             worker_id,
             self.config.shard_capacity_rps,
@@ -212,15 +206,11 @@ class LogStore:
             wal_only_replicas=self.config.wal_only_replicas,
             group_commit=self.config.group_commit,
             group_commit_batches=self.config.group_commit_batches,
-            group_commit_bytes=self.config.group_commit_bytes,
-            pipeline_depth=self.config.pipeline_depth,
             write_ack=self.config.write_ack,
             wal_backend_factory=self.config.wal_backend_factory,
             seed=self.config.seed,
             obs=self.obs,
         )
-        self.workers[worker_id].add_shard(shard)
-        return shard
 
     def _live_topology(self):
         """Topology from the *actual* shard placement (which diverges
@@ -240,19 +230,18 @@ class LogStore:
             shard_worker, shard_capacity, worker_capacity, alpha=self.config.alpha
         )
 
-    def scale_out(self, n_new_workers: int | None = None):
+    def scale_out(self, n_new_workers: int = 4):
         """ScaleCluster() (Algorithm 1 lines 24-27): add workers/shards.
 
-        Provisions new ECS-node stand-ins, extends the hash ring (new
-        tenants can land there; existing routes are untouched), and
-        returns the new topology.
+        Provisions ``n_new_workers`` new ECS-node stand-ins (line 25's
+        scale step), extends the hash ring (new tenants can land there;
+        existing routes are untouched), and returns the new topology.
         """
-        added = n_new_workers if n_new_workers is not None else self.config.scale_step_workers
-        if added <= 0:
-            raise ValueError(f"must add at least one worker, got {added}")
+        if n_new_workers <= 0:
+            raise ValueError(f"must add at least one worker, got {n_new_workers}")
         first_new_worker = self.config.n_workers
         first_new_shard = self.config.n_shards
-        self.config.n_workers += added
+        self.config.n_workers += n_new_workers
         for worker_index in range(first_new_worker, self.config.n_workers):
             self._provision_worker(worker_index)
         for shard_id in range(first_new_shard, self.config.n_shards):

@@ -45,6 +45,11 @@ from repro.wal.log import SegmentBackend, WriteAheadLog
 _WAL_KIND_COMMAND = 20
 _WAL_KIND_CHECKPOINT = 21
 
+# A Raft shard's write path: at most this many payload bytes per group
+# commit, and this many proposals in flight before a write settles.
+_GROUP_COMMIT_BYTES = 1024 * 1024
+_PIPELINE_DEPTH = 8
+
 # Command marking the first N sealed memtables ever sealed as archived
 # to OSS: they leave the row store at the same log position on every
 # replica and in every replay.  Seal and drain commands start with
@@ -94,8 +99,6 @@ class Shard:
         wal_backend: SegmentBackend | None = None,
         group_commit: bool = False,
         group_commit_batches: int = 8,
-        group_commit_bytes: int = 1024 * 1024,
-        pipeline_depth: int = 8,
         write_ack: str = "quorum",
         wal_backend_factory: Callable[[str], SegmentBackend] | None = None,
         seed: int = 0,
@@ -162,7 +165,7 @@ class Shard:
             self._pipeline = ReplicationPipeline(
                 self._raft,
                 clock,
-                depth=pipeline_depth,
+                depth=_PIPELINE_DEPTH,
                 ack=write_ack,
                 recorder=self._write_recorder,
                 tracer=self._obs.tracer,
@@ -172,7 +175,7 @@ class Shard:
             self._group_queue = GroupCommitQueue(
                 self._flush_group,
                 max_batches=group_commit_batches if group_commit else 1,
-                max_bytes=group_commit_bytes,
+                max_bytes=_GROUP_COMMIT_BYTES,
                 size_of=attrgetter("nbytes"),
                 admit=self._admit_batch,
                 throttle_fn=self._leader_throttle,

@@ -163,4 +163,7 @@ class BinaryReader:
         return data[pos:end]
 
     def read_str(self) -> str:
-        return self.read_len_prefixed().decode("utf-8")
+        try:
+            return self.read_len_prefixed().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SerializationError(f"string is not UTF-8: {exc}") from None

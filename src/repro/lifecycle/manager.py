@@ -12,7 +12,7 @@ even when — especially when — the sweep itself stops running.
 
 from __future__ import annotations
 
-from repro.lifecycle.cold import DEFAULT_COLD_CODEC, ColdCompactor
+from repro.lifecycle.cold import ColdCompactor
 from repro.lifecycle.offboard import TenantOffboarder
 from repro.lifecycle.policy import RetentionPolicy, apply_policy, policy_for
 from repro.lifecycle.sweeper import ExpirySweeper, SweepReport
@@ -35,7 +35,6 @@ class LifecycleManager:
         janitor: Janitor,
         obs: Observability | None = None,
         sweep_enabled: bool = True,
-        cold_codec: str = DEFAULT_COLD_CODEC,
         cold_target_rows: int = 200_000,
         block_rows: int = DEFAULT_BLOCK_ROWS,
         build_indexes: bool = True,
@@ -48,7 +47,6 @@ class LifecycleManager:
             schema,
             catalog,
             janitor,
-            codec=cold_codec,
             block_rows=block_rows,
             target_rows=cold_target_rows,
             build_indexes=build_indexes,

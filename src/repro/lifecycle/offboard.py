@@ -4,9 +4,12 @@ A departing tenant gets two guarantees:
 
 * **Portability** — every LogBlock (hot object or cold-segment member)
   is copied, byte-for-byte, into one tar-packed archive under
-  ``_export/``, alongside a JSON manifest of the tenant's catalog
-  state.  The members are self-contained LogBlocks, so the archive is
-  readable with nothing but :mod:`repro.tarpack` + :mod:`repro.logblock`.
+  ``_export/``, alongside the tenant's manifest
+  (:mod:`repro.meta.manifest`): its record and every block's catalog
+  entry, the block at position *i* being member :func:`export_member`.
+  The members are self-contained LogBlocks, so the archive is readable
+  with nothing but :mod:`repro.tarpack`, :mod:`repro.logblock` and
+  :mod:`repro.meta.manifest`.
 * **Proof of deletion** — after the delete, verification re-checks the
   three places data could hide: the catalog (tenant unregistered), the
   OSS listing (``tenants/<id>/`` empty), and — at the cluster facade —
@@ -19,23 +22,28 @@ against an already-gone tenant) re-deletes what remains and re-verifies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.common.errors import TenantNotFound
 from repro.meta.catalog import Catalog
 from repro.meta.janitor import Janitor
+from repro.meta.manifest import encode_manifest
 from repro.obs.context import Observability
 from repro.tarpack.packer import PackBuilder
 
 EVENT_LIFECYCLE_OFFBOARD = "lifecycle.offboard"
 
-EXPORT_MANIFEST_MEMBER = "manifest.json"
+EXPORT_MANIFEST_MEMBER = "tenant.manifest"
 
 
 def export_path(tenant_id: int) -> str:
     """OSS key of a tenant's offboarding archive."""
     return f"_export/tenant-{tenant_id:06d}.pack"
+
+
+def export_member(position: int) -> str:
+    """Archive member of the manifest's ``position``-th block."""
+    return f"block-{position:06d}.lgb"
 
 
 @dataclass
@@ -90,16 +98,7 @@ class TenantOffboarder:
         info = self._catalog.tenant(tenant_id)
         blocks = list(info.blocks)
         builder = PackBuilder()
-        manifest = {
-            "tenant_id": info.tenant_id,
-            "name": info.name,
-            "retention_s": info.retention_s,
-            "cold_age_s": info.cold_age_s,
-            "created_at": info.created_at,
-            "blocks": [],
-        }
         for i, block in enumerate(blocks):
-            member = f"block-{i:06d}.lgb"
             if block.segment_path is None:
                 blob = self._store.get(self._bucket, block.path)
             else:
@@ -109,22 +108,8 @@ class TenantOffboarder:
                     block.segment_offset,
                     block.segment_length,
                 )
-            builder.add(member, blob)
-            manifest["blocks"].append(
-                {
-                    "member": member,
-                    "path": block.path,
-                    "tier": block.tier,
-                    "min_ts": block.min_ts,
-                    "max_ts": block.max_ts,
-                    "row_count": block.row_count,
-                    "size_bytes": block.size_bytes,
-                }
-            )
-        builder.add(
-            EXPORT_MANIFEST_MEMBER,
-            json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8"),
-        )
+            builder.add(export_member(i), blob)
+        builder.add(EXPORT_MANIFEST_MEMBER, encode_manifest([info]))
         archive = builder.build()
         key = export_path(tenant_id)
         self._store.put(self._bucket, key, archive)

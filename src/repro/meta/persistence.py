@@ -3,8 +3,9 @@
 The catalog (tenants, retention policies, schema, LogBlock map) must
 survive controller restarts.  Two mechanisms:
 
-* **Snapshots** — :func:`save_catalog` writes a JSON snapshot into the
-  object store under ``_meta/catalog/<seq>.json`` (objects are
+* **Snapshots** — :func:`save_catalog` writes a tenant manifest of
+  every tenant plus the schema (:mod:`repro.meta.manifest`) into the
+  object store under ``_meta/catalog/<seq>.manifest`` (objects are
   immutable, so each save is a new sequence number; old snapshots are
   pruned).  :func:`load_catalog_into` restores the newest snapshot into
   a live catalog.
@@ -18,133 +19,44 @@ survive controller restarts.  Two mechanisms:
 
 from __future__ import annotations
 
-import json
 import re
 
-from repro.common.errors import CatalogError, InvalidRange, SerializationError
+from repro.common.errors import CatalogError, CorruptionError, InvalidRange, SerializationError
 from repro.logblock.reader import LogBlockReader
-from repro.logblock.schema import ColumnSpec, ColumnType, IndexType, TableSchema
 from repro.meta.catalog import TIER_COLD, TIER_HOT, Catalog, LogBlockEntry
+from repro.meta.manifest import decode_manifest, encode_manifest, install_tenant
 from repro.tarpack.reader import PackReader
 
 SNAPSHOT_PREFIX = "_meta/catalog/"
-SNAPSHOT_VERSION = 1
+_SNAPSHOT_SUFFIX = ".manifest"
 KEEP_SNAPSHOTS = 3
 
 _BLOCK_PATH_RE = re.compile(r"^tenants/(\d+)/.+\.lgb$")
 _SEGMENT_PATH_RE = re.compile(r"^tenants/(\d+)/cold/.+\.seg$")
 
 
-def _schema_to_json(schema: TableSchema) -> dict:
-    return {
-        "name": schema.name,
-        "columns": [
-            {
-                "name": col.name,
-                "ctype": col.ctype.name,
-                "index": col.index.name,
-                "tokenize": col.tokenize,
-            }
-            for col in schema.columns
-        ],
-    }
-
-
-def _schema_from_json(payload: dict) -> TableSchema:
-    columns = tuple(
-        ColumnSpec(
-            col["name"],
-            ColumnType[col["ctype"]],
-            IndexType[col["index"]],
-            col["tokenize"],
-        )
-        for col in payload["columns"]
-    )
-    return TableSchema(payload["name"], columns)
-
-
-def _block_to_json(b: LogBlockEntry) -> dict:
-    payload = {
-        "min_ts": b.min_ts,
-        "max_ts": b.max_ts,
-        "path": b.path,
-        "size_bytes": b.size_bytes,
-        "row_count": b.row_count,
-    }
-    # Tier fields are written only for non-hot entries, so snapshots
-    # taken before cold tiering existed stay byte-compatible.
-    if b.tier != TIER_HOT:
-        payload["tier"] = b.tier
-        payload["segment_path"] = b.segment_path
-        payload["segment_offset"] = b.segment_offset
-        payload["segment_length"] = b.segment_length
-    return payload
-
-
 def serialize_catalog(catalog: Catalog) -> bytes:
-    """The catalog as a JSON snapshot."""
-    tenants = []
-    for info in sorted(catalog.tenants(), key=lambda t: t.tenant_id):
-        tenant = {
-            "tenant_id": info.tenant_id,
-            "name": info.name,
-            "retention_s": info.retention_s,
-            "created_at": info.created_at,
-            "blocks": [_block_to_json(b) for b in info.blocks],
-        }
-        if info.cold_age_s is not None:
-            tenant["cold_age_s"] = info.cold_age_s
-        if info.expired_blocks_total:
-            tenant["expired_blocks_total"] = info.expired_blocks_total
-        tenants.append(tenant)
-    payload = {
-        "version": SNAPSHOT_VERSION,
-        "schema": _schema_to_json(catalog.schema),
-        "schema_version": catalog.schema_version,
-        "tenants": tenants,
-    }
-    return json.dumps(payload, indent=1).encode("utf-8")
+    """The catalog as a snapshot: every tenant's manifest plus the schema."""
+    return encode_manifest(catalog.tenants(), catalog.schema, catalog.schema_version)
 
 
 def restore_catalog(catalog: Catalog, data: bytes) -> None:
     """Load a snapshot into a (fresh) catalog in place."""
-    payload = json.loads(data.decode("utf-8"))
-    if payload.get("version") != SNAPSHOT_VERSION:
-        raise CatalogError(f"unsupported catalog snapshot version {payload.get('version')}")
+    manifest = decode_manifest(data)
+    if manifest.schema is None:
+        raise CorruptionError("a tenant manifest without a schema is no catalog snapshot")
     if catalog.tenants():
         raise CatalogError("restore requires an empty catalog")
     # The snapshot is the schema authority: install it directly (the
     # additive-DDL check applies to live changes, not to restores).
-    catalog._schema = _schema_from_json(payload["schema"])
-    catalog._schema_version = payload["schema_version"]
-    for tenant in payload["tenants"]:
-        info = catalog.register_tenant(
-            tenant["tenant_id"],
-            name=tenant["name"],
-            retention_s=tenant["retention_s"],
-            created_at=tenant["created_at"],
-        )
-        info.cold_age_s = tenant.get("cold_age_s")
-        info.expired_blocks_total = tenant.get("expired_blocks_total", 0)
-        for block in tenant["blocks"]:
-            catalog.add_block(
-                LogBlockEntry(
-                    tenant_id=tenant["tenant_id"],
-                    min_ts=block["min_ts"],
-                    max_ts=block["max_ts"],
-                    path=block["path"],
-                    size_bytes=block["size_bytes"],
-                    row_count=block["row_count"],
-                    tier=block.get("tier", TIER_HOT),
-                    segment_path=block.get("segment_path"),
-                    segment_offset=block.get("segment_offset", 0),
-                    segment_length=block.get("segment_length", 0),
-                )
-            )
+    catalog._schema = manifest.schema
+    catalog._schema_version = manifest.schema_version
+    for record in manifest.tenants:
+        install_tenant(catalog, record)
 
 
 def _snapshot_key(sequence: int) -> str:
-    return f"{SNAPSHOT_PREFIX}{sequence:08d}.json"
+    return f"{SNAPSHOT_PREFIX}{sequence:08d}{_SNAPSHOT_SUFFIX}"
 
 
 def _existing_snapshots(store, bucket: str) -> list[int]:
@@ -152,9 +64,9 @@ def _existing_snapshots(store, bucket: str) -> list[int]:
     sequences = []
     for stat in stats:
         name = stat.key[len(SNAPSHOT_PREFIX):]
-        if name.endswith(".json"):
+        if name.endswith(_SNAPSHOT_SUFFIX):
             try:
-                sequences.append(int(name[:-5]))
+                sequences.append(int(name[: -len(_SNAPSHOT_SUFFIX)]))
             except ValueError:
                 continue
     return sorted(sequences)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.obs.events import EventJournal
 from repro.obs.meter import UsageMeter
 from repro.obs.registry import MetricsRegistry
-from repro.obs.slo import SloTarget, SloTracker
+from repro.obs.slo import SloTracker
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import Tracer
 
@@ -38,28 +38,20 @@ class Observability:
         self,
         clock=None,
         tracing_enabled: bool = True,
-        trace_max_traces: int = 256,
         slow_query_s: float | None = DEFAULT_SLOW_QUERY_S,
         event_journal_enabled: bool = True,
-        event_journal_max_events: int = 4096,
         slo_enabled: bool = True,
-        slo_default_target: SloTarget | None = None,
     ) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(
-            clock, enabled=tracing_enabled, max_traces=trace_max_traces
-        )
+        self.tracer = Tracer(clock, enabled=tracing_enabled)
         self.slow_queries = SlowQueryLog(slow_query_s)
         self.journal = EventJournal(
             clock,
             tracer=self.tracer,
-            max_events=event_journal_max_events,
             enabled=event_journal_enabled,
         )
         self.meter = UsageMeter(self.registry)
-        self.slo = SloTracker(
-            clock, default_target=slo_default_target, enabled=slo_enabled
-        )
+        self.slo = SloTracker(clock, enabled=slo_enabled)
         # Installed by the cluster facade once config-selected rules are
         # known; stays None for standalone components.
         self.alerts = None

@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import struct
 import sys
-import zlib
 from array import array
 from functools import lru_cache
 from itertools import chain, repeat
@@ -75,6 +74,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.common.errors import CorruptionError, InvalidBatchError, SchemaError
+from repro.common.record import pack_record, unpack_record
 
 _SIZED = (str, bytes, bytearray)
 _SIZED_TYPES = frozenset(_SIZED)
@@ -95,8 +95,6 @@ _NOTHING: frozenset = frozenset()
 # A batch payload's first bytes.  Shard seal / drain commands start with
 # b"\x01", so no payload can be mistaken for one (``cluster.shard``).
 BATCH_MAGIC = b"\x89RB"
-CODEC_VERSION = 1
-_HEAD = struct.Struct("<3sBI")  # magic, version, CRC-32 of the body
 _BATCH = struct.Struct("<IQI")  # rows, nbytes, columns
 _COLUMN = struct.Struct("<IBBqI")  # name length, kind, width, base, segment length
 _INT, _FLOAT, _BOOL, _STR, _ANY = range(1, 6)
@@ -115,28 +113,6 @@ _I8, _U8, _F8 = np.dtype("<i8"), _OFFSETS[8], np.dtype("<f8")
 _SHORT = 256
 _MASK64 = (1 << 64) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
-
-
-def pack_record(magic: bytes, parts: Sequence) -> bytes:
-    """``magic``, the codec version and the CRC-32 of ``parts``, then
-    ``parts`` joined: the one framing of every durable row-store form."""
-    body = b"".join(parts)
-    return _HEAD.pack(magic, CODEC_VERSION, zlib.crc32(body)) + body
-
-
-def unpack_record(magic: bytes, data, what: str) -> memoryview:
-    """The body of a :func:`pack_record` record; a wrong magic, an
-    unknown version or a checksum mismatch is :class:`CorruptionError`."""
-    view = memoryview(data)
-    if len(view) < _HEAD.size or view[: len(magic)] != magic:
-        raise CorruptionError(f"not a {what}")
-    _, version, crc = _HEAD.unpack_from(view)
-    if version != CODEC_VERSION:
-        raise CorruptionError(f"unknown {what} version {version}")
-    body = view[_HEAD.size :]
-    if zlib.crc32(body) != crc:
-        raise CorruptionError(f"{what} fails its checksum")
-    return body
 
 
 def _frame(ints) -> tuple[int, int, bytes]:

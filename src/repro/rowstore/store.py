@@ -15,13 +15,14 @@ from __future__ import annotations
 import struct
 
 from repro.common.errors import CorruptionError, RowStoreError
-from repro.rowstore.batch import RowBatch, RowSelection, pack_record, unpack_record
+from repro.common.record import pack_record, unpack_record
+from repro.rowstore.batch import RowBatch, RowSelection
 from repro.rowstore.memtable import MemTable
 
 DEFAULT_SEAL_ROWS = 100_000
 DEFAULT_SEAL_BYTES = 64 * 1024 * 1024
 
-# Checkpoint state: the record head of ``batch.pack_record``, then
+# Checkpoint state: the record head of ``common.record.pack_record``, then
 # <Q rows ingested> <Q sealed dropped> <I tables>, one <Q length> per
 # table, and each table (sealed ones, then the active one) as one
 # ``RowBatch.to_bytes`` payload in arrival order.

@@ -113,6 +113,8 @@ class Manifest:
         payload = reader.read_bytes(length)
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise CorruptionError("manifest checksum mismatch")
+        if reader.remaining():
+            raise CorruptionError(f"{reader.remaining()} bytes after the manifest")
         body = BinaryReader(payload)
         count = body.read_uvarint()
         manifest = cls()

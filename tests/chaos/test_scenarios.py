@@ -82,3 +82,15 @@ def test_chaos_counters_exported_to_registry():
     assert snapshot.counter_total("logstore_chaos_events_total") == len(ctx.trace)
     assert snapshot.counter_total("logstore_chaos_acked_rows_total") == ctx.ledger.acked_count()
     assert snapshot.counter_total("logstore_chaos_violations_total") == 0
+
+
+def test_a_rebuilt_shard_keeps_the_configs_group_commit():
+    """A crash-rebuilt Raft shard still coalesces under ``group_commit``."""
+    overrides = {"group_commit": True}
+    ctx = ChaosRunner("leader_crash_mid_pipeline", config_overrides=overrides).build_context()
+    rebuilt = [ctx.crash_and_rebuild_shard(shard) for shard in ctx.shards()]
+    for i in range(16):
+        ctx.store.put_nowait(1 + i % 4, ctx.make_rows(1 + i % 4, 20))
+    ctx.store.settle_writes()
+    stats = [shard.write_stats for shard in rebuilt if shard.write_stats.groups_committed]
+    assert stats and min(stat.mean_group_size() for stat in stats) > 1

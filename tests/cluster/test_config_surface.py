@@ -20,7 +20,7 @@ HINT = (
 
 
 def test_logstore_config_field_count():
-    assert len(fields(LogStoreConfig)) == 47, HINT
+    assert len(fields(LogStoreConfig)) == 37, HINT
 
 
 def test_execution_options_field_count():

@@ -1,13 +1,12 @@
 """Tenant offboarding: portable export, verified zero-residue delete."""
 
-import json
-
 import pytest
 
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
-from repro.lifecycle.offboard import EXPORT_MANIFEST_MEMBER, export_path
+from repro.lifecycle.offboard import EXPORT_MANIFEST_MEMBER, export_member, export_path
 from repro.logblock.reader import LogBlockReader
+from repro.meta.manifest import decode_manifest
 from repro.tarpack.reader import BytesRangeReader, PackReader
 
 from tests.conftest import make_rows
@@ -40,24 +39,20 @@ class TestOffboard:
 
     def test_export_archive_is_portable(self, store):
         rows_before = store.catalog.tenant(1).total_rows
+        entries = store.catalog.blocks_for(1)
         report = store.offboard_tenant(1)
         assert report.export_key == export_path(1)
         pack = PackReader(store.oss, store.config.bucket, report.export_key)
-        names = pack.member_names()
-        assert EXPORT_MANIFEST_MEMBER in names
-        manifest = json.loads(pack.read_member(EXPORT_MANIFEST_MEMBER))
-        assert manifest["tenant_id"] == 1
-        assert len(manifest["blocks"]) == report.exported_blocks
+        (record,) = decode_manifest(pack.read_member(EXPORT_MANIFEST_MEMBER)).tenants
+        assert record.name == "leaver" and list(record.blocks) == entries
+        assert len(pack.member_names()) == report.exported_blocks + 1
         # Every exported member is a readable, self-contained LogBlock
-        # holding the tenant's full corpus.
-        recovered = 0
-        for name in names:
-            if name == EXPORT_MANIFEST_MEMBER:
-                continue
-            blob = pack.read_member(name)
-            reader = LogBlockReader(PackReader(BytesRangeReader(blob), "export", name))
-            recovered += reader.meta().row_count
-        assert recovered == rows_before
+        # holding its entry's rows, the tenant's full corpus in all.
+        for position, entry in enumerate(record.blocks):
+            blob = pack.read_member(export_member(position))
+            reader = LogBlockReader(PackReader(BytesRangeReader(blob), "export", "member"))
+            assert reader.meta().row_count == entry.row_count
+        assert sum(entry.row_count for entry in record.blocks) == rows_before
 
     def test_other_tenants_untouched(self, store):
         before = store.query(

@@ -9,20 +9,18 @@ returning an object the pruning code does not recognise) still answers
 correctly from the scan path, only slower and with more bytes read.  So
 index-answerable shapes must also report an index lookup.
 
-Also here: the v4 meta member under truncation and bit flips, and the
-"materialise only what is asked for" count at query level.
+Also here: the "materialise only what is asked for" count at query
+level.  The v4 meta member's damage cases run from the table of
+``tests/formats/test_corruption.py``.
 """
 
 import pytest
 
 from repro.builder.compaction import rewrite_blocks
 from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
-from repro.common.bytesio import BinaryReader
 from repro.common.clock import VirtualClock
-from repro.common.errors import SerializationError
 from repro.logblock.schema import request_log_schema
 from repro.logblock.sma import SmaTable
-from repro.logblock.writer import LogBlockMeta
 from repro.meta.catalog import Catalog, LogBlockEntry
 from repro.oss.costmodel import free
 from repro.oss.metered import MeteredObjectStore
@@ -231,51 +229,3 @@ class TestMaterialiseWhatIsAsked:
             "SELECT api FROM request_log WHERE ts >= 1605053000000000 AND latency >= 400"
         )
         assert got and touched == {"ts", "latency"}
-
-
-class TestCorruptMeta:
-    """The v4 meta is checksummed: a damaged member raises; it never
-    decodes to different bounds (a wrong answer by pruning)."""
-
-    @pytest.fixture(scope="class")
-    def raw(self, blobs) -> bytes:
-        return reader_for(blobs[4]).pack.read_member("meta")
-
-    def answers(self, meta: LogBlockMeta):
-        return (
-            meta.row_count,
-            meta.block_row_counts,
-            meta.index_sizes,
-            meta.bloom_sizes,
-            [meta.column_sma(name) for name in meta.schema.column_names()],
-            [meta.block_header("log", block_idx) for block_idx in range(meta.n_blocks)],
-        )
-
-    def test_every_truncation_raises(self, raw):
-        for cut in range(len(raw)):
-            with pytest.raises(SerializationError):
-                LogBlockMeta.from_bytes(raw[:cut])
-
-    def test_every_bit_flip_raises(self, raw):
-        for position in range(len(raw)):
-            for bit in range(8):
-                flipped = bytearray(raw)
-                flipped[position] ^= 1 << bit
-                with pytest.raises(SerializationError):
-                    LogBlockMeta.from_bytes(bytes(flipped))
-
-    def test_damage_behind_a_valid_checksum_is_typed(self, raw):
-        """Past the schema, with the crc rewritten: the section checks
-        alone must turn damage into a typed error or leave an answer."""
-        import zlib
-
-        reader = BinaryReader(raw, 9)  # magic, version, crc
-        reader.read_len_prefixed()
-        for position in range(reader.offset, len(raw)):
-            flipped = bytearray(raw)
-            flipped[position] ^= 0x40
-            flipped[5:9] = zlib.crc32(bytes(flipped[9:])).to_bytes(4, "little")
-            try:
-                self.answers(LogBlockMeta.from_bytes(bytes(flipped)))
-            except SerializationError:
-                pass

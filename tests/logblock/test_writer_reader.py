@@ -128,12 +128,6 @@ class TestMetaRoundtrip:
         if version == 3:
             assert decoded.to_bytes() == meta.to_bytes()
 
-    def test_unknown_meta_version_rejected(self):
-        raw = bytearray(reader_for(write_logblock(make_rows(10))).meta().to_bytes())
-        raw[4] = 7
-        with pytest.raises(SerializationError):
-            LogBlockMeta.from_bytes(bytes(raw))
-
     def test_opening_a_meta_builds_no_sma(self, monkeypatch):
         """Probe, don't parse: SMAs exist for the columns a caller asks
         about, never for the ones the member merely contains."""

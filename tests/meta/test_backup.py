@@ -3,12 +3,14 @@
 import pytest
 
 from repro.builder.builder import DataBuilder
+from repro.cluster.config import small_test_config
+from repro.cluster.logstore import LogStore
 from repro.common.clock import VirtualClock
 from repro.common.errors import CatalogError, TenantNotFound
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import request_log_schema
-from repro.meta.backup import BackupTask
-from repro.meta.catalog import Catalog
+from repro.meta.backup import BackupTask, manifest_key
+from repro.meta.catalog import TIER_COLD, TIER_HOT, Catalog
 from repro.meta.janitor import Janitor
 from repro.oss.costmodel import free
 from repro.oss.metered import MeteredObjectStore
@@ -16,12 +18,26 @@ from repro.oss.store import InMemoryObjectStore
 from repro.rowstore.memtable import MemTable
 from repro.tarpack.reader import PackReader
 
-from tests.conftest import make_rows
+from tests.conftest import BASE_TS, MICROS, make_rows
 
 
 def fresh_store(bucket="test"):
     store = MeteredObjectStore(InMemoryObjectStore(), free(), VirtualClock())
     store.create_bucket(bucket)
+    return store
+
+
+def tiered_store() -> LogStore:
+    """Tenant 1 with cold blocks (one segment) and a hot one; tenant 2 hot."""
+    store = LogStore.create(config=small_test_config(cold_target_rows=200))
+    store.register_tenant(1, name="tiered", retention_s=86_400)
+    store.put(1, make_rows(600, tenant_id=1))
+    store.put(2, make_rows(200, tenant_id=2, seed=9))
+    store.flush_all()
+    store.set_retention(1, cold_age="1h")
+    store.cold_compact(BASE_TS + 700 * MICROS + 3_600 * MICROS)
+    store.put(1, make_rows(100, tenant_id=1, seed=3))
+    store.flush_all()
     return store
 
 
@@ -49,7 +65,7 @@ class TestBackup:
         report = task.backup_tenant(1, destination, "vault")
         assert report.blocks_copied == len(catalog.blocks_for(1))
         assert report.bytes_copied > 0
-        assert destination.exists("vault", "_backup/1/manifest.json")
+        assert destination.exists("vault", manifest_key(1))
         for entry in catalog.blocks_for(1):
             assert destination.exists("vault", entry.path)
 
@@ -92,6 +108,25 @@ class TestRestore:
         reader = LogBlockReader(PackReader(new_store, "newcluster", entry.path))
         original = LogBlockReader(PackReader(store, "test", entry.path))
         assert reader.read_column("log") == original.read_column("log")
+
+    def test_cold_tier_round_trip(self):
+        """Backup and restore copy a cold segment once; entries keep
+        their tier and segment window."""
+        store = tiered_store()
+        original = store.catalog.blocks_for(1)
+        assert {entry.tier for entry in original} == {TIER_COLD, TIER_HOT}
+        task = BackupTask(store.catalog, store.oss, store.config.bucket, store.janitor)
+        vault = fresh_store("vault")
+        backup = task.backup_tenant(1, vault, "vault")
+        restored = LogStore.create(config=small_test_config())
+        report = task.restore_tenant(vault, "vault", 1, restored.catalog, restored.oss, "logstore")
+        objects = {entry.object_path for entry in original}
+        assert backup.blocks_copied == report.blocks_copied == len(objects) < len(original)
+        assert restored.catalog.blocks_for(1) == original
+        assert restored.catalog.tenant(1).cold_age_s == 3_600
+        for sql in ("SELECT COUNT(*)", "SELECT ts, log"):
+            sql += " FROM request_log WHERE tenant_id = 1 AND latency >= 0"
+            assert restored.query(sql).rows == store.query(sql).rows
 
     def test_restore_refuses_overwrite(self, source):
         catalog, store, task = source

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 from repro.cluster.shard import Shard
 from repro.common.clock import VirtualClock
-from repro.common.errors import CorruptionError, InvalidBatchError, RowStoreError
+from repro.common.errors import InvalidBatchError, RowStoreError
 from repro.rowstore import MemTable, RowBatch, RowStore
-from repro.rowstore.batch import BATCH_MAGIC, CODEC_VERSION
 from repro.wal.log import MemorySegmentBackend
 
 from tests.conftest import make_rows
@@ -334,20 +333,6 @@ class TestRoundTrips:
         merged = RowBatch.concat([RowBatch.admit(rows) for rows in batches])
         assert same_batch(merged, RowBatch.admit([row for rows in batches for row in rows]))
         assert sum(merged.row_sizes()) == merged.nbytes
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            BATCH_MAGIC + bytes((CODEC_VERSION + 1,)) + bytes(4),  # unknown version
-            b"\x80\x05\x95" + bytes(20),  # a pickle
-            b"\x01shard-seal",
-            RowBatch.admit([{"tenant_id": 1, "ts": 1}]).to_bytes()[:-3],
-            b"",
-        ],
-    )
-    def test_unknown_or_torn_payload_is_corruption(self, payload):
-        with pytest.raises(CorruptionError):
-            RowBatch.from_bytes(payload)
 
     @settings(max_examples=60, deadline=None)
     @given(seal_rows, seal_bytes, workloads)

@@ -30,16 +30,6 @@ class TestManifest:
         with pytest.raises(KeyError):
             Manifest().get("nope")
 
-    def test_checksum_detects_corruption(self):
-        data = bytearray(Manifest([MemberEntry("a", 0, 5)]).to_bytes())
-        data[-1] ^= 0xFF
-        with pytest.raises(CorruptionError):
-            Manifest.from_bytes(bytes(data))
-
-    def test_bad_magic(self):
-        with pytest.raises(CorruptionError):
-            Manifest.from_bytes(b"XXXX" + b"\x00" * 20)
-
 
 class TestPreamble:
     def test_roundtrip(self):
