@@ -13,7 +13,7 @@ import pytest
 
 from harness import emit, make_env, query_set
 
-from repro.metrics.stats import Histogram
+from repro.obs.registry import Histogram
 from repro.query.executor import ExecutionOptions
 
 N_TENANTS_QUERIED = 40  # mixed workload across large and small tenants

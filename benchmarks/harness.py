@@ -177,7 +177,7 @@ def per_tenant_latency(
 
 def latency_histogram(env: QueryEnv, specs: list[QuerySpec], cold: bool = False):
     """All query latencies as a Histogram (for the Figure 17 CDF)."""
-    from repro.metrics.stats import Histogram
+    from repro.obs.registry import Histogram
 
     histogram = Histogram("latency")
     for spec in specs:

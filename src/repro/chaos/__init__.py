@@ -4,11 +4,11 @@ The simulated cluster (virtual clock, simulated network, in-memory OSS)
 makes FoundationDB-style deterministic simulation testing possible: a
 chaos run is fully described by ``(scenario, seed)``, every fault and
 workload op lands on the virtual clock in a reproducible order, and the
-run emits an event trace whose bytes are identical across re-runs.
+run's events land in the cluster's event journal, whose bytes are
+identical across re-runs.
 
 Pieces:
 
-* :mod:`repro.chaos.events` — the deterministic event trace;
 * :mod:`repro.chaos.oss_faults` — object-store fault injector (errors,
   outages, latency spikes, throttling, torn uploads);
 * :mod:`repro.chaos.wal_faults` — WAL segment-backend faults (failed
@@ -23,7 +23,6 @@ Pieces:
 * :mod:`repro.chaos.scenarios` — the scenario library.
 """
 
-from repro.chaos.events import ChaosEvent, EventTrace
 from repro.chaos.invariants import InvariantChecker, InvariantViolation
 from repro.chaos.ledger import WriteLedger
 from repro.chaos.oss_faults import ChaosObjectStore
@@ -34,12 +33,10 @@ from repro.chaos.wal_faults import FaultySegmentBackend
 
 __all__ = [
     "ChaosContext",
-    "ChaosEvent",
     "ChaosObjectStore",
     "derive_seed",
     "ChaosResult",
     "ChaosRunner",
-    "EventTrace",
     "FaultPlan",
     "FaultySegmentBackend",
     "InvariantChecker",

@@ -46,14 +46,12 @@ class InvariantChecker:
         self,
         store,
         ledger,
-        trace=None,
         table: str | None = None,
         expiry_cutoffs: dict[int, int] | None = None,
         offboarded: set[int] | None = None,
     ) -> None:
         self._store = store
         self._ledger = ledger
-        self._trace = trace
         # Probe the table the workload actually wrote; key columns come
         # from the ledger so both sides always agree on row identity.
         self._table = table if table is not None else store.catalog.schema.name
@@ -260,18 +258,15 @@ class InvariantChecker:
             + self.check_catalog_oss_agreement()
             + self.check_lifecycle()
         )
-        if self._trace is not None:
-            clock = self._store.clock
-            if violations:
-                for violation in violations:
-                    self._trace.record(
-                        clock.now(),
-                        "invariant.violated",
-                        violation.target,
-                        f"{violation.invariant}: {violation.detail}",
-                    )
-            else:
-                self._trace.record(clock.now(), "invariant.ok", "cluster")
+        journal = self._store.obs.journal
+        for violation in violations:
+            journal.emit(
+                "chaos.invariant.violated",
+                violation.target,
+                detail=f"{violation.invariant}: {violation.detail}",
+            )
+        if not violations:
+            journal.emit("chaos.invariant.ok", "cluster")
         return violations
 
     def assert_ok(self) -> None:

@@ -21,16 +21,17 @@ Fault modes (all deterministic: one seeded RNG, virtual-clock time):
   the nastiest real-world failure, because the retry then collides
   with the damaged object.
 
-Injected faults are recorded to the run's event trace; normal
-passthrough calls are not (they would bloat the trace without adding
-information — workload ops are traced at the workload layer).
+Injected faults are emitted to the cluster's event journal once one is
+attached (:meth:`ChaosObjectStore.attach_journal`, after the cluster
+that owns the journal is built); normal passthrough calls are not
+(they would bloat the journal without adding information — workload
+ops are recorded at the workload layer).
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.chaos.events import EventTrace
 from repro.common.clock import Clock
 from repro.common.errors import TransientStoreError
 from repro.oss.store import ObjectStat, ObjectStore
@@ -43,12 +44,11 @@ class ChaosObjectStore:
         self,
         inner: ObjectStore,
         clock: Clock,
-        trace: EventTrace | None = None,
         seed: int = 0,
     ) -> None:
         self._inner = inner
         self._clock = clock
-        self._trace = trace if trace is not None else EventTrace()
+        self._journal = None
         self._rng = random.Random(seed)
         self._outage = False
         self._error_rate = 0.0
@@ -63,10 +63,15 @@ class ChaosObjectStore:
     def inner(self) -> ObjectStore:
         return self._inner
 
+    def attach_journal(self, journal) -> None:
+        """Late-bind the event journal (the cluster is built after us)."""
+        self._journal = journal
+
     # -- fault controls --------------------------------------------------
 
     def _note(self, kind: str, detail: str = "") -> None:
-        self._trace.record(self._clock.now(), kind, "oss", detail)
+        if self._journal is not None:
+            self._journal.emit(f"chaos.{kind}", "oss", detail=detail)
 
     def begin_outage(self) -> None:
         self._outage = True
@@ -123,9 +128,7 @@ class ChaosObjectStore:
 
     def _fail(self, operation: str, key: str, why: str) -> None:
         self.faults_injected += 1
-        self._trace.record(
-            self._clock.now(), f"fault.oss.{why}", "oss", f"{operation} {key}".strip()
-        )
+        self._note(f"fault.oss.{why}", f"{operation} {key}".strip())
         raise TransientStoreError(f"injected OSS {why} in {operation} {key}")
 
     # -- ObjectStore interface -------------------------------------------
@@ -145,12 +148,7 @@ class ChaosObjectStore:
             torn = data[: int(len(data) * self._torn_fraction)]
             self._inner.put(bucket, key, torn)
             self.faults_injected += 1
-            self._trace.record(
-                self._clock.now(),
-                "fault.oss.torn_put",
-                "oss",
-                f"{key} kept={len(torn)}/{len(data)}",
-            )
+            self._note("fault.oss.torn_put", f"{key} kept={len(torn)}/{len(data)}")
             raise TransientStoreError(f"injected torn upload of {key}")
         self._inner.put(bucket, key, data)
 

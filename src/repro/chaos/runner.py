@@ -3,9 +3,11 @@
 A run is fully described by ``(scenario, seed)``.  The runner derives
 every random stream from that pair, drives all time through one
 :class:`~repro.common.clock.VirtualClock`, and records everything that
-happens to an :class:`~repro.chaos.events.EventTrace` — so re-running
-the same pair reproduces the same trace byte for byte, and a failure
-in CI is a repro recipe, not an anecdote.
+happens — faults, workload outcomes, invariant results — in the
+cluster's :class:`~repro.obs.events.EventJournal` beside the cluster's
+own seals and elections.  Re-running the same pair reproduces the same
+journal byte for byte, so a failure in CI is a repro recipe, not an
+anecdote.
 
 Lifecycle::
 
@@ -26,7 +28,6 @@ import random
 import zlib
 from dataclasses import dataclass, field
 
-from repro.chaos.events import EventTrace
 from repro.chaos.invariants import InvariantChecker, InvariantViolation
 from repro.chaos.ledger import WriteLedger
 from repro.chaos.oss_faults import ChaosObjectStore
@@ -35,7 +36,7 @@ from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
 from repro.common.clock import VirtualClock
 from repro.common.errors import ChaosError, InvariantViolationError
-from repro.obs.events import EventJournal
+from repro.obs.events import EventJournal, JournalEvent
 from repro.oss.store import InMemoryObjectStore
 
 # Timestamp base for workload rows (microseconds): 2020-11-11 00:00:00,
@@ -60,7 +61,6 @@ class ChaosContext:
         store: LogStore,
         chaos_oss: ChaosObjectStore,
         wal_backends: dict[str, FaultySegmentBackend],
-        trace: EventTrace,
         rng: random.Random,
         ledger_key_columns: tuple[str, ...] = ("log",),
     ) -> None:
@@ -69,7 +69,7 @@ class ChaosContext:
         self.store = store
         self.chaos_oss = chaos_oss
         self.wal_backends = wal_backends
-        self.trace = trace
+        self.journal = store.obs.journal
         self.rng = rng
         self.clock = store.clock
         self.ledger = WriteLedger(key_columns=ledger_key_columns)
@@ -83,17 +83,14 @@ class ChaosContext:
         self.offboarded: set[int] = set()
         self._lifecycle_now_ts: int | None = None
 
-    def _record(self, kind: str, target: str, detail: str = "") -> None:
-        """Record to the chaos trace AND the cluster's event journal.
+    def record(self, kind: str, target: str, detail: str = "") -> None:
+        """Emit one chaos event (``chaos.<kind>``) to the cluster journal,
+        where ``_system.events`` shows it next to seals and elections."""
+        self.journal.emit(f"chaos.{kind}", target, detail=detail)
 
-        The trace is the chaos harness's own byte-stable transcript; the
-        journal is the cluster-wide operator view.  Mirroring the fault
-        and workload events into the journal lets ``_system.events``
-        show chaos injections next to seals/elections, and lets the
-        determinism tests compare whole journals across same-seed runs.
-        """
-        self.trace.record(self.clock.now(), kind, target, detail)
-        self.store.obs.journal.emit(f"chaos.{kind}", target, detail=detail)
+    def chaos_events(self) -> list[JournalEvent]:
+        """The retained journal events the chaos run emitted."""
+        return [e for e in self.journal.events() if e.kind.startswith("chaos.")]
 
     # -- topology --------------------------------------------------------
 
@@ -135,14 +132,14 @@ class ChaosContext:
             self.store.put(tenant_id, rows)
         except Exception as exc:
             self.ledger.record_indeterminate(tenant_id, rows)
-            self._record(
+            self.record(
                 "workload.put.failed",
                 f"tenant:{tenant_id}",
                 f"rows={count} {type(exc).__name__}",
             )
             return False
         self.ledger.record_acked(tenant_id, rows)
-        self._record("workload.put.ok", f"tenant:{tenant_id}", f"rows={count}")
+        self.record("workload.put.ok", f"tenant:{tenant_id}", f"rows={count}")
         return True
 
     def archive(self) -> bool:
@@ -150,9 +147,9 @@ class ChaosContext:
         try:
             report = self.store.run_background_tasks()
         except Exception as exc:
-            self._record("workload.archive.failed", "builder", type(exc).__name__)
+            self.record("workload.archive.failed", "builder", type(exc).__name__)
             return False
-        self._record(
+        self.record(
             "workload.archive.ok", "builder", f"blocks={report.blocks_written}"
         )
         return True
@@ -180,9 +177,9 @@ class ChaosContext:
         try:
             report = self.store.sweep_expired(now_ts)
         except Exception as exc:
-            self._record("workload.sweep.failed", "lifecycle", type(exc).__name__)
+            self.record("workload.sweep.failed", "lifecycle", type(exc).__name__)
             return False
-        self._record(
+        self.record(
             "workload.sweep.ok",
             "lifecycle",
             f"expired={report.blocks_expired} orphans={report.orphans_swept}",
@@ -194,10 +191,10 @@ class ChaosContext:
         try:
             results = self.store.cold_compact(now_ts)
         except Exception as exc:
-            self._record("workload.cold.failed", "lifecycle", type(exc).__name__)
+            self.record("workload.cold.failed", "lifecycle", type(exc).__name__)
             return False
         packed = sum(r.blocks_before for r in results if r.repacked)
-        self._record("workload.cold.ok", "lifecycle", f"blocks_packed={packed}")
+        self.record("workload.cold.ok", "lifecycle", f"blocks_packed={packed}")
         return True
 
     def offboard_tenant(self, tenant_id: int, export: bool = True) -> bool:
@@ -213,13 +210,13 @@ class ChaosContext:
                 tenant_id, export=export
             )
         except Exception as exc:
-            self._record(
+            self.record(
                 "workload.offboard.failed",
                 f"tenant:{tenant_id}",
                 type(exc).__name__,
             )
             return False
-        self._record(
+        self.record(
             "workload.offboard.ok",
             f"tenant:{tenant_id}",
             f"deleted={report.deleted_objects} failed={report.failed_deletes} "
@@ -227,7 +224,7 @@ class ChaosContext:
         )
         return report.verified
 
-    # -- fault helpers (trace-recording wrappers) ------------------------
+    # -- fault helpers (journal-recording wrappers) ----------------------
 
     def crash_replica(self, shard, node_id: str) -> bool:
         if (shard, node_id) in self.crashed:
@@ -236,7 +233,7 @@ class ChaosContext:
             return False
         shard.crash_replica(node_id)
         self.crashed.append((shard, node_id))
-        self._record("fault.raft.crash", node_id)
+        self.record("fault.raft.crash", node_id)
         return True
 
     def crash_leader(self, shard) -> str | None:
@@ -250,20 +247,20 @@ class ChaosContext:
             return False
         shard.recover_replica(node_id)
         self.crashed.remove((shard, node_id))
-        self._record("fault.raft.recover", node_id)
+        self.record("fault.raft.recover", node_id)
         return True
 
     def partition(self, shard, a: str, b: str) -> None:
         shard.raft.network.partition(a, b)
-        self._record("fault.net.partition", f"{a}|{b}")
+        self.record("fault.net.partition", f"{a}|{b}")
 
     def partition_one_way(self, shard, src: str, dst: str) -> None:
         shard.raft.network.partition_one_way(src, dst)
-        self._record("fault.net.partition_one_way", f"{src}->{dst}")
+        self.record("fault.net.partition_one_way", f"{src}->{dst}")
 
     def heal_partition(self, shard, a: str, b: str) -> None:
         shard.raft.network.heal(a, b)
-        self._record("fault.net.heal", f"{a}|{b}")
+        self.record("fault.net.heal", f"{a}|{b}")
 
     def corrupt_wal_tail(self, backend_name: str) -> bool:
         """Flip a byte in a (crashed) replica's WAL tail, if it has one."""
@@ -279,11 +276,11 @@ class ChaosContext:
         repair and WAL replay (a Raft group re-elects and re-applies
         its log) — exactly what a restarted worker would do.
         """
-        self._record("fault.shard.crash", f"shard{shard.shard_id}")
+        self.record("fault.shard.crash", f"shard{shard.shard_id}")
         self.crashed = [(s, node) for s, node in self.crashed if s is not shard]
         rebuilt = self.store.build_shard(shard.shard_id, shard.worker_id)
         self.store.workers[shard.worker_id].add_shard(rebuilt)
-        self._record(
+        self.record(
             "fault.shard.rebuilt",
             f"shard{shard.shard_id}",
             f"rows_recovered={rebuilt.pending_rows()}",
@@ -295,14 +292,14 @@ class ChaosContext:
     def pump_plan(self, plan) -> None:
         """Fire every plan action that is due at the current time."""
         for action in plan.pop_due(self.clock.now()):
-            self._record("plan.fire", action.name)
+            self.record("plan.fire", action.name)
             action.apply()
 
     # -- heal + quiesce --------------------------------------------------
 
     def heal_and_quiesce(self) -> None:
         """Clear every fault and drive the cluster to a settled state."""
-        self._record("phase.heal", "cluster")
+        self.record("phase.heal", "cluster")
         self.chaos_oss.heal()
         for backend in self.wal_backends.values():
             backend.heal()
@@ -310,7 +307,7 @@ class ChaosContext:
             shard.raft.network.heal_all()
         for shard, node_id in sorted(self.crashed, key=lambda c: c[1]):
             shard.recover_replica(node_id)
-            self._record("fault.raft.recover", node_id)
+            self.record("fault.raft.recover", node_id)
         self.crashed.clear()
         # Let elections finish and recovered replicas catch up.
         self.advance(2.0)
@@ -326,7 +323,7 @@ class ChaosContext:
         if self._lifecycle_now_ts is not None:
             self.store.lifecycle.sweeper.sweep(self._lifecycle_now_ts)
         self.store.janitor.sweep()
-        self._record("phase.quiesced", "cluster")
+        self.record("phase.quiesced", "cluster")
 
     def _retry(self, what: str, fn, rounds: int = 30, pause_s: float = 0.5) -> None:
         last: Exception | None = None
@@ -346,13 +343,15 @@ class ChaosResult:
 
     scenario: str
     seed: int
-    trace: EventTrace
+    store: LogStore  # the healed cluster, open to ``_system.*`` queries
     ledger: WriteLedger
     violations: list[InvariantViolation] = field(default_factory=list)
-    # The cluster's event journal (chaos events mirrored alongside the
-    # cluster's own seals/elections) — compare dump()s across same-seed
-    # runs to prove whole-cluster determinism, not just trace stability.
-    journal: EventJournal | None = None
+
+    @property
+    def journal(self) -> EventJournal:
+        """Every chaos event beside the cluster's own seals and
+        elections; same-seed runs have equal dumps and digests."""
+        return self.store.obs.journal
 
     @property
     def ok(self) -> bool:
@@ -360,7 +359,7 @@ class ChaosResult:
 
     @property
     def digest(self) -> str:
-        return self.trace.digest()
+        return self.journal.digest()
 
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.violations)} VIOLATION(S)"
@@ -368,7 +367,7 @@ class ChaosResult:
             f"chaos run {self.scenario} seed={self.seed}: {status}",
             f"  acked rows: {self.ledger.acked_count()}  "
             f"indeterminate: {self.ledger.indeterminate_count()}",
-            f"  events: {len(self.trace)}  digest: {self.digest[:16]}",
+            f"  events: {self.journal.total_emitted}  digest: {self.digest[:16]}",
         ]
         lines.extend(f"  {v.format()}" for v in self.violations)
         return "\n".join(lines)
@@ -390,17 +389,16 @@ class ChaosRunner:
 
     def build_context(self) -> ChaosContext:
         master = derive_seed(self.scenario, self.seed)
-        trace = EventTrace()
         clock = VirtualClock()
-        chaos_oss = ChaosObjectStore(
-            InMemoryObjectStore(), clock, trace=trace, seed=master + 1
-        )
+        chaos_oss = ChaosObjectStore(InMemoryObjectStore(), clock, seed=master + 1)
         wal_backends: dict[str, FaultySegmentBackend] = {}
+        journal: EventJournal | None = None  # the cluster's, once it exists
 
         def wal_backend_factory(name: str) -> FaultySegmentBackend:
             # The durable medium outlives a crash: a rebuilt shard reopens it.
             if name not in wal_backends:
-                wal_backends[name] = FaultySegmentBackend(name, clock=clock, trace=trace)
+                wal_backends[name] = FaultySegmentBackend(name)
+                wal_backends[name].attach_journal(journal)
             return wal_backends[name]
 
         overrides = dict(
@@ -414,19 +412,24 @@ class ChaosRunner:
         )
         overrides.update(self._spec.config)
         overrides.update(self._overrides)
+        if not overrides.get("event_journal_enabled", True):
+            raise ChaosError("a chaos run records its events in the journal; keep it enabled")
         config = small_test_config(wal_backend_factory=wal_backend_factory, **overrides)
         store = LogStore.create(config=config, backend=chaos_oss, clock=clock)
+        journal = store.obs.journal
+        chaos_oss.attach_journal(journal)
+        for backend in wal_backends.values():
+            backend.attach_journal(journal)
         ctx = ChaosContext(
             scenario=self.scenario,
             seed=self.seed,
             store=store,
             chaos_oss=chaos_oss,
             wal_backends=wal_backends,
-            trace=trace,
             rng=random.Random(master),
             ledger_key_columns=self._spec.probe_key_columns,
         )
-        ctx._record("phase.start", self.scenario, f"seed={self.seed}")
+        ctx.record("phase.start", self.scenario, f"seed={self.seed}")
         return ctx
 
     def run(self, check: bool = True) -> ChaosResult:
@@ -438,20 +441,24 @@ class ChaosRunner:
             checker = InvariantChecker(
                 ctx.store,
                 ctx.ledger,
-                trace=ctx.trace,
                 table=self._spec.probe_table,
                 expiry_cutoffs=ctx.expiry_cutoffs,
                 offboarded=ctx.offboarded,
             )
             violations = checker.check_all()
         self._export_metrics(ctx, violations)
+        dropped = ctx.journal.total_emitted - len(ctx.journal)
+        if dropped:
+            raise ChaosError(
+                f"the journal dropped {dropped} event(s) off its ring; "
+                "the run has no complete record"
+            )
         return ChaosResult(
             scenario=self.scenario,
             seed=self.seed,
-            trace=ctx.trace,
+            store=ctx.store,
             ledger=ctx.ledger,
             violations=violations,
-            journal=ctx.store.obs.journal,
         )
 
     def run_or_raise(self) -> ChaosResult:
@@ -463,8 +470,8 @@ class ChaosRunner:
     def _export_metrics(self, ctx: ChaosContext, violations) -> None:
         registry = ctx.store.obs.registry
         registry.counter(
-            "logstore_chaos_events_total", "Events recorded by the chaos trace."
-        ).add(len(ctx.trace))
+            "logstore_chaos_events_total", "Events the chaos run emitted to the journal."
+        ).add(len(ctx.chaos_events()))
         registry.counter(
             "logstore_chaos_faults_injected_total", "OSS faults injected."
         ).add(ctx.chaos_oss.faults_injected)

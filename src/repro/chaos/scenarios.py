@@ -148,19 +148,15 @@ def _oss_brownout_during_compaction(ctx: ChaosContext) -> None:
     ctx.chaos_oss.tear_next_puts(2, 0.4)
     try:
         compactor.compact_all()
-        ctx.trace.record(ctx.clock.now(), "workload.compact.ok", "compactor")
+        ctx.record("workload.compact.ok", "compactor")
     except Exception as exc:
-        ctx.trace.record(
-            ctx.clock.now(), "workload.compact.failed", "compactor", type(exc).__name__
-        )
+        ctx.record("workload.compact.failed", "compactor", type(exc).__name__)
     ctx.chaos_oss.heal()
     try:
         compactor.compact_all()
-        ctx.trace.record(ctx.clock.now(), "workload.compact.ok", "compactor")
+        ctx.record("workload.compact.ok", "compactor")
     except Exception as exc:
-        ctx.trace.record(
-            ctx.clock.now(), "workload.compact.retry_failed", "compactor", type(exc).__name__
-        )
+        ctx.record("workload.compact.retry_failed", "compactor", type(exc).__name__)
 
 
 def _torn_upload_retry_storm(ctx: ChaosContext) -> None:
@@ -230,7 +226,7 @@ def _archive_crash_before_drain(ctx: ChaosContext) -> None:
         if sealed:
             source, table = sealed[0]
             ctx.store.builder.archive_memtable(table, source)
-            ctx.trace.record(ctx.clock.now(), "workload.archive.undrained", source)
+            ctx.record("workload.archive.undrained", source)
             ctx.crash_and_rebuild_shard(shard)
     ctx.chaos_oss.set_error_rate(0.2)
     ctx.archive()
@@ -297,20 +293,10 @@ def _session_insert_crash(ctx: ChaosContext) -> None:
             # The session stamps rows (versions included) before the
             # put, so the client knows exactly which rows are in limbo.
             ctx.ledger.record_indeterminate(1, session.last_insert_rows)
-            ctx.trace.record(
-                ctx.clock.now(),
-                "workload.insert.failed",
-                "session",
-                f"{label} {type(exc).__name__}",
-            )
+            ctx.record("workload.insert.failed", "session", f"{label} {type(exc).__name__}")
         else:
             ctx.ledger.record_acked(1, result.rows)
-            ctx.trace.record(
-                ctx.clock.now(),
-                "workload.insert.ok",
-                "session",
-                f"{label} rows={result.rows_inserted}",
-            )
+            ctx.record("workload.insert.ok", "session", f"{label} rows={result.rows_inserted}")
 
     seq = 0
     for _ in range(12):

@@ -2,10 +2,10 @@
 
 Runs a matrix of scenarios × seeds, prints one summary per run, and
 exits non-zero if any invariant was violated.  With ``--trace-dir``
-every run's event trace is written to
-``<dir>/<scenario>-seed<seed>.trace`` — in CI those files are uploaded
-as artifacts when the job fails, turning a red build into an exact
-repro recipe (re-run the same scenario and seed locally).
+every run's event journal is dumped to
+``<dir>/<scenario>-seed<seed>.journal``.  Two same-seed runs must write
+identical directories (whole-cluster determinism), and a failed run's
+dump is an exact repro recipe (re-run the same scenario and seed).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def main(argv: list[str] | None = None) -> int:
         "--seeds", default="0,1", help="comma-separated seeds (default: 0,1)"
     )
     parser.add_argument(
-        "--trace-dir", default=None, help="write each run's event trace here"
+        "--trace-dir", default=None, help="write each run's journal dump here"
     )
     parser.add_argument(
         "--list", action="store_true", help="list scenarios and exit"
@@ -63,8 +63,8 @@ def main(argv: list[str] | None = None) -> int:
             result = ChaosRunner(name, seed=seed).run()
             print(result.summary())
             if trace_dir is not None:
-                path = trace_dir / f"{name}-seed{seed}.trace"
-                path.write_text(result.trace.dump())
+                path = trace_dir / f"{name}-seed{seed}.journal"
+                path.write_text(result.journal.dump())
             if not result.ok:
                 failures += 1
     print(f"\n{len(names) * len(seeds)} run(s), {failures} failure(s)")

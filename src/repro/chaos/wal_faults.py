@@ -24,7 +24,6 @@ Fault modes:
 
 from __future__ import annotations
 
-from repro.chaos.events import EventTrace
 from repro.common.errors import WalError
 from repro.wal.log import MemorySegmentBackend, SegmentBackend
 
@@ -36,13 +35,10 @@ class FaultySegmentBackend:
         self,
         name: str,
         inner: SegmentBackend | None = None,
-        clock=None,
-        trace: EventTrace | None = None,
     ) -> None:
         self.name = name
         self._inner = inner if inner is not None else MemorySegmentBackend()
-        self._clock = clock
-        self._trace = trace
+        self._journal = None
         self._fail_appends = 0
         self._tear_appends = 0
         self._tear_fraction = 0.5
@@ -53,9 +49,13 @@ class FaultySegmentBackend:
     def inner(self) -> SegmentBackend:
         return self._inner
 
+    def attach_journal(self, journal) -> None:
+        """Late-bind the event journal faults are emitted to."""
+        self._journal = journal
+
     def _note(self, kind: str, detail: str = "") -> None:
-        if self._trace is not None and self._clock is not None:
-            self._trace.record(self._clock.now(), kind, self.name, detail)
+        if self._journal is not None:
+            self._journal.emit(f"chaos.{kind}", self.name, detail=detail)
 
     # -- fault controls --------------------------------------------------
 

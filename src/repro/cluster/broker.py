@@ -34,7 +34,6 @@ from repro.obs.report import (
     BROKER_WRITE_ROWS,
     QUERY_LATENCY,
     SCAN_ROWS_EVALUATED,
-    TENANT_READ_ROWS,
 )
 from repro.obs.slowlog import SlowQueryEntry
 from repro.obs.systables import (
@@ -188,7 +187,14 @@ class Broker:
                 dispatched[shard_id] = count
         except BackpressureError:
             # A rejected piece is a bad write event against the tenant's
-            # SLO; already-admitted pieces stay in flight.
+            # SLO; already-admitted pieces stay in flight, so they count.
+            admitted = pieces[: len(dispatched)]
+            if admitted:
+                self._obs.meter.record_ingest(
+                    tenant_id,
+                    rows=sum(dispatched.values()),
+                    nbytes=sum(piece.nbytes for piece in admitted),
+                )
             self._obs.slo.record_write(tenant_id, 0.0, error=True)
             raise
         wave_s = wave_elapsed(durations, max(1, self.options.prefetch_threads))
@@ -288,8 +294,7 @@ class Broker:
                 outer = parsed if parsed.subquery is not None else None
                 scan_query = naive_scan_query(parsed) if outer is not None else parsed
                 plan = self._planner.plan(scan_query, tenant_scope, rewrites)
-            tenant_label = plan.tenant_id if plan.tenant_id is not None else "*"
-            query_span.set(tenant=tenant_label)
+            query_span.set(tenant=plan.tenant_id if plan.tenant_id is not None else "*")
 
             # Archived data (OSS LogBlocks).  Aggregates take the pushdown
             # path: the executor returns a mergeable partial aggregator (the
@@ -386,11 +391,6 @@ class Broker:
 
         self.queries_served.add()
         self._query_latency.observe(latency_s)
-        self._obs.registry.counter(
-            TENANT_READ_ROWS,
-            "Rows returned to clients per tenant.",
-            tenant=tenant_label,
-        ).add(len(final))
         self._pushdown.record(stats.pushdown)
         if stats.rows_evaluated_vectorized:
             self._rows_evaluated.add(stats.rows_evaluated_vectorized)

@@ -4,8 +4,8 @@
 and worker node load f(Dk) ... It will detect load imbalance every 300
 seconds."  This module closes the loop against the *actual* write path:
 instead of being handed a traffic dictionary, it derives the sample
-from the per-shard/per-tenant counters the brokers and workers maintain,
-then runs Algorithm 1 on the controller — scheduled on the cluster's
+from the usage meter's per-tenant rows-ingested counters, then runs
+Algorithm 1 on the controller — scheduled on the cluster's
 clock like any other background task.
 """
 
@@ -17,45 +17,7 @@ from repro.cluster.controller import Controller
 from repro.common.clock import VirtualClock
 from repro.flow.balancer import ControllerEvent
 from repro.flow.monitor import TrafficSample
-from repro.metrics.stats import Counter
-from repro.obs.registry import MetricsRegistry
-from repro.obs.report import TENANT_WRITE_ROWS
-
-
-class TenantTrafficTracker:
-    """Per-tenant write counters with monitor-window deltas.
-
-    The counters are children of the cluster registry's
-    ``logstore_tenant_write_rows_total`` family, so the hotspot loop and
-    :meth:`LogStore.metrics_report` read the same numbers.  The tracker
-    is the family's single *windowing* consumer (see
-    :meth:`Counter.window_delta`'s contract); everyone else reads
-    snapshots.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self._registry = registry if registry is not None else MetricsRegistry()
-        self._counters: dict[int, Counter] = {}
-
-    def record(self, tenant_id: int, records: int) -> None:
-        counter = self._counters.get(tenant_id)
-        if counter is None:
-            counter = self._registry.counter(
-                TENANT_WRITE_ROWS,
-                "Rows ingested per tenant (Figure 13 input).",
-                tenant=tenant_id,
-            )
-            self._counters[tenant_id] = counter
-        counter.add(records)
-
-    def window_rates(self, window_s: float) -> dict[int, float]:
-        """records/s per tenant since the previous call."""
-        if window_s <= 0:
-            raise ValueError(f"window must be positive, got {window_s}")
-        return {
-            tenant_id: counter.window_delta() / window_s
-            for tenant_id, counter in self._counters.items()
-        }
+from repro.obs.meter import UsageMeter
 
 
 @dataclass
@@ -63,7 +25,7 @@ class HotspotLoop:
     """Periodic Algorithm-1 execution wired to live counters."""
 
     controller: Controller
-    tracker: TenantTrafficTracker
+    meter: UsageMeter
     clock: VirtualClock
     events: list[ControllerEvent] = field(default_factory=list)
     _running: bool = False
@@ -86,12 +48,26 @@ class HotspotLoop:
         self.run_once()
         self.clock.call_later(self.controller.config.monitor_interval_s, self._tick)
 
+    def window_rates(self, window_s: float) -> dict[int, float]:
+        """records/s per tenant since the previous call.
+
+        The loop is the single consumer of the meter's rows-ingested
+        windows (:meth:`Counter.window_delta` has one cursor); everyone
+        else reads the cumulative values.
+        """
+        if window_s <= 0:
+            raise ValueError(f"window must be positive, got {window_s}")
+        return {
+            tenant_id: counter.window_delta() / window_s
+            for tenant_id, counter in self.meter.rows_ingested().items()
+        }
+
     def run_once(self) -> ControllerEvent:
         """Build a sample from the live counters and rebalance."""
         now = self.clock.now()
         window = max(now - self._last_tick_s, 1e-9)
         self._last_tick_s = now
-        rates = self.tracker.window_rates(window)
+        rates = self.window_rates(window)
         sample: TrafficSample = self.controller.collect_sample(rates)
         event = self.controller.rebalance(sample)
         self.events.append(event)

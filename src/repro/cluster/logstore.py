@@ -134,10 +134,9 @@ class LogStore:
         ]
         self._broker_cycle = itertools.cycle(self.brokers)
 
-        from repro.cluster.hotspot_loop import HotspotLoop, TenantTrafficTracker
+        from repro.cluster.hotspot_loop import HotspotLoop
 
-        self.traffic_tracker = TenantTrafficTracker(self.obs.registry)
-        self.hotspot_loop = HotspotLoop(self.controller, self.traffic_tracker, self.clock)
+        self.hotspot_loop = HotspotLoop(self.controller, self.obs.meter, self.clock)
 
         from repro.frontdoor.auth import TokenRegistry
         from repro.frontdoor.session import SessionPool
@@ -362,7 +361,6 @@ class LogStore:
             raise InvalidBatchError(
                 f"batch admitted for tenant {rows.tenant_id!r}, put for {tenant_id}"
             )
-        self.traffic_tracker.record(tenant_id, len(batch))
         return batch
 
     def put(self, tenant_id: int, rows: RowBatch | list[dict]) -> dict[int, int]:

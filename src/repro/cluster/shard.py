@@ -30,9 +30,8 @@ from repro.common.errors import (
     RaftError,
     WalError,
 )
-from repro.metrics.stats import WritePathStats
 from repro.obs.context import Observability
-from repro.obs.recorders import WritePathRecorder
+from repro.obs.recorders import WritePathRecorder, WritePathStats
 from repro.raft.group import RaftGroup
 from repro.raft.group_commit import GroupCommitQueue, ReplicationPipeline
 from repro.rowstore.batch import RowBatch, RowSelection

@@ -25,8 +25,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.controller import Controller
-from repro.metrics.stats import AccessStats
 from repro.common.utils import stddev
+
+
+@dataclass
+class AccessStats:
+    """Per-entity access counts for the Figure 13/14 std-dev metrics."""
+
+    accesses: dict[object, float] = field(default_factory=dict)
+
+    def record(self, key: object, amount: float = 1.0) -> None:
+        self.accesses[key] = self.accesses.get(key, 0.0) + amount
+
+    def stddev(self) -> float:
+        if not self.accesses:
+            return 0.0
+        return stddev(list(self.accesses.values()))
 
 
 @dataclass

@@ -20,9 +20,8 @@ less to store and *nothing* to delete.  This package delivers both:
   tick wiring all of the above into ``run_background_tasks``.
 """
 
-from repro.lifecycle.alerts import StalledSweeperRule, stalled_sweeper_rule
 from repro.lifecycle.cold import ColdCompactor, ColdRepackResult
-from repro.lifecycle.manager import LifecycleManager
+from repro.lifecycle.manager import LifecycleManager, stalled_sweeper_rule
 from repro.lifecycle.offboard import OffboardReport, TenantOffboarder, export_path
 from repro.lifecycle.policy import (
     RetentionPolicy,
@@ -40,7 +39,6 @@ __all__ = [
     "LifecycleManager",
     "OffboardReport",
     "RetentionPolicy",
-    "StalledSweeperRule",
     "SweepReport",
     "TenantOffboarder",
     "apply_policy",

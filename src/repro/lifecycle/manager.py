@@ -5,9 +5,16 @@ offboarder), hands them the cluster's one janitor, and exposes a single
 :meth:`tick` for ``LogStore.run_background_tasks`` — expiry first
 (cheapest, frees the most), then cold repacks.
 
-It also maintains the three metrics the stalled-sweeper alert
-(:mod:`repro.lifecycle.alerts`) is defined over, so detection works
-even when — especially when — the sweep itself stops running.
+It also publishes the gauge the stalled-sweeper alert
+(:func:`stalled_sweeper_rule`) watches, so detection works even when —
+especially when — the sweep itself stops running.  A sweeper that
+silently stops is invisible in the data path while expired data
+accrues storage cost and breaks retention promises.  Wire the rule in
+via ``LogStoreConfig.alert_rules``::
+
+    config = small_test_config(
+        alert_rules=default_alert_rules() + (stalled_sweeper_rule(5),)
+    )
 """
 
 from __future__ import annotations
@@ -20,7 +27,22 @@ from repro.logblock.schema import TableSchema
 from repro.logblock.writer import DEFAULT_BLOCK_ROWS
 from repro.meta.catalog import Catalog
 from repro.meta.janitor import Janitor
+from repro.obs.alerts import ThresholdRule
 from repro.obs.context import Observability
+
+SWEEP_STALLED_TICKS = "logstore_lifecycle_sweep_stalled_ticks"
+
+
+def stalled_sweeper_rule(stall_ticks: int = 5) -> ThresholdRule:
+    """Fire once expired blocks waited ``stall_ticks`` ticks unswept."""
+    if stall_ticks < 1:
+        raise ValueError(f"stall_ticks must be >= 1, got {stall_ticks}")
+    return ThresholdRule(
+        name="lifecycle-sweeper-stalled",
+        metric=SWEEP_STALLED_TICKS,
+        threshold=stall_ticks,
+        op=">=",
+    )
 
 
 class LifecycleManager:
@@ -56,17 +78,14 @@ class LifecycleManager:
             catalog, store, bucket, janitor, obs=self._obs
         )
         self._ticks = 0
+        self._last_sweep_tick = 0
         registry = self._obs.registry
         self._ticks_total = registry.counter(
             "logstore_lifecycle_ticks_total", "Background lifecycle ticks."
         )
-        self._last_sweep_tick = registry.gauge(
-            "logstore_lifecycle_last_sweep_tick",
-            "Tick number of the last completed expiry sweep.",
-        )
-        self._candidates_gauge = registry.gauge(
-            "logstore_lifecycle_expired_candidates",
-            "Expired blocks currently awaiting a sweep.",
+        self._stalled_ticks = registry.gauge(
+            SWEEP_STALLED_TICKS,
+            "Ticks since the last expiry sweep while expired blocks wait (else 0).",
         )
 
     # -- policy ------------------------------------------------------------
@@ -86,19 +105,19 @@ class LifecycleManager:
     def tick(self, now_ts: int) -> SweepReport | None:
         """One background pass: sweep expiry, then cold repacks.
 
-        Returns the sweep report, or None when sweeping is disabled
-        (in which case the candidate gauge keeps growing — the signal
-        the stalled-sweeper alert fires on).
+        Returns the sweep report, or None when sweeping is disabled (in
+        which case the stalled-ticks gauge climbs while expired blocks
+        wait — the signal the stalled-sweeper alert fires on).
         """
         self._ticks += 1
         self._ticks_total.add()
         if not self._sweep_enabled:
             candidates, _examined = self._catalog.expired_candidates(now_ts)
-            self._candidates_gauge.set(len(candidates))
+            self._stalled_ticks.set(self._ticks - self._last_sweep_tick if candidates else 0)
             report = None
         else:
             report = self.sweeper.sweep(now_ts)
-            self._last_sweep_tick.set(self._ticks)
-            self._candidates_gauge.set(0)
+            self._last_sweep_tick = self._ticks
+            self._stalled_ticks.set(0)
         self.cold.repack_all(now_ts)
         return report

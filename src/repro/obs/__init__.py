@@ -9,7 +9,7 @@ from repro.obs.alerts import (
 )
 from repro.obs.analyze import render_explain_analyze
 from repro.obs.context import DEFAULT_SLOW_QUERY_S, Observability
-from repro.obs.events import EventJournal, JournalEvent, merge_journals
+from repro.obs.events import EventJournal, JournalEvent
 from repro.obs.meter import TenantUsage, UsageMeter
 from repro.obs.recorders import PushdownRecorder, WritePathRecorder
 from repro.obs.registry import (
@@ -58,7 +58,6 @@ __all__ = [
     "format_trace",
     "is_system_table",
     "label_key",
-    "merge_journals",
     "render_explain_analyze",
     "scope_rows",
     "span_chain",

@@ -3,10 +3,11 @@
 The registry answers *how much* (counters, histograms); the journal
 answers *what happened, in what order*: leader elections, shard seals,
 archives, compactions, backpressure trips, chaos fault injections and
-heals, alert fires/resolves.  Every entry is stamped with the virtual
-clock and a monotonic sequence number, so two runs of the same seeded
-scenario produce byte-identical journals (``dump()``/``digest()`` are
-the replay-equivalence check, mirroring ``chaos.events.EventTrace``).
+heals, workload outcomes and invariant results, alert fires/resolves.
+Every entry is stamped with the virtual clock and a monotonic sequence
+number, so two runs of the same seeded scenario produce byte-identical
+journals: ``dump()`` is the retained ring and ``digest()`` a rolling
+sha256 over every event ever emitted, the replay-equivalence check.
 
 Entries also carry the current trace ID (when emitted under an active
 tracer span), which is what lets ``explain_analyze`` and chaos replays
@@ -18,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 # Kinds emitted by the core seams.  Free-form strings are fine too;
 # these constants just keep the spellings aligned across subsystems.
@@ -66,6 +67,10 @@ class EventJournal:
     Timestamps come from the virtual clock (0.0 when no clock is
     attached, e.g. a noop handle), sequence numbers from a process-local
     counter — no wall clock, no ids derived from object addresses.
+
+    The ring keeps the last ``max_events`` entries; the digest is fed
+    each event's line as it is emitted, so it covers the events that
+    have fallen off the ring too.
     """
 
     def __init__(
@@ -82,6 +87,7 @@ class EventJournal:
         self.enabled = enabled
         self._events: deque[JournalEvent] = deque(maxlen=max_events)
         self._seq = 0
+        self._digest = hashlib.sha256()
 
     def attach_tracer(self, tracer) -> None:
         """Late-bind the tracer (journal is built before the tracer)."""
@@ -109,6 +115,7 @@ class EventJournal:
             trace_id=trace_id,
         )
         self._events.append(event)
+        self._digest.update(f"{event.format()}\n".encode())
         return event
 
     # -- reads ---------------------------------------------------------
@@ -144,17 +151,6 @@ class EventJournal:
         return "\n".join(self.to_lines()) + ("\n" if self._events else "")
 
     def digest(self) -> str:
-        """sha256 of :meth:`dump` — byte-identical across same-seed runs."""
-        return hashlib.sha256(self.dump().encode()).hexdigest()
-
-    def clear(self) -> None:
-        self._events.clear()
-
-
-def merge_journals(journals: Iterable[EventJournal]) -> list[JournalEvent]:
-    """All retained events across journals, ordered by (time, seq)."""
-    merged: list[JournalEvent] = []
-    for journal in journals:
-        merged.extend(journal.events())
-    merged.sort(key=lambda e: (e.at_s, e.seq))
-    return merged
+        """Rolling sha256 over every emitted event's line, dropped ones
+        included; equals sha256 of :meth:`dump` while nothing dropped."""
+        return self._digest.hexdigest()

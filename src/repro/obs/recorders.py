@@ -1,17 +1,17 @@
 """Registry-backed recorders: typed handles over metric families.
 
-`WritePathStats` / `PushdownCounters` used to be mutable dataclasses
-each subsystem threaded by hand and the broker merged manually.  They
-are now **views**: the write path and executor record through registry
-children (labeled per shard / per tier), and the dataclasses are
-assembled from the registry on read.  One source of truth, no double
-counting, and cluster-wide aggregation is just a snapshot merge.
+The write path and the broker record through registry children
+(labeled per shard / per tier), so cluster-wide aggregation is just a
+snapshot merge.  `WritePathStats` is a **view** assembled from one
+shard's children on read; the executor's per-query `PushdownCounters`
+are folded into the cumulative per-tier family after each query.
 """
 
 from __future__ import annotations
 
-from repro.metrics.stats import Counter, Gauge, Histogram, PushdownCounters, WritePathStats
-from repro.obs.registry import MetricsRegistry
+from dataclasses import dataclass, field
+
+from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import ENCODE_FALLBACKS, ENCODE_ROWS
 
 # Aggregate-pushdown tier labels, in descending-cheapness order.
@@ -23,6 +23,39 @@ _TIER_FIELDS = {
     "columnar": "agg_columnar_blocks",
     "row": "agg_row_blocks",
 }
+
+
+@dataclass
+class WritePathStats:
+    """Group-commit and replication-pipeline accounting (§3, §4.2).
+
+    Recorded by the shard write path and surfaced to the benchmarks:
+
+    * ``groups_committed`` — proposals actually issued (one Raft entry /
+      one WAL flush each);
+    * ``batches_coalesced`` — client batches folded into those groups;
+    * ``group_sizes`` — batches-per-group distribution (BFC shrinks it
+      under pressure);
+    * ``commit_latency`` — virtual seconds from proposal submit to the
+      configured ack (quorum or all-replica);
+    * ``reproposals`` — groups re-submitted after a leader crash
+      displaced their entry;
+    * ``inflight_peak`` — widest observed in-flight proposal window.
+    """
+
+    groups_committed: int = 0
+    batches_coalesced: int = 0
+    rows_committed: int = 0
+    bytes_committed: int = 0
+    reproposals: int = 0
+    inflight_peak: int = 0
+    group_sizes: Histogram = field(default_factory=lambda: Histogram("group_sizes"))
+    commit_latency: Histogram = field(default_factory=lambda: Histogram("commit_latency"))
+
+    def mean_group_size(self) -> float:
+        if not self.groups_committed:
+            return 0.0
+        return self.batches_coalesced / self.groups_committed
 
 
 class WritePathRecorder:
@@ -115,20 +148,12 @@ class PushdownRecorder:
             for tier in PUSHDOWN_TIERS
         }
 
-    def record(self, counters: PushdownCounters) -> None:
-        """Fold one query's pushdown counters into the registry."""
+    def record(self, counters) -> None:
+        """Fold one query's ``PushdownCounters`` into the registry."""
         for tier, field_name in _TIER_FIELDS.items():
             amount = getattr(counters, field_name)
             if amount:
                 self._tiers[tier].add(amount)
-
-    def view(self) -> PushdownCounters:
-        return PushdownCounters(
-            **{
-                field_name: self._tiers[tier].value
-                for tier, field_name in _TIER_FIELDS.items()
-            }
-        )
 
 
 # Encode-mode labels: how each column value was encoded.

@@ -15,9 +15,9 @@ metric readouts.  This registry is the single place those metrics live:
   the same numbers feed the ``BENCH_*.json`` trajectory files and a
   human ``curl``-style dump.
 
-Instruments are the primitives from :mod:`repro.metrics.stats`
-(lock-guarded counters, bounded-reservoir histograms), so anything that
-already holds a ``Counter`` can hold a registry child instead.
+The instruments themselves live here too: lock-guarded counters and
+gauges and a bounded-reservoir histogram.  A subsystem holds the live
+child a family hands out and records on it directly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,188 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.common.utils import percentile
-from repro.metrics.stats import DEFAULT_RESERVOIR, Counter, Gauge, Histogram
+
+class Counter:
+    """A monotonically increasing counter with windowed deltas.
+
+    Thread safety: ``add`` may run concurrently (the builder thread pool
+    and the broker both touch shared counters), so increments and window
+    reads are guarded by a lock.
+
+    Windowing contract: the counter keeps exactly **one** window cursor.
+    ``window_delta`` atomically returns the amount accumulated since the
+    previous ``window_delta`` call and moves the cursor, so it must have
+    a single consumer — the monitor loop.  Anything else that wants a
+    rate must either own its own counter or diff ``value`` snapshots it
+    takes itself; calling ``window_delta`` from two places would make
+    each steal the other's delta.
+    """
+
+    def __init__(self, name: str = "") -> None:
+        self.name = name
+        self._value = 0
+        self._last_window = 0
+        self._lock = threading.Lock()
+
+    def add(self, amount: int = 1) -> None:
+        if amount < 0:
+            raise ValueError(f"counter increments must be non-negative, got {amount}")
+        with self._lock:
+            self._value += amount
+
+    @property
+    def value(self) -> int:
+        return self._value
+
+    def window_delta(self) -> int:
+        """Value accumulated since the previous call (monitor windows).
+
+        Atomic under the counter's lock: concurrent ``add`` calls land
+        either wholly in this window or wholly in the next, never half.
+        """
+        with self._lock:
+            delta = self._value - self._last_window
+            self._last_window = self._value
+            return delta
+
+
+class Gauge:
+    """A value that can go up and down (queue depths, watermarks)."""
+
+    def __init__(self, name: str = "") -> None:
+        self.name = name
+        self._value = 0.0
+        self._lock = threading.Lock()
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._value = float(value)
+
+    def add(self, amount: float = 1.0) -> None:
+        with self._lock:
+            self._value += amount
+
+    def set_max(self, value: float) -> None:
+        """Raise the gauge to ``value`` if it is higher (peak tracking)."""
+        with self._lock:
+            if value > self._value:
+                self._value = float(value)
+
+    @property
+    def value(self) -> float:
+        return self._value
+
+
+@dataclass
+class LatencySummary:
+    """Summary statistics over a set of latency observations."""
+
+    count: int
+    mean_s: float
+    p50_s: float
+    p75_s: float
+    p90_s: float
+    p99_s: float
+    max_s: float
+
+
+DEFAULT_RESERVOIR = 8192
+
+
+class Histogram:
+    """Bounded-memory observations with exact count/sum/max.
+
+    The histogram keeps ``count``, ``sum`` and ``max`` exactly
+    for every observation but retains at most ``reservoir`` raw samples.
+    When the reservoir fills, it is decimated deterministically: every
+    second retained sample is kept and the acceptance stride doubles, so
+    the retained set is always "every k-th observation of the stream"
+    for a power-of-two ``k`` — no RNG, identical across runs.
+    Percentiles and ``fraction_below`` are computed on the retained
+    sample; ``count``/``mean``/``max`` stay exact at any volume.
+    """
+
+    def __init__(self, name: str = "", reservoir: int = DEFAULT_RESERVOIR) -> None:
+        if reservoir < 2:
+            raise ValueError(f"reservoir must be >= 2, got {reservoir}")
+        self.name = name
+        self._reservoir = reservoir
+        self._lock = threading.Lock()
+        self._values: list[float] = []
+        self._count = 0
+        self._sum = 0.0
+        self._max: float | None = None
+        self._stride = 1
+
+    def observe(self, value: float) -> None:
+        with self._lock:
+            self._observe(value)
+
+    def observe_many(self, values) -> None:
+        with self._lock:
+            for value in values:
+                self._observe(value)
+
+    def _observe(self, value: float) -> None:
+        if self._count % self._stride == 0:
+            self._values.append(value)
+            if len(self._values) > self._reservoir:
+                self._values = self._values[::2]
+                self._stride *= 2
+        self._count += 1
+        self._sum += value
+        if self._max is None or value > self._max:
+            self._max = value
+
+    def __len__(self) -> int:
+        """Exact number of observations (not the retained-sample size)."""
+        return self._count
+
+    @property
+    def count(self) -> int:
+        return self._count
+
+    @property
+    def total(self) -> float:
+        """Exact sum of every observation."""
+        return self._sum
+
+    @property
+    def max_value(self) -> float | None:
+        return self._max
+
+    @property
+    def values(self) -> list[float]:
+        """The retained (down-sampled) observations."""
+        return list(self._values)
+
+    def summary(self) -> LatencySummary:
+        with self._lock:
+            if not self._count:
+                raise ValueError(f"histogram {self.name!r} has no observations")
+            return LatencySummary(
+                count=self._count,
+                mean_s=self._sum / self._count,
+                p50_s=percentile(self._values, 50),
+                p75_s=percentile(self._values, 75),
+                p90_s=percentile(self._values, 90),
+                p99_s=percentile(self._values, 99),
+                max_s=self._max if self._max is not None else 0.0,
+            )
+
+    def fraction_below(self, threshold: float) -> float:
+        """Fraction of observations strictly below ``threshold``.
+
+        This is the Figure 17 CDF readout ("99% of the queries return
+        data within 2 seconds").  Computed over the retained sample —
+        exact until the reservoir first decimates, an every-k-th
+        estimate after that.
+        """
+        with self._lock:
+            if not self._count:
+                raise ValueError(f"histogram {self.name!r} has no observations")
+            return sum(1 for v in self._values if v < threshold) / len(self._values)
+
 
 # A label set, normalized: ``(("shard", 3), ("tenant", 1))``.
 LabelKey = tuple[tuple[str, object], ...]
@@ -285,7 +466,7 @@ class RegistrySnapshot:
     def by_label(self, name: str, label: str) -> dict[object, float]:
         """Sum a counter family grouped by one label's values.
 
-        ``by_label("…_write_rows_total", "tenant")`` is the Figure 13/14
+        ``by_label("…_rows_ingested_total", "tenant")`` is the Figure 13/14
         per-tenant series.
         """
         out: dict[object, float] = {}

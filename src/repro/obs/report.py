@@ -4,9 +4,9 @@ Wraps one merged :class:`~repro.obs.registry.RegistrySnapshot` and
 exposes the derived views the paper's evaluation plots read off it —
 per-tenant write/read row series (Figures 13/14 group by tenant and
 take std-devs), per-shard write distribution, cache hit rates, OSS
-traffic.  The hotspot loop's traffic sample and this report are fed by
-the same registry families, so the monitor and the operator see one
-set of numbers.
+traffic.  The tenant series are the usage meter's families, the same
+children the hotspot loop windows, so the monitor, the operator and
+``_system.tenants`` see one set of numbers.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.utils import stddev
+from repro.obs.meter import METER_ROWS_INGESTED, METER_ROWS_RETURNED
 from repro.obs.registry import RegistrySnapshot
 
 # Family names shared by the wired subsystems.
-TENANT_WRITE_ROWS = "logstore_tenant_write_rows_total"
-TENANT_READ_ROWS = "logstore_tenant_read_rows_total"
 SHARD_WRITE_ROWS = "logstore_shard_write_rows_total"
 SHARD_ACCESSES = "logstore_shard_accesses_total"
 WORKER_ACCESSES = "logstore_worker_accesses_total"
@@ -40,10 +39,10 @@ class MetricsReport:
     # -- per-entity series (Figure 13/14 inputs) -------------------------
 
     def tenant_write_rows(self) -> dict[object, float]:
-        return self.snapshot.by_label(TENANT_WRITE_ROWS, "tenant")
+        return self.snapshot.by_label(METER_ROWS_INGESTED, "tenant")
 
     def tenant_read_rows(self) -> dict[object, float]:
-        return self.snapshot.by_label(TENANT_READ_ROWS, "tenant")
+        return self.snapshot.by_label(METER_ROWS_RETURNED, "tenant")
 
     def shard_write_rows(self) -> dict[object, float]:
         return self.snapshot.by_label(SHARD_WRITE_ROWS, "shard")
@@ -71,10 +70,12 @@ class MetricsReport:
     # -- totals ----------------------------------------------------------
 
     def total_write_rows(self) -> int:
-        return self.snapshot.counter_total(TENANT_WRITE_ROWS)
+        return self.snapshot.counter_total(METER_ROWS_INGESTED)
 
     def total_read_rows(self) -> int:
-        return self.snapshot.counter_total(TENANT_READ_ROWS)
+        """Rows returned by tenant-scoped queries (an admin query over
+        every tenant is billed to none)."""
+        return self.snapshot.counter_total(METER_ROWS_RETURNED)
 
     def queries_served(self) -> int:
         return self.snapshot.counter_total(BROKER_QUERIES)

@@ -45,7 +45,6 @@ from repro.logblock.writer import (
 )
 from repro.logblock.sma import Sma
 from repro.meta.catalog import TIER_COLD, LogBlockEntry
-from repro.metrics.stats import PushdownCounters
 from repro.prefetch.executor import ParallelPrefetcher
 from repro.prefetch.planner import PrefetchPlanner
 from repro.query.aggregate import Aggregator
@@ -86,6 +85,43 @@ CPU_PER_BLOCK_S = 0.001         # per-LogBlock plan/merge overhead
 # Building python dicts is the slow path the tier-3 pushdown avoids.
 CPU_MATERIALIZE_VALUES_PER_S = 5e6
 CPU_AGG_VALUES_PER_S = 20e6
+
+
+@dataclass
+class PushdownCounters:
+    """Per-query aggregate-pushdown work accounting.
+
+    Recorded by the block executor and surfaced through
+    ``ExecutionStats`` so benchmarks and EXPLAIN ANALYZE can report how
+    each block of an aggregate query was answered:
+
+    * ``agg_catalog_hits`` — tier 1: answered from the LogBlock-map
+      entry alone (zero requests, zero bytes);
+    * ``agg_sma_blocks`` — tier 2: folded from the block's SMAs in the
+      already-loaded meta (no column blocks read);
+    * ``agg_columnar_blocks`` — tier 3: aggregated from late-
+      materialized column vectors (only the aggregated columns read);
+    * ``agg_row_blocks`` — fallback: full row-dict materialization.
+    """
+
+    agg_catalog_hits: int = 0
+    agg_sma_blocks: int = 0
+    agg_columnar_blocks: int = 0
+    agg_row_blocks: int = 0
+
+    def merge(self, other: "PushdownCounters") -> None:
+        self.agg_catalog_hits += other.agg_catalog_hits
+        self.agg_sma_blocks += other.agg_sma_blocks
+        self.agg_columnar_blocks += other.agg_columnar_blocks
+        self.agg_row_blocks += other.agg_row_blocks
+
+    def as_dict(self) -> dict[str, int]:
+        return {
+            "agg_catalog_hits": self.agg_catalog_hits,
+            "agg_sma_blocks": self.agg_sma_blocks,
+            "agg_columnar_blocks": self.agg_columnar_blocks,
+            "agg_row_blocks": self.agg_row_blocks,
+        }
 
 
 @dataclass

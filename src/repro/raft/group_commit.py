@@ -32,8 +32,7 @@ from typing import Callable
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import BackpressureError, NotLeaderError, RaftError
-from repro.metrics.stats import WritePathStats
-from repro.obs.recorders import WritePathRecorder
+from repro.obs.recorders import WritePathRecorder, WritePathStats
 from repro.obs.tracing import Tracer
 from repro.raft.group import RaftGroup
 

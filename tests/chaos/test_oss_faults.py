@@ -1,20 +1,20 @@
-"""ChaosObjectStore: each fault mode, healing, and trace recording."""
+"""ChaosObjectStore: each fault mode, healing, and journal recording."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.chaos.events import EventTrace
 from repro.chaos.oss_faults import ChaosObjectStore
 from repro.common.clock import VirtualClock
 from repro.common.errors import TransientStoreError
+from repro.obs.events import EventJournal
 from repro.oss.store import InMemoryObjectStore
 
 
 @pytest.fixture
 def chaos():
     clock = VirtualClock()
-    store = ChaosObjectStore(InMemoryObjectStore(), clock, trace=EventTrace(), seed=7)
+    store = ChaosObjectStore(InMemoryObjectStore(), clock, seed=7)
     store.create_bucket("b")
     return store
 
@@ -109,3 +109,16 @@ def test_validation_rejects_bad_rates(chaos):
         chaos.set_error_rate(1.5)
     with pytest.raises(ValueError):
         chaos.tear_next_puts(1, 1.0)
+
+
+def test_faults_are_emitted_to_an_attached_journal(chaos):
+    chaos.begin_outage()  # before attaching: not recorded anywhere
+    journal = EventJournal()
+    chaos.attach_journal(journal)
+    with pytest.raises(TransientStoreError):
+        chaos.put("b", "k", b"x")
+    chaos.heal()
+    assert [(e.kind, e.target, e.detail) for e in journal.events()] == [
+        ("chaos.fault.oss.outage", "oss", "put k"),
+        ("chaos.fault.oss.heal", "oss", ""),
+    ]

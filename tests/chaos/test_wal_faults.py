@@ -1,4 +1,5 @@
-"""FaultySegmentBackend: failed/torn appends, tail corruption, recovery."""
+"""FaultySegmentBackend: failed/torn appends, tail corruption, recovery,
+and journal recording."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import pytest
 
 from repro.chaos.wal_faults import FaultySegmentBackend
 from repro.common.errors import WalError
+from repro.obs.events import EventJournal
 from repro.wal.log import WriteAheadLog
 
 
@@ -75,3 +77,22 @@ def test_heal_clears_armed_faults():
     backend.heal()
     backend.append(0, b"fine")
     assert backend.read(0) == b"fine"
+
+
+def test_faults_are_emitted_to_an_attached_journal():
+    backend = FaultySegmentBackend("w")
+    backend.fail_next_appends(1)  # before attaching: not recorded anywhere
+    journal = EventJournal()
+    backend.attach_journal(journal)
+    with pytest.raises(WalError):
+        backend.append(0, b"lost")
+    backend.tear_next_appends(1, 0.5)
+    with pytest.raises(WalError):
+        backend.append(0, b"0123")
+    backend.heal()
+    assert [(e.kind, e.target, e.detail) for e in journal.events()] == [
+        ("chaos.fault.wal.append_failed", "w", "segment=0 bytes=4"),
+        ("chaos.fault.wal.tear_arm", "w", "count=1 fraction=0.5"),
+        ("chaos.fault.wal.append_torn", "w", "segment=0 kept=2/4"),
+        ("chaos.fault.wal.heal", "w", ""),
+    ]

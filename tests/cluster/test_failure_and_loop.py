@@ -86,11 +86,11 @@ class TestHotspotLoop:
         rows = make_rows(2000, tenant_id=1)
         for _ in range(3):
             store.put(1, rows)
-        # The tracker turns counters into rates over the window.
-        rates = store.traffic_tracker.window_rates(window_s=1.0)
+        # The loop turns the meter's counters into rates over the window.
+        rates = store.hotspot_loop.window_rates(window_s=1.0)
         assert rates[1] == 6000
         # Counters reset per window.
-        assert store.traffic_tracker.window_rates(window_s=1.0)[1] == 0
+        assert store.hotspot_loop.window_rates(window_s=1.0)[1] == 0
 
     def test_loop_rebalances_hot_tenant(self):
         # Short monitor window so a modest row count yields a hot rate:

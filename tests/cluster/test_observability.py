@@ -1,8 +1,12 @@
 """End-to-end observability: counters reconcile with the work done,
 write traces show the full replication chain, reports stay consistent."""
 
+import pytest
+
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
+from repro.common.errors import BackpressureError
+from repro.flow.router import RouteRule
 from repro.obs.tracing import span_chain
 
 from tests.conftest import make_rows
@@ -61,6 +65,58 @@ class TestCounterReconciliation:
         headline = report.headline()
         assert headline["write_rows"] == 400
         assert headline["queries"] == 2
+
+
+class TestCountingPoint:
+    """Rows enter a tenant's account once, where the broker dispatched
+    them; the hotspot loop windows the same counter."""
+
+    def test_a_refused_batch_is_counted_nowhere(self):
+        store = build_store(
+            n_workers=2, shards_per_worker=1, use_raft=True, group_commit=True
+        )
+        [shard_id] = store.put(1, make_rows(10, tenant_id=1))
+        worker = store.workers[store.controller.topology.shard_worker[shard_id]]
+        worker.shards[shard_id].raft.leader().sync_queue._max_bytes = 1
+        with pytest.raises(BackpressureError):
+            store.put(1, make_rows(10, tenant_id=1, seed=1))
+        assert store.obs.meter.usage(1).rows_ingested == 10
+        assert store.metrics_report().tenant_write_rows() == {1: 10.0}
+        assert store.hotspot_loop.window_rates(window_s=1.0) == {1: 10.0}
+
+    def test_pieces_admitted_before_a_refused_piece_are_counted(self):
+        store = build_store(
+            n_workers=2, shards_per_worker=1, use_raft=True, group_commit=True
+        )
+        store.put(1, make_rows(10, tenant_id=1))
+        open_shard, full_shard = sorted(store.controller.topology.shard_worker)
+        store.controller.routing.set_rule(
+            RouteRule.from_dict(1, {open_shard: 0.5, full_shard: 0.5})
+        )
+        worker = store.workers[store.controller.topology.shard_worker[full_shard]]
+        worker.shards[full_shard].raft.leader().sync_queue._max_bytes = 1
+        before = store.obs.meter.usage(1).bytes_ingested
+        batch = store._admit(1, make_rows(10, tenant_id=1, seed=1))
+        with pytest.raises(BackpressureError):
+            store.put(1, batch)
+        admitted, _refused = batch.split([5, 5])
+        usage = store.obs.meter.usage(1)
+        assert usage.rows_ingested == 15
+        assert usage.bytes_ingested == before + admitted.nbytes
+        assert store.metrics_report().tenant_write_rows() == {1: 15.0}
+        assert store.hotspot_loop.window_rates(window_s=1.0) == {1: 15.0}
+
+    def test_an_all_tenants_query_is_billed_to_no_tenant(self):
+        store = build_store()
+        store.put(1, make_rows(100, tenant_id=1))
+        store.put(2, make_rows(50, tenant_id=2, seed=2))
+        store.flush_all()
+        result = store.query("SELECT log FROM request_log WHERE ts >= '2020-11-11 00:00:00'")
+        assert len(result.rows) == 150
+        report = store.metrics_report()
+        assert report.tenant_read_rows() == {}
+        assert report.total_read_rows() == 0
+        assert [usage.rows_returned for usage in store.obs.meter.all_usage()] == [0, 0]
 
 
 class TestWriteTrace:
@@ -152,10 +208,10 @@ class TestHotspotLoopIntegration:
         store = build_store()
         store.put(1, make_rows(600, tenant_id=1))
         store.put(2, make_rows(200, tenant_id=2, seed=4))
-        rates = store.traffic_tracker.window_rates(window_s=10.0)
+        rates = store.hotspot_loop.window_rates(window_s=10.0)
         assert rates == {1: 60.0, 2: 20.0}
         # Window consumed: a second read over an idle window is zero.
-        assert store.traffic_tracker.window_rates(window_s=10.0) == {1: 0.0, 2: 0.0}
+        assert store.hotspot_loop.window_rates(window_s=10.0) == {1: 0.0, 2: 0.0}
         # The cumulative registry totals are untouched by windowing.
         assert store.metrics_report().tenant_write_rows() == {1: 600.0, 2: 200.0}
 

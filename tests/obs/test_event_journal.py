@@ -1,9 +1,11 @@
-"""EventJournal: determinism, bounded ring, trace correlation."""
+"""EventJournal: determinism, bounded ring, rolling digest, trace correlation."""
+
+import hashlib
 
 import pytest
 
 from repro.common.clock import VirtualClock
-from repro.obs.events import EventJournal, JournalEvent, merge_journals
+from repro.obs.events import EventJournal, JournalEvent
 from repro.obs.tracing import Tracer
 
 
@@ -52,11 +54,14 @@ class TestReads:
         assert [e.target for e in journal.events("a")] == ["x", "z"]
         assert journal.kinds() == {"a": 2, "b": 1}
 
-    def test_clear(self):
-        journal = EventJournal()
+    def test_reads_see_only_the_retained_ring(self):
+        journal = EventJournal(max_events=2)
         journal.emit("a", "x")
-        journal.clear()
-        assert journal.events() == [] and len(journal) == 0
+        journal.emit("b", "y")
+        journal.emit("a", "z")
+        assert journal.kinds() == {"a": 1, "b": 1}
+        assert [e.target for e in journal.events("a")] == ["z"]
+        assert journal.to_lines() == ["#2 t=0.000000000 b y", "#3 t=0.000000000 a z"]
 
 
 class TestDump:
@@ -83,6 +88,35 @@ class TestDump:
 
     def test_empty_dump_is_empty_string(self):
         assert EventJournal().dump() == ""
+        assert EventJournal().digest() == hashlib.sha256(b"").hexdigest()
+
+    def test_different_events_have_different_digests(self):
+        a, b = EventJournal(), EventJournal()
+        a.emit("k", "x")
+        b.emit("k", "y")
+        assert a.digest() != b.digest()
+
+    def test_digest_is_sha256_of_the_dump_while_nothing_dropped(self):
+        journal = EventJournal(max_events=4)
+        for i in range(4):
+            journal.emit("k", f"t{i}", detail=f"n={i}", tenant_id=i)
+            assert journal.digest() == hashlib.sha256(journal.dump().encode()).hexdigest()
+
+
+class TestRollingDigest:
+    def test_digest_covers_events_that_fell_off_the_ring(self):
+        def build(first: str) -> EventJournal:
+            journal = EventJournal(max_events=4)
+            journal.emit("k", first)
+            for i in range(4):
+                journal.emit("k", f"t{i}")
+            return journal
+
+        a, b = build("a"), build("b")
+        assert a.dump() == b.dump()  # the differing first events were dropped
+        assert a.digest() != b.digest()
+        assert a.total_emitted == b.total_emitted == 5
+        assert len(a) == 4
 
 
 class TestTraceCorrelation:
@@ -117,15 +151,3 @@ class TestTraceCorrelation:
         with tracer.span("root"):
             assert journal.emit("k", "t").trace_id is not None
 
-
-class TestMerge:
-    def test_merge_orders_by_time_then_seq(self):
-        clock_a, clock_b = VirtualClock(), VirtualClock()
-        a, b = EventJournal(clock_a), EventJournal(clock_b)
-        a.emit("k", "a0")  # t=0 seq=1
-        clock_a.advance(2.0)
-        a.emit("k", "a1")  # t=2 seq=2
-        clock_b.advance(1.0)
-        b.emit("k", "b0")  # t=1 seq=1
-        merged = merge_journals([a, b])
-        assert [e.target for e in merged] == ["a0", "b0", "a1"]

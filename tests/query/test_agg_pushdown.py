@@ -18,11 +18,10 @@ from repro.common.errors import QueryError
 from repro.logblock.schema import ColumnSpec, ColumnType, request_log_schema
 from repro.meta.catalog import Catalog, LogBlockEntry
 from repro.meta.janitor import Janitor
-from repro.metrics.stats import PushdownCounters
 from repro.oss.costmodel import free
 from repro.oss.metered import MeteredObjectStore
 from repro.oss.store import InMemoryObjectStore
-from repro.query.executor import BlockExecutor, ExecutionOptions
+from repro.query.executor import BlockExecutor, ExecutionOptions, PushdownCounters
 from repro.query.planner import QueryPlanner, format_timestamp
 from repro.query.sql import parse_sql
 from repro.rowstore.memtable import MemTable

@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import BackpressureError, NotLeaderError, RaftError
-from repro.metrics.stats import WritePathStats
+from repro.obs.recorders import WritePathStats
 from repro.raft.group import RaftGroup
 from repro.raft.group_commit import GroupCommitQueue, ReplicationPipeline
 
