@@ -36,11 +36,6 @@ class CacheTierStats:
     evictions: int = 0
     bytes_cached: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 def _slice(key: BlockKey, holder: BlockKey, data: bytes) -> bytes:
     """The bytes of ``key``'s range out of the entry that holds it."""

@@ -32,11 +32,6 @@ class ObjectCacheStats:
     evictions: int = 0
     approx_bytes: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class ObjectCache:
     """LRU cache of decoded objects with approximate byte accounting."""

@@ -143,16 +143,18 @@ class Broker:
 
         Per-shard dispatches are charged under the deferred-clock wave
         model — a K-shard batch pays its slowest dispatch, not the sum
-        — then one settle wave drives every touched shard's replication
-        concurrently (the shards share the clock, so advancing it for
-        the first shard progresses all of them).
+        — then one settle wave drives every touched Raft shard's
+        replication concurrently (the shards share the clock, so
+        advancing it for the first shard progresses all of them).  A
+        route of plain shards only has nothing to settle.
         """
         with self._obs.tracer.span(
             "broker.write", broker=self.broker_id, tenant=tenant_id, rows=len(batch)
         ):
             dispatched = self._dispatch(tenant_id, batch)
-            self.flush_writes()
-            self.settle_writes()
+            if self._pending_shards:
+                self.flush_writes()
+                self.settle_writes()
         return dispatched
 
     def write_nowait(self, tenant_id: int, batch: RowBatch) -> dict[int, int]:
@@ -183,7 +185,10 @@ class Broker:
                 with self._clock.deferred() as charges:
                     worker.write_async(shard_id, piece)
                 durations.append(charges.total)
-                self._pending_shards.add(shard_id)
+                if worker.shards[shard_id].raft is not None:
+                    # A plain shard's write is durable once logged:
+                    # only a Raft shard needs the barrier.
+                    self._pending_shards.add(shard_id)
                 dispatched[shard_id] = count
         except BackpressureError:
             # A rejected piece is a bad write event against the tenant's
@@ -213,7 +218,7 @@ class Broker:
             shard.flush_writes()
 
     def settle_writes(self) -> None:
-        """Durability barrier for every shard this broker dispatched to.
+        """Durability barrier for every Raft shard this broker dispatched to.
 
         Callers run :meth:`flush_writes` first: every touched shard then
         proposes its partial group before any shard settles, so the

@@ -200,10 +200,12 @@ class Shard:
 
         Replicated shards serve from the *current* leader's replica:
         with quorum acks the leader is the one replica guaranteed to
-        have applied a settled write.  When no live full-replica leader
-        exists (election in flight, leader crashed, WAL-only leader),
-        fall back to the live full replica that has applied the most —
-        ties broken by node id so every run picks the same store.
+        have applied a settled write, once it has committed an entry of
+        its own term (scans and seals wait for that first).  When no
+        live full-replica leader exists (election in flight, leader
+        crashed, WAL-only leader), fall back to the live full replica
+        that has applied the most — ties broken by node id so every run
+        picks the same store.
         """
         if self._raft is None:
             return self._rowstore
@@ -388,6 +390,19 @@ class Shard:
             return
         with suppress(RaftError, BackpressureError):
             self.settle_writes()
+        self._catch_up_leader()
+
+    def _catch_up_leader(self) -> None:
+        """Raft's read rule: a leader that has committed no entry of its
+        own term yet may not have applied writes its predecessor acked.
+        Wait, at most the settle timeout, until it commits one (its
+        election no-op), which commits and applies all before it."""
+        leader = self._raft.leader() if self._raft is not None else None
+        if leader is not None:
+            log, commit = leader.persistent, leader.commit_index
+            if commit < log.last_log_index() and log.term_at(commit) < log.current_term:
+                with suppress(RaftError):
+                    self._raft.settle_acked(commit + 1)
 
     def checkpoint(self) -> int:
         """The §3 checkpoint task.
@@ -506,6 +521,7 @@ class Shard:
         """Rows still in the local row store and not yet on OSS."""
         self.access_count.add()
         with self._obs.tracer.span("shard.scan", shard=self.shard_id) as span:
+            self._catch_up_leader()
             store = self.rowstore
             rows = store.scan(
                 min_ts, max_ts, tenant_id, skip_sealed=self._archived_prefix(store)

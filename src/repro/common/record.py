@@ -23,9 +23,11 @@ _HEAD = struct.Struct("<3sBI")  # magic, version, CRC-32 of the body
 
 def pack_record(magic: bytes, parts: Sequence) -> bytes:
     """``magic``, the record version and the CRC-32 of ``parts``, then
-    ``parts`` joined."""
-    body = b"".join(parts)
-    return _HEAD.pack(magic, RECORD_VERSION, zlib.crc32(body)) + body
+    ``parts`` joined: one copy, the CRC run over the parts in turn."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join((_HEAD.pack(magic, RECORD_VERSION, crc), *parts))
 
 
 def unpack_record(magic: bytes, data, what: str) -> memoryview:

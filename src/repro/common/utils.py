@@ -83,6 +83,8 @@ def wave_elapsed(durations: Sequence[float], width: int) -> float:
     """
     if width < 1:
         raise ValueError(f"wave width must be >= 1, got {width}")
+    if len(durations) == 1:  # one wave of one task
+        return durations[0]
     ordered = sorted(durations, reverse=True)
     return sum(ordered[i] for i in range(0, len(ordered), width))
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from repro.flow.graph import ClusterTopology
 
-DEFAULT_MONITOR_INTERVAL_S = 300.0  # §4.1.3: "every 300 seconds"
 DEFAULT_HOT_SHARD_UTILIZATION = 0.9
 DEFAULT_HOT_QUEUE_SATURATION = 0.8
 

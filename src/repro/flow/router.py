@@ -122,6 +122,8 @@ class RoutingTable:
             raise FlowError(f"no routing rule for tenant {tenant_id}")
         if batch_size < 0:
             raise FlowError(f"negative batch size {batch_size}")
+        if len(rule.weights) == 1:  # a lone weight is exactly 1.0: nothing to apportion
+            return {rule.weights[0][0]: batch_size} if batch_size else {}
         exact = [(shard, weight * batch_size) for shard, weight in rule.weights]
         floors = {shard: int(value) for shard, value in exact}
         remainder = batch_size - sum(floors.values())

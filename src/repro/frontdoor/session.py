@@ -139,7 +139,7 @@ class PreparedStatement:
             self._template = session._statements.admit(self.sql)
         elif template.insert_shape is not None:
             table, columns, _ = template.insert_shape
-            return session._insert(table, columns, template.bind_insert_columns(params))
+            return session._insert(table, columns, *template.bind_insert_columns(params))
         else:
             statement = template.bind(params)
         return session._run(statement, self.sql)
@@ -252,11 +252,12 @@ class Session:
     # -- INSERT (version-stamped ingest) -----------------------------------
 
     def _insert(
-        self, table: str, columns: Sequence[str] | None, values: list[Sequence]
+        self, table: str, columns: Sequence[str] | None, values: list[Sequence], kinds=()
     ) -> InsertResult:
         """Stamp, check and write an INSERT given column-major: ``values``
         holds one sequence per entry of ``columns`` (None = the schema's
-        columns), each as long as the statement has rows."""
+        columns), each as long as the statement has rows; ``kinds``, when
+        given, each one's value types."""
         schema = self._store.catalog.schema
         if table != schema.name:
             raise QueryError(f"unknown table {table!r} (expected {schema.name!r})")
@@ -273,21 +274,25 @@ class Session:
         n_rows = len(values[0])
         given = dict(zip(columns, values))
         given["tenant_id"] = self._stamp_tenants(given.get("tenant_id"), n_rows)
+        known = dict(zip(columns, kinds))  # for the columns passed on as given
+        known.pop("tenant_id", None)
         # TIMESTAMP columns accept 'YYYY-MM-DD HH:MM:SS' strings.
         for spec in schema.columns:
             column = given.get(spec.name)
             if spec.ctype is not ColumnType.TIMESTAMP or column is None:
                 continue
-            if str in set(map(type, column)):
+            if str in (known.pop(spec.name, None) or set(map(type, column))):
                 given[spec.name] = [
                     parse_timestamp(v) if isinstance(v, str) else v for v in column
                 ]
         if "ts" in names:
             now_us = int(self._store.clock.now() * 1_000_000)
+            known.pop("ts", None)
             given["ts"] = _fill_nulls(given.get("ts"), n_rows, lambda: now_us)
         version_spec = self._store.catalog.version_spec
         versions: list[int | None] = [None] * n_rows
         if version_spec is not None:
+            known.pop(version_spec.version_column, None)
             versions = given[version_spec.version_column] = _fill_nulls(
                 given.get(version_spec.version_column), n_rows, self._stamper.next
             )
@@ -305,7 +310,7 @@ class Session:
         # against the schema here, as ``put()`` admits row dicts.
         nulls = [None] * n_rows
         batch = RowBatch.from_columns(
-            names, [given.get(name, nulls) for name in names], target_tenant, schema
+            names, [given.get(name, nulls) for name in names], target_tenant, schema, kinds=known
         )
         self._last_insert = batch
         self._store.put(target_tenant, batch)
@@ -382,7 +387,3 @@ class SessionPool:
         self._sessions = [s for s in self._sessions if not s.closed]
         return len(self._sessions)
 
-    def close_all(self) -> None:
-        for session in self._sessions:
-            session.close()
-        self._sessions = []

@@ -166,9 +166,6 @@ class Catalog:
         self._schema.column(version_column)
         self._version_spec = VersionSpec(key_column, version_column)
 
-    def clear_version_spec(self) -> None:
-        self._version_spec = None
-
     @property
     def schema(self) -> TableSchema:
         return self._schema

@@ -21,14 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-# Kinds emitted by the core seams.  Free-form strings are fine too;
-# these constants just keep the spellings aligned across subsystems.
-EVENT_LEADER_ELECTED = "raft.leader_elected"
-EVENT_RAFT_BACKPRESSURE = "raft.backpressure.trip"
-EVENT_SHARD_SEAL = "shard.seal"
-EVENT_SHARD_BACKPRESSURE = "shard.backpressure.trip"
-EVENT_BUILDER_ARCHIVE = "builder.archive"
-EVENT_COMPACTION = "compactor.compact"
+# Kinds the alert engine emits (every other seam names its kind inline).
 EVENT_ALERT_FIRE = "alert.fire"
 EVENT_ALERT_RESOLVE = "alert.resolve"
 

@@ -208,6 +208,3 @@ class EncodeModeRecorder:
 
     def view(self) -> dict[str, int]:
         return {mode: counter.value for mode, counter in self._modes.items()}
-
-    def fallback_view(self) -> dict[str, int]:
-        return {reason: counter.value for reason, counter in self._fallbacks.items()}

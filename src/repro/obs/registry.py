@@ -218,7 +218,7 @@ def _sort_key(key: LabelKey) -> tuple:
     """Total order over label sets even when values mix types."""
     return tuple((name, str(value)) for name, value in key)
 
-_KINDS = ("counter", "gauge", "histogram")
+
 _QUANTILES = (50, 90, 99)
 
 

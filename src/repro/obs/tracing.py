@@ -27,7 +27,7 @@ output is stable across runs and usable as a golden test.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 
@@ -108,6 +108,42 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()
 
 
+# What a disabled tracer's ``span()`` returns: enters as NOOP_SPAN.
+_NOOP_SCOPE = nullcontext(NOOP_SPAN)
+
+
+class _SpanScope:
+    """``with tracer.span(...)``: opens the span on entry and, on exit,
+    files it under its parent or, for a root, in the tracer's ring."""
+
+    __slots__ = ("_tracer", "_span", "_parent")
+
+    def __init__(self, tracer: "Tracer", span: Span) -> None:
+        self._tracer, self._span = tracer, span
+
+    def __enter__(self) -> Span:
+        tracer, span = self._tracer, self._span
+        span.start_s = tracer._clock.now()
+        stack = tracer._stack
+        parent = self._parent = stack[-1] if stack else None
+        if parent is None:
+            tracer._trace_seq += 1
+        span.trace_id = tracer._trace_seq if parent is None else parent.trace_id
+        stack.append(span)
+        return span
+
+    def __exit__(self, *exc_info) -> None:
+        tracer, span, parent = self._tracer, self._span, self._parent
+        span.end_s = tracer._clock.now()
+        tracer._stack.pop()
+        if parent is not None:
+            parent.children.append(span)
+        else:
+            if len(tracer._traces) == tracer._traces.maxlen:
+                tracer.dropped_traces += 1
+            tracer._traces.append(span)
+
+
 class Tracer:
     """Builds hierarchical spans against a virtual clock.
 
@@ -128,30 +164,10 @@ class Tracer:
         self.dropped_traces = 0
         self._trace_seq = 0
 
-    @contextmanager
-    def span(self, name: str, **attrs):
-        if not self.enabled:
-            yield NOOP_SPAN
-            return
-        span = Span(name=name, attrs=dict(attrs), start_s=self._clock.now())
-        parent = self._stack[-1] if self._stack else None
-        if parent is None:
-            self._trace_seq += 1
-            span.trace_id = self._trace_seq
-        else:
-            span.trace_id = parent.trace_id
-        self._stack.append(span)
-        try:
-            yield span
-        finally:
-            span.end_s = self._clock.now()
-            self._stack.pop()
-            if parent is not None:
-                parent.children.append(span)
-            else:
-                if len(self._traces) == self._traces.maxlen:
-                    self.dropped_traces += 1
-                self._traces.append(span)
+    def span(self, name: str, **attrs) -> "_SpanScope | nullcontext":
+        """A span named ``name`` under the innermost open one, as a
+        context manager that enters as the span."""
+        return _SpanScope(self, Span(name, attrs)) if self.enabled else _NOOP_SCOPE
 
     def current(self) -> Span | None:
         """The innermost open span, or None outside any span."""

@@ -16,7 +16,7 @@ model, or a free model, and only the charged time differs.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.clock import Clock, VirtualClock
 from repro.obs.tracing import Tracer
@@ -45,13 +45,6 @@ class OssStats:
     def reset(self) -> None:
         for name in vars(self):
             setattr(self, name, 0 if name != "time_charged_s" else 0.0)
-
-
-@dataclass
-class _PendingBatch:
-    """Ranged reads accumulated for one parallel (batched) fetch."""
-
-    sizes: list[int] = field(default_factory=list)
 
 
 class MeteredObjectStore:

@@ -968,23 +968,30 @@ class StatementTemplate:
             return None  # some value is a literal
         return parsed.table, parsed.columns, width
 
-    @staticmethod
-    def _plain(params) -> Sequence:
-        """``params`` as a sequence of plain values (see :func:`_plain_parameter`)."""
+    def bind(self, params=()):
+        """The parsed statement with ``params`` as its ``?`` values, each
+        as a plain value (see :func:`_plain_parameter`)."""
         if not isinstance(params, (list, tuple)):
             params = tuple(params)
         if not set(map(type, params)) <= _PLAIN_TYPES:
             params = [_plain_parameter(value) for value in params]
-        return params
+        return _parse_tokens(self._tokens.bind(params))
 
-    def bind(self, params=()):
-        """The parsed statement with ``params`` as its ``?`` values."""
-        return _parse_tokens(self._tokens.bind(self._plain(params)))
-
-    def bind_insert_columns(self, params) -> list[Sequence]:
+    def bind_insert_columns(self, params) -> tuple[list[Sequence], list[set]]:
         """The value columns of an all-placeholder INSERT (one per
-        entry of its column list), as strided slices of ``params``."""
-        params = self._plain(params)
-        self._tokens.check_count(params)
+        entry of its column list), as strided slices of ``params``, and
+        each column's value types: the one read of them.  Only when a
+        column holds a value of no plain type are the values converted
+        (:func:`_plain_parameter`), all in order, so the error names the
+        value the text path names."""
+        if not isinstance(params, (list, tuple)):
+            params = tuple(params)
         width = self.insert_shape[2]
-        return [params[j::width] for j in range(width)]
+        columns = [params[j::width] for j in range(width)]
+        kinds = [set(map(type, column)) for column in columns]
+        if not all(found <= _PLAIN_TYPES for found in kinds):
+            params = [_plain_parameter(value) for value in params]
+            columns = [params[j::width] for j in range(width)]
+            kinds = [set(map(type, column)) for column in columns]
+        self._tokens.check_count(params)
+        return columns, kinds

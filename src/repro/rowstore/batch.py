@@ -25,15 +25,15 @@ this unit (DESIGN.md §3, "Write path: admit once").
 check builds: a column of ``int`` within int64 as an ``array('q')``, of
 ``float`` as float64, of ``bool`` as bytes, of ``str`` as the UTF-8 of
 the values joined by NUL.  Any column that is not purely one of these
-kinds — keys the schema does not know, nulls, a FLOAT64 column that
-holds ints and floats, text holding a NUL — uses a closed, tagged value
-encoding: ``None``, ``bool``, ``int`` of any size, ``float``, ``str``,
-``bytes``, ``bytearray``, and ``list`` / ``dict`` of these.  Any other
-value is refused at admission with :class:`InvalidBatchError`; a
-subclass of one of these types (a ``str`` or ``int`` subclass, say) is
-carried as its base type, and a column holding one is replaced by the
-base-typed values at admission, so a batch equals its own decoding
-value for value and type for type.
+kinds — nulls, a FLOAT64 column that holds ints and floats, text
+holding a NUL, any column of a batch admitted with no schema — uses a
+closed, tagged value encoding: ``None``, ``bool``, ``int`` of any size,
+``float``, ``str``, ``bytes``, ``bytearray``, and ``list`` / ``dict`` of
+these.  Any other value is refused at admission with
+:class:`InvalidBatchError`; a subclass of one of these types (a ``str``
+or ``int`` subclass, say) is carried as its base type, and a column
+holding one is replaced by the base-typed values at admission, so a
+batch equals its own decoding value for value and type for type.
 
 **Durable form.**  :meth:`RowBatch.to_bytes` joins the typed buffers
 under one header, and :meth:`RowBatch.from_bytes` only checks and
@@ -339,13 +339,17 @@ def _column_nbytes(kinds: set, column: list) -> int:
 
 
 def _transpose(rows: list[dict]) -> tuple[tuple[str, ...], list[list]]:
-    """``rows`` column-major: one ``itemgetter`` sweep per key when every
-    row has the first row's keys (the shape log producers send), else
-    over the union of the keys with nulls for the missing ones."""
-    first = rows[0]
-    if set(map(len, rows)) == {len(first)}:
+    """``rows`` column-major: one C-level ``zip`` over every row's values
+    when every row has the first row's keys (the shape log producers
+    send), else over the union of the keys with nulls for the missing
+    ones."""
+    names = tuple(rows[0])
+    if set(map(len, rows)) == {len(names)}:
         try:
-            return tuple(first), [list(map(itemgetter(name), rows)) for name in first]
+            if len(names) > 1:
+                return names, list(map(list, zip(*map(itemgetter(*names), rows))))
+            # One key: ``itemgetter`` returns the bare value.
+            return names, [list(map(itemgetter(name), rows)) for name in names]
         except KeyError:  # same width, different keys
             pass
     names = tuple(dict.fromkeys(chain.from_iterable(rows)))
@@ -592,6 +596,7 @@ class RowBatch:
         schema=None,
         ts_column: str = "ts",
         tenant_column: str = "tenant_id",
+        kinds: dict[str, set] | None = None,
     ) -> "RowBatch":
         """Validate, size and type column-major rows in one sweep per column.
 
@@ -603,9 +608,12 @@ class RowBatch:
         must fit int64 and a string must have a UTF-8 encoding — the
         archive encoder stores them so, and a value it cannot store
         would fail every later flush of the shard; names the schema
-        does not know are carried and ignored.  Names must be ``str``
-        and values follow the value rule (module doc).  Anything else
-        raises :class:`InvalidBatchError` and nothing was admitted.
+        does not know are dropped, as archiving drops them, so a later
+        DDL that adds such a name meets no un-archived value of it.
+        Names must be ``str`` and values follow the value rule (module
+        doc).  Anything else raises :class:`InvalidBatchError` and
+        nothing was admitted.  ``kinds`` maps a name to its column's
+        ``set(map(type, column))`` where the caller has taken it.
         """
         names = tuple(names)
         columns = [c if type(c) is list else list(c) for c in columns]
@@ -619,10 +627,15 @@ class RowBatch:
         if set(map(type, names)) != _ONLY_STR and not all(isinstance(n, str) for n in names):
             raise InvalidBatchError(f"column names must be str: {names!r}")
         accepted = schema.accepted_types if schema is not None else {}
+        if accepted and not accepted.keys() >= set(names):
+            keys = {*accepted, ts_column, tenant_column}
+            keep = [i for i, name in enumerate(names) if name in keys]
+            names, columns = tuple(names[i] for i in keep), [columns[i] for i in keep]
         nbytes = count * sum(map(len, names))
         parts = []
+        known = kinds or {}
         for i, (name, column) in enumerate(zip(names, columns)):
-            kinds = set(map(type, column))
+            kinds = known.get(name) or set(map(type, column))
             if name == ts_column or name == tenant_column:
                 owner = tenant_id if name == tenant_column else None
                 part, size = _key_part(name, column, kinds, owner), 8 * count

@@ -12,8 +12,9 @@ vector — int64 for an INT column (``ts`` and ``tenant_id`` among
 them), float64, bool — or a value list for a STRING or ANY column and
 for any column whose kind changes between batches (or that some batch
 lacks).  Appending an admitted batch adds its typed buffers to each
-vector column's ``bytearray`` tail and extends the lists by the batch's
-own: no numpy call and no per-put object kept alive.  A batch that
+vector column's tail list and extends the lists by the batch's own: no
+numpy call, no copy, and no per-put object the collector tracks kept
+alive (``bytes`` are not tracked).  A batch that
 arrives still encoded (a Raft entry, a WAL replay, a checkpoint) is
 kept as it is until a reader touches the table: a Raft follower that is
 never read decodes nothing.  Nothing else happens before the ack.
@@ -49,7 +50,7 @@ _NO_ROWS = np.empty(0, dtype=np.int64)
 class _Column:
     """One column of the table: a typed vector (``kind`` is an INT /
     FLOAT / BOOL part kind) plus what was appended since the last read —
-    little-endian bytes in ``tail``, widened vectors in ``chunks`` — or,
+    little-endian ``bytes`` in ``tail``, widened vectors in ``chunks`` — or,
     with ``kind`` None, a value list."""
 
     __slots__ = ("kind", "vector", "tail", "chunks", "values")
@@ -61,7 +62,7 @@ class _Column:
             self.values = [None] * nulls
         else:
             self.vector = np.empty(0, VECTOR_KINDS[kind])
-            self.tail = bytearray()
+            self.tail: list[bytes] = []
             self.chunks: list[np.ndarray] = []
 
     def add(self, part: tuple, count: int, values: list | None) -> None:
@@ -91,10 +92,10 @@ class _Column:
             return self.values
         if self.tail or self.chunks:
             dtype = VECTOR_KINDS[self.kind]
-            tail = [np.frombuffer(self.tail, dtype.newbyteorder("<"))] if self.tail else []
-            self.vector = np.concatenate((self.vector, *tail, *self.chunks), dtype=dtype)
+            tail = np.frombuffer(b"".join(self.tail), dtype.newbyteorder("<"))
+            self.vector = np.concatenate((self.vector, tail, *self.chunks), dtype=dtype)
             self.chunks.clear()
-            self.tail = bytearray()
+            self.tail.clear()
         return self.vector
 
 
@@ -186,7 +187,7 @@ class MemTable:
             elif part is None:
                 column.add_nulls(count)
             elif part[0] == column.kind and not reading:
-                column.tail += typed_bytes(part, count)
+                column.tail.append(typed_bytes(part, count))
             else:
                 column.add(part, count, values)
         self._rows += count

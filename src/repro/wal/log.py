@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator, Protocol
+from typing import Iterator, Protocol, Sequence
 
 from repro.common.errors import WalError
 from repro.wal.record import (
@@ -19,7 +19,6 @@ from repro.wal.record import (
     WalEntryEncoder,
     decode_frame,
     encode_entry_frames,
-    encode_frame,
     iter_frames,
 )
 
@@ -188,58 +187,49 @@ class WriteAheadLog:
         return self._backend
 
     def append(self, kind: int, body: bytes) -> int:
-        """Append an entry; returns its sequence number."""
-        sequence = self._next_sequence
-        frame = encode_frame(WalEntryEncoder.encode(sequence, kind, body))
-        if self._active_size and self._active_size + len(frame) > self._segment_bytes:
-            self._active_segment += 1
-            self._active_size = 0
-        self._backend.append(self._active_segment, frame)
-        self.flush_count += 1
-        self._active_size += len(frame)
-        self._next_sequence += 1
-        return sequence
+        """Append an entry; returns its sequence number.  The one-entry
+        :meth:`append_many`."""
+        return self.append_many(((kind, body),))[0]
 
-    def append_many(self, entries: list[tuple[int, bytes]]) -> list[int]:
+    def append_many(self, entries: Sequence[tuple[int, bytes]]) -> list[int]:
         """Append ``(kind, body)`` entries with coalesced frame flushes.
 
         The group-commit write: all frames destined for the same segment
-        are encoded into one preallocated buffer
-        (:func:`encode_entry_frames`) and handed to the backend in one
-        ``append`` — one encode pass and one flush (fsync, for the file
-        backend) amortized over the whole group instead of one
-        ``struct.pack`` + append per entry.  Segment rollover still
+        are encoded into one buffer (:func:`encode_entry_frames`: one
+        join, a running CRC) and handed to the backend in one
+        ``append`` — one copy of each body and one flush (fsync, for the
+        file backend) amortized over the whole group.  Segment rollover
         happens at the same byte boundaries as per-entry appends would
-        produce, and the segment bytes are identical.
+        produce, and the segment bytes are identical.  The log's
+        position advances per flushed segment run, so a run the backend
+        refuses consumes no sequence number.
         """
-        sequences: list[int] = []
-        runs: list[tuple[int, list[tuple[int, int, bytes]]]] = []
+        runs: list[tuple[int, int, list[tuple[int, int, bytes]]]] = []
         run: list[tuple[int, int, bytes]] = []
-        stage = run.append
         frame_overhead = HEADER_SIZE + ENTRY_HEAD_SIZE
+        segment_id = self._active_segment
         active_size = self._active_size
         sequence = self._next_sequence
         for kind, body in entries:
             frame_size = frame_overhead + len(body)
             if active_size and active_size + frame_size > self._segment_bytes:
                 if run:
-                    runs.append((self._active_segment, run))
+                    runs.append((segment_id, active_size, run))
                     run = []
-                    stage = run.append
-                self._active_segment += 1
+                segment_id += 1
                 active_size = 0
-            stage((sequence, kind, body))
+            run.append((sequence, kind, body))
             active_size += frame_size
-            sequences.append(sequence)
             sequence += 1
         if run:
-            runs.append((self._active_segment, run))
-        self._active_size = active_size
-        self._next_sequence = sequence
-        for segment_id, segment_entries in runs:
-            self._backend.append(segment_id, encode_entry_frames(segment_entries))
+            runs.append((segment_id, active_size, run))
+        first = self._next_sequence
+        for segment_id, active_size, run in runs:
+            self._backend.append(segment_id, encode_entry_frames(run))
             self.flush_count += 1
-        return sequences
+            self._active_segment, self._active_size = segment_id, active_size
+            self._next_sequence = run[-1][0] + 1
+        return list(range(first, sequence))
 
     def replay(self, from_sequence: int = 0) -> Iterator[WalEntry]:
         """Yield entries with ``sequence >= from_sequence`` in order."""

@@ -127,30 +127,66 @@ class TestWrongTypedValue:
         assert store.flush_all().rows_archived == 120
         assert store.pending_rows() == 0
 
-    def test_float_column_takes_ints_and_unknown_keys_are_carried(self):
+    def test_float_column_takes_ints_and_unknown_keys_are_dropped(self):
         store = LogStore.create(config=small_test_config())
         rows = make_rows(5, tenant_id=4)
-        # Carried to the builder, ignored there.
+        # Dropped at put(), as archiving drops them: realtime and
+        # archived rows agree, and a later DDL meets no value of the key.
         rows[0]["not_in_schema"] = {"nested": [2**70, b"raw", None]}
         rows[1]["not_in_schema"] = 1.5
         store.put(4, rows)
+        realtime = [row for shard in all_shards(store) for row in shard.scan_realtime()]
+        assert len(realtime) == 5 and all("not_in_schema" not in row for row in realtime)
         assert store.flush_all().rows_archived == 5
 
     @pytest.mark.parametrize("value", [object, (1, 2), {1, 2}, [object()]])
     @pytest.mark.parametrize("use_raft", [False, True])
     def test_value_without_durable_form_is_refused(self, use_raft, value):
         """The value rule: a value outside the closed set the record
-        codec carries (``repro.rowstore.batch``) is refused at put()."""
+        codec carries (``repro.rowstore.batch``) is refused where rows
+        are admitted without a schema, a shard's own row dicts; put()
+        drops the key the schema does not know first."""
         store = LogStore.create(config=small_test_config(use_raft=use_raft))
         rows = make_rows(5, tenant_id=4)
         rows[2]["not_in_schema"] = value
-        for put in (store.put, store.put_nowait):
+        shard = all_shards(store)[0]
+        for write in (shard.write, shard.write_async):
             with pytest.raises(InvalidBatchError, match="has no durable form"):
-                put(4, rows)
+                write(rows)
         store.settle_writes()
         assert store.pending_rows() == 0
-        store.put(4, make_rows(5, tenant_id=4, seed=1))
+        store.put(4, rows)
         assert store.flush_all().rows_archived == 5
+
+
+class TestDdlOnAKeyAlreadyPut:
+    """A key the schema did not know was carried into the row store; a
+    DDL that then typed it differently wedged the shard's archive: every
+    later ``flush_all()`` raised ``SchemaError`` and the rows stayed
+    pending for good."""
+
+    @pytest.mark.parametrize("use_raft", [False, True])
+    def test_the_ddl_leaves_the_archive_working(self, use_raft):
+        store = LogStore.create(config=small_test_config(use_raft=use_raft))
+        rows = make_rows(10, tenant_id=4)
+        for i, row in enumerate(rows):
+            row["extra"] = i
+        store.put(4, rows)
+        store.catalog.add_column(ColumnSpec("extra", ColumnType.STRING))
+        assert store.flush_all().rows_archived == 10
+        assert store.pending_rows() == 0
+        late = make_rows(3, tenant_id=4, seed=1)
+        late[0]["extra"] = 7
+        with pytest.raises(InvalidBatchError, match="column 'extra' expects"):
+            store.put(4, late)
+        late[0]["extra"] = "seven"
+        store.put(4, late)
+        assert store.flush_all().rows_archived == 3
+        counts = store.query(
+            "SELECT COUNT(*) FROM request_log WHERE tenant_id = 4 AND extra = 'seven'"
+        ).rows
+        assert counts == [{"COUNT(*)": 1}]
+        assert store.query("SELECT COUNT(*) FROM request_log").rows == [{"COUNT(*)": 13}]
 
 
 class TestOutOfRangeValue:
@@ -442,17 +478,17 @@ class ShardPair:
 
 def test_usage_meter_bytes_match_the_parent_commit():
     """``_system.tenants.bytes_ingested`` is in the admission estimate's
-    unit.  The first integers were read off the commit before
-    ``RowBatch`` (per-row ``approx_rows_bytes`` in ``Broker._dispatch``);
-    a ragged batch is now sized over its key union, so each tenant's one
-    ragged batch adds ``len("trace") + 8`` for every row it fills with a
-    null ``trace`` — all rows but the one that carries it."""
+    unit.  The integers were read off the commit before ``RowBatch``
+    (per-row ``approx_rows_bytes`` in ``Broker._dispatch``).  ``trace``
+    is not a schema column, so admission now drops it: each tenant's one
+    ragged batch meters neither its name nor the bytes it held (seeds 0,
+    4, 8: that many bytes)."""
     store = LogStore.create(config=small_test_config())
     seeded_ingest(store)
     usage = {t: store.obs.meter.usage(t) for t in (1, 2, 3)}
-    ragged_rows = {1: 40, 2: 40 + 7 * 4, 3: 40 + 7 * 8}  # seeds 0, 4, 8
+    trace_bytes = {1: 0, 2: 4, 3: 8}
     assert {t: u.bytes_ingested for t, u in usage.items()} == {
-        t: before + 13 * (ragged_rows[t] - 1)
+        t: before - len("trace") - trace_bytes[t]
         for t, before in {1: 38805, 2: 42614, 3: 46426}.items()
     }
     assert {t: u.rows_ingested for t, u in usage.items()} == {1: 286, 2: 314, 3: 342}

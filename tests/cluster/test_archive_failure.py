@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.builder.builder import DataBuilder
 from repro.chaos.oss_faults import ChaosObjectStore
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
 from repro.common.clock import VirtualClock
 from repro.common.errors import SchemaError, TransientStoreError
-from repro.logblock.schema import ColumnSpec, ColumnType
 from repro.oss.store import InMemoryObjectStore
 
 BASE_TS = 1_605_052_800_000_000
@@ -412,27 +412,31 @@ class TestCompactorCompensation:
 
 
 class TestOneShardCannotArchive:
-    """A shard whose sealed table the builder refuses (here: a DDL typed
-    a key its rows already hold as text) must not hold back the others:
-    every other shard archives, and background ticks still run."""
+    """A shard whose sealed table the builder refuses (here: a builder
+    that raises on tenant 1's table, as one did for a key a DDL had typed
+    after its rows held it as text) must not hold back the others: every
+    other shard archives, and background ticks still run."""
 
-    def make_store(self):
+    def make_store(self, monkeypatch):
         # 32 shards, so that tenant 1's shard holds no other tenant of
         # the 20: a table archives all-or-nothing, so shard-mates would
         # stay pending with it.
         config = small_test_config(use_raft=False, n_workers=4, shards_per_worker=8)
         store = LogStore.create(config=config)
         for tenant in range(1, 21):
-            rows = make_rows(tenant, 10, f"t{tenant}")
-            if tenant == 1:
-                for row in rows:
-                    row["region"] = "eu"
-            store.put(tenant, rows)
-        store.catalog.add_column(ColumnSpec("region", ColumnType.INT64))
+            store.put(tenant, make_rows(tenant, 10, f"t{tenant}"))
+        real_archive = DataBuilder.archive_memtable
+
+        def refuse_tenant_1(builder, memtable, *args, **kwargs):
+            if 1 in memtable.tenants():
+                raise SchemaError("column 'region' expects int, got <class 'str'>")
+            return real_archive(builder, memtable, *args, **kwargs)
+
+        monkeypatch.setattr(DataBuilder, "archive_memtable", refuse_tenant_1)
         return store
 
-    def test_flush_archives_every_other_shard(self):
-        store = self.make_store()
+    def test_flush_archives_every_other_shard(self, monkeypatch):
+        store = self.make_store(monkeypatch)
         for _ in range(2):  # and again on a retry
             with pytest.raises(SchemaError, match="region"):
                 store.flush_all()
@@ -443,7 +447,7 @@ class TestOneShardCannotArchive:
         assert archived == {tenant: 10 for tenant in range(2, 21)}
 
     def test_background_tick_runs_lifecycle_and_alerts_before_raising(self, monkeypatch):
-        store = self.make_store()
+        store = self.make_store(monkeypatch)
         with pytest.raises(SchemaError):
             store.flush_all()
         ticks = []

@@ -23,6 +23,7 @@ from repro.frontdoor.session import STATEMENT_CACHE_ENTRIES, VersionStamper
 from repro.logblock.schema import ColumnSpec, ColumnType
 from repro.query import sql as sql_module
 from repro.query.planner import parse_timestamp
+from repro.rowstore.batch import RowBatch
 from repro.query.sql import (
     ParsedInsert,
     ParsedQuery,
@@ -191,8 +192,27 @@ def test_insert_shape_is_recognised_when_the_template_is_built():
     mixed = StatementTemplate("INSERT INTO events (name, n) VALUES (?, 1), (?, ?)")
     assert mixed.insert_shape is None
     assert StatementTemplate("INSERT INTO events (name) VALUES ('a')").insert_shape is None
-    columns = StatementTemplate(INSERT_2X3).bind_insert_columns(("a", 1, True, "b", 2, False))
+    columns, kinds = StatementTemplate(INSERT_2X3).bind_insert_columns(
+        ("a", 1, True, "b", 2, False)
+    )
     assert [list(column) for column in columns] == [["a", "b"], [1, 2], [True, False]]
+    assert kinds == [{str}, {int}, {bool}]
+
+
+def test_a_cached_insert_reads_each_parameters_type_once(session, monkeypatch):
+    """The bind's per-column type sets reach admission for every column
+    passed on as bound; only the stamped ones are read again."""
+    handed = []
+    admit = RowBatch.from_columns.__func__
+
+    def spy(cls, *args, kinds=None, **kwargs):
+        handed.append(kinds)
+        return admit(cls, *args, kinds=kinds, **kwargs)
+
+    monkeypatch.setattr(RowBatch, "from_columns", classmethod(spy))
+    for _ in range(2):  # text path, then the cached template
+        session.execute(INSERT_2X3, ("a", 1, True, "b", 2, False))
+    assert handed == [{}, {"name": {str}, "n": {int}, "ok": {bool}}]
 
 
 @settings(
