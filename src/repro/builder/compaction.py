@@ -66,7 +66,7 @@ def rewrite_blocks(
     columns: dict[str, list] = {name: [] for name in schema.column_names()}
     total = 0
     for block in victims:
-        reader = LogBlockReader(PackReader(store, bucket, block.path))
+        reader = LogBlockReader(PackReader(store, bucket, block.path, block.size_bytes))
         stored = reader.meta().schema.column_names()
         for name, values in columns.items():
             values.extend(

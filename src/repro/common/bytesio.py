@@ -9,15 +9,21 @@ bounds checking.
 from __future__ import annotations
 
 import struct
+from itertools import pairwise
+
+import numpy as np
 
 from repro.common.errors import SerializationError
-from repro.common.varint import decode_uvarint, encode_uvarint
+from repro.common.varint import (
+    decode_uvarint,
+    decode_uvarint_array,
+    encode_uvarint,
+    encode_uvarint_array,
+)
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
 
 
 class BinaryWriter:
@@ -49,12 +55,6 @@ class BinaryWriter:
     def write_u64(self, value: int) -> None:
         self._buf += struct.pack("<Q", value)
 
-    def write_i64(self, value: int) -> None:
-        self._buf += struct.pack("<q", value)
-
-    def write_f64(self, value: float) -> None:
-        self._buf += struct.pack("<d", value)
-
     def write_uvarint(self, value: int) -> None:
         if 0 <= value < 0x80:
             self._buf.append(value)
@@ -69,6 +69,14 @@ class BinaryWriter:
     def write_str(self, text: str) -> None:
         """Write a UTF-8 string with a uvarint length prefix."""
         self.write_len_prefixed(text.encode("utf-8"))
+
+    def write_strings(self, encoded: list[bytes]) -> None:
+        """Write a list of byte strings as two sections: every length as
+        a uvarint, then the concatenated text (the count is the
+        caller's to write)."""
+        lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+        self._buf += encode_uvarint_array(lengths)
+        self._buf += b"".join(encoded)
 
     def getvalue(self) -> bytes:
         return bytes(self._buf)
@@ -131,12 +139,6 @@ class BinaryReader:
     def read_u64(self) -> int:
         return self._unpack(_U64)
 
-    def read_i64(self) -> int:
-        return self._unpack(_I64)
-
-    def read_f64(self) -> float:
-        return self._unpack(_F64)
-
     def read_uvarint(self) -> int:
         data = self._data
         pos = self._pos
@@ -167,3 +169,38 @@ class BinaryReader:
             return self.read_len_prefixed().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SerializationError(f"string is not UTF-8: {exc}") from None
+
+    def read_bounds(self, count: int, most: int) -> np.ndarray:
+        """``count`` uvarint lengths, none past ``most``, as their
+        ``count + 1`` running sums from 0: one varint decode and one
+        cumsum."""
+        lengths, self._pos = decode_uvarint_array(self._data, count, self._pos)
+        if count and int(lengths.max()) > most:
+            raise SerializationError("length out of range")
+        bounds = np.zeros(count + 1, dtype=np.int64)
+        # Bounded lengths: neither the view nor the sum overflows.
+        lengths.view(np.int64).cumsum(out=bounds[1:])
+        return bounds
+
+    def read_strings(self, count: int) -> tuple[np.ndarray, bytes]:
+        """``count`` strings written by :meth:`BinaryWriter.write_strings`:
+        their ``count + 1`` ascending byte bounds in the text (string
+        *i* is ``text[bounds[i]:bounds[i + 1]]``) and the text itself."""
+        bounds = self.read_bounds(count, self.remaining())
+        return bounds, self.read_bytes(int(bounds[-1]))
+
+
+def decode_strings(text: bytes, bounds: np.ndarray) -> list[str]:
+    """The strings ``text[bounds[i]:bounds[i + 1]]`` as Python ``str``.
+
+    ASCII text is decoded once and sliced (byte offsets are character
+    offsets there); otherwise each string is decoded on its own, so a
+    bound inside a character is caught.
+    """
+    try:
+        whole = text.decode("utf-8")
+        if len(whole) == len(text):
+            return [whole[start:end] for start, end in pairwise(bounds.tolist())]
+        return [text[start:end].decode("utf-8") for start, end in pairwise(bounds.tolist())]
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"string is not UTF-8: {exc}") from None

@@ -32,14 +32,6 @@ def encode_uvarint(value: int) -> bytes:
             return bytes(out)
 
 
-def encode_uvarints(values: list[int]):
-    """:func:`encode_uvarint` of each non-negative value, lazily: a
-    tuple lookup per value, not a call, when every value fits one byte."""
-    if max(values, default=0) < 0x80:
-        return map(_ONE_BYTE.__getitem__, values)
-    return map(encode_uvarint, values)
-
-
 def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode an unsigned LEB128 integer.
 
@@ -126,7 +118,7 @@ def uvarint_ends(data) -> np.ndarray:
     varints entry ``k`` is where varint ``k`` ends and ``k + 1`` starts
     — every boundary from one comparison, with no varint decoded.
     """
-    return np.flatnonzero(np.frombuffer(data, dtype=np.uint8) < 0x80) + 1
+    return (np.frombuffer(data, dtype=np.uint8) < 0x80).nonzero()[0] + 1
 
 
 def decode_uvarint_array(data: bytes, count: int, offset: int = 0) -> tuple[np.ndarray, int]:
@@ -140,10 +132,11 @@ def decode_uvarint_array(data: bytes, count: int, offset: int = 0) -> tuple[np.n
     """
     if count == 0:
         return np.empty(0, dtype=np.uint64), offset
-    raw = np.frombuffer(memoryview(data)[offset:], dtype=np.uint8)
-    head = raw[:count]
-    if head.size == count and int(head.max()) < 0x80:
-        return head.astype(np.uint64), offset + count
+    head = bytes(memoryview(data)[offset : offset + count])
+    if len(head) == count and head.isascii():  # every varint one byte
+        return np.frombuffer(head, dtype=np.uint8).astype(np.uint64), offset + count
+    # What follows the varints is not scanned: they span at most this.
+    raw = np.frombuffer(memoryview(data)[offset : offset + _MAX_VARINT_BYTES * count], np.uint8)
     ends = uvarint_ends(raw)[:count]
     if ends.size < count:
         raise SerializationError("truncated uvarint")

@@ -11,9 +11,15 @@ Encodings:
 * INT64/TIMESTAMP — null bitset + raw little-endian int64 vector.
 * FLOAT64        — null bitset + raw float64 vector.
 * BOOL           — null bitset + value bitset.
-* STRING         — null bitset + either PLAIN (offsets + utf-8 bytes) or
+* STRING         — null bitset + either PLAIN (every row's value) or
   DICT (distinct values + per-row codes) chosen by cardinality, like the
   frequency-based dictionary compression the paper cites from DB2 BLU.
+
+Since format v5 a list of strings — PLAIN values, a DICT dictionary —
+is two sections: every length as a uvarint, then the concatenated UTF-8
+text, so its extents are one varint decode and one cumsum.  Format v4
+interleaved ``uvarint(len) · bytes`` per string; its blocks are still
+read (``version=4``).
 """
 
 from __future__ import annotations
@@ -23,13 +29,15 @@ from array import array
 import numpy as np
 
 from repro.common.bitset import Bitset
-from repro.common.bytesio import BinaryReader, BinaryWriter
+from repro.common.bytesio import BinaryReader, BinaryWriter, decode_strings
 from repro.common.errors import SerializationError
 from repro.common.varint import decode_uvarint, decode_uvarint_array
 from repro.logblock.schema import ColumnType
 
 _STRING_PLAIN = 0
 _STRING_DICT = 1
+# The first LogBlock format whose string lists are length + text sections.
+SECTIONED_STRINGS = 5
 
 # Use dictionary encoding when distinct values are at most this fraction
 # of the row count (and the block is non-trivial).
@@ -67,8 +75,11 @@ def _read_null_mask(reader: BinaryReader, row_count: int) -> np.ndarray:
     return nulls.to_bool_array()
 
 
-def decode_block(data: bytes, ctype: ColumnType, row_count: int) -> list:
-    """Decode a column block back into python values (``None`` = null)."""
+def decode_block(
+    data: bytes, ctype: ColumnType, row_count: int, version: int = SECTIONED_STRINGS
+) -> list:
+    """Decode a column block of LogBlock format ``version`` back into
+    python values (``None`` = null)."""
     reader = BinaryReader(data)
     null_mask = _read_null_mask(reader, row_count)
     if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
@@ -85,7 +96,7 @@ def decode_block(data: bytes, ctype: ColumnType, row_count: int) -> list:
             )
         return with_nulls(bits.to_bool_array().tolist(), null_mask)
     if ctype is ColumnType.STRING:
-        return _decode_strings(reader, null_mask, row_count)
+        return _decode_strings(reader, null_mask, row_count, version)
     raise SerializationError(f"unsupported column type {ctype}")
 
 
@@ -102,8 +113,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def decode_block_arrays(data: bytes, ctype: ColumnType, row_count: int):
-    """Decode a column block into the one form every read path shares.
+def decode_block_arrays(
+    data: bytes, ctype: ColumnType, row_count: int, version: int = SECTIONED_STRINGS
+):
+    """Decode a column block of LogBlock format ``version`` into the one
+    form every read path shares.
 
     Numeric/bool columns return ``(values, null_mask)``.  DICT-encoded
     string blocks return ``(codes, dictionary, null_mask)`` — codes are
@@ -135,11 +149,11 @@ def decode_block_arrays(data: bytes, ctype: ColumnType, row_count: int):
     if ctype is ColumnType.STRING:
         encoding = reader.read_u8()
         if encoding == _STRING_PLAIN:
-            return PlainStrings(reader, null_mask)
+            return _plain_strings(reader, null_mask, version)
         if encoding != _STRING_DICT:
             raise SerializationError(f"unknown string encoding {encoding}")
-        dict_size = reader.read_uvarint()
-        dictionary = tuple(reader.read_str() for _ in range(dict_size))
+        dictionary = tuple(_read_dictionary(reader, version))
+        dict_size = len(dictionary)
         if dict_size < 0x80:
             # Every code (≤ dict_size) fits one LEB128 byte: the code
             # stream is the uint8 vector.
@@ -148,6 +162,8 @@ def decode_block_arrays(data: bytes, ctype: ColumnType, row_count: int):
             # The scan kernels compare codes with ``dict_size + 1``.
             width = np.uint16 if dict_size < 0xFFFF else np.uint32
             codes = _frozen(_read_codes(reader, row_count).astype(width))
+        if row_count and int(codes.max()) > dict_size:
+            raise SerializationError("string code past the dictionary")
         return codes, dictionary, null_mask
     raise SerializationError(f"unsupported column type {ctype}")
 
@@ -184,15 +200,43 @@ def _encode_strings(writer: BinaryWriter, values: list) -> None:
         ordered = sorted(distinct)
         code_of = {value: code for code, value in enumerate(ordered)}
         writer.write_uvarint(len(ordered))
-        for value in ordered:
-            writer.write_str(value)
+        _write_strings(writer, ordered)
         for value in values:
             # Code 0 is reserved for null; real codes are shifted by one.
             writer.write_uvarint(0 if value is None else code_of[value] + 1)
     else:
         writer.write_u8(_STRING_PLAIN)
-        for value in values:
-            writer.write_str("" if value is None else value)
+        _write_strings(writer, ["" if value is None else value for value in values])
+
+
+def string_sections(data: bytes, row_count: int) -> tuple[str, int, int]:
+    """``(encoding, length section bytes, text bytes)`` of one
+    uncompressed STRING block of format v5 (for inspection)."""
+    reader = BinaryReader(data)
+    reader.read_len_prefixed()  # the null bitset
+    plain = reader.read_u8() == _STRING_PLAIN
+    count = row_count if plain else reader.read_uvarint()
+    start = reader.offset
+    _bounds, text = reader.read_strings(count)
+    return ("plain" if plain else "dict"), reader.offset - start - len(text), len(text)
+
+
+def _write_strings(writer: BinaryWriter, strings: list[str]) -> None:
+    """A list of strings, value by value: every length, then every text."""
+    encoded = [text.encode("utf-8") for text in strings]
+    for data in encoded:
+        writer.write_uvarint(len(data))
+    for data in encoded:
+        writer.write_bytes(data)
+
+
+def _read_dictionary(reader: BinaryReader, version: int) -> list[str]:
+    """A DICT block's dictionary: its size, then its strings."""
+    size = reader.read_uvarint()
+    if version < SECTIONED_STRINGS:
+        return [reader.read_str() for _ in range(size)]
+    bounds, text = reader.read_strings(size)
+    return decode_strings(text, bounds)
 
 
 def _read_codes(reader: BinaryReader, row_count: int) -> np.ndarray:
@@ -201,19 +245,56 @@ def _read_codes(reader: BinaryReader, row_count: int) -> np.ndarray:
     return codes
 
 
-def _decode_strings(reader: BinaryReader, null_mask: np.ndarray, row_count: int) -> list:
+def _decode_strings(
+    reader: BinaryReader, null_mask: np.ndarray, row_count: int, version: int
+) -> list:
     encoding = reader.read_u8()
     if encoding == _STRING_DICT:
-        dict_size = reader.read_uvarint()
         # Slot 0 is the null code; a row the bitset marks null is null
         # whatever its code says.
-        dictionary = np.array([None] + [reader.read_str() for _ in range(dict_size)], dtype=object)
+        dictionary = np.array([None, *_read_dictionary(reader, version)], dtype=object)
         codes = _read_codes(reader, row_count)
         codes[null_mask] = 0
         return dictionary[codes].tolist()
     if encoding == _STRING_PLAIN:
-        return PlainStrings(reader, null_mask).pick(np.arange(row_count))
+        return _plain_strings(reader, null_mask, version).pick(np.arange(row_count))
     raise SerializationError(f"unknown string encoding {encoding}")
+
+
+def _plain_strings(reader: BinaryReader, null_mask: np.ndarray, version: int) -> "PlainStrings":
+    """The view of a PLAIN block; ``reader`` is just past the encoding byte."""
+    if version < SECTIONED_STRINGS:
+        data = reader.read_bytes(reader.remaining())
+        starts, ends = map(_frozen, _walk_interleaved(data, len(null_mask)))
+        return PlainStrings(data, starts, ends, null_mask, starts.nbytes + ends.nbytes)
+    bounds, text = reader.read_strings(len(null_mask))
+    if reader.remaining():
+        raise SerializationError("string lengths disagree with the text")
+    _frozen(bounds)
+    return PlainStrings(text, bounds[:-1], bounds[1:], null_mask, bounds.nbytes)
+
+
+def _walk_interleaved(data: bytes, row_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's extent in a format-v4 PLAIN payload, which interleaves
+    ``uvarint(len) · utf-8 bytes``: one walk over the lengths, the text
+    skipped."""
+    starts = array("q")
+    ends = array("q")
+    pos = 0
+    try:
+        for _ in range(row_count):
+            length = data[pos]
+            pos += 1
+            if length >= 0x80:
+                length, pos = decode_uvarint(data, pos - 1)
+            starts.append(pos)
+            pos += length
+            ends.append(pos)
+    except IndexError:
+        raise SerializationError("truncated string block") from None
+    if pos != len(data):
+        raise SerializationError("string lengths disagree with the block")
+    return np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
 
 
 def block_values(block, offsets: np.ndarray | None = None) -> list:
@@ -238,77 +319,35 @@ def block_values(block, offsets: np.ndarray | None = None) -> list:
 
 
 class PlainStrings:
-    """Offsets-first view of a PLAIN string block.
+    """A PLAIN string block as its text and every row's byte extent in it.
 
-    The payload interleaves ``varint(len) · utf-8 bytes`` per row, so
-    finding row *i* means walking the *i* lengths before it — but not
-    decoding their text.  The walk records each value's byte extent,
-    goes only as far as the last row asked for, and resumes from there
-    on the next call; :meth:`pick` then slices and decodes just the
-    rows it is given.
-
-    One view serves every query that reads the block (it is what the
-    object cache holds), so the walk's progress is one ``(rows walked,
-    byte position)`` pair replaced in a single store: extents below the
-    published row count never change, and two readers extending the
-    walk at once write the same values.
+    The extents are known from the moment the block is opened (format
+    v5: one varint decode and one cumsum over the length section; v4:
+    one walk over the interleaved lengths), so the view never changes
+    after that and one of it serves every query that reads the block —
+    it is what the object cache holds.  :meth:`pick` slices and decodes
+    just the rows it is given.
     """
 
-    __slots__ = ("_data", "_null_mask", "_walked", "_starts", "_ends")
+    __slots__ = ("_text", "_starts", "_ends", "_null_mask", "nbytes")
 
-    def __init__(self, reader: BinaryReader, null_mask: np.ndarray) -> None:
-        """``reader`` is positioned just past the encoding byte."""
-        self._data = reader.read_bytes(reader.remaining())
+    def __init__(
+        self,
+        text: bytes,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        null_mask: np.ndarray,
+        extents_nbytes: int,
+    ) -> None:
+        self._text = text
+        self._starts = starts
+        self._ends = ends
         self._null_mask = null_mask
-        self._walked = (0, 0)
-        self._starts = np.empty(len(null_mask), dtype=np.uintc)  # 32 bits
-        self._ends = np.empty(len(null_mask), dtype=np.uintc)
+        # Bytes this view keeps alive (what a cache is charged).
+        self.nbytes = _DECODED_OVERHEAD + len(text) + null_mask.nbytes + extents_nbytes
 
     def __len__(self) -> int:
         return len(self._null_mask)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes this view keeps alive (what a cache is charged)."""
-        return (
-            _DECODED_OVERHEAD
-            + len(self._data)
-            + self._null_mask.nbytes
-            + self._starts.nbytes
-            + self._ends.nbytes
-        )
-
-    def _walk(self, row_count: int) -> None:
-        """Extend the recorded extents to cover rows ``[0, row_count)``.
-
-        The new extents are published only once the walk has stayed
-        inside the block, so a failed walk fails again the same way
-        instead of leaving overrun extents behind a stale position.
-        """
-        walked, pos = self._walked
-        if row_count <= walked:
-            return
-        data = self._data
-        starts: list[int] = []
-        ends: list[int] = []
-        try:
-            for _ in range(row_count - walked):
-                length = data[pos]
-                pos += 1
-                if length >= 0x80:
-                    length, pos = decode_uvarint(data, pos - 1)
-                starts.append(pos)
-                pos += length
-                ends.append(pos)
-        except IndexError:
-            raise SerializationError("truncated string block") from None
-        if pos > len(data):
-            raise SerializationError("string value overruns its block")
-        # Through array(): numpy converts a list of python ints one
-        # object at a time, twice as slowly.
-        self._starts[walked:row_count] = np.frombuffer(array("I", starts), dtype=np.uintc)
-        self._ends[walked:row_count] = np.frombuffer(array("I", ends), dtype=np.uintc)
-        self._walked = (row_count, pos)
 
     def pick(self, offsets: np.ndarray) -> list:
         """Values at the strictly ascending row ``offsets`` (``None`` = null)."""
@@ -319,18 +358,24 @@ class PlainStrings:
             raise IndexError(
                 f"rows {first}..{last} outside a string block of {len(self._null_mask)} rows"
             )
-        self._walk(last + 1)
-        data = self._data
+        chosen = offsets
         if last - first + 1 == offsets.size:
             # One contiguous run (a time window, or the whole block).
             chosen = slice(first, last + 1)
+        text, starts, ends = self._text, self._starts[chosen], self._ends[chosen]
+        if type(chosen) is slice:
+            # An ASCII run is decoded once and sliced.
+            base = int(starts[0])
+            run = text[base : int(ends[-1])]
+            if run.isascii():
+                text, starts, ends = run.decode("ascii"), starts - base, ends - base
+        pairs = zip(starts.tolist(), ends.tolist())
+        if type(text) is str:
+            values = [text[start:end] for start, end in pairs]
         else:
-            chosen = offsets
+            try:
+                values = [text[start:end].decode("utf-8") for start, end in pairs]
+            except UnicodeDecodeError as exc:
+                raise SerializationError(f"string value is not UTF-8: {exc}") from None
         # Nulls were written as "" placeholders.
-        return with_nulls(
-            [
-                data[start:end].decode("utf-8")
-                for start, end in zip(self._starts[chosen].tolist(), self._ends[chosen].tolist())
-            ],
-            self._null_mask[chosen],
-        )
+        return with_nulls(values, self._null_mask[chosen])

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.common.bitset import Bitset
 from repro.common.bytesio import BinaryWriter
-from repro.common.varint import encode_uvarint_array, encode_uvarints
+from repro.common.varint import encode_uvarint_array
 from repro.logblock.column import (
     _DICT_MAX_CARDINALITY_FRACTION,
     _STRING_DICT,
@@ -308,16 +308,11 @@ def encode_block_range(prep: PreparedColumn, start: int, stop: int) -> bytes:
         first = 1 if n_present < len(chunk) else 0
         writer.write_u8(_STRING_DICT)
         writer.write_uvarint(len(ordered) - first)
-        for rank in ordered[first:].tolist():
-            writer.write_str(terms[rank - 1])
+        writer.write_strings([terms[rank - 1].encode("utf-8") for rank in ordered[first:].tolist()])
         writer.write_bytes(encode_uvarint_array(codes + (1 - first)))
         return writer.getvalue()
     writer.write_u8(_STRING_PLAIN)
-    encoded = prep.encoded[start:stop]
-    pieces = [b""] * (2 * len(encoded))
-    pieces[0::2] = encode_uvarints(list(map(len, encoded)))
-    pieces[1::2] = encoded
-    writer.write_bytes(b"".join(pieces))
+    writer.write_strings(prep.encoded[start:stop])
     return writer.getvalue()
 
 

@@ -22,9 +22,7 @@ reader finds one term without parsing the others::
 Terms are written sorted.  UTF-8 byte order equals code-point order, so
 a probe bisects the dictionary with ``bytes`` compares and decodes one
 posting list; nothing is done per term when the member is opened.  The
-in-memory index *is* these sections — the builder encodes into them and
-the v3 decoder (``from_v3_bytes``, the interleaved ``term, count,
-postings`` layout of older LogBlocks) regroups into them.
+in-memory index *is* these sections: the builder encodes into them.
 
 Build, encode and decode are columnar (DESIGN.md §11): values become
 ``(term rank, row id)`` arrays, one stable argsort groups them by term,
@@ -40,10 +38,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.common.bitset import Bitset
-from repro.common.bytesio import BinaryReader
 from repro.common.errors import CorruptionError, SerializationError
 from repro.common.varint import (
-    decode_uvarint,
     decode_uvarint_array,
     encode_uvarint_array,
     uvarint_ends,
@@ -439,59 +435,4 @@ class InvertedIndex:
             byte_at[first],
             row_count,
             bool(flags),
-        )
-
-    @classmethod
-    def from_v3_bytes(cls, data: bytes) -> "InvertedIndex":
-        """Open an index member of a v2/v3 LogBlock.
-
-        That layout interleaves ``term (len-prefixed), count, postings``
-        per term, so every term header is walked once to regroup the
-        bytes into the sections; the postings stay encoded.
-        """
-        reader = BinaryReader(data)
-        tokenize = bool(reader.read_u8())
-        row_count = reader.read_uvarint()
-        term_count = reader.read_uvarint()
-        # ends[k] is one past the k-th byte of the payload that could
-        # end a varint.  The loop reads only the term headers and keeps
-        # k in step with pos, so a run of n posting varints is skipped,
-        # not read.
-        ends = uvarint_ends(data).tolist()
-        terms: list[bytes] = []
-        counts: list[int] = []
-        runs: list[bytes] = []
-        pos = reader.offset
-        k = ends.index(pos) + 1  # the header's varints end where the first term starts
-        try:
-            for _ in range(term_count):
-                length = data[pos]
-                if length < 0x80:
-                    pos += 1
-                else:
-                    length, pos = decode_uvarint(data, pos)
-                raw = data[pos : pos + length]
-                pos += length
-                terms.append(raw)
-                n_rows = data[pos]
-                if n_rows < 0x80:
-                    pos += 1
-                else:
-                    n_rows, pos = decode_uvarint(data, pos)
-                counts.append(n_rows)
-                # An ASCII byte ends a (would-be) varint of its own.
-                k += 2 + n_rows + (length if raw.isascii() else sum(b < 0x80 for b in raw))
-                run_end = ends[k - 1] if n_rows else pos
-                runs.append(data[pos:run_end])
-                pos = run_end
-        except IndexError:
-            raise SerializationError("truncated inverted index") from None
-        return cls(
-            b"".join(terms),
-            _offsets(np.fromiter(map(len, terms), dtype=np.int64, count=term_count)),
-            np.array(counts, dtype=_uint_for(len(data))),  # each below len(ends)
-            b"".join(runs),
-            _offsets(np.fromiter(map(len, runs), dtype=np.int64, count=term_count)),
-            row_count,
-            tokenize,
         )

@@ -162,12 +162,10 @@ class LogBlockReader:
             self._decode_charge(len(raw))
         payload = codec.decompress(raw)
         index: InvertedIndex | BkdIndex
-        if spec.index is not IndexType.INVERTED:
-            index = BkdIndex.from_bytes(payload)  # one layout in every version
-        elif meta.version >= 4:
+        if spec.index is IndexType.INVERTED:
             index = InvertedIndex.from_bytes(payload)
         else:
-            index = InvertedIndex.from_v3_bytes(payload)
+            index = BkdIndex.from_bytes(payload)
         if index.row_count != meta.row_count:
             raise CorruptionError(
                 f"index of {column!r} covers {index.row_count} rows, the LogBlock {meta.row_count}"
@@ -231,6 +229,7 @@ class LogBlockReader:
                 codec.decompress(raw),
                 meta.schema.columns[col_idx].ctype,
                 meta.block_row_counts[block_idx],
+                meta.version,
             )
             if self._objects is not None:
                 nbytes = decoded_nbytes(block)

@@ -4,10 +4,10 @@
 column, including maximum and minimum values for skipping data blocks."
 We additionally keep row and null counts, which the planner uses for
 short-circuiting (an all-null block can never satisfy a comparison),
-and — since meta format v3 — the sum of numeric columns, which lets the
-aggregate pushdown answer SUM/AVG for a fully matched block without
-touching its column blocks.  ``sum_value`` is ``None`` for non-numeric
-columns and for SMAs deserialized from legacy (v2) LogBlocks.
+and the sum of numeric columns, which lets the aggregate pushdown
+answer SUM/AVG for a fully matched block without touching its column
+blocks.  ``sum_value`` is ``None`` for non-numeric columns and for an
+int sum that left the stored int64.
 
 :class:`Sma` is the value the pruning code reasons about; a LogBlock's
 meta holds its SMAs column-wise in one :class:`SmaTable` and builds an
@@ -22,7 +22,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.common.bytesio import BinaryReader
 from repro.common.errors import SerializationError
 from repro.logblock.schema import ColumnType
 
@@ -43,7 +42,7 @@ class Sma:
     row_count: int
     null_count: int
     # Sum over the non-null values of a numeric column; None when the
-    # column is not numeric or the block predates the v3 meta format.
+    # column is not numeric or the sum left the stored int64.
     sum_value: int | float | None = None
 
     @property
@@ -91,8 +90,7 @@ class Sma:
         ``str`` probed against numbers.  A FLOAT64 column never proves a
         full match, because min/max skip the NaNs that no comparison
         matches.  That is decided from the column type: the bounds can
-        be ints (a FLOAT64 column accepts them), and the float sum that
-        would give the column away is missing from a v2 meta.
+        be ints (a FLOAT64 column accepts them).
         """
         kind = type(self.min_value)
         return (
@@ -126,36 +124,6 @@ class Sma:
         ):
             return False
         return True
-
-    # -- the v2/v3 meta layout (decode only; tests hold the encoder) ------------
-
-    @classmethod
-    def read_from(cls, reader: BinaryReader, include_sum: bool = True) -> "Sma":
-        row_count = reader.read_uvarint()
-        null_count = reader.read_uvarint()
-        min_value = _read_value(reader)
-        max_value = _read_value(reader)
-        sum_value = _read_value(reader) if include_sum else None
-        if min_value != min_value or max_value != max_value:
-            # Written before compute_sma skipped NaNs: the true bounds
-            # are unknown, so nothing may be pruned by them.
-            min_value, max_value = -math.inf, math.inf
-        return cls(min_value, max_value, row_count, null_count, sum_value)
-
-
-def _read_value(reader: BinaryReader):
-    kind = reader.read_u8()
-    if kind == KIND_NONE:
-        return None
-    if kind == KIND_BOOL:
-        return bool(reader.read_u8())
-    if kind == KIND_INT:
-        return reader.read_i64()
-    if kind == KIND_FLOAT:
-        return reader.read_f64()
-    if kind == KIND_STR:
-        return reader.read_str()
-    raise SerializationError(f"unknown SMA value kind {kind}")
 
 
 def _storable_sum(total: int | float | None) -> int | float | None:
@@ -405,10 +373,9 @@ class SmaTable:
     def sma(self, slot: int, row_count: int) -> Sma:
         """Materialise the SMA of ``slot`` (a region of ``row_count`` rows)."""
         k = 3 * slot
-        return Sma(
-            self._value(k),
-            self._value(k + 1),
-            row_count,
-            int(self.null_counts[slot]),
-            self._value(k + 2),
-        )
+        low, high = self._value(k), self._value(k + 1)
+        if low != low or high != high:
+            # Written before compute_sma skipped NaNs: the true bounds
+            # are unknown, so nothing may be pruned by them.
+            low, high = -math.inf, math.inf
+        return Sma(low, high, row_count, int(self.null_counts[slot]), self._value(k + 2))

@@ -15,19 +15,18 @@ The writer is append-only; :meth:`finish` freezes the block.  LogBlocks
 are immutable after packing (§3: "Each LogBlock is an immutable file and
 will no longer be modified").
 
-The writer emits LogBlock **format v4** only.  Its ``meta`` member is
+The writer emits LogBlock **format v5** only.  Its ``meta`` member is
 column-wise — after the scalars, one array per field over every
 (column, region) slot: value kinds, block row counts, stored sizes,
 index/Bloom sizes, null counts, string ends, int values, float values,
 one string blob — stored raw and crc-checked, so that opening it wraps
 the sections and decodes nothing (:class:`LogBlockMeta`, DESIGN.md §3
 has the byte layout).  Its inverted indexes are sectioned the same way
-(:mod:`repro.logblock.inverted`).  Blocks of format v2/v3 are still
-read — :meth:`LogBlockMeta.from_bytes` switches on the version byte and
-regroups them into the same in-memory form — and move forward when
-compaction or the cold compactor rewrites them through this writer;
-the v2/v3 encoders live with the tests that need old blocks
-(``tests/logblock/legacy_format.py``).
+(:mod:`repro.logblock.inverted`), and so is every list of strings in a
+column block (:mod:`repro.logblock.column`).  Format v4 differs only
+there, so v4 blocks are still read — the meta's version byte tells the
+column decoder which string layout it has — and move forward when
+compaction or the cold compactor rewrites them through this writer.
 """
 
 from __future__ import annotations
@@ -65,13 +64,21 @@ from repro.tarpack.packer import PackBuilder
 
 META_MEMBER = "meta"
 META_MAGIC = b"LGBK"
-# The LogBlock format version, carried by the meta member.  v4 (written)
-# lays the meta out column-wise and the inverted indexes as sections,
-# both checksummed.  v2 (schema + SMAs with min/max/counts) and v3 (adds
-# a sum to every SMA, aggregate pushdown tier 2) are decoded only.
-META_VERSION = 4
-_LEGACY_META_VERSIONS = (2, 3)
+# The LogBlock format version, carried by the meta member.  v4 laid the
+# meta out column-wise and the inverted indexes as sections, both
+# checksummed; v5 (written) also sections the string lists of column
+# blocks.  Readers accept both.
+META_VERSION = 5
+_READ_VERSIONS = (4, 5)
 _VERSION_CRC = struct.Struct("<BI")
+
+
+def _meta_crc(version: int, body) -> int:
+    """The meta's checksum.  From v5 it covers the version byte too:
+    4 and 5 are one bit apart, and the version picks the decoders."""
+    return zlib.crc32(body, zlib.crc32(bytes((version,))) if version >= 5 else 0)
+
+
 # What a meta holds besides its arrays: the object, its dicts and list,
 # the SmaTable and the headers of its seven buffers.
 _META_FIXED_OVERHEAD = 1536
@@ -148,8 +155,7 @@ class LogBlockMeta:
     meta builds no per-SMA objects; :meth:`column_sma` and
     :meth:`block_header` materialise the one that is asked for.  Slot
     ``column_index * (n_blocks + 1)`` is a column's own SMA and the
-    ``n_blocks`` slots after it are its blocks'.  Metas decoded from
-    v2/v3 bytes are regrouped into the same form.
+    ``n_blocks`` slots after it are its blocks'.
     """
 
     def __init__(
@@ -191,7 +197,6 @@ class LogBlockMeta:
         block_headers: list[list[BlockHeader]],
         index_sizes: dict[str, int],
         bloom_sizes: dict[str, int],
-        version: int = META_VERSION,
     ) -> "LogBlockMeta":
         """Regroup per-column SMAs and ``block_headers[column][block]``."""
         if any(len(headers) != len(block_row_counts) for headers in block_headers):
@@ -212,7 +217,6 @@ class LogBlockMeta:
             np.array(stored, dtype=np.uint64),
             index_sizes,
             bloom_sizes,
-            version,
         )
 
     @property
@@ -249,7 +253,8 @@ class LogBlockMeta:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Format v4: every field of every slot as one fixed-width array.
+        """Every field of every slot as one fixed-width array (the layout
+        of formats v4 and v5), stamped with this meta's version.
 
         After the scalars come the kind bytes, then the unsigned arrays
         (block row counts, stored sizes, index and Bloom sizes by column
@@ -282,7 +287,7 @@ class LogBlockMeta:
                 smas.strings,
             )
         )
-        return META_MAGIC + _VERSION_CRC.pack(META_VERSION, zlib.crc32(body)) + body
+        return META_MAGIC + _VERSION_CRC.pack(self.version, _meta_crc(self.version, body)) + body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LogBlockMeta":
@@ -290,12 +295,10 @@ class LogBlockMeta:
         if reader.read_bytes(4) != META_MAGIC:
             raise CorruptionError("bad LogBlock meta magic")
         version = reader.read_u8()
-        if version in _LEGACY_META_VERSIONS:
-            return cls._from_legacy_bytes(reader, version)
-        if version != META_VERSION:
+        if version not in _READ_VERSIONS:
             raise SerializationError(f"unsupported LogBlock meta version {version}")
         crc = reader.read_u32()
-        if zlib.crc32(memoryview(data)[reader.offset :]) != crc:
+        if _meta_crc(version, memoryview(data)[reader.offset :]) != crc:
             raise CorruptionError("LogBlock meta checksum mismatch")
         schema = _interned_schema(reader.read_len_prefixed())
         row_count = reader.read_uvarint()
@@ -327,48 +330,6 @@ class LogBlockMeta:
             stored_sizes,
             {name: size - 1 for name, size in zip(columns, index_sizes) if size},
             {name: size - 1 for name, size in zip(columns, bloom_sizes) if size},
-        )
-
-    @classmethod
-    def _from_legacy_bytes(cls, reader: BinaryReader, version: int) -> "LogBlockMeta":
-        """The v2/v3 layout: one SMA after another, value by value (v2
-        without sums); regrouped into the columnar form."""
-        include_sum = version >= 3
-        schema = _interned_schema(reader.read_len_prefixed())
-        row_count = reader.read_uvarint()
-        codec_id = reader.read_u8()
-        block_rows = reader.read_uvarint()
-        n_blocks = reader.read_uvarint()
-        block_row_counts = [reader.read_uvarint() for _ in range(n_blocks)]
-        column_smas: list[Sma] = []
-        block_headers: list[list[BlockHeader]] = []
-        for _col_idx in range(len(schema)):
-            column_smas.append(Sma.read_from(reader, include_sum=include_sum))
-            headers = []
-            for _block_idx in range(n_blocks):
-                hdr_rows = reader.read_uvarint()
-                sma = Sma.read_from(reader, include_sum=include_sum)
-                stored = reader.read_uvarint()
-                headers.append(BlockHeader(hdr_rows, sma, stored))
-            block_headers.append(headers)
-        index_sizes: dict[str, int] = {}
-        for _ in range(reader.read_uvarint()):
-            name = reader.read_str()
-            index_sizes[name] = reader.read_uvarint()
-        bloom_sizes: dict[str, int] = {}
-        for _ in range(reader.read_uvarint()):
-            name = reader.read_str()
-            bloom_sizes[name] = reader.read_uvarint()
-        return cls.from_smas(
-            schema,
-            row_count,
-            codec_id,
-            block_rows,
-            block_row_counts,
-            column_smas,
-            block_headers,
-            index_sizes,
-            bloom_sizes,
             version,
         )
 

@@ -110,7 +110,7 @@ def rebuild_catalog_from_store(catalog: Catalog, store, bucket: str) -> int:
         raise CatalogError("rebuild requires an empty LogBlock map")
     count = 0
     for stat in store.list(bucket, "tenants/"):
-        pack = PackReader(store, bucket, stat.key)
+        pack = PackReader(store, bucket, stat.key, stat.size)
         match = _BLOCK_PATH_RE.match(stat.key)
         if match is not None and _whole(pack, stat.size):
             tenant_id = int(match.group(1))
@@ -134,10 +134,9 @@ def _whole(pack: PackReader, size: int) -> bool:
     """Whether every member of the pack ends within the object's
     ``size`` bytes (a torn upload keeps only a prefix)."""
     try:
-        entries = pack.manifest().entries()
+        return pack.data_start + pack.manifest().data_length <= size
     except (SerializationError, InvalidRange):
         return False
-    return all(pack.data_start + entry.end <= size for entry in entries)
 
 
 def _entry_from_block_reader(

@@ -63,11 +63,11 @@ class PrefetchPlanner:
             if member in seen:
                 continue  # dedupe repeated requests (Figure 10)
             seen.add(member)
-            entry = manifest.get(member)
-            if entry.length == 0:
+            offset, length = manifest.extent(member)
+            if length == 0:
                 continue
-            start = data_start + entry.offset
-            extents.append((start, start + entry.length))
+            start = data_start + offset
+            extents.append((start, start + length))
         self.members_planned += len(seen)
         merged = merge_ranges(extents, gap=self.merge_gap)
         ranges = tuple((start, end - start) for start, end in merged)

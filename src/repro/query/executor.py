@@ -259,7 +259,7 @@ class BlockExecutor:
         reader.attach_shared_cache(self.cache.objects, self._bucket)
         return reader
 
-    def _open_pack(self, path: str, entry: LogBlockEntry | None = None) -> PackReader:
+    def _open_pack(self, entry: LogBlockEntry) -> PackReader:
         """A PackReader with its parsed header served from the object cache.
 
         The preamble + manifest of a packed LogBlock are immutable once
@@ -274,7 +274,8 @@ class BlockExecutor:
         every ranged GET (and cached byte range) landing on the segment
         object so members of one segment share cache entries.
         """
-        if entry is not None and entry.segment_path is not None:
+        path = entry.path
+        if entry.segment_path is not None:
             window = SubrangeReader(
                 self._reader,
                 self._bucket,
@@ -284,7 +285,7 @@ class BlockExecutor:
             )
             pack = PackReader(window, self._bucket, path)
         else:
-            pack = PackReader(self._reader, self._bucket, path)
+            pack = PackReader(self._reader, self._bucket, path, entry.size_bytes)
         header_key = (self._bucket, path, "__pack_header__")
         cached = self.cache.objects.get(header_key)
         if cached is not None:
@@ -300,7 +301,7 @@ class BlockExecutor:
         return pack
 
     def _open_block(self, entry: LogBlockEntry) -> LogBlockReader:
-        return self._open_block_from_pack(self._open_pack(entry.path, entry))
+        return self._open_block_from_pack(self._open_pack(entry))
 
     def _prefetch_members(self, pack: PackReader, members: list[str], stats) -> None:
         """Fetch the missing ones of ``members`` as one merged parallel batch.
@@ -463,7 +464,7 @@ class BlockExecutor:
         column read downstream share that one :class:`RowSelection`.
         """
         if self.options.use_prefetch:
-            pack = self._open_pack(entry.path, entry)
+            pack = self._open_pack(entry)
             reader = self._prefetch_meta_and_indexes(pack, plan.schema, plan.where, stats)
         else:
             reader = self._open_block(entry)

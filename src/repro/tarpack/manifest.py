@@ -8,94 +8,111 @@ to seek and read any part of the tar file."
 
 The manifest maps member names to ``(offset, length)`` within the packed
 blob, so a reader can fetch exactly one member with a single ranged GET.
+
+Version 2 (written) is two sections after the member count: the names
+(every length as a uvarint, then the concatenated UTF-8 text) and every
+member's length as a uvarint.  Members lie back to back in manifest
+order, so a member's offset is the sum of the lengths before it; parsing
+is one varint decode and one cumsum per section, whatever the member
+count.  Version 1 — ``name, offset, length`` per member — is still read.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 
-from repro.common.bytesio import BinaryReader, BinaryWriter
+import numpy as np
+
+from repro.common.bytesio import BinaryReader, BinaryWriter, decode_strings
 from repro.common.errors import CorruptionError, SerializationError
+from repro.common.varint import encode_uvarint_array
 
 MAGIC = b"LSTP"  # LogStore Tar Pack
-VERSION = 1
-# What a parsed manifest holds per member: the entry with its name and
-# extent, a list slot and a dict slot (for a cache's accounting).
-_ENTRY_BYTES = 200
-
-
-@dataclass(frozen=True, slots=True)
-class MemberEntry:
-    """One file inside a pack: name and its byte extent in the blob.
-
-    Slotted: a cached pack header holds one of these per member.
-    """
-
-    name: str
-    offset: int
-    length: int
-
-    @property
-    def end(self) -> int:
-        return self.offset + self.length
+VERSION = 2
+_READ_VERSIONS = (1, 2)
+# What a parsed manifest holds (for a cache's accounting): the object,
+# its list, dict and two arrays; then per member its name (a str header
+# + the text), a list slot, a dict entry and 16 bytes of arrays.
+_FIXED_BYTES = 480
+_MEMBER_BYTES = 120
+# A member extent past this is damage, not a pack: the running sums
+# stay far inside int64.
+_MAX_LENGTH = 1 << 48
 
 
 class Manifest:
-    """Ordered collection of member entries with binary (de)serialization."""
+    """A pack's members in manifest order: their names, and where each
+    starts and ends within the data section (``offsets`` / ``ends``,
+    two read-only int64 arrays), with one name → position dict."""
 
-    def __init__(self, entries: list[MemberEntry] | None = None) -> None:
-        self._entries: list[MemberEntry] = []
-        self._by_name: dict[str, MemberEntry] = {}
-        for entry in entries or []:
-            self.add(entry)
+    __slots__ = ("_names", "_index", "offsets", "ends", "version")
 
-    def add(self, entry: MemberEntry) -> None:
-        if entry.name in self._by_name:
-            raise SerializationError(f"duplicate member name: {entry.name}")
-        if entry.offset < 0 or entry.length < 0:
-            raise SerializationError(f"invalid extent for {entry.name}")
-        self._entries.append(entry)
-        self._by_name[entry.name] = entry
+    def __init__(
+        self, names: list[str], offsets: np.ndarray, ends: np.ndarray, version: int = VERSION
+    ) -> None:
+        index = dict(zip(names, range(len(names))))
+        if len(index) != len(names):
+            raise SerializationError("duplicate member name")
+        if len(offsets) != len(names) or len(ends) != len(names):
+            raise SerializationError("member extents disagree with the names")
+        offsets.flags.writeable = ends.flags.writeable = False
+        self._names = names
+        self._index = index
+        self.offsets = offsets
+        self.ends = ends
+        self.version = version  # the layout it was read from
 
-    def get(self, name: str) -> MemberEntry:
+    @classmethod
+    def of(cls, names: list[str], lengths: list[int]) -> "Manifest":
+        """Members packed back to back in this order, from offset 0."""
+        bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=bounds[1:])
+        return cls(names, bounds[:-1], bounds[1:])
+
+    def extent(self, name: str) -> tuple[int, int]:
+        """``(offset, length)`` of a member within the data section."""
         try:
-            return self._by_name[name]
+            at = self._index[name]
         except KeyError:
             raise KeyError(f"no such member: {name}") from None
+        start = self.offsets.item(at)
+        return start, self.ends.item(at) - start
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._index
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._names)
+
+    def names(self) -> list[str]:
+        return list(self._names)
+
+    @property
+    def data_length(self) -> int:
+        """Bytes of data section the members reach."""
+        return int(self.ends.max()) if len(self) else 0
 
     @property
     def nbytes(self) -> int:
         """Bytes this manifest keeps alive (what a cache is charged)."""
-        return _ENTRY_BYTES * len(self._entries)
-
-    def names(self) -> list[str]:
-        return [entry.name for entry in self._entries]
-
-    def entries(self) -> list[MemberEntry]:
-        return list(self._entries)
+        return _FIXED_BYTES + _MEMBER_BYTES * len(self._names) + sum(map(len, self._names))
 
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialize: MAGIC, version, count, entries, crc32 of the body."""
+        """Serialize as version 2: MAGIC, version, crc32 of the body, the
+        body's length, then the body (count, names, lengths)."""
+        if len(self) and (self.offsets[0] or not np.array_equal(self.offsets[1:], self.ends[:-1])):
+            raise SerializationError("a version 2 manifest packs its members back to back")
         body = BinaryWriter()
-        body.write_uvarint(len(self._entries))
-        for entry in self._entries:
-            body.write_str(entry.name)
-            body.write_uvarint(entry.offset)
-            body.write_uvarint(entry.length)
+        body.write_uvarint(len(self._names))
+        body.write_strings([name.encode("utf-8") for name in self._names])
+        body.write_bytes(encode_uvarint_array(self.ends - self.offsets))
         payload = body.getvalue()
         out = BinaryWriter()
         out.write_bytes(MAGIC)
         out.write_u8(VERSION)
-        out.write_u32(zlib.crc32(payload) & 0xFFFFFFFF)
+        out.write_u32(zlib.crc32(payload))
         out.write_u32(len(payload))
         out.write_bytes(payload)
         return out.getvalue()
@@ -106,25 +123,34 @@ class Manifest:
         if reader.read_bytes(4) != MAGIC:
             raise CorruptionError("bad manifest magic")
         version = reader.read_u8()
-        if version != VERSION:
+        if version not in _READ_VERSIONS:
             raise SerializationError(f"unsupported manifest version {version}")
         crc = reader.read_u32()
-        length = reader.read_u32()
-        payload = reader.read_bytes(length)
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        payload = reader.read_bytes(reader.read_u32())
+        if zlib.crc32(payload) != crc:
             raise CorruptionError("manifest checksum mismatch")
         if reader.remaining():
             raise CorruptionError(f"{reader.remaining()} bytes after the manifest")
         body = BinaryReader(payload)
         count = body.read_uvarint()
-        manifest = cls()
-        for _ in range(count):
-            name = body.read_str()
-            offset = body.read_uvarint()
-            member_len = body.read_uvarint()
-            manifest.add(MemberEntry(name, offset, member_len))
-        return manifest
+        if version == 1:
+            return cls._from_v1(body, count)
+        name_bounds, text = body.read_strings(count)
+        bounds = body.read_bounds(count, _MAX_LENGTH)
+        if body.remaining():
+            raise SerializationError(f"{body.remaining()} bytes after the member lengths")
+        return cls(decode_strings(text, name_bounds), bounds[:-1], bounds[1:])
 
-    def header_size(self) -> int:
-        """Size in bytes of the serialized manifest."""
-        return len(self.to_bytes())
+    @classmethod
+    def _from_v1(cls, body: BinaryReader, count: int) -> "Manifest":
+        """Version 1: ``name, offset, length`` per member."""
+        names: list[str] = []
+        extents: list[int] = []
+        for _ in range(count):
+            names.append(body.read_str())
+            extents.append(body.read_uvarint())
+            extents.append(body.read_uvarint())
+        if max(extents, default=0) > _MAX_LENGTH:
+            raise SerializationError("member extent out of range")
+        offsets = np.array(extents[0::2], dtype=np.int64)
+        return cls(names, offsets, offsets + extents[1::2], version=1)

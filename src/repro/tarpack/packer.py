@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 
 from repro.common.errors import CorruptionError, SerializationError
-from repro.tarpack.manifest import Manifest, MemberEntry
+from repro.tarpack.manifest import Manifest
 
 PREAMBLE_MAGIC = b"PACK"
 PREAMBLE_VERSION = 1
@@ -65,11 +65,10 @@ class PackBuilder:
 
     def build(self) -> bytes:
         """Produce the final pack bytes."""
-        manifest = Manifest()
-        offset = 0
-        for name, data in self._members:
-            manifest.add(MemberEntry(name=name, offset=offset, length=len(data)))
-            offset += len(data)
+        manifest = Manifest.of(
+            [name for name, _data in self._members],
+            [len(data) for _name, data in self._members],
+        )
         manifest_bytes = manifest.to_bytes()
         parts = [write_preamble(len(manifest_bytes)), manifest_bytes]
         parts.extend(data for _name, data in self._members)

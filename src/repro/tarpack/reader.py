@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from typing import Protocol
 
+import numpy as np
+
 from repro.common.errors import InvalidRange
-from repro.tarpack.manifest import Manifest, MemberEntry
+from repro.tarpack.manifest import Manifest
 from repro.tarpack.packer import PREAMBLE_SIZE, read_preamble
 
 
@@ -97,12 +99,17 @@ class SubrangeReader:
 
 
 class PackReader:
-    """Lazy reader over one packed blob stored in an object store."""
+    """Lazy reader over one packed blob stored in an object store.
 
-    def __init__(self, store: RangeReader, bucket: str, key: str) -> None:
+    ``size``, when the caller knows the object's size, bounds the head
+    read, so a pack smaller than :attr:`HEAD_CHUNK` is read whole by one
+    GET."""
+
+    def __init__(self, store: RangeReader, bucket: str, key: str, size: int | None = None) -> None:
         self._store = store
         self._bucket = bucket
         self._key = key
+        self._size = size
         self._manifest: Manifest | None = None
         self._data_start: int | None = None
         self._head: bytes = b""  # retained head chunk; serves early members
@@ -129,11 +136,12 @@ class PackReader:
         The preamble and manifest together are "the header of the tar
         file" (§3), so they are fetched as one speculative head read;
         only a pack with an unusually large manifest (or one smaller
-        than the chunk) needs a second ranged GET.
+        than the chunk, of unknown size) needs a second ranged GET.
         """
         if self._manifest is None:
+            chunk = self.HEAD_CHUNK if self._size is None else min(self.HEAD_CHUNK, self._size)
             try:
-                head = self._store.get_range(self._bucket, self._key, 0, self.HEAD_CHUNK)
+                head = self._store.get_range(self._bucket, self._key, 0, chunk)
                 self._head = head
             except InvalidRange:
                 # The whole pack is smaller than the head chunk.
@@ -167,13 +175,12 @@ class PackReader:
         """The part of the retained head chunk that can serve a read, for
         external header caches: it ends with the last member that lies
         wholly inside the chunk (members are packed in manifest order)."""
-        end = 0
-        if self._manifest is not None:
-            for entry in self._manifest.entries():
-                if self._data_start + entry.end > len(self._head):
-                    break
-                end = self._data_start + entry.end
-        return self._head[:end]
+        if self._manifest is None:
+            return b""
+        ends = self._data_start + self._manifest.ends
+        past = np.flatnonzero(ends > len(self._head))
+        inside = int(past[0]) if past.size else len(ends)
+        return self._head[: int(ends[inside - 1])] if inside else b""
 
     @property
     def data_start(self) -> int:
@@ -183,13 +190,12 @@ class PackReader:
         assert self._data_start is not None
         return self._data_start
 
-    def member_entry(self, name: str) -> MemberEntry:
-        return self.manifest().get(name)
-
     def member_extent(self, name: str) -> tuple[int, int]:
         """Absolute ``(start, length)`` of a member within the blob."""
-        entry = self.member_entry(name)
-        return self.data_start + entry.offset, entry.length
+        if self._manifest is None:
+            self.manifest()
+        offset, length = self._manifest.extent(name)
+        return self._data_start + offset, length
 
     def read_member(self, name: str) -> bytes:
         """Fetch one member with a single ranged GET.

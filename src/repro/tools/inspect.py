@@ -10,19 +10,24 @@ builder and stored on OSS / a LocalFsObjectStore directory):
 Because LogBlocks are self-contained (§3.2), everything — format
 version, schema, row counts, per-column SMAs, index sizes — is
 recoverable from the file alone, with no catalog access.  ``--members``
-also breaks every inverted index down into its sections (dictionary /
-counts / postings), so a layout regression shows without a debugger.
+also prints the manifest version and breaks every inverted index
+(dictionary / counts / postings) and every string column block
+(encoding, length section / text bytes) down into its sections, so a
+layout regression shows without a debugger.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.codec import get_codec
 from repro.common.utils import human_bytes
+from repro.logblock.column import SECTIONED_STRINGS, string_sections
 from repro.logblock.reader import LogBlockReader
-from repro.logblock.schema import IndexType
+from repro.logblock.schema import ColumnType, IndexType
+from repro.logblock.writer import block_member
 from repro.tarpack.reader import PackReader
 
 
@@ -47,7 +52,7 @@ class _FileRangeReader:
 
 def open_block(path: str) -> LogBlockReader:
     """A reader over a LogBlock file on the local filesystem."""
-    return LogBlockReader(PackReader(_FileRangeReader(path), "-", path))
+    return LogBlockReader(PackReader(_FileRangeReader(path), "-", path, os.path.getsize(path)))
 
 
 def _print_summary(reader: LogBlockReader, out) -> None:
@@ -85,9 +90,11 @@ def _print_members(reader: LogBlockReader, out) -> None:
     meta = reader.meta()
     manifest = reader.pack.manifest()
     print(f"format: v{meta.version}", file=out)
+    print(f"manifest: v{manifest.version}", file=out)
     print(f"{'member':<20} {'offset':>10} {'size':>12}", file=out)
-    for entry in manifest.entries():
-        print(f"{entry.name:<20} {entry.offset:>10} {human_bytes(entry.length):>12}", file=out)
+    for name in manifest.names():
+        offset, length = manifest.extent(name)
+        print(f"{name:<20} {offset:>10} {human_bytes(length):>12}", file=out)
     print(file=out)
     print(
         f"{'inverted index':<20} {'terms':>8} {'dictionary':>12} {'counts':>10} {'postings':>12}"
@@ -104,6 +111,22 @@ def _print_members(reader: LogBlockReader, out) -> None:
             f"{sizes['counts']:>10} {sizes['postings']:>12}",
             file=out,
         )
+    if meta.version < SECTIONED_STRINGS:
+        return  # v4 interleaves each string's length with its text
+    print(file=out)
+    print(
+        f"{'string block':<20} {'encoding':>8} {'lengths':>10} {'text':>12}  (decoded bytes)",
+        file=out,
+    )
+    codec = get_codec(meta.codec_id)
+    for col_idx, column in enumerate(meta.schema.columns):
+        if column.ctype is not ColumnType.STRING:
+            continue
+        for block_idx, rows in enumerate(meta.block_row_counts):
+            member = block_member(col_idx, block_idx)
+            data = codec.decompress(reader.pack.read_member(member))
+            encoding, lengths, text = string_sections(data, rows)
+            print(f"{member:<20} {encoding:>8} {lengths:>10} {text:>12}", file=out)
 
 
 def _print_column(reader: LogBlockReader, column: str, limit: int, out) -> None:

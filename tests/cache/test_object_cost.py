@@ -131,9 +131,10 @@ class TestChargedWhatItHolds:
             held = deep_size(header)
             assert held / 2 <= charged <= held * 2, (charged, held)
             # The head ends with the last member it wholly covers.
-            covered = [entry for entry in manifest.entries() if _data_start + entry.end <= len(head)]
-            assert covered and _data_start + covered[-1].end == len(head)
-            assert covered[0].name == META_MEMBER and len(head) < 8192
+            ends = (_data_start + manifest.ends).tolist()
+            covered = [end for end in ends if end <= len(head)]
+            assert covered and covered[-1] == len(head) and ends[: len(covered)] == covered
+            assert manifest.names()[0] == META_MEMBER and len(head) <= 8192
 
     @pytest.mark.parametrize("kind", [InvertedIndex, BkdIndex])
     def test_indexes(self, warmed, kind):

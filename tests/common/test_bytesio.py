@@ -15,8 +15,6 @@ class TestRoundtrips:
         writer.write_u16(300)
         writer.write_u32(70_000)
         writer.write_u64(1 << 40)
-        writer.write_i64(-12345)
-        writer.write_f64(3.25)
         writer.write_uvarint(999)
         writer.write_str("héllo")
         writer.write_len_prefixed(b"\x00\x01")
@@ -25,8 +23,6 @@ class TestRoundtrips:
         assert reader.read_u16() == 300
         assert reader.read_u32() == 70_000
         assert reader.read_u64() == 1 << 40
-        assert reader.read_i64() == -12345
-        assert reader.read_f64() == 3.25
         assert reader.read_uvarint() == 999
         assert reader.read_str() == "héllo"
         assert reader.read_len_prefixed() == b"\x00\x01"

@@ -8,8 +8,13 @@ shard command) raise the format's error: ``CorruptionError`` for the
 the LogBlock members and the pack manifest.  Damage past the framing
 under a recomputed checksum raises it or decodes, and nothing else.
 WAL frames recover the frames before damage instead (``tests/wal``).
-Not checksummed, so not here: the pack preamble, Bloom, BKD, column
-blocks (``codec=none`` ones are raw) and v2 / v3 members.
+
+Column blocks carry no checksum (``codec=none`` ones are stored raw),
+so a flipped bit can leave a valid block: for the string block of
+:data:`UNCHECKED` every truncation and a byte appended raise
+``SerializationError``, and every bit flip raises it or decodes —
+never ``IndexError``, ``ValueError`` or ``UnicodeDecodeError``.  Not
+checksummed and not here: the pack preamble, Bloom and BKD members.
 """
 
 import zlib
@@ -22,19 +27,21 @@ import pytest
 from repro.common.bytesio import BinaryReader
 from repro.common.errors import CorruptionError, SerializationError
 from repro.lifecycle.offboard import EXPORT_MANIFEST_MEMBER
+from repro.logblock.column import PlainStrings, block_values, decode_block_arrays, encode_block
 from repro.logblock.inverted import InvertedIndex
-from repro.logblock.schema import request_log_schema
+from repro.logblock.schema import ColumnType, request_log_schema
 from repro.logblock.writer import LogBlockMeta
 from repro.meta.backup import BackupTask, manifest_key
 from repro.meta.catalog import Catalog
 from repro.meta.manifest import decode_manifest
 from repro.meta.persistence import restore_catalog, serialize_catalog
 from repro.rowstore import RowBatch
-from repro.tarpack.manifest import Manifest, MemberEntry
+from repro.tarpack.manifest import Manifest
+from repro.tarpack.packer import PREAMBLE_SIZE, read_preamble
 from repro.tarpack.reader import PackReader
 
 from tests.logblock.test_inverted import answers, damage_sample
-from tests.logblock.test_writer_reader import golden_block, reader_for
+from tests.logblock.test_writer_reader import V4_FIXTURE, golden_block, reader_for
 from tests.meta.test_backup import tiered_store
 from tests.rowstore.test_record_codec import LONG, decode_state, every_kind, state_of_three_tables
 
@@ -49,6 +56,7 @@ class Format:
     body_at: int  # first byte the CRC covers, to the sample's end
     damage_from: int  # first byte only the reader's own checks vouch for
     error: type = SerializationError
+    crc_init: int = 0  # the running CRC the body's is continued from
 
 
 def record(sample: bytes, decode, damage_from: int = 0) -> Format:
@@ -61,11 +69,13 @@ def read_meta(data: bytes):
     return [meta.column_sma(name) for name in meta.schema.column_names()], blocks
 
 
-def meta_format() -> Format:
-    raw = reader_for(golden_block()).pack.read_member("meta")
+def meta_format(blob: bytes) -> Format:
+    raw = reader_for(blob).pack.read_member("meta")
     past_schema = BinaryReader(raw, 9)  # magic, version, crc, then the schema
     past_schema.read_len_prefixed()
-    return Format(raw, read_meta, 5, 9, past_schema.offset)
+    # From v5 the CRC covers the version byte first.
+    crc_init = zlib.crc32(raw[4:5]) if raw[4] >= 5 else 0
+    return Format(raw, read_meta, 5, 9, past_schema.offset, crc_init=crc_init)
 
 
 @cache
@@ -79,6 +89,17 @@ def tenant_manifests() -> tuple[bytes, bytes, bytes]:
     return serialize_catalog(store.catalog), backup, export.read_member(EXPORT_MANIFEST_MEMBER)
 
 
+def pack_manifest(blob: bytes) -> Format:
+    """The manifest of a packed LogBlock, as its pack stores it."""
+    raw = blob[PREAMBLE_SIZE : PREAMBLE_SIZE + read_preamble(blob)]
+    return Format(raw, read_manifest, 5, 13, 13)
+
+
+def read_manifest(data: bytes):
+    manifest = Manifest.from_bytes(data)
+    return [manifest.extent(name) for name in manifest.names()]
+
+
 def read_batch(data: bytes):
     return RowBatch.from_bytes(data).columns
 
@@ -88,14 +109,13 @@ FORMATS: dict[str, Callable[[], Format]] = {
     "row batch": lambda: record(every_kind().to_bytes(), read_batch, 12),
     "row batch, framed ints": lambda: record(every_kind(LONG).to_bytes(), read_batch, 12),
     "row-store state": lambda: record(state_of_three_tables(), decode_state, 16),
-    "LogBlock meta v4": meta_format,
+    "LogBlock meta v4": lambda: meta_format(V4_FIXTURE.read_bytes()),
+    "LogBlock meta v5": lambda: meta_format(golden_block()),
     "inverted index v4": lambda: Format(  # damage past the fixed header
         damage_sample().to_bytes(), lambda data: answers(InvertedIndex.from_bytes(data)), 0, 4, 21
     ),
-    "pack manifest": lambda: Format(
-        Manifest([MemberEntry("meta", 0, 10), MemberEntry("idx/ip", 10, 250)]).to_bytes(),
-        lambda data: Manifest.from_bytes(data).entries(), 5, 13, 13,
-    ),
+    "pack manifest v1": lambda: pack_manifest(V4_FIXTURE.read_bytes()),
+    "pack manifest v2": lambda: pack_manifest(golden_block()),
     "catalog snapshot": lambda: record(
         tenant_manifests()[0], lambda data: restore_catalog(Catalog(request_log_schema()), data)
     ),
@@ -142,9 +162,58 @@ def test_damage_under_a_valid_checksum_is_typed(name):
         for value in (0x00, 0x01, 0x07, 0x80, 0xFF):
             damaged = bytearray(f.sample)
             damaged[position] = value
-            crc = zlib.crc32(damaged[f.body_at :])
+            crc = zlib.crc32(damaged[f.body_at :], f.crc_init)
             damaged[f.crc_at : f.crc_at + 4] = crc.to_bytes(4, "little")
             try:
                 f.decode(bytes(damaged))
             except f.error:
                 pass
+
+
+# String blocks of v5: every length class — empty, ASCII, multi-byte
+# UTF-8, longer than a one-byte length — and nulls; under 16 rows a
+# block is PLAIN, and repeated values make one DICT.
+PLAIN_ROWS = ["GET /a", "", None, "日志 é ß", "x" * 150, "tail\u00e9", None, "ok", "ünï"]
+DICT_ROWS = PLAIN_ROWS * 3
+
+
+def read_strings(rows: list):
+    def decode(data: bytes) -> list:
+        return block_values(decode_block_arrays(data, ColumnType.STRING, len(rows)))
+
+    return decode
+
+
+UNCHECKED = {"string block v5, PLAIN": PLAIN_ROWS, "string block v5, DICT": DICT_ROWS}
+
+
+@pytest.mark.parametrize("name", UNCHECKED)
+def test_an_unchecked_block_raises_its_error_or_decodes(name):
+    rows = UNCHECKED[name]
+    sample, decode = encode_block(rows, ColumnType.STRING), read_strings(rows)
+    plain = isinstance(decode_block_arrays(sample, ColumnType.STRING, len(rows)), PlainStrings)
+    assert plain == ("PLAIN" in name) and decode(sample) == rows
+    for data in [sample[:cut] for cut in range(len(sample))] + [*FOREIGN]:
+        with pytest.raises(SerializationError):
+            decode(data)
+    if plain:  # a DICT block's code stream is read to its row count
+        with pytest.raises(SerializationError):
+            decode(sample + b"\0")
+    decoded = 0
+    for data in flips(sample):
+        try:
+            decode(data)
+            decoded += 1
+        except SerializationError:
+            pass
+    assert 0 < decoded < 8 * len(sample)  # text flips decode; length flips cannot
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_a_length_section_that_disagrees_with_its_text_raises(change):
+    sample = bytearray(encode_block(PLAIN_ROWS, ColumnType.STRING))
+    first_length = 2 + sample[0]  # past the null bitset and the encoding byte
+    assert sample[first_length] == len(PLAIN_ROWS[0])
+    sample[first_length] += change
+    with pytest.raises(SerializationError, match="disagree|overrun"):
+        read_strings(PLAIN_ROWS)(bytes(sample))

@@ -6,7 +6,6 @@ from repro.cluster.logstore import LogStore
 from repro.common.clock import VirtualClock
 from repro.raft.backpressure import BackpressureController, BoundedQueue
 from repro.raft.group import RaftGroup
-from repro.tarpack.manifest import Manifest, MemberEntry
 from repro.workload import tenant_traffic
 
 from tests.conftest import make_rows, write_logblock
@@ -73,12 +72,6 @@ class TestRaftGroupSmallApis:
         assert group.nodes[victim]._stopped
         group.restart_node(victim)
         assert not group.nodes[victim]._stopped
-
-
-class TestManifestHeaderSize:
-    def test_matches_serialized_length(self):
-        manifest = Manifest([MemberEntry("m", 0, 5), MemberEntry("n", 5, 7)])
-        assert manifest.header_size() == len(manifest.to_bytes())
 
 
 class TestLogStoreSampleTraffic:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.codec import get_codec
 from repro.common.errors import SerializationError
 from repro.logblock.column import (
     PlainStrings,
@@ -18,6 +19,8 @@ from repro.logblock.column import (
     encode_block,
 )
 from repro.logblock.schema import ColumnType
+
+from tests.logblock.test_writer_reader import V4_FIXTURE, golden_corpus, reader_for
 
 
 def roundtrip(values, ctype):
@@ -150,7 +153,7 @@ class TestSelectivePlainDecode:
         assert oracle == values
         strings = plain_strings(payload, len(values))
         everything = np.arange(len(values))
-        # Several selections against one view: the walk resumes, never restarts.
+        # Several selections against one view.
         for _ in range(3):
             chosen = data.draw(st.sets(st.sampled_from(range(len(values)))))
             offsets = np.array(sorted(chosen), dtype=np.int64)
@@ -160,28 +163,27 @@ class TestSelectivePlainDecode:
         assert plain_strings(payload, len(values)).pick(everything) == oracle
 
     @given(plain_values, st.data())
-    def test_every_truncation_raises_or_predates_the_cut(self, values, data):
+    def test_every_truncation_raises_when_the_block_is_opened(self, values, data):
+        """The length section must add up to the text: a cut anywhere
+        fails the open, before any row is picked."""
         payload = self.encode_plain(values)
-        oracle = decode_block(payload, ColumnType.STRING, len(values))
-        chosen = sorted(data.draw(st.sets(st.sampled_from(range(len(values))), min_size=1)))
-        offsets = np.array(chosen, dtype=np.int64)
         cuts = range(len(payload)) if len(payload) < 400 else data.draw(
             st.lists(st.integers(0, len(payload) - 1), min_size=1, max_size=30)
         )
         for cut in cuts:
             with pytest.raises(SerializationError):
-                decode_block(payload[:cut], ColumnType.STRING, len(values))
-            # A selective read stops walking at its last row, so it may
-            # not reach the cut — but then its answer is still right.
-            try:
-                strings = plain_strings(payload[:cut], len(values))  # the cut may hit the header
-                picked = strings.pick(offsets)
-            except SerializationError:
-                continue
-            assert picked == [oracle[i] for i in chosen]
-            # And a later pick that does reach the cut has nothing stale to answer from.
+                plain_strings(payload[:cut], len(values))
             with pytest.raises(SerializationError):
-                strings.pick(np.arange(len(values)))
+                decode_block(payload[:cut], ColumnType.STRING, len(values))
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_a_length_section_that_disagrees_with_its_text_raises(self, change):
+        payload = bytearray(self.encode_plain(["alpha", "beta"]))
+        lengths_at = 2 + payload[0]  # past the null bitset and the encoding byte
+        assert payload[lengths_at : lengths_at + 2] == bytes((5, 4))
+        payload[lengths_at + 1] += change
+        with pytest.raises(SerializationError, match="disagree|overrun"):
+            plain_strings(bytes(payload), 2)
 
     def test_full_selection_of_a_truncated_block_raises_at_every_cut(self):
         values = ["a", None, "", "日志", "x" * 200, "tail"]
@@ -193,14 +195,23 @@ class TestSelectivePlainDecode:
 
     def test_a_failed_pick_does_not_poison_the_next(self):
         values = [f"value-{i}-xxx" for i in range(10)]
-        payload = self.encode_plain(values)
-        strings = plain_strings(payload[:-9], len(values))  # cut inside row 9
+        payload = self.encode_plain(values).replace(b"value-9", b"\xffalue-9")
+        strings = plain_strings(payload, len(values))
         with pytest.raises(SerializationError):
             strings.pick(np.array([9]))
         with pytest.raises(SerializationError):
             strings.pick(np.array([3, 9]))
-        # Rows before the cut are still served, and served whole.
+        # The other rows are still served, and served whole.
         assert strings.pick(np.array([3, 8])) == [values[3], values[8]]
+        with pytest.raises(SerializationError):
+            strings.pick(np.arange(len(values)))
+
+    def test_text_that_is_not_utf8_raises_when_picked(self):
+        payload = self.encode_plain(["alpha", "\u00e9t\u00e9"]).replace("é".encode(), b"\xff\xfe")
+        strings = plain_strings(payload, 2)
+        assert strings.pick(np.array([0])) == ["alpha"]
+        with pytest.raises(SerializationError):
+            strings.pick(np.array([1]))
 
     def test_rows_outside_the_block_are_rejected(self):
         strings = plain_strings(self.encode_plain(["a", "b"]), 2)
@@ -211,7 +222,7 @@ class TestSelectivePlainDecode:
 
     def test_an_unknown_string_encoding_is_refused(self):
         payload = bytearray(self.encode_plain(["alpha", "beta"]))
-        payload[payload.index(b"\x05alpha") - 1] = 7  # the encoding byte
+        payload[1 + payload[0]] = 7  # the encoding byte, past the null bitset
         with pytest.raises(SerializationError):
             plain_strings(bytes(payload), 2)
 
@@ -245,8 +256,8 @@ class TestDecodedBlocksAreSafeToShare:
         values = [f"line {i}" for i in range(40)]
         strings = decode_block_arrays(encode_block(values, ColumnType.STRING), ColumnType.STRING, 40)
         assert isinstance(strings, PlainStrings) and len(strings) == 40
-        assert not strings._null_mask.flags.writeable
-        assert strings._starts.dtype == strings._ends.dtype == np.uint32
+        for array in (strings._null_mask, strings._starts, strings._ends):
+            assert not array.flags.writeable
         assert block_values(strings) == values
 
     @given(plain_values, st.data())
@@ -340,3 +351,44 @@ class TestErrors:
     def test_empty_block(self):
         assert roundtrip([], ColumnType.INT64) == []
         assert roundtrip([], ColumnType.STRING) == []
+
+
+class TestFormatV4StringBlocks:
+    """The committed v4 pack's string blocks: lengths interleaved with
+    the text, read with ``version=4``."""
+
+    @staticmethod
+    def v4_blocks():
+        reader = reader_for(V4_FIXTURE.read_bytes())
+        meta, codec = reader.meta(), get_codec("zlib")
+        rows = golden_corpus()
+        for col_idx, column in enumerate(meta.schema.columns):
+            if column.ctype is not ColumnType.STRING:
+                continue
+            start = 0
+            for block_idx, count in enumerate(meta.block_row_counts):
+                data = codec.decompress(reader.pack.read_member(f"col/{col_idx}/{block_idx}"))
+                values = [row[column.name] for row in rows[start : start + count]]
+                yield data, values
+                start += count
+
+    def test_plain_and_dict_blocks_decode_to_the_corpus(self):
+        forms = set()
+        for data, values in self.v4_blocks():
+            block = decode_block_arrays(data, ColumnType.STRING, len(values), version=4)
+            forms.add(type(block))
+            assert block_values(block) == values
+            assert decode_block(data, ColumnType.STRING, len(values), version=4) == values
+            picked = np.arange(0, len(values), 7)
+            assert block_values(block, picked) == [values[i] for i in picked]
+        assert forms == {PlainStrings, tuple}
+
+    def test_every_truncation_of_a_plain_block_raises_when_opened(self):
+        data, values = next(
+            (data, values)
+            for data, values in self.v4_blocks()
+            if isinstance(decode_block_arrays(data, ColumnType.STRING, len(values), 4), PlainStrings)
+        )
+        for cut in [*range(300), *range(300, len(data), 97), *range(len(data) - 300, len(data))]:
+            with pytest.raises(SerializationError):
+                decode_block_arrays(data[:cut], ColumnType.STRING, len(values), version=4)

@@ -43,15 +43,28 @@ from repro.logblock.schema import (
     TableSchema,
     request_log_schema,
 )
-from repro.logblock.sma import compute_sma, compute_sma_arrays
+from repro.logblock.sma import Sma, SmaTable, compute_sma, compute_sma_arrays
 from repro.logblock.writer import LogBlockWriter
 from repro.tarpack.reader import PackReader
 
-from tests.logblock.legacy_format import sma_bytes
 from tests.conftest import make_rows, write_logblock
 from tests.oracle import matches
 from tests.logblock.test_tokenizer import column_text
 from tests.logblock.test_writer_reader import reader_for
+
+
+def sma_bytes(sma: Sma) -> tuple:
+    """An SMA as the meta stores it: the bit-exact comparator (-0.0 vs
+    0.0, int vs float, NaN payloads)."""
+    table = SmaTable.from_smas([sma])
+    return (
+        sma.row_count,
+        table.null_counts.tobytes(),
+        table.kinds,
+        table.ints.tobytes(),
+        table.floats.tobytes(),
+        table.strings,
+    )
 
 
 def oracle_pack(schema, rows, codec="zlib", block_rows=64, **kw) -> bytes:

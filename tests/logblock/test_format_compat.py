@@ -1,16 +1,16 @@
-"""One reader, three LogBlock formats: v2, v3 and v4 answer alike.
+"""One reader, two LogBlock formats: v4 and v5 answer alike.
 
-The golden corpus exists three times — the committed v3 pack (the last
-v3 writer's real output), a v2 pack from the legacy encoders and the v4
-pack the writer emits — and every predicate shape must return the same
-rows from all three, with skipping on and off.  Right answers are not
-enough: a format whose index quietly stops being used (a decoder
-returning an object the pruning code does not recognise) still answers
-correctly from the scan path, only slower and with more bytes read.  So
+The golden corpus exists twice — the committed v4 pack (the last v4
+writer's real output, pack manifest v1 included) and the v5 pack the
+writer emits — and every predicate shape must return the same rows
+from both, with skipping on and off.  Right answers are not enough: a
+format whose index quietly stops being used (a decoder returning an
+object the pruning code does not recognise) still answers correctly
+from the scan path, only slower and with more bytes read.  So
 index-answerable shapes must also report an index lookup.
 
 Also here: the "materialise only what is asked for" count at query
-level.  The v4 meta member's damage cases run from the table of
+level.  The meta member's damage cases run from the table of
 ``tests/formats/test_corruption.py``.
 """
 
@@ -29,8 +29,7 @@ from repro.query.executor import BlockExecutor, ExecutionOptions
 from repro.query.planner import QueryPlanner
 from repro.query.sql import parse_sql
 
-from tests.logblock.legacy_format import downgrade_block
-from tests.logblock.test_writer_reader import V3_FIXTURE, golden_block, golden_corpus, reader_for
+from tests.logblock.test_writer_reader import V4_FIXTURE, golden_block, golden_corpus, reader_for
 
 BUCKET = "formats"
 TENANT = "tenant_id = 7"
@@ -79,8 +78,7 @@ def rows() -> list[dict]:
 
 @pytest.fixture(scope="module")
 def blobs() -> dict[int, bytes]:
-    v4 = golden_block()
-    return {2: downgrade_block(v4, 2), 3: V3_FIXTURE.read_bytes(), 4: v4}
+    return {4: V4_FIXTURE.read_bytes(), 5: golden_block()}
 
 
 @pytest.fixture(scope="module")
@@ -155,46 +153,33 @@ class TestEveryFormatAnswersAlike:
         for (version, use_skipping), corpus in corpora.items():
             got, stats = corpus.run(sql)
             assert got == expected, (version, use_skipping)
-            # Every row matches: v3/v4 fold from the meta alone; a v2
-            # meta has no sums, so SUM reads the column instead.
-            folded = stats.pushdown.agg_sma_blocks
-            assert folded == (0 if version == 2 else 1), (version, use_skipping)
+            # Every row matches: both fold from the meta alone.
+            assert stats.pushdown.agg_sma_blocks == 1, (version, use_skipping)
 
-    def test_metas_agree_slot_for_slot(self, blobs):
-        metas = {version: reader_for(blob).meta() for version, blob in blobs.items()}
-        assert {version: meta.version for version, meta in metas.items()} == {2: 2, 3: 3, 4: 4}
+    def test_every_read_path_returns_the_same_values(self, blobs, rows):
+        """Whole columns, picked rows, and the decoded block forms."""
+        readers = {version: reader_for(blob) for version, blob in blobs.items()}
+        picked = [0, 1, 2, 700, 1023, 1024, 2047, 2999]
         for column in request_log_schema().column_names():
-            assert metas[3].column_sma(column) == metas[4].column_sma(column)
-            for block_idx in range(metas[4].n_blocks):
-                assert metas[3].block_header(column, block_idx) == metas[4].block_header(
-                    column, block_idx
-                )
-                old = metas[2].block_header(column, block_idx)
-                new = metas[4].block_header(column, block_idx)
-                assert old.sma.sum_value is None
-                assert (old.row_count, old.stored_size, old.sma.min_value, old.sma.max_value) == (
-                    new.row_count, new.stored_size, new.sma.min_value, new.sma.max_value
-                )
-        assert metas[2].bloom_sizes == metas[3].bloom_sizes == metas[4].bloom_sizes
-        assert set(metas[3].index_sizes) == set(metas[4].index_sizes)
+            answers = {
+                version: (reader.read_column(column), reader.read_rows(picked, [column]))
+                for version, reader in readers.items()
+            }
+            assert answers[4] == answers[5]
+            assert answers[5][0] == [row[column] for row in rows]
 
-    def test_v4_meta_is_no_larger_than_v3(self, blobs):
-        sizes = {
-            version: len(reader_for(blob).pack.read_member("meta"))
-            for version, blob in blobs.items()
-        }
-        assert sizes[4] <= sizes[3]
-        assert len(blobs[4]) < len(blobs[3])
+    def test_v5_is_smaller_than_v4(self, blobs):
+        assert len(blobs[5]) < len(blobs[4])
 
 
 class TestOldBlocksMoveForwardOnRewrite:
-    def test_compaction_rewrites_v2_and_v3_victims_as_v4(self, blobs, rows):
+    def test_compaction_rewrites_v4_victims_as_v5(self, blobs, rows):
         """Nothing migrates old blocks in place; whatever rewrites one —
-        compaction, the cold compactor — goes through the v4 writer."""
+        compaction, the cold compactor — goes through the v5 writer."""
         store = InMemoryObjectStore()
         store.create_bucket(BUCKET)
         victims = []
-        for version in (2, 3):
+        for version in (4, 5):
             path = f"tenants/7/v{version}.lgb"
             store.put(BUCKET, path, blobs[version])
             victims.append(
@@ -206,7 +191,8 @@ class TestOldBlocksMoveForwardOnRewrite:
         )
         assert len(rewritten) == 1
         reader = reader_for(rewritten[0][1])
-        assert reader.meta().version == 4 and reader.row_count == 2 * len(rows)
+        assert reader.meta().version == 5 and reader.row_count == 2 * len(rows)
+        assert reader.pack.manifest().version == 2
         # Merged by ts, ties in victim order: every row twice in a row.
         assert reader.read_column("log") == [row["log"] for row in rows for _ in range(2)]
         assert reader.read_index("log").lookup("needle").tolist() == [14, 15, 3012, 3013]
@@ -214,8 +200,8 @@ class TestOldBlocksMoveForwardOnRewrite:
 
 class TestMaterialiseWhatIsAsked:
     def test_a_query_on_two_columns_builds_smas_for_those_two(self, blobs, rows, monkeypatch):
-        corpus = Corpus(blobs[4], rows, use_skipping=True)
-        meta = reader_for(blobs[4]).meta()
+        corpus = Corpus(blobs[5], rows, use_skipping=True)
+        meta = reader_for(blobs[5]).meta()
         per_column = meta.n_blocks + 1
         touched: set[str] = set()
         real = SmaTable.sma

@@ -1,24 +1,22 @@
 """Inverted index tests."""
 
 import sys
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.bytesio import BinaryWriter
 from repro.common.errors import SerializationError
 from repro.logblock.inverted import InvertedIndex, InvertedIndexBuilder
 from repro.logblock.tokenizer import MAX_TOKEN_LENGTH, tokenize
 
-from tests.logblock.legacy_format import inverted_v3_bytes
-
 
 class ReferenceIndex:
-    """The per-row builder and per-value (v3 layout) serializer the
-    columnar pipeline replaced; the differentials below hold the
-    columnar build to its terms and postings, byte for byte."""
+    """The per-row builder the columnar pipeline replaced; the
+    differentials below hold the columnar build to its terms and
+    postings."""
 
     def __init__(self, tokenize_values: bool) -> None:
         self.tokenize = tokenize_values
@@ -41,19 +39,15 @@ class ReferenceIndex:
     def lookup(self, term: str) -> list[int]:
         return self.postings.get(term, [])
 
-    def to_bytes(self) -> bytes:
-        writer = BinaryWriter()
-        writer.write_u8(1 if self.tokenize else 0)
-        writer.write_uvarint(self.row_count)
-        writer.write_uvarint(len(self.postings))
-        for term in sorted(self.postings):
-            writer.write_str(term)
-            writer.write_uvarint(len(self.postings[term]))
-            prev = 0
-            for row in self.postings[term]:
-                writer.write_uvarint(row - prev)
-                prev = row
-        return writer.getvalue()
+    def agrees_with(self, index: InvertedIndex) -> bool:
+        """Same row count, flag, terms and posting lists."""
+        return (
+            index.row_count == self.row_count
+            and index.tokenized == self.tokenize
+            and index.terms() == sorted(self.postings)
+            # Stored terms are already normalized.
+            and all(index.lookup(term).tolist() == rows for term, rows in self.postings.items())
+        )
 
 
 def build(values: list[str | None], tokenize_values: bool) -> InvertedIndex:
@@ -195,46 +189,39 @@ def replay(calls, tokenize_values: bool):
 
 class TestAgainstReference:
     @given(batches(tokenized_values))
-    def test_tokenized_bytes_equal(self, calls):
+    def test_tokenized_index_equals_reference(self, calls):
         index, ref = replay(calls, tokenize_values=True)
-        assert inverted_v3_bytes(index) == ref.to_bytes()
-        assert InvertedIndex.from_v3_bytes(ref.to_bytes()).to_bytes() == index.to_bytes()
+        assert ref.agrees_with(index)
+        assert ref.agrees_with(InvertedIndex.from_bytes(index.to_bytes()))
 
     @given(batches(raw_values))
-    def test_raw_bytes_equal(self, calls):
+    def test_raw_index_equals_reference(self, calls):
         index, ref = replay(calls, tokenize_values=False)
-        assert inverted_v3_bytes(index) == ref.to_bytes()
-        assert InvertedIndex.from_v3_bytes(ref.to_bytes()).to_bytes() == index.to_bytes()
+        assert ref.agrees_with(index)
+        assert ref.agrees_with(InvertedIndex.from_bytes(index.to_bytes()))
 
     def test_empty_index(self):
         for tokenize_values in (True, False):
             index, ref = replay([], tokenize_values)
-            assert inverted_v3_bytes(index) == ref.to_bytes()
-            for decoded in (
-                InvertedIndex.from_bytes(index.to_bytes()),
-                InvertedIndex.from_v3_bytes(ref.to_bytes()),
-            ):
-                assert decoded.term_count == 0 and decoded.row_count == 0
-                assert list(decoded.lookup("a")) == [] and list(decoded.lookup_prefix("")) == []
-                assert decoded.match_all(["a"]).count() == 0 == decoded.match_any(["a"]).count()
+            decoded = InvertedIndex.from_bytes(index.to_bytes())
+            assert ref.agrees_with(decoded)
+            assert decoded.term_count == 0 and decoded.row_count == 0
+            assert list(decoded.lookup("a")) == [] and list(decoded.lookup_prefix("")) == []
+            assert decoded.match_all(["a"]).count() == 0 == decoded.match_any(["a"]).count()
 
     def test_wide_deltas_and_many_postings(self):
         """Posting lists with multi-byte deltas and multi-byte counts."""
         values = ["hot" if i % 3 else "hot cold" for i in range(700)] + [None] * 40_000 + ["cold"]
         index, ref = replay([("many", values)], tokenize_values=True)
-        assert inverted_v3_bytes(index) == ref.to_bytes()
-        for decoded in (
-            InvertedIndex.from_bytes(index.to_bytes()),
-            InvertedIndex.from_v3_bytes(ref.to_bytes()),
-        ):
-            assert decoded.lookup("cold").tolist() == ref.lookup("cold")
-            assert decoded.lookup("hot").tolist() == ref.lookup("hot")
+        decoded = InvertedIndex.from_bytes(index.to_bytes())
+        assert ref.agrees_with(decoded)
+        assert decoded.lookup("cold").tolist() == ref.lookup("cold")
 
     def test_more_terms_than_16_bit_sort_keys(self):
         values = [f"t{i % 70_000:05d}" for i in range(75_000)]
         index, ref = replay([("many", values)], tokenize_values=False)
         assert index.term_count == 70_000
-        assert InvertedIndex.from_v3_bytes(ref.to_bytes()).to_bytes() == index.to_bytes()
+        assert ref.agrees_with(InvertedIndex.from_bytes(index.to_bytes()))
 
     def test_descending_row_ids_cannot_be_serialized(self):
         builder = InvertedIndexBuilder(tokenize=False)
@@ -247,9 +234,8 @@ class TestAgainstReference:
     def test_decoded_queries_equal_reference(self, calls, probes):
         built, ref = replay(calls, tokenize_values=True)
         decoded = InvertedIndex.from_bytes(built.to_bytes())
-        legacy = InvertedIndex.from_v3_bytes(ref.to_bytes())
         probes = probes + sorted(ref.postings)[:4]
-        for index in (built, decoded, legacy):
+        for index in (built, decoded):
             assert index.terms() == sorted(ref.postings)
             assert index.row_count == ref.row_count
             for probe in probes:
@@ -268,8 +254,7 @@ class TestAgainstReference:
     def test_decoded_raw_queries_equal_reference(self, calls, probes):
         built, ref = replay(calls, tokenize_values=False)
         decoded = InvertedIndex.from_bytes(built.to_bytes())
-        legacy = InvertedIndex.from_v3_bytes(ref.to_bytes())
-        for index in (built, decoded, legacy):
+        for index in (built, decoded):
             for probe in probes + sorted(ref.postings)[:3]:
                 assert index.lookup(probe).tolist() == ref.lookup(probe)
                 prefix_rows = sorted(
@@ -388,19 +373,14 @@ def answers(index: InvertedIndex):
 
 
 class TestCorruptPayloads:
-    def test_every_v3_truncation_raises(self):
-        """The v3 member has no checksum: its section checks alone catch a cut."""
-        blob = inverted_v3_bytes(damage_sample())
-        for cut in range(len(blob)):
-            with pytest.raises(SerializationError):
-                answers(InvertedIndex.from_v3_bytes(blob[:cut]))
-
     def test_row_id_outside_the_index_raises(self):
-        ref = ReferenceIndex(False)
-        ref.add(9, "a")
-        ref.row_count = 5
+        builder = InvertedIndexBuilder(tokenize=False)
+        builder.add(9, "a")
+        data = bytearray(builder.build().to_bytes())
+        data[5:9] = (5).to_bytes(4, "little")  # the row count, past the crc and flags
+        data[0:4] = zlib.crc32(data[4:]).to_bytes(4, "little")
         with pytest.raises(SerializationError):
-            InvertedIndex.from_v3_bytes(ref.to_bytes()).lookup("a")
+            InvertedIndex.from_bytes(bytes(data)).lookup("a")
 
     def test_lookup_results_are_int64(self):
         decoded = InvertedIndex.from_bytes(damage_sample().to_bytes())

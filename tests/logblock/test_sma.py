@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from repro.logblock.schema import ColumnType
 from repro.logblock.sma import Sma, SmaTable, compute_sma, compute_sma_arrays, merge_smas
 
-from tests.logblock.legacy_format import read_sma, sma_bytes
+
+def roundtrip(sma: Sma) -> Sma:
+    """``sma`` through the meta's column-wise table, between two others."""
+    table = SmaTable.from_smas([Sma(7, 8, 2, 0), sma, Sma("x", "y", 1, 0)])
+    return table.sma(1, sma.row_count)
 
 
 class TestCompute:
@@ -60,8 +64,8 @@ class TestCompute:
         assert not sma.all_null and not sma.may_contain_eq(1.0)
 
     def test_nan_bounds_of_an_old_block_prune_nothing(self):
-        """A v3 SMA written while a leading NaN still became the bounds."""
-        old = read_sma(sma_bytes(Sma(math.nan, math.nan, 3, 0, math.nan)))
+        """A v4 meta written while a leading NaN still became the bounds."""
+        old = roundtrip(Sma(math.nan, math.nan, 3, 0, math.nan))
         assert (old.min_value, old.max_value) == (-math.inf, math.inf)
         assert old.may_contain_eq(2.0) and old.may_contain_range(high=-1e300)
 
@@ -96,7 +100,7 @@ class TestPruning:
 
 
 class TestSum:
-    """Per-column sums (meta format v3) feeding the SUM/AVG pushdown."""
+    """Per-column sums feeding the SUM/AVG pushdown."""
 
     def test_int_sum(self):
         sma = compute_sma([3, 1, 4, None, 5], ColumnType.INT64)
@@ -125,8 +129,8 @@ class TestSum:
         )
         assert merged.sum_value == 6
 
-    def test_merge_with_legacy_child_loses_sum(self):
-        # A v2-deserialized child carries no sum: the merge can't either.
+    def test_merge_with_a_child_without_sum_loses_sum(self):
+        # A child carries no sum (it left int64): the merge can't either.
         merged = merge_smas(
             [compute_sma([1, 2], ColumnType.INT64), Sma(3, 3, 1, 0, None)]
         )
@@ -137,10 +141,8 @@ class TestSum:
         assert merge_smas([]).sum_value is None
 
     def test_serialization_with_and_without_sum(self):
-        sma = Sma(1, 9, 4, 1, 17)
-        assert read_sma(sma_bytes(sma)) == sma
-        legacy = read_sma(sma_bytes(sma, include_sum=False), include_sum=False)
-        assert legacy == Sma(1, 9, 4, 1, None)
+        for sma in (Sma(1, 9, 4, 1, 17), Sma(1, 9, 4, 1, None)):
+            assert roundtrip(sma) == sma
 
 
     @pytest.mark.parametrize("sign", (1, -1))
@@ -152,20 +154,20 @@ class TestSum:
             np.array(values, dtype=np.int64), np.zeros(3, dtype=bool), ColumnType.TIMESTAMP
         )
         assert slow == fast == Sma(sign * 2**62, sign * 2**62, 3, 0, None)
-        assert read_sma(sma_bytes(slow)) == slow
+        assert roundtrip(slow) == slow
 
     def test_int64_extremes_are_kept(self):
         for total in (2**63 - 1, -(2**63)):
             sma = compute_sma([total], ColumnType.INT64)
             assert sma.sum_value == total
-            assert read_sma(sma_bytes(sma)) == sma
+            assert roundtrip(sma) == sma
 
     def test_merge_drops_a_sum_past_int64(self):
         half = compute_sma([2**62], ColumnType.INT64)
         assert merge_smas([half]).sum_value == 2**62
         merged = merge_smas([half, half])
         assert merged.sum_value is None
-        assert read_sma(sma_bytes(merged)) == merged
+        assert roundtrip(merged) == merged
 
 
 class TestMerge:
@@ -187,33 +189,22 @@ class TestMerge:
 
 
 class TestSerialization:
-    """Every value kind through both layouts: the v3 per-value codec
-    (decoded in ``src``, encoded by the tests' legacy oracle) and a v4
-    column-wise table."""
-
-    def _roundtrip(self, sma: Sma) -> Sma:
-        table = SmaTable.from_smas([Sma(7, 8, 2, 0), sma, Sma("x", "y", 1, 0)])
-        assert table.sma(1, sma.row_count) == sma
-        return read_sma(sma_bytes(sma))
+    """Every value kind through the meta's column-wise table."""
 
     def test_int(self):
-        assert self._roundtrip(Sma(-5, 10, 3, 0)) == Sma(-5, 10, 3, 0)
+        assert roundtrip(Sma(-5, 10, 3, 0)) == Sma(-5, 10, 3, 0)
 
     def test_float(self):
-        assert self._roundtrip(Sma(-1.5, 2.25, 2, 0)) == Sma(-1.5, 2.25, 2, 0)
+        assert roundtrip(Sma(-1.5, 2.25, 2, 0)) == Sma(-1.5, 2.25, 2, 0)
 
     def test_string(self):
-        assert self._roundtrip(Sma("a", "z", 9, 1)) == Sma("a", "z", 9, 1)
+        assert roundtrip(Sma("a", "z", 9, 1)) == Sma("a", "z", 9, 1)
 
     def test_bool(self):
-        assert self._roundtrip(Sma(False, True, 2, 0)) == Sma(False, True, 2, 0)
+        assert roundtrip(Sma(False, True, 2, 0)) == Sma(False, True, 2, 0)
 
     def test_none(self):
-        assert self._roundtrip(Sma(None, None, 4, 4)) == Sma(None, None, 4, 4)
-
-    def test_bytes_roundtrip(self):
-        sma = Sma(1, 2, 3, 0)
-        assert read_sma(sma_bytes(sma)) == sma
+        assert roundtrip(Sma(None, None, 4, 4)) == Sma(None, None, 4, 4)
 
 
 values_strategy = st.lists(
@@ -251,7 +242,7 @@ class TestSoundnessProperties:
     @given(values_strategy)
     def test_serialization_roundtrip(self, values):
         sma = compute_sma(values, ColumnType.INT64)
-        assert read_sma(sma_bytes(sma)) == sma
+        assert roundtrip(sma) == sma
 
     @given(values_strategy)
     def test_sum_exactness(self, values):

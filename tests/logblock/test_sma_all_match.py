@@ -32,8 +32,7 @@ from repro.logblock.writer import LogBlockWriter
 from repro.query.kernels import selection_columns
 from repro.rowstore.memtable import MemTable
 
-from tests.logblock.legacy_format import downgrade_block
-from tests.logblock.test_writer_reader import reader_for
+from tests.logblock.test_writer_reader import V4_FIXTURE, golden_block, golden_corpus, reader_for
 from tests.oracle import matches
 
 SCHEMA = TableSchema(
@@ -68,14 +67,12 @@ def constant_rows(**overrides) -> list[dict]:
     return rows
 
 
-def block_reader(rows, meta_version=4, objects=None, decode_charge=None):
-    """The rows as one LogBlock of the given format (2 and 3 through
-    the legacy encoders), read through the shared object cache
+def block_reader(rows, objects=None, decode_charge=None):
+    """The rows as one LogBlock, read through the shared object cache
     ``objects`` when one is given."""
     writer = LogBlockWriter(SCHEMA, codec="zlib", block_rows=64)
     writer.append_many(rows)
-    blob = writer.finish()
-    reader = reader_for(blob if meta_version == 4 else downgrade_block(blob, meta_version))
+    reader = reader_for(writer.finish())
     if objects is not None:
         reader = LogBlockReader(reader.pack, decode_charge=decode_charge)
         reader.attach_shared_cache(objects, "b")
@@ -333,7 +330,6 @@ class TestHazards:
             assert every_path(reader, rows, predicate) == []
             assert not short_circuited(reader, predicate)
 
-    @pytest.mark.parametrize("meta_version", [2, 3, 4])
     @pytest.mark.parametrize(
         "scores",
         [
@@ -343,9 +339,9 @@ class TestHazards:
             [0, -0.0],
         ],
     )
-    def test_float_columns_never_prove_a_full_match(self, scores, meta_version):
+    def test_float_columns_never_prove_a_full_match(self, scores):
         rows = constant_rows(score=scores)
-        reader = block_reader(rows, meta_version=meta_version)
+        reader = block_reader(rows)
         for literal in (2.5, 2, 0, 0.0, -0.0):
             for predicate in (
                 EqPredicate("score", literal),
@@ -359,13 +355,12 @@ class TestHazards:
             every_path(reader, rows, EqPredicate("score", literal))
             every_path(reader, rows, RangePredicate("score", low=literal))
 
-    @pytest.mark.parametrize("meta_version", [2, 3, 4])
     @pytest.mark.parametrize("use_skipping", [True, False])
-    def test_a_leading_nan_does_not_become_the_bounds(self, meta_version, use_skipping):
+    def test_a_leading_nan_does_not_become_the_bounds(self, use_skipping):
         """``[nan, 2.0, 3.0]``: block 0 and the column lead with the NaN.
         Bounds taken from it pruned the block, and every match in it."""
         rows = constant_rows(score=[math.nan, 2.0, 3.0])
-        reader = block_reader(rows, meta_version=meta_version)
+        reader = block_reader(rows)
         sma = reader.meta().column_sma("score")
         assert (sma.min_value, sma.max_value) == (2.0, 3.0)
         assert reader.meta().block_header("score", 0).sma.min_value == 2.0
@@ -382,19 +377,18 @@ class TestHazards:
             assert list(evaluate_predicates(reader, [predicate], use_skipping=use_skipping)) == expected
             assert not short_circuited(reader, predicate)
 
-    @pytest.mark.parametrize("meta_version", [2, 3, 4])
     @pytest.mark.parametrize("scores", [[2, math.nan, 2], [2, math.nan, 2, 2]])
-    def test_nan_rows_are_not_claimed_by_int_bounds(self, scores, meta_version):
+    def test_nan_rows_are_not_claimed_by_int_bounds(self, scores):
         """FLOAT64 accepts ints: bounds 2..2 (ints) with a NaN between.
 
-        A v3/v4 meta gives the column away by its float sum; a v2 meta
-        has no sum at all, so only the column type can refuse the proof.
+        The NaN sum gives the column away, but the column type alone
+        refuses the proof.
         """
         rows = constant_rows(score=scores)
-        reader = block_reader(rows, meta_version=meta_version)
+        reader = block_reader(rows)
         sma = reader.meta().column_sma("score")
         assert type(sma.min_value) is int and sma.min_value == sma.max_value == 2
-        assert (sma.sum_value is None) == (meta_version == 2)
+        assert math.isnan(sma.sum_value)
         expected = [i for i, row in enumerate(rows) if row["score"] == 2]
         assert 0 < len(expected) < N_ROWS
         for predicate in (
@@ -408,13 +402,12 @@ class TestHazards:
             assert list(evaluate_predicates(reader, [predicate], use_skipping=False)) == expected
             assert every_path(reader, rows, predicate) == expected
 
-    @pytest.mark.parametrize("meta_version", [2, 3, 4])
     @pytest.mark.parametrize("scores", [[2.5, math.nan], [2, math.nan, 2]])
-    def test_ne_keeps_the_nan_rows_equal_bounds_hide(self, scores, meta_version):
+    def test_ne_keeps_the_nan_rows_equal_bounds_hide(self, scores):
         """``score != 2.5`` over ``[2.5, nan]``: bounds 2.5..2.5 skip the
         NaN rows, which differ from 2.5 — equal float bounds prune nothing."""
         rows = constant_rows(score=scores)
-        reader = block_reader(rows, meta_version=meta_version)
+        reader = block_reader(rows)
         expected = [i for i, row in enumerate(rows) if row["score"] != row["score"]]
         assert 0 < len(expected) < N_ROWS
         assert every_path(reader, rows, NePredicate("score", scores[0])) == expected
@@ -423,14 +416,17 @@ class TestHazards:
         assert not evaluate_predicates(reader, [NePredicate("tenant", 7)], stats=stats).any()
         assert stats.columns_pruned == 1
 
-    def test_legacy_v2_meta(self):
-        rows = constant_rows()
-        reader = block_reader(rows, meta_version=2)
-        assert reader.meta().column_sma("tenant").sum_value is None
-        for predicate in (EqPredicate("tenant", 7), RangePredicate("ts", low=1_000)):
-            assert every_path(reader, rows, predicate) == list(range(N_ROWS))
+    @pytest.mark.parametrize("version", [4, 5])
+    def test_both_formats_in_the_read_window_prove_alike(self, version):
+        """The committed v4 pack and the v5 writer's pack of the golden
+        corpus: the SMAs either meta holds prove the same full matches."""
+        rows = golden_corpus()
+        reader = reader_for(V4_FIXTURE.read_bytes() if version == 4 else golden_block())
+        assert reader.meta().version == version
+        for predicate in (EqPredicate("tenant_id", 7), RangePredicate("ts", low=rows[0]["ts"])):
+            assert every_path(reader, rows, predicate) == list(range(len(rows)))
             assert short_circuited(reader, predicate)
-        for predicate in (EqPredicate("tenant", 8), EqPredicate("score", 2.5)):
+        for predicate in (EqPredicate("tenant_id", 8), EqPredicate("latency", 12)):
             every_path(reader, rows, predicate)
             assert not short_circuited(reader, predicate)
 

@@ -19,7 +19,6 @@ from repro.oss.store import InMemoryObjectStore
 from repro.tarpack.reader import PackReader
 
 from tests.conftest import make_rows, write_logblock
-from tests.logblock.legacy_format import downgrade_block, meta_bytes, write_legacy_block
 
 
 def reader_for(blob: bytes) -> LogBlockReader:
@@ -92,41 +91,26 @@ class TestMetaRoundtrip:
         # Non-numeric columns carry no sum even in the v3 format.
         assert reader.meta().column_sma("ip").sum_value is None
 
-    def test_legacy_v2_meta_roundtrip(self):
-        """v2 metas (no per-column sums) must stay readable."""
-        rows = make_rows(100)
-        reader = reader_for(
-            write_legacy_block(request_log_schema(), rows, 2, codec="zlib", block_rows=64)
-        )
-        meta = reader.meta()
-        assert meta.version == 2
-        assert meta.row_count == 100
-        sma = meta.column_sma("latency")
-        assert sma.sum_value is None
-        assert sma.min_value == min(r["latency"] for r in rows)
-        assert reader.read_column("latency") == [r["latency"] for r in rows]
+    def test_a_v4_meta_decodes_into_the_v5_form(self):
+        """v4 and v5 metas share one layout: the v4 fixture's meta holds
+        the golden corpus's SMAs slot for slot, and re-encodes as itself."""
+        raw = reader_for(V4_FIXTURE.read_bytes()).pack.read_member("meta")
+        old, new = LogBlockMeta.from_bytes(raw), reader_for(golden_block()).meta()
+        assert (old.version, new.version) == (4, 5)
+        assert old.to_bytes() == raw
+        for column in new.schema.column_names():
+            assert old.column_sma(column) == new.column_sma(column)
+            for block_idx in range(new.n_blocks):
+                theirs = old.block_header(column, block_idx)
+                ours = new.block_header(column, block_idx)
+                assert (theirs.row_count, theirs.sma) == (ours.row_count, ours.sma)
 
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_legacy_metas_decode_into_the_v4_form(self, version):
-        """One in-memory meta: what a v2/v3 member decodes to re-encodes
-        as the v4 member of the same block (v2 minus the sums)."""
-        meta = reader_for(write_logblock(make_rows(150))).meta()
-        decoded = LogBlockMeta.from_bytes(meta_bytes(meta, version))
-        assert decoded.version == version and decoded.row_count == meta.row_count
-        for column in meta.schema.column_names():
-            for block_idx in range(meta.n_blocks):
-                theirs = decoded.block_header(column, block_idx)
-                ours = meta.block_header(column, block_idx)
-                if version == 3:
-                    assert theirs == ours
-                else:
-                    assert theirs.sma.sum_value is None
-                    assert (theirs.sma.min_value, theirs.stored_size) == (
-                        ours.sma.min_value,
-                        ours.stored_size,
-                    )
-        if version == 3:
-            assert decoded.to_bytes() == meta.to_bytes()
+    @pytest.mark.parametrize("version", [2, 3, 6])
+    def test_a_version_outside_the_read_window_is_refused(self, version):
+        raw = bytearray(reader_for(write_logblock(make_rows(20))).meta().to_bytes())
+        raw[4] = version
+        with pytest.raises(SerializationError, match="version"):
+            LogBlockMeta.from_bytes(bytes(raw))
 
     def test_opening_a_meta_builds_no_sma(self, monkeypatch):
         """Probe, don't parse: SMAs exist for the columns a caller asks
@@ -304,12 +288,11 @@ def golden_corpus() -> list[dict]:
 # decoder for the old one and pin the old bytes as a fixture — do not
 # just update the hash.
 #
-# v3 is the writer's output from PR 12 to PR 16 (the hash predates the
-# columnar index pipeline); tests/fixtures/logblock_v3_golden.lgb is
-# that pack, written by the last v3 writer.
-GOLDEN_SHA256 = "5d881ec4b4eb9bcc764f440d9f25eb8ba71daccaf86ad6bf7d67170f64cca6a7"
+# tests/fixtures/logblock_v4_golden.lgb is the last v4 writer's output
+# (string lists interleaved with their lengths, pack manifest v1).
 GOLDEN_V4_SHA256 = "8cdaea8fd34b878c58d2ff6215d2ba50be9e80113e0191abb80186aeff95b6a3"
-V3_FIXTURE = Path(__file__).parent.parent / "fixtures" / "logblock_v3_golden.lgb"
+GOLDEN_V5_SHA256 = "3ed5682dcea6bfc02062d2dd171ec4f9111a5f8de405c6264bc09b80b3390828"
+V4_FIXTURE = Path(__file__).parent.parent / "fixtures" / "logblock_v4_golden.lgb"
 
 
 def golden_block() -> bytes:
@@ -321,7 +304,7 @@ def golden_block() -> bytes:
 
 
 def test_packed_bytes_are_those_of_the_golden_corpus():
-    assert hashlib.sha256(golden_block()).hexdigest() == GOLDEN_V4_SHA256
+    assert hashlib.sha256(golden_block()).hexdigest() == GOLDEN_V5_SHA256
 
 
 @pytest.mark.parametrize("how", ["append", "append_many", "append_columns", "mixed"])
@@ -341,7 +324,7 @@ def test_the_pack_does_not_depend_on_how_the_rows_arrived(how):
             writer.append_many(rows[lo:hi])
         else:
             writer.append_columns({name: [row[name] for row in rows[lo:hi]] for name in names})
-    assert hashlib.sha256(writer.finish()).hexdigest() == GOLDEN_V4_SHA256
+    assert hashlib.sha256(writer.finish()).hexdigest() == GOLDEN_V5_SHA256
 
 
 def test_index_builders_fed_row_by_row_build_the_golden_members():
@@ -370,20 +353,31 @@ def test_index_builders_fed_row_by_row_build_the_golden_members():
             assert sum(len(index.lookup(term)) for term in index.terms()) == present
 
 
-def test_the_v3_fixture_is_the_v3_writers_output():
-    blob = V3_FIXTURE.read_bytes()
-    assert len(blob) == 146_988 and hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
+def test_the_v4_fixture_is_the_v4_writers_output():
+    blob = V4_FIXTURE.read_bytes()
+    assert len(blob) == 144_834 and hashlib.sha256(blob).hexdigest() == GOLDEN_V4_SHA256
 
 
-def test_the_legacy_encoders_reproduce_the_v3_writer_byte_for_byte():
-    """The oracle old blocks are written with *is* the old writer."""
-    assert downgrade_block(golden_block(), 3) == V3_FIXTURE.read_bytes()
-
-
-def test_the_v3_fixture_reads_back_the_golden_corpus():
-    reader = reader_for(V3_FIXTURE.read_bytes())
+def test_the_v4_fixture_reads_back_the_golden_corpus():
+    reader = reader_for(V4_FIXTURE.read_bytes())
     rows = golden_corpus()
-    assert reader.meta().version == 3
+    assert (reader.meta().version, reader.pack.manifest().version) == (4, 1)
     for column in request_log_schema().column_names():
         assert reader.read_column(column) == [row[column] for row in rows]
     assert reader.read_index("log").lookup("needle").tolist() == [7, 1506]
+
+
+def test_v5_moves_string_bytes_only():
+    """Every member but the string column blocks (and the meta's stored
+    sizes) is the v4 member, byte for byte; the blob shrinks."""
+    old = reader_for(V4_FIXTURE.read_bytes()).pack
+    new = reader_for(golden_block()).pack
+    assert old.member_names() == new.member_names()
+    schema = request_log_schema()
+    strings = {i for i, col in enumerate(schema.columns) if col.ctype is ColumnType.STRING}
+    for name in new.member_names():
+        same = old.read_member(name) == new.read_member(name)
+        assert same == (name != "meta" and not (
+            name.startswith("col/") and int(name.split("/")[1]) in strings
+        )), name
+    assert len(golden_block()) < len(V4_FIXTURE.read_bytes())

@@ -90,7 +90,9 @@ class TestExplainAnalyze:
 
     def test_prefetch_line_says_what_the_plans_skipped(self, monkeypatch):
         """Members wanted = resident (decoded form or bytes) + fetched."""
-        store = seeded_store(seal_rows=100, target_rows_per_logblock=100)
+        # LogBlocks of 300 rows outgrow the 8 KiB head read, so members
+        # past it are prefetched (a smaller one arrives whole).
+        store = seeded_store(seal_rows=300, target_rows_per_logblock=300)
         planned = []
         plan = PrefetchPlanner.plan
 

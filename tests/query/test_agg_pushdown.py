@@ -16,7 +16,7 @@ from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
 from repro.common.clock import VirtualClock
 from repro.common.errors import QueryError
 from repro.logblock.schema import ColumnSpec, ColumnType, request_log_schema
-from repro.meta.catalog import Catalog, LogBlockEntry
+from repro.meta.catalog import Catalog
 from repro.meta.janitor import Janitor
 from repro.oss.costmodel import free
 from repro.oss.metered import MeteredObjectStore
@@ -27,7 +27,6 @@ from repro.query.sql import parse_sql
 from repro.rowstore.memtable import MemTable
 
 from tests.conftest import BASE_TS, MICROS, make_rows
-from tests.logblock.legacy_format import write_legacy_block
 
 BUCKET = "agg"
 
@@ -348,53 +347,6 @@ class TestDifferential:
         assert by_api["/api/v2"]["COUNT(score)"] == 16
         assert by_api["/api/v0"]["MIN(score)"] == -2.5  # not the NaN that came first
         assert by_api["/api/v0"]["SUM(score)"] != by_api["/api/v0"]["SUM(score)"]  # poisoned
-
-
-class TestLegacyMetaFallback:
-    """v2-meta blocks carry no sums: SUM must fall down to tier 3."""
-
-    @pytest.fixture()
-    def legacy_env(self):
-        built = Env()
-        rows = make_rows(300, tenant_id=1, seed=11)
-        data = write_legacy_block(built.schema, rows, 2, codec="zlib", block_rows=64)
-        path = "tenants/1/legacy-0.lgb"
-        built.store.put(BUCKET, path, data)
-        built.catalog.add_block(
-            LogBlockEntry(
-                tenant_id=1,
-                min_ts=rows[0]["ts"],
-                max_ts=rows[-1]["ts"],
-                path=path,
-                size_bytes=len(data),
-                row_count=len(rows),
-            )
-        )
-        built.rows.extend(rows)
-        return built
-
-    def test_sum_falls_back_to_columnar(self, legacy_env):
-        sql = "SELECT SUM(latency) FROM request_log WHERE tenant_id = 1"
-        rows, stats = legacy_env.run(sql, level=3)
-        assert rows[0]["SUM(latency)"] == sum(r["latency"] for r in legacy_env.rows)
-        assert stats.pushdown.agg_sma_blocks == 0
-        assert stats.pushdown.agg_columnar_blocks > 0
-
-    def test_count_min_max_still_fold(self, legacy_env):
-        # v2 SMAs keep min/max/counts, so non-SUM aggregates still tier 2.
-        sql = "SELECT COUNT(*), MIN(latency), MAX(latency) FROM request_log WHERE tenant_id = 1 AND latency >= 0"
-        rows, stats = legacy_env.run(sql, level=3)
-        latencies = [r["latency"] for r in legacy_env.rows]
-        assert rows[0]["COUNT(*)"] == len(latencies)
-        assert rows[0]["MIN(latency)"] == min(latencies)
-        assert stats.pushdown.agg_sma_blocks > 0
-
-    def test_tier1_unaffected_by_meta_version(self, legacy_env):
-        sql = "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1"
-        rows, stats = legacy_env.run(sql, level=3)
-        assert rows[0]["COUNT(*)"] == len(legacy_env.rows)
-        assert stats.pushdown.agg_catalog_hits == 1
-        assert stats.blocks_visited == 0
 
 
 class TestSumPastInt64:

@@ -27,10 +27,12 @@ def env(free_store):
     catalog = Catalog(request_log_schema())
     builder = DataBuilder(
         request_log_schema(), catalog, Janitor(catalog, free_store, "test"),
-        codec="zlib", block_rows=64, target_rows=150,
+        codec="zlib", block_rows=64, target_rows=300,
     )
     table = MemTable()
-    table.append_many(make_rows(400, tenant_id=1, seed=1))
+    # Packs of 300 rows outgrow the 8 KiB head read, so members past it
+    # are prefetched (a smaller pack arrives whole with its head).
+    table.append_many(make_rows(900, tenant_id=1, seed=1))
     table.seal()
     builder.archive_memtable(table, "s0-0")
     cache = MultiLevelCache(memory_bytes=1 << 22, ssd_bytes=1 << 24)

@@ -302,3 +302,43 @@ class TestSmaShortCircuitFetchesNoIndex:
         got, stats, *_ = run("SELECT ts FROM request_log WHERE tenant_id = 1 AND region IS NULL")
         assert len(got) == self.N
         assert stats.prune.columns_short_circuited == 1
+
+
+class TestASmallPackOpensInOneGet:
+    """A LogBlock under the 8 KiB head chunk is read whole by its head
+    read, since the executor knows its size: meta, Bloom, index and
+    column blocks then cost no GET of their own."""
+
+    def test_one_get_per_small_pack(self, free_store, monkeypatch):
+        catalog = Catalog(request_log_schema())
+        builder = DataBuilder(
+            request_log_schema(), catalog, Janitor(catalog, free_store, "test"),
+            codec="zlib", block_rows=64, target_rows=100,
+        )
+        rows = make_rows(60, tenant_id=1, seed=5)
+        table = MemTable()
+        table.append_many(rows)
+        table.seal()
+        builder.archive_memtable(table, "s0-0")
+        (entry,) = catalog.blocks_for(1)
+        assert entry.size_bytes < PackReader.HEAD_CHUNK
+
+        fetched: list[tuple[int, int]] = []
+        get_range = free_store.get_range
+
+        def recording_get_range(bucket, key, start, length):
+            fetched.append((start, length))
+            return get_range(bucket, key, start, length)
+
+        monkeypatch.setattr(free_store, "get_range", recording_get_range)
+        monkeypatch.setattr(free_store, "get_ranges_parallel", None)  # nothing is prefetched
+        cache = MultiLevelCache(memory_bytes=1 << 22, ssd_bytes=1 << 24)
+        executor = BlockExecutor(CachingRangeReader(free_store, cache), "test")
+        sql = "SELECT log FROM request_log WHERE tenant_id = 1 AND ip = '192.168.0.3'"
+        got, stats = executor.execute(QueryPlanner(catalog).plan(parse_sql(sql)))
+
+        assert got.to_dicts() == brute(rows, lambda r: r["ip"] == "192.168.0.3", ["log"])
+        assert fetched == [(0, entry.size_bytes)]
+        assert stats.prefetch_requests == 0 and stats.prune.index_lookups > 0
+        decoded = {member for _bucket, path, member in cache.objects._entries if path == entry.path}
+        assert {"meta", "bloom/ip", "idx/ip", "__pack_header__"} <= decoded

@@ -24,15 +24,15 @@ from repro.rowstore.memtable import MemTable
 from tests.conftest import make_rows
 
 
-def make_env(options=None, clock=None):
+def make_env(options=None, clock=None, rows_per_logblock=100):
     catalog = Catalog(request_log_schema())
     store = MeteredObjectStore(InMemoryObjectStore(), oss_default(), clock or VirtualClock())
     store.create_bucket("b")
     builder = DataBuilder(
         request_log_schema(), catalog, Janitor(catalog, store, "b"),
-        codec="zlib", block_rows=64, target_rows=100,  # 600 rows → 6 blocks
+        codec="zlib", block_rows=64, target_rows=rows_per_logblock,  # 6 blocks
     )
-    rows = make_rows(600, tenant_id=1)
+    rows = make_rows(6 * rows_per_logblock, tenant_id=1)
     table = MemTable()
     table.append_many(rows)
     table.seal()
@@ -241,7 +241,7 @@ SINKS = {
     "rows": (rows_sink, f"SELECT ts, log {SELECTIVE}", {}),
     "rows-limit": (
         rows_sink,
-        "SELECT ts FROM request_log WHERE tenant_id = 1 AND fail = 'true' LIMIT 12",
+        "SELECT ts FROM request_log WHERE tenant_id = 1 AND fail = 'true' LIMIT 40",
         {},
     ),
     "agg-level-0": (
@@ -264,7 +264,8 @@ class TestOneLoopEverySink:
     def drive(self, clock, name, use_prefetch):
         sink, sql, extra = SINKS[name]
         options = ExecutionOptions(use_prefetch=use_prefetch, prefetch_threads=2, **extra)
-        _rows, planner, executor = make_env(options, clock)
+        # LogBlocks past the 8 KiB head read, so that members are prefetched.
+        _rows, planner, executor = make_env(options, clock, rows_per_logblock=300)
         passes = []
         for answer, stats in sink(executor, planner.plan(parse_sql(sql))):
             passes.append((clock.now(), [c.total for c in clock.collectors]))

@@ -108,14 +108,14 @@ QUERIES = [
 ]
 
 
-def _populate(store: LogStore, archive_midway: bool) -> None:
+def _populate(store: LogStore, archive_midway: bool, updates: int = 120) -> None:
     session = store.connect(1, store.issue_token(1))
     update = session.prepare(
         "INSERT INTO workflow_runs (run_id, status, elapsed, finished_at) "
         "VALUES (?, ?, ?, ?)"
     )
     statuses = ["running", "running", "succeeded", "failed"]
-    for seq in range(120):
+    for seq in range(updates):
         run = f"run-{seq % 17}"
         status = statuses[seq % len(statuses)]
         finished = f"2020-11-11 00:{seq % 60:02d}" if status != "running" else None
@@ -178,7 +178,9 @@ def test_tied_versions_resolve_to_last_write(loaded_store):
 def test_rewrite_fetches_fewer_bytes_on_archived_data():
     store = LogStore.create(config=small_test_config())
     store.create_table(CREATE)
-    _populate(store, archive_midway=False)
+    # Enough versions that a LogBlock outgrows the 8 KiB head read (a
+    # smaller one arrives whole, whatever the query reads of it).
+    _populate(store, archive_midway=False, updates=600)
     store.flush_all()
     sql = QUERIES[0]
     fast, naive = _run_both_ways(store, sql)

@@ -1,34 +1,75 @@
 """Tar-with-manifest packaging tests."""
 
+import zlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import CorruptionError, SerializationError
 from repro.oss.store import InMemoryObjectStore
-from repro.tarpack.manifest import Manifest, MemberEntry
+from repro.tarpack.manifest import Manifest
 from repro.tarpack.packer import PackBuilder, pack_members, read_preamble, write_preamble
 from repro.tarpack.reader import PackReader
 
 
 class TestManifest:
     def test_roundtrip(self):
-        manifest = Manifest(
-            [MemberEntry("meta", 0, 10), MemberEntry("idx/ip", 10, 250)]
-        )
+        manifest = Manifest.of(["meta", "idx/ip", "é/0"], [10, 250, 0])
         decoded = Manifest.from_bytes(manifest.to_bytes())
-        assert decoded.names() == ["meta", "idx/ip"]
-        assert decoded.get("idx/ip").offset == 10
-        assert decoded.get("idx/ip").length == 250
+        assert decoded.names() == ["meta", "idx/ip", "é/0"]
+        assert decoded.extent("idx/ip") == (10, 250)
+        assert decoded.extent("é/0") == (260, 0)
+        assert decoded.version == 2 and decoded.data_length == 260
+
+    def test_v2_is_names_then_lengths(self):
+        """Past the 13-byte frame: the count, the name lengths, the
+        names' text, the member lengths."""
+        body = Manifest.of(["meta", "col/0/0"], [10, 300]).to_bytes()[13:]
+        assert body == bytes((2, 4, 7)) + b"metacol/0/0" + bytes((10, 0xAC, 0x02))
+
+    @given(
+        st.dictionaries(
+            st.text(min_size=1, max_size=20),
+            st.integers(min_value=0, max_value=1 << 40),
+            max_size=40,
+        )
+    )
+    def test_any_members_roundtrip(self, members):
+        """Unicode names, multi-byte lengths, empty members: the offsets
+        the v2 reader rebuilds from the lengths are the writer's."""
+        names, lengths = list(members), list(members.values())
+        manifest = Manifest.of(names, lengths)
+        decoded = Manifest.from_bytes(manifest.to_bytes())
+        assert decoded.names() == names and decoded.version == 2
+        assert [decoded.extent(name) for name in names] == [manifest.extent(name) for name in names]
+        assert decoded.data_length == sum(lengths)
+
+    def test_v1_is_read(self):
+        """``name, offset, length`` per member, offsets not implied."""
+        payload = bytes((2, 1)) + b"a" + bytes((0, 3, 1)) + b"b" + bytes((9, 4))
+        data = b"LSTP" + bytes((1,)) + zlib.crc32(payload).to_bytes(4, "little")
+        data += len(payload).to_bytes(4, "little") + payload
+        manifest = Manifest.from_bytes(data)
+        assert manifest.version == 1 and manifest.names() == ["a", "b"]
+        assert (manifest.extent("a"), manifest.extent("b")) == ((0, 3), (9, 4))
+        with pytest.raises(SerializationError):
+            manifest.to_bytes()  # v2 cannot hold the gap
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_a_version_outside_the_read_window_is_refused(self, version):
+        data = bytearray(Manifest.of(["meta"], [10]).to_bytes())
+        data[4] = version
+        with pytest.raises(SerializationError, match="version"):
+            Manifest.from_bytes(bytes(data))
 
     def test_duplicate_name_rejected(self):
-        manifest = Manifest([MemberEntry("a", 0, 1)])
         with pytest.raises(SerializationError):
-            manifest.add(MemberEntry("a", 1, 1))
+            Manifest.of(["a", "a"], [1, 1])
 
     def test_missing_member(self):
         with pytest.raises(KeyError):
-            Manifest().get("nope")
+            Manifest.of([], []).extent("nope")
 
 
 class TestPreamble:
@@ -67,6 +108,16 @@ class TestPackBuilder:
         assert reader.read_member("full") == b"abc"
 
 
+class CountingStore(InMemoryObjectStore):
+    def __init__(self):
+        super().__init__()
+        self.range_log = []
+
+    def get_range(self, bucket, key, start, length):
+        self.range_log.append((start, length))
+        return super().get_range(bucket, key, start, length)
+
+
 class TestPackReader:
     def _make_reader(self, members):
         store = InMemoryObjectStore()
@@ -94,16 +145,6 @@ class TestPackReader:
 
     def test_reads_are_ranged_not_whole_object(self):
         """A member read must fetch only that member's bytes."""
-
-        class CountingStore(InMemoryObjectStore):
-            def __init__(self):
-                super().__init__()
-                self.range_log = []
-
-            def get_range(self, bucket, key, start, length):
-                self.range_log.append((start, length))
-                return super().get_range(bucket, key, start, length)
-
         store = CountingStore()
         store.create_bucket("b")
         members = {"small": b"s" * 10, "big": b"B" * 100_000}
@@ -112,6 +153,33 @@ class TestPackReader:
         reader.read_member("small")
         # head chunk + the 10-byte member; the 100KB member is never read
         assert all(length <= PackReader.HEAD_CHUNK for _start, length in store.range_log)
+
+    @pytest.mark.parametrize("size", [200, 4096, PackReader.HEAD_CHUNK - 1, PackReader.HEAD_CHUNK])
+    def test_a_pack_below_the_head_chunk_opens_in_one_get(self, size):
+        """Given its size, a small pack is read whole by the head read,
+        and every member is then served from it."""
+        store = CountingStore()
+        store.create_bucket("b")
+        members = {"meta": b"m" * 40, "bloom/ip": b"b" * 20, "col/0/0": b"c" * 30}
+        pad = size - len(pack_members({**members, "pad": b""}))
+        while len(blob := pack_members({**members, "pad": b"p" * pad})) > size:
+            pad -= 1  # the pad's length took a second varint byte
+        assert len(blob) == size
+        store.put("b", "k", blob)
+        reader = PackReader(store, "b", "k", len(blob))
+        for name, data in members.items():
+            assert reader.read_member(name) == data
+        assert store.range_log == [(0, size)]
+        assert reader.head_bytes == blob
+
+    def test_a_pack_of_unknown_size_still_opens(self):
+        store = CountingStore()
+        store.create_bucket("b")
+        store.put("b", "k", pack_members({"m": b"hello"}))
+        reader = PackReader(store, "b", "k")
+        assert reader.read_member("m") == b"hello"
+        # The refused head read, the preamble, the manifest, the member.
+        assert len(store.range_log) == 4
 
     def test_attach_manifest_skips_fetches(self):
         store = InMemoryObjectStore()

@@ -44,17 +44,38 @@ class TestCli:
         assert "col/0/0" in text
 
     def test_names_the_format_version(self, block_path):
-        fixture = str(Path(__file__).parent.parent / "fixtures" / "logblock_v3_golden.lgb")
-        for path, version in ((block_path, "v4"), (fixture, "v3")):
+        fixture = str(Path(__file__).parent.parent / "fixtures" / "logblock_v4_golden.lgb")
+        for path, version, manifest in ((block_path, "v5", "v2"), (fixture, "v4", "v1")):
             for flags in ([], ["--members"]):
                 out = io.StringIO()
                 assert main([*flags, path], out=out) == 0
-                assert f"format: {version}" in " ".join(out.getvalue().split())
+                text = " ".join(out.getvalue().split())
+                assert f"format: {version}" in text
+                assert (f"manifest: {manifest}" in text) == bool(flags)
+
+    def test_members_break_a_string_block_into_its_sections(self, block_path):
+        out = io.StringIO()
+        assert main(["--members", block_path], out=out) == 0
+        table = out.getvalue().split("string block", 1)[1].splitlines()
+        assert table[0].split()[:3] == ["encoding", "lengths", "text"]
+        rows = {line.split()[0]: line.split()[1:] for line in table[1:] if line.strip()}
+        # 100 rows in blocks of 32: ip (column 2) repeats 10 values, log (6) never.
+        assert sorted(rows) == sorted(f"col/{c}/{b}" for c in (2, 3, 6) for b in range(4))
+        assert rows["col/2/0"] == ["dict", "10", str(sum(len(f"192.168.0.{i}") for i in range(10)))]
+        reader = open_block(block_path)
+        logs = reader.read_block("log", 0)
+        assert rows["col/6/0"] == ["plain", "32", str(sum(len(v.encode()) for v in logs))]
+
+    def test_a_v4_block_has_no_string_sections(self):
+        fixture = str(Path(__file__).parent.parent / "fixtures" / "logblock_v4_golden.lgb")
+        out = io.StringIO()
+        assert main(["--members", fixture], out=out) == 0
+        assert "string block" not in out.getvalue()
 
     def test_members_break_an_inverted_index_into_its_sections(self, block_path):
         out = io.StringIO()
         assert main(["--members", block_path], out=out) == 0
-        table = out.getvalue().split("inverted index", 1)[1].splitlines()
+        table = out.getvalue().split("inverted index", 1)[1].split("\n\n")[0].splitlines()
         assert table[0].split()[:4] == ["terms", "dictionary", "counts", "postings"]
         index = open_block(block_path).read_index("ip")
         sizes = index.section_sizes()
