@@ -78,8 +78,8 @@ def available_codecs() -> list[str]:
 
 
 def _lzma_compress(data: bytes) -> bytes:
-    # preset 1: high-ratio family but tolerable speed for a pure-Python store
-    return lzma.compress(data, preset=1)
+    # preset 1: high ratio, tolerable speed; .lzma framing (13 B), not .xz's (~60 B).
+    return lzma.compress(data, format=lzma.FORMAT_ALONE, preset=1)
 
 
 register_codec(Codec("none", 0, lambda data: data, lambda data: data))

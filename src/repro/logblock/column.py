@@ -15,29 +15,24 @@ Encodings:
   DICT (distinct values + per-row codes) chosen by cardinality, like the
   frequency-based dictionary compression the paper cites from DB2 BLU.
 
-Since format v5 a list of strings — PLAIN values, a DICT dictionary —
-is two sections: every length as a uvarint, then the concatenated UTF-8
-text, so its extents are one varint decode and one cumsum.  Format v4
-interleaved ``uvarint(len) · bytes`` per string; its blocks are still
-read (``version=4``).
+A list of strings — PLAIN values, a DICT dictionary — is two
+sections: every length as a uvarint, then the concatenated UTF-8 text,
+so its extents are one varint decode and one cumsum.  A block's bytes
+end where its values end; anything after them is damage.
 """
 
 from __future__ import annotations
-
-from array import array
 
 import numpy as np
 
 from repro.common.bitset import Bitset
 from repro.common.bytesio import BinaryReader, BinaryWriter, decode_strings
 from repro.common.errors import SerializationError
-from repro.common.varint import decode_uvarint, decode_uvarint_array
+from repro.common.varint import decode_uvarint_array
 from repro.logblock.schema import ColumnType
 
 _STRING_PLAIN = 0
 _STRING_DICT = 1
-# The first LogBlock format whose string lists are length + text sections.
-SECTIONED_STRINGS = 5
 
 # Use dictionary encoding when distinct values are at most this fraction
 # of the row count (and the block is non-trivial).
@@ -49,11 +44,9 @@ def encode_block(values: list, ctype: ColumnType) -> bytes:
     writer = BinaryWriter()
     nulls = Bitset.from_bool_array(np.array([v is None for v in values], dtype=bool))
     writer.write_len_prefixed(nulls.to_bytes())
-    if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
-        vector = np.array([0 if v is None else int(v) for v in values], dtype=np.int64)
-        writer.write_bytes(vector.tobytes())
-    elif ctype is ColumnType.FLOAT64:
-        vector = np.array([0.0 if v is None else float(v) for v in values], dtype=np.float64)
+    if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP, ColumnType.FLOAT64):
+        kind, dtype = (float, np.float64) if ctype is ColumnType.FLOAT64 else (int, np.int64)
+        vector = np.array([0 if v is None else kind(v) for v in values], dtype=dtype)
         writer.write_bytes(vector.tobytes())
     elif ctype is ColumnType.BOOL:
         bits = Bitset.from_bool_array(np.array([bool(v) for v in values], dtype=bool))
@@ -75,18 +68,19 @@ def _read_null_mask(reader: BinaryReader, row_count: int) -> np.ndarray:
     return nulls.to_bool_array()
 
 
-def decode_block(
-    data: bytes, ctype: ColumnType, row_count: int, version: int = SECTIONED_STRINGS
-) -> list:
-    """Decode a column block of LogBlock format ``version`` back into
-    python values (``None`` = null)."""
+def _at_end(reader: BinaryReader) -> None:
+    if reader.remaining():
+        raise SerializationError(f"{reader.remaining()} bytes after the column block's values")
+
+
+def decode_block(data: bytes, ctype: ColumnType, row_count: int) -> list:
+    """Decode a column block back into python values (``None`` = null)."""
     reader = BinaryReader(data)
     null_mask = _read_null_mask(reader, row_count)
-    if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
-        vector = np.frombuffer(reader.read_bytes(row_count * 8), dtype=np.int64)
-        return with_nulls(vector.tolist(), null_mask)
-    if ctype is ColumnType.FLOAT64:
-        vector = np.frombuffer(reader.read_bytes(row_count * 8), dtype=np.float64)
+    if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP, ColumnType.FLOAT64):
+        dtype = np.float64 if ctype is ColumnType.FLOAT64 else np.int64
+        vector = np.frombuffer(reader.read_bytes(row_count * 8), dtype=dtype)
+        _at_end(reader)
         return with_nulls(vector.tolist(), null_mask)
     if ctype is ColumnType.BOOL:
         bits = Bitset.from_bytes(reader.read_len_prefixed())
@@ -94,9 +88,10 @@ def decode_block(
             raise SerializationError(
                 f"value bitset size {len(bits)} does not match row count {row_count}"
             )
+        _at_end(reader)
         return with_nulls(bits.to_bool_array().tolist(), null_mask)
     if ctype is ColumnType.STRING:
-        return _decode_strings(reader, null_mask, row_count, version)
+        return _decode_strings(reader, null_mask, row_count)
     raise SerializationError(f"unsupported column type {ctype}")
 
 
@@ -113,11 +108,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def decode_block_arrays(
-    data: bytes, ctype: ColumnType, row_count: int, version: int = SECTIONED_STRINGS
-):
-    """Decode a column block of LogBlock format ``version`` into the one
-    form every read path shares.
+def decode_block_arrays(data: bytes, ctype: ColumnType, row_count: int):
+    """Decode a column block into the one form every read path shares.
 
     Numeric/bool columns return ``(values, null_mask)``.  DICT-encoded
     string blocks return ``(codes, dictionary, null_mask)`` — codes are
@@ -133,11 +125,10 @@ def decode_block_arrays(
     """
     reader = BinaryReader(data)
     null_mask = _frozen(_read_null_mask(reader, row_count))
-    if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
-        values = np.frombuffer(reader.read_bytes(row_count * 8), dtype=np.int64)
-        return values, null_mask
-    if ctype is ColumnType.FLOAT64:
-        values = np.frombuffer(reader.read_bytes(row_count * 8), dtype=np.float64)
+    if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP, ColumnType.FLOAT64):
+        dtype = np.float64 if ctype is ColumnType.FLOAT64 else np.int64
+        values = np.frombuffer(reader.read_bytes(row_count * 8), dtype=dtype)
+        _at_end(reader)
         return values, null_mask
     if ctype is ColumnType.BOOL:
         bits = Bitset.from_bytes(reader.read_len_prefixed())
@@ -145,19 +136,21 @@ def decode_block_arrays(
             raise SerializationError(
                 f"value bitset size {len(bits)} does not match row count {row_count}"
             )
+        _at_end(reader)
         return _frozen(bits.to_bool_array()), null_mask
     if ctype is ColumnType.STRING:
         encoding = reader.read_u8()
         if encoding == _STRING_PLAIN:
-            return _plain_strings(reader, null_mask, version)
+            return _plain_strings(reader, null_mask)
         if encoding != _STRING_DICT:
             raise SerializationError(f"unknown string encoding {encoding}")
-        dictionary = tuple(_read_dictionary(reader, version))
+        dictionary = tuple(_read_dictionary(reader))
         dict_size = len(dictionary)
         if dict_size < 0x80:
             # Every code (≤ dict_size) fits one LEB128 byte: the code
             # stream is the uint8 vector.
             codes = np.frombuffer(reader.read_bytes(row_count), dtype=np.uint8)
+            _at_end(reader)
         else:
             # The scan kernels compare codes with ``dict_size + 1``.
             width = np.uint16 if dict_size < 0xFFFF else np.uint32
@@ -211,7 +204,7 @@ def _encode_strings(writer: BinaryWriter, values: list) -> None:
 
 def string_sections(data: bytes, row_count: int) -> tuple[str, int, int]:
     """``(encoding, length section bytes, text bytes)`` of one
-    uncompressed STRING block of format v5 (for inspection)."""
+    uncompressed STRING block (for inspection)."""
     reader = BinaryReader(data)
     reader.read_len_prefixed()  # the null bitset
     plain = reader.read_u8() == _STRING_PLAIN
@@ -230,71 +223,41 @@ def _write_strings(writer: BinaryWriter, strings: list[str]) -> None:
         writer.write_bytes(data)
 
 
-def _read_dictionary(reader: BinaryReader, version: int) -> list[str]:
+def _read_dictionary(reader: BinaryReader) -> list[str]:
     """A DICT block's dictionary: its size, then its strings."""
-    size = reader.read_uvarint()
-    if version < SECTIONED_STRINGS:
-        return [reader.read_str() for _ in range(size)]
-    bounds, text = reader.read_strings(size)
+    bounds, text = reader.read_strings(reader.read_uvarint())
     return decode_strings(text, bounds)
 
 
 def _read_codes(reader: BinaryReader, row_count: int) -> np.ndarray:
     """A DICT block's trailing code stream: ``row_count`` uvarints."""
-    codes, _ = decode_uvarint_array(reader.read_bytes(reader.remaining()), row_count)
+    data = reader.read_bytes(reader.remaining())
+    codes, end = decode_uvarint_array(data, row_count)
+    if end != len(data):
+        raise SerializationError(f"{len(data) - end} bytes after the column block's values")
     return codes
 
 
-def _decode_strings(
-    reader: BinaryReader, null_mask: np.ndarray, row_count: int, version: int
-) -> list:
+def _decode_strings(reader: BinaryReader, null_mask: np.ndarray, row_count: int) -> list:
     encoding = reader.read_u8()
     if encoding == _STRING_DICT:
         # Slot 0 is the null code; a row the bitset marks null is null
         # whatever its code says.
-        dictionary = np.array([None, *_read_dictionary(reader, version)], dtype=object)
+        dictionary = np.array([None, *_read_dictionary(reader)], dtype=object)
         codes = _read_codes(reader, row_count)
         codes[null_mask] = 0
         return dictionary[codes].tolist()
     if encoding == _STRING_PLAIN:
-        return _plain_strings(reader, null_mask, version).pick(np.arange(row_count))
+        return _plain_strings(reader, null_mask).pick(np.arange(row_count))
     raise SerializationError(f"unknown string encoding {encoding}")
 
 
-def _plain_strings(reader: BinaryReader, null_mask: np.ndarray, version: int) -> "PlainStrings":
+def _plain_strings(reader: BinaryReader, null_mask: np.ndarray) -> "PlainStrings":
     """The view of a PLAIN block; ``reader`` is just past the encoding byte."""
-    if version < SECTIONED_STRINGS:
-        data = reader.read_bytes(reader.remaining())
-        starts, ends = map(_frozen, _walk_interleaved(data, len(null_mask)))
-        return PlainStrings(data, starts, ends, null_mask, starts.nbytes + ends.nbytes)
     bounds, text = reader.read_strings(len(null_mask))
     if reader.remaining():
         raise SerializationError("string lengths disagree with the text")
-    _frozen(bounds)
-    return PlainStrings(text, bounds[:-1], bounds[1:], null_mask, bounds.nbytes)
-
-
-def _walk_interleaved(data: bytes, row_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's extent in a format-v4 PLAIN payload, which interleaves
-    ``uvarint(len) · utf-8 bytes``: one walk over the lengths, the text
-    skipped."""
-    starts = array("q")
-    ends = array("q")
-    pos = 0
-    try:
-        for _ in range(row_count):
-            length = data[pos]
-            pos += 1
-            if length >= 0x80:
-                length, pos = decode_uvarint(data, pos - 1)
-            starts.append(pos)
-            pos += length
-            ends.append(pos)
-    except IndexError:
-        raise SerializationError("truncated string block") from None
-    if pos != len(data):
-        raise SerializationError("string lengths disagree with the block")
-    return np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+    return PlainStrings(text, _frozen(bounds), null_mask)
 
 
 def block_values(block, offsets: np.ndarray | None = None) -> list:
@@ -321,30 +284,23 @@ def block_values(block, offsets: np.ndarray | None = None) -> list:
 class PlainStrings:
     """A PLAIN string block as its text and every row's byte extent in it.
 
-    The extents are known from the moment the block is opened (format
-    v5: one varint decode and one cumsum over the length section; v4:
-    one walk over the interleaved lengths), so the view never changes
-    after that and one of it serves every query that reads the block —
-    it is what the object cache holds.  :meth:`pick` slices and decodes
-    just the rows it is given.
+    The extents are known from the moment the block is opened (one
+    varint decode and one cumsum over the length section), so the view
+    never changes after that and one of it serves every query that
+    reads the block — it is what the object cache holds.  :meth:`pick`
+    slices and decodes just the rows it is given.
     """
 
     __slots__ = ("_text", "_starts", "_ends", "_null_mask", "nbytes")
 
-    def __init__(
-        self,
-        text: bytes,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        null_mask: np.ndarray,
-        extents_nbytes: int,
-    ) -> None:
+    def __init__(self, text: bytes, bounds: np.ndarray, null_mask: np.ndarray) -> None:
+        """Row ``i`` is ``text[bounds[i]:bounds[i + 1]]``."""
         self._text = text
-        self._starts = starts
-        self._ends = ends
+        self._starts = bounds[:-1]
+        self._ends = bounds[1:]
         self._null_mask = null_mask
         # Bytes this view keeps alive (what a cache is charged).
-        self.nbytes = _DECODED_OVERHEAD + len(text) + null_mask.nbytes + extents_nbytes
+        self.nbytes = _DECODED_OVERHEAD + len(text) + null_mask.nbytes + bounds.nbytes
 
     def __len__(self) -> int:
         return len(self._null_mask)

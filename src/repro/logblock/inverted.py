@@ -140,11 +140,11 @@ class InvertedIndexBuilder:
         )
 
 
-def _uint_for(limit: int) -> type:
+def uint_for(limit: int) -> type:
     """The narrowest unsigned type an index keeps values up to ``limit``
     in: the arrays are what a cached index costs beyond its bytes."""
     if limit >= 1 << 32:
-        raise SerializationError("inverted index section exceeds the format's 4 GiB")
+        raise SerializationError("index section exceeds the format's 4 GiB")
     return np.uint16 if limit < 1 << 16 else np.uint32
 
 
@@ -152,7 +152,7 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     """``[0, cumsum(lengths)]``: where each of a section's items starts."""
     out = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=out[1:])
-    return out.astype(_uint_for(int(out[-1])))
+    return out.astype(uint_for(int(out[-1])))
 
 
 class InvertedIndex:
@@ -206,7 +206,7 @@ class InvertedIndex:
         if deltas.size and int(deltas.min()) < 0:
             raise ValueError("posting row ids must ascend within a term")
         postings = encode_uvarint_array(deltas)
-        byte_at = np.zeros(len(rows) + 1, dtype=_uint_for(len(postings)))  # where posting k starts
+        byte_at = np.zeros(len(rows) + 1, dtype=uint_for(len(postings)))  # where posting k starts
         byte_at[1:] = uvarint_ends(postings)
         joined = "".join(terms)
         dictionary = joined.encode("utf-8")
@@ -217,7 +217,7 @@ class InvertedIndex:
         return cls(
             dictionary,
             _offsets(np.fromiter(lengths, dtype=np.int64, count=len(terms))),
-            counts.astype(_uint_for(len(rows))),
+            counts.astype(uint_for(len(rows))),
             postings,
             byte_at[offsets],
             row_count,
@@ -425,12 +425,12 @@ class InvertedIndex:
         ends = uvarint_ends(postings)
         if int(first[-1]) != len(ends) or (len(ends) and int(ends[-1]) != postings_len):
             raise SerializationError("posting counts disagree with the postings section")
-        byte_at = np.zeros(len(ends) + 1, dtype=_uint_for(postings_len))
+        byte_at = np.zeros(len(ends) + 1, dtype=uint_for(postings_len))
         byte_at[1:] = ends
         return cls(
             dictionary,
             term_at,
-            counts.astype(_uint_for(len(ends))),
+            counts.astype(uint_for(len(ends))),
             postings,
             byte_at[first],
             row_count,

@@ -218,8 +218,8 @@ def _index_rowids(
 ) -> Bitset | None:
     """Evaluate via the column index when possible (Figure 8 step 3).
 
-    Returns ``None`` when the predicate shape is not index-answerable,
-    in which case the caller falls back to block scanning.
+    Returns ``None`` when the predicate shape (or a numeric literal) is
+    not index-answerable, in which case the caller falls back to scanning.
     """
     spec = reader.column(predicate.column)
     if spec.index is IndexType.NONE:
@@ -253,10 +253,7 @@ def _index_rowids(
                 predicate.low, predicate.high, predicate.low_inclusive, predicate.high_inclusive
             )
         if isinstance(predicate, InPredicate):
-            bits = Bitset(row_count)
-            for value in predicate.values:
-                bits = bits | index.range_bitset(value, value)
-            return bits
+            return index.in_bitset(predicate.values)
         return None
 
     return None

@@ -80,7 +80,7 @@ class LogBlockReader:
         self._pack = pack
         self._meta: LogBlockMeta | None = None
         self._decode_charge = decode_charge
-        self._index_cache: dict[str, InvertedIndex | BkdIndex] = {}
+        self._index_cache: dict[str, InvertedIndex | BkdIndex | BloomFilter] = {}
         # (column index, block index) -> the block's one decoded form.
         self._blocks: dict[tuple[int, int], object] = {}
         self._ends: np.ndarray | None = None  # see _block_ends
@@ -137,6 +137,20 @@ class LogBlockReader:
     def has_index(self, column: str) -> bool:
         return self.column(column).index is not IndexType.NONE
 
+    def _shared(self, memo_key: str, member: str, decode):
+        """A decoded index or Bloom filter: this reader's memo, then the
+        shared object cache, and only then ``decode()``, which fetches."""
+        found = self._index_cache.get(memo_key)
+        if found is None:
+            key = self._shared_key(member)
+            found = None if self._objects is None else self._objects.get(key)
+            if found is None:
+                found = decode()
+                if self._objects is not None:
+                    self._objects.put(key, found, approx_bytes=found.nbytes)
+            self._index_cache[memo_key] = found
+        return found
+
     def read_index(self, column: str) -> InvertedIndex | BkdIndex:
         """Fetch and decode a column's index (memoized per reader).
 
@@ -144,35 +158,25 @@ class LogBlockReader:
         readers of the same blob without the GET, decompression, or
         parse (and therefore without the decode charge).
         """
-        if column in self._index_cache:
-            return self._index_cache[column]
+        return self._shared(column, index_member(column), lambda: self._decode_index(column))
+
+    def _decode_index(self, column: str) -> InvertedIndex | BkdIndex:
         meta = self.meta()
         spec = meta.schema.column(column)
         if spec.index is IndexType.NONE:
             raise QueryError(f"column {column!r} has no index")
-        member = index_member(column)
-        if self._objects is not None:
-            cached = self._objects.get(self._shared_key(member))
-            if cached is not None:
-                self._index_cache[column] = cached
-                return cached
-        codec = get_codec(meta.codec_id)
-        raw = self._pack.read_member(member)
+        raw = self._pack.read_member(index_member(column))
         if self._decode_charge is not None:
             self._decode_charge(len(raw))
-        payload = codec.decompress(raw)
-        index: InvertedIndex | BkdIndex
+        payload = get_codec(meta.codec_id).decompress(raw)
         if spec.index is IndexType.INVERTED:
-            index = InvertedIndex.from_bytes(payload)
+            index: InvertedIndex | BkdIndex = InvertedIndex.from_bytes(payload)
         else:
-            index = BkdIndex.from_bytes(payload)
+            index = BkdIndex.from_bytes(payload, meta.version)
         if index.row_count != meta.row_count:
             raise CorruptionError(
                 f"index of {column!r} covers {index.row_count} rows, the LogBlock {meta.row_count}"
             )
-        self._index_cache[column] = index
-        if self._objects is not None:
-            self._objects.put(self._shared_key(member), index, approx_bytes=index.nbytes)
         return index
 
     def has_bloom(self, column: str) -> bool:
@@ -182,21 +186,10 @@ class LogBlockReader:
         """Fetch a column's Bloom filter (None when the column has none)."""
         if not self.has_bloom(column):
             return None
-        key = f"bloom:{column}"
-        if key in self._index_cache:
-            return self._index_cache[key]  # type: ignore[return-value]
         member = bloom_member(column)
-        if self._objects is not None:
-            cached = self._objects.get(self._shared_key(member))
-            if cached is not None:
-                self._index_cache[key] = cached  # type: ignore[assignment]
-                return cached  # type: ignore[return-value]
-        payload = self._pack.read_member(member)
-        bloom = BloomFilter.from_bytes(payload)
-        self._index_cache[key] = bloom  # type: ignore[assignment]
-        if self._objects is not None:
-            self._objects.put(self._shared_key(member), bloom, approx_bytes=bloom.nbytes)
-        return bloom
+        return self._shared(
+            f"bloom:{column}", member, lambda: BloomFilter.from_bytes(self._pack.read_member(member))
+        )
 
     # -- column blocks -----------------------------------------------------
 
@@ -229,7 +222,6 @@ class LogBlockReader:
                 codec.decompress(raw),
                 meta.schema.columns[col_idx].ctype,
                 meta.block_row_counts[block_idx],
-                meta.version,
             )
             if self._objects is not None:
                 nbytes = decoded_nbytes(block)

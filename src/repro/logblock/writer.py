@@ -15,18 +15,19 @@ The writer is append-only; :meth:`finish` freezes the block.  LogBlocks
 are immutable after packing (§3: "Each LogBlock is an immutable file and
 will no longer be modified").
 
-The writer emits LogBlock **format v5** only.  Its ``meta`` member is
+The writer emits LogBlock **format v6** only.  Its ``meta`` member is
 column-wise — after the scalars, one array per field over every
 (column, region) slot: value kinds, block row counts, stored sizes,
 index/Bloom sizes, null counts, string ends, int values, float values,
 one string blob — stored raw and crc-checked, so that opening it wraps
 the sections and decodes nothing (:class:`LogBlockMeta`, DESIGN.md §3
-has the byte layout).  Its inverted indexes are sectioned the same way
-(:mod:`repro.logblock.inverted`), and so is every list of strings in a
-column block (:mod:`repro.logblock.column`).  Format v4 differs only
-there, so v4 blocks are still read — the meta's version byte tells the
-column decoder which string layout it has — and move forward when
-compaction or the cold compactor rewrites them through this writer.
+has the byte layout).  Its indexes are sectioned the same way
+(:mod:`repro.logblock.inverted`, :mod:`repro.logblock.bkd`), and so is
+every list of strings in a column block (:mod:`repro.logblock.column`).
+Format v5 differs only in its numeric indexes (raw points), so v5
+blocks are still read — the meta's version byte tells the numeric
+index decoder which layout it has — and move forward when compaction
+or the cold compactor rewrites them through this writer.
 """
 
 from __future__ import annotations
@@ -64,19 +65,17 @@ from repro.tarpack.packer import PackBuilder
 
 META_MEMBER = "meta"
 META_MAGIC = b"LGBK"
-# The LogBlock format version, carried by the meta member.  v4 laid the
-# meta out column-wise and the inverted indexes as sections, both
-# checksummed; v5 (written) also sections the string lists of column
-# blocks.  Readers accept both.
-META_VERSION = 5
-_READ_VERSIONS = (4, 5)
+# The LogBlock format version, carried by the meta member.  v6 (written)
+# stores numeric indexes as checksummed distinct values and postings, v5
+# as raw points; readers accept both.
+META_VERSION = 6
+_READ_VERSIONS = (5, 6)
 _VERSION_CRC = struct.Struct("<BI")
 
 
 def _meta_crc(version: int, body) -> int:
-    """The meta's checksum.  From v5 it covers the version byte too:
-    4 and 5 are one bit apart, and the version picks the decoders."""
-    return zlib.crc32(body, zlib.crc32(bytes((version,))) if version >= 5 else 0)
+    """The meta's checksum: the version byte (it picks the decoders), then the body."""
+    return zlib.crc32(body, zlib.crc32(bytes((version,))))
 
 
 # What a meta holds besides its arrays: the object, its dicts and list,
@@ -151,7 +150,7 @@ class LogBlockMeta:
 
     The SMAs and block headers are held column-wise — one
     :class:`SmaTable` over every (column, region) slot and one array of
-    stored sizes — exactly as format v4 lays them out, so opening a
+    stored sizes — exactly as the format lays them out, so opening a
     meta builds no per-SMA objects; :meth:`column_sma` and
     :meth:`block_header` materialise the one that is asked for.  Slot
     ``column_index * (n_blocks + 1)`` is a column's own SMA and the
@@ -254,7 +253,7 @@ class LogBlockMeta:
 
     def to_bytes(self) -> bytes:
         """Every field of every slot as one fixed-width array (the layout
-        of formats v4 and v5), stamped with this meta's version.
+        of formats v5 and v6), stamped with this meta's version.
 
         After the scalars come the kind bytes, then the unsigned arrays
         (block row counts, stored sizes, index and Bloom sizes by column

@@ -14,7 +14,7 @@ Version 2 (written) is two sections after the member count: the names
 member's length as a uvarint.  Members lie back to back in manifest
 order, so a member's offset is the sum of the lengths before it; parsing
 is one varint decode and one cumsum per section, whatever the member
-count.  Version 1 — ``name, offset, length`` per member — is still read.
+count.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.common.varint import encode_uvarint_array
 
 MAGIC = b"LSTP"  # LogStore Tar Pack
 VERSION = 2
-_READ_VERSIONS = (1, 2)
 # What a parsed manifest holds (for a cache's accounting): the object,
 # its list, dict and two arrays; then per member its name (a str header
 # + the text), a list slot, a dict entry and 16 bytes of arrays.
@@ -41,33 +40,32 @@ _MAX_LENGTH = 1 << 48
 
 
 class Manifest:
-    """A pack's members in manifest order: their names, and where each
-    starts and ends within the data section (``offsets`` / ``ends``,
-    two read-only int64 arrays), with one name → position dict."""
+    """A pack's members in manifest order, back to back from offset 0:
+    their names, and where each starts and ends within the data section
+    (``offsets`` / ``ends``, two read-only int64 views of one array of
+    running sums), with one name → position dict."""
 
-    __slots__ = ("_names", "_index", "offsets", "ends", "version")
+    __slots__ = ("_names", "_index", "offsets", "ends")
+    version = VERSION  # the only layout read and written
 
-    def __init__(
-        self, names: list[str], offsets: np.ndarray, ends: np.ndarray, version: int = VERSION
-    ) -> None:
+    def __init__(self, names: list[str], bounds: np.ndarray) -> None:
         index = dict(zip(names, range(len(names))))
         if len(index) != len(names):
             raise SerializationError("duplicate member name")
-        if len(offsets) != len(names) or len(ends) != len(names):
+        if len(bounds) != len(names) + 1:
             raise SerializationError("member extents disagree with the names")
-        offsets.flags.writeable = ends.flags.writeable = False
+        bounds.flags.writeable = False
         self._names = names
         self._index = index
-        self.offsets = offsets
-        self.ends = ends
-        self.version = version  # the layout it was read from
+        self.offsets = bounds[:-1]
+        self.ends = bounds[1:]
 
     @classmethod
     def of(cls, names: list[str], lengths: list[int]) -> "Manifest":
-        """Members packed back to back in this order, from offset 0."""
+        """Members packed back to back in this order."""
         bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=bounds[1:])
-        return cls(names, bounds[:-1], bounds[1:])
+        return cls(names, bounds)
 
     def extent(self, name: str) -> tuple[int, int]:
         """``(offset, length)`` of a member within the data section."""
@@ -102,8 +100,6 @@ class Manifest:
     def to_bytes(self) -> bytes:
         """Serialize as version 2: MAGIC, version, crc32 of the body, the
         body's length, then the body (count, names, lengths)."""
-        if len(self) and (self.offsets[0] or not np.array_equal(self.offsets[1:], self.ends[:-1])):
-            raise SerializationError("a version 2 manifest packs its members back to back")
         body = BinaryWriter()
         body.write_uvarint(len(self._names))
         body.write_strings([name.encode("utf-8") for name in self._names])
@@ -123,7 +119,7 @@ class Manifest:
         if reader.read_bytes(4) != MAGIC:
             raise CorruptionError("bad manifest magic")
         version = reader.read_u8()
-        if version not in _READ_VERSIONS:
+        if version != VERSION:
             raise SerializationError(f"unsupported manifest version {version}")
         crc = reader.read_u32()
         payload = reader.read_bytes(reader.read_u32())
@@ -133,24 +129,8 @@ class Manifest:
             raise CorruptionError(f"{reader.remaining()} bytes after the manifest")
         body = BinaryReader(payload)
         count = body.read_uvarint()
-        if version == 1:
-            return cls._from_v1(body, count)
         name_bounds, text = body.read_strings(count)
         bounds = body.read_bounds(count, _MAX_LENGTH)
         if body.remaining():
             raise SerializationError(f"{body.remaining()} bytes after the member lengths")
-        return cls(decode_strings(text, name_bounds), bounds[:-1], bounds[1:])
-
-    @classmethod
-    def _from_v1(cls, body: BinaryReader, count: int) -> "Manifest":
-        """Version 1: ``name, offset, length`` per member."""
-        names: list[str] = []
-        extents: list[int] = []
-        for _ in range(count):
-            names.append(body.read_str())
-            extents.append(body.read_uvarint())
-            extents.append(body.read_uvarint())
-        if max(extents, default=0) > _MAX_LENGTH:
-            raise SerializationError("member extent out of range")
-        offsets = np.array(extents[0::2], dtype=np.int64)
-        return cls(names, offsets, offsets + extents[1::2], version=1)
+        return cls(decode_strings(text, name_bounds), bounds)

@@ -1,5 +1,1 @@
-"""Operational tooling: LogBlock inspection CLI."""
-
-from repro.tools.inspect import main as inspect_main, open_block
-
-__all__ = ["inspect_main", "open_block"]
+"""Operational tooling: the LogBlock inspection CLI (``python -m repro.tools.inspect``)."""

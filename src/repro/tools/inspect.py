@@ -11,48 +11,31 @@ Because LogBlocks are self-contained (§3.2), everything — format
 version, schema, row counts, per-column SMAs, index sizes — is
 recoverable from the file alone, with no catalog access.  ``--members``
 also prints the manifest version and breaks every inverted index
-(dictionary / counts / postings) and every string column block
-(encoding, length section / text bytes) down into its sections, so a
-layout regression shows without a debugger.
+(dictionary / counts / postings), every numeric index (distinct values,
+value width, rows in order or as postings) and every string column
+block (encoding, length section / text bytes) down into its sections,
+so a layout regression shows without a debugger.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.codec import get_codec
 from repro.common.utils import human_bytes
-from repro.logblock.column import SECTIONED_STRINGS, string_sections
+from repro.logblock.column import string_sections
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import ColumnType, IndexType
 from repro.logblock.writer import block_member
-from repro.tarpack.reader import PackReader
-
-
-class _FileRangeReader:
-    """RangeReader over one local file (bucket/key are ignored)."""
-
-    def __init__(self, path: str) -> None:
-        self._path = path
-
-    def get_range(self, bucket: str, key: str, start: int, length: int) -> bytes:
-        with open(self._path, "rb") as handle:
-            handle.seek(start)
-            data = handle.read(length)
-        if len(data) != length:
-            # PackReader probes with a fixed head chunk; emulate the
-            # object-store behaviour for short files.
-            from repro.common.errors import InvalidRange
-
-            raise InvalidRange(f"range [{start}, {start + length}) beyond end of file")
-        return data
+from repro.tarpack.reader import BytesRangeReader, PackReader
 
 
 def open_block(path: str) -> LogBlockReader:
     """A reader over a LogBlock file on the local filesystem."""
-    return LogBlockReader(PackReader(_FileRangeReader(path), "-", path, os.path.getsize(path)))
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    return LogBlockReader(PackReader(BytesRangeReader(blob), "-", path, len(blob)))
 
 
 def _print_summary(reader: LogBlockReader, out) -> None:
@@ -111,8 +94,14 @@ def _print_members(reader: LogBlockReader, out) -> None:
             f"{sizes['counts']:>10} {sizes['postings']:>12}",
             file=out,
         )
-    if meta.version < SECTIONED_STRINGS:
-        return  # v4 interleaves each string's length with its text
+    print(file=out)
+    print(f"{'numeric index':<20} {'terms':>8} {'width':>6}  rows", file=out)
+    for column in meta.schema.columns:
+        if column.index is not IndexType.BKD or column.name not in meta.index_sizes:
+            continue
+        index = reader.read_index(column.name)
+        rows = "in-order" if index.rows is None else f"postings {index.rows.nbytes}"
+        print(f"{'idx/' + column.name:<20} {index.term_count:>8} {index.width:>6}  {rows}", file=out)
     print(file=out)
     print(
         f"{'string block':<20} {'encoding':>8} {'lengths':>10} {'text':>12}  (decoded bytes)",

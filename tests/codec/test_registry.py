@@ -1,5 +1,7 @@
 """Codec registry tests."""
 
+import lzma
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +43,9 @@ class TestRoundtrips:
     def test_roundtrip(self, name, data):
         codec = get_codec(name)
         assert codec.decompress(codec.compress(data)) == data
+
+    def test_lzma_reads_the_xz_members_written_before_the_lzma_container(self):
+        assert get_codec("lzma").decompress(lzma.compress(b"abc" * 99)) == b"abc" * 99
 
     def test_compressible_data_shrinks(self):
         data = b"abcd" * 1000

@@ -10,11 +10,11 @@ under a recomputed checksum raises it or decodes, and nothing else.
 WAL frames recover the frames before damage instead (``tests/wal``).
 
 Column blocks carry no checksum (``codec=none`` ones are stored raw),
-so a flipped bit can leave a valid block: for the string block of
+so a flipped bit can leave a valid block: for the blocks of
 :data:`UNCHECKED` every truncation and a byte appended raise
 ``SerializationError``, and every bit flip raises it or decodes —
 never ``IndexError``, ``ValueError`` or ``UnicodeDecodeError``.  Not
-checksummed and not here: the pack preamble, Bloom and BKD members.
+checksummed and not here: the pack preamble and Bloom members.
 """
 
 import zlib
@@ -27,6 +27,7 @@ import pytest
 from repro.common.bytesio import BinaryReader
 from repro.common.errors import CorruptionError, SerializationError
 from repro.lifecycle.offboard import EXPORT_MANIFEST_MEMBER
+from repro.logblock.bkd import BkdIndex
 from repro.logblock.column import PlainStrings, block_values, decode_block_arrays, encode_block
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.schema import ColumnType, request_log_schema
@@ -41,7 +42,8 @@ from repro.tarpack.packer import PREAMBLE_SIZE, read_preamble
 from repro.tarpack.reader import PackReader
 
 from tests.logblock.test_inverted import answers, damage_sample
-from tests.logblock.test_writer_reader import V4_FIXTURE, golden_block, reader_for
+from tests.logblock.test_bkd import build as build_numeric
+from tests.logblock.test_writer_reader import V5_FIXTURE, golden_block, reader_for
 from tests.meta.test_backup import tiered_store
 from tests.rowstore.test_record_codec import LONG, decode_state, every_kind, state_of_three_tables
 
@@ -73,9 +75,8 @@ def meta_format(blob: bytes) -> Format:
     raw = reader_for(blob).pack.read_member("meta")
     past_schema = BinaryReader(raw, 9)  # magic, version, crc, then the schema
     past_schema.read_len_prefixed()
-    # From v5 the CRC covers the version byte first.
-    crc_init = zlib.crc32(raw[4:5]) if raw[4] >= 5 else 0
-    return Format(raw, read_meta, 5, 9, past_schema.offset, crc_init=crc_init)
+    # The CRC covers the version byte first.
+    return Format(raw, read_meta, 5, 9, past_schema.offset, crc_init=zlib.crc32(raw[4:5]))
 
 
 @cache
@@ -100,6 +101,12 @@ def read_manifest(data: bytes):
     return [manifest.extent(name) for name in manifest.names()]
 
 
+def numeric_answers(data: bytes):
+    index = BkdIndex.from_bytes(data, 6)
+    probes = [index.range_bitset(), index.range_bitset(40, 90, False), index.in_bitset([7, 8])]
+    return index.row_count, [list(rows) for rows in probes]
+
+
 def read_batch(data: bytes):
     return RowBatch.from_bytes(data).columns
 
@@ -109,12 +116,16 @@ FORMATS: dict[str, Callable[[], Format]] = {
     "row batch": lambda: record(every_kind().to_bytes(), read_batch, 12),
     "row batch, framed ints": lambda: record(every_kind(LONG).to_bytes(), read_batch, 12),
     "row-store state": lambda: record(state_of_three_tables(), decode_state, 16),
-    "LogBlock meta v4": lambda: meta_format(V4_FIXTURE.read_bytes()),
-    "LogBlock meta v5": lambda: meta_format(golden_block()),
+    "LogBlock meta v5": lambda: meta_format(V5_FIXTURE.read_bytes()),
+    "LogBlock meta v6": lambda: meta_format(golden_block()),
     "inverted index v4": lambda: Format(  # damage past the fixed header
         damage_sample().to_bytes(), lambda data: answers(InvertedIndex.from_bytes(data)), 0, 4, 21
     ),
-    "pack manifest v1": lambda: pack_manifest(V4_FIXTURE.read_bytes()),
+    # Counts and postings; damage past crc, flags, row and value counts, base and width.
+    "numeric index v6": lambda: Format(
+        build_numeric([(i * 7) % 100 if i % 9 else None for i in range(300)]).to_bytes(),
+        numeric_answers, 0, 4, 10,
+    ),
     "pack manifest v2": lambda: pack_manifest(golden_block()),
     "catalog snapshot": lambda: record(
         tenant_manifests()[0], lambda data: restore_catalog(Catalog(request_log_schema()), data)
@@ -170,35 +181,37 @@ def test_damage_under_a_valid_checksum_is_typed(name):
                 pass
 
 
-# String blocks of v5: every length class — empty, ASCII, multi-byte
-# UTF-8, longer than a one-byte length — and nulls; under 16 rows a
-# block is PLAIN, and repeated values make one DICT.
+# String blocks: every length class — empty, ASCII, multi-byte UTF-8,
+# longer than a one-byte length — and nulls; under 16 rows a block is
+# PLAIN, and repeated values make one DICT.
 PLAIN_ROWS = ["GET /a", "", None, "日志 é ß", "x" * 150, "tail\u00e9", None, "ok", "ünï"]
 DICT_ROWS = PLAIN_ROWS * 3
 
 
-def read_strings(rows: list):
+def read_block(rows: list, ctype: ColumnType = ColumnType.STRING):
     def decode(data: bytes) -> list:
-        return block_values(decode_block_arrays(data, ColumnType.STRING, len(rows)))
+        return block_values(decode_block_arrays(data, ctype, len(rows)))
 
     return decode
 
 
-UNCHECKED = {"string block v5, PLAIN": PLAIN_ROWS, "string block v5, DICT": DICT_ROWS}
+UNCHECKED = {
+    "string block, PLAIN": (PLAIN_ROWS, ColumnType.STRING),
+    "string block, DICT": (DICT_ROWS, ColumnType.STRING),
+    "INT64 block": ([3, None, -(1 << 62), 0, 7], ColumnType.INT64),
+    "BOOL block": ([True, None, False, True] * 5, ColumnType.BOOL),
+}
 
 
 @pytest.mark.parametrize("name", UNCHECKED)
 def test_an_unchecked_block_raises_its_error_or_decodes(name):
-    rows = UNCHECKED[name]
-    sample, decode = encode_block(rows, ColumnType.STRING), read_strings(rows)
-    plain = isinstance(decode_block_arrays(sample, ColumnType.STRING, len(rows)), PlainStrings)
+    rows, ctype = UNCHECKED[name]
+    sample, decode = encode_block(rows, ctype), read_block(rows, ctype)
+    plain = isinstance(decode_block_arrays(sample, ctype, len(rows)), PlainStrings)
     assert plain == ("PLAIN" in name) and decode(sample) == rows
-    for data in [sample[:cut] for cut in range(len(sample))] + [*FOREIGN]:
+    for data in [sample[:cut] for cut in range(len(sample))] + [sample + b"\0", *FOREIGN]:
         with pytest.raises(SerializationError):
             decode(data)
-    if plain:  # a DICT block's code stream is read to its row count
-        with pytest.raises(SerializationError):
-            decode(sample + b"\0")
     decoded = 0
     for data in flips(sample):
         try:
@@ -206,7 +219,7 @@ def test_an_unchecked_block_raises_its_error_or_decodes(name):
             decoded += 1
         except SerializationError:
             pass
-    assert 0 < decoded < 8 * len(sample)  # text flips decode; length flips cannot
+    assert 0 < decoded < 8 * len(sample)  # value flips decode; length flips cannot
 
 
 @pytest.mark.parametrize("change", [-1, 1])
@@ -216,4 +229,4 @@ def test_a_length_section_that_disagrees_with_its_text_raises(change):
     assert sample[first_length] == len(PLAIN_ROWS[0])
     sample[first_length] += change
     with pytest.raises(SerializationError, match="disagree|overrun"):
-        read_strings(PLAIN_ROWS)(bytes(sample))
+        read_block(PLAIN_ROWS)(bytes(sample))

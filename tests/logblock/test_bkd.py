@@ -1,111 +1,147 @@
-"""BKD numeric index tests."""
+"""Numeric index tests: probes against brute force, the v6 layout, and
+the v5 raw-points member read into the same form."""
 
+import math
+
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.common.bytesio import BinaryWriter
 from repro.logblock.bkd import BkdIndex, BkdIndexBuilder
+from repro.logblock.pruning import EqPredicate, RangePredicate, evaluate_predicates
+
+from tests.conftest import make_rows, write_logblock
+from tests.logblock.test_writer_reader import reader_for
 
 
-def build(values, is_float=False, leaf_size=16) -> BkdIndex:
-    builder = BkdIndexBuilder(is_float=is_float, leaf_size=leaf_size)
+def build(values, is_float=False) -> BkdIndex:
+    builder = BkdIndexBuilder(is_float=is_float)
     for row_id, value in enumerate(values):
         builder.add(row_id, value)
     return builder.build()
 
 
+def rows(index: BkdIndex, *interval, **bounds) -> list[int] | None:
+    bits = index.range_bitset(*interval, **bounds)
+    return None if bits is None else list(bits)
+
+
+def v5_member(values, is_float=False) -> bytes:
+    """What the v5 writer stored: every point as raw (value, row id), by value."""
+    rows = np.array([row for row, value in enumerate(values) if value is not None], np.int64)
+    points = np.array([values[row] for row in rows], np.float64 if is_float else np.int64)
+    order = np.argsort(points, kind="stable")
+    head = BinaryWriter()
+    for field in (int(is_float), len(values), 512, len(points)):
+        head.write_uvarint(field)
+    return head.getvalue() + points[order].tobytes() + rows[order].tobytes()
+
+
 class TestQueries:
-    def test_eq(self):
-        index = build([5, 3, 5, None, 1])
-        assert list(index.eq_rows(5)) == [0, 2]
-        assert list(index.eq_rows(99)) == []
-
-    def test_range_inclusive(self):
-        index = build([10, 20, 30, 40])
-        assert list(index.range_rows(low=20, high=30)) == [1, 2]
-
-    def test_range_exclusive(self):
-        index = build([10, 20, 30, 40])
-        assert list(index.range_rows(low=20, high=30, low_inclusive=False)) == [2]
-        assert list(index.range_rows(low=20, high=30, high_inclusive=False)) == [1]
-
-    def test_open_ends(self):
-        index = build([10, 20, 30])
-        assert list(index.range_rows(low=20)) == [1, 2]
-        assert list(index.range_rows(high=20)) == [0, 1]
-        assert list(index.range_rows()) == [0, 1, 2]
-
-    def test_empty_index(self):
-        index = build([None, None])
-        assert list(index.range_rows(low=0)) == []
-        assert index.min_value() is None
-
-    def test_min_max(self):
-        index = build([7, 2, 9])
-        assert index.min_value() == 2
-        assert index.max_value() == 9
-
-    def test_floats(self):
-        index = build([1.5, 2.5, 3.5], is_float=True)
-        assert list(index.range_rows(low=2.0, high=3.0)) == [1]
-
-    def test_bitset_form(self):
-        index = build([10, 20, 30])
-        bits = index.range_bitset(low=15)
-        assert list(bits) == [1, 2]
-        assert len(bits) == 3
-
-    def test_leaf_structure(self):
-        index = build(list(range(100)), leaf_size=16)
-        assert index.leaf_count == 7  # ceil(100/16)
-        assert index.point_count == 100
-        assert build([None, None]).leaf_count == 0
-        assert build(list(range(32)), leaf_size=16).leaf_count == 2
+    def test_a_literal_it_cannot_compare_is_left_to_the_scan(self):
+        """A str against an int column fails before any index is read,
+        as it did with the v5 index; the index itself declines it, and a
+        float index declines an int no float64 holds."""
+        assert build([10, 20]).range_bitset("10", "10") is None
+        assert build([1.0, 2.0], is_float=True).in_bitset([1, (1 << 53) + 1]) is None
+        reader = reader_for(write_logblock(make_rows(50)))
+        for predicate in (EqPredicate("latency", "12"), RangePredicate("latency", high="12")):
+            with pytest.raises(TypeError):
+                evaluate_predicates(reader, [predicate])
 
 
-class TestSerialization:
-    def test_roundtrip_int(self):
-        index = build([5, None, 3, 8])
-        decoded = BkdIndex.from_bytes(index.to_bytes())
-        assert decoded.row_count == 4
-        assert list(decoded.eq_rows(3)) == [2]
+class TestLayout:
+    def test_a_constant_column_stores_no_value_bytes(self):
+        index = build([7] * 50 + [None])
+        assert (index.width, index.term_count, index.rows) == (0, 1, None)
+        assert len(index.to_bytes()) < 16
 
-    def test_roundtrip_float(self):
-        index = build([1.25, -2.5], is_float=True)
-        decoded = BkdIndex.from_bytes(index.to_bytes())
-        assert list(decoded.eq_rows(-2.5)) == [1]
+    def test_values_in_row_order_store_no_postings(self):
+        ts = [1_600_000_000_000_000 + 3 * i for i in range(300)]
+        index = build(ts)
+        assert (index.width, index.term_count, index.rows) == (2, 300, None)
+        assert rows(index, ts[5], ts[9]) == [5, 6, 7, 8, 9]
+        assert build(ts[::-1]).rows.dtype == np.uint16
+        wide = BkdIndexBuilder(is_float=False)  # row ids past 2**16 - 1 take four bytes
+        wide.add_many(0, np.arange(1 << 16, -1, -1), np.zeros((1 << 16) + 1, bool))
+        assert BkdIndex.from_bytes(wide.build().to_bytes(), 6).rows[:2].tolist() == [1 << 16, 65535]
 
-    def test_decoded_points_are_read_only_views(self):
-        """No copy is made of the payload, so nothing may write to it."""
-        decoded = BkdIndex.from_bytes(bytearray(build([5, 3, 8]).to_bytes()))
-        for points in (decoded._values, decoded._rows):
-            assert not points.flags.writeable and points.base is not None
-        assert decoded.to_bytes() == build([5, 3, 8]).to_bytes()
-
-
-values_strategy = st.lists(
-    st.one_of(st.none(), st.integers(min_value=-1000, max_value=1000)),
-    max_size=200,
-)
-
-
-class TestProperties:
-    @given(
-        values_strategy,
-        st.integers(min_value=-1000, max_value=1000),
-        st.integers(min_value=0, max_value=500),
+    @pytest.mark.parametrize(
+        "span, width", [(1, 1), (255, 1), (256, 2), (1 << 16, 4), (1 << 40, 8), ((1 << 64) - 1, 8)]
     )
-    def test_range_matches_brute_force(self, values, low, width):
-        high = low + width
-        index = build(values)
-        expected = sorted(
-            row_id
-            for row_id, value in enumerate(values)
-            if value is not None and low <= value <= high
-        )
-        assert list(index.range_rows(low=low, high=high)) == expected
+    def test_offsets_take_the_narrowest_width(self, span, width):
+        low = -(1 << 63) if span >> 63 else -5  # the widest span is all of int64
+        index = build([low, low + span])
+        assert index.width == width and rows(index, low + span, low + span) == [1]
 
-    @given(values_strategy)
-    def test_serialization_preserves_queries(self, values):
-        index = build(values)
-        decoded = BkdIndex.from_bytes(index.to_bytes())
-        assert list(decoded.range_rows()) == list(index.range_rows())
+    def test_nan_is_one_term_after_infinity(self):
+        values = [math.nan, 1.0, math.inf, math.nan, -0.0, 0.0]
+        index = build(values, is_float=True)
+        assert index.term_count == 4  # 0.0 and -0.0 are one value
+        assert rows(index, low=0.0) == [1, 2, 4, 5]
+        assert rows(index) == list(range(6))
+        assert rows(index, math.nan, math.nan) == []
+
+
+@st.composite
+def columns(draw, kind: str) -> tuple[list, bool, list]:
+    """A column of ``kind`` in some order, with nulls, and probes for it."""
+    special = [math.nan, 0.0, -0.0, math.inf, -math.inf, 2.5]
+    element = {
+        "int": st.integers(-(1 << 63), (1 << 63) - 1) | st.integers(-40, 40),
+        "float": st.floats(allow_nan=True) | st.sampled_from(special),
+        "bool": st.booleans(),
+    }[kind]
+    values = draw(st.lists(element | st.none(), max_size=60))
+    order = draw(st.sampled_from(["sorted", "shuffled", "constant"]))
+    present = [value for value in values if value is not None]
+    if order == "sorted":
+        present.sort(key=lambda v: (v != v, v))
+    elif order == "constant" and present:
+        present = [present[0]] * len(present)
+    it = iter(present)
+    values = [None if value is None else next(it) for value in values]
+    edges = [0, 1, -1, 1 << 70, -(1 << 70), (1 << 53) + 1]
+    probes = draw(st.lists(element | st.sampled_from(special + edges), min_size=1, max_size=4))
+    return values, kind == "float", [*probes, *present[:2]]
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "bool"])
+@given(st.data(), st.booleans(), st.booleans())
+def test_every_probe_equals_brute_force_and_the_v5_index(kind, data, low_inclusive, high_inclusive):
+    values, is_float, probes = data.draw(columns(kind))
+    ours = build(values, is_float)
+    theirs = BkdIndex.from_bytes(v5_member(values, is_float), 5)
+    decoded = BkdIndex.from_bytes(ours.to_bytes(), 6)
+    assert theirs.to_bytes() == decoded.to_bytes() == ours.to_bytes()
+    present = [(row, value) for row, value in enumerate(values) if value is not None]
+
+    def brute(keep) -> list[int]:
+        return [row for row, value in present if keep(value)]
+
+    def lows(value, low):
+        return low is None or (value >= low if low_inclusive else value > low)
+
+    def highs(value, high):
+        return high is None or (value <= high if high_inclusive else value < high)
+
+    def declined(*bounds) -> bool:
+        """A float index declines an int no float64 holds (not a NaN bound: it admits nothing)."""
+        bounds = [bound for bound in bounds if bound is not None]
+        if not is_float or any(bound != bound for bound in bounds):
+            return False
+        return any(not isinstance(bound, float) and float(bound) != bound for bound in bounds)
+
+    for low in [None, *probes]:
+        for high in [None, *probes]:
+            within = brute(lambda v: lows(v, low) and highs(v, high))
+            expected = None if declined(low, high) else within
+            for index in (ours, theirs, decoded):
+                got = rows(index, low, high, low_inclusive, high_inclusive)
+                assert got == expected, (low, high)  # None: the scan answers
+    expected = None if any(map(declined, probes)) else brute(lambda v: any(v == p for p in probes))
+    for index in (ours, theirs, decoded):
+        bits = index.in_bitset(probes)
+        assert (None if bits is None else list(bits)) == expected

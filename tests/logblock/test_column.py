@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.codec import get_codec
 from repro.common.errors import SerializationError
 from repro.logblock.column import (
     PlainStrings,
@@ -19,8 +18,6 @@ from repro.logblock.column import (
     encode_block,
 )
 from repro.logblock.schema import ColumnType
-
-from tests.logblock.test_writer_reader import V4_FIXTURE, golden_corpus, reader_for
 
 
 def roundtrip(values, ctype):
@@ -351,44 +348,3 @@ class TestErrors:
     def test_empty_block(self):
         assert roundtrip([], ColumnType.INT64) == []
         assert roundtrip([], ColumnType.STRING) == []
-
-
-class TestFormatV4StringBlocks:
-    """The committed v4 pack's string blocks: lengths interleaved with
-    the text, read with ``version=4``."""
-
-    @staticmethod
-    def v4_blocks():
-        reader = reader_for(V4_FIXTURE.read_bytes())
-        meta, codec = reader.meta(), get_codec("zlib")
-        rows = golden_corpus()
-        for col_idx, column in enumerate(meta.schema.columns):
-            if column.ctype is not ColumnType.STRING:
-                continue
-            start = 0
-            for block_idx, count in enumerate(meta.block_row_counts):
-                data = codec.decompress(reader.pack.read_member(f"col/{col_idx}/{block_idx}"))
-                values = [row[column.name] for row in rows[start : start + count]]
-                yield data, values
-                start += count
-
-    def test_plain_and_dict_blocks_decode_to_the_corpus(self):
-        forms = set()
-        for data, values in self.v4_blocks():
-            block = decode_block_arrays(data, ColumnType.STRING, len(values), version=4)
-            forms.add(type(block))
-            assert block_values(block) == values
-            assert decode_block(data, ColumnType.STRING, len(values), version=4) == values
-            picked = np.arange(0, len(values), 7)
-            assert block_values(block, picked) == [values[i] for i in picked]
-        assert forms == {PlainStrings, tuple}
-
-    def test_every_truncation_of_a_plain_block_raises_when_opened(self):
-        data, values = next(
-            (data, values)
-            for data, values in self.v4_blocks()
-            if isinstance(decode_block_arrays(data, ColumnType.STRING, len(values), 4), PlainStrings)
-        )
-        for cut in [*range(300), *range(300, len(data), 97), *range(len(data) - 300, len(data))]:
-            with pytest.raises(SerializationError):
-                decode_block_arrays(data[:cut], ColumnType.STRING, len(values), version=4)

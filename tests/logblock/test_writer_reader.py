@@ -91,12 +91,12 @@ class TestMetaRoundtrip:
         # Non-numeric columns carry no sum even in the v3 format.
         assert reader.meta().column_sma("ip").sum_value is None
 
-    def test_a_v4_meta_decodes_into_the_v5_form(self):
-        """v4 and v5 metas share one layout: the v4 fixture's meta holds
+    def test_a_v5_meta_decodes_into_the_v6_form(self):
+        """v5 and v6 metas share one layout: the v5 fixture's meta holds
         the golden corpus's SMAs slot for slot, and re-encodes as itself."""
-        raw = reader_for(V4_FIXTURE.read_bytes()).pack.read_member("meta")
+        raw = reader_for(V5_FIXTURE.read_bytes()).pack.read_member("meta")
         old, new = LogBlockMeta.from_bytes(raw), reader_for(golden_block()).meta()
-        assert (old.version, new.version) == (4, 5)
+        assert (old.version, new.version) == (5, 6)
         assert old.to_bytes() == raw
         for column in new.schema.column_names():
             assert old.column_sma(column) == new.column_sma(column)
@@ -105,7 +105,7 @@ class TestMetaRoundtrip:
                 ours = new.block_header(column, block_idx)
                 assert (theirs.row_count, theirs.sma) == (ours.row_count, ours.sma)
 
-    @pytest.mark.parametrize("version", [2, 3, 6])
+    @pytest.mark.parametrize("version", [0, 4, 7, 255])
     def test_a_version_outside_the_read_window_is_refused(self, version):
         raw = bytearray(reader_for(write_logblock(make_rows(20))).meta().to_bytes())
         raw[4] = version
@@ -288,11 +288,11 @@ def golden_corpus() -> list[dict]:
 # decoder for the old one and pin the old bytes as a fixture — do not
 # just update the hash.
 #
-# tests/fixtures/logblock_v4_golden.lgb is the last v4 writer's output
-# (string lists interleaved with their lengths, pack manifest v1).
-GOLDEN_V4_SHA256 = "8cdaea8fd34b878c58d2ff6215d2ba50be9e80113e0191abb80186aeff95b6a3"
+# tests/fixtures/logblock_v5_golden.lgb is the last v5 writer's output
+# (numeric indexes as raw (value, row id) points).
 GOLDEN_V5_SHA256 = "3ed5682dcea6bfc02062d2dd171ec4f9111a5f8de405c6264bc09b80b3390828"
-V4_FIXTURE = Path(__file__).parent.parent / "fixtures" / "logblock_v4_golden.lgb"
+GOLDEN_V6_SHA256 = "149388fc9eef72184937311f5b4e73a87a37c6f3eef540491c8c61e26b3623bb"
+V5_FIXTURE = Path(__file__).parent.parent / "fixtures" / "logblock_v5_golden.lgb"
 
 
 def golden_block() -> bytes:
@@ -304,7 +304,7 @@ def golden_block() -> bytes:
 
 
 def test_packed_bytes_are_those_of_the_golden_corpus():
-    assert hashlib.sha256(golden_block()).hexdigest() == GOLDEN_V5_SHA256
+    assert hashlib.sha256(golden_block()).hexdigest() == GOLDEN_V6_SHA256
 
 
 @pytest.mark.parametrize("how", ["append", "append_many", "append_columns", "mixed"])
@@ -324,7 +324,7 @@ def test_the_pack_does_not_depend_on_how_the_rows_arrived(how):
             writer.append_many(rows[lo:hi])
         else:
             writer.append_columns({name: [row[name] for row in rows[lo:hi]] for name in names})
-    assert hashlib.sha256(writer.finish()).hexdigest() == GOLDEN_V5_SHA256
+    assert hashlib.sha256(writer.finish()).hexdigest() == GOLDEN_V6_SHA256
 
 
 def test_index_builders_fed_row_by_row_build_the_golden_members():
@@ -348,36 +348,33 @@ def test_index_builders_fed_row_by_row_build_the_golden_members():
         assert index.row_count == len(values)
         present = len(values) - values.count(None)
         if col.index is IndexType.BKD:
-            assert index.point_count == present
+            assert index.range_bitset().count() == present
         elif not col.tokenize:
             assert sum(len(index.lookup(term)) for term in index.terms()) == present
 
 
-def test_the_v4_fixture_is_the_v4_writers_output():
-    blob = V4_FIXTURE.read_bytes()
-    assert len(blob) == 144_834 and hashlib.sha256(blob).hexdigest() == GOLDEN_V4_SHA256
+def test_the_v5_fixture_is_the_v5_writers_output():
+    blob = V5_FIXTURE.read_bytes()
+    assert len(blob) == 144_457 and hashlib.sha256(blob).hexdigest() == GOLDEN_V5_SHA256
 
 
-def test_the_v4_fixture_reads_back_the_golden_corpus():
-    reader = reader_for(V4_FIXTURE.read_bytes())
+def test_the_v5_fixture_reads_back_the_golden_corpus():
+    reader = reader_for(V5_FIXTURE.read_bytes())
     rows = golden_corpus()
-    assert (reader.meta().version, reader.pack.manifest().version) == (4, 1)
+    assert (reader.meta().version, reader.pack.manifest().version) == (5, 2)
     for column in request_log_schema().column_names():
         assert reader.read_column(column) == [row[column] for row in rows]
     assert reader.read_index("log").lookup("needle").tolist() == [7, 1506]
 
 
-def test_v5_moves_string_bytes_only():
-    """Every member but the string column blocks (and the meta's stored
-    sizes) is the v4 member, byte for byte; the blob shrinks."""
-    old = reader_for(V4_FIXTURE.read_bytes()).pack
+def test_v6_moves_numeric_index_bytes_only():
+    """Every member but the numeric indexes and the meta (their sizes)
+    is the v5 member, byte for byte; the blob shrinks."""
+    old = reader_for(V5_FIXTURE.read_bytes()).pack
     new = reader_for(golden_block()).pack
     assert old.member_names() == new.member_names()
-    schema = request_log_schema()
-    strings = {i for i, col in enumerate(schema.columns) if col.ctype is ColumnType.STRING}
+    numeric = {f"idx/{col.name}" for col in request_log_schema().columns if col.index is IndexType.BKD}
     for name in new.member_names():
         same = old.read_member(name) == new.read_member(name)
-        assert same == (name != "meta" and not (
-            name.startswith("col/") and int(name.split("/")[1]) in strings
-        )), name
-    assert len(golden_block()) < len(V4_FIXTURE.read_bytes())
+        assert same == (name != "meta" and name not in numeric), name
+    assert len(golden_block()) < len(V5_FIXTURE.read_bytes())

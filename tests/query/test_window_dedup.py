@@ -180,7 +180,7 @@ def test_rewrite_fetches_fewer_bytes_on_archived_data():
     store.create_table(CREATE)
     # Enough versions that a LogBlock outgrows the 8 KiB head read (a
     # smaller one arrives whole, whatever the query reads of it).
-    _populate(store, archive_midway=False, updates=600)
+    _populate(store, archive_midway=False, updates=2000)
     store.flush_all()
     sql = QUERIES[0]
     fast, naive = _run_both_ways(store, sql)

@@ -1,7 +1,5 @@
 """Tar-with-manifest packaging tests."""
 
-import zlib
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,18 +43,7 @@ class TestManifest:
         assert [decoded.extent(name) for name in names] == [manifest.extent(name) for name in names]
         assert decoded.data_length == sum(lengths)
 
-    def test_v1_is_read(self):
-        """``name, offset, length`` per member, offsets not implied."""
-        payload = bytes((2, 1)) + b"a" + bytes((0, 3, 1)) + b"b" + bytes((9, 4))
-        data = b"LSTP" + bytes((1,)) + zlib.crc32(payload).to_bytes(4, "little")
-        data += len(payload).to_bytes(4, "little") + payload
-        manifest = Manifest.from_bytes(data)
-        assert manifest.version == 1 and manifest.names() == ["a", "b"]
-        assert (manifest.extent("a"), manifest.extent("b")) == ((0, 3), (9, 4))
-        with pytest.raises(SerializationError):
-            manifest.to_bytes()  # v2 cannot hold the gap
-
-    @pytest.mark.parametrize("version", [0, 3])
+    @pytest.mark.parametrize("version", [0, 1, 3])
     def test_a_version_outside_the_read_window_is_refused(self, version):
         data = bytearray(Manifest.of(["meta"], [10]).to_bytes())
         data[4] = version

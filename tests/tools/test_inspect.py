@@ -44,8 +44,8 @@ class TestCli:
         assert "col/0/0" in text
 
     def test_names_the_format_version(self, block_path):
-        fixture = str(Path(__file__).parent.parent / "fixtures" / "logblock_v4_golden.lgb")
-        for path, version, manifest in ((block_path, "v5", "v2"), (fixture, "v4", "v1")):
+        fixture = str(Path(__file__).parent.parent / "fixtures" / "logblock_v5_golden.lgb")
+        for path, version, manifest in ((block_path, "v6", "v2"), (fixture, "v5", "v2")):
             for flags in ([], ["--members"]):
                 out = io.StringIO()
                 assert main([*flags, path], out=out) == 0
@@ -66,11 +66,14 @@ class TestCli:
         logs = reader.read_block("log", 0)
         assert rows["col/6/0"] == ["plain", "32", str(sum(len(v.encode()) for v in logs))]
 
-    def test_a_v4_block_has_no_string_sections(self):
-        fixture = str(Path(__file__).parent.parent / "fixtures" / "logblock_v4_golden.lgb")
+    def test_members_describe_each_numeric_index(self, block_path):
         out = io.StringIO()
-        assert main(["--members", fixture], out=out) == 0
-        assert "string block" not in out.getvalue()
+        assert main(["--members", block_path], out=out) == 0
+        table = out.getvalue().split("numeric index", 1)[1].split("\n\n")[0].splitlines()
+        rows = {line.split()[0]: line.split()[1:] for line in table[1:]}
+        postings = open_block(block_path).read_index("latency").rows.nbytes
+        assert rows["idx/tenant_id"] == ["1", "0", "in-order"] and rows["idx/ts"][2] == "in-order"
+        assert rows["idx/latency"][1:] == ["2", "postings", str(postings)] and len(rows) == 4
 
     def test_members_break_an_inverted_index_into_its_sections(self, block_path):
         out = io.StringIO()
