@@ -43,18 +43,18 @@ from repro.obs.systables import (
     system_table_rows,
 )
 from repro.frontdoor.rewrite import SemanticRewriter
-from repro.query.aggregate import Aggregator, apply_order_limit, order_limit
-from repro.query.dedup import finalize_outer, naive_scan_query, run_window_query
+from repro.query.aggregate import Aggregator, result_rows
+from repro.query.dedup import naive_scan_query, run_window_query
 from repro.query.executor import (
     BlockExecutor,
     ExecutionOptions,
     ExecutionStats,
     filter_realtime_rows,
 )
-from repro.query.kernels import filter_rows
+from repro.query.kernels import filter_chunk
 from repro.query.planner import QueryPlan, QueryPlanner
 from repro.query.sql import ParsedQuery, parse_sql
-from repro.rowstore.batch import RowBatch
+from repro.rowstore.batch import RowBatch, RowSelection
 
 
 @dataclass
@@ -306,11 +306,11 @@ class Broker:
             # same MPP shape shard merging uses) instead of matched rows.
             # A dedup plan runs the latest-version tournament on narrow
             # (key, version) vectors and materializes winners afterwards.
-            # A plain SELECT's rows stay column chunks — the archived one,
-            # then one per shard — until ORDER BY / LIMIT ran.
+            # Rows stay column chunks — the archived one, then a selection
+            # per shard — until the result: only result rows become dicts.
             aggregator: Aggregator | None = None
             dedup = None
-            chunks = [RowBatch()]
+            archived = RowBatch()
             with tracer.span("broker.archived_scan"):
                 if plan.dedup is not None:
                     dedup, stats = self._executor.execute_dedup(plan)
@@ -319,8 +319,8 @@ class Broker:
                     aggregator, stats = self._executor.execute_aggregate(plan)
                     archived_count = stats.rows_matched
                 else:
-                    chunks[0], stats = self._executor.execute(plan)
-                    archived_count = len(chunks[0])
+                    archived, stats = self._executor.execute(plan)
+                    archived_count = len(archived)
 
             # Real-time data from the row stores of the read route.
             if plan.tenant_id is not None:
@@ -332,11 +332,13 @@ class Broker:
             # matching rows answer the query — so once archived + realtime
             # matches reach N there is no reason to scan further shards.
             row_limit = plan.row_limit
+            matches: list[tuple] = []  # RowSelection parts
             with tracer.span("broker.realtime_scan"):
                 for shard_id in shard_ids:
                     remaining = None
                     if row_limit is not None:
-                        remaining = row_limit - sum(map(len, chunks))
+                        remaining = row_limit - archived_count
+                        remaining -= sum(len(picked) for _, picked in matches)
                         if remaining <= 0:
                             break
                     worker = self._shard_worker(shard_id)
@@ -346,33 +348,31 @@ class Broker:
                     raw = shard.scan_realtime(
                         min_ts=plan.min_ts, max_ts=plan.max_ts, tenant_id=plan.tenant_id
                     )
-                    chunks.append(filter_realtime_rows(plan, raw, limit=remaining, stats=stats))
+                    matches += filter_realtime_rows(plan, raw, remaining, stats).parts
+            realtime = RowSelection(matches)
 
             with tracer.span("broker.merge"):
-                chunk = RowBatch.concat(chunks)  # realtime rows only, unless a plain SELECT
-                if dedup is not None:
-                    # Real-time rows enter the tournament after the
-                    # archived stream — the same order the naive path
-                    # concatenates them in, so ties break identically.
-                    spec = plan.dedup
-                    for row in chunk:
-                        dedup.offer(
-                            row.get(spec.key_column), row.get(spec.version_column), row
-                        )
-                    winners = self._executor.materialize_dedup(plan, dedup, stats)
-                    if spec.post_filter is not None:
-                        winners = filter_rows(spec.post_filter, winners)
-                    final = finalize_outer(plan.query, winners)
-                elif aggregator is not None:
-                    aggregator.consume_many(chunk)
+                if aggregator is not None:
+                    aggregator.consume_many(realtime)
                     final = aggregator.results()
-                elif outer is not None:
-                    final = run_window_query(outer, chunk.to_dicts())
                 else:
-                    # ORDER BY / LIMIT rank the key column; only the
-                    # rows they keep become dicts.
-                    keys = chunk.column(parsed.order_by)
-                    final = chunk.to_dicts(order_limit(parsed, keys, len(chunk)))
+                    fresh = realtime.project(plan.output_columns or plan.schema.column_names())
+                    if dedup is not None:
+                        # Real-time rows enter the tournament after the
+                        # archived stream — the same order the naive path
+                        # concatenates them in, so ties break identically.
+                        spec, rows = plan.dedup, range(len(fresh))
+                        if rows:
+                            keys = fresh.column(spec.key_column)
+                            dedup.offer_many(keys, fresh.column(spec.version_column), fresh, rows)
+                        winners = self._executor.materialize_dedup(plan, dedup, stats)
+                        if spec.post_filter is not None:
+                            winners = filter_chunk(spec.post_filter, winners)
+                        final = result_rows(plan.query, winners)
+                    elif outer is not None:
+                        final = run_window_query(outer, RowBatch.concat([archived, fresh]))
+                    else:
+                        final = result_rows(parsed, RowBatch.concat([archived, fresh]))
             query_span.set(rows=len(final))
 
         stats.rows_materialized = RowBatch.dicts_built - dicts_before
@@ -384,7 +384,7 @@ class Broker:
             latency_s=latency_s,
             plan=plan,
             stats=stats,
-            realtime_rows=len(chunk) - len(chunks[0]),
+            realtime_rows=len(realtime),
             archived_rows=archived_count,
             oss_requests=oss_after.get_requests - oss_before.get_requests,
             bytes_fetched=oss_after.bytes_read - oss_before.bytes_read,
@@ -429,8 +429,8 @@ class Broker:
 
         No storage is touched and no virtual time is charged beyond the
         span bookkeeping; rows are materialized on demand, auth-scoped,
-        then run through the ordinary AST filter / aggregate / order-
-        limit machinery.
+        then run as one column chunk through the operators every query
+        ends with: filter, aggregate fold or ORDER BY / LIMIT.
         """
         if parsed.subquery is not None or parsed.window is not None:
             raise QueryError("system tables do not support subqueries or windows")
@@ -441,20 +441,11 @@ class Broker:
             rows = system_table_rows(
                 parsed.table, self._obs, catalog=self._controller.catalog
             )
-            rows = scope_rows(rows, tenant_scope)
+            chunk = RowBatch.from_dicts(scope_rows(rows, tenant_scope))
             if parsed.where is not None:
-                rows = filter_rows(parsed.where, rows)
-            if parsed.is_aggregate:
-                aggregator = Aggregator(parsed)
-                aggregator.consume_many(rows)
-                final = aggregator.results()
-            else:
-                ordered = apply_order_limit(parsed, rows)
-                if parsed.select_star:
-                    columns = SYSTEM_TABLE_COLUMNS[parsed.table]
-                else:
-                    columns = parsed.projected_columns()
-                final = [{c: row.get(c) for c in columns} for row in ordered]
+                chunk = filter_chunk(parsed.where, chunk)
+            columns = SYSTEM_TABLE_COLUMNS[parsed.table] if parsed.select_star else None
+            final = result_rows(parsed, chunk, columns)
             query_span.set(rows=len(final))
         latency_s = self._clock.now() - start
         plan = QueryPlan(

@@ -293,7 +293,7 @@ class Shard:
         nbytes = self._group_queue.pending_bytes + batch.nbytes
         if not leader.sync_queue.can_accept(1, nbytes):
             leader.sync_queue.stats.rejected += 1
-            leader.backpressure.update()
+            leader.backpressure.reevaluate()
             self._obs.journal.emit(
                 "shard.backpressure.trip",
                 f"shard{self.shard_id}",

@@ -162,7 +162,8 @@ class InvertedIndex:
     sorted) and its ``counts[i]`` row ids are the delta varints in
     ``postings[post_at[i]:post_at[i + 1]]``.  Built and decoded indexes
     of every format version share this one representation; a posting
-    list is decoded when it is looked up.
+    list is decoded when it is looked up; a built index, which the
+    writer only serializes, derives ``post_at`` at its first probe.
     """
 
     def __init__(
@@ -171,11 +172,12 @@ class InvertedIndex:
         term_at: np.ndarray,
         counts: np.ndarray,
         postings: bytes,
-        post_at: np.ndarray,
+        post_at: np.ndarray | None,
         row_count: int,
         tokenize: bool,
     ) -> None:
-        if not len(term_at) == len(post_at) == len(counts) + 1:
+        terms = len(counts) + 1
+        if len(term_at) != terms or (post_at is not None and len(post_at) != terms):
             raise ValueError("term, count and posting sections disagree")
         self._dictionary = dictionary
         self._term_at = term_at
@@ -206,8 +208,6 @@ class InvertedIndex:
         if deltas.size and int(deltas.min()) < 0:
             raise ValueError("posting row ids must ascend within a term")
         postings = encode_uvarint_array(deltas)
-        byte_at = np.zeros(len(rows) + 1, dtype=uint_for(len(postings)))  # where posting k starts
-        byte_at[1:] = uvarint_ends(postings)
         joined = "".join(terms)
         dictionary = joined.encode("utf-8")
         if len(dictionary) == len(joined):  # ASCII: one byte per character
@@ -219,10 +219,18 @@ class InvertedIndex:
             _offsets(np.fromiter(lengths, dtype=np.int64, count=len(terms))),
             counts.astype(uint_for(len(rows))),
             postings,
-            byte_at[offsets],
+            None,
             row_count,
             tokenize,
         )
+
+    def _posting_at(self) -> np.ndarray:
+        """Where each term's postings start in ``postings`` (class doc)."""
+        if self._post_at is None:
+            byte_at = np.zeros(int(self._counts.sum()) + 1, dtype=uint_for(len(self._postings)))
+            byte_at[1:] = uvarint_ends(self._postings)
+            self._post_at = byte_at[_offsets(self._counts)]
+        return self._post_at
 
     @property
     def row_count(self) -> int:
@@ -245,7 +253,7 @@ class InvertedIndex:
             + len(self._postings)
             + self._term_at.nbytes
             + self._counts.nbytes
-            + self._post_at.nbytes
+            + self._posting_at().nbytes
         )
 
     def section_sizes(self) -> dict[str, int]:
@@ -303,7 +311,8 @@ class InvertedIndex:
         """Decoded row ids of terms ``[start, stop)``, term after term."""
         counts = self._counts[start:stop].astype(np.int64)
         total = int(counts.sum())
-        run = self._postings[self._post_at[start] : self._post_at[stop]]
+        post_at = self._posting_at()
+        run = self._postings[post_at[start] : post_at[stop]]
         deltas, used = decode_uvarint_array(run, total)
         if used != len(run):
             raise SerializationError("posting counts disagree with the postings section")

@@ -81,7 +81,6 @@ def render_explain_analyze(result, trace: Span | None, journal=None) -> str:
         lines.append(f"  tier 1 (catalog): {pushdown.agg_catalog_hits} blocks")
         lines.append(f"  tier 2 (SMA fold): {pushdown.agg_sma_blocks} blocks")
         lines.append(f"  tier 3 (columnar): {pushdown.agg_columnar_blocks} blocks")
-        lines.append(f"  fallback (row): {pushdown.agg_row_blocks} blocks")
 
     lines.append("== I/O ==")
     lines.append(

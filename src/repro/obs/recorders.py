@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import ENCODE_FALLBACKS, ENCODE_ROWS
 
-# Aggregate-pushdown tier labels, in descending-cheapness order.
-PUSHDOWN_TIERS = ("catalog", "sma", "columnar", "row")
-
+# Aggregate-pushdown tier label → its PushdownCounters field, in
+# descending-cheapness order.
 _TIER_FIELDS = {
     "catalog": "agg_catalog_hits",
     "sma": "agg_sma_blocks",
     "columnar": "agg_columnar_blocks",
-    "row": "agg_row_blocks",
 }
 
 
@@ -145,7 +143,7 @@ class PushdownRecorder:
                 tier=tier,
                 **labels,
             )
-            for tier in PUSHDOWN_TIERS
+            for tier in _TIER_FIELDS
         }
 
     def record(self, counters) -> None:

@@ -1,6 +1,6 @@
 """Query layer: SQL parsing, planning, skipping-aware execution (§5)."""
 
-from repro.query.aggregate import Aggregator, apply_order_limit
+from repro.query.aggregate import Aggregator
 from repro.query.ast import (
     And,
     Between,
@@ -24,7 +24,6 @@ from repro.query.sql import ParsedQuery, SelectItem, parse_sql
 
 __all__ = [
     "Aggregator",
-    "apply_order_limit",
     "And",
     "Between",
     "CmpOp",

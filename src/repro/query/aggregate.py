@@ -1,23 +1,28 @@
 """Lightweight BI aggregations (§1: '"which IP addresses frequently
 accessed this API in the past day?"').
 
-Streaming aggregation over matched rows: COUNT/SUM/AVG/MIN/MAX with an
-optional single-column GROUP BY, plus ORDER BY / LIMIT for top-N.
-Aggregates are mergeable so the broker can combine per-shard partial
-results (MPP-style final aggregation).
+Aggregation over matched rows' columns (SMAs, decoded blocks, column
+chunks): COUNT/SUM/AVG/MIN/MAX with an optional single-column GROUP BY,
+plus ORDER BY / LIMIT for top-N.  Aggregates are mergeable so the
+broker can combine per-shard partial results (MPP-style final
+aggregation).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import NoneType
 
 import numpy as np
 
 from repro.common.errors import QueryError
 from repro.logblock.column import PlainStrings
 from repro.logblock.encode_kernels import rank_strings
+from repro.logblock.pruning import object_column
+from repro.query.distinct import ExactDistinct, HyperLogLog
 from repro.query.kernels import top_k_order
 from repro.query.sql import ParsedQuery, SelectItem
+from repro.rowstore.batch import RowBatch, RowSelection
 
 
 @dataclass
@@ -30,23 +35,10 @@ class AggState:
     maximum: object = None
     distinct: object = None  # ExactDistinct or HyperLogLog when needed
 
-    def update(self, value) -> None:
-        if value is None:
-            return
-        self.count += 1
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            self.total += value
-        if value == value:  # a NaN is counted and summed, never a MIN/MAX
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
-        if self.distinct is not None:
-            self.distinct.add(value)
-
     def fold(self, count: int, total, minimum, maximum) -> None:
-        """Fold ``count`` non-null values at once, as if :meth:`update`
-        ran on each; ``None`` for a sum or bound nobody computed."""
+        """Fold ``count`` non-null values: their sum and bounds, ``None``
+        for one nobody computed.  A NaN is counted and summed but is no
+        bound."""
         self.count += count
         if total is not None:
             self.total += total
@@ -56,7 +48,7 @@ class AggState:
             self.maximum = maximum
 
     def merge_sma(self, sma) -> None:
-        """Fold a column SMA as if :meth:`update` ran on every non-null value.
+        """Fold a column SMA: every non-null value of the column at once.
 
         The tier-2 pushdown path: when a block's predicate bitset is
         all-rows-match, COUNT/MIN/MAX (and SUM, when the block meta
@@ -100,40 +92,47 @@ class Aggregator:
         self._query = query
         self._items: list[SelectItem] = query.select
         self._group_by = query.group_by
-        # group key → per-aggregate-item state
-        self._groups: dict[object, list[AggState]] = {}
+        self._inputs = query.aggregate_input_columns()
+        # (group key, per-item states) in first-seen order, and each key's
+        # position; a NaN key equals no key, so it is never indexed.
+        self._groups: list[tuple[object, list[AggState]]] = []
+        self._index: dict = {}
 
     def _states_for(self, key) -> list[AggState]:
-        states = self._groups.get(key)
-        if states is None:
-            from repro.query.distinct import ExactDistinct, HyperLogLog
-
-            states = []
-            for item in self._items:
-                state = AggState()
-                if item.is_aggregate:
-                    if item.aggregate == "count" and item.distinct:
-                        state.distinct = ExactDistinct()
-                    elif item.aggregate == "approx_count_distinct":
-                        state.distinct = HyperLogLog()
-                states.append(state)
-            self._groups[key] = states
+        if key == key:
+            at = self._index.get(key)
+            if at is not None:
+                return self._groups[at][1]
+            self._index[key] = len(self._groups)
+        states = []
+        for item in self._items:
+            state = AggState()
+            if item.is_aggregate:
+                if item.aggregate == "count" and item.distinct:
+                    state.distinct = ExactDistinct()
+                elif item.aggregate == "approx_count_distinct":
+                    state.distinct = HyperLogLog()
+            states.append(state)
+        self._groups.append((key, states))
         return states
 
-    def consume(self, row: dict) -> None:
-        key = row.get(self._group_by) if self._group_by is not None else None
-        states = self._states_for(key)
-        for item, state in zip(self._items, states):
-            if not item.is_aggregate:
-                continue
-            if item.column is None:
-                state.count += 1  # COUNT(*)
-            else:
-                state.update(row.get(item.column))
-
-    def consume_many(self, rows) -> None:
-        for row in rows:
-            self.consume(row)
+    def consume_many(self, chunk: RowBatch | RowSelection) -> None:
+        """Fold a column chunk (realtime, ``_system``, winner or window
+        rows) as one block range of :meth:`consume_columns`: a typed
+        memtable vector with no nulls, a value list as
+        :func:`_list_block` reads it.  An empty chunk returns at once."""
+        count = len(chunk)
+        if not count:
+            return
+        selection = RowSelection.of(chunk)
+        blocks = {}
+        for name in self._inputs:
+            values = selection.column(name, typed=True)
+            if isinstance(values, np.ndarray):
+                blocks[name] = [(values, np.zeros(count, dtype=bool))]
+            elif values is not None:
+                blocks[name] = [_list_block(values)]
+        self.consume_columns(blocks, [np.arange(count)])
 
     def consume_sma(self, smas: dict, row_count: int) -> None:
         """Tier-1/2 pushdown: fold one whole block from its column SMAs.
@@ -161,11 +160,11 @@ class Aggregator:
         ``offsets[i]`` are the matched rows' positions in the i-th
         column-block row range, ``columns[name][i]`` that range's decoded
         block (``LogBlockReader.read_block_arrays``); a column not in the
-        dict reads as null.  Equivalent to :meth:`consume` over the rows'
-        dicts — same groups, same first-seen order, same sums — with no
-        python value per row: group ids are DICT codes / string ranks /
-        ``np.unique`` ranks, COUNT and SUM ``bincount``, MIN/MAX a
-        grouped ``reduceat``, DISTINCT the unique (group, value) pairs.
+        dict reads as null.  Groups open in first-seen order and sums add
+        in row order, with no python value per row: group ids are DICT
+        codes / string ranks / ``np.unique`` ranks, COUNT and SUM
+        ``bincount``, MIN/MAX a grouped ``reduceat``, DISTINCT the
+        unique (group, value) pairs.
         """
         for i, in_block in enumerate(offsets):
             picked = {name: _pick(ranges[i], in_block) for name, ranges in columns.items()}
@@ -173,15 +172,17 @@ class Aggregator:
             if self._group_by in picked:
                 gid, valid, keys = picked[self._group_by]
                 if keys is None:  # numeric / BOOL key: rank the values
-                    uniq, inverse = np.unique(gid[valid], return_inverse=True, equal_nan=False)
+                    present = gid[valid]
+                    _, at, inverse = np.unique(
+                        present, return_index=True, return_inverse=True, equal_nan=False
+                    )
                     gid = np.zeros(count, dtype=np.intp)
                     gid[valid] = inverse + 1
-                    keys = [None] + uniq.tolist()
+                    keys = [None] + present[at].tolist()
             else:
                 gid, keys = np.zeros(count, dtype=np.intp), [None]
             size = len(keys)
             rows = np.bincount(gid, minlength=size)
-            # Groups enter the table in first-seen order, as in consume().
             first = np.full(size, count)
             np.minimum.at(first, gid, np.arange(count))
             seen = np.flatnonzero(rows)
@@ -205,8 +206,10 @@ class Aggregator:
         for g, group in states.items():
             group[position].count += int(counts[g])
         if func in ("sum", "avg"):
+            if lookup is not None:  # ranks: sum the numbers they stand for
+                x = np.array([v if type(v) in (int, float) else 0 for v in lookup], float)[x]
             # Seeded with the running totals: bincount then adds each
-            # group's values to its total one by one, as update() does.
+            # group's values to its total one by one, in row order.
             seeds = [group[position].total for group in states.values()]
             totals = np.bincount(
                 np.concatenate((list(states), ids)),
@@ -217,11 +220,17 @@ class Aggregator:
                 group[position].total = float(totals[g])
         elif func in ("min", "max"):
             # NaN-skipping grouped reduce: an all-NaN group stays NaN and
-            # folds nothing, the rule AggState.update applies per value.
+            # folds nothing (a NaN is no bound).
             reduce = np.fmin if func == "min" else np.fmax
             filled = np.flatnonzero(counts)
             starts = (np.cumsum(counts) - counts)[filled]
-            bounds = reduce.reduceat(x[np.argsort(ids, kind="stable")], starts)
+            grouped = x[np.argsort(ids, kind="stable")]
+            bounds = reduce.reduceat(grouped, starts)
+            if grouped.dtype == np.float64 and not bounds.all():
+                # -0.0 == 0.0: a zero bound is the group's first zero.
+                zeros = np.flatnonzero(grouped == 0)
+                first = zeros[np.searchsorted(zeros, starts).clip(max=len(zeros) - 1)]
+                bounds = np.where(bounds == 0, grouped[first], bounds)
             for g, bound in zip(filled.tolist(), bounds.tolist()):
                 if bound == bound:
                     value = bound if lookup is None else lookup[bound]
@@ -240,7 +249,7 @@ class Aggregator:
 
     def merge(self, other: "Aggregator") -> None:
         """Combine another shard's partial aggregation into this one."""
-        for key, states in other._groups.items():
+        for key, states in other._groups:
             mine = self._states_for(key)
             for state, incoming in zip(mine, states):
                 state.merge(incoming)
@@ -252,7 +261,7 @@ class Aggregator:
             # (COUNT = 0, other aggregates NULL); a grouped one yields none.
             self._states_for(None)
         rows: list[dict] = []
-        for key, states in self._groups.items():
+        for key, states in self._groups:
             row: dict = {}
             if self._group_by is not None:
                 row[self._group_by] = key
@@ -295,13 +304,46 @@ def order_limit(query: ParsedQuery, keys: list | None, count: int):
     return order if limit is None else order[:limit]
 
 
-def apply_order_limit(query: ParsedQuery, rows: list[dict]) -> list[dict]:
-    """:func:`order_limit` for rows that are dicts already (dedup
-    winners, ``_system`` tables)."""
-    order_by = query.order_by
-    keys = None if order_by is None else [row.get(order_by) for row in rows]
-    order = order_limit(query, keys, len(rows))
-    return rows if order is None else [rows[i] for i in order]
+def result_rows(
+    query: ParsedQuery, chunk: RowBatch, names: list[str] | None = None
+) -> list[dict]:
+    """What ``query`` returns over its matched rows ``chunk``: the
+    aggregate fold, or ORDER BY / LIMIT and then dicts of the rows kept
+    only, with the columns ``names`` (by default the projection, every
+    column of the chunk for ``SELECT *``)."""
+    if query.is_aggregate:
+        aggregator = Aggregator(query)
+        aggregator.consume_many(chunk)
+        return aggregator.results()
+    if names is None and not query.select_star:
+        names = query.projected_columns()
+    keys = None if query.order_by is None else chunk.column(query.order_by)
+    return chunk.to_dicts(order_limit(query, keys, len(chunk)), names)
+
+
+# A value list of these kinds is the block its column archives as.
+_VECTOR_KINDS = {
+    frozenset({int}): np.int64,
+    frozenset({float}): np.float64,
+    frozenset({int, float}): np.float64,
+    frozenset({bool}): np.bool_,
+}
+
+
+def _list_block(values: list) -> tuple:
+    """A value list as a decoded block: ints, floats or bools as the
+    ``(vector, nulls)`` their column archives as (so a NaN is never a
+    set member or dict key), anything else ranked like a DICT block."""
+    dtype = _VECTOR_KINDS.get(frozenset(map(type, values)) - {NoneType})
+    if dtype is not None:
+        array, nulls = object_column(values)
+        array[nulls] = 0
+        try:
+            return array.astype(dtype), nulls
+        except OverflowError:  # an int beyond int64: ranked, exact
+            pass
+    terms, ranks = rank_strings(values)
+    return ranks, tuple(terms), ranks == 0
 
 
 def _pick(block, offsets: np.ndarray):

@@ -17,8 +17,8 @@ the tournament on narrow ``(key, version)`` columns and materializes
 only the winners — the semantic rewriter (:mod:`repro.frontdoor.rewrite`)
 maps the window idiom onto it.
 
-Both paths share one winner definition (:class:`LatestVersionDedup`),
-so the differential tests can require *byte-identical* output:
+Both paths share one winner definition, so the differential tests can
+require *byte-identical* output:
 
 * the winning row of a key is the one with the greatest version;
 * version ties break toward the later arrival (INSERT-as-UPDATE: the
@@ -32,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.query.aggregate import Aggregator, apply_order_limit
+from repro.query.aggregate import result_rows
 from repro.query.ast import Expr
-from repro.query.kernels import filter_rows
+from repro.query.kernels import filter_chunk
 from repro.query.sql import ParsedQuery, SelectItem, WindowFunc
+from repro.rowstore.batch import RowBatch
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,12 @@ class LatestVersionDedup:
             # >= : a tie goes to the later arrival (last write wins).
             self._entries[key] = _Entry(version=version, seq=seq, payload=payload)
 
+    def offer_many(self, keys, versions, source, rows) -> None:
+        """Offer key and version vectors in order, with the handles
+        ``(source, rows[i])``: a reader and row id, or a chunk and row."""
+        for key, version, row in zip(keys, versions, rows):
+            self.offer(key, version, (source, row))
+
     def winners(self) -> list[_Entry]:
         return sorted(self._entries.values(), key=lambda entry: entry.seq)
 
@@ -102,55 +109,40 @@ class LatestVersionDedup:
         return len(self._entries)
 
 
-def window_dedup_rows(rows: list[dict], key_column: str, version_column: str) -> list[dict]:
-    """Reference dedup over fully materialized rows.
+def apply_window(chunk: RowBatch, window: WindowFunc) -> RowBatch:
+    """A ROW_NUMBER window over a column chunk (the naive plan): the
+    chunk with the rank appended as the column ``window.alias``.
 
-    Runs the exact same tournament the plan operator runs, so the
-    differential tests can compare operator output against this on the
-    same input and require equality byte for byte.
+    Within a partition the sort is stable on :func:`version_sort_key`,
+    so rank 1 with DESC is the latest arrival among maximal versions —
+    the same winner the dedup operator picks.
     """
-    dedup = LatestVersionDedup()
-    for row in rows:
-        dedup.offer(row.get(key_column), row.get(version_column), row)
-    return [entry.payload for entry in dedup.winners()]
-
-
-def apply_window(rows: list[dict], window: WindowFunc) -> list[dict]:
-    """Materialize a ROW_NUMBER window over row dicts (the naive plan).
-
-    Returns copies of the input rows (original order preserved) with
-    the rank stored under ``window.alias``.  Within a partition the
-    sort is stable on :func:`version_sort_key`, so rank 1 with DESC is
-    the latest arrival among maximal versions — the same winner the
-    dedup operator picks.
-    """
+    keys, versions = chunk.take(None, (window.partition_by, window.order_by)).columns
     partitions: dict = {}
-    for index, row in enumerate(rows):
-        partitions.setdefault(row.get(window.partition_by), []).append(index)
-    ranked = [dict(row) for row in rows]
+    for index, key in enumerate(keys):
+        partitions.setdefault(key, []).append(index)
+    ranks = [0] * len(chunk)
     for indices in partitions.values():
         ordered = sorted(
-            indices,
-            key=lambda i: version_sort_key(rows[i].get(window.order_by)),
-            reverse=window.order_desc,
+            indices, key=lambda i: version_sort_key(versions[i]), reverse=window.order_desc
         )
         if window.order_desc:
             # Stable descending sort puts the *earlier* arrival first
             # among ties; INSERT-as-UPDATE wants the later one. Within
             # each equal-version run, reverse back to reversed-stream
             # order so rank 1 is the last write.
-            ordered = _latest_first_within_ties(ordered, rows, window.order_by)
+            ordered = _latest_first_within_ties(ordered, versions)
         for rank, i in enumerate(ordered, start=1):
-            ranked[i][window.alias] = rank
-    return ranked
+            ranks[i] = rank
+    return RowBatch((*chunk.names, window.alias), [*chunk.columns, ranks])
 
 
-def _latest_first_within_ties(ordered: list[int], rows: list[dict], order_by: str) -> list[int]:
+def _latest_first_within_ties(ordered: list[int], versions: list) -> list[int]:
     out: list[int] = []
     run: list[int] = []
     run_key = object()
     for i in ordered:
-        key = version_sort_key(rows[i].get(order_by))
+        key = version_sort_key(versions[i])
         if run and key != run_key:
             out.extend(reversed(run))
             run = []
@@ -160,24 +152,21 @@ def _latest_first_within_ties(ordered: list[int], rows: list[dict], order_by: st
     return out
 
 
-def run_window_query(outer: ParsedQuery, rows: list[dict]) -> list[dict]:
-    """Execute the naive two-level window query over materialized rows.
+def run_window_query(outer: ParsedQuery, chunk: RowBatch) -> list[dict]:
+    """Execute the naive two-level window query over a column chunk.
 
-    ``rows`` are the inner query's matches (already filtered by the
+    ``chunk`` holds the inner query's matches (already filtered by the
     inner WHERE).  Applies the window, evaluates the outer WHERE on the
-    ranked rows, strips the window alias, and finalizes projection /
-    aggregation / ORDER BY / LIMIT.
+    ranked rows, drops the window alias, and finalizes projection /
+    aggregation / ORDER BY / LIMIT (:func:`result_rows`).
     """
     inner = outer.subquery
     if inner is None or inner.window is None:
         raise ValueError("run_window_query requires an outer query over a window subquery")
-    ranked = apply_window(rows, inner.window)
+    ranked = apply_window(chunk, inner.window)
     if outer.where is not None:
-        ranked = filter_rows(outer.where, ranked)
-    alias = inner.window.alias
-    for row in ranked:
-        row.pop(alias, None)
-    return finalize_outer(outer, ranked)
+        ranked = filter_chunk(outer.where, ranked)
+    return result_rows(outer, RowBatch(chunk.names, ranked.columns[:-1]))
 
 
 def naive_scan_query(outer: ParsedQuery) -> ParsedQuery:
@@ -193,16 +182,3 @@ def naive_scan_query(outer: ParsedQuery) -> ParsedQuery:
         select_star=True,
         raw_sql=outer.raw_sql,
     )
-
-
-def finalize_outer(query: ParsedQuery, rows: list[dict]) -> list[dict]:
-    """Outer-query finalization shared by the naive and operator paths."""
-    if query.is_aggregate:
-        aggregator = Aggregator(query)
-        aggregator.consume_many(rows)
-        return aggregator.results()
-    rows = apply_order_limit(query, rows)
-    if query.select_star:
-        return rows
-    columns = query.projected_columns()
-    return [{column: row.get(column) for column in columns} for row in rows]

@@ -51,8 +51,9 @@ class HyperLogLog:
         return 0.7213 / (1 + 1.079 / self.m)
 
     def add(self, value) -> None:
-        """Observe one value (hashed internally; any hashable repr works)."""
-        hashed = _hash64(value)
+        """Observe one value (hashed internally; any hashable repr works).
+        ``-0.0`` is ``0.0``, as every equality here has it."""
+        hashed = _hash64(0.0 if value == 0 and type(value) is float else value)
         register = hashed >> (64 - self.precision)
         remaining = hashed & ((1 << (64 - self.precision)) - 1)
         # Rank: position of the leftmost 1-bit in the remaining bits.
@@ -96,16 +97,22 @@ class HyperLogLog:
 
 
 class ExactDistinct:
-    """Exact distinct counter (a set), mergeable like the sketch."""
+    """Exact distinct counter (a set), mergeable like the sketch.  A NaN
+    equals nothing, itself included: each counts, none is a member."""
 
     def __init__(self) -> None:
         self._values: set = set()
+        self._nans = 0
 
     def add(self, value) -> None:
-        self._values.add(value)
+        if value == value:
+            self._values.add(value)
+        else:
+            self._nans += 1
 
     def merge(self, other: "ExactDistinct") -> None:
         self._values |= other._values
+        self._nans += other._nans
 
     def estimate(self) -> int:
-        return len(self._values)
+        return len(self._values) + self._nans

@@ -16,12 +16,13 @@ For each LogBlock surviving the LogBlock-map filter:
 That loop exists once (``_overlapped`` → ``_scan`` → sink), with blocks
 overlapped ``prefetch_threads`` wide.  The same module also filters
 real-time (row store) rows with the same leaf kernel over their column
-vectors — the row store deliberately has no indexes.
+vectors — the row store deliberately has no indexes — and keeps the
+matches a selection of the memtable's columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -67,12 +68,6 @@ class ExecutionOptions:
     prefetch_merge_gap: int = 4096
     use_semantic_rewrite: bool = True  # frontdoor rewrite pass on/off
 
-    # Aggregate pushdown tier ceiling: 0 = off (row materialization),
-    # 1 = catalog-only, 2 = +SMA fold, 3 = +columnar late
-    # materialization.  Tiers are cumulative; a block ineligible for
-    # the enabled tiers falls through to the next one down.
-    agg_pushdown_level: int = 3
-
 
 # CPU cost model, charged to the same virtual clock as the I/O.  These
 # bound the OSS-vs-local and first-vs-repeat latency ratios exactly the
@@ -81,8 +76,7 @@ CPU_DECODE_BYTES_PER_S = 50e6   # decompress + decode rate
 CPU_SCAN_ROWS_PER_S = 2e6       # predicate evaluation by scan
 CPU_INDEX_LOOKUP_S = 0.0005     # one index probe + bitset merge
 CPU_PER_BLOCK_S = 0.001         # per-LogBlock plan/merge overhead
-# Row-dict materialization vs columnar aggregation fold, per value.
-# Building python dicts is the slow path the tier-3 pushdown avoids.
+# Reading a value out for the result vs folding it in an aggregate.
 CPU_MATERIALIZE_VALUES_PER_S = 5e6
 CPU_AGG_VALUES_PER_S = 20e6
 
@@ -100,28 +94,19 @@ class PushdownCounters:
     * ``agg_sma_blocks`` — tier 2: folded from the block's SMAs in the
       already-loaded meta (no column blocks read);
     * ``agg_columnar_blocks`` — tier 3: aggregated from late-
-      materialized column vectors (only the aggregated columns read);
-    * ``agg_row_blocks`` — fallback: full row-dict materialization.
+      materialized column vectors (only the aggregated columns read).
     """
 
     agg_catalog_hits: int = 0
     agg_sma_blocks: int = 0
     agg_columnar_blocks: int = 0
-    agg_row_blocks: int = 0
 
     def merge(self, other: "PushdownCounters") -> None:
-        self.agg_catalog_hits += other.agg_catalog_hits
-        self.agg_sma_blocks += other.agg_sma_blocks
-        self.agg_columnar_blocks += other.agg_columnar_blocks
-        self.agg_row_blocks += other.agg_row_blocks
+        for name, count in other.as_dict().items():
+            setattr(self, name, getattr(self, name) + count)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "agg_catalog_hits": self.agg_catalog_hits,
-            "agg_sma_blocks": self.agg_sma_blocks,
-            "agg_columnar_blocks": self.agg_columnar_blocks,
-            "agg_row_blocks": self.agg_row_blocks,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -607,10 +592,10 @@ class BlockExecutor:
         stats = ExecutionStats()
         aggregator = Aggregator(plan.query)
         pushdown = plan.agg_pushdown
-        level = self.options.agg_pushdown_level if pushdown is not None else 0
+        assert pushdown is not None
         remaining: list[LogBlockEntry] = []
         for entry in plan.blocks:
-            if level >= 1 and pushdown.catalog_eligible and entry.covered_by(
+            if pushdown.catalog_eligible and entry.covered_by(
                 pushdown.ts_low,
                 pushdown.ts_high,
                 pushdown.ts_low_inclusive,
@@ -631,11 +616,9 @@ class BlockExecutor:
 
         def sink(reader: LogBlockReader, matched: RowSelection) -> None:
             meta = reader.meta()
-            count = len(matched)
             if (
-                level >= 2
-                and pushdown.sma_eligible
-                and count == meta.row_count
+                pushdown.sma_eligible
+                and len(matched) == meta.row_count
                 and self._sma_foldable(plan, reader)
             ):
                 # Tier 2: every row matches — fold from the (already
@@ -648,7 +631,7 @@ class BlockExecutor:
                 }
                 aggregator.consume_sma(smas, meta.row_count)
                 stats.pushdown.agg_sma_blocks += 1
-            elif level >= 3:
+            else:
                 # Tier 3: late materialization — fold the aggregated
                 # columns' decoded blocks; no python value per row.
                 present = self._present_columns(
@@ -662,11 +645,6 @@ class BlockExecutor:
                     [in_block for _, in_block in matched.groups],
                 )
                 stats.pushdown.agg_columnar_blocks += 1
-            else:
-                # The naive path — materialize rows and fold one by one.
-                columns = plan.output_columns or plan.schema.column_names()
-                aggregator.consume_many(self._read_chunk(reader, matched, columns, stats))
-                stats.pushdown.agg_row_blocks += 1
 
         self._scan(plan, remaining, stats, sink)
         return aggregator, stats
@@ -679,8 +657,9 @@ class BlockExecutor:
         materialization also uses.  Only the two tournament columns are
         read, as late-materialized vectors; payloads are ``(reader,
         row_id)`` handles and the wide output columns are fetched later,
-        for winners only.  The caller then offers real-time rows and
-        finishes with :meth:`materialize_dedup`.
+        for winners only.  The caller then offers real-time rows (as
+        ``(chunk, position)`` handles) and finishes with
+        :meth:`materialize_dedup`.
         """
         stats = ExecutionStats()
         dedup = LatestVersionDedup()
@@ -692,8 +671,7 @@ class BlockExecutor:
             keys, versions = self._read_chunk(
                 reader, matched, (spec.key_column, spec.version_column), stats, CPU_AGG_VALUES_PER_S
             ).columns
-            for key, version, row_id in zip(keys, versions, matched.row_ids.tolist()):
-                dedup.offer(key, version, (reader, row_id))
+            dedup.offer_many(keys, versions, reader, matched.row_ids.tolist())
             stats.dedup_candidates += count
 
         self._scan(plan, plan.blocks, stats, sink)
@@ -704,40 +682,38 @@ class BlockExecutor:
         plan: QueryPlan,
         dedup: LatestVersionDedup,
         stats: ExecutionStats,
-    ) -> list[dict]:
-        """Fetch the winners' full rows, preserving winner order.
+    ) -> RowBatch:
+        """The winners' rows as one chunk of the output columns, in
+        winner order.
 
-        Archived payloads are ``(reader, row_id)`` handles grouped per
-        reader into one bitset materialization each; real-time payloads
-        are already row dicts (projected by the caller) and pass
-        through.  Only here do the wide output columns get read — the
-        losing versions never touch them.
+        Handles are grouped per source: a LogBlock reader reads its
+        winners in one selection (readers overlapped like the block
+        loop), a realtime chunk hands over its rows.  Only here do the
+        wide output columns get read — the losing versions never touch
+        them.
         """
         winners = dedup.winners()
         stats.dedup_winners += len(winners)
         columns = plan.output_columns or plan.schema.column_names()
-        by_reader: dict[int, tuple[LogBlockReader, list[tuple[int, int]]]] = {}
-        output: list[dict | None] = [None] * len(winners)
+        by_source: dict[int, tuple[object, list[tuple[int, int]]]] = {}
         for position, entry in enumerate(winners):
-            payload = entry.payload
-            if isinstance(payload, dict):
-                output[position] = {c: payload.get(c) for c in columns}
-                continue
-            reader, row_id = payload
-            group = by_reader.setdefault(id(reader), (reader, []))
-            group[1].append((position, row_id))
+            source, row = entry.payload
+            by_source.setdefault(id(source), (source, []))[1].append((row, position))
+        positions: list[int] = []
+        chunks: list[RowBatch] = []
 
-        def fetch(group: tuple[LogBlockReader, list[tuple[int, int]]]) -> None:
-            reader, pairs = group
-            row_ids = sorted({row_id for _, row_id in pairs})
-            matched = reader.select(np.array(row_ids, dtype=np.int64))
-            rows = self._read_chunk(reader, matched, columns, stats)
-            row_for_id = dict(zip(row_ids, rows))
-            for position, row_id in pairs:
-                output[position] = row_for_id[row_id]
+        def fetch(group: tuple[object, list[tuple[int, int]]]) -> None:
+            source, pairs = group
+            rows, at = zip(*sorted(pairs))
+            if isinstance(source, RowBatch):
+                chunks.append(source.take(list(rows), columns))
+            else:
+                matched = source.select(np.array(rows))
+                chunks.append(self._read_chunk(source, matched, columns, stats))
+            positions.extend(at)
 
-        self._overlapped(list(by_reader.values()), fetch)
-        return [row for row in output if row is not None]
+        self._overlapped(list(by_source.values()), fetch)
+        return RowBatch.concat(chunks).take(np.argsort(positions).tolist(), columns)
 
 
 def filter_realtime_rows(
@@ -745,8 +721,8 @@ def filter_realtime_rows(
     rows,
     limit: int | None = None,
     stats: ExecutionStats | None = None,
-) -> RowBatch:
-    """Apply the plan's predicate + projection to row-store rows.
+) -> RowSelection:
+    """The row-store rows the plan's predicate matches, in order.
 
     ``rows`` is the selection a realtime scan returns (or a batch, or
     plain row dicts, which are admitted into one).  ``limit`` keeps the
@@ -755,19 +731,17 @@ def filter_realtime_rows(
     rows satisfy the query).
 
     The predicate tree is compiled once and evaluated over the
-    selection's predicate columns (:func:`selection_columns`); the
-    survivors come back as one (projected) column chunk.
+    selection's predicate columns (:func:`selection_columns`).  The
+    matches stay a selection of the memtable's columns: an aggregate
+    folds its typed vectors, a SELECT projects its output columns.
     """
     selection = RowSelection.of(rows)
-    if not len(selection):
-        return RowBatch()
-    columns = plan.output_columns or plan.schema.column_names()
-    where = plan.where
+    if plan.where is None or not len(selection):
+        hits = np.arange(len(selection))
+    else:
+        hits = np.flatnonzero(compile_expr(plan.where)(selection_columns(selection)))
+        if stats is not None:
+            stats.realtime_rows_vectorized += len(selection)
     if limit is not None:
-        limit = max(limit, 0)
-    if where is None:
-        return selection.take(np.arange(len(selection))[:limit], columns)
-    mask = compile_expr(where)(selection_columns(selection))
-    if stats is not None:
-        stats.realtime_rows_vectorized += len(selection)
-    return selection.take(np.flatnonzero(mask)[:limit], columns)
+        hits = hits[: max(limit, 0)]
+    return selection if len(hits) == len(selection) else selection.pick(hits)

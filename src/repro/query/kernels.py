@@ -4,12 +4,12 @@
 a function of its columns (§8 "vectorized query execution"): each leaf
 is :func:`repro.logblock.pruning.column_mask` — the one place a
 predicate meets a value — over the decoded column of its name, and
-AND / OR / NOT combine the boolean masks.  The tree runs over a
-realtime scan's selection (:func:`selection_columns`) and over dict
-rows (:func:`filter_rows`: system tables, the dedup post filter, a
-window query's outer WHERE); archived LogBlocks evaluate the same
-leaves one at a time in :mod:`repro.logblock.pruning`, after SMA and
-index skipping.
+AND / OR / NOT combine the boolean masks.  The tree runs over a column
+chunk's selection (:func:`selection_columns`): a realtime scan's, and
+through :func:`filter_chunk` the ``_system`` rows, the dedup post
+filter's winners and a window query's ranked rows; archived LogBlocks
+evaluate the same leaves one at a time in :mod:`repro.logblock.pruning`,
+after SMA and index skipping.
 
 :func:`top_k_order` is the argsort-based ORDER BY/LIMIT kernel.
 """
@@ -17,13 +17,13 @@ index skipping.
 from __future__ import annotations
 
 from functools import cache
-from itertools import compress
 from typing import Callable
 
 import numpy as np
 
 from repro.logblock.pruning import column_mask, object_column
 from repro.query.ast import And, Expr, Not, Or
+from repro.rowstore.batch import RowBatch, RowSelection
 
 # name → the decoded column :func:`column_mask` takes.
 Columns = Callable[[str], tuple]
@@ -79,15 +79,12 @@ def selection_columns(selection) -> Columns:
     return column
 
 
-def filter_rows(expr: Expr, rows: list[dict]) -> list[dict]:
-    """The dict ``rows`` that ``expr`` matches, in order (a missing key
-    reads as null)."""
-
-    @cache
-    def column(name: str) -> tuple:
-        return object_column([row.get(name) for row in rows])
-
-    return list(compress(rows, compile_expr(expr)(column).tolist()))
+def filter_chunk(expr: Expr, chunk: RowBatch) -> RowBatch:
+    """The rows of ``chunk`` that ``expr`` matches, in order (a column
+    the chunk lacks reads as null)."""
+    selection = RowSelection.of(chunk)
+    hits = np.flatnonzero(compile_expr(expr)(selection_columns(selection)))
+    return chunk if len(hits) == len(chunk) else selection.pick(hits).project(chunk.names)
 
 
 # -- ORDER BY / LIMIT top-k --------------------------------------------------

@@ -456,26 +456,19 @@ class QueryPlanner:
         if query.select_star:
             output_columns = schema.column_names()
         else:
+            # The projection, then what GROUP BY, the aggregates, a row
+            # ORDER BY, the dedup tournament and its post-filter read.
             output_columns = list(dict.fromkeys(query.projected_columns()))
-            if query.group_by is not None and query.group_by not in output_columns:
-                output_columns.append(query.group_by)
-            for item in query.select:
-                if item.is_aggregate and item.column is not None:
-                    if item.column not in output_columns:
-                        output_columns.append(item.column)
+            extra = [query.group_by, *(item.column for item in query.select if item.is_aggregate)]
+            if not query.is_aggregate:
+                extra.append(query.order_by)
             if dedup is not None:
-                # Winner materialization must also feed the post-filter
-                # and the outer ORDER BY, not just the projection.
-                extra = [dedup.key_column, dedup.version_column]
+                extra += [dedup.key_column, dedup.version_column]
                 if dedup.post_filter is not None:
-                    extra.extend(sorted(dedup.post_filter.columns()))
-                if query.order_by is not None:
-                    extra.append(query.order_by)
-                for column in extra:
-                    if column not in output_columns:
-                        output_columns.append(column)
-            if not output_columns:  # e.g. bare SELECT COUNT(*)
-                output_columns = []
+                    extra += sorted(dedup.post_filter.columns())
+            output_columns += [
+                c for c in dict.fromkeys(extra) if c is not None and c not in output_columns
+            ]
 
         row_limit = None
         if (

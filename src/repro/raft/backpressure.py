@@ -198,7 +198,7 @@ class BackpressureController:
     def worst_saturation(self) -> float:
         return max((queue.saturation for queue in self._queues), default=0.0)
 
-    def update(self) -> float:
+    def reevaluate(self) -> float:
         """Re-evaluate queue pressure; returns the new throttle."""
         saturation = self.worst_saturation()
         if saturation >= self._high:
@@ -214,9 +214,9 @@ class BackpressureController:
         """Multiplicative decay for *remote* pressure signals.
 
         A follower's ``backpressured`` reply reports saturation the
-        leader's own queues cannot see; :meth:`update` would read the
+        leader's own queues cannot see; :meth:`reevaluate` would read the
         calm local queues and recover instead.  Recovery still goes
-        through :meth:`update` once the remote pressure stops arriving.
+        through :meth:`reevaluate` once the remote pressure stops arriving.
         """
         self._throttle = max(0.01, self._throttle * self._decay)
         return self._throttle

@@ -476,7 +476,7 @@ class RaftNode:
             self.sync_queue.stats.rejected += 1
             # §4.2: a rejection is the BFC signal — decay the producer
             # throttle immediately so upstream slows down.
-            self.backpressure.update()
+            self.backpressure.reevaluate()
             raise BackpressureError(
                 f"queue {self.sync_queue.name!r} cannot admit group of "
                 f"{len(commands)} entries / {total_bytes} bytes"
@@ -495,7 +495,7 @@ class RaftNode:
 
     def throttle(self) -> float:
         """Current BFC throttle in (0, 1] — fraction of nominal rate."""
-        return self.backpressure.update()
+        return self.backpressure.reevaluate()
 
     # -- snapshotting (LogStore's periodic checkpointing, §3) ----------------
 
@@ -774,7 +774,7 @@ class RaftNode:
                 )
         elif msg.success:
             # Calm round trip: let the throttle recover from local state.
-            self.backpressure.update()
+            self.backpressure.reevaluate()
         if msg.success:
             self.leader_state.match_index[msg.follower_id] = max(
                 self.leader_state.match_index.get(msg.follower_id, 0), msg.match_index

@@ -658,6 +658,12 @@ class RowBatch:
         return cls._typed(names, count, nbytes, parts, columns, tenant_id)
 
     @classmethod
+    def from_dicts(cls, rows: list[dict]) -> "RowBatch":
+        """Dict rows as a chunk, neither validated nor sized: rows that
+        reach a query operator as dicts (``_system`` tables, tests)."""
+        return cls(*_transpose(rows)) if rows else cls()
+
+    @classmethod
     def of(cls, rows: "RowBatch | Iterable[dict]", **columns: str) -> "RowBatch":
         """``rows`` itself when already a batch, else ``admit(rows, **columns)``."""
         return rows if isinstance(rows, RowBatch) else cls.admit(rows, **columns)
@@ -872,17 +878,21 @@ class RowSelection:
             )
         )
 
-    def take(self, hits: np.ndarray, names: Sequence[str]) -> RowBatch:
-        """The rows at the ascending selection positions ``hits`` as one
-        chunk of exactly ``names`` (see :meth:`RowBatch.take`)."""
-        chunks = []
+    def pick(self, hits: np.ndarray) -> "RowSelection":
+        """The rows at the ascending selection positions ``hits``."""
+        parts = []
         start = 0
         for batch, picked in self.parts:
             stop = start + len(picked)
             lo, hi = np.searchsorted(hits, (start, stop))
-            chunks.append(batch.take(picked[hits[lo:hi] - start].tolist(), names))
+            parts.append((batch, picked[hits[lo:hi] - start]))
             start = stop
-        return RowBatch.concat(chunks)
+        return RowSelection(parts)
+
+    def project(self, names: Sequence[str]) -> RowBatch:
+        """The selected rows as one chunk of exactly ``names`` (see
+        :meth:`RowBatch.take`)."""
+        return RowBatch.concat([b.take(picked.tolist(), names) for b, picked in self.parts])
 
     def iter_dicts(self) -> Iterator[dict]:
         """The selected rows as dicts (see :meth:`RowBatch.iter_dicts`)."""

@@ -185,7 +185,9 @@ class TestRealtimeValuesArePython:
             values = selection.column(name)
             assert python_values(values) and values == [row[name] for row in selection]
         assert isinstance(selection.column("ts", typed=True), np.ndarray)
-        chunk = selection.take(np.arange(0, len(selection), 7), ["ts", "latency", "fail", "nope"])
+        chunk = selection.pick(np.arange(0, len(selection), 7)).project(
+            ["ts", "latency", "fail", "nope"]
+        )
         assert all(python_values(column) for column in chunk.columns)
         assert all(python_values(row.values()) for row in selection)
         assert all(python_values(row.values()) for row in chunk.to_dicts())

@@ -4,7 +4,9 @@ Every dict the system makes out of un-archived rows goes through
 ``RowBatch.iter_dicts``, which counts them.  The count must not move from
 ``put`` through seal, archive and checkpoint, nor across a SQL INSERT
 whose result rows nobody reads; it moves only for a reader: the rows of
-an ``InsertResult``, or the survivors of a realtime SELECT.
+an ``InsertResult``, or the survivors of a realtime SELECT.  A query
+builds dicts for its result rows only: no operator — aggregate fold,
+dedup tournament, window ranking, ``_system`` filter — takes dicts.
 """
 
 import repro.query.kernels
@@ -111,8 +113,60 @@ def test_archived_group_by_builds_only_its_result_rows():
     assert len(result.rows) == 3 and built.count == result.stats.rows_materialized == 0
 
 
+def test_realtime_group_by_builds_only_its_result_rows():
+    store = LogStore.create(config=small_test_config())
+    store.put(1, make_rows(40, tenant_id=1))
+    with DictsBuilt() as built:
+        result = store.query(
+            "SELECT api, COUNT(*), AVG(latency) FROM request_log WHERE tenant_id = 1 GROUP BY api"
+        )
+    assert result.realtime_rows == 40 and result.archived_rows == 0
+    assert len(result.rows) == 3 and built.count == result.stats.rows_materialized == 0
+
+
+LATEST = (
+    "SELECT run_id, status FROM (SELECT *, ROW_NUMBER() OVER (PARTITION BY run_id "
+    "ORDER BY version DESC) AS rn FROM runs) WHERE rn = 1"
+)
+
+
+def test_dedup_and_window_queries_build_dicts_for_their_result_rows_only():
+    store = LogStore.create(config=small_test_config())
+    store.create_table("CREATE TABLE runs (run_id STRING, status STRING, VERSION BY run_id)")
+    insert = store.connect(1, store.issue_token(1)).prepare(
+        "INSERT INTO runs (run_id, status) VALUES (?, ?)"
+    )
+    for seq in range(30):
+        insert.execute((f"run-{seq % 4}", f"s{seq}"))
+        if seq == 20:
+            store.flush_all()  # winners and losers both archived and realtime
+    options = store.brokers[0].options
+    for rewrite in (True, False):
+        options.use_semantic_rewrite = rewrite
+        with DictsBuilt() as built:
+            result = store.query(LATEST, tenant_scope=1)
+        assert ("latest_by_key" in result.plan.rewrites) == rewrite
+        assert len(result.rows) == 4 and built.count == result.stats.rows_materialized == 4
+        assert {row["run_id"]: row["status"] for row in result.rows}["run-3"] == "s27"
+    options.use_semantic_rewrite = True
+
+
+def test_system_table_query_builds_only_its_result_rows():
+    store = LogStore.create(config=small_test_config())
+    store.put(1, make_rows(20, tenant_id=1))
+    for _ in range(3):
+        store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 1")
+    with DictsBuilt() as built:
+        result = store.query(
+            "SELECT name, value FROM _system.metrics "
+            "WHERE kind = 'counter' ORDER BY value DESC LIMIT 2"
+        )
+    assert len(result.rows) == 2 and built.count == 2
+
+
 def test_the_row_dict_forms_are_gone():
     assert not hasattr(repro.query.kernels, "RowListBatch")
+    assert not hasattr(repro.query.kernels, "filter_rows")
     assert not hasattr(repro.rowstore.batch, "_admit_rows")
     assert not hasattr(repro.rowstore.batch, "_row_nbytes")
     assert not hasattr(MemTable, "_view")

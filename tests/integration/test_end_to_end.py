@@ -90,6 +90,20 @@ class TestQueryEquivalence:
         expected_top = sorted(counts.values(), reverse=True)[:5]
         assert [r["COUNT(*)"] for r in result.rows] == expected_top
 
+    def test_order_by_a_column_the_select_list_drops(self):
+        store = LogStore.create(config=small_test_config())
+        rows = make_rows(300, tenant_id=1, seed=76)
+        store.put(1, rows[:270])
+        store.flush_all()
+        store.put(1, rows[270:])
+        result = store.query(
+            "SELECT ts FROM request_log WHERE tenant_id = 1 ORDER BY latency DESC LIMIT 5"
+        )
+        assert result.realtime_rows == 30  # archived and realtime rows ranked together
+        latency = {row["ts"]: row["latency"] for row in rows}
+        assert [latency[row["ts"]] for row in result.rows] == sorted(latency.values())[::-1][:5]
+        assert all(list(row) == ["ts"] for row in result.rows)
+
     def test_repeat_query_faster_via_cache(self, loaded_store):
         """§6.3.2: 'when the same query is executed the second time, it
         will be [much] faster than the first time.'"""

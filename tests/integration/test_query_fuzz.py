@@ -20,6 +20,7 @@ from repro.query.sql import parse_sql
 from repro.rowstore.memtable import MemTable
 
 from tests.conftest import BASE_TS, MICROS, make_rows
+from tests.oracle import fold
 
 
 @pytest.fixture(scope="module")
@@ -113,17 +114,13 @@ def test_fuzzed_negation(env, clause):
 )
 def test_fuzzed_aggregates(env, group_col, agg):
     rows, planner, executor = env
-    from repro.query.aggregate import Aggregator
-
     sql = (
         f"SELECT {group_col}, {agg} FROM request_log "
         f"WHERE tenant_id = 1 GROUP BY {group_col}"
     )
     parsed = parse_sql(sql)
-    plan = planner.plan(parsed)
-    got_rows, _stats = executor.execute(plan)
-    aggregator = Aggregator(parsed)
-    aggregator.consume_many(got_rows)
+    aggregator, _stats = executor.execute_aggregate(planner.plan(parsed))
+    assert aggregator.results() == fold(parsed, rows)
     got = {row[group_col]: row[agg] for row in aggregator.results()}
 
     groups: dict = {}

@@ -6,9 +6,12 @@ Raft cluster through the write path's operations: ``put``,
 ``checkpoint_all``, a replica crash and recovery until the group has a
 leader again (Raft), a two-shard route that makes ``split_batch``
 apportion, and a DDL that types the key ``extra`` some puts carry.  The
-oracle is a list of ``(ts, log)`` per tenant.  After every step each tenant's ``COUNT(*)`` and its rows
-must equal the oracle's; every ``flush_all`` must return and leave no
-row pending.
+oracle is a list of ``(ts, log, api, latency)`` per tenant.  After every
+step each tenant's answers must equal the oracle's, wherever the rows
+sit (realtime, archived, or both): ``COUNT(*)``, its rows, a ``GROUP BY
+api`` with COUNT / SUM / MIN / MAX of ``latency``, the top five
+latencies, and a ``LIMIT`` that returns that many of its rows.  Every
+``flush_all`` must return and leave no row pending.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from repro.flow.router import RouteRule
 from repro.logblock.schema import ColumnSpec, ColumnType
 
 from tests.conftest import BASE_TS
+
+# One oracle row: what the invariant queries read.
+Row = tuple[int, str, str, int]  # ts, log, api, latency
 
 TABLE = "request_log"
 TENANTS = (1, 2, 3)
@@ -57,7 +63,7 @@ class WritePathModel(RuleBasedStateMachine):
             use_raft=self.use_raft, n_workers=2, shards_per_worker=2, seal_rows=64
         )
         self.store = LogStore.create(config=config)
-        self.oracle: dict[int, list[tuple[int, str]]] = {tenant: [] for tenant in TENANTS}
+        self.oracle: dict[int, list[Row]] = {tenant: [] for tenant in TENANTS}
         self.sessions: dict = {}
         self.next_ts = BASE_TS
         self.extra_typed = False
@@ -94,7 +100,7 @@ class WritePathModel(RuleBasedStateMachine):
                 put(tenant, rows)
             return
         put(tenant, rows)
-        self.oracle[tenant] += [(row["ts"], row["log"]) for row in rows]
+        self.oracle[tenant] += map(oracle_row, rows)
 
     def shards(self) -> list:
         shards = (s for w in self.store.workers.values() for s in w.shards.values())
@@ -124,7 +130,7 @@ class WritePathModel(RuleBasedStateMachine):
         )
         params = [row[column] for row in rows for column in INSERT_COLUMNS]
         assert session.execute(sql, params).rows_inserted == count
-        self.oracle[tenant] += [(row["ts"], row["log"]) for row in rows]
+        self.oracle[tenant] += map(oracle_row, rows)
 
     @rule()
     def flush_all(self):
@@ -170,17 +176,43 @@ class WritePathModel(RuleBasedStateMachine):
     @invariant()
     def every_tenant_reads_its_acked_rows(self):
         for tenant in TENANTS:
+            held = self.oracle[tenant]
             where = f"FROM {TABLE} WHERE tenant_id = {tenant}"
             counted = self.store.query(f"SELECT COUNT(*) {where}").rows
-            assert (counted[0]["COUNT(*)"] if counted else 0) == len(self.oracle[tenant])
+            assert (counted[0]["COUNT(*)"] if counted else 0) == len(held)
             rows = self.store.query(f"SELECT ts, log {where}").rows
             assert sorted((row["ts"], row["log"]) for row in rows) == sorted(
-                self.oracle[tenant]
+                (ts, log) for ts, log, _, _ in held
             )
+            self.check_queries(where, held)
+
+    def check_queries(self, where: str, held: list[Row]) -> None:
+        """The aggregate, top-k and LIMIT answers over one tenant's rows."""
+        groups: dict[str, list[int]] = {}
+        for _, _, api, latency in held:
+            groups.setdefault(api, []).append(latency)
+        grouped = self.store.query(
+            f"SELECT api, COUNT(*), SUM(latency), MIN(latency), MAX(latency) {where} GROUP BY api"
+        ).rows
+        assert [tuple(row.values()) for row in grouped] == [
+            (api, len(v), float(sum(v)), min(v), max(v)) for api, v in sorted(groups.items())
+        ]
+        # Ties make the rows chosen arbitrary: compare the latencies only.
+        top = self.store.query(f"SELECT latency {where} ORDER BY latency DESC LIMIT 5").rows
+        assert [row["latency"] for row in top] == sorted(
+            (latency for *_, latency in held), reverse=True
+        )[:5]
+        some = self.store.query(f"SELECT log {where} LIMIT 7").rows
+        assert len(some) == min(7, len(held))
+        assert {row["log"] for row in some} <= {log for _, log, _, _ in held}
 
     def teardown(self):
         self.flush_all()
         self.every_tenant_reads_its_acked_rows()
+
+
+def oracle_row(row: dict) -> Row:
+    return row["ts"], row["log"], row["api"], row["latency"]
 
 
 class RaftWritePathModel(WritePathModel):

@@ -54,7 +54,7 @@ class TestExplainAnalyze:
         assert "tier 1 (catalog):" in text
         assert "tier 2 (SMA fold):" in text
         assert "tier 3 (columnar):" in text
-        assert "fallback (row):" in text
+        assert "fallback" not in text
 
     def test_second_run_sees_cache_hits(self):
         store = seeded_store()

@@ -1,7 +1,10 @@
-"""The per-row meaning of a WHERE clause, for the differential suites.
+"""The per-row meaning of a WHERE clause and of an aggregate, for the
+differential suites.
 
 Every evaluation path — archived block scans, SMA and index skipping,
-realtime selections, dict rows — is held against :func:`matches`.
+realtime selections, dict rows — is held against :func:`matches`, and
+every aggregate fold — SMA, decoded blocks, column chunks — against
+:func:`fold`.
 """
 
 from repro.logblock.pruning import (
@@ -15,6 +18,7 @@ from repro.logblock.pruning import (
     RangePredicate,
 )
 from repro.logblock.tokenizer import tokenize
+from repro.query.aggregate import AggState, Aggregator
 from repro.query.ast import And, Not, Or
 
 
@@ -64,3 +68,39 @@ def matches(node, row: dict) -> bool:
     if isinstance(predicate, MatchPredicate):
         return set(tokenize(value)).issuperset(predicate.terms)
     raise AssertionError(f"no oracle for {predicate!r}")
+
+
+def fold(query, rows) -> list[dict]:
+    """The result rows of the aggregate ``query`` over the dict ``rows``,
+    folded one value at a time in Python.
+
+    The group table and the final ORDER BY / LIMIT are the aggregator's
+    own: groups open in first-seen order, and a NaN key equals no key,
+    itself included.
+    """
+    aggregator = Aggregator(query)
+    for row in rows:
+        key = None if query.group_by is None else row.get(query.group_by)
+        for item, state in zip(query.select, aggregator._states_for(key)):
+            if item.is_aggregate and item.column is None:
+                state.count += 1  # COUNT(*)
+            elif item.is_aggregate:
+                _update(state, row.get(item.column))
+    return aggregator.results()
+
+
+def _update(state: AggState, value) -> None:
+    """Fold one value: a null is skipped; a non-bool number is summed; a
+    NaN is counted and summed but is no MIN/MAX."""
+    if value is None:
+        return
+    state.count += 1
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        state.total += value
+    if value == value:
+        if state.minimum is None or value < state.minimum:
+            state.minimum = value
+        if state.maximum is None or value > state.maximum:
+            state.maximum = value
+    if state.distinct is not None:
+        state.distinct.add(value)

@@ -1,8 +1,9 @@
 """Differential test: the array fold ≡ the per-row fold.
 
-``Aggregator.consume_columns`` folds decoded column blocks (tier 3);
-``consume_many`` folds row dicts one value at a time (level 0, realtime
-rows) and is the reference.  Over every key type and block form the two
+``Aggregator.consume_columns`` folds decoded column blocks (tier 3) and,
+through ``consume_many``, column chunks (realtime, ``_system``, winner
+and window rows); ``tests.oracle.fold`` folds row dicts one value at a
+time and is the reference.  Over every key type and block form the two
 must give the same groups in the same order with the same values — SUM
 included, because the fold seeds ``bincount`` with the running totals.
 """
@@ -16,8 +17,10 @@ from repro.logblock.column import PlainStrings
 from repro.logblock.schema import ColumnSpec, ColumnType, TableSchema
 from repro.query.aggregate import Aggregator
 from repro.query.sql import parse_sql
+from repro.rowstore.batch import RowBatch
 
 from tests.conftest import BASE_TS, MICROS
+from tests.oracle import fold, matches
 from tests.query.test_agg_pushdown import Env
 
 NAN = float("nan")
@@ -27,7 +30,7 @@ SCHEMA = TableSchema(
         ColumnSpec("tenant_id", ColumnType.INT64),
         ColumnSpec("ts", ColumnType.TIMESTAMP),
         ColumnSpec("n", ColumnType.INT64),  # few values, nulls, ints past 2^53
-        ColumnSpec("f", ColumnType.FLOAT64),  # nulls and NaNs
+        ColumnSpec("f", ColumnType.FLOAT64),  # nulls, one NaN object, -0.0 and 0.0
         ColumnSpec("fk", ColumnType.FLOAT64),  # a float key without NaN
         ColumnSpec("b", ColumnType.BOOL),
         ColumnSpec("d", ColumnType.STRING),  # low cardinality: DICT blocks
@@ -45,7 +48,7 @@ def make(count: int, seed: int, start: int, extra: bool = False) -> list[dict]:
             "tenant_id": 1,
             "ts": BASE_TS + (start + i) * MICROS,
             "n": rng.choice((None, 0, 1, 2, 3, 7) + BIG),
-            "f": rng.choice((None, NAN, -0.5, 0.1, 0.2, 0.3, 1e300, 2.5)),
+            "f": rng.choice((None, NAN, -0.0, 0.0, -0.5, 0.1, 0.3, 1e300, 2.5)),
             "fk": rng.choice((None, -1.5, 0.0, 2.25)),
             "b": rng.choice((None, True, False)),
             "d": rng.choice((None, "alpha", "beta", "gamma")),
@@ -101,7 +104,7 @@ def random_query(rng: random.Random) -> str:
 
 
 def test_both_string_forms_are_exercised(env):
-    executor = env.executor(3)
+    executor = env.executor()
     forms = {"d": set(), "p": set()}
     for entry in env.catalog.blocks_for(1):
         reader = executor._open_block(entry)
@@ -117,29 +120,39 @@ def test_fold_equals_the_row_fold(env):
     folded_blocks = 0
     for _ in range(150):
         sql = random_query(rng)
-        naive, naive_stats = env.run(sql, level=0)
-        folded, stats = env.run(sql, level=3)
-        # repr: a NaN equals itself only by its text.
-        assert repr(folded) == repr(naive), sql
-        assert naive_stats.pushdown.agg_columnar_blocks == 0
+        folded, stats = env.run(sql, sma=False)
+        # repr: a NaN equals itself only by its text, -0.0 0.0 only by value.
+        assert repr(folded) == repr(env.reference(sql)), sql
         folded_blocks += stats.pushdown.agg_columnar_blocks
     assert folded_blocks > 300
+
+
+def test_chunk_fold_equals_the_row_fold(env):
+    """A chunk of the rows as they were put — the NaN one object, nulls
+    in every column — folds like the rows' dicts."""
+    rng = random.Random(29)
+    for _ in range(100):
+        sql = random_query(rng)
+        query = parse_sql(sql)
+        rows = [row for row in env.rows if matches(query.where, row)]
+        folded = Aggregator(query)
+        folded.consume_many(RowBatch.from_dicts(rows))
+        assert repr(folded.results()) == repr(fold(query, rows)), sql
 
 
 def test_nan_group_keys_stay_one_group_each(env):
     """A NaN key equals no key, itself included: the row fold opens a
     group per NaN row, and so does the array fold."""
     sql = "SELECT f, COUNT(*), MAX(n) FROM request_log WHERE tenant_id = 1 AND n >= 0 GROUP BY f"
-    naive, _ = env.run(sql, level=0)
-    folded, _ = env.run(sql, level=3)
-    assert repr(folded) == repr(naive)
+    folded, _ = env.run(sql)
+    assert repr(folded) == repr(env.reference(sql))
     nan_groups = [row for row in folded if row["f"] is not None and row["f"] != row["f"]]
     assert len(nan_groups) > 1 and all(row["COUNT(*)"] == 1 for row in nan_groups)
 
 
 def test_ints_past_2_53_keep_every_bit(env):
     sql = "SELECT MIN(n), MAX(n), COUNT(DISTINCT n), SUM(n) FROM request_log WHERE tenant_id = 1 AND b = true"
-    (row,), stats = env.run(sql, level=3)
+    (row,), stats = env.run(sql)
     values = [r["n"] for r in env.rows if r["b"] is True and r["n"] is not None]
     assert stats.pushdown.agg_columnar_blocks == 3
     assert row["MIN(n)"] == min(values) == BIG[2] and row["MAX(n)"] == max(values) == BIG[1]
@@ -154,7 +167,7 @@ def test_consume_columns_takes_what_the_reader_decoded(env):
     """The unit-level contract: decoded blocks + in-block offsets in,
     the same states as the rows' dicts out."""
     query = parse_sql("SELECT d, COUNT(*), SUM(f), MIN(p), COUNT(DISTINCT b) FROM request_log GROUP BY d")
-    executor = env.executor(3)
+    executor = env.executor()
     entry = env.catalog.blocks_for(1)[0]
     reader = executor._open_block(entry)
     rng = random.Random(5)
@@ -169,7 +182,7 @@ def test_consume_columns_takes_what_the_reader_decoded(env):
         },
         [offsets for _, offsets in matched.groups],
     )
-    reference = Aggregator(query)
-    reference.consume_many(reader.read_rows(row_ids, ["d", "f", "p", "b"]))
-    assert repr(folded.results()) == repr(reference.results())
-    assert list(folded._groups) == list(reference._groups)  # first-seen order
+    rows = reader.read_rows(row_ids, ["d", "f", "p", "b"])
+    assert repr(folded.results()) == repr(fold(query, rows))
+    # Groups open in first-seen order.
+    assert [key for key, _ in folded._groups] == list(dict.fromkeys(row["d"] for row in rows))

@@ -1,13 +1,15 @@
 """Aggregate pushdown tests: tier eligibility, zero-I/O catalog answers,
-and differential equality against the naive row path.
+and differential equality against the per-row fold.
 
 The acceptance bar for the fast path is *exact* result equality with
-the tiers disabled (``agg_pushdown_level=0``) across full-match,
+the per-row fold of the matched rows (``tests.oracle.fold``), and
+between every set of tiers a plan allows, across full-match,
 partial-match, empty-match and DDL-added-column blocks — plus hard
 stats assertions that tier 1 never opens a pack.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,10 +25,11 @@ from repro.oss.metered import MeteredObjectStore
 from repro.oss.store import InMemoryObjectStore
 from repro.query.executor import BlockExecutor, ExecutionOptions, PushdownCounters
 from repro.query.planner import QueryPlanner, format_timestamp
-from repro.query.sql import parse_sql
+from repro.query.sql import ParsedQuery, SelectItem, parse_sql
 from repro.rowstore.memtable import MemTable
 
 from tests.conftest import BASE_TS, MICROS, make_rows
+from tests.oracle import fold
 
 BUCKET = "agg"
 
@@ -36,7 +39,7 @@ def ts_literal(offset_s: int) -> str:
 
 
 class Env:
-    """An archived corpus plus one executor per pushdown level."""
+    """An archived corpus, its executor and the per-row reference."""
 
     def __init__(self, schema=None, block_rows=64, target_rows=200):
         self.schema = schema if schema is not None else request_log_schema()
@@ -51,7 +54,7 @@ class Env:
         )
         self.rows: list[dict] = []
         self.planner = QueryPlanner(self.catalog)
-        self._cache = {}
+        self._executor = None
 
     def archive(self, rows: list[dict]) -> None:
         table = MemTable()
@@ -60,23 +63,39 @@ class Env:
         self.builder.archive_memtable(table, "s0-0")
         self.rows.extend(rows)
 
-    def executor(self, level: int) -> BlockExecutor:
-        executor = self._cache.get(level)
-        if executor is None:
+    def executor(self) -> BlockExecutor:
+        if self._executor is None:
             cache = MultiLevelCache(memory_bytes=1 << 22, ssd_bytes=1 << 24)
-            executor = BlockExecutor(
-                CachingRangeReader(self.store, cache),
-                BUCKET,
-                ExecutionOptions(agg_pushdown_level=level),
+            self._executor = BlockExecutor(
+                CachingRangeReader(self.store, cache), BUCKET, ExecutionOptions()
             )
-            self._cache[level] = executor
-        return executor
+        return self._executor
 
-    def run(self, sql: str, level: int):
-        parsed = parse_sql(sql)
-        plan = self.planner.plan(parsed)
-        aggregator, stats = self.executor(level).execute_aggregate(plan)
+    def run(self, sql: str, catalog: bool = True, sma: bool = True):
+        """The executor's answer; ``catalog`` / ``sma`` False take tier
+        1 / tier 2 away from the plan."""
+        plan = self.planner.plan(parse_sql(sql))
+        pushdown = plan.agg_pushdown
+        plan.agg_pushdown = replace(
+            pushdown,
+            catalog_eligible=pushdown.catalog_eligible and catalog,
+            sma_eligible=pushdown.sma_eligible and sma,
+        )
+        aggregator, stats = self.executor().execute_aggregate(plan)
         return aggregator.results(), stats
+
+    def reference(self, sql: str) -> list[dict]:
+        """The per-row fold of the rows the query matches, read through
+        a plain scan in the order the blocks store them."""
+        parsed = parse_sql(sql)
+        scan = ParsedQuery(
+            table=parsed.table,
+            select=[SelectItem(column=None, aggregate=None)],
+            where=parsed.where,
+            select_star=True,
+        )
+        chunk, _stats = self.executor().execute(self.planner.plan(scan))
+        return fold(parsed, chunk.to_dicts())
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +123,7 @@ class TestTier1CatalogOnly:
 
     def test_zero_requests_zero_bytes(self, env):
         gets_before = env.store.stats.get_requests
-        rows, stats = env.run(self.SQL, level=3)
+        rows, stats = env.run(self.SQL)
         # The acceptance criterion: catalog-only answers issue *zero*
         # prefetch requests and read zero bytes — no pack is opened.
         assert env.store.stats.get_requests == gets_before
@@ -116,7 +135,7 @@ class TestTier1CatalogOnly:
         assert stats.pushdown.agg_columnar_blocks == 0
 
     def test_answers_match_brute_force(self, env):
-        rows, _stats = env.run(self.SQL, level=3)
+        rows, _stats = env.run(self.SQL)
         mine = [r["ts"] for r in env.rows if r["tenant_id"] == 1]
         assert rows == [
             {"COUNT(*)": len(mine), "MIN(ts)": min(mine), "MAX(ts)": max(mine)}
@@ -124,7 +143,7 @@ class TestTier1CatalogOnly:
 
     def test_zero_virtual_time(self, env):
         before = env.clock.now()
-        env.run(self.SQL, level=3)
+        env.run(self.SQL)
         assert env.clock.now() == before
 
     def test_partial_coverage_falls_through(self, env):
@@ -134,7 +153,7 @@ class TestTier1CatalogOnly:
             "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1 "
             f"AND ts BETWEEN '{ts_literal(150)}' AND '{ts_literal(450)}'"
         )
-        rows, stats = env.run(sql, level=3)
+        rows, stats = env.run(sql)
         expected = sum(
             1
             for r in env.rows
@@ -150,7 +169,7 @@ class TestTier1CatalogOnly:
         # block's max_ts == X (covered_by must respect strictness).
         edge = ts_literal(100)
         sql = f"SELECT COUNT(*) FROM request_log WHERE tenant_id = 1 AND ts < '{edge}'"
-        rows, _stats = env.run(sql, level=3)
+        rows, _stats = env.run(sql)
         expected = sum(
             1
             for r in env.rows
@@ -173,7 +192,7 @@ class TestTier2SmaFold:
             "SELECT COUNT(*), SUM(latency), AVG(latency), MIN(latency), MAX(latency) "
             "FROM request_log WHERE tenant_id = 1 AND latency >= 0"
         )
-        rows, stats = env.run(sql, level=3)
+        rows, stats = env.run(sql)
         latencies = [r["latency"] for r in env.rows if r["tenant_id"] == 1]
         assert rows[0]["COUNT(*)"] == len(latencies)
         assert rows[0]["SUM(latency)"] == sum(latencies)
@@ -183,11 +202,10 @@ class TestTier2SmaFold:
         # latency >= 0 matches every row of every block → all SMA-folded.
         assert stats.pushdown.agg_sma_blocks > 0
         assert stats.pushdown.agg_columnar_blocks == 0
-        assert stats.pushdown.agg_row_blocks == 0
 
     def test_ddl_added_column_reads_as_null(self, env):
         sql = "SELECT COUNT(extra), SUM(extra) FROM request_log WHERE tenant_id = 1"
-        rows, _stats = env.run(sql, level=3)
+        rows, _stats = env.run(sql)
         extras = [
             r.get("extra")
             for r in env.rows
@@ -203,7 +221,7 @@ class TestTier3Columnar:
             "SELECT COUNT(*), SUM(latency) FROM request_log "
             "WHERE tenant_id = 1 AND latency >= 250"
         )
-        rows, stats = env.run(sql, level=3)
+        rows, stats = env.run(sql)
         matched = [
             r["latency"]
             for r in env.rows
@@ -212,14 +230,13 @@ class TestTier3Columnar:
         assert rows[0]["COUNT(*)"] == len(matched)
         assert rows[0]["SUM(latency)"] == sum(matched)
         assert stats.pushdown.agg_columnar_blocks > 0
-        assert stats.pushdown.agg_row_blocks == 0
 
     def test_grouped_aggregate(self, env):
         sql = (
             "SELECT ip, COUNT(*), MAX(latency) FROM request_log "
             "WHERE tenant_id = 1 AND latency < 250 GROUP BY ip"
         )
-        rows, stats = env.run(sql, level=3)
+        rows, stats = env.run(sql)
         groups: dict = {}
         for r in env.rows:
             if r["tenant_id"] == 1 and r["latency"] < 250:
@@ -234,7 +251,7 @@ class TestTier3Columnar:
 
     def test_empty_match(self, env):
         sql = "SELECT COUNT(*), SUM(latency) FROM request_log WHERE tenant_id = 1 AND latency > 100000"
-        rows, stats = env.run(sql, level=3)
+        rows, stats = env.run(sql)
         assert rows == [{"COUNT(*)": 0, "SUM(latency)": None}]
         assert stats.rows_matched == 0
 
@@ -244,7 +261,7 @@ class TestTier3Columnar:
         plan = env.planner.plan(parsed)
         assert not plan.agg_pushdown.catalog_eligible
         assert not plan.agg_pushdown.sma_eligible
-        rows, stats = env.run(sql, level=3)
+        rows, stats = env.run(sql)
         assert rows[0]["COUNT(DISTINCT ip)"] == 10
         assert stats.pushdown.agg_columnar_blocks > 0
 
@@ -278,7 +295,7 @@ GROUP_CHOICES = [None, "ip", "api", "fail"]
 
 
 class TestDifferential:
-    """Level-3 pushdown must return *exactly* the naive level-0 rows."""
+    """The tiered fold must return *exactly* the per-row fold's rows."""
 
     def test_randomized_queries_match_naive(self, env):
         rng = random.Random(20211111)
@@ -292,24 +309,22 @@ class TestDifferential:
                 sql += f" AND ({predicate})"
             if group:
                 sql += f" GROUP BY {group}"
-            naive, naive_stats = env.run(sql, level=0)
-            pushed, _stats = env.run(sql, level=3)
-            assert pushed == naive, sql
-            assert naive_stats.pushdown.agg_catalog_hits == 0
-            assert naive_stats.pushdown.agg_sma_blocks == 0
-            assert naive_stats.pushdown.agg_columnar_blocks == 0
+            pushed, _stats = env.run(sql)
+            assert pushed == env.reference(sql), sql
 
-    def test_every_level_agrees(self, env):
+    def test_every_tier_agrees(self, env):
         sql = (
-            "SELECT COUNT(*), SUM(latency), MIN(ts), MAX(ts) FROM request_log "
+            "SELECT COUNT(*), MIN(ts), MAX(ts) FROM request_log "
             f"WHERE tenant_id = 1 AND ts BETWEEN '{ts_literal(100)}' AND '{ts_literal(700)}'"
         )
-        results = [env.run(sql, level=level)[0] for level in (0, 1, 2, 3)]
-        assert results[0] == results[1] == results[2] == results[3]
+        arms = [env.run(sql, catalog=False, sma=False), env.run(sql, catalog=False), env.run(sql)]
+        assert [stats.pushdown.agg_catalog_hits > 0 for _, stats in arms] == [False, False, True]
+        assert [stats.pushdown.agg_sma_blocks > 0 for _, stats in arms] == [False, True, False]
+        assert env.reference(sql) == arms[0][0] == arms[1][0] == arms[2][0]
 
-    def test_every_level_agrees_on_nan(self):
+    def test_every_tier_agrees_on_nan(self):
         """One NaN rule: a NaN is counted and summed but is no MIN/MAX,
-        wherever it sits — row fold, SMA fold and array fold alike."""
+        wherever it sits — per-row fold, SMA fold and array fold alike."""
         nan = float("nan")
         built = Env(block_rows=8, target_rows=1000)
         built.catalog.add_column(ColumnSpec("score", ColumnType.FLOAT64))
@@ -326,22 +341,20 @@ class TestDifferential:
         scores = [r["score"] for r in rows if r["score"] is not None and r["score"] == r["score"]]
 
         flat = "SELECT MIN(score), MAX(score), COUNT(score) FROM request_log WHERE tenant_id = 1"
-        results = [built.run(flat, level=level) for level in (0, 1, 2, 3)]
-        assert results[2][1].pushdown.agg_sma_blocks == 1
-        assert results[3][1].pushdown.agg_sma_blocks == 1
-        for got, _stats in results:
-            assert got == [
-                {"MIN(score)": min(scores), "MAX(score)": max(scores), "COUNT(score)": 47}
-            ]
+        sma, columnar = built.run(flat), built.run(flat, sma=False)
+        assert sma[1].pushdown.agg_sma_blocks == 1
+        assert columnar[1].pushdown.agg_columnar_blocks == 1
+        expected = [{"MIN(score)": min(scores), "MAX(score)": max(scores), "COUNT(score)": 47}]
+        assert built.reference(flat) == sma[0] == columnar[0] == expected
 
-        # Partial match: level 3 folds the arrays, level 0 the rows.
+        # Partial match: the tiered path folds the arrays.
         grouped = (
             "SELECT api, MIN(score), MAX(score), COUNT(score), SUM(score) FROM request_log "
             "WHERE tenant_id = 1 AND latency >= 0 GROUP BY api"
         )
-        naive, pushed = built.run(grouped, level=0), built.run(grouped, level=3)
-        assert pushed[1].pushdown.agg_columnar_blocks == 1 and naive[1].pushdown.agg_row_blocks == 1
-        assert repr(pushed[0]) == repr(naive[0])
+        pushed = built.run(grouped)
+        assert pushed[1].pushdown.agg_columnar_blocks == 1
+        assert repr(pushed[0]) == repr(built.reference(grouped))
         by_api = {row["api"]: row for row in pushed[0]}
         assert by_api["/api/v2"]["MIN(score)"] is None and by_api["/api/v2"]["MAX(score)"] is None
         assert by_api["/api/v2"]["COUNT(score)"] == 16
@@ -369,15 +382,15 @@ class TestSumPastInt64:
         assert len(wide_env.catalog.blocks_for(1)) == 1
         assert sum(r["ts"] for r in wide_env.rows) >= 2**63
 
-    @pytest.mark.parametrize("level", (0, 3))
-    def test_sum_avg_count_match_python(self, wide_env, level):
+    def test_sum_avg_count_match_python(self, wide_env):
         sql = (
             "SELECT SUM(ts), AVG(ts), COUNT(ts), SUM(latency), COUNT(*) "
             "FROM request_log WHERE tenant_id = 1 AND latency >= 0"
         )
-        rows, stats = wide_env.run(sql, level=level)
+        rows, stats = wide_env.run(sql)
+        assert rows == wide_env.reference(sql)
         ts = [r["ts"] for r in wide_env.rows]
-        # The aggregator accumulates in float, at every level.
+        # The aggregator accumulates in float.
         assert rows[0]["SUM(ts)"] == pytest.approx(sum(ts), rel=1e-12)
         assert rows[0]["AVG(ts)"] == pytest.approx(sum(ts) / len(ts), rel=1e-12)
         assert rows[0]["COUNT(ts)"] == rows[0]["COUNT(*)"] == len(ts)
@@ -387,7 +400,7 @@ class TestSumPastInt64:
 
     def test_latency_alone_still_folds_from_the_sma(self, wide_env):
         sql = "SELECT SUM(latency) FROM request_log WHERE tenant_id = 1 AND latency >= 0"
-        rows, stats = wide_env.run(sql, level=3)
+        rows, stats = wide_env.run(sql)
         assert rows[0]["SUM(latency)"] == sum(r["latency"] for r in wide_env.rows)
         assert stats.pushdown.agg_sma_blocks == 1
 
@@ -403,8 +416,7 @@ class TestPlanTimeValidation:
 
     def test_min_max_count_on_string_allowed(self, env):
         rows, _stats = env.run(
-            "SELECT MIN(ip), MAX(ip), COUNT(ip) FROM request_log WHERE tenant_id = 2",
-            level=3,
+            "SELECT MIN(ip), MAX(ip), COUNT(ip) FROM request_log WHERE tenant_id = 2"
         )
         ips = [r["ip"] for r in env.rows if r["tenant_id"] == 2]
         assert rows == [
@@ -415,17 +427,10 @@ class TestPlanTimeValidation:
 class TestCounters:
     def test_pushdown_counters_merge_and_dict(self):
         first = PushdownCounters(agg_catalog_hits=1, agg_sma_blocks=2)
-        second = PushdownCounters(agg_columnar_blocks=3, agg_row_blocks=4)
+        second = PushdownCounters(agg_sma_blocks=1, agg_columnar_blocks=3)
         first.merge(second)
         assert first.as_dict() == {
             "agg_catalog_hits": 1,
-            "agg_sma_blocks": 2,
+            "agg_sma_blocks": 3,
             "agg_columnar_blocks": 3,
-            "agg_row_blocks": 4,
         }
-
-    def test_level0_counts_row_blocks(self, env):
-        sql = "SELECT COUNT(*) FROM request_log WHERE tenant_id = 2"
-        _rows, stats = env.run(sql, level=0)
-        assert stats.pushdown.agg_row_blocks > 0
-        assert stats.pushdown.agg_catalog_hits == 0

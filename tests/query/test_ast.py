@@ -24,13 +24,14 @@ from repro.query.ast import (
     extract_eq,
     extract_ts_range,
 )
-from repro.query.kernels import filter_rows
+from repro.query.kernels import filter_chunk
+from repro.rowstore.batch import RowBatch
 
 
 def holds(expr, row=None) -> bool:
-    """``expr`` over one dict row (``ROW`` by default), through the
-    column-mask evaluator."""
-    return bool(filter_rows(expr, [ROW if row is None else row]))
+    """``expr`` over one row (``ROW`` by default) as a chunk, through
+    the column-mask evaluator."""
+    return bool(len(filter_chunk(expr, RowBatch.from_dicts([ROW if row is None else row]))))
 
 
 ROW = {"tenant_id": 3, "ts": 100, "ip": "1.2.3.4", "latency": 50, "log": "error timeout", "nullable": None}

@@ -8,6 +8,9 @@ from repro.common.errors import QueryError, SqlParseError
 from repro.query.aggregate import Aggregator
 from repro.query.distinct import ExactDistinct, HyperLogLog
 from repro.query.sql import parse_sql
+from repro.rowstore.batch import RowBatch
+
+from tests.oracle import fold
 
 
 class TestHyperLogLog:
@@ -99,30 +102,42 @@ class TestSqlIntegration:
         assert q.select[0].distinct
         assert q.select[0].label() == "COUNT(DISTINCT ip)"
 
+    @staticmethod
+    def results(sql: str, rows: list[dict]) -> list[dict]:
+        """The chunk fold of ``rows``, checked against the per-row fold."""
+        agg = Aggregator(parse_sql(sql))
+        agg.consume_many(RowBatch.from_dicts(rows))
+        assert agg.results() == fold(parse_sql(sql), rows)
+        return agg.results()
+
     def test_count_distinct(self):
-        agg = Aggregator(parse_sql("SELECT COUNT(DISTINCT ip) FROM t"))
-        agg.consume_many(self.ROWS)
-        assert agg.results() == [{"COUNT(DISTINCT ip)": 3}]  # nulls excluded
+        rows = self.results("SELECT COUNT(DISTINCT ip) FROM t", self.ROWS)
+        assert rows == [{"COUNT(DISTINCT ip)": 3}]  # nulls excluded
 
     def test_count_distinct_group_by(self):
-        agg = Aggregator(
-            parse_sql("SELECT api, COUNT(DISTINCT ip) FROM t GROUP BY api")
-        )
-        agg.consume_many(self.ROWS)
-        by_api = {r["api"]: r["COUNT(DISTINCT ip)"] for r in agg.results()}
+        rows = self.results("SELECT api, COUNT(DISTINCT ip) FROM t GROUP BY api", self.ROWS)
+        by_api = {r["api"]: r["COUNT(DISTINCT ip)"] for r in rows}
         assert by_api == {"/x": 3, "/y": 1}
 
     def test_approx_count_distinct(self):
-        agg = Aggregator(parse_sql("SELECT APPROX_COUNT_DISTINCT(ip) FROM t"))
-        agg.consume_many(self.ROWS)
-        assert agg.results() == [{"APPROX_COUNT_DISTINCT(ip)": 3}]
+        rows = self.results("SELECT APPROX_COUNT_DISTINCT(ip) FROM t", self.ROWS)
+        assert rows == [{"APPROX_COUNT_DISTINCT(ip)": 3}]
+
+    def test_nan_counts_once_per_row_and_zero_once(self):
+        """A NaN equals nothing, itself included; -0.0 equals 0.0."""
+        nan = float("nan")
+        rows = [{"f": value} for value in (nan, nan, None, -0.0, 0.0, nan)]
+        sql = "SELECT COUNT(DISTINCT f), APPROX_COUNT_DISTINCT(f) FROM t"
+        assert self.results(sql, rows) == [
+            {"COUNT(DISTINCT f)": 4, "APPROX_COUNT_DISTINCT(f)": 2}
+        ]
 
     def test_merge_across_shards(self):
         query = parse_sql("SELECT COUNT(DISTINCT ip), APPROX_COUNT_DISTINCT(api) FROM t")
         left = Aggregator(query)
-        left.consume_many(self.ROWS[:2])
+        left.consume_many(RowBatch.from_dicts(self.ROWS[:2]))
         right = Aggregator(query)
-        right.consume_many(self.ROWS[2:])
+        right.consume_many(RowBatch.from_dicts(self.ROWS[2:]))
         left.merge(right)
         row = left.results()[0]
         assert row["COUNT(DISTINCT ip)"] == 3

@@ -154,7 +154,7 @@ class TestRealtimeFilter:
             "SELECT log FROM request_log WHERE tenant_id = 1 AND latency >= 400"
         ))
         realtime = make_rows(20, tenant_id=1, seed=99)
-        got = filter_realtime_rows(plan, realtime).to_dicts()
+        got = filter_realtime_rows(plan, realtime).project(plan.output_columns).to_dicts()
         expected = [{"log": r["log"]} for r in realtime if r["latency"] >= 400]
         assert got == expected
 

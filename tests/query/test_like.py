@@ -12,7 +12,8 @@ from repro.logblock.pruning import (
 )
 from repro.logblock.schema import ColumnType
 from repro.query.ast import Like
-from repro.query.kernels import filter_rows
+from repro.query.kernels import filter_chunk
+from repro.rowstore.batch import RowBatch
 from repro.query.sql import parse_sql
 
 from tests.conftest import make_rows, write_logblock
@@ -50,7 +51,7 @@ class TestPrefixPredicate:
     def test_row_eval_matches_predicate(self):
         expr = Like("api", "/api/v1")
         rows = [{"api": "/api/v1/x"}, {"api": "/API/V1/x"}, {"api": "/apiv1"}, {"api": None}]
-        assert filter_rows(expr, rows) == rows[:1]
+        assert filter_chunk(expr, RowBatch.from_dicts(rows)).to_dicts() == rows[:1]
 
     def test_sma_pruning_sound_on_mixed_case(self):
         from repro.logblock.sma import compute_sma

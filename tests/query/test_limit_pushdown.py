@@ -104,15 +104,14 @@ class TestEarlyTermination:
         assert stats.blocks_visited == 6
 
     def test_results_respect_final_limit(self, env):
-        """The broker-side apply_order_limit still trims to the limit."""
-        from repro.query.aggregate import apply_order_limit
+        """The broker-side result tail still trims to the limit."""
+        from repro.query.aggregate import result_rows
 
         _rows, planner, executor = env
         parsed = parse_sql("SELECT ts FROM request_log WHERE tenant_id = 1 LIMIT 7")
         plan = planner.plan(parsed)
         got, _stats = executor.execute(plan)
-        final = apply_order_limit(parsed, got.to_dicts())
-        assert len(final) == 7
+        assert len(result_rows(parsed, got)) == 7
 
     def test_realtime_shard_short_circuit(self):
         """The broker stops scanning row stores once LIMIT is satisfied."""
@@ -233,7 +232,7 @@ def dedup_sink(executor, plan):
     plan = replace(plan, dedup=DedupSpec("ip", "latency"))
     dedup, stats = executor.execute_dedup(plan)
     yield len(dedup), stats
-    yield executor.materialize_dedup(plan, dedup, stats), stats
+    yield executor.materialize_dedup(plan, dedup, stats).to_dicts(), stats
 
 
 SELECTIVE = "FROM request_log WHERE tenant_id = 1 AND latency >= 100"
@@ -244,16 +243,7 @@ SINKS = {
         "SELECT ts FROM request_log WHERE tenant_id = 1 AND fail = 'true' LIMIT 40",
         {},
     ),
-    "agg-level-0": (
-        aggregate_sink,
-        f"SELECT ip, COUNT(*), AVG(latency) {SELECTIVE} GROUP BY ip",
-        {"agg_pushdown_level": 0},
-    ),
-    "agg-level-3": (
-        aggregate_sink,
-        f"SELECT ip, COUNT(*), AVG(latency) {SELECTIVE} GROUP BY ip",
-        {"agg_pushdown_level": 3},
-    ),
+    "agg": (aggregate_sink, f"SELECT ip, COUNT(*), AVG(latency) {SELECTIVE} GROUP BY ip", {}),
     "dedup": (dedup_sink, f"SELECT ip, latency, log {SELECTIVE}", {}),
 }
 

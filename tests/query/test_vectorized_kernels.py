@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
 from repro.logblock.schema import ColumnSpec, ColumnType, IndexType, TableSchema
-from repro.query.aggregate import apply_order_limit
+from repro.query.aggregate import result_rows
 from repro.query.ast import (
     And,
     Between,
@@ -247,7 +247,8 @@ class TestShapesOnceInterpreted:
             )
         )
         stats = ExecutionStats()
-        got = filter_realtime_rows(rows=iter(rows), plan=plan, stats=stats).to_dicts()
+        got = filter_realtime_rows(rows=iter(rows), plan=plan, stats=stats)
+        got = got.project(plan.output_columns).to_dicts()
         assert got == [{"log": row["log"]} for row in rows if matches(plan.where, row)]
         assert stats.realtime_rows_vectorized == len(rows)
 
@@ -270,7 +271,8 @@ class TestRealtimeFilterParity:
             )
         )
         stats = ExecutionStats()
-        got = filter_realtime_rows(plan, iter(rows), limit=limit, stats=stats).to_dicts()
+        got = filter_realtime_rows(plan, iter(rows), limit=limit, stats=stats)
+        got = got.project(plan.output_columns).to_dicts()
         oracle = [
             {"ts": row["ts"], "log": row["log"]}
             for row in rows
@@ -432,12 +434,12 @@ class TestTopK:
     def test_mixed_types_fall_back(self):
         assert top_k_order([1, "a", None], desc=False, limit=None) is None
 
-    def test_apply_order_limit_parity(self):
+    def test_result_rows_parity(self):
         query = parse_sql(
-            "SELECT ts FROM request_log WHERE tenant_id = 1 ORDER BY latency DESC LIMIT 5"
+            "SELECT * FROM request_log WHERE tenant_id = 1 ORDER BY latency DESC LIMIT 5"
         )
         rows = [{"latency": v, "row": i} for i, v in enumerate([3, None, 9, 1, 9, None, 4])]
         expected = sorted(
             rows, key=lambda row: (row["latency"] is None, row["latency"]), reverse=True
         )[:5]
-        assert apply_order_limit(query, rows) == expected
+        assert result_rows(query, RowBatch.from_dicts(rows)) == expected

@@ -16,14 +16,19 @@ from hypothesis import strategies as st
 
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
-from repro.query.dedup import (
-    LatestVersionDedup,
-    apply_window,
-    window_dedup_rows,
-)
+from repro.query.dedup import LatestVersionDedup, apply_window
 from repro.query.sql import WindowFunc, parse_sql
+from repro.rowstore.batch import RowBatch
 
 # -- pure-function differential: operator vs window ranking ---------------
+
+
+def window_dedup_rows(rows: list[dict], key_column: str, version_column: str) -> list[dict]:
+    """The operator's tournament over dict rows, in stream order."""
+    dedup = LatestVersionDedup()
+    for row in rows:
+        dedup.offer(row.get(key_column), row.get(version_column), row)
+    return [entry.payload for entry in dedup.winners()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -42,7 +47,7 @@ def test_operator_matches_window_rank_one(triples):
         for seq, (key, version) in enumerate(triples)
     ]
     window = WindowFunc(partition_by="k", order_by="v", order_desc=True, alias="rn")
-    ranked = apply_window(rows, window)
+    ranked = apply_window(RowBatch.from_dicts(rows), window).to_dicts()
     naive = [dict(row) for row in ranked if row["rn"] == 1]
     for row in naive:
         row.pop("rn")

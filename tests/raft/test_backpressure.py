@@ -89,19 +89,19 @@ class TestBackpressureController:
         controller = self._controller(queue)
         for _ in range(9):
             queue.push(b"x")
-        assert controller.update() == pytest.approx(0.5)
-        assert controller.update() == pytest.approx(0.25)
+        assert controller.reevaluate() == pytest.approx(0.5)
+        assert controller.reevaluate() == pytest.approx(0.25)
 
     def test_recovers_when_drained(self):
         queue = BoundedQueue("q", max_items=10, max_bytes=10**9)
         controller = self._controller(queue)
         for _ in range(9):
             queue.push(b"x")
-        controller.update()
+        controller.reevaluate()
         queue.drain()
-        assert controller.update() == pytest.approx(0.7)
+        assert controller.reevaluate() == pytest.approx(0.7)
         for _ in range(3):
-            controller.update()
+            controller.reevaluate()
         assert controller.throttle == 1.0
 
     def test_hysteresis_band_freezes(self):
@@ -110,7 +110,7 @@ class TestBackpressureController:
         for _ in range(7):  # 0.7: between low (0.5) and high (0.8)
             queue.push(b"x")
         before = controller.throttle
-        assert controller.update() == before
+        assert controller.reevaluate() == before
 
     def test_floor_at_one_percent(self):
         queue = BoundedQueue("q", max_items=2, max_bytes=10**9)
@@ -118,7 +118,7 @@ class TestBackpressureController:
         queue.push(b"a")
         queue.push(b"b")
         for _ in range(20):
-            controller.update()
+            controller.reevaluate()
         assert controller.throttle >= 0.01
 
     def test_validation(self):

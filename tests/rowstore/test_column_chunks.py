@@ -159,7 +159,7 @@ class TestStoreVersusOracle:
             column = selection.column(name) or [None] * len(expected)
             assert column == [row.get(name) for row in expected]
         hits = np.arange(0, len(expected), 2)
-        assert selection.take(hits, ["x", "ts"]).to_dicts() == [
+        assert selection.pick(hits).project(["x", "ts"]).to_dicts() == [
             {"x": row.get("x"), "ts": row["ts"]} for row in expected[::2]
         ]
         assert store.tenants() == {row["tenant_id"] for batch in batches for row in batch}
