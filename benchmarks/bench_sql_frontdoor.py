@@ -8,8 +8,9 @@ LatestVersionDedup operator, which scans only the narrow
 ``(run_id, version)`` columns and fetches the wide payload column for
 winners alone — superseded versions never leave object storage.
 
-This bench runs the same dashboard query with the rewriter on and off
-against an archived history whose wide trace payloads make the scan
+This bench runs the same dashboard query as the broker plans it and as
+the naive plan (the inner scan's every version through the store, then
+ranked and filtered in Python) against an archived history whose wide trace payloads make the scan
 bandwidth-bound (large LogBlocks over an OSS-like cost model), and
 asserts:
 
@@ -34,6 +35,9 @@ from harness import emit
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
 from repro.oss.costmodel import OssCostModel
+from repro.query.dedup import naive_scan_query, run_window_query
+from repro.query.sql import parse_sql
+from repro.rowstore.batch import RowBatch
 
 QUICK = os.environ.get("BENCH_QUICK") == "1"
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_frontdoor.json")
@@ -107,25 +111,24 @@ def loaded_store():
     return store, session
 
 
-def run_arm(store, session, use_rewrite: bool):
-    options = store.brokers[0].options
+def run_naive(store, session):
+    """The naive plan: ``(rows, the scan's result)`` of every version
+    scanned, then the window ranked and filtered over that chunk."""
     store.cache.clear()  # both arms pay cold-cache I/O
-    options.use_semantic_rewrite = use_rewrite
-    try:
-        result = session.execute(DASHBOARD)
-    finally:
-        options.use_semantic_rewrite = True
-    return result
+    parsed = parse_sql(DASHBOARD)
+    naive = store.query(naive_scan_query(parsed), tenant_scope=session.tenant_id)
+    return run_window_query(parsed, RowBatch.from_dicts(naive.rows)), naive
 
 
 def test_dashboard_rewrite_vs_naive(loaded_store, capsys):
     store, session = loaded_store
-    fast = run_arm(store, session, use_rewrite=True)
-    naive = run_arm(store, session, use_rewrite=False)
+    store.cache.clear()
+    fast = session.execute(DASHBOARD)
+    rows, naive = run_naive(store, session)
 
     # Correctness first: the rewrite must never change the answer.
-    assert fast.rows == naive.rows
-    assert repr(fast.rows) == repr(naive.rows)
+    assert fast.rows == rows
+    assert repr(fast.rows) == repr(rows)
     assert len(fast.rows) == RUNS
     assert fast.plan.dedup is not None and "latest_by_key" in fast.plan.rewrites
     assert naive.plan.dedup is None and naive.plan.rewrites == []
@@ -171,23 +174,9 @@ def test_dashboard_rewrite_vs_naive(loaded_store, capsys):
         f"{RUNS} runs x {VERSIONS} versions)",
         f"{'plan':<10} {'bytes fetched':>14} {'latency':>10} {'rows':>6}",
         f"{'naive':<10} {naive.bytes_fetched:>14,} {naive.latency_s:>9.3f}s "
-        f"{len(naive.rows):>6}",
+        f"{len(rows):>6}",
         f"{'rewrite':<10} {fast.bytes_fetched:>14,} {fast.latency_s:>9.3f}s "
         f"{len(fast.rows):>6}",
         f"ratios: {byte_ratio:.1f}x fewer bytes, {latency_ratio:.1f}x faster "
         "(byte-identical rows)",
     )
-
-
-def test_rewrite_disabled_store_still_correct(loaded_store):
-    """A cluster configured with use_semantic_rewrite=False plans the
-    naive path end to end — the flag is honored from config to EXPLAIN."""
-    store, session = loaded_store
-    options = store.brokers[0].options
-    options.use_semantic_rewrite = False
-    try:
-        text = store.explain(DASHBOARD, tenant_scope=1)
-        assert "naive window materialization" in text
-        assert "semantic rewrites" not in text
-    finally:
-        options.use_semantic_rewrite = True

@@ -289,10 +289,7 @@ class Broker:
         tracer = self._obs.tracer
         with tracer.span("broker.query", broker=self.broker_id) as query_span:
             with tracer.span("broker.plan"):
-                parsed = parsed_input
-                rewrites: list[str] = []
-                if self.options.use_semantic_rewrite:
-                    parsed, rewrites = self._rewriter.rewrite(parsed)
+                parsed, rewrites = self._rewriter.rewrite(parsed_input)
                 # The naive window fallback scans every version of every
                 # column of the inner query; `outer` keeps the original
                 # two-level query for post-scan materialization.

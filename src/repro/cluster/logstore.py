@@ -475,11 +475,7 @@ class LogStore:
             if tenant_scope is not None:
                 lines.append(f"scope: tenant {tenant_scope} rows only")
             return "\n".join(lines)
-        rewrites: list[str] = []
-        # Read the *live* execution option, not the construction-time
-        # config — benchmarks toggle the shared options object directly.
-        if self._broker().options.use_semantic_rewrite:
-            parsed, rewrites = SemanticRewriter().rewrite(parsed)
+        parsed, rewrites = SemanticRewriter().rewrite(parsed)
         notes: list[str] = []
         if parsed.subquery is not None:
             window = parsed.subquery.window

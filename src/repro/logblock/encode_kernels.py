@@ -14,9 +14,10 @@ Byte-identity is the contract, checked three ways:
   byte layout (same null bitsets, same dictionary sort, same LEB128
   codes, same sequential float accumulation for SMA sums);
 * fallback — shapes whose vectorized result could diverge (NaN or
-  signed-zero float SMAs, ints stored in FLOAT64 columns, unsupported
-  or overflowing values) raise :class:`EncodeFallback` or return the
-  interpreted result;
+  signed-zero float SMAs, unsupported or overflowing values) raise
+  :class:`EncodeFallback` or return the interpreted result; a FLOAT64
+  column's ints reach both encoders as floats (:func:`column_array`),
+  so they are no such shape;
 * tests — differential + hypothesis suites compare whole packed
   LogBlocks member-by-member across both modes.
 
@@ -120,12 +121,6 @@ class PreparedColumn:
     column: np.ndarray  # the input: typed vector or object array (column_array)
     null_mask: np.ndarray  # bool, one per row
     vector: np.ndarray  # int64/float64/bool vector; object array for STRING
-    # SMA fast path eligibility is a column-level property (e.g. a
-    # FLOAT64 column holding python ints must keep the oracle's
-    # value-kind-preserving min/max); per-block hazards (NaN, -0.0) are
-    # detected inside compute_sma_range.
-    sma_vectorized: bool = True
-    sma_reason: str | None = None
 
     @cached_property
     def values(self) -> list:
@@ -181,13 +176,23 @@ _EXACT = {
 }
 
 
+_FLOAT_OR_NULL = frozenset((float, type(None)))
+
+
 def column_array(values: list, ctype: ColumnType) -> np.ndarray:
     """A value list in :func:`prepare_column`'s one input form: the
     typed vector when every value has exactly the column's Python type
     (``int`` within int64, ``float``, ``bool``; no null), else an object
-    array of the values as they are."""
+    array of the values as they are.  A FLOAT64 column's ints are taken
+    as the floats the column stores, for every encoder alike."""
     exact = _EXACT.get(ctype)
-    if exact is not None and set(map(type, values)) <= exact:
+    if exact is None:  # STRING
+        return _object_array(values)
+    kinds = set(map(type, values))
+    if ctype is ColumnType.FLOAT64 and not kinds <= _FLOAT_OR_NULL:
+        values = [float(v) if isinstance(v, int) and type(v) is not bool else v for v in values]
+        kinds = set(map(type, values))
+    if kinds <= exact:
         try:
             return np.array(values, dtype=VECTOR_DTYPES[ctype])
         except OverflowError:
@@ -247,21 +252,13 @@ def prepare_column(
         return PreparedColumn(ctype, column, null_mask, vector)
 
     if ctype is ColumnType.FLOAT64:
-        if not trusted and not vtypes <= {int, float}:
+        if not trusted and not vtypes <= {float}:  # ints came as floats (column_array)
             raise EncodeFallback("non-float value")
         try:
             vector, null_mask = _typed_vector(column, has_nulls, np.float64)
         except (OverflowError, TypeError, ValueError) as exc:
             raise EncodeFallback("float64 overflow") from exc
-        prep = PreparedColumn(ctype, column, null_mask, vector)
-        if not vtypes <= {float}:
-            # The oracle SMA keeps the *original* min/max objects, so a
-            # python int min serializes as KIND_INT; the float64 vector
-            # cannot reproduce that.  Encoding is unaffected (both
-            # paths store float64 bits).
-            prep.sma_vectorized = False
-            prep.sma_reason = "float column holds ints (sma)"
-        return prep
+        return PreparedColumn(ctype, column, null_mask, vector)
 
     if ctype is ColumnType.BOOL:
         if not trusted and not vtypes <= {bool}:
@@ -320,13 +317,8 @@ def compute_sma_range(
     prep: PreparedColumn, start: int, stop: int
 ) -> tuple[Sma, str | None]:
     """SMA of rows ``[start, stop)``: array fast path, oracle fallback."""
-    if prep.sma_vectorized:
-        sma = compute_sma_arrays(
-            prep.vector[start:stop], prep.null_mask[start:stop], prep.ctype
-        )
-        if sma is not None:
-            return sma, None
-        reason = "float sma needs sequential accumulation"
-    else:
-        reason = prep.sma_reason or "sma fallback"
+    sma = compute_sma_arrays(prep.vector[start:stop], prep.null_mask[start:stop], prep.ctype)
+    if sma is not None:
+        return sma, None
+    reason = "float sma needs sequential accumulation"
     return compute_sma(prep.values[start:stop], prep.ctype), reason

@@ -218,7 +218,8 @@ def compute_sma_arrays(
             return None
         min_value = float(present.min())
         max_value = float(present.max())
-        with np.errstate(over="ignore"):  # the oracle's float sum reaches inf silently
+        # The oracle's float sum reaches inf, and inf + -inf NaN, silently.
+        with np.errstate(over="ignore", invalid="ignore"):
             total = float(np.cumsum(np.concatenate((np.zeros(1), present)))[-1])
         return Sma(min_value, max_value, row_count, null_count, total)
 

@@ -275,10 +275,11 @@ class Aggregator:
             rows.append(row)
         # No ORDER BY (so ascending): groups come out in key order.
         by = self._query.order_by or self._group_by
-        if by is not None:
-            desc = self._query.order_desc
-            rows.sort(key=lambda row: (row.get(by) is None, row.get(by)), reverse=desc)
-        return rows if self._query.limit is None else rows[: self._query.limit]
+        if by is None:
+            return rows[: self._query.limit]
+        keys = [row.get(by) for row in rows]
+        order = top_k_order(keys, desc=self._query.order_desc, limit=self._query.limit)
+        return [rows[i] for i in order.tolist()]
 
 
 def order_limit(query: ParsedQuery, keys: list | None, count: int):
@@ -286,22 +287,13 @@ def order_limit(query: ParsedQuery, keys: list | None, count: int):
 
     ``keys`` is the ORDER BY column, one value per row (``None`` when no
     row carries it, which orders nothing).  ``None`` back means every
-    row, as it stands.  The sort runs through the argsort top-k kernel
-    (rank keys once, ``argpartition`` when a LIMIT bounds the output) —
-    identical ordering to the stable python sort, including null
-    placement and tie order.  Keys the kernel cannot rank (mixed
-    incomparable types, NaN) fall back to the python sort.
+    row, as it stands.  The order is :func:`top_k_order`'s, the one
+    order of every result.
     """
     limit = query.limit
     if query.order_by is None or keys is None:
         return None if limit is None or limit >= count else range(limit)
-    order = top_k_order(keys, desc=query.order_desc, limit=limit)
-    if order is not None:
-        return order.tolist()
-    order = sorted(
-        range(count), key=lambda i: (keys[i] is None, keys[i]), reverse=query.order_desc
-    )
-    return order if limit is None else order[:limit]
+    return top_k_order(keys, desc=query.order_desc, limit=limit).tolist()
 
 
 def result_rows(

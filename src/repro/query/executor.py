@@ -35,7 +35,8 @@ from repro.logblock.pruning import (
     evaluate_predicates,
     proves_all_match,
 )
-from repro.logblock.reader import LogBlockReader, RowSelection
+from repro.logblock.reader import LogBlockReader
+from repro.logblock.reader import RowSelection as BlockSelection
 from repro.logblock.schema import ColumnType, IndexType
 from repro.logblock.writer import (
     META_MEMBER,
@@ -66,7 +67,6 @@ class ExecutionOptions:
     use_prefetch: bool = True       # Figure 16: parallel prefetch on/off
     prefetch_threads: int = 32      # §6.3.2 "using 32 threads"
     prefetch_merge_gap: int = 4096
-    use_semantic_rewrite: bool = True  # frontdoor rewrite pass on/off
 
 
 # CPU cost model, charged to the same virtual clock as the I/O.  These
@@ -379,7 +379,7 @@ class BlockExecutor:
     def _prefetch_output_blocks(
         self,
         reader: LogBlockReader,
-        selection: RowSelection,
+        selection: BlockSelection,
         columns: list[str],
         stats: ExecutionStats,
     ) -> None:
@@ -441,12 +441,12 @@ class BlockExecutor:
         entry: LogBlockEntry,
         plan: QueryPlan,
         stats: ExecutionStats,
-    ) -> tuple[LogBlockReader, RowSelection]:
+    ) -> tuple[LogBlockReader, BlockSelection]:
         """Open one LogBlock and evaluate the predicate to its matched rows.
 
         The bitset becomes row ids, and those (block, offsets) groups,
         exactly once here; the count, the block prefetch and every
-        column read downstream share that one :class:`RowSelection`.
+        column read downstream share that one :class:`BlockSelection`.
         """
         if self.options.use_prefetch:
             pack = self._open_pack(entry)
@@ -552,7 +552,7 @@ class BlockExecutor:
         columns = plan.output_columns or plan.schema.column_names()
         limit = plan.row_limit
 
-        def sink(reader: LogBlockReader, matched: RowSelection) -> None:
+        def sink(reader: LogBlockReader, matched: BlockSelection) -> None:
             chunks.append(self._read_chunk(reader, matched, columns, stats))
 
         # LIMIT pushdown: enough rows, skip later blocks.
@@ -614,7 +614,7 @@ class BlockExecutor:
             else:
                 remaining.append(entry)
 
-        def sink(reader: LogBlockReader, matched: RowSelection) -> None:
+        def sink(reader: LogBlockReader, matched: BlockSelection) -> None:
             meta = reader.meta()
             if (
                 pushdown.sma_eligible
@@ -666,7 +666,7 @@ class BlockExecutor:
         spec = plan.dedup
         assert spec is not None
 
-        def sink(reader: LogBlockReader, matched: RowSelection) -> None:
+        def sink(reader: LogBlockReader, matched: BlockSelection) -> None:
             count = len(matched)
             keys, versions = self._read_chunk(
                 reader, matched, (spec.key_column, spec.version_column), stats, CPU_AGG_VALUES_PER_S

@@ -11,7 +11,8 @@ filter's winners and a window query's ranked rows; archived LogBlocks
 evaluate the same leaves one at a time in :mod:`repro.logblock.pruning`,
 after SMA and index skipping.
 
-:func:`top_k_order` is the argsort-based ORDER BY/LIMIT kernel.
+:func:`top_k_order` is the argsort-based ORDER BY / LIMIT kernel and the one
+sort of every result, GROUP BY groups included.
 """
 
 from __future__ import annotations
@@ -90,47 +91,48 @@ def filter_chunk(expr: Expr, chunk: RowBatch) -> RowBatch:
 # -- ORDER BY / LIMIT top-k --------------------------------------------------
 
 
-def top_k_order(keys: list, desc: bool = False, limit: int | None = None) -> np.ndarray | None:
-    """Stable sort order over ``keys`` as row indices, or ``None``.
+_INT, _FLOAT = {int}, {float}
+_NEVER_NAN = frozenset((int, bool, str, bytes))  # kinds that are never NaN nor null
 
-    Reproduces exactly ``sorted(key=(k is None, k), reverse=desc)`` —
-    ascending puts nulls last, descending puts them first, and ties keep
-    their original order (python's stable sort never reverses equal
-    elements, even with ``reverse=True``).  Keys are ranked through
-    ``np.unique`` — on an int64 / float64 array when they are all
-    ``int`` or all ``float``, else on an object array — and packed with
-    their index into one int64 sort key, so a LIMIT takes the
-    ``argpartition`` top-k path instead of a full sort.  Returns
-    ``None`` when the keys are not vector-sortable (mixed incomparable
-    types, a NaN, an int beyond int64) — callers fall back to python sort.
+
+def top_k_order(keys: list, desc: bool = False, limit: int | None = None) -> np.ndarray:
+    """The ORDER BY / GROUP BY output order of ``keys`` as row indices,
+    the first ``limit`` of them when a limit is given.
+
+    One total order: values ascending as Python compares them (-0.0
+    ties with 0.0, an int with its float), then NaN (above +inf, as the
+    numeric indexes store it), then NULL; ``desc`` reverses it, so nulls
+    come first.  Ties keep their arrival order either way.  Values are
+    ranked through ``np.unique`` — on an int64 / float64 array when they
+    are all ``int`` within int64 or all ``float``, else on an object
+    array, which raises :class:`TypeError` on an incomparable mix as
+    Python's sort does — and packed with their index into one int64
+    sort key, so a LIMIT takes the ``argpartition`` top-k path instead
+    of a full sort.
     """
     count = len(keys)
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
     kinds = set(map(type, keys))
-    if type(None) in kinds:
-        null_mask = np.fromiter((k is None for k in keys), dtype=bool, count=count)
-        keys = [k for k in keys if k is not None]
-        kinds.discard(type(None))
-    else:
-        null_mask = np.zeros(count, dtype=bool)
-    if float in kinds and any(k != k for k in keys if type(k) is float):
-        return None  # no order on NaN that a different sort reproduces
-    dtype = np.int64 if kinds == {int} else np.float64 if kinds == {float} else object
+    dtype = np.int64 if kinds == _INT else np.float64 if kinds == _FLOAT else object
     try:
-        ranked, inverse = np.unique(np.array(keys, dtype=dtype), return_inverse=True)
-    except (TypeError, ValueError, OverflowError):  # last: an int beyond int64
-        return None
-    distinct = len(ranked)
-    score = np.empty(count, dtype=np.int64)
-    if desc:
-        # Python's (is_none, key) tuple with reverse=True sorts nulls
-        # first, then values descending.
-        score[null_mask] = 0
-        score[~null_mask] = distinct - inverse.astype(np.int64)
+        values = np.fromiter(keys, dtype=dtype, count=count)
+    except OverflowError:  # an int beyond int64: compared exactly
+        values = np.fromiter(keys, dtype=object, count=count)
+    tier = None  # 0 a value, 1 a NaN, 2 a null
+    if dtype is np.float64:
+        nans = np.isnan(values)
+        tier = nans.astype(np.int64) if nans.any() else None
+    elif not kinds <= _NEVER_NAN:
+        tier = np.fromiter((2 if k is None else k != k for k in keys), dtype=np.int64, count=count)
+    if tier is None:
+        ranked, score = np.unique(values, return_inverse=True)
     else:
-        score[null_mask] = distinct
-        score[~null_mask] = inverse.astype(np.int64)
+        present = tier == 0
+        ranked, inverse = np.unique(values[present], return_inverse=True)
+        score = tier + (len(ranked) - 1)  # a NaN above every value, a null above that
+        score[present] = inverse
+    distinct = len(ranked)
+    if desc:
+        score = distinct + 1 - score
     combined = score * np.int64(count + 1) + np.arange(count, dtype=np.int64)
     if limit is not None and 0 < limit < count:
         top = np.argpartition(combined, limit - 1)[:limit]

@@ -24,9 +24,11 @@ this unit (DESIGN.md §3, "Write path: admit once").
 **Value rule.**  Admission keeps each column in the typed form its
 check builds: a column of ``int`` within int64 as an ``array('q')``, of
 ``float`` as float64, of ``bool`` as bytes, of ``str`` as the UTF-8 of
-the values joined by NUL.  Any column that is not purely one of these
-kinds — nulls, a FLOAT64 column that holds ints and floats, text
-holding a NUL, any column of a batch admitted with no schema — uses a
+the values joined by NUL.  A schema FLOAT64 column's ints are admitted
+as floats, as the LogBlock writer stores them, so a row reads the same
+value and type realtime and archived.  Any column that is not purely
+one of these kinds — nulls, text holding a NUL, a mix in a column of a
+batch admitted with no schema — uses a
 closed, tagged value encoding: ``None``, ``bool``, ``int`` of any size,
 ``float``, ``str``, ``bytes``, ``bytearray``, and ``list`` / ``dict`` of
 these.  Any other value is refused at admission with
@@ -414,6 +416,14 @@ def _check_utf8(name: str, column: list, kinds: set) -> None:
             raise InvalidBatchError(f"column {name!r} holds text with no UTF-8 encoding") from None
 
 
+def _floats(name: str, column: list) -> list:
+    """A FLOAT64 column's values as the floats it stores, its ints
+    within int64 (validated: every value is a number or a null)."""
+    if _ints_part([v for v in column if isinstance(v, int)]) is None:
+        raise _beyond_int64(name)
+    return [None if v is None else float(v) for v in column]
+
+
 def _column_part(name, column: list, kinds: set, takes: frozenset = _NOTHING) -> tuple:
     """``(part, nbytes)`` of one column: its typed form per the value
     rule, and its payload estimate.  ``takes`` — the schema column's
@@ -646,6 +656,9 @@ class RowBatch:
                         schema.validate_columns({name: column})
                     except SchemaError as exc:
                         raise InvalidBatchError(str(exc)) from None
+                if float in takes and not kinds <= _NEVER_INT:
+                    columns[i] = column = _floats(name, column)
+                    kinds = set(map(type, column))
                 part, size = _column_part(name, column, kinds, takes)
             if not kinds <= _KEPT_TYPES:  # carried as the base types
                 columns[i] = column = _decode_part(part, count)

@@ -24,4 +24,4 @@ def test_logstore_config_field_count():
 
 
 def test_execution_options_field_count():
-    assert len(fields(ExecutionOptions)) == 6, HINT
+    assert len(fields(ExecutionOptions)) == 5, HINT

@@ -15,6 +15,7 @@ from repro import LogStore, small_test_config
 from repro.rowstore import MemTable, RowBatch
 
 from tests.conftest import make_rows
+from tests.oracle import naive_window_query
 
 INSERT = "INSERT INTO request_log (ts, ip, api, latency, fail, log) VALUES " + ", ".join(
     ["(?, ?, ?, ?, ?, ?)"] * 4
@@ -140,15 +141,15 @@ def test_dedup_and_window_queries_build_dicts_for_their_result_rows_only():
         insert.execute((f"run-{seq % 4}", f"s{seq}"))
         if seq == 20:
             store.flush_all()  # winners and losers both archived and realtime
-    options = store.brokers[0].options
-    for rewrite in (True, False):
-        options.use_semantic_rewrite = rewrite
+    naive, _ = naive_window_query(store, LATEST, tenant_scope=1)
+    # ``rn <= 1`` means ``rn = 1`` but takes no rewrite: the window path.
+    for sql, rewritten in ((LATEST, True), (LATEST.replace("rn = 1", "rn <= 1"), False)):
         with DictsBuilt() as built:
-            result = store.query(LATEST, tenant_scope=1)
-        assert ("latest_by_key" in result.plan.rewrites) == rewrite
+            result = store.query(sql, tenant_scope=1)
+        assert ("latest_by_key" in result.plan.rewrites) == rewritten
         assert len(result.rows) == 4 and built.count == result.stats.rows_materialized == 4
         assert {row["run_id"]: row["status"] for row in result.rows}["run-3"] == "s27"
-    options.use_semantic_rewrite = True
+        assert result.rows == naive
 
 
 def test_system_table_query_builds_only_its_result_rows():

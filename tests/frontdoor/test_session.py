@@ -187,14 +187,11 @@ class TestRewriteVisibility:
         assert "latest-version dedup: partition by run_id order by version desc" in text
         assert "session scope: tenant 1" in text
 
-    def test_explain_naive_when_rewrite_disabled(self, store, session):
-        store.brokers[0].options.use_semantic_rewrite = False
-        try:
-            text = store.explain(LATEST)
-            assert "naive window materialization" in text
-            assert "semantic rewrites" not in text
-        finally:
-            store.brokers[0].options.use_semantic_rewrite = True
+    def test_explain_naive_when_no_rule_applies(self, store, session):
+        # rn = 2 ("previous version") takes no rewrite.
+        text = store.explain(LATEST.replace("rn = 1", "rn = 2"))
+        assert "naive window materialization" in text
+        assert "semantic rewrites" not in text
 
     def test_rewrites_are_counted(self, store, session):
         session.execute("INSERT INTO workflow_runs (run_id) VALUES ('r')")

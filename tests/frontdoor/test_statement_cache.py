@@ -111,6 +111,9 @@ def reference_rows(store, session, parsed: ParsedInsert):
         if version_spec is not None and row[version_spec.version_column] is None:
             row[version_spec.version_column] = stamper.next()
         schema.validate_row(row)
+        for spec in schema.columns:  # a FLOAT64 column's ints are admitted as floats
+            if spec.ctype is ColumnType.FLOAT64 and isinstance(row[spec.name], int):
+                row[spec.name] = float(row[spec.name])
         versions.append(
             row[version_spec.version_column] if version_spec is not None else None
         )

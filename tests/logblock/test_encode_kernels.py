@@ -6,6 +6,8 @@ LogBlock — must equal the interpreted reference encoder's output
 (``LogBlockWriter(vectorized=False)``, a seam only these tests reach).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -107,7 +109,7 @@ class TestPrepareColumn:
     def test_float_gate(self):
         with pytest.raises(EncodeFallback, match="non-float"):
             prepare([1.0, "x"], ColumnType.FLOAT64)
-        prepare([1.0, 2, None], ColumnType.FLOAT64)  # ints allowed
+        prepare([1.0, 2, None], ColumnType.FLOAT64)  # ints arrive as floats
 
     def test_bool_and_str_gates(self):
         with pytest.raises(EncodeFallback, match="non-bool"):
@@ -125,12 +127,13 @@ class TestPrepareColumn:
         assert list(prep.null_mask) == [False, True, False]
         assert prep.vector.dtype == np.int64
 
-    def test_float_column_with_ints_disables_sma_fast_path(self):
+    def test_float_column_with_ints_is_a_float_column(self):
         prep = prepare([1, 2.5, None], ColumnType.FLOAT64)
-        assert not prep.sma_vectorized
-        # ...but block encoding is still vectorized (float64 bits match).
+        sma, reason = compute_sma_range(prep, 0, 3)
+        assert reason is None and repr((sma.min_value, sma.max_value)) == "(1.0, 2.5)"
+        assert sma_bytes(sma) == sma_bytes(compute_sma([1.0, 2.5, None], ColumnType.FLOAT64))
         assert encode_block_range(prep, 0, 3) == encode_block(
-            [1, 2.5, None], ColumnType.FLOAT64
+            [1.0, 2.5, None], ColumnType.FLOAT64
         )
 
 
@@ -289,15 +292,14 @@ class TestSmaDifferential:
         sma, _reason = compute_sma_range(prep, 0, 2)
         assert sma_bytes(sma) == sma_bytes(compute_sma(values, ColumnType.FLOAT64))
 
-    def test_float_column_with_ints_preserves_value_kind(self):
-        # min is a python int: the oracle serializes it as an int; the
-        # vectorized path must defer to it.
-        values = [3, 7.5, None]
+    def test_opposite_infinities_sum_to_nan_silently(self):
+        values = [float("inf"), 2.0, float("-inf")]
         prep = prepare(values, ColumnType.FLOAT64)
-        sma, reason = compute_sma_range(prep, 0, 3)
-        assert reason is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sma, reason = compute_sma_range(prep, 0, 3)
+        assert reason is None
         assert sma_bytes(sma) == sma_bytes(compute_sma(values, ColumnType.FLOAT64))
-        assert isinstance(sma.min_value, int)
 
     def test_int_sum_near_overflow(self):
         big = 2**62

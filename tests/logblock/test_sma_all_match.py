@@ -379,7 +379,8 @@ class TestHazards:
 
     @pytest.mark.parametrize("scores", [[2, math.nan, 2], [2, math.nan, 2, 2]])
     def test_nan_rows_are_not_claimed_by_int_bounds(self, scores):
-        """FLOAT64 accepts ints: bounds 2..2 (ints) with a NaN between.
+        """FLOAT64 takes ints, as the floats it stores: bounds 2.0..2.0
+        with a NaN between, probed with int literals.
 
         The NaN sum gives the column away, but the column type alone
         refuses the proof.
@@ -387,7 +388,7 @@ class TestHazards:
         rows = constant_rows(score=scores)
         reader = block_reader(rows)
         sma = reader.meta().column_sma("score")
-        assert type(sma.min_value) is int and sma.min_value == sma.max_value == 2
+        assert repr((sma.min_value, sma.max_value)) == "(2.0, 2.0)"
         assert math.isnan(sma.sum_value)
         expected = [i for i, row in enumerate(rows) if row["score"] == 2]
         assert 0 < len(expected) < N_ROWS

@@ -1,10 +1,12 @@
-"""The per-row meaning of a WHERE clause and of an aggregate, for the
-differential suites.
+"""The per-row meaning of a WHERE clause, of an aggregate, of a result
+order and of a window query, for the differential suites.
 
 Every evaluation path — archived block scans, SMA and index skipping,
-realtime selections, dict rows — is held against :func:`matches`, and
-every aggregate fold — SMA, decoded blocks, column chunks — against
-:func:`fold`.
+realtime selections, dict rows — is held against :func:`matches`, every
+aggregate fold — SMA, decoded blocks, column chunks — against
+:func:`fold`, every ORDER BY and GROUP BY output order against
+:func:`order_key`, and the latest-version dedup plan against
+:func:`naive_window_query`.
 """
 
 from repro.logblock.pruning import (
@@ -20,6 +22,9 @@ from repro.logblock.pruning import (
 from repro.logblock.tokenizer import tokenize
 from repro.query.aggregate import AggState, Aggregator
 from repro.query.ast import And, Not, Or
+from repro.query.dedup import naive_scan_query, run_window_query
+from repro.query.sql import parse_sql
+from repro.rowstore.batch import RowBatch
 
 
 def matches(node, row: dict) -> bool:
@@ -104,3 +109,27 @@ def _update(state: AggState, value) -> None:
             state.maximum = value
     if state.distinct is not None:
         state.distinct.add(value)
+
+
+def order_key(value) -> tuple:
+    """The one result order as a Python sort key: values ascending as
+    Python compares them (-0.0 equal to 0.0), then NaN, then NULL.
+    ``sorted(..., key=order_key, reverse=desc)`` is an ORDER BY: stable,
+    nulls first when descending, and a ``TypeError`` on keys Python
+    cannot compare."""
+    if value is None:
+        return (2,)
+    if value != value:
+        return (1,)
+    return (0, value)
+
+
+def naive_window_query(store, sql: str, tenant_scope: int | None = None):
+    """``sql`` — an outer query over a ``ROW_NUMBER`` window subquery —
+    run as the naive plan: the inner scan's every version through
+    ``store.query``, then ranked, filtered and finished in Python
+    (``run_window_query``).  Returns ``(rows, the scan's QueryResult)``.
+    """
+    parsed = parse_sql(sql)
+    scan = store.query(naive_scan_query(parsed), tenant_scope=tenant_scope)
+    return run_window_query(parsed, RowBatch.from_dicts(scan.rows)), scan

@@ -39,7 +39,7 @@ from repro.query.sql import parse_sql
 from repro.rowstore.batch import RowBatch, RowSelection
 
 from tests.conftest import make_rows
-from tests.oracle import matches
+from tests.oracle import matches, order_key
 
 SCHEMA = TableSchema(
     name="t",
@@ -368,6 +368,12 @@ ORDER_KEYS = st.lists(
 )
 
 
+def reference_order(keys: list, desc: bool, limit: int | None) -> list[int]:
+    """Row indices in the one result order: a stable sort on ``order_key``."""
+    order = sorted(range(len(keys)), key=lambda i: order_key(keys[i]), reverse=desc)
+    return order if limit is None else order[:limit]
+
+
 class TestTopK:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -376,29 +382,23 @@ class TestTopK:
         limit=st.one_of(st.none(), st.integers(min_value=0, max_value=70)),
     )
     def test_matches_stable_python_sort(self, keys, desc, limit):
-        """Same order, null placement AND tie order as the python sort."""
-        rows = [{"k": key, "row": index} for index, key in enumerate(keys)]
-        expected = sorted(
-            rows, key=lambda row: (row["k"] is None, row["k"]), reverse=desc
+        """Same order, null placement AND tie order as the reference sort."""
+        assert top_k_order(keys, desc=desc, limit=limit).tolist() == reference_order(
+            keys, desc, limit
         )
-        if limit is not None:
-            expected = expected[:limit]
-        order = top_k_order(keys, desc=desc, limit=limit)
-        assert order is not None
-        assert [rows[i] for i in order.tolist()] == expected
 
     # One pool per list: all-int and all-float lists take the typed path,
-    # the rest the object path; NaN and ints beyond int64 must come back
-    # ``None`` (the python sort) or right, never wrong.
+    # the rest the object path; NaN, ±0.0, ±inf and ints beyond int64
+    # are ranked like any other key.
     TYPED_POOLS = (
         st.integers(min_value=-(2**63), max_value=2**63 - 1),
         st.sampled_from([-(2**62), -3, 0, 7, 7, 2**53 + 1, 2**62]),
-        st.floats(allow_nan=False),
+        st.floats(),
         st.sampled_from([-1.5, -0.0, 0.0, 2.25, float("inf"), float("-inf")]),
-        st.sampled_from([float("nan"), 1.0, 2.0]),
+        st.sampled_from([float("nan"), 1.0, 2.0, float("inf")]),
         st.sampled_from([True, False, 0, 1, 2]),
         st.sampled_from([2**70, -(2**70), 2**63, 5]),
-        st.sampled_from([1, 2.0, 2, 0.5]),
+        st.sampled_from([1, 2.0, 2, 0.5, -0.0, 0, float("nan")]),
     )
 
     @settings(max_examples=400, deadline=None)
@@ -410,36 +410,31 @@ class TestTopK:
         limit=st.sampled_from([None, 0, 1, 5, 100]),
     )
     def test_typed_path_matches_stable_python_sort(self, keys, desc, limit):
-        expected = sorted(
-            range(len(keys)), key=lambda i: (keys[i] is None, keys[i]), reverse=desc
+        assert top_k_order(keys, desc=desc, limit=limit).tolist() == reference_order(
+            keys, desc, limit
         )
-        order = top_k_order(keys, desc=desc, limit=limit)
-        present = [k for k in keys if k is not None]
-        if order is None:
-            assert any(k != k or not -(2**63) <= k < 2**63 for k in present)
-            return
-        assert not any(k != k for k in present)  # a NaN always falls back
-        assert order.tolist() == (expected if limit is None else expected[:limit])
 
     def test_strings_and_floats(self):
         for keys in (["b", None, "a", "b", ""], [1.5, None, -2.0, 1.5]):
             order = top_k_order(keys, desc=True, limit=3)
-            expected = sorted(
-                range(len(keys)),
-                key=lambda i: (keys[i] is None, keys[i]),
-                reverse=True,
-            )[:3]
-            assert order.tolist() == expected
+            assert order.tolist() == reference_order(keys, True, 3)
 
-    def test_mixed_types_fall_back(self):
-        assert top_k_order([1, "a", None], desc=False, limit=None) is None
+    def test_nan_sorts_above_inf_and_nulls_last(self):
+        nan = float("nan")
+        keys = [2.0, nan, 1.0, None, nan, 0.5, float("inf"), -0.0, 0.0]
+        ascending = [keys[i] for i in top_k_order(keys).tolist()]
+        assert repr(ascending) == "[-0.0, 0.0, 0.5, 1.0, 2.0, inf, nan, nan, None]"
+        # Descending: null, the NaNs, then values; ties in arrival order.
+        assert top_k_order(keys, desc=True).tolist() == [3, 1, 4, 6, 0, 2, 5, 7, 8]
+
+    def test_mixed_types_raise(self):
+        with pytest.raises(TypeError, match="not supported between"):
+            top_k_order([1, "a", None], desc=False, limit=None)
 
     def test_result_rows_parity(self):
         query = parse_sql(
             "SELECT * FROM request_log WHERE tenant_id = 1 ORDER BY latency DESC LIMIT 5"
         )
         rows = [{"latency": v, "row": i} for i, v in enumerate([3, None, 9, 1, 9, None, 4])]
-        expected = sorted(
-            rows, key=lambda row: (row["latency"] is None, row["latency"]), reverse=True
-        )[:5]
+        expected = sorted(rows, key=lambda row: order_key(row["latency"]), reverse=True)[:5]
         assert result_rows(query, RowBatch.from_dicts(rows)) == expected

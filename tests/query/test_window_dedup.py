@@ -1,9 +1,10 @@
 """Differential tests: the dedup operator vs naive window materialization.
 
 The whole point of the ``latest_by_key`` rewrite is that it changes the
-*plan*, never the *answer*.  These tests run the same queries with the
-semantic rewriter on (LatestVersionDedup over narrow columns) and off
-(full materialization + ROW_NUMBER ranking) and require byte-identical
+*plan*, never the *answer*.  These tests run the same queries as the
+broker plans them (LatestVersionDedup over narrow columns) and as the
+naive plan (``tests.oracle.naive_window_query``: full materialization +
+ROW_NUMBER ranking) and require byte-identical
 rows — across archived blocks, realtime memtables, version ties, null
 versions, post-filters, and aggregation over winners.
 """
@@ -19,6 +20,8 @@ from repro.cluster.logstore import LogStore
 from repro.query.dedup import LatestVersionDedup, apply_window
 from repro.query.sql import WindowFunc, parse_sql
 from repro.rowstore.batch import RowBatch
+
+from tests.oracle import naive_window_query
 
 # -- pure-function differential: operator vs window ranking ---------------
 
@@ -137,17 +140,11 @@ def _populate(store: LogStore, archive_midway: bool, updates: int = 120) -> None
 
 
 def _run_both_ways(store: LogStore, sql: str):
-    options = store.brokers[0].options
+    """The query as planned, and ``(rows, scan result)`` of its naive plan."""
     store.cache.clear()
-    options.use_semantic_rewrite = True
     fast = store.query(sql, tenant_scope=1)
     store.cache.clear()
-    options.use_semantic_rewrite = False
-    try:
-        naive = store.query(sql, tenant_scope=1)
-    finally:
-        options.use_semantic_rewrite = True
-    return fast, naive
+    return fast, naive_window_query(store, sql, tenant_scope=1)
 
 
 @pytest.fixture(scope="module", params=["realtime", "archived", "mixed"])
@@ -162,22 +159,21 @@ def loaded_store(request):
 
 @pytest.mark.parametrize("sql", QUERIES)
 def test_rewrite_and_naive_paths_are_byte_identical(loaded_store, sql):
-    fast, naive = _run_both_ways(loaded_store, sql)
-    assert fast.rows == naive.rows
-    assert repr(fast.rows) == repr(naive.rows)
+    fast, (naive, _) = _run_both_ways(loaded_store, sql)
+    assert fast.rows == naive
+    assert repr(fast.rows) == repr(naive)
     assert fast.plan.dedup is not None
-    assert naive.plan.dedup is None
     assert "latest_by_key" in fast.plan.rewrites
 
 
 def test_tied_versions_resolve_to_last_write(loaded_store):
-    fast, naive = _run_both_ways(
+    fast, (naive, _) = _run_both_ways(
         loaded_store,
         "SELECT status FROM ("
         "SELECT *, ROW_NUMBER() OVER (PARTITION BY run_id ORDER BY version DESC) AS rn "
         "FROM workflow_runs) WHERE rn = 1 AND run_id = 'run-3'",
     )
-    assert fast.rows == naive.rows == [{"status": "tied-second"}]
+    assert fast.rows == naive == [{"status": "tied-second"}]
 
 
 def test_rewrite_fetches_fewer_bytes_on_archived_data():
@@ -188,21 +184,21 @@ def test_rewrite_fetches_fewer_bytes_on_archived_data():
     _populate(store, archive_midway=False, updates=2000)
     store.flush_all()
     sql = QUERIES[0]
-    fast, naive = _run_both_ways(store, sql)
-    assert fast.rows == naive.rows
-    assert fast.bytes_fetched < naive.bytes_fetched
+    fast, (naive, scan) = _run_both_ways(store, sql)
+    assert fast.rows == naive
+    assert fast.bytes_fetched < scan.bytes_fetched
 
 
 def test_unrewritable_window_still_matches_naive(loaded_store):
-    # rn = 2 ("previous version") cannot take the dedup operator; both
-    # toggles must fall back to the same full materialization.
+    # rn = 2 ("previous version") cannot take the dedup operator: the
+    # broker runs the same full materialization as the naive plan.
     sql = (
         "SELECT run_id, status FROM ("
         "SELECT *, ROW_NUMBER() OVER (PARTITION BY run_id ORDER BY version DESC) AS rn "
         "FROM workflow_runs) WHERE rn = 2"
     )
-    fast, naive = _run_both_ways(loaded_store, sql)
-    assert fast.rows == naive.rows
+    fast, (naive, _) = _run_both_ways(loaded_store, sql)
+    assert fast.rows == naive
     assert fast.plan.dedup is None
 
 
