@@ -15,10 +15,12 @@ import numpy as np
 
 from repro.common.errors import SerializationError
 from repro.common.varint import (
+    NARROW_DTYPES,
     decode_uvarint,
     decode_uvarint_array,
     encode_uvarint,
     encode_uvarint_array,
+    narrow_width,
 )
 
 _U16 = struct.Struct("<H")
@@ -77,6 +79,15 @@ class BinaryWriter:
         lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
         self._buf += encode_uvarint_array(lengths)
         self._buf += b"".join(encoded)
+
+    def write_narrow(self, numbers: np.ndarray) -> None:
+        """Write unsigned ``numbers`` as a width byte, then each at the
+        narrowest of 0/1/2/4/8 bytes that holds the largest (the count
+        is the caller's to write)."""
+        width = narrow_width(int(numbers.max()) if numbers.size else 0)
+        self._buf.append(width)
+        if width:
+            self._buf += numbers.astype(NARROW_DTYPES[width]).tobytes()
 
     def getvalue(self) -> bytes:
         return bytes(self._buf)
@@ -148,6 +159,17 @@ class BinaryReader:
             return data[pos]
         value, self._pos = decode_uvarint(data, pos)
         return value
+
+    def read_narrow(self, count: int) -> np.ndarray:
+        """``count`` numbers written by :meth:`BinaryWriter.write_narrow`,
+        at their stored width (a view of the bytes unless it is 0)."""
+        width = self.read_u8()
+        dtype = NARROW_DTYPES.get(width)
+        if dtype is None or count < 0:
+            raise SerializationError(f"{count} numbers at width {width}")
+        if not width:
+            return np.zeros(count, dtype)
+        return np.frombuffer(self.read_bytes(count * width), dtype)
 
     def read_len_prefixed(self) -> bytes:
         data = self._data

@@ -47,6 +47,7 @@ from repro.logblock.column import (
     _DICT_MAX_CARDINALITY_FRACTION,
     _STRING_DICT,
     _STRING_PLAIN,
+    write_int_frame,
 )
 from repro.logblock.schema import ColumnType
 from repro.logblock.sma import Sma, compute_sma, compute_sma_arrays
@@ -276,8 +277,12 @@ def encode_block_range(prep: PreparedColumn, start: int, stop: int) -> bytes:
     writer = BinaryWriter()
     writer.write_len_prefixed(Bitset.from_bool_array(nulls).to_bytes())
 
-    if prep.ctype in (ColumnType.INT64, ColumnType.TIMESTAMP, ColumnType.FLOAT64):
+    if prep.ctype is ColumnType.FLOAT64:
         writer.write_bytes(prep.vector[start:stop].tobytes())
+        return writer.getvalue()
+
+    if prep.ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
+        write_int_frame(writer, prep.vector[start:stop])
         return writer.getvalue()
 
     if prep.ctype is ColumnType.BOOL:

@@ -186,9 +186,11 @@ class LogBlockReader:
         """Fetch a column's Bloom filter (None when the column has none)."""
         if not self.has_bloom(column):
             return None
-        member = bloom_member(column)
+        member, version = bloom_member(column), self.meta().version
         return self._shared(
-            f"bloom:{column}", member, lambda: BloomFilter.from_bytes(self._pack.read_member(member))
+            f"bloom:{column}",
+            member,
+            lambda: BloomFilter.from_bytes(self._pack.read_member(member), version),
         )
 
     # -- column blocks -----------------------------------------------------
@@ -222,6 +224,7 @@ class LogBlockReader:
                 codec.decompress(raw),
                 meta.schema.columns[col_idx].ctype,
                 meta.block_row_counts[block_idx],
+                meta.version,
             )
             if self._objects is not None:
                 nbytes = decoded_nbytes(block)

@@ -249,9 +249,9 @@ class BlockExecutor:
 
         The preamble + manifest of a packed LogBlock are immutable once
         written, so re-fetching and re-parsing them for every query of
-        the same blob is pure waste; the decoded manifest (plus the part
-        of the head chunk that serves early members request-free) is
-        cached alongside the decoded meta/bloom objects.
+        the same blob is pure waste; the decoded manifest is cached
+        alongside the decoded meta/bloom objects.  The head chunk it
+        came in stays with the block tiers, which already hold it.
 
         A cold-tier entry's bytes live inside a tar-packed segment
         object; a :class:`SubrangeReader` window over the segment makes
@@ -277,11 +277,8 @@ class BlockExecutor:
             pack.attach_manifest(*cached)
         else:
             manifest = pack.manifest()
-            head = pack.head_bytes
             self.cache.objects.put(
-                header_key,
-                (manifest, pack.data_start, head),
-                approx_bytes=len(head) + manifest.nbytes,
+                header_key, (manifest, pack.data_start), approx_bytes=manifest.nbytes
             )
         return pack
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Protocol
 
-import numpy as np
-
 from repro.common.errors import InvalidRange
 from repro.tarpack.manifest import Manifest
 from repro.tarpack.packer import PREAMBLE_SIZE, read_preamble
@@ -158,29 +156,13 @@ class PackReader:
             self._data_start = end
         return self._manifest
 
-    def attach_manifest(
-        self, manifest: Manifest, data_start: int, head: bytes = b""
-    ) -> None:
-        """Install an externally cached manifest, skipping the two GETs.
+    def attach_manifest(self, manifest: Manifest, data_start: int) -> None:
+        """Install an externally cached manifest, skipping the head read.
 
-        ``head`` restores the retained head chunk so early members
-        (meta, bloom filters) keep costing zero further requests.
-        """
+        Early members are then served by the block cache tiers, which
+        keep the head chunk the first opener fetched."""
         self._manifest = manifest
         self._data_start = data_start
-        self._head = head
-
-    @property
-    def head_bytes(self) -> bytes:
-        """The part of the retained head chunk that can serve a read, for
-        external header caches: it ends with the last member that lies
-        wholly inside the chunk (members are packed in manifest order)."""
-        if self._manifest is None:
-            return b""
-        ends = self._data_start + self._manifest.ends
-        past = np.flatnonzero(ends > len(self._head))
-        inside = int(past[0]) if past.size else len(ends)
-        return self._head[: int(ends[inside - 1])] if inside else b""
 
     @property
     def data_start(self) -> int:

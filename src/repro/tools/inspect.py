@@ -12,9 +12,11 @@ version, schema, row counts, per-column SMAs, index sizes — is
 recoverable from the file alone, with no catalog access.  ``--members``
 also prints the manifest version and breaks every inverted index
 (dictionary / counts / postings), every numeric index (distinct values,
-value width, rows in order or as postings) and every string column
-block (encoding, length section / text bytes) down into its sections,
-so a layout regression shows without a debugger.
+the widths v7 stores its value gaps and row-id gaps at, or ``in-order``
+when it stores no row ids), every INT64 / TIMESTAMP column block (its
+frame, ``delta`` / ``for`` / ``raw`` before v7, and offset width) and
+every string column block (encoding, length section / text bytes) down
+into its sections, so a layout regression shows without a debugger.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 
 from repro.codec import get_codec
 from repro.common.utils import human_bytes
-from repro.logblock.column import string_sections
+from repro.logblock.column import int_frame, string_sections
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import ColumnType, IndexType
 from repro.logblock.writer import block_member
@@ -95,19 +97,30 @@ def _print_members(reader: LogBlockReader, out) -> None:
             file=out,
         )
     print(file=out)
-    print(f"{'numeric index':<20} {'terms':>8} {'width':>6}  rows", file=out)
+    print(f"{'numeric index':<20} {'terms':>8} {'value gaps':>11}  row ids  (v7 widths)", file=out)
     for column in meta.schema.columns:
         if column.index is not IndexType.BKD or column.name not in meta.index_sizes:
             continue
         index = reader.read_index(column.name)
-        rows = "in-order" if index.rows is None else f"postings {index.rows.nbytes}"
-        print(f"{'idx/' + column.name:<20} {index.term_count:>8} {index.width:>6}  {rows}", file=out)
+        rows = "in-order" if index.rows is None else f"gaps {index.row_width}"
+        name = "idx/" + column.name
+        print(f"{name:<20} {index.term_count:>8} {index.width:>11}  {rows}", file=out)
+    print(file=out)
+    codec = get_codec(meta.codec_id)
+    print(f"{'int block':<20} {'frame':>8} {'width':>6}", file=out)
+    for col_idx, column in enumerate(meta.schema.columns):
+        if column.ctype not in (ColumnType.INT64, ColumnType.TIMESTAMP):
+            continue
+        for block_idx in range(meta.n_blocks):
+            member = block_member(col_idx, block_idx)
+            data = codec.decompress(reader.pack.read_member(member))
+            frame, width = int_frame(data, meta.version)
+            print(f"{member:<20} {frame:>8} {width:>6}", file=out)
     print(file=out)
     print(
         f"{'string block':<20} {'encoding':>8} {'lengths':>10} {'text':>12}  (decoded bytes)",
         file=out,
     )
-    codec = get_codec(meta.codec_id)
     for col_idx, column in enumerate(meta.schema.columns):
         if column.ctype is not ColumnType.STRING:
             continue

@@ -127,14 +127,10 @@ class TestChargedWhatItHolds:
 
     def test_pack_header(self, warmed):
         for header, charged in entries_of(warmed, Manifest):
-            manifest, _data_start, head = header
+            manifest, data_start = header  # the head chunk is the block tiers'
             held = deep_size(header)
             assert held / 2 <= charged <= held * 2, (charged, held)
-            # The head ends with the last member it wholly covers.
-            ends = (_data_start + manifest.ends).tolist()
-            covered = [end for end in ends if end <= len(head)]
-            assert covered and covered[-1] == len(head) and ends[: len(covered)] == covered
-            assert manifest.names()[0] == META_MEMBER and len(head) <= 8192
+            assert manifest.names()[0] == META_MEMBER and 0 < data_start < 8192
 
     @pytest.mark.parametrize("kind", [InvertedIndex, BkdIndex])
     def test_indexes(self, warmed, kind):

@@ -17,7 +17,7 @@ from repro.cluster.logstore import LogStore
 from tests.conftest import BASE_TS, MICROS, make_rows
 from tests.query.test_decoded_tier import SHAPES, expected, normalized, render
 
-N_ROWS = 600
+N_ROWS = 1000
 
 
 def queries(tenant: int) -> list[dict]:
@@ -41,7 +41,7 @@ def answers(store, tenant: int) -> list:
 def store():
     store = LogStore.create(
         config=small_test_config(
-            seal_rows=200, target_rows_per_logblock=200, cold_target_rows=300
+            seal_rows=200, target_rows_per_logblock=200, cold_target_rows=500
         )
     )
     for tenant in (1, 2):

@@ -1,7 +1,8 @@
-"""Numeric index tests: probes against brute force, the v6 layout, and
-the v5 raw-points member read into the same form."""
+"""Numeric index tests: probes against brute force, the v7 layout, and
+the v6 member (values and row ids as they are) read into the same form."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.bytesio import BinaryWriter
+from repro.common.varint import encode_uvarint_array, zigzag_encode
 from repro.logblock.bkd import BkdIndex, BkdIndexBuilder
+from repro.logblock.inverted import uint_for
 from repro.logblock.pruning import EqPredicate, RangePredicate, evaluate_predicates
 
 from tests.conftest import make_rows, write_logblock
@@ -28,21 +31,33 @@ def rows(index: BkdIndex, *interval, **bounds) -> list[int] | None:
     return None if bits is None else list(bits)
 
 
-def v5_member(values, is_float=False) -> bytes:
-    """What the v5 writer stored: every point as raw (value, row id), by value."""
-    rows = np.array([row for row, value in enumerate(values) if value is not None], np.int64)
-    points = np.array([values[row] for row in rows], np.float64 if is_float else np.int64)
-    order = np.argsort(points, kind="stable")
+def v6_member(index: BkdIndex) -> bytes:
+    """What the v6 writer stored for ``index``: the sorted values as
+    offsets from the least at the width of their span, the counts, and
+    every row id at the width the row count needs."""
+    values, first, rows = index._values, index._first, index.rows
+    is_float = values.dtype == np.float64
     head = BinaryWriter()
-    for field in (int(is_float), len(values), 512, len(points)):
-        head.write_uvarint(field)
-    return head.getvalue() + points[order].tobytes() + rows[order].tobytes()
+    head.write_u8(1 * is_float | 2 * (first is not None) | 4 * (rows is not None))
+    head.write_uvarint(index.row_count)
+    head.write_uvarint(index.term_count)
+    if not is_float:
+        head.write_uvarint(zigzag_encode(index._base))
+        head.write_u8(values.itemsize if index.term_count > 1 else 0)
+    if is_float or index.term_count > 1:
+        head.write_bytes(values.tobytes())
+    if first is not None:
+        head.write_bytes(encode_uvarint_array(np.diff(first)))
+    if rows is not None:
+        head.write_bytes(rows.astype(uint_for(index.row_count)).tobytes())
+    body = head.getvalue()
+    return zlib.crc32(body).to_bytes(4, "little") + body
 
 
 class TestQueries:
     def test_a_literal_it_cannot_compare_is_left_to_the_scan(self):
         """A str against an int column fails before any index is read,
-        as it did with the v5 index; the index itself declines it, and a
+        as it did with the v6 index; the index itself declines it, and a
         float index declines an int no float64 holds."""
         assert build([10, 20]).range_bitset("10", "10") is None
         assert build([1.0, 2.0], is_float=True).in_bitset([1, (1 << 53) + 1]) is None
@@ -61,20 +76,42 @@ class TestLayout:
     def test_values_in_row_order_store_no_postings(self):
         ts = [1_600_000_000_000_000 + 3 * i for i in range(300)]
         index = build(ts)
-        assert (index.width, index.term_count, index.rows) == (2, 300, None)
+        assert (index.width, index.term_count, index.rows, index.row_width) == (1, 300, None, None)
         assert rows(index, ts[5], ts[9]) == [5, 6, 7, 8, 9]
+        assert index._values.dtype == np.uint16  # widened to the span when opened
         assert build(ts[::-1]).rows.dtype == np.uint16
         wide = BkdIndexBuilder(is_float=False)  # row ids past 2**16 - 1 take four bytes
         wide.add_many(0, np.arange(1 << 16, -1, -1), np.zeros((1 << 16) + 1, bool))
-        assert BkdIndex.from_bytes(wide.build().to_bytes(), 6).rows[:2].tolist() == [1 << 16, 65535]
+        assert BkdIndex.from_bytes(wide.build().to_bytes(), 7).rows[:2].tolist() == [1 << 16, 65535]
 
     @pytest.mark.parametrize(
         "span, width", [(1, 1), (255, 1), (256, 2), (1 << 16, 4), (1 << 40, 8), ((1 << 64) - 1, 8)]
     )
-    def test_offsets_take_the_narrowest_width(self, span, width):
+    def test_value_gaps_take_the_narrowest_width(self, span, width):
         low = -(1 << 63) if span >> 63 else -5  # the widest span is all of int64
         index = build([low, low + span])
         assert index.width == width and rows(index, low + span, low + span) == [1]
+        decoded = BkdIndex.from_bytes(index.to_bytes(), 7)
+        assert decoded._values.dtype == index._values.dtype
+        assert decoded.to_bytes() == index.to_bytes()
+
+    def test_values_store_the_gaps_between_neighbours(self):
+        index = build([1000 * i for i in range(200)])  # a span of two bytes, gaps of two
+        assert (index.width, index._values.dtype) == (2, np.uint32)
+        assert build([10 * i for i in range(200)]).width == 1
+
+    def test_row_ids_of_a_two_valued_column_take_one_byte(self):
+        """Each value's row ids are gaps after its first: a column that
+        alternates stores a byte a row, whatever the row count."""
+        for n in (300, 70_000):
+            builder = BkdIndexBuilder(is_float=False)
+            builder.add_many(0, np.arange(n) % 2, np.zeros(n, bool))
+            index = builder.build()
+            assert (index.term_count, index.row_width, index.rows.dtype) == (2, 1, uint_for(n))
+            assert len(index.to_bytes()) < n + 24  # a header of under 24 bytes
+            decoded = BkdIndex.from_bytes(index.to_bytes(), 7)
+            assert np.array_equal(decoded.rows, index.rows) and decoded.rows.dtype == uint_for(n)
+            assert list(decoded.range_bitset(1, 1))[:3] == [1, 3, 5]
 
     def test_nan_is_one_term_after_infinity(self):
         values = [math.nan, 1.0, math.inf, math.nan, -0.0, 0.0]
@@ -95,12 +132,14 @@ def columns(draw, kind: str) -> tuple[list, bool, list]:
         "bool": st.booleans(),
     }[kind]
     values = draw(st.lists(element | st.none(), max_size=60))
-    order = draw(st.sampled_from(["sorted", "shuffled", "constant"]))
+    order = draw(st.sampled_from(["sorted", "shuffled", "constant", "two-valued"]))
     present = [value for value in values if value is not None]
     if order == "sorted":
         present.sort(key=lambda v: (v != v, v))
     elif order == "constant" and present:
         present = [present[0]] * len(present)
+    elif order == "two-valued" and present:
+        present = [present[row % 2 if len(present) > 1 else 0] for row in range(len(present))]
     it = iter(present)
     values = [None if value is None else next(it) for value in values]
     edges = [0, 1, -1, 1 << 70, -(1 << 70), (1 << 53) + 1]
@@ -110,12 +149,13 @@ def columns(draw, kind: str) -> tuple[list, bool, list]:
 
 @pytest.mark.parametrize("kind", ["int", "float", "bool"])
 @given(st.data(), st.booleans(), st.booleans())
-def test_every_probe_equals_brute_force_and_the_v5_index(kind, data, low_inclusive, high_inclusive):
+def test_every_probe_equals_brute_force_and_the_v6_index(kind, data, low_inclusive, high_inclusive):
     values, is_float, probes = data.draw(columns(kind))
     ours = build(values, is_float)
-    theirs = BkdIndex.from_bytes(v5_member(values, is_float), 5)
-    decoded = BkdIndex.from_bytes(ours.to_bytes(), 6)
+    theirs = BkdIndex.from_bytes(v6_member(ours), 6)
+    decoded = BkdIndex.from_bytes(ours.to_bytes(), 7)
     assert theirs.to_bytes() == decoded.to_bytes() == ours.to_bytes()
+    assert theirs.nbytes == decoded.nbytes == ours.nbytes  # what the object cache is charged
     present = [(row, value) for row, value in enumerate(values) if value is not None]
 
     def brute(keep) -> list[int]:

@@ -1,8 +1,8 @@
-"""One reader, two LogBlock formats: v5 and v6 answer alike.
+"""One reader, two LogBlock formats: v6 and v7 answer alike.
 
-The golden corpus exists twice — the committed v5 pack (the last v5
-writer's real output, numeric indexes as raw points) and the v6 pack
-the writer emits — and every predicate shape must return the same rows
+The golden corpus exists twice — the committed v6 pack (the last v6
+writer's real output, integers stored as they are) and the v7 pack the
+writer emits (integers as differences) — and every predicate shape must return the same rows
 from both, with skipping on and off.  Right answers are not enough: a
 format whose index quietly stops being used (a decoder returning an
 object the pruning code does not recognise) still answers correctly
@@ -29,7 +29,7 @@ from repro.query.executor import BlockExecutor, ExecutionOptions
 from repro.query.planner import QueryPlanner
 from repro.query.sql import parse_sql
 
-from tests.logblock.test_writer_reader import V5_FIXTURE, golden_block, golden_corpus, reader_for
+from tests.logblock.test_writer_reader import V6_FIXTURE, golden_block, golden_corpus, reader_for
 
 BUCKET = "formats"
 TENANT = "tenant_id = 7"
@@ -78,7 +78,7 @@ def rows() -> list[dict]:
 
 @pytest.fixture(scope="module")
 def blobs() -> dict[int, bytes]:
-    return {5: V5_FIXTURE.read_bytes(), 6: golden_block()}
+    return {6: V6_FIXTURE.read_bytes(), 7: golden_block()}
 
 
 @pytest.fixture(scope="module")
@@ -165,21 +165,21 @@ class TestEveryFormatAnswersAlike:
                 version: (reader.read_column(column), reader.read_rows(picked, [column]))
                 for version, reader in readers.items()
             }
-            assert answers[5] == answers[6]
-            assert answers[6][0] == [row[column] for row in rows]
+            assert answers[6] == answers[7]
+            assert answers[7][0] == [row[column] for row in rows]
 
-    def test_v6_is_smaller_than_v5(self, blobs):
-        assert len(blobs[6]) < len(blobs[5])
+    def test_v7_is_smaller_than_v6(self, blobs):
+        assert len(blobs[7]) < len(blobs[6])
 
 
 class TestOldBlocksMoveForwardOnRewrite:
-    def test_compaction_rewrites_v5_victims_as_v6(self, blobs, rows):
+    def test_compaction_rewrites_v6_victims_as_v7(self, blobs, rows):
         """Nothing migrates old blocks in place; whatever rewrites one —
-        compaction, the cold compactor — goes through the v6 writer."""
+        compaction, the cold compactor — goes through the v7 writer."""
         store = InMemoryObjectStore()
         store.create_bucket(BUCKET)
         victims = []
-        for version in (5, 6):
+        for version in (6, 7):
             path = f"tenants/7/v{version}.lgb"
             store.put(BUCKET, path, blobs[version])
             victims.append(
@@ -191,7 +191,7 @@ class TestOldBlocksMoveForwardOnRewrite:
         )
         assert len(rewritten) == 1
         reader = reader_for(rewritten[0][1])
-        assert reader.meta().version == 6 and reader.row_count == 2 * len(rows)
+        assert reader.meta().version == 7 and reader.row_count == 2 * len(rows)
         assert reader.pack.manifest().version == 2
         # Merged by ts, ties in victim order: every row twice in a row.
         assert reader.read_column("log") == [row["log"] for row in rows for _ in range(2)]
@@ -200,8 +200,8 @@ class TestOldBlocksMoveForwardOnRewrite:
 
 class TestMaterialiseWhatIsAsked:
     def test_a_query_on_two_columns_builds_smas_for_those_two(self, blobs, rows, monkeypatch):
-        corpus = Corpus(blobs[6], rows, use_skipping=True)
-        meta = reader_for(blobs[6]).meta()
+        corpus = Corpus(blobs[7], rows, use_skipping=True)
+        meta = reader_for(blobs[7]).meta()
         per_column = meta.n_blocks + 1
         touched: set[str] = set()
         real = SmaTable.sma

@@ -91,12 +91,12 @@ class TestMetaRoundtrip:
         # Non-numeric columns carry no sum even in the v3 format.
         assert reader.meta().column_sma("ip").sum_value is None
 
-    def test_a_v5_meta_decodes_into_the_v6_form(self):
-        """v5 and v6 metas share one layout: the v5 fixture's meta holds
+    def test_a_v6_meta_decodes_into_the_v7_form(self):
+        """v6 and v7 metas share one layout: the v6 fixture's meta holds
         the golden corpus's SMAs slot for slot, and re-encodes as itself."""
-        raw = reader_for(V5_FIXTURE.read_bytes()).pack.read_member("meta")
+        raw = reader_for(V6_FIXTURE.read_bytes()).pack.read_member("meta")
         old, new = LogBlockMeta.from_bytes(raw), reader_for(golden_block()).meta()
-        assert (old.version, new.version) == (5, 6)
+        assert (old.version, new.version) == (6, 7)
         assert old.to_bytes() == raw
         for column in new.schema.column_names():
             assert old.column_sma(column) == new.column_sma(column)
@@ -105,7 +105,7 @@ class TestMetaRoundtrip:
                 ours = new.block_header(column, block_idx)
                 assert (theirs.row_count, theirs.sma) == (ours.row_count, ours.sma)
 
-    @pytest.mark.parametrize("version", [0, 4, 7, 255])
+    @pytest.mark.parametrize("version", [0, 5, 8, 255])
     def test_a_version_outside_the_read_window_is_refused(self, version):
         raw = bytearray(reader_for(write_logblock(make_rows(20))).meta().to_bytes())
         raw[4] = version
@@ -288,11 +288,12 @@ def golden_corpus() -> list[dict]:
 # decoder for the old one and pin the old bytes as a fixture — do not
 # just update the hash.
 #
-# tests/fixtures/logblock_v5_golden.lgb is the last v5 writer's output
-# (numeric indexes as raw (value, row id) points).
-GOLDEN_V5_SHA256 = "3ed5682dcea6bfc02062d2dd171ec4f9111a5f8de405c6264bc09b80b3390828"
+# tests/fixtures/logblock_v6_golden.lgb is the last v6 writer's output
+# (integer column blocks and numeric indexes as they are, Bloom members
+# without a checksum).
 GOLDEN_V6_SHA256 = "149388fc9eef72184937311f5b4e73a87a37c6f3eef540491c8c61e26b3623bb"
-V5_FIXTURE = Path(__file__).parent.parent / "fixtures" / "logblock_v5_golden.lgb"
+GOLDEN_V7_SHA256 = "d5ee2fab2a0d8454dfc329da69eea04805a4b61ad2776bb1de762009cdad21e5"
+V6_FIXTURE = Path(__file__).parent.parent / "fixtures" / "logblock_v6_golden.lgb"
 
 
 def golden_block() -> bytes:
@@ -304,7 +305,7 @@ def golden_block() -> bytes:
 
 
 def test_packed_bytes_are_those_of_the_golden_corpus():
-    assert hashlib.sha256(golden_block()).hexdigest() == GOLDEN_V6_SHA256
+    assert hashlib.sha256(golden_block()).hexdigest() == GOLDEN_V7_SHA256
 
 
 @pytest.mark.parametrize("how", ["append", "append_many", "append_columns", "mixed"])
@@ -324,7 +325,7 @@ def test_the_pack_does_not_depend_on_how_the_rows_arrived(how):
             writer.append_many(rows[lo:hi])
         else:
             writer.append_columns({name: [row[name] for row in rows[lo:hi]] for name in names})
-    assert hashlib.sha256(writer.finish()).hexdigest() == GOLDEN_V6_SHA256
+    assert hashlib.sha256(writer.finish()).hexdigest() == GOLDEN_V7_SHA256
 
 
 def test_index_builders_fed_row_by_row_build_the_golden_members():
@@ -353,28 +354,37 @@ def test_index_builders_fed_row_by_row_build_the_golden_members():
             assert sum(len(index.lookup(term)) for term in index.terms()) == present
 
 
-def test_the_v5_fixture_is_the_v5_writers_output():
-    blob = V5_FIXTURE.read_bytes()
-    assert len(blob) == 144_457 and hashlib.sha256(blob).hexdigest() == GOLDEN_V5_SHA256
+def test_the_v6_fixture_is_the_v6_writers_output():
+    blob = V6_FIXTURE.read_bytes()
+    assert len(blob) == 134_734 and hashlib.sha256(blob).hexdigest() == GOLDEN_V6_SHA256
 
 
-def test_the_v5_fixture_reads_back_the_golden_corpus():
-    reader = reader_for(V5_FIXTURE.read_bytes())
+def test_the_v6_fixture_reads_back_the_golden_corpus():
+    reader = reader_for(V6_FIXTURE.read_bytes())
     rows = golden_corpus()
-    assert (reader.meta().version, reader.pack.manifest().version) == (5, 2)
+    assert (reader.meta().version, reader.pack.manifest().version) == (6, 2)
     for column in request_log_schema().column_names():
         assert reader.read_column(column) == [row[column] for row in rows]
     assert reader.read_index("log").lookup("needle").tolist() == [7, 1506]
+    assert reader.read_bloom("ip").might_contain("10.0.1.7")
 
 
-def test_v6_moves_numeric_index_bytes_only():
-    """Every member but the numeric indexes and the meta (their sizes)
-    is the v5 member, byte for byte; the blob shrinks."""
-    old = reader_for(V5_FIXTURE.read_bytes()).pack
+def test_v7_moves_integer_and_bloom_bytes_only():
+    """Every member but the INT64 / TIMESTAMP column blocks, the numeric
+    indexes, the Bloom filters and the meta (their sizes) is the v6
+    member, byte for byte; the blob shrinks.  The index of the constant
+    ``tenant_id`` (no value gaps, rows in order) is the same in both."""
+    old = reader_for(V6_FIXTURE.read_bytes()).pack
     new = reader_for(golden_block()).pack
     assert old.member_names() == new.member_names()
-    numeric = {f"idx/{col.name}" for col in request_log_schema().columns if col.index is IndexType.BKD}
+    schema = request_log_schema()
+    moved = {"meta"} | {f"bloom/{col.name}" for col in schema.columns}
+    moved |= {f"idx/{col.name}" for col in schema.columns if col.index is IndexType.BKD}
+    moved.discard("idx/tenant_id")
+    integer = (ColumnType.INT64, ColumnType.TIMESTAMP)
+    ints = [i for i, col in enumerate(schema.columns) if col.ctype in integer]
+    moved |= {f"col/{i}/{b}" for i in ints for b in range(3)}
     for name in new.member_names():
         same = old.read_member(name) == new.read_member(name)
-        assert same == (name != "meta" and name not in numeric), name
-    assert len(golden_block()) < len(V5_FIXTURE.read_bytes())
+        assert same == (name not in moved), name
+    assert len(golden_block()) < 0.8 * len(V6_FIXTURE.read_bytes())

@@ -90,9 +90,9 @@ class TestExplainAnalyze:
 
     def test_prefetch_line_says_what_the_plans_skipped(self, monkeypatch):
         """Members wanted = resident (decoded form or bytes) + fetched."""
-        # LogBlocks of 300 rows outgrow the 8 KiB head read, so members
+        # A LogBlock of 500 rows outgrows the 8 KiB head read, so members
         # past it are prefetched (a smaller one arrives whole).
-        store = seeded_store(seal_rows=300, target_rows_per_logblock=300)
+        store = seeded_store(seal_rows=500, target_rows_per_logblock=500)
         planned = []
         plan = PrefetchPlanner.plan
 

@@ -242,11 +242,13 @@ class TestTierTooSmallToAdmitABlock:
     # on the tree before decoded blocks were shared with this file's
     # data: sharing must not change what a thrashing tier costs.  Bytes
     # re-measured at LogBlock format v5, whose string blocks compress to
-    # other sizes (v4: 24 191, 24 191 and 18 740).
+    # other sizes (v4: 24 191, 24 191 and 18 740), and "group" at v7,
+    # whose integer members shrink into the two packs' head chunks (v6:
+    # 4 requests, 18 748 bytes).
     BEFORE_SHARING = {
         "time_range": (4, 23_854, 6),
         "combined": (4, 23_854, 12),
-        "group": (4, 18_748, 10),
+        "group": (2, 16_384, 10),
     }
 
     @pytest.mark.parametrize("shape", list(BEFORE_SHARING))

@@ -255,7 +255,7 @@ class TestOneLoopEverySink:
         sink, sql, extra = SINKS[name]
         options = ExecutionOptions(use_prefetch=use_prefetch, prefetch_threads=2, **extra)
         # LogBlocks past the 8 KiB head read, so that members are prefetched.
-        _rows, planner, executor = make_env(options, clock, rows_per_logblock=300)
+        _rows, planner, executor = make_env(options, clock, rows_per_logblock=500)
         passes = []
         for answer, stats in sink(executor, planner.plan(parse_sql(sql))):
             passes.append((clock.now(), [c.total for c in clock.collectors]))

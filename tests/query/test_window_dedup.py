@@ -177,11 +177,11 @@ def test_tied_versions_resolve_to_last_write(loaded_store):
 
 
 def test_rewrite_fetches_fewer_bytes_on_archived_data():
-    store = LogStore.create(config=small_test_config())
+    store = LogStore.create(config=small_test_config(seal_rows=4_000))
     store.create_table(CREATE)
-    # Enough versions that a LogBlock outgrows the 8 KiB head read (a
-    # smaller one arrives whole, whatever the query reads of it).
-    _populate(store, archive_midway=False, updates=2000)
+    # Enough versions in one LogBlock that it outgrows the 8 KiB head
+    # read (a smaller one arrives whole, whatever the query reads of it).
+    _populate(store, archive_midway=False, updates=4000)
     store.flush_all()
     sql = QUERIES[0]
     fast, (naive, scan) = _run_both_ways(store, sql)

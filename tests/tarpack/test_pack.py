@@ -157,7 +157,6 @@ class TestPackReader:
         for name, data in members.items():
             assert reader.read_member(name) == data
         assert store.range_log == [(0, size)]
-        assert reader.head_bytes == blob
 
     def test_a_pack_of_unknown_size_still_opens(self):
         store = CountingStore()
