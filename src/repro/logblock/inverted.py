@@ -75,21 +75,22 @@ class InvertedIndexBuilder:
         """Index ``value`` for ``row_id``.  Nulls are simply absent."""
         self.add_many(row_id, (value,))
 
-    def add_many(self, start_row_id: int, values, ranking=None, encoded=None) -> None:
+    def add_many(self, start_row_id: int, values, ranking=None) -> None:
         """Index ``values`` for rows ``start_row_id ..+ len(values)``.
 
-        What the caller already has of the column (the writer's
-        prepared one) is taken instead of derived again: ``ranking`` is
+        ``values`` is a list or, for a tokenized index, the column's
+        :class:`~repro.common.strings.Strings` its tokens are cut from
+        (:func:`tokenize_column`).  ``ranking`` is what the caller
+        already has of the column (the writer's prepared one):
         ``rank_strings(values)``, whose terms and pairs are a raw
-        index's; ``encoded`` is the values' UTF-8 bytes, which a
-        tokenized index is cut from (:func:`tokenize_column`).
+        index's.
         """
         count = len(values)
         if not count:
             return
         self._row_count = max(self._row_count, start_row_id + count)
         if self._tokenize:
-            tokens, rows = tokenize_column(values, encoded)
+            tokens, rows = tokenize_column(values)
             terms, ranks = rank_strings(tokens)
         else:
             # raw: exact-match must mirror scan equality

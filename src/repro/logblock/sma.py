@@ -176,10 +176,11 @@ def compute_sma_arrays(
 ) -> Sma | None:
     """Array fast path for :func:`compute_sma` — byte-identical or ``None``.
 
-    ``vector`` is the column's typed numpy vector (object array for
-    strings) with nulls masked by ``null_mask``.  Returns ``None`` when
-    the vectorized result could differ bitwise from the sequential
-    oracle, so callers must fall back to :func:`compute_sma`:
+    ``vector`` is the column's int64 / float64 / bool vector with nulls
+    masked by ``null_mask`` (a STRING column's bounds come from
+    ``encode_kernels.compute_sma_range``).  Returns ``None`` when the
+    vectorized result could differ bitwise from the sequential oracle,
+    so callers must fall back to :func:`compute_sma`:
 
     * float blocks containing NaN (the oracle's min/max skip them; numpy
       reductions propagate them);
@@ -223,11 +224,7 @@ def compute_sma_arrays(
             total = float(np.cumsum(np.concatenate((np.zeros(1), present)))[-1])
         return Sma(min_value, max_value, row_count, null_count, total)
 
-    if ctype is ColumnType.BOOL:
-        return Sma(bool(present.min()), bool(present.max()), row_count, null_count, None)
-
-    # STRING: object vector, numpy reduces with python comparisons.
-    return Sma(present.min(), present.max(), row_count, null_count, None)
+    return Sma(bool(present.min()), bool(present.max()), row_count, null_count, None)
 
 
 def merge_smas(smas: Iterable[Sma]) -> Sma:

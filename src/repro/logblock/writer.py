@@ -48,6 +48,7 @@ from repro.codec import get_codec
 from repro.codec.registry import DEFAULT_CODEC
 from repro.common.bytesio import BinaryReader, BinaryWriter
 from repro.common.errors import CorruptionError, SchemaError, SerializationError
+from repro.common.strings import Strings
 from repro.logblock.bkd import BkdIndexBuilder
 from repro.logblock.bloom import BloomFilter
 from repro.logblock.inverted import InvertedIndexBuilder
@@ -129,12 +130,22 @@ def _read_uints(reader: BinaryReader, count: int) -> np.ndarray:
     return np.frombuffer(reader.read_bytes(count * dtype.itemsize), dtype=dtype)
 
 
-def _piece(values, ctype: ColumnType) -> list | np.ndarray:
+def _typed(values, ctype: ColumnType) -> bool:
+    """Whether ``values`` is a column's own form: a vector of its dtype,
+    or a STRING column's :class:`Strings`."""
+    if ctype is ColumnType.STRING:
+        return isinstance(values, Strings)
+    return isinstance(values, np.ndarray) and values.dtype == VECTOR_DTYPES.get(ctype)
+
+
+def _piece(values, ctype: ColumnType) -> list | np.ndarray | Strings:
     """What the writer keeps of one appended column (not copied: the
-    caller hands it over): a vector of the column's dtype as it is,
-    anything else as a list."""
-    if isinstance(values, np.ndarray):
-        return values if values.dtype == VECTOR_DTYPES.get(ctype) else values.tolist()
+    caller hands it over): the column's own form as it is, anything
+    else as a list."""
+    if _typed(values, ctype):
+        return values
+    if isinstance(values, (np.ndarray, Strings)):
+        return values.tolist()
     return values if type(values) is list else list(values)
 
 
@@ -414,8 +425,9 @@ class LogBlockWriter:
         per column name.
 
         A vector of the column's own dtype (int64 for INT64 / TIMESTAMP,
-        float64, bool) is taken as it is — the data builder hands over
-        the memtable's so; any other input is a list of Python values.
+        float64, bool) or a STRING column's :class:`Strings` is taken as
+        it is, unvalidated — the data builder hands over the memtable's
+        so; any other input is a list of Python values.
         Missing columns are all-null (mirroring ``allow_missing`` row
         appends); unknown names raise :class:`SchemaError`.  The result
         is byte-identical to appending the equivalent rows one by one.
@@ -444,7 +456,7 @@ class LogBlockWriter:
         columns = {
             col.name: _piece(columns[col.name], col.ctype) for col in self._schema.columns
         }
-        if self._validate:  # a vector of the column's dtype holds valid values
+        if self._validate:  # a column's own form holds valid values
             self._schema.validate_columns(
                 {name: values for name, values in columns.items() if isinstance(values, list)}
             )
@@ -452,17 +464,18 @@ class LogBlockWriter:
             pieces.append(values)
         self._row_count += count
 
-    def _column(self, col_idx: int, ctype: ColumnType) -> np.ndarray:
-        """One column's rows in :func:`prepare_column`'s input form:
-        the appended vectors joined, or — when some rows came as values
-        — every value converted once (:func:`column_array`)."""
+    def _column(self, col_idx: int, ctype: ColumnType) -> np.ndarray | Strings | list:
+        """One column's rows in :func:`prepare_column`'s input form: one
+        appended vector or :class:`Strings` as it is, several vectors
+        joined, or — when some rows came as values — every value
+        converted once (:func:`column_array`)."""
         pieces = self._pieces[col_idx]
-        if pieces and all(isinstance(piece, np.ndarray) for piece in pieces):
-            return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         if len(pieces) == 1:
-            return column_array(pieces[0], ctype)
+            return pieces[0] if _typed(pieces[0], ctype) else column_array(pieces[0], ctype)
+        if pieces and all(isinstance(piece, np.ndarray) for piece in pieces):
+            return np.concatenate(pieces)  # of the column's dtype: _piece
         values = chain.from_iterable(
-            piece.tolist() if isinstance(piece, np.ndarray) else piece for piece in pieces
+            piece if isinstance(piece, list) else piece.tolist() for piece in pieces
         )
         return column_array(list(values), ctype)
 
@@ -501,7 +514,9 @@ class LogBlockWriter:
                 except EncodeFallback as exc:
                     prep_reason = exc.reason
             # The reference encoders' input: Python values.
-            values = column.tolist() if prep is None else None
+            values = None
+            if prep is None:
+                values = column if isinstance(column, list) else column.tolist()
             headers: list[BlockHeader] = []
             block_smas: list[Sma] = []
             for block_idx in range(n_blocks):
@@ -577,12 +592,12 @@ class LogBlockWriter:
                 for row_id, value in enumerate(values):
                     builder.add(row_id, value)
             return builder.build(), None
+        builder = InvertedIndexBuilder(tokenize=col.tokenize)
+        if col.tokenize:  # cut from the blob, no value decoded
+            builder.add_many(0, values if prep is None else prep.column)
+            return builder.build(), None
         if prep is not None:
             values = prep.values
-        builder = InvertedIndexBuilder(tokenize=col.tokenize)
-        if col.tokenize:
-            builder.add_many(0, values, encoded=prep.encoded if prep is not None else None)
-            return builder.build(), None
         ranking = prep.ranking if prep is not None else rank_strings(values)
         builder.add_many(0, values, ranking)
         bloom = None

@@ -1,14 +1,18 @@
 """Typed memtable columns: the archive path's bytes, the realtime path's values.
 
-The memtable keeps an INT / FLOAT / BOOL column as a numpy vector and the
-data builder hands the gathered vector to the LogBlock writer as it is.
+The memtable keeps an INT / FLOAT / BOOL column as a numpy vector and a
+STRING one as its NUL-joined blob plus offsets, and the data builder
+hands the gathered vector or blob to the LogBlock writer as it is.
 Whatever the batches held — admitted or read back from their payload,
-framed ints of any width and base, nulls, ints in a FLOAT64 column, keys
-the schema does not know, a key set that grows mid-table, a key whose
-kind changes between batches — the LogBlocks written must be the bytes
-``LogBlockWriter.append_many`` makes of the same rows as dicts.  And no
-numpy value may leak out: realtime readers get Python ``int`` /
-``float`` / ``bool``, and so do the catalog entries of an archive.
+framed ints of any width and base, nulls, ints in a FLOAT64 column,
+empty, non-ASCII or NUL-holding text, keys the schema does not know, a
+key set that grows mid-table, a key whose kind changes between batches,
+tenants whose rows interleave — the LogBlocks written must be, member by
+member, the bytes the per-value reference writer
+(``LogBlockWriter(vectorized=False)``) makes of the same rows as dicts.
+And no numpy value may leak out: realtime readers get Python ``int`` /
+``float`` / ``bool`` / ``str``, and so do the catalog entries of an
+archive.
 """
 
 import math
@@ -31,6 +35,7 @@ from repro.oss.store import InMemoryObjectStore
 from repro.rowstore import MemTable, RowBatch
 
 from tests.conftest import make_rows
+from tests.logblock.test_encode_kernels import unpack_members
 
 SCHEMA = TableSchema(
     "typed",
@@ -107,13 +112,15 @@ def tables(draw):
                 for row, value in zip(rows, column(rng, key, shape, count, base, span)):
                     row[key] = value
         for row in rows:
-            row["msg"] = f"GET /x/{rng.randrange(50)} took {rng.randrange(900)}ms"
+            row["msg"] = rng.choice(("GET /x/{} took {}ms", "é 日本 {}/{}", "")).format(
+                rng.randrange(50), rng.randrange(900)
+            )
         batches.append((rows, draw(st.booleans()), draw(st.booleans())))
     return batches
 
 
-def archive(table: MemTable) -> dict[int, list[bytes]]:
-    """The builder's LogBlocks of ``table``, per tenant."""
+def archive(table: MemTable) -> dict[int, list[dict[str, bytes]]]:
+    """The builder's LogBlocks of ``table``, per tenant, member by member."""
     oss = InMemoryObjectStore()
     oss.create_bucket("b")
     catalog = Catalog(SCHEMA)
@@ -123,21 +130,21 @@ def archive(table: MemTable) -> dict[int, list[bytes]]:
     )
     builder.archive_memtable(table, "s0-0")
     return {
-        info.tenant_id: [oss.get("b", entry.path) for entry in info.blocks]
+        info.tenant_id: [unpack_members(oss.get("b", entry.path)) for entry in info.blocks]
         for info in catalog.tenants()
     }
 
 
-def expected_blocks(rows: list[dict]) -> dict[int, list[bytes]]:
-    """What ``append_many`` makes of each tenant's rows in ts order
+def expected_blocks(rows: list[dict]) -> dict[int, list[dict[str, bytes]]]:
+    """What the reference writer makes of each tenant's rows in ts order
     (ties by arrival), cut at the builder's target."""
-    blocks: dict[int, list[bytes]] = {}
+    blocks: dict[int, list[dict[str, bytes]]] = {}
     for tenant in sorted({row["tenant_id"] for row in rows}):
         mine = sorted((row for row in rows if row["tenant_id"] == tenant), key=lambda r: r["ts"])
         for start in range(0, len(mine), 250):
-            writer = LogBlockWriter(SCHEMA, codec="zlib", block_rows=64)
+            writer = LogBlockWriter(SCHEMA, codec="zlib", block_rows=64, vectorized=False)
             writer.append_many(mine[start : start + 250])
-            blocks.setdefault(tenant, []).append(writer.finish())
+            blocks.setdefault(tenant, []).append(unpack_members(writer.finish()))
     return blocks
 
 
@@ -186,7 +193,7 @@ class TestRealtimeValuesArePython:
             assert python_values(values) and values == [row[name] for row in selection]
         assert isinstance(selection.column("ts", typed=True), np.ndarray)
         chunk = selection.pick(np.arange(0, len(selection), 7)).project(
-            ["ts", "latency", "fail", "nope"]
+            ["ts", "latency", "fail", "ip", "nope"]
         )
         assert all(python_values(column) for column in chunk.columns)
         assert all(python_values(row.values()) for row in selection)

@@ -7,8 +7,9 @@ Raft cluster through the write path's operations: ``put``,
 leader again (Raft), a two-shard route that makes ``split_batch``
 apportion, a DDL that types the key ``extra`` some puts carry, and a
 DDL that adds the FLOAT64 column ``f``, whose values are drawn with
-NaN, ±0.0, ±inf, ints and nulls among them.  The oracle is a list of
-``(ts, log, api, latency, f)`` per tenant.  After every step each
+NaN, ±0.0, ±inf, ints and nulls among them (SQL parameters too), and
+``log`` texts that are empty, non-ASCII, null or hold a NUL among them.
+The oracle is a list of ``(ts, log, api, latency, f)`` per tenant.  After every step each
 tenant's answers must equal the oracle's, wherever the rows sit
 (realtime, archived, or both): ``COUNT(*)``, its rows with ``f`` as the
 float it was put as, a ``GROUP BY api`` with COUNT / SUM / MIN / MAX of
@@ -47,12 +48,14 @@ tenants = st.sampled_from(TENANTS)
 counts = st.integers(1, 40)
 # What the key ``extra`` holds, if a put carries it.
 extras = st.sampled_from([None, None, "int", "str"])
-# The values a put's rows take for ``f``, in turn.  A SQL literal is
-# finite, so an INSERT draws no NaN or infinity.
-FINITE = [None, 0.0, -0.0, 0.5, 2.0, -1.5, 0, 1, 2, -3]
-NON_FINITE = [float("nan"), float("inf"), float("-inf")]
-fs = st.lists(st.sampled_from(FINITE + NON_FINITE), min_size=1, max_size=6)
-finite_fs = st.lists(st.sampled_from(FINITE), min_size=1, max_size=6)
+# The values a put's rows take for ``f``, and the forms of their
+# ``log``, in turn.  A batch whose logs are all text without a NUL
+# (empty or non-ASCII ones too) keeps ``log`` one NUL-joined blob in the
+# memtable; a null or a NUL among them makes the column a value list.
+FS = [None, 0.0, -0.0, 0.5, 2.0, -1.5, 0, 1, 2, -3, float("nan"), float("inf"), float("-inf")]
+fs = st.lists(st.sampled_from(FS), min_size=1, max_size=6)
+LOG_FORMS = ["tenant {tenant} row {ts}", "", "é {ts} naïve", "日志 {ts}", None, "nul\0{ts}"]
+logs = st.lists(st.sampled_from(LOG_FORMS), min_size=1, max_size=3)
 
 
 def model_settings() -> settings:
@@ -86,11 +89,12 @@ class WritePathModel(RuleBasedStateMachine):
 
     # -- inputs -----------------------------------------------------------
 
-    def rows(self, tenant: int, count: int, extra: str | None, fs=(None,)) -> list[dict]:
+    def rows(self, tenant: int, count: int, extra: str | None, fs=(None,), logs=LOG_FORMS[:1]):
         rows = []
         for i in range(count):
             ts = self.next_ts
             self.next_ts += 1_000
+            form = logs[i % len(logs)]
             row = {
                 "tenant_id": tenant,
                 "ts": ts,
@@ -98,7 +102,7 @@ class WritePathModel(RuleBasedStateMachine):
                 "api": f"/api/v{ts % 3}",
                 "latency": ts % 997,
                 "fail": ts % 5 == 0,
-                "log": f"tenant {tenant} row {ts}",
+                "log": None if form is None else form.format(tenant=tenant, ts=ts),
                 "f": fs[i % len(fs)],
             }
             if extra == "int":
@@ -132,22 +136,22 @@ class WritePathModel(RuleBasedStateMachine):
 
     # -- rules ------------------------------------------------------------
 
-    @rule(tenant=tenants, count=counts, extra=extras, fs=fs)
-    def put(self, tenant, count, extra, fs=(None,)):
-        self.write(self.store.put, tenant, self.rows(tenant, count, extra, fs))
+    @rule(tenant=tenants, count=counts, extra=extras, fs=fs, logs=logs)
+    def put(self, tenant, count, extra, fs=(None,), logs=LOG_FORMS[:1]):
+        self.write(self.store.put, tenant, self.rows(tenant, count, extra, fs, logs))
 
-    @rule(tenant=tenants, count=counts, extra=extras, fs=fs)
-    def put_nowait_then_settle(self, tenant, count, extra, fs=(None,)):
-        self.write(self.store.put_nowait, tenant, self.rows(tenant, count, extra, fs))
+    @rule(tenant=tenants, count=counts, extra=extras, fs=fs, logs=logs)
+    def put_nowait_then_settle(self, tenant, count, extra, fs=(None,), logs=LOG_FORMS[:1]):
+        self.write(self.store.put_nowait, tenant, self.rows(tenant, count, extra, fs, logs))
         self.store.settle_writes()
 
-    @rule(tenant=tenants, count=st.integers(1, 8), fs=finite_fs)
-    def sql_insert(self, tenant, count, fs=(None,)):
+    @rule(tenant=tenants, count=st.integers(1, 8), fs=fs, logs=logs)
+    def sql_insert(self, tenant, count, fs=(None,), logs=LOG_FORMS[:1]):
         session = self.sessions.get(tenant)
         if session is None:
             session = self.store.connect(tenant, self.store.issue_token(tenant))
             self.sessions[tenant] = session
-        rows = self.rows(tenant, count, None, fs)
+        rows = self.rows(tenant, count, None, fs, logs)
         columns = INSERT_COLUMNS if self.f_added else INSERT_COLUMNS[:-1]
         values = "(" + ", ".join("?" * len(columns)) + ")"
         sql = f"INSERT INTO {TABLE} ({', '.join(columns)}) VALUES " + ", ".join(
