@@ -448,8 +448,9 @@ class LogStore:
         """
         return self._broker().query(sql, tenant_scope=tenant_scope, statement=statement)
 
-    def explain(self, sql: str, tenant_scope: int | None = None) -> str:
-        """Plan a query without executing it; returns the EXPLAIN text.
+    def explain(self, sql: str, tenant_scope: int | None = None, params=()) -> str:
+        """Plan a query (its ``?`` bound to ``params``) without executing
+        it; returns the EXPLAIN text.
 
         Runs the same semantic-rewrite pass the brokers run (without
         counting it in the metrics), so the output shows exactly the
@@ -462,7 +463,7 @@ class LogStore:
         from repro.query.planner import QueryPlanner, explain_plan
         from repro.query.sql import parse_sql
 
-        parsed = parse_sql(sql)
+        parsed = parse_sql(sql, params)
         if is_system_table(parsed.table):
             columns = SYSTEM_TABLE_COLUMNS.get(parsed.table)
             lines = [

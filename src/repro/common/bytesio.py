@@ -9,7 +9,6 @@ bounds checking.
 from __future__ import annotations
 
 import struct
-from itertools import pairwise
 
 import numpy as np
 
@@ -211,18 +210,3 @@ class BinaryReader:
         bounds = self.read_bounds(count, self.remaining())
         return bounds, self.read_bytes(int(bounds[-1]))
 
-
-def decode_strings(text: bytes, bounds: np.ndarray) -> list[str]:
-    """The strings ``text[bounds[i]:bounds[i + 1]]`` as Python ``str``.
-
-    ASCII text is decoded once and sliced (byte offsets are character
-    offsets there); otherwise each string is decoded on its own, so a
-    bound inside a character is caught.
-    """
-    try:
-        whole = text.decode("utf-8")
-        if len(whole) == len(text):
-            return [whole[start:end] for start, end in pairwise(bounds.tolist())]
-        return [text[start:end].decode("utf-8") for start, end in pairwise(bounds.tolist())]
-    except UnicodeDecodeError as exc:
-        raise SerializationError(f"string is not UTF-8: {exc}") from None

@@ -30,8 +30,9 @@ import numpy as np
 
 from repro.common.bitset import Bitset
 from repro.common.errors import QueryError
+from repro.common.strings import Strings
 from repro.logblock.bkd import BkdIndex
-from repro.logblock.column import PlainStrings, block_values
+from repro.logblock.column import block_values
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import ColumnType, IndexType
@@ -276,7 +277,7 @@ def column_mask(predicate: ColumnPredicate, column) -> np.ndarray:
     ``column`` is ``(values, null_mask)`` — values a typed int64 /
     float64 / bool vector or an object array — or a DICT block's
     ``(codes, dictionary, null_mask)``; a PLAIN block's
-    :class:`PlainStrings` reads as object values.
+    :class:`~repro.common.strings.Strings` reads as object values.
 
     Semantics are Python's, value by value: ``==`` and ``<`` as Python
     compares the value with the literal (a typed vector meets a literal
@@ -287,7 +288,7 @@ def column_mask(predicate: ColumnPredicate, column) -> np.ndarray:
     value's tokens.  A NaN equals nothing and lies in no range.  Nulls
     never reach a comparison: they match IS NULL and nothing else.
     """
-    if isinstance(column, PlainStrings):
+    if isinstance(column, Strings):
         column = object_column(block_values(column))
     if len(column) == 3:
         mask = dict_codes_block_mask(predicate, *column)

@@ -249,7 +249,7 @@ class LogBlockReader:
         ``(values, null_mask)`` numpy arrays for numeric/bool columns;
         ``(codes, dictionary, null_mask)`` for DICT-encoded string
         blocks, so predicates evaluate as integer compares on the
-        codes; a :class:`~repro.logblock.column.PlainStrings` view for
+        codes; a :class:`~repro.common.strings.Strings` view for
         PLAIN string blocks.  What
         :func:`~repro.logblock.pruning.column_mask` evaluates a
         predicate over.

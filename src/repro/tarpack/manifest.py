@@ -23,8 +23,9 @@ import zlib
 
 import numpy as np
 
-from repro.common.bytesio import BinaryReader, BinaryWriter, decode_strings
+from repro.common.bytesio import BinaryReader, BinaryWriter
 from repro.common.errors import CorruptionError, SerializationError
+from repro.common.strings import Strings
 from repro.common.varint import encode_uvarint_array
 
 MAGIC = b"LSTP"  # LogStore Tar Pack
@@ -133,4 +134,4 @@ class Manifest:
         bounds = body.read_bounds(count, _MAX_LENGTH)
         if body.remaining():
             raise SerializationError(f"{body.remaining()} bytes after the member lengths")
-        return cls(decode_strings(text, name_bounds), bounds)
+        return cls(Strings(text, name_bounds, 0).tolist(), bounds)

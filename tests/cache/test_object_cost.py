@@ -19,7 +19,8 @@ from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
 from repro.common.clock import VirtualClock
 from repro.logblock.bkd import BkdIndex
 from repro.logblock.bloom import BloomFilter
-from repro.logblock.column import PlainStrings, decoded_nbytes
+from repro.common.strings import Strings
+from repro.logblock.column import decoded_nbytes
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.schema import request_log_schema
 from repro.logblock.writer import META_MEMBER, LogBlockMeta, LogBlockWriter
@@ -114,7 +115,7 @@ def entries_of(objects, kind):
 
 
 def form_of(block) -> str:
-    if isinstance(block, PlainStrings):
+    if isinstance(block, Strings):
         return "plain"
     return "dict" if len(block) == 3 else "numeric"
 

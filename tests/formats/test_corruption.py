@@ -29,7 +29,8 @@ from repro.common.errors import CorruptionError, SerializationError
 from repro.lifecycle.offboard import EXPORT_MANIFEST_MEMBER
 from repro.logblock.bkd import BkdIndex
 from repro.logblock.bloom import BloomFilter
-from repro.logblock.column import PlainStrings, block_values, decode_block_arrays, encode_block
+from repro.common.strings import Strings
+from repro.logblock.column import block_values, decode_block_arrays, encode_block
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.schema import ColumnType, request_log_schema
 from repro.logblock.version import META_VERSION
@@ -235,7 +236,7 @@ UNCHECKED = {
 def test_an_unchecked_block_raises_its_error_or_decodes(name):
     rows, ctype = UNCHECKED[name]
     sample, decode = encode_block(rows, ctype), read_block(rows, ctype)
-    plain = isinstance(decode_block_arrays(sample, ctype, len(rows), META_VERSION), PlainStrings)
+    plain = isinstance(decode_block_arrays(sample, ctype, len(rows), META_VERSION), Strings)
     assert plain == ("PLAIN" in name) and decode(sample) == rows
     for data in [sample[:cut] for cut in range(len(sample))] + [sample + b"\0", *FOREIGN]:
         with pytest.raises(SerializationError):

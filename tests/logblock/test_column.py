@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import SerializationError
+from repro.common.strings import Strings
 from repro.logblock.column import (
-    PlainStrings,
     block_values,
     decode_block,
     decode_block_arrays,
@@ -195,17 +195,17 @@ plain_values = st.lists(
 
 
 def plain_strings(payload, row_count):
-    """The decoded form of a string block (a PLAIN one: ``PlainStrings``)."""
+    """The decoded form of a string block (a PLAIN one: ``Strings``)."""
     return decode_block_arrays(payload, ColumnType.STRING, row_count, META_VERSION)
 
 
 class TestSelectivePlainDecode:
-    """``PlainStrings.pick`` ≡ picking from the ``decode_block`` oracle."""
+    """``Strings.pick`` ≡ picking from the ``decode_block`` oracle."""
 
     @staticmethod
     def encode_plain(values):
         data = encode_block(values, ColumnType.STRING)
-        assert isinstance(plain_strings(data, len(values)), PlainStrings)
+        assert isinstance(plain_strings(data, len(values)), Strings)
         return data
 
     @given(plain_values, st.data())
@@ -318,8 +318,8 @@ class TestDecodedBlocksAreSafeToShare:
         values = [f"line {i}" for i in range(40)]
         payload = encode_block(values, ColumnType.STRING)
         strings = decode_block_arrays(payload, ColumnType.STRING, 40, META_VERSION)
-        assert isinstance(strings, PlainStrings) and len(strings) == 40
-        for array in (strings._null_mask, strings._starts, strings._ends):
+        assert isinstance(strings, Strings) and len(strings) == 40
+        for array in (strings.nulls, strings.bounds):
             assert not array.flags.writeable
         assert block_values(strings) == values
 
@@ -329,7 +329,7 @@ class TestDecodedBlocksAreSafeToShare:
         each equals what a fresh decode of the block returns."""
         payload = encode_block(values, ColumnType.STRING)
         shared = decode_block_arrays(payload, ColumnType.STRING, len(values), META_VERSION)
-        assert isinstance(shared, PlainStrings)
+        assert isinstance(shared, Strings)
         cut = data.draw(st.integers(1, len(values)))
         short = np.arange(cut)[:: data.draw(st.integers(1, 3))]
         longer = np.arange(len(values))[data.draw(st.integers(0, 2)) :: 2]
@@ -351,7 +351,7 @@ class TestDecodedBlocksAreSafeToShare:
         values = [None if i % 17 == 0 else f"row {i} " + "x" * (i % 150) for i in range(600)]
         payload = encode_block(values, ColumnType.STRING)
         shared = decode_block_arrays(payload, ColumnType.STRING, 600, META_VERSION)
-        assert isinstance(shared, PlainStrings)
+        assert isinstance(shared, Strings)
         wrong: list = []
 
         def reader(seed: int) -> None:

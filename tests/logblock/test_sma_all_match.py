@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cache.object_cache import ObjectCache
-from repro.logblock.column import PlainStrings
+from repro.common.strings import Strings
 from repro.logblock.pruning import (
     EqPredicate,
     InPredicate,
@@ -292,7 +292,7 @@ class TestThroughASharedObjectCache:
         assert self.battery(warm) == private
         assert charges == []
         shared = warm.read_block_arrays("msg", 0)
-        assert isinstance(shared, PlainStrings) and shared is objects.get(("b", "k", "col/5/0"))
+        assert isinstance(shared, Strings) and shared is objects.get(("b", "k", "col/5/0"))
         assert len(warm.read_block_arrays("host", 0)) == 3  # DICT
 
         # Too small to admit a block (or an index): every reader decodes

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.logblock.column import PlainStrings, decode_block_arrays, encode_block
+from repro.common.strings import Strings
+from repro.logblock.column import decode_block_arrays, encode_block
 from repro.logblock.pruning import (
     EqPredicate,
     InPredicate,
@@ -47,7 +48,7 @@ class TestDecodeArrays:
     def test_strings_have_no_vector_form(self):
         encoded = encode_block(["a", "b"], ColumnType.STRING)
         decoded = decode_block_arrays(encoded, ColumnType.STRING, 2, META_VERSION)
-        assert isinstance(decoded, PlainStrings)
+        assert isinstance(decoded, Strings)
 
     def test_timestamp(self):
         encoded = encode_block([100, 200], ColumnType.TIMESTAMP)

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.logblock.column import PlainStrings
+from repro.common.strings import Strings
 from repro.logblock.schema import ColumnSpec, ColumnType, TableSchema
 from repro.query.aggregate import Aggregator
 from repro.query.sql import parse_sql
@@ -112,7 +112,7 @@ def test_both_string_forms_are_exercised(env):
             for column, seen in forms.items():
                 seen.add(type(reader.read_block_arrays(column, block)))
     # (A short trailing block of ``d`` is PLAIN too.)
-    assert tuple in forms["d"] and forms["p"] == {PlainStrings}
+    assert tuple in forms["d"] and forms["p"] == {Strings}
 
 
 def test_fold_equals_the_row_fold(env):
