@@ -27,6 +27,7 @@ the upload retries had to intervene surfaces as
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.codec.registry import DEFAULT_CODEC
@@ -168,13 +169,18 @@ class DataBuilder:
         ``target_rows`` timestamp-sorted rows each, and publishes them
         with a :class:`~repro.meta.catalog.LogBlockEntry` per block —
         all or nothing.  ``source`` names the table (``s<shard>-<seal
-        seq>``); archiving the same table under the same source again
-        registers nothing twice.
+        seq>``); archiving the same rows under the same source again
+        before the shard drained them stores nothing, even when the
+        schema changed or a compaction, sweep or offboard retired their
+        blocks since.
         """
         if not memtable.sealed:
             raise BuildError("cannot archive an unsealed memtable; seal it first")
         if report is None:
             report = BuildReport()
+        fingerprint = memtable.fingerprint()
+        if self._catalog.published(source, fingerprint):
+            return report
         with self._obs.tracer.span("builder.archive", rows=len(memtable)):
             ts_column = memtable.ts_column
             groups = memtable.rows_by_tenant()
@@ -199,6 +205,7 @@ class DataBuilder:
                 report.upload_s += time.perf_counter() - upload_start
             for entry in registered:
                 self._count(entry, report)
+            self._catalog.note_published(source, fingerprint)
 
             report.memtables_converted += 1
             self._memtables_total.add()
@@ -210,6 +217,11 @@ class DataBuilder:
                     tenant_id=tenant_id,
                 )
         return report
+
+    def drained(self, sources: Iterable[str]) -> None:
+        """The shard drained these archived tables: no replay brings
+        them back."""
+        self._catalog.note_drained(sources)
 
     def _build_tenant(
         self,

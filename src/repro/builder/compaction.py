@@ -25,7 +25,7 @@ from repro.common.errors import BuildError
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import TableSchema
 from repro.logblock.writer import DEFAULT_BLOCK_ROWS, LogBlockWriter
-from repro.meta.catalog import Catalog, LogBlockEntry
+from repro.meta.catalog import TIER_HOT, Catalog, LogBlockEntry
 from repro.meta.janitor import ArchiveObject, Janitor, object_key, rewrite_source
 from repro.obs.context import Observability
 from repro.tarpack.reader import PackReader
@@ -133,11 +133,12 @@ class Compactor:
         self._encode_modes = EncodeModeRecorder(registry)
 
     def candidates(self, tenant_id: int) -> list[LogBlockEntry]:
-        """The tenant's blocks below the small-block threshold."""
+        """The tenant's hot blocks below the small-block threshold (a
+        cold member is no object of its own; its segment is packed)."""
         return [
             block
             for block in self._catalog.blocks_for(tenant_id)
-            if block.row_count < self._small_threshold
+            if block.tier == TIER_HOT and block.row_count < self._small_threshold
         ]
 
     def compact_tenant(self, tenant_id: int) -> CompactionResult:

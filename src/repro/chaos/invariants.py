@@ -1,10 +1,10 @@
-"""Post-heal invariant checks for chaos runs.
+"""Invariant checks of a cluster against an oracle's row keys.
 
-After the fault schedule ends and the cluster heals, these checks
-assert the promises LogStore makes to clients and to itself:
+After a fault schedule heals, these checks assert the promises LogStore
+makes to clients and to itself:
 
 * **durability / read-your-writes** — every acknowledged row is
-  readable, exactly once.  Rows from indeterminate batches (the write
+  readable, exactly once.  Rows from indeterminate writes (the write
   call raised) may appear at most once.  No phantom rows exist that no
   client ever submitted.
 * **replica consistency** — full replicas that have applied the same
@@ -13,6 +13,14 @@ assert the promises LogStore makes to clients and to itself:
   existing object, no two entries share a path, and no ``.lgb`` object
   exists on OSS that the catalog (or the janitor's orphan queue
   awaiting a sweep) does not account for.
+* **lifecycle** — retention converged and offboarded tenants left no
+  residue.
+
+Rows are identified by ``key_columns`` (``("log",)`` by default, or e.g.
+``("run_id", "version")`` for a versioned table).  The caller's oracle
+supplies each tenant's acked keys (a key acked twice is listed twice),
+its indeterminate keys, and the acked rows' timestamps, which tell
+retention-expired rows (allowed to be gone) from lost ones.
 
 Checks are read-only: they query through the normal broker path and
 inspect metadata, so a passing run proves the *user-visible* system,
@@ -22,6 +30,7 @@ not internal bookkeeping.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.common.errors import ClusterError, InvariantViolationError
@@ -40,20 +49,27 @@ class InvariantViolation:
 
 
 class InvariantChecker:
-    """Checks a healed cluster against the run's write ledger."""
+    """Checks a cluster against an oracle's acked and indeterminate keys."""
 
     def __init__(
         self,
         store,
-        ledger,
+        acked: dict[int, Iterable[str]],
+        indeterminate: dict[int, Iterable[str]] | None = None,
+        acked_ts: dict[int, dict[str, int]] | None = None,
+        key_columns: tuple[str, ...] = ("log",),
         table: str | None = None,
         expiry_cutoffs: dict[int, int] | None = None,
         offboarded: set[int] | None = None,
     ) -> None:
         self._store = store
-        self._ledger = ledger
-        # Probe the table the workload actually wrote; key columns come
-        # from the ledger so both sides always agree on row identity.
+        self._acked = {tenant: Counter(keys) for tenant, keys in acked.items()}
+        self._indeterminate = {
+            tenant: set(keys) for tenant, keys in (indeterminate or {}).items()
+        }
+        self._acked_ts = acked_ts or {}
+        self.key_columns = key_columns
+        # Probe the table the workload actually wrote.
         self._table = table if table is not None else store.catalog.schema.name
         # Lifecycle context: acked rows older than a tenant's recorded
         # expiry cutoff are *allowed* to be gone; offboarded tenants
@@ -61,6 +77,9 @@ class InvariantChecker:
         # from durability).
         self._expiry_cutoffs = expiry_cutoffs or {}
         self._offboarded = offboarded or set()
+
+    def row_key(self, row: dict) -> str:
+        return "@".join(str(row[column]) for column in self.key_columns)
 
     # -- individual checks ----------------------------------------------
 
@@ -73,20 +92,19 @@ class InvariantChecker:
         be gone (block-level retention) — but never duplicated.
         """
         violations: list[InvariantViolation] = []
-        key_columns = self._ledger.key_columns
-        select = ", ".join(key_columns)
-        for tenant_id in self._ledger.tenants():
+        select = ", ".join(self.key_columns)
+        for tenant_id in sorted(set(self._acked) | set(self._indeterminate)):
             if tenant_id in self._offboarded:
                 continue
             result = self._store.query(
                 f"SELECT {select} FROM {self._table} WHERE tenant_id = {tenant_id}"
             )
-            observed = Counter(self._ledger.row_key(row) for row in result.rows)
-            acked = self._ledger.acked_keys(tenant_id)
-            indeterminate = self._ledger.indeterminate_keys(tenant_id)
+            observed = Counter(self.row_key(row) for row in result.rows)
+            acked = self._acked.get(tenant_id, Counter())
+            indeterminate = self._indeterminate.get(tenant_id, set())
             target = f"tenant:{tenant_id}"
             cutoff = self._expiry_cutoffs.get(tenant_id)
-            acked_ts = self._ledger.acked_ts.get(tenant_id, {})
+            acked_ts = self._acked_ts.get(tenant_id, {})
 
             def expirable(key: str) -> bool:
                 if cutoff is None:

@@ -37,7 +37,7 @@ class LogStoreConfig:
     write_ack: str = "quorum"  # "quorum" (majority commit) | "all" replicas
     # WAL segment backend per WAL owner ("shard<N>" for a plain shard,
     # "shard<N>/r<I>" for a Raft replica); None = in-memory default.
-    # Chaos runs inject fault-wrapped backends here.
+    # The reference model's fault rules plant fault-wrapped backends here.
     wal_backend_factory: Optional[Callable[[str], object]] = None
 
     # traffic control (§4.1)

@@ -150,7 +150,6 @@ class LogStore:
             self.catalog,
             self.oss,
             config.bucket,
-            schema,
             self.janitor,
             obs=self.obs,
             sweep_enabled=config.lifecycle_sweep_enabled,

@@ -84,7 +84,8 @@ class Worker:
                 self._builder.archive_memtable(memtable, source, report)
                 archived += 1
         finally:
-            shard.finish_archive(archived)
+            if shard.finish_archive(archived):
+                self._builder.drained(source for source, _ in sealed[:archived])
 
     def _flush_shard(self, shard: Shard, report: BuildReport) -> None:
         shard.seal_active()

@@ -146,12 +146,8 @@ class WorkerNotFound(ClusterError):
     """A shard placement referenced a worker that does not exist."""
 
 
-class ChaosError(LogStoreError):
-    """Chaos-run harness failure (unknown scenario, bad fault plan)."""
-
-
-class InvariantViolationError(ChaosError):
-    """A chaos run's post-heal invariant check found violations."""
+class InvariantViolationError(LogStoreError):
+    """An invariant check of a cluster against its oracle found violations."""
 
 
 class LifecycleError(LogStoreError):

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from repro.builder.compaction import rewrite_blocks
 from repro.common.errors import BuildError
-from repro.logblock.schema import TableSchema
 from repro.logblock.writer import DEFAULT_BLOCK_ROWS
 from repro.meta.catalog import TIER_COLD, Catalog, LogBlockEntry
 from repro.meta.janitor import ArchiveObject, Janitor, object_key, rewrite_source
@@ -61,7 +60,6 @@ class ColdCompactor:
 
     def __init__(
         self,
-        schema: TableSchema,
         catalog: Catalog,
         janitor: Janitor,
         codec: str = DEFAULT_COLD_CODEC,
@@ -72,7 +70,6 @@ class ColdCompactor:
     ) -> None:
         if target_rows <= 0:
             raise BuildError(f"target_rows must be positive, got {target_rows}")
-        self._schema = schema
         self._catalog = catalog
         self._janitor = janitor
         self._codec = codec
@@ -166,7 +163,7 @@ class ColdCompactor:
         janitor = self._janitor
         members: list[tuple[str, bytes, int, int, int]] = []
         for writer, blob, min_ts, max_ts, n_rows in rewrite_blocks(
-            janitor.store, janitor.bucket, victims, self._schema, self._target_rows,
+            janitor.store, janitor.bucket, victims, self._catalog.schema, self._target_rows,
             codec=self._codec,
             block_rows=self._block_rows,
             build_indexes=self._build_indexes,

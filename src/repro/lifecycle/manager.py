@@ -23,7 +23,6 @@ from repro.lifecycle.cold import ColdCompactor
 from repro.lifecycle.offboard import TenantOffboarder
 from repro.lifecycle.policy import RetentionPolicy, apply_policy, policy_for
 from repro.lifecycle.sweeper import ExpirySweeper, SweepReport
-from repro.logblock.schema import TableSchema
 from repro.logblock.writer import DEFAULT_BLOCK_ROWS
 from repro.meta.catalog import Catalog
 from repro.meta.janitor import Janitor
@@ -53,7 +52,6 @@ class LifecycleManager:
         catalog: Catalog,
         store,
         bucket: str,
-        schema: TableSchema,
         janitor: Janitor,
         obs: Observability | None = None,
         sweep_enabled: bool = True,
@@ -66,7 +64,6 @@ class LifecycleManager:
         self._obs = obs if obs is not None else Observability.noop()
         self.sweeper = ExpirySweeper(catalog, janitor, obs=self._obs)
         self.cold = ColdCompactor(
-            schema,
             catalog,
             janitor,
             block_rows=block_rows,

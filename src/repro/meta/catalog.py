@@ -13,6 +13,7 @@ chronological order, plus a retention policy used by the expiry task.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
@@ -154,7 +155,23 @@ class Catalog:
         self._segment_refs: dict[str, int] = {}
         # Every registered entry path: registration is idempotent.
         self._paths: set[str] = set()
+        # Row-store tables published but maybe not drained from their
+        # shard: source -> the table's MemTable.fingerprint.
+        self._undrained: dict[str, str] = {}
         self._lock = threading.Lock()
+
+    def published(self, source: str, fingerprint: str) -> bool:
+        """Whether the table ``source`` names, with these rows, was
+        published and may not be drained yet (a crash between the two
+        replays it)."""
+        return self._undrained.get(source) == fingerprint
+
+    def note_published(self, source: str, fingerprint: str) -> None:
+        self._undrained[source] = fingerprint
+
+    def note_drained(self, sources: Iterable[str]) -> None:
+        for source in sources:
+            self._undrained.pop(source, None)
 
     @property
     def version_spec(self) -> VersionSpec | None:

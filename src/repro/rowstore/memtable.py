@@ -33,6 +33,7 @@ order (the builder's per-tenant ``lexsort`` needs none).
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable
 
 import numpy as np
@@ -280,6 +281,14 @@ class MemTable:
             return None
         self._keyed()
         return int(self._ts.min()), int(self._ts.max())
+
+    def fingerprint(self) -> str:
+        """Which rows the table holds, whatever they are encoded as: a
+        digest of its ``ts`` and ``tenant_id`` vectors."""
+        self._keyed()
+        digest = hashlib.sha256(self._ts.tobytes())
+        digest.update(self._tenants.tobytes())
+        return digest.hexdigest()[:16]
 
     def rows_by_tenant(self) -> dict[int, RowSelection]:
         """One selection per tenant, each in timestamp order.

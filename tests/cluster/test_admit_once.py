@@ -32,8 +32,8 @@ def poisoned(rows):
 
 
 def rebuild_plain(shard, backend):
-    """The chaos harness's plain-shard crash seam: a new process over
-    the surviving WAL segments (``crash_and_rebuild_shard``)."""
+    """The reference model's plain-shard crash seam: a new process over
+    the surviving WAL segments (``LogStore.build_shard``)."""
     return Shard(
         shard.shard_id, shard.worker_id, shard.capacity_rps,
         shard.seal_rows, shard.seal_bytes, shard._clock, wal_backend=backend,

@@ -169,3 +169,22 @@ class TestRaftMode:
         shard.verify_raft_consistency()
         assert shard.raft is not None
         assert len(shard.raft.wal_only_replicas()) == 1
+
+    def test_reads_under_a_wal_only_leader_see_acked_rows(self):
+        """A WAL-only replica may win an election; reads then come from
+        a full follower, which must first apply what the leader acked.
+        Found by the reference model: the acked rows read 0, and a flush
+        left them pending."""
+        config = small_test_config(n_workers=1, shards_per_worker=1, use_raft=True)
+        store = LogStore.create(config=config)
+        shard = store.workers["worker-0"].shards[0]
+        (witness,) = shard.raft.wal_only_replicas()
+        witness._start_election()
+        store.clock.advance(0.05)
+        assert shard.raft.leader() is witness
+        store.put(1, make_rows(30, tenant_id=1))
+        count = "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1"
+        assert store.query(count).rows == [{"COUNT(*)": 30}]
+        store.flush_all()
+        assert store.pending_rows() == 0
+        assert store.query(count).rows == [{"COUNT(*)": 30}]

@@ -341,12 +341,21 @@ class TestColdSegments:
         catalog.set_cold_age(1, 1.0)
         # 192 rows at 64 rows per cold member → one segment, 3 members.
         cold = ColdCompactor(
-            schema, catalog,
+            catalog,
             Janitor(catalog, free_store, BUCKET), target_rows=64,
         )
         results = cold.repack_all(BASE_TS + 192 * MICROS + HOUR_US)
         assert any(r.repacked for r in results)
         return catalog
+
+    def test_compaction_leaves_cold_members_alone(self, free_store, schema):
+        """Hot compaction takes hot blocks only: a cold member is no
+        object of its own.  Found by the reference model: a compaction
+        after a cold repack read a member's path and raised NoSuchKey."""
+        catalog = self.make_cold_tenant(free_store, schema)
+        compactor = Compactor(schema, catalog, Janitor(catalog, free_store, BUCKET))
+        assert compactor.candidates(1) == []
+        assert compactor.compact_all() == []
 
     def test_segment_survives_until_last_member_expires(self, free_store, schema):
         catalog = self.make_cold_tenant(free_store, schema)

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, settings
 
 settings.register_profile(
     "ci",
-    max_examples=200,
+    max_examples=400,
     stateful_step_count=30,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],

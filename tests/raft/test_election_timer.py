@@ -9,7 +9,9 @@ network fault that woke a quiesced one.
 
 from __future__ import annotations
 
-from repro.chaos.runner import ChaosRunner
+import itertools
+
+from repro import LogStore, small_test_config
 from repro.common.clock import VirtualClock
 from repro.raft.group import RaftGroup
 from repro.raft.state import Role
@@ -102,17 +104,58 @@ def test_quiesced_follower_campaigns_within_one_to_two_timeouts_of_the_partition
     assert woken + timeout <= campaigned <= woken + 2 * timeout + 0.0001
 
 
+def request(tenant: int, seq: int) -> dict:
+    return {
+        "tenant_id": tenant,
+        "ts": 1_605_052_800_000_000 + seq * 1_000,
+        "ip": f"10.0.0.{seq % 16}",
+        "api": f"/api/v{seq % 3}",
+        "latency": (seq * 37) % 500 + 1,
+        "fail": seq % 19 == 0,
+        "log": f"rid:leader_crash_mid_pipeline:0:{tenant}:{seq}",
+    }
+
+
 def test_leader_elections_keep_their_virtual_times():
-    """Seeded leader crash mid-pipeline: the ``raft.leader_elected``
+    """Seeded leader crash mid-pipeline (two workers, one three-replica
+    shard each; tenants 1 and 2 stream 50-row batches and shard 0's
+    leader crashes after four rounds): the ``raft.leader_elected``
     journal events (who, which term, when) are pinned to the last bit of
     the virtual time.  The term-1 elections are those the per-reset
     timer scheme produced; the term-2 one comes earlier than it did
     before quiescence (0.9277…), because idle groups draw fewer
     election-timeout values from each node's RNG."""
-    result = ChaosRunner("leader_crash_mid_pipeline", seed=0).run()
+    config = small_test_config(
+        n_workers=2,
+        shards_per_worker=1,
+        seal_rows=200,
+        block_rows=64,
+        target_rows_per_logblock=400,
+        tracing_enabled=False,
+        seed=3_409_051_228,
+        use_raft=True,
+        replicas=3,
+        wal_only_replicas=1,
+    )
+    store = LogStore.create(config=config)
+    firsts = itertools.count(0, 50)
+
+    def write_both_tenants() -> None:
+        for tenant in (1, 2):
+            first = next(firsts)
+            store.put(tenant, [request(tenant, seq) for seq in range(first, first + 50)])
+
+    for _ in range(4):
+        write_both_tenants()
+        store.clock.advance(0.05)
+    shard = store.workers["worker-0"].shards[0]
+    shard.crash_replica(shard.raft.leader().node_id)
+    for _ in range(8):
+        write_both_tenants()
+        store.clock.advance(0.25)
     elected = [
         (event.target, event.detail, event.at_s)
-        for event in result.journal.events()
+        for event in store.obs.journal.events()
         if event.kind == "raft.leader_elected"
     ]
     assert elected == [
@@ -120,4 +163,3 @@ def test_leader_elections_keep_their_virtual_times():
         ("shard1/r1", "term=1", 0.4071050098811774),
         ("shard0/r1", "term=2", 0.821338646186561),
     ]
-    assert result.ok
