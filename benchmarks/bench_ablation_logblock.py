@@ -144,8 +144,8 @@ def test_ablation_bloom_needle_miss(benchmark, capsys):
         reader = LogBlockReader(PackReader(CachingRangeReader(store, cache), "b", "k"))
         stats = PruneStats()
         start = clock.now()
-        bits = evaluate_predicates(reader, [EqPredicate("ip", needle)], stats=stats)
-        assert not bits.any()
+        mask = evaluate_predicates(reader, [EqPredicate("ip", needle)], stats=stats)
+        assert not mask.any()
         return clock.now() - start, stats
 
     with_bloom, stats_bloom = benchmark.pedantic(

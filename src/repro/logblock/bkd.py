@@ -36,7 +36,6 @@ import zlib
 
 import numpy as np
 
-from repro.common.bitset import Bitset
 from repro.common.bytesio import BinaryReader, BinaryWriter
 from repro.common.errors import CorruptionError, SerializationError
 from repro.common.varint import (
@@ -213,8 +212,13 @@ class BkdIndex:
             return len(values)
         return int(np.searchsorted(values, values.dtype.type(offset), side))
 
-    def _hits(self, low, high, low_inclusive: bool, high_inclusive: bool) -> np.ndarray | None:
-        """Row ids of the values in the interval, value after value."""
+    def range_rows(
+        self, low=None, high=None, low_inclusive=True, high_inclusive=True
+    ) -> np.ndarray | None:
+        """Row ids of the values in the (possibly open) interval, in value
+        order (one value's rows ascending), or None for a bound the index
+        cannot compare (see :meth:`_rank`).  The ids may be a view of the
+        index's own array: read them, never write them."""
         if low != low or high != high:
             return np.empty(0, np.int64)  # a NaN bound admits no value
         start = 0 if low is None else self._rank(low, not low_inclusive)
@@ -231,18 +235,13 @@ class BkdIndex:
         lo, hi = (start, stop) if first is None else (int(first[start]), int(first[stop]))
         return np.arange(lo, hi, dtype=np.int64) if self._rows is None else self._rows[lo:hi]
 
-    def range_bitset(self, low=None, high=None, low_inclusive=True, high_inclusive=True):
-        """Rows whose value lies in the (possibly open) interval, or None
-        for a bound the index cannot compare (see :meth:`_rank`)."""
-        rows = self._hits(low, high, low_inclusive, high_inclusive)
-        return None if rows is None else Bitset.from_indices(self._row_count, rows)
-
-    def in_bitset(self, values) -> Bitset | None:
-        """Rows equal to any of ``values`` (None as for :meth:`range_bitset`)."""
-        rows = [self._hits(value, value, True, True) for value in values]
+    def in_rows(self, values) -> np.ndarray | None:
+        """Row ids of the values equal to any of ``values``, value after
+        value (None as for :meth:`range_rows`)."""
+        rows = [self.range_rows(value, value) for value in values]
         if any(hits is None for hits in rows):
             return None
-        return Bitset.from_indices(self._row_count, np.concatenate([np.empty(0, np.int64), *rows]))
+        return np.concatenate([np.empty(0, np.int64), *rows])
 
     # -- serialization -----------------------------------------------------
 

@@ -37,7 +37,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.common.bitset import Bitset
 from repro.common.errors import CorruptionError, SerializationError
 from repro.common.varint import (
     decode_uvarint_array,
@@ -348,8 +347,9 @@ class InvertedIndex:
             stop += 1
         return np.unique(self._rows_of(start, stop))
 
-    def match_all(self, terms: Iterable[str]) -> Bitset:
-        """Rows containing *all* the given terms (full-text AND match).
+    def match_all(self, terms: Iterable[str]) -> np.ndarray:
+        """Ascending row ids containing *all* the given terms (full-text
+        AND match; every row for no terms).
 
         Posting counts are known without decoding, so an absent term
         answers before any list is decoded and the rest are intersected
@@ -359,24 +359,21 @@ class InvertedIndex:
         for term in terms:
             idx = self._find(self._needle(term))
             if idx < 0:
-                return Bitset(self._row_count)
+                return np.empty(0, dtype=np.int64)
             found.append(idx)
         if not found:
-            return Bitset.full(self._row_count)
+            return np.arange(self._row_count, dtype=np.int64)
         found.sort(key=self._counts.__getitem__)
-        result = Bitset.from_indices(self._row_count, self._rows_of(found[0], found[0] + 1))
+        rows = self._rows_of(found[0], found[0] + 1)
         for idx in found[1:]:
-            if not result.any():
+            if not rows.size:
                 break
-            result = result & Bitset.from_indices(self._row_count, self._rows_of(idx, idx + 1))
-        return result
+            rows = np.intersect1d(rows, self._rows_of(idx, idx + 1), assume_unique=True)
+        return rows
 
-    def match_any(self, terms: Iterable[str]) -> Bitset:
-        """Rows containing *any* of the given terms (OR match)."""
-        hits = [self.lookup(term) for term in terms]
-        if not hits:
-            return Bitset(self._row_count)
-        return Bitset.from_indices(self._row_count, np.concatenate(hits))
+    def match_any(self, terms: Iterable[str]) -> np.ndarray:
+        """Ascending row ids containing *any* of the given terms (OR match)."""
+        return np.unique(np.concatenate([np.empty(0, np.int64), *map(self.lookup, terms)]))
 
     # -- serialization -------------------------------------------------------
 

@@ -13,9 +13,9 @@ evaluates predicates the cheapest way available:
   by their block-level SMA; surviving blocks are decompressed and
   scanned sequentially.
 
-The per-predicate row-id bitsets are ANDed to form the final match set
-(Figure 8: "After merging the rowid set ... the log data can be finally
-loaded according to it").
+Every step answers with a bool row mask, and the per-predicate masks
+are ANDed to form the final match set (Figure 8: "After merging the
+rowid set ... the log data can be finally loaded according to it").
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.common.bitset import Bitset
 from repro.common.errors import QueryError
 from repro.common.strings import Strings
 from repro.logblock.bkd import BkdIndex
@@ -214,10 +213,9 @@ class MatchPredicate:
         return not sma.all_null
 
 
-def _index_rowids(
-    reader: LogBlockReader, predicate: ColumnPredicate
-) -> Bitset | None:
-    """Evaluate via the column index when possible (Figure 8 step 3).
+def _index_mask(reader: LogBlockReader, predicate: ColumnPredicate) -> np.ndarray | None:
+    """The row mask of ``predicate`` from the column index, when it can
+    answer it (Figure 8 step 3).
 
     Returns ``None`` when the predicate shape (or a numeric literal) is
     not index-answerable, in which case the caller falls back to scanning.
@@ -225,14 +223,22 @@ def _index_rowids(
     spec = reader.column(predicate.column)
     if spec.index is IndexType.NONE:
         return None
-    index = reader.read_index(predicate.column)
-    row_count = reader.row_count
+    rows = _index_rows(reader.read_index(predicate.column), spec, predicate)
+    if rows is None:
+        return None
+    mask = np.zeros(reader.row_count, dtype=bool)
+    mask[rows] = True
+    return mask
 
+
+def _index_rows(index, spec, predicate: ColumnPredicate) -> np.ndarray | None:
+    """The row ids the index holds for ``predicate`` (in any order, a
+    row possibly twice), or None as for :func:`_index_mask`."""
     if isinstance(index, InvertedIndex):
         if isinstance(predicate, EqPredicate):
             if spec.tokenize:
                 return None  # tokenized values can't be matched exactly from terms
-            return Bitset.from_indices(row_count, index.lookup(str(predicate.value)))
+            return index.lookup(str(predicate.value))
         if isinstance(predicate, InPredicate):
             if spec.tokenize:
                 return None
@@ -243,18 +249,18 @@ def _index_rowids(
         if isinstance(predicate, PrefixPredicate):
             if spec.tokenize:
                 return None  # whole-value prefixes don't map to token terms
-            return Bitset.from_indices(row_count, index.lookup_prefix(predicate.prefix))
+            return index.lookup_prefix(predicate.prefix)
         return None
 
     if isinstance(index, BkdIndex):
         if isinstance(predicate, EqPredicate):
-            return index.range_bitset(predicate.value, predicate.value)
+            return index.range_rows(predicate.value, predicate.value)
         if isinstance(predicate, RangePredicate):
-            return index.range_bitset(
+            return index.range_rows(
                 predicate.low, predicate.high, predicate.low_inclusive, predicate.high_inclusive
             )
         if isinstance(predicate, InPredicate):
-            return index.in_bitset(predicate.values)
+            return index.in_rows(predicate.values)
         return None
 
     return None
@@ -474,19 +480,19 @@ def evaluate_predicates(
     use_skipping: bool = True,
     use_indexes: bool = True,
     stats: PruneStats | None = None,
-) -> Bitset:
-    """Row ids in this LogBlock matching *all* predicates.
+) -> np.ndarray:
+    """The bool mask of the rows in this LogBlock matching *all* predicates.
 
     With ``use_skipping=False`` every predicate is evaluated by brute
     scan of every block (the Figure 15 baseline).  ``use_indexes=False``
     disables step 3 while keeping SMA pruning (an ablation point).
     """
     row_count = reader.row_count
-    result = Bitset.full(row_count)
+    mask = None  # every row, until a predicate narrows it
     stats = stats if stats is not None else PruneStats()
 
     for predicate in predicates:
-        if not result.any():
+        if mask is not None and not mask.any():
             break
         if use_skipping:
             column_sma = reader.column_sma(predicate.column)
@@ -494,7 +500,7 @@ def evaluate_predicates(
             if not predicate.may_match_sma(column_sma, ctype):
                 # Figure 8 step 2: whole column disproved; no rows match.
                 stats.columns_pruned += 1
-                return Bitset(row_count)
+                return np.zeros(row_count, dtype=bool)
             if proves_all_match(predicate, column_sma, ctype):
                 # The column SMA proves every row matches (e.g. IS NOT
                 # NULL over a column with zero nulls, ``tenant_id = 7``
@@ -505,17 +511,19 @@ def evaluate_predicates(
                 # Bloom filter proves the needle is absent from this
                 # whole LogBlock — skip without touching the index.
                 stats.blooms_pruned += 1
-                return Bitset(row_count)
-            if use_indexes:
-                via_index = _index_rowids(reader, predicate)
-                if via_index is not None:
-                    stats.index_lookups += 1
-                    result = result & via_index
-                    continue
-            result = result & _scan_blocks(reader, predicate, stats, prune_blocks=True)
+                return np.zeros(row_count, dtype=bool)
+            part = _index_mask(reader, predicate) if use_indexes else None
+            if part is not None:
+                stats.index_lookups += 1
+            else:
+                part = _scan_blocks(reader, predicate, stats, prune_blocks=True)
         else:
-            result = result & _scan_blocks(reader, predicate, stats, prune_blocks=False)
-    return result
+            part = _scan_blocks(reader, predicate, stats, prune_blocks=False)
+        if mask is None:
+            mask = part
+        else:
+            mask &= part
+    return np.ones(row_count, dtype=bool) if mask is None else mask
 
 
 def bloom_may_match(reader: LogBlockReader, predicate: ColumnPredicate) -> bool:
@@ -546,8 +554,9 @@ def _scan_blocks(
     predicate: ColumnPredicate,
     stats: PruneStats,
     prune_blocks: bool,
-) -> Bitset:
-    """Scan-path evaluation of one predicate over the column blocks.
+) -> np.ndarray:
+    """Scan-path evaluation of one predicate over the column blocks, as
+    a row mask.
 
     ``prune_blocks`` applies the Figure 8 step-4 block-level SMA skip.
     Each surviving block is decoded and evaluated by :func:`column_mask`.
@@ -573,7 +582,7 @@ def _scan_blocks(
         arrays = reader.read_block_arrays(predicate.column, block_idx)
         full_mask[base : base + block_rows] = column_mask(predicate, arrays)
         base += block_rows
-    return Bitset.from_bool_array(full_mask)
+    return full_mask
 
 
 def validate_predicate_types(reader_schema, predicates: list[ColumnPredicate]) -> None:

@@ -5,8 +5,10 @@ For each LogBlock surviving the LogBlock-map filter:
 1. load ``meta`` (through the object + block caches);
 2. optionally prefetch the index members of indexed predicate columns
    in one parallel batch (§5.2);
-3. evaluate the predicate tree to a row-id bitset using SMA pruning,
-   index lookups, and block scans (:mod:`repro.logblock.pruning`);
+3. evaluate the predicate tree to a row mask using SMA pruning,
+   index lookups, and block scans (:mod:`repro.logblock.pruning`) —
+   the tree compiled once per query by the one
+   :func:`~repro.query.kernels.compile_expr`, with the block leaf;
 4. optionally prefetch exactly the column blocks containing matched
    rows for the columns the sink reads;
 5. hand the matched rows to the sink: a column chunk (``execute``), an
@@ -27,9 +29,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
-from repro.common.bitset import Bitset
 from repro.common.utils import wave_elapsed
 from repro.logblock.pruning import (
+    ColumnPredicate,
+    EqPredicate,
+    InPredicate,
     PruneStats,
     bloom_may_match,
     evaluate_predicates,
@@ -50,7 +54,7 @@ from repro.meta.catalog import TIER_COLD, LogBlockEntry
 from repro.prefetch.executor import ParallelPrefetcher
 from repro.prefetch.planner import PrefetchPlanner
 from repro.query.aggregate import Aggregator
-from repro.query.ast import And, CmpOp, Comparison, Expr, In, IsNull, Not, Or
+from repro.query.ast import Comparison, Expr, In, IsNull
 from repro.query.dedup import LatestVersionDedup
 from repro.query.kernels import compile_expr, selection_columns
 from repro.query.planner import QueryPlan
@@ -74,7 +78,7 @@ class ExecutionOptions:
 # way real decode/evaluation CPU does in the paper.
 CPU_DECODE_BYTES_PER_S = 50e6   # decompress + decode rate
 CPU_SCAN_ROWS_PER_S = 2e6       # predicate evaluation by scan
-CPU_INDEX_LOOKUP_S = 0.0005     # one index probe + bitset merge
+CPU_INDEX_LOOKUP_S = 0.0005     # one index probe + row-set merge
 CPU_PER_BLOCK_S = 0.001         # per-LogBlock plan/merge overhead
 # Reading a value out for the result vs folding it in an aggregate.
 CPU_MATERIALIZE_VALUES_PER_S = 5e6
@@ -146,54 +150,60 @@ class ExecutionStats:
         return 0
 
 
-def _equality_string_leaves(expr: Expr) -> dict[str, list]:
-    """column → Eq/In leaves with string literals (Bloom-answerable)."""
-    leaves: dict[str, list] = {}
+class _BlockWhere:
+    """``plan.where`` compiled once per query for archived LogBlocks.
 
-    def walk(node: Expr) -> None:
-        if isinstance(node, And) or isinstance(node, Or):
-            for child in node.children:
-                walk(child)
-        elif isinstance(node, Not):
-            walk(node.child)
-        elif isinstance(node, Comparison):
-            if node.op is CmpOp.EQ and isinstance(node.value, str):
-                leaves.setdefault(node.column, []).append(node)
-        elif isinstance(node, In):
-            if all(isinstance(v, str) for v in node.values):
-                leaves.setdefault(node.column, []).append(node)
+    ``match(reader)`` is the tree's row mask over one block: the one
+    :func:`compile_expr` with :meth:`_leaf`, whose predicate is built
+    here once.  The prefetch reads the same predicates per column:
+    ``leaves`` holds them all, ``probes`` the string Eq / IN ones a
+    Bloom filter answers, and ``unprobed`` names the columns with a
+    leaf that is neither a comparison nor an IN.
+    """
 
-    walk(expr)
-    return leaves
+    def __init__(self, where: Expr, options: ExecutionOptions, prune: PruneStats) -> None:
+        self.leaves: dict[str, list[ColumnPredicate]] = {}
+        self.probes: dict[str, list[ColumnPredicate]] = {}
+        self.unprobed: set[str] = set()
+        self._options = options
+        self._prune = prune
+        self.match = compile_expr(where, self._leaf)
+
+    def _leaf(self, node: Expr):
+        predicate = node.to_column_predicate()
+        column = predicate.column
+        self.leaves.setdefault(column, []).append(predicate)
+        if (isinstance(predicate, EqPredicate) and isinstance(predicate.value, str)) or (
+            isinstance(predicate, InPredicate) and all(isinstance(v, str) for v in predicate.values)
+        ):
+            self.probes.setdefault(column, []).append(predicate)
+        if not isinstance(node, (Comparison, In)):
+            self.unprobed.add(column)
+        # A column added by DDL after a block was written reads as null
+        # there: False for every row — except IS NULL, whose whole job
+        # is to match those nulls.
+        absent = isinstance(node, IsNull)
+        options, prune = self._options, self._prune
+
+        def evaluate(reader: LogBlockReader) -> np.ndarray:
+            if column not in reader.meta().schema.column_names():
+                return np.full(reader.row_count, absent)
+            return evaluate_predicates(
+                reader, [predicate], options.use_skipping, options.use_indexes, prune
+            )
+
+        return evaluate
 
 
-def _all_leaves_for_column(expr: Expr, column: str) -> list:
-    """Every leaf node referencing ``column`` anywhere in the tree."""
-    out: list = []
+def _decided_by_sma(predicates: list, column_sma: Sma, ctype: ColumnType) -> bool:
+    """Whether the column SMA alone answers every predicate of a column.
 
-    def walk(node: Expr) -> None:
-        if isinstance(node, (And, Or)):
-            for child in node.children:
-                walk(child)
-        elif isinstance(node, Not):
-            walk(node.child)
-        elif column in node.columns():
-            out.append(node)
-
-    walk(expr)
-    return out
-
-
-def _decided_by_sma(leaves: list, column_sma: Sma, ctype: ColumnType) -> bool:
-    """Whether the column SMA alone answers every leaf of a column.
-
-    True when each leaf is proven to match no row or every row — the
-    two outcomes :func:`evaluate_predicates` returns from before it
-    opens the index — so the index member need not be fetched.
+    True when each is proven to match no row or every row — the two
+    outcomes :func:`evaluate_predicates` returns from before it opens
+    the index — so the index member need not be fetched.
     """
     try:
-        for leaf in leaves:
-            predicate = leaf.to_column_predicate()
+        for predicate in predicates:
             if predicate.may_match_sma(column_sma, ctype) and not proves_all_match(
                 predicate, column_sma, ctype
             ):
@@ -316,7 +326,7 @@ class BlockExecutor:
         self,
         pack: PackReader,
         schema,
-        expr: Expr | None,
+        where: _BlockWhere | None,
         stats: ExecutionStats,
     ) -> LogBlockReader:
         """Two-stage parallel load of everything evaluation will touch.
@@ -332,43 +342,38 @@ class BlockExecutor:
         (Figures 9/10) with SMA and Bloom short-circuiting.
         """
         manifest = pack.manifest()
-        eq_leaves = _equality_string_leaves(expr) if expr is not None else {}
-        blooms = [bloom_member(column) for column in sorted(eq_leaves)]
+        probes = where.probes if where is not None else {}
+        blooms = [bloom_member(column) for column in sorted(probes)]
         stage1 = [META_MEMBER] + [member for member in blooms if member in manifest]
         self._prefetch_members(pack, stage1, stats)
 
         reader = self._open_block_from_pack(pack)
-        if expr is None or not self.options.use_indexes:
+        if where is None or not self.options.use_indexes:
             return reader
 
         stage2: list[str] = []
-        for column in sorted(expr.columns()):
+        for column in sorted(where.leaves):
             spec = schema.column(column)
             member = index_member(column)
             if spec.index is IndexType.NONE or member not in manifest:
                 continue
             if self.options.use_skipping and _decided_by_sma(
-                _all_leaves_for_column(expr, column),
-                reader.column_sma(column),
-                reader.column(column).ctype,
+                where.leaves[column], reader.column_sma(column), reader.column(column).ctype
             ):
                 continue  # evaluation will never open this index
             if self.cache.objects.contains((self._bucket, pack.key, member)):
                 stage2.append(member)  # decoded and shared: no Bloom to read for it
                 continue
-            leaves = eq_leaves.get(column)
-            if leaves and not any(
-                bloom_may_match(reader, leaf.to_column_predicate()) for leaf in leaves
+            column_probes = probes.get(column)
+            if (
+                column_probes
+                and not any(bloom_may_match(reader, probe) for probe in column_probes)
+                and column not in where.unprobed
             ):
                 # Every probe of this column is provably absent and
                 # the column has no other predicate shapes: the
                 # index cannot contribute — skip fetching it.
-                only_eq_leaves = all(
-                    isinstance(leaf, (Comparison, In))
-                    for leaf in _all_leaves_for_column(expr, column)
-                )
-                if only_eq_leaves:
-                    continue
+                continue
             stage2.append(member)
         self._prefetch_members(pack, stage2, stats)
         return reader
@@ -396,58 +401,22 @@ class BlockExecutor:
         stats.prefetch_resident_decoded += len(blocks) - len(members)
         self._prefetch_members(reader.pack, members, stats)
 
-    def _evaluate_expr(
-        self, reader: LogBlockReader, expr: Expr, stats: ExecutionStats
-    ) -> Bitset:
-        """Recursive bitset evaluation of the predicate tree on one block."""
-        row_count = reader.row_count
-        if isinstance(expr, And):
-            result = Bitset.full(row_count)
-            for child in expr.children:
-                if not result.any():
-                    break
-                result = result & self._evaluate_expr(reader, child, stats)
-            return result
-        if isinstance(expr, Or):
-            result = Bitset(row_count)
-            for child in expr.children:
-                result = result | self._evaluate_expr(reader, child, stats)
-            return result
-        if isinstance(expr, Not):
-            return ~self._evaluate_expr(reader, expr.child, stats)
-        # A column added by DDL after this block was written: every leaf
-        # evaluates to null ⇒ False for all of the block's rows — except
-        # IS NULL, whose whole job is to match those nulls.
-        leaf_columns = expr.columns()
-        block_columns = set(reader.meta().schema.column_names())
-        if not leaf_columns <= block_columns:
-            if isinstance(expr, IsNull):
-                return Bitset.full(row_count)
-            return Bitset(row_count)
-        predicate = expr.to_column_predicate()  # type: ignore[union-attr]
-        return evaluate_predicates(
-            reader,
-            [predicate],
-            use_skipping=self.options.use_skipping,
-            use_indexes=self.options.use_indexes,
-            stats=stats.prune,
-        )
-
     def _match_block(
         self,
         entry: LogBlockEntry,
-        plan: QueryPlan,
+        schema,
+        where: _BlockWhere | None,
         stats: ExecutionStats,
     ) -> tuple[LogBlockReader, BlockSelection]:
         """Open one LogBlock and evaluate the predicate to its matched rows.
 
-        The bitset becomes row ids, and those (block, offsets) groups,
+        The row mask becomes row ids, and those (block, offsets) groups,
         exactly once here; the count, the block prefetch and every
         column read downstream share that one :class:`BlockSelection`.
         """
         if self.options.use_prefetch:
             pack = self._open_pack(entry)
-            reader = self._prefetch_meta_and_indexes(pack, plan.schema, plan.where, stats)
+            reader = self._prefetch_meta_and_indexes(pack, schema, where, stats)
         else:
             reader = self._open_block(entry)
         stats.blocks_visited += 1
@@ -456,8 +425,8 @@ class BlockExecutor:
         self._charge(CPU_PER_BLOCK_S)
         scanned_before = stats.prune.blocks_scanned
         lookups_before = stats.prune.index_lookups
-        if plan.where is not None:
-            matched = reader.select(self._evaluate_expr(reader, plan.where, stats).indices())
+        if where is not None:
+            matched = reader.select(np.flatnonzero(where.match(reader)))
         else:
             matched = reader.select(np.arange(reader.row_count, dtype=np.int64))
         # CPU cost of evaluation: scanned blocks pay per-row evaluation,
@@ -531,9 +500,10 @@ class BlockExecutor:
 
     def _scan(self, plan: QueryPlan, entries, stats: ExecutionStats, sink, done=None) -> None:
         """Hand ``sink(reader, matched)`` every block's non-empty selection."""
+        where = None if plan.where is None else _BlockWhere(plan.where, self.options, stats.prune)
 
         def visit(entry: LogBlockEntry) -> None:
-            reader, matched = self._match_block(entry, plan, stats)
+            reader, matched = self._match_block(entry, plan.schema, where, stats)
             if len(matched):
                 stats.rows_matched += len(matched)
                 sink(reader, matched)

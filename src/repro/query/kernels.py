@@ -7,9 +7,10 @@ predicate meets a value — over the decoded column of its name, and
 AND / OR / NOT combine the boolean masks.  The tree runs over a column
 chunk's selection (:func:`selection_columns`): a realtime scan's, and
 through :func:`filter_chunk` the ``_system`` rows, the dedup post
-filter's winners and a window query's ranked rows; archived LogBlocks
-evaluate the same leaves one at a time in :mod:`repro.logblock.pruning`,
-after SMA and index skipping.
+filter's winners and a window query's ranked rows.  Archived LogBlocks
+run the same tree with another leaf: the executor's, which evaluates
+one leaf per block in :mod:`repro.logblock.pruning`, after SMA and
+index skipping.
 
 :func:`top_k_order` is the argsort-based ORDER BY / LIMIT kernel and the one
 sort of every result, GROUP BY groups included.
@@ -30,38 +31,47 @@ from repro.rowstore.batch import RowBatch, RowSelection
 Columns = Callable[[str], tuple]
 
 
-def compile_expr(expr: Expr) -> Callable[[Columns], np.ndarray]:
-    """``expr`` as a function from a column reader to the boolean mask
-    of the rows it matches (a leaf is False on a null; NOT flips it)."""
-    if isinstance(expr, And):
-        children = [compile_expr(child) for child in expr.children]
+def column_leaf(node: Expr) -> Callable[[Columns], np.ndarray]:
+    """A leaf as :func:`column_mask` over the decoded column of its name."""
+    predicate = node.to_column_predicate()
+    return lambda columns: column_mask(predicate, columns(predicate.column))
 
-        def eval_and(columns: Columns) -> np.ndarray:
-            mask = children[0](columns)
+
+def compile_expr(expr: Expr, leaf: Callable = column_leaf) -> Callable:
+    """``expr`` as a function from what its leaves read to the boolean
+    mask of the rows it matches (a leaf is False on a null; NOT flips it).
+
+    ``leaf(node)`` compiles one leaf into a function of the same input:
+    :func:`column_leaf` over a column reader, or the executor's archived
+    leaf over a LogBlock reader.  AND stops at an empty mask; OR
+    evaluates every child.
+    """
+    if isinstance(expr, And):
+        children = [compile_expr(child, leaf) for child in expr.children]
+
+        def eval_and(source) -> np.ndarray:
+            mask = children[0](source)
             for child in children[1:]:
                 if not mask.any():
                     break
-                mask = mask & child(columns)
+                mask = mask & child(source)
             return mask
 
         return eval_and
     if isinstance(expr, Or):
-        children = [compile_expr(child) for child in expr.children]
+        children = [compile_expr(child, leaf) for child in expr.children]
 
-        def eval_or(columns: Columns) -> np.ndarray:
-            mask = children[0](columns)
+        def eval_or(source) -> np.ndarray:
+            mask = children[0](source)
             for child in children[1:]:
-                if mask.all():
-                    break
-                mask = mask | child(columns)
+                mask = mask | child(source)
             return mask
 
         return eval_or
     if isinstance(expr, Not):
-        child = compile_expr(expr.child)
-        return lambda columns: ~child(columns)
-    predicate = expr.to_column_predicate()
-    return lambda columns: column_mask(predicate, columns(predicate.column))
+        child = compile_expr(expr.child, leaf)
+        return lambda source: ~child(source)
+    return leaf(expr)
 
 
 def selection_columns(selection) -> Columns:

@@ -107,8 +107,8 @@ def read_manifest(data: bytes):
 def numeric_answers(version: int):
     def decode(data: bytes):
         index = BkdIndex.from_bytes(data, version)
-        probes = [index.range_bitset(), index.range_bitset(40, 90, False), index.in_bitset([7, 8])]
-        return index.row_count, [list(rows) for rows in probes]
+        probes = [index.range_rows(), index.range_rows(40, 90, False), index.in_rows([7, 8])]
+        return index.row_count, [rows.tolist() for rows in probes]
 
     return decode
 

@@ -1,5 +1,6 @@
 """Bloom filter tests: structure, serialization, and LogBlock skipping."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,42 +106,42 @@ class TestLogBlockIntegration:
     def test_absent_needle_pruned_without_index(self, data):
         _rows, reader = data
         stats = PruneStats()
-        bits = evaluate_predicates(
+        mask = evaluate_predicates(
             reader, [EqPredicate("ip", "192.168.0.45")], stats=stats
         )
-        assert not bits.any()
+        assert not mask.any()
         assert stats.blooms_pruned == 1
         assert stats.index_lookups == 0  # the index was never consulted
 
     def test_present_needle_not_pruned(self, data):
         rows, reader = data
         stats = PruneStats()
-        bits = evaluate_predicates(
+        mask = evaluate_predicates(
             reader, [EqPredicate("ip", "192.168.0.3")], stats=stats
         )
         expected = [i for i, r in enumerate(rows) if r["ip"] == "192.168.0.3"]
-        assert list(bits) == expected
+        assert np.flatnonzero(mask).tolist() == expected
         assert stats.blooms_pruned == 0
         assert stats.index_lookups == 1
 
     def test_in_predicate_pruned_when_all_absent(self, data):
         _rows, reader = data
         stats = PruneStats()
-        bits = evaluate_predicates(
+        mask = evaluate_predicates(
             reader,
             [InPredicate("ip", ("192.168.0.15", "192.168.0.85"))],
             stats=stats,
         )
-        assert not bits.any()
+        assert not mask.any()
         assert stats.blooms_pruned == 1
 
     def test_in_predicate_survives_when_one_present(self, data):
         rows, reader = data
-        bits = evaluate_predicates(
+        mask = evaluate_predicates(
             reader, [InPredicate("ip", ("192.168.0.15", "192.168.0.5"))]
         )
         expected = [i for i, r in enumerate(rows) if r["ip"] == "192.168.0.5"]
-        assert list(bits) == expected
+        assert np.flatnonzero(mask).tolist() == expected
 
 
 class TestExecutorRequestSavings:

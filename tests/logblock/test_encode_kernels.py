@@ -604,7 +604,7 @@ class TestDictCodesMask:
         rows = make_rows(256, seed=2)
         reader = reader_for(write_logblock(rows, block_rows=64))
         stats = PruneStats()
-        result = evaluate_predicates(
+        mask = evaluate_predicates(
             reader,
             [EqPredicate("api", "/api/v1")],
             use_skipping=False,
@@ -612,7 +612,7 @@ class TestDictCodesMask:
             stats=stats,
         )
         expected = [i for i, r in enumerate(rows) if r["api"] == "/api/v1"]
-        assert list(result) == expected
+        assert np.flatnonzero(mask).tolist() == expected
         # "api" is low-cardinality → every block DICT → all rows vectorized.
         assert stats.rows_vectorized == 256
 
@@ -628,7 +628,8 @@ class TestDictCodesMask:
         ]
         for (predicate,) in predicates:
             oracle = [i for i, r in enumerate(rows) if matches(predicate, r)]
-            assert list(evaluate_predicates(reader, [predicate], use_indexes=False)) == oracle
+            mask = evaluate_predicates(reader, [predicate], use_indexes=False)
+            assert np.flatnonzero(mask).tolist() == oracle
 
     def test_reader_materializes_dict_columns(self):
         rows = make_rows(150, seed=4)

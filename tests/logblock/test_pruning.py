@@ -1,5 +1,6 @@
 """Data-skipping tests: pruning must never change query results."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -75,17 +76,17 @@ class TestEvaluateOnBlock:
             RangePredicate("latency", low=100, high=400),
             MatchPredicate("log", "status ok"),
         ]
-        bits = evaluate_predicates(
+        mask = evaluate_predicates(
             reader, predicates, use_skipping=use_skipping, use_indexes=use_indexes
         )
-        assert list(bits) == brute_force(rows, predicates)
+        assert np.flatnonzero(mask).tolist() == brute_force(rows, predicates)
 
     def test_column_pruned_short_circuits(self, reader):
         stats = PruneStats()
-        bits = evaluate_predicates(
+        mask = evaluate_predicates(
             reader, [RangePredicate("latency", low=10_000)], stats=stats
         )
-        assert not bits.any()
+        assert not mask.any()
         assert stats.columns_pruned == 1
         assert stats.blocks_scanned == 0
 
@@ -93,13 +94,13 @@ class TestEvaluateOnBlock:
         """ts is sorted so most blocks should prune on a narrow range."""
         stats = PruneStats()
         mid = rows[200]["ts"]
-        bits = evaluate_predicates(
+        mask = evaluate_predicates(
             reader,
             [RangePredicate("ts", low=mid, high=mid)],
             use_indexes=False,
             stats=stats,
         )
-        assert bits.count() == 1
+        assert mask.sum() == 1
         assert stats.blocks_pruned > 0
         assert stats.blocks_scanned <= 2
 
@@ -110,13 +111,13 @@ class TestEvaluateOnBlock:
 
     def test_ne_predicate_scans(self, rows, reader):
         predicates = [NePredicate("api", "/api/v0")]
-        bits = evaluate_predicates(reader, predicates)
-        assert list(bits) == brute_force(rows, predicates)
+        mask = evaluate_predicates(reader, predicates)
+        assert np.flatnonzero(mask).tolist() == brute_force(rows, predicates)
 
     def test_in_predicate_via_index(self, rows, reader):
         predicates = [InPredicate("ip", ("192.168.0.1", "192.168.0.2"))]
-        bits = evaluate_predicates(reader, predicates)
-        assert list(bits) == brute_force(rows, predicates)
+        mask = evaluate_predicates(reader, predicates)
+        assert np.flatnonzero(mask).tolist() == brute_force(rows, predicates)
 
     def test_validate_unknown_column(self, reader):
         with pytest.raises(QueryError):
@@ -160,10 +161,10 @@ def test_property_skipping_never_changes_results(predicates, seed):
     reader = reader_for(write_logblock(rows, block_rows=32))
     expected = brute_force(rows, predicates)
     for use_skipping, use_indexes in [(True, True), (True, False), (False, False)]:
-        bits = evaluate_predicates(
+        mask = evaluate_predicates(
             reader, predicates, use_skipping=use_skipping, use_indexes=use_indexes
         )
-        assert list(bits) == expected
+        assert np.flatnonzero(mask).tolist() == expected
 
 
 def test_match_tokens_present_in_generated_logs():

@@ -21,7 +21,7 @@ from repro.logblock.pruning import (
     NePredicate,
     PruneStats,
     RangePredicate,
-    _index_rowids,
+    _index_mask,
     column_mask,
     evaluate_predicates,
 )
@@ -119,8 +119,10 @@ def every_path(reader, rows, predicate):
     expected = attempt(lambda: [i for i, row in enumerate(rows) if matches(predicate, row)])
     for use_skipping, use_indexes in itertools.product((True, False), repeat=2):
         got = attempt(
-            lambda: evaluate_predicates(
-                reader, [predicate], use_skipping=use_skipping, use_indexes=use_indexes
+            lambda: np.flatnonzero(
+                evaluate_predicates(
+                    reader, [predicate], use_skipping=use_skipping, use_indexes=use_indexes
+                )
             )
         )
         if got is not None and expected is not None:
@@ -129,8 +131,8 @@ def every_path(reader, rows, predicate):
     if got is not None and expected is not None:
         assert got == expected, (predicate, "realtime")
     if orderable:  # evaluate_predicates never takes the others to an index
-        via_index = _index_rowids(reader, predicate)
-        assert via_index is None or list(via_index) == expected, predicate
+        via_index = _index_mask(reader, predicate)
+        assert via_index is None or np.flatnonzero(via_index).tolist() == expected, predicate
     return expected
 
 
@@ -226,10 +228,10 @@ class TestDifferential:
 
     def test_skipping_off_never_short_circuits(self, reader):
         stats = PruneStats()
-        bits = evaluate_predicates(
+        mask = evaluate_predicates(
             reader, [EqPredicate("tenant", 7)], use_skipping=False, stats=stats
         )
-        assert bits.count() == N_ROWS
+        assert mask.sum() == N_ROWS
         assert stats.columns_short_circuited == 0 and stats.blocks_scanned > 0
 
 
@@ -374,7 +376,8 @@ class TestHazards:
             assert expected == [
                 i for i, row in enumerate(rows) if row["score"] in literals_of(predicate)
             ]
-            assert list(evaluate_predicates(reader, [predicate], use_skipping=use_skipping)) == expected
+            mask = evaluate_predicates(reader, [predicate], use_skipping=use_skipping)
+            assert np.flatnonzero(mask).tolist() == expected
             assert not short_circuited(reader, predicate)
 
     @pytest.mark.parametrize("scores", [[2, math.nan, 2], [2, math.nan, 2, 2]])
@@ -399,8 +402,9 @@ class TestHazards:
             RangePredicate("score", low=0),
         ):
             assert not short_circuited(reader, predicate)
-            assert list(evaluate_predicates(reader, [predicate])) == expected
-            assert list(evaluate_predicates(reader, [predicate], use_skipping=False)) == expected
+            for use_skipping in (True, False):
+                mask = evaluate_predicates(reader, [predicate], use_skipping=use_skipping)
+                assert np.flatnonzero(mask).tolist() == expected
             assert every_path(reader, rows, predicate) == expected
 
     @pytest.mark.parametrize("scores", [[2.5, math.nan], [2, math.nan, 2]])

@@ -116,8 +116,8 @@ class TestEndToEndEquivalence:
         reader = reader_for(write_logblock(rows, block_rows=32))
         expected = brute_force(rows, predicates)
         for use_indexes in (True, False):
-            got = evaluate_predicates(reader, predicates, use_indexes=use_indexes)
-            assert list(got) == expected
+            mask = evaluate_predicates(reader, predicates, use_indexes=use_indexes)
+            assert np.flatnonzero(mask).tolist() == expected
 
     def test_executor_scans_on_vectors(self):
         """BlockExecutor's scan path runs on vectors and answers like

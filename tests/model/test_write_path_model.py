@@ -160,7 +160,7 @@ class WritePathModel(RuleBasedStateMachine):
         self.faults: list[str] = []  # fault rules armed since the last heal
         self.crashed: list[tuple[object, str]] = []  # (shard, replica)
         self.corrupted = False
-        self.cutoffs: dict[int, int] = {}  # tenant → highest expiry cutoff
+        self.cutoffs: dict[int, int] = {}  # tenant → the last sweep's expiry cutoff
         self.swept_to: int | None = None
         self.offboarded: set[int] = set()
 
@@ -352,11 +352,12 @@ class WritePathModel(RuleBasedStateMachine):
     @rule(fraction=fractions)
     def sweep_expired(self, fraction):
         """Tenant 1's one-hour TTL cuts at ``fraction`` of the rows written
-        so far; its blocks wholly before the cut may go."""
-        cutoff = self.ts_at(fraction)
-        now_ts = cutoff + HOUR_US
-        self.cutoffs[RETAINED] = max(self.cutoffs.get(RETAINED, cutoff), cutoff)
-        self.swept_to = max(self.swept_to or now_ts, now_ts)
+        so far, or where the last sweep cut if that lies later (the
+        clock never runs backwards); its blocks wholly before the cut
+        may go."""
+        now_ts = max(self.ts_at(fraction) + HOUR_US, self.swept_to or 0)
+        self.cutoffs[RETAINED] = now_ts - HOUR_US
+        self.swept_to = now_ts
         self.attempt("sweep_expired", self.store.sweep_expired, now_ts)
         if not self.faults:
             self.resolve()
@@ -838,6 +839,23 @@ def test_a_new_leader_serves_the_rows_its_predecessor_acked():
             ("sql_insert", dict(count=5, tenant=2)),
             ("put", dict(count=1, extra="int", tenant=1)),
             ("crash_and_recover_replica", dict(index=0, which="leader")),
+        ],
+    )
+
+
+def test_a_later_sweep_never_runs_at_an_earlier_now():
+    """A run the plain machine found: a sweep at a quarter of the rows
+    after one at half of them swept at an earlier "now", so it kept the
+    block ``flush_all`` had archived below the first sweep's cutoff and
+    the checker, holding that cutoff, found it alive."""
+    replay(
+        WritePathModel,
+        [
+            ("put", dict(count=28, extra=None, tenant=1)),
+            ("put", dict(count=35, extra=None, tenant=1)),
+            ("sweep_expired", dict(fraction=0.5)),
+            ("flush_all", {}),
+            ("sweep_expired", dict(fraction=0.25)),
         ],
     )
 
