@@ -14,6 +14,7 @@ Fault modes (all deterministic: one seeded RNG, virtual-clock time):
   (sustained flakiness / throttling storms);
 * **throttle every N** — every Nth call fails (deterministic rate
   limiting);
+* **fail next N** — the next N calls fail (a precise test scenario);
 * **latency spike** — each call charges extra seconds to the clock
   before executing (degraded-but-working OSS);
 * **torn upload** — the next PUT writes a prefix of the object's bytes
@@ -56,6 +57,7 @@ class ChaosObjectStore:
         self._latency_s = 0.0
         self._torn_puts = 0
         self._torn_fraction = 0.5
+        self._forced_failures = 0
         self._calls = 0
         self.faults_injected = 0
 
@@ -87,6 +89,12 @@ class ChaosObjectStore:
         self._error_rate = rate
         self._note("fault.oss.error_rate", f"rate={rate}")
 
+    def fail_next(self, count: int = 1) -> None:
+        """Make the next ``count`` calls fail before the inner call, so a
+        failed PUT has no partial effect (atomic-PUT semantics)."""
+        self._forced_failures += count
+        self._note("fault.oss.fail_next", f"count={count}")
+
     def set_throttle_every(self, n: int) -> None:
         """Fail every ``n``-th call (0 disables)."""
         self._throttle_every = n
@@ -111,6 +119,7 @@ class ChaosObjectStore:
         self._throttle_every = 0
         self._latency_s = 0.0
         self._torn_puts = 0
+        self._forced_failures = 0
         self._note("fault.oss.heal")
 
     # -- fault evaluation ------------------------------------------------
@@ -119,6 +128,9 @@ class ChaosObjectStore:
         self._calls += 1
         if self._latency_s:
             self._clock.sleep(self._latency_s)
+        if self._forced_failures > 0:
+            self._forced_failures -= 1
+            self._fail(operation, key, "forced")
         if self._outage:
             self._fail(operation, key, "outage")
         if self._throttle_every and self._calls % self._throttle_every == 0:

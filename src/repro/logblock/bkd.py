@@ -7,9 +7,10 @@ order.  Eq / Range / IN bisect the values in place and slice one run of
 row ids.  Nulls are not indexed; NaN is one value sorted after +inf,
 and a bounded range stops short of it.
 
-Member layout (LogBlock format v7)::
+Member layout (LogBlock format v8; the pack manifest holds its
+checksum)::
 
-    crc32 u32 of the rest | flags u8 (1 float, 2 counts, 4 rows)
+    flags u8 (1 float, 2 counts, 4 rows)
     row_count, term_count: uvarint
     int:   base (zigzag uvarint) = the least value, then a width byte
            and the gaps between neighbouring values at that width
@@ -24,20 +25,17 @@ Widths are the narrowest of 0/1/2/4/8 bytes; width 0 stores nothing
 (a constant column has no value gaps).  Opening a member widens each
 section with one cumsum into the form queries probe: the values as
 offsets from the base, as wide as their span needs, and the row ids as
-u16 (u32 from 2**16 rows on).  Format v6 stored those arrays as they
-are; it is read into the same form.
+u16 (u32 from 2**16 rows on).
 """
 
 from __future__ import annotations
 
 import math
-import struct
-import zlib
 
 import numpy as np
 
 from repro.common.bytesio import BinaryReader, BinaryWriter
-from repro.common.errors import CorruptionError, SerializationError
+from repro.common.errors import SerializationError
 from repro.common.varint import (
     NARROW_DTYPES,
     encode_uvarint_array,
@@ -46,9 +44,7 @@ from repro.common.varint import (
     zigzag_encode,
 )
 from repro.logblock.inverted import uint_for
-from repro.logblock.version import V6
 
-_CRC = struct.Struct("<I")
 _FLOAT, _COUNTS, _ROWS = 1, 2, 4
 _NUMBERS = (int, float, np.integer, np.floating, np.bool_)
 # What an index holds besides its buffers (for the object cache's accounting).
@@ -260,18 +256,11 @@ class BkdIndex:
             head.write_bytes(encode_uvarint_array(np.diff(self._first)))
         if self._rows is not None:
             head.write_narrow(self._row_numbers())
-        body = head.getvalue()
-        return _CRC.pack(zlib.crc32(body)) + body
+        return head.getvalue()
 
     @classmethod
-    def from_bytes(cls, data: bytes, version: int) -> "BkdIndex":
-        """Open the numeric index member of a LogBlock of format ``version``."""
-        if len(data) < _CRC.size:
-            raise SerializationError("truncated numeric index")
-        if zlib.crc32(memoryview(data)[_CRC.size :]) != _CRC.unpack_from(data)[0]:
-            raise CorruptionError("numeric index checksum mismatch")
-        gaps = version != V6
-        reader = BinaryReader(data, _CRC.size)
+    def from_bytes(cls, data: bytes) -> "BkdIndex":
+        reader = BinaryReader(data)
         flags = reader.read_u8()
         row_count, term_count = reader.read_uvarint(), reader.read_uvarint()
         if flags > 7:
@@ -279,19 +268,12 @@ class BkdIndex:
         base = 0
         if flags & _FLOAT:
             values = np.frombuffer(reader.read_bytes(term_count * 8), np.float64)
-        elif gaps:
+        else:
             base = zigzag_decode(reader.read_uvarint())
             offsets = np.zeros(term_count, np.uint64)
             np.add.accumulate(reader.read_narrow(max(term_count - 1, 0)), out=offsets[1:])
             span = int(offsets[-1]) if term_count else 0
             values = offsets.astype(NARROW_DTYPES[narrow_width(span)])
-        else:
-            base, width = zigzag_decode(reader.read_uvarint()), reader.read_u8()
-            if width not in NARROW_DTYPES or (width == 0 and term_count > 1):
-                raise SerializationError(f"numeric index width {width}")
-            dtype = NARROW_DTYPES[width]
-            raw = reader.read_bytes(term_count * width)
-            values = np.frombuffer(raw, dtype) if width else np.zeros(term_count, dtype)
         first, points = None, term_count
         if flags & _COUNTS:
             bounds = reader.read_bounds(term_count, min(row_count, 1 << 32))
@@ -300,9 +282,7 @@ class BkdIndex:
         rows = None
         if flags & _ROWS:
             dtype = uint_for(row_count)
-            if not gaps:
-                rows = np.frombuffer(reader.read_bytes(points * dtype().itemsize), dtype)
-            elif first is None:  # one point a value: every id as it is
+            if first is None:  # one point a value: every id as it is
                 rows = reader.read_narrow(points).astype(dtype)
             else:
                 # Each run's ids from its first: one running sum less the

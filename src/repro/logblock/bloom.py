@@ -11,26 +11,20 @@ Implementation: standard Bloom filter with double hashing —
 ``h_i(x) = h1(x) + i * h2(x)`` (Kirsch–Mitzenmacher), h1/h2 from one
 blake2b digest.  Sized for a target false-positive rate.
 
-Member layout (LogBlock format v7): crc32 u32 of the rest, the bit
-count (uvarint), the hash count (u8), then the bits.  Format v6 stored
-the same without the checksum.
+Member layout (LogBlock format v8): the bit count (uvarint), the hash
+count (u8), then the bits.  The pack manifest holds its checksum.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import struct
-import zlib
-
 import numpy as np
 
 from repro.common.bytesio import BinaryReader, BinaryWriter
-from repro.common.errors import CorruptionError, SerializationError
-from repro.logblock.version import V6
+from repro.common.errors import SerializationError
 
 DEFAULT_FPR = 0.01
-_CRC = struct.Struct("<I")
 # The filter object, its two ints and the bit array's header.
 _FIXED_OVERHEAD = 232
 
@@ -127,20 +121,11 @@ class BloomFilter:
         writer.write_uvarint(self.n_bits)
         writer.write_u8(self.n_hashes)
         writer.write_bytes(self._bits.tobytes())
-        body = writer.getvalue()
-        return _CRC.pack(zlib.crc32(body)) + body
+        return writer.getvalue()
 
     @classmethod
-    def from_bytes(cls, data: bytes, version: int) -> "BloomFilter":
-        """Open the Bloom member of a LogBlock of format ``version``."""
-        start = 0
-        if version != V6:
-            if len(data) < _CRC.size:
-                raise SerializationError("truncated Bloom filter")
-            start = _CRC.size
-            if zlib.crc32(memoryview(data)[start:]) != _CRC.unpack_from(data)[0]:
-                raise CorruptionError("Bloom filter checksum mismatch")
-        reader = BinaryReader(data, start)
+    def from_bytes(cls, data: bytes) -> "BloomFilter":
+        reader = BinaryReader(data)
         n_bits = reader.read_uvarint()
         n_hashes = reader.read_u8()
         n_words = (n_bits + 7) // 8

@@ -40,7 +40,6 @@ from repro.common.errors import SerializationError
 from repro.common.strings import Strings, with_nulls
 from repro.common.varint import decode_uvarint_array, zigzag_decode, zigzag_encode
 from repro.logblock.schema import ColumnType
-from repro.logblock.version import V6
 
 _STRING_PLAIN = 0
 _STRING_DICT = 1
@@ -93,12 +92,10 @@ def _read_frame_head(reader: BinaryReader) -> tuple[int, int]:
     return mode, base
 
 
-def _read_ints(reader: BinaryReader, row_count: int, version: int) -> np.ndarray:
-    """A block's int64 values, widened once from their frame (v6: raw).
-    int64 arithmetic wraps as uint64 does, so the offsets add up to the
-    same bits."""
-    if version == V6:
-        return np.frombuffer(reader.read_bytes(row_count * 8), dtype=np.int64)
+def _read_ints(reader: BinaryReader, row_count: int) -> np.ndarray:
+    """A block's int64 values, widened once from their frame.  int64
+    arithmetic wraps as uint64 does, so the offsets add up to the same
+    bits."""
     mode, base = _read_frame_head(reader)
     offsets = reader.read_narrow(row_count - mode)  # delta stores no offset for row 0
     values = np.empty(row_count, dtype=np.int64)
@@ -111,12 +108,9 @@ def _read_ints(reader: BinaryReader, row_count: int, version: int) -> np.ndarray
     return values
 
 
-def int_frame(data: bytes, version: int) -> tuple[str, int]:
+def int_frame(data: bytes) -> tuple[str, int]:
     """``(frame, offset width)`` of one uncompressed INT64 / TIMESTAMP
-    block: ``"delta"`` or ``"for"``, and ``("raw", 8)`` in v6 (for
-    inspection)."""
-    if version == V6:
-        return "raw", 8
+    block: ``"delta"`` or ``"for"`` (for inspection)."""
     reader = BinaryReader(data)
     reader.read_len_prefixed()  # the null bitset
     mode, _base = _read_frame_head(reader)
@@ -154,16 +148,15 @@ def _at_end(reader: BinaryReader) -> None:
         raise SerializationError(f"{reader.remaining()} bytes after the column block's values")
 
 
-def decode_block(data: bytes, ctype: ColumnType, row_count: int, version: int) -> list:
-    """Decode a column block of a LogBlock of format ``version`` back
-    into python values (``None`` = null)."""
+def decode_block(data: bytes, ctype: ColumnType, row_count: int) -> list:
+    """Decode a column block back into python values (``None`` = null)."""
     reader = BinaryReader(data)
     null_mask = _read_null_mask(reader, row_count)
     if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP, ColumnType.FLOAT64):
         if ctype is ColumnType.FLOAT64:
             vector = np.frombuffer(reader.read_bytes(row_count * 8), dtype=np.float64)
         else:
-            vector = _read_ints(reader, row_count, version)
+            vector = _read_ints(reader, row_count)
         _at_end(reader)
         return with_nulls(vector.tolist(), null_mask)
     if ctype is ColumnType.BOOL:
@@ -185,9 +178,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def decode_block_arrays(data: bytes, ctype: ColumnType, row_count: int, version: int):
-    """Decode a column block of a LogBlock of format ``version`` into
-    the one form every read path shares.
+def decode_block_arrays(data: bytes, ctype: ColumnType, row_count: int):
+    """Decode a column block into the one form every read path shares.
 
     Numeric/bool columns return ``(values, null_mask)``.  DICT-encoded
     string blocks return ``(codes, dictionary, null_mask)`` — codes are
@@ -207,7 +199,7 @@ def decode_block_arrays(data: bytes, ctype: ColumnType, row_count: int, version:
         if ctype is ColumnType.FLOAT64:
             values = np.frombuffer(reader.read_bytes(row_count * 8), dtype=np.float64)
         else:
-            values = _frozen(_read_ints(reader, row_count, version))
+            values = _frozen(_read_ints(reader, row_count))
         _at_end(reader)
         return values, null_mask
     if ctype is ColumnType.BOOL:

@@ -8,10 +8,10 @@ term equal to its **raw** whole value — exact-match semantics must agree
 byte-for-byte with the scan path's ``==``, so no case folding happens
 (SQL string equality is case-sensitive).
 
-Serialized layout (LogBlock format v4), written as sections so that a
-reader finds one term without parsing the others::
+Serialized layout (LogBlock format v8; the pack manifest holds its
+checksum), written as sections so that a reader finds one term without
+parsing the others::
 
-    crc32: u32 of everything after it
     flags: u8 (bit 0: tokenized)
     row_count, term_count, dictionary bytes, postings bytes: u32 each
     term lengths:   term_count uvarints (UTF-8 bytes per term)
@@ -32,12 +32,11 @@ and every posting list is delta- and varint-coded at once.
 from __future__ import annotations
 
 import struct
-import zlib
 from typing import Iterable
 
 import numpy as np
 
-from repro.common.errors import CorruptionError, SerializationError
+from repro.common.errors import SerializationError
 from repro.common.varint import (
     decode_uvarint_array,
     encode_uvarint_array,
@@ -46,7 +45,6 @@ from repro.common.varint import (
 from repro.logblock.encode_kernels import rank_strings
 from repro.logblock.tokenizer import normalize_term, tokenize_column
 
-_CRC = struct.Struct("<I")
 # flags, row count, term count, dictionary bytes, postings bytes
 _HEADER = struct.Struct("<BIIII")
 # What an index holds besides its buffers: the object, three array
@@ -161,7 +159,7 @@ class InvertedIndex:
     Term ``i`` is ``dictionary[term_at[i]:term_at[i + 1]]`` (UTF-8,
     sorted) and its ``counts[i]`` row ids are the delta varints in
     ``postings[post_at[i]:post_at[i + 1]]``.  Built and decoded indexes
-    of every format version share this one representation; a posting
+    share this one representation; a posting
     list is decoded when it is looked up; a built index, which the
     writer only serializes, derives ``post_at`` at its first probe.
     """
@@ -380,7 +378,7 @@ class InvertedIndex:
     def to_bytes(self) -> bytes:
         if self._row_count >= 1 << 32:
             raise SerializationError("inverted index row count exceeds the format's 32 bits")
-        body = b"".join(
+        return b"".join(
             (
                 _HEADER.pack(
                     1 if self._tokenize else 0,
@@ -395,28 +393,23 @@ class InvertedIndex:
                 self._postings,
             )
         )
-        return _CRC.pack(zlib.crc32(body)) + body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "InvertedIndex":
-        """Open a v4 index member: a fixed number of array kernels,
+        """Open an index member: a fixed number of array kernels,
         whatever the term count, and no posting list decoded."""
-        if len(data) < _CRC.size + _HEADER.size:
+        if len(data) < _HEADER.size:
             raise SerializationError("truncated inverted index")
-        if zlib.crc32(memoryview(data)[_CRC.size :]) != _CRC.unpack_from(data)[0]:
-            raise CorruptionError("inverted index checksum mismatch")
-        flags, row_count, term_count, dictionary_len, postings_len = _HEADER.unpack_from(
-            data, _CRC.size
-        )
+        flags, row_count, term_count, dictionary_len, postings_len = _HEADER.unpack_from(data)
         if flags > 1:
             raise SerializationError(f"unknown inverted index flags {flags:#x}")
         # The two uvarint arrays fill what the header leaves between
         # itself and the dictionary; decoding stops there.
         arrays_end = len(data) - dictionary_len - postings_len
-        if arrays_end < _CRC.size + _HEADER.size:
+        if arrays_end < _HEADER.size:
             raise SerializationError("inverted index sections disagree with its length")
         both, pos = decode_uvarint_array(
-            memoryview(data)[:arrays_end], 2 * term_count, _CRC.size + _HEADER.size
+            memoryview(data)[:arrays_end], 2 * term_count, _HEADER.size
         )
         if pos != arrays_end:
             raise SerializationError("inverted index sections disagree with its length")

@@ -30,11 +30,10 @@ import numpy as np
 
 from repro.common.errors import QueryError
 from repro.common.strings import Strings
-from repro.logblock.bkd import BkdIndex
 from repro.logblock.column import block_values
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.reader import LogBlockReader
-from repro.logblock.schema import ColumnType, IndexType
+from repro.logblock.schema import ColumnSpec, ColumnType, IndexType
 from repro.logblock.sma import Sma
 from repro.logblock.tokenizer import normalize_term, tokenize, tokenize_column
 
@@ -213,6 +212,21 @@ class MatchPredicate:
         return not sma.all_null
 
 
+def index_answers(spec: ColumnSpec, predicate: ColumnPredicate) -> bool:
+    """Whether the column's index answers ``predicate``'s shape: an
+    inverted index MATCH, and on an untokenized column Eq, IN and a
+    LIKE prefix; a numeric index Eq, IN and ranges.  Any other leaf is
+    scanned, and its index is neither fetched nor opened for it."""
+    if spec.index is IndexType.INVERTED:
+        exact = (EqPredicate, InPredicate, PrefixPredicate)
+        return isinstance(predicate, MatchPredicate) or (
+            not spec.tokenize and isinstance(predicate, exact)
+        )
+    if spec.index is IndexType.BKD:
+        return isinstance(predicate, (EqPredicate, InPredicate, RangePredicate))
+    return False
+
+
 def _index_mask(reader: LogBlockReader, predicate: ColumnPredicate) -> np.ndarray | None:
     """The row mask of ``predicate`` from the column index, when it can
     answer it (Figure 8 step 3).
@@ -221,9 +235,9 @@ def _index_mask(reader: LogBlockReader, predicate: ColumnPredicate) -> np.ndarra
     not index-answerable, in which case the caller falls back to scanning.
     """
     spec = reader.column(predicate.column)
-    if spec.index is IndexType.NONE:
+    if not index_answers(spec, predicate):
         return None
-    rows = _index_rows(reader.read_index(predicate.column), spec, predicate)
+    rows = _index_rows(reader.read_index(predicate.column), predicate)
     if rows is None:
         return None
     mask = np.zeros(reader.row_count, dtype=bool)
@@ -231,39 +245,25 @@ def _index_mask(reader: LogBlockReader, predicate: ColumnPredicate) -> np.ndarra
     return mask
 
 
-def _index_rows(index, spec, predicate: ColumnPredicate) -> np.ndarray | None:
-    """The row ids the index holds for ``predicate`` (in any order, a
-    row possibly twice), or None as for :func:`_index_mask`."""
+def _index_rows(index, predicate: ColumnPredicate) -> np.ndarray | None:
+    """The row ids the index holds for a predicate it answers
+    (:func:`index_answers`), in any order and a row possibly twice; None
+    for a numeric literal the index cannot compare."""
+    if isinstance(predicate, MatchPredicate):
+        return index.match_all([normalize_term(t) for t in predicate.terms])
+    if isinstance(predicate, PrefixPredicate):
+        return index.lookup_prefix(predicate.prefix)
     if isinstance(index, InvertedIndex):
         if isinstance(predicate, EqPredicate):
-            if spec.tokenize:
-                return None  # tokenized values can't be matched exactly from terms
             return index.lookup(str(predicate.value))
-        if isinstance(predicate, InPredicate):
-            if spec.tokenize:
-                return None
-            return index.match_any(str(value) for value in predicate.values)
-        if isinstance(predicate, MatchPredicate):
-            terms = [normalize_term(t) for t in predicate.terms]
-            return index.match_all(terms)
-        if isinstance(predicate, PrefixPredicate):
-            if spec.tokenize:
-                return None  # whole-value prefixes don't map to token terms
-            return index.lookup_prefix(predicate.prefix)
-        return None
-
-    if isinstance(index, BkdIndex):
-        if isinstance(predicate, EqPredicate):
-            return index.range_rows(predicate.value, predicate.value)
-        if isinstance(predicate, RangePredicate):
-            return index.range_rows(
-                predicate.low, predicate.high, predicate.low_inclusive, predicate.high_inclusive
-            )
-        if isinstance(predicate, InPredicate):
-            return index.in_rows(predicate.values)
-        return None
-
-    return None
+        return index.match_any(str(value) for value in predicate.values)
+    if isinstance(predicate, EqPredicate):
+        return index.range_rows(predicate.value, predicate.value)
+    if isinstance(predicate, RangePredicate):
+        return index.range_rows(
+            predicate.low, predicate.high, predicate.low_inclusive, predicate.high_inclusive
+        )
+    return index.in_rows(predicate.values)
 
 
 def object_column(values: list) -> tuple[np.ndarray, np.ndarray]:

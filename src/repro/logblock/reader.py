@@ -15,19 +15,21 @@ inflate, no decode and no decode charge.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.codec import get_codec
-from repro.common.errors import CorruptionError, QueryError
+from repro.common.errors import CorruptionError, QueryError, SerializationError
 from repro.logblock.bkd import BkdIndex
 from repro.logblock.column import block_values, decode_block_arrays, decoded_nbytes
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.schema import ColumnSpec, IndexType
 from repro.logblock.sma import Sma
 from repro.logblock.bloom import BloomFilter
+from repro.logblock.version import V7
 from repro.logblock.writer import (
     META_MEMBER,
     LogBlockMeta,
@@ -47,6 +49,17 @@ from repro.tarpack.reader import PackReader
 # OSS bytes per query rise 0.3 %, at 32 every count equals what it was
 # before blocks were shared.)
 _BLOCK_ADMIT_DIVISOR = 32
+
+
+def _v7_member(data: bytes, member: str) -> bytes:
+    """A v7 index or Bloom member's bytes past the CRC-32 it begins
+    with, checked (a v7 pack's manifest holds no member checksums)."""
+    if len(data) < 4:
+        raise SerializationError(f"{member} truncated")
+    body = data[4:]
+    if zlib.crc32(body) != int.from_bytes(data[:4], "little"):
+        raise CorruptionError(f"{member} checksum mismatch")
+    return body
 
 
 @dataclass(frozen=True)
@@ -165,14 +178,17 @@ class LogBlockReader:
         spec = meta.schema.column(column)
         if spec.index is IndexType.NONE:
             raise QueryError(f"column {column!r} has no index")
-        raw = self._pack.read_member(index_member(column))
+        member = index_member(column)
+        raw = self._pack.read_member(member)
         if self._decode_charge is not None:
             self._decode_charge(len(raw))
         payload = get_codec(meta.codec_id).decompress(raw)
+        if meta.version == V7:
+            payload = _v7_member(payload, member)
         if spec.index is IndexType.INVERTED:
             index: InvertedIndex | BkdIndex = InvertedIndex.from_bytes(payload)
         else:
-            index = BkdIndex.from_bytes(payload, meta.version)
+            index = BkdIndex.from_bytes(payload)
         if index.row_count != meta.row_count:
             raise CorruptionError(
                 f"index of {column!r} covers {index.row_count} rows, the LogBlock {meta.row_count}"
@@ -186,12 +202,14 @@ class LogBlockReader:
         """Fetch a column's Bloom filter (None when the column has none)."""
         if not self.has_bloom(column):
             return None
-        member, version = bloom_member(column), self.meta().version
-        return self._shared(
-            f"bloom:{column}",
-            member,
-            lambda: BloomFilter.from_bytes(self._pack.read_member(member), version),
-        )
+        member = bloom_member(column)
+        return self._shared(f"bloom:{column}", member, lambda: self._decode_bloom(member))
+
+    def _decode_bloom(self, member: str) -> BloomFilter:
+        data = self._pack.read_member(member)
+        if self.meta().version == V7:
+            data = _v7_member(data, member)
+        return BloomFilter.from_bytes(data)
 
     # -- column blocks -----------------------------------------------------
 
@@ -224,7 +242,6 @@ class LogBlockReader:
                 codec.decompress(raw),
                 meta.schema.columns[col_idx].ctype,
                 meta.block_row_counts[block_idx],
-                meta.version,
             )
             if self._objects is not None:
                 nbytes = decoded_nbytes(block)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.common.bytesio import BinaryReader, BinaryWriter
-from repro.common.errors import SchemaError
+from repro.common.errors import SchemaError, SerializationError
 
 
 class ColumnType(enum.IntEnum):
@@ -229,21 +229,18 @@ class TableSchema:
     @classmethod
     def from_bytes(cls, data: bytes) -> "TableSchema":
         reader = BinaryReader(data)
-        schema = cls.read_from(reader)
-        return schema
-
-    @classmethod
-    def read_from(cls, reader: BinaryReader) -> "TableSchema":
-        name = reader.read_str()
-        count = reader.read_uvarint()
-        columns = []
-        for _ in range(count):
-            col_name = reader.read_str()
-            ctype = ColumnType(reader.read_u8())
-            index = IndexType(reader.read_u8())
-            tokenize = bool(reader.read_u8())
-            columns.append(ColumnSpec(col_name, ctype, index, tokenize))
-        return cls(name=name, columns=tuple(columns))
+        try:
+            name = reader.read_str()
+            columns = []
+            for _ in range(reader.read_uvarint()):
+                col_name = reader.read_str()
+                ctype = ColumnType(reader.read_u8())
+                index = IndexType(reader.read_u8())
+                tokenize = bool(reader.read_u8())
+                columns.append(ColumnSpec(col_name, ctype, index, tokenize))
+            return cls(name=name, columns=tuple(columns))
+        except (ValueError, SchemaError) as exc:  # an unknown type, a name no schema has
+            raise SerializationError(f"damaged table schema: {exc}") from exc
 
 
 def request_log_schema() -> TableSchema:

@@ -1,13 +1,15 @@
 """The LogBlock format versions: the one written and the ones read.
 
-v7 (written) stores every integer member as differences at the
-narrowest width and checksums its Bloom members.  v6 differs in exactly
-those members: raw int64 column blocks, absolute numeric-index arrays
-and unchecked Bloom members.  The member decoders take the meta's
-version and branch on :data:`V6` alone, so retiring v6 deletes that
-constant and each branch that names it.
+v8 (written) leaves every member's integrity to the pack: its manifest
+(v3) holds each member's CRC-32, which ``PackReader.read_member``
+checks.  v7 differs in exactly that: its manifest (v2) has no member
+CRCs, and its meta, index and Bloom members each begin with their own
+CRC-32 (the meta's after its version byte).  The meta decoder and one
+``LogBlockReader`` helper branch on :data:`V7` alone, and the pack
+manifest on its own ``V2``, so retiring v7 deletes those constants and
+each branch that names them.
 """
 
-META_VERSION = 7
-V6 = 6
-READ_VERSIONS = (V6, META_VERSION)
+META_VERSION = 8
+V7 = 7
+READ_VERSIONS = (V7, META_VERSION)

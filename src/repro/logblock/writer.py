@@ -15,28 +15,27 @@ The writer is append-only; :meth:`finish` freezes the block.  LogBlocks
 are immutable after packing (§3: "Each LogBlock is an immutable file and
 will no longer be modified").
 
-The writer emits LogBlock **format v7** only.  Its ``meta`` member is
+The writer emits LogBlock **format v8** only.  Its ``meta`` member is
 column-wise — after the scalars, one array per field over every
 (column, region) slot: value kinds, block row counts, stored sizes,
 index/Bloom sizes, null counts, string ends, int values, float values,
-one string blob — stored raw and crc-checked, so that opening it wraps
-the sections and decodes nothing (:class:`LogBlockMeta`, DESIGN.md §3
-has the byte layout).  Its indexes are sectioned the same way
+one string blob — stored raw, so that opening it wraps the sections and
+decodes nothing (:class:`LogBlockMeta`, DESIGN.md §3 has the byte
+layout).  Its indexes are sectioned the same way
 (:mod:`repro.logblock.inverted`, :mod:`repro.logblock.bkd`), and so is
 every list of strings in a column block (:mod:`repro.logblock.column`).
 Every integer it stores is a difference at the narrowest width: INT64 /
 TIMESTAMP column blocks are delta or frame-of-reference framed, and a
-numeric index holds gaps between values and between row ids.  Format
-v6 differs in exactly those members (raw int64 blocks, absolute index
-arrays) and in its Bloom members (no checksum), so v6 blocks are still
-read — the meta's version byte tells those decoders which layout they
-have — and move forward when compaction or the cold compactor rewrites
-them through this writer.
+numeric index holds gaps between values and between row ids.  No member
+carries a checksum of its own: the pack manifest (v3) holds one per
+member.  Format v7 differs in exactly that (each meta, index and Bloom
+member checksummed itself, under a v2 manifest), so v7 blocks are still
+read (:mod:`repro.logblock.version`) and move forward when compaction or
+the cold compactor rewrites them through this writer.
 """
 
 from __future__ import annotations
 
-import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,17 +65,11 @@ from repro.logblock.encode_kernels import (
 )
 from repro.logblock.schema import ColumnType, IndexType, TableSchema
 from repro.logblock.sma import Sma, SmaTable, compute_sma, merge_smas
-from repro.logblock.version import META_VERSION, READ_VERSIONS
+from repro.logblock.version import META_VERSION, READ_VERSIONS, V7
 from repro.tarpack.packer import PackBuilder
 
 META_MEMBER = "meta"
 META_MAGIC = b"LGBK"
-_VERSION_CRC = struct.Struct("<BI")
-
-
-def _meta_crc(version: int, body) -> int:
-    """The meta's checksum: the version byte (it picks the decoders), then the body."""
-    return zlib.crc32(body, zlib.crc32(bytes((version,))))
 
 
 # What a meta holds besides its arrays: the object, its dicts and list,
@@ -263,8 +256,8 @@ class LogBlockMeta:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Every field of every slot as one fixed-width array (the layout
-        of formats v6 and v7), stamped with this meta's version.
+        """Every field of every slot as one fixed-width array, after the
+        magic and the format version (:data:`META_VERSION`).
 
         After the scalars come the kind bytes, then the unsigned arrays
         (block row counts, stored sizes, index and Bloom sizes by column
@@ -297,7 +290,7 @@ class LogBlockMeta:
                 smas.strings,
             )
         )
-        return META_MAGIC + _VERSION_CRC.pack(self.version, _meta_crc(self.version, body)) + body
+        return META_MAGIC + bytes((META_VERSION,)) + body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LogBlockMeta":
@@ -307,9 +300,10 @@ class LogBlockMeta:
         version = reader.read_u8()
         if version not in READ_VERSIONS:
             raise SerializationError(f"unsupported LogBlock meta version {version}")
-        crc = reader.read_u32()
-        if _meta_crc(version, memoryview(data)[reader.offset :]) != crc:
-            raise CorruptionError("LogBlock meta checksum mismatch")
+        if version == V7:  # a crc32 of the version byte, then of the body
+            crc = reader.read_u32()
+            if zlib.crc32(memoryview(data)[reader.offset :], zlib.crc32(data[4:5])) != crc:
+                raise CorruptionError("LogBlock meta checksum mismatch")
         schema = _interned_schema(reader.read_len_prefixed())
         row_count = reader.read_uvarint()
         codec_id = reader.read_u8()

@@ -2,7 +2,7 @@
 
 from repro.oss.costmodel import OssCostModel, free, local_ssd, oss_default
 from repro.oss.metered import MeteredObjectStore, OssStats
-from repro.oss.retry import FlakyStore, RetryingObjectStore
+from repro.oss.retry import RetryingObjectStore
 from repro.oss.store import (
     InMemoryObjectStore,
     LocalFsObjectStore,
@@ -19,7 +19,6 @@ __all__ = [
     "oss_default",
     "MeteredObjectStore",
     "OssStats",
-    "FlakyStore",
     "RetryingObjectStore",
     "InMemoryObjectStore",
     "LocalFsObjectStore",

@@ -3,9 +3,9 @@
 Real object stores throttle and fail transiently (HTTP 5xx, connection
 resets); production clients retry with **capped exponential backoff and
 jitter** and bound the total time any one operation may spend retrying.
-The wrapper below adds that behaviour to any backend; :class:`FlakyStore`
-is the deterministic fault injector the tests and chaos benches drive
-it with (richer injectors live in :mod:`repro.chaos.oss_faults`).
+The wrapper below adds that behaviour to any backend;
+:class:`repro.chaos.oss_faults.ChaosObjectStore` is the seeded fault
+injector the tests and chaos runs drive it with.
 
 Hardening details:
 
@@ -217,73 +217,3 @@ class RetryingObjectStore:
 
     def delete(self, bucket: str, key: str) -> None:
         self._call(self._inner.delete, bucket, key)
-
-
-class FlakyStore:
-    """Fault injector: fails a deterministic fraction of operations.
-
-    ``fail_rate`` is the probability each call raises
-    :class:`TransientStoreError` (seeded, reproducible).  ``fail_next``
-    forces the next N calls to fail, for precise test scenarios.
-    Failures happen *before* the inner call, so a failed ``put`` has no
-    partial effect — matching object stores' atomic-PUT semantics.
-    Torn uploads and latency faults live in
-    :class:`repro.chaos.oss_faults.ChaosObjectStore`.
-    """
-
-    def __init__(self, inner: ObjectStore, fail_rate: float = 0.0, seed: int = 0) -> None:
-        if not 0 <= fail_rate <= 1:
-            raise ValueError(f"fail_rate must be in [0, 1], got {fail_rate}")
-        self._inner = inner
-        self._fail_rate = fail_rate
-        self._rng = random.Random(seed)
-        self._forced_failures = 0
-        self.failures_injected = 0
-
-    def fail_next(self, count: int = 1) -> None:
-        self._forced_failures += count
-
-    def _maybe_fail(self, operation: str) -> None:
-        if self._forced_failures > 0:
-            self._forced_failures -= 1
-            self.failures_injected += 1
-            raise TransientStoreError(f"injected failure in {operation}")
-        if self._fail_rate and self._rng.random() < self._fail_rate:
-            self.failures_injected += 1
-            raise TransientStoreError(f"injected failure in {operation}")
-
-    def create_bucket(self, bucket: str) -> None:
-        self._maybe_fail("create_bucket")
-        self._inner.create_bucket(bucket)
-
-    def delete_bucket(self, bucket: str) -> None:
-        self._maybe_fail("delete_bucket")
-        self._inner.delete_bucket(bucket)
-
-    def put(self, bucket: str, key: str, data: bytes) -> None:
-        self._maybe_fail("put")
-        self._inner.put(bucket, key, data)
-
-    def get(self, bucket: str, key: str) -> bytes:
-        self._maybe_fail("get")
-        return self._inner.get(bucket, key)
-
-    def get_range(self, bucket: str, key: str, start: int, length: int) -> bytes:
-        self._maybe_fail("get_range")
-        return self._inner.get_range(bucket, key, start, length)
-
-    def head(self, bucket: str, key: str) -> ObjectStat:
-        self._maybe_fail("head")
-        return self._inner.head(bucket, key)
-
-    def exists(self, bucket: str, key: str) -> bool:
-        self._maybe_fail("exists")
-        return self._inner.exists(bucket, key)
-
-    def list(self, bucket: str, prefix: str = "") -> list[ObjectStat]:
-        self._maybe_fail("list")
-        return self._inner.list(bucket, prefix)
-
-    def delete(self, bucket: str, key: str) -> None:
-        self._maybe_fail("delete")
-        self._inner.delete(bucket, key)

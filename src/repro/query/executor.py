@@ -37,11 +37,12 @@ from repro.logblock.pruning import (
     PruneStats,
     bloom_may_match,
     evaluate_predicates,
+    index_answers,
     proves_all_match,
 )
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.reader import RowSelection as BlockSelection
-from repro.logblock.schema import ColumnType, IndexType
+from repro.logblock.schema import ColumnType
 from repro.logblock.writer import (
     META_MEMBER,
     LogBlockMeta,
@@ -54,7 +55,7 @@ from repro.meta.catalog import TIER_COLD, LogBlockEntry
 from repro.prefetch.executor import ParallelPrefetcher
 from repro.prefetch.planner import PrefetchPlanner
 from repro.query.aggregate import Aggregator
-from repro.query.ast import Comparison, Expr, In, IsNull
+from repro.query.ast import Expr, IsNull
 from repro.query.dedup import LatestVersionDedup
 from repro.query.kernels import compile_expr, selection_columns
 from repro.query.planner import QueryPlan
@@ -156,15 +157,19 @@ class _BlockWhere:
     ``match(reader)`` is the tree's row mask over one block: the one
     :func:`compile_expr` with :meth:`_leaf`, whose predicate is built
     here once.  The prefetch reads the same predicates per column:
-    ``leaves`` holds them all, ``probes`` the string Eq / IN ones a
-    Bloom filter answers, and ``unprobed`` names the columns with a
-    leaf that is neither a comparison nor an IN.
+    ``probes`` holds the string Eq / IN ones a Bloom filter answers,
+    ``indexed`` the ones the column's index answers
+    (:func:`~repro.logblock.pruning.index_answers`), and ``unprobed``
+    names the columns with an indexed leaf that is not a probe.
     """
 
-    def __init__(self, where: Expr, options: ExecutionOptions, prune: PruneStats) -> None:
-        self.leaves: dict[str, list[ColumnPredicate]] = {}
+    def __init__(
+        self, where: Expr, schema, options: ExecutionOptions, prune: PruneStats
+    ) -> None:
         self.probes: dict[str, list[ColumnPredicate]] = {}
+        self.indexed: dict[str, list[ColumnPredicate]] = {}
         self.unprobed: set[str] = set()
+        self._schema = schema
         self._options = options
         self._prune = prune
         self.match = compile_expr(where, self._leaf)
@@ -172,13 +177,15 @@ class _BlockWhere:
     def _leaf(self, node: Expr):
         predicate = node.to_column_predicate()
         column = predicate.column
-        self.leaves.setdefault(column, []).append(predicate)
-        if (isinstance(predicate, EqPredicate) and isinstance(predicate.value, str)) or (
+        probe = (isinstance(predicate, EqPredicate) and isinstance(predicate.value, str)) or (
             isinstance(predicate, InPredicate) and all(isinstance(v, str) for v in predicate.values)
-        ):
+        )
+        if probe:
             self.probes.setdefault(column, []).append(predicate)
-        if not isinstance(node, (Comparison, In)):
-            self.unprobed.add(column)
+        if index_answers(self._schema.column(column), predicate):
+            self.indexed.setdefault(column, []).append(predicate)
+            if not probe:
+                self.unprobed.add(column)
         # A column added by DDL after a block was written reads as null
         # there: False for every row — except IS NULL, whose whole job
         # is to match those nulls.
@@ -323,11 +330,7 @@ class BlockExecutor:
         stats.prefetch_bytes += prefetcher.stats.bytes_loaded
 
     def _prefetch_meta_and_indexes(
-        self,
-        pack: PackReader,
-        schema,
-        where: _BlockWhere | None,
-        stats: ExecutionStats,
+        self, pack: PackReader, where: _BlockWhere | None, stats: ExecutionStats
     ) -> LogBlockReader:
         """Two-stage parallel load of everything evaluation will touch.
 
@@ -352,13 +355,12 @@ class BlockExecutor:
             return reader
 
         stage2: list[str] = []
-        for column in sorted(where.leaves):
-            spec = schema.column(column)
+        for column in sorted(where.indexed):
             member = index_member(column)
-            if spec.index is IndexType.NONE or member not in manifest:
+            if member not in manifest:
                 continue
             if self.options.use_skipping and _decided_by_sma(
-                where.leaves[column], reader.column_sma(column), reader.column(column).ctype
+                where.indexed[column], reader.column_sma(column), reader.column(column).ctype
             ):
                 continue  # evaluation will never open this index
             if self.cache.objects.contains((self._bucket, pack.key, member)):
@@ -371,8 +373,7 @@ class BlockExecutor:
                 and column not in where.unprobed
             ):
                 # Every probe of this column is provably absent and
-                # the column has no other predicate shapes: the
-                # index cannot contribute — skip fetching it.
+                # no other leaf of it reads the index: skip fetching it.
                 continue
             stage2.append(member)
         self._prefetch_members(pack, stage2, stats)
@@ -402,11 +403,7 @@ class BlockExecutor:
         self._prefetch_members(reader.pack, members, stats)
 
     def _match_block(
-        self,
-        entry: LogBlockEntry,
-        schema,
-        where: _BlockWhere | None,
-        stats: ExecutionStats,
+        self, entry: LogBlockEntry, where: _BlockWhere | None, stats: ExecutionStats
     ) -> tuple[LogBlockReader, BlockSelection]:
         """Open one LogBlock and evaluate the predicate to its matched rows.
 
@@ -416,7 +413,7 @@ class BlockExecutor:
         """
         if self.options.use_prefetch:
             pack = self._open_pack(entry)
-            reader = self._prefetch_meta_and_indexes(pack, schema, where, stats)
+            reader = self._prefetch_meta_and_indexes(pack, where, stats)
         else:
             reader = self._open_block(entry)
         stats.blocks_visited += 1
@@ -500,10 +497,14 @@ class BlockExecutor:
 
     def _scan(self, plan: QueryPlan, entries, stats: ExecutionStats, sink, done=None) -> None:
         """Hand ``sink(reader, matched)`` every block's non-empty selection."""
-        where = None if plan.where is None else _BlockWhere(plan.where, self.options, stats.prune)
+        where = (
+            None
+            if plan.where is None
+            else _BlockWhere(plan.where, plan.schema, self.options, stats.prune)
+        )
 
         def visit(entry: LogBlockEntry) -> None:
-            reader, matched = self._match_block(entry, plan.schema, where, stats)
+            reader, matched = self._match_block(entry, where, stats)
             if len(matched):
                 stats.rows_matched += len(matched)
                 sink(reader, matched)

@@ -7,41 +7,21 @@ Layout of a pack::
     | 12 bytes | variable          | member blobs, packed |
     +----------+-------------------+----------------------+
 
-The preamble is ``PACK`` + version + u32 manifest length + u16 reserved,
-so a reader can fetch it with one tiny ranged GET, then fetch the
-manifest with a second, then any member with one more — three round
-trips for the first member and one per member afterwards, regardless of
-how many small files the LogBlock contains.  Member offsets in the
-manifest are relative to the start of the data section.
+The preamble is ``PACK`` + version + u32 manifest length + u16 reserved
+(:mod:`repro.tarpack.manifest` has both layouts), so a reader can fetch
+it with one tiny ranged GET, then fetch the manifest with a second, then
+any member with one more — three round trips for the first member and
+one per member afterwards, regardless of how many small files the
+LogBlock contains.  Member offsets in the manifest are relative to the
+start of the data section, and the manifest holds each member's CRC-32.
 """
 
 from __future__ import annotations
 
-import struct
+import zlib
 
-from repro.common.errors import CorruptionError, SerializationError
-from repro.tarpack.manifest import Manifest
-
-PREAMBLE_MAGIC = b"PACK"
-PREAMBLE_VERSION = 1
-PREAMBLE_SIZE = 12  # 4 magic + 1 version + 1 reserved + 4 manifest_len + 2 reserved
-
-
-def write_preamble(manifest_len: int) -> bytes:
-    """Serialize the 12-byte pack preamble."""
-    return struct.pack("<4sBBIH", PREAMBLE_MAGIC, PREAMBLE_VERSION, 0, manifest_len, 0)
-
-
-def read_preamble(data: bytes) -> int:
-    """Parse the preamble; returns the manifest length."""
-    if len(data) < PREAMBLE_SIZE:
-        raise SerializationError("pack preamble truncated")
-    magic, version, _r1, manifest_len, _r2 = struct.unpack("<4sBBIH", data[:PREAMBLE_SIZE])
-    if magic != PREAMBLE_MAGIC:
-        raise CorruptionError("bad pack magic")
-    if version != PREAMBLE_VERSION:
-        raise SerializationError(f"unsupported pack version {version}")
-    return manifest_len
+from repro.common.errors import SerializationError
+from repro.tarpack.manifest import Manifest, write_preamble
 
 
 class PackBuilder:
@@ -68,6 +48,7 @@ class PackBuilder:
         manifest = Manifest.of(
             [name for name, _data in self._members],
             [len(data) for _name, data in self._members],
+            [zlib.crc32(data) for _name, data in self._members],
         )
         manifest_bytes = manifest.to_bytes()
         parts = [write_preamble(len(manifest_bytes)), manifest_bytes]

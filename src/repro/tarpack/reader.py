@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Protocol
 
 from repro.common.errors import InvalidRange
-from repro.tarpack.manifest import Manifest
-from repro.tarpack.packer import PREAMBLE_SIZE, read_preamble
+from repro.tarpack.manifest import PREAMBLE_SIZE, Manifest, read_preamble
 
 
 class RangeReader(Protocol):
@@ -152,7 +151,7 @@ class PackReader:
                 manifest_bytes = self._store.get_range(
                     self._bucket, self._key, PREAMBLE_SIZE, manifest_len
                 )
-            self._manifest = Manifest.from_bytes(manifest_bytes)
+            self._manifest = Manifest.from_bytes(manifest_bytes, head[:PREAMBLE_SIZE])
             self._data_start = end
         return self._manifest
 
@@ -180,7 +179,10 @@ class PackReader:
         return self._data_start + offset, length
 
     def read_member(self, name: str) -> bytes:
-        """Fetch one member with a single ranged GET.
+        """Fetch one member with a single ranged GET, checked against
+        the manifest's CRC-32 (:meth:`Manifest.check`): every member
+        decode starts here, so each member is checked once per decode
+        and a prefetched range is not checked at all.
 
         Members that fall entirely inside the retained head chunk
         (meta, bloom filters — the writer packs them first) are served
@@ -188,10 +190,13 @@ class PackReader:
         """
         start, length = self.member_extent(name)
         if length == 0:
-            return b""
-        if start + length <= len(self._head):
-            return self._head[start : start + length]
-        return self._store.get_range(self._bucket, self._key, start, length)
+            data = b""
+        elif start + length <= len(self._head):
+            data = self._head[start : start + length]
+        else:
+            data = self._store.get_range(self._bucket, self._key, start, length)
+        self._manifest.check(name, data)
+        return data
 
     def resident(self, name: str) -> bool:
         """Whether reading a member would cost no request: it lies inside

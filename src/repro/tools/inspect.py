@@ -12,9 +12,9 @@ version, schema, row counts, per-column SMAs, index sizes — is
 recoverable from the file alone, with no catalog access.  ``--members``
 also prints the manifest version and breaks every inverted index
 (dictionary / counts / postings), every numeric index (distinct values,
-the widths v7 stores its value gaps and row-id gaps at, or ``in-order``
+the widths its value gaps and row-id gaps are stored at, or ``in-order``
 when it stores no row ids), every INT64 / TIMESTAMP column block (its
-frame, ``delta`` / ``for`` / ``raw`` before v7, and offset width) and
+frame, ``delta`` / ``for``, and offset width) and
 every string column block (encoding, length section / text bytes) down
 into its sections, so a layout regression shows without a debugger.
 """
@@ -97,7 +97,7 @@ def _print_members(reader: LogBlockReader, out) -> None:
             file=out,
         )
     print(file=out)
-    print(f"{'numeric index':<20} {'terms':>8} {'value gaps':>11}  row ids  (v7 widths)", file=out)
+    print(f"{'numeric index':<20} {'terms':>8} {'value gaps':>11}  row ids", file=out)
     for column in meta.schema.columns:
         if column.index is not IndexType.BKD or column.name not in meta.index_sizes:
             continue
@@ -114,7 +114,7 @@ def _print_members(reader: LogBlockReader, out) -> None:
         for block_idx in range(meta.n_blocks):
             member = block_member(col_idx, block_idx)
             data = codec.decompress(reader.pack.read_member(member))
-            frame, width = int_frame(data, meta.version)
+            frame, width = int_frame(data)
             print(f"{member:<20} {frame:>8} {width:>6}", file=out)
     print(file=out)
     print(

@@ -4,11 +4,13 @@ import pytest
 
 from repro.builder.builder import DataBuilder
 from repro.builder.compaction import Compactor
+from repro.chaos.oss_faults import ChaosObjectStore
+from repro.common.clock import VirtualClock
 from repro.common.errors import TransientStoreError
 from repro.logblock.schema import request_log_schema
 from repro.meta.catalog import Catalog
 from repro.meta.janitor import Janitor
-from repro.oss.retry import DEFAULT_MAX_ATTEMPTS, FlakyStore
+from repro.oss.retry import DEFAULT_MAX_ATTEMPTS
 from repro.oss.store import InMemoryObjectStore
 from repro.rowstore.memtable import MemTable
 
@@ -26,7 +28,7 @@ def sealed(count: int, tenant_id: int = 1, seed: int = 0) -> MemTable:
 def flaky():
     inner = InMemoryObjectStore()
     inner.create_bucket("test")
-    return FlakyStore(inner)
+    return ChaosObjectStore(inner, VirtualClock())
 
 
 def make_builder(
@@ -69,7 +71,8 @@ class TestUploadRetry:
     def test_flaky_rate_survives_multi_block_archive(self):
         inner = InMemoryObjectStore()
         inner.create_bucket("test")
-        flaky = FlakyStore(inner, fail_rate=0.3, seed=7)
+        flaky = ChaosObjectStore(inner, VirtualClock(), seed=7)
+        flaky.set_error_rate(0.3)
         catalog = Catalog(request_log_schema())
         builder, janitor = make_builder(flaky, catalog, max_upload_attempts=10)
         report = builder.archive_memtable(sealed(2_000), "s0-0")  # 4 blocks at 500 rows
@@ -101,7 +104,7 @@ class TestOneRetryClock:
         from repro.cluster.logstore import LogStore
 
         def flush_time(failures: int) -> tuple[float, float]:
-            flaky = FlakyStore(InMemoryObjectStore())
+            flaky = ChaosObjectStore(InMemoryObjectStore(), VirtualClock())
             store = LogStore.create(config=small_test_config(use_raft=False), backend=flaky)
             store.put(1, make_rows(50, tenant_id=1))
             before = store.clock.now()

@@ -346,28 +346,23 @@ class TestCompactorCompensation:
         from repro.builder.compaction import Compactor
         from repro.meta.janitor import Janitor
 
-        class FlakyStore:
-            def __init__(self, inner):
-                self._inner = inner
-                self.failing = False
-                self.puts_allowed = 0
-                self.delete_attempts: Counter = Counter()
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
+        class OutageAfterOnePut(ChaosObjectStore):
+            """An OSS outage that begins once one PUT went through."""
 
             def put(self, bucket, key, data):
-                if self.failing:
-                    if self.puts_allowed <= 0:
-                        raise TransientStoreError("injected outage")
-                    self.puts_allowed -= 1
-                return self._inner.put(bucket, key, data)
+                super().put(bucket, key, data)
+                self.begin_outage()
 
-            def delete(self, bucket, key):
-                self.delete_attempts[key] += 1
-                if self.failing:
-                    raise TransientStoreError("injected outage")
-                return self._inner.delete(bucket, key)
+        class Faults:
+            """The journal the chaos store reports each injected fault to."""
+
+            def __init__(self):
+                self.delete_attempts: Counter = Counter()
+
+            def emit(self, kind, source, detail=""):
+                operation, _, key = detail.partition(" ")
+                if operation == "delete":
+                    self.delete_attempts[key] += 1
 
         clock = VirtualClock()
         config = small_test_config(
@@ -376,7 +371,8 @@ class TestCompactorCompensation:
         store = LogStore.create(config=config, clock=clock)
         store.put(1, make_rows(1, 1100, "raw"))
         store.flush_all()
-        flaky = FlakyStore(store.oss)
+        flaky, faults = OutageAfterOnePut(store.oss, clock), Faults()
+        flaky.attach_journal(faults)
         janitor = Janitor(store.catalog, flaky, store.config.bucket, max_upload_attempts=3)
         compactor = Compactor(
             store.schema,
@@ -389,16 +385,14 @@ class TestCompactorCompensation:
         )
         # 1100 rows -> 3 output chunks; the first uploads, the second
         # fails: compensation must delete both it and the uploaded one.
-        flaky.failing = True
-        flaky.puts_allowed = 1
         with pytest.raises(TransientStoreError):
             compactor.compact_tenant(1)
         assert len(janitor.orphans) == 2
-        assert len(flaky.delete_attempts) == 2
-        for key, attempts in flaky.delete_attempts.items():
+        assert len(faults.delete_attempts) == 2
+        for key, attempts in faults.delete_attempts.items():
             assert attempts == 1, f"{key} delete retried during outage"
         # After heal the orphan sweep restores catalog/OSS agreement.
-        flaky.failing = False
+        flaky.heal()
         janitor.sweep()
         assert janitor.orphans == []
         catalog_paths = {entry.path for entry in store.catalog.all_blocks()}

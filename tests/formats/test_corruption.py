@@ -9,12 +9,16 @@ the LogBlock members and the pack manifest.  Damage past the framing
 under a recomputed checksum raises it or decodes, and nothing else.
 WAL frames recover the frames before damage instead (``tests/wal``).
 
-Column blocks carry no checksum (``codec=none`` ones are stored raw),
-so a flipped bit can leave a valid block: for the blocks of
-:data:`UNCHECKED` every truncation and a byte appended raise
-``SerializationError``, and every bit flip raises it or decodes —
-never ``IndexError``, ``ValueError`` or ``UnicodeDecodeError``.  Not
-checksummed and not here: the pack preamble.
+A LogBlock v8 member carries no checksum of its own: the pack manifest
+(v3) holds one per member and ``PackReader.read_member`` checks it.  So
+for a v8 pack under every codec (:data:`CODECS`) every truncation and
+single-bit flip of every member read through the pack raises, and so
+does every one of its preamble (:func:`test_every_damaged_preamble_is_refused`)
+and its manifest (a :data:`FORMATS` row).  Beneath the pack, each member
+decoder (:data:`UNCHECKED`, column blocks and the v8 meta, index and
+Bloom members) raises ``SerializationError`` or decodes — never
+``IndexError``, ``ValueError`` or ``UnicodeDecodeError``.  v7 members
+checksum themselves and are :data:`FORMATS` rows.
 """
 
 import zlib
@@ -32,21 +36,21 @@ from repro.logblock.bloom import BloomFilter
 from repro.common.strings import Strings
 from repro.logblock.column import block_values, decode_block_arrays, encode_block
 from repro.logblock.inverted import InvertedIndex
+from repro.logblock.reader import _v7_member
 from repro.logblock.schema import ColumnType, request_log_schema
-from repro.logblock.version import META_VERSION
-from repro.logblock.writer import LogBlockMeta
+from repro.logblock.writer import LogBlockMeta, LogBlockWriter
 from repro.meta.backup import BackupTask, manifest_key
 from repro.meta.catalog import Catalog
 from repro.meta.manifest import decode_manifest
 from repro.meta.persistence import restore_catalog, serialize_catalog
 from repro.rowstore import RowBatch
-from repro.tarpack.manifest import Manifest
-from repro.tarpack.packer import PREAMBLE_SIZE, read_preamble
-from repro.tarpack.reader import PackReader
+from repro.tarpack.manifest import PREAMBLE_SIZE, Manifest, read_preamble
+from repro.tarpack.reader import BytesRangeReader, PackReader
 
+from tests.conftest import make_rows
 from tests.logblock.test_inverted import answers, damage_sample
-from tests.logblock.test_bkd import build as build_numeric, v6_member
-from tests.logblock.test_writer_reader import V6_FIXTURE, golden_block, reader_for
+from tests.logblock.test_bkd import build as build_numeric
+from tests.logblock.test_writer_reader import V7_FIXTURE, golden_block, reader_for
 from tests.meta.test_backup import tiered_store
 from tests.rowstore.test_record_codec import LONG, decode_state, every_kind, state_of_three_tables
 
@@ -70,12 +74,13 @@ def record(sample: bytes, decode, damage_from: int = 0) -> Format:
 
 def read_meta(data: bytes):
     meta = LogBlockMeta.from_bytes(data)
-    blocks = [meta.block_header("log", block) for block in range(meta.n_blocks)]
-    return [meta.column_sma(name) for name in meta.schema.column_names()], blocks
+    names = meta.schema.column_names()
+    blocks = [meta.block_header(name, block) for name in names for block in range(meta.n_blocks)]
+    return [meta.column_sma(name) for name in names], blocks
 
 
-def meta_format(blob: bytes) -> Format:
-    raw = reader_for(blob).pack.read_member("meta")
+def meta_v7() -> Format:
+    raw = reader_for(V7_FIXTURE.read_bytes()).pack.read_member("meta")
     past_schema = BinaryReader(raw, 9)  # magic, version, crc, then the schema
     past_schema.read_len_prefixed()
     # The CRC covers the version byte first.
@@ -94,23 +99,32 @@ def tenant_manifests() -> tuple[bytes, bytes, bytes]:
 
 
 def pack_manifest(blob: bytes) -> Format:
-    """The manifest of a packed LogBlock, as its pack stores it."""
+    """The manifest of a packed LogBlock, as its pack stores it: from v3
+    its CRC covers the preamble first."""
+    preamble = blob[:PREAMBLE_SIZE]
     raw = blob[PREAMBLE_SIZE : PREAMBLE_SIZE + read_preamble(blob)]
-    return Format(raw, read_manifest, 5, 13, 13)
 
-
-def read_manifest(data: bytes):
-    manifest = Manifest.from_bytes(data)
-    return [manifest.extent(name) for name in manifest.names()]
-
-
-def numeric_answers(version: int):
     def decode(data: bytes):
-        index = BkdIndex.from_bytes(data, version)
-        probes = [index.range_rows(), index.range_rows(40, 90, False), index.in_rows([7, 8])]
-        return index.row_count, [rows.tolist() for rows in probes]
+        manifest = Manifest.from_bytes(data, preamble)
+        return [manifest.extent(name) for name in manifest.names()], manifest.crcs
 
-    return decode
+    covered = zlib.crc32(preamble) if raw[4] == 3 else 0
+    return Format(raw, decode, 5, 13, 13, crc_init=covered)
+
+
+def v7(member: bytes) -> bytes:
+    """A v7 index or Bloom member: the v8 one behind its CRC-32."""
+    return zlib.crc32(member).to_bytes(4, "little") + member
+
+
+def read_inverted(data: bytes):
+    return answers(InvertedIndex.from_bytes(data))
+
+
+def read_numeric(data: bytes):
+    index = BkdIndex.from_bytes(data)
+    probes = [index.range_rows(), index.range_rows(40, 90, False), index.in_rows([7, 8])]
+    return index.row_count, [rows.tolist() for rows in probes]
 
 
 def numeric_sample():
@@ -125,8 +139,13 @@ def bloom_sample() -> bytes:
 
 
 def read_bloom(data: bytes):
-    bloom = BloomFilter.from_bytes(data, 7)
+    bloom = BloomFilter.from_bytes(data)
     return [bloom.might_contain(f"10.0.0.{i}") for i in range(0, 80, 7)]
+
+
+def as_v7(decode):
+    """Read a v7 member as ``LogBlockReader`` does: checked, then decoded."""
+    return lambda data: decode(_v7_member(data, "member"))
 
 
 def read_batch(data: bytes):
@@ -138,20 +157,18 @@ FORMATS: dict[str, Callable[[], Format]] = {
     "row batch": lambda: record(every_kind().to_bytes(), read_batch, 12),
     "row batch, framed ints": lambda: record(every_kind(LONG).to_bytes(), read_batch, 12),
     "row-store state": lambda: record(state_of_three_tables(), decode_state, 16),
-    "LogBlock meta v6": lambda: meta_format(V6_FIXTURE.read_bytes()),
-    "LogBlock meta v7": lambda: meta_format(golden_block()),
-    "inverted index v4": lambda: Format(  # damage past the fixed header
-        damage_sample().to_bytes(), lambda data: answers(InvertedIndex.from_bytes(data)), 0, 4, 21
-    ),
-    # Counts and row ids; damage past crc, flags, row and value counts, base and width.
-    "numeric index v6": lambda: Format(
-        v6_member(numeric_sample()), numeric_answers(6), 0, 4, 10
+    "LogBlock meta v7": meta_v7,
+    "inverted index v7": lambda: Format(  # damage past the fixed header
+        v7(damage_sample().to_bytes()), as_v7(read_inverted), 0, 4, 21
     ),
     # Value gaps, counts and row-id gaps; damage past crc, flags, row and value counts, base.
-    "numeric index v7": lambda: Format(numeric_sample().to_bytes(), numeric_answers(7), 0, 4, 9),
+    "numeric index v7": lambda: Format(
+        v7(numeric_sample().to_bytes()), as_v7(read_numeric), 0, 4, 9
+    ),
     # Hash count and bits; damage past the crc.
-    "Bloom filter v7": lambda: Format(bloom_sample(), read_bloom, 0, 4, 4),
-    "pack manifest v2": lambda: pack_manifest(golden_block()),
+    "Bloom filter v7": lambda: Format(v7(bloom_sample()), as_v7(read_bloom), 0, 4, 4),
+    "pack manifest v2": lambda: pack_manifest(V7_FIXTURE.read_bytes()),
+    "pack manifest v3": lambda: pack_manifest(golden_block()),
     "catalog snapshot": lambda: record(
         tenant_manifests()[0], lambda data: restore_catalog(Catalog(request_log_schema()), data)
     ),
@@ -206,6 +223,70 @@ def test_damage_under_a_valid_checksum_is_typed(name):
                 pass
 
 
+# -- LogBlock v8: the pack checks every member -------------------------------
+
+CODECS = ("none", "zlib", "lzma")
+
+
+@cache
+def v8_pack(codec: str) -> bytes:
+    """A small v8 LogBlock: three blocks of every column, an index of
+    each indexed column and Bloom filters, its members under ``codec``."""
+    writer = LogBlockWriter(request_log_schema(), codec=codec, block_rows=16)
+    writer.append_many(make_rows(40, seed=3))
+    return writer.finish()
+
+
+class _Serving:
+    """A pack's object store that answers every ranged GET with ``data``."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+    def get_range(self, bucket: str, key: str, start: int, length: int) -> bytes:
+        return self.data
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_every_truncation_and_bit_flip_of_a_v8_member_raises(codec):
+    """Each member as the store would return it damaged — cut short or
+    with a bit flipped — fails ``read_member``'s manifest check; the
+    intact pack reads whole."""
+    blob = v8_pack(codec)
+    reader = reader_for(blob)
+    assert (reader.meta().version, reader.pack.manifest().version) == (8, 3)
+    for column in reader.meta().schema.column_names():
+        reader.read_column(column)
+        if reader.has_index(column):
+            reader.read_index(column)
+    assert reader.read_bloom("ip").might_contain("192.168.0.1")
+    manifest, data_start = reader.pack.manifest(), reader.pack.data_start
+    names = manifest.names()
+    assert sum(name.startswith("col/") for name in names) == 3 * 7
+    for name in names:
+        start, length = reader.pack.member_extent(name)
+        member = blob[start : start + length]
+        for data in [member[:cut] for cut in range(length)] + list(flips(member)):
+            pack = PackReader(_Serving(data), "b", "k")
+            pack.attach_manifest(manifest, data_start)
+            with pytest.raises(CorruptionError, match=repr(name)):
+                pack.read_member(name)
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_every_damaged_preamble_is_refused(codec):
+    """Every truncation and single-bit flip of the 12-byte preamble —
+    a reserved byte included, which the v3 manifest's CRC covers —
+    fails opening the pack."""
+    blob = v8_pack(codec)
+    preamble, rest = blob[:PREAMBLE_SIZE], blob[PREAMBLE_SIZE:]
+    PackReader(BytesRangeReader(blob), "b", "k", len(blob)).manifest()
+    for damaged in [preamble[:cut] for cut in range(PREAMBLE_SIZE)] + list(flips(preamble)):
+        data = damaged + rest
+        with pytest.raises(SerializationError):
+            PackReader(BytesRangeReader(data), "b", "k", len(data)).manifest()
+
+
 # String blocks: every length class — empty, ASCII, multi-byte UTF-8,
 # longer than a one-byte length — and nulls; under 16 rows a block is
 # PLAIN, and repeated values make one DICT.
@@ -215,7 +296,7 @@ DICT_ROWS = PLAIN_ROWS * 3
 
 def read_block(rows: list, ctype: ColumnType = ColumnType.STRING):
     def decode(data: bytes) -> list:
-        return block_values(decode_block_arrays(data, ctype, len(rows), META_VERSION))
+        return block_values(decode_block_arrays(data, ctype, len(rows)))
 
     return decode
 
@@ -236,7 +317,7 @@ UNCHECKED = {
 def test_an_unchecked_block_raises_its_error_or_decodes(name):
     rows, ctype = UNCHECKED[name]
     sample, decode = encode_block(rows, ctype), read_block(rows, ctype)
-    plain = isinstance(decode_block_arrays(sample, ctype, len(rows), META_VERSION), Strings)
+    plain = isinstance(decode_block_arrays(sample, ctype, len(rows)), Strings)
     assert plain == ("PLAIN" in name) and decode(sample) == rows
     for data in [sample[:cut] for cut in range(len(sample))] + [sample + b"\0", *FOREIGN]:
         with pytest.raises(SerializationError):
@@ -249,6 +330,34 @@ def test_an_unchecked_block_raises_its_error_or_decodes(name):
         except SerializationError:
             pass
     assert 0 < decoded < 8 * len(sample)  # value flips decode; length flips cannot
+
+
+def meta_v8() -> bytes:
+    return reader_for(golden_block()).pack.read_member("meta")
+
+
+# The v8 members the pack checks: beneath it, their decoders' own
+# checks answer for what a damaged member would do.
+V8_MEMBERS = {
+    "LogBlock meta v8": (meta_v8, read_meta),
+    "inverted index v8": (lambda: damage_sample().to_bytes(), read_inverted),
+    "numeric index v8": (lambda: numeric_sample().to_bytes(), read_numeric),
+    "Bloom filter v8": (bloom_sample, read_bloom),
+}
+
+
+@pytest.mark.parametrize("name", V8_MEMBERS)
+def test_a_damaged_v8_member_raises_its_error_or_decodes(name):
+    sample, decode = V8_MEMBERS[name][0](), V8_MEMBERS[name][1]
+    decode(sample)
+    cuts = [sample[:cut] for cut in range(len(sample))]
+    raised = 0
+    for data in cuts + list(flips(sample)) + [sample + b"\0", *FOREIGN]:
+        try:
+            decode(data)
+        except SerializationError:
+            raised += 1
+    assert raised >= len(cuts) // 2  # most truncations cut a section short
 
 
 @pytest.mark.parametrize("change", [-1, 1])

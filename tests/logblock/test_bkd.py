@@ -1,16 +1,12 @@
-"""Numeric index tests: probes against brute force, the v7 layout, and
-the v6 member (values and row ids as they are) read into the same form."""
+"""Numeric index tests: probes against brute force and the member layout."""
 
 import math
-import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.bytesio import BinaryWriter
-from repro.common.varint import encode_uvarint_array, zigzag_encode
 from repro.logblock.bkd import BkdIndex, BkdIndexBuilder
 from repro.logblock.inverted import uint_for
 from repro.logblock.pruning import EqPredicate, RangePredicate, evaluate_predicates
@@ -31,33 +27,10 @@ def rows(index: BkdIndex, *interval, **bounds) -> list[int] | None:
     return None if hits is None else sorted(hits.tolist())
 
 
-def v6_member(index: BkdIndex) -> bytes:
-    """What the v6 writer stored for ``index``: the sorted values as
-    offsets from the least at the width of their span, the counts, and
-    every row id at the width the row count needs."""
-    values, first, rows = index._values, index._first, index.rows
-    is_float = values.dtype == np.float64
-    head = BinaryWriter()
-    head.write_u8(1 * is_float | 2 * (first is not None) | 4 * (rows is not None))
-    head.write_uvarint(index.row_count)
-    head.write_uvarint(index.term_count)
-    if not is_float:
-        head.write_uvarint(zigzag_encode(index._base))
-        head.write_u8(values.itemsize if index.term_count > 1 else 0)
-    if is_float or index.term_count > 1:
-        head.write_bytes(values.tobytes())
-    if first is not None:
-        head.write_bytes(encode_uvarint_array(np.diff(first)))
-    if rows is not None:
-        head.write_bytes(rows.astype(uint_for(index.row_count)).tobytes())
-    body = head.getvalue()
-    return zlib.crc32(body).to_bytes(4, "little") + body
-
-
 class TestQueries:
     def test_a_literal_it_cannot_compare_is_left_to_the_scan(self):
-        """A str against an int column fails before any index is read,
-        as it did with the v6 index; the index itself declines it, and a
+        """A str against an int column fails before any index is read;
+        the index itself declines it, and a
         float index declines an int no float64 holds."""
         assert build([10, 20]).range_rows("10", "10") is None
         assert build([1.0, 2.0], is_float=True).in_rows([1, (1 << 53) + 1]) is None
@@ -82,7 +55,7 @@ class TestLayout:
         assert build(ts[::-1]).rows.dtype == np.uint16
         wide = BkdIndexBuilder(is_float=False)  # row ids past 2**16 - 1 take four bytes
         wide.add_many(0, np.arange(1 << 16, -1, -1), np.zeros((1 << 16) + 1, bool))
-        assert BkdIndex.from_bytes(wide.build().to_bytes(), 7).rows[:2].tolist() == [1 << 16, 65535]
+        assert BkdIndex.from_bytes(wide.build().to_bytes()).rows[:2].tolist() == [1 << 16, 65535]
 
     @pytest.mark.parametrize(
         "span, width", [(1, 1), (255, 1), (256, 2), (1 << 16, 4), (1 << 40, 8), ((1 << 64) - 1, 8)]
@@ -91,7 +64,7 @@ class TestLayout:
         low = -(1 << 63) if span >> 63 else -5  # the widest span is all of int64
         index = build([low, low + span])
         assert index.width == width and rows(index, low + span, low + span) == [1]
-        decoded = BkdIndex.from_bytes(index.to_bytes(), 7)
+        decoded = BkdIndex.from_bytes(index.to_bytes())
         assert decoded._values.dtype == index._values.dtype
         assert decoded.to_bytes() == index.to_bytes()
 
@@ -109,7 +82,7 @@ class TestLayout:
             index = builder.build()
             assert (index.term_count, index.row_width, index.rows.dtype) == (2, 1, uint_for(n))
             assert len(index.to_bytes()) < n + 24  # a header of under 24 bytes
-            decoded = BkdIndex.from_bytes(index.to_bytes(), 7)
+            decoded = BkdIndex.from_bytes(index.to_bytes())
             assert np.array_equal(decoded.rows, index.rows) and decoded.rows.dtype == uint_for(n)
             assert decoded.range_rows(1, 1)[:3].tolist() == [1, 3, 5]
 
@@ -149,13 +122,14 @@ def columns(draw, kind: str) -> tuple[list, bool, list]:
 
 @pytest.mark.parametrize("kind", ["int", "float", "bool"])
 @given(st.data(), st.booleans(), st.booleans())
-def test_every_probe_equals_brute_force_and_the_v6_index(kind, data, low_inclusive, high_inclusive):
+def test_every_probe_equals_brute_force_and_the_decoded_index(
+    kind, data, low_inclusive, high_inclusive
+):
     values, is_float, probes = data.draw(columns(kind))
     ours = build(values, is_float)
-    theirs = BkdIndex.from_bytes(v6_member(ours), 6)
-    decoded = BkdIndex.from_bytes(ours.to_bytes(), 7)
-    assert theirs.to_bytes() == decoded.to_bytes() == ours.to_bytes()
-    assert theirs.nbytes == decoded.nbytes == ours.nbytes  # what the object cache is charged
+    decoded = BkdIndex.from_bytes(ours.to_bytes())
+    assert decoded.to_bytes() == ours.to_bytes()
+    assert decoded.nbytes == ours.nbytes  # what the object cache is charged
     present = [(row, value) for row, value in enumerate(values) if value is not None]
 
     def brute(keep) -> list[int]:
@@ -178,10 +152,10 @@ def test_every_probe_equals_brute_force_and_the_v6_index(kind, data, low_inclusi
         for high in [None, *probes]:
             within = brute(lambda v: lows(v, low) and highs(v, high))
             expected = None if declined(low, high) else within
-            for index in (ours, theirs, decoded):
+            for index in (ours, decoded):
                 got = rows(index, low, high, low_inclusive, high_inclusive)
                 assert got == expected, (low, high)  # None: the scan answers
     expected = None if any(map(declined, probes)) else brute(lambda v: any(v == p for p in probes))
-    for index in (ours, theirs, decoded):
+    for index in (ours, decoded):
         hits = index.in_rows(probes)  # a probe given twice gives its rows twice
         assert (None if hits is None else sorted(set(hits.tolist()))) == expected

@@ -68,13 +68,12 @@ class TestBloomFilter:
         bloom = BloomFilter.for_items(max(len(items), 1))
         for item in items:
             bloom.add(item)
-        decoded = BloomFilter.from_bytes(bloom.to_bytes(), 7)
+        decoded = BloomFilter.from_bytes(bloom.to_bytes())
         assert decoded.n_bits == bloom.n_bits
         assert decoded.n_hashes == bloom.n_hashes
         for item in items:
             assert decoded.might_contain(item)
-        # A v6 member is the same bytes without the leading checksum.
-        assert BloomFilter.from_bytes(bloom.to_bytes()[4:], 6).to_bytes() == bloom.to_bytes()
+        assert decoded.to_bytes() == bloom.to_bytes()
 
 
 class TestLogBlockIntegration:

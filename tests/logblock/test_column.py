@@ -20,11 +20,10 @@ from repro.logblock.column import (
 )
 from repro.logblock.encode_kernels import encode_block_range, prepare_column
 from repro.logblock.schema import ColumnType
-from repro.logblock.version import META_VERSION
 
 
 def roundtrip(values, ctype):
-    return decode_block(encode_block(values, ctype), ctype, len(values), META_VERSION)
+    return decode_block(encode_block(values, ctype), ctype, len(values))
 
 
 class TestIntColumns:
@@ -68,21 +67,11 @@ class TestIntFrames:
     def test_frames_round_trip(self, values, frame, width):
         for ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
             data = encode_block(values, ctype)
-            assert int_frame(data, 7) == (frame, width)
-            assert decode_block(data, ctype, len(values), 7) == values
-            vector, null_mask = decode_block_arrays(data, ctype, len(values), 7)
+            assert int_frame(data) == (frame, width)
+            assert decode_block(data, ctype, len(values)) == values
+            vector, null_mask = decode_block_arrays(data, ctype, len(values))
             assert vector.dtype == np.int64 and not vector.flags.writeable
             assert block_values((vector, null_mask)) == values
-
-    def test_a_v6_block_is_read_raw(self):
-        values = [3, None, INT64_MIN, 12]
-        framed = encode_block(values, ColumnType.INT64)
-        raw = framed[: 1 + framed[0]]  # the length-prefixed null bitset, then every value raw
-        raw += np.array([0 if v is None else v for v in values], np.int64).tobytes()
-        assert decode_block(raw, ColumnType.INT64, 4, 6) == values
-        vector, _nulls = decode_block_arrays(raw, ColumnType.INT64, 4, 6)
-        assert vector.tolist() == [3, 0, INT64_MIN, 12]
-        assert int_frame(raw, 6) == ("raw", 8)
 
     def test_the_frame_shrinks_a_timestamp_block(self):
         ts = [1_600_000_000_000_000 + 1_000 * i for i in range(1000)]
@@ -100,7 +89,7 @@ class TestIntFrames:
         data = encode_block(values, ColumnType.INT64)
         prep = prepare_column(np.array(values, dtype=object), ColumnType.INT64)
         assert encode_block_range(prep, 0, len(values)) == data
-        assert decode_block(data, ColumnType.INT64, len(values), META_VERSION) == values
+        assert decode_block(data, ColumnType.INT64, len(values)) == values
 
 
 class TestFloatColumns:
@@ -136,7 +125,7 @@ class TestStringColumns:
         # Low cardinality + enough rows → dictionary encoding kicks in.
         values = (["alpha", "beta", None] * 20)[:50]
         encoded = encode_block(values, ColumnType.STRING)
-        assert decode_block(encoded, ColumnType.STRING, len(values), META_VERSION) == values
+        assert decode_block(encoded, ColumnType.STRING, len(values)) == values
 
     def test_dictionary_smaller_for_low_cardinality(self):
         repetitive = ["the-same-long-api-endpoint-name"] * 100
@@ -149,10 +138,9 @@ class TestStringColumns:
         """More than 127 entries: codes become multi-byte varints."""
         values = ([f"v{i:03d}" for i in range(300)] + [None]) * 3
         encoded = encode_block(values, ColumnType.STRING)
-        assert decode_block(encoded, ColumnType.STRING, len(values), META_VERSION) == values
+        assert decode_block(encoded, ColumnType.STRING, len(values)) == values
         codes, dictionary, null_mask = decode_block_arrays(
-            encoded, ColumnType.STRING, len(values), META_VERSION
-        )
+            encoded, ColumnType.STRING, len(values))
         assert codes.dtype == np.uint16 and len(dictionary) == 300  # the narrowest that holds 301
         assert [None if c == 0 else dictionary[c - 1] for c in codes.tolist()] == values
         assert null_mask.tolist() == [v is None for v in values]
@@ -162,7 +150,7 @@ class TestStringColumns:
         encoded = encode_block(values, ColumnType.STRING)
         for decode in (decode_block, decode_block_arrays):
             with pytest.raises(SerializationError):
-                decode(encoded[:-1], ColumnType.STRING, len(values), META_VERSION)
+                decode(encoded[:-1], ColumnType.STRING, len(values))
 
     def test_empty_string_vs_null(self):
         values = ["", None, "x"]
@@ -196,7 +184,7 @@ plain_values = st.lists(
 
 def plain_strings(payload, row_count):
     """The decoded form of a string block (a PLAIN one: ``Strings``)."""
-    return decode_block_arrays(payload, ColumnType.STRING, row_count, META_VERSION)
+    return decode_block_arrays(payload, ColumnType.STRING, row_count)
 
 
 class TestSelectivePlainDecode:
@@ -211,7 +199,7 @@ class TestSelectivePlainDecode:
     @given(plain_values, st.data())
     def test_pick_equals_oracle_picks(self, values, data):
         payload = self.encode_plain(values)
-        oracle = decode_block(payload, ColumnType.STRING, len(values), META_VERSION)
+        oracle = decode_block(payload, ColumnType.STRING, len(values))
         assert oracle == values
         strings = plain_strings(payload, len(values))
         everything = np.arange(len(values))
@@ -236,7 +224,7 @@ class TestSelectivePlainDecode:
             with pytest.raises(SerializationError):
                 plain_strings(payload[:cut], len(values))
             with pytest.raises(SerializationError):
-                decode_block(payload[:cut], ColumnType.STRING, len(values), META_VERSION)
+                decode_block(payload[:cut], ColumnType.STRING, len(values))
 
     @pytest.mark.parametrize("change", [-1, 1])
     def test_a_length_section_that_disagrees_with_its_text_raises(self, change):
@@ -303,7 +291,7 @@ class TestDecodedBlocksAreSafeToShare:
 
     @pytest.mark.parametrize("ctype, values", BLOCKS)
     def test_writing_into_a_decoded_array_raises(self, ctype, values):
-        block = decode_block_arrays(encode_block(values, ctype), ctype, len(values), META_VERSION)
+        block = decode_block_arrays(encode_block(values, ctype), ctype, len(values))
         arrays = [part for part in block if isinstance(part, np.ndarray)]
         assert len(arrays) == 2
         for array in arrays:
@@ -317,7 +305,7 @@ class TestDecodedBlocksAreSafeToShare:
     def test_a_plain_block_exposes_no_writable_buffer(self):
         values = [f"line {i}" for i in range(40)]
         payload = encode_block(values, ColumnType.STRING)
-        strings = decode_block_arrays(payload, ColumnType.STRING, 40, META_VERSION)
+        strings = decode_block_arrays(payload, ColumnType.STRING, 40)
         assert isinstance(strings, Strings) and len(strings) == 40
         for array in (strings.nulls, strings.bounds):
             assert not array.flags.writeable
@@ -328,14 +316,14 @@ class TestDecodedBlocksAreSafeToShare:
         """A short pick, a longer one by another reader, the first again:
         each equals what a fresh decode of the block returns."""
         payload = encode_block(values, ColumnType.STRING)
-        shared = decode_block_arrays(payload, ColumnType.STRING, len(values), META_VERSION)
+        shared = decode_block_arrays(payload, ColumnType.STRING, len(values))
         assert isinstance(shared, Strings)
         cut = data.draw(st.integers(1, len(values)))
         short = np.arange(cut)[:: data.draw(st.integers(1, 3))]
         longer = np.arange(len(values))[data.draw(st.integers(0, 2)) :: 2]
 
         def fresh(offsets):
-            block = decode_block_arrays(payload, ColumnType.STRING, len(values), META_VERSION)
+            block = decode_block_arrays(payload, ColumnType.STRING, len(values))
             return block.pick(offsets)
 
         first = shared.pick(short)
@@ -350,7 +338,7 @@ class TestDecodedBlocksAreSafeToShare:
         pick still equals the picks from the values."""
         values = [None if i % 17 == 0 else f"row {i} " + "x" * (i % 150) for i in range(600)]
         payload = encode_block(values, ColumnType.STRING)
-        shared = decode_block_arrays(payload, ColumnType.STRING, 600, META_VERSION)
+        shared = decode_block_arrays(payload, ColumnType.STRING, 600)
         assert isinstance(shared, Strings)
         wrong: list = []
 
@@ -404,14 +392,14 @@ class TestNumericDecodeOracle:
         # nine rows' null bitset followed by eight rows' value bitset
         spliced = nine[: len(nine) - 7] + eight[len(eight) - 6 :]
         with pytest.raises(SerializationError):
-            decode_block(spliced, ColumnType.BOOL, 9, META_VERSION)
+            decode_block(spliced, ColumnType.BOOL, 9)
 
 
 class TestErrors:
     def test_row_count_mismatch(self):
         encoded = encode_block([1, 2, 3], ColumnType.INT64)
         with pytest.raises(SerializationError):
-            decode_block(encoded, ColumnType.INT64, 5, META_VERSION)
+            decode_block(encoded, ColumnType.INT64, 5)
 
     def test_empty_block(self):
         assert roundtrip([], ColumnType.INT64) == []

@@ -47,7 +47,6 @@ from repro.logblock.schema import (
     request_log_schema,
 )
 from repro.logblock.sma import Sma, SmaTable, compute_sma, compute_sma_arrays
-from repro.logblock.version import META_VERSION
 from repro.logblock.writer import LogBlockWriter
 from repro.tarpack.reader import PackReader
 
@@ -210,7 +209,7 @@ class TestBlockDifferential:
             assert payload == encode_block(values[start:stop], ctype)
             # And the round trip restores the exact python values.
             assert (
-                decode_block(payload, ctype, stop - start, META_VERSION) == values[start:stop]
+                decode_block(payload, ctype, stop - start) == values[start:stop]
             )
 
     @pytest.mark.parametrize("name", sorted(STRING_BLOCKS))
@@ -221,9 +220,9 @@ class TestBlockDifferential:
         assert payload == encode_block(values, ColumnType.STRING)
         # PLAIN and DICT are both the kernels' own work now; which one
         # a block takes is the oracle's choice, reproduced.
-        decoded = decode_block_arrays(payload, ColumnType.STRING, len(values), META_VERSION)
+        decoded = decode_block_arrays(payload, ColumnType.STRING, len(values))
         assert isinstance(decoded, Strings) == plain
-        assert decode_block(payload, ColumnType.STRING, len(values), META_VERSION) == values
+        assert decode_block(payload, ColumnType.STRING, len(values)) == values
         # Any sub-range of the column is the oracle's bytes too (the
         # ranking is the column's, the dictionary the block's).
         lo, hi = len(values) // 3, len(values) - 1
@@ -246,10 +245,9 @@ class TestBlockDifferential:
         payload = encode_block_range(prep, 0, 500)
         assert payload == encode_block(values, ColumnType.STRING)
         codes, dictionary, nulls = decode_block_arrays(
-            payload, ColumnType.STRING, 500, META_VERSION
-        )
+            payload, ColumnType.STRING, 500)
         assert len(dictionary) == 200
-        assert decode_block(payload, ColumnType.STRING, 500, META_VERSION) == values
+        assert decode_block(payload, ColumnType.STRING, 500) == values
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +550,7 @@ class TestBloomBytes:
 
 def _dict_block(values):
     payload = encode_block(values, ColumnType.STRING)
-    arrays = decode_block_arrays(payload, ColumnType.STRING, len(values), META_VERSION)
+    arrays = decode_block_arrays(payload, ColumnType.STRING, len(values))
     assert arrays is not None and len(arrays) == 3
     return arrays
 

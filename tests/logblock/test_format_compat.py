@@ -1,22 +1,26 @@
-"""One reader, two LogBlock formats: v6 and v7 answer alike.
+"""One reader, two LogBlock formats: v7 and v8 answer alike.
 
-The golden corpus exists twice — the committed v6 pack (the last v6
-writer's real output, integers stored as they are) and the v7 pack the
-writer emits (integers as differences) — and every predicate shape must return the same rows
-from both, with skipping on and off.  Right answers are not enough: a
+The golden corpus exists twice — the committed v7 pack (the last v7
+writer's real output, its meta, index and Bloom members checksumming
+themselves under a v2 manifest) and the v8 pack the writer emits (every
+member's checksum in the v3 manifest) — and every predicate shape must
+return the same rows from both, with skipping on and off.  Right answers are not enough: a
 format whose index quietly stops being used (a decoder returning an
 object the pruning code does not recognise) still answers correctly
 from the scan path, only slower and with more bytes read.  So
 index-answerable shapes must also report an index lookup.
 
 Also here: the "materialise only what is asked for" count at query
-level.  The meta member's damage cases run from the table of
+level.  The members' damage cases run from the table of
 ``tests/formats/test_corruption.py``.
 """
+
+import zlib
 
 import pytest
 
 from repro.builder.compaction import rewrite_blocks
+from repro.common.errors import SerializationError
 from repro.cache.multilevel import CachingRangeReader, MultiLevelCache
 from repro.common.clock import VirtualClock
 from repro.logblock.schema import request_log_schema
@@ -29,7 +33,7 @@ from repro.query.executor import BlockExecutor, ExecutionOptions
 from repro.query.planner import QueryPlanner
 from repro.query.sql import parse_sql
 
-from tests.logblock.test_writer_reader import V6_FIXTURE, golden_block, golden_corpus, reader_for
+from tests.logblock.test_writer_reader import V7_FIXTURE, golden_block, golden_corpus, reader_for
 
 BUCKET = "formats"
 TENANT = "tenant_id = 7"
@@ -78,7 +82,7 @@ def rows() -> list[dict]:
 
 @pytest.fixture(scope="module")
 def blobs() -> dict[int, bytes]:
-    return {6: V6_FIXTURE.read_bytes(), 7: golden_block()}
+    return {7: V7_FIXTURE.read_bytes(), 8: golden_block()}
 
 
 @pytest.fixture(scope="module")
@@ -165,21 +169,36 @@ class TestEveryFormatAnswersAlike:
                 version: (reader.read_column(column), reader.read_rows(picked, [column]))
                 for version, reader in readers.items()
             }
-            assert answers[6] == answers[7]
-            assert answers[7][0] == [row[column] for row in rows]
+            assert answers[7] == answers[8]
+            assert answers[8][0] == [row[column] for row in rows]
 
-    def test_v7_is_smaller_than_v6(self, blobs):
-        assert len(blobs[7]) < len(blobs[6])
+    def test_v8_adds_a_checksum_per_column_block_only(self, blobs):
+        """The other members' checksums move into the manifest: a v8
+        pack is 4 bytes a column block larger, give or take what a CRC
+        cost inside a compressed index and the size varints."""
+        blocks = sum(name.startswith("col/") for name in reader_for(blobs[8]).pack.member_names())
+        assert abs(len(blobs[8]) - len(blobs[7]) - 4 * blocks) < 16
+
+    def test_a_v6_pack_is_refused_by_its_version(self, blobs):
+        """v6 left the read window: its meta's version byte is named."""
+        reader = reader_for(blobs[7])
+        start, length = reader.member_extent("meta")
+        meta = bytearray(blobs[7][start : start + length])
+        meta[4] = 6
+        meta[5:9] = zlib.crc32(meta[9:], zlib.crc32(meta[4:5])).to_bytes(4, "little")
+        v6 = blobs[7][:start] + bytes(meta) + blobs[7][start + length :]
+        with pytest.raises(SerializationError, match="LogBlock meta version 6"):
+            reader_for(v6).meta()
 
 
 class TestOldBlocksMoveForwardOnRewrite:
-    def test_compaction_rewrites_v6_victims_as_v7(self, blobs, rows):
+    def test_compaction_rewrites_v7_victims_as_v8(self, blobs, rows):
         """Nothing migrates old blocks in place; whatever rewrites one —
-        compaction, the cold compactor — goes through the v7 writer."""
+        compaction, the cold compactor — goes through the v8 writer."""
         store = InMemoryObjectStore()
         store.create_bucket(BUCKET)
         victims = []
-        for version in (6, 7):
+        for version in (7, 8):
             path = f"tenants/7/v{version}.lgb"
             store.put(BUCKET, path, blobs[version])
             victims.append(
@@ -191,8 +210,8 @@ class TestOldBlocksMoveForwardOnRewrite:
         )
         assert len(rewritten) == 1
         reader = reader_for(rewritten[0][1])
-        assert reader.meta().version == 7 and reader.row_count == 2 * len(rows)
-        assert reader.pack.manifest().version == 2
+        assert reader.meta().version == 8 and reader.row_count == 2 * len(rows)
+        assert reader.pack.manifest().version == 3
         # Merged by ts, ties in victim order: every row twice in a row.
         assert reader.read_column("log") == [row["log"] for row in rows for _ in range(2)]
         assert reader.read_index("log").lookup("needle").tolist() == [14, 15, 3012, 3013]
@@ -200,8 +219,8 @@ class TestOldBlocksMoveForwardOnRewrite:
 
 class TestMaterialiseWhatIsAsked:
     def test_a_query_on_two_columns_builds_smas_for_those_two(self, blobs, rows, monkeypatch):
-        corpus = Corpus(blobs[7], rows, use_skipping=True)
-        meta = reader_for(blobs[7]).meta()
+        corpus = Corpus(blobs[8], rows, use_skipping=True)
+        meta = reader_for(blobs[8]).meta()
         per_column = meta.n_blocks + 1
         touched: set[str] = set()
         real = SmaTable.sma

@@ -32,7 +32,7 @@ from repro.logblock.writer import LogBlockWriter
 from repro.query.kernels import selection_columns
 from repro.rowstore.memtable import MemTable
 
-from tests.logblock.test_writer_reader import V6_FIXTURE, golden_block, golden_corpus, reader_for
+from tests.logblock.test_writer_reader import V7_FIXTURE, golden_block, golden_corpus, reader_for
 from tests.oracle import matches
 
 SCHEMA = TableSchema(
@@ -421,12 +421,12 @@ class TestHazards:
         assert not evaluate_predicates(reader, [NePredicate("tenant", 7)], stats=stats).any()
         assert stats.columns_pruned == 1
 
-    @pytest.mark.parametrize("version", [6, 7])
+    @pytest.mark.parametrize("version", [7, 8])
     def test_both_formats_in_the_read_window_prove_alike(self, version):
-        """The committed v6 pack and the v7 writer's pack of the golden
+        """The committed v7 pack and the v8 writer's pack of the golden
         corpus: the SMAs either meta holds prove the same full matches."""
         rows = golden_corpus()
-        reader = reader_for(V6_FIXTURE.read_bytes() if version == 6 else golden_block())
+        reader = reader_for(V7_FIXTURE.read_bytes() if version == 7 else golden_block())
         assert reader.meta().version == version
         for predicate in (EqPredicate("tenant_id", 7), RangePredicate("ts", low=rows[0]["ts"])):
             assert every_path(reader, rows, predicate) == list(range(len(rows)))

@@ -19,7 +19,6 @@ from repro.logblock.pruning import (
     object_column,
 )
 from repro.logblock.schema import ColumnType
-from repro.logblock.version import META_VERSION
 
 from tests.conftest import make_rows, write_logblock
 from tests.logblock.test_pruning import brute_force, predicate_strategy
@@ -30,7 +29,7 @@ class TestDecodeArrays:
     def test_int_roundtrip(self):
         values = [1, None, -5, 7]
         encoded = encode_block(values, ColumnType.INT64)
-        arrays = decode_block_arrays(encoded, ColumnType.INT64, 4, META_VERSION)
+        arrays = decode_block_arrays(encoded, ColumnType.INT64, 4)
         assert arrays is not None
         vector, nulls = arrays
         assert vector.dtype == np.int64
@@ -39,20 +38,20 @@ class TestDecodeArrays:
 
     def test_float_and_bool(self):
         floats = encode_block([1.5, None], ColumnType.FLOAT64)
-        vector, nulls = decode_block_arrays(floats, ColumnType.FLOAT64, 2, META_VERSION)
+        vector, nulls = decode_block_arrays(floats, ColumnType.FLOAT64, 2)
         assert vector[0] == 1.5 and nulls[1]
         bools = encode_block([True, False, None], ColumnType.BOOL)
-        vector, nulls = decode_block_arrays(bools, ColumnType.BOOL, 3, META_VERSION)
+        vector, nulls = decode_block_arrays(bools, ColumnType.BOOL, 3)
         assert bool(vector[0]) and not bool(vector[1]) and nulls[2]
 
     def test_strings_have_no_vector_form(self):
         encoded = encode_block(["a", "b"], ColumnType.STRING)
-        decoded = decode_block_arrays(encoded, ColumnType.STRING, 2, META_VERSION)
+        decoded = decode_block_arrays(encoded, ColumnType.STRING, 2)
         assert isinstance(decoded, Strings)
 
     def test_timestamp(self):
         encoded = encode_block([100, 200], ColumnType.TIMESTAMP)
-        vector, _nulls = decode_block_arrays(encoded, ColumnType.TIMESTAMP, 2, META_VERSION)
+        vector, _nulls = decode_block_arrays(encoded, ColumnType.TIMESTAMP, 2)
         assert list(vector) == [100, 200]
 
 

@@ -1,6 +1,7 @@
 """LogBlock write/read roundtrip tests."""
 
 import hashlib
+import zlib
 from pathlib import Path
 
 import pytest
@@ -91,13 +92,15 @@ class TestMetaRoundtrip:
         # Non-numeric columns carry no sum even in the v3 format.
         assert reader.meta().column_sma("ip").sum_value is None
 
-    def test_a_v6_meta_decodes_into_the_v7_form(self):
-        """v6 and v7 metas share one layout: the v6 fixture's meta holds
-        the golden corpus's SMAs slot for slot, and re-encodes as itself."""
-        raw = reader_for(V6_FIXTURE.read_bytes()).pack.read_member("meta")
+    def test_a_v7_meta_decodes_into_the_v8_form(self):
+        """v7 and v8 metas share one layout past the v7 checksum: the v7
+        fixture's meta holds the golden corpus's SMAs slot for slot, and
+        re-encodes as itself without the checksum, stamped v8."""
+        raw = reader_for(V7_FIXTURE.read_bytes()).pack.read_member("meta")
         old, new = LogBlockMeta.from_bytes(raw), reader_for(golden_block()).meta()
-        assert (old.version, new.version) == (6, 7)
-        assert old.to_bytes() == raw
+        assert (old.version, new.version) == (7, 8)
+        assert old.to_bytes() == raw[:4] + b"\x08" + raw[9:]
+        assert old.bloom_sizes == {name: size + 4 for name, size in new.bloom_sizes.items()}
         for column in new.schema.column_names():
             assert old.column_sma(column) == new.column_sma(column)
             for block_idx in range(new.n_blocks):
@@ -105,11 +108,11 @@ class TestMetaRoundtrip:
                 ours = new.block_header(column, block_idx)
                 assert (theirs.row_count, theirs.sma) == (ours.row_count, ours.sma)
 
-    @pytest.mark.parametrize("version", [0, 5, 8, 255])
+    @pytest.mark.parametrize("version", [0, 5, 6, 9, 255])
     def test_a_version_outside_the_read_window_is_refused(self, version):
         raw = bytearray(reader_for(write_logblock(make_rows(20))).meta().to_bytes())
         raw[4] = version
-        with pytest.raises(SerializationError, match="version"):
+        with pytest.raises(SerializationError, match=f"version {version}$"):
             LogBlockMeta.from_bytes(bytes(raw))
 
     def test_opening_a_meta_builds_no_sma(self, monkeypatch):
@@ -288,13 +291,12 @@ def golden_corpus() -> list[dict]:
 # decoder for the old one and pin the old bytes as a fixture — do not
 # just update the hash.
 #
-# tests/fixtures/logblock_v6_golden.lgb is the last v6 writer's output
-# (integer column blocks and numeric indexes as they are, Bloom members
-# without a checksum).
-GOLDEN_V6_SHA256 = "149388fc9eef72184937311f5b4e73a87a37c6f3eef540491c8c61e26b3623bb"
+# tests/fixtures/logblock_v7_golden.lgb is the last v7 writer's output
+# (a v2 manifest without member checksums; meta, index and Bloom members
+# that checksum themselves).
 GOLDEN_V7_SHA256 = "d5ee2fab2a0d8454dfc329da69eea04805a4b61ad2776bb1de762009cdad21e5"
-V6_FIXTURE = Path(__file__).parent.parent / "fixtures" / "logblock_v6_golden.lgb"
-
+GOLDEN_V8_SHA256 = "19c93194a51e731f37b6718679c262c57ec40fef8b1cf409a342e889d81e03dc"
+V7_FIXTURE = Path(__file__).parent.parent / "fixtures" / "logblock_v7_golden.lgb"
 
 def golden_block() -> bytes:
     writer = LogBlockWriter(request_log_schema(), codec="zlib", block_rows=1024)
@@ -305,7 +307,7 @@ def golden_block() -> bytes:
 
 
 def test_packed_bytes_are_those_of_the_golden_corpus():
-    assert hashlib.sha256(golden_block()).hexdigest() == GOLDEN_V7_SHA256
+    assert hashlib.sha256(golden_block()).hexdigest() == GOLDEN_V8_SHA256
 
 
 @pytest.mark.parametrize("how", ["append", "append_many", "append_columns", "mixed"])
@@ -325,7 +327,7 @@ def test_the_pack_does_not_depend_on_how_the_rows_arrived(how):
             writer.append_many(rows[lo:hi])
         else:
             writer.append_columns({name: [row[name] for row in rows[lo:hi]] for name in names})
-    assert hashlib.sha256(writer.finish()).hexdigest() == GOLDEN_V7_SHA256
+    assert hashlib.sha256(writer.finish()).hexdigest() == GOLDEN_V8_SHA256
 
 
 def test_index_builders_fed_row_by_row_build_the_golden_members():
@@ -354,37 +356,36 @@ def test_index_builders_fed_row_by_row_build_the_golden_members():
             assert sum(len(index.lookup(term)) for term in index.terms()) == present
 
 
-def test_the_v6_fixture_is_the_v6_writers_output():
-    blob = V6_FIXTURE.read_bytes()
-    assert len(blob) == 134_734 and hashlib.sha256(blob).hexdigest() == GOLDEN_V6_SHA256
+def test_the_v7_fixture_is_the_v7_writers_output():
+    blob = V7_FIXTURE.read_bytes()
+    assert len(blob) == 107_560 and hashlib.sha256(blob).hexdigest() == GOLDEN_V7_SHA256
 
 
-def test_the_v6_fixture_reads_back_the_golden_corpus():
-    reader = reader_for(V6_FIXTURE.read_bytes())
+def test_the_v7_fixture_reads_back_the_golden_corpus():
+    reader = reader_for(V7_FIXTURE.read_bytes())
     rows = golden_corpus()
-    assert (reader.meta().version, reader.pack.manifest().version) == (6, 2)
+    assert (reader.meta().version, reader.pack.manifest().version) == (7, 2)
     for column in request_log_schema().column_names():
         assert reader.read_column(column) == [row[column] for row in rows]
     assert reader.read_index("log").lookup("needle").tolist() == [7, 1506]
     assert reader.read_bloom("ip").might_contain("10.0.1.7")
 
 
-def test_v7_moves_integer_and_bloom_bytes_only():
-    """Every member but the INT64 / TIMESTAMP column blocks, the numeric
-    indexes, the Bloom filters and the meta (their sizes) is the v6
-    member, byte for byte; the blob shrinks.  The index of the constant
-    ``tenant_id`` (no value gaps, rows in order) is the same in both."""
-    old = reader_for(V6_FIXTURE.read_bytes()).pack
+def test_v8_moves_the_member_checksums_into_the_manifest_only():
+    """Every column block is the v7 member, byte for byte; every v7
+    index and Bloom member is the v8 one behind its CRC-32 of the rest,
+    and the v3 manifest holds a CRC-32 per member instead.  (The metas
+    differ in those members' sizes.)"""
+    old = reader_for(V7_FIXTURE.read_bytes()).pack
     new = reader_for(golden_block()).pack
     assert old.member_names() == new.member_names()
-    schema = request_log_schema()
-    moved = {"meta"} | {f"bloom/{col.name}" for col in schema.columns}
-    moved |= {f"idx/{col.name}" for col in schema.columns if col.index is IndexType.BKD}
-    moved.discard("idx/tenant_id")
-    integer = (ColumnType.INT64, ColumnType.TIMESTAMP)
-    ints = [i for i, col in enumerate(schema.columns) if col.ctype in integer]
-    moved |= {f"col/{i}/{b}" for i in ints for b in range(3)}
-    for name in new.member_names():
-        same = old.read_member(name) == new.read_member(name)
-        assert same == (name not in moved), name
-    assert len(golden_block()) < 0.8 * len(V6_FIXTURE.read_bytes())
+    assert (old.manifest().crcs, len(new.manifest().crcs)) == (None, len(new.member_names()))
+    codec = get_codec("zlib")
+    for name in new.member_names()[1:]:
+        theirs, ours = old.read_member(name), new.read_member(name)
+        if name.startswith("idx/"):
+            theirs, ours = codec.decompress(theirs), codec.decompress(ours)
+        if name.startswith(("idx/", "bloom/")):
+            assert zlib.crc32(theirs[4:]) == int.from_bytes(theirs[:4], "little"), name
+            theirs = theirs[4:]
+        assert theirs == ours, name

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.chaos.oss_faults import ChaosObjectStore
 from repro.cluster.config import small_test_config
 from repro.cluster.logstore import LogStore
+from repro.common.clock import VirtualClock
 from repro.common.errors import CatalogError
 from repro.logblock.schema import ColumnSpec, ColumnType, request_log_schema
 from repro.meta.catalog import Catalog
@@ -14,7 +16,6 @@ from repro.meta.persistence import (
     save_catalog,
     serialize_catalog,
 )
-from repro.oss.retry import FlakyStore
 from repro.oss.store import InMemoryObjectStore
 
 from tests.conftest import make_rows
@@ -84,8 +85,6 @@ class TestSnapshotsInStore:
         fresh = Catalog(request_log_schema())
         from repro.oss.costmodel import free
         from repro.oss.metered import MeteredObjectStore
-        from repro.common.clock import VirtualClock
-
         metered = MeteredObjectStore(inner, free(), VirtualClock())
         assert not load_catalog_into(fresh, metered, "b")
 
@@ -146,7 +145,7 @@ class TestClusterRestart:
         """A post-restart table whose first PUT attempt fails: the retry
         must neither overwrite the pre-restart block (taking it for a
         torn upload) nor register a path twice."""
-        backend = FlakyStore(InMemoryObjectStore())
+        backend = ChaosObjectStore(InMemoryObjectStore(), VirtualClock())
         config = small_test_config(use_raft=False)
         store = LogStore.create(config=config, backend=backend)
         first = make_rows(1, tenant_id=1)[0]

@@ -2,21 +2,23 @@
 
 import pytest
 
+from repro.chaos.oss_faults import ChaosObjectStore
 from repro.common.clock import VirtualClock
 from repro.common.errors import NoSuchKey, TransientStoreError
-from repro.oss.retry import FlakyStore, RetryStats, RetryingObjectStore
+from repro.oss.retry import RetryStats, RetryingObjectStore
 from repro.oss.store import InMemoryObjectStore
 
 
 def stack(fail_rate=0.0, seed=0, max_attempts=4):
     inner = InMemoryObjectStore()
-    flaky = FlakyStore(inner, fail_rate=fail_rate, seed=seed)
     clock = VirtualClock()
+    flaky = ChaosObjectStore(inner, clock, seed=seed)
+    flaky.set_error_rate(fail_rate)
     retrying = RetryingObjectStore(flaky, max_attempts=max_attempts, clock=clock)
     return inner, flaky, retrying, clock
 
 
-class TestFlakyStore:
+class TestInjectedFailures:
     def test_fail_next_forces_failures(self):
         _inner, flaky, _retrying, _clock = stack()
         flaky.create_bucket("b")
@@ -26,7 +28,7 @@ class TestFlakyStore:
         with pytest.raises(TransientStoreError):
             flaky.put("b", "k", b"x")
         flaky.put("b", "k", b"x")  # third attempt succeeds
-        assert flaky.failures_injected == 2
+        assert flaky.faults_injected == 2
 
     def test_failure_has_no_partial_effect(self):
         inner, flaky, _retrying, _clock = stack()
@@ -40,11 +42,10 @@ class TestFlakyStore:
         results = []
         for _ in range(2):
             _inner, flaky, _retrying, _clock = stack(fail_rate=0.5, seed=7)
-            flaky.create_bucket = lambda b: None  # avoid rng use mismatch
             outcomes = []
             for i in range(20):
                 try:
-                    flaky._maybe_fail("op")
+                    flaky.exists("b", "op")
                     outcomes.append(True)
                 except TransientStoreError:
                     outcomes.append(False)
@@ -80,8 +81,8 @@ class TestRetryingStore:
 
     def test_backoff_charged_exponentially(self):
         inner = InMemoryObjectStore()
-        flaky = FlakyStore(inner)
         clock = VirtualClock()
+        flaky = ChaosObjectStore(inner, clock)
         retrying = RetryingObjectStore(flaky, clock=clock, jitter=0.0)
         retrying.create_bucket("b")
         retrying.put("b", "k", b"x")
@@ -116,7 +117,7 @@ class TestRetryingStore:
         with pytest.raises(ValueError):
             RetryingObjectStore(inner, backoff_s=-1)
         with pytest.raises(ValueError):
-            FlakyStore(inner, fail_rate=2.0)
+            ChaosObjectStore(inner, VirtualClock()).set_error_rate(2.0)
 
 
 class TestFullStackWithFaults:
@@ -127,7 +128,7 @@ class TestFullStackWithFaults:
         from tests.conftest import make_rows
 
         inner = InMemoryObjectStore()
-        flaky = FlakyStore(inner, seed=5)
+        flaky = ChaosObjectStore(inner, VirtualClock(), seed=5)
         retrying = RetryingObjectStore(flaky, max_attempts=8)
         store = LogStore.create(config=small_test_config(), backend=retrying)
         store.put(1, make_rows(500, tenant_id=1))
@@ -140,6 +141,6 @@ class TestFullStackWithFaults:
             "SELECT COUNT(*) FROM request_log WHERE tenant_id = 1 AND latency >= 100"
         )
         assert result.rows[0]["COUNT(*)"] > 0
-        assert flaky.failures_injected >= 5
+        assert flaky.faults_injected >= 5
         assert retrying.stats.retries >= 5
         assert retrying.stats.giveups == 0

@@ -7,13 +7,13 @@ import pytest
 from repro.chaos.oss_faults import ChaosObjectStore
 from repro.common.clock import VirtualClock
 from repro.common.errors import ObjectAlreadyExists, TransientStoreError
-from repro.oss.retry import FlakyStore, RetryingObjectStore
+from repro.oss.retry import RetryingObjectStore
 from repro.oss.store import InMemoryObjectStore
 
 
 def make_store(**kwargs):
     clock = VirtualClock()
-    flaky = FlakyStore(InMemoryObjectStore(), seed=1)
+    flaky = ChaosObjectStore(InMemoryObjectStore(), clock, seed=1)
     store = RetryingObjectStore(flaky, clock=clock, **kwargs)
     store.create_bucket("b")
     return clock, flaky, store
@@ -122,7 +122,7 @@ def test_retry_counters_mirrored_to_registry():
 
     obs = Observability()
     clock = VirtualClock()
-    flaky = FlakyStore(InMemoryObjectStore(), seed=1)
+    flaky = ChaosObjectStore(InMemoryObjectStore(), clock, seed=1)
     store = RetryingObjectStore(flaky, clock=clock, obs=obs)
     store.create_bucket("b")
     flaky.fail_next(2)

@@ -1,30 +1,65 @@
 """Tar-with-manifest packaging tests."""
 
+import zlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import CorruptionError, SerializationError
 from repro.oss.store import InMemoryObjectStore
-from repro.tarpack.manifest import Manifest
-from repro.tarpack.packer import PackBuilder, pack_members, read_preamble, write_preamble
-from repro.tarpack.reader import PackReader
+from repro.tarpack.manifest import Manifest, read_preamble, write_preamble
+from repro.tarpack.packer import PackBuilder, pack_members
+from repro.tarpack.reader import BytesRangeReader, PackReader
+
+V7_FIXTURE = Path(__file__).parent.parent / "fixtures" / "logblock_v7_golden.lgb"
+
+
+def reopen(manifest: Manifest) -> Manifest:
+    """``manifest`` written and read back as a pack stores it."""
+    data = manifest.to_bytes()
+    return Manifest.from_bytes(data, write_preamble(len(data)))
 
 
 class TestManifest:
     def test_roundtrip(self):
-        manifest = Manifest.of(["meta", "idx/ip", "é/0"], [10, 250, 0])
-        decoded = Manifest.from_bytes(manifest.to_bytes())
+        manifest = Manifest.of(["meta", "idx/ip", "é/0"], [10, 250, 0], [1, 2, 0])
+        decoded = reopen(manifest)
         assert decoded.names() == ["meta", "idx/ip", "é/0"]
         assert decoded.extent("idx/ip") == (10, 250)
         assert decoded.extent("é/0") == (260, 0)
-        assert decoded.version == 2 and decoded.data_length == 260
+        assert decoded.version == 3 and decoded.data_length == 260
+        assert decoded.crcs.tolist() == [1, 2, 0]
 
-    def test_v2_is_names_then_lengths(self):
+    def test_v3_is_names_then_lengths_then_crcs(self):
         """Past the 13-byte frame: the count, the name lengths, the
-        names' text, the member lengths."""
-        body = Manifest.of(["meta", "col/0/0"], [10, 300]).to_bytes()[13:]
-        assert body == bytes((2, 4, 7)) + b"metacol/0/0" + bytes((10, 0xAC, 0x02))
+        names' text, the member lengths, each member's CRC-32."""
+        body = Manifest.of(["meta", "col/0/0"], [10, 300], [7, 1 << 31]).to_bytes()[13:]
+        assert body == (
+            bytes((2, 4, 7)) + b"metacol/0/0" + bytes((10, 0xAC, 0x02))
+            + (7).to_bytes(4, "little") + (1 << 31).to_bytes(4, "little")
+        )
+
+    def test_the_manifest_crc_covers_the_preamble(self):
+        data = Manifest.of(["meta"], [10], [5]).to_bytes()
+        preamble = bytearray(write_preamble(len(data)))
+        assert zlib.crc32(data[13:], zlib.crc32(preamble)) == int.from_bytes(data[5:9], "little")
+        preamble[-1] ^= 1  # a reserved byte
+        with pytest.raises(CorruptionError, match="checksum"):
+            Manifest.from_bytes(data, bytes(preamble))
+
+    def test_a_v2_manifest_is_read_without_member_crcs(self):
+        """The v7 LogBlock packs' manifest: names and lengths only, its
+        CRC over the body alone; a member read checks its length."""
+        blob = V7_FIXTURE.read_bytes()
+        reader = PackReader(BytesRangeReader(blob), "b", "k", len(blob))
+        manifest = reader.manifest()
+        assert (manifest.version, manifest.crcs) == (2, None)
+        assert manifest.names()[0] == "meta"
+        assert reader.data_start + manifest.data_length == len(blob)
+        with pytest.raises(CorruptionError, match="not as listed"):
+            manifest.check("meta", reader.read_member("meta")[1:])
 
     @given(
         st.dictionaries(
@@ -37,26 +72,28 @@ class TestManifest:
         """Unicode names, multi-byte lengths, empty members: the offsets
         the v2 reader rebuilds from the lengths are the writer's."""
         names, lengths = list(members), list(members.values())
-        manifest = Manifest.of(names, lengths)
-        decoded = Manifest.from_bytes(manifest.to_bytes())
-        assert decoded.names() == names and decoded.version == 2
+        crcs = [length % (1 << 32) for length in lengths]
+        manifest = Manifest.of(names, lengths, crcs)
+        decoded = reopen(manifest)
+        assert decoded.names() == names and decoded.version == 3
+        assert decoded.crcs.tolist() == crcs
         assert [decoded.extent(name) for name in names] == [manifest.extent(name) for name in names]
         assert decoded.data_length == sum(lengths)
 
-    @pytest.mark.parametrize("version", [0, 1, 3])
+    @pytest.mark.parametrize("version", [0, 1, 4])
     def test_a_version_outside_the_read_window_is_refused(self, version):
-        data = bytearray(Manifest.of(["meta"], [10]).to_bytes())
+        data = bytearray(Manifest.of(["meta"], [10], [0]).to_bytes())
         data[4] = version
-        with pytest.raises(SerializationError, match="version"):
-            Manifest.from_bytes(bytes(data))
+        with pytest.raises(SerializationError, match=f"version {version}$"):
+            Manifest.from_bytes(bytes(data), write_preamble(len(data)))
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(SerializationError):
-            Manifest.of(["a", "a"], [1, 1])
+            Manifest.of(["a", "a"], [1, 1], [0, 0])
 
     def test_missing_member(self):
         with pytest.raises(KeyError):
-            Manifest.of([], []).extent("nope")
+            Manifest.of([], [], []).extent("nope")
 
 
 class TestPreamble:
@@ -84,6 +121,23 @@ class TestPackBuilder:
     def test_empty_name_rejected(self):
         with pytest.raises(SerializationError):
             PackBuilder().add("", b"x")
+
+    def test_every_member_read_is_checked_against_the_manifest(self):
+        """A damaged member, inside the head chunk or past it, raises
+        on its read; the members beside it still read."""
+        members = {"meta": b"m" * 100, "col/0/0": b"c" * 20_000, "col/0/1": b"d" * 30}
+        blob = pack_members(members)
+        reader = PackReader(BytesRangeReader(blob), "b", "k", len(blob))
+        for name in members:
+            offset, length = reader.member_extent(name)
+            damaged = bytearray(blob)
+            damaged[offset + length // 2] ^= 0x10
+            opened = PackReader(BytesRangeReader(bytes(damaged)), "b", "k", len(blob))
+            with pytest.raises(CorruptionError, match=f"{name!r} checksum mismatch"):
+                opened.read_member(name)
+            assert all(
+                opened.read_member(other) == members[other] for other in members if other != name
+            )
 
     def test_empty_member_allowed(self):
         blob = pack_members({"empty": b"", "full": b"abc"})

@@ -9,7 +9,7 @@ from repro.tools.inspect import main, open_block
 
 from tests.conftest import make_rows, write_logblock
 
-V6_FIXTURE = str(Path(__file__).parent.parent / "fixtures" / "logblock_v6_golden.lgb")
+V7_FIXTURE = str(Path(__file__).parent.parent / "fixtures" / "logblock_v7_golden.lgb")
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ class TestCli:
         assert "col/0/0" in text
 
     def test_names_the_format_version(self, block_path):
-        for path, version, manifest in ((block_path, "v7", "v2"), (V6_FIXTURE, "v6", "v2")):
+        for path, version, manifest in ((block_path, "v8", "v3"), (V7_FIXTURE, "v7", "v2")):
             for flags in ([], ["--members"]):
                 out = io.StringIO()
                 assert main([*flags, path], out=out) == 0
@@ -73,16 +73,16 @@ class TestCli:
         table = out.getvalue().split("numeric index", 1)[1].split("\n\n")[0].splitlines()
         rows = {line.split()[0]: line.split()[1:] for line in table[1:]}
         assert rows["idx/tenant_id"] == ["1", "0", "in-order"] and rows["idx/ts"][2] == "in-order"
-        # 93 latencies spanning 485 (v6 stored them at 2 bytes) are at
-        # most 23 apart, and 100 row ids take one byte either way.
+        # 93 latencies spanning 485 are at most 23 apart, and 100 row
+        # ids take one byte either way.
         assert rows["idx/latency"] == ["93", "1", "gaps", "1"]
         assert rows["idx/fail"] == ["2", "1", "gaps", "1"] and len(rows) == 4
 
-    @pytest.mark.parametrize("version", ["v6", "v7"])
+    @pytest.mark.parametrize("version", ["v7", "v8"])
     def test_members_name_each_int_blocks_frame(self, block_path, version):
         """tenant_id (column 0) is constant and ts (1) ascends: delta;
-        latency (4) is neither: FOR.  Before v7 every int block is raw."""
-        path = V6_FIXTURE if version == "v6" else block_path
+        latency (4) is neither: FOR.  v7 and v8 int blocks are alike."""
+        path = V7_FIXTURE if version == "v7" else block_path
         out = io.StringIO()
         assert main(["--members", path], out=out) == 0
         table = out.getvalue().split("int block", 1)[1].split("\n\n")[0].splitlines()
@@ -90,11 +90,8 @@ class TestCli:
         rows = {line.split()[0]: line.split()[1:] for line in table[1:]}
         blocks = len(rows) // 3
         assert sorted(rows) == sorted(f"col/{c}/{b}" for c in (0, 1, 4) for b in range(blocks))
-        if version == "v6":
-            assert set(map(tuple, rows.values())) == {("raw", "8")}
-        else:
-            assert rows["col/0/0"] == ["delta", "0"] and rows["col/1/0"][0] == "delta"
-            assert rows["col/4/0"][0] == "for"
+        assert rows["col/0/0"] == ["delta", "0"] and rows["col/1/0"][0] == "delta"
+        assert rows["col/4/0"][0] == "for"
 
     def test_members_break_an_inverted_index_into_its_sections(self, block_path):
         out = io.StringIO()
